@@ -96,6 +96,14 @@ func TestFreeCommWhilePacketsInFlight(t *testing.T) {
 // the dedup layers must absorb all duplication. Payload sizes straddle the
 // eager limit so both the eager and rendezvous protocols face faults. Run
 // under -race.
+//
+// Two rules keep it deterministic. Every thread keeps progressing its rank
+// until all of them are done: repair is driven by progress, so a rank whose
+// threads have all returned can neither retransmit a dropped FIN nor re-ack
+// a retransmitted packet, and its peer would wait forever. And the repair
+// path is required to have run, not assumed to: which packets the injector
+// eats depends on thread interleaving, a round that loses only acks needs no
+// retransmission at all, so rounds repeat until one has lost tracked data.
 func TestFaultStressAllTrafficCompletes(t *testing.T) {
 	w := newTestWorld(t, 2, Options{
 		NumInstances: 2, Progress: progress.Serial, ThreadLevel: ThreadMultiple,
@@ -103,9 +111,10 @@ func TestFaultStressAllTrafficCompletes(t *testing.T) {
 		FaultDelayDur: 50 * time.Microsecond, FaultSeed: 42,
 	})
 	const (
-		groups = 2
-		msgs   = 24
-		big    = DefaultEagerLimit + 4096 // forces rendezvous
+		groups    = 2
+		msgs      = 24
+		big       = DefaultEagerLimit + 4096 // forces rendezvous
+		maxRounds = 20                       // P(no tracked drop in a round) ≈ 0.2
 	)
 	size := func(i int) int {
 		if i%3 == 2 {
@@ -113,63 +122,89 @@ func TestFaultStressAllTrafficCompletes(t *testing.T) {
 		}
 		return 16
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		wg.Add(2)
-		go func(g int) {
-			defer wg.Done()
-			th := w.Proc(0).NewThread()
-			c := w.Proc(0).CommWorld()
-			var reqs []*Request
-			for i := 0; i < msgs; i++ {
-				buf := make([]byte, size(i))
-				buf[0] = byte(g)
-				r, err := c.Isend(th, 1, int32(g*1000+i), buf)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				reqs = append(reqs, r)
-			}
-			if err := WaitAll(th, reqs...); err != nil {
-				t.Errorf("sender group %d: %v", g, err)
-			}
-		}(g)
-		go func(g int) {
-			defer wg.Done()
-			th := w.Proc(1).NewThread()
-			c := w.Proc(1).CommWorld()
-			var reqs []*Request
-			bufs := make([][]byte, msgs)
-			for i := 0; i < msgs; i++ {
-				bufs[i] = make([]byte, size(i))
-				r, err := c.Irecv(th, 0, int32(g*1000+i), bufs[i])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				reqs = append(reqs, r)
-			}
-			if err := WaitAll(th, reqs...); err != nil {
-				t.Errorf("receiver group %d: %v", g, err)
-				return
-			}
-			for i, b := range bufs {
-				if b[0] != byte(g) {
-					t.Errorf("group %d msg %d corrupted: first byte %d", g, i, b[0])
-				}
-			}
-		}(g)
+	totals := func() spc.Snapshot {
+		return spc.Merge(w.Proc(0).SPCSnapshot(), w.Proc(1).SPCSnapshot())
 	}
-	wg.Wait()
+	runRound := func(round int) {
+		var busy atomic.Int32
+		busy.Store(2 * groups)
+		// finish is every thread's epilogue: keep the rank progressing until
+		// the last thread of the round has completed its requests.
+		finish := func(th *Thread) {
+			busy.Add(-1)
+			for busy.Load() > 0 {
+				if th.Progress() == 0 {
+					yield()
+				}
+			}
+		}
+		tag := func(g, i int) int32 { return int32(round*10000 + g*1000 + i) }
+		var wg sync.WaitGroup
+		for g := 0; g < groups; g++ {
+			wg.Add(2)
+			go func(g int) {
+				defer wg.Done()
+				th := w.Proc(0).NewThread()
+				defer finish(th)
+				c := w.Proc(0).CommWorld()
+				var reqs []*Request
+				for i := 0; i < msgs; i++ {
+					buf := make([]byte, size(i))
+					buf[0] = byte(g)
+					r, err := c.Isend(th, 1, tag(g, i), buf)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					reqs = append(reqs, r)
+				}
+				if err := WaitAll(th, reqs...); err != nil {
+					t.Errorf("sender group %d: %v", g, err)
+				}
+			}(g)
+			go func(g int) {
+				defer wg.Done()
+				th := w.Proc(1).NewThread()
+				defer finish(th)
+				c := w.Proc(1).CommWorld()
+				var reqs []*Request
+				bufs := make([][]byte, msgs)
+				for i := 0; i < msgs; i++ {
+					bufs[i] = make([]byte, size(i))
+					r, err := c.Irecv(th, 0, tag(g, i), bufs[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					reqs = append(reqs, r)
+				}
+				if err := WaitAll(th, reqs...); err != nil {
+					t.Errorf("receiver group %d: %v", g, err)
+					return
+				}
+				for i, b := range bufs {
+					if b[0] != byte(g) {
+						t.Errorf("group %d msg %d corrupted: first byte %d", g, i, b[0])
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	for r := 0; r < maxRounds && !t.Failed(); r++ {
+		runRound(r)
+		if totals()[spc.Retransmits] > 0 {
+			break
+		}
+	}
 
 	// Faults were injected and repaired, not just absent.
-	total := spc.Merge(w.Proc(0).SPCSnapshot(), w.Proc(1).SPCSnapshot())
+	total := totals()
 	if total[spc.FaultPacketsDropped] == 0 {
 		t.Error("stress run injected no drops; fault path untested")
 	}
 	if total[spc.Retransmits] == 0 {
-		t.Error("drops occurred but nothing was retransmitted")
+		t.Errorf("no round in %d lost a tracked packet; repair path untested", maxRounds)
 	}
 	if total[spc.AcksSent] == 0 || total[spc.AcksReceived] == 0 {
 		t.Error("reliability layer exchanged no acks")

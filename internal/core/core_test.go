@@ -717,3 +717,24 @@ func TestProgressModesDrainAfterChurn(t *testing.T) {
 	}
 	_ = t0
 }
+
+// TestIdleProgressAllocatesNothing pins the idle progress pass at zero
+// allocations: a waiter spins on it, so one allocation per pass shows up as
+// dozens of allocations per message in any latency-bound workload. (The
+// instance's poll handler is bound once at construction for this reason.)
+func TestIdleProgressAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"stock", Stock()},
+		{"cris-concurrent", CRIsConcurrent(4, cri.Dedicated)},
+	} {
+		w := newTestWorld(t, 2, tc.opts)
+		th := w.Proc(0).NewThread()
+		th.Progress() // first pass assigns the thread's dedicated instance
+		if n := testing.AllocsPerRun(1000, func() { th.Progress() }); n != 0 {
+			t.Errorf("%s: idle Progress allocates %v objects per pass, want 0", tc.name, n)
+		}
+	}
+}

@@ -69,6 +69,12 @@ type Instance struct {
 	// recorder is off.
 	flightRing   *flight.Ring
 	flightWaitNs int64
+	// pollFn is the handler handed to the transport context, bound once at
+	// construction so a progress pass allocates nothing; pollClk/pollHandler
+	// are the current pass's arguments, valid only under the instance lock.
+	pollFn      func(transport.CQE)
+	pollClk     *prof.ThreadClock
+	pollHandler PollHandler
 }
 
 // NewInstance wraps a transport context as instance index within its pool.
@@ -76,7 +82,9 @@ type Instance struct {
 // that want per-instance attribution pass a fresh set per instance and
 // roll the children up with spc.Merge.
 func NewInstance(index int, ctx transport.Context, spcs *spc.Set) *Instance {
-	return &Instance{index: index, ctx: ctx, spcs: spcs}
+	in := &Instance{index: index, ctx: ctx, spcs: spcs}
+	in.pollFn = func(e transport.CQE) { in.pollHandler(in.pollClk, in, e) }
+	return in
 }
 
 // SetLockWaitHistogram attaches a histogram recording blocking lock waits.
@@ -163,7 +171,8 @@ type PollHandler func(clk *prof.ThreadClock, in *Instance, e transport.CQE)
 // Poll drains up to max completion events under the caller-held instance
 // lock. The caller MUST hold the lock (progress-engine discipline).
 func (in *Instance) Poll(clk *prof.ThreadClock, handler PollHandler, max int) int {
-	return in.ctx.Poll(func(e transport.CQE) { handler(clk, in, e) }, max)
+	in.pollClk, in.pollHandler = clk, handler
+	return in.ctx.Poll(in.pollFn, max)
 }
 
 // ThreadState is the per-thread assignment cache — the TLS slot of

@@ -151,6 +151,10 @@ func (r *Ring) RecordAt(ts int64, k Kind, comm uint32, a0, a1 int32) {
 	}
 	seq := r.rec.seq.Add(1)
 	base := ((r.pos.Add(1) - 1) & r.mask) * wordsPerSlot
+	// Invalidate first: a reader already inside this slot re-reads the
+	// sequence word after the fields and must not find the old value there
+	// while the fields are half overwritten.
+	r.words[base].Store(0)
 	r.words[base+1].Store(uint64(ts))
 	r.words[base+2].Store(uint64(k)<<56 | uint64(comm&0xffffff)<<32 | uint64(uint32(a0)))
 	r.words[base+3].Store(uint64(uint32(a1)))

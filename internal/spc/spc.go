@@ -96,8 +96,9 @@ const (
 	// Reconnects counts transport connections re-established after a write
 	// failure on an existing connection.
 	Reconnects
-	// ShortWrites counts wire writes that moved only part of a frame before
-	// failing (the tail of the frame never reached the kernel).
+	// ShortWrites counts wire writes that moved only part of their buffer
+	// before failing (the tail never reached the kernel, so the stream is
+	// mid-frame and the connection unusable).
 	ShortWrites
 	// ProgressStealLosses counts failed try-locks during the concurrent
 	// progress engine's round-robin sweep over OTHER threads' instances
@@ -123,6 +124,34 @@ const (
 	// sides of a peer pair dialed concurrently and this side discarded its
 	// own connection, adopting the winner's (lower rank's dial wins).
 	DialRacesLost
+	// WireFlushes counts coalesced wire writes: one per pending-buffer flush
+	// of a peer link, however many frames it carried.
+	WireFlushes
+	// WireFramesFlushed counts frames those flushes carried, so
+	// WireFramesFlushed / WireFlushes is the coalescing factor.
+	WireFramesFlushed
+	// WireBackstopFlushes counts flushes issued by the bounded-delay backstop
+	// timer instead of a progress pass or a full buffer. A firing can land in
+	// the middle of a progressing sender's burst, so a small share of
+	// WireFlushes is normal; a share near one means some caller sends without
+	// re-entering the runtime.
+	WireBackstopFlushes
+	// WireFlushFailures counts flushes whose write failed on the existing
+	// link and again on a re-established one (or could not re-establish):
+	// sends that had already completed locally did not reach the peer.
+	WireFlushFailures
+	// WireFramesStranded counts the frames those failed flushes put back in
+	// the pending buffer; they leave with the next successful flush toward
+	// the peer, if there is one.
+	WireFramesStranded
+	// WireFramesRejected counts inbound connections closed because a frame
+	// failed validation (length outside [MuxHeaderSize, maxFrame], mux index
+	// above the cap, undecodable packet, or no context to route it to).
+	WireFramesRejected
+	// RingFullWaits counts 10µs sleeps a producer spent waiting for room in a
+	// full transport receive or completion ring (the consumer is slower than
+	// the wire).
+	RingFullWaits
 
 	numCounters
 )
@@ -164,6 +193,13 @@ var counterNames = [...]string{
 	ConnsOpened:            "conns_opened",
 	ConnsReused:            "conns_reused",
 	DialRacesLost:          "dial_races_lost",
+	WireFlushes:            "wire_flushes",
+	WireFramesFlushed:      "wire_frames_flushed",
+	WireBackstopFlushes:    "wire_backstop_flushes",
+	WireFlushFailures:      "wire_flush_failures",
+	WireFramesStranded:     "wire_frames_stranded",
+	WireFramesRejected:     "wire_frames_rejected",
+	RingFullWaits:          "ring_full_waits",
 }
 
 // String returns the counter's snake_case name.

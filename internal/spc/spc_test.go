@@ -205,6 +205,25 @@ func TestCounterByNameRoundtrip(t *testing.T) {
 	}
 }
 
+// TestWireCounterNames pins the exported names of the wire-batching and
+// ring-backpressure counters: operators read them off /spc and dashboards
+// key on the Prometheus families derived from them.
+func TestWireCounterNames(t *testing.T) {
+	for c, want := range map[Counter]string{
+		WireFlushes:         "wire_flushes",
+		WireFramesFlushed:   "wire_frames_flushed",
+		WireBackstopFlushes: "wire_backstop_flushes",
+		WireFlushFailures:   "wire_flush_failures",
+		WireFramesStranded:  "wire_frames_stranded",
+		WireFramesRejected:  "wire_frames_rejected",
+		RingFullWaits:       "ring_full_waits",
+	} {
+		if got := c.String(); got != want {
+			t.Errorf("counter %d is named %q, want %q", int(c), got, want)
+		}
+	}
+}
+
 func BenchmarkIncEnabled(b *testing.B) {
 	s := NewSet()
 	b.ReportAllocs()

@@ -63,6 +63,17 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if strings.Contains(out, `mpi_spc_messages_sent{rank="1",scope="cri"`) {
 		t.Error("zero per-CRI messages_sent emitted")
 	}
+	// The wire-batching and ring-backpressure counters are families of their
+	// own, present (at zero) even when the run never touched a socket.
+	for _, fam := range []string{
+		"mpi_spc_wire_flushes", "mpi_spc_wire_frames_flushed", "mpi_spc_wire_backstop_flushes",
+		"mpi_spc_wire_flush_failures", "mpi_spc_wire_frames_stranded",
+		"mpi_spc_wire_frames_rejected", "mpi_spc_ring_full_waits",
+	} {
+		if !strings.Contains(out, "# TYPE "+fam+" counter\n"+fam+`{rank="1",scope="process"} 0`+"\n") {
+			t.Errorf("prometheus output missing family %s", fam)
+		}
+	}
 }
 
 func TestPrometheusHistogramInvariants(t *testing.T) {

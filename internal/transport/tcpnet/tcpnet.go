@@ -39,6 +39,44 @@
 // estimate (transport.ClockSync) so the runtime can express remote
 // timestamps in the local clock domain.
 //
+// Write side: Endpoint.Send does not touch the socket. It appends the mux
+// frame to the peer pair's pending buffer (a short pending-lock hold, no
+// syscall) and posts the send completion — eager local completion means
+// "buffer copied", which is all MPI promises. The pending buffer reaches the
+// kernel in one Write when
+//
+//   - any of the rank's contexts finishes a Context.Poll (so Isend×128 then
+//     WaitAll is one syscall, and a blocking Send is still exactly one,
+//     issued by the Wait's first progress pass);
+//   - it crosses flushBytes (so a rendezvous-sized frame goes out inline,
+//     on the sending thread, as it always did);
+//   - the backstop timer fires, at most backstopDelay after a clean→dirty
+//     transition — the liveness net under a caller that sends and never
+//     re-enters the runtime. The timer arms on that transition only, so an
+//     idle rank wakes nothing.
+//
+// A flush swaps the pending buffer for a spare under the pending lock and
+// writes under the slot's separate write-order lock (lock order: write-order
+// → pending), so other CRIs keep appending while the syscall is in flight.
+// The buffer belongs to the peer slot, not to one connection: a failed write
+// marks the link broken, re-establishes once, and replays the whole unflushed
+// buffer on the new link (frames the peer already consumed are absorbed by
+// the matching engine's sequence dedup, as before). If that fails too, the
+// sends it carried have long completed, so the failure is reported late: the
+// bytes go back to the head of the pending buffer, wire_flush_failures and
+// wire_frames_stranded tick, the next Send toward the peer returns the write
+// error without injecting its packet, and the Send after that re-establishes
+// the path and takes the stranded frames with it.
+//
+// Read side: one reader goroutine per connection reads through a fixed
+// readBufSize window and decodes every complete frame in place
+// (DecodePacket copies the payload out) — one read per burst, no per-frame
+// allocation. Only a frame larger than the window spills into a reused
+// scratch slice, grown as its bytes actually arrive. Bytes off the socket
+// are hostile until validated: a frame length outside
+// [MuxHeaderSize, maxFrame], a mux index ≥ maxMux, or an undecodable packet
+// closes the connection and ticks wire_frames_rejected.
+//
 // TCP is lossless and per-connection FIFO, so the backend advertises
 // Caps.Lossless and the runtime skips the ack/retransmit delivery layer.
 // (A dial-race handover can reorder frames across the old and new
@@ -53,6 +91,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -96,6 +135,33 @@ const DefaultDialTimeout = 10 * time.Second
 
 // defaultQueueDepth sizes context rings when CreateContext gets depth <= 0.
 const defaultQueueDepth = 4096
+
+// Wire batching and validation thresholds.
+const (
+	// flushBytes is the pending size at which Send flushes inline: the
+	// default eager limit, so a full 128-message window of empty envelopes
+	// (7 KiB) coalesces while any rendezvous-sized frame goes out at once.
+	flushBytes = 8 << 10
+	// readBufSize is the reader's fixed window: holds several 64 KiB
+	// rendezvous frames, so only multi-hundred-KiB frames take the spill path.
+	readBufSize = 256 << 10
+	// backstopDelay is the backstop timer period: far longer than a send
+	// burst takes to reach its own progress call (a 128-message window posts
+	// in tens of µs), short enough that a sender that never progresses delays
+	// its peer by at most one period, half a millisecond.
+	backstopDelay = 500 * time.Microsecond
+	// maxFrame bounds a frame's declared length (mux header + packet): 64 MiB
+	// is far above any payload the runtime's experiments send and keeps a
+	// corrupt u32 from claiming gigabytes. Send refuses larger packets (the
+	// runtime does not fragment, so this is the tcp message size ceiling).
+	maxFrame = 64 << 20
+	// maxMux bounds the mux ID (destination context index): contexts are
+	// CRIs, a few dozen per rank, so 1024 only caps the reader's demux table.
+	maxMux = 1 << 10
+)
+
+// errBadFrame reports inbound bytes that failed frame validation.
+var errBadFrame = errors.New("tcpnet: invalid frame")
 
 // Caps describes the TCP wire: lossless FIFO streams multiplexed over one
 // lazily dialed connection per peer pair, two-sided only, no fault
@@ -185,28 +251,52 @@ type Network struct {
 	// physical link per peer pair, shared by every context.
 	slots []peerSlot
 
+	// dirty counts slots holding unflushed frames: the one atomic load an
+	// idle Context.Poll pays for the batching.
+	dirty atomic.Int32
+	// backstop is the liveness timer under senders that never progress;
+	// backstopArmed guards it so it is reset at most once per period.
+	backstop      *time.Timer
+	backstopArmed atomic.Bool
+
 	clockMu sync.Mutex
 	clocks  map[int]clockSample
 }
 
-// peerSlot serializes connection establishment toward one peer: at most one
-// local dial in flight, and the deterministic adoption of inbound
-// connections (see adopt).
+// peerSlot is the path toward one peer: connection establishment (at most
+// one local dial in flight, and the deterministic adoption of inbound
+// connections — see adopt) and the outbound frame buffer every local context
+// sending there appends to. The buffer lives here rather than on the link so
+// it survives the link being replaced (reconnect, dial-race handover).
 type peerSlot struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	link    *link
 	dialing bool
+
+	// wmu is the write-order lock: held across swap + Write so flushes reach
+	// the socket in buffer order. spare is the idle half of the double
+	// buffer, owned by the wmu holder. Lock order: wmu → pmu.
+	wmu   sync.Mutex
+	spare []byte
+
+	// pmu guards the pending buffer. Matched-path sends already hold their
+	// CRI lock, but distinct CRIs and control-path sends race onto the shared
+	// path; the hold is one frame append.
+	pmu    sync.Mutex
+	pend   []byte
+	frames int
+	// dirty is set (under pmu) while pend holds frames no flush has claimed;
+	// Poll and the backstop read it lock-free.
+	dirty atomic.Bool
+	// flushErr is the sticky report of a flush that failed even on a
+	// re-established link, taken by the next Send toward the peer.
+	flushErr atomic.Pointer[error]
 }
 
-// link is one live physical connection to a peer, shared by every local
-// context sending there. The mutex serializes frame writes — matched-path
-// sends already hold the CRI lock, but distinct CRIs and control-path sends
-// race onto the shared connection.
+// link is one live physical connection to a peer.
 type link struct {
 	conn   net.Conn
-	mu     sync.Mutex
-	buf    []byte
 	broken atomic.Bool
 }
 
@@ -217,27 +307,131 @@ func (l *link) close() {
 	l.conn.Close()
 }
 
-// writeFrame frames p for mux and writes it to the connection, marking the
-// link broken (and closing it) on failure so every sharer re-establishes.
-func (l *link) writeFrame(p *transport.Packet, mux uint32, ctr *spc.Set) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.broken.Load() {
-		return errors.New("tcpnet: link down")
+// enqueue appends p's mux frame to the peer's pending buffer. It flushes
+// inline once the buffer crosses flushBytes; otherwise a clean→dirty
+// transition arms the backstop and the frame waits for the next Poll.
+func (n *Network) enqueue(peer int, p *transport.Packet, mux uint32) {
+	s := &n.slots[peer]
+	s.pmu.Lock()
+	s.pend = p.AppendMuxFrame(s.pend, mux)
+	s.frames++
+	wasClean := !s.dirty.Load()
+	if wasClean {
+		s.dirty.Store(true)
+		n.dirty.Add(1)
 	}
-	l.buf = p.AppendMuxFrame(l.buf[:0], mux)
-	n, err := l.conn.Write(l.buf)
+	full := len(s.pend) >= flushBytes
+	s.pmu.Unlock()
+	if full {
+		n.flush(peer, false)
+	} else if wasClean {
+		n.armBackstop()
+	}
+}
+
+// flushDirty flushes every peer with unflushed frames, on the calling thread.
+func (n *Network) flushDirty(backstop bool) {
+	for i := range n.slots {
+		if n.slots[i].dirty.Load() {
+			n.flush(i, backstop)
+		}
+	}
+}
+
+// flush writes the peer's pending buffer to its link in one Write. The swap
+// happens under pmu, the syscall under wmu only, so senders keep appending to
+// the other half of the double buffer meanwhile. On a failed write the bytes
+// return to the head of the pending buffer with dirty left clear — a progress
+// pass must not sit in a dial, so nothing retries until a Send toward the peer
+// re-establishes the path and marks the slot dirty again — and the failure is
+// counted and left in flushErr for the next Send to return.
+func (n *Network) flush(peer int, backstop bool) {
+	s := &n.slots[peer]
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.pmu.Lock()
+	buf, frames := s.pend, s.frames
+	if len(buf) == 0 {
+		s.pmu.Unlock()
+		return
+	}
+	s.pend, s.frames = s.spare[:0], 0
+	if s.dirty.Swap(false) {
+		n.dirty.Add(-1)
+	}
+	s.pmu.Unlock()
+
+	ctr := n.counters()
+	err := n.writeOut(peer, buf, ctr)
 	if err == nil {
-		return nil
+		s.spare = buf[:0]
+		ctr.Inc(spc.WireFlushes)
+		ctr.Add(spc.WireFramesFlushed, int64(frames))
+		if backstop {
+			ctr.Inc(spc.WireBackstopFlushes)
+		}
+		return
 	}
-	if n > 0 && n < len(l.buf) {
-		// Part of the frame reached the kernel before the connection died;
-		// the stream is now mid-frame and unusable even if writes resumed.
-		ctr.Inc(spc.ShortWrites)
+	s.pmu.Lock()
+	s.pend = append(buf, s.pend...)
+	s.frames += frames
+	s.pmu.Unlock()
+	s.spare = nil
+	s.flushErr.Store(&err)
+	ctr.Inc(spc.WireFlushFailures)
+	ctr.Add(spc.WireFramesStranded, int64(frames))
+}
+
+// writeOut writes buf to the peer's link. A failed write marks the link
+// broken for every sharer and is retried once, whole, on a re-established
+// link: a peer restart or transient RST should not kill the path for the
+// rest of the run. The new stream starts at a frame boundary, so replaying
+// from the start of buf is safe; frames the peer had already consumed are
+// absorbed by the matching engine's sequence dedup.
+func (n *Network) writeOut(peer int, buf []byte, ctr *spc.Set) error {
+	var werr error
+	for attempt := 0; attempt < 2; attempt++ {
+		lk, _, err := n.linkTo(peer)
+		if err != nil {
+			return fmt.Errorf("%w: peer %d: %v", transport.ErrConnEstablish, peer, err)
+		}
+		if attempt > 0 {
+			ctr.Inc(spc.Reconnects)
+		}
+		m, err := lk.conn.Write(buf)
+		if err == nil {
+			return nil
+		}
+		werr = err
+		if m > 0 && m < len(buf) {
+			// Part of the buffer reached the kernel before the connection
+			// died; that stream is now mid-frame and unusable.
+			ctr.Inc(spc.ShortWrites)
+		}
+		lk.close()
 	}
-	l.broken.Store(true)
-	l.conn.Close()
-	return err
+	return fmt.Errorf("tcpnet: write to peer %d: %w", peer, werr)
+}
+
+// armBackstop starts the backstop period unless one is already running.
+func (n *Network) armBackstop() {
+	if !n.backstopArmed.Swap(true) {
+		n.backstop.Reset(backstopDelay)
+	}
+}
+
+// fireBackstop is the backstop timer callback: flush whatever is dirty (a
+// firing that lands in the middle of a progressing sender's burst only splits
+// its batch). The timer re-arms only while something is dirty, so an idle
+// rank wakes nothing.
+func (n *Network) fireBackstop() {
+	n.flushDirty(true)
+	// Disarm, then re-check: a sender that turned a slot dirty after the scan
+	// either sees the disarmed flag and arms the timer itself, or is seen here.
+	n.backstopArmed.Store(false)
+	if n.dirty.Load() != 0 {
+		n.armBackstop()
+	}
 }
 
 // clockSample is one NTP-style offset estimate for a peer: offset is
@@ -283,6 +477,11 @@ func newNetwork(cfg Config, ln net.Listener) *Network {
 	for i := range n.slots {
 		n.slots[i].cond = sync.NewCond(&n.slots[i].mu)
 	}
+	// Created stopped (a duration that cannot elapse before Stop): the timer
+	// runs only between a clean→dirty transition and the first firing that
+	// finds nothing dirty.
+	n.backstop = time.AfterFunc(math.MaxInt64, n.fireBackstop)
+	n.backstop.Stop()
 	return n
 }
 
@@ -360,6 +559,12 @@ func (n *Network) counters() *spc.Set {
 		return nil
 	}
 	return n.dev.counters
+}
+
+func (n *Network) isClosed() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.closed
 }
 
 // NewDevice creates the device serving the local rank. rank must equal
@@ -448,7 +653,7 @@ func (n *Network) serveConn(conn net.Conn) {
 	}
 	n.recordClockSample(peer, theta, delta)
 	n.adopt(peer, conn)
-	n.readFrames(conn)
+	n.serveFrames(conn)
 }
 
 // adopt decides whether an inbound connection from peer becomes the pair's
@@ -482,43 +687,117 @@ func (n *Network) adopt(peer int, conn net.Conn) {
 	}
 }
 
-// readFrames demultiplexes length-prefixed mux frames from conn into the
-// destination contexts' receive rings until the connection closes. Contexts
-// are resolved once per mux ID and cached; resolution waits out the startup
-// race where a peer's first send lands before this process created its
-// contexts.
-func (n *Network) readFrames(conn net.Conn) {
+// serveFrames demultiplexes conn's frames into the destination contexts'
+// receive rings until the connection closes or sends bytes that fail
+// validation. Contexts are resolved once per mux ID and cached; resolution
+// waits out the startup race where a peer's first send lands before this
+// process created its contexts.
+func (n *Network) serveFrames(conn net.Conn) {
 	var ctxs []*Context
-	var lenb [4]byte
-	for {
-		if _, err := io.ReadFull(conn, lenb[:]); err != nil {
-			return
-		}
-		frame := make([]byte, binary.LittleEndian.Uint32(lenb[:]))
-		if _, err := io.ReadFull(conn, frame); err != nil {
-			return
-		}
-		mux, pkt, err := transport.DecodeMuxFrame(frame)
-		if err != nil {
-			return
-		}
-		if pkt.TraceID != 0 {
-			// Transport-arrival stamp for the critical-path attribution
-			// layer: the gap to the matching-engine delivery stamp is the
-			// receive-side progress lag (deliver_wait stage).
-			pkt.ArriveNs = time.Now().UnixNano()
-		}
+	fr := frameReader{buf: make([]byte, readBufSize)}
+	err := fr.run(conn, func(mux uint32, pkt *transport.Packet) bool {
 		idx := int(mux)
-		for idx >= len(ctxs) {
-			ctxs = append(ctxs, nil)
+		if idx >= len(ctxs) {
+			ctxs = append(ctxs, make([]*Context, idx+1-len(ctxs))...) // idx < maxMux
 		}
 		if ctxs[idx] == nil {
 			if ctxs[idx] = n.waitContext(idx); ctxs[idx] == nil {
-				return
+				return false
 			}
 		}
 		ctxs[idx].push(pkt)
+		return true
+	})
+	if errors.Is(err, errBadFrame) && !n.isClosed() {
+		n.counters().Inc(spc.WireFramesRejected)
+		conn.Close()
 	}
+}
+
+// frameReader decodes length-prefixed mux frames from a byte stream through
+// one fixed window, in place; scratch is the reused spill for a frame larger
+// than the window.
+type frameReader struct {
+	buf     []byte
+	scratch []byte
+}
+
+// run reads r until it fails, handing every decoded frame to deliver. It
+// returns r's error, or errBadFrame when the stream fails validation: a
+// declared length outside [MuxHeaderSize, maxFrame], a mux ID ≥ maxMux, a
+// packet DecodeMuxFrame rejects, or a frame deliver refuses.
+func (fr *frameReader) run(r io.Reader, deliver func(mux uint32, pkt *transport.Packet) bool) error {
+	buf := fr.buf
+	lo, hi := 0, 0 // buf[lo:hi] is read but not yet decoded
+	for {
+		for hi-lo >= 4 {
+			flen := int(binary.LittleEndian.Uint32(buf[lo:]))
+			if flen < transport.MuxHeaderSize || flen > maxFrame {
+				return errBadFrame
+			}
+			var body []byte
+			if end := lo + 4 + flen; end <= hi {
+				body, lo = buf[lo+4:end], end
+			} else if 4+flen > len(buf) {
+				var err error
+				if body, err = fr.spill(r, buf[lo+4:hi], flen); err != nil {
+					return err
+				}
+				lo, hi = 0, 0
+			} else {
+				break // incomplete, but it fits the window: read more
+			}
+			mux, pkt, err := transport.DecodeMuxFrame(body)
+			if err != nil || mux >= maxMux {
+				return errBadFrame
+			}
+			if pkt.TraceID != 0 {
+				// Transport-arrival stamp for the critical-path attribution
+				// layer: the gap to the matching-engine delivery stamp is the
+				// receive-side progress lag (deliver_wait stage).
+				pkt.ArriveNs = time.Now().UnixNano()
+			}
+			if !deliver(mux, pkt) {
+				return errBadFrame
+			}
+		}
+		// Move the partial frame (less than one frame, usually nothing) to the
+		// front so the next read has the whole window behind it.
+		hi = copy(buf, buf[lo:hi])
+		lo = 0
+		m, err := r.Read(buf[hi:])
+		hi += m
+		if err != nil && m == 0 {
+			return err
+		}
+	}
+}
+
+// spill assembles a frame of flen bytes that does not fit the window: head
+// is the part already read, the rest comes straight from r into the scratch
+// slice. Scratch grows by doubling as bytes actually arrive and never past
+// flen, so a peer must send what it declares before it costs memory.
+func (fr *frameReader) spill(r io.Reader, head []byte, flen int) ([]byte, error) {
+	s := fr.scratch
+	if cap(s) < len(head) {
+		s = make([]byte, 0, min(flen, len(fr.buf))) // head is shorter than both
+	}
+	s = append(s[:0], head...)
+	for len(s) < flen {
+		if len(s) == cap(s) {
+			grown := make([]byte, len(s), min(flen, max(2*cap(s), len(fr.buf))))
+			copy(grown, s)
+			s = grown
+		}
+		m, err := r.Read(s[len(s):min(cap(s), flen)])
+		s = s[:len(s)+m]
+		if err != nil && len(s) < flen {
+			fr.scratch = s[:0]
+			return nil, err
+		}
+	}
+	fr.scratch = s[:0]
+	return s, nil
 }
 
 // linkTo returns the pair's shared physical link, establishing it on first
@@ -580,7 +859,7 @@ func (n *Network) linkTo(peer int) (lk *link, established bool, err error) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.readFrames(conn)
+		n.serveFrames(conn)
 	}()
 	return lk, true, nil
 }
@@ -652,6 +931,9 @@ func (n *Network) waitContext(idx int) *Context {
 func (n *Network) dial(addr string, ctr *spc.Set) (net.Conn, error) {
 	deadline := time.Now().Add(n.cfg.DialTimeout)
 	for {
+		if n.isClosed() {
+			return nil, errors.New("tcpnet: network closed")
+		}
 		conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
 		if err == nil {
 			if !n.register(conn) {
@@ -668,8 +950,9 @@ func (n *Network) dial(addr string, ctr *spc.Set) (net.Conn, error) {
 	}
 }
 
-// close shuts the listener and every connection down and waits for the
-// reader goroutines to drain.
+// close flushes what is still pending, frames stranded by a failed flush
+// included (best effort: no reconnects once closed), shuts the listener and
+// every connection down and waits for the reader goroutines to drain.
 func (n *Network) close() {
 	n.mu.Lock()
 	if n.closed {
@@ -680,6 +963,10 @@ func (n *Network) close() {
 	conns := n.conns
 	n.conns = nil
 	n.mu.Unlock()
+	n.backstop.Stop()
+	for i := range n.slots {
+		n.flush(i, false)
+	}
 	if n.ln != nil {
 		n.ln.Close()
 	}
@@ -716,6 +1003,8 @@ func (d *Device) CreateContext(depth int) (transport.Context, error) {
 	defer d.mu.Unlock()
 	c := &Context{
 		index: len(d.contexts),
+		net:   d.net,
+		ctr:   d.counters,
 		recvQ: ringbuf.NewMPSC[*transport.Packet](depth),
 		cq:    ringbuf.NewMPSC[transport.CQE](depth),
 	}
@@ -803,13 +1092,18 @@ func (d *Device) Close() { d.net.close() }
 // concurrently); Poll is called under the per-CRI lock.
 type Context struct {
 	index int
+	net   *Network
+	ctr   *spc.Set
 	recvQ *ringbuf.MPSC[*transport.Packet]
 	cq    *ringbuf.MPSC[transport.CQE]
 }
 
 func (c *Context) Index() int { return c.index }
 
-// Poll drains completions then inbound packets, up to max.
+// Poll drains completions then inbound packets, up to max, then flushes
+// whatever the rank has pending toward any peer — frames sent before the
+// pass and frames its handlers sent during it. The flush runs on the calling
+// thread; an idle pass pays one atomic load for it.
 func (c *Context) Poll(handler func(transport.CQE), max int) int {
 	if max <= 0 {
 		max = 64
@@ -831,6 +1125,9 @@ func (c *Context) Poll(handler func(transport.CQE), max int) int {
 		handler(transport.CQE{Kind: transport.CQERecv, Packet: p})
 		n++
 	}
+	if c.net.dirty.Load() != 0 {
+		c.net.flushDirty(false)
+	}
 	return n
 }
 
@@ -840,12 +1137,14 @@ func (c *Context) push(p *transport.Packet) {
 	for !c.recvQ.Push(p) {
 		// Ring full: the receiver is slower than the wire. Backpressure by
 		// holding the reader goroutine (TCP flow control propagates it).
+		c.ctr.Inc(spc.RingFullWaits)
 		time.Sleep(10 * time.Microsecond)
 	}
 }
 
 func (c *Context) complete(e transport.CQE) {
 	for !c.cq.Push(e) {
+		c.ctr.Inc(spc.RingFullWaits)
 		time.Sleep(10 * time.Microsecond)
 	}
 }
@@ -886,13 +1185,21 @@ type Endpoint struct {
 }
 
 // Send injects one packet and posts the local send completion. On TCP the
-// completion is posted once the frame is handed to the kernel — the stream
-// is lossless, so that is delivery, matching how a NIC reports DMA
-// completion. The first send toward a peer establishes the shared
+// completion means "copied into the peer's pending buffer", not "handed to
+// the kernel" — the caller's buffer is free, which is what eager local
+// completion promises. The bytes reach the socket at the end of the rank's
+// next Context.Poll, inline here once the buffer crosses flushBytes, or from
+// the backstop timer within backstopDelay if the caller never progresses (see
+// the package comment). The first send toward a peer establishes the shared
 // connection; a failed establishment surfaces as ErrConnEstablish and the
-// packet is not injected.
+// packet is not injected. A write that fails later is retried once on a
+// re-established link by the flush; if that fails too, the sends it carried
+// have already completed, so the error is returned by the next Send toward
+// the peer (whose packet is not injected) and counted in wire_flush_failures
+// and wire_frames_stranded. Packets whose frame would exceed maxFrame
+// (64 MiB) are refused.
 func (e *Endpoint) Send(p *transport.Packet) error {
-	if err := e.write(p); err != nil {
+	if err := e.inject(p); err != nil {
 		return err
 	}
 	e.local.complete(transport.CQE{Kind: transport.CQESendComplete, Packet: p})
@@ -901,38 +1208,32 @@ func (e *Endpoint) Send(p *transport.Packet) error {
 
 // Resend re-injects without a new completion. Unreachable in practice: the
 // runtime disables the retransmit layer on lossless backends.
-func (e *Endpoint) Resend(p *transport.Packet) error { return e.write(p) }
+func (e *Endpoint) Resend(p *transport.Packet) error { return e.inject(p) }
 
-func (e *Endpoint) write(p *transport.Packet) error {
+func (e *Endpoint) inject(p *transport.Packet) error {
 	if e.loop != nil {
 		e.loop.push(p)
 		return nil
 	}
-	lk, established, err := e.dev.net.linkTo(e.peer)
+	if size := transport.MuxHeaderSize + p.WireSize(); size > maxFrame {
+		return fmt.Errorf("tcpnet: %d-byte frame to peer %d exceeds the %d-byte frame limit", size, e.peer, maxFrame)
+	}
+	n := e.dev.net
+	if s := &n.slots[e.peer]; s.flushErr.Load() != nil {
+		// An earlier flush lost this peer after its sends had completed:
+		// report it now, once, before sitting in another dial.
+		if perr := s.flushErr.Swap(nil); perr != nil {
+			return *perr
+		}
+	}
+	_, established, err := n.linkTo(e.peer)
 	if err != nil {
 		return fmt.Errorf("%w: peer %d: %v", transport.ErrConnEstablish, e.peer, err)
 	}
-	ctr := e.dev.counters
-	if !e.attached.Swap(true) && !established {
-		ctr.Inc(spc.ConnsReused)
+	if !e.attached.Load() && !e.attached.Swap(true) && !established {
+		e.dev.counters.Inc(spc.ConnsReused)
 	}
-	if err := lk.writeFrame(p, e.mux, ctr); err == nil {
-		return nil
-	}
-	// The write failed and the link is marked broken for every sharer. One
-	// re-establishment attempt: a peer restart or transient RST should not
-	// kill the path for the rest of the run. The frame is re-sent whole on
-	// the fresh link (the peer never saw a frame boundary cross, so
-	// re-framing from the start is safe; a rare duplicate is absorbed by
-	// the matching engine's sequence dedup).
-	lk, _, rerr := e.dev.net.linkTo(e.peer)
-	if rerr != nil {
-		return fmt.Errorf("%w: peer %d: reconnect: %v", transport.ErrConnEstablish, e.peer, rerr)
-	}
-	ctr.Inc(spc.Reconnects)
-	if werr := lk.writeFrame(p, e.mux, ctr); werr != nil {
-		return fmt.Errorf("tcpnet: write to peer %d: %w", e.peer, werr)
-	}
+	n.enqueue(e.peer, p, e.mux)
 	return nil
 }
 

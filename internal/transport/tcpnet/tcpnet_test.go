@@ -1,9 +1,14 @@
 package tcpnet
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -569,4 +574,511 @@ func TestConcurrentFirstSendsConverge(t *testing.T) {
 		d0.Close()
 		d1.Close()
 	}
+}
+
+// newCountedPair is newPair with an SPC set on rank 0 and access to the
+// networks, for the white-box write-path tests.
+func newCountedPair(t *testing.T) (nets []*Network, d0, d1 transport.Device, ctr *spc.Set) {
+	t.Helper()
+	nets, err := NewLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr = spc.NewSet()
+	if d0, err = nets[0].NewDevice(0, hw.Fast(), transport.DeviceConfig{Counters: ctr}); err != nil {
+		t.Fatal(err)
+	}
+	if d1, err = nets[1].NewDevice(1, hw.Fast(), transport.DeviceConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d0.Close(); d1.Close() })
+	return nets, d0, d1, ctr
+}
+
+func mustContext(t *testing.T, d transport.Device) transport.Context {
+	t.Helper()
+	c, err := d.CreateContext(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func mustConnect(t *testing.T, d transport.Device, c transport.Context, peer, remote int) transport.Endpoint {
+	t.Helper()
+	ep, err := d.Connect(c, peer, remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep
+}
+
+// establish sends one frame from ep and polls both sides until it arrived,
+// so the link exists and nothing is pending when the test proper starts.
+func establish(t *testing.T, ep transport.Endpoint, local, remote transport.Context) {
+	t.Helper()
+	if err := ep.Send(transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	poll1(t, local)
+	poll1(t, remote)
+}
+
+// countingConn counts Write calls — the write syscalls of a real socket.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestConcurrentSendersCoalesce is the write path under contention: eight
+// goroutines on eight contexts share the pair's one socket, each posting
+// windows of sends and then progressing. Every frame must arrive exactly
+// once and in per-context order, and the socket must see far fewer writes
+// than frames — the syscall is paid per batch.
+func TestConcurrentSendersCoalesce(t *testing.T) {
+	const (
+		senders = 8
+		perCtx  = 2000
+		window  = 32
+	)
+	nets, d0, d1, _ := newCountedPair(t)
+	var local, remote [senders]transport.Context
+	var eps [senders]transport.Endpoint
+	for i := range eps {
+		local[i], remote[i] = mustContext(t, d0), mustContext(t, d1)
+		eps[i] = mustConnect(t, d0, local[i], 1, i)
+	}
+	establish(t, eps[0], local[0], remote[0])
+	s := &nets[0].slots[1]
+	s.mu.Lock()
+	cc := &countingConn{Conn: s.link.conn}
+	s.link.conn = cc
+	s.mu.Unlock()
+
+	var wg sync.WaitGroup
+	for i := range eps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for seq := 0; seq < perCtx; seq++ {
+				env := transport.Envelope{Src: 0, Dst: 1, Tag: int32(i), Seq: uint32(seq), Kind: transport.KindEager}
+				if err := eps[i].Send(transport.NewPacket(env, nil, nil)); err != nil {
+					t.Error(err)
+					return
+				}
+				if seq%window == window-1 {
+					local[i].Poll(func(transport.CQE) {}, window)
+				}
+			}
+		}(i)
+	}
+	var next [senders]uint32
+	recv := func(i int) int {
+		return remote[i].Poll(func(e transport.CQE) {
+			env := e.Packet.Envelope()
+			if env.Tag != int32(i) || env.Seq != next[i] {
+				t.Errorf("context %d got tag %d seq %d, want seq %d", i, env.Tag, env.Seq, next[i])
+			}
+			next[i]++
+		}, 64)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for got := 0; got < senders*perCtx && !t.Failed(); {
+		n := 0
+		for i := range remote {
+			n += recv(i)
+		}
+		if got += n; n == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("received %d of %d frames", got, senders*perCtx)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	wg.Wait()
+	// Exactly once: nothing further shows up after everything was received.
+	time.Sleep(4 * backstopDelay)
+	for i := range remote {
+		if extra := recv(i); extra != 0 {
+			t.Errorf("context %d received %d frames beyond the %d sent", i, extra, perCtx)
+		}
+	}
+	if w, max := cc.writes.Load(), int64(senders*perCtx/8); w > max {
+		t.Errorf("%d socket writes for %d frames, want at most %d", w, senders*perCtx, max)
+	}
+}
+
+// TestBackstopDeliversWithoutProgress: a sender that posts one frame and
+// never re-enters the runtime still reaches its peer, by the backstop timer.
+func TestBackstopDeliversWithoutProgress(t *testing.T) {
+	_, d0, d1, ctr := newCountedPair(t)
+	c0, c1 := mustContext(t, d0), mustContext(t, d1)
+	ep := mustConnect(t, d0, c0, 1, 0)
+	establish(t, ep, c0, c1)
+
+	env := transport.Envelope{Src: 0, Dst: 1, Tag: 5, Kind: transport.KindEager}
+	if err := ep.Send(transport.NewPacket(env, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	sent := time.Now()
+	// No further call on the sending side.
+	for {
+		var got *transport.Packet
+		c1.Poll(func(e transport.CQE) { got = e.Packet }, 1)
+		if got != nil {
+			if tag := got.Envelope().Tag; tag != 5 {
+				t.Fatalf("got tag %d, want 5", tag)
+			}
+			break
+		}
+		if time.Since(sent) > 10*backstopDelay {
+			t.Fatalf("frame not delivered within %v of a send with no progress", 10*backstopDelay)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+	// The flush counts itself after the write returns, which the peer can
+	// beat; give the timer goroutine a moment.
+	for deadline := time.Now().Add(time.Second); ctr.Get(spc.WireBackstopFlushes) == 0 && time.Now().Before(deadline); {
+		time.Sleep(20 * time.Microsecond)
+	}
+	if got := ctr.Get(spc.WireBackstopFlushes); got != 1 {
+		t.Fatalf("wire_backstop_flushes = %d, want 1", got)
+	}
+	if flushes, frames := ctr.Get(spc.WireFlushes), ctr.Get(spc.WireFramesFlushed); flushes != 2 || frames != 2 {
+		t.Fatalf("wire_flushes = %d, wire_frames_flushed = %d, want 2 and 2", flushes, frames)
+	}
+}
+
+// TestReconnectReplaysPendingBuffer kills the connection between append and
+// flush: the flush must fail over to a fresh link and replay every buffered
+// frame there, once and in order.
+func TestReconnectReplaysPendingBuffer(t *testing.T) {
+	const frames = 10
+	nets, d0, d1, ctr := newCountedPair(t)
+	c0, c1 := mustContext(t, d0), mustContext(t, d1)
+	ep := mustConnect(t, d0, c0, 1, 0)
+	establish(t, ep, c0, c1)
+
+	// Holding the write-order lock keeps every flusher (the backstop
+	// included) out while the frames are buffered and the link dies.
+	s := &nets[0].slots[1]
+	s.wmu.Lock()
+	for i := 0; i < frames; i++ {
+		env := transport.Envelope{Src: 0, Dst: 1, Seq: uint32(i), Kind: transport.KindEager}
+		if err := ep.Send(transport.NewPacket(env, []byte{byte(i)}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	s.link.conn.Close()
+	s.mu.Unlock()
+	s.wmu.Unlock()
+	c0.Poll(func(transport.CQE) {}, 64)
+
+	for want := uint32(0); want < frames; want++ {
+		e := poll1(t, c1)
+		if seq := e.Packet.Envelope().Seq; seq != want || e.Packet.Payload[0] != byte(want) {
+			t.Fatalf("got seq %d payload %v, want seq %d", seq, e.Packet.Payload, want)
+		}
+	}
+	time.Sleep(4 * backstopDelay)
+	if extra := c1.Poll(func(transport.CQE) {}, 64); extra != 0 {
+		t.Fatalf("%d frames delivered twice after the replay", extra)
+	}
+	if got := ctr.Get(spc.Reconnects); got != 1 {
+		t.Fatalf("reconnects = %d, want 1", got)
+	}
+}
+
+// TestFlushFailureIsReported loses the peer after a Send completed locally:
+// the flush cannot deliver and cannot reconnect, so the loss must show in the
+// counters and come back from the next Send; once the peer is reachable again
+// the Send after that takes the stranded frame along, in order.
+func TestFlushFailureIsReported(t *testing.T) {
+	nets, d0, d1, ctr := newCountedPair(t)
+	nets[0].cfg.DialTimeout = 50 * time.Millisecond
+	c0, c1 := mustContext(t, d0), mustContext(t, d1)
+	ep := mustConnect(t, d0, c0, 1, 0)
+	establish(t, ep, c0, c1)
+
+	d1.Close()
+	s := &nets[0].slots[1]
+	s.mu.Lock()
+	s.link.conn.Close() // a write to a half-closed socket could still succeed
+	s.mu.Unlock()
+	send := func(seq uint32) error {
+		env := transport.Envelope{Src: 0, Dst: 1, Seq: seq, Kind: transport.KindEager}
+		return ep.Send(transport.NewPacket(env, nil, nil))
+	}
+	if err := send(1); err != nil {
+		t.Fatalf("send into the pending buffer: %v", err)
+	}
+	c0.Poll(func(transport.CQE) {}, 64) // completes the send; the flush fails
+	// The backstop may have claimed the flush first and still sit in its dial.
+	for deadline := time.Now().Add(2 * time.Second); ctr.Get(spc.WireFlushFailures) == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if fails, frames := ctr.Get(spc.WireFlushFailures), ctr.Get(spc.WireFramesStranded); fails != 1 || frames != 1 {
+		t.Fatalf("wire_flush_failures = %d, wire_frames_stranded = %d, want 1 and 1", fails, frames)
+	}
+	if nets[0].dirty.Load() != 0 {
+		t.Fatal("a failed flush left the slot dirty: every progress pass would sit in a dial")
+	}
+	if err := send(2); !errors.Is(err, transport.ErrConnEstablish) {
+		t.Fatalf("send after a failed flush returned %v, want the flush's error", err)
+	}
+
+	// The peer comes back on the same address.
+	ln, err := net.Listen("tcp", nets[1].cfg.Listen)
+	if err != nil {
+		t.Skipf("cannot re-listen on the peer's address: %v", err)
+	}
+	n1 := newNetwork(nets[1].cfg, ln)
+	n1.wg.Add(1)
+	go n1.acceptLoop(ln)
+	d1b, err := n1.NewDevice(1, hw.Fast(), transport.DeviceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d1b.Close()
+	c1b := mustContext(t, d1b)
+	if err := send(3); err != nil {
+		t.Fatalf("send after the peer returned: %v", err)
+	}
+	c0.Poll(func(transport.CQE) {}, 64)
+	for _, want := range []uint32{1, 3} {
+		if seq := poll1(t, c1b).Packet.Envelope().Seq; seq != want {
+			t.Fatalf("got seq %d, want %d", seq, want)
+		}
+	}
+}
+
+// TestOversizeFrameThenSmallFrames sends a frame larger than the reader's
+// window (the spill path) with a train of small frames behind it.
+func TestOversizeFrameThenSmallFrames(t *testing.T) {
+	_, d0, d1, _ := newCountedPair(t)
+	c0, c1 := mustContext(t, d0), mustContext(t, d1)
+	ep := mustConnect(t, d0, c0, 1, 0)
+	big := make([]byte, readBufSize+12345)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	send := func(seq uint32, payload []byte) {
+		env := transport.Envelope{Src: 0, Dst: 1, Seq: seq, Kind: transport.KindEager}
+		if err := ep.Send(transport.NewPacket(env, payload, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(0, big)
+	for i := 1; i <= 100; i++ {
+		send(uint32(i), []byte{byte(i)})
+	}
+	c0.Poll(func(transport.CQE) {}, 128)
+	if e := poll1(t, c1); e.Packet.Envelope().Seq != 0 || !bytes.Equal(e.Packet.Payload, big) {
+		t.Fatalf("oversize frame corrupted: seq %d, %d bytes", e.Packet.Envelope().Seq, len(e.Packet.Payload))
+	}
+	for i := 1; i <= 100; i++ {
+		e := poll1(t, c1)
+		if seq := e.Packet.Envelope().Seq; seq != uint32(i) || len(e.Packet.Payload) != 1 || e.Packet.Payload[0] != byte(i) {
+			t.Fatalf("small frame %d corrupted: seq %d payload %v", i, seq, e.Packet.Payload)
+		}
+	}
+}
+
+// TestIdleRankArmsNoTimer: the backstop arms on a clean→dirty transition and
+// disarms once nothing is dirty, so a rank that sends nothing wakes nothing.
+func TestIdleRankArmsNoTimer(t *testing.T) {
+	nets, d0, d1, _ := newCountedPair(t)
+	c0, c1 := mustContext(t, d0), mustContext(t, d1)
+	if nets[0].backstopArmed.Load() {
+		t.Fatal("backstop armed before any send")
+	}
+	establish(t, mustConnect(t, d0, c0, 1, 0), c0, c1)
+	deadline := time.Now().Add(time.Second)
+	for nets[0].backstopArmed.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("backstop still armed long after the last flush")
+		}
+		time.Sleep(backstopDelay)
+	}
+	if nets[1].backstopArmed.Load() {
+		t.Fatal("receive-only rank armed its backstop")
+	}
+}
+
+// rawDial connects to n's listener claiming to be asRank and completes the
+// handshake, returning the raw connection for hand-written frames.
+func rawDial(t *testing.T, n *Network, asRank int) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	var hs [helloSize]byte
+	binary.LittleEndian.PutUint32(hs[0:], handshakeMagic)
+	binary.LittleEndian.PutUint32(hs[4:], uint32(asRank))
+	if _, err := conn.Write(hs[:]); err != nil {
+		t.Fatal(err)
+	}
+	var echo [echoSize]byte
+	if _, err := io.ReadFull(conn, echo[:]); err != nil {
+		t.Fatal(err)
+	}
+	var off [offsetSize]byte
+	if _, err := conn.Write(off[:]); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestHostileFramesCloseTheLink feeds a live listener frames that fail
+// validation: each must close the connection and tick wire_frames_rejected
+// without delivering anything.
+func TestHostileFramesCloseTheLink(t *testing.T) {
+	valid := transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, []byte("ok"), nil)
+	le := binary.LittleEndian
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"length above maxFrame", le.AppendUint32(nil, maxFrame+1)},
+		{"length of all ones", le.AppendUint32(nil, 0xFFFFFFFF)},
+		{"length below the mux header", le.AppendUint32(nil, transport.MuxHeaderSize-1)},
+		{"mux above the cap", valid.AppendMuxFrame(nil, maxMux)},
+		{"packet shorter than an envelope", append(le.AppendUint32(le.AppendUint32(nil, 4+8), 0), make([]byte, 8)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nets, err := NewLoopback(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctr := spc.NewSet()
+			d1, err := nets[1].NewDevice(1, hw.Fast(), transport.DeviceConfig{Counters: ctr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d1.Close(); nets[0].close() })
+			c1 := mustContext(t, d1)
+			conn := rawDial(t, nets[1], 0)
+			// A valid frame first: the stream is good until the bad bytes.
+			if _, err := conn.Write(append(valid.AppendMuxFrame(nil, 0), tc.stream...)); err != nil {
+				t.Fatal(err)
+			}
+			if e := poll1(t, c1); string(e.Packet.Payload) != "ok" {
+				t.Fatalf("valid frame ahead of the bad one corrupted: %q", e.Packet.Payload)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("read after hostile frame = %v, want EOF (link closed)", err)
+			}
+			if got := ctr.Get(spc.WireFramesRejected); got != 1 {
+				t.Fatalf("wire_frames_rejected = %d, want 1", got)
+			}
+			if c1.Pending() {
+				t.Fatal("a rejected frame was delivered")
+			}
+		})
+	}
+}
+
+// readAll runs a frameReader with the given window over stream, delivered in
+// chunk-sized writes through a net.Pipe, and returns the accepted frames
+// re-encoded plus the reader for inspection.
+func readAll(window, chunk int, stream []byte) (frames [][]byte, fr *frameReader, err error) {
+	client, server := net.Pipe()
+	go func() {
+		defer client.Close()
+		for len(stream) > 0 {
+			n := min(chunk, len(stream))
+			if _, err := client.Write(stream[:n]); err != nil {
+				return
+			}
+			stream = stream[n:]
+		}
+	}()
+	fr = &frameReader{buf: make([]byte, window)}
+	err = fr.run(server, func(mux uint32, p *transport.Packet) bool {
+		frames = append(frames, p.AppendMuxFrame(nil, mux))
+		return true
+	})
+	server.Close()
+	return frames, fr, err
+}
+
+// TestFrameReaderSpillIsPaidByBytesReceived: a stream that declares a huge
+// frame and then stops costs the reader no more than what actually arrived.
+func TestFrameReaderSpillIsPaidByBytesReceived(t *testing.T) {
+	stream := binary.LittleEndian.AppendUint32(nil, maxFrame)
+	stream = append(stream, make([]byte, 100)...)
+	frames, fr, err := readAll(64, 7, stream)
+	if err != io.EOF || len(frames) != 0 {
+		t.Fatalf("truncated frame: err = %v, %d frames, want EOF and none", err, len(frames))
+	}
+	if c := cap(fr.scratch); c > 4*len(stream) {
+		t.Fatalf("scratch grew to %d bytes for a %d-byte stream", c, len(stream))
+	}
+}
+
+// FuzzReadFrames feeds the frame reader arbitrary bytes in arbitrary write
+// sizes. It must never panic, never hold more than maxFrame of scratch,
+// accept the same frames whatever its window size (in place or spilled), and
+// every frame it accepts must round-trip AppendMuxFrame.
+func FuzzReadFrames(f *testing.F) {
+	pkt := func(payload int, traced bool) *transport.Packet {
+		p := transport.NewPacket(transport.Envelope{Src: 1, Dst: 2, Tag: 3, Comm: 4, Seq: 5, Kind: transport.KindEager}, make([]byte, payload), nil)
+		p.RelSeq, p.RelSrc, p.Stamp = 9, 1, 77
+		if traced {
+			p.TraceID, p.Origin = 0xABCDEF, 1
+		}
+		return p
+	}
+	var valid []byte
+	valid = pkt(0, false).AppendMuxFrame(valid, 0)
+	valid = pkt(300, true).AppendMuxFrame(valid, 7) // spills a 64-byte window
+	valid = pkt(9, false).AppendMuxFrame(valid, maxMux-1)
+	le := binary.LittleEndian
+	f.Add(valid, uint8(255))
+	f.Add(valid, uint8(0))
+	f.Add(valid[:len(valid)-5], uint8(13))                                 // truncated mid-frame
+	f.Add(valid[:2], uint8(1))                                             // truncated mid-length
+	f.Add(append(le.AppendUint32(nil, 0xFFFFFFFF), valid...), uint8(64))   // length of all ones
+	f.Add(append(le.AppendUint32(nil, maxFrame+1), valid...), uint8(64))   // just above the cap
+	f.Add(append(le.AppendUint32(nil, 2), valid...), uint8(64))            // below the mux header
+	f.Add(append(valid[:60:60], le.AppendUint32(nil, 1<<20)...), uint8(3)) // good frame, then a length that never arrives
+	f.Add(pkt(0, false).AppendMuxFrame(nil, maxMux), uint8(8))             // mux above the cap
+	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
+		small, fr, errSmall := readAll(64, int(chunk)+1, stream)
+		if c := cap(fr.scratch); c > maxFrame {
+			t.Fatalf("scratch grew to %d bytes, above maxFrame", c)
+		}
+		large, _, errLarge := readAll(4096, int(chunk)+1, stream)
+		if len(small) != len(large) || (errSmall == errBadFrame) != (errLarge == errBadFrame) {
+			t.Fatalf("window 64: %d frames, %v; window 4096: %d frames, %v", len(small), errSmall, len(large), errLarge)
+		}
+		consumed := 0
+		for i, frame := range small {
+			if !bytes.Equal(frame, large[i]) {
+				t.Fatalf("frame %d differs between window sizes", i)
+			}
+			// The re-encoded frame is canonical: reading it back and encoding
+			// again reproduces it byte for byte.
+			again, _, _ := readAll(64, len(frame), frame)
+			if len(again) != 1 || !bytes.Equal(again[0], frame) {
+				t.Fatalf("frame %d does not round-trip AppendMuxFrame", i)
+			}
+			if !bytes.Equal(frame[4:8], stream[consumed+4:consumed+8]) {
+				t.Fatalf("frame %d delivered to mux %d, sent to %d", i, le.Uint32(frame[4:]), le.Uint32(stream[consumed+4:]))
+			}
+			consumed += 4 + int(le.Uint32(stream[consumed:]))
+		}
+		if consumed > len(stream) {
+			t.Fatalf("accepted %d bytes of frames from a %d-byte stream", consumed, len(stream))
+		}
+	})
 }

@@ -220,13 +220,18 @@ type Context interface {
 // layers above serialize Send with the per-CRI lock on matched paths;
 // control paths may call it concurrently, so implementations must make
 // injection itself thread-safe (the simulated fabric's queues are
-// multi-producer; tcpnet serializes frame writes per connection).
+// multi-producer; tcpnet appends frames to a per-peer pending buffer under a
+// short lock and writes whole batches under a separate write-order lock).
 type Endpoint interface {
 	// Send injects a two-sided packet and posts a send-completion CQE to
 	// the local context. On Multiplexed backends the first Send may have to
 	// establish the physical connection; a failed establishment surfaces as
 	// an error wrapping ErrConnEstablish and the packet is not injected.
-	// Lossless backends may also report a definitive wire failure here.
+	// Completion means the packet was copied out of the caller's hands, not
+	// that it left the host: a batching backend (tcpnet) puts it on the wire
+	// at the end of the rank's next Context.Poll, or from a bounded-delay
+	// timer if no Poll comes, and reports a wire failure it meets there from
+	// the next Send toward the same peer.
 	Send(p *Packet) error
 	// Resend re-injects a packet without a new send-completion CQE — the
 	// retransmission path of the delivery-reliability layer. Errors carry
