@@ -101,6 +101,7 @@ func TestConformanceNRank(t *testing.T) {
 		{"Allgather", conformNAllgather},
 		{"Alltoall", conformNAlltoall},
 		{"WildcardAnySource", conformNWildcard},
+		{"SentEqualsReceived", conformNSentEqualsReceived},
 		// Last on purpose: it audits the connection counters the cases
 		// above populated.
 		{"LazyConnect", conformNLazyConnect},
@@ -293,6 +294,70 @@ func conformNWildcard(t *testing.T, h *nHarness) {
 		}
 		return nil
 	})
+}
+
+// conformNSentEqualsReceived: every way a matched envelope can leave a rank
+// — eager, rendezvous RTS, self-addressed, the internal-tag traffic of
+// Barrier and Bcast, a message claimed by MProbe — is counted once as sent
+// and once as received, so the two counters agree when summed over the
+// ranks of a quiescent world (this case's traffic and all the cases before
+// it). Control packets (rendezvous ACK/FIN) are on neither side.
+func conformNSentEqualsReceived(t *testing.T, h *nHarness) {
+	big := make([]byte, 64<<10) // above the eager limit
+	runN(t, h, func(rank int, th *core.Thread) error {
+		c := h.comms[rank]
+		next, prev := (rank+1)%h.n, (rank-1+h.n)%h.n
+		exchange := func(dst, src int, tag int32, payload []byte) error {
+			sreq, err := c.Isend(th, dst, tag, payload)
+			if err != nil {
+				return err
+			}
+			if _, err := c.Recv(th, src, tag, make([]byte, len(payload))); err != nil {
+				return err
+			}
+			return sreq.Wait(th)
+		}
+		if err := exchange(next, prev, 5, []byte("eager")); err != nil {
+			return err
+		}
+		if err := exchange(next, prev, 6, big); err != nil {
+			return err
+		}
+		if err := exchange(rank, rank, 7, []byte("self")); err != nil {
+			return err
+		}
+		if err := c.Barrier(th); err != nil {
+			return err
+		}
+		if err := c.Bcast(th, 0, make([]byte, 8)); err != nil {
+			return err
+		}
+		sreq, err := c.Isend(th, next, 8, []byte("probed"))
+		if err != nil {
+			return err
+		}
+		msg, ok := c.MProbe(th, prev, 8)
+		for !ok {
+			msg, ok = c.MProbe(th, prev, 8)
+		}
+		if _, err := msg.MRecv(make([]byte, 8)); err != nil {
+			return err
+		}
+		if err := sreq.Wait(th); err != nil {
+			return err
+		}
+		return c.Barrier(th)
+	})
+	var sent, received int64
+	for _, p := range h.procs {
+		snap := p.SPCSnapshot()
+		sent += snap[spc.MessagesSent]
+		received += snap[spc.MessagesReceived]
+	}
+	if sent != received || sent == 0 {
+		t.Errorf("messages_sent summed over %d ranks = %d, messages_received = %d; want equal and non-zero",
+			h.n, sent, received)
+	}
 }
 
 // conformNLazyConnect: after the traffic above, the connection counters

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"repro/internal/match"
 )
 
 // Collective operations, built on the runtime's own point-to-point layer
@@ -78,12 +76,7 @@ func (c *Comm) Bcast(th *Thread, root int, buf []byte) error {
 		}
 		reqs = append(reqs, req)
 	}
-	for _, req := range reqs {
-		if err := req.Wait(th); err != nil {
-			return err
-		}
-	}
-	return nil
+	return WaitAll(th, reqs...)
 }
 
 // ReduceOp combines src into dst element-wise; both have equal length.
@@ -161,11 +154,10 @@ func (c *Comm) Reduce(th *Thread, root int, in, out []byte, op ReduceOp) error {
 	for bit := 1; bit < n; bit <<= 1 {
 		if v&bit != 0 {
 			parent := unvrank(v&^bit, root, n)
-			req, err := c.isendInternal(th, parent, tag, acc)
-			if err != nil {
+			if err := c.sendInternal(th, parent, tag, acc); err != nil {
 				return fmt.Errorf("core: reduce send: %w", err)
 			}
-			return req.Wait(th)
+			return nil
 		}
 		if v+bit < n {
 			child := unvrank(v+bit, root, n)
@@ -214,11 +206,7 @@ func (c *Comm) Gather(th *Thread, root int, send, recv []byte) error {
 	seq := c.nextCollSeq()
 	tag := collTag(seq, 2)
 	if c.myRank != root {
-		req, err := c.isendInternal(th, root, tag, send)
-		if err != nil {
-			return err
-		}
-		return req.Wait(th)
+		return c.sendInternal(th, root, tag, send)
 	}
 	chunk := len(send)
 	if len(recv) < chunk*n {
@@ -231,11 +219,7 @@ func (c *Comm) Gather(th *Thread, root int, send, recv []byte) error {
 		if r == root {
 			continue
 		}
-		req, err := c.irecvInternal(th, r, tag, recv[r*chunk:(r+1)*chunk])
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, req)
+		reqs = append(reqs, c.post(th, r, tag, recv[r*chunk:(r+1)*chunk]))
 	}
 	return WaitAll(th, reqs...)
 }
@@ -294,15 +278,8 @@ func (c *Comm) Allgather(th *Thread, send, recv []byte) error {
 		tag := collTag(seq, s)
 		outOwner := (c.myRank - s + n) % n
 		inOwner := (c.myRank - s - 1 + n) % n
-		rreq, err := c.irecvInternal(th, left, tag, recv[inOwner*chunk:(inOwner+1)*chunk])
-		if err != nil {
-			return err
-		}
-		sreq, err := c.isendInternal(th, right, tag, recv[outOwner*chunk:(outOwner+1)*chunk])
-		if err != nil {
-			return err
-		}
-		if err := sreq.Wait(th); err != nil {
+		rreq := c.post(th, left, tag, recv[inOwner*chunk:(inOwner+1)*chunk])
+		if err := c.sendInternal(th, right, tag, recv[outOwner*chunk:(outOwner+1)*chunk]); err != nil {
 			return err
 		}
 		if err := rreq.Wait(th); err != nil {
@@ -328,15 +305,8 @@ func (c *Comm) Alltoall(th *Thread, send, recv []byte) error {
 		tag := collTag(seq, s)
 		to := (c.myRank + s) % n
 		from := (c.myRank - s + n) % n
-		rreq, err := c.irecvInternal(th, from, tag, recv[from*chunk:(from+1)*chunk])
-		if err != nil {
-			return err
-		}
-		sreq, err := c.isendInternal(th, to, tag, send[to*chunk:(to+1)*chunk])
-		if err != nil {
-			return err
-		}
-		if err := sreq.Wait(th); err != nil {
+		rreq := c.post(th, from, tag, recv[from*chunk:(from+1)*chunk])
+		if err := c.sendInternal(th, to, tag, send[to*chunk:(to+1)*chunk]); err != nil {
 			return err
 		}
 		if err := rreq.Wait(th); err != nil {
@@ -348,35 +318,7 @@ func (c *Comm) Alltoall(th *Thread, send, recv []byte) error {
 
 // recvInternalInto blocks for an internal-tag message into buf.
 func (c *Comm) recvInternalInto(th *Thread, src int, tag int32, buf []byte) (Status, error) {
-	req, err := c.irecvInternal(th, src, tag, buf)
-	if err != nil {
-		return Status{}, err
-	}
-	err = req.Wait(th)
+	req := c.post(th, src, tag, buf)
+	err := req.Wait(th)
 	return req.status, err
-}
-
-// irecvInternal posts an internal-tag receive into buf.
-func (c *Comm) irecvInternal(th *Thread, src int, tag int32, buf []byte) (*Request, error) {
-	p := c.proc
-	req := &Request{proc: p, kind: reqRecv}
-	req.mrecv = &match.Recv{Source: int32(src), Tag: tag, Buf: buf, Token: req}
-	if !c.selfMatch && !c.matchMu.TryLock() {
-		t0 := c.spcs.StartTimer()
-		c.matchMu.Lock()
-		c.engine.ChargeWait(sinceTimer(c.spcs, t0))
-	}
-	h0 := p.histMatch.Start()
-	comp, ok := c.engine.PostRecv(req.mrecv)
-	p.histMatch.ObserveSince(h0)
-	if !c.selfMatch {
-		c.matchMu.Unlock()
-	}
-	if ok {
-		// Internal-tag messages are never traced, so attribution inputs are
-		// moot; 0 disables the measurement path outright.
-		c.completeRecv(comp, 0, true)
-	}
-	_ = th
-	return req, nil
 }

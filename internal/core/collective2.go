@@ -22,11 +22,9 @@ func (c *Comm) Scan(th *Thread, in, out []byte, op ReduceOp) error {
 		op.Reduce(out, in)
 	}
 	if c.myRank < len(c.group)-1 {
-		req, err := c.isendInternal(th, c.myRank+1, tag, out)
-		if err != nil {
+		if err := c.sendInternal(th, c.myRank+1, tag, out); err != nil {
 			return fmt.Errorf("core: scan send: %w", err)
 		}
-		return req.Wait(th)
 	}
 	return nil
 }
@@ -51,11 +49,9 @@ func (c *Comm) Exscan(th *Thread, in, out []byte, op ReduceOp) error {
 		op.Reduce(inclusive, in)
 	}
 	if c.myRank < len(c.group)-1 {
-		req, err := c.isendInternal(th, c.myRank+1, tag, inclusive)
-		if err != nil {
+		if err := c.sendInternal(th, c.myRank+1, tag, inclusive); err != nil {
 			return fmt.Errorf("core: exscan send: %w", err)
 		}
-		return req.Wait(th)
 	}
 	return nil
 }

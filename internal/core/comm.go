@@ -53,8 +53,6 @@ type Comm struct {
 	collSeq atomic.Uint32
 
 	eagerLimit int
-
-	// scratch is storage for completion scratch buffers (see Proc).
 }
 
 // completionScratch recycles the slice Deliver appends into.
@@ -175,60 +173,103 @@ func (c *Comm) Isend(th *Thread, dst int, tag int32, buf []byte) (*Request, erro
 	if c.eagerLimit >= 0 && len(buf) > c.eagerLimit && c.group[dst] != p.rank {
 		return c.isendRendezvous(th, dst, tag, buf)
 	}
+	return c.isendEager(th, dst, tag, buf)
+}
 
-	seq := c.seq.Next(int32(dst))
-	th.ts.Flight().Record(flight.KindSendPost, c.id, int32(dst), int32(seq))
-	env := transport.Envelope{
+// userEager reports whether env is a user's eager message — the traffic the
+// tracer's send_inject event and the latency stamps follow. Collectives and
+// control messages ride negative tags, which Isend refuses, and a rendezvous
+// is traced by its own start/done events.
+func userEager(env transport.Envelope) bool {
+	return env.Kind == transport.KindEager && env.Tag >= 0
+}
+
+// newEnvelope starts a matched message toward communicator rank dst: it
+// draws the next sequence number of the (dst, comm) stream and counts the
+// message as sent. Every matched envelope — eager, internal-tag, rendezvous
+// RTS, self-addressed — is made here, so messages_sent summed over ranks
+// equals messages_received at quiescence.
+func (c *Comm) newEnvelope(dst int, tag int32, kind transport.Kind) transport.Envelope {
+	c.spcs.Inc(spc.MessagesSent)
+	return transport.Envelope{
 		Src: int32(c.myRank), Dst: int32(dst), Tag: tag,
-		Comm: c.id, Seq: seq, Kind: transport.KindEager,
+		Comm: c.id, Seq: c.seq.Next(int32(dst)), Kind: kind,
 	}
+}
+
+// isendEager sends buf as one eager message: user sends below the eager
+// limit, and (with a negative tag) the runtime's own collective and control
+// traffic. The caller has opened PhaseSend.
+func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request, error) {
+	p := c.proc
+	env := c.newEnvelope(dst, tag, transport.KindEager)
+	th.ts.Flight().Record(flight.KindSendPost, c.id, int32(dst), int32(env.Seq))
 	req := &Request{proc: p, kind: reqSend}
 	pkt := transport.NewPacket(env, buf, req)
-	c.spcs.Inc(spc.MessagesSent)
-	if p.histLatency != nil {
-		pkt.Stamp = time.Now().UnixNano()
-	}
-	if p.traceWire {
-		pkt.TraceID = traceID(p.rank, c.id, seq)
-		pkt.Origin = int32(p.rank)
-		if pkt.Stamp == 0 {
+	user := userEager(env)
+	if user {
+		if p.histLatency != nil {
 			pkt.Stamp = time.Now().UnixNano()
 		}
+		if p.traceWire {
+			pkt.TraceID = traceID(p.rank, c.id, env.Seq)
+			pkt.Origin = int32(p.rank)
+			if pkt.Stamp == 0 {
+				pkt.Stamp = time.Now().UnixNano()
+			}
+		}
 	}
-
 	if c.group[dst] == p.rank {
 		// Self message: bypass the fabric, deliver straight into the
 		// matching engine and complete the send.
-		p.tracer.EmitFlowCRI(trace.KindSendInject, pkt.TraceID, -1, int32(dst), int32(seq))
+		if user {
+			p.tracer.EmitFlowCRI(trace.KindSendInject, pkt.TraceID, -1, int32(dst), int32(env.Seq))
+		}
 		req.finish(nil)
-		p.deliver(clk, nil, pkt)
+		p.deliver(th.ts.Clock(), nil, pkt)
 		return req, nil
 	}
+	if err := c.inject(th, env, pkt, req, nil); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
 
+// inject is the one way a matched envelope leaves this process: hold a CRI,
+// take its endpoint toward the destination, enter the packet in the
+// reliability window (req completes on ack; fail, if set, runs instead when
+// the peer is given up on), and write it to the wire inside PhaseWire.
+func (c *Comm) inject(th *Thread, env transport.Envelope, pkt *transport.Packet, req *Request, fail func(error)) error {
+	p := c.proc
+	dstWorld := c.group[env.Dst]
 	inst, release := p.pool.AcquireSend(&th.ts)
-	p.tracer.EmitFlowCRI(trace.KindSendInject, pkt.TraceID, inst.Index(), int32(dst), int32(seq))
-	ep := inst.Endpoint(c.group[dst])
+	if userEager(env) {
+		p.tracer.EmitFlowCRI(trace.KindSendInject, pkt.TraceID, inst.Index(), env.Dst, int32(env.Seq))
+	}
+	ep := inst.Endpoint(dstWorld)
 	if ep == nil {
 		release()
-		return nil, fmt.Errorf("core: no endpoint from rank %d to %d: %w",
-			p.rank, c.group[dst], ErrPeerUnreachable)
+		return fmt.Errorf("core: no endpoint from rank %d to %d: %w", p.rank, dstWorld, ErrPeerUnreachable)
 	}
+	// Only stamped packets have a send post to measure the stages from
+	// (Latency implies TraceWire, which stamps every user eager send).
+	timed := p.lat != nil && pkt.Stamp != 0
 	var acqNs, wire0 int64
-	if p.lat != nil {
-		// CRI-acquire stage: send post (the trace stamp, set above — Latency
-		// implies TraceWire) to instance held. Stored on the packet before
-		// injection so an in-process receiver reads it race-free; over a real
-		// wire the field never leaves this process.
+	if timed {
+		// CRI-acquire stage: send post to instance held. Stored on the packet
+		// before injection so an in-process receiver reads it race-free; over
+		// a real wire the field never leaves this process.
 		acqNs = time.Now().UnixNano() - pkt.Stamp
 		pkt.SendAcqNs = acqNs
 	}
-	p.rel.track(pkt, c.group[dst], req, nil)
+	p.rel.track(pkt, dstWorld, req, fail)
+	clk := th.ts.Clock()
 	clk.Begin(prof.PhaseWire)
-	if p.lat != nil {
+	if timed {
 		wire0 = time.Now().UnixNano()
 	}
 	err := ep.Send(pkt)
-	if p.lat != nil && err == nil {
+	if timed && err == nil {
 		p.lat.ObserveStage(latency.StageCRIAcquire, acqNs)
 		p.lat.ObserveStage(latency.StageWireWrite, time.Now().UnixNano()-wire0)
 	}
@@ -238,10 +279,9 @@ func (c *Comm) Isend(th *Thread, dst int, tag int32, buf []byte) (*Request, erro
 		// The packet never reached the wire (lazy establishment or the
 		// write itself failed definitively). Any reliability entry is left
 		// to its retry budget, which re-drives or abandons it.
-		return nil, fmt.Errorf("core: send from rank %d to %d: %v: %w",
-			p.rank, c.group[dst], err, ErrPeerUnreachable)
+		return fmt.Errorf("core: send from rank %d to %d: %v: %w", p.rank, dstWorld, err, ErrPeerUnreachable)
 	}
-	return req, nil
+	return nil
 }
 
 // Send is the blocking send (MPI_Send).
@@ -267,38 +307,57 @@ func (c *Comm) Irecv(th *Thread, src int, tag int32, buf []byte) (*Request, erro
 	}
 	p.levelGuard.enter(th)
 	defer p.levelGuard.leave()
-	clk := th.ts.Clock()
 	if p.bigLock {
-		p.bigMu.LockClocked(clk)
+		p.bigMu.LockClocked(th.ts.Clock())
 		defer p.bigMu.Unlock()
 	}
+	return c.post(th, src, tag, buf), nil
+}
 
+// lockMatch takes the communicator's matching lock — the paper's remaining
+// serial section — unless the engine locks itself. A contended wait counts
+// toward Table II's match time, which includes the time threads spend
+// fighting over the matching critical section, and (profiled) toward the
+// lock's site and clk's lock-wait phase.
+func (c *Comm) lockMatch(clk *prof.ThreadClock) {
+	if c.selfMatch || c.matchMu.TryLockQuiet() {
+		return
+	}
+	t0 := c.spcs.StartTimer()
+	c.matchMu.LockClocked(clk)
+	c.engine.ChargeWait(sinceTimer(c.spcs, t0))
+}
+
+func (c *Comm) unlockMatch() {
+	if !c.selfMatch {
+		c.matchMu.Unlock()
+	}
+}
+
+// post is the one way a receive enters the matching engine, for user
+// receives and the runtime's internal-tag receives alike: match lock,
+// PhaseMatch, the match-section histogram, PostRecv, and — if the message
+// was already waiting in the unexpected queue — completion.
+func (c *Comm) post(th *Thread, src int, tag int32, buf []byte) *Request {
+	p := c.proc
+	clk := th.ts.Clock()
 	req := &Request{proc: p, kind: reqRecv}
 	req.mrecv = &match.Recv{Source: int32(src), Tag: tag, Buf: buf, Token: req}
-
-	if !c.selfMatch && !c.matchMu.TryLockQuiet() {
-		t0 := c.spcs.StartTimer()
-		c.matchMu.LockClocked(clk)
-		c.engine.ChargeWait(sinceTimer(c.spcs, t0))
-	}
+	c.lockMatch(clk)
 	clk.Begin(prof.PhaseMatch)
 	h0 := p.histMatch.Start()
 	comp, ok := c.engine.PostRecv(req.mrecv)
 	p.histMatch.ObserveSince(h0)
 	clk.End()
-	if !c.selfMatch {
-		c.matchMu.Unlock()
-	}
+	c.unlockMatch()
 	if ok {
-		// PostRecv matched immediately: the message was sitting in the
-		// unexpected queue.
 		var matchedNs int64
 		if p.lat != nil {
 			matchedNs = time.Now().UnixNano()
 		}
 		c.completeRecv(comp, matchedNs, true)
 	}
-	return req, nil
+	return req
 }
 
 // Recv is the blocking receive (MPI_Recv), returning the message status.
@@ -315,13 +374,9 @@ func (c *Comm) Recv(th *Thread, src int, tag int32, buf []byte) (Status, error) 
 // matching src/tag, progressing once first (MPI_Iprobe).
 func (c *Comm) Probe(th *Thread, src int, tag int32) (Status, bool) {
 	th.Progress()
-	if !c.selfMatch {
-		c.matchMu.LockClocked(th.ts.Clock())
-	}
+	c.lockMatch(th.ts.Clock())
 	env, ok := c.engine.Probe(int32(src), tag)
-	if !c.selfMatch {
-		c.matchMu.Unlock()
-	}
+	c.unlockMatch()
 	if !ok {
 		return Status{}, false
 	}
@@ -348,13 +403,9 @@ func (m *Message) Status() Status {
 // which races when multiple threads probe the same coordinates.
 func (c *Comm) MProbe(th *Thread, src int, tag int32) (*Message, bool) {
 	th.Progress()
-	if !c.selfMatch {
-		c.matchMu.LockClocked(th.ts.Clock())
-	}
+	c.lockMatch(th.ts.Clock())
 	pkt, ok := c.engine.MProbe(int32(src), tag)
-	if !c.selfMatch {
-		c.matchMu.Unlock()
-	}
+	c.unlockMatch()
 	if !ok {
 		return nil, false
 	}
@@ -439,7 +490,7 @@ func (c *Comm) Barrier(th *Thread) error {
 	if n == 1 {
 		return nil
 	}
-	var b [1]byte
+	var b, in [1]byte
 	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
 		to := (c.myRank + dist) % n
 		from := (c.myRank - dist + n) % n
@@ -448,7 +499,7 @@ func (c *Comm) Barrier(th *Thread) error {
 		if err != nil {
 			return err
 		}
-		if _, err := c.recvInternal(th, from, tag); err != nil {
+		if _, err := c.recvInternalInto(th, from, tag, in[:]); err != nil {
 			return err
 		}
 		if err := sreq.Wait(th); err != nil {
@@ -466,46 +517,19 @@ const barrierTagBase int32 = -1000
 // isendInternal sends with an internal (negative) tag, bypassing the
 // user-tag validation.
 func (c *Comm) isendInternal(th *Thread, dst int, tag int32, buf []byte) (*Request, error) {
-	p := c.proc
 	clk := th.ts.Clock()
 	clk.Begin(prof.PhaseSend)
 	defer clk.End()
-	seq := c.seq.Next(int32(dst))
-	th.ts.Flight().Record(flight.KindSendPost, c.id, int32(dst), int32(seq))
-	env := transport.Envelope{
-		Src: int32(c.myRank), Dst: int32(dst), Tag: tag,
-		Comm: c.id, Seq: seq, Kind: transport.KindEager,
-	}
-	req := &Request{proc: p, kind: reqSend}
-	pkt := transport.NewPacket(env, buf, req)
-	if c.group[dst] == p.rank {
-		req.finish(nil)
-		p.deliver(clk, nil, pkt)
-		return req, nil
-	}
-	inst, release := p.pool.AcquireSend(&th.ts)
-	ep := inst.Endpoint(c.group[dst])
-	if ep == nil {
-		release()
-		return nil, fmt.Errorf("core: no endpoint from rank %d to %d: %w",
-			p.rank, c.group[dst], ErrPeerUnreachable)
-	}
-	p.rel.track(pkt, c.group[dst], req, nil)
-	clk.Begin(prof.PhaseWire)
-	err := ep.Send(pkt)
-	clk.End()
-	release()
-	if err != nil {
-		return nil, fmt.Errorf("core: send from rank %d to %d: %v: %w",
-			p.rank, c.group[dst], err, ErrPeerUnreachable)
-	}
-	return req, nil
+	return c.isendEager(th, dst, tag, buf)
 }
 
-// recvInternal blocks for an internal-tag message, discarding the payload.
-func (c *Comm) recvInternal(th *Thread, src int, tag int32) (Status, error) {
-	var scratch [1]byte
-	return c.recvInternalInto(th, src, tag, scratch[:])
+// sendInternal is the blocking isendInternal.
+func (c *Comm) sendInternal(th *Thread, dst int, tag int32, buf []byte) error {
+	req, err := c.isendInternal(th, dst, tag, buf)
+	if err != nil {
+		return err
+	}
+	return req.Wait(th)
 }
 
 // ctlTagBase anchors the runtime-internal control-message tag space used by
@@ -517,11 +541,7 @@ const ctlTagBase int32 = -500000
 // runtime-internal layers (the one-sided synchronization protocols); user
 // code should use Send.
 func (c *Comm) CtlSend(th *Thread, dst int, kind int32, payload []byte) error {
-	req, err := c.isendInternal(th, dst, ctlTagBase-kind, payload)
-	if err != nil {
-		return err
-	}
-	return req.Wait(th)
+	return c.sendInternal(th, dst, ctlTagBase-kind, payload)
 }
 
 // CtlRecv blocks for a control message of the given kind from src.

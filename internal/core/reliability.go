@@ -381,8 +381,7 @@ func (r *reliability) windowSnapshot() []flight.PeerWindow {
 // endpoint without a new send-completion CQE (the original injection
 // already produced one).
 func (p *Proc) resend(dstWorld int, pkt *transport.Packet) {
-	inst := p.pool.Get(p.pool.NextRoundRobin())
-	if ep := inst.Endpoint(dstWorld); ep != nil {
+	if ep, err := p.controlEndpoint(dstWorld); err == nil {
 		// A failed resend is indistinguishable from a lost packet; the
 		// retry budget governs, so the error is deliberately dropped.
 		_ = ep.Resend(pkt)

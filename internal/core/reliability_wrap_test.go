@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/spc"
 )
@@ -50,7 +51,10 @@ func TestRelSeqSerialOrder(t *testing.T) {
 // messages deliver exactly once.
 func TestReliabilityWraparound(t *testing.T) {
 	const start = math.MaxUint64 - 3 // four pre-wrap seqs, then the wrap
-	w := newTestWorld(t, 2, Options{Reliable: true})
+	// The retransmit timer is pinned far beyond the test's runtime: under load
+	// a legitimate 1 ms timer retransmission can race its own ack and be
+	// counted as a duplicate, which is not what this test is about.
+	w := newTestWorld(t, 2, Options{Reliable: true, RetransmitTimeout: time.Minute})
 	p0, p1 := w.Proc(0), w.Proc(1)
 
 	// Seed both ends of the 0 -> 1 stream near the wrap, in lockstep.
@@ -84,6 +88,9 @@ func TestReliabilityWraparound(t *testing.T) {
 	}
 	wg.Wait()
 
+	if rtx := p0.spcs.Get(spc.Retransmits); rtx != 0 {
+		t.Fatalf("sender retransmitted %d times with a one-minute timer", rtx)
+	}
 	if dup := p1.spcs.Get(spc.DuplicatePackets); dup != 0 {
 		t.Fatalf("receiver counted %d duplicate packets across the wrap (serial-arithmetic bug)", dup)
 	}

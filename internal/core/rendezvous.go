@@ -56,11 +56,8 @@ func (c *Comm) isendRendezvous(th *Thread, dst int, tag int32, buf []byte) (*Req
 	p.rdvSends[id] = &rdvSend{req: req, buf: buf, dstWorld: c.group[dst]}
 	p.rdvMu.Unlock()
 
-	seq := c.seq.Next(int32(dst))
-	env := transport.Envelope{
-		Src: int32(c.myRank), Dst: int32(dst), Tag: tag,
-		Comm: c.id, Seq: seq, Len: uint32(len(buf)), Kind: transport.KindRendezvousRTS,
-	}
+	env := c.newEnvelope(dst, tag, transport.KindRendezvousRTS)
+	env.Len = uint32(len(buf))
 	var idb [8]byte
 	binary.LittleEndian.PutUint64(idb[:], id)
 	pkt := transport.NewPacketRaw(env, idb[:], req)
@@ -68,33 +65,34 @@ func (c *Comm) isendRendezvous(th *Thread, dst int, tag int32, buf []byte) (*Req
 	// The RTS completes the rendezvous via put+FIN, never on transport ack,
 	// so it is tracked with a failure hook only: an unreachable peer tears
 	// down the pending-send entry and fails the request.
-	p.rel.track(pkt, c.group[dst], nil, func(err error) {
-		p.rdvMu.Lock()
-		delete(p.rdvSends, id)
-		p.rdvMu.Unlock()
+	err := c.inject(th, env, pkt, nil, func(err error) {
+		p.takeRdvSend(id)
 		req.finish(err)
 	})
-
-	inst, release := p.pool.AcquireSend(&th.ts)
-	ep := inst.Endpoint(c.group[dst])
-	if ep == nil {
-		release()
-		p.rdvMu.Lock()
-		delete(p.rdvSends, id)
-		p.rdvMu.Unlock()
-		return nil, fmt.Errorf("core: no endpoint from rank %d to %d: %w",
-			p.rank, c.group[dst], ErrPeerUnreachable)
-	}
-	err := ep.Send(pkt)
-	release()
 	if err != nil {
-		p.rdvMu.Lock()
-		delete(p.rdvSends, id)
-		p.rdvMu.Unlock()
-		return nil, fmt.Errorf("core: rendezvous RTS from rank %d to %d: %v: %w",
-			p.rank, c.group[dst], err, ErrPeerUnreachable)
+		p.takeRdvSend(id)
+		return nil, err
 	}
 	return req, nil
+}
+
+// takeRdvSend removes and returns the pending rendezvous send id, nil if it
+// is already gone (completed, or torn down by the other path).
+func (p *Proc) takeRdvSend(id uint64) *rdvSend {
+	p.rdvMu.Lock()
+	rs := p.rdvSends[id]
+	delete(p.rdvSends, id)
+	p.rdvMu.Unlock()
+	return rs
+}
+
+// takeRdvRecv is takeRdvSend for the receive side's pending transfers.
+func (p *Proc) takeRdvRecv(key rdvKey) *rdvRecv {
+	p.rdvMu.Lock()
+	rr := p.rdvRecvs[key]
+	delete(p.rdvRecvs, key)
+	p.rdvMu.Unlock()
+	return rr
 }
 
 // startRendezvousRecv runs on the receiver when an RTS matches a posted
@@ -142,11 +140,7 @@ func (c *Comm) startRendezvousRecv(req *Request, comp match.Completion) {
 	// If the ACK can never reach the sender, the posted receive would wait
 	// forever for a put that is not coming: tear down and surface the error.
 	teardown := func(err error) {
-		p.rdvMu.Lock()
-		rr := p.rdvRecvs[key]
-		delete(p.rdvRecvs, key)
-		p.rdvMu.Unlock()
-		if rr != nil {
+		if rr := p.takeRdvRecv(key); rr != nil {
 			p.dev.DeregisterMemory(rr.region)
 			rr.req.finish(err)
 		}
@@ -167,10 +161,7 @@ func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 	regionID := binary.LittleEndian.Uint64(pkt.Payload[8:])
 	sink := int(binary.LittleEndian.Uint64(pkt.Payload[16:]))
 
-	p.rdvMu.Lock()
-	rs := p.rdvSends[id]
-	delete(p.rdvSends, id)
-	p.rdvMu.Unlock()
+	rs := p.takeRdvSend(id)
 	if rs == nil {
 		// Duplicate or orphaned ACK (the transfer already ran, or the RTS
 		// was abandoned by the retransmit sweep). Count and drop.
@@ -187,11 +178,9 @@ func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 		// backend charges initiator CPU plus wire time; no instance lock is
 		// needed because the data path is offloaded (packet queues are
 		// inherently thread-safe).
-		inst := p.pool.Get(p.pool.NextRoundRobin())
-		ep := inst.Endpoint(rs.dstWorld)
-		if ep == nil {
-			rs.req.finish(fmt.Errorf("core: no endpoint from rank %d to %d: %w",
-				p.rank, rs.dstWorld, ErrPeerUnreachable))
+		ep, err := p.controlEndpoint(rs.dstWorld)
+		if err != nil {
+			rs.req.finish(err)
 			return
 		}
 		if err := ep.PutRegion(regionID, 0, rs.buf[:sink], nil); err != nil {
@@ -226,10 +215,7 @@ func (c *Comm) handleRendezvousFIN(pkt *transport.Packet) {
 	id := binary.LittleEndian.Uint64(pkt.Payload)
 	env := pkt.Envelope()
 	key := rdvKey{srcWorld: c.group[env.Src], id: id}
-	p.rdvMu.Lock()
-	rr := p.rdvRecvs[key]
-	delete(p.rdvRecvs, key)
-	p.rdvMu.Unlock()
+	rr := p.takeRdvRecv(key)
 	if rr == nil {
 		// Duplicate or orphaned FIN — the receive already completed (or was
 		// torn down). Count and drop.
@@ -257,15 +243,22 @@ func (c *Comm) handleRendezvousFIN(pkt *transport.Packet) {
 // A missing endpoint — on a real network, an unreachable address — is a
 // typed error the caller surfaces through the request.
 func (p *Proc) sendControl(dstWorld int, pkt *transport.Packet) error {
-	inst := p.pool.Get(p.pool.NextRoundRobin())
-	ep := inst.Endpoint(dstWorld)
-	if ep == nil {
-		return fmt.Errorf("core: no endpoint from rank %d to %d: %w",
-			p.rank, dstWorld, ErrPeerUnreachable)
+	ep, err := p.controlEndpoint(dstWorld)
+	if err != nil {
+		return err
 	}
 	if err := ep.Send(pkt); err != nil {
 		return fmt.Errorf("core: control send from rank %d to %d: %v: %w",
 			p.rank, dstWorld, err, ErrPeerUnreachable)
 	}
 	return nil
+}
+
+// controlEndpoint picks the next round-robin instance's endpoint toward
+// dstWorld for traffic that takes no instance lock.
+func (p *Proc) controlEndpoint(dstWorld int) (transport.Endpoint, error) {
+	if ep := p.pool.Get(p.pool.NextRoundRobin()).Endpoint(dstWorld); ep != nil {
+		return ep, nil
+	}
+	return nil, fmt.Errorf("core: no endpoint from rank %d to %d: %w", p.rank, dstWorld, ErrPeerUnreachable)
 }

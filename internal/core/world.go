@@ -608,18 +608,14 @@ func (p *Proc) QueueSnapshot() flight.QueueSnapshot {
 		// depth counters; there is no engine-wide lock to freeze them under,
 		// and monitoring must not introduce one. Depths from either path are
 		// monitoring-only — never a synchronization predicate.
-		if !c.selfMatch {
-			c.matchMu.Lock()
-		}
+		c.lockMatch(nil)
 		qs.Comms = append(qs.Comms, flight.CommQueues{
 			Comm:        c.id,
 			Posted:      c.engine.PostedLen(),
 			Unexpected:  c.engine.UnexpectedLen(),
 			OOSBuffered: c.engine.OOSBuffered(),
 		})
-		if !c.selfMatch {
-			c.matchMu.Unlock()
-		}
+		c.unlockMatch()
 	}
 	qs.Windows = p.rel.windowSnapshot()
 	for i := 0; i < p.pool.Len(); i++ {
@@ -765,15 +761,7 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 		// Arrival stamp feeds the match-residency histogram at completion.
 		pkt.RecvStamp = now
 		if p.histOneWay != nil && pkt.Stamp != 0 {
-			// The send stamp is on the origin's clock; the transport's
-			// NTP-style estimate maps it into ours (local = peer + offset).
-			var off int64
-			if p.clock != nil {
-				if o, ok := p.clock.PeerClockOffsetNs(int(pkt.Origin)); ok {
-					off = o
-				}
-			}
-			p.histOneWay.ObserveNs(now - (pkt.Stamp + off))
+			p.histOneWay.ObserveNs(now - p.sendStampLocal(pkt))
 		}
 	}
 	p.tracer.EmitFlowCRI(trace.KindRecvDeliver, pkt.TraceID, criIdx, env.Src, int32(env.Seq))
@@ -781,23 +769,13 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 	if scratch == nil {
 		scratch = &completionScratch{}
 	}
-	// Measure matching-lock wait: Table II's match time includes the time
-	// threads spend fighting over the matching critical section. The wait
-	// is charged to the communicator's own counter set (and, profiled, to
-	// the matching lock's site and the thread's lock-wait phase).
-	if !c.selfMatch && !c.matchMu.TryLockQuiet() {
-		t0 := c.spcs.StartTimer()
-		c.matchMu.LockClocked(clk)
-		c.engine.ChargeWait(sinceTimer(c.spcs, t0))
-	}
+	c.lockMatch(clk)
 	clk.Begin(prof.PhaseMatch)
 	h0 := p.histMatch.Start()
 	scratch.buf = c.engine.Deliver(pkt, scratch.buf[:0])
 	p.histMatch.ObserveSince(h0)
 	clk.End()
-	if !c.selfMatch {
-		c.matchMu.Unlock()
-	}
+	c.unlockMatch()
 	var matchedNs int64
 	if p.lat != nil && len(scratch.buf) > 0 {
 		matchedNs = time.Now().UnixNano()
@@ -818,15 +796,7 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 // could not split out, so the stages always sum to at most the end-to-end.
 func (p *Proc) measure(pkt *transport.Packet, tag int32, matchedNs int64, unexpected bool) latency.Measurement {
 	now := time.Now().UnixNano()
-	// The send stamp is on the origin's clock; the transport's NTP-style
-	// estimate maps it into ours (local = peer + offset).
-	var off int64
-	if p.clock != nil {
-		if o, ok := p.clock.PeerClockOffsetNs(int(pkt.Origin)); ok {
-			off = o
-		}
-	}
-	sendLocal := pkt.Stamp + off
+	sendLocal := p.sendStampLocal(pkt)
 	m := latency.Measurement{
 		TraceID:    pkt.TraceID,
 		Origin:     pkt.Origin,
@@ -877,6 +847,18 @@ func (p *Proc) measure(pkt *transport.Packet, tag int32, matchedNs int64, unexpe
 		m.StageNs[latency.StageComplete] = clampNs(now - matchedNs)
 	}
 	return m
+}
+
+// sendStampLocal maps pkt's send stamp, taken on its origin's clock, onto
+// this proc's clock with the transport's NTP-style estimate (local = peer +
+// offset); unchanged when there is no estimate (in-process worlds).
+func (p *Proc) sendStampLocal(pkt *transport.Packet) int64 {
+	if p.clock != nil {
+		if off, ok := p.clock.PeerClockOffsetNs(int(pkt.Origin)); ok {
+			return pkt.Stamp + off
+		}
+	}
+	return pkt.Stamp
 }
 
 func clampNs(v int64) int64 {

@@ -6,15 +6,33 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/backends"
+	"repro/internal/hw"
 	"repro/internal/prof"
 	"repro/internal/spc"
 	"repro/internal/transport"
-	"repro/internal/transport/mocknet"
 )
 
-func newTestPool(t *testing.T, n int, mode Assignment) *Pool {
+// simDevice returns rank's device on net. On hw.Fast() the simulated
+// backend charges no CPU cost and has no link limit: a packet sent on an
+// endpoint is immediately pollable from the remote context, so test timing
+// is deterministic.
+func simDevice(t testing.TB, net transport.Network, rank int) transport.Device {
 	t.Helper()
-	dev := mocknet.NewDevice()
+	dev, err := net.NewDevice(rank, hw.Fast(), transport.DeviceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+func newTestPool(t testing.TB, n int, mode Assignment) *Pool {
+	t.Helper()
+	return newTestPoolOn(t, simDevice(t, backends.Sim(), 0), n, mode)
+}
+
+func newTestPoolOn(t testing.TB, dev transport.Device, n int, mode Assignment) *Pool {
+	t.Helper()
 	insts := make([]*Instance, n)
 	for i := range insts {
 		ctx, err := dev.CreateContext(0)
@@ -133,8 +151,7 @@ func TestConcurrentRoundRobinBalanced(t *testing.T) {
 
 func TestLockContentionCounted(t *testing.T) {
 	s := spc.NewSet()
-	dev := mocknet.NewDevice()
-	ctx, _ := dev.CreateContext(0)
+	ctx, _ := simDevice(t, backends.Sim(), 0).CreateContext(0)
 	in := NewInstance(0, ctx, s)
 	in.Lock()
 	done := make(chan struct{})
@@ -171,11 +188,14 @@ func TestTryLock(t *testing.T) {
 }
 
 func TestEndpointTable(t *testing.T) {
-	p := newTestPool(t, 1, RoundRobin)
-	in := p.Get(0)
-	dev := mocknet.NewDevice()
-	remote, _ := dev.CreateContext(0)
-	ep := mocknet.NewEndpoint(in.Context(), remote)
+	net := backends.Sim()
+	dev := simDevice(t, net, 0)
+	in := newTestPoolOn(t, dev, 1, RoundRobin).Get(0)
+	remote, _ := simDevice(t, net, 1).CreateContext(0)
+	ep, err := dev.Connect(in.Context(), 1, remote.Index())
+	if err != nil {
+		t.Fatal(err)
+	}
 	in.SetEndpoints([]transport.Endpoint{nil, ep})
 	if in.Endpoint(0) != nil {
 		t.Fatal("self endpoint should be nil")
@@ -195,10 +215,14 @@ func TestEmptyPoolError(t *testing.T) {
 }
 
 func TestInstancePollDispatches(t *testing.T) {
-	p := newTestPool(t, 2, RoundRobin)
+	dev := simDevice(t, backends.Sim(), 0)
+	p := newTestPoolOn(t, dev, 2, RoundRobin)
 	rx := p.Get(0)
 	tx := p.Get(1)
-	ep := mocknet.NewEndpoint(tx.Context(), rx.Context())
+	ep, err := dev.Connect(tx.Context(), 0, rx.Context().Index())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ep.Send(transport.NewPacket(transport.Envelope{Kind: transport.KindEager, Tag: 3}, nil, nil))
 
 	var got []transport.CQE
@@ -215,16 +239,7 @@ func TestInstancePollDispatches(t *testing.T) {
 }
 
 func BenchmarkForThreadRoundRobin(b *testing.B) {
-	dev := mocknet.NewDevice()
-	insts := make([]*Instance, 8)
-	for i := range insts {
-		ctx, _ := dev.CreateContext(0)
-		insts[i] = NewInstance(i, ctx, nil)
-	}
-	p, err := NewPool(insts, RoundRobin)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := newTestPool(b, 8, RoundRobin)
 	var ts ThreadState
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -233,16 +248,7 @@ func BenchmarkForThreadRoundRobin(b *testing.B) {
 }
 
 func BenchmarkForThreadDedicated(b *testing.B) {
-	dev := mocknet.NewDevice()
-	insts := make([]*Instance, 8)
-	for i := range insts {
-		ctx, _ := dev.CreateContext(0)
-		insts[i] = NewInstance(i, ctx, nil)
-	}
-	p, err := NewPool(insts, Dedicated)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := newTestPool(b, 8, Dedicated)
 	var ts ThreadState
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

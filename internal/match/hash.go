@@ -1,10 +1,6 @@
 package match
 
 import (
-	"fmt"
-	"time"
-
-	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/spc"
 	"repro/internal/transport"
@@ -18,170 +14,46 @@ import (
 // within the scope of this paper") — implemented here so the remaining
 // serialization can be quantified with the search cost removed.
 //
-// MPI's matching order is preserved exactly: every posted receive carries a
-// monotone ticket; an incoming message matches the oldest candidate among
-// its exact bucket head and the wildcard list heads. Like Engine, all
-// methods require external synchronization.
+// It is the shared parts and nothing else: one sequence gate, one hash
+// store, one wildcard set. MPI's matching order is preserved exactly: every
+// posted receive carries a monotone ticket; an incoming message matches the
+// oldest candidate among its exact bucket head and the wildcard list heads.
+// Like Engine, all methods require external synchronization.
 type HashEngine struct {
-	comm  uint32
-	costs hw.CostModel
-	meter Meter
-	spcs  *spc.Set
+	common
+	gate  seqGate
+	store hashStore
+	wild  wildSet
 
 	allowOvertaking bool
-
-	peers  map[int32]*peerState
-	single []*peerState
-
-	nextTicket uint64
-
-	// exact[(src,tag)] holds non-wildcard posted receives, FIFO.
-	exact map[key64]*bucket
-	// srcWild holds Recvs with Source set and Tag == AnyTag.
-	// tagWild holds Recvs with Source == AnySource and Tag set.
-	// allWild holds fully wildcarded Recvs.
-	// (Each ordered by ticket; heads are match candidates.)
-	srcWild map[int32]*bucket
-	tagWild map[int32]*bucket
-	allWild bucket
-	posted  int
-
-	// unexpected messages: bucketed by exact (src, tag) for O(1) exact
-	// posts, plus one global FIFO so wildcard posts and Probe can scan in
-	// arrival order.
-	unexp       map[key64]*umsgList
-	unexpHead   *pendingMsg
-	unexpTail   *pendingMsg
-	unexpLen    int
-	unexpTicket uint64
-
-	flight *flight.Ring
-}
-
-// key64 packs (source, tag) into one map key.
-type key64 uint64
-
-func mkKey(src, tag int32) key64 { return key64(uint32(src))<<32 | key64(uint32(tag)) }
-
-// bucket is a FIFO of posted receives sharing coordinates.
-type bucket struct {
-	head, tail *Recv
-	n          int
-}
-
-func (b *bucket) push(r *Recv) {
-	r.bprev = b.tail
-	r.bnext = nil
-	if b.tail != nil {
-		b.tail.bnext = r
-	} else {
-		b.head = r
-	}
-	b.tail = r
-	b.n++
-}
-
-func (b *bucket) remove(r *Recv) {
-	if r.bprev != nil {
-		r.bprev.bnext = r.bnext
-	} else {
-		b.head = r.bnext
-	}
-	if r.bnext != nil {
-		r.bnext.bprev = r.bprev
-	} else {
-		b.tail = r.bprev
-	}
-	r.bprev, r.bnext = nil, nil
-	b.n--
-}
-
-// umsgList is a FIFO of unexpected messages sharing exact coordinates,
-// threaded through the same nodes as the global list.
-type umsgList struct {
-	head, tail *pendingMsg
-	n          int
+	nextTicket      uint64
+	posted          int
 }
 
 // NewHashEngine creates a hash matching engine for communicator comm.
 func NewHashEngine(comm uint32, nRanks int, costs hw.CostModel, meter Meter, spcs *spc.Set) *HashEngine {
-	if meter == nil {
-		meter = NopMeter{}
-	}
-	e := &HashEngine{
-		comm:    comm,
-		costs:   costs,
-		meter:   meter,
-		spcs:    spcs,
-		peers:   make(map[int32]*peerState),
-		exact:   make(map[key64]*bucket),
-		srcWild: make(map[int32]*bucket),
-		tagWild: make(map[int32]*bucket),
-		unexp:   make(map[key64]*umsgList),
-	}
-	if nRanks > 0 {
-		e.single = make([]*peerState, nRanks)
-		for i := range e.single {
-			e.single[i] = &peerState{}
-		}
-	}
+	e := &HashEngine{common: newCommon(comm, costs, meter, spcs), store: newHashStore(), wild: newWildSet()}
+	e.gate = newSeqGate(&e.common, nRanks)
 	return e
 }
 
 var _ Matcher = (*HashEngine)(nil)
-
-// Comm returns the communicator id.
-func (e *HashEngine) Comm() uint32 { return e.comm }
 
 // SetAllowOvertaking implements Matcher.
 func (e *HashEngine) SetAllowOvertaking(on bool) { e.allowOvertaking = on }
 
 // SeedNextSeq sets the expected inbound sequence for src, for wraparound
 // regression tests. Requires the caller's external synchronization.
-func (e *HashEngine) SeedNextSeq(src int32, v uint32) { e.peer(src).nextSeq = v }
-
-// BindFlight implements Matcher.
-func (e *HashEngine) BindFlight(r *flight.Ring) { e.flight = r }
+func (e *HashEngine) SeedNextSeq(src int32, v uint32) { e.gate.peer(src).nextSeq = v }
 
 // PostedLen implements Matcher.
 func (e *HashEngine) PostedLen() int { return e.posted }
 
 // UnexpectedLen implements Matcher.
-func (e *HashEngine) UnexpectedLen() int { return e.unexpLen }
+func (e *HashEngine) UnexpectedLen() int { return e.store.arrivals.n }
 
 // OOSBuffered implements Matcher.
-func (e *HashEngine) OOSBuffered() int {
-	n := 0
-	for _, p := range e.single {
-		n += len(p.oos)
-	}
-	for _, p := range e.peers {
-		n += len(p.oos)
-	}
-	return n
-}
-
-// ChargeWait implements Matcher.
-func (e *HashEngine) ChargeWait(d time.Duration) {
-	e.spcs.Add(spc.MatchTimeNanos, int64(d))
-}
-
-func (e *HashEngine) charge(d time.Duration) {
-	e.meter.Charge(d)
-	e.spcs.Add(spc.MatchTimeNanos, int64(d))
-}
-
-func (e *HashEngine) peer(rank int32) *peerState {
-	if rank >= 0 && int(rank) < len(e.single) {
-		return e.single[rank]
-	}
-	p := e.peers[rank]
-	if p == nil {
-		p = &peerState{}
-		e.peers[rank] = p
-	}
-	return p
-}
+func (e *HashEngine) OOSBuffered() int { return e.gate.held }
 
 // PostRecv implements Matcher. Exact receives look up their unexpected
 // bucket in O(1); wildcard receives scan the global unexpected FIFO.
@@ -190,72 +62,29 @@ func (e *HashEngine) PostRecv(r *Recv) (Completion, bool) {
 		panic("match: Recv posted twice")
 	}
 	e.spcs.Inc(spc.MatchAttempts)
-	exact := r.Source != AnySource && r.Tag != AnyTag
-	if exact {
+	m, walked := e.store.oldestUnexpected(r.Source, r.Tag)
+	if exact(r.Source, r.Tag) {
 		e.charge(e.costs.MatchBase)
-		if l := e.unexp[mkKey(r.Source, r.Tag)]; l != nil && l.head != nil {
-			m := l.head
-			e.removeUnexpected(m)
-			e.flight.Record(flight.KindUnexpDeq, e.comm, m.env.Src, int32(e.unexpLen))
-			e.fill(r, m.env, m.pkt)
-			e.spcs.Inc(spc.MessagesReceived)
-			return Completion{Recv: r, Packet: m.pkt}, true
-		}
 	} else {
-		// Wildcards walk the arrival-ordered global list.
-		walked := 0
-		for m := e.unexpHead; m != nil; m = m.next {
-			walked++
-			if envMatches(r, m.env) {
-				e.spcs.Add(spc.MatchWalkElements, int64(walked))
-				e.charge(e.costs.MatchBase + time.Duration(walked)*e.costs.MatchPerElement)
-				e.removeUnexpected(m)
-				e.flight.Record(flight.KindUnexpDeq, e.comm, m.env.Src, int32(e.unexpLen))
-				e.fill(r, m.env, m.pkt)
-				e.spcs.Inc(spc.MessagesReceived)
-				return Completion{Recv: r, Packet: m.pkt}, true
-			}
-		}
-		e.spcs.Add(spc.MatchWalkElements, int64(walked))
-		e.charge(e.costs.MatchBase + time.Duration(walked)*e.costs.MatchPerElement)
+		e.walked(walked)
+	}
+	if m != nil {
+		e.store.removeUnexpected(m)
+		return e.claim(r, m, e.store.arrivals.n), true
 	}
 	e.nextTicket++
 	r.ticket = e.nextTicket
-	r.queued = true
 	e.bucketFor(r).push(r)
 	e.posted++
-	e.spcs.Max(spc.PostedQueuePeak, int64(e.posted))
-	e.flight.Record(flight.KindRecvPost, e.comm, r.Source, int32(e.posted))
+	e.queued(r, e.posted)
 	return Completion{}, false
 }
 
 func (e *HashEngine) bucketFor(r *Recv) *bucket {
-	switch {
-	case r.Source != AnySource && r.Tag != AnyTag:
-		k := mkKey(r.Source, r.Tag)
-		b := e.exact[k]
-		if b == nil {
-			b = &bucket{}
-			e.exact[k] = b
-		}
-		return b
-	case r.Source != AnySource: // tag wildcard
-		b := e.srcWild[r.Source]
-		if b == nil {
-			b = &bucket{}
-			e.srcWild[r.Source] = b
-		}
-		return b
-	case r.Tag != AnyTag: // source wildcard
-		b := e.tagWild[r.Tag]
-		if b == nil {
-			b = &bucket{}
-			e.tagWild[r.Tag] = b
-		}
-		return b
-	default:
-		return &e.allWild
+	if exact(r.Source, r.Tag) {
+		return e.store.postedBucket(r.Source, r.Tag)
 	}
+	return e.wild.bucketFor(r)
 }
 
 // CancelRecv implements Matcher.
@@ -264,7 +93,6 @@ func (e *HashEngine) CancelRecv(r *Recv) bool {
 		return false
 	}
 	e.bucketFor(r).remove(r)
-	r.queued = false
 	e.posted--
 	return true
 }
@@ -274,44 +102,22 @@ func (e *HashEngine) CancelRecv(r *Recv) bool {
 func (e *HashEngine) Deliver(pkt *transport.Packet, out []Completion) []Completion {
 	env := pkt.Envelope()
 	if env.Comm != e.comm {
-		panic(fmt.Sprintf("match: packet for comm %d delivered to hash engine %d", env.Comm, e.comm))
+		e.wrongComm(env.Comm)
 	}
 	if e.allowOvertaking {
 		return e.matchIn(env, pkt, out)
 	}
-	p := e.peer(env.Src)
-	if env.Seq != p.nextSeq {
-		if int32(env.Seq-p.nextSeq) < 0 {
-			// Stale sequence: already delivered, so this is a duplicate copy
-			// (fabric duplication or a losing retransmission). Discard.
-			e.spcs.Inc(spc.DuplicateSequences)
-			return out
-		}
-		e.spcs.Inc(spc.OutOfSequence)
-		e.charge(e.costs.OOSBuffer)
-		if p.oos == nil {
-			p.oos = make(map[uint32]*transport.Packet)
-		}
-		if _, dup := p.oos[env.Seq]; dup {
-			e.spcs.Inc(spc.DuplicateSequences)
-			return out
-		}
-		p.oos[env.Seq] = pkt
+	p := e.gate.peer(env.Src)
+	if !e.gate.admit(p, env.Seq, pkt) {
 		return out
 	}
-	p.nextSeq++
-	out = e.matchIn(env, pkt, out)
 	for {
-		next, ok := p.oos[p.nextSeq]
-		if !ok {
-			break
+		out = e.matchIn(env, pkt, out)
+		if pkt = e.gate.next(p); pkt == nil {
+			return out
 		}
-		delete(p.oos, p.nextSeq)
-		nenv := next.Envelope()
-		p.nextSeq++
-		out = e.matchIn(nenv, next, out)
+		env = pkt.Envelope()
 	}
-	return out
 }
 
 // matchIn picks the oldest candidate among the four bucket heads that can
@@ -319,138 +125,33 @@ func (e *HashEngine) Deliver(pkt *transport.Packet, out []Completion) []Completi
 func (e *HashEngine) matchIn(env transport.Envelope, pkt *transport.Packet, out []Completion) []Completion {
 	e.spcs.Inc(spc.MatchAttempts)
 	e.charge(e.costs.MatchBase)
-	var best *Recv
-	var bestBucket *bucket
-	consider := func(b *bucket) {
-		if b == nil || b.head == nil {
-			return
-		}
-		if best == nil || b.head.ticket < best.ticket {
-			best = b.head
-			bestBucket = b
-		}
-	}
-	consider(e.exact[mkKey(env.Src, env.Tag)])
-	consider(e.srcWild[env.Src])
-	consider(e.tagWild[env.Tag])
-	consider(&e.allWild)
+	best, in := older(e.store.posted[mkKey(env.Src, env.Tag)], nil, nil)
+	best, in = e.wild.oldest(env.Src, env.Tag, best, in)
 	if best != nil {
-		bestBucket.remove(best)
-		best.queued = false
+		in.remove(best)
 		e.posted--
-		e.flight.Record(flight.KindMatchHit, e.comm, env.Src, int32(e.posted))
-		e.fill(best, env, pkt)
-		e.spcs.Inc(spc.ExpectedMessages)
-		e.spcs.Inc(spc.MessagesReceived)
-		return append(out, Completion{Recv: best, Packet: pkt})
+		return e.matched(best, env, pkt, e.posted, out)
 	}
-	e.flight.Record(flight.KindMatchMiss, e.comm, env.Src, env.Tag)
-	e.appendUnexpected(env, pkt)
-	e.flight.Record(flight.KindUnexpEnq, e.comm, env.Src, int32(e.unexpLen))
-	e.spcs.Inc(spc.UnexpectedMessages)
+	e.store.addUnexpected(&pendingMsg{env: env, pkt: pkt})
+	e.unexpected(env, e.store.arrivals.n)
 	return out
 }
 
 // Probe implements Matcher.
 func (e *HashEngine) Probe(source, tag int32) (transport.Envelope, bool) {
-	if source != AnySource && tag != AnyTag {
-		if l := e.unexp[mkKey(source, tag)]; l != nil && l.head != nil {
-			return l.head.env, true
-		}
-		return transport.Envelope{}, false
-	}
-	probe := &Recv{Source: source, Tag: tag}
-	for m := e.unexpHead; m != nil; m = m.next {
-		if envMatches(probe, m.env) {
-			return m.env, true
-		}
+	if m, _ := e.store.oldestUnexpected(source, tag); m != nil {
+		return m.env, true
 	}
 	return transport.Envelope{}, false
 }
 
 // MProbe implements Matcher.
 func (e *HashEngine) MProbe(source, tag int32) (*transport.Packet, bool) {
-	if source != AnySource && tag != AnyTag {
-		if l := e.unexp[mkKey(source, tag)]; l != nil && l.head != nil {
-			m := l.head
-			e.removeUnexpected(m)
-			e.flight.Record(flight.KindUnexpDeq, e.comm, m.env.Src, int32(e.unexpLen))
-			return m.pkt, true
-		}
+	m, _ := e.store.oldestUnexpected(source, tag)
+	if m == nil {
 		return nil, false
 	}
-	probe := &Recv{Source: source, Tag: tag}
-	for m := e.unexpHead; m != nil; m = m.next {
-		if envMatches(probe, m.env) {
-			e.removeUnexpected(m)
-			e.flight.Record(flight.KindUnexpDeq, e.comm, m.env.Src, int32(e.unexpLen))
-			return m.pkt, true
-		}
-	}
-	return nil, false
-}
-
-func (e *HashEngine) fill(r *Recv, env transport.Envelope, pkt *transport.Packet) {
-	r.MatchedEnv = env
-	n := copy(r.Buf, pkt.Payload)
-	r.N = n
-	r.Truncated = n < len(pkt.Payload)
-}
-
-func (e *HashEngine) appendUnexpected(env transport.Envelope, pkt *transport.Packet) {
-	m := &pendingMsg{env: env, pkt: pkt}
-	// Global FIFO.
-	m.prev = e.unexpTail
-	if e.unexpTail != nil {
-		e.unexpTail.next = m
-	} else {
-		e.unexpHead = m
-	}
-	e.unexpTail = m
-	// Exact bucket.
-	k := mkKey(env.Src, env.Tag)
-	l := e.unexp[k]
-	if l == nil {
-		l = &umsgList{}
-		e.unexp[k] = l
-	}
-	m.bprev = l.tail
-	if l.tail != nil {
-		l.tail.bnext = m
-	} else {
-		l.head = m
-	}
-	l.tail = m
-	l.n++
-	e.unexpLen++
-	e.spcs.Max(spc.UnexpectedQueuePeak, int64(e.unexpLen))
-}
-
-func (e *HashEngine) removeUnexpected(m *pendingMsg) {
-	// Global FIFO.
-	if m.prev != nil {
-		m.prev.next = m.next
-	} else {
-		e.unexpHead = m.next
-	}
-	if m.next != nil {
-		m.next.prev = m.prev
-	} else {
-		e.unexpTail = m.prev
-	}
-	// Exact bucket.
-	l := e.unexp[mkKey(m.env.Src, m.env.Tag)]
-	if m.bprev != nil {
-		m.bprev.bnext = m.bnext
-	} else {
-		l.head = m.bnext
-	}
-	if m.bnext != nil {
-		m.bnext.bprev = m.bprev
-	} else {
-		l.tail = m.bprev
-	}
-	m.prev, m.next, m.bprev, m.bnext = nil, nil, nil, nil
-	l.n--
-	e.unexpLen--
+	e.store.removeUnexpected(m)
+	e.dequeued(m, e.store.arrivals.n)
+	return m.pkt, true
 }

@@ -97,12 +97,11 @@ type Recv struct {
 	// Token is opaque caller state (the user-level request).
 	Token any
 
+	// prev/next link the recv into the one bucket it waits on.
 	prev, next *Recv
 	queued     bool
-	// ticket orders posted receives across the hash engine's buckets.
+	// ticket orders posted receives across the hash engines' buckets.
 	ticket uint64
-	// bprev/bnext link the recv into its hash bucket (HashEngine only).
-	bprev, bnext *Recv
 }
 
 // Completion reports one matched message: the receive and its packet.
@@ -111,75 +110,127 @@ type Completion struct {
 	Packet *transport.Packet
 }
 
-// pendingMsg is an arrived-but-unmatched message in the unexpected queue.
-// prev/next thread the arrival-ordered list; bprev/bnext thread the hash
-// engine's per-(source, tag) bucket.
-type pendingMsg struct {
-	env          transport.Envelope
-	pkt          *transport.Packet
-	prev, next   *pendingMsg
-	bprev, bnext *pendingMsg
-	// stamp is the global arrival order (Sharded only): wildcard receives
-	// claim the lowest stamp across shards.
-	stamp uint64
-}
-
-// peerState tracks the inbound sequence stream from one sender.
-type peerState struct {
-	nextSeq uint32
-	// oos buffers out-of-sequence packets keyed by sequence number. The
-	// map models the allocation cost the paper highlights: arrival out of
-	// order forces the library to stash the message mid-critical-path.
-	oos map[uint32]*transport.Packet
-}
-
-// Engine is the matching state of one communicator. All methods require
-// external synchronization (the communicator's matching lock).
-type Engine struct {
+// common is what a matching engine is apart from how it searches: its
+// identity, where modeled cost and counters go, the flight ring, and the
+// hooks all three engines fire at the same points of a message's life — so
+// their order and values, which the virtual-time twin replays, exist once.
+type common struct {
 	comm   uint32
 	costs  hw.CostModel
 	meter  Meter
 	spcs   *spc.Set
-	peers  map[int32]*peerState
-	single []*peerState // dense fast path for ranks [0, len)
+	flight *flight.Ring
+}
+
+func newCommon(comm uint32, costs hw.CostModel, meter Meter, spcs *spc.Set) common {
+	if meter == nil {
+		meter = NopMeter{}
+	}
+	return common{comm: comm, costs: costs, meter: meter, spcs: spcs}
+}
+
+// Comm returns the communicator id this engine serves.
+func (c *common) Comm() uint32 { return c.comm }
+
+// BindFlight implements Matcher.
+func (c *common) BindFlight(r *flight.Ring) { c.flight = r }
+
+// ChargeWait adds externally measured lock-wait time to the match-time
+// counter; the runtime and simulator report matching-lock contention here
+// so Table II's "match time" includes waiting, as Open MPI's SPC does.
+func (c *common) ChargeWait(d time.Duration) {
+	c.spcs.Add(spc.MatchTimeNanos, int64(d))
+}
+
+func (c *common) charge(d time.Duration) {
+	c.meter.Charge(d)
+	c.ChargeWait(d)
+}
+
+// wrongComm refuses another communicator's traffic.
+func (c *common) wrongComm(got uint32) {
+	panic(fmt.Sprintf("match: packet for comm %d delivered to engine %d", got, c.comm))
+}
+
+// walked accounts a linear search that visited n queue elements.
+func (c *common) walked(n int) {
+	c.spcs.Add(spc.MatchWalkElements, int64(n))
+	c.charge(c.costs.MatchBase + time.Duration(n)*c.costs.MatchPerElement)
+}
+
+// queued records that r found no message and now waits in a posted queue
+// holding depth receives.
+func (c *common) queued(r *Recv, depth int) {
+	c.spcs.Max(spc.PostedQueuePeak, int64(depth))
+	c.flight.Record(flight.KindRecvPost, c.comm, r.Source, int32(depth))
+}
+
+// matched completes posted receive r, already unlinked, with an arriving
+// message; depth is the posted-queue length left behind.
+func (c *common) matched(r *Recv, env transport.Envelope, pkt *transport.Packet, depth int, out []Completion) []Completion {
+	c.flight.Record(flight.KindMatchHit, c.comm, env.Src, int32(depth))
+	fill(r, env, pkt)
+	c.spcs.Inc(spc.ExpectedMessages)
+	c.spcs.Inc(spc.MessagesReceived)
+	return append(out, Completion{Recv: r, Packet: pkt})
+}
+
+// unexpected records that a message matched no posted receive and was
+// queued; depth is the unexpected-queue length including it.
+func (c *common) unexpected(env transport.Envelope, depth int) {
+	c.flight.Record(flight.KindMatchMiss, c.comm, env.Src, env.Tag)
+	c.flight.Record(flight.KindUnexpEnq, c.comm, env.Src, int32(depth))
+	c.spcs.Inc(spc.UnexpectedMessages)
+	c.spcs.Max(spc.UnexpectedQueuePeak, int64(depth))
+}
+
+// dequeued records that m left the unexpected queue, depth messages
+// remaining: claimed by a matched probe, or by a receive (see claim).
+func (c *common) dequeued(m *pendingMsg, depth int) {
+	c.flight.Record(flight.KindUnexpDeq, c.comm, m.env.Src, int32(depth))
+}
+
+// claim completes a receive being posted with unexpected message m, already
+// unlinked.
+func (c *common) claim(r *Recv, m *pendingMsg, depth int) Completion {
+	c.dequeued(m, depth)
+	fill(r, m.env, m.pkt)
+	c.spcs.Inc(spc.MessagesReceived)
+	return Completion{Recv: r, Packet: m.pkt}
+}
+
+// fill copies payload into the receive and records results.
+func fill(r *Recv, env transport.Envelope, pkt *transport.Packet) {
+	r.MatchedEnv = env
+	n := copy(r.Buf, pkt.Payload)
+	r.N = n
+	r.Truncated = n < len(pkt.Payload)
+}
+
+// Engine is the list-based matching state of one communicator: one posted
+// queue and one unexpected queue, each searched linearly — the OB1 design
+// whose search cost and serial section the paper measures. All methods
+// require external synchronization (the communicator's matching lock).
+type Engine struct {
+	common
+	gate seqGate
 
 	// AllowOvertaking skips sequence validation entirely — the
 	// mpi_assert_allow_overtaking info key (Section IV-D).
 	AllowOvertaking bool
 
-	postedHead, postedTail *Recv
-	postedLen              int
-	unexpHead, unexpTail   *pendingMsg
-	unexpLen               int
-
-	flight *flight.Ring
+	posted bucket
+	unexp  msgList
 }
 
 // NewEngine creates the matching engine for communicator id comm with
 // the given cost model. nRanks sizes the dense per-peer table; senders
 // outside [0, nRanks) fall back to a map. spcs may be nil.
 func NewEngine(comm uint32, nRanks int, costs hw.CostModel, meter Meter, spcs *spc.Set) *Engine {
-	if meter == nil {
-		meter = NopMeter{}
-	}
-	e := &Engine{
-		comm:  comm,
-		costs: costs,
-		meter: meter,
-		spcs:  spcs,
-		peers: make(map[int32]*peerState),
-	}
-	if nRanks > 0 {
-		e.single = make([]*peerState, nRanks)
-		for i := range e.single {
-			e.single[i] = &peerState{}
-		}
-	}
+	e := &Engine{common: newCommon(comm, costs, meter, spcs)}
+	e.gate = newSeqGate(&e.common, nRanks)
 	return e
 }
-
-// Comm returns the communicator id this engine serves.
-func (e *Engine) Comm() uint32 { return e.comm }
 
 // SetAllowOvertaking implements Matcher.
 func (e *Engine) SetAllowOvertaking(on bool) { e.AllowOvertaking = on }
@@ -187,31 +238,20 @@ func (e *Engine) SetAllowOvertaking(on bool) { e.AllowOvertaking = on }
 // SeedNextSeq sets the expected inbound sequence for src, for wraparound
 // regression tests. Requires the caller's external synchronization, like
 // every other method.
-func (e *Engine) SeedNextSeq(src int32, v uint32) { e.peer(src).nextSeq = v }
-
-// BindFlight implements Matcher.
-func (e *Engine) BindFlight(r *flight.Ring) { e.flight = r }
+func (e *Engine) SeedNextSeq(src int32, v uint32) { e.gate.peer(src).nextSeq = v }
 
 // static interface check
 var _ Matcher = (*Engine)(nil)
 
 // PostedLen returns the posted-receive queue length.
-func (e *Engine) PostedLen() int { return e.postedLen }
+func (e *Engine) PostedLen() int { return e.posted.n }
 
 // UnexpectedLen returns the unexpected-message queue length.
-func (e *Engine) UnexpectedLen() int { return e.unexpLen }
+func (e *Engine) UnexpectedLen() int { return e.unexp.n }
 
-func (e *Engine) peer(rank int32) *peerState {
-	if rank >= 0 && int(rank) < len(e.single) {
-		return e.single[rank]
-	}
-	p := e.peers[rank]
-	if p == nil {
-		p = &peerState{}
-		e.peers[rank] = p
-	}
-	return p
-}
+// OOSBuffered returns the number of currently buffered out-of-sequence
+// packets, for tests and diagnostics.
+func (e *Engine) OOSBuffered() int { return e.gate.held }
 
 // PostRecv posts a receive. If an unexpected message already matches, the
 // engine completes it immediately and returns the completion with ok=true;
@@ -221,26 +261,14 @@ func (e *Engine) PostRecv(r *Recv) (Completion, bool) {
 		panic("match: Recv posted twice")
 	}
 	e.spcs.Inc(spc.MatchAttempts)
-	cost := e.costs.MatchBase
-	walked := 0
-	for m := e.unexpHead; m != nil; m = m.next {
-		walked++
-		if envMatches(r, m.env) {
-			cost += time.Duration(walked) * e.costs.MatchPerElement
-			e.spcs.Add(spc.MatchWalkElements, int64(walked))
-			e.charge(cost)
-			e.removeUnexpected(m)
-			e.flight.Record(flight.KindUnexpDeq, e.comm, m.env.Src, int32(e.unexpLen))
-			e.fill(r, m.env, m.pkt)
-			e.spcs.Inc(spc.MessagesReceived)
-			return Completion{Recv: r, Packet: m.pkt}, true
-		}
+	m, walked := e.unexp.first(r.Source, r.Tag)
+	e.walked(walked)
+	if m != nil {
+		e.unexp.remove(m)
+		return e.claim(r, m, e.unexp.n), true
 	}
-	cost += time.Duration(walked) * e.costs.MatchPerElement
-	e.spcs.Add(spc.MatchWalkElements, int64(walked))
-	e.charge(cost)
-	e.appendPosted(r)
-	e.flight.Record(flight.KindRecvPost, e.comm, r.Source, int32(e.postedLen))
+	e.posted.push(r)
+	e.queued(r, e.posted.n)
 	return Completion{}, false
 }
 
@@ -250,7 +278,7 @@ func (e *Engine) CancelRecv(r *Recv) bool {
 	if !r.queued {
 		return false
 	}
-	e.removePosted(r)
+	e.posted.remove(r)
 	return true
 }
 
@@ -261,80 +289,45 @@ func (e *Engine) CancelRecv(r *Recv) bool {
 func (e *Engine) Deliver(pkt *transport.Packet, out []Completion) []Completion {
 	env := pkt.Envelope()
 	if env.Comm != e.comm {
-		panic(fmt.Sprintf("match: packet for comm %d delivered to engine %d", env.Comm, e.comm))
+		e.wrongComm(env.Comm)
 	}
 	if e.AllowOvertaking {
 		// Overtaking asserted: no ordering requirement, match immediately.
 		return e.matchIn(env, pkt, out)
 	}
-	p := e.peer(env.Src)
-	if env.Seq != p.nextSeq {
-		if int32(env.Seq-p.nextSeq) < 0 {
-			// Stale sequence: this message was already delivered, so the
-			// packet is a duplicate (fabric duplication or a retransmission
-			// that lost the race with its original). Discard and count —
-			// re-matching it would violate exactly-once delivery.
-			e.spcs.Inc(spc.DuplicateSequences)
-			return out
-		}
-		// Out of sequence: buffer for later. This is the costly mid-path
-		// allocation the paper measures; SPC out_of_sequence counts it.
-		e.spcs.Inc(spc.OutOfSequence)
-		e.charge(e.costs.OOSBuffer)
-		if p.oos == nil {
-			p.oos = make(map[uint32]*transport.Packet)
-		}
-		if _, dup := p.oos[env.Seq]; dup {
-			// Same future sequence already buffered: duplicate copy.
-			e.spcs.Inc(spc.DuplicateSequences)
-			return out
-		}
-		p.oos[env.Seq] = pkt
+	p := e.gate.peer(env.Src)
+	if !e.gate.admit(p, env.Seq, pkt) {
 		return out
 	}
 	// In order: match it, then drain any consecutive buffered successors.
-	p.nextSeq++
-	out = e.matchIn(env, pkt, out)
 	for {
-		next, ok := p.oos[p.nextSeq]
-		if !ok {
-			break
+		out = e.matchIn(env, pkt, out)
+		if pkt = e.gate.next(p); pkt == nil {
+			return out
 		}
-		delete(p.oos, p.nextSeq)
-		nenv := next.Envelope()
-		p.nextSeq++
-		out = e.matchIn(nenv, next, out)
+		env = pkt.Envelope()
 	}
-	return out
 }
 
 // matchIn matches one sequence-valid (or overtaking) message against the
 // posted-receive queue, or stores it as unexpected.
 func (e *Engine) matchIn(env transport.Envelope, pkt *transport.Packet, out []Completion) []Completion {
 	e.spcs.Inc(spc.MatchAttempts)
-	cost := e.costs.MatchBase
 	walked := 0
-	for r := e.postedHead; r != nil; r = r.next {
+	r := e.posted.head
+	for ; r != nil; r = r.next {
 		walked++
-		if envMatches(r, env) {
-			cost += time.Duration(walked) * e.costs.MatchPerElement
-			e.spcs.Add(spc.MatchWalkElements, int64(walked))
-			e.charge(cost)
-			e.removePosted(r)
-			e.flight.Record(flight.KindMatchHit, e.comm, env.Src, int32(e.postedLen))
-			e.fill(r, env, pkt)
-			e.spcs.Inc(spc.ExpectedMessages)
-			e.spcs.Inc(spc.MessagesReceived)
-			return append(out, Completion{Recv: r, Packet: pkt})
+		if matches(r.Source, r.Tag, env.Src, env.Tag) {
+			break
 		}
 	}
-	cost += time.Duration(walked) * e.costs.MatchPerElement
-	e.spcs.Add(spc.MatchWalkElements, int64(walked))
-	e.charge(cost)
-	e.flight.Record(flight.KindMatchMiss, e.comm, env.Src, env.Tag)
-	e.appendUnexpected(&pendingMsg{env: env, pkt: pkt})
-	e.flight.Record(flight.KindUnexpEnq, e.comm, env.Src, int32(e.unexpLen))
-	e.spcs.Inc(spc.UnexpectedMessages)
+	e.walked(walked)
+	if r != nil {
+		e.posted.remove(r)
+		return e.matched(r, env, pkt, e.posted.n, out)
+	}
+	e.unexp.push(&pendingMsg{env: env, pkt: pkt})
+	e.unexpected(env, e.unexp.n)
 	return out
 }
 
@@ -342,126 +335,19 @@ func (e *Engine) matchIn(env transport.Envelope, pkt *transport.Packet, out []Co
 // queued, returning its envelope — MPI_Iprobe semantics over the
 // unexpected queue.
 func (e *Engine) Probe(source, tag int32) (transport.Envelope, bool) {
-	probe := &Recv{Source: source, Tag: tag}
-	for m := e.unexpHead; m != nil; m = m.next {
-		if envMatches(probe, m.env) {
-			return m.env, true
-		}
+	if m, _ := e.unexp.first(source, tag); m != nil {
+		return m.env, true
 	}
 	return transport.Envelope{}, false
 }
 
 // MProbe implements Matcher: claim the oldest matching unexpected message.
 func (e *Engine) MProbe(source, tag int32) (*transport.Packet, bool) {
-	probe := &Recv{Source: source, Tag: tag}
-	for m := e.unexpHead; m != nil; m = m.next {
-		if envMatches(probe, m.env) {
-			e.removeUnexpected(m)
-			e.flight.Record(flight.KindUnexpDeq, e.comm, m.env.Src, int32(e.unexpLen))
-			return m.pkt, true
-		}
+	m, _ := e.unexp.first(source, tag)
+	if m == nil {
+		return nil, false
 	}
-	return nil, false
-}
-
-// OOSBuffered returns the total number of currently buffered
-// out-of-sequence packets, for tests and diagnostics.
-func (e *Engine) OOSBuffered() int {
-	n := 0
-	for _, p := range e.single {
-		n += len(p.oos)
-	}
-	for _, p := range e.peers {
-		n += len(p.oos)
-	}
-	return n
-}
-
-// fill copies payload into the receive and records results.
-func (e *Engine) fill(r *Recv, env transport.Envelope, pkt *transport.Packet) {
-	r.MatchedEnv = env
-	n := copy(r.Buf, pkt.Payload)
-	r.N = n
-	r.Truncated = n < len(pkt.Payload)
-}
-
-func (e *Engine) charge(d time.Duration) {
-	e.meter.Charge(d)
-	e.spcs.Add(spc.MatchTimeNanos, int64(d))
-}
-
-// ChargeWait adds externally measured lock-wait time to the match-time
-// counter; the runtime and simulator report matching-lock contention here
-// so Table II's "match time" includes waiting, as Open MPI's SPC does.
-func (e *Engine) ChargeWait(d time.Duration) {
-	e.spcs.Add(spc.MatchTimeNanos, int64(d))
-}
-
-func envMatches(r *Recv, env transport.Envelope) bool {
-	if r.Source != AnySource && r.Source != env.Src {
-		return false
-	}
-	if r.Tag != AnyTag && r.Tag != env.Tag {
-		return false
-	}
-	return true
-}
-
-// --- intrusive queues ---
-
-func (e *Engine) appendPosted(r *Recv) {
-	r.queued = true
-	r.prev = e.postedTail
-	r.next = nil
-	if e.postedTail != nil {
-		e.postedTail.next = r
-	} else {
-		e.postedHead = r
-	}
-	e.postedTail = r
-	e.postedLen++
-	e.spcs.Max(spc.PostedQueuePeak, int64(e.postedLen))
-}
-
-func (e *Engine) removePosted(r *Recv) {
-	if r.prev != nil {
-		r.prev.next = r.next
-	} else {
-		e.postedHead = r.next
-	}
-	if r.next != nil {
-		r.next.prev = r.prev
-	} else {
-		e.postedTail = r.prev
-	}
-	r.prev, r.next = nil, nil
-	r.queued = false
-	e.postedLen--
-}
-
-func (e *Engine) appendUnexpected(m *pendingMsg) {
-	m.prev = e.unexpTail
-	if e.unexpTail != nil {
-		e.unexpTail.next = m
-	} else {
-		e.unexpHead = m
-	}
-	e.unexpTail = m
-	e.unexpLen++
-	e.spcs.Max(spc.UnexpectedQueuePeak, int64(e.unexpLen))
-}
-
-func (e *Engine) removeUnexpected(m *pendingMsg) {
-	if m.prev != nil {
-		m.prev.next = m.next
-	} else {
-		e.unexpHead = m.next
-	}
-	if m.next != nil {
-		m.next.prev = m.prev
-	} else {
-		e.unexpTail = m.prev
-	}
-	m.prev, m.next = nil, nil
-	e.unexpLen--
+	e.unexp.remove(m)
+	e.dequeued(m, e.unexp.n)
+	return m.pkt, true
 }

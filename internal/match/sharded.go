@@ -1,11 +1,8 @@
 package match
 
 import (
-	"fmt"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/prof"
 	"repro/internal/spc"
@@ -43,14 +40,16 @@ import (
 // heads), and unexpected messages carry a global atomic arrival stamp
 // (wildcard receives and probes claim the lowest stamp across shards).
 //
-// PostedLen/UnexpectedLen/OOSBuffered are approximate by design: they read
-// atomic counters without stopping the world, the same monitoring-only
-// contract as ringbuf.MPSC.Len.
+// Each shard is a lock over the same hashStore HashEngine uses, each stripe
+// a lock over the same seqGate; what Sharded adds is the three lock classes,
+// the global ticket and stamp that keep MPI order across shards, and the
+// wildCount fast path that keeps exact traffic off the wild lock.
+//
+// PostedLen/UnexpectedLen are approximate by design: they read atomic
+// counters without stopping the world, the same monitoring-only contract as
+// ringbuf.MPSC.Len. OOSBuffered sums the gates one stripe lock at a time.
 type Sharded struct {
-	comm  uint32
-	costs hw.CostModel
-	meter Meter
-	spcs  *spc.Set
+	common
 
 	// allowOvertaking is set during setup, before the engine is shared.
 	allowOvertaking bool
@@ -60,9 +59,7 @@ type Sharded struct {
 	stripes   []seqStripe
 
 	wildMu    prof.Mutex
-	srcWild   map[int32]*bucket
-	tagWild   map[int32]*bucket
-	allWild   bucket
+	wild      wildSet
 	wildCount atomic.Int64
 
 	nextTicket atomic.Uint64
@@ -70,27 +67,20 @@ type Sharded struct {
 
 	postedCount atomic.Int64
 	unexpCount  atomic.Int64
-	oosCount    atomic.Int64
-
-	flight *flight.Ring
 }
 
-// matchShard is one hash partition of the matching state.
+// matchShard is one hash partition of the matching state; its arrival list
+// is stamp-ordered, walked by wildcard receives and probes.
 type matchShard struct {
 	mu prof.Mutex
-	// exact posted receives and unexpected messages keyed by (src, tag).
-	exact map[key64]*bucket
-	unexp map[key64]*umsgList
-	// Arrival-stamp-ordered FIFO of this shard's unexpected messages,
-	// walked by wildcard receives and probes.
-	unexpHead, unexpTail *pendingMsg
+	hashStore
 }
 
 // seqStripe serializes per-sender sequence state. Sources hash onto
 // stripes, so distinct senders usually validate concurrently.
 type seqStripe struct {
-	mu    prof.Mutex
-	peers map[int32]*peerState
+	mu   prof.Mutex
+	gate seqGate
 }
 
 // NewSharded creates a sharded matching engine for communicator comm with
@@ -98,30 +88,20 @@ type seqStripe struct {
 // nRanks is accepted for signature parity with the other engines; peer
 // state is allocated lazily per stripe. spcs may be nil.
 func NewSharded(comm uint32, nRanks, nShards int, costs hw.CostModel, meter Meter, spcs *spc.Set) *Sharded {
-	if meter == nil {
-		meter = NopMeter{}
-	}
 	n := 2
 	for n < nShards {
 		n <<= 1
 	}
 	e := &Sharded{
-		comm:    comm,
-		costs:   costs,
-		meter:   meter,
-		spcs:    spcs,
-		shards:  make([]matchShard, n),
-		stripes: make([]seqStripe, n),
-		srcWild: make(map[int32]*bucket),
-		tagWild: make(map[int32]*bucket),
+		common:    newCommon(comm, costs, meter, spcs),
+		shards:    make([]matchShard, n),
+		shardMask: uint64(n - 1),
+		stripes:   make([]seqStripe, n),
+		wild:      newWildSet(),
 	}
-	e.shardMask = uint64(n - 1)
 	for i := range e.shards {
-		e.shards[i].exact = make(map[key64]*bucket)
-		e.shards[i].unexp = make(map[key64]*umsgList)
-	}
-	for i := range e.stripes {
-		e.stripes[i].peers = make(map[int32]*peerState)
+		e.shards[i].hashStore = newHashStore()
+		e.stripes[i].gate = newSeqGate(&e.common, 0)
 	}
 	return e
 }
@@ -140,17 +120,11 @@ func SelfLocking(m Matcher) bool {
 	return ok
 }
 
-// Comm returns the communicator id.
-func (e *Sharded) Comm() uint32 { return e.comm }
-
 // NumShards returns the number of hash partitions.
 func (e *Sharded) NumShards() int { return len(e.shards) }
 
 // SetAllowOvertaking implements Matcher. Call during setup only.
 func (e *Sharded) SetAllowOvertaking(on bool) { e.allowOvertaking = on }
-
-// BindFlight implements Matcher. Call during setup only.
-func (e *Sharded) BindFlight(r *flight.Ring) { e.flight = r }
 
 // BindProfSites attaches contention-profiler sites: one per shard lock (a
 // short slice binds only the covered prefix), one shared by all stripe
@@ -161,8 +135,6 @@ func (e *Sharded) BindProfSites(shards []*prof.Site, stripe, wild *prof.Site) {
 		if i < len(shards) {
 			e.shards[i].mu.Bind(shards[i])
 		}
-	}
-	for i := range e.stripes {
 		e.stripes[i].mu.Bind(stripe)
 	}
 	e.wildMu.Bind(wild)
@@ -194,32 +166,22 @@ func (e *Sharded) stripeFor(src int32) *seqStripe {
 	return &e.stripes[hash64(key64(uint32(src)))&e.shardMask]
 }
 
-func (s *seqStripe) peer(rank int32) *peerState {
-	p := s.peers[rank]
-	if p == nil {
-		p = &peerState{}
-		s.peers[rank] = p
-	}
-	return p
-}
-
 // PostedLen implements Matcher. Approximate: see the type comment.
 func (e *Sharded) PostedLen() int { return int(e.postedCount.Load()) }
 
 // UnexpectedLen implements Matcher. Approximate: see the type comment.
 func (e *Sharded) UnexpectedLen() int { return int(e.unexpCount.Load()) }
 
-// OOSBuffered implements Matcher. Approximate: see the type comment.
-func (e *Sharded) OOSBuffered() int { return int(e.oosCount.Load()) }
-
-// ChargeWait implements Matcher.
-func (e *Sharded) ChargeWait(d time.Duration) {
-	e.spcs.Add(spc.MatchTimeNanos, int64(d))
-}
-
-func (e *Sharded) charge(d time.Duration) {
-	e.meter.Charge(d)
-	e.spcs.Add(spc.MatchTimeNanos, int64(d))
+// OOSBuffered implements Matcher.
+func (e *Sharded) OOSBuffered() int {
+	n := 0
+	for i := range e.stripes {
+		st := &e.stripes[i]
+		st.mu.Lock()
+		n += st.gate.held
+		st.mu.Unlock()
+	}
+	return n
 }
 
 func (e *Sharded) lockAllShards() {
@@ -243,185 +205,111 @@ func (e *Sharded) PostRecv(r *Recv) (Completion, bool) {
 		panic("match: Recv posted twice")
 	}
 	e.spcs.Inc(spc.MatchAttempts)
-	if r.Source != AnySource && r.Tag != AnyTag {
+	if exact(r.Source, r.Tag) {
 		sh := e.shardFor(r.Source, r.Tag)
 		sh.mu.Lock()
 		e.charge(e.costs.MatchBase)
-		if l := sh.unexp[mkKey(r.Source, r.Tag)]; l != nil && l.head != nil {
-			m := l.head
-			e.removeUnexpectedLocked(sh, m)
+		if m := sh.unexpectedHead(r.Source, r.Tag); m != nil {
+			sh.removeUnexpected(m)
 			un := e.unexpCount.Add(-1)
 			sh.mu.Unlock()
-			e.flight.Record(flight.KindUnexpDeq, e.comm, m.env.Src, int32(un))
-			e.fill(r, m.env, m.pkt)
-			e.spcs.Inc(spc.MessagesReceived)
-			return Completion{Recv: r, Packet: m.pkt}, true
+			return e.claim(r, m, int(un)), true
 		}
 		r.ticket = e.nextTicket.Add(1)
-		r.queued = true
-		k := mkKey(r.Source, r.Tag)
-		b := sh.exact[k]
-		if b == nil {
-			b = &bucket{}
-			sh.exact[k] = b
-		}
-		b.push(r)
+		sh.postedBucket(r.Source, r.Tag).push(r)
 		posted := e.postedCount.Add(1)
 		sh.mu.Unlock()
-		e.spcs.Max(spc.PostedQueuePeak, posted)
-		e.flight.Record(flight.KindRecvPost, e.comm, r.Source, int32(posted))
+		e.queued(r, int(posted))
 		return Completion{}, false
 	}
 
 	// Wildcard: scan all shards for the oldest matching arrival.
 	e.lockAllShards()
-	best, bestShard, walked := e.oldestUnexpected(r)
-	e.spcs.Add(spc.MatchWalkElements, int64(walked))
-	e.charge(e.costs.MatchBase + time.Duration(walked)*e.costs.MatchPerElement)
-	if best != nil {
-		e.removeUnexpectedLocked(bestShard, best)
+	m, sh, walked := e.oldestUnexpected(r.Source, r.Tag)
+	e.walked(walked)
+	if m != nil {
+		sh.removeUnexpected(m)
 		un := e.unexpCount.Add(-1)
 		e.unlockAllShards()
-		e.flight.Record(flight.KindUnexpDeq, e.comm, best.env.Src, int32(un))
-		e.fill(r, best.env, best.pkt)
-		e.spcs.Inc(spc.MessagesReceived)
-		return Completion{Recv: r, Packet: best.pkt}, true
+		return e.claim(r, m, int(un)), true
 	}
 	// Publish the wildcard receive before releasing the shards, so no
 	// in-flight Deliver can miss it.
 	e.wildMu.Lock()
 	r.ticket = e.nextTicket.Add(1)
-	r.queued = true
-	e.wildBucketFor(r).push(r)
+	e.wild.bucketFor(r).push(r)
 	e.wildCount.Add(1)
 	posted := e.postedCount.Add(1)
 	e.wildMu.Unlock()
 	e.unlockAllShards()
-	e.spcs.Max(spc.PostedQueuePeak, posted)
-	e.flight.Record(flight.KindRecvPost, e.comm, r.Source, int32(posted))
+	e.queued(r, int(posted))
 	return Completion{}, false
 }
 
 // oldestUnexpected scans every shard's arrival FIFO (all shard locks held)
-// for the stamp-oldest message matching r, returning it, its shard, and the
-// total elements walked.
-func (e *Sharded) oldestUnexpected(r *Recv) (*pendingMsg, *matchShard, int) {
+// for the stamp-oldest message (source, tag) accepts, returning it, its
+// shard, and the total elements walked. Each shard contributes at most its
+// first match: FIFO per shard makes that the shard's oldest.
+func (e *Sharded) oldestUnexpected(source, tag int32) (*pendingMsg, *matchShard, int) {
 	var best *pendingMsg
 	var bestShard *matchShard
 	walked := 0
 	for i := range e.shards {
 		sh := &e.shards[i]
-		for m := sh.unexpHead; m != nil; m = m.next {
-			walked++
-			if envMatches(r, m.env) {
-				if best == nil || m.stamp < best.stamp {
-					best = m
-					bestShard = sh
-				}
-				break // FIFO per shard: the first match is this shard's oldest
-			}
+		m, w := sh.arrivals.first(source, tag)
+		walked += w
+		if m != nil && (best == nil || m.stamp < best.stamp) {
+			best, bestShard = m, sh
 		}
 	}
 	return best, bestShard, walked
 }
 
-func (e *Sharded) wildBucketFor(r *Recv) *bucket {
-	switch {
-	case r.Source != AnySource: // tag wildcard
-		b := e.srcWild[r.Source]
-		if b == nil {
-			b = &bucket{}
-			e.srcWild[r.Source] = b
-		}
-		return b
-	case r.Tag != AnyTag: // source wildcard
-		b := e.tagWild[r.Tag]
-		if b == nil {
-			b = &bucket{}
-			e.tagWild[r.Tag] = b
-		}
-		return b
-	default:
-		return &e.allWild
-	}
-}
-
 // CancelRecv implements Matcher.
 func (e *Sharded) CancelRecv(r *Recv) bool {
-	if r.Source != AnySource && r.Tag != AnyTag {
+	if exact(r.Source, r.Tag) {
 		sh := e.shardFor(r.Source, r.Tag)
 		sh.mu.Lock()
+		defer sh.mu.Unlock()
 		if !r.queued {
-			sh.mu.Unlock()
 			return false
 		}
-		sh.exact[mkKey(r.Source, r.Tag)].remove(r)
-		r.queued = false
-		e.postedCount.Add(-1)
-		sh.mu.Unlock()
-		return true
+		sh.postedBucket(r.Source, r.Tag).remove(r)
+	} else {
+		e.wildMu.Lock()
+		defer e.wildMu.Unlock()
+		if !r.queued {
+			return false
+		}
+		e.wild.bucketFor(r).remove(r)
+		e.wildCount.Add(-1)
 	}
-	e.wildMu.Lock()
-	if !r.queued {
-		e.wildMu.Unlock()
-		return false
-	}
-	e.wildBucketFor(r).remove(r)
-	r.queued = false
-	e.wildCount.Add(-1)
 	e.postedCount.Add(-1)
-	e.wildMu.Unlock()
 	return true
 }
 
 // Deliver implements Matcher: sequence validation under the sender's
-// stripe lock (serial/modular comparison, held across matching so same-
-// sender arrivals can never reorder), then shard-local matching.
+// stripe lock (held across matching so same-sender arrivals can never
+// reorder), then shard-local matching.
 func (e *Sharded) Deliver(pkt *transport.Packet, out []Completion) []Completion {
 	env := pkt.Envelope()
 	if env.Comm != e.comm {
-		panic(fmt.Sprintf("match: packet for comm %d delivered to sharded engine %d", env.Comm, e.comm))
+		e.wrongComm(env.Comm)
 	}
 	if e.allowOvertaking {
 		return e.matchIn(env, pkt, out)
 	}
 	st := e.stripeFor(env.Src)
 	st.mu.Lock()
-	p := st.peer(env.Src)
-	if env.Seq != p.nextSeq {
-		if int32(env.Seq-p.nextSeq) < 0 {
-			// Serial arithmetic: stale even across the uint32 wrap.
-			e.spcs.Inc(spc.DuplicateSequences)
-			st.mu.Unlock()
-			return out
+	p := st.gate.peer(env.Src)
+	if st.gate.admit(p, env.Seq, pkt) {
+		for {
+			out = e.matchIn(env, pkt, out)
+			if pkt = st.gate.next(p); pkt == nil {
+				break
+			}
+			env = pkt.Envelope()
 		}
-		e.spcs.Inc(spc.OutOfSequence)
-		e.charge(e.costs.OOSBuffer)
-		if p.oos == nil {
-			p.oos = make(map[uint32]*transport.Packet)
-		}
-		if _, dup := p.oos[env.Seq]; dup {
-			e.spcs.Inc(spc.DuplicateSequences)
-			st.mu.Unlock()
-			return out
-		}
-		p.oos[env.Seq] = pkt
-		e.oosCount.Add(1)
-		st.mu.Unlock()
-		return out
-	}
-	p.nextSeq++
-	out = e.matchIn(env, pkt, out)
-	for {
-		next, ok := p.oos[p.nextSeq]
-		if !ok {
-			break
-		}
-		delete(p.oos, p.nextSeq)
-		e.oosCount.Add(-1)
-		nenv := next.Envelope()
-		p.nextSeq++
-		out = e.matchIn(nenv, next, out)
 	}
 	st.mu.Unlock()
 	return out
@@ -436,111 +324,78 @@ func (e *Sharded) matchIn(env transport.Envelope, pkt *transport.Packet, out []C
 	e.charge(e.costs.MatchBase)
 	sh := e.shardFor(env.Src, env.Tag)
 	sh.mu.Lock()
-	var best *Recv
-	var bestBucket *bucket
-	if b := sh.exact[mkKey(env.Src, env.Tag)]; b != nil && b.head != nil {
-		best = b.head
-		bestBucket = b
-	}
-	wildLocked := false
-	bestWild := false
+	best, in := older(sh.posted[mkKey(env.Src, env.Tag)], nil, nil)
 	if e.wildCount.Load() > 0 {
 		e.wildMu.Lock()
-		wildLocked = true
-		consider := func(b *bucket) {
-			if b == nil || b.head == nil {
-				return
-			}
-			if best == nil || b.head.ticket < best.ticket {
-				best = b.head
-				bestBucket = b
-				bestWild = true
+		exactIn := in
+		if best, in = e.wild.oldest(env.Src, env.Tag, best, in); best != nil {
+			in.remove(best)
+			if in != exactIn {
+				e.wildCount.Add(-1)
 			}
 		}
-		consider(e.srcWild[env.Src])
-		consider(e.tagWild[env.Tag])
-		consider(&e.allWild)
+		e.wildMu.Unlock()
+	} else if best != nil {
+		in.remove(best)
 	}
 	if best != nil {
-		bestBucket.remove(best)
-		best.queued = false
-		if bestWild {
-			e.wildCount.Add(-1)
-		}
-		if wildLocked {
-			e.wildMu.Unlock()
-		}
 		posted := e.postedCount.Add(-1)
 		sh.mu.Unlock()
-		e.flight.Record(flight.KindMatchHit, e.comm, env.Src, int32(posted))
-		e.fill(best, env, pkt)
-		e.spcs.Inc(spc.ExpectedMessages)
-		e.spcs.Inc(spc.MessagesReceived)
-		return append(out, Completion{Recv: best, Packet: pkt})
-	}
-	if wildLocked {
-		e.wildMu.Unlock()
+		return e.matched(best, env, pkt, int(posted), out)
 	}
 	m := &pendingMsg{env: env, pkt: pkt, stamp: e.nextStamp.Add(1)}
-	e.appendUnexpectedLocked(sh, m)
+	sh.addUnexpected(m)
 	un := e.unexpCount.Add(1)
 	sh.mu.Unlock()
-	e.flight.Record(flight.KindMatchMiss, e.comm, env.Src, env.Tag)
-	e.flight.Record(flight.KindUnexpEnq, e.comm, env.Src, int32(un))
-	e.spcs.Inc(spc.UnexpectedMessages)
-	e.spcs.Max(spc.UnexpectedQueuePeak, un)
+	e.unexpected(env, int(un))
 	return out
 }
 
 // Probe implements Matcher.
 func (e *Sharded) Probe(source, tag int32) (transport.Envelope, bool) {
-	if source != AnySource && tag != AnyTag {
+	var m *pendingMsg
+	if exact(source, tag) {
 		sh := e.shardFor(source, tag)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		if l := sh.unexp[mkKey(source, tag)]; l != nil && l.head != nil {
-			return l.head.env, true
-		}
+		m = sh.unexpectedHead(source, tag)
+	} else {
+		e.lockAllShards()
+		defer e.unlockAllShards()
+		m, _, _ = e.oldestUnexpected(source, tag)
+	}
+	if m == nil {
 		return transport.Envelope{}, false
 	}
-	probe := &Recv{Source: source, Tag: tag}
-	e.lockAllShards()
-	defer e.unlockAllShards()
-	best, _, _ := e.oldestUnexpected(probe)
-	if best != nil {
-		return best.env, true
-	}
-	return transport.Envelope{}, false
+	return m.env, true
 }
 
 // MProbe implements Matcher.
 func (e *Sharded) MProbe(source, tag int32) (*transport.Packet, bool) {
-	if source != AnySource && tag != AnyTag {
+	var m *pendingMsg
+	var un int64
+	if exact(source, tag) {
 		sh := e.shardFor(source, tag)
 		sh.mu.Lock()
-		if l := sh.unexp[mkKey(source, tag)]; l != nil && l.head != nil {
-			m := l.head
-			e.removeUnexpectedLocked(sh, m)
-			un := e.unexpCount.Add(-1)
-			sh.mu.Unlock()
-			e.flight.Record(flight.KindUnexpDeq, e.comm, m.env.Src, int32(un))
-			return m.pkt, true
+		if m = sh.unexpectedHead(source, tag); m != nil {
+			sh.removeUnexpected(m)
+			un = e.unexpCount.Add(-1)
 		}
 		sh.mu.Unlock()
-		return nil, false
-	}
-	probe := &Recv{Source: source, Tag: tag}
-	e.lockAllShards()
-	best, bestShard, _ := e.oldestUnexpected(probe)
-	if best == nil {
+	} else {
+		e.lockAllShards()
+		var sh *matchShard
+		if m, sh, _ = e.oldestUnexpected(source, tag); m != nil {
+			sh.removeUnexpected(m)
+			un = e.unexpCount.Add(-1)
+		}
 		e.unlockAllShards()
+	}
+	if m == nil {
 		return nil, false
 	}
-	e.removeUnexpectedLocked(bestShard, best)
-	un := e.unexpCount.Add(-1)
-	e.unlockAllShards()
-	e.flight.Record(flight.KindUnexpDeq, e.comm, best.env.Src, int32(un))
-	return best.pkt, true
+	e.dequeued(m, int(un))
+	return m.pkt, true
 }
 
 // SeedNextSeq sets the expected inbound sequence for src, for wraparound
@@ -548,66 +403,6 @@ func (e *Sharded) MProbe(source, tag int32) (*transport.Packet, bool) {
 func (e *Sharded) SeedNextSeq(src int32, v uint32) {
 	st := e.stripeFor(src)
 	st.mu.Lock()
-	st.peer(src).nextSeq = v
+	st.gate.peer(src).nextSeq = v
 	st.mu.Unlock()
-}
-
-func (e *Sharded) fill(r *Recv, env transport.Envelope, pkt *transport.Packet) {
-	r.MatchedEnv = env
-	n := copy(r.Buf, pkt.Payload)
-	r.N = n
-	r.Truncated = n < len(pkt.Payload)
-}
-
-// appendUnexpectedLocked links m into sh's exact bucket and arrival FIFO.
-// Caller holds sh.mu.
-func (e *Sharded) appendUnexpectedLocked(sh *matchShard, m *pendingMsg) {
-	m.prev = sh.unexpTail
-	if sh.unexpTail != nil {
-		sh.unexpTail.next = m
-	} else {
-		sh.unexpHead = m
-	}
-	sh.unexpTail = m
-	k := mkKey(m.env.Src, m.env.Tag)
-	l := sh.unexp[k]
-	if l == nil {
-		l = &umsgList{}
-		sh.unexp[k] = l
-	}
-	m.bprev = l.tail
-	if l.tail != nil {
-		l.tail.bnext = m
-	} else {
-		l.head = m
-	}
-	l.tail = m
-	l.n++
-}
-
-// removeUnexpectedLocked unlinks m from sh's lists. Caller holds sh.mu.
-func (e *Sharded) removeUnexpectedLocked(sh *matchShard, m *pendingMsg) {
-	if m.prev != nil {
-		m.prev.next = m.next
-	} else {
-		sh.unexpHead = m.next
-	}
-	if m.next != nil {
-		m.next.prev = m.prev
-	} else {
-		sh.unexpTail = m.prev
-	}
-	l := sh.unexp[mkKey(m.env.Src, m.env.Tag)]
-	if m.bprev != nil {
-		m.bprev.bnext = m.bnext
-	} else {
-		l.head = m.bnext
-	}
-	if m.bnext != nil {
-		m.bnext.bprev = m.bprev
-	} else {
-		l.tail = m.bprev
-	}
-	m.prev, m.next, m.bprev, m.bnext = nil, nil, nil, nil
-	l.n--
 }

@@ -4,11 +4,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/backends"
 	"repro/internal/cri"
+	"repro/internal/hw"
 	"repro/internal/prof"
 	"repro/internal/spc"
 	"repro/internal/transport"
-	"repro/internal/transport/mocknet"
 )
 
 // harness builds a pool of n instances on one device plus a sender device
@@ -20,8 +21,18 @@ type harness struct {
 
 func newHarness(t *testing.T, n int) *harness {
 	t.Helper()
-	dev := mocknet.NewDevice()
-	sender := mocknet.NewDevice()
+	// On hw.Fast() the simulated backend charges no CPU cost and has no link
+	// limit: an injected packet is immediately pollable, so timing is
+	// deterministic.
+	net := backends.Sim()
+	dev, err := net.NewDevice(0, hw.Fast(), transport.DeviceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, err := net.NewDevice(1, hw.Fast(), transport.DeviceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	insts := make([]*cri.Instance, n)
 	eps := make([]transport.Endpoint, n)
 	for i := range insts {
@@ -34,7 +45,9 @@ func newHarness(t *testing.T, n int) *harness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eps[i] = mocknet.NewEndpoint(sctx, ctx)
+		if eps[i], err = sender.Connect(sctx, 0, ctx.Index()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pool, err := cri.NewPool(insts, cri.Dedicated)
 	if err != nil {

@@ -1,6 +1,12 @@
+// Package ringbuf provides the bounded lock-free queue behind the simulated
+// fabric's completion and receive queues: a multi-producer/single-consumer
+// ring of fixed capacity, which models finite hardware queue depth.
 package ringbuf
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // mpscSlot is one ring cell: the element plus its sequence stamp. The stamp
 // is the slot's seqlock-style state word (see MPSC below); it is the only
@@ -38,17 +44,21 @@ type MPSC[T any] struct {
 	slots []mpscSlot[T]
 	mask  uint64
 
-	_    cacheLinePad
+	// The pads give each hot cursor a cache line of its own (no false sharing).
+	_    [64]byte
 	head atomic.Uint64 // next position to pop (consumer-owned, atomic for Len)
-	_    cacheLinePad
+	_    [64]byte
 	tail atomic.Uint64 // next position to claim (shared among producers)
-	_    cacheLinePad
+	_    [64]byte
 }
 
 // NewMPSC returns an MPSC ring with capacity rounded up to the next power
 // of two (minimum 2).
 func NewMPSC[T any](capacity int) *MPSC[T] {
-	n := ceilPow2(capacity)
+	n := 2
+	if capacity > 2 {
+		n = 1 << bits.Len(uint(capacity-1))
+	}
 	q := &MPSC[T]{slots: make([]mpscSlot[T], n), mask: uint64(n - 1)}
 	for i := range q.slots {
 		q.slots[i].seq.Store(uint64(i))
@@ -68,13 +78,7 @@ func (q *MPSC[T]) Cap() int { return len(q.slots) }
 // can not produce a negative or over-capacity depth.
 func (q *MPSC[T]) Len() int {
 	n := int64(q.tail.Load() - q.head.Load())
-	if n < 0 {
-		n = 0
-	}
-	if n > int64(len(q.slots)) {
-		n = int64(len(q.slots))
-	}
-	return int(n)
+	return int(min(max(n, 0), int64(len(q.slots))))
 }
 
 // Push appends v and reports whether there was room. Safe for any number of

@@ -181,3 +181,125 @@ func TestMPSCConcurrentStress(t *testing.T) {
 		t.Fatal("ring not empty after drain")
 	}
 }
+
+func TestMPSCCapacityRounding(t *testing.T) {
+	cases := []struct{ in, want int }{
+		{0, 2}, {1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {100, 128}, {128, 128},
+	}
+	for _, c := range cases {
+		if got := NewMPSC[int](c.in).Cap(); got != c.want {
+			t.Errorf("NewMPSC(%d).Cap() = %d, want %d", c.in, got, c.want)
+		}
+	}
+}
+
+func TestMPSCBasic(t *testing.T) {
+	q := NewMPSC[int](4)
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop on empty MPSC succeeded")
+	}
+	for i := 0; i < 4; i++ {
+		if !q.Push(i) {
+			t.Fatalf("Push(%d) failed", i)
+		}
+	}
+	if q.Push(4) {
+		t.Fatal("Push succeeded on full MPSC")
+	}
+	if q.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", q.Len())
+	}
+	for i := 0; i < 4; i++ {
+		if v, ok := q.Pop(); !ok || v != i {
+			t.Fatalf("Pop = (%d, %v), want (%d, true)", v, ok, i)
+		}
+	}
+}
+
+func TestMPSCPopBatch(t *testing.T) {
+	q := NewMPSC[int](16)
+	for i := 0; i < 10; i++ {
+		q.Push(i)
+	}
+	dst := make([]int, 4)
+	if n := q.PopBatch(dst); n != 4 {
+		t.Fatalf("PopBatch = %d, want 4", n)
+	}
+	for i, v := range dst {
+		if v != i {
+			t.Fatalf("dst[%d] = %d, want %d", i, v, i)
+		}
+	}
+	if n := q.PopBatch(make([]int, 16)); n != 6 {
+		t.Fatalf("second PopBatch = %d, want 6", n)
+	}
+	if n := q.PopBatch(dst); n != 0 {
+		t.Fatalf("PopBatch on empty = %d, want 0", n)
+	}
+}
+
+// TestMPSCConcurrentProducers verifies element conservation and per-producer
+// FIFO order under many concurrent producers.
+func TestMPSCConcurrentProducers(t *testing.T) {
+	const (
+		producers = 8
+		perProd   = 2000
+	)
+	q := NewMPSC[[2]int](256)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProd; {
+				if q.Push([2]int{p, i}) {
+					i++
+				} else {
+					runtime.Gosched()
+				}
+			}
+		}(p)
+	}
+	doneProducing := make(chan struct{})
+	go func() { wg.Wait(); close(doneProducing) }()
+
+	last := make([]int, producers)
+	for i := range last {
+		last[i] = -1
+	}
+	total := 0
+	for total < producers*perProd {
+		v, ok := q.Pop()
+		if !ok {
+			select {
+			case <-doneProducing:
+				if q.Len() == 0 && total < producers*perProd {
+					// One more sweep to pick up late pushes.
+					if v2, ok2 := q.Pop(); ok2 {
+						v, ok = v2, true
+					}
+				}
+			default:
+			}
+			if !ok {
+				runtime.Gosched()
+				continue
+			}
+		}
+		p, i := v[0], v[1]
+		if i != last[p]+1 {
+			t.Fatalf("producer %d: got %d after %d (per-producer FIFO violated)", p, i, last[p])
+		}
+		last[p] = i
+		total++
+	}
+}
+
+func BenchmarkMPSCPushPop(b *testing.B) {
+	q := NewMPSC[int](1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		q.Push(i)
+		q.Pop()
+	}
+}

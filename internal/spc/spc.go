@@ -26,7 +26,12 @@ const (
 	// MatchTimeNanos accumulates wall time spent inside the matching
 	// critical section, in nanoseconds.
 	MatchTimeNanos
-	// MessagesSent counts point-to-point messages injected.
+	// MessagesSent counts matched envelopes created by senders: user eager
+	// sends, the runtime's internal-tag traffic (collectives, control), each
+	// rendezvous RTS, and self-addressed messages. Control packets that
+	// bypass matching (rendezvous ACK/FIN, reliability acks) and
+	// retransmissions are not messages and are not counted, so summed over
+	// ranks it equals MessagesReceived once every send has been matched.
 	MessagesSent
 	// MessagesReceived counts point-to-point messages matched and delivered.
 	MessagesReceived
