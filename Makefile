@@ -11,7 +11,7 @@ test:
 # Race-detector pass over the concurrency-heavy packages (the full suite
 # under -race works too, but takes much longer).
 race:
-	$(GO) test -race ./internal/prof ./internal/telemetry ./internal/core ./internal/progress ./internal/cri ./internal/trace ./internal/rma ./internal/flight ./internal/obs ./internal/transport/... ./internal/conformance ./internal/bench/... ./internal/ringbuf ./internal/match
+	$(GO) test -race ./internal/prof ./internal/telemetry ./internal/core ./internal/progress ./internal/cri ./internal/rma ./internal/flight ./internal/obs ./internal/transport/... ./internal/conformance ./internal/bench/... ./internal/ringbuf ./internal/match
 
 # Dedicated stress pass over the lock-free structures (MPSC completion
 # ring, CRI free-list, sharded matching) at high parallelism; these tests
@@ -33,17 +33,28 @@ lint-layers:
 
 # One-path lint: each step of the message path exists once. A second call
 # site of any of these is a copy of the inject/post pipeline, the sequence
-# gate or the payload fill growing back.
+# gate or the payload fill growing back. The same holds for the event record:
+# the flight recorder is the only one (no second tracer package, one progress
+# event per pass), and a step of the message path reads the wall clock once
+# for all its consumers — send post, instance held, wire write done (latency
+# attribution only), delivery, completion — so core's message path holds at
+# most six time.Now() sites.
 lint-onepath:
 	@fail=0; \
 	one() { n=$$(cat $$2 | grep -c -- "$$1"); \
 		if [ "$$n" != 1 ]; then echo "FAIL: $$n sites of '$$1' in $$3, want exactly 1"; fail=1; fi; }; \
 	core=$$(ls internal/core/*.go | grep -v _test.go); \
 	match=$$(ls internal/match/*.go | grep -v _test.go); \
+	progress=$$(ls internal/progress/*.go | grep -v _test.go); \
 	one 'AcquireSend(' "$$core" internal/core; \
 	one 'engine\.PostRecv(' "$$core" internal/core; \
 	one 'spc\.OutOfSequence' "$$match" internal/match; \
 	one '^func .*\bfill(' "$$match" internal/match; \
+	one 'flight\.KindProgress' "$$progress" internal/progress; \
+	if grep -rn --include='*.go' --exclude-dir=.bench_build '"repro/internal/trace"' .; then \
+		echo "FAIL: internal/trace is gone; record into internal/flight"; fail=1; fi; \
+	n=$$(cat internal/core/comm.go internal/core/world.go | grep -c 'time\.Now()'); \
+	if [ "$$n" -gt 6 ]; then echo "FAIL: $$n time.Now() sites in core/comm.go + core/world.go, want at most 6"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "one path ok"; else exit 1; fi
 
 # The virtual-time twin drives the same matching-engine code as the runtime,
@@ -120,10 +131,13 @@ bench-real-smoke:
 	bash scripts/bench_module_test.sh
 	bash benchmark/run.sh --workload tcp_stream_0B --seed 1 --seconds 3 --trace 0
 
-# Twenty seconds of coverage-guided hostile bytes into the tcp frame reader
-# (the seed corpus alone already runs in every `go test`).
+# Coverage-guided hostile bytes into the wire: twenty seconds for the tcp
+# frame reader, ten each for the packet and mux-frame decoders underneath it
+# (the seed corpora alone already run in every `go test`).
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz=FuzzReadFrames -fuzztime=20s ./internal/transport/tcpnet
+	$(GO) test -run '^$$' -fuzz=FuzzDecodePacket -fuzztime=10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeMuxFrame -fuzztime=10s ./internal/transport
 
 # Fault-injection and teardown chaos: the reliability layer repairing a
 # lossy, duplicating, reordering wire, communicator free with packets still

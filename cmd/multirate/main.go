@@ -63,7 +63,7 @@ func main() {
 		pattern     = flag.String("pattern", "pairwise", "pairwise | incast (real engine only)")
 		machineName = flag.String("machine", "alembert", "alembert | trinitite | knl | fast")
 		showSPCs    = flag.Bool("spcs", false, "dump software performance counters")
-		traceN      = flag.Int("trace", 0, "attach an event tracer retaining N events (real engine) and dump them")
+		traceN      = flag.Int("trace", 0, "run the flight recorder with at least N events per ring (real engine) and dump the receiver's record as text")
 
 		transportName = flag.String("transport", "sim", "transport backend: sim | tcp (tcp runs distributed; see -rank/-peers)")
 		rank          = flag.Int("rank", 0, "this process's world rank (tcp transport)")
@@ -157,22 +157,22 @@ func main() {
 			check(cliobs.WriteBreakdown(ob.BreakdownOut, bf))
 		}
 	case "real":
-		cap := *traceN
-		if (ob.TraceOut != "" || ob.TraceShard != "" || ob.TraceWire || ob.HTTPAddr != "") && cap <= 0 {
-			cap = 1 << 16
+		flightCap := ob.RealFlightCap()
+		if *traceN > flightCap {
+			flightCap = *traceN
 		}
 		// A real-engine -breakdown-out needs the profiler's wall-clock data.
 		wantProf := ob.Profile || ob.BreakdownOut != ""
 		opts := core.Options{
 			NumInstances: *instances, Assignment: asg, Progress: pm,
 			MatchShards: *matchShards,
-			ThreadLevel: core.ThreadMultiple, TraceCapacity: cap,
-			Telemetry: ob.WantTelemetry() || ob.TraceWire, TraceWire: ob.TraceWire,
+			ThreadLevel: core.ThreadMultiple,
+			Telemetry:   ob.WantTelemetry() || ob.TraceWire, TraceWire: ob.TraceWire,
 			Profile:   wantProf,
 			Latency:   ob.Latency,
 			FaultDrop: *faultDrop, FaultDup: *faultDup,
 			FaultDelay: *faultDelay, FaultSeed: *faultSeed,
-			FlightCapacity: ob.FlightCap,
+			FlightCapacity: flightCap,
 		}
 		pat := bench.Pairwise
 		if *pattern == "incast" {

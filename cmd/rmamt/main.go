@@ -141,10 +141,7 @@ func main() {
 			Latency:   ob.Latency,
 			FaultDrop: *faultDrop, FaultDup: *faultDup,
 			FaultDelay: *faultDelay, FaultSeed: *faultSeed,
-			FlightCapacity: ob.FlightCap,
-		}
-		if ob.TraceOut != "" || ob.TraceShard != "" || ob.TraceWire || ob.HTTPAddr != "" {
-			opts.TraceCapacity = 1 << 16
+			FlightCapacity: ob.RealFlightCap(),
 		}
 		sess, serr := ob.Start(map[string]string{
 			"cmd": "rmamt", "progress": *prog, "assignment": *assignment,

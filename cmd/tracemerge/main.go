@@ -2,11 +2,13 @@
 // Chrome trace.
 //
 // Each process of a distributed traced run (-trace-wire -trace-shard on
-// cmd/multirate) writes a shard JSON carrying its events plus two anchors:
-// the tracer's wall-clock base and the handshake-estimated clock offset to
-// rank 0. tracemerge reads any number of shards, places every rank on rank
-// 0's clock, and writes a single trace-event JSON with cross-rank flow
-// arrows — load it in chrome://tracing or https://ui.perfetto.dev.
+// cmd/multirate) writes its flight record as a shard: the events plus two
+// anchors, the recorder's wall-clock base and the handshake-estimated clock
+// offset to rank 0. A shard is the /debug/flight document, so a capture of
+// that endpoint merges too. tracemerge reads any number of shards, places
+// every rank on rank 0's clock, and writes a single trace-event JSON with
+// cross-rank flow arrows — load it in chrome://tracing or
+// https://ui.perfetto.dev.
 //
 // Usage:
 //
@@ -20,6 +22,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/flight"
 	"repro/internal/telemetry"
 )
 
@@ -35,21 +38,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	shards := make([]telemetry.RankEvents, 0, flag.NArg())
+	var shards []flight.RankRecord
 	seen := make(map[int]string)
 	for _, path := range flag.Args() {
 		f, err := os.Open(path)
 		check(err)
-		re, err := telemetry.ReadTraceShard(f)
+		recs, err := flight.ReadRecords(f)
 		f.Close()
 		if err != nil {
 			check(fmt.Errorf("%s: %w", path, err))
 		}
-		if prev, dup := seen[re.Rank]; dup {
-			check(fmt.Errorf("%s: rank %d already provided by %s", path, re.Rank, prev))
+		for _, rec := range recs {
+			if prev, dup := seen[rec.Rank]; dup {
+				check(fmt.Errorf("%s: rank %d already provided by %s", path, rec.Rank, prev))
+			}
+			seen[rec.Rank] = path
+			shards = append(shards, rec)
 		}
-		seen[re.Rank] = path
-		shards = append(shards, re)
 	}
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Rank < shards[j].Rank })
 
@@ -60,7 +65,7 @@ func main() {
 		defer func() { check(f.Close()) }()
 		w = f
 	}
-	check(telemetry.WriteChromeTraceRanks(w, shards))
+	check(telemetry.WriteChromeTraceRanks(w, shards, nil))
 }
 
 func check(err error) {

@@ -66,11 +66,11 @@ func Register(fs *flag.FlagSet, cmd string, simMirrors bool) *Flags {
 	}
 	fs.BoolVar(&f.SPCDump, "spc-dump", false, "dump counters with per-CRI/per-communicator attribution (real engine)")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write a Prometheus text-format metrics snapshot to this file (real engine)")
-	fs.StringVar(&f.TraceOut, "trace-out", "", "write a Chrome trace-event JSON file (load in chrome://tracing) (real engine)")
+	fs.StringVar(&f.TraceOut, "trace-out", "", "write the flight record as a Chrome trace-event JSON file (load in chrome://tracing) (real engine)")
 	fs.StringVar(&f.SamplesOut, "samples-out", "", "write the sampler time series as CSV to this file (real engine)")
 	fs.DurationVar(&f.SampleInterval, "sample-interval", 0, "background counter/histogram sampling interval, e.g. 10ms (real engine)")
 	fs.BoolVar(&f.TraceWire, "trace-wire", false, "carry trace context on the wire and stitch cross-rank message lifecycles (real engine)")
-	fs.StringVar(&f.TraceShard, "trace-shard", "", "write this process's raw trace shard JSON to this file (merge with tracemerge; real engine)")
+	fs.StringVar(&f.TraceShard, "trace-shard", "", "write this process's flight record with its clock anchors to this file (the /debug/flight document; merge with tracemerge; real engine)")
 	fs.StringVar(&f.HTTPAddr, "http", "", "serve live /metrics, /spc, /trace, /debug/latency, /healthz and pprof on this address during the run (real engine)")
 	fs.BoolVar(&f.Profile, "profile", false, "attach the contention profiler: per-lock wait attribution and per-thread phase accounting (real engine)")
 	fs.StringVar(&f.BreakdownOut, "breakdown-out", "", "write the per-rank phase/lock-wait breakdown as JSON to this file (either engine; sim gives deterministic virtual-time numbers)")
@@ -92,6 +92,16 @@ func (f *Flags) Normalize() {
 	if f.LatencyOut != "" {
 		f.Latency = true
 	}
+}
+
+// RealFlightCap is the flight-ring capacity of a real-engine run: the
+// -flight value, or the default when -flight is unset but a trace output
+// (-trace-out, -trace-shard, -trace-wire, the live /trace) reads the record.
+func (f *Flags) RealFlightCap() int {
+	if f.FlightCap <= 0 && (f.TraceOut != "" || f.TraceShard != "" || f.TraceWire || f.HTTPAddr != "") {
+		return flight.DefaultRingCapacity
+	}
+	return f.FlightCap
 }
 
 // WantTelemetry reports whether any requested output instruments the real
@@ -168,8 +178,13 @@ func (s *Session) BindWorld(w *core.World) {
 	}
 }
 
+// probeGrace bounds how long a finished run keeps its live endpoint up
+// waiting for an observer's first /readyz probe.
+const probeGrace = 2 * time.Second
+
 // Finish disarms the signal handler and watchdog, flushes every configured
-// output, and closes the live endpoint.
+// output, and closes the live endpoint once an observer has probed it (or
+// probeGrace has passed).
 func (s *Session) Finish() error {
 	s.stopSignals()
 	if s.stopWatchdog != nil {
@@ -177,7 +192,7 @@ func (s *Session) Finish() error {
 	}
 	err := s.Outputs.Flush()
 	if s.srv != nil {
-		_ = s.srv.Close()
+		_ = s.srv.CloseAfterProbe(probeGrace)
 	}
 	if s.restoreProf != nil {
 		s.restoreProf()
@@ -186,23 +201,14 @@ func (s *Session) Finish() error {
 }
 
 // WorldSource adapts a live world to the observability Source: every
-// request snapshots the current counters, histograms, trace shards, queue
-// states, flight records, and latency attribution of all local ranks.
+// request snapshots the current counters, histograms, queue states, flight
+// records, and latency attribution of all local ranks.
 func WorldSource(w *core.World, info map[string]string) obs.Source {
 	return obs.Source{
 		Stats: func() []telemetry.ProcStats {
 			var out []telemetry.ProcStats
 			for _, p := range w.LocalProcs() {
 				out = append(out, p.TelemetryStats())
-			}
-			return out
-		},
-		Events: func() []telemetry.RankEvents {
-			var out []telemetry.RankEvents
-			for _, p := range w.LocalProcs() {
-				if p.Tracer() != nil {
-					out = append(out, p.TraceEvents())
-				}
 			}
 			return out
 		},

@@ -133,13 +133,10 @@ type Result struct {
 	// Stats holds every process's attributed counter/histogram breakdown
 	// in rank order (sender is rank 0, receiver rank 1 in thread mode).
 	Stats []telemetry.ProcStats
-	// Events holds every process's event trace when tracing was enabled
-	// (Options.TraceCapacity > 0), in rank order.
-	Events []telemetry.RankEvents
 	// Samples is the sampler time series when Config.SampleInterval > 0.
 	Samples []telemetry.Sample
-	// TraceDump holds the receiver-side event trace rendered as text when
-	// tracing was enabled (Options.TraceCapacity > 0).
+	// TraceDump holds the receiver-side flight record rendered as text
+	// (empty unless Options.FlightCapacity > 0).
 	TraceDump string
 }
 
@@ -285,14 +282,13 @@ func runThreads(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// traceDump renders the proc's event trace, or "" without a tracer.
+// traceDump renders the proc's flight record one event per line, or ""
+// with the recorder off.
 func traceDump(p *core.Proc) string {
-	tr := p.Tracer()
-	if tr == nil {
-		return ""
-	}
 	var sb strings.Builder
-	_ = tr.Dump(&sb)
+	for _, e := range p.FlightRecord().Events {
+		fmt.Fprintln(&sb, e)
+	}
 	return sb.String()
 }
 
@@ -350,7 +346,7 @@ func runProcesses(cfg Config) (Result, error) {
 
 // result assembles the common fields: rates, the receiver roll-up (rank 1,
 // the convention every caller of Result.SPCs relies on), and per-process
-// attributed stats and traces for all ranks.
+// attributed stats for all ranks.
 func result(cfg Config, elapsed time.Duration, w *core.World, smp *telemetry.Sampler) Result {
 	total := int64(cfg.Pairs) * int64(cfg.Window) * int64(cfg.Iters)
 	r := Result{Messages: total, Elapsed: elapsed}
@@ -361,11 +357,7 @@ func result(cfg Config, elapsed time.Duration, w *core.World, smp *telemetry.Sam
 		r.Transport = w.TransportCaps()
 		r.SPCs = w.Proc(1).SPCSnapshot()
 		for rank := 0; rank < w.Size(); rank++ {
-			p := w.Proc(rank)
-			r.Stats = append(r.Stats, p.TelemetryStats())
-			if p.Tracer() != nil {
-				r.Events = append(r.Events, p.TraceEvents())
-			}
+			r.Stats = append(r.Stats, w.Proc(rank).TelemetryStats())
 		}
 	}
 	if smp != nil {
@@ -480,11 +472,8 @@ func RunDistributed(cfg Config, rank int, net transport.Network) (Result, error)
 	}
 	res.SPCs = p.SPCSnapshot()
 	res.Stats = []telemetry.ProcStats{p.TelemetryStats()}
-	if p.Tracer() != nil {
-		res.Events = []telemetry.RankEvents{p.TraceEvents()}
-		if rank%2 == 1 {
-			res.TraceDump = traceDump(p)
-		}
+	if rank%2 == 1 {
+		res.TraceDump = traceDump(p)
 	}
 	if smp != nil {
 		smp.Stop()

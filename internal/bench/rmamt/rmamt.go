@@ -94,9 +94,6 @@ type Result struct {
 	// Stats holds both processes' attributed counter/histogram breakdowns
 	// in rank order (origin is rank 0, target rank 1).
 	Stats []telemetry.ProcStats
-	// Events holds both processes' event traces when tracing was enabled,
-	// in rank order.
-	Events []telemetry.RankEvents
 	// Samples is the sampler time series when Config.SampleInterval > 0.
 	Samples []telemetry.Sample
 	// Transport names the backend the run used and its capability flags.
@@ -193,11 +190,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	res.SPCs = w.Proc(0).SPCSnapshot()
 	for rank := 0; rank < w.Size(); rank++ {
-		p := w.Proc(rank)
-		res.Stats = append(res.Stats, p.TelemetryStats())
-		if p.Tracer() != nil {
-			res.Events = append(res.Events, p.TraceEvents())
-		}
+		res.Stats = append(res.Stats, w.Proc(rank).TelemetryStats())
 	}
 	res.Samples = smp.Samples()
 	// Verify delivery: every byte of the target window must carry its

@@ -10,7 +10,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/prof"
 	"repro/internal/spc"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -78,9 +77,7 @@ func newComm(p *Proc, id uint32, group []int, myRank int, info Info) *Comm {
 		info:       info,
 		eagerLimit: p.world.opts.EagerLimit,
 	}
-	if p.spcs != nil {
-		c.spcs = spc.NewSet()
-	}
+	c.spcs = spc.NewSet()
 	c.matchMu.Bind(p.prof.NewSite("match.comm", -1, id))
 	var meter match.Meter = match.SpinMeter{}
 	if n := p.world.opts.MatchShards; n > 0 {
@@ -177,7 +174,7 @@ func (c *Comm) Isend(th *Thread, dst int, tag int32, buf []byte) (*Request, erro
 }
 
 // userEager reports whether env is a user's eager message — the traffic the
-// tracer's send_inject event and the latency stamps follow. Collectives and
+// send_inject event and the latency stamps follow. Collectives and
 // control messages ride negative tags, which Isend refuses, and a rendezvous
 // is traced by its own start/done events.
 func userEager(env transport.Envelope) bool {
@@ -203,27 +200,29 @@ func (c *Comm) newEnvelope(dst int, tag int32, kind transport.Kind) transport.En
 func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request, error) {
 	p := c.proc
 	env := c.newEnvelope(dst, tag, transport.KindEager)
-	th.ts.Flight().Record(flight.KindSendPost, c.id, int32(dst), int32(env.Seq))
+	// The send post: one instant for the send_post event and the stamp every
+	// downstream latency is measured from.
+	var now int64
+	if p.timed {
+		now = time.Now().UnixNano()
+	}
+	ring := th.ts.Flight()
+	ring.RecordAt(now-p.flightBase, flight.KindSendPost, c.id, int32(dst), int32(env.Seq), -1, 0)
 	req := &Request{proc: p, kind: reqSend}
 	pkt := transport.NewPacket(env, buf, req)
 	user := userEager(env)
 	if user {
-		if p.histLatency != nil {
-			pkt.Stamp = time.Now().UnixNano()
-		}
+		pkt.Stamp = now
 		if p.traceWire {
 			pkt.TraceID = traceID(p.rank, c.id, env.Seq)
 			pkt.Origin = int32(p.rank)
-			if pkt.Stamp == 0 {
-				pkt.Stamp = time.Now().UnixNano()
-			}
 		}
 	}
 	if c.group[dst] == p.rank {
 		// Self message: bypass the fabric, deliver straight into the
 		// matching engine and complete the send.
 		if user {
-			p.tracer.EmitFlowCRI(trace.KindSendInject, pkt.TraceID, -1, int32(dst), int32(env.Seq))
+			ring.RecordAt(now-p.flightBase, flight.KindSendInject, c.id, int32(dst), int32(env.Seq), -1, pkt.TraceID)
 		}
 		req.finish(nil)
 		p.deliver(th.ts.Clock(), nil, pkt)
@@ -243,35 +242,40 @@ func (c *Comm) inject(th *Thread, env transport.Envelope, pkt *transport.Packet,
 	p := c.proc
 	dstWorld := c.group[env.Dst]
 	inst, release := p.pool.AcquireSend(&th.ts)
-	if userEager(env) {
-		p.tracer.EmitFlowCRI(trace.KindSendInject, pkt.TraceID, inst.Index(), env.Dst, int32(env.Seq))
-	}
 	ep := inst.Endpoint(dstWorld)
 	if ep == nil {
 		release()
 		return fmt.Errorf("core: no endpoint from rank %d to %d: %w", p.rank, dstWorld, ErrPeerUnreachable)
 	}
+	// Instance held: one instant for the send_inject event, the end of the
+	// CRI-acquire stage and the start of the wire-write stage.
+	var held int64
+	if p.flight != nil || p.lat != nil {
+		held = time.Now().UnixNano()
+	}
+	if userEager(env) {
+		th.ts.Flight().RecordAt(held-p.flightBase, flight.KindSendInject, c.id, env.Dst, int32(env.Seq), inst.Index(), pkt.TraceID)
+	}
 	// Only stamped packets have a send post to measure the stages from
-	// (Latency implies TraceWire, which stamps every user eager send).
-	timed := p.lat != nil && pkt.Stamp != 0
-	var acqNs, wire0 int64
-	if timed {
-		// CRI-acquire stage: send post to instance held. Stored on the packet
-		// before injection so an in-process receiver reads it race-free; over
-		// a real wire the field never leaves this process.
-		acqNs = time.Now().UnixNano() - pkt.Stamp
+	// (Latency implies TraceWire, and every user eager send is stamped).
+	var acqNs int64
+	staged := p.lat != nil && pkt.Stamp != 0
+	if staged {
+		// Stored on the packet before injection so an in-process receiver
+		// reads it race-free; over a real wire the field never leaves this
+		// process.
+		acqNs = held - pkt.Stamp
 		pkt.SendAcqNs = acqNs
 	}
 	p.rel.track(pkt, dstWorld, req, fail)
 	clk := th.ts.Clock()
 	clk.Begin(prof.PhaseWire)
-	if timed {
-		wire0 = time.Now().UnixNano()
-	}
 	err := ep.Send(pkt)
-	if timed && err == nil {
+	if staged && err == nil {
 		p.lat.ObserveStage(latency.StageCRIAcquire, acqNs)
-		p.lat.ObserveStage(latency.StageWireWrite, time.Now().UnixNano()-wire0)
+		// Wire write is the one stage that starts and ends inside a single
+		// step, so attribution costs inject a second clock read.
+		p.lat.ObserveStage(latency.StageWireWrite, time.Now().UnixNano()-held)
 	}
 	clk.End()
 	release()
@@ -351,11 +355,7 @@ func (c *Comm) post(th *Thread, src int, tag int32, buf []byte) *Request {
 	clk.End()
 	c.unlockMatch()
 	if ok {
-		var matchedNs int64
-		if p.lat != nil {
-			matchedNs = time.Now().UnixNano()
-		}
-		c.completeRecv(comp, matchedNs, true)
+		c.completeRecv(comp, true)
 	}
 	return req
 }
@@ -435,11 +435,11 @@ func (m *Message) MRecv(buf []byte) (Status, error) {
 }
 
 // completeRecv finishes one matched receive: either the plain eager path or
-// the start of a rendezvous transfer. matchedNs is the caller's match
-// timestamp and unexpected whether the message matched via the unexpected
-// queue — the critical-path attribution inputs (both ignored, and matchedNs
-// may be 0, when attribution is off or the message is untraced).
-func (c *Comm) completeRecv(comp match.Completion, matchedNs int64, unexpected bool) {
+// the start of a rendezvous transfer. unexpected reports whether the message
+// matched via the unexpected queue. One clock read is the completion instant
+// of the match_complete event, the message-latency and match-residency
+// histograms and the latency measurement alike.
+func (c *Comm) completeRecv(comp match.Completion, unexpected bool) {
 	req, _ := comp.Recv.Token.(*Request)
 	if req == nil {
 		panic("core: matched receive without request token")
@@ -450,23 +450,28 @@ func (c *Comm) completeRecv(comp match.Completion, matchedNs int64, unexpected b
 		return
 	}
 	p := c.proc
+	var now int64
+	if p.timedRecv {
+		now = time.Now().UnixNano()
+	}
 	var flow uint64
-	if comp.Packet != nil {
-		flow = comp.Packet.TraceID
-		if p.histLatency != nil && comp.Packet.Stamp != 0 {
-			p.histLatency.ObserveNs(time.Now().UnixNano() - comp.Packet.Stamp)
+	if pkt := comp.Packet; pkt != nil && now != 0 {
+		flow = pkt.TraceID
+		if pkt.Stamp != 0 {
+			sent := p.sendStampLocal(pkt)
+			p.histLatency.ObserveNs(now - sent)
+			if p.lat != nil && flow != 0 {
+				p.lat.Record(p.measure(pkt, env.Tag, sent, now, unexpected))
+			}
 		}
-		if p.histResidency != nil && comp.Packet.RecvStamp != 0 {
+		if pkt.RecvStamp != 0 {
 			// Arrival at the matching engine to match completion: how long
 			// the message sat in the unexpected queue (or how fast a posted
 			// receive consumed it).
-			p.histResidency.ObserveNs(time.Now().UnixNano() - comp.Packet.RecvStamp)
-		}
-		if p.lat != nil && matchedNs != 0 && comp.Packet.TraceID != 0 && comp.Packet.Stamp != 0 {
-			p.lat.Record(p.measure(comp.Packet, env.Tag, matchedNs, unexpected))
+			p.histResidency.ObserveNs(now - pkt.RecvStamp)
 		}
 	}
-	p.tracer.EmitFlowCRI(trace.KindMatchComplete, flow, -1, env.Src, env.Tag)
+	p.flightRing.RecordAt(now-p.flightBase, flight.KindMatchComplete, c.id, env.Src, env.Tag, -1, flow)
 	req.finishRecv(Status{
 		Source:     env.Src,
 		Tag:        env.Tag,

@@ -468,25 +468,6 @@ func TestMessagesSentCounter(t *testing.T) {
 	}
 }
 
-func TestDisableSPCs(t *testing.T) {
-	opts := Stock()
-	opts.DisableSPCs = true
-	w := newTestWorld(t, 1, opts)
-	if w.Proc(0).SPCs() != nil {
-		t.Fatal("SPCs allocated despite DisableSPCs")
-	}
-	// Traffic must still work with a nil counter set.
-	th := w.Proc(0).NewThread()
-	c := w.Proc(0).CommWorld()
-	if err := c.Send(th, 0, 1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	if _, err := c.Recv(th, 0, 1, buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestThreadSerializedViolationPanics(t *testing.T) {
 	opts := Stock()
 	opts.ThreadLevel = ThreadSerialized

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"repro/internal/flight"
 )
 
 // TestNegativeEagerLimitDisablesRendezvous: with EagerLimit < 0 every
@@ -11,7 +13,7 @@ import (
 func TestNegativeEagerLimitDisablesRendezvous(t *testing.T) {
 	opts := Stock()
 	opts.EagerLimit = -1
-	opts.TraceCapacity = 256
+	opts.FlightCapacity = 256
 	w := newTestWorld(t, 2, opts)
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 	msg := bytes.Repeat([]byte{9}, 64*1024) // far above any eager default
@@ -21,12 +23,13 @@ func TestNegativeEagerLimitDisablesRendezvous(t *testing.T) {
 	if err != nil || st.Count != len(msg) {
 		t.Fatalf("recv: %v %+v", err, st)
 	}
-	// No rendezvous events must have been traced.
-	if n := w.Proc(1).Tracer().Snapshot(); len(n) == 0 {
-		t.Fatal("tracer recorded nothing")
+	// No rendezvous events must have been recorded.
+	events := w.Proc(1).FlightRecord().Events
+	if len(events) == 0 {
+		t.Fatal("flight recorder recorded nothing")
 	}
-	for _, e := range w.Proc(1).Tracer().Snapshot() {
-		if e.Kind.String() == "rendezvous_start" {
+	for _, e := range events {
+		if e.Kind == flight.KindRendezvousStart {
 			t.Fatal("rendezvous used despite negative eager limit")
 		}
 	}

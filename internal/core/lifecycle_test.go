@@ -1,0 +1,228 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/backends"
+	"repro/internal/flight"
+	"repro/internal/transport"
+)
+
+// kindEvents returns p's retained flight events of kind k, in record order.
+func kindEvents(p *Proc, k flight.Kind) []flight.Event {
+	var out []flight.Event
+	for _, e := range p.FlightRecord().Events {
+		if e.Kind == k {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func TestFlightRecordsMessageLifecycle(t *testing.T) {
+	opts := Stock()
+	opts.FlightCapacity = 1024
+	w := newTestWorld(t, 2, opts)
+	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
+	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
+
+	const msgs = 5
+	go func() {
+		for i := 0; i < msgs; i++ {
+			_ = c0.Send(t0, 1, int32(i), []byte{byte(i)})
+		}
+	}()
+	buf := make([]byte, 1)
+	for i := 0; i < msgs; i++ {
+		if _, err := c1.Recv(t1, 0, int32(i), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(kindEvents(w.Proc(1), flight.KindRecvDeliver)); got != msgs {
+		t.Fatalf("receiver recorded %d deliveries, want %d", got, msgs)
+	}
+	if got := len(kindEvents(w.Proc(1), flight.KindMatchComplete)); got != msgs {
+		t.Fatalf("receiver recorded %d completions, want %d", got, msgs)
+	}
+	// Injection events carry (dst, seq) in order for a single thread, on the
+	// row of the one instance Stock has.
+	injects := kindEvents(w.Proc(0), flight.KindSendInject)
+	if len(injects) != msgs {
+		t.Fatalf("sender recorded %d injections, want %d", len(injects), msgs)
+	}
+	for seq, e := range injects {
+		if e.A0 != 1 || e.A1 != int32(seq) || e.CRI() != 0 {
+			t.Fatalf("inject event = %+v, want dst=1 seq=%d cri=0", e, seq)
+		}
+	}
+}
+
+func TestFlightRecordsRendezvous(t *testing.T) {
+	opts := Stock()
+	opts.EagerLimit = 16
+	opts.FlightCapacity = 256
+	w := newTestWorld(t, 2, opts)
+	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
+	go func() { _ = w.Proc(0).CommWorld().Send(t0, 1, 1, make([]byte, 100)) }()
+	buf := make([]byte, 128)
+	if _, err := w.Proc(1).CommWorld().Recv(t1, 0, 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	start, done := kindEvents(w.Proc(1), flight.KindRendezvousStart), kindEvents(w.Proc(1), flight.KindRendezvousDone)
+	if len(start) != 1 || len(done) != 1 {
+		t.Fatalf("rendezvous events: start=%d done=%d", len(start), len(done))
+	}
+	if start[0].A1 != 100 || done[0].A1 != 100 {
+		t.Fatalf("rendezvous lengths: start=%+v done=%+v", start[0], done[0])
+	}
+	// A rendezvous is followed by its own events, not by send_inject.
+	if n := len(kindEvents(w.Proc(0), flight.KindSendInject)); n != 0 {
+		t.Fatalf("rendezvous RTS recorded %d send_inject events", n)
+	}
+}
+
+func TestTraceWireLifecycle(t *testing.T) {
+	opts := Stock()
+	opts.FlightCapacity = 1024
+	opts.Telemetry = true
+	opts.TraceWire = true
+	w := newTestWorld(t, 2, opts)
+	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
+	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
+
+	go func() { _ = c0.Send(t0, 1, 7, []byte("traced")) }()
+	buf := make([]byte, 8)
+	if _, err := c1.Recv(t1, 0, 7, buf); err != nil {
+		t.Fatal(err)
+	}
+
+	// Both ends compute the same deterministic flow id; the first eager
+	// send on the world communicator has seq 0 (the rank bias keeps the id
+	// non-zero regardless).
+	want := traceID(0, 1, 0)
+	for _, hop := range []struct {
+		p *Proc
+		k flight.Kind
+	}{
+		{w.Proc(0), flight.KindSendInject},
+		{w.Proc(1), flight.KindRecvDeliver},
+		{w.Proc(1), flight.KindMatchComplete},
+	} {
+		ev := kindEvents(hop.p, hop.k)
+		if len(ev) != 1 || ev[0].Flow != want {
+			t.Fatalf("rank %d %v events = %+v, want one with flow %#x", hop.p.Rank(), hop.k, ev, want)
+		}
+	}
+
+	// Lifecycle histograms fill on the receiver.
+	tel := w.Proc(1).Telemetry()
+	if tel.OneWayLatency.Count() == 0 {
+		t.Error("one-way latency histogram empty on a traced run")
+	}
+	if tel.MatchResidency.Count() == 0 {
+		t.Error("match residency histogram empty on a traced run")
+	}
+
+	// The flight record carries the shard anchors.
+	rec := w.Proc(1).FlightRecord()
+	if rec.Rank != 1 || len(rec.Events) == 0 || rec.StartUnixNs == 0 {
+		t.Fatalf("trace shard incomplete: rank=%d events=%d base=%d", rec.Rank, len(rec.Events), rec.StartUnixNs)
+	}
+}
+
+func TestTraceWireOffByDefault(t *testing.T) {
+	opts := Stock()
+	opts.FlightCapacity = 64
+	opts.Telemetry = true
+	w := newTestWorld(t, 2, opts)
+	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
+	go func() { _ = w.Proc(0).CommWorld().Send(t0, 1, 1, []byte{1}) }()
+	buf := make([]byte, 1)
+	if _, err := w.Proc(1).CommWorld().Recv(t1, 0, 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range w.Proc(1).FlightRecord().Events {
+		if e.Flow != 0 {
+			t.Fatalf("flow id %#x recorded with TraceWire off", e.Flow)
+		}
+	}
+	if n := w.Proc(1).Telemetry().OneWayLatency.Count(); n != 0 {
+		t.Fatalf("one-way latency recorded %d samples with TraceWire off", n)
+	}
+}
+
+// skewedNet is an in-process backend that reports offsetNs as the local −
+// peer clock difference for every peer, as tcpnet's handshake estimate would.
+type skewedNet struct {
+	transport.Network
+	offsetNs int64
+}
+
+func (n skewedNet) PeerClockOffsetNs(int) (int64, bool) { return n.offsetNs, true }
+
+// Every latency derived from a traced packet's send stamp goes through the
+// same clock correction: the message-latency histogram's sample, the
+// attribution's end-to-end and the one-way latency must all see the send a
+// full offset earlier than the raw stamp says.
+func TestLatenciesShareOneClockCorrection(t *testing.T) {
+	const offset = int64(50 * time.Millisecond)
+	opts := Stock()
+	opts.Network = skewedNet{Network: backends.Sim(), offsetNs: -offset}
+	opts.Telemetry = true
+	opts.Latency = true
+	w := newTestWorld(t, 2, opts)
+	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
+	go func() { _ = w.Proc(0).CommWorld().Send(t0, 1, 3, []byte("skewed")) }()
+	if _, err := w.Proc(1).CommWorld().Recv(t1, 0, 3, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+
+	p := w.Proc(1)
+	hist := p.Telemetry().MsgLatency.Snapshot()
+	ex := p.LatencyRecorder().Exemplars()
+	if hist.Count != 1 || len(ex) != 1 {
+		t.Fatalf("one message gave %d histogram samples and %d exemplars", hist.Count, len(ex))
+	}
+	if hist.Sum != ex[0].E2ENs {
+		t.Fatalf("msg_latency sample = %dns, attribution e2e = %dns: derived from different send stamps", hist.Sum, ex[0].E2ENs)
+	}
+	if ex[0].E2ENs < offset {
+		t.Fatalf("e2e = %dns ignores the %dns clock offset", ex[0].E2ENs, offset)
+	}
+	if oneWay := p.Telemetry().OneWayLatency.Snapshot(); oneWay.Sum < offset || oneWay.Sum > ex[0].E2ENs {
+		t.Fatalf("one-way latency %dns outside [offset %dns, e2e %dns]", oneWay.Sum, offset, ex[0].E2ENs)
+	}
+}
+
+// The disabled hooks allocate nothing: one Stock eager message end to end —
+// posted receive, send, the receiver's progress pass that matches it, the
+// sender's pass that reaps the completion — costs what it cost before the
+// hooks moved (two requests, the posted-receive record, the packet, its
+// payload copy, the send's release closure).
+func TestStockMessageAllocations(t *testing.T) {
+	const pinned = 6
+	w := newTestWorld(t, 2, Stock())
+	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
+	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
+	buf, payload := make([]byte, 8), []byte("12345678")
+	got := testing.AllocsPerRun(200, func() {
+		rreq, err := c1.Irecv(t1, 0, 7, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sreq, err := c0.Isend(t0, 1, 7, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rreq.Wait(t1); err != nil {
+			t.Fatal(err)
+		}
+		if err := sreq.Wait(t0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > pinned {
+		t.Fatalf("one Stock eager send + matched receive + progress allocates %v times, pinned at %d", got, pinned)
+	}
+}

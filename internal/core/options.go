@@ -75,24 +75,18 @@ type Options struct {
 	// lock — the "global critical section" design some implementations
 	// use, the worst comparator in Fig. 5.
 	BigLock bool
-	// DisableSPCs turns off software performance counters.
-	DisableSPCs bool
 	// Telemetry attaches the latency-histogram layer (internal/telemetry):
 	// match-section time, instance-lock wait, progress-pass duration, and
 	// eager inject-to-match message latency, exportable in Prometheus text
 	// format. Off by default; every hook is a single branch when off.
 	Telemetry bool
-	// TraceCapacity, when positive, attaches an event tracer retaining
-	// about this many recent message-path events per process
-	// (see internal/trace).
-	TraceCapacity int
 	// TraceWire enables cross-process message-lifecycle tracing: every
 	// eager send carries a deterministic trace id, origin rank, and send
 	// timestamp (the transport.FlagTraced wire extension), receivers stitch
 	// the lifecycle into flow-linked trace events, and the one-way-latency
 	// and match-residency histograms fill (clock-corrected when the backend
 	// implements transport.ClockSync). Off by default: the wire format stays
-	// byte-identical to the paper-faithful framing. Pair with TraceCapacity
+	// byte-identical to the paper-faithful framing. Pair with FlightCapacity
 	// and/or Telemetry to retain what the tracing produces.
 	TraceWire bool
 	// Latency attaches the per-message critical-path attribution layer
@@ -104,9 +98,6 @@ type Options struct {
 	// stages are anchored on the trace extension's send stamp). Off by
 	// default; every hook is a single branch when off.
 	Latency bool
-	// LatencyExemplars bounds the tail-exemplar reservoir
-	// (0 = latency.DefaultExemplars). Latency mode only.
-	LatencyExemplars int
 	// Profile attaches the contention-and-phase profiler (internal/prof):
 	// every serialization point — instance locks, the serial progress lock,
 	// per-communicator matching locks, the reliability window, the big
@@ -174,16 +165,14 @@ type Options struct {
 	// fails with ErrPeerUnreachable (0 = DefaultRetryBudget).
 	RetryBudget int
 	// FlightCapacity, when positive, attaches the flight recorder
-	// (internal/flight): every thread, every communicator's matching
-	// engine, the reliability layer, and each CRI's lock-wait path record
-	// their last ~FlightCapacity message-path events into lock-free rings
-	// for watchdog/crash dumps and /debug/flight. Off (0) by default;
-	// every hook is a single branch when off.
+	// (internal/flight), the runtime's one message-lifecycle event record:
+	// every thread, every communicator's matching engine, the delivery and
+	// completion path, the reliability layer, and each CRI's lock-wait path
+	// record their last ~FlightCapacity events into lock-free rings for
+	// watchdog/crash dumps, /debug/flight, latency exemplars and the Chrome
+	// trace (/trace, -trace-out, trace shards). Off (0) by default; every
+	// hook is a single branch when off.
 	FlightCapacity int
-	// FlightLockWaitThreshold is the minimum contended instance-lock wait
-	// recorded as a flight lock-wait event
-	// (0 = flight.DefaultLockWaitThreshold). Flight recorder only.
-	FlightLockWaitThreshold time.Duration
 }
 
 // DefaultEagerLimit is the eager/rendezvous switchover when unspecified.

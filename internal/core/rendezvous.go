@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/flight"
 	"repro/internal/match"
 	"repro/internal/spc"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -125,7 +125,7 @@ func (c *Comm) startRendezvousRecv(req *Request, comp match.Completion) {
 	}
 	p.rdvRecvs[key] = &rdvRecv{req: req, region: region, total: total, sink: sink, src: env.Src, tag: env.Tag}
 	p.rdvMu.Unlock()
-	p.tracer.Emit(trace.KindRendezvousStart, env.Src, int32(total))
+	p.flightRing.Record(flight.KindRendezvousStart, c.id, env.Src, int32(total))
 
 	// ACK: rdv id, region id, permitted sink length.
 	var payload [24]byte
@@ -227,7 +227,7 @@ func (c *Comm) handleRendezvousFIN(pkt *transport.Packet) {
 		copy(rr.region.Bytes(), data[:rr.sink])
 	}
 	p.dev.DeregisterMemory(rr.region)
-	p.tracer.Emit(trace.KindRendezvousDone, rr.src, int32(rr.sink))
+	p.flightRing.Record(flight.KindRendezvousDone, c.id, rr.src, int32(rr.sink))
 	rr.req.finishRecv(Status{
 		Source:     rr.src,
 		Tag:        rr.tag,

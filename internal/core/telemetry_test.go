@@ -6,19 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/cri"
+	"repro/internal/flight"
 	"repro/internal/progress"
 	"repro/internal/spc"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // telemetryOpts is the full-observability configuration: several dedicated
-// instances, concurrent progress, histograms, and a tracer.
+// instances, concurrent progress, histograms, and the flight recorder.
 func telemetryOpts() Options {
 	return Options{
 		NumInstances: 4, Assignment: cri.Dedicated,
 		Progress: progress.Concurrent, ThreadLevel: ThreadMultiple,
-		Telemetry: true, TraceCapacity: 4096,
+		Telemetry: true, FlightCapacity: 4096,
 	}
 }
 
@@ -164,21 +164,17 @@ func TestTelemetryTraceAttribution(t *testing.T) {
 	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
 	runTraffic(t, w, c0, c1, 4, 50)
 
-	events := w.Proc(0).Tracer().Snapshot()
-	attributed := 0
-	for _, e := range events {
-		if e.Kind == trace.KindSendInject && e.CRI >= 0 {
-			attributed++
-			if int(e.CRI) >= w.Proc(0).Pool().Len() {
-				t.Fatalf("inject attributed to nonexistent CRI %d", e.CRI)
-			}
+	injects := kindEvents(w.Proc(0), flight.KindSendInject)
+	if len(injects) == 0 {
+		t.Fatal("no send_inject events recorded")
+	}
+	for _, e := range injects {
+		if e.CRI() < 0 || e.CRI() >= w.Proc(0).Pool().Len() {
+			t.Fatalf("inject attributed to CRI %d, pool has %d", e.CRI(), w.Proc(0).Pool().Len())
 		}
 	}
-	if attributed == 0 {
-		t.Fatal("no send_inject events carry CRI attribution")
-	}
-	if n := w.Proc(1).Tracer().CountKind(trace.KindProgress); n == 0 {
-		t.Fatal("no progress events emitted for productive passes")
+	if len(kindEvents(w.Proc(1), flight.KindProgress)) == 0 {
+		t.Fatal("no progress events recorded for productive passes")
 	}
 }
 

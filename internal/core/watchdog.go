@@ -2,10 +2,12 @@ package core
 
 import (
 	"os"
+	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/flight"
+	"repro/internal/spc"
 )
 
 // DefaultWatchdogInterval is the stall watchdog's sampling period when
@@ -81,4 +83,63 @@ func (w *World) StartWatchdog(cfg WatchdogConfig) (stop func()) {
 			wg.Wait()
 		})
 	}
+}
+
+// QueueSnapshot captures the proc's live runtime introspection snapshot:
+// per-communicator posted/unexpected queue depths, reliability window
+// occupancy, and CRI pool levels. Safe to call at any time from any thread
+// (it takes each communicator's matching lock briefly); works with the
+// flight recorder off.
+func (p *Proc) QueueSnapshot() flight.QueueSnapshot {
+	qs := flight.QueueSnapshot{Rank: p.rank, CapturedNs: time.Now().UnixNano()}
+	p.commMu.RLock()
+	comms := make([]*Comm, 0, len(p.comms))
+	for _, c := range p.comms {
+		comms = append(comms, c)
+	}
+	p.commMu.RUnlock()
+	sort.Slice(comms, func(i, j int) bool { return comms[i].id < comms[j].id })
+	for _, c := range comms {
+		// Self-locking engines (match.Sharded) publish approximate atomic
+		// depth counters; there is no engine-wide lock to freeze them under,
+		// and monitoring must not introduce one. Depths from either path are
+		// monitoring-only — never a synchronization predicate.
+		c.lockMatch(nil)
+		qs.Comms = append(qs.Comms, flight.CommQueues{
+			Comm:        c.id,
+			Posted:      c.engine.PostedLen(),
+			Unexpected:  c.engine.UnexpectedLen(),
+			OOSBuffered: c.engine.OOSBuffered(),
+		})
+		c.unlockMatch()
+	}
+	qs.Windows = p.rel.windowSnapshot()
+	for i := 0; i < p.pool.Len(); i++ {
+		in := p.pool.Get(i)
+		qs.CRIs = append(qs.CRIs, flight.CRILevel{Index: i, Pending: in.Context().Pending()})
+	}
+	return qs
+}
+
+// watchdogSample condenses the proc's state into one detector observation.
+func (p *Proc) watchdogSample() flight.Sample {
+	snap := p.SPCSnapshot()
+	s := flight.Sample{
+		NowNs:         time.Now().UnixNano(),
+		CountersValid: true,
+		Sent:          uint64(snap[spc.MessagesSent]),
+		Received:      uint64(snap[spc.MessagesReceived]),
+		Retransmits:   uint64(snap[spc.Retransmits]),
+	}
+	qs := p.QueueSnapshot()
+	s.Comms = qs.Comms
+	for _, w := range qs.Windows {
+		s.Unacked += w.Unacked
+	}
+	if stages, e2e, ok := p.lat.StageP99s(); ok {
+		s.LatencyValid = true
+		s.E2EP99Ns = e2e
+		s.StageP99 = stages
+	}
+	return s
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/progress"
 	"repro/internal/spc"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -233,13 +231,12 @@ func (w *World) Close() {
 // Resource Instances, a progress engine, and the communicator registry for
 // inbound dispatch.
 type Proc struct {
-	world  *World
-	rank   int
-	dev    transport.Device
-	pool   *cri.Pool
-	prog   *progress.Engine
-	spcs   *spc.Set
-	tracer *trace.Tracer
+	world *World
+	rank  int
+	dev   transport.Device
+	pool  *cri.Pool
+	prog  *progress.Engine
+	spcs  *spc.Set
 
 	// tel bundles the latency histograms (Options.Telemetry); the
 	// histograms the proc's own hot paths record into are cached as direct
@@ -285,10 +282,22 @@ type Proc struct {
 
 	// flight is the flight recorder (nil unless Options.FlightCapacity;
 	// nil-safe). flightRing is the proc-shared ring for paths with no
-	// thread identity — the reliability sweep, ack handling — so their
-	// events land in the same merged record.
+	// thread identity — delivery and completion inside a progress pass, the
+	// reliability sweep, ack handling — so their events land in the same
+	// merged record. flightBase is the recorder's wall-clock anchor: a
+	// step's clock read minus it is the event timestamp.
 	flight     *flight.Recorder
 	flightRing *flight.Ring
+	flightBase int64
+
+	// A message-path step reads the wall clock at most once, and only when
+	// one of its consumers is attached; every consumer is fed that value.
+	// timed covers the send post, whose stamp every consumer starts from
+	// (Telemetry, TraceWire, Latency, FlightCapacity); timedRecv covers
+	// delivery and completion, which TraceWire alone does not time. The
+	// instance-held read in inject serves the recorder and Latency only.
+	timed     bool
+	timedRecv bool
 
 	// offload is the dedicated progress thread (Options.ProgressThread).
 	offload     bool
@@ -313,9 +322,7 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		rdvSends: make(map[uint64]*rdvSend),
 		rdvRecvs: make(map[rdvKey]*rdvRecv),
 	}
-	if !opts.DisableSPCs {
-		p.spcs = spc.NewSet()
-	}
+	p.spcs = spc.NewSet()
 	if opts.Profile {
 		p.prof = prof.New()
 		p.bigMu.Bind(p.prof.NewSite("core.biglock", -1, 0))
@@ -323,6 +330,7 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 	if opts.FlightCapacity > 0 {
 		p.flight = flight.NewRecorder(opts.FlightCapacity)
 		p.flightRing = p.flight.NewRing(fmt.Sprintf("rank%d/proc", rank))
+		p.flightBase = p.flight.StartUnixNano()
 	}
 	cfg := transport.DeviceConfig{Counters: p.spcs}
 	if opts.ScrambleWindow > 0 {
@@ -354,9 +362,6 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		p.rel = newReliability(p, opts.RetransmitTimeout, opts.RetryBudget)
 		p.rel.bindProfSite(p.prof.NewSite("reliability.window", -1, 0))
 	}
-	if opts.TraceCapacity > 0 {
-		p.tracer = trace.New(opts.TraceCapacity)
-	}
 	if opts.Telemetry {
 		p.tel = telemetry.New()
 		p.histMatch = p.tel.MatchSection
@@ -365,9 +370,11 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		p.histResidency = p.tel.MatchResidency
 	}
 	if opts.Latency {
-		p.lat = latency.NewRecorder(opts.LatencyExemplars)
+		p.lat = latency.NewRecorder(latency.DefaultExemplars)
 	}
 	p.traceWire = opts.TraceWire
+	p.timedRecv = p.flight != nil || p.tel != nil || p.lat != nil
+	p.timed = p.timedRecv || p.traceWire
 	if cs, ok := dev.(transport.ClockSync); ok {
 		p.clock = cs
 	} else if cs, ok := w.net.(transport.ClockSync); ok {
@@ -382,16 +389,12 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		}
 		// Each instance owns a child counter set; Proc.SPCSnapshot merges
 		// the children back into the process totals.
-		var is *spc.Set
-		if p.spcs != nil {
-			is = spc.NewSet()
-		}
-		insts[i] = cri.NewInstance(i, ctx, is)
+		insts[i] = cri.NewInstance(i, ctx, spc.NewSet())
 		if p.tel != nil {
 			insts[i].SetLockWaitHistogram(p.tel.LockWait)
 		}
 		insts[i].BindProfSite(p.prof.NewSite("cri.instance", i, 0))
-		insts[i].BindFlight(p.flightRing, opts.FlightLockWaitThreshold)
+		insts[i].BindFlight(p.flightRing)
 	}
 	p.pool, err = cri.NewPool(insts, opts.Assignment)
 	if err != nil {
@@ -400,12 +403,8 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 	p.pool.SetSPCs(p.spcs)
 	p.prog = progress.New(opts.Progress, p.pool, p.dispatch, p.spcs)
 	p.prog.BindProfSite(p.prof.NewSite("progress.serial", -1, 0))
-	if p.tracer != nil || p.tel != nil {
-		var passHist *telemetry.Histogram
-		if p.tel != nil {
-			passHist = p.tel.ProgressPass
-		}
-		p.prog.SetObservers(p.tracer, passHist)
+	if p.tel != nil {
+		p.prog.SetPassHistogram(p.tel.ProgressPass)
 	}
 	if opts.ProgressThread {
 		p.offload = true
@@ -476,31 +475,24 @@ func (p *Proc) Rank() int { return p.rank }
 // World returns the owning world.
 func (p *Proc) World() *World { return p.world }
 
-// SPCs returns the proc's residual counter set (nil when disabled). It
-// holds only counters with no per-CRI or per-communicator owner; use
-// SPCSnapshot for the rolled-up process totals.
+// SPCs returns the proc's residual counter set. It holds only counters with
+// no per-CRI or per-communicator owner; use SPCSnapshot for the rolled-up
+// process totals.
 func (p *Proc) SPCs() *spc.Set { return p.spcs }
 
 // SPCSnapshot returns the process counter totals: the residual set merged
 // with every instance's and every live communicator's child set, plus the
 // retained totals of freed communicators.
 func (p *Proc) SPCSnapshot() spc.Snapshot {
-	if p.spcs == nil {
-		return spc.Snapshot{}
-	}
 	snaps := make([]spc.Snapshot, 0, 2+p.pool.Len())
 	snaps = append(snaps, p.spcs.Snapshot())
 	for i := 0; i < p.pool.Len(); i++ {
-		if s := p.pool.Get(i).SPCs(); s != nil {
-			snaps = append(snaps, s.Snapshot())
-		}
+		snaps = append(snaps, p.pool.Get(i).SPCs().Snapshot())
 	}
 	p.commMu.RLock()
 	snaps = append(snaps, p.retiredSPCs)
 	for _, c := range p.comms {
-		if c.spcs != nil {
-			snaps = append(snaps, c.spcs.Snapshot())
-		}
+		snaps = append(snaps, c.spcs.Snapshot())
 	}
 	p.commMu.RUnlock()
 	return spc.Merge(snaps...)
@@ -515,30 +507,19 @@ func (p *Proc) Telemetry() *telemetry.Telemetry { return p.tel }
 // merge from, the residual set, and the latency histograms.
 func (p *Proc) TelemetryStats() telemetry.ProcStats {
 	ps := telemetry.ProcStats{Rank: p.rank, Hists: append(p.tel.Snapshot(), p.lat.Snapshot()...)}
-	if p.spcs == nil {
-		return ps
-	}
 	for i := 0; i < p.pool.Len(); i++ {
-		if s := p.pool.Get(i).SPCs(); s != nil {
-			ps.PerCRI = append(ps.PerCRI, telemetry.CRIStat{Index: i, Counters: s.Snapshot()})
-		}
+		ps.PerCRI = append(ps.PerCRI, telemetry.CRIStat{Index: i, Counters: p.pool.Get(i).SPCs().Snapshot()})
 	}
 	p.commMu.RLock()
 	ps.Residual = spc.Merge(p.spcs.Snapshot(), p.retiredSPCs)
 	for id, c := range p.comms {
-		if c.spcs != nil {
-			ps.PerComm = append(ps.PerComm, telemetry.CommStat{ID: id, Counters: c.spcs.Snapshot()})
-		}
+		ps.PerComm = append(ps.PerComm, telemetry.CommStat{ID: id, Counters: c.spcs.Snapshot()})
 	}
 	p.commMu.RUnlock()
 	ps.Process = ps.MergeChildren()
 	ps.Prof = p.prof.Snapshot()
 	return ps
 }
-
-// Tracer returns the proc's event tracer (nil unless Options.TraceCapacity
-// was set).
-func (p *Proc) Tracer() *trace.Tracer { return p.tracer }
 
 // Profiler returns the proc's contention-and-phase profiler (nil unless
 // Options.Profile was set; nil is safe to use everywhere).
@@ -559,26 +540,19 @@ func (p *Proc) ClockOffsetToRank0Ns() int64 {
 	return 0
 }
 
-// TraceEvents snapshots the proc's retained trace events together with the
-// clock anchors a cross-rank merger needs (tracer start instant, offset to
-// rank 0) — the payload of one trace shard. Safe without a tracer: the
-// result is empty with a zero base.
-func (p *Proc) TraceEvents() telemetry.RankEvents {
-	return telemetry.RankEvents{
-		Rank:           p.rank,
-		Events:         p.tracer.Snapshot(),
-		BaseUnixNs:     p.tracer.StartUnixNano(),
-		ClockToRank0Ns: p.ClockOffsetToRank0Ns(),
-	}
-}
-
 // FlightRecorder returns the proc's flight recorder (nil unless
 // Options.FlightCapacity was set; nil is safe to use everywhere).
 func (p *Proc) FlightRecorder() *flight.Recorder { return p.flight }
 
 // FlightRecord assembles the proc's merged, time-ordered flight record in
-// dump form. Empty (rank only) when the recorder is off.
-func (p *Proc) FlightRecord() flight.RankRecord { return p.flight.RankRecord(p.rank) }
+// dump form, with the clock anchors a cross-rank merger needs (recorder
+// start instant, offset to rank 0) — one rank's trace shard. Empty (rank
+// only) when the recorder is off.
+func (p *Proc) FlightRecord() flight.RankRecord {
+	rec := p.flight.RankRecord(p.rank)
+	rec.ClockToRank0Ns = p.ClockOffsetToRank0Ns()
+	return rec
+}
 
 // LatencyRecorder returns the proc's critical-path attribution recorder
 // (nil unless Options.Latency was set; nil is safe to use everywhere).
@@ -588,65 +562,6 @@ func (p *Proc) LatencyRecorder() *latency.Recorder { return p.lat }
 // plus the tail exemplars with their surrounding flight events. Empty
 // (rank only) when attribution is off.
 func (p *Proc) LatencyDump() latency.RankDump { return p.lat.Dump(p.rank, p.FlightRecord()) }
-
-// QueueSnapshot captures the proc's live runtime introspection snapshot:
-// per-communicator posted/unexpected queue depths, reliability window
-// occupancy, and CRI pool levels. Safe to call at any time from any thread
-// (it takes each communicator's matching lock briefly); works with the
-// flight recorder off.
-func (p *Proc) QueueSnapshot() flight.QueueSnapshot {
-	qs := flight.QueueSnapshot{Rank: p.rank, CapturedNs: time.Now().UnixNano()}
-	p.commMu.RLock()
-	comms := make([]*Comm, 0, len(p.comms))
-	for _, c := range p.comms {
-		comms = append(comms, c)
-	}
-	p.commMu.RUnlock()
-	sort.Slice(comms, func(i, j int) bool { return comms[i].id < comms[j].id })
-	for _, c := range comms {
-		// Self-locking engines (match.Sharded) publish approximate atomic
-		// depth counters; there is no engine-wide lock to freeze them under,
-		// and monitoring must not introduce one. Depths from either path are
-		// monitoring-only — never a synchronization predicate.
-		c.lockMatch(nil)
-		qs.Comms = append(qs.Comms, flight.CommQueues{
-			Comm:        c.id,
-			Posted:      c.engine.PostedLen(),
-			Unexpected:  c.engine.UnexpectedLen(),
-			OOSBuffered: c.engine.OOSBuffered(),
-		})
-		c.unlockMatch()
-	}
-	qs.Windows = p.rel.windowSnapshot()
-	for i := 0; i < p.pool.Len(); i++ {
-		in := p.pool.Get(i)
-		qs.CRIs = append(qs.CRIs, flight.CRILevel{Index: i, Pending: in.Context().Pending()})
-	}
-	return qs
-}
-
-// watchdogSample condenses the proc's state into one detector observation.
-func (p *Proc) watchdogSample() flight.Sample {
-	s := flight.Sample{NowNs: time.Now().UnixNano()}
-	if p.spcs != nil {
-		snap := p.SPCSnapshot()
-		s.CountersValid = true
-		s.Sent = uint64(snap[spc.MessagesSent])
-		s.Received = uint64(snap[spc.MessagesReceived])
-		s.Retransmits = uint64(snap[spc.Retransmits])
-	}
-	qs := p.QueueSnapshot()
-	s.Comms = qs.Comms
-	for _, w := range qs.Windows {
-		s.Unacked += w.Unacked
-	}
-	if stages, e2e, ok := p.lat.StageP99s(); ok {
-		s.LatencyValid = true
-		s.E2EP99Ns = e2e
-		s.StageP99 = stages
-	}
-	return s
-}
 
 // Pool exposes the instance pool (used by the one-sided layer).
 func (p *Proc) Pool() *cri.Pool { return p.pool }
@@ -681,7 +596,7 @@ func (p *Proc) registerComm(c *Comm) {
 
 func (p *Proc) unregisterComm(id uint32) {
 	p.commMu.Lock()
-	if c := p.comms[id]; c != nil && c.spcs != nil {
+	if c := p.comms[id]; c != nil {
 		// Retain the freed communicator's totals so process roll-ups are
 		// monotone across communicator lifetimes.
 		p.retiredSPCs = spc.Merge(p.retiredSPCs, c.spcs.Snapshot())
@@ -756,15 +671,21 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 	if in != nil {
 		criIdx = in.Index()
 	}
-	if pkt.TraceID != 0 {
-		now := time.Now().UnixNano()
-		// Arrival stamp feeds the match-residency histogram at completion.
+	// Arrival at the matching engine: one instant for the recv_deliver
+	// event and, on a traced packet, the one-way latency sample and the stamp
+	// the match-residency histogram and the receive-side stages are measured
+	// from.
+	var now int64
+	if p.flight != nil || pkt.TraceID != 0 && p.timedRecv {
+		now = time.Now().UnixNano()
+	}
+	if pkt.TraceID != 0 && now != 0 {
 		pkt.RecvStamp = now
-		if p.histOneWay != nil && pkt.Stamp != 0 {
+		if pkt.Stamp != 0 {
 			p.histOneWay.ObserveNs(now - p.sendStampLocal(pkt))
 		}
 	}
-	p.tracer.EmitFlowCRI(trace.KindRecvDeliver, pkt.TraceID, criIdx, env.Src, int32(env.Seq))
+	p.flightRing.RecordAt(now-p.flightBase, flight.KindRecvDeliver, env.Comm, env.Src, int32(env.Seq), criIdx, pkt.TraceID)
 	scratch, _ := p.scratchPool.Get().(*completionScratch)
 	if scratch == nil {
 		scratch = &completionScratch{}
@@ -776,36 +697,32 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 	p.histMatch.ObserveSince(h0)
 	clk.End()
 	c.unlockMatch()
-	var matchedNs int64
-	if p.lat != nil && len(scratch.buf) > 0 {
-		matchedNs = time.Now().UnixNano()
-	}
 	for _, comp := range scratch.buf {
 		// A completion produced at delivery matched a posted receive.
-		c.completeRecv(comp, matchedNs, false)
+		c.completeRecv(comp, false)
 	}
 	scratch.buf = scratch.buf[:0]
 	p.scratchPool.Put(scratch)
 }
 
 // measure assembles one completed eager message's critical-path measurement
-// from the packet's stamps. matchedNs is when the matching engine produced
-// the completion; unexpected reports whether it matched via the unexpected
-// queue. Sender-local stage fields that never crossed the wire (real
-// networks) stay Unknown; the transit stage absorbs whatever the engine
-// could not split out, so the stages always sum to at most the end-to-end.
-func (p *Proc) measure(pkt *transport.Packet, tag int32, matchedNs int64, unexpected bool) latency.Measurement {
-	now := time.Now().UnixNano()
-	sendLocal := p.sendStampLocal(pkt)
+// from the packet's stamps. sent is the send post on this proc's clock and
+// now the completion instant, both read once by completeRecv; unexpected
+// reports whether the message matched via the unexpected queue. Sender-local
+// stage fields that never crossed the wire (real networks) stay Unknown; the
+// transit stage absorbs whatever the engine could not split out, so the
+// stages always sum to at most the end-to-end. Match and completion are one
+// instant here, as in the virtual-time twin, so the complete stage is zero.
+func (p *Proc) measure(pkt *transport.Packet, tag int32, sent, now int64, unexpected bool) latency.Measurement {
 	m := latency.Measurement{
 		TraceID:    pkt.TraceID,
 		Origin:     pkt.Origin,
 		Tag:        tag,
 		Unexpected: unexpected,
-		E2ENs:      clampNs(now - sendLocal),
+		E2ENs:      clampNs(now - sent),
 		// Completion anchored on the flight recorder's clock (relative wall
 		// time) so exemplar event windows compare directly against Event.TS.
-		CompletedAtNs: now - p.flight.StartUnixNano(),
+		CompletedAtNs: now - p.flightBase,
 	}
 	for i := range m.StageNs {
 		m.StageNs[i] = latency.Unknown
@@ -819,7 +736,7 @@ func (p *Proc) measure(pkt *transport.Packet, tag int32, matchedNs int64, unexpe
 	}
 	// "Injection complete" is the transit anchor; unknown sender stages fold
 	// into transit rather than vanishing.
-	base := sendLocal
+	base := sent
 	if acq > 0 {
 		base += acq
 	}
@@ -836,24 +753,23 @@ func (p *Proc) measure(pkt *transport.Packet, tag int32, matchedNs int64, unexpe
 		// No arrival stamp (self messages): transit absorbs the delivery wait.
 		m.StageNs[latency.StageTransit] = clampNs(recv - base)
 	}
-	if recv != 0 && matchedNs != 0 {
+	if recv != 0 {
 		ms := latency.StageMatchPosted
 		if unexpected {
 			ms = latency.StageMatchUnexpected
 		}
-		m.StageNs[ms] = clampNs(matchedNs - recv)
+		m.StageNs[ms] = clampNs(now - recv)
 	}
-	if matchedNs != 0 {
-		m.StageNs[latency.StageComplete] = clampNs(now - matchedNs)
-	}
+	m.StageNs[latency.StageComplete] = 0
 	return m
 }
 
-// sendStampLocal maps pkt's send stamp, taken on its origin's clock, onto
-// this proc's clock with the transport's NTP-style estimate (local = peer +
-// offset); unchanged when there is no estimate (in-process worlds).
+// sendStampLocal maps a traced pkt's send stamp, taken on its origin's
+// clock, onto this proc's clock with the transport's NTP-style estimate
+// (local = peer + offset); unchanged when there is no estimate (in-process
+// worlds) or no origin to look up (untraced packets carry none).
 func (p *Proc) sendStampLocal(pkt *transport.Packet) int64 {
-	if p.clock != nil {
+	if p.clock != nil && pkt.TraceID != 0 {
 		if off, ok := p.clock.PeerClockOffsetNs(int(pkt.Origin)); ok {
 			return pkt.Stamp + off
 		}

@@ -64,11 +64,10 @@ type Instance struct {
 	// lockWait records blocking instance-lock acquisitions; nil when
 	// latency telemetry is disabled.
 	lockWait *telemetry.Histogram
-	// flightRing receives lock-wait flight events when a contended
-	// acquisition blocks for at least flightWaitNs; nil when the flight
+	// flightRing receives a lock-wait event when a contended acquisition
+	// blocks for at least flight.LockWaitThreshold; nil when the flight
 	// recorder is off.
-	flightRing   *flight.Ring
-	flightWaitNs int64
+	flightRing *flight.Ring
 	// pollFn is the handler handed to the transport context, bound once at
 	// construction so a progress pass allocates nothing; pollClk/pollHandler
 	// are the current pass's arguments, valid only under the instance lock.
@@ -91,17 +90,9 @@ func NewInstance(index int, ctx transport.Context, spcs *spc.Set) *Instance {
 // Call during setup, before the instance is shared between threads.
 func (in *Instance) SetLockWaitHistogram(h *telemetry.Histogram) { in.lockWait = h }
 
-// BindFlight attaches a flight-recorder ring that receives a lock-wait
-// event whenever a contended acquisition blocks for at least threshold
-// (0 = flight.DefaultLockWaitThreshold). Call during setup; a nil ring
-// leaves the hook at one branch.
-func (in *Instance) BindFlight(r *flight.Ring, threshold time.Duration) {
-	if threshold <= 0 {
-		threshold = flight.DefaultLockWaitThreshold
-	}
-	in.flightRing = r
-	in.flightWaitNs = int64(threshold)
-}
+// BindFlight attaches the flight-recorder ring that receives lock-wait
+// events. Call during setup; a nil ring leaves the hook at one branch.
+func (in *Instance) BindFlight(r *flight.Ring) { in.flightRing = r }
 
 // BindProfSite attaches the contention profiler's per-site statistics to
 // the instance lock. Call during setup only; a nil site leaves the lock
@@ -129,29 +120,29 @@ func (in *Instance) Endpoint(rank int) transport.Endpoint {
 }
 
 // Lock acquires the instance lock, recording contention in the instance's
-// SPC set (send_lock_waits), the lock-wait histogram, and the profiler site
-// when the fast-path try-lock fails. All records are nil-safe single
-// branches when disabled.
+// SPC set (send_lock_waits), the lock-wait histogram, the flight record and
+// the profiler site when the fast-path try-lock fails. All records are
+// nil-safe single branches when disabled.
 func (in *Instance) Lock() { in.LockClocked(nil) }
 
 // LockClocked is Lock, additionally charging any contended wait to a
-// lock-wait phase section on the calling thread's clock (nil-safe).
+// lock-wait phase section on the calling thread's clock (nil-safe). The
+// wait is timed once for the histogram and the flight event together.
 func (in *Instance) LockClocked(clk *prof.ThreadClock) {
 	if in.mu.TryLockQuiet() {
 		return
 	}
 	in.spcs.Inc(spc.SendLockWaits)
-	t0 := in.lockWait.Start()
-	var f0 time.Time
-	if in.flightRing != nil {
-		f0 = time.Now()
+	if in.lockWait == nil && in.flightRing == nil {
+		in.mu.LockClocked(clk)
+		return
 	}
+	t0 := time.Now()
 	in.mu.LockClocked(clk)
-	in.lockWait.ObserveSince(t0)
-	if in.flightRing != nil {
-		if w := time.Since(f0).Nanoseconds(); w >= in.flightWaitNs {
-			in.flightRing.Record(flight.KindLockWait, 0, int32(in.index), int32(w/int64(time.Microsecond)))
-		}
+	w := time.Since(t0)
+	in.lockWait.Observe(w)
+	if w >= flight.LockWaitThreshold {
+		in.flightRing.Record(flight.KindLockWait, 0, int32(in.index), int32(w/time.Microsecond))
 	}
 }
 

@@ -1,16 +1,18 @@
-// Package flight is the runtime's black-box flight recorder: fixed-size
-// per-thread ring buffers of compact binary events (send/recv posted, match
-// hit/miss, unexpected enqueue/dequeue, retransmit, ack, progress pass,
-// lock-wait over threshold) that retain the last moments of message-path
-// history for post-mortem triage — the record a stall watchdog or crash
-// handler dumps when aggregate counters can only say "rate dropped".
+// Package flight is the runtime's one message-lifecycle event record:
+// fixed-size per-thread ring buffers of compact binary events (send posted
+// and injected, delivery, match hit/miss/complete, unexpected
+// enqueue/dequeue, rendezvous, one-sided put/flush, retransmit, ack,
+// progress pass, lock-wait over threshold) that retain the last moments of
+// message-path history. The stall watchdog and crash handler dump it, the
+// latency layer attaches it to tail exemplars, and the Chrome-trace exporter
+// renders it as a timeline with cross-rank flow arrows.
 //
-// Recording is lock-free and race-detector clean: each ring slot is four
+// Recording is lock-free and race-detector clean: each ring slot is five
 // atomic words claimed with one atomic add and validated by readers with a
 // per-slot seqlock (the sequence word is published last; a snapshot re-reads
 // it and discards torn slots). An enabled hook costs one atomic add plus
-// four atomic stores — tens of nanoseconds; a disabled hook is one nil
-// check, the same discipline as the spc/telemetry/trace layers.
+// six atomic stores — tens of nanoseconds; a disabled hook is one nil
+// check, the same discipline as the spc/telemetry layers.
 //
 // The recorder's clock is pluggable: wall time by default, virtual time
 // under the simulator (internal/simnet), which is what makes watchdog
@@ -61,9 +63,30 @@ const (
 	KindAckRecv
 	// KindProgress: one productive progress pass. A0 = events handled.
 	KindProgress
-	// KindLockWait: a contended lock acquisition waited at least the bound
-	// threshold. A0 = instance index, A1 = wait in microseconds.
+	// KindLockWait: a contended lock acquisition waited at least
+	// LockWaitThreshold. A0 = instance index, A1 = wait in microseconds.
 	KindLockWait
+	// KindSendInject: a user eager message holds its CRI and is about to be
+	// written to the wire. A0 = destination rank, A1 = sequence number; CRI
+	// and Flow set.
+	KindSendInject
+	// KindRecvDeliver: an inbound packet reached the matching engine.
+	// A0 = source rank, A1 = sequence number; CRI and Flow set.
+	KindRecvDeliver
+	// KindMatchComplete: a receive matched and completed. A0 = source,
+	// A1 = tag; Flow set.
+	KindMatchComplete
+	// KindRendezvousStart: an RTS matched and the sink was registered.
+	// A0 = source, A1 = total length.
+	KindRendezvousStart
+	// KindRendezvousDone: a rendezvous receive finished. A0 = source,
+	// A1 = bytes landed.
+	KindRendezvousDone
+	// KindPutIssue: a one-sided put was issued. A0 = target, A1 = length;
+	// CRI set.
+	KindPutIssue
+	// KindFlush: a window flush completed. A0 = target.
+	KindFlush
 )
 
 var kindNames = [...]string{
@@ -78,6 +101,14 @@ var kindNames = [...]string{
 	KindAckRecv:    "ack_recv",
 	KindProgress:   "progress",
 	KindLockWait:   "lock_wait",
+
+	KindSendInject:      "send_inject",
+	KindRecvDeliver:     "recv_deliver",
+	KindMatchComplete:   "match_complete",
+	KindRendezvousStart: "rendezvous_start",
+	KindRendezvousDone:  "rendezvous_done",
+	KindPutIssue:        "put_issue",
+	KindFlush:           "flush",
 }
 
 // String names the kind.
@@ -92,9 +123,25 @@ func (k Kind) String() string {
 // ring.
 func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 
-// DefaultLockWaitThreshold is the minimum contended lock wait recorded as a
-// KindLockWait event when the binding layer does not choose its own bound.
-const DefaultLockWaitThreshold = 10 * time.Microsecond
+// UnmarshalJSON parses a kind name back (trace shards are read by
+// cmd/tracemerge).
+func (k *Kind) UnmarshalJSON(b []byte) error {
+	var name string
+	if err := json.Unmarshal(b, &name); err != nil {
+		return err
+	}
+	for i, n := range kindNames {
+		if n == name && n != "" {
+			*k = Kind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("flight: unknown event kind %q", name)
+}
+
+// LockWaitThreshold is the minimum contended instance-lock wait recorded as
+// a KindLockWait event.
+const LockWaitThreshold = 10 * time.Microsecond
 
 // Event is one decoded flight record. TS is nanoseconds on the recorder's
 // clock (relative wall time, or virtual time under the simulator); Seq is
@@ -107,18 +154,35 @@ type Event struct {
 	Comm uint32 `json:"comm,omitempty"`
 	A0   int32  `json:"a0"`
 	A1   int32  `json:"a1"`
+	// Inst is the CRI instance the event is attributed to, counted from 1 so
+	// the zero value means "no instance affinity" and drops out of dumps (it
+	// is also the event's Chrome-trace row). CRI gives the 0-based index.
+	Inst uint16 `json:"inst,omitempty"`
+	// Flow is the message-lifecycle trace id linking this event to the same
+	// message's events on other ranks (0 = not part of a traced flow).
+	Flow uint64 `json:"flow,omitempty"`
 }
 
+// CRI returns the index of the instance the event is attributed to, or -1.
+func (e Event) CRI() int { return int(e.Inst) - 1 }
+
 func (e Event) String() string {
-	return fmt.Sprintf("%10dns #%06d %-11s comm=%-3d a0=%-6d a1=%d", e.TS, e.Seq, e.Kind, e.Comm, e.A0, e.A1)
+	s := fmt.Sprintf("%10dns #%06d %-16s comm=%-3d a0=%-6d a1=%d", e.TS, e.Seq, e.Kind, e.Comm, e.A0, e.A1)
+	if e.Inst != 0 {
+		s += fmt.Sprintf(" cri=%d", e.CRI())
+	}
+	if e.Flow != 0 {
+		s += fmt.Sprintf(" flow=%#x", e.Flow)
+	}
+	return s
 }
 
 // wordsPerSlot is the packed size of one event: sequence (the seqlock
-// word, published last), timestamp, kind|comm|a0, a1.
-const wordsPerSlot = 4
+// word, published last), timestamp, kind|comm|a0, inst|a1, flow.
+const wordsPerSlot = 5
 
 // Ring is one fixed-size event ring. Writers are lock-free (one atomic add
-// claims a slot, four atomic stores fill it); a nil *Ring ignores every
+// claims a slot, six atomic stores fill it); a nil *Ring ignores every
 // record at the cost of one branch, so hooks need no enabled checks.
 //
 // Rings are single-writer in the runtime's usual binding (one per thread,
@@ -135,19 +199,34 @@ type Ring struct {
 	words []atomic.Uint64
 }
 
-// Record appends one event stamped with the recorder's clock. Nil-safe.
+// Now reads the recorder's clock (0 on a nil ring), for RecordAt callers
+// with no clock read of their own to share.
+func (r *Ring) Now() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.rec.now()
+}
+
+// Record appends one event with no instance or flow attribution, stamped
+// with the recorder's clock. Nil-safe.
 func (r *Ring) Record(k Kind, comm uint32, a0, a1 int32) {
 	if r == nil {
 		return
 	}
-	r.RecordAt(r.rec.now(), k, comm, a0, a1)
+	r.RecordAt(r.rec.now(), k, comm, a0, a1, -1, 0)
 }
 
-// RecordAt appends one event with an explicit timestamp (the simulator
-// stamps virtual time directly). Nil-safe.
-func (r *Ring) RecordAt(ts int64, k Kind, comm uint32, a0, a1 int32) {
+// RecordAt appends one event in full: an explicit timestamp on the
+// recorder's clock (the caller's one clock read for the step, or the
+// simulator's virtual time), the CRI index it is attributed to (negative =
+// none) and its flow id (0 = none). Nil-safe.
+func (r *Ring) RecordAt(ts int64, k Kind, comm uint32, a0, a1 int32, cri int, flow uint64) {
 	if r == nil {
 		return
+	}
+	if cri < 0 || cri >= 1<<16-1 {
+		cri = -1
 	}
 	seq := r.rec.seq.Add(1)
 	base := ((r.pos.Add(1) - 1) & r.mask) * wordsPerSlot
@@ -157,7 +236,8 @@ func (r *Ring) RecordAt(ts int64, k Kind, comm uint32, a0, a1 int32) {
 	r.words[base].Store(0)
 	r.words[base+1].Store(uint64(ts))
 	r.words[base+2].Store(uint64(k)<<56 | uint64(comm&0xffffff)<<32 | uint64(uint32(a0)))
-	r.words[base+3].Store(uint64(uint32(a1)))
+	r.words[base+3].Store(uint64(cri+1)<<32 | uint64(uint32(a1)))
+	r.words[base+4].Store(flow)
 	// Publish last: a reader that sees this sequence also sees the fields,
 	// and re-reads it after the fields to discard torn slots.
 	r.words[base].Store(seq)
@@ -178,6 +258,7 @@ func (r *Ring) Events(out []Event) []Event {
 		ts := r.words[base+1].Load()
 		w2 := r.words[base+2].Load()
 		w3 := r.words[base+3].Load()
+		flow := r.words[base+4].Load()
 		if r.words[base].Load() != s {
 			continue // torn: a writer lapped this slot mid-read
 		}
@@ -189,6 +270,8 @@ func (r *Ring) Events(out []Event) []Event {
 			Comm: uint32(w2>>32) & 0xffffff,
 			A0:   int32(uint32(w2)),
 			A1:   int32(uint32(w3)),
+			Inst: uint16(w3 >> 32),
+			Flow: flow,
 		})
 	}
 	return out
@@ -302,10 +385,15 @@ func (r *Recorder) StartUnixNano() int64 {
 // RankRecord is one rank's merged flight record in dump form: the events in
 // recorder order plus the ring labels Event.Ring indexes into.
 type RankRecord struct {
-	Rank        int      `json:"rank"`
-	StartUnixNs int64    `json:"start_unix_ns,omitempty"`
-	Rings       []string `json:"rings"`
-	Events      []Event  `json:"events"`
+	Rank        int   `json:"rank"`
+	StartUnixNs int64 `json:"start_unix_ns,omitempty"`
+	// ClockToRank0Ns is the estimated correction mapping this rank's clock
+	// onto rank 0's (rank0_time = local_time + ClockToRank0Ns), from the
+	// transport's handshake samples; the runtime fills it in. Zero for rank
+	// 0, for in-process worlds and under virtual time.
+	ClockToRank0Ns int64    `json:"clock_to_rank0_ns,omitempty"`
+	Rings          []string `json:"rings"`
+	Events         []Event  `json:"events"`
 }
 
 // RankRecord assembles the dump form for one rank. Nil-safe: a nil recorder
@@ -326,8 +414,9 @@ func (r *Recorder) RankRecord(rank int) RankRecord {
 	return rec
 }
 
-// WriteRecords writes rank records as indented JSON (the /debug/flight
-// document and the flight half of the exit dump).
+// WriteRecords writes rank records as indented JSON: the /debug/flight
+// document, which is also the trace shard cmd/tracemerge reads back with
+// ReadRecords.
 func WriteRecords(w io.Writer, recs []RankRecord) error {
 	if recs == nil {
 		recs = []RankRecord{}
@@ -335,4 +424,13 @@ func WriteRecords(w io.Writer, recs []RankRecord) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(recs)
+}
+
+// ReadRecords parses a document written by WriteRecords.
+func ReadRecords(r io.Reader) ([]RankRecord, error) {
+	var recs []RankRecord
+	if err := json.NewDecoder(r).Decode(&recs); err != nil {
+		return nil, fmt.Errorf("flight: parse rank records: %w", err)
+	}
+	return recs, nil
 }

@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +13,7 @@ import (
 func TestNilSafety(t *testing.T) {
 	var r *Ring
 	r.Record(KindSendPost, 1, 2, 3)
-	r.RecordAt(10, KindProgress, 0, 4, 0)
+	r.RecordAt(r.Now(), KindProgress, 0, 4, 0, 2, 9)
 	if got := r.Events(nil); got != nil {
 		t.Fatalf("nil ring events = %v", got)
 	}
@@ -71,7 +72,7 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	rec := NewRecorder(8) // rounds to 8 slots
 	r := rec.NewRing("w")
 	for i := 0; i < 20; i++ {
-		r.RecordAt(int64(i), KindProgress, 0, int32(i), 0)
+		r.RecordAt(int64(i), KindProgress, 0, int32(i), 0, -1, 0)
 	}
 	ev := rec.Merged()
 	if len(ev) != 8 {
@@ -87,7 +88,7 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 func TestNegativeArgsRoundTrip(t *testing.T) {
 	rec := NewRecorder(4)
 	r := rec.NewRing("n")
-	r.RecordAt(1, KindRecvPost, 0xffffff, -1, -2)
+	r.RecordAt(1, KindRecvPost, 0xffffff, -1, -2, -1, 0)
 	ev := rec.Merged()
 	if len(ev) != 1 || ev[0].A0 != -1 || ev[0].A1 != -2 || ev[0].Comm != 0xffffff {
 		t.Fatalf("negative args mangled: %+v", ev)
@@ -133,6 +134,76 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 	reader.Wait()
 	if n := len(rec.Merged()); n == 0 || n > 64 {
 		t.Fatalf("retained %d events, want 1..64", n)
+	}
+}
+
+// The instance and flow attribution must survive the packed slot, and an
+// event without them must look exactly as it did before they existed: the
+// virtual-time stall dump is compared byte for byte.
+func TestAttributionRoundTripAndOmission(t *testing.T) {
+	rec := NewRecorder(4)
+	rec.SetClock(func() int64 { return 3 })
+	r := rec.NewRing("a")
+	r.RecordAt(7, KindSendInject, 2, 1, 5, 0, 0xfeedface12345678)
+	r.RecordAt(8, KindRecvDeliver, 2, 0, 5, 65534, 1)
+	r.RecordAt(9, KindProgress, 0, 4, 0, 1<<20, 0) // out of range: unattributed
+	r.Record(KindMatchHit, 2, 0, 1)
+	ev := rec.Merged()
+	if len(ev) != 4 {
+		t.Fatalf("merged %d events, want 4", len(ev))
+	}
+	if ev[0].CRI() != 0 || ev[0].Inst != 1 || ev[0].Flow != 0xfeedface12345678 || ev[0].A1 != 5 || ev[0].TS != 7 {
+		t.Fatalf("attributed event mangled: %+v", ev[0])
+	}
+	if ev[1].CRI() != 65534 || ev[1].Flow != 1 {
+		t.Fatalf("largest instance index mangled: %+v", ev[1])
+	}
+	if ev[2].CRI() != -1 || ev[3].CRI() != -1 || ev[3].Flow != 0 || ev[3].TS != 3 {
+		t.Fatalf("unattributed events: %+v %+v", ev[2], ev[3])
+	}
+	plain, err := json.Marshal(ev[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"ts_ns":3,"seq":4,"kind":"match_hit","ring":0,"comm":2,"a0":0,"a1":1}`; string(plain) != want {
+		t.Fatalf("unattributed event JSON = %s, want %s", plain, want)
+	}
+	full, _ := json.Marshal(ev[0])
+	if !strings.Contains(string(full), `"inst":1`) || !strings.Contains(string(full), `"flow":18369614218089748088`) {
+		t.Fatalf("attributed event JSON = %s", full)
+	}
+	if s := ev[0].String(); !strings.Contains(s, "send_inject") || !strings.Contains(s, "cri=0") || !strings.Contains(s, "flow=0xfeedface12345678") {
+		t.Fatalf("event text = %q", s)
+	}
+}
+
+// A record written by WriteRecords is the trace shard: reading it back must
+// reproduce it, kinds by name and clock anchors included.
+func TestRecordsRoundTrip(t *testing.T) {
+	rec := NewRecorder(4)
+	r := rec.NewRing("t0")
+	r.RecordAt(10, KindSendInject, 1, 1, 7, 2, 0xabc)
+	r.RecordAt(20, KindProgress, 0, 4, 0, -1, 0)
+	want := rec.RankRecord(3)
+	want.ClockToRank0Ns = -250
+	var buf bytes.Buffer
+	if err := WriteRecords(&buf, []RankRecord{want}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadRecords(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+	}
+	if want.StartUnixNs == 0 {
+		t.Fatal("a wall-clock recorder must carry its start anchor")
+	}
+	for _, bad := range []string{`{`, `[{"rank":0,"rings":[],"events":[{"kind":"no_such_kind"}]}]`, `[{"events":[{"kind":7}]}]`} {
+		if _, err := ReadRecords(strings.NewReader(bad)); err == nil {
+			t.Fatalf("ReadRecords accepted %s", bad)
+		}
 	}
 }
 

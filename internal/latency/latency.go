@@ -316,9 +316,17 @@ type RankDump struct {
 // flight events are still attached.
 const exemplarSlackNs = int64(1000)
 
+// exemplarMaxEvents bounds the flight events attached to one exemplar to
+// the ones nearest its completion: a message that queued behind a deep
+// window has tens of thousands of events inside its lifetime, and the
+// recorder runs whenever a trace output is requested, so an unbounded
+// attachment turns /debug/latency into tens of megabytes.
+const exemplarMaxEvents = 256
+
 // Dump assembles the rank's dump, attaching to each exemplar the flight
 // events that fall inside its lifetime window [completion − e2e − slack,
-// completion + slack] on the flight recorder's clock. Pass the rank's
+// completion + slack] on the flight recorder's clock (the last
+// exemplarMaxEvents of them). Pass the rank's
 // flight.RankRecord (the zero value when the recorder is off). Nil-safe.
 func (r *Recorder) Dump(rank int, rec flight.RankRecord) RankDump {
 	d := RankDump{Rank: rank, Stages: []StageSummary{}, Exemplars: []Exemplar{}}
@@ -366,6 +374,9 @@ func (r *Recorder) Dump(rank int, rec flight.RankRecord) RankDump {
 			if ev.TS >= lo && ev.TS <= hi {
 				ex.Events = append(ex.Events, ev)
 			}
+		}
+		if n := len(ex.Events); n > exemplarMaxEvents {
+			ex.Events = append([]flight.Event(nil), ex.Events[n-exemplarMaxEvents:]...)
 		}
 		d.Exemplars = append(d.Exemplars, ex)
 	}

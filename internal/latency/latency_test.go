@@ -157,6 +157,16 @@ func TestDumpEventWindowing(t *testing.T) {
 	if d.Exemplars[0].Stages[StageCRIAcquire].Ns != Unknown {
 		t.Fatal("unknown stage not preserved as -1")
 	}
+
+	// A crowded lifetime keeps only the events nearest the completion.
+	var crowded flight.RankRecord
+	for i := 0; i < exemplarMaxEvents+40; i++ {
+		crowded.Events = append(crowded.Events, flight.Event{TS: 4100, Seq: uint64(i + 1)})
+	}
+	got = r.Dump(0, crowded).Exemplars[0].Events
+	if len(got) != exemplarMaxEvents || got[0].Seq != 41 || got[len(got)-1].Seq != exemplarMaxEvents+40 {
+		t.Fatalf("crowded window kept %d events, seq %d..%d", len(got), got[0].Seq, got[len(got)-1].Seq)
+	}
 }
 
 // TestWriteDumpsNilIsEmptyArray: a nil dump set renders as [] not null, so

@@ -4,7 +4,7 @@
 //
 //	/metrics       Prometheus text format (SPC attribution + histograms)
 //	/spc           human-readable counter attribution dump
-//	/trace         Chrome trace-event JSON snapshot of the retained events
+//	/trace         Chrome trace-event JSON rendering of the flight record
 //	/healthz       liveness probe (the process is up and serving)
 //	/readyz        readiness probe (the world is constructed and connected)
 //	/debug/queues  runtime introspection: posted/unexpected depths, windows
@@ -18,6 +18,7 @@
 package obs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -62,14 +63,12 @@ func EnableContentionProfiling(mutexFraction, blockRateNs int) (restore func()) 
 type Source struct {
 	// Stats returns the current observability snapshot of every local proc.
 	Stats func() []telemetry.ProcStats
-	// Events returns the current trace shard of every local proc.
-	Events func() []telemetry.RankEvents
 	// Queues returns the runtime introspection snapshot of every local proc
 	// (posted/unexpected depths, reliability windows, CRI levels) — served
 	// at /debug/queues.
 	Queues func() []flight.QueueSnapshot
 	// Flight returns the merged flight-recorder record of every local proc —
-	// served at /debug/flight.
+	// served at /debug/flight and, rendered as a Chrome trace, at /trace.
 	Flight func() []flight.RankRecord
 	// Latency returns the critical-path attribution dump of every local proc
 	// (per-stage summaries + tail exemplars) — served at /debug/latency.
@@ -140,12 +139,6 @@ func (h *Holder) Source() Source {
 			}
 			return nil
 		},
-		Events: func() []telemetry.RankEvents {
-			if s := get(); s.Events != nil {
-				return s.Events()
-			}
-			return nil
-		},
 		Queues: func() []flight.QueueSnapshot {
 			if s := get(); s.Queues != nil {
 				return s.Queues()
@@ -177,6 +170,10 @@ func (h *Holder) Source() Source {
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
+	// probed is closed by the first /readyz that answers 200: an observer
+	// has seen this process ready (see CloseAfterProbe).
+	probed    chan struct{}
+	probeOnce sync.Once
 }
 
 // Serve binds addr (e.g. "127.0.0.1:9090", or ":0" for an ephemeral port)
@@ -190,6 +187,7 @@ func Serve(addr string, src Source) (*Server, error) {
 	// relying on net/http's DefaultServeMux side-effect registration, so
 	// nothing else a process imports can leak handlers onto this port.
 	mux := http.NewServeMux()
+	s := &Server{ln: ln, probed: make(chan struct{})}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -204,6 +202,7 @@ func Serve(addr string, src Source) (*Server, error) {
 			}
 		}
 		fmt.Fprintln(w, "ready")
+		s.probeOnce.Do(func() { close(s.probed) })
 	})
 	mux.HandleFunc("/debug/queues", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -256,11 +255,11 @@ func Serve(addr string, src Source) (*Server, error) {
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		var evs []telemetry.RankEvents
-		if src.Events != nil {
-			evs = src.Events()
+		var recs []flight.RankRecord
+		if src.Flight != nil {
+			recs = src.Flight()
 		}
-		_ = telemetry.WriteChromeTraceRanks(w, evs)
+		_ = telemetry.WriteChromeTraceRanks(w, recs, nil)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -268,7 +267,7 @@ func Serve(addr string, src Source) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			_ = err // the listener closed under us at shutdown
@@ -296,3 +295,22 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the server immediately. In-flight requests are cut off —
 // appropriate for benchmark teardown, where nothing downstream waits.
 func (s *Server) Close() error { return s.srv.Close() }
+
+// CloseAfterProbe is the exit path of a process that served the endpoint
+// for an observer: it keeps serving until some /readyz has answered 200 —
+// so a run shorter than the observer's poll interval is still seen, and
+// everything the observer fetched before that probe was served live — then
+// lets requests in flight finish and closes. With no probe within grace,
+// nobody is watching and it closes anyway.
+func (s *Server) CloseAfterProbe(grace time.Duration) error {
+	select {
+	case <-s.probed:
+	case <-time.After(grace):
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := s.srv.Shutdown(ctx); err != nil {
+		return s.srv.Close()
+	}
+	return nil
+}

@@ -6,11 +6,11 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/flight"
 	"repro/internal/spc"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func get(t *testing.T, url string) (string, string) {
@@ -37,9 +37,9 @@ func TestServerEndpoints(t *testing.T) {
 	stats.Process = stats.MergeChildren()
 	src := Source{
 		Stats: func() []telemetry.ProcStats { return []telemetry.ProcStats{stats} },
-		Events: func() []telemetry.RankEvents {
-			return []telemetry.RankEvents{{Rank: 0, Events: []trace.Event{
-				{TS: 100, Seq: 1, Kind: trace.KindSendInject, CRI: 0, Arg0: 1},
+		Flight: func() []flight.RankRecord {
+			return []flight.RankRecord{{Rank: 0, Events: []flight.Event{
+				{TS: 100, Seq: 1, Kind: flight.KindSendInject, Inst: 1, A0: 1},
 			}}}
 		},
 		Info: map[string]string{"transport": "sim", "design": "stock"},
@@ -173,5 +173,55 @@ func TestUptimeRankLabel(t *testing.T) {
 	metrics, _ := get(t, "http://"+s.Addr()+"/metrics")
 	if !strings.Contains(metrics, `mpi_uptime_seconds{rank="3"} `) {
 		t.Fatalf("/metrics uptime not rank-labeled:\n%s", metrics)
+	}
+}
+
+// A finished run keeps its endpoint up until an observer has seen /readyz
+// answer 200 — a 503 does not count — and gives up after the grace period
+// when nobody probes.
+func TestCloseAfterProbe(t *testing.T) {
+	h := NewHolder(nil, "starting")
+	s, err := Serve("127.0.0.1:0", h.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + s.Addr()
+	closed := make(chan error, 1)
+	go func() { closed <- s.CloseAfterProbe(time.Minute) }()
+
+	resp, err := http.Get(base + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("probe before SetReady answered %d", resp.StatusCode)
+	}
+	if body, _ := get(t, base+"/healthz"); body != "ok\n" {
+		t.Fatalf("endpoint closed before any ready probe: healthz = %q", body)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("closed (%v) with no ready probe served", err)
+	default:
+	}
+	h.SetReady()
+	if body, _ := get(t, base+"/readyz"); body != "ready\n" {
+		t.Fatalf("readyz = %q", body)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := http.Get(base + "/healthz"); err == nil {
+		t.Fatal("endpoint still serving after the probe released it")
+	}
+
+	// Nobody watching: the grace period bounds the wait.
+	s2, err := Serve("127.0.0.1:0", Source{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.CloseAfterProbe(time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"sync"
 	"syscall"
 
@@ -30,9 +28,8 @@ type Outputs struct {
 	TracePath string
 	// SamplesPath receives the background sampler time series as CSV.
 	SamplesPath string
-	// ShardPath receives one raw trace-shard JSON per local rank (input to
-	// cmd/tracemerge). With more than one local rank, "-rank<N>" is
-	// inserted before the path's extension.
+	// ShardPath receives the local ranks' flight records with their clock
+	// anchors — the /debug/flight document, input to cmd/tracemerge.
 	ShardPath string
 	// FlightPath receives the flight-record exit dump: every local rank's
 	// merged flight-recorder ring plus the final queue-introspection
@@ -109,49 +106,42 @@ func (o *Outputs) flush() error {
 		}
 	}
 
-	var events []telemetry.RankEvents
-	if src.Events != nil && (o.TracePath != "" || o.ShardPath != "") {
-		events = src.Events()
-	}
-	if smp != nil && o.TracePath != "" {
-		// Fold the sampler's profiler series into the trace as a counter
-		// track on the sampled rank's pid group.
-		smp.Stop()
-		if pts := telemetry.PhasePointsFromSamples(smp.Samples()); len(pts) > 0 {
-			for i := range events {
-				if events[i].Rank == o.ProfRank {
-					events[i].Phases = pts
-				}
-			}
-		}
+	// One flight snapshot feeds the Chrome trace, the trace shard and the
+	// exit dump.
+	var records []flight.RankRecord
+	if src.Flight != nil && (o.TracePath != "" || o.ShardPath != "" || o.FlightPath != "") {
+		records = src.Flight()
 	}
 	if o.TracePath != "" {
+		var phases map[int][]telemetry.PhasePoint
+		if smp != nil {
+			// Fold the sampler's profiler series into the trace as a counter
+			// track on the sampled rank's pid group.
+			smp.Stop()
+			if pts := telemetry.PhasePointsFromSamples(smp.Samples()); len(pts) > 0 {
+				phases = map[int][]telemetry.PhasePoint{o.ProfRank: pts}
+			}
+		}
 		err := writeFile(o.TracePath, func(w io.Writer) error {
-			return telemetry.WriteChromeTraceRanks(w, events)
+			return telemetry.WriteChromeTraceRanks(w, records, phases)
 		})
 		if err != nil {
 			return err
 		}
 	}
 	if o.ShardPath != "" {
-		for _, re := range events {
-			re := re
-			err := writeFile(ShardPathForRank(o.ShardPath, re.Rank, len(events) > 1), func(w io.Writer) error {
-				return telemetry.WriteTraceShard(w, re)
-			})
-			if err != nil {
-				return err
-			}
+		err := writeFile(o.ShardPath, func(w io.Writer) error {
+			return flight.WriteRecords(w, records)
+		})
+		if err != nil {
+			return err
 		}
 	}
 
 	if o.FlightPath != "" {
-		var dump flight.ExitDump
+		dump := flight.ExitDump{Flight: records}
 		if src.Queues != nil {
 			dump.Queues = src.Queues()
-		}
-		if src.Flight != nil {
-			dump.Flight = src.Flight()
 		}
 		err := writeFile(o.FlightPath, func(w io.Writer) error {
 			return flight.WriteExitDump(w, dump)
@@ -184,17 +174,6 @@ func (o *Outputs) flush() error {
 		}
 	}
 	return nil
-}
-
-// ShardPathForRank names one rank's shard file: the path itself when the
-// process hosts a single rank, otherwise "-rank<N>" inserted before the
-// extension (trace.json -> trace-rank1.json).
-func ShardPathForRank(path string, rank int, multi bool) string {
-	if !multi {
-		return path
-	}
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s-rank%d%s", strings.TrimSuffix(path, ext), rank, ext)
 }
 
 // FlushOnSignal installs a SIGINT/SIGTERM handler that flushes the outputs

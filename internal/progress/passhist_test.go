@@ -20,7 +20,7 @@ func TestSerialPassHistExcludesTryLockLosers(t *testing.T) {
 	s := spc.NewSet()
 	hist := telemetry.NewHistogram()
 	e := New(Serial, h.pool, func(*prof.ThreadClock, *cri.Instance, transport.CQE) {}, s)
-	e.SetObservers(nil, hist)
+	e.SetPassHistogram(hist)
 
 	const (
 		threads = 4

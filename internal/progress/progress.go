@@ -18,7 +18,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/spc"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Mode selects the progress design.
@@ -59,10 +58,6 @@ type Engine struct {
 	serialMu prof.TryMutex
 	// batch bounds how many events one Poll handles per instance visit.
 	batch int
-	// tracer, when attached, receives one KindProgress event per
-	// productive pass (Arg0 = events handled), attributed to the calling
-	// thread's dedicated instance when it has one.
-	tracer *trace.Tracer
 	// passHist, when attached, records the duration of every pass.
 	passHist *telemetry.Histogram
 }
@@ -75,12 +70,9 @@ func New(mode Mode, pool *cri.Pool, dispatch Dispatch, spcs *spc.Set) *Engine {
 	return &Engine{mode: mode, pool: pool, dispatch: dispatch, spcs: spcs, batch: 64}
 }
 
-// SetObservers attaches the event tracer and pass-duration histogram.
-// Either may be nil; call during setup, before threads enter the engine.
-func (e *Engine) SetObservers(tr *trace.Tracer, passHist *telemetry.Histogram) {
-	e.tracer = tr
-	e.passHist = passHist
-}
+// SetPassHistogram attaches the pass-duration histogram. Call during setup,
+// before threads enter the engine.
+func (e *Engine) SetPassHistogram(h *telemetry.Histogram) { e.passHist = h }
 
 // BindProfSite attaches the contention profiler's statistics to the serial
 // progress lock. Call during setup, before threads enter the engine.
@@ -117,10 +109,10 @@ func (e *Engine) Progress(ts *cri.ThreadState) int {
 	}
 	if count > 0 {
 		// Productive passes only: an idle spin loop would flush the ring
-		// of every interesting event within milliseconds. The flight
-		// recorder keeps the same discipline for the same reason.
-		e.tracer.EmitCRI(trace.KindProgress, ts.Dedicated(), int32(count), 0)
-		ts.Flight().Record(flight.KindProgress, 0, int32(count), 0)
+		// of every interesting event within milliseconds. The event sits on
+		// the row of the calling thread's dedicated instance when it has one.
+		ring := ts.Flight()
+		ring.RecordAt(ring.Now(), flight.KindProgress, 0, int32(count), 0, ts.Dedicated(), 0)
 	}
 	return count
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/backends"
 	"repro/internal/cri"
+	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/prof"
 	"repro/internal/spc"
@@ -274,6 +275,31 @@ func TestConcurrentProgressParallelStress(t *testing.T) {
 	for seq, n := range seen {
 		if n != 1 {
 			t.Fatalf("event %d dispatched %d times", seq, n)
+		}
+	}
+}
+
+// One productive pass writes exactly one progress event, on the row of the
+// calling thread's dedicated instance; an idle pass writes none.
+func TestProductivePassRecordsOneEvent(t *testing.T) {
+	for _, mode := range []Mode{Serial, Concurrent} {
+		h := newHarness(t, 2)
+		e := New(mode, h.pool, func(*prof.ThreadClock, *cri.Instance, transport.CQE) {}, nil)
+		rec := flight.NewRecorder(16)
+		ts := cri.NewThreadState(1)
+		ts.SetFlight(rec.NewRing("t0"))
+
+		if n := e.Progress(&ts); n != 0 || len(rec.Merged()) != 0 {
+			t.Fatalf("%v: idle pass handled %d events and recorded %v", mode, n, rec.Merged())
+		}
+		h.inject(1, 0)
+		h.inject(1, 1)
+		if n := e.Progress(&ts); n != 2 {
+			t.Fatalf("%v: pass handled %d events, want 2", mode, n)
+		}
+		ev := rec.Merged()
+		if len(ev) != 1 || ev[0].Kind != flight.KindProgress || ev[0].A0 != 2 || ev[0].CRI() != 1 {
+			t.Fatalf("%v: one productive pass recorded %+v, want one progress event a0=2 cri=1", mode, ev)
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/prof"
 	"repro/internal/spc"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -215,7 +215,8 @@ func (w *Win) Put(th *core.Thread, target, offset int, src []byte) error {
 	})
 	if err == nil {
 		w.comm.SPCs().Inc(spc.PutsIssued)
-		w.comm.Proc().Tracer().EmitCRI(trace.KindPutIssue, cri, int32(target), int32(len(src)))
+		ring := th.State().Flight()
+		ring.RecordAt(ring.Now(), flight.KindPutIssue, w.comm.ID(), int32(target), int32(len(src)), cri, 0)
 	}
 	return err
 }
@@ -257,7 +258,7 @@ func (w *Win) Flush(th *core.Thread, target int) error {
 			yield()
 		}
 	}
-	w.comm.Proc().Tracer().Emit(trace.KindFlush, int32(target), 0)
+	th.State().Flight().Record(flight.KindFlush, w.comm.ID(), int32(target), 0)
 	return nil
 }
 

@@ -144,9 +144,6 @@ type Config struct {
 	// latency-enabled run reproduces the latency-off makespan exactly and the
 	// dumps are byte-reproducible. Thread mode only; process mode ignores it.
 	Latency bool
-	// LatencyExemplars bounds the tail-exemplar reservoir
-	// (0 = latency.DefaultExemplars). Latency mode only.
-	LatencyExemplars int
 	// Watchdog, when non-nil, runs the virtual-time stall watchdog with
 	// this detector configuration on every proc; verdict dumps land in
 	// Result.Dumps in deterministic order.
@@ -409,7 +406,7 @@ func newSimProc(env *sim.Env, cfg Config, wire *sim.Wire, instances int) *simPro
 		p.bigLock = cfg.newLock(env, "biglock")
 	}
 	if cfg.Latency {
-		p.lat = latency.NewRecorder(cfg.LatencyExemplars)
+		p.lat = latency.NewRecorder(latency.DefaultExemplars)
 	}
 	if alloc := p.costs.AllocSerialize; alloc > 0 {
 		p.memSerial = sim.NewWire(0, 1e9/float64(alloc.Nanoseconds()))
@@ -647,7 +644,7 @@ func (t *simThread) faultFate(sp *sim.Proc) (delay time.Duration, copies int) {
 		}
 		p.spcs.Inc(spc.FaultPacketsDropped)
 		p.spcs.Inc(spc.Retransmits)
-		t.fring.RecordAt(sp.Now(), flight.KindRetransmit, 0, int32(attempt+1), int32(rto/time.Microsecond))
+		t.fring.RecordAt(sp.Now(), flight.KindRetransmit, 0, int32(attempt+1), int32(rto/time.Microsecond), -1, 0)
 		delay += rto
 		rto *= 2
 	}
@@ -707,7 +704,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	// Request allocation serializes on process-wide memory management.
 	p.memSerial.Reserve(sp, 0)
 	seq := c.seq.Next(dstRank)
-	t.fring.RecordAt(sp.Now(), flight.KindSendPost, c.id, dstRank, int32(seq))
+	t.fring.RecordAt(sp.Now(), flight.KindSendPost, c.id, dstRank, int32(seq), -1, 0)
 	// Between sequence assignment and the doorbell lies the descriptor
 	// build, whose latency varies with cache/allocator state. This window
 	// is where concurrent threads overtake each other and inject out of
@@ -755,8 +752,8 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 		t.clk.begin(sp, prof.PhaseLockWait)
 		instWait := inst.lock.Acquire(sp)
 		t.clk.end(sp)
-		if instWait >= flight.DefaultLockWaitThreshold {
-			t.fring.RecordAt(sp.Now(), flight.KindLockWait, 0, int32(inst.index), int32(instWait/time.Microsecond))
+		if instWait >= flight.LockWaitThreshold {
+			t.fring.RecordAt(sp.Now(), flight.KindLockWait, 0, int32(inst.index), int32(instWait/time.Microsecond), -1, 0)
 		}
 	}
 	if p.lat != nil {
@@ -852,7 +849,7 @@ func (t *simThread) postRecv(sp *sim.Proc, c *simComm, srcRank, tag int32) {
 func (t *simThread) progress(sp *sim.Proc) int {
 	count := t.progressPass(sp)
 	if count > 0 {
-		t.fring.RecordAt(sp.Now(), flight.KindProgress, 0, int32(count), 0)
+		t.fring.RecordAt(sp.Now(), flight.KindProgress, 0, int32(count), 0, -1, 0)
 	}
 	return count
 }

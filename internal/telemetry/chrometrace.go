@@ -6,8 +6,8 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/flight"
 	"repro/internal/prof"
-	"repro/internal/trace"
 )
 
 // PhasePoint is one instant of a rank's aggregate phase breakdown: the
@@ -38,69 +38,42 @@ func PhasePointsFromSamples(samples []Sample) []PhasePoint {
 	return out
 }
 
-// RankEvents pairs one process's rank with its retained trace events, plus
-// the clock anchors that let a merger place several ranks' relative
-// timestamps on one corrected timeline.
-type RankEvents struct {
-	Rank   int
-	Events []trace.Event
-	// Phases, when non-empty, adds a "phase breakdown" counter track to the
-	// rank's pid group: one "ph":"C" event per point with the per-phase
-	// cumulative nanoseconds as args (Perfetto renders it stacked).
-	Phases []PhasePoint
-	// BaseUnixNs is the wall-clock instant (UnixNano, local clock) the
-	// rank's tracer timestamps are relative to (Tracer.StartUnixNano).
-	// Zero means "no anchor": the rank's events are rendered on their raw
-	// relative timeline, the single-process behavior.
-	BaseUnixNs int64
-	// ClockToRank0Ns is the estimated correction that maps this rank's
-	// clock onto rank 0's (rank0_time = local_time + ClockToRank0Ns),
-	// from the transport's NTP-style handshake samples. Zero for rank 0
-	// itself and for in-process worlds sharing one clock.
-	ClockToRank0Ns int64
-}
-
-// WriteChromeTrace renders one process's retained tracer events as a Chrome
-// trace-event JSON array loadable in chrome://tracing or Perfetto. Each
-// event becomes a complete ("ph":"X") slice on the thread row of the CRI
-// instance it was attributed to (EmitCRI); unattributed events land on the
-// shared row 0. Timestamps are microseconds since tracer creation, per the
-// format spec.
+// WriteChromeTraceRanks renders the ranks' flight records into one Chrome
+// trace-event JSON array loadable in chrome://tracing or Perfetto, one pid
+// group per rank. Each event becomes a complete ("ph":"X") slice on the
+// thread row of the CRI instance it is attributed to (tid = index + 1, named
+// "cri-K"); unattributed events land on the shared row 0.
 //
-// pid groups the process's rows; pass the proc's rank. Metadata records
-// name the rows so the Perfetto timeline reads "cri-K" directly.
-func WriteChromeTrace(w io.Writer, pid int, events []trace.Event) error {
-	return WriteChromeTraceRanks(w, []RankEvents{{Rank: pid, Events: events}})
-}
-
-// WriteChromeTraceRanks renders several processes' traces into one Chrome
-// trace-event JSON file, one pid group per rank (see WriteChromeTrace).
-//
-// When the RankEvents carry clock anchors (BaseUnixNs != 0), every rank's
-// timestamps are corrected onto rank 0's clock and shifted to a common
-// origin, so cross-rank causality reads directly off the merged timeline.
-// Events sharing a non-zero Flow id are additionally linked with Chrome
-// flow arrows ("ph":"s"/"t"/"f") — the send→deliver→match arc of one traced
+// When a record carries clock anchors (StartUnixNs != 0), the rank's
+// timestamps are corrected onto rank 0's clock (ClockToRank0Ns) and shifted
+// to a common origin, so cross-rank causality reads directly off the merged
+// timeline; otherwise they stay microseconds since the recorder started.
+// Events sharing a non-zero Flow id are additionally linked with Chrome flow
+// arrows ("ph":"s"/"t"/"f") — the send→deliver→match arc of one traced
 // message across ranks.
-func WriteChromeTraceRanks(w io.Writer, procs []RankEvents) error {
+//
+// phases, keyed by rank, adds a "phase breakdown" counter track to that
+// rank's pid group: one "ph":"C" event per point with the per-phase
+// cumulative nanoseconds as args (Perfetto renders it stacked).
+func WriteChromeTraceRanks(w io.Writer, procs []flight.RankRecord, phases map[int][]PhasePoint) error {
 	// Common origin: the earliest corrected base across anchored ranks.
 	// Unanchored ranks (base 0) keep their raw relative timeline.
 	var origin int64
 	haveOrigin := false
 	for _, pr := range procs {
-		if pr.BaseUnixNs == 0 {
+		if pr.StartUnixNs == 0 {
 			continue
 		}
-		base := pr.BaseUnixNs + pr.ClockToRank0Ns
+		base := pr.StartUnixNs + pr.ClockToRank0Ns
 		if !haveOrigin || base < origin {
 			origin, haveOrigin = base, true
 		}
 	}
-	corrected := func(pr RankEvents, e trace.Event) int64 {
-		if pr.BaseUnixNs == 0 {
+	corrected := func(pr flight.RankRecord, e flight.Event) int64 {
+		if pr.StartUnixNs == 0 {
 			return e.TS
 		}
-		return e.TS + pr.BaseUnixNs + pr.ClockToRank0Ns - origin
+		return e.TS + pr.StartUnixNs + pr.ClockToRank0Ns - origin
 	}
 
 	bw := bufio.NewWriter(w)
@@ -128,31 +101,26 @@ func WriteChromeTraceRanks(w io.Writer, procs []RankEvents) error {
 	for _, pr := range procs {
 		pid := pr.Rank
 		emit(fmt.Sprintf(`{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"rank %d"}}`, pid, pid))
-		rows := map[int16]bool{}
+		rows := map[uint16]bool{}
 		unattributed := false
 		for _, e := range pr.Events {
-			if e.CRI < 0 {
+			if e.Inst == 0 {
 				unattributed = true
-			} else if !rows[e.CRI] {
-				rows[e.CRI] = true
+			} else if !rows[e.Inst] {
+				rows[e.Inst] = true
 				emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"cri-%d"}}`,
-					pid, e.CRI+1, e.CRI))
+					pid, e.Inst, e.CRI()))
 			}
 		}
 		if unattributed {
 			emit(fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":%d,"tid":0,"args":{"name":"unattributed"}}`, pid))
 		}
 		for _, e := range pr.Events {
-			tid := 0
-			cri := -1
-			if e.CRI >= 0 {
-				tid = int(e.CRI) + 1
-				cri = int(e.CRI)
-			}
+			tid := int(e.Inst)
 			ts := corrected(pr, e)
 			emit(fmt.Sprintf(
 				`{"name":%q,"cat":"mpi","ph":"X","ts":%.3f,"dur":1,"pid":%d,"tid":%d,"args":{"seq":%d,"arg0":%d,"arg1":%d,"cri":%d,"flow":%d}}`,
-				e.Kind.String(), float64(ts)/1e3, pid, tid, e.Seq, e.Arg0, e.Arg1, cri, e.Flow))
+				e.Kind.String(), float64(ts)/1e3, pid, tid, e.Seq, e.A0, e.A1, e.CRI(), e.Flow))
 			if e.Flow != 0 {
 				flows[e.Flow] = append(flows[e.Flow], flowHop{ts: ts, seq: e.Seq, pid: pid, tid: tid})
 			}
@@ -161,7 +129,7 @@ func WriteChromeTraceRanks(w io.Writer, procs []RankEvents) error {
 		// point, args keyed by phase name in sorted order so the output is
 		// deterministic. Counter timestamps are run-relative (sampler clock),
 		// matching the unanchored event timeline.
-		for _, pp := range pr.Phases {
+		for _, pp := range phases[pid] {
 			keys := make([]string, 0, len(pp.PhaseNs))
 			for k := range pp.PhaseNs {
 				keys = append(keys, k)

@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/flight"
 	"repro/internal/prof"
 	"repro/internal/spc"
-	"repro/internal/trace"
 )
 
 func testStats() ProcStats {
@@ -157,13 +157,13 @@ func TestPrometheusRankLabelContract(t *testing.T) {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	events := []trace.Event{
-		{TS: 1000, Seq: 1, Kind: trace.KindSendInject, CRI: 0, Arg0: 1, Arg1: 0},
-		{TS: 2500, Seq: 2, Kind: trace.KindSendInject, CRI: 2, Arg0: 1, Arg1: 1},
-		{TS: 3000, Seq: 3, Kind: trace.KindMatchComplete, CRI: -1, Arg0: 0, Arg1: 9},
+	events := []flight.Event{
+		{TS: 1000, Seq: 1, Kind: flight.KindSendInject, Inst: 1, A0: 1, A1: 0},
+		{TS: 2500, Seq: 2, Kind: flight.KindSendInject, Inst: 3, A0: 1, A1: 1},
+		{TS: 3000, Seq: 3, Kind: flight.KindMatchComplete, A0: 0, A1: 9},
 	}
 	var sb strings.Builder
-	if err := WriteChromeTrace(&sb, 4, events); err != nil {
+	if err := WriteChromeTraceRanks(&sb, []flight.RankRecord{{Rank: 4, Events: events}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var parsed []map[string]any

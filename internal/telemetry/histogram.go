@@ -3,7 +3,7 @@
 // a background sampler producing an in-memory time series, and exporters
 // for the Prometheus text format and the Chrome trace-event JSON format.
 //
-// Everything follows the spc/trace discipline: a nil receiver is valid and
+// Everything follows the spc/flight discipline: a nil receiver is valid and
 // every hot-path hook degrades to a single predictable branch when
 // telemetry is disabled, so call sites need no guards.
 package telemetry

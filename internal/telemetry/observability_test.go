@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/flight"
 )
 
 func TestEscapeLabel(t *testing.T) {
@@ -84,62 +84,31 @@ func TestBucketBoundaries(t *testing.T) {
 	}
 }
 
-func TestTraceShardRoundTrip(t *testing.T) {
-	re := RankEvents{
-		Rank:           3,
-		BaseUnixNs:     1_700_000_000_000_000_000,
-		ClockToRank0Ns: -12_345,
-		Events: []trace.Event{
-			{TS: 10, Seq: 1, Flow: 0xabc, Kind: trace.KindSendInject, CRI: 2, Arg0: 1, Arg1: 7},
-			{TS: 20, Seq: 2, Kind: trace.KindProgress, CRI: -1, Arg0: 4},
-		},
-	}
-	var sb strings.Builder
-	if err := WriteTraceShard(&sb, re); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTraceShard(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rank != re.Rank || got.BaseUnixNs != re.BaseUnixNs || got.ClockToRank0Ns != re.ClockToRank0Ns {
-		t.Fatalf("anchors lost: %+v", got)
-	}
-	if len(got.Events) != 2 || got.Events[0] != re.Events[0] || got.Events[1] != re.Events[1] {
-		t.Fatalf("events lost: %+v", got.Events)
-	}
-	// Version mismatch must be rejected, not silently misread.
-	bad := strings.Replace(sb.String(), `"version":1`, `"version":99`, 1)
-	if _, err := ReadTraceShard(strings.NewReader(bad)); err == nil {
-		t.Fatal("future shard version accepted")
-	}
-}
-
 func TestChromeTraceMergeCausality(t *testing.T) {
 	// Rank 1's clock runs 1ms ahead of rank 0's. On raw timestamps the
 	// receive would appear to precede the send; after correction the merged
 	// trace must order send < deliver and link them with one flow arrow.
 	const flowID = 0x1_0003_0000_0005
-	send := RankEvents{
+	send := flight.RankRecord{
 		Rank:           1,
-		BaseUnixNs:     2_000_000_000, // rank-1 clock
+		StartUnixNs:    2_000_000_000, // rank-1 clock
 		ClockToRank0Ns: -1_000_000,    // rank-1 is 1ms ahead of rank 0
-		Events: []trace.Event{
-			{TS: 500_000, Seq: 1, Flow: flowID, Kind: trace.KindSendInject, CRI: 0, Arg0: 0, Arg1: 5},
+		Events: []flight.Event{
+			{TS: 500_000, Seq: 1, Flow: flowID, Kind: flight.KindSendInject, Inst: 1, A0: 0, A1: 5},
 		},
 	}
-	recv := RankEvents{
-		Rank:       0,
-		BaseUnixNs: 2_000_000_000, // same nominal base, true clock 1ms behind
-		Events: []trace.Event{
+	recv := flight.RankRecord{
+		Rank:        0,
+		StartUnixNs: 2_000_000_000, // same nominal base, true clock 1ms behind
+		Events: []flight.Event{
 			// Arrived 100µs (true time) after the send: raw TS appears older
 			// than the sender's because of the skew.
-			{TS: 500_000 - 1_000_000 + 100_000, Seq: 9, Flow: flowID, Kind: trace.KindRecvDeliver, CRI: 1, Arg0: 1, Arg1: 5},
-			{TS: 500_000 - 1_000_000 + 150_000, Seq: 10, Flow: flowID, Kind: trace.KindMatchComplete, CRI: 1, Arg0: 1, Arg1: 0},
+			{TS: 500_000 - 1_000_000 + 100_000, Seq: 9, Flow: flowID, Kind: flight.KindRecvDeliver, Inst: 2, A0: 1, A1: 5},
+			{TS: 500_000 - 1_000_000 + 150_000, Seq: 10, Flow: flowID, Kind: flight.KindMatchComplete, A0: 1, A1: 0},
 		},
 	}
 	var sb strings.Builder
-	if err := WriteChromeTraceRanks(&sb, []RankEvents{recv, send}); err != nil {
+	if err := WriteChromeTraceRanks(&sb, []flight.RankRecord{recv, send}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var parsed []map[string]any

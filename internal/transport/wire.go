@@ -249,6 +249,11 @@ func DecodePacket(b []byte) (*Packet, error) {
 		p.TraceID = binary.LittleEndian.Uint64(rest[0:])
 		p.Origin = int32(binary.LittleEndian.Uint32(rest[8:]))
 		p.Stamp = int64(binary.LittleEndian.Uint64(rest[12:]))
+		if p.TraceID == 0 {
+			// AppendWire frames the extension only around a non-zero id; a
+			// flagged frame without one is not something a sender produces.
+			return nil, fmt.Errorf("transport: traced packet frame without a trace id")
+		}
 		rest = rest[TraceExtSize:]
 	}
 	p.RelSeq = binary.LittleEndian.Uint64(rest[0:])

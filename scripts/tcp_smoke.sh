@@ -38,6 +38,13 @@ recv_pid=$!
 # binds before the world exists (liveness answers during the TCP
 # handshake); /readyz turns 200 only once the world is constructed, at
 # which point the introspection endpoints carry live queue state.
+#
+# No race with a short run: a rank keeps its endpoint up until a /readyz
+# probe has answered 200, so everything fetched before that probe was served
+# by the live process however quickly the 256 iterations finished. Hence the
+# order — the documents first, retried until each carries what the post-run
+# checks assert on (queue state once the world is bound, stage histograms
+# once messages complete), /readyz last.
 (
     for _ in $(seq 1 100); do
         if curl -fsS "http://$http_addr/healthz" >"$tmp/healthz" 2>/dev/null; then
@@ -46,23 +53,16 @@ recv_pid=$!
         sleep 0.1
     done
     [[ -s "$tmp/healthz" ]] || exit 1
-    for _ in $(seq 1 100); do
-        if curl -fsS "http://$http_addr/readyz" >"$tmp/readyz" 2>/dev/null; then
-            curl -fsS "http://$http_addr/debug/queues" >"$tmp/queues" 2>/dev/null || true
-            curl -fsS "http://$http_addr/metrics" >"$tmp/metrics" 2>/dev/null || true
-            # Attribution fills as messages complete: keep polling
-            # /debug/latency until the live dump carries stage histograms
-            # (the post-run check asserts on what this captured).
-            for _ in $(seq 1 100); do
-                if curl -fsS "http://$http_addr/debug/latency" >"$tmp/latency_live" 2>/dev/null &&
-                    grep -q '"stage"' "$tmp/latency_live"; then
-                    break
-                fi
-                sleep 0.05
-            done
+    for _ in $(seq 1 200); do
+        if curl -fsS "http://$http_addr/debug/queues" >"$tmp/queues" 2>/dev/null &&
+            grep -q '"comms"' "$tmp/queues" &&
+            curl -fsS "http://$http_addr/metrics" >"$tmp/metrics" 2>/dev/null &&
+            curl -fsS "http://$http_addr/debug/latency" >"$tmp/latency_live" 2>/dev/null &&
+            grep -q '"stage"' "$tmp/latency_live" &&
+            curl -fsS "http://$http_addr/readyz" >"$tmp/readyz" 2>/dev/null; then
             exit 0
         fi
-        sleep 0.1
+        sleep 0.05
     done
     exit 1
 ) &
@@ -98,7 +98,7 @@ fi
 
 # The live endpoint must have answered during the run.
 if ! wait "$curl_pid"; then
-    echo "FAIL: /healthz or /readyz never answered during the run" >&2
+    echo "FAIL: the live endpoint never served /healthz, queue state, stage histograms and /readyz" >&2
     exit 1
 fi
 if ! grep -q '^ok$' "$tmp/healthz"; then
@@ -153,12 +153,18 @@ mpirun_pid=$!
 
 # Each rank prints its auto-allocated observability address on stderr;
 # grab the first one that appears in the teed output and poll its /spc
-# while the job runs.
+# while the job runs. A rank holds its endpoint until /readyz is probed, so
+# once /spc has answered, probe every rank that has announced itself — the
+# job then exits without waiting out the unobserved-endpoint grace.
+rank_addrs() { grep -o 'observability endpoint on http://[0-9.:]*' "$mout" 2>/dev/null | sed 's#.*http://##' || true; }
 spc_live=""
 for _ in $(seq 1 200); do
-    addr="$(grep -o 'observability endpoint on http://[0-9.:]*' "$mout" 2>/dev/null | head -1 | sed 's#.*http://##' || true)"
+    addr="$(rank_addrs | head -1)"
     if [[ -n "$addr" ]] && curl -fsS "http://$addr/spc" >"$tmp/spc_live" 2>/dev/null; then
         spc_live=yes
+        for a in $(rank_addrs); do
+            curl -fsS "http://$a/readyz" >/dev/null 2>&1 || true
+        done
         break
     fi
     kill -0 "$mpirun_pid" 2>/dev/null || break
