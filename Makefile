@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-lockfree vet fmt bench bench-telemetry bench-json bench-gate bench-real-smoke chaos fuzz-wire check conformance lint-layers lint-onepath twin-exact tcp-smoke
+.PHONY: build test race race-lockfree vet fmt bench-telemetry bench-real-smoke chaos fuzz-wire check conformance lint-layers lint-onepath twin-exact rebaseline tcp-smoke
 
 build:
 	$(GO) build ./...
@@ -57,23 +57,41 @@ lint-onepath:
 	if [ "$$n" -gt 6 ]; then echo "FAIL: $$n time.Now() sites in core/comm.go + core/world.go, want at most 6"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "one path ok"; else exit 1; fi
 
-# The virtual-time twin drives the same matching-engine code as the runtime,
-# so a refactor that keeps every meter charge, counter and flight record in
-# place reproduces these four artifacts byte for byte (~35 s). Outputs go to
-# a temp dir, never over the committed files. flight_sim_stall.json is not
-# committed (`make chaos` writes it), so its oracle is two runs agreeing plus
-# the watchdog verdict; compare against a parent checkout's dump for more.
-twin-exact:
-	@set -e; d=$$(mktemp -d); trap 'rm -rf $$d' EXIT; \
-	$(GO) run ./cmd/benchjson -o $$d/b.json >/dev/null; cmp $$d/b.json BENCH_4.json; \
-	$(GO) run ./cmd/benchjson -latency -o $$d/bl.json >/dev/null; cmp $$d/bl.json BENCH_4_latency.json; \
-	$(GO) run ./cmd/figures -fig matching | sed -n 1,9p > $$d/matching.txt; \
-	sed -n 10,18p results_extensions.txt | cmp - $$d/matching.txt; \
-	for i in 1 2; do $(GO) run ./cmd/multirate -engine sim -pairs 1 -window 64 -iters 4 \
-		-flight 2048 -watchdog -stall 2s -stall-at 2 -flight-out $$d/f$$i.json >/dev/null 2>&1; done; \
-	cmp $$d/f1.json $$d/f2.json; grep -q '"reason": "no-progress"' $$d/f1.json; \
-	if [ -f flight_sim_stall.json ]; then cmp $$d/f1.json flight_sim_stall.json; fi; \
-	echo "twin exact: BENCH_4, BENCH_4_latency, fig matching, flight_sim_stall identical"
+# The one check of the virtual-time model. cmd/figures regenerates every
+# committed model artifact into twin-out/ and each is compared with the
+# committed file byte for byte: the model is deterministic and the twin
+# replays the engines' charge, counter and flight-record order, so a refactor
+# that keeps behaviour reproduces all of them and any difference is a model
+# change — there is no tolerance. After a deliberate one, `make rebaseline`
+# rewrites the artifacts in place and the review is `git diff` of the tables;
+# twin-out/ stays behind either way, so `diff twin-out/F F` shows what moved.
+# Each job line is "<output> <figures flags>": q* are the parts of
+# results_quick.txt (what `figures -all` prints, in its order), x* those of
+# results_extensions.txt. A simulation runs one simulated thread at a time, so
+# the jobs (~140 CPU-seconds, Fig. 7 alone ~40) get one P each and run one per
+# core, longest first. flight_sim_stall.json is not committed (`make chaos`
+# writes it), so its oracle is two runs agreeing plus the watchdog verdict;
+# compare against a parent checkout's dump for more.
+twin-exact: VERB = cmp
+rebaseline: VERB = cp
+twin-exact rebaseline:
+	@set -e; d=twin-out; rm -rf $$d; mkdir $$d; \
+	$(GO) build -o $$d/ ./cmd/figures ./cmd/multirate; \
+	printf '%s\n' 'q7 -fig 7' 'results_ablations.txt -ablation all' 'q5 -fig 5' \
+		'BENCH_4_latency.json -fig trajectory-latency' 'BENCH_4.json -fig trajectory' \
+		'q3b -fig 3b' 'q3a -fig 3a' 'xoffload -fig offload' 'q6 -fig 6' 'q4a -fig 4a' \
+		'xmatching -fig matching' 'q3c -fig 3c' 'q4c -fig 4c' 'qtable2 -table 2' 'q4b -fig 4b' \
+		'qbreakdown -fig breakdown' 'qwaterfall -fig waterfall' \
+	| xargs -P $$(getconf _NPROCESSORS_ONLN) -L 1 sh -c 'GOMAXPROCS=1 "$$0"/figures "$$2" "$$3" > "$$0/$$1"' $$d; \
+	(cd $$d; cat q3a q3b q3c q4a q4b q4c q5 q6 q7 qbreakdown qwaterfall qtable2 > results_quick.txt; \
+		cat xoffload xmatching > results_extensions.txt; rm q* x*); \
+	for i in 1 2; do $$d/multirate -engine sim -pairs 1 -window 64 -iters 4 \
+		-flight 2048 -watchdog -stall 2s -stall-at 2 -flight-out $$d/flight_sim_stall.$$i.json >/dev/null 2>&1; done; \
+	cmp $$d/flight_sim_stall.1.json $$d/flight_sim_stall.2.json; grep -q '"reason": "no-progress"' $$d/flight_sim_stall.1.json; \
+	if [ -f flight_sim_stall.json ]; then $(VERB) $$d/flight_sim_stall.1.json flight_sim_stall.json; fi; \
+	rc=0; for f in BENCH_4.json BENCH_4_latency.json results_quick.txt results_ablations.txt results_extensions.txt; do \
+		$(VERB) $$d/$$f $$f || rc=1; done; [ $$rc = 0 ]; \
+	echo "$@: BENCH_4, BENCH_4_latency, results_quick, results_ablations, results_extensions, flight_sim_stall"
 
 # Two OS processes exchanging the pairwise benchmark over loopback TCP.
 tcp-smoke:
@@ -85,39 +103,9 @@ vet:
 fmt:
 	gofmt -l .
 
-bench:
-	$(GO) test -bench=. -benchmem ./...
-
 # Proves the disabled telemetry hooks cost ~1 ns and zero allocations.
 bench-telemetry:
 	$(GO) test -bench=. -benchmem ./internal/telemetry
-
-# Machine-readable benchmark trajectory: message rate per thread count per
-# design, swept on the deterministic virtual-time model so the numbers are
-# reproducible on any host. Override the sweep for a quick smoke run:
-#   make bench-json BENCHJSON_FLAGS="-threads 1,2,4 -window 32 -iters 2"
-BENCHJSON_FLAGS ?=
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_4.json $(BENCHJSON_FLAGS)
-	$(GO) run ./cmd/benchjson -validate BENCH_4.json
-	$(GO) run ./cmd/benchjson -o BENCH_4_latency.json -latency $(BENCHJSON_FLAGS)
-	$(GO) run ./cmd/benchjson -validate BENCH_4_latency.json
-
-# Regression gate: regenerate the deterministic trajectory and compare it
-# point by point against the committed BENCH_4.json with noise-aware
-# per-(design, threads) tolerances; exits nonzero if any point regressed.
-# The latency trajectory additionally gates per-stage critical-path p99s:
-# a tail regression inside one stage trips CI even when rates are flat.
-# Also emits the contention profiler's virtual-time phase breakdowns for the
-# serial and concurrent progress engines as artifacts.
-bench-gate:
-	$(GO) run ./cmd/multirate -pairs 8 -progress serial -breakdown-out breakdown_serial.json > /dev/null
-	$(GO) run ./cmd/multirate -pairs 8 -instances 8 -assignment dedicated -comm-per-pair \
-		-progress concurrent -breakdown-out breakdown_concurrent.json > /dev/null
-	$(GO) run ./cmd/benchjson -o BENCH_head.json
-	$(GO) run ./cmd/benchcmp -json bench_deltas.json BENCH_4.json BENCH_head.json
-	$(GO) run ./cmd/benchjson -o BENCH_head_latency.json -latency
-	$(GO) run ./cmd/benchcmp -json bench_deltas_latency.json BENCH_4_latency.json BENCH_head_latency.json
 
 # The real-engine benchmark is a module of its own (benchmark/go.mod), so
 # nothing above builds or tests it: vet it, run its tests, and drive one short

@@ -1,14 +1,17 @@
 // Command figures regenerates the paper's tables and figures from the
 // deterministic virtual-time model, printing the same series the paper
-// plots.
+// plots. It writes every committed model artifact (BENCH_4*.json,
+// results_*.txt); `make twin-exact` regenerates them and compares byte for
+// byte.
 //
 // Usage:
 //
 //	figures -fig 3a            # one figure: 3a 3b 3c 4a 4b 4c 5 6 7
 //	figures -table 2           # Table II (SPC counters)
-//	figures -all               # everything
+//	figures -all               # everything in results_quick.txt
 //	figures -all -scale paper  # paper-volume sweeps (slower)
 //	figures -table 2 -full     # Table II at the paper's exact 2,585,600 messages
+//	figures -fig trajectory    # BENCH_4.json (-fig trajectory-latency: BENCH_4_latency.json)
 package main
 
 import (
@@ -17,11 +20,12 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/benchjson"
 	"repro/internal/figures"
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 3a 3b 3c 4a 4b 4c 5 6 7 offload matching breakdown waterfall")
+	fig := flag.String("fig", "", "figure to regenerate: 3a 3b 3c 4a 4b 4c 5 6 7 offload matching breakdown waterfall trajectory trajectory-latency")
 	bdThreads := flag.Int("threads", 8, "thread pairs for -fig breakdown / -fig waterfall")
 	table := flag.String("table", "", "table to regenerate: 2")
 	all := flag.Bool("all", false, "regenerate every figure and table")
@@ -56,38 +60,41 @@ func main() {
 		"matching": func() []figures.Table { return []figures.Table{figures.ExtensionMatching(sc)} },
 	}
 
-	render := func(t figures.Table) string {
+	render := func(t interface {
+		Render() string
+		CSV() string
+	}) string {
 		if *format == "csv" {
 			return t.CSV()
 		}
 		return t.Render()
 	}
 	run := func(name string) {
-		if name == "breakdown" || name == "waterfall" {
-			start := time.Now()
-			var out string
-			switch {
-			case name == "breakdown" && *format == "csv":
-				out = figures.TimeBreakdown(sc, *bdThreads).CSV()
-			case name == "breakdown":
-				out = figures.TimeBreakdown(sc, *bdThreads).Render()
-			case *format == "csv":
-				out = figures.Waterfall(sc, *bdThreads).CSV()
-			default:
-				out = figures.Waterfall(sc, *bdThreads).Render()
-			}
-			fmt.Println(out)
-			fmt.Fprintf(os.Stderr, "[fig %s regenerated in %v]\n", name, time.Since(start).Round(time.Millisecond))
-			return
-		}
-		gen, ok := single[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %q\n", name)
-			os.Exit(2)
-		}
 		start := time.Now()
-		for _, t := range gen() {
-			fmt.Println(render(t))
+		switch name {
+		case "trajectory", "trajectory-latency":
+			// The design sweep as JSON; its shape is the zero SweepConfig.
+			b, err := benchjson.Marshal(benchjson.Run(benchjson.SweepConfig{Latency: name == "trajectory-latency"}))
+			if err == nil {
+				_, err = os.Stdout.Write(b)
+			}
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "figures:", err)
+				os.Exit(1)
+			}
+		case "breakdown":
+			fmt.Println(render(figures.TimeBreakdown(sc, *bdThreads)))
+		case "waterfall":
+			fmt.Println(render(figures.Waterfall(sc, *bdThreads)))
+		default:
+			gen, ok := single[name]
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown figure %q\n", name)
+				os.Exit(2)
+			}
+			for _, t := range gen() {
+				fmt.Println(render(t))
+			}
 		}
 		fmt.Fprintf(os.Stderr, "[fig %s regenerated in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}

@@ -105,11 +105,11 @@ func main() {
 		*engine = "real"
 	}
 
-	machine, err := machineByName(*machineName)
+	machine, err := hw.MachineByName(*machineName)
 	check(err)
-	asg, err := assignmentByName(*assignment)
+	asg, err := cri.AssignmentByName(*assignment)
 	check(err)
-	pm, err := progressByName(*prog)
+	pm, err := progress.ModeByName(*prog)
 	check(err)
 
 	switch *engine {
@@ -272,45 +272,6 @@ func main() {
 // same way the paper labels its design ladder rungs.
 func designLabel(progress, assignment string) string {
 	return fmt.Sprintf("progress=%s,assignment=%s", progress, assignment)
-}
-
-func machineByName(name string) (hw.Machine, error) {
-	switch name {
-	case "alembert":
-		return hw.AlembertHaswell(), nil
-	case "trinitite":
-		return hw.TrinititeHaswell(), nil
-	case "knl":
-		return hw.TrinititeKNL(), nil
-	case "fast":
-		return hw.Fast(), nil
-	default:
-		return hw.Machine{}, fmt.Errorf("unknown machine %q", name)
-	}
-}
-
-func assignmentByName(name string) (cri.Assignment, error) {
-	switch name {
-	case "round-robin", "rr":
-		return cri.RoundRobin, nil
-	case "dedicated":
-		return cri.Dedicated, nil
-	case "freelist", "free-list":
-		return cri.FreeList, nil
-	default:
-		return 0, fmt.Errorf("unknown assignment %q", name)
-	}
-}
-
-func progressByName(name string) (progress.Mode, error) {
-	switch name {
-	case "serial":
-		return progress.Serial, nil
-	case "concurrent":
-		return progress.Concurrent, nil
-	default:
-		return 0, fmt.Errorf("unknown progress mode %q", name)
-	}
 }
 
 func check(err error) {

@@ -39,7 +39,7 @@ func main() {
 		puts          = flag.Int("puts", 1000, "puts per thread per flush round")
 		rounds        = flag.Int("rounds", 4, "flush rounds")
 		instances     = flag.Int("instances", 0, "instances (0 = one per core, paper default)")
-		assignment    = flag.String("assignment", "dedicated", "round-robin | dedicated")
+		assignment    = flag.String("assignment", "dedicated", "round-robin | dedicated | freelist")
 		prog          = flag.String("progress", "serial", "serial | concurrent")
 		machineName   = flag.String("machine", "trinitite", "alembert | trinitite | knl | fast")
 
@@ -103,11 +103,11 @@ func main() {
 		check(fmt.Errorf("unknown transport %q", *transportName))
 	}
 
-	machine, err := machineByName(*machineName)
+	machine, err := hw.MachineByName(*machineName)
 	check(err)
-	asg, err := assignmentByName(*assignment)
+	asg, err := cri.AssignmentByName(*assignment)
 	check(err)
-	pm, err := progressByName(*prog)
+	pm, err := progress.ModeByName(*prog)
 	check(err)
 
 	switch *engine {
@@ -195,43 +195,6 @@ func main() {
 // designLabel names the configuration under test in breakdown reports.
 func designLabel(progress, assignment string) string {
 	return fmt.Sprintf("progress=%s,assignment=%s", progress, assignment)
-}
-
-func machineByName(name string) (hw.Machine, error) {
-	switch name {
-	case "alembert":
-		return hw.AlembertHaswell(), nil
-	case "trinitite":
-		return hw.TrinititeHaswell(), nil
-	case "knl":
-		return hw.TrinititeKNL(), nil
-	case "fast":
-		return hw.Fast(), nil
-	default:
-		return hw.Machine{}, fmt.Errorf("unknown machine %q", name)
-	}
-}
-
-func assignmentByName(name string) (cri.Assignment, error) {
-	switch name {
-	case "round-robin", "rr":
-		return cri.RoundRobin, nil
-	case "dedicated":
-		return cri.Dedicated, nil
-	default:
-		return 0, fmt.Errorf("unknown assignment %q", name)
-	}
-}
-
-func progressByName(name string) (progress.Mode, error) {
-	switch name {
-	case "serial":
-		return progress.Serial, nil
-	case "concurrent":
-		return progress.Concurrent, nil
-	default:
-		return 0, fmt.Errorf("unknown progress mode %q", name)
-	}
 }
 
 func check(err error) {

@@ -4,18 +4,13 @@
 // executes on the deterministic virtual-time model (internal/simnet), so
 // the numbers are reproducible bit-for-bit on any host — the file is a
 // performance trajectory of the *design*, not of the machine CI happened
-// to run on.
-//
-// The package also carries the schema validator for the files it writes,
-// so CI can assert a generated trajectory is well-formed without any
-// external JSON-schema tooling.
+// to run on. Nothing reads a trajectory back: `make twin-exact` regenerates
+// the committed files (cmd/figures -fig trajectory[-latency]) and compares
+// them byte for byte.
 package benchjson
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"sort"
 
 	"repro/internal/designs"
 	"repro/internal/hw"
@@ -23,19 +18,20 @@ import (
 	"repro/internal/simnet"
 )
 
-// SchemaVersion identifies the BENCH_*.json layout this package writes and
-// validates. Version 2 added the profiler_enabled flag so comparisons can
-// refuse to mix profiled and unprofiled trajectories (instrumentation
-// overhead is not noise). Version 3 added the optional per-stage
-// critical-path latency quantiles (sweep.latency, points[].latency_stages)
-// so the gate can hold tail latency per stage, not just throughput.
+// SchemaVersion identifies the BENCH_*.json layout this package writes.
+// Version 2 added the profiler_enabled flag; version 3 the optional
+// per-stage critical-path latency quantiles (sweep.latency,
+// points[].latency_stages).
 const SchemaVersion = 3
 
-// SweepConfig parameterizes one trajectory run.
+// SweepConfig parameterizes one trajectory run. The zero value is the sweep
+// behind the committed BENCH_4.json, and with Latency set the one behind
+// BENCH_4_latency.json; tests shrink it.
 type SweepConfig struct {
-	// Machine is the hardware-model name (alembert | trinitite | knl | fast).
-	Machine hw.Machine
-	// MachineName labels the file (the -machine flag value).
+	// Machine is the hardware model; MachineName labels the file with the
+	// model's short name (alembert | trinitite | knl | fast). Both default
+	// to Alembert.
+	Machine     hw.Machine
 	MachineName string
 	// Threads is the list of pair counts to sweep (the paper's x-axis).
 	Threads []int
@@ -48,11 +44,11 @@ type SweepConfig struct {
 	// Instances is the CRI count the CRI designs use (paper: one per core).
 	Instances int
 	// Latency enables per-message critical-path attribution: every
-	// thread-mode point additionally carries per-stage p50/p99 so the gate
-	// can hold tail latency per stage. Attribution reads only the virtual
-	// clock, so the rate numbers are identical either way.
+	// thread-mode point additionally carries per-stage p50/p99. Attribution
+	// reads only the virtual clock, so the rate numbers are identical either
+	// way.
 	Latency bool
-	// Designs is the set of designs to sweep (≥ 2 for a valid file).
+	// Designs is the set of designs to sweep.
 	Designs []designs.Design
 }
 
@@ -64,8 +60,7 @@ type File struct {
 	Unit          string `json:"unit"`
 	Machine       string `json:"machine"`
 	// ProfilerEnabled records whether the sweep ran with the contention
-	// profiler's instrumentation active. Trajectories with different values
-	// are not comparable.
+	// profiler's instrumentation active.
 	ProfilerEnabled bool           `json:"profiler_enabled"`
 	Sweep           Sweep          `json:"sweep"`
 	Designs         []DesignResult `json:"designs"`
@@ -79,8 +74,7 @@ type Sweep struct {
 	MsgSizeBytes int   `json:"msg_size_bytes"`
 	Instances    int   `json:"instances"`
 	// Latency records whether the sweep ran with critical-path attribution,
-	// i.e. whether thread-mode points carry latency_stages. Files that
-	// disagree on it are not comparable.
+	// i.e. whether thread-mode points carry latency_stages.
 	Latency bool `json:"latency,omitempty"`
 }
 
@@ -112,6 +106,9 @@ type StageLatency struct {
 }
 
 func (c SweepConfig) withDefaults() SweepConfig {
+	if c.MachineName == "" {
+		c.Machine, c.MachineName = hw.AlembertHaswell(), "alembert"
+	}
 	if len(c.Threads) == 0 {
 		c.Threads = []int{1, 2, 4, 8, 12, 16, 20}
 	}
@@ -214,109 +211,4 @@ func Marshal(f File) ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// Parse decodes a trajectory file strictly (unknown fields are errors) but
-// without the structural checks Validate performs.
-func Parse(data []byte) (File, error) {
-	var f File
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return File{}, fmt.Errorf("benchjson: parse: %w", err)
-	}
-	return f, nil
-}
-
-// Validate checks that data is a well-formed trajectory file: required
-// fields present and typed, a known schema version, at least two designs
-// with unique slugs, and every design carrying one positive-rate point per
-// swept thread count, in sweep order. It is deliberately strict — the file
-// is a machine-readable interface, not a log.
-func Validate(data []byte) error {
-	var f File
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return fmt.Errorf("benchjson: parse: %w", err)
-	}
-	if f.SchemaVersion != SchemaVersion {
-		return fmt.Errorf("benchjson: schema_version %d, want %d", f.SchemaVersion, SchemaVersion)
-	}
-	if f.Benchmark == "" || f.Engine == "" || f.Unit == "" {
-		return fmt.Errorf("benchjson: benchmark/engine/unit must be non-empty")
-	}
-	if len(f.Sweep.Threads) == 0 {
-		return fmt.Errorf("benchjson: sweep.threads is empty")
-	}
-	if !sort.IntsAreSorted(f.Sweep.Threads) {
-		return fmt.Errorf("benchjson: sweep.threads not ascending: %v", f.Sweep.Threads)
-	}
-	for i, n := range f.Sweep.Threads {
-		if n <= 0 {
-			return fmt.Errorf("benchjson: sweep.threads[%d] = %d, want > 0", i, n)
-		}
-	}
-	if f.Sweep.Window <= 0 || f.Sweep.Iters <= 0 {
-		return fmt.Errorf("benchjson: sweep window/iters must be positive")
-	}
-	if len(f.Designs) < 2 {
-		return fmt.Errorf("benchjson: %d designs, want >= 2 for a comparable trajectory", len(f.Designs))
-	}
-	seen := make(map[string]bool, len(f.Designs))
-	for _, d := range f.Designs {
-		if d.Name == "" || d.Slug == "" {
-			return fmt.Errorf("benchjson: design with empty name or slug")
-		}
-		if seen[d.Slug] {
-			return fmt.Errorf("benchjson: duplicate design slug %q", d.Slug)
-		}
-		seen[d.Slug] = true
-		if len(d.Points) != len(f.Sweep.Threads) {
-			return fmt.Errorf("benchjson: design %q has %d points for %d swept thread counts",
-				d.Slug, len(d.Points), len(f.Sweep.Threads))
-		}
-		for i, p := range d.Points {
-			if p.Threads != f.Sweep.Threads[i] {
-				return fmt.Errorf("benchjson: design %q point %d at threads=%d, sweep says %d",
-					d.Slug, i, p.Threads, f.Sweep.Threads[i])
-			}
-			if p.MessagesPerSec <= 0 {
-				return fmt.Errorf("benchjson: design %q threads=%d rate %v, want > 0",
-					d.Slug, p.Threads, p.MessagesPerSec)
-			}
-			if p.Messages <= 0 || p.MakespanNs <= 0 {
-				return fmt.Errorf("benchjson: design %q threads=%d has non-positive messages/makespan",
-					d.Slug, p.Threads)
-			}
-			switch {
-			case !f.Sweep.Latency && len(p.LatencyStages) > 0:
-				return fmt.Errorf("benchjson: design %q threads=%d carries latency_stages but sweep.latency is false",
-					d.Slug, p.Threads)
-			case f.Sweep.Latency && d.ProcessMode && len(p.LatencyStages) > 0:
-				return fmt.Errorf("benchjson: process-mode design %q carries latency_stages (attribution is thread-mode only)",
-					d.Slug)
-			case f.Sweep.Latency && !d.ProcessMode && len(p.LatencyStages) == 0:
-				return fmt.Errorf("benchjson: design %q threads=%d missing latency_stages in a sweep.latency file",
-					d.Slug, p.Threads)
-			}
-			seenStage := make(map[string]bool, len(p.LatencyStages))
-			for _, sl := range p.LatencyStages {
-				if sl.Stage == "" {
-					return fmt.Errorf("benchjson: design %q threads=%d has a latency stage with no name",
-						d.Slug, p.Threads)
-				}
-				if seenStage[sl.Stage] {
-					return fmt.Errorf("benchjson: design %q threads=%d repeats latency stage %q",
-						d.Slug, p.Threads, sl.Stage)
-				}
-				seenStage[sl.Stage] = true
-				if sl.P50Ns < 0 || sl.P99Ns < sl.P50Ns {
-					return fmt.Errorf("benchjson: design %q threads=%d stage %q quantiles p50=%d p99=%d out of order",
-						d.Slug, p.Threads, sl.Stage, sl.P50Ns, sl.P99Ns)
-				}
-			}
-		}
-	}
-	return nil
 }

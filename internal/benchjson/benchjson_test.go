@@ -1,8 +1,6 @@
 package benchjson
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/designs"
@@ -17,22 +15,21 @@ func tinySweep() SweepConfig {
 	}
 }
 
+// TestRunProducesValidFile: one positive-rate point per swept thread count,
+// in sweep order, for every design asked for.
 func TestRunProducesValidFile(t *testing.T) {
 	f := Run(tinySweep())
-	b, err := Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(b); err != nil {
-		t.Fatalf("generated file fails its own schema: %v", err)
-	}
 	if len(f.Designs) != 2 {
 		t.Fatalf("designs = %d, want 2", len(f.Designs))
 	}
 	for _, d := range f.Designs {
-		for _, p := range d.Points {
-			if p.MessagesPerSec <= 0 {
-				t.Errorf("design %s threads=%d rate=%v", d.Slug, p.Threads, p.MessagesPerSec)
+		if len(d.Points) != len(f.Sweep.Threads) {
+			t.Fatalf("design %s has %d points for %d swept thread counts", d.Slug, len(d.Points), len(f.Sweep.Threads))
+		}
+		for i, p := range d.Points {
+			if p.Threads != f.Sweep.Threads[i] || p.MessagesPerSec <= 0 || p.Messages <= 0 || p.MakespanNs <= 0 {
+				t.Errorf("design %s point %d = %+v, want threads=%d and positive rate/messages/makespan",
+					d.Slug, i, p, f.Sweep.Threads[i])
 			}
 		}
 	}
@@ -61,13 +58,6 @@ func TestRunLatencySweep(t *testing.T) {
 	cfg.Latency = true
 	cfg.Designs = []designs.Design{designs.OMPIProcess, designs.OMPIThread}
 	f := Run(cfg)
-	b, err := Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(b); err != nil {
-		t.Fatalf("latency file fails its own schema: %v", err)
-	}
 	for _, d := range f.Designs {
 		for _, p := range d.Points {
 			if d.ProcessMode {
@@ -102,85 +92,5 @@ func TestRunLatencySweep(t *testing.T) {
 					p.MessagesPerSec, q.MessagesPerSec)
 			}
 		}
-	}
-}
-
-// TestValidateRejectsLatencyMismatch: latency_stages and sweep.latency must
-// agree, and quantiles must be ordered.
-func TestValidateRejectsLatencyMismatch(t *testing.T) {
-	cfg := tinySweep()
-	cfg.Latency = true
-	good, err := Marshal(Run(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name    string
-		mutate  func(string) string
-		wantErr string
-	}{
-		{"sweep flag off but stages present", func(s string) string {
-			return strings.Replace(s, `"latency": true`, `"latency": false`, 1)
-		}, "sweep.latency is false"},
-		{"quantiles out of order", func(s string) string {
-			return strings.Replace(s, `"p50_ns": `, `"p50_ns": 99999999`, 1)
-		}, "out of order"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := Validate([]byte(tc.mutate(string(good))))
-			if err == nil {
-				t.Fatal("validated corrupted latency file")
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-func TestValidateRejects(t *testing.T) {
-	good, err := Marshal(Run(tinySweep()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name    string
-		mutate  func(string) string
-		wantErr string
-	}{
-		{"not json", func(s string) string { return "nope" }, "parse"},
-		{"unknown field", func(s string) string {
-			return strings.Replace(s, `"benchmark"`, `"surprise": 1, "benchmark"`, 1)
-		}, "parse"},
-		{"wrong version", func(s string) string {
-			return strings.Replace(s,
-				fmt.Sprintf(`"schema_version": %d`, SchemaVersion),
-				`"schema_version": 99`, 1)
-		}, "schema_version"},
-		{"one design", func(s string) string {
-			i := strings.Index(s, `    {
-      "name": "OMPI Thread + CRIs*"`)
-			j := strings.LastIndex(s, "]")
-			return s[:strings.LastIndex(s[:i], ",")] + "\n  " + s[j:]
-		}, "want >= 2"},
-		{"negative rate", func(s string) string {
-			return strings.Replace(s, `"messages_per_sec": `, `"messages_per_sec": -`, 1)
-		}, "want > 0"},
-		{"duplicate slug", func(s string) string {
-			return strings.Replace(s, `"slug": "ompi-thread-cri-full"`, `"slug": "ompi-thread"`, 1)
-		}, "duplicate design slug"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			bad := tc.mutate(string(good))
-			err := Validate([]byte(bad))
-			if err == nil {
-				t.Fatalf("validated corrupted file:\n%s", bad)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
-			}
-		})
 	}
 }

@@ -10,8 +10,7 @@ import (
 
 func fsample(nowNs int64, sent, recv uint64, posted int) flight.Sample {
 	return flight.Sample{
-		NowNs: nowNs, CountersValid: true,
-		Sent: sent, Received: recv,
+		NowNs: nowNs, Sent: sent, Received: recv,
 		Comms: []flight.CommQueues{{Comm: 0, Posted: posted}},
 	}
 }

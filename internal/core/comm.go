@@ -44,7 +44,7 @@ type Comm struct {
 
 	// spcs is this communicator's attributed counter set — a child of the
 	// process totals (see Proc.SPCSnapshot). The matching engine records
-	// into it directly. Nil when counters are disabled.
+	// into it directly.
 	spcs *spc.Set
 
 	// collSeq numbers collective calls; all ranks advance it in lockstep
@@ -118,9 +118,8 @@ func (c *Comm) WorldRank(commRank int) int { return c.group[commRank] }
 // Proc returns the owning process.
 func (c *Comm) Proc() *Proc { return c.proc }
 
-// SPCs returns the communicator's attributed counter set (nil when
-// counters are disabled). Runtime-internal layers (e.g. the one-sided
-// stack) record communicator-scoped counters here.
+// SPCs returns the communicator's attributed counter set. Runtime-internal
+// layers (e.g. the one-sided stack) record communicator-scoped counters here.
 func (c *Comm) SPCs() *spc.Set { return c.spcs }
 
 // Info returns the communicator's assertions.

@@ -90,7 +90,7 @@ func (g *levelGuard) leave() {
 }
 
 // sinceTimer returns elapsed time for a timer started on s, or zero if the
-// timer never started (SPCs disabled).
+// timer never started (a set switched off with SetEnabled).
 func sinceTimer(s *spc.Set, t0 time.Time) time.Duration {
 	if t0.IsZero() {
 		return 0

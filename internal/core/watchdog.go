@@ -125,11 +125,10 @@ func (p *Proc) QueueSnapshot() flight.QueueSnapshot {
 func (p *Proc) watchdogSample() flight.Sample {
 	snap := p.SPCSnapshot()
 	s := flight.Sample{
-		NowNs:         time.Now().UnixNano(),
-		CountersValid: true,
-		Sent:          uint64(snap[spc.MessagesSent]),
-		Received:      uint64(snap[spc.MessagesReceived]),
-		Retransmits:   uint64(snap[spc.Retransmits]),
+		NowNs:       time.Now().UnixNano(),
+		Sent:        uint64(snap[spc.MessagesSent]),
+		Received:    uint64(snap[spc.MessagesReceived]),
+		Retransmits: uint64(snap[spc.Retransmits]),
 	}
 	qs := p.QueueSnapshot()
 	s.Comms = qs.Comms

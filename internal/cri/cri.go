@@ -51,6 +51,21 @@ func (a Assignment) String() string {
 	}
 }
 
+// AssignmentByName is the inverse of String; it also takes the spellings
+// "rr" and "freelist".
+func AssignmentByName(name string) (Assignment, error) {
+	switch name {
+	case "round-robin", "rr":
+		return RoundRobin, nil
+	case "dedicated":
+		return Dedicated, nil
+	case "free-list", "freelist":
+		return FreeList, nil
+	default:
+		return 0, fmt.Errorf("unknown assignment %q", name)
+	}
+}
+
 // Instance is one Communication Resource Instance.
 type Instance struct {
 	mu    prof.Mutex
@@ -58,8 +73,7 @@ type Instance struct {
 	ctx   transport.Context
 	eps   []transport.Endpoint // indexed by remote rank; nil for self
 	// spcs is this instance's own attributed counter set (a child of the
-	// process totals), so contention localizes to an instance. Nil when
-	// counters are disabled.
+	// process totals), so contention localizes to an instance.
 	spcs *spc.Set
 	// lockWait records blocking instance-lock acquisitions; nil when
 	// latency telemetry is disabled.
@@ -223,7 +237,7 @@ type Pool struct {
 	mode      Assignment
 	rr        atomic.Uint64
 	// spcs is the process counter set free-list acquisitions attribute to
-	// (nil when counters are disabled).
+	// (nil until SetSPCs; a nil set records nothing).
 	spcs *spc.Set
 
 	// The free-list is a Treiber stack over instance indices. freeHead packs

@@ -48,9 +48,29 @@ func newTestPoolOn(t testing.TB, dev transport.Device, n int, mode Assignment) *
 	return pool
 }
 
+// TestAssignmentString: every assignment's name round-trips through
+// AssignmentByName, the short spellings resolve, an unknown name errors.
 func TestAssignmentString(t *testing.T) {
-	if RoundRobin.String() != "round-robin" || Dedicated.String() != "dedicated" {
-		t.Fatal("Assignment.String mismatch")
+	cases := []struct {
+		a     Assignment
+		names []string // String() first
+	}{
+		{RoundRobin, []string{"round-robin", "rr"}},
+		{Dedicated, []string{"dedicated"}},
+		{FreeList, []string{"free-list", "freelist"}},
+	}
+	for _, c := range cases {
+		if c.a.String() != c.names[0] {
+			t.Errorf("%d.String() = %q, want %q", int(c.a), c.a, c.names[0])
+		}
+		for _, name := range c.names {
+			if got, err := AssignmentByName(name); err != nil || got != c.a {
+				t.Errorf("AssignmentByName(%q) = %v, %v; want %v", name, got, err, c.a)
+			}
+		}
+	}
+	if _, err := AssignmentByName("assignment(7)"); err == nil {
+		t.Error("AssignmentByName accepted an unknown name")
 	}
 }
 

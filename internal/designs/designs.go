@@ -39,8 +39,8 @@ const (
 	// lock-free MPSC completion rings. Concurrent matching without asking
 	// the application to restructure — the step past Section III-F.
 	OMPIThreadCRILockFree
-	// IMPIProcess models Intel MPI process mode (process-per-core with a
-	// slightly different cost profile).
+	// IMPIProcess models Intel MPI process mode; the model gives the three
+	// process-mode designs one configuration.
 	IMPIProcess
 	// IMPIThread models Intel MPI thread mode: a global-lock runtime.
 	IMPIThread
@@ -94,22 +94,12 @@ var slugs = [...]string{
 }
 
 // Slug returns the design's machine-readable identifier, stable across
-// releases — the form used in BENCH_*.json files and on command lines.
+// releases — the form used in BENCH_*.json files.
 func (d Design) Slug() string {
 	if d < 0 || int(d) >= len(slugs) {
 		return fmt.Sprintf("design-%d", int(d))
 	}
 	return slugs[d]
-}
-
-// FromSlug resolves a machine-readable identifier back to its design.
-func FromSlug(s string) (Design, bool) {
-	for i, slug := range slugs {
-		if slug == s {
-			return Design(i), true
-		}
-	}
-	return 0, false
 }
 
 // IsProcessMode reports whether the design maps pairs to processes.
@@ -123,12 +113,8 @@ func (d Design) IsProcessMode() bool {
 func (d Design) SimConfig(base simnet.Config, instances int) simnet.Config {
 	cfg := base
 	switch d {
-	case OMPIProcess, MPICHProcess:
+	case OMPIProcess, IMPIProcess, MPICHProcess:
 		cfg.ProcessMode = true
-	case IMPIProcess:
-		cfg.ProcessMode = true
-		// Intel MPI's process path is marginally leaner per message.
-		cfg.SendJitter = base.SendJitter // keep defaults
 	case OMPIThread:
 		cfg.NumInstances = 1
 		cfg.Progress = progress.Serial

@@ -64,17 +64,14 @@ func WriteSnapshots(w io.Writer, snaps []QueueSnapshot) error {
 }
 
 // Sample is one watchdog observation of a rank: monotonically increasing
-// movement counters plus the live queue depths. CountersValid is false when
-// the run has SPCs disabled, which suppresses the counter-delta detections
-// (no-progress, retransmit storm) and leaves only queue-shape ones.
+// movement counters plus the live queue depths.
 type Sample struct {
-	NowNs         int64
-	CountersValid bool
-	Sent          uint64
-	Received      uint64
-	Retransmits   uint64
-	Unacked       int
-	Comms         []CommQueues
+	NowNs       int64
+	Sent        uint64
+	Received    uint64
+	Retransmits uint64
+	Unacked     int
+	Comms       []CommQueues
 	// LatencyValid marks a sample carrying latency-attribution quantiles
 	// (the run had the internal/latency layer on and at least one traced
 	// message completed on this rank by this observation).
@@ -234,10 +231,6 @@ func (d *Detector) Observe(s Sample) (Verdict, bool) {
 				SinceNs: s.NowNs,
 			}, true
 		}
-	}
-
-	if !s.CountersValid {
-		return Verdict{}, false
 	}
 
 	// Retransmit storm: too many sweep re-injections inside one window.

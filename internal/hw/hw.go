@@ -187,6 +187,23 @@ func TrinititeKNL() Machine {
 	}
 }
 
+// MachineByName resolves a testbed from the short name the command-line
+// tools take (alembert | trinitite | knl | fast) or from its Machine.Name.
+func MachineByName(name string) (Machine, error) {
+	switch name {
+	case "alembert", "alembert-haswell":
+		return AlembertHaswell(), nil
+	case "trinitite", "trinitite-haswell":
+		return TrinititeHaswell(), nil
+	case "knl", "trinitite-knl":
+		return TrinititeKNL(), nil
+	case "fast":
+		return Fast(), nil
+	default:
+		return Machine{}, fmt.Errorf("unknown machine %q", name)
+	}
+}
+
 // Fast returns a machine with all CPU costs zeroed and no injection cap.
 // Unit and integration tests use it so correctness tests don't burn time in
 // the calibrated spin loops.

@@ -29,6 +29,24 @@ func TestMachinePresets(t *testing.T) {
 	}
 }
 
+// TestMachineByName: every testbed resolves from its command-line name and
+// from its own Name, and an unknown name errors.
+func TestMachineByName(t *testing.T) {
+	for short, want := range map[string]Machine{
+		"alembert": AlembertHaswell(), "trinitite": TrinititeHaswell(),
+		"knl": TrinititeKNL(), "fast": Fast(),
+	} {
+		for _, name := range []string{short, want.Name} {
+			if got, err := MachineByName(name); err != nil || got != want {
+				t.Errorf("MachineByName(%q) = %v, %v; want %v", name, got, err, want)
+			}
+		}
+	}
+	if _, err := MachineByName("cray-1"); err == nil {
+		t.Error("MachineByName accepted an unknown name")
+	}
+}
+
 func TestKNLSlowerThanHaswell(t *testing.T) {
 	knl := TrinititeKNL().Scaled()
 	has := TrinititeHaswell().Scaled()

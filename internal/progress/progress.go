@@ -41,6 +41,18 @@ func (m Mode) String() string {
 	}
 }
 
+// ModeByName is the inverse of String.
+func ModeByName(name string) (Mode, error) {
+	switch name {
+	case "serial":
+		return Serial, nil
+	case "concurrent":
+		return Concurrent, nil
+	default:
+		return 0, fmt.Errorf("unknown progress mode %q", name)
+	}
+}
+
 // Dispatch handles one completion event extracted by the engine. It is the
 // instance Poll handler shape: the clock is the progressing thread's phase
 // clock (nil when profiling is off).

@@ -62,9 +62,19 @@ func (h *harness) inject(inst int, seq uint32) {
 		transport.Envelope{Seq: seq, Kind: transport.KindEager}, nil, nil))
 }
 
+// TestModeString: every mode's name round-trips through ModeByName and an
+// unknown name errors.
 func TestModeString(t *testing.T) {
-	if Serial.String() != "serial" || Concurrent.String() != "concurrent" {
-		t.Fatal("Mode.String mismatch")
+	for m, name := range map[Mode]string{Serial: "serial", Concurrent: "concurrent"} {
+		if m.String() != name {
+			t.Errorf("%d.String() = %q, want %q", int(m), m, name)
+		}
+		if got, err := ModeByName(name); err != nil || got != m {
+			t.Errorf("ModeByName(%q) = %v, %v; want %v", name, got, err, m)
+		}
+	}
+	if _, err := ModeByName("mode(2)"); err == nil {
+		t.Error("ModeByName accepted an unknown name")
 	}
 }
 

@@ -74,11 +74,10 @@ func (p *simProc) queueSnapshot(now int64) flight.QueueSnapshot {
 func (p *simProc) watchdogSample(now int64) flight.Sample {
 	snap := p.spcs.Snapshot()
 	s := flight.Sample{
-		NowNs:         now,
-		CountersValid: true,
-		Sent:          uint64(snap[spc.MessagesSent]),
-		Received:      uint64(snap[spc.MessagesReceived]),
-		Retransmits:   uint64(snap[spc.Retransmits]),
+		NowNs:       now,
+		Sent:        uint64(snap[spc.MessagesSent]),
+		Received:    uint64(snap[spc.MessagesReceived]),
+		Retransmits: uint64(snap[spc.Retransmits]),
 	}
 	s.Comms = p.queueSnapshot(now).Comms
 	if stages, e2e, ok := p.lat.StageP99s(); ok {

@@ -100,8 +100,8 @@ func TestSimWatchdogDeterminism(t *testing.T) {
 }
 
 // Recording advances no virtual time: a flight-enabled run reproduces the
-// flight-off makespan and counters exactly. This is the sim twin of the
-// bench-gate requirement that the recorder off changes nothing.
+// flight-off makespan and counters exactly, which is why the committed
+// model artifacts do not depend on whether the recorder ran.
 func TestSimFlightRecordingIsTimeNeutral(t *testing.T) {
 	base := Config{Machine: hw.Fast(), Pairs: 4, Window: 64, Iters: 4}
 	off := RunMultirate(base)
