@@ -1,12 +1,25 @@
 GO ?= go
 
-.PHONY: build test race race-lockfree vet fmt bench-telemetry bench-real-smoke chaos fuzz-wire check conformance lint-layers lint-onepath twin-exact rebaseline tcp-smoke
+.PHONY: build test allocs race race-lockfree vet fmt bench-telemetry bench-real-smoke chaos fuzz-wire check conformance lint-layers lint-onepath twin-exact rebaseline tcp-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The allocation ladder: every testing.AllocsPerRun pin on the message path
+# (CRI acquire/release, an eager message and a 128-message window in process,
+# an 8-byte round trip over loopback tcp, an RMA put, a tcp flush), run without
+# the race detector — under it sync.Pool drops Puts at random and core only
+# logs its counts — then the rows the tests logged as one table. CI's test job
+# runs the suite under -race only, so this is the step that holds the line.
+allocs:
+	@out=$$($(GO) test -count=1 -v -run Alloc ./internal/cri ./internal/core ./internal/rma ./internal/transport/tcpnet 2>&1); rc=$$?; \
+	echo "$$out"; echo; \
+	printf '%-48s %9s %7s\n' path allocs/op pinned; \
+	echo "$$out" | awk -F' *[|] *' '/allocs-pin [|]/ { printf "%-48s %9s %7s\n", $$2, $$3, $$4 }'; \
+	exit $$rc
 
 # Race-detector pass over the concurrency-heavy packages (the full suite
 # under -race works too, but takes much longer).
@@ -141,4 +154,4 @@ chaos:
 	$(GO) run ./cmd/multirate -engine sim -pairs 1 -window 64 -iters 4 \
 		-flight 2048 -watchdog -stall 2s -stall-at 2 -flight-out flight_sim_stall.json
 
-check: build vet lint-layers lint-onepath test race conformance
+check: build vet lint-layers lint-onepath test allocs race conformance

@@ -136,6 +136,7 @@ func TestConformance(t *testing.T) {
 	}{
 		{"Eager", conformEager},
 		{"Rendezvous", conformRendezvous},
+		{"BufferOwnership", conformBufferOwnership},
 		{"AnyTagOvertaking", conformAnyTagOvertaking},
 		{"PersistentRequests", conformPersistent},
 		{"WaitAny", conformWaitAny},
@@ -210,6 +211,95 @@ func conformRendezvous(t *testing.T, h *harness) {
 			return fmt.Errorf("rendezvous payload corrupted")
 		}
 		return nil
+	})
+}
+
+// conformBufferOwnership: the send buffer is the caller's again the moment
+// Isend returns for an eager message and the moment Wait returns for a
+// rendezvous — whatever the runtime still needs by then it has copied. The
+// sender overwrites the buffer at exactly those instants. An eager receive is
+// posted only after a second message says the overwrite happened, so the
+// payload has sat in a packet queue, a pending wire buffer or the unexpected
+// queue across it; a rendezvous receive is posted up front (the send cannot
+// complete without it) and checked once it completes. The receiver must see
+// the original bytes every time.
+func conformBufferOwnership(t *testing.T, h *harness) {
+	const (
+		rounds  = 4
+		dataTag = 61
+		goTag   = 62
+	)
+	sizes := []int{0, 8, 4 << 10, 64 << 10}
+	eagerLimit := h.procs[0].World().Options().EagerLimit
+	if eagerLimit < sizes[2] || eagerLimit >= sizes[3] {
+		t.Fatalf("eager limit %d: the sizes no longer straddle it", eagerLimit)
+	}
+	pattern := func(size, round int) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(i*7 + size + round)
+		}
+		return b
+	}
+	run2(t, h, func(rank int, th *core.Thread) error {
+		c := h.comms[rank]
+		// A damaged payload is reported at the end: the sender is blocked on
+		// this side's receives, so bailing out mid-protocol would hang it.
+		var damaged error
+		for _, size := range sizes {
+			eager := size <= eagerLimit
+			for round := 0; round < rounds; round++ {
+				want := pattern(size, round)
+				if rank == 0 {
+					buf := append([]byte(nil), want...)
+					req, err := c.Isend(th, 1, dataTag, buf)
+					if err != nil {
+						return err
+					}
+					if !eager {
+						if err := req.Wait(th); err != nil {
+							return err
+						}
+					}
+					for i := range buf {
+						buf[i] = ^buf[i]
+					}
+					if err := c.Send(th, 1, goTag, nil); err != nil {
+						return err
+					}
+					if err := req.Wait(th); err != nil {
+						return err
+					}
+					continue
+				}
+				got := make([]byte, size)
+				var rreq *core.Request
+				var err error
+				if !eager {
+					if rreq, err = c.Irecv(th, 0, dataTag, got); err != nil {
+						return err
+					}
+				}
+				if _, err := c.Recv(th, 0, goTag, nil); err != nil {
+					return err
+				}
+				if eager {
+					if rreq, err = c.Irecv(th, 0, dataTag, got); err != nil {
+						return err
+					}
+				}
+				if err := rreq.Wait(th); err != nil {
+					return err
+				}
+				if st := rreq.Status(); damaged == nil && (st.Count != size || st.Truncated) {
+					damaged = fmt.Errorf("%d bytes round %d: status %+v", size, round, st)
+				}
+				if damaged == nil && !bytes.Equal(got, want) {
+					damaged = fmt.Errorf("%d bytes round %d: receiver saw the sender's later overwrite of its buffer", size, round)
+				}
+			}
+		}
+		return damaged
 	})
 }
 

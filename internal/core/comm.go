@@ -143,8 +143,14 @@ func (c *Comm) checkRank(r int, what string) error {
 	return nil
 }
 
-// Isend starts a non-blocking send of buf to communicator rank dst.
-// The buffer may be reused as soon as Isend returns (eager copy / RTS).
+// Isend starts a non-blocking send of buf to communicator rank dst. As in
+// MPI, buf belongs to the operation until the request completes: a message
+// above the eager limit travels by rendezvous, which reads buf when the
+// receiver's ACK arrives — possibly long after Isend returned — so writing it
+// before Wait/Test reports completion corrupts the message. At or below the
+// eager limit (and for any self send) the payload is copied before Isend
+// returns and buf is free at once; callers that rely on that are relying on
+// the eager limit.
 func (c *Comm) Isend(th *Thread, dst int, tag int32, buf []byte) (*Request, error) {
 	p := c.proc
 	if th.proc != p {
@@ -207,8 +213,10 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 	}
 	ring := th.ts.Flight()
 	ring.RecordAt(now-p.flightBase, flight.KindSendPost, c.id, int32(dst), int32(env.Seq), -1, 0)
-	req := &Request{proc: p, kind: reqSend}
-	pkt := transport.NewPacket(env, buf, req)
+	env.Len = uint32(len(buf))
+	op := &sendOp{Request: Request{proc: p, kind: reqSend}}
+	req, pkt := &op.Request, &op.pkt
+	pkt.Init(env, buf, req)
 	user := userEager(env)
 	if user {
 		pkt.Stamp = now
@@ -344,12 +352,16 @@ func (c *Comm) unlockMatch() {
 func (c *Comm) post(th *Thread, src int, tag int32, buf []byte) *Request {
 	p := c.proc
 	clk := th.ts.Clock()
-	req := &Request{proc: p, kind: reqRecv}
-	req.mrecv = &match.Recv{Source: int32(src), Tag: tag, Buf: buf, Token: req}
+	op := &recvOp{
+		Request: Request{proc: p, kind: reqRecv},
+		recv:    match.Recv{Source: int32(src), Tag: tag, Buf: buf},
+	}
+	req := &op.Request
+	op.recv.Token = req
 	c.lockMatch(clk)
 	clk.Begin(prof.PhaseMatch)
 	h0 := p.histMatch.Start()
-	comp, ok := c.engine.PostRecv(req.mrecv)
+	comp, ok := c.engine.PostRecv(&op.recv)
 	p.histMatch.ObserveSince(h0)
 	clk.End()
 	c.unlockMatch()

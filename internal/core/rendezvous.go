@@ -102,13 +102,13 @@ func (c *Comm) startRendezvousRecv(req *Request, comp match.Completion) {
 	env := comp.Recv.MatchedEnv
 	id := binary.LittleEndian.Uint64(comp.Packet.Payload)
 	total := int(env.Len)
-	sink := len(req.mrecv.Buf)
+	sink := len(comp.Recv.Buf)
 	if sink > total {
 		sink = total
 	}
 	var region transport.MemRegion
 	if sink > 0 {
-		region = p.dev.RegisterMemory(req.mrecv.Buf[:sink])
+		region = p.dev.RegisterMemory(comp.Recv.Buf[:sink])
 	} else {
 		region = p.dev.RegisterMemory(nil)
 	}
@@ -169,10 +169,9 @@ func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 		return
 	}
 
-	var idb [8]byte
-	binary.LittleEndian.PutUint64(idb[:], id)
-	finPayload := idb[:]
-
+	// carried is how much of the data rides the FIN itself: all of it on a
+	// send/recv-only backend, none where an RDMA write moves it.
+	carried := sink
 	if sink > 0 && p.world.caps.OneSided {
 		// The bulk transfer is a hardware put addressed by region id: the
 		// backend charges initiator CPU plus wire time; no instance lock is
@@ -190,16 +189,19 @@ func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 			rs.req.finish(fmt.Errorf("core: rendezvous put: %w", err))
 			return
 		}
-	} else if sink > 0 {
-		// Send/recv-only backend: the FIN carries the data.
-		finPayload = append(idb[:], rs.buf[:sink]...)
+		carried = 0
 	}
 
+	// {rdv id, data}: built here for this packet alone, so the packet takes it
+	// without the second copy of all the data a copying constructor would make.
+	fin := make([]byte, 8+carried)
+	binary.LittleEndian.PutUint64(fin, id)
+	copy(fin[8:], rs.buf[:carried])
 	env := pkt.Envelope()
 	finEnv := transport.Envelope{
 		Src: env.Dst, Dst: env.Src, Comm: c.id, Kind: transport.KindRendezvousData,
 	}
-	finPkt := transport.NewPacketRaw(finEnv, finPayload, nil)
+	finPkt := transport.NewPacketOwned(finEnv, fin, nil)
 	p.rel.track(finPkt, rs.dstWorld, nil, nil)
 	if err := p.sendControl(rs.dstWorld, finPkt); err != nil {
 		rs.req.finish(err)

@@ -47,11 +47,31 @@ type Request struct {
 	// send CQE. Written before injection, so the CQE handler observes it.
 	reliable bool
 
-	// recv state
-	mrecv  *match.Recv
+	// status is the result of a completed receive.
 	status Status
 
 	err error
+}
+
+// A posted operation is one heap object: the handle the caller holds and the
+// record the message path works on sit side by side, and the handle is the
+// address of the first field. The two shapes are separate structs so that
+// neither pays for the other's record. Nothing recycles them — the collector
+// frees an operation once the caller has dropped the handle and the message
+// path its packet or receive record — so a holder that lingers costs memory,
+// never a use after free (over the in-process fabric the sender's packet IS
+// the packet in the receiver's queues).
+
+// sendOp is an eager send: the request and the packet that carries it.
+type sendOp struct {
+	Request
+	pkt transport.Packet
+}
+
+// recvOp is a posted receive: the request and its matching-engine record.
+type recvOp struct {
+	Request
+	recv match.Recv
 }
 
 // Done reports whether the operation has completed. It does not progress

@@ -88,6 +88,10 @@ type Instance struct {
 	pollFn      func(transport.CQE)
 	pollClk     *prof.ThreadClock
 	pollHandler PollHandler
+	// unlockFn is in.Unlock bound once, for the same reason: the release
+	// function AcquireSend returns on every send is this value, not a fresh
+	// method value.
+	unlockFn func()
 }
 
 // NewInstance wraps a transport context as instance index within its pool.
@@ -97,6 +101,7 @@ type Instance struct {
 func NewInstance(index int, ctx transport.Context, spcs *spc.Set) *Instance {
 	in := &Instance{index: index, ctx: ctx, spcs: spcs}
 	in.pollFn = func(e transport.CQE) { in.pollHandler(in.pollClk, in, e) }
+	in.unlockFn = in.Unlock
 	return in
 }
 
@@ -250,6 +255,9 @@ type Pool struct {
 	// pools are at most a few dozen instances.
 	freeHead atomic.Uint64
 	freeNext []atomic.Int32
+	// giveBack[i] unlocks instance i and returns it to the free-list: the
+	// release function of a free-list acquisition, built once per instance.
+	giveBack []func()
 }
 
 // ErrEmptyPool reports a pool construction with no instances — a
@@ -264,6 +272,13 @@ func NewPool(instances []*Instance, mode Assignment) (*Pool, error) {
 	p := &Pool{instances: instances, mode: mode}
 	if mode == FreeList {
 		p.freeNext = make([]atomic.Int32, len(instances))
+		p.giveBack = make([]func(), len(instances))
+		for i, in := range instances {
+			p.giveBack[i] = func() {
+				in.Unlock()
+				p.pushFree(i)
+			}
+		}
 		// Seed the stack with every index, 0 on top, so low indices are
 		// preferred and pool occupancy reads naturally in snapshots.
 		for i := len(instances) - 1; i >= 0; i-- {
@@ -338,26 +353,24 @@ func (p *Pool) popFree() int {
 // when the list is drained it falls back to a contended round-robin pick.
 // Under RoundRobin/Dedicated it is ForThread + LockClocked, unchanged. The
 // release function unlocks and, for free-list acquisitions, returns the
-// instance to the list.
+// instance to the list; it was built when the instance (or the pool) was, so
+// acquiring allocates nothing.
 func (p *Pool) AcquireSend(ts *ThreadState) (*Instance, func()) {
 	if p.mode == FreeList {
 		if i := p.popFree(); i >= 0 {
 			p.spcs.Inc(spc.FreeListAcquires)
 			in := p.instances[i]
 			in.LockClocked(ts.Clock())
-			return in, func() {
-				in.Unlock()
-				p.pushFree(i)
-			}
+			return in, p.giveBack[i]
 		}
 		p.spcs.Inc(spc.FreeListEmpty)
 		in := p.instances[p.NextRoundRobin()]
 		in.LockClocked(ts.Clock())
-		return in, in.Unlock
+		return in, in.unlockFn
 	}
 	in := p.ForThread(ts)
 	in.LockClocked(ts.Clock())
-	return in, in.Unlock
+	return in, in.unlockFn
 }
 
 // ForThread returns the instance for ts under the pool's strategy. With

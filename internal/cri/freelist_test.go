@@ -205,3 +205,58 @@ func TestFreeListChurnRace(t *testing.T) {
 		t.Fatalf("free-list holds %d/%d instances after churn", seen, n)
 	}
 }
+
+// pinAllocs fails when f allocates more than pinned times per run and logs
+// the row `make allocs` collects into its table.
+func pinAllocs(t *testing.T, path string, pinned float64, f func()) {
+	t.Helper()
+	got := testing.AllocsPerRun(200, f)
+	t.Logf("allocs-pin | %-46s | %5.2f | %5.2f", path, got, pinned)
+	if got > pinned {
+		t.Errorf("%s allocates %v times per op, pinned at %v", path, got, pinned)
+	}
+}
+
+// TestAcquireSendAllocatesNothing: the release function AcquireSend returns
+// is built when the instance (or the pool) is, under every assignment and on
+// the drained-free-list fallback — and it still is the right one: the
+// instance comes back unlocked and, where it was popped, back on the list.
+func TestAcquireSendAllocatesNothing(t *testing.T) {
+	cases := []struct {
+		name string
+		mode Assignment
+		hold int // instances popped beforehand: 2 = drained, round-robin fallback
+	}{
+		{"round-robin", RoundRobin, 0},
+		{"dedicated", Dedicated, 0},
+		{"free-list", FreeList, 0},
+		{"free-list drained", FreeList, 2},
+	}
+	for _, c := range cases {
+		p := testPool(t, 2, c.mode)
+		p.SetSPCs(spc.NewSet())
+		for i := 0; i < c.hold; i++ {
+			if p.popFree() < 0 {
+				t.Fatalf("%s: free-list drained after %d pops", c.name, i)
+			}
+		}
+		var ts ThreadState
+		pinAllocs(t, "cri.AcquireSend+release "+c.name, 0, func() {
+			in, release := p.AcquireSend(&ts)
+			release()
+			if !in.TryLock() {
+				t.Fatalf("%s: release left instance %d locked", c.name, in.Index())
+			}
+			in.Unlock()
+		})
+		if c.mode == FreeList {
+			free := 0
+			for p.popFree() >= 0 {
+				free++
+			}
+			if want := 2 - c.hold; free != want {
+				t.Errorf("%s: %d instances on the free-list afterwards, want %d", c.name, free, want)
+			}
+		}
+	}
+}

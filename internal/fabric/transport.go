@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hw"
 	"repro/internal/spc"
@@ -147,15 +148,20 @@ type lazyEndpoint struct {
 	peer      int
 	remoteIdx int
 
+	// ep is written once, under mu, by the send that resolves the peer; every
+	// later send reads it with one atomic load.
 	mu sync.Mutex
-	ep *Endpoint
+	ep atomic.Pointer[Endpoint]
 }
 
 func (e *lazyEndpoint) resolve() (*Endpoint, error) {
+	if ep := e.ep.Load(); ep != nil {
+		return ep, nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ep != nil {
-		return e.ep, nil
+	if ep := e.ep.Load(); ep != nil {
+		return ep, nil
 	}
 	pd := e.t.net.device(e.peer)
 	if pd == nil {
@@ -165,9 +171,10 @@ func (e *lazyEndpoint) resolve() (*Endpoint, error) {
 	if rc == nil {
 		return nil, fmt.Errorf("%w: rank %d has no context %d", transport.ErrConnEstablish, e.peer, e.remoteIdx)
 	}
-	e.ep = NewEndpoint(e.local, rc)
+	ep := NewEndpoint(e.local, rc)
 	e.t.noteEstablish(e.peer)
-	return e.ep, nil
+	e.ep.Store(ep)
+	return ep, nil
 }
 
 func (e *lazyEndpoint) Send(p *transport.Packet) error {

@@ -306,3 +306,31 @@ func TestFreeDeregisters(t *testing.T) {
 		t.Fatal("region still registered after Free")
 	}
 }
+
+// TestPutAllocations: a put costs its completion token and nothing else — the
+// CRI release function is prebuilt, and the flush that reaps the completion
+// allocates nothing. (The token stays: see ROADMAP item 2(a).) The options are
+// the benchmark's inproc_rma_put_8B_mt ones.
+func TestPutAllocations(t *testing.T) {
+	const pinned = 1
+	w, wins := newWinPair(t, core.CRIsConcurrent(2, cri.Dedicated), 64)
+	th := w.Proc(0).NewThread()
+	wins[0].LockAll()
+	src := []byte("12345678")
+	got := testing.AllocsPerRun(200, func() {
+		if err := wins[0].Put(th, 1, 8, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := wins[0].Flush(th, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The row `make allocs` collects into its table.
+	t.Logf("allocs-pin | %-46s | %5.2f | %5.2f", "rma.Put + Flush (sim, dedicated CRIs)", got, float64(pinned))
+	if got > pinned {
+		t.Fatalf("Put + Flush allocates %v times, pinned at %d", got, pinned)
+	}
+	if err := wins[0].UnlockAll(th); err != nil {
+		t.Fatal(err)
+	}
+}

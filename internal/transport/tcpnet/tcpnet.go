@@ -70,9 +70,12 @@
 //
 // Read side: one reader goroutine per connection reads through a fixed
 // readBufSize window and decodes every complete frame in place
-// (DecodePacket copies the payload out) — one read per burst, no per-frame
-// allocation. Only a frame larger than the window spills into a reused
-// scratch slice, grown as its bytes actually arrive. Bytes off the socket
+// (DecodePacketInto copies the payload out) — one read per burst. Small
+// frames decode into packets carved from a slabPackets-entry slab, one
+// allocation per slab instead of one per frame; a frame above slabMaxFrame
+// gets a packet of its own, so a slab never keeps a large payload alive.
+// Only a frame larger than the window spills into a reused scratch slice,
+// grown as its bytes actually arrive. Bytes off the socket
 // are hostile until validated: a frame length outside
 // [MuxHeaderSize, maxFrame], a mux index ≥ maxMux, or an undecodable packet
 // closes the connection and ticks wire_frames_rejected.
@@ -158,6 +161,16 @@ const (
 	// maxMux bounds the mux ID (destination context index): contexts are
 	// CRIs, a few dozen per rank, so 1024 only caps the reader's demux table.
 	maxMux = 1 << 10
+	// slabPackets is how many decoded packets share one allocation. Nothing
+	// returns a slab: the collector frees it when the last of its packets is
+	// dropped, so one long-lived unexpected message keeps its slab reachable —
+	// slabPackets packets, about 9 KiB, plus whatever payloads of at most
+	// slabMaxFrame its slab-mates still carry — and no more.
+	slabPackets = 64
+	// slabMaxFrame is the largest frame decoded into the slab. Above it the
+	// payload dwarfs the packet and sharing would only let one slow consumer
+	// pin its slab-mates' payloads (64 KiB rendezvous FINs measurably so).
+	slabMaxFrame = 512
 )
 
 // errBadFrame reports inbound bytes that failed frame validation.
@@ -377,7 +390,10 @@ func (n *Network) flush(peer int, backstop bool) {
 	s.frames += frames
 	s.pmu.Unlock()
 	s.spare = nil
-	s.flushErr.Store(&err)
+	// A copy local to this branch: taking err's own address would move it to
+	// the heap on every flush, successful ones included.
+	failed := err
+	s.flushErr.Store(&failed)
 	ctr.Inc(spc.WireFlushFailures)
 	ctr.Add(spc.WireFramesStranded, int64(frames))
 }
@@ -716,16 +732,32 @@ func (n *Network) serveFrames(conn net.Conn) {
 
 // frameReader decodes length-prefixed mux frames from a byte stream through
 // one fixed window, in place; scratch is the reused spill for a frame larger
-// than the window.
+// than the window, slab the unused rest of the current packet slab.
 type frameReader struct {
 	buf     []byte
 	scratch []byte
+	slab    []transport.Packet
+}
+
+// packet returns a zero packet for a frame of flen bytes: the next slab entry
+// for a small frame, a packet of its own otherwise. An entry whose decode is
+// then refused is never handed out again — the stream ends there.
+func (fr *frameReader) packet(flen int) *transport.Packet {
+	if flen > slabMaxFrame {
+		return new(transport.Packet)
+	}
+	if len(fr.slab) == 0 {
+		fr.slab = make([]transport.Packet, slabPackets)
+	}
+	p := &fr.slab[0]
+	fr.slab = fr.slab[1:]
+	return p
 }
 
 // run reads r until it fails, handing every decoded frame to deliver. It
 // returns r's error, or errBadFrame when the stream fails validation: a
 // declared length outside [MuxHeaderSize, maxFrame], a mux ID ≥ maxMux, a
-// packet DecodeMuxFrame rejects, or a frame deliver refuses.
+// packet DecodeMuxFrameInto rejects, or a frame deliver refuses.
 func (fr *frameReader) run(r io.Reader, deliver func(mux uint32, pkt *transport.Packet) bool) error {
 	buf := fr.buf
 	lo, hi := 0, 0 // buf[lo:hi] is read but not yet decoded
@@ -747,7 +779,8 @@ func (fr *frameReader) run(r io.Reader, deliver func(mux uint32, pkt *transport.
 			} else {
 				break // incomplete, but it fits the window: read more
 			}
-			mux, pkt, err := transport.DecodeMuxFrame(body)
+			pkt := fr.packet(flen)
+			mux, err := transport.DecodeMuxFrameInto(pkt, body)
 			if err != nil || mux >= maxMux {
 				return errBadFrame
 			}

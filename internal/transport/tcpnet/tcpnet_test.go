@@ -1082,3 +1082,184 @@ func FuzzReadFrames(f *testing.F) {
 		}
 	})
 }
+
+// TestFrameReaderSlabPacketsStayDistinct: small frames decode into packets
+// carved from shared slabs, larger ones into packets of their own. Holding
+// every delivered pointer while the reader moves three slabs on, each packet
+// must still be its own — right envelope, right payload, no two the same —
+// and no frame above slabMaxFrame may have taken a slab entry.
+func TestFrameReaderSlabPacketsStayDistinct(t *testing.T) {
+	const small = 200 // > 3 slabs
+	bigAt := map[int]int{10: slabMaxFrame + 1, 70: 5000, 130: 70 << 10, 199: 600}
+	payload := func(i, n int) []byte {
+		b := make([]byte, n)
+		for k := range b {
+			b[k] = byte(i + k)
+		}
+		return b
+	}
+	var stream []byte
+	var want [][]byte // payload per delivered frame, in order
+	frame := func(seq, n int) {
+		env := transport.Envelope{Src: 1, Dst: 0, Tag: int32(seq % 7), Comm: 4, Seq: uint32(seq), Kind: transport.KindEager}
+		p := transport.NewPacket(env, payload(seq, n), nil)
+		stream = p.AppendMuxFrame(stream, uint32(seq%3))
+		want = append(want, p.Payload)
+	}
+	for i := 0; i < small; i++ {
+		frame(i, i%40)
+		if n, ok := bigAt[i]; ok {
+			frame(1000+i, n)
+		}
+	}
+
+	client, server := net.Pipe()
+	go func() {
+		defer client.Close()
+		client.Write(stream)
+	}()
+	fr := &frameReader{buf: make([]byte, 16<<10)} // the 70 KiB frame spills
+	var kept []*transport.Packet
+	var slabLeft []int // len(fr.slab) after each delivery's packet was taken
+	err := fr.run(server, func(mux uint32, p *transport.Packet) bool {
+		if want := p.Envelope().Seq % 3; mux != want {
+			t.Errorf("frame %d delivered to mux %d, sent to %d", len(kept), mux, want)
+		}
+		kept = append(kept, p)
+		slabLeft = append(slabLeft, len(fr.slab))
+		return true
+	})
+	server.Close()
+	if err != io.EOF || len(kept) != len(want) {
+		t.Fatalf("run = %v with %d frames delivered, want EOF and %d", err, len(kept), len(want))
+	}
+
+	seen := make(map[*transport.Packet]int, len(kept))
+	smallSeen, left := 0, 0
+	for i, p := range kept {
+		if j, dup := seen[p]; dup {
+			t.Fatalf("frames %d and %d were delivered in the same packet", j, i)
+		}
+		seen[p] = i
+		env := p.Envelope()
+		big := env.Seq >= 1000
+		if !big {
+			if int(env.Seq) != smallSeen {
+				t.Fatalf("frame %d carries seq %d, want %d", i, env.Seq, smallSeen)
+			}
+			smallSeen++
+			// A small frame takes the next entry of the current slab.
+			if left--; left < 0 {
+				left = slabPackets - 1
+			}
+		}
+		if env.Tag != int32(env.Seq%7) || int(env.Len) != len(want[i]) || !bytes.Equal(p.Payload, want[i]) {
+			t.Fatalf("frame %d (seq %d, %d bytes) damaged while later frames decoded: env %v, %d payload bytes", i, env.Seq, len(want[i]), env, len(p.Payload))
+		}
+		if slabLeft[i] != left {
+			t.Fatalf("frame %d (big=%v, %d bytes): %d slab entries left after it, want %d", i, big, len(want[i]), slabLeft[i], left)
+		}
+	}
+	if smallSeen != small {
+		t.Fatalf("%d small frames delivered, want %d", smallSeen, small)
+	}
+}
+
+// TestRejectedFrameDeliversNothing: a frame the packet decoder refuses ends
+// the stream with errBadFrame. The good frames ahead of it in the same burst
+// arrive whole; the refused one and everything after it are never delivered.
+func TestRejectedFrameDeliversNothing(t *testing.T) {
+	le := binary.LittleEndian
+	good := func(seq int) []byte {
+		env := transport.Envelope{Src: 1, Tag: 5, Seq: uint32(seq), Kind: transport.KindEager}
+		return transport.NewPacket(env, []byte{byte(seq), 0xEE}, nil).AppendMuxFrame(nil, 0)
+	}
+	traced := transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, []byte("x"), nil)
+	traced.TraceID, traced.Origin = 0xABCDEF, 1
+	noID := traced.AppendMuxFrame(nil, 0)
+	// The trace id is the first 8 bytes of the extension, right after the
+	// length prefix, the mux header and the envelope.
+	clear(noID[4+transport.MuxHeaderSize+transport.EnvelopeSize:][:8])
+	// An envelope followed by 10 bytes where 20 bytes of metadata belong.
+	shortMeta := le.AppendUint32(nil, uint32(transport.MuxHeaderSize+transport.EnvelopeSize+10))
+	shortMeta = append(shortMeta, good(0)[4:][:transport.MuxHeaderSize+transport.EnvelopeSize+10]...)
+
+	for _, tc := range []struct {
+		name string
+		bad  []byte
+	}{
+		{"traced flag without a trace id", noID},
+		{"short driver metadata", shortMeta},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stream []byte
+			for seq := 0; seq < 3; seq++ {
+				stream = append(stream, good(seq)...)
+			}
+			stream = append(stream, tc.bad...)
+			stream = append(stream, good(3)...)
+			client, server := net.Pipe()
+			go func() {
+				defer client.Close()
+				client.Write(stream) // one burst: every frame is in the window at once
+			}()
+			fr := &frameReader{buf: make([]byte, 4096)}
+			var got []*transport.Packet
+			err := fr.run(server, func(_ uint32, p *transport.Packet) bool {
+				got = append(got, p)
+				return true
+			})
+			server.Close()
+			if err != errBadFrame {
+				t.Fatalf("run = %v, want errBadFrame", err)
+			}
+			if len(got) != 3 {
+				t.Fatalf("%d frames delivered, want the 3 good ones ahead of the bad frame", len(got))
+			}
+			for seq, p := range got {
+				if env := p.Envelope(); int(env.Seq) != seq || env.Tag != 5 || !bytes.Equal(p.Payload, []byte{byte(seq), 0xEE}) {
+					t.Fatalf("good frame %d damaged: env %v payload %x", seq, env, p.Payload)
+				}
+			}
+		})
+	}
+}
+
+// pinAllocs fails when f allocates more than pinned times per run and logs
+// the row `make allocs` collects into its table.
+func pinAllocs(t *testing.T, path string, pinned float64, f func()) {
+	t.Helper()
+	got := testing.AllocsPerRun(200, f)
+	t.Logf("allocs-pin | %-46s | %5.2f | %5.2f", path, got, pinned)
+	if got > pinned {
+		t.Errorf("%s allocates %v times per op, pinned at %v", path, got, pinned)
+	}
+}
+
+// TestSuccessfulFlushAllocatesNothing: buffering a frame, reaping its send
+// completion and the flush that Poll ends with allocate nothing once the
+// pending buffers have grown (the write error used to escape on every flush).
+func TestSuccessfulFlushAllocatesNothing(t *testing.T) {
+	_, d0, d1, ctr := newCountedPair(t)
+	c0, c1 := mustContext(t, d0), mustContext(t, d1)
+	ep := mustConnect(t, d0, c0, 1, 0)
+	establish(t, ep, c0, c1)
+	pkt := transport.NewPacket(transport.Envelope{Src: 0, Dst: 1, Kind: transport.KindEager}, nil, nil)
+	nop := func(transport.CQE) {}
+	before := ctr.Get(spc.WireFlushes)
+	pinAllocs(t, "tcpnet Send + Poll (successful flush)", 0, func() {
+		if err := ep.Send(pkt); err != nil {
+			t.Fatal(err)
+		}
+		c0.Poll(nop, 0)
+		// Keep the receive ring drained. Whatever the reader goroutine decodes
+		// meanwhile costs one slab per slabPackets of these empty frames.
+		c1.Poll(nop, 0)
+	})
+	if flushed := ctr.Get(spc.WireFlushes) - before; flushed < 200 {
+		t.Fatalf("%d flushes over 201 sends: the measured path did not flush", flushed)
+	}
+	if n := ctr.Get(spc.WireFlushFailures); n != 0 {
+		t.Fatalf("%d flushes failed", n)
+	}
+}

@@ -164,11 +164,30 @@ func NewPacket(env Envelope, payload []byte, token any) *Packet {
 // (e.g. a rendezvous RTS) advertise a length different from their carried
 // payload.
 func NewPacketRaw(env Envelope, payload []byte, token any) *Packet {
-	p := &Packet{Token: token}
+	p := new(Packet)
+	p.Init(env, payload, token)
+	return p
+}
+
+// Init makes the zero packet p what NewPacketRaw returns, in place, so a
+// caller can embed the packet in a larger object of its own (a send request
+// and its packet are one allocation). env.Len is marshaled as given.
+func (p *Packet) Init(env Envelope, payload []byte, token any) {
 	env.Marshal(&p.header)
 	if len(payload) > 0 {
 		p.Payload = append([]byte(nil), payload...)
 	}
+	p.Token = token
+}
+
+// NewPacketOwned is NewPacketRaw without the payload copy: ownership of
+// payload's backing array transfers to the packet. The caller must have built
+// the slice for this packet alone and must neither read nor write it after the
+// call — an in-process receiver reads the same bytes, a batching wire frames
+// them later. Never pass a user's buffer.
+func NewPacketOwned(env Envelope, payload []byte, token any) *Packet {
+	p := &Packet{Payload: payload, Token: token}
+	env.Marshal(&p.header)
 	return p
 }
 
@@ -234,26 +253,39 @@ func (p *Packet) AppendWire(b []byte) []byte {
 // envelope carries only the base kind, and the extension fields land in
 // TraceID/Origin (the ext's send stamp wins over the driver-metadata copy).
 func DecodePacket(b []byte) (*Packet, error) {
-	if len(b) < EnvelopeSize+wireMetaSize {
-		return nil, fmt.Errorf("transport: short packet frame (%d bytes)", len(b))
+	p := new(Packet)
+	if err := DecodePacketInto(p, b); err != nil {
+		return nil, err
 	}
-	p := &Packet{}
-	copy(p.header[:], b[:EnvelopeSize])
+	return p, nil
+}
+
+// DecodePacketInto is DecodePacket into storage the caller provides: p must be
+// a zero packet (a tcp reader carves them from a slab). A frame it rejects
+// leaves p untouched, so a refused slot is still a zero packet.
+func DecodePacketInto(p *Packet, b []byte) error {
+	if len(b) < EnvelopeSize+wireMetaSize {
+		return fmt.Errorf("transport: short packet frame (%d bytes)", len(b))
+	}
 	rest := b[EnvelopeSize:]
-	kind := Kind(binary.LittleEndian.Uint32(p.header[kindOffset:]))
+	kind := Kind(binary.LittleEndian.Uint32(b[kindOffset:]))
+	// Every check comes before the first write to p.
 	if kind.Traced() {
 		if len(rest) < TraceExtSize+wireMetaSize {
-			return nil, fmt.Errorf("transport: short traced packet frame (%d bytes)", len(b))
+			return fmt.Errorf("transport: short traced packet frame (%d bytes)", len(b))
 		}
+		if binary.LittleEndian.Uint64(rest) == 0 {
+			// AppendWire frames the extension only around a non-zero id; a
+			// flagged frame without one is not something a sender produces.
+			return fmt.Errorf("transport: traced packet frame without a trace id")
+		}
+	}
+	copy(p.header[:], b[:EnvelopeSize])
+	if kind.Traced() {
 		binary.LittleEndian.PutUint32(p.header[kindOffset:], uint32(kind&^FlagTraced))
 		p.TraceID = binary.LittleEndian.Uint64(rest[0:])
 		p.Origin = int32(binary.LittleEndian.Uint32(rest[8:]))
 		p.Stamp = int64(binary.LittleEndian.Uint64(rest[12:]))
-		if p.TraceID == 0 {
-			// AppendWire frames the extension only around a non-zero id; a
-			// flagged frame without one is not something a sender produces.
-			return nil, fmt.Errorf("transport: traced packet frame without a trace id")
-		}
 		rest = rest[TraceExtSize:]
 	}
 	p.RelSeq = binary.LittleEndian.Uint64(rest[0:])
@@ -264,7 +296,7 @@ func DecodePacket(b []byte) (*Packet, error) {
 	if rest = rest[wireMetaSize:]; len(rest) > 0 {
 		p.Payload = append([]byte(nil), rest...)
 	}
-	return p, nil
+	return nil
 }
 
 // MuxHeaderSize is the framed size of the per-frame multiplexing prefix a
@@ -287,12 +319,20 @@ func (p *Packet) AppendMuxFrame(b []byte, mux uint32) []byte {
 // DecodeMuxFrame parses the body of a multiplexed frame (everything after
 // the length prefix): the mux ID and the packet.
 func DecodeMuxFrame(b []byte) (mux uint32, p *Packet, err error) {
-	if len(b) < MuxHeaderSize {
-		return 0, nil, fmt.Errorf("transport: short mux frame (%d bytes)", len(b))
+	p = new(Packet)
+	if mux, err = DecodeMuxFrameInto(p, b); err != nil {
+		return mux, nil, err
 	}
-	mux = binary.LittleEndian.Uint32(b)
-	p, err = DecodePacket(b[MuxHeaderSize:])
-	return mux, p, err
+	return mux, p, nil
+}
+
+// DecodeMuxFrameInto is DecodeMuxFrame into the zero packet p (see
+// DecodePacketInto).
+func DecodeMuxFrameInto(p *Packet, b []byte) (mux uint32, err error) {
+	if len(b) < MuxHeaderSize {
+		return 0, fmt.Errorf("transport: short mux frame (%d bytes)", len(b))
+	}
+	return binary.LittleEndian.Uint32(b), DecodePacketInto(p, b[MuxHeaderSize:])
 }
 
 // CQEKind discriminates completion-queue entries.

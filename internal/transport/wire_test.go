@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 )
 
@@ -94,6 +95,66 @@ func TestWireShortTracedFrame(t *testing.T) {
 	frame := p.AppendWire(nil)
 	if _, err := DecodePacket(frame[:EnvelopeSize+4]); err == nil {
 		t.Fatal("short traced frame decoded without error")
+	}
+}
+
+// A frame DecodePacketInto refuses leaves the packet it was given untouched:
+// a tcp reader decodes into slab entries, and a half-written entry would be a
+// partially decoded packet someone could later be handed.
+func TestDecodePacketIntoRejectsWithoutWriting(t *testing.T) {
+	traced := NewPacket(testEnvelope(), []byte("payload"), nil)
+	traced.TraceID, traced.Origin, traced.RelSeq = 7, 1, 9
+	noID := traced.AppendWire(nil)
+	clear(noID[EnvelopeSize:][:8])
+	plain := NewPacket(testEnvelope(), []byte("payload"), nil).AppendWire(nil)
+	for name, frame := range map[string][]byte{
+		"shorter than an envelope":  plain[:EnvelopeSize-1],
+		"short driver metadata":     plain[:EnvelopeSize+wireMetaSize-1],
+		"short traced extension":    traced.AppendWire(nil)[:EnvelopeSize+TraceExtSize+wireMetaSize-1],
+		"traced flag without an id": noID,
+	} {
+		var p Packet
+		if err := DecodePacketInto(&p, frame); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if !reflect.DeepEqual(p, Packet{}) {
+			t.Errorf("%s: refused frame left %+v in the packet", name, p)
+		}
+	}
+	// The same storage then takes a good frame exactly as DecodePacket would.
+	var p Packet
+	want, err := DecodePacket(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodePacketInto(&p, plain); err != nil || !reflect.DeepEqual(&p, want) {
+		t.Fatalf("DecodePacketInto = %+v, %v; DecodePacket = %+v", p, err, want)
+	}
+}
+
+// Init fills an embedded packet exactly as NewPacketRaw builds a fresh one,
+// and NewPacketOwned differs from it only in taking the payload slice itself.
+func TestPacketInitAndOwned(t *testing.T) {
+	env := testEnvelope()
+	env.Len = 99 // raw: the advertised length is not the carried one
+	payload := []byte("carried")
+	tok := &struct{}{}
+	want := NewPacketRaw(env, payload, tok)
+
+	var in Packet
+	in.Init(env, payload, tok)
+	if !reflect.DeepEqual(&in, want) || &in.Payload[0] == &payload[0] {
+		t.Fatalf("Init = %+v (payload aliased: %v), NewPacketRaw = %+v", in, &in.Payload[0] == &payload[0], want)
+	}
+	owned := NewPacketOwned(env, payload, tok)
+	if !reflect.DeepEqual(owned, want) {
+		t.Fatalf("NewPacketOwned = %+v, NewPacketRaw = %+v", owned, want)
+	}
+	if &owned.Payload[0] != &payload[0] {
+		t.Fatal("NewPacketOwned copied the payload it was given")
+	}
+	if empty := NewPacketOwned(env, nil, nil); empty.Payload != nil || empty.Envelope().Len != 99 {
+		t.Fatalf("NewPacketOwned(nil) = %+v", empty)
 	}
 }
 
