@@ -10,7 +10,8 @@ test:
 
 # The allocation ladder: every testing.AllocsPerRun pin on the message path
 # (CRI acquire/release, an eager message and a 128-message window in process,
-# an 8-byte round trip over loopback tcp, an RMA put, a tcp flush), run without
+# an 8-byte round trip over loopback tcp, an RMA put, a tcp flush, an idle tcp
+# Poll that reads a live connection's empty socket), run without
 # the race detector — under it sync.Pool drops Puts at random and core only
 # logs its counts — then the rows the tests logged as one table. CI's test job
 # runs the suite under -race only, so this is the step that holds the line.
@@ -33,9 +34,13 @@ race-lockfree:
 	$(GO) test -race -count=2 ./internal/ringbuf ./internal/match ./internal/cri
 
 # Cross-backend conformance: the same message-passing semantics over the
-# simulated fabric and real TCP, under the race detector.
+# simulated fabric and real TCP, under the race detector — then once more on a
+# single P, where two ranks spinning in Wait leave the scheduler no idle
+# moment to poll the network: the tcp path advances there only because the
+# progress engine reads the sockets itself.
 conformance:
 	$(GO) test -run Conformance -race ./internal/conformance
+	GOMAXPROCS=1 $(GO) test -count=1 -run Conformance ./internal/conformance
 
 # Layering lint: the runtime depends only on the transport interface; a
 # textual import of the simulated backend above it is a regression.

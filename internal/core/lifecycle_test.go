@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -292,9 +294,7 @@ func TestTCPRoundTripAllocations(t *testing.T) {
 	buf, payload := make([]byte, 8), []byte("12345678")
 	// oneWay moves one message from rank src to the other. Nothing leaves the
 	// sender until it polls (the flush rides its progress pass), so both ranks
-	// progress until both requests are done. An idle pass sleeps rather than
-	// yields: AllocsPerRun runs on one P, where a goroutine that only yields
-	// keeps the scheduler from polling the network for the reader goroutine.
+	// progress until both requests are done.
 	oneWay := func(src int) {
 		dst := 1 - src
 		rreq, err := c[dst].Irecv(th[dst], src, 7, buf)
@@ -306,9 +306,8 @@ func TestTCPRoundTripAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		for !sreq.Done() || !rreq.Done() {
-			if th[src].Progress()+th[dst].Progress() == 0 {
-				time.Sleep(time.Microsecond)
-			}
+			th[src].Progress()
+			th[dst].Progress()
 		}
 		if sreq.err != nil || rreq.err != nil || string(buf) != "12345678" {
 			t.Fatalf("rank %d to %d: send %v, receive %v, payload %q", src, dst, sreq.err, rreq.err, buf)
@@ -319,4 +318,55 @@ func TestTCPRoundTripAllocations(t *testing.T) {
 		oneWay(0)
 		oneWay(1)
 	})
+}
+
+// TestTCPWaitProgressesOnOneP: with a single P, two ranks spinning in Wait
+// leave the scheduler no idle moment to poll the network for a parked reader
+// goroutine (that happens every 10 ms, from sysmon). The progress engine reads
+// the socket itself, so 300 blocking round trips take milliseconds, not
+// seconds.
+func TestTCPWaitProgressesOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	nets, err := tcpnet.NewLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trips = 300
+	start := time.Now()
+	var wg sync.WaitGroup
+	for rank := 0; rank < 2; rank++ {
+		w, err := NewDistributedWorld(hw.Fast(), rank, 2, nets[rank], Stock())
+		if err != nil {
+			t.Fatalf("rank %d world: %v", rank, err)
+		}
+		t.Cleanup(w.Close)
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			th, c := w.LocalProc().NewThread(), w.LocalProc().CommWorld()
+			buf := make([]byte, 8)
+			for i := 0; i < trips; i++ {
+				var err error
+				if rank == 0 {
+					if err = c.Send(th, 1, 3, []byte("pingpong")); err == nil {
+						_, err = c.Recv(th, 1, 3, buf)
+					}
+				} else {
+					if _, err = c.Recv(th, 0, 3, buf); err == nil {
+						err = c.Send(th, 0, 3, buf)
+					}
+				}
+				if err != nil || string(buf) != "pingpong" {
+					t.Errorf("rank %d trip %d: %v, payload %q", rank, i, err, buf)
+					return
+				}
+			}
+		}(rank)
+	}
+	wg.Wait()
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("%d round trips on one P took %v, want under 2s", trips, d)
+	} else {
+		t.Logf("%d round trips on one P: %v", trips, d)
+	}
 }

@@ -157,6 +157,16 @@ const (
 	// full transport receive or completion ring (the consumer is slower than
 	// the wire).
 	RingFullWaits
+	// WireReadsPolled counts socket reads that returned bytes and were made
+	// by a thread inside the progress engine (a Context.Poll that found its
+	// rings empty).
+	WireReadsPolled
+	// WireReadsParked counts socket reads that returned bytes and were made
+	// by a connection's reader goroutine, woken by the netpoller because no
+	// progress pass got to the socket first. A parked share near one means
+	// nobody progresses (a rank busy computing) or the process has idle Ps;
+	// near zero means the progress engine carries the wire.
+	WireReadsParked
 
 	numCounters
 )
@@ -205,6 +215,8 @@ var counterNames = [...]string{
 	WireFramesStranded:     "wire_frames_stranded",
 	WireFramesRejected:     "wire_frames_rejected",
 	RingFullWaits:          "ring_full_waits",
+	WireReadsPolled:        "wire_reads_polled",
+	WireReadsParked:        "wire_reads_parked",
 }
 
 // String returns the counter's snake_case name.

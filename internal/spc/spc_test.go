@@ -217,6 +217,8 @@ func TestWireCounterNames(t *testing.T) {
 		WireFramesStranded:  "wire_frames_stranded",
 		WireFramesRejected:  "wire_frames_rejected",
 		RingFullWaits:       "ring_full_waits",
+		WireReadsPolled:     "wire_reads_polled",
+		WireReadsParked:     "wire_reads_parked",
 	} {
 		if got := c.String(); got != want {
 			t.Errorf("counter %d is named %q, want %q", int(c), got, want)

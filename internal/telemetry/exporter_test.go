@@ -69,6 +69,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 		"mpi_spc_wire_flushes", "mpi_spc_wire_frames_flushed", "mpi_spc_wire_backstop_flushes",
 		"mpi_spc_wire_flush_failures", "mpi_spc_wire_frames_stranded",
 		"mpi_spc_wire_frames_rejected", "mpi_spc_ring_full_waits",
+		"mpi_spc_wire_reads_polled", "mpi_spc_wire_reads_parked",
 	} {
 		if !strings.Contains(out, "# TYPE "+fam+" counter\n"+fam+`{rank="1",scope="process"} 0`+"\n") {
 			t.Errorf("prometheus output missing family %s", fam)

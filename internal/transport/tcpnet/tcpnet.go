@@ -1,10 +1,11 @@
 // Package tcpnet is a real TCP transport backend: each rank runs in its own
 // OS process, listens on a TCP address, and reaches every peer over one
 // multiplexed connection per peer pair, established lazily on first send.
-// A dedicated reader goroutine per connection decodes wire frames into the
-// target context's receive ring by mux ID, so the layers above (cri,
-// progress, match, core) run unchanged over a real network — the point of
-// the pluggable transport split.
+// Wire frames are decoded into the target context's receive ring by mux ID —
+// by the thread polling that rank's contexts when there is one, by the
+// connection's own goroutine otherwise — so the layers above (cri, progress,
+// match, core) run unchanged over a real network — the point of the pluggable
+// transport split.
 //
 // Connection model: all of a peer pair's contexts share one physical
 // connection (Caps.Multiplexed). Nothing is dialed at world construction —
@@ -68,17 +69,52 @@
 // error without injecting its packet, and the Send after that re-establishes
 // the path and takes the stranded frames with it.
 //
-// Read side: one reader goroutine per connection reads through a fixed
-// readBufSize window and decodes every complete frame in place
-// (DecodePacketInto copies the payload out) — one read per burst. Small
-// frames decode into packets carved from a slabPackets-entry slab, one
+// Read side: a connection's receive half is one record (rxConn: the
+// descriptor, a fixed readBufSize window, the packet slab, the mux→context
+// cache, one mutex) advanced by one function, step, which never waits: it
+// reads the socket once, without blocking, and decodes every complete frame
+// in place (DecodePacketInto copies the payload out) — one read per burst.
+// Small frames decode into packets carved from a slabPackets-entry slab, one
 // allocation per slab instead of one per frame; a frame above slabMaxFrame
 // gets a packet of its own, so a slab never keeps a large payload alive.
-// Only a frame larger than the window spills into a reused scratch slice,
-// grown as its bytes actually arrive. Bytes off the socket
-// are hostile until validated: a frame length outside
+// Bytes off the socket are hostile until validated: a frame length outside
 // [MuxHeaderSize, maxFrame], a mux index ≥ maxMux, or an undecodable packet
 // closes the connection and ticks wire_frames_rejected.
+//
+// step has two callers. The first is the progress engine: a Context.Poll
+// that popped nothing from its rings steps the connections it owns (peer
+// index modulo the context count, so a pass over every context reads each
+// socket once) under a try-lock, on the thread that is spinning in Wait
+// anyway — the paper's "a thread extracts completions from its CRI's network
+// context inside the progress engine". Go's scheduler reaches its netpoller
+// only when a P runs out of goroutines, which ranks spinning in Wait never
+// let happen, so a reader parked there is found by accident or by sysmon's
+// 10 ms sweep; the poller does not depend on it. The second caller is the
+// connection's goroutine, which parks on the netpoller (RawConn.Read with a
+// callback that returns false on EAGAIN) and steps when no poller got to the
+// socket first. It stays because writes block: a rank busy computing, or two
+// ranks flushing rendezvous frames at each other, must still be drained. It
+// also does the waiting a poller must not: for room in a full ring (the
+// decoded packet is kept in the record and delivered first by the next step,
+// whoever makes it), for a context the peer's first frame beat into
+// existence, and for the rest of a frame larger than the window, which spills
+// into a reused scratch slice grown as its bytes actually arrive. A poller
+// that leaves any of these behind, or meets the end of the stream, wakes the
+// goroutine with an expired read deadline — the netpoller reports a socket
+// only while bytes sit in it, and the poller took them. wire_reads_polled and
+// wire_reads_parked count the reads that returned bytes by who made them.
+//
+// Pollers read the raw descriptor, outside Go's descriptor reference
+// counting, so its lifetime is guarded here: every close of a connection goes
+// through link.close, which marks the record dead under its mutex before the
+// descriptor is released, and a poller touches the descriptor only under that
+// mutex with the mark unset. The mark stops reads, not delivery: frames the
+// record had already read still go out, for nobody would resend them. Lock
+// order: CRI lock → record try-lock on a polling thread; the goroutine takes
+// the record lock alone and waits for ring room, contexts and oversize frames
+// with it released. Where there is no raw non-blocking read
+// (rawread_other.go) connections are never handed to the pollers and the
+// goroutine carries the wire with blocking reads, through the same step.
 //
 // TCP is lossless and per-connection FIFO, so the backend advertises
 // Caps.Lossless and the runtime skips the ack/retransmit delivery layer.
@@ -96,9 +132,11 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/hw"
@@ -175,6 +213,9 @@ const (
 
 // errBadFrame reports inbound bytes that failed frame validation.
 var errBadFrame = errors.New("tcpnet: invalid frame")
+
+// errWouldBlock is rawRead finding the socket empty.
+var errWouldBlock = errors.New("tcpnet: read would block")
 
 // Caps describes the TCP wire: lossless FIFO streams multiplexed over one
 // lazily dialed connection per peer pair, two-sided only, no fault
@@ -256,9 +297,16 @@ type Network struct {
 
 	mu     sync.Mutex
 	dev    *Device
-	conns  []net.Conn
+	conns  []*link
 	closed bool
 	wg     sync.WaitGroup
+
+	// polled is the immutable list of receive halves the progress engine
+	// reads (replaced under mu when a connection starts or stops frame
+	// service); nctx is the device's context count, which spreads them over
+	// the contexts — see sweep.
+	polled atomic.Pointer[[]*rxConn]
+	nctx   atomic.Int32
 
 	// slots[r] is the connection slot toward rank r — at most one live
 	// physical link per peer pair, shared by every context.
@@ -307,16 +355,26 @@ type peerSlot struct {
 	flushErr atomic.Pointer[error]
 }
 
-// link is one live physical connection to a peer.
+// link is one physical connection to a peer: the socket, the write side's
+// broken flag and the receive half.
 type link struct {
 	conn   net.Conn
 	broken atomic.Bool
+	rx     rxConn
 }
 
 func (l *link) alive() bool { return !l.broken.Load() }
 
+// close is the only place a connection's descriptor is released. Pollers read
+// the raw descriptor, outside Go's own descriptor reference counting, so the
+// receive half is marked dead under its mutex first: a poller either finished
+// its read before the mark or sees the mark and stays away, and a descriptor
+// number the kernel hands to the next dial is never read through this record.
 func (l *link) close() {
 	l.broken.Store(true)
+	l.rx.mu.Lock()
+	l.rx.dead = true
+	l.rx.mu.Unlock()
 	l.conn.Close()
 }
 
@@ -614,24 +672,28 @@ func (n *Network) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
-		if !n.register(conn) {
-			conn.Close()
+		lk := n.register(conn)
+		if lk == nil {
 			return
 		}
 		n.wg.Add(1)
-		go n.serveConn(conn)
+		go n.serveConn(lk)
 	}
 }
 
-// register records a connection for Close; reports false after shutdown.
-func (n *Network) register(conn net.Conn) bool {
+// register wraps a fresh connection in its link and records it for close.
+// After shutdown it closes the connection and returns nil.
+func (n *Network) register(conn net.Conn) *link {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return false
+		conn.Close()
+		return nil
 	}
-	n.conns = append(n.conns, conn)
-	return true
+	lk := &link{conn: conn}
+	lk.rx.net, lk.rx.src = n, conn
+	n.conns = append(n.conns, lk)
+	return lk
 }
 
 // serveConn answers the handshake (including the clock-sync exchange) on an
@@ -639,8 +701,9 @@ func (n *Network) register(conn net.Conn) bool {
 // link, then demultiplexes its frames until the peer closes. Adoption and
 // frame service are independent: a connection that lost its dial race still
 // delivers whatever frames the peer wrote before converging.
-func (n *Network) serveConn(conn net.Conn) {
+func (n *Network) serveConn(lk *link) {
 	defer n.wg.Done()
+	conn := lk.conn
 	var hs [helloSize]byte
 	if _, err := io.ReadFull(conn, hs[:]); err != nil {
 		return
@@ -668,8 +731,8 @@ func (n *Network) serveConn(conn net.Conn) {
 		return
 	}
 	n.recordClockSample(peer, theta, delta)
-	n.adopt(peer, conn)
-	n.serveFrames(conn)
+	n.adopt(peer, lk)
+	n.serveFrames(lk, peer)
 }
 
 // adopt decides whether an inbound connection from peer becomes the pair's
@@ -683,13 +746,13 @@ func (n *Network) serveConn(conn net.Conn) {
 //     genuinely free — no live link and no dial in flight. Otherwise the
 //     connection is left unadopted; serveConn still reads its frames until
 //     the peer notices the loss and closes it.
-func (n *Network) adopt(peer int, conn net.Conn) {
+func (n *Network) adopt(peer int, lk *link) {
 	s := &n.slots[peer]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if peer < n.cfg.Rank {
 		old := s.link
-		s.link = &link{conn: conn}
+		s.link = lk
 		if old != nil && old.alive() {
 			n.counters().Inc(spc.DialRacesLost)
 			old.close()
@@ -698,139 +761,399 @@ func (n *Network) adopt(peer int, conn net.Conn) {
 		return
 	}
 	if (s.link == nil || !s.link.alive()) && !s.dialing {
-		s.link = &link{conn: conn}
+		s.link = lk
 		s.cond.Broadcast()
 	}
 }
 
-// serveFrames demultiplexes conn's frames into the destination contexts'
-// receive rings until the connection closes or sends bytes that fail
-// validation. Contexts are resolved once per mux ID and cached; resolution
-// waits out the startup race where a peer's first send lands before this
-// process created its contexts.
-func (n *Network) serveFrames(conn net.Conn) {
-	var ctxs []*Context
-	fr := frameReader{buf: make([]byte, readBufSize)}
-	err := fr.run(conn, func(mux uint32, pkt *transport.Packet) bool {
-		idx := int(mux)
-		if idx >= len(ctxs) {
-			ctxs = append(ctxs, make([]*Context, idx+1-len(ctxs))...) // idx < maxMux
+// serveFrames is a connection's life after the handshake: its receive half
+// goes to the pollers, and the calling goroutine stays behind them as the
+// reader of last resort until the stream ends.
+func (n *Network) serveFrames(lk *link, peer int) {
+	n.arm(lk, peer)
+	n.attend(lk)
+}
+
+// arm readies lk's receive half for frames from peer and, when the socket can
+// be read without blocking, puts it on the pollers' list.
+func (n *Network) arm(lk *link, peer int) {
+	rx := &lk.rx
+	rx.mu.Lock()
+	rx.peer = peer
+	rx.buf = make([]byte, readBufSize)
+	rx.deliver = rx.toRing
+	if sc, ok := rx.src.(syscall.Conn); ok && rawReads {
+		if raw, err := sc.SyscallConn(); err == nil && raw.Control(func(fd uintptr) { rx.fd = fd }) == nil {
+			rx.raw = raw
 		}
-		if ctxs[idx] == nil {
-			if ctxs[idx] = n.waitContext(idx); ctxs[idx] == nil {
-				return false
-			}
-		}
-		ctxs[idx].push(pkt)
-		return true
-	})
-	if errors.Is(err, errBadFrame) && !n.isClosed() {
-		n.counters().Inc(spc.WireFramesRejected)
-		conn.Close()
+	}
+	pollable := rx.raw != nil
+	rx.mu.Unlock()
+	if pollable {
+		n.setPolled(rx, true)
 	}
 }
 
-// frameReader decodes length-prefixed mux frames from a byte stream through
-// one fixed window, in place; scratch is the reused spill for a frame larger
-// than the window, slab the unused rest of the current packet slab.
-type frameReader struct {
-	buf     []byte
+// attend runs an armed connection's goroutine until the stream ends. A stream
+// that ends on bytes failing validation closes the link and ticks
+// wire_frames_rejected, whichever thread met the bad frame.
+func (n *Network) attend(lk *link) {
+	defer n.setPolled(&lk.rx, false)
+	if err := lk.rx.run(); errors.Is(err, errBadFrame) && !n.isClosed() {
+		n.counters().Inc(spc.WireFramesRejected)
+		lk.close()
+	}
+}
+
+// setPolled adds rx to, or removes it from, the list the pollers sweep.
+func (n *Network) setPolled(rx *rxConn, on bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var next []*rxConn
+	if old := n.polled.Load(); old != nil {
+		for _, r := range *old {
+			if r != rx {
+				next = append(next, r)
+			}
+		}
+	}
+	if on {
+		next = append(next, rx)
+	}
+	n.polled.Store(&next)
+}
+
+// sweep is the progress engine reading the wire: one step on every connection
+// context c polls, on the calling thread. A connection belongs to one context
+// (peer index modulo the context count), so a pass over k idle contexts costs
+// one read per live connection, not k. It never blocks: a record another
+// thread holds is skipped, and what a step may not do here — wait for ring
+// room or for a context to exist, assemble a frame larger than the window,
+// close a link whose stream ended — is left in the record and the connection's
+// goroutine is kicked awake to do it. It reports whether any step did more
+// than find the socket empty.
+func (n *Network) sweep(c *Context) bool {
+	rxs := n.polled.Load()
+	if rxs == nil {
+		return false
+	}
+	k, busy := int(n.nctx.Load()), false
+	for _, rx := range *rxs {
+		if rx.peer%k != c.index || !rx.mu.TryLock() {
+			continue
+		}
+		st := rx.step(c.ctr, spc.WireReadsPolled)
+		if st > rxMore {
+			rx.kick()
+		}
+		rx.mu.Unlock()
+		busy = busy || st != rxIdle
+	}
+	return busy
+}
+
+// rxState is what one step of a connection's receive half came to.
+type rxState uint8
+
+const (
+	rxIdle rxState = iota // the socket had nothing: park, or poll again later
+	rxMore                // bytes were read and every complete frame delivered
+	// The states below need the goroutine.
+	rxRingFull  // a decoded packet is kept: its context's ring has no room
+	rxNoContext // a decoded packet is kept: its context does not exist yet
+	rxOversize  // the next frame exceeds the window: the goroutine assembles it
+	rxEnded     // the stream is over, err says why
+)
+
+// rxConn is a connection's receive half: the descriptor, the window it is
+// read through, and what decoding has in hand. Everything below mu is guarded
+// by it; step runs under it, called by the pollers (try-lock, see sweep) and
+// by the connection's goroutine (see run). Delivery order is therefore the
+// byte order whoever reads.
+type rxConn struct {
+	net  *Network
+	peer int
+	// src is the connection for reads that may block: the goroutine's, when
+	// it assembles an oversize frame or when there is no raw descriptor.
+	src net.Conn
+	// raw and fd are set when the socket can be read without blocking; fd is
+	// read only under mu with dead unset (see link.close).
+	raw syscall.RawConn
+	fd  uintptr
+	// deliver hands a decoded frame on: rxMore when it was taken, rxRingFull
+	// or rxNoContext when step must keep it.
+	deliver func(mux uint32, pkt *transport.Packet) rxState
+
+	mu   sync.Mutex
+	dead bool
+	// kicked is set while a poller's wake-up of the goroutine is pending.
+	kicked bool
+	// buf[lo:hi] is read but not yet decoded.
+	buf    []byte
+	lo, hi int
+	// scratch holds a frame larger than the window once the goroutine has
+	// assembled it (its length is then the frame's), and is reused.
 	scratch []byte
-	slab    []transport.Packet
+	// slab is the unused rest of the current packet slab.
+	slab []transport.Packet
+	// held is a decoded packet deliver could not take; the next step, by
+	// either caller, delivers it before anything else.
+	held    *transport.Packet
+	heldMux uint32
+	err     error
+	// ctxs caches the destination contexts by mux ID.
+	ctxs []*Context
 }
 
 // packet returns a zero packet for a frame of flen bytes: the next slab entry
 // for a small frame, a packet of its own otherwise. An entry whose decode is
 // then refused is never handed out again — the stream ends there.
-func (fr *frameReader) packet(flen int) *transport.Packet {
+func (rx *rxConn) packet(flen int) *transport.Packet {
 	if flen > slabMaxFrame {
 		return new(transport.Packet)
 	}
-	if len(fr.slab) == 0 {
-		fr.slab = make([]transport.Packet, slabPackets)
+	if len(rx.slab) == 0 {
+		rx.slab = make([]transport.Packet, slabPackets)
 	}
-	p := &fr.slab[0]
-	fr.slab = fr.slab[1:]
+	p := &rx.slab[0]
+	rx.slab = rx.slab[1:]
 	return p
 }
 
-// run reads r until it fails, handing every decoded frame to deliver. It
-// returns r's error, or errBadFrame when the stream fails validation: a
-// declared length outside [MuxHeaderSize, maxFrame], a mux ID ≥ maxMux, a
-// packet DecodeMuxFrameInto rejects, or a frame deliver refuses.
-func (fr *frameReader) run(r io.Reader, deliver func(mux uint32, pkt *transport.Packet) bool) error {
-	buf := fr.buf
-	lo, hi := 0, 0 // buf[lo:hi] is read but not yet decoded
-	for {
-		for hi-lo >= 4 {
-			flen := int(binary.LittleEndian.Uint32(buf[lo:]))
-			if flen < transport.MuxHeaderSize || flen > maxFrame {
-				return errBadFrame
-			}
-			var body []byte
-			if end := lo + 4 + flen; end <= hi {
-				body, lo = buf[lo+4:end], end
-			} else if 4+flen > len(buf) {
-				var err error
-				if body, err = fr.spill(r, buf[lo+4:hi], flen); err != nil {
-					return err
-				}
-				lo, hi = 0, 0
-			} else {
-				break // incomplete, but it fits the window: read more
-			}
-			pkt := fr.packet(flen)
-			mux, err := transport.DecodeMuxFrameInto(pkt, body)
-			if err != nil || mux >= maxMux {
-				return errBadFrame
-			}
-			if pkt.TraceID != 0 {
-				// Transport-arrival stamp for the critical-path attribution
-				// layer: the gap to the matching-engine delivery stamp is the
-				// receive-side progress lag (deliver_wait stage).
-				pkt.ArriveNs = time.Now().UnixNano()
-			}
-			if !deliver(mux, pkt) {
-				return errBadFrame
-			}
+// toRing is deliver for a live connection: push into the ring of the context
+// the mux ID names. It looks a context up but never waits for one.
+func (rx *rxConn) toRing(mux uint32, pkt *transport.Packet) rxState {
+	idx := int(mux)
+	if idx >= len(rx.ctxs) {
+		rx.ctxs = append(rx.ctxs, make([]*Context, idx+1-len(rx.ctxs))...) // idx < maxMux
+	}
+	c := rx.ctxs[idx]
+	if c == nil {
+		if c = rx.net.context(idx); c == nil {
+			return rxNoContext
+		}
+		rx.ctxs[idx] = c
+	}
+	if !c.recvQ.Push(pkt) {
+		return rxRingFull
+	}
+	return rxMore
+}
+
+// step advances the receive half without ever waiting: deliver what is
+// already in hand, read once, deliver every frame the read completed. ctr and
+// by name the counter a read that returned bytes ticks. The stream fails
+// validation, and ends with errBadFrame, on a declared length outside
+// [MuxHeaderSize, maxFrame], a mux ID ≥ maxMux or a packet DecodeMuxFrameInto
+// rejects.
+func (rx *rxConn) step(ctr *spc.Set, by spc.Counter) rxState {
+	if rx.err != nil {
+		return rxEnded
+	}
+	for read := false; ; read = true {
+		if st := rx.decode(); st != rxMore || read {
+			return st
+		}
+		if rx.dead {
+			// Closed under us: what had been read is delivered, as it would
+			// be had the close come a moment later; nothing more is read.
+			return rx.end(net.ErrClosed)
 		}
 		// Move the partial frame (less than one frame, usually nothing) to the
-		// front so the next read has the whole window behind it.
-		hi = copy(buf, buf[lo:hi])
-		lo = 0
-		m, err := r.Read(buf[hi:])
-		hi += m
-		if err != nil && m == 0 {
+		// front so the read has the whole window behind it.
+		rx.hi = copy(rx.buf, rx.buf[rx.lo:rx.hi])
+		rx.lo = 0
+		m, err := rx.readOnce(rx.buf[rx.hi:])
+		switch {
+		case m > 0:
+			rx.hi += m
+			ctr.Inc(by)
+		case err == errWouldBlock:
+			return rxIdle
+		case err != nil:
+			return rx.end(err)
+		}
+	}
+}
+
+// readOnce reads the connection once. With a raw descriptor that never
+// blocks. Without one only the goroutine gets here and the read may block, so
+// the mutex is released meanwhile: close must not wait behind it.
+func (rx *rxConn) readOnce(p []byte) (int, error) {
+	if rx.raw != nil {
+		return rawRead(rx.fd, p)
+	}
+	rx.mu.Unlock()
+	defer rx.mu.Lock()
+	return rx.src.Read(p)
+}
+
+// decode delivers the kept packet, then every complete frame in the window.
+// It returns rxMore when all of it went through and only a partial frame (or
+// nothing) is left.
+func (rx *rxConn) decode() rxState {
+	if rx.held != nil {
+		if st := rx.deliver(rx.heldMux, rx.held); st != rxMore {
+			return st
+		}
+		rx.held = nil
+	}
+	buf := rx.buf
+	for rx.hi-rx.lo >= 4 {
+		flen := int(binary.LittleEndian.Uint32(buf[rx.lo:]))
+		if flen < transport.MuxHeaderSize || flen > maxFrame {
+			return rx.end(errBadFrame)
+		}
+		var body []byte
+		if end := rx.lo + 4 + flen; end <= rx.hi {
+			body, rx.lo = buf[rx.lo+4:end], end
+		} else if 4+flen <= len(buf) {
+			break // incomplete, but it fits the window: read more
+		} else if len(rx.scratch) != flen {
+			return rxOversize
+		} else {
+			body, rx.scratch = rx.scratch, rx.scratch[:0]
+			rx.lo, rx.hi = 0, 0
+		}
+		pkt := rx.packet(flen)
+		mux, err := transport.DecodeMuxFrameInto(pkt, body)
+		if err != nil || mux >= maxMux {
+			return rx.end(errBadFrame)
+		}
+		if pkt.TraceID != 0 {
+			// Transport-arrival stamp for the critical-path attribution
+			// layer: the gap to the matching-engine delivery stamp is the
+			// receive-side progress lag (deliver_wait stage).
+			pkt.ArriveNs = time.Now().UnixNano()
+		}
+		if st := rx.deliver(mux, pkt); st != rxMore {
+			rx.held, rx.heldMux = pkt, mux
+			return st
+		}
+	}
+	return rxMore
+}
+
+// end records why the stream is over; the first reason stands.
+func (rx *rxConn) end(err error) rxState {
+	if rx.err == nil {
+		rx.err = err
+	}
+	return rxEnded
+}
+
+// kick wakes the goroutine out of its park, under mu, after a poller's step
+// left something only the goroutine may do. The netpoller will not: it reports
+// a socket only while there are bytes in it, and the poller took them. An
+// expired read deadline does; the goroutine clears it before it looks at the
+// record (unkick), so it either sees what the poller left or is woken after.
+// Setting a deadline fails only on a closed connection, whose goroutine is
+// on its way out already.
+func (rx *rxConn) kick() {
+	if !rx.kicked {
+		rx.kicked = true
+		_ = rx.src.SetReadDeadline(time.Unix(1, 0))
+	}
+}
+
+// unkick is the goroutine taking a kick: reads may park again.
+func (rx *rxConn) unkick() {
+	rx.mu.Lock()
+	rx.kicked = false
+	_ = rx.src.SetReadDeadline(time.Time{})
+	rx.mu.Unlock()
+}
+
+// run is the goroutine's loop around step, and returns why the stream ended.
+// With a raw descriptor it parks on the netpoller until the socket is
+// readable and steps only when no poller got there first; without one it
+// steps with blocking reads. Either way it does the waiting step may not: for
+// room in a full ring (which propagates as TCP flow control), for a context
+// the peer's first frame beat into existence, for the rest of a frame larger
+// than the window. Writes block, so this loop is also what drains the socket
+// of a rank that is busy computing, or stuck in a flush toward a peer that is
+// flushing at it.
+func (rx *rxConn) run() error {
+	var (
+		st  rxState
+		mux uint32
+		err error
+	)
+	ready := func(uintptr) bool {
+		rx.mu.Lock()
+		st = rx.step(rx.net.counters(), spc.WireReadsParked)
+		mux, err = rx.heldMux, rx.err
+		rx.mu.Unlock()
+		return st != rxIdle
+	}
+	park := rx.raw != nil
+	for {
+		if !park {
+			ready(0)
+		} else if perr := rx.raw.Read(ready); errors.Is(perr, os.ErrDeadlineExceeded) {
+			rx.unkick()
+			continue
+		} else if perr != nil {
+			park = false // closed under the parked goroutine: deliver what is in hand
+			continue
+		}
+		switch st {
+		case rxRingFull:
+			if rx.net.isClosed() {
+				return net.ErrClosed // shutting down: nobody will drain the ring
+			}
+			rx.net.counters().Inc(spc.RingFullWaits)
+			time.Sleep(10 * time.Microsecond)
+		case rxNoContext:
+			if rx.net.waitContext(int(mux)) == nil {
+				return errBadFrame // no context to route it to
+			}
+		case rxOversize:
+			rx.assemble()
+		case rxEnded:
 			return err
 		}
 	}
 }
 
-// spill assembles a frame of flen bytes that does not fit the window: head
-// is the part already read, the rest comes straight from r into the scratch
-// slice. Scratch grows by doubling as bytes actually arrive and never past
-// flen, so a peer must send what it declares before it costs memory.
-func (fr *frameReader) spill(r io.Reader, head []byte, flen int) ([]byte, error) {
-	s := fr.scratch
+// assemble is the spill: it reads the rest of the frame at the head of the
+// window, which the window cannot hold, into the scratch slice with blocking
+// reads, outside the mutex. Pollers meanwhile find the frame incomplete and
+// back off without touching the socket. Scratch grows by doubling as bytes
+// actually arrive and never past the frame, so a peer must send what it
+// declares before it costs memory. A failed read ends the stream.
+func (rx *rxConn) assemble() {
+	rx.mu.Lock()
+	flen := int(binary.LittleEndian.Uint32(rx.buf[rx.lo:]))
+	head := rx.buf[rx.lo+4 : rx.hi]
+	s := rx.scratch
 	if cap(s) < len(head) {
-		s = make([]byte, 0, min(flen, len(fr.buf))) // head is shorter than both
+		s = make([]byte, 0, min(flen, len(rx.buf))) // head is shorter than both
 	}
 	s = append(s[:0], head...)
-	for len(s) < flen {
+	rx.mu.Unlock()
+	var err error
+	for len(s) < flen && err == nil {
 		if len(s) == cap(s) {
-			grown := make([]byte, len(s), min(flen, max(2*cap(s), len(fr.buf))))
+			grown := make([]byte, len(s), min(flen, max(2*cap(s), len(rx.buf))))
 			copy(grown, s)
 			s = grown
 		}
-		m, err := r.Read(s[len(s):min(cap(s), flen)])
+		var m int
+		m, err = rx.src.Read(s[len(s):min(cap(s), flen)])
 		s = s[:len(s)+m]
-		if err != nil && len(s) < flen {
-			fr.scratch = s[:0]
-			return nil, err
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			rx.unkick()
+			err = nil
 		}
 	}
-	fr.scratch = s[:0]
-	return s, nil
+	rx.mu.Lock()
+	if len(s) < flen {
+		rx.end(err)
+		s = s[:0]
+	}
+	rx.scratch = s
+	rx.mu.Unlock()
 }
 
 // linkTo returns the pair's shared physical link, establishing it on first
@@ -855,7 +1178,7 @@ func (n *Network) linkTo(peer int) (lk *link, established bool, err error) {
 	s.dialing = true
 	s.mu.Unlock()
 
-	conn, derr := n.dialPeer(peer)
+	mine, derr := n.dialPeer(peer)
 
 	s.mu.Lock()
 	s.dialing = false
@@ -881,41 +1204,41 @@ func (n *Network) linkTo(peer int) (lk *link, established bool, err error) {
 		ctr.Inc(spc.DialRacesLost)
 		lk = s.link
 		s.mu.Unlock()
-		conn.Close()
+		mine.close()
 		return lk, false, nil
 	}
-	lk = &link{conn: conn}
-	s.link = lk
+	s.link = mine
 	s.mu.Unlock()
 	// The link is bidirectional: the dialer reads the peer's frames off the
 	// same connection.
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.serveFrames(conn)
+		n.serveFrames(mine, peer)
 	}()
-	return lk, true, nil
+	return mine, true, nil
 }
 
 // dialPeer dials rank peer's listener and runs the full handshake: hello
 // naming this rank, the server's clock echo, and the offset report.
-func (n *Network) dialPeer(peer int) (net.Conn, error) {
-	conn, err := n.dial(n.cfg.Peers[peer], n.counters())
+func (n *Network) dialPeer(peer int) (*link, error) {
+	lk, err := n.dial(n.cfg.Peers[peer], n.counters())
 	if err != nil {
 		return nil, err
 	}
+	conn := lk.conn
 	var hs [helloSize]byte
 	binary.LittleEndian.PutUint32(hs[0:], handshakeMagic)
 	binary.LittleEndian.PutUint32(hs[4:], uint32(n.cfg.Rank))
 	t1 := time.Now().UnixNano()
 	binary.LittleEndian.PutUint64(hs[12:], uint64(t1))
 	if _, err := conn.Write(hs[:]); err != nil {
-		conn.Close()
+		lk.close()
 		return nil, fmt.Errorf("tcpnet: handshake: %w", err)
 	}
 	var echo [echoSize]byte
 	if _, err := io.ReadFull(conn, echo[:]); err != nil {
-		conn.Close()
+		lk.close()
 		return nil, fmt.Errorf("tcpnet: handshake echo: %w", err)
 	}
 	t4 := time.Now().UnixNano()
@@ -927,12 +1250,12 @@ func (n *Network) dialPeer(peer int) (net.Conn, error) {
 	binary.LittleEndian.PutUint64(off[0:], uint64(theta))
 	binary.LittleEndian.PutUint64(off[8:], uint64(delta))
 	if _, err := conn.Write(off[:]); err != nil {
-		conn.Close()
+		lk.close()
 		return nil, fmt.Errorf("tcpnet: handshake offset: %w", err)
 	}
 	// From the dialer's side, local − peer = dialer − server = −θ.
 	n.recordClockSample(peer, -theta, delta)
-	return conn, nil
+	return lk, nil
 }
 
 // waitContext resolves a local context index, waiting out the startup race
@@ -941,16 +1264,11 @@ func (n *Network) dialPeer(peer int) (net.Conn, error) {
 func (n *Network) waitContext(idx int) *Context {
 	deadline := time.Now().Add(n.cfg.DialTimeout)
 	for {
-		n.mu.Lock()
-		dev, closed := n.dev, n.closed
-		n.mu.Unlock()
-		if closed {
+		if n.isClosed() {
 			return nil
 		}
-		if dev != nil {
-			if c := dev.Context(idx); c != nil {
-				return c
-			}
+		if c := n.context(idx); c != nil {
+			return c
 		}
 		if time.Now().After(deadline) {
 			return nil
@@ -959,9 +1277,20 @@ func (n *Network) waitContext(idx int) *Context {
 	}
 }
 
+// context returns local context idx, or nil while it does not exist.
+func (n *Network) context(idx int) *Context {
+	n.mu.Lock()
+	dev := n.dev
+	n.mu.Unlock()
+	if dev == nil {
+		return nil
+	}
+	return dev.Context(idx)
+}
+
 // dial connects to a peer's listener, retrying while it comes up. Each
 // failed attempt counts as a DialRetries SPC tick.
-func (n *Network) dial(addr string, ctr *spc.Set) (net.Conn, error) {
+func (n *Network) dial(addr string, ctr *spc.Set) (*link, error) {
 	deadline := time.Now().Add(n.cfg.DialTimeout)
 	for {
 		if n.isClosed() {
@@ -969,11 +1298,10 @@ func (n *Network) dial(addr string, ctr *spc.Set) (net.Conn, error) {
 		}
 		conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
 		if err == nil {
-			if !n.register(conn) {
-				conn.Close()
-				return nil, errors.New("tcpnet: network closed")
+			if lk := n.register(conn); lk != nil {
+				return lk, nil
 			}
-			return conn, nil
+			return nil, errors.New("tcpnet: network closed")
 		}
 		ctr.Inc(spc.DialRetries)
 		if time.Now().After(deadline) {
@@ -1003,8 +1331,8 @@ func (n *Network) close() {
 	if n.ln != nil {
 		n.ln.Close()
 	}
-	for _, c := range conns {
-		c.Close()
+	for _, lk := range conns {
+		lk.close()
 	}
 	n.wg.Wait()
 }
@@ -1042,6 +1370,7 @@ func (d *Device) CreateContext(depth int) (transport.Context, error) {
 		cq:    ringbuf.NewMPSC[transport.CQE](depth),
 	}
 	d.contexts = append(d.contexts, c)
+	d.net.nctx.Store(int32(len(d.contexts)))
 	return c, nil
 }
 
@@ -1121,8 +1450,8 @@ func (d *Device) Region(id uint64) (transport.MemRegion, bool) {
 func (d *Device) Close() { d.net.close() }
 
 // Context is one injection path with its own receive and completion rings.
-// The rings are multi-producer (reader goroutines and local endpoints push
-// concurrently); Poll is called under the per-CRI lock.
+// The rings are multi-producer (pollers of any context, reader goroutines and
+// local endpoints push concurrently); Poll is called under the per-CRI lock.
 type Context struct {
 	index int
 	net   *Network
@@ -1133,14 +1462,30 @@ type Context struct {
 
 func (c *Context) Index() int { return c.index }
 
-// Poll drains completions then inbound packets, up to max, then flushes
-// whatever the rank has pending toward any peer — frames sent before the
-// pass and frames its handlers sent during it. The flush runs on the calling
-// thread; an idle pass pays one atomic load for it.
+// Poll drains completions then inbound packets, up to max. A pass that found
+// both rings empty reads the sockets of the connections this context owns
+// (see sweep) and drains what that brought; a pass that popped anything reads
+// none. It then flushes whatever the rank has pending toward any peer —
+// frames sent before the pass and frames its handlers sent during it. Read
+// and flush run on the calling thread; the read never blocks, and an idle
+// pass pays one atomic load for the flush.
 func (c *Context) Poll(handler func(transport.CQE), max int) int {
 	if max <= 0 {
 		max = 64
 	}
+	n := c.drain(handler, max)
+	if n == 0 && c.net.sweep(c) {
+		n = c.drain(handler, max)
+	}
+	if c.net.dirty.Load() != 0 {
+		c.net.flushDirty(false)
+	}
+	return n
+}
+
+// drain hands up to max queued events to handler: completions, then inbound
+// packets.
+func (c *Context) drain(handler func(transport.CQE), max int) int {
 	n := 0
 	for n < max {
 		e, ok := c.cq.Pop()
@@ -1158,18 +1503,15 @@ func (c *Context) Poll(handler func(transport.CQE), max int) int {
 		handler(transport.CQE{Kind: transport.CQERecv, Packet: p})
 		n++
 	}
-	if c.net.dirty.Load() != 0 {
-		c.net.flushDirty(false)
-	}
 	return n
 }
 
 func (c *Context) Pending() bool { return c.cq.Len() > 0 || c.recvQ.Len() > 0 }
 
+// push is a same-rank endpoint's delivery, which may wait for ring room on
+// the sending thread; frames off a socket go through rxConn.toRing.
 func (c *Context) push(p *transport.Packet) {
 	for !c.recvQ.Push(p) {
-		// Ring full: the receiver is slower than the wire. Backpressure by
-		// holding the reader goroutine (TCP flow control propagates it).
 		c.ctr.Inc(spc.RingFullWaits)
 		time.Sleep(10 * time.Microsecond)
 	}

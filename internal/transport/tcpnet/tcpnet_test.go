@@ -310,10 +310,7 @@ func TestReconnectAfterPeerConnDrop(t *testing.T) {
 	recv(1, "before")
 	// Kill the established shared link out from under the endpoint. The next
 	// write fails, triggering the one-shot reconnect path.
-	s := &nets[0].slots[1]
-	s.mu.Lock()
-	s.link.conn.Close()
-	s.mu.Unlock()
+	sever(t, nets[0], 1)
 	// The failed write may be silently accepted by the kernel buffer once
 	// before the RST surfaces; keep sending until the reconnect happens.
 	deadline := time.Now().Add(5 * time.Second)
@@ -351,6 +348,21 @@ func TestParsePeers(t *testing.T) {
 	}
 	if _, err := ParsePeers("a:1,,b:2"); err == nil {
 		t.Fatal("empty address accepted")
+	}
+}
+
+// sever kills n's link toward peer under the runtime the way a failing network
+// does: both directions are shut down, so the next write fails and the next
+// read ends, but the descriptor stays open — only link.close may release one,
+// because pollers read it raw.
+func sever(t *testing.T, n *Network, peer int) {
+	t.Helper()
+	s := &n.slots[peer]
+	s.mu.Lock()
+	tc := s.link.conn.(*net.TCPConn)
+	s.mu.Unlock()
+	if err := errors.Join(tc.CloseRead(), tc.CloseWrite()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -774,9 +786,7 @@ func TestReconnectReplaysPendingBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.mu.Lock()
-	s.link.conn.Close()
-	s.mu.Unlock()
+	sever(t, nets[0], 1)
 	s.wmu.Unlock()
 	c0.Poll(func(transport.CQE) {}, 64)
 
@@ -807,10 +817,7 @@ func TestFlushFailureIsReported(t *testing.T) {
 	establish(t, ep, c0, c1)
 
 	d1.Close()
-	s := &nets[0].slots[1]
-	s.mu.Lock()
-	s.link.conn.Close() // a write to a half-closed socket could still succeed
-	s.mu.Unlock()
+	sever(t, nets[0], 1) // a write to a half-closed socket could still succeed
 	send := func(seq uint32) error {
 		env := transport.Envelope{Src: 0, Dst: 1, Seq: seq, Kind: transport.KindEager}
 		return ep.Send(transport.NewPacket(env, nil, nil))
@@ -859,7 +866,11 @@ func TestFlushFailureIsReported(t *testing.T) {
 }
 
 // TestOversizeFrameThenSmallFrames sends a frame larger than the reader's
-// window (the spill path) with a train of small frames behind it.
+// window (the spill path) with a train of small frames behind it, at a
+// receiver that is already spinning in Poll: a poller that meets the frame
+// backs off and kicks the goroutine, which assembles it
+// (TestPollerLeavesOversizeFrameToGoroutine holds the goroutine back to show
+// the first half), and everything arrives in order.
 func TestOversizeFrameThenSmallFrames(t *testing.T) {
 	_, d0, d1, _ := newCountedPair(t)
 	c0, c1 := mustContext(t, d0), mustContext(t, d1)
@@ -871,14 +882,17 @@ func TestOversizeFrameThenSmallFrames(t *testing.T) {
 	send := func(seq uint32, payload []byte) {
 		env := transport.Envelope{Src: 0, Dst: 1, Seq: seq, Kind: transport.KindEager}
 		if err := ep.Send(transport.NewPacket(env, payload, nil)); err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
 	}
-	send(0, big)
-	for i := 1; i <= 100; i++ {
-		send(uint32(i), []byte{byte(i)})
-	}
-	c0.Poll(func(transport.CQE) {}, 128)
+	go func() {
+		time.Sleep(time.Millisecond) // the receiver is polling an empty socket by now
+		send(0, big)
+		for i := 1; i <= 100; i++ {
+			send(uint32(i), []byte{byte(i)})
+		}
+		c0.Poll(func(transport.CQE) {}, 128)
+	}()
 	if e := poll1(t, c1); e.Packet.Envelope().Seq != 0 || !bytes.Equal(e.Packet.Payload, big) {
 		t.Fatalf("oversize frame corrupted: seq %d, %d bytes", e.Packet.Envelope().Seq, len(e.Packet.Payload))
 	}
@@ -937,9 +951,12 @@ func rawDial(t *testing.T, n *Network, asRank int) net.Conn {
 	return conn
 }
 
-// TestHostileFramesCloseTheLink feeds a live listener frames that fail
-// validation: each must close the connection and tick wire_frames_rejected
-// without delivering anything.
+// TestHostileFramesCloseTheLink feeds a rank frames that fail validation, once
+// with the connection's goroutine reading them (nobody polls until the stream
+// has been read) and once with only pollers reading (the goroutine starts
+// after they met the bad frame): either way the connection is closed,
+// wire_frames_rejected ticks exactly once, and nothing from the bad frame on
+// is delivered.
 func TestHostileFramesCloseTheLink(t *testing.T) {
 	valid := transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, []byte("ok"), nil)
 	le := binary.LittleEndian
@@ -953,44 +970,85 @@ func TestHostileFramesCloseTheLink(t *testing.T) {
 		{"mux above the cap", valid.AppendMuxFrame(nil, maxMux)},
 		{"packet shorter than an envelope", append(le.AppendUint32(le.AppendUint32(nil, 4+8), 0), make([]byte, 8)...)},
 	} {
+		// A valid frame first: the stream is good until the bad bytes. One
+		// more behind them: it must never arrive.
+		stream := append(valid.AppendMuxFrame(nil, 0), tc.stream...)
+		stream = valid.AppendMuxFrame(stream, 0)
 		t.Run(tc.name, func(t *testing.T) {
-			nets, err := NewLoopback(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctr := spc.NewSet()
-			d1, err := nets[1].NewDevice(1, hw.Fast(), transport.DeviceConfig{Counters: ctr})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { d1.Close(); nets[0].close() })
-			c1 := mustContext(t, d1)
-			conn := rawDial(t, nets[1], 0)
-			// A valid frame first: the stream is good until the bad bytes.
-			if _, err := conn.Write(append(valid.AppendMuxFrame(nil, 0), tc.stream...)); err != nil {
-				t.Fatal(err)
-			}
-			if e := poll1(t, c1); string(e.Packet.Payload) != "ok" {
-				t.Fatalf("valid frame ahead of the bad one corrupted: %q", e.Packet.Payload)
-			}
-			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-				t.Fatalf("read after hostile frame = %v, want EOF (link closed)", err)
-			}
-			if got := ctr.Get(spc.WireFramesRejected); got != 1 {
-				t.Fatalf("wire_frames_rejected = %d, want 1", got)
-			}
-			if c1.Pending() {
-				t.Fatal("a rejected frame was delivered")
-			}
+			t.Run("goroutine reads", func(t *testing.T) { hostileStream(t, stream, false) })
+			t.Run("pollers read", func(t *testing.T) { hostileStream(t, stream, true) })
 		})
 	}
 }
 
-// readAll runs a frameReader with the given window over stream, delivered in
+// hostileStream is one case of TestHostileFramesCloseTheLink.
+func hostileStream(t *testing.T, stream []byte, pollersRead bool) {
+	n, _, ctr, ctxs := newRank(t, 0)
+	c1 := ctxs[0]
+	var conn net.Conn
+	if pollersRead {
+		var lk *link
+		conn, lk = pollOnly(t, n)
+		if _, err := conn.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		if e := poll1(t, c1); string(e.Packet.Payload) != "ok" {
+			t.Fatalf("valid frame ahead of the bad one corrupted: %q", e.Packet.Payload)
+		}
+		for i := 0; i < 100; i++ {
+			if got := c1.Poll(func(transport.CQE) {}, 8); got != 0 {
+				t.Fatalf("%d frames delivered from behind the bad one", got)
+			}
+		}
+		attendLater(n, lk)
+	} else {
+		conn = rawDial(t, n, 0)
+		if _, err := conn.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); !c1.Pending(); {
+			if time.Now().After(deadline) {
+				t.Fatal("the goroutine never read the stream")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if e := poll1(t, c1); string(e.Packet.Payload) != "ok" {
+			t.Fatalf("valid frame ahead of the bad one corrupted: %q", e.Packet.Payload)
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after hostile frame = %v, want EOF (link closed)", err)
+	}
+	if got := ctr.Get(spc.WireFramesRejected); got != 1 {
+		t.Fatalf("wire_frames_rejected = %d, want 1", got)
+	}
+	other, name := spc.WireReadsPolled, "goroutine was"
+	if pollersRead {
+		other, name = spc.WireReadsParked, "pollers were"
+	}
+	if got := ctr.Get(other); got != 0 {
+		t.Fatalf("%v = %d: the %s to read this stream alone", other, got, name)
+	}
+	if c1.Pending() || c1.Poll(func(transport.CQE) {}, 8) != 0 {
+		t.Fatal("a rejected frame was delivered")
+	}
+}
+
+// newRx returns a receive half with no socket under it: run reads r through a
+// window-byte window with blocking reads — the path of a connection without a
+// raw descriptor — and hands every frame step accepts to deliver.
+func newRx(r net.Conn, window int, deliver func(mux uint32, p *transport.Packet)) *rxConn {
+	return &rxConn{net: &Network{}, src: r, buf: make([]byte, window), deliver: func(mux uint32, p *transport.Packet) rxState {
+		deliver(mux, p)
+		return rxMore
+	}}
+}
+
+// readAll runs a receive half with the given window over stream, delivered in
 // chunk-sized writes through a net.Pipe, and returns the accepted frames
-// re-encoded plus the reader for inspection.
-func readAll(window, chunk int, stream []byte) (frames [][]byte, fr *frameReader, err error) {
+// re-encoded plus the record for inspection.
+func readAll(window, chunk int, stream []byte) (frames [][]byte, fr *rxConn, err error) {
 	client, server := net.Pipe()
 	go func() {
 		defer client.Close()
@@ -1002,11 +1060,10 @@ func readAll(window, chunk int, stream []byte) (frames [][]byte, fr *frameReader
 			stream = stream[n:]
 		}
 	}()
-	fr = &frameReader{buf: make([]byte, window)}
-	err = fr.run(server, func(mux uint32, p *transport.Packet) bool {
+	fr = newRx(server, window, func(mux uint32, p *transport.Packet) {
 		frames = append(frames, p.AppendMuxFrame(nil, mux))
-		return true
 	})
+	err = fr.run()
 	server.Close()
 	return frames, fr, err
 }
@@ -1118,17 +1175,17 @@ func TestFrameReaderSlabPacketsStayDistinct(t *testing.T) {
 		defer client.Close()
 		client.Write(stream)
 	}()
-	fr := &frameReader{buf: make([]byte, 16<<10)} // the 70 KiB frame spills
+	var fr *rxConn
 	var kept []*transport.Packet
-	var slabLeft []int // len(fr.slab) after each delivery's packet was taken
-	err := fr.run(server, func(mux uint32, p *transport.Packet) bool {
+	var slabLeft []int                                                 // len(fr.slab) after each delivery's packet was taken
+	fr = newRx(server, 16<<10, func(mux uint32, p *transport.Packet) { // the 70 KiB frame spills
 		if want := p.Envelope().Seq % 3; mux != want {
 			t.Errorf("frame %d delivered to mux %d, sent to %d", len(kept), mux, want)
 		}
 		kept = append(kept, p)
 		slabLeft = append(slabLeft, len(fr.slab))
-		return true
 	})
+	err := fr.run()
 	server.Close()
 	if err != io.EOF || len(kept) != len(want) {
 		t.Fatalf("run = %v with %d frames delivered, want EOF and %d", err, len(kept), len(want))
@@ -1203,12 +1260,10 @@ func TestRejectedFrameDeliversNothing(t *testing.T) {
 				defer client.Close()
 				client.Write(stream) // one burst: every frame is in the window at once
 			}()
-			fr := &frameReader{buf: make([]byte, 4096)}
 			var got []*transport.Packet
-			err := fr.run(server, func(_ uint32, p *transport.Packet) bool {
+			err := newRx(server, 4096, func(_ uint32, p *transport.Packet) {
 				got = append(got, p)
-				return true
-			})
+			}).run()
 			server.Close()
 			if err != errBadFrame {
 				t.Fatalf("run = %v, want errBadFrame", err)

@@ -200,7 +200,14 @@ type Context interface {
 	Index() int
 	// Poll extracts up to max completion events, invoking handler for
 	// each, and returns the number handled. Inbound packets surface as
-	// CQERecv events.
+	// CQERecv events. Poll is where the caller's thread works for the
+	// network: a backend may read its wire here (tcpnet does, on a pass
+	// that found nothing queued: one non-blocking read per connection the
+	// context owns) and write out what the rank has sent. Receiving must
+	// not wait: no blocking read, no sleep on a full ring, no wait for a
+	// peer or a context to appear — what cannot be finished at once is
+	// left to the backend's own threads. Only the write may block, on a
+	// peer that is not draining: that is the sender's backpressure.
 	Poll(handler func(CQE), max int) int
 	// Pending reports whether any completions or inbound packets are
 	// queued.
