@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test allocs race race-lockfree vet fmt bench-telemetry bench-real-smoke chaos fuzz-wire check conformance lint-layers lint-onepath twin-exact rebaseline tcp-smoke
+.PHONY: build test loc allocs race race-lockfree vet fmt bench-telemetry bench-real-smoke chaos fuzz-wire check conformance lint-layers lint-onepath twin-exact rebaseline tcp-smoke
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ allocs:
 # Race-detector pass over the concurrency-heavy packages (the full suite
 # under -race works too, but takes much longer).
 race:
-	$(GO) test -race ./internal/prof ./internal/telemetry ./internal/core ./internal/progress ./internal/cri ./internal/rma ./internal/flight ./internal/obs ./internal/transport/... ./internal/conformance ./internal/bench/... ./internal/ringbuf ./internal/match
+	$(GO) test -race ./internal/fabric ./internal/prof ./internal/telemetry ./internal/core ./internal/progress ./internal/cri ./internal/rma ./internal/flight ./internal/obs ./internal/transport/... ./internal/conformance ./internal/bench/... ./internal/ringbuf ./internal/match
 
 # Dedicated stress pass over the lock-free structures (MPSC completion
 # ring, CRI free-list, sharded matching) at high parallelism; these tests
@@ -42,12 +42,29 @@ conformance:
 	$(GO) test -run Conformance -race ./internal/conformance
 	GOMAXPROCS=1 $(GO) test -count=1 -run Conformance ./internal/conformance
 
-# Layering lint: the runtime depends only on the transport interface; a
-# textual import of the simulated backend above it is a regression.
+# Layering lint: everything depends on the transport interface and only
+# internal/backends names the in-process backend — not the runtime, not the
+# model, not an example, not a CLI. And the backend is one layer: it
+# implements the seam's types itself, so an alias of a transport name
+# (`type Packet = transport.Packet`, `const X = transport.X`) or an adapter
+# type around its own Device or Endpoint growing back in internal/fabric fails.
 lint-layers:
-	@if grep -rn '"repro/internal/fabric"' internal/core internal/cri internal/progress internal/rma internal/match; then \
-		echo "FAIL: concrete backend import above the transport interface"; exit 1; \
-	else echo "layering ok"; fi
+	@fail=0; \
+	if grep -rln --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out \
+		'"repro/internal/fabric"' . | grep -v '^\./internal/backends/\|^\./internal/fabric/'; then \
+		echo "FAIL: only internal/backends may import repro/internal/fabric"; fail=1; fi; \
+	fab=$$(ls internal/fabric/*.go | grep -v _test.go); \
+	if grep -nE '(^|[^:!=<>])= *transport\.|^type +(tdev|lazyEndpoint)\b' $$fab; then \
+		echo "FAIL: internal/fabric aliases a transport name or wraps its own types again"; fail=1; fi; \
+	if [ $$fail = 0 ]; then echo "layering ok"; else exit 1; fi
+
+# The size figure every simplicity entry in CHANGES.md quotes: non-test Go
+# lines outside benchmark/ (a module of its own), in total and per package.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' ! -path './twin-out/*' \
+	| xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = "."; for (i = 2; i < n; i++) d = d "/" p[i]; \
+		loc[d] += $$1; all += $$1 } \
+		END { for (d in loc) printf "%7d  %s\n", loc[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", all }'
 
 # One-path lint: each step of the message path exists once. A second call
 # site of any of these is a copy of the inject/post pipeline, the sequence

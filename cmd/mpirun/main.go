@@ -5,9 +5,11 @@
 //
 //	<command> <args...> -transport tcp -rank R -listen ADDR_R -peers ADDR_0,...,ADDR_N-1
 //
-// Each rank's stdout/stderr is teed to mpirun's with a "[rank R]" prefix,
-// and mpirun exits with the first nonzero rank exit code (or 0 when every
-// rank succeeds). SIGINT/SIGTERM are forwarded to all ranks.
+// Each rank's stdout/stderr is teed to mpirun's with a "[rank R]" prefix.
+// SIGINT/SIGTERM are forwarded to all ranks. mpirun exits 0 when every rank
+// succeeds; when one fails it names that rank, sends the others SIGTERM (they
+// would spin in their next collective forever), SIGKILLs what is left after
+// two seconds, and exits with the failed rank's code.
 //
 // With -http (or -report-out) the launcher becomes the job's observability
 // plane: it auto-allocates one loopback observability port per rank,
@@ -70,29 +72,37 @@ func main() {
 		os.Exit(2)
 	}
 
-	addrs, err := allocateAddrs(*n)
-	if err != nil {
-		fatal(err)
-	}
-	peers := strings.Join(addrs, ",")
-
-	// The observability plane is on when anything consumes it: each rank
-	// then gets its own live endpoint address for the aggregator to poll.
-	var obsAddrs []string
-	if *httpAddr != "" || *reportOut != "" {
-		obsAddrs, err = allocateAddrs(*n)
+	// Ports, in the order that keeps the launcher from handing one of its
+	// own out twice: the aggregator's listener is bound first and kept; the
+	// ranks' listen and observability ports are then reserved as one set.
+	var aggLn net.Listener
+	if *httpAddr != "" && !*emit {
+		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fatal(err)
 		}
+		aggLn = ln
 	}
+	// The observability plane is on when anything consumes it: each rank
+	// then gets its own live endpoint address for the aggregator to poll.
+	count := *n
+	if *httpAddr != "" || *reportOut != "" {
+		count = 2 * *n
+	}
+	reserved, err := reserveAddrs(count)
+	if err != nil {
+		fatal(err)
+	}
+	addrs, obsAddrs := reserved[:*n], reserved[*n:]
 
 	if *emit {
+		peers := strings.Join(addrs, ",")
 		for r := 0; r < *n; r++ {
 			fmt.Println(shellJoin(rankArgv(argv, r, addrs[r], peers, obsAddr(obsAddrs, r))))
 		}
 		return
 	}
-	os.Exit(run(*n, argv, addrs, peers, obsAddrs, *httpAddr, *poll, *reportOut))
+	os.Exit(run(argv, addrs, obsAddrs, aggLn, *poll, *reportOut))
 }
 
 // obsAddr returns rank r's observability address ("" when the plane is off).
@@ -120,31 +130,37 @@ func rankArgv(argv []string, rank int, listen, peers, obsAddr string) []string {
 	return out
 }
 
-// allocateAddrs reserves n distinct loopback ports by binding and
-// immediately releasing ephemeral listeners. The window between release
-// and the rank binding the port is unavoidable without passing open file
-// descriptors through exec; in practice the kernel does not rehand the
-// port out that fast on an otherwise idle loopback.
-func allocateAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
+// reserveAddrs picks count distinct loopback ports by binding ephemeral
+// listeners, holding every one open until the whole set is chosen — the
+// kernel cannot hand out a port that is still bound — and releasing them
+// together. The window between release and a rank binding its port is
+// unavoidable without passing open file descriptors through exec.
+func reserveAddrs(count int) ([]string, error) {
+	addrs := make([]string, count)
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, fmt.Errorf("mpirun: allocating rank %d address: %w", i, err)
+			return nil, fmt.Errorf("mpirun: reserving address %d of %d: %w", i+1, count, err)
 		}
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
-		if err := ln.Close(); err != nil {
-			return nil, fmt.Errorf("mpirun: releasing rank %d address: %w", i, err)
-		}
 	}
 	return addrs, nil
 }
 
-// run spawns all ranks, tees their output, forwards signals, and returns
-// the job's exit code: the first nonzero rank exit code in rank order, or
-// 0 when every rank succeeds. With obsAddrs set it also runs the cluster
-// aggregation plane over the ranks' live endpoints.
-func run(n int, argv []string, addrs []string, peers string, obsAddrs []string, httpAddr string, poll time.Duration, reportOut string) int {
+// killGrace is how long the survivors of a failed rank get between SIGTERM
+// and SIGKILL.
+const killGrace = 2 * time.Second
+
+// run spawns one rank per address, tees their output, forwards signals and
+// returns the job's exit code: 0 when every rank succeeds, otherwise the
+// code of the first rank to fail — whose survivors are terminated, because a
+// rank that lost a peer spins in its next collective forever. With obsAddrs
+// set it also runs the cluster aggregation plane over the ranks' live
+// endpoints, served on aggLn when that is non-nil.
+func run(argv []string, addrs, obsAddrs []string, aggLn net.Listener, poll time.Duration, reportOut string) int {
+	n := len(addrs)
+	peers := strings.Join(addrs, ",")
 	var agg *cluster.Aggregator
 	if len(obsAddrs) > 0 {
 		eps := make([]cluster.Endpoint, n)
@@ -153,18 +169,26 @@ func run(n int, argv []string, addrs []string, peers string, obsAddrs []string, 
 		}
 		agg = cluster.NewAggregator(cluster.AggregatorConfig{Endpoints: eps, Poll: poll})
 		agg.Start()
-		if httpAddr != "" {
-			srv, err := cluster.Serve(httpAddr, agg)
-			if err != nil {
-				fatal(err)
-			}
+		if aggLn != nil {
+			srv := cluster.Serve(aggLn, agg)
 			defer srv.Close()
 			fmt.Fprintf(os.Stderr, "mpirun: cluster aggregator on http://%s\n", srv.Addr())
 		}
 	}
 
+	type exit struct {
+		rank int
+		err  error
+	}
+	exits := make(chan exit, n)
 	cmds := make([]*exec.Cmd, n)
-	tees := make([]sync.WaitGroup, n)
+	signalAll := func(sig os.Signal) {
+		for _, cmd := range cmds {
+			if cmd != nil {
+				_ = cmd.Process.Signal(sig) // an exited rank refuses it; nothing to do
+			}
+		}
+	}
 	for r := 0; r < n; r++ {
 		cmd := exec.Command(argv[0], rankArgv(argv[1:], r, addrs[r], peers, obsAddr(obsAddrs, r))...)
 		cmd.Stdin = nil
@@ -178,55 +202,53 @@ func run(n int, argv []string, addrs []string, peers string, obsAddrs []string, 
 		}
 		if err := cmd.Start(); err != nil {
 			// Ranks already launched must not outlive a failed launch.
-			for _, prev := range cmds[:r] {
-				_ = prev.Process.Kill()
-			}
+			signalAll(syscall.SIGKILL)
 			fatal(fmt.Errorf("mpirun: starting rank %d: %w", r, err))
 		}
 		cmds[r] = cmd
-		tees[r].Add(2)
-		go teePrefixed(&tees[r], os.Stdout, outPipe, r)
-		go teePrefixed(&tees[r], os.Stderr, errPipe, r)
+		var tee sync.WaitGroup
+		tee.Add(2)
+		go teePrefixed(&tee, os.Stdout, outPipe, r)
+		go teePrefixed(&tee, os.Stderr, errPipe, r)
+		go func() {
+			// Drain this rank's pipes before Wait: Wait closes them, and
+			// output still buffered in the tee would be lost.
+			tee.Wait()
+			exits <- exit{r, cmd.Wait()}
+		}()
 	}
 
-	// Forward interrupts to every rank so a ^C tears the whole job down;
-	// keep forwarding until all ranks have exited.
+	// Wait on every rank at once, forwarding interrupts so a ^C tears the
+	// whole job down.
 	sigc := make(chan os.Signal, 4)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case sig := <-sigc:
-				for _, cmd := range cmds {
-					if cmd.Process != nil {
-						_ = cmd.Process.Signal(sig)
-					}
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-
 	code := 0
-	for r, cmd := range cmds {
-		// Drain this rank's pipes before Wait: Wait closes them, and output
-		// still buffered in the tee would be lost.
-		tees[r].Wait()
-		if err := cmd.Wait(); err != nil {
-			rc := 1
+	var kill <-chan time.Time // armed by the first failure
+	for left := n; left > 0; {
+		select {
+		case sig := <-sigc:
+			signalAll(sig)
+		case <-kill:
+			signalAll(syscall.SIGKILL)
+		case e := <-exits:
+			left--
+			if e.err == nil {
+				continue
+			}
+			if code != 0 {
+				fmt.Fprintf(os.Stderr, "mpirun: rank %d: %v\n", e.rank, e.err)
+				continue
+			}
+			code = 1
 			var xerr *exec.ExitError
-			if errors.As(err, &xerr) && xerr.ExitCode() > 0 {
-				rc = xerr.ExitCode()
+			if errors.As(e.err, &xerr) && xerr.ExitCode() > 0 {
+				code = xerr.ExitCode()
 			}
-			fmt.Fprintf(os.Stderr, "mpirun: rank %d: %v\n", r, err)
-			if code == 0 {
-				code = rc
-			}
+			fmt.Fprintf(os.Stderr, "mpirun: rank %d failed: %v; terminating the other ranks\n", e.rank, e.err)
+			signalAll(syscall.SIGTERM)
+			kill = time.After(killGrace)
 		}
 	}
-	close(done)
 	signal.Stop(sigc)
 
 	if agg != nil {

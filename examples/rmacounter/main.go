@@ -17,9 +17,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cri"
-	"repro/internal/fabric"
 	"repro/internal/hw"
 	"repro/internal/rma"
+	"repro/internal/transport"
 )
 
 const (
@@ -69,7 +69,7 @@ func main() {
 					if count == 0 {
 						continue
 					}
-					if err := win.Accumulate(th, 0, b*8, []int64{count}, fabric.AccSum); err != nil {
+					if err := win.Accumulate(th, 0, b*8, []int64{count}, transport.AccSum); err != nil {
 						log.Fatal(err)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -137,10 +138,11 @@ func TestAggregatorEndToEnd(t *testing.T) {
 	}
 	agg := NewAggregator(AggregatorConfig{Endpoints: eps})
 	agg.PollOnce()
-	srv, err := Serve("127.0.0.1:0", agg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := Serve(ln, agg)
 	defer srv.Close()
 	base := "http://" + srv.Addr()
 
@@ -256,10 +258,11 @@ func TestAggregatorDetectsLiveStraggler(t *testing.T) {
 		}
 	}
 	// The verdict surfaces on /cluster/imbalance and flips the gauge.
-	srv, err := Serve("127.0.0.1:0", agg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := Serve(ln, agg)
 	defer srv.Close()
 	body, _ := get(t, "http://"+srv.Addr()+"/cluster/imbalance")
 	if !strings.Contains(body, `"rank-straggler"`) {
@@ -295,10 +298,11 @@ func TestAggregatorKeepsLastGoodState(t *testing.T) {
 	if got := r1.SPC.Get(spc.MessagesSent); got != 42 {
 		t.Fatalf("last good state lost: sent = %d, want 42", got)
 	}
-	srv, err := Serve("127.0.0.1:0", agg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := Serve(ln, agg)
 	defer srv.Close()
 	body, status := get(t, "http://"+srv.Addr()+"/cluster/health")
 	if status != http.StatusServiceUnavailable {

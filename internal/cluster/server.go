@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"sync"
@@ -211,16 +210,13 @@ type Server struct {
 	srv *http.Server
 }
 
-// Serve binds addr and serves the aggregator's /cluster/* endpoints.
-// ":0"-style addresses work; Addr reports the bound address.
-func Serve(addr string, a *Aggregator) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: listen %s: %w", addr, err)
-	}
+// Serve serves the aggregator's /cluster/* endpoints on ln, which the caller
+// bound (the launcher binds it before it reserves any rank's port); Addr
+// reports its address.
+func Serve(ln net.Listener, a *Aggregator) *Server {
 	s := &Server{ln: ln, srv: &http.Server{Handler: a.Handler()}}
 	go s.srv.Serve(ln)
-	return s, nil
+	return s
 }
 
 // Addr returns the bound address, e.g. "127.0.0.1:9090".

@@ -81,7 +81,7 @@ func newComm(p *Proc, id uint32, group []int, myRank int, info Info) *Comm {
 	c.matchMu.Bind(p.prof.NewSite("match.comm", -1, id))
 	var meter match.Meter = match.SpinMeter{}
 	if n := p.world.opts.MatchShards; n > 0 {
-		sh := match.NewSharded(id, len(group), n, p.dev.Machine().Scaled(), meter, c.spcs)
+		sh := match.NewSharded(id, len(group), n, p.world.machine.Scaled(), meter, c.spcs)
 		sites := make([]*prof.Site, sh.NumShards())
 		for i := range sites {
 			sites[i] = p.prof.NewSite("match.shard", i, id)
@@ -89,9 +89,9 @@ func newComm(p *Proc, id uint32, group []int, myRank int, info Info) *Comm {
 		sh.BindProfSites(sites, p.prof.NewSite("match.stripe", -1, id), p.prof.NewSite("match.wild", -1, id))
 		c.engine = sh
 	} else if p.world.opts.HashMatching {
-		c.engine = match.NewHashEngine(id, len(group), p.dev.Machine().Scaled(), meter, c.spcs)
+		c.engine = match.NewHashEngine(id, len(group), p.world.machine.Scaled(), meter, c.spcs)
 	} else {
-		c.engine = match.NewEngine(id, len(group), p.dev.Machine().Scaled(), meter, c.spcs)
+		c.engine = match.NewEngine(id, len(group), p.world.machine.Scaled(), meter, c.spcs)
 	}
 	c.selfMatch = match.SelfLocking(c.engine)
 	c.engine.SetAllowOvertaking(info.AllowOvertaking)

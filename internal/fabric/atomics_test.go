@@ -5,50 +5,48 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/hw"
+	"repro/internal/transport"
 )
 
 func TestFetchAndOpBasics(t *testing.T) {
-	target := NewDevice(hw.Fast())
-	initiator := NewDevice(hw.Fast())
-	ictx, _ := initiator.CreateContext(0)
+	target, _, ictx := newInitiator(t)
 	mem := make([]byte, 16)
 	reg := target.RegisterMemory(mem)
 
 	var old int64
-	if err := ictx.FetchAndOp(reg, 0, 10, AccSum, &old, nil); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 10, transport.AccSum, &old, nil); err != nil {
 		t.Fatal(err)
 	}
 	if old != 0 {
 		t.Fatalf("old = %d, want 0", old)
 	}
-	if err := ictx.FetchAndOp(reg, 0, 7, AccReplace, &old, nil); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 7, transport.AccReplace, &old, nil); err != nil {
 		t.Fatal(err)
 	}
 	if old != 10 {
 		t.Fatalf("old = %d, want 10", old)
 	}
-	if err := ictx.FetchAndOp(reg, 0, 100, AccMax, &old, nil); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 100, transport.AccMax, &old, nil); err != nil {
 		t.Fatal(err)
 	}
-	if old != 7 || int64(le64(mem[:8])) != 100 {
-		t.Fatalf("max: old=%d mem=%d", old, int64(le64(mem[:8])))
+	if old != 7 || le64(mem[:8]) != 100 {
+		t.Fatalf("max: old=%d mem=%d", old, le64(mem[:8]))
 	}
-	if err := ictx.FetchAndOp(reg, 0, 1, AccMin, &old, nil); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 1, transport.AccMin, &old, nil); err != nil {
 		t.Fatal(err)
 	}
-	if old != 100 || int64(le64(mem[:8])) != 1 {
-		t.Fatalf("min: old=%d mem=%d", old, int64(le64(mem[:8])))
+	if old != 100 || le64(mem[:8]) != 1 {
+		t.Fatalf("min: old=%d mem=%d", old, le64(mem[:8]))
 	}
 	// nil result pointer is allowed.
-	if err := ictx.FetchAndOp(reg, 8, 1, AccSum, nil, nil); err != nil {
+	if err := ictx.FetchAndOp(reg, 8, 1, transport.AccSum, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Completions: one per op.
 	n := 0
 	for ictx.Pending() {
-		ictx.Poll(func(e CQE) {
-			if e.Kind != CQEAccComplete {
+		ictx.Poll(func(e transport.CQE) {
+			if e.Kind != transport.CQEAccComplete {
 				t.Fatalf("completion kind = %d", e.Kind)
 			}
 			n++
@@ -60,15 +58,13 @@ func TestFetchAndOpBasics(t *testing.T) {
 }
 
 func TestFetchAndOpBounds(t *testing.T) {
-	target := NewDevice(hw.Fast())
-	initiator := NewDevice(hw.Fast())
-	ictx, _ := initiator.CreateContext(0)
+	target, _, ictx := newInitiator(t)
 	reg := target.RegisterMemory(make([]byte, 8))
 	var be *BoundsError
-	if err := ictx.FetchAndOp(reg, 8, 1, AccSum, nil, nil); !errors.As(err, &be) {
+	if err := ictx.FetchAndOp(reg, 8, 1, transport.AccSum, nil, nil); !errors.As(err, &be) {
 		t.Fatalf("out-of-bounds err = %v", err)
 	}
-	if err := ictx.FetchAndOp(reg, 4, 1, AccSum, nil, nil); !errors.As(err, &be) {
+	if err := ictx.FetchAndOp(reg, 4, 1, transport.AccSum, nil, nil); !errors.As(err, &be) {
 		t.Fatalf("misaligned err = %v", err)
 	}
 	if err := ictx.CompareAndSwap(reg, 12, 0, 1, nil, nil); !errors.As(err, &be) {
@@ -77,9 +73,7 @@ func TestFetchAndOpBounds(t *testing.T) {
 }
 
 func TestCompareAndSwapSemantics(t *testing.T) {
-	target := NewDevice(hw.Fast())
-	initiator := NewDevice(hw.Fast())
-	ictx, _ := initiator.CreateContext(0)
+	target, _, ictx := newInitiator(t)
 	mem := make([]byte, 8)
 	reg := target.RegisterMemory(mem)
 
@@ -87,13 +81,13 @@ func TestCompareAndSwapSemantics(t *testing.T) {
 	if err := ictx.CompareAndSwap(reg, 0, 0, 42, &old, nil); err != nil || old != 0 {
 		t.Fatalf("CAS = %d, %v", old, err)
 	}
-	if got := int64(le64(mem)); got != 42 {
+	if got := le64(mem); got != 42 {
 		t.Fatalf("mem = %d, want 42", got)
 	}
 	if err := ictx.CompareAndSwap(reg, 0, 7, 99, &old, nil); err != nil || old != 42 {
 		t.Fatalf("failed CAS = %d, %v", old, err)
 	}
-	if got := int64(le64(mem)); got != 42 {
+	if got := le64(mem); got != 42 {
 		t.Fatalf("failed CAS mutated memory: %d", got)
 	}
 }
@@ -101,8 +95,7 @@ func TestCompareAndSwapSemantics(t *testing.T) {
 // TestFetchAndOpAtomicTickets: concurrent fetch-add issues strictly unique
 // tickets across contexts.
 func TestFetchAndOpAtomicTickets(t *testing.T) {
-	target := NewDevice(hw.Fast())
-	initiator := NewDevice(hw.Fast())
+	target, initiator, _ := newInitiator(t)
 	mem := make([]byte, 8)
 	reg := target.RegisterMemory(mem)
 	const (
@@ -117,11 +110,11 @@ func TestFetchAndOpAtomicTickets(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(ctx *Context) {
+		go func(ctx transport.Context) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				var old int64
-				if err := ctx.FetchAndOp(reg, 0, 1, AccSum, &old, nil); err != nil {
+				if err := ctx.FetchAndOp(reg, 0, 1, transport.AccSum, &old, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -138,7 +131,7 @@ func TestFetchAndOpAtomicTickets(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if int64(le64(mem)) != goroutines*per {
-		t.Fatalf("final counter = %d", int64(le64(mem)))
+	if le64(mem) != goroutines*per {
+		t.Fatalf("final counter = %d", le64(mem))
 	}
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/ringbuf"
+	"repro/internal/spc"
 	"repro/internal/transport"
 )
 
@@ -25,11 +27,8 @@ type Context struct {
 	dev   *Device
 	index int
 
-	recvQ *ringbuf.MPSC[*Packet] // packets from remote senders
-	cq    *ringbuf.MPSC[CQE]     // local completions (send/put/get)
-
-	scrambler *Scrambler
-	faults    *FaultInjector
+	recvQ *ringbuf.MPSC[*transport.Packet] // packets from remote senders
+	cq    *ringbuf.MPSC[transport.CQE]     // local completions (send/put/get)
 
 	// delayed holds fault-injector-delayed packets until their release
 	// time; hasDelayed makes the empty check a single atomic load on the
@@ -42,28 +41,25 @@ type Context struct {
 // delayedPacket is one held-back packet with its release time.
 type delayedPacket struct {
 	due time.Time
-	pkt *Packet
+	pkt *transport.Packet
 }
 
 func newContext(d *Device, index, depth int) *Context {
 	return &Context{
 		dev:   d,
 		index: index,
-		recvQ: ringbuf.NewMPSC[*Packet](depth),
-		cq:    ringbuf.NewMPSC[CQE](depth),
+		recvQ: ringbuf.NewMPSC[*transport.Packet](depth),
+		cq:    ringbuf.NewMPSC[transport.CQE](depth),
 	}
 }
 
 // Index returns the context's index within its device.
 func (c *Context) Index() int { return c.index }
 
-// Device returns the owning device.
-func (c *Context) Device() *Device { return c.dev }
-
 // deliver enqueues an inbound packet, blocking (with yields) on a full
 // queue — hardware back-pressure. The remote sender's goroutine runs this.
-func (c *Context) deliver(p *Packet) {
-	if s := c.scrambler; s != nil {
+func (c *Context) deliver(p *transport.Packet) {
+	if s := c.dev.scrambler; s != nil {
 		for _, q := range s.scramble(p) {
 			c.deliverDirect(q)
 		}
@@ -72,7 +68,7 @@ func (c *Context) deliver(p *Packet) {
 	c.deliverDirect(p)
 }
 
-func (c *Context) deliverDirect(p *Packet) {
+func (c *Context) deliverDirect(p *transport.Packet) {
 	if p.TraceID != 0 && p.ArriveNs == 0 {
 		// Transport-arrival stamp for the critical-path attribution layer:
 		// the gap to the matching-engine delivery stamp is the receive-side
@@ -81,14 +77,23 @@ func (c *Context) deliverDirect(p *Packet) {
 		// once the first delivery published the pointer to the receiver.
 		p.ArriveNs = time.Now().UnixNano()
 	}
-	for !c.recvQ.Push(p) {
+	if !c.recvQ.Push(p) {
+		c.waitRing(func() bool { return c.recvQ.Push(p) })
+	}
+}
+
+// waitRing is a delivery that found its ring full: counted once on the
+// ring's device — not once per spin — it yields until push succeeds.
+func (c *Context) waitRing(push func() bool) {
+	c.dev.counters.Inc(spc.RingFullWaits)
+	for !push() {
 		runtime.Gosched()
 	}
 }
 
 // deliverDelayed holds p back until the delay elapses; the packet is
 // released into the receive queue by a later Poll on this context.
-func (c *Context) deliverDelayed(p *Packet, d time.Duration) {
+func (c *Context) deliverDelayed(p *transport.Packet, d time.Duration) {
 	c.delayMu.Lock()
 	c.delayed = append(c.delayed, delayedPacket{due: time.Now().Add(d), pkt: p})
 	c.hasDelayed.Store(true)
@@ -99,7 +104,7 @@ func (c *Context) deliverDelayed(p *Packet, d time.Duration) {
 // receive queue.
 func (c *Context) releaseDue() {
 	now := time.Now()
-	var due []*Packet
+	var due []*transport.Packet
 	c.delayMu.Lock()
 	kept := c.delayed[:0]
 	for _, dp := range c.delayed {
@@ -118,9 +123,9 @@ func (c *Context) releaseDue() {
 }
 
 // completeLocal enqueues a local completion, blocking on a full CQ.
-func (c *Context) completeLocal(e CQE) {
-	for !c.cq.Push(e) {
-		runtime.Gosched()
+func (c *Context) completeLocal(e transport.CQE) {
+	if !c.cq.Push(e) {
+		c.waitRing(func() bool { return c.cq.Push(e) })
 	}
 }
 
@@ -129,7 +134,7 @@ func (c *Context) completeLocal(e CQE) {
 // events. Each extraction charges the receive-side CPU cost; an empty poll
 // charges the empty-poll cost — exactly the per-call economics of reading a
 // real CQ.
-func (c *Context) Poll(handler func(CQE), max int) int {
+func (c *Context) Poll(handler func(transport.CQE), max int) int {
 	if max <= 0 {
 		max = 64
 	}
@@ -153,21 +158,23 @@ func (c *Context) Poll(handler func(CQE), max int) int {
 			break
 		}
 		hw.Spin(costs.RecvExtract)
-		handler(CQE{Kind: CQERecv, Packet: p})
+		handler(transport.CQE{Kind: transport.CQERecv, Packet: p})
 		n++
 	}
 	if n == 0 {
-		if s := c.scrambler; s != nil {
+		if s := c.dev.scrambler; s != nil {
 			// An idle poll flushes any adversarially held packets so a
 			// scrambled stream can never strand its tail.
-			s.DrainTo(c)
+			for _, p := range s.flush() {
+				c.deliverDirect(p)
+			}
 			for n < max {
 				p, ok := c.recvQ.Pop()
 				if !ok {
 					break
 				}
 				hw.Spin(costs.RecvExtract)
-				handler(CQE{Kind: CQERecv, Packet: p})
+				handler(transport.CQE{Kind: transport.CQERecv, Packet: p})
 				n++
 			}
 		}
@@ -184,40 +191,76 @@ func (c *Context) Pending() bool {
 	return c.cq.Len() > 0 || c.recvQ.Len() > 0 || c.hasDelayed.Load()
 }
 
-// Endpoint is a send path from a local context to one remote context. It is
-// the object the per-CRI lock protects in the send path; the fabric itself
-// performs no locking here, mirroring real endpoints whose thread safety is
-// the MPI library's problem.
+// Endpoint is a send path from a local context to context remoteIdx of rank
+// peer. It is the object the per-CRI lock protects in the send path; the
+// fabric itself performs no locking on injection, mirroring real endpoints
+// whose thread safety is the MPI library's problem.
+//
+// The peer context is looked up by the first operation that needs it —
+// counted as ConnsOpened (first resolution toward that peer on this device)
+// or ConnsReused (another endpoint onto an established pair) — and cached:
+// every later operation reads it with one atomic load. A peer device or
+// context that does not exist fails the operation that asked with
+// ErrConnEstablish, and the next one looks again.
 type Endpoint struct {
-	local  *Context
-	remote *Context
+	local     *Context
+	peer      int
+	remoteIdx int
+
+	mu     sync.Mutex // serializes the first resolution
+	remote atomic.Pointer[Context]
 }
 
-// NewEndpoint connects a local context to a remote one.
-func NewEndpoint(local, remote *Context) *Endpoint {
-	return &Endpoint{local: local, remote: remote}
-}
-
-// Local returns the endpoint's local context.
-func (e *Endpoint) Local() *Context { return e.local }
-
-// Remote returns the endpoint's remote context.
-func (e *Endpoint) Remote() *Context { return e.remote }
-
-// Send injects a two-sided packet: charges the injection CPU cost, reserves
-// wire time (envelope + payload) on the local device's rate limiter,
-// delivers to the remote context's receive queue, and posts a
-// send-completion CQE to the local context.
-func (e *Endpoint) Send(p *Packet) error {
-	costs := &e.local.dev.costs
-	hw.Spin(costs.SendInject)
-	e.local.dev.limiter.reserve(headerSize(p) + len(p.Payload))
-	if f := e.local.faults; f != nil {
-		f.inject(e.remote, p)
-	} else {
-		e.remote.deliver(p)
+func (e *Endpoint) resolve() (*Context, error) {
+	if rc := e.remote.Load(); rc != nil {
+		return rc, nil
 	}
-	e.local.completeLocal(CQE{Kind: CQESendComplete, Packet: p})
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if rc := e.remote.Load(); rc != nil {
+		return rc, nil
+	}
+	d := e.local.dev
+	pd := d.net.device(e.peer)
+	if pd == nil {
+		return nil, fmt.Errorf("%w: rank %d has no device", transport.ErrConnEstablish, e.peer)
+	}
+	rc := pd.context(e.remoteIdx)
+	if rc == nil {
+		return nil, fmt.Errorf("%w: rank %d has no context %d", transport.ErrConnEstablish, e.peer, e.remoteIdx)
+	}
+	d.noteEstablish(e.peer)
+	e.remote.Store(rc)
+	return rc, nil
+}
+
+// inject puts p on the wire: charges the injection CPU cost, reserves wire
+// time (header + payload) on the local device's rate limiter and delivers to
+// the remote context's receive queue, through the fault injector if the
+// device has one.
+func (e *Endpoint) inject(p *transport.Packet) error {
+	rc, err := e.resolve()
+	if err != nil {
+		return err
+	}
+	d := e.local.dev
+	hw.Spin(d.costs.SendInject)
+	d.limiter.reserve(headerSize(p) + len(p.Payload))
+	if f := d.faults; f != nil {
+		f.inject(rc, p)
+	} else {
+		rc.deliver(p)
+	}
+	return nil
+}
+
+// Send injects a two-sided packet and posts a send-completion CQE to the
+// local context.
+func (e *Endpoint) Send(p *transport.Packet) error {
+	if err := e.inject(p); err != nil {
+		return err
+	}
+	e.local.completeLocal(transport.CQE{Kind: transport.CQESendComplete, Packet: p})
 	return nil
 }
 
@@ -225,27 +268,17 @@ func (e *Endpoint) Send(p *Packet) error {
 // the retransmission path of the delivery-reliability layer, which already
 // holds local completion state for the packet. The retransmitted copy faces
 // the wire faults again.
-func (e *Endpoint) Resend(p *Packet) error {
-	costs := &e.local.dev.costs
-	hw.Spin(costs.SendInject)
-	e.local.dev.limiter.reserve(headerSize(p) + len(p.Payload))
-	if f := e.local.faults; f != nil {
-		f.inject(e.remote, p)
-	} else {
-		e.remote.deliver(p)
-	}
-	return nil
-}
+func (e *Endpoint) Resend(p *transport.Packet) error { return e.inject(p) }
 
 // headerSize is the per-packet wire-header footprint the rate limiter
 // charges: the canonical envelope, plus the trace-context extension when
 // the packet carries one — the simulated wire mirrors the real framing's
 // conditional cost byte for byte.
-func headerSize(p *Packet) int {
+func headerSize(p *transport.Packet) int {
 	if p.TraceID != 0 {
-		return EnvelopeSize + TraceExtSize
+		return transport.EnvelopeSize + transport.TraceExtSize
 	}
-	return EnvelopeSize
+	return transport.EnvelopeSize
 }
 
 // PutRegion writes src into the remote device's registered region at offset
@@ -253,7 +286,11 @@ func headerSize(p *Packet) int {
 // callers need no handle on the peer's device. Completion is a local
 // PutComplete CQE carrying token.
 func (e *Endpoint) PutRegion(regionID uint64, offset int, src []byte, token any) error {
-	r, ok := e.remote.dev.Region(regionID)
+	rc, err := e.resolve()
+	if err != nil {
+		return err
+	}
+	r, ok := rc.dev.Region(regionID)
 	if !ok {
 		return transport.ErrRegionUnavailable
 	}

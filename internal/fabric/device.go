@@ -6,6 +6,8 @@ import (
 	"sync"
 
 	"repro/internal/hw"
+	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
 // ErrContextLimit is returned by CreateContext when the device's hardware
@@ -13,13 +15,18 @@ import (
 // exhausted.
 var ErrContextLimit = errors.New("fabric: hardware network context limit reached")
 
-// Device is one process's NIC. It owns the device-wide rate limiter, the
-// set of network contexts, and the registered memory regions that remote
-// peers address with one-sided operations.
+// Device is one rank's NIC. It owns the device-wide rate limiter, the set of
+// network contexts, the registered memory regions remote peers address with
+// one-sided operations, and the table of peers its endpoints have reached.
 type Device struct {
-	machine hw.Machine
-	costs   hw.CostModel
-	limiter *rateLimiter
+	net         *Network
+	counters    *spc.Set // nil-safe
+	costs       hw.CostModel
+	maxContexts int
+	limiter     *rateLimiter
+
+	scrambler *Scrambler     // adversarial reordering of inbound packets, or nil
+	faults    *FaultInjector // wire faults on outbound packets, or nil
 
 	mu       sync.Mutex
 	contexts []*Context
@@ -29,39 +36,17 @@ type Device struct {
 	regions map[uint64]*MemRegion
 	nextReg uint64
 
-	scrambler *Scrambler     // optional adversarial reordering for tests
-	faults    *FaultInjector // optional wire-fault injection
+	// connMu guards connected, the peers some endpoint of this device has
+	// already resolved — the ConnsOpened/ConnsReused accounting that mirrors
+	// the real backends' physical-connection counters.
+	connMu    sync.Mutex
+	connected map[int]bool
 }
-
-// NewDevice creates a NIC for the given machine model.
-func NewDevice(m hw.Machine) *Device {
-	return &Device{
-		machine: m,
-		costs:   m.Scaled(),
-		limiter: newRateLimiter(m.LinkGbps, m.MaxInjectionRate),
-		regions: make(map[uint64]*MemRegion),
-	}
-}
-
-// Machine returns the device's machine model.
-func (d *Device) Machine() hw.Machine { return d.machine }
-
-// Costs returns the device's scaled CPU cost model.
-func (d *Device) Costs() hw.CostModel { return d.costs }
-
-// SetScrambler installs an adversarial delivery-order scrambler on every
-// context created afterwards. Test-only; nil disables.
-func (d *Device) SetScrambler(s *Scrambler) { d.scrambler = s }
-
-// SetFaultInjector installs a wire-fault injector applied to every packet
-// this device's endpoints send afterwards (outbound side). Call before
-// CreateContext; nil disables.
-func (d *Device) SetFaultInjector(f *FaultInjector) { d.faults = f }
 
 // CreateContext allocates a new network context with the given queue depth
 // (rounded up to a power of two; depth <= 0 selects the default 4096).
 // It fails with ErrContextLimit when the hardware limit is reached.
-func (d *Device) CreateContext(depth int) (*Context, error) {
+func (d *Device) CreateContext(depth int) (transport.Context, error) {
 	if depth <= 0 {
 		depth = 4096
 	}
@@ -70,25 +55,16 @@ func (d *Device) CreateContext(depth int) (*Context, error) {
 	if d.closed {
 		return nil, errors.New("fabric: device closed")
 	}
-	if max := d.machine.MaxContexts; max > 0 && len(d.contexts) >= max {
+	if d.maxContexts > 0 && len(d.contexts) >= d.maxContexts {
 		return nil, ErrContextLimit
 	}
 	ctx := newContext(d, len(d.contexts), depth)
-	ctx.scrambler = d.scrambler
-	ctx.faults = d.faults
 	d.contexts = append(d.contexts, ctx)
 	return ctx, nil
 }
 
-// NumContexts returns the number of contexts created so far.
-func (d *Device) NumContexts() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.contexts)
-}
-
-// Context returns context i, or nil if out of range.
-func (d *Device) Context(i int) *Context {
+// context returns context i, or nil if out of range.
+func (d *Device) context(i int) *Context {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if i < 0 || i >= len(d.contexts) {
@@ -97,14 +73,37 @@ func (d *Device) Context(i int) *Context {
 	return d.contexts[i]
 }
 
+// Connect returns an endpoint from local toward context remoteIdx of rank
+// peer. Nothing resolves here, so world construction never assumes a
+// pre-wired full mesh — the in-process mirror of dial-on-first-send: the
+// first Send looks the peer's context up.
+func (d *Device) Connect(local transport.Context, peer int, remoteIdx int) (transport.Endpoint, error) {
+	lc, ok := local.(*Context)
+	if !ok || lc == nil || lc.dev != d {
+		return nil, fmt.Errorf("fabric: Connect local context is not a context of this device")
+	}
+	return &Endpoint{local: lc, peer: peer, remoteIdx: remoteIdx}, nil
+}
+
+// noteEstablish records one endpoint resolution toward peer: the first per
+// peer mirrors opening a physical connection, later ones reuse it. The
+// totals are deterministic (distinct peers vs. endpoints) even though the
+// resolution order is scheduler-dependent.
+func (d *Device) noteEstablish(peer int) {
+	d.connMu.Lock()
+	defer d.connMu.Unlock()
+	if !d.connected[peer] {
+		d.connected[peer] = true
+		d.counters.Inc(spc.ConnsOpened)
+	} else {
+		d.counters.Inc(spc.ConnsReused)
+	}
+}
+
 // Close marks the device closed. Outstanding contexts remain readable so
 // in-flight progress loops can drain.
 func (d *Device) Close() {
 	d.mu.Lock()
 	d.closed = true
 	d.mu.Unlock()
-}
-
-func (d *Device) String() string {
-	return fmt.Sprintf("device(%s, %d ctx)", d.machine.Name, d.NumContexts())
 }

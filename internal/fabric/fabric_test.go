@@ -1,60 +1,82 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
-	"testing/quick"
+	"time"
 
 	"repro/internal/hw"
+	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
-func newFastDevice(t testing.TB) *Device {
+// The tests drive the fabric the way the runtime does: devices come from
+// NewNetwork().NewDevice, endpoints from Device.Connect. Only what the seam
+// does not show (the context table, the rate limiter, the injector's dice) is
+// read off the concrete types.
+
+func newDevice(t testing.TB, n *Network, rank int, m hw.Machine, cfg transport.DeviceConfig) transport.Device {
 	t.Helper()
-	return NewDevice(hw.Fast())
-}
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	e := Envelope{Src: 3, Dst: 7, Tag: -42, Comm: 9, Seq: 123456, Len: 28, Kind: KindEager}
-	var b [EnvelopeSize]byte
-	e.Marshal(&b)
-	var got Envelope
-	got.Unmarshal(&b)
-	if got != e {
-		t.Fatalf("round trip = %+v, want %+v", got, e)
-	}
-}
-
-func TestEnvelopeQuickRoundTrip(t *testing.T) {
-	prop := func(src, dst, tag int32, comm, seq, ln uint32) bool {
-		e := Envelope{Src: src, Dst: dst, Tag: tag, Comm: comm, Seq: seq, Len: ln, Kind: KindEager}
-		var b [EnvelopeSize]byte
-		e.Marshal(&b)
-		var got Envelope
-		got.Unmarshal(&b)
-		return got == e
-	}
-	if err := quick.Check(prop, nil); err != nil {
+	d, err := n.NewDevice(rank, m, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return d
 }
 
-func TestPacketCopiesPayload(t *testing.T) {
-	payload := []byte{1, 2, 3}
-	p := NewPacket(Envelope{Kind: KindEager}, payload, nil)
-	payload[0] = 99 // sender reuses its buffer immediately
-	if p.Payload[0] != 1 {
-		t.Fatal("packet aliases the sender's buffer; eager semantics require a copy")
+func newContextOn(t testing.TB, d transport.Device, depth int) transport.Context {
+	t.Helper()
+	c, err := d.CreateContext(depth)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if env := p.Envelope(); env.Len != 3 {
-		t.Fatalf("packet Len = %d, want 3", env.Len)
-	}
+	return c
 }
+
+func connect(t testing.TB, d transport.Device, local transport.Context, peer, remoteIdx int) transport.Endpoint {
+	t.Helper()
+	ep, err := d.Connect(local, peer, remoteIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep
+}
+
+// newPair builds ranks 0 and 1 on the Fast machine, one context each, and an
+// endpoint from rank 0's context to rank 1's; cfg configures rank 0 (the
+// sender: faults act outbound) and rank 1 (the receiver: the scrambler acts
+// inbound) alike.
+func newPair(t testing.TB, cfg transport.DeviceConfig) (ep transport.Endpoint, tx, rx transport.Context) {
+	t.Helper()
+	n := NewNetwork()
+	d0 := newDevice(t, n, 0, hw.Fast(), cfg)
+	d1 := newDevice(t, n, 1, hw.Fast(), cfg)
+	tx, rx = newContextOn(t, d0, 0), newContextOn(t, d1, 0)
+	return connect(t, d0, tx, 1, 0), tx, rx
+}
+
+// newInitiator builds a target device (rank 0) and one context of an
+// initiator device (rank 1) for the one-sided tests.
+func newInitiator(t testing.TB) (target, initiator transport.Device, ictx transport.Context) {
+	t.Helper()
+	n := NewNetwork()
+	target = newDevice(t, n, 0, hw.Fast(), transport.DeviceConfig{})
+	initiator = newDevice(t, n, 1, hw.Fast(), transport.DeviceConfig{})
+	return target, initiator, newContextOn(t, initiator, 0)
+}
+
+func eager(seq uint32) *transport.Packet {
+	return transport.NewPacket(transport.Envelope{Seq: seq, Kind: transport.KindEager}, nil, nil)
+}
+
+func le64(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }
 
 func TestContextLimit(t *testing.T) {
 	m := hw.Fast()
 	m.MaxContexts = 2
-	d := NewDevice(m)
+	d := newDevice(t, NewNetwork(), 0, m, transport.DeviceConfig{})
 	if _, err := d.CreateContext(0); err != nil {
 		t.Fatal(err)
 	}
@@ -64,45 +86,43 @@ func TestContextLimit(t *testing.T) {
 	if _, err := d.CreateContext(0); !errors.Is(err, ErrContextLimit) {
 		t.Fatalf("third CreateContext err = %v, want ErrContextLimit", err)
 	}
-	if d.NumContexts() != 2 {
-		t.Fatalf("NumContexts = %d, want 2", d.NumContexts())
+	if n := len(d.(*Device).contexts); n != 2 {
+		t.Fatalf("device holds %d contexts, want 2", n)
 	}
 }
 
 func TestDeviceContextLookup(t *testing.T) {
-	d := newFastDevice(t)
-	c0, _ := d.CreateContext(0)
-	if got := d.Context(0); got != c0 {
-		t.Fatal("Context(0) did not return the created context")
+	d := newDevice(t, NewNetwork(), 0, hw.Fast(), transport.DeviceConfig{}).(*Device)
+	c0 := newContextOn(t, d, 0)
+	if got := d.context(0); got != c0 {
+		t.Fatal("context(0) did not return the created context")
 	}
-	if d.Context(5) != nil || d.Context(-1) != nil {
-		t.Fatal("out-of-range Context lookup returned non-nil")
+	if d.context(5) != nil || d.context(-1) != nil {
+		t.Fatal("out-of-range context lookup returned non-nil")
 	}
 }
 
 func TestClosedDeviceRefusesContexts(t *testing.T) {
-	d := newFastDevice(t)
+	d := newDevice(t, NewNetwork(), 0, hw.Fast(), transport.DeviceConfig{})
 	d.Close()
-	if _, err := d.CreateContext(0); err == nil {
-		t.Fatal("CreateContext succeeded on closed device")
+	if c, err := d.CreateContext(0); err == nil || c != nil {
+		t.Fatalf("CreateContext on a closed device = %v, %v; want nil and an error", c, err)
 	}
 }
 
 func TestSendDeliversAndCompletes(t *testing.T) {
-	sender := newFastDevice(t)
-	receiver := newFastDevice(t)
-	sctx, _ := sender.CreateContext(0)
-	rctx, _ := receiver.CreateContext(0)
-	ep := NewEndpoint(sctx, rctx)
+	ep, sctx, rctx := newPair(t, transport.DeviceConfig{})
 
 	tok := "req-1"
-	env := Envelope{Src: 0, Dst: 1, Tag: 5, Comm: 1, Seq: 0, Kind: KindEager}
-	ep.Send(NewPacket(env, []byte("hi"), tok))
+	env := transport.Envelope{Src: 0, Dst: 1, Tag: 5, Comm: 1, Seq: 0, Kind: transport.KindEager}
+	if err := ep.Send(transport.NewPacket(env, []byte("hi"), tok)); err != nil {
+		t.Fatal(err)
+	}
 
 	// Sender side: one send completion.
-	var sendDone []CQE
-	sctx.Poll(func(e CQE) { sendDone = append(sendDone, e) }, 16)
-	if len(sendDone) != 1 || sendDone[0].Kind != CQESendComplete {
+	var sendDone []transport.CQE
+	sctx.Poll(func(e transport.CQE) { sendDone = append(sendDone, e) }, 16)
+	if len(sendDone) != 1 || sendDone[0].Kind != transport.CQESendComplete {
 		t.Fatalf("sender CQ = %+v, want one SendComplete", sendDone)
 	}
 	if sendDone[0].Packet.Token != tok {
@@ -110,9 +130,9 @@ func TestSendDeliversAndCompletes(t *testing.T) {
 	}
 
 	// Receiver side: one recv event with intact envelope and payload.
-	var recvd []CQE
-	rctx.Poll(func(e CQE) { recvd = append(recvd, e) }, 16)
-	if len(recvd) != 1 || recvd[0].Kind != CQERecv {
+	var recvd []transport.CQE
+	rctx.Poll(func(e transport.CQE) { recvd = append(recvd, e) }, 16)
+	if len(recvd) != 1 || recvd[0].Kind != transport.CQERecv {
 		t.Fatalf("receiver CQ = %+v, want one Recv", recvd)
 	}
 	got := recvd[0].Packet.Envelope()
@@ -125,14 +145,11 @@ func TestSendDeliversAndCompletes(t *testing.T) {
 }
 
 func TestPollMaxBound(t *testing.T) {
-	d := newFastDevice(t)
-	rx, _ := d.CreateContext(0)
-	tx, _ := d.CreateContext(0)
-	ep := NewEndpoint(tx, rx)
+	ep, _, rx := newPair(t, transport.DeviceConfig{})
 	for i := 0; i < 10; i++ {
-		ep.Send(NewPacket(Envelope{Seq: uint32(i), Kind: KindEager}, nil, nil))
+		ep.Send(eager(uint32(i)))
 	}
-	n := rx.Poll(func(CQE) {}, 4)
+	n := rx.Poll(func(transport.CQE) {}, 4)
 	if n != 4 {
 		t.Fatalf("Poll handled %d, want 4 (max bound)", n)
 	}
@@ -141,7 +158,7 @@ func TestPollMaxBound(t *testing.T) {
 	}
 	total := n
 	for rx.Pending() {
-		total += rx.Poll(func(CQE) {}, 64)
+		total += rx.Poll(func(transport.CQE) {}, 64)
 	}
 	if total != 10 {
 		t.Fatalf("drained %d packets, want 10", total)
@@ -149,18 +166,15 @@ func TestPollMaxBound(t *testing.T) {
 }
 
 func TestPollFIFOPerSender(t *testing.T) {
-	d := newFastDevice(t)
-	rx, _ := d.CreateContext(0)
-	tx, _ := d.CreateContext(0)
-	ep := NewEndpoint(tx, rx)
+	ep, _, rx := newPair(t, transport.DeviceConfig{})
 	const n = 100
 	for i := 0; i < n; i++ {
-		ep.Send(NewPacket(Envelope{Seq: uint32(i), Kind: KindEager}, nil, nil))
+		ep.Send(eager(uint32(i)))
 	}
 	next := uint32(0)
 	for rx.Pending() {
-		rx.Poll(func(e CQE) {
-			if e.Kind != CQERecv {
+		rx.Poll(func(e transport.CQE) {
+			if e.Kind != transport.CQERecv {
 				return
 			}
 			if got := e.Packet.Envelope().Seq; got != next {
@@ -175,9 +189,9 @@ func TestPollFIFOPerSender(t *testing.T) {
 }
 
 func TestConcurrentSendersAllDelivered(t *testing.T) {
-	sender := newFastDevice(t)
-	receiver := newFastDevice(t)
-	rctx, _ := receiver.CreateContext(0)
+	n := NewNetwork()
+	sender := newDevice(t, n, 0, hw.Fast(), transport.DeviceConfig{})
+	rctx := newContextOn(t, newDevice(t, n, 1, hw.Fast(), transport.DeviceConfig{}), 0)
 	const (
 		goroutines = 8
 		perG       = 500
@@ -192,9 +206,13 @@ func TestConcurrentSendersAllDelivered(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			ep := NewEndpoint(sctx, rctx)
+			ep, err := sender.Connect(sctx, 1, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for i := 0; i < perG; i++ {
-				ep.Send(NewPacket(Envelope{Src: int32(g), Seq: uint32(i), Kind: KindEager}, nil, nil))
+				ep.Send(transport.NewPacket(transport.Envelope{Src: int32(g), Seq: uint32(i), Kind: transport.KindEager}, nil, nil))
 			}
 		}(g)
 	}
@@ -203,8 +221,8 @@ func TestConcurrentSendersAllDelivered(t *testing.T) {
 	seen := make(map[int32]uint32)
 	count := 0
 	for rctx.Pending() {
-		rctx.Poll(func(e CQE) {
-			if e.Kind != CQERecv {
+		rctx.Poll(func(e transport.CQE) {
+			if e.Kind != transport.CQERecv {
 				return
 			}
 			env := e.Packet.Envelope()
@@ -221,9 +239,7 @@ func TestConcurrentSendersAllDelivered(t *testing.T) {
 }
 
 func TestRMAPutGet(t *testing.T) {
-	target := newFastDevice(t)
-	initiator := newFastDevice(t)
-	ictx, _ := initiator.CreateContext(0)
+	target, _, ictx := newInitiator(t)
 
 	mem := make([]byte, 64)
 	reg := target.RegisterMemory(mem)
@@ -246,12 +262,12 @@ func TestRMAPutGet(t *testing.T) {
 		t.Fatalf("Get read %q", dst)
 	}
 
-	var kinds []CQEKind
+	var kinds []transport.CQEKind
 	var tokens []any
 	for ictx.Pending() {
-		ictx.Poll(func(e CQE) { kinds = append(kinds, e.Kind); tokens = append(tokens, e.Token) }, 16)
+		ictx.Poll(func(e transport.CQE) { kinds = append(kinds, e.Kind); tokens = append(tokens, e.Token) }, 16)
 	}
-	if len(kinds) != 2 || kinds[0] != CQEPutComplete || kinds[1] != CQEGetComplete {
+	if len(kinds) != 2 || kinds[0] != transport.CQEPutComplete || kinds[1] != transport.CQEGetComplete {
 		t.Fatalf("completions = %v", kinds)
 	}
 	if tokens[0] != "p1" || tokens[1] != "g1" {
@@ -265,17 +281,15 @@ func TestRMAPutGet(t *testing.T) {
 }
 
 func TestRMABounds(t *testing.T) {
-	target := newFastDevice(t)
-	initiator := newFastDevice(t)
-	ictx, _ := initiator.CreateContext(0)
+	target, _, ictx := newInitiator(t)
 	reg := target.RegisterMemory(make([]byte, 16))
 
 	cases := []error{
 		ictx.Put(reg, 12, []byte("too long"), nil),
 		ictx.Put(reg, -1, []byte("x"), nil),
 		ictx.Get(reg, 16, make([]byte, 1), nil),
-		ictx.Accumulate(reg, 16, []int64{1}, AccSum, nil),
-		ictx.Accumulate(reg, 3, []int64{1}, AccSum, nil), // misaligned
+		ictx.Accumulate(reg, 16, []int64{1}, transport.AccSum, nil),
+		ictx.Accumulate(reg, 3, []int64{1}, transport.AccSum, nil), // misaligned
 	}
 	for i, err := range cases {
 		var be *BoundsError
@@ -289,33 +303,30 @@ func TestRMABounds(t *testing.T) {
 }
 
 func TestAccumulateOps(t *testing.T) {
-	target := newFastDevice(t)
-	initiator := newFastDevice(t)
-	ictx, _ := initiator.CreateContext(0)
+	target, _, ictx := newInitiator(t)
 	mem := make([]byte, 32)
 	reg := target.RegisterMemory(mem)
 
-	check := func(op AccumulateOp, operand, want int64) {
+	check := func(op transport.AccumulateOp, operand, want int64) {
 		t.Helper()
 		if err := ictx.Accumulate(reg, 0, []int64{operand}, op, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := int64(le64(mem[0:8])); got != want {
+		if got := le64(mem[0:8]); got != want {
 			t.Fatalf("op %d: memory = %d, want %d", op, got, want)
 		}
 	}
-	check(AccReplace, 10, 10)
-	check(AccSum, 5, 15)
-	check(AccMax, 3, 15)
-	check(AccMax, 99, 99)
-	check(AccMin, 50, 50)
-	check(AccMin, 60, 50)
-	check(AccSum, -50, 0)
+	check(transport.AccReplace, 10, 10)
+	check(transport.AccSum, 5, 15)
+	check(transport.AccMax, 3, 15)
+	check(transport.AccMax, 99, 99)
+	check(transport.AccMin, 50, 50)
+	check(transport.AccMin, 60, 50)
+	check(transport.AccSum, -50, 0)
 }
 
 func TestAccumulateAtomicUnderConcurrency(t *testing.T) {
-	target := newFastDevice(t)
-	initiator := newFastDevice(t)
+	target, initiator, _ := newInitiator(t)
 	mem := make([]byte, 8)
 	reg := target.RegisterMemory(mem)
 
@@ -330,10 +341,10 @@ func TestAccumulateAtomicUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(ctx *Context) {
+		go func(ctx transport.Context) {
 			defer wg.Done()
 			for i := 0; i < adds; i++ {
-				if err := ctx.Accumulate(reg, 0, []int64{1}, AccSum, nil); err != nil {
+				if err := ctx.Accumulate(reg, 0, []int64{1}, transport.AccSum, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -341,30 +352,26 @@ func TestAccumulateAtomicUnderConcurrency(t *testing.T) {
 		}(ctx)
 	}
 	wg.Wait()
-	if got := int64(le64(mem)); got != goroutines*adds {
+	if got := le64(mem); got != goroutines*adds {
 		t.Fatalf("sum = %d, want %d (accumulate not atomic)", got, goroutines*adds)
 	}
 }
 
 func TestScramblerDeliversEverythingOnce(t *testing.T) {
-	m := hw.Fast()
-	d := NewDevice(m)
-	d.SetScrambler(NewScrambler(42, 8))
-	rx, _ := d.CreateContext(0)
-	tx, _ := NewDevice(m).CreateContext(0)
-	ep := NewEndpoint(tx, rx)
+	ep, _, rx := newPair(t, transport.DeviceConfig{ScrambleWindow: 8, ScrambleSeed: 42})
 	const n = 200
 	for i := 0; i < n; i++ {
-		ep.Send(NewPacket(Envelope{Seq: uint32(i), Kind: KindEager}, nil, nil))
+		ep.Send(eager(uint32(i)))
 	}
-	d.scrambler.DrainTo(rx)
 
 	seen := make(map[uint32]bool)
 	outOfOrder := false
 	var last int64 = -1
-	for rx.Pending() {
-		rx.Poll(func(e CQE) {
-			if e.Kind != CQERecv {
+	// An idle Poll releases what the scrambler still holds, so polling until
+	// one comes back empty sees the whole stream.
+	for idle := false; !idle; {
+		idle = rx.Poll(func(e transport.CQE) {
+			if e.Kind != transport.CQERecv {
 				return
 			}
 			seq := e.Packet.Envelope().Seq
@@ -376,13 +383,55 @@ func TestScramblerDeliversEverythingOnce(t *testing.T) {
 				outOfOrder = true
 			}
 			last = int64(seq)
-		}, 64)
+		}, 64) == 0
 	}
 	if len(seen) != n {
 		t.Fatalf("delivered %d distinct packets, want %d", len(seen), n)
 	}
 	if !outOfOrder {
 		t.Fatal("scrambler produced fully ordered delivery; want reordering")
+	}
+}
+
+// TestRingFullWaitsCountedPerDelivery: a depth-8 context fed 100 packets
+// before its first Poll stalls the sender on a full ring. Every stalled
+// delivery ticks ring_full_waits once on the ring's device — the receiver's —
+// however long it spins, and a delivery that found room ticks nothing.
+func TestRingFullWaitsCountedPerDelivery(t *testing.T) {
+	n := NewNetwork()
+	txCtr, rxCtr := spc.NewSet(), spc.NewSet()
+	d0 := newDevice(t, n, 0, hw.Fast(), transport.DeviceConfig{Counters: txCtr})
+	d1 := newDevice(t, n, 1, hw.Fast(), transport.DeviceConfig{Counters: rxCtr})
+	tx, rx := newContextOn(t, d0, 0), newContextOn(t, d1, 8)
+	ep := connect(t, d0, tx, 1, 0)
+
+	const total = 100
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := 0; i < total; i++ {
+			ep.Send(eager(uint32(i)))
+		}
+	}()
+	// The ninth send finds the ring full; let it spin for a while so a
+	// per-spin count would run far past the number of packets.
+	for rxCtr.Get(spc.RingFullWaits) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if got := rxCtr.Get(spc.RingFullWaits); got != 1 {
+		t.Fatalf("ring_full_waits = %d while one delivery spins on the full ring, want 1", got)
+	}
+	got := 0
+	for got < total {
+		got += rx.Poll(func(transport.CQE) {}, 64)
+	}
+	<-sent
+	if waits := rxCtr.Get(spc.RingFullWaits); waits < 1 || waits > total-8 {
+		t.Fatalf("ring_full_waits = %d, want between 1 and %d (at most one per delivery past the first 8)", waits, total-8)
+	}
+	if waits := txCtr.Get(spc.RingFullWaits); waits != 0 {
+		t.Fatalf("sender's device counted %d ring_full_waits; its completion queue never filled", waits)
 	}
 }
 
@@ -417,19 +466,18 @@ func TestRateLimiterBandwidthDimension(t *testing.T) {
 }
 
 func BenchmarkEndpointSendZeroByte(b *testing.B) {
-	d := NewDevice(hw.Fast())
-	rx, _ := d.CreateContext(1 << 16)
-	tx, _ := d.CreateContext(1 << 16)
-	ep := NewEndpoint(tx, rx)
+	d := newDevice(b, NewNetwork(), 0, hw.Fast(), transport.DeviceConfig{})
+	rx, tx := newContextOn(b, d, 1<<16), newContextOn(b, d, 1<<16)
+	ep := connect(b, d, tx, 0, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ep.Send(NewPacket(Envelope{Seq: uint32(i), Kind: KindEager}, nil, nil))
+		ep.Send(eager(uint32(i)))
 		if i%1024 == 1023 {
 			for rx.Pending() {
-				rx.Poll(func(CQE) {}, 256)
+				rx.Poll(func(transport.CQE) {}, 256)
 			}
 			for tx.Pending() {
-				tx.Poll(func(CQE) {}, 256)
+				tx.Poll(func(transport.CQE) {}, 256)
 			}
 		}
 	}

@@ -9,15 +9,6 @@ import (
 	"repro/internal/transport"
 )
 
-// FaultConfig parameterizes the wire-fault injector; the type lives in
-// internal/transport so consumers can request faults without naming a
-// backend.
-type FaultConfig = transport.FaultConfig
-
-// DefaultFaultDelay is the hold time of a delayed packet when
-// FaultConfig.DelayDur is unset.
-const DefaultFaultDelay = transport.DefaultFaultDelay
-
 // FaultInjector perturbs packet delivery at the device layer under a seeded
 // RNG: drops, duplications, and delays. It models an imperfect network under
 // the fabric's synchronous-delivery design, so the layers above can be
@@ -27,23 +18,20 @@ const DefaultFaultDelay = transport.DefaultFaultDelay
 type FaultInjector struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
-	cfg  FaultConfig
+	cfg  transport.FaultConfig
 	spcs *spc.Set
 }
 
 // NewFaultInjector builds an injector for cfg recording into spcs (may be
 // nil). Returns nil when cfg injects nothing, so callers can install the
 // result unconditionally.
-func NewFaultInjector(cfg FaultConfig, spcs *spc.Set) *FaultInjector {
+func NewFaultInjector(cfg transport.FaultConfig, spcs *spc.Set) *FaultInjector {
 	if !cfg.Enabled() {
 		return nil
 	}
 	cfg = cfg.WithDefaults()
 	return &FaultInjector{rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg, spcs: spcs}
 }
-
-// Config returns the injector's (defaulted) configuration.
-func (f *FaultInjector) Config() FaultConfig { return f.cfg }
 
 // fate is the injector's verdict for one packet.
 type fate struct {
@@ -79,10 +67,10 @@ func (f *FaultInjector) judge() fate {
 	return ft
 }
 
-// inject delivers p to dst subject to the injector's faults. Duplicated
-// packets are the same *Packet delivered twice — receivers must treat
+// inject delivers p to dst subject to the injector's faults. A duplicated
+// packet is the same *transport.Packet delivered twice — receivers must treat
 // packets as read-only, which they do.
-func (f *FaultInjector) inject(dst *Context, p *Packet) {
+func (f *FaultInjector) inject(dst *Context, p *transport.Packet) {
 	ft := f.judge()
 	if ft.drop {
 		return

@@ -4,35 +4,27 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/hw"
 	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
-// faultPair builds two devices with cfg installed on the sender side and
-// returns a sender->receiver endpoint plus the sender's counter set.
-func faultPair(t *testing.T, cfg FaultConfig) (*Endpoint, *Context, *spc.Set) {
+// faultPair builds two devices with cfg installed (faults act on the sending
+// side) and returns a sender->receiver endpoint, both contexts and the
+// counter set the injector records into.
+func faultPair(t *testing.T, cfg transport.FaultConfig) (ep transport.Endpoint, src, dst transport.Context, s *spc.Set) {
 	t.Helper()
-	s := spc.NewSet()
-	sender := NewDevice(hw.Fast())
-	sender.SetFaultInjector(NewFaultInjector(cfg, s))
-	receiver := NewDevice(hw.Fast())
-	src, err := sender.CreateContext(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := receiver.CreateContext(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewEndpoint(src, dst), dst, s
+	s = spc.NewSet()
+	ep, src, dst = newPair(t, transport.DeviceConfig{Faults: cfg, Counters: s})
+	return ep, src, dst, s
 }
 
-// drain polls dst until idle and returns how many inbound packets arrived.
-func drain(dst *Context, rounds int) int {
+// drain polls dst a fixed number of rounds and returns how many inbound
+// packets arrived.
+func drain(dst transport.Context, rounds int) int {
 	got := 0
 	for i := 0; i < rounds; i++ {
-		dst.Poll(func(e CQE) {
-			if e.Kind == CQERecv {
+		dst.Poll(func(e transport.CQE) {
+			if e.Kind == transport.CQERecv {
 				got++
 			}
 		}, 64)
@@ -41,19 +33,19 @@ func drain(dst *Context, rounds int) int {
 }
 
 func TestFaultInjectorDisabledIsNil(t *testing.T) {
-	if f := NewFaultInjector(FaultConfig{}, spc.NewSet()); f != nil {
+	if f := NewFaultInjector(transport.FaultConfig{}, spc.NewSet()); f != nil {
 		t.Fatal("zero FaultConfig must yield a nil injector")
 	}
-	if f := NewFaultInjector(FaultConfig{Drop: 0.5}, nil); f == nil {
+	if f := NewFaultInjector(transport.FaultConfig{Drop: 0.5}, nil); f == nil {
 		t.Fatal("non-zero drop probability must yield an injector (nil spcs is allowed)")
 	}
 }
 
 func TestFaultDropAll(t *testing.T) {
-	ep, dst, s := faultPair(t, FaultConfig{Drop: 1})
+	ep, src, dst, s := faultPair(t, transport.FaultConfig{Drop: 1})
 	const n = 16
 	for i := 0; i < n; i++ {
-		ep.Send(NewPacket(Envelope{Kind: KindEager, Seq: uint32(i)}, nil, nil))
+		ep.Send(eager(uint32(i)))
 	}
 	if got := drain(dst, 4); got != 0 {
 		t.Fatalf("Drop=1 delivered %d packets, want 0", got)
@@ -63,8 +55,8 @@ func TestFaultDropAll(t *testing.T) {
 	}
 	// The sender still sees local send completions, like real hardware.
 	sends := 0
-	ep.Local().Poll(func(e CQE) {
-		if e.Kind == CQESendComplete {
+	src.Poll(func(e transport.CQE) {
+		if e.Kind == transport.CQESendComplete {
 			sends++
 		}
 	}, 64)
@@ -74,10 +66,10 @@ func TestFaultDropAll(t *testing.T) {
 }
 
 func TestFaultDupAll(t *testing.T) {
-	ep, dst, s := faultPair(t, FaultConfig{Dup: 1})
+	ep, _, dst, s := faultPair(t, transport.FaultConfig{Dup: 1})
 	const n = 8
 	for i := 0; i < n; i++ {
-		ep.Send(NewPacket(Envelope{Kind: KindEager, Seq: uint32(i)}, nil, nil))
+		ep.Send(eager(uint32(i)))
 	}
 	if got := drain(dst, 4); got != 2*n {
 		t.Fatalf("Dup=1 delivered %d packets, want %d", got, 2*n)
@@ -88,8 +80,8 @@ func TestFaultDupAll(t *testing.T) {
 }
 
 func TestFaultDelayReleasedByPoll(t *testing.T) {
-	ep, dst, s := faultPair(t, FaultConfig{Delay: 1, DelayDur: time.Millisecond})
-	ep.Send(NewPacket(Envelope{Kind: KindEager}, nil, nil))
+	ep, _, dst, s := faultPair(t, transport.FaultConfig{Delay: 1, DelayDur: time.Millisecond})
+	ep.Send(eager(0))
 	if !dst.Pending() {
 		t.Fatal("a delayed packet must keep the context Pending")
 	}
@@ -112,7 +104,7 @@ func TestFaultDelayReleasedByPoll(t *testing.T) {
 // make identical per-packet decisions, and a different seed diverges.
 func TestFaultDeterministicSeed(t *testing.T) {
 	roll := func(seed int64) []bool {
-		f := NewFaultInjector(FaultConfig{Drop: 0.5, Seed: seed}, nil)
+		f := NewFaultInjector(transport.FaultConfig{Drop: 0.5, Seed: seed}, nil)
 		out := make([]bool, 256)
 		for i := range out {
 			out[i] = f.judge().drop

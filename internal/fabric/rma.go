@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -34,7 +35,7 @@ func (r *MemRegion) Size() int { return len(r.buf) }
 func (r *MemRegion) Bytes() []byte { return r.buf }
 
 // RegisterMemory registers buf for remote access and returns its region.
-func (d *Device) RegisterMemory(buf []byte) *MemRegion {
+func (d *Device) RegisterMemory(buf []byte) transport.MemRegion {
 	d.regMu.Lock()
 	defer d.regMu.Unlock()
 	d.nextReg++
@@ -44,18 +45,23 @@ func (d *Device) RegisterMemory(buf []byte) *MemRegion {
 }
 
 // DeregisterMemory removes a region from remote visibility.
-func (d *Device) DeregisterMemory(r *MemRegion) {
-	d.regMu.Lock()
-	delete(d.regions, r.id)
-	d.regMu.Unlock()
+func (d *Device) DeregisterMemory(r transport.MemRegion) {
+	if rr, ok := r.(*MemRegion); ok && rr != nil {
+		d.regMu.Lock()
+		delete(d.regions, rr.id)
+		d.regMu.Unlock()
+	}
 }
 
 // Region looks up a registered region by id.
-func (d *Device) Region(id uint64) (*MemRegion, bool) {
+func (d *Device) Region(id uint64) (transport.MemRegion, bool) {
 	d.regMu.RLock()
 	r, ok := d.regions[id]
 	d.regMu.RUnlock()
-	return r, ok
+	if !ok {
+		return nil, false // untyped: a nil *MemRegion in the interface would not compare nil
+	}
+	return r, true
 }
 
 // errBounds is returned when a one-sided access falls outside the region.
@@ -106,11 +112,10 @@ func (c *Context) Put(reg transport.MemRegion, offset int, src []byte, token any
 	if err := checkBounds("put", r, offset, len(src)); err != nil {
 		return err
 	}
-	costs := &c.dev.costs
-	hw.Spin(costs.RMAPut)
-	c.dev.limiter.reserve(EnvelopeSize + len(src))
+	hw.Spin(c.dev.costs.RMAPut)
+	c.dev.limiter.reserve(transport.EnvelopeSize + len(src))
 	copy(r.buf[offset:], src)
-	c.completeLocal(CQE{Kind: CQEPutComplete, Token: token})
+	c.completeLocal(transport.CQE{Kind: transport.CQEPutComplete, Token: token})
 	return nil
 }
 
@@ -124,35 +129,34 @@ func (c *Context) Get(reg transport.MemRegion, offset int, dst []byte, token any
 	if err := checkBounds("get", r, offset, len(dst)); err != nil {
 		return err
 	}
-	costs := &c.dev.costs
-	hw.Spin(costs.RMAGet)
-	c.dev.limiter.reserve(EnvelopeSize + len(dst))
+	hw.Spin(c.dev.costs.RMAGet)
+	c.dev.limiter.reserve(transport.EnvelopeSize + len(dst))
 	copy(dst, r.buf[offset:offset+len(dst)])
-	c.completeLocal(CQE{Kind: CQEGetComplete, Token: token})
+	c.completeLocal(transport.CQE{Kind: transport.CQEGetComplete, Token: token})
 	return nil
 }
 
-// AccumulateOp selects the reduction applied by Accumulate; the type and
-// its values live in internal/transport.
-type AccumulateOp = transport.AccumulateOp
-
-const (
-	// AccSum adds the operand to the target (MPI_SUM).
-	AccSum = transport.AccSum
-	// AccReplace overwrites the target (MPI_REPLACE).
-	AccReplace = transport.AccReplace
-	// AccMax keeps the maximum (MPI_MAX).
-	AccMax = transport.AccMax
-	// AccMin keeps the minimum (MPI_MIN).
-	AccMin = transport.AccMin
-)
+// apply is the reduction op selects, on one int64 lane.
+func apply(op transport.AccumulateOp, cur, v int64) int64 {
+	switch op {
+	case transport.AccSum:
+		return cur + v
+	case transport.AccReplace:
+		return v
+	case transport.AccMax:
+		return max(cur, v)
+	case transport.AccMin:
+		return min(cur, v)
+	}
+	return cur
+}
 
 // Accumulate applies op element-wise over int64 lanes at offset. The
 // operation is atomic with respect to other Accumulates on the same region
 // (MPI's same-op atomicity guarantee); it costs initiator CPU plus wire
 // time, posts an AccComplete CQE with token, and never involves the target
 // CPU — the "remote atomic" of the RDMA hardware.
-func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int64, op AccumulateOp, token any) error {
+func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int64, op transport.AccumulateOp, token any) error {
 	r, err := simRegion(reg)
 	if err != nil {
 		return err
@@ -164,117 +168,64 @@ func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int6
 	if offset%8 != 0 {
 		return &BoundsError{Op: "accumulate (alignment)", Offset: offset, Len: n, Size: len(r.buf)}
 	}
-	costs := &c.dev.costs
-	hw.Spin(costs.RMAPut)
-	c.dev.limiter.reserve(EnvelopeSize + n)
+	hw.Spin(c.dev.costs.RMAPut)
+	c.dev.limiter.reserve(transport.EnvelopeSize + n)
 	r.atomMu.Lock()
 	for i, v := range operand {
-		p := r.buf[offset+8*i : offset+8*i+8]
-		cur := int64(le64(p))
-		switch op {
-		case AccSum:
-			cur += v
-		case AccReplace:
-			cur = v
-		case AccMax:
-			if v > cur {
-				cur = v
-			}
-		case AccMin:
-			if v < cur {
-				cur = v
-			}
-		}
-		putLE64(p, uint64(cur))
+		p := r.buf[offset+8*i:]
+		binary.LittleEndian.PutUint64(p, uint64(apply(op, int64(binary.LittleEndian.Uint64(p)), v)))
 	}
 	r.atomMu.Unlock()
-	c.completeLocal(CQE{Kind: CQEAccComplete, Token: token})
+	c.completeLocal(transport.CQE{Kind: transport.CQEAccComplete, Token: token})
 	return nil
 }
 
 // FetchAndOp atomically applies op to the int64 at offset and writes the
 // previous value into *result before posting an AccComplete CQE — the
 // MPI_Fetch_and_op primitive RDMA NICs provide natively.
-func (c *Context) FetchAndOp(reg transport.MemRegion, offset int, operand int64, op AccumulateOp, result *int64, token any) error {
-	r, err := simRegion(reg)
-	if err != nil {
-		return err
-	}
-	if err := checkBounds("fetch_and_op", r, offset, 8); err != nil {
-		return err
-	}
-	if offset%8 != 0 {
-		return &BoundsError{Op: "fetch_and_op (alignment)", Offset: offset, Len: 8, Size: len(r.buf)}
-	}
-	costs := &c.dev.costs
-	hw.Spin(costs.RMAPut)
-	c.dev.limiter.reserve(EnvelopeSize + 8)
-	r.atomMu.Lock()
-	p := r.buf[offset : offset+8]
-	old := int64(le64(p))
-	cur := old
-	switch op {
-	case AccSum:
-		cur += operand
-	case AccReplace:
-		cur = operand
-	case AccMax:
-		if operand > cur {
-			cur = operand
-		}
-	case AccMin:
-		if operand < cur {
-			cur = operand
-		}
-	}
-	putLE64(p, uint64(cur))
-	r.atomMu.Unlock()
-	if result != nil {
-		*result = old
-	}
-	c.completeLocal(CQE{Kind: CQEAccComplete, Token: token})
-	return nil
+func (c *Context) FetchAndOp(reg transport.MemRegion, offset int, operand int64, op transport.AccumulateOp, result *int64, token any) error {
+	return c.atomic64("fetch_and_op", reg, offset, 8, result, token, func(old int64) int64 {
+		return apply(op, old, operand)
+	})
 }
 
 // CompareAndSwap atomically replaces the int64 at offset with swap if it
 // equals compare, writing the previous value into *result
 // (MPI_Compare_and_swap).
 func (c *Context) CompareAndSwap(reg transport.MemRegion, offset int, compare, swap int64, result *int64, token any) error {
+	return c.atomic64("compare_and_swap", reg, offset, 16, result, token, func(old int64) int64 {
+		if old == compare {
+			return swap
+		}
+		return old
+	})
+}
+
+// atomic64 is the single-lane remote atomic both of the above are: under the
+// region's accumulate lock the int64 at offset becomes update(old), old goes
+// to *result (if non-nil), and an AccComplete CQE carries token. wire is the
+// operand bytes the request puts on the link.
+func (c *Context) atomic64(name string, reg transport.MemRegion, offset, wire int, result *int64, token any, update func(old int64) int64) error {
 	r, err := simRegion(reg)
 	if err != nil {
 		return err
 	}
-	if err := checkBounds("compare_and_swap", r, offset, 8); err != nil {
+	if err := checkBounds(name, r, offset, 8); err != nil {
 		return err
 	}
 	if offset%8 != 0 {
-		return &BoundsError{Op: "compare_and_swap (alignment)", Offset: offset, Len: 8, Size: len(r.buf)}
+		return &BoundsError{Op: name + " (alignment)", Offset: offset, Len: 8, Size: len(r.buf)}
 	}
-	costs := &c.dev.costs
-	hw.Spin(costs.RMAPut)
-	c.dev.limiter.reserve(EnvelopeSize + 16)
+	hw.Spin(c.dev.costs.RMAPut)
+	c.dev.limiter.reserve(transport.EnvelopeSize + wire)
 	r.atomMu.Lock()
-	p := r.buf[offset : offset+8]
-	old := int64(le64(p))
-	if old == compare {
-		putLE64(p, uint64(swap))
-	}
+	p := r.buf[offset:]
+	old := int64(binary.LittleEndian.Uint64(p))
+	binary.LittleEndian.PutUint64(p, uint64(update(old)))
 	r.atomMu.Unlock()
 	if result != nil {
 		*result = old
 	}
-	c.completeLocal(CQE{Kind: CQEAccComplete, Token: token})
+	c.completeLocal(transport.CQE{Kind: transport.CQEAccComplete, Token: token})
 	return nil
-}
-
-func le64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLE64(b []byte, v uint64) {
-	_ = b[7]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
 }

@@ -3,6 +3,8 @@ package fabric
 import (
 	"math/rand"
 	"sync"
+
+	"repro/internal/transport"
 )
 
 // Scrambler adversarially reorders packet delivery within a bounded window.
@@ -14,7 +16,7 @@ type Scrambler struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	window int
-	held   []*Packet
+	held   []*transport.Packet
 }
 
 // NewScrambler returns a scrambler holding back up to window packets,
@@ -28,43 +30,32 @@ func NewScrambler(seed int64, window int) *Scrambler {
 
 // scramble accepts one packet and returns zero or more packets to deliver
 // now, in scrambled order.
-func (s *Scrambler) scramble(p *Packet) []*Packet {
+func (s *Scrambler) scramble(p *transport.Packet) []*transport.Packet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.held = append(s.held, p)
-	if len(s.held) < s.window {
-		// Randomly hold until the window fills, with occasional early
-		// release to avoid starving short streams.
-		if s.rng.Intn(4) != 0 {
-			return nil
-		}
+	// Hold until the window fills, with occasional early release to avoid
+	// starving short streams.
+	if len(s.held) < s.window && s.rng.Intn(4) != 0 {
+		return nil
 	}
-	out := make([]*Packet, len(s.held))
-	perm := s.rng.Perm(len(s.held))
-	for i, j := range perm {
-		out[i] = s.held[j]
-	}
-	s.held = s.held[:0]
-	return out
+	return s.release()
 }
 
-// Flush releases all held packets in random order. Call after the sending
-// phase ends so no packet is stranded.
-func (s *Scrambler) Flush() []*Packet {
+// flush releases everything held, in random order: an idle Poll calls it so
+// a scrambled stream can never strand its tail.
+func (s *Scrambler) flush() []*transport.Packet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Packet, len(s.held))
-	perm := s.rng.Perm(len(s.held))
-	for i, j := range perm {
+	return s.release()
+}
+
+// release empties held into a fresh slice in seeded-random order; s.mu held.
+func (s *Scrambler) release() []*transport.Packet {
+	out := make([]*transport.Packet, len(s.held))
+	for i, j := range s.rng.Perm(len(s.held)) {
 		out[i] = s.held[j]
 	}
 	s.held = s.held[:0]
 	return out
-}
-
-// DrainTo delivers all held packets directly to ctx.
-func (s *Scrambler) DrainTo(ctx *Context) {
-	for _, p := range s.Flush() {
-		ctx.deliverDirect(p)
-	}
 }

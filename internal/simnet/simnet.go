@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/cri"
-	"repro/internal/fabric"
 	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/latency"
@@ -25,6 +24,7 @@ import (
 	"repro/internal/progress"
 	"repro/internal/sim"
 	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
 // DefaultLockPenalty is the base cost of one contended lock handoff at
@@ -111,7 +111,7 @@ type Config struct {
 	// threads inject out of sequence order — the paper's out-of-sequence
 	// storm. Deterministic per-thread LCG keeps runs reproducible.
 	SendJitter time.Duration
-	// FaultDrop mirrors fabric.FaultConfig.Drop on virtual time: a dropped
+	// FaultDrop mirrors transport.FaultConfig.Drop on virtual time: a dropped
 	// packet costs its sender one backed-off retransmission timeout per
 	// attempt before the delivery that finally survives.
 	FaultDrop float64
@@ -122,7 +122,7 @@ type Config struct {
 	// delivery.
 	FaultDelay float64
 	// FaultDelayDur is the virtual hold time of a delayed packet
-	// (0 = fabric.DefaultFaultDelay).
+	// (0 = transport.DefaultFaultDelay).
 	FaultDelayDur time.Duration
 	// FaultSeed seeds the deterministic per-thread fault RNGs (0 = 1).
 	FaultSeed int64
@@ -211,7 +211,7 @@ func (c Config) withDefaults() Config {
 		c.SleepPenalty = time.Duration(2000 * c.Machine.SpeedFactor * float64(time.Nanosecond))
 	}
 	if c.FaultDelayDur <= 0 {
-		c.FaultDelayDur = fabric.DefaultFaultDelay
+		c.FaultDelayDur = transport.DefaultFaultDelay
 	}
 	if c.FaultSeed == 0 {
 		c.FaultSeed = 1
@@ -301,7 +301,7 @@ type cqe struct {
 	// one-sided completion attributed to the issuing thread).
 	pending *int64
 	// pkt, when non-nil, is an inbound two-sided packet to match.
-	pkt *fabric.Packet
+	pkt *transport.Packet
 }
 
 // simInstance is one CRI in the model.
@@ -626,8 +626,8 @@ func (t *simThread) faultRoll() float64 {
 	return float64(t.frng>>11) / float64(1<<53)
 }
 
-// faultFate rolls one packet's fault verdicts, mirroring
-// fabric.FaultInjector on virtual time: each drop costs the sender one
+// faultFate rolls one packet's fault verdicts, mirroring the in-process
+// backend's fault injector on virtual time: each drop costs the sender one
 // backed-off retransmission timeout (the ack never comes, the reliability
 // sweep resends) until a copy survives or the retry budget runs out; a
 // delayed packet is held before reaching the remote queue; a duplicated
@@ -723,11 +723,11 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 			t.clk.end(sp)
 		}
 	}
-	env := fabric.Envelope{
+	env := transport.Envelope{
 		Src: srcRank, Dst: dstRank, Tag: tag, Comm: c.id,
-		Seq: seq, Len: uint32(p.cfg.MsgSize), Kind: fabric.KindEager,
+		Seq: seq, Len: uint32(p.cfg.MsgSize), Kind: transport.KindEager,
 	}
-	pkt := fabric.NewPacketRaw(env, nil, &t.flow)
+	pkt := transport.NewPacketRaw(env, nil, &t.flow)
 	if p.lat != nil {
 		// Same deterministic id scheme as core's traceID, on world ranks, and
 		// no wire-byte cost: attribution marks the in-memory packet only, so
@@ -762,9 +762,9 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 		pkt.SendAcqNs = sp.Now() - latPost
 	}
 	sp.Advance(p.costs.SendInject)
-	header := fabric.EnvelopeSize
+	header := transport.EnvelopeSize
 	if p.cfg.Traced {
-		header += fabric.TraceExtSize
+		header += transport.TraceExtSize
 	}
 	t.clk.begin(sp, prof.PhaseWire)
 	p.wire.Reserve(sp, header+p.cfg.MsgSize)
@@ -942,7 +942,7 @@ func (t *simThread) poll(sp *sim.Proc, inst *simInstance, max int) int {
 
 // deliver pushes one inbound packet through its communicator's matching
 // engine, accounting lock wait as match time (as Open MPI's SPC does).
-func (t *simThread) deliver(sp *sim.Proc, pkt *fabric.Packet) {
+func (t *simThread) deliver(sp *sim.Proc, pkt *transport.Packet) {
 	p := t.proc
 	env := pkt.Envelope()
 	c := p.comms[env.Comm]

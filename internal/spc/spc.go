@@ -117,10 +117,10 @@ const (
 	// drained and fell back to contended round-robin (threads > instances).
 	FreeListEmpty
 	// ConnsOpened counts physical connections this process established to a
-	// peer (a successful dial, or the first lazy resolution of a simulated
-	// peer pair). With multiplexed transports every context of a peer pair
-	// shares one physical connection, so the surviving connection count per
-	// process is ConnsOpened − DialRacesLost.
+	// peer (a successful dial, or the first endpoint resolution toward an
+	// in-process peer). Every context of a peer pair shares one physical
+	// connection, so the surviving connection count per process is
+	// ConnsOpened − DialRacesLost.
 	ConnsOpened
 	// ConnsReused counts endpoint establishments satisfied by an existing
 	// physical connection to the peer (the multiplexing win: no new socket).
@@ -153,9 +153,11 @@ const (
 	// failed validation (length outside [MuxHeaderSize, maxFrame], mux index
 	// above the cap, undecodable packet, or no context to route it to).
 	WireFramesRejected
-	// RingFullWaits counts 10µs sleeps a producer spent waiting for room in a
-	// full transport receive or completion ring (the consumer is slower than
-	// the wire).
+	// RingFullWaits counts producers that found a transport receive or
+	// completion ring full (the consumer is slower than the wire), on the
+	// counter set of the rank that owns the ring. The in-process fabric ticks
+	// once per delivery that had to wait, however long it yields; tcpnet
+	// sleeps 10µs between retries and ticks once per sleep.
 	RingFullWaits
 	// WireReadsPolled counts socket reads that returned bytes and were made
 	// by a thread inside the progress engine (a Context.Poll that found its

@@ -1,0 +1,228 @@
+package transport_test
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"repro/internal/backends"
+	"repro/internal/hw"
+	"repro/internal/spc"
+	"repro/internal/transport"
+	"repro/internal/transport/tcpnet"
+)
+
+// The seam's contract, one table over every backend: what the runtime relies
+// on from Device.Connect, Endpoint.Send/Resend and Context.Poll/Pending must
+// read the same on the in-process fabric and on loopback tcp.
+
+// cluster hands out the devices of one two-rank world; device(r, ctr) may be
+// called once per rank.
+type cluster struct {
+	name   string
+	device func(t *testing.T, rank int, ctr *spc.Set) transport.Device
+}
+
+func simCluster(t *testing.T) cluster {
+	net := backends.Sim()
+	return cluster{"sim", func(t *testing.T, rank int, ctr *spc.Set) transport.Device {
+		return mustDevice(t, net, rank, ctr)
+	}}
+}
+
+func tcpCluster(t *testing.T) cluster {
+	nets, err := tcpnet.NewLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cluster{"tcp", func(t *testing.T, rank int, ctr *spc.Set) transport.Device {
+		return mustDevice(t, nets[rank], rank, ctr)
+	}}
+}
+
+var clusters = []func(*testing.T) cluster{simCluster, tcpCluster}
+
+func mustDevice(t *testing.T, net transport.Network, rank int, ctr *spc.Set) transport.Device {
+	t.Helper()
+	d, err := net.NewDevice(rank, hw.Fast(), transport.DeviceConfig{Counters: ctr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d
+}
+
+func mustContext(t *testing.T, d transport.Device) transport.Context {
+	t.Helper()
+	c, err := d.CreateContext(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func mustConnect(t *testing.T, d transport.Device, local transport.Context, peer, idx int) transport.Endpoint {
+	t.Helper()
+	ep, err := d.Connect(local, peer, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep
+}
+
+func eager(seq uint32) *transport.Packet {
+	return transport.NewPacket(transport.Envelope{Src: 0, Dst: 1, Seq: seq, Kind: transport.KindEager}, nil, nil)
+}
+
+// tally counts what a context's Poll surfaces.
+type tally struct {
+	sendDone int
+	seqs     []uint32 // CQERecv sequence numbers, in delivery order
+}
+
+func (y *tally) handle(e transport.CQE) {
+	switch e.Kind {
+	case transport.CQESendComplete:
+		y.sendDone++
+	case transport.CQERecv:
+		y.seqs = append(y.seqs, e.Packet.Envelope().Seq)
+	}
+}
+
+// pump polls both ends (a batching backend writes and reads its wire there)
+// until the receiver has seen want packets.
+func pump(t *testing.T, tx, rx transport.Context, sender, receiver *tally, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); len(receiver.seqs) < want; {
+		tx.Poll(sender.handle, 64)
+		rx.Poll(receiver.handle, 64)
+		if time.Now().After(deadline) {
+			t.Fatalf("receiver saw %d of %d packets", len(receiver.seqs), want)
+		}
+	}
+	for tx.Pending() {
+		tx.Poll(sender.handle, 64)
+	}
+}
+
+func TestSeamContract(t *testing.T) {
+	for i, mk := range clusters {
+		cl := mk(t)
+		foreign := clusters[1-i]
+		t.Run(cl.name, func(t *testing.T) {
+			ctr := spc.NewSet()
+			d0, d1 := cl.device(t, 0, ctr), cl.device(t, 1, spc.NewSet())
+			tx, tx2, rx := mustContext(t, d0), mustContext(t, d0), mustContext(t, d1)
+			ep := mustConnect(t, d0, tx, 1, 0)
+			var sender, receiver tally
+
+			if got := ctr.Get(spc.ConnsOpened) + ctr.Get(spc.ConnsReused); got != 0 {
+				t.Fatalf("Connect established %d connections; nothing may resolve before the first send", got)
+			}
+
+			// Pending between a send and its poll; one completion per Send.
+			if err := ep.Send(eager(0)); err != nil {
+				t.Fatal(err)
+			}
+			if !tx.Pending() {
+				t.Fatal("sender context not Pending between a send and its poll")
+			}
+			if opened, reused := ctr.Get(spc.ConnsOpened), ctr.Get(spc.ConnsReused); opened != 1 || reused != 0 {
+				t.Fatalf("first send toward the peer: conns_opened = %d, conns_reused = %d, want 1 and 0", opened, reused)
+			}
+
+			// Per-sender FIFO through Poll.
+			const n = 100
+			for seq := uint32(1); seq < n; seq++ {
+				if err := ep.Send(eager(seq)); err != nil {
+					t.Fatal(err)
+				}
+				if seq%32 == 0 { // keep the rings from filling on one thread
+					tx.Poll(sender.handle, 64)
+					rx.Poll(receiver.handle, 64)
+				}
+			}
+			pump(t, tx, rx, &sender, &receiver, n)
+			for i, seq := range receiver.seqs {
+				if seq != uint32(i) {
+					t.Fatalf("delivery %d carries seq %d: per-sender FIFO broken", i, seq)
+				}
+			}
+			if sender.sendDone != n {
+				t.Fatalf("%d send completions for %d sends", sender.sendDone, n)
+			}
+			if tx.Pending() {
+				t.Fatal("sender context still Pending after its completions drained")
+			}
+
+			// Resend delivers again and completes nothing.
+			if err := ep.Resend(eager(n)); err != nil {
+				t.Fatal(err)
+			}
+			pump(t, tx, rx, &sender, &receiver, n+1)
+			if sender.sendDone != n {
+				t.Fatalf("Resend posted a completion: %d for %d sends", sender.sendDone, n)
+			}
+
+			// A second endpoint onto the same peer reuses the pair's path.
+			var sender2 tally
+			if err := mustConnect(t, d0, tx2, 1, 0).Send(eager(n + 1)); err != nil {
+				t.Fatal(err)
+			}
+			pump(t, tx2, rx, &sender2, &receiver, n+2)
+			if opened, reused := ctr.Get(spc.ConnsOpened), ctr.Get(spc.ConnsReused); opened != 1 || reused != 1 {
+				t.Fatalf("second endpoint to the same peer: conns_opened = %d, conns_reused = %d, want 1 and 1", opened, reused)
+			}
+			if sender2.sendDone != 1 {
+				t.Fatalf("second endpoint's context saw %d completions, want 1", sender2.sendDone)
+			}
+
+			// A context of another backend is not a local context.
+			other := foreign(t)
+			fc := mustContext(t, other.device(t, 0, nil))
+			other.device(t, 1, nil) // created so that its Close releases the listener
+			if ep, err := d0.Connect(fc, 1, 0); err == nil || ep != nil {
+				t.Fatalf("Connect with another backend's context = %v, %v; want nil and an error", ep, err)
+			}
+		})
+	}
+}
+
+// TestSeamUnresolvablePeer: an endpoint toward a rank that has no device fails
+// the send that tries to use it, injects nothing, and looks again next time.
+// In-process only — tcpnet's own TestFlushFailureIsReported holds the tcp
+// side, where the dial timeout is not reachable from outside the package.
+func TestSeamUnresolvablePeer(t *testing.T) {
+	net := backends.Sim()
+	ctr := spc.NewSet()
+	d0 := mustDevice(t, net, 0, ctr)
+	tx := mustContext(t, d0)
+	ep := mustConnect(t, d0, tx, 1, 0)
+	if err := ep.Send(eager(0)); !errors.Is(err, transport.ErrConnEstablish) {
+		t.Fatalf("send toward a rank with no device = %v, want ErrConnEstablish", err)
+	}
+	if err := ep.Resend(eager(0)); !errors.Is(err, transport.ErrConnEstablish) {
+		t.Fatalf("resend toward a rank with no device = %v, want ErrConnEstablish", err)
+	}
+	if tx.Pending() {
+		t.Fatal("a failed send posted a completion")
+	}
+	if got := ctr.Get(spc.ConnsOpened); got != 0 {
+		t.Fatalf("conns_opened = %d after failed resolutions", got)
+	}
+
+	d1 := mustDevice(t, net, 1, nil)
+	if err := ep.Send(eager(0)); !errors.Is(err, transport.ErrConnEstablish) {
+		t.Fatalf("send toward a device with no context = %v, want ErrConnEstablish", err)
+	}
+	rx := mustContext(t, d1)
+	if err := ep.Send(eager(1)); err != nil {
+		t.Fatalf("send once the peer context exists: %v", err)
+	}
+	var sender, receiver tally
+	pump(t, tx, rx, &sender, &receiver, 1)
+	if sender.sendDone != 1 || receiver.seqs[0] != 1 || ctr.Get(spc.ConnsOpened) != 1 {
+		t.Fatalf("after the peer appeared: %d completions, seqs %v, conns_opened %d; want 1, [1], 1",
+			sender.sendDone, receiver.seqs, ctr.Get(spc.ConnsOpened))
+	}
+}

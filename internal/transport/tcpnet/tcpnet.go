@@ -8,7 +8,7 @@
 // transport split.
 //
 // Connection model: all of a peer pair's contexts share one physical
-// connection (Caps.Multiplexed). Nothing is dialed at world construction —
+// connection. Nothing is dialed at world construction —
 // Device.Connect returns a lazily connectable endpoint, and the first send
 // toward a peer dials and handshakes. When both sides of a pair dial
 // simultaneously, the race resolves deterministically: the lower rank's
@@ -221,7 +221,7 @@ var errWouldBlock = errors.New("tcpnet: read would block")
 // lazily dialed connection per peer pair, two-sided only, no fault
 // injection (the kernel would repair injected faults anyway).
 func Caps() transport.Caps {
-	return transport.Caps{Name: "tcp", Lossless: true, Multiplexed: true}
+	return transport.Caps{Name: "tcp", Lossless: true}
 }
 
 // ParsePeers splits a comma-separated peer address list, trimming
@@ -660,7 +660,7 @@ func (n *Network) NewDevice(rank int, m hw.Machine, cfg transport.DeviceConfig) 
 	if n.dev != nil {
 		return nil, errors.New("tcpnet: device already created")
 	}
-	n.dev = &Device{net: n, machine: m, counters: cfg.Counters, regions: make(map[uint64]*MemRegion)}
+	n.dev = &Device{net: n, counters: cfg.Counters, regions: make(map[uint64]*MemRegion)}
 	return n.dev, nil
 }
 
@@ -1340,7 +1340,6 @@ func (n *Network) close() {
 // Device is the local rank's NIC.
 type Device struct {
 	net      *Network
-	machine  hw.Machine
 	counters *spc.Set
 
 	mu       sync.Mutex
@@ -1350,10 +1349,6 @@ type Device struct {
 	regions map[uint64]*MemRegion
 	nextReg uint64
 }
-
-func (d *Device) Machine() hw.Machine { return d.machine }
-
-func (d *Device) Caps() transport.Caps { return Caps() }
 
 // CreateContext allocates a context; depth <= 0 selects the default.
 func (d *Device) CreateContext(depth int) (transport.Context, error) {

@@ -141,11 +141,11 @@ func TestManyPacketsFIFO(t *testing.T) {
 
 func TestCapsAndUnsupportedOps(t *testing.T) {
 	d0, _, c0, _ := newPair(t)
-	caps := d0.Caps()
-	if caps.Name != "tcp" || !caps.Lossless || caps.OneSided || caps.FaultInjection || !caps.Multiplexed {
+	caps := Caps()
+	if caps.Name != "tcp" || !caps.Lossless || caps.OneSided || caps.FaultInjection {
 		t.Fatalf("caps = %+v", caps)
 	}
-	if got := caps.String(); got != "lossless,mux" {
+	if got := caps.String(); got != "lossless" {
 		t.Fatalf("caps string = %q", got)
 	}
 	r := d0.RegisterMemory(make([]byte, 8))

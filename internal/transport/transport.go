@@ -46,12 +46,6 @@ type Caps struct {
 	// FaultInjection means the backend honors DeviceConfig fault and
 	// scramble settings.
 	FaultInjection bool
-	// Multiplexed means all of a peer pair's contexts share one physical
-	// connection, demultiplexed by the context-mux ID in the wire framing,
-	// and that connections are established lazily on first send rather than
-	// at world construction. Endpoints of such backends may return
-	// ErrConnEstablish from Send when the deferred dial fails.
-	Multiplexed bool
 }
 
 // String renders the capability set for self-describing results files,
@@ -66,9 +60,6 @@ func (c Caps) String() string {
 	}
 	if c.FaultInjection {
 		parts = append(parts, "faults")
-	}
-	if c.Multiplexed {
-		parts = append(parts, "mux")
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -163,16 +154,13 @@ type Network interface {
 // Device is one process's NIC: a context factory plus the registered-memory
 // table remote peers address with one-sided operations.
 type Device interface {
-	// Machine returns the device's machine model.
-	Machine() hw.Machine
-	// Caps describes the owning backend.
-	Caps() Caps
 	// CreateContext allocates a new network context with the given queue
 	// depth (<= 0 selects the backend default). Backends modeling a
 	// hardware context limit fail once it is exhausted.
 	CreateContext(depth int) (Context, error)
-	// Connect returns an endpoint from local (a context of this device) to
-	// context index remoteIdx of peer rank's device.
+	// Connect returns an endpoint from local (a context of this device; a
+	// context of another backend is refused) to context index remoteIdx of
+	// peer rank's device. Nothing is established here: see Endpoint.Send.
 	Connect(local Context, peer int, remoteIdx int) (Endpoint, error)
 	// RegisterMemory registers buf for one-sided access and returns its
 	// region. On backends without OneSided caps the region is only locally
@@ -231,9 +219,11 @@ type Context interface {
 // short lock and writes whole batches under a separate write-order lock).
 type Endpoint interface {
 	// Send injects a two-sided packet and posts a send-completion CQE to
-	// the local context. On Multiplexed backends the first Send may have to
-	// establish the physical connection; a failed establishment surfaces as
-	// an error wrapping ErrConnEstablish and the packet is not injected.
+	// the local context. An endpoint is a lazily resolved path: the first
+	// Send establishes it (tcpnet dials, or reuses the peer pair's one
+	// connection; the in-process fabric looks the peer's context up), and a
+	// failed establishment surfaces as an error wrapping ErrConnEstablish —
+	// the packet is not injected and no completion is posted.
 	// Completion means the packet was copied out of the caller's hands, not
 	// that it left the host: a batching backend (tcpnet) puts it on the wire
 	// at the end of the rank's next Context.Poll, or from a bounded-delay

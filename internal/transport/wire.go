@@ -1,16 +1,22 @@
-// Package transport defines the pluggable transport layer beneath the
-// runtime's Communication Resource Instances: the wire contracts every
-// backend speaks (Envelope, Packet, CQE) and the small interface a backend
-// must implement (Network, Device, Context, Endpoint).
+// Package transport is the seam between the runtime and its wire: the wire
+// contracts every backend speaks (Envelope, Packet, CQE, the length-prefixed
+// codec) and the five types a backend implements — Network, Device, Context,
+// Endpoint, MemRegion, 22 methods in all.
 //
 // The CRI design the paper builds on — one network context, one completion
 // queue, one endpoint table per instance, protected by one per-instance
 // lock — is backend-independent: the same locking discipline maps onto any
-// provider (Zambre et al.'s scalable-endpoints line of work). This package
-// captures exactly what the message path above needs: inject, poll/drain a
-// CQ, resend, one-sided ops, and fault hooks. internal/fabric is the
-// default simulated backend; internal/transport/tcpnet carries the same
-// stack over real TCP connections between OS processes.
+// provider (Zambre et al.'s scalable-endpoints line of work), and the
+// software endpoint is a thin handle on the resource a thread drives. So the
+// seam holds exactly what the message path above calls — inject, poll/drain
+// a CQ, resend, one-sided ops, region bookkeeping — and nothing a caller
+// already has in hand (the machine model, the backend's Caps) or that
+// nothing branches on. An endpoint is a lazily resolved path on every
+// backend: Connect records where it leads, the first Send establishes it.
+//
+// internal/fabric (in process, the default) and internal/transport/tcpnet
+// (real TCP between OS processes) implement the seam; seam_test.go holds both
+// to one table, and only internal/backends names either.
 package transport
 
 import (

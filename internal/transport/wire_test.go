@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 func testEnvelope() Envelope {
@@ -168,5 +169,42 @@ func TestKindFlagHelpers(t *testing.T) {
 	}
 	if KindEager.Traced() {
 		t.Fatal("bare kind reports Traced")
+	}
+}
+
+func TestEnvelopeRoundTrip(t *testing.T) {
+	e := Envelope{Src: 3, Dst: 7, Tag: -42, Comm: 9, Seq: 123456, Len: 28, Kind: KindEager}
+	var b [EnvelopeSize]byte
+	e.Marshal(&b)
+	var got Envelope
+	got.Unmarshal(&b)
+	if got != e {
+		t.Fatalf("round trip = %+v, want %+v", got, e)
+	}
+}
+
+func TestEnvelopeQuickRoundTrip(t *testing.T) {
+	prop := func(src, dst, tag int32, comm, seq, ln uint32) bool {
+		e := Envelope{Src: src, Dst: dst, Tag: tag, Comm: comm, Seq: seq, Len: ln, Kind: KindEager}
+		var b [EnvelopeSize]byte
+		e.Marshal(&b)
+		var got Envelope
+		got.Unmarshal(&b)
+		return got == e
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPacketCopiesPayload(t *testing.T) {
+	payload := []byte{1, 2, 3}
+	p := NewPacket(Envelope{Kind: KindEager}, payload, nil)
+	payload[0] = 99 // sender reuses its buffer immediately
+	if p.Payload[0] != 1 {
+		t.Fatal("packet aliases the sender's buffer; eager semantics require a copy")
+	}
+	if env := p.Envelope(); env.Len != 3 {
+		t.Fatalf("packet Len = %d, want 3", env.Len)
 	}
 }

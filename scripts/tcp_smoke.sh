@@ -24,7 +24,11 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/multirate" ./cmd/multirate
 go build -o "$tmp/tracemerge" ./cmd/tracemerge
 
-port_base=$((20000 + RANDOM % 20000))
+# Stage 1 runs the two ranks by hand, so the script has to name their ports.
+# They stay below Linux's ephemeral range (32768 up): a port some earlier
+# client connection used and left in TIME_WAIT — a test suite leaves thousands
+# on loopback for a minute — cannot be listened on, and the rank exits 1.
+port_base=$((20000 + RANDOM % 12000))
 http_addr="127.0.0.1:$((port_base + 2))"
 peers="127.0.0.1:${port_base},127.0.0.1:$((port_base + 1))"
 args=(-transport tcp -peers "$peers" -pairs 4 -window 64 -iters 256 -machine fast -spcs -trace-wire -latency)
@@ -223,11 +227,25 @@ echo "OK: mpirun -n 4 completed; $surviving surviving connections for 6 peer pai
 # end-of-run cluster reports stay in the working tree as CI artifacts.
 go build -o "$tmp/mpitop" ./cmd/mpitop
 
-cport=$((port_base + 3))
+# The launcher picks every port: `-http 127.0.0.1:0` binds the aggregator
+# first (mpirun keeps that listener while it reserves the ranks' ports, so no
+# rank can be handed it) and announces the address on stderr.
 cout="$tmp/cluster_out"
-"$tmp/mpirun" -n 4 -http "127.0.0.1:$cport" -poll 100ms -report-out cluster_report.json \
+"$tmp/mpirun" -n 4 -http 127.0.0.1:0 -poll 100ms -report-out cluster_report.json \
     "$tmp/multirate" -pairs 4 -window 16 -iters 1500 -machine fast -latency >"$cout" 2>&1 &
 cluster_pid=$!
+cluster_addr=""
+for _ in $(seq 1 100); do
+    cluster_addr="$(grep -o 'cluster aggregator on http://[0-9.:]*' "$cout" 2>/dev/null | sed 's#.*http://##' || true)"
+    [[ -n "$cluster_addr" ]] && break
+    kill -0 "$cluster_pid" 2>/dev/null || break
+    sleep 0.05
+done
+if [[ -z "$cluster_addr" ]]; then
+    echo "FAIL: mpirun -http never announced its cluster aggregator address" >&2
+    tail -20 "$cout" >&2
+    exit 1
+fi
 
 # Wait until every rank's series shows up in the merged exposition — with
 # the attribution layer on, that includes at least one non-empty
@@ -238,7 +256,7 @@ cluster_pid=$!
 # or benign sender-ahead queue depth.
 ranks_seen=""
 for _ in $(seq 1 200); do
-    if curl -fsS "http://127.0.0.1:$cport/cluster/metrics" >"$tmp/cluster_metrics" 2>/dev/null; then
+    if curl -fsS "http://$cluster_addr/cluster/metrics" >"$tmp/cluster_metrics" 2>/dev/null; then
         n=0
         for r in 0 1 2 3; do
             grep -q "mpi_uptime_seconds{rank=\"$r\"}" "$tmp/cluster_metrics" &&
@@ -247,7 +265,7 @@ for _ in $(seq 1 200); do
         done
         if [[ "$n" -eq 4 ]]; then
             ranks_seen=yes
-            curl -fsS "http://127.0.0.1:$cport/cluster/imbalance" >"$tmp/cluster_imbalance" 2>/dev/null || true
+            curl -fsS "http://$cluster_addr/cluster/imbalance" >"$tmp/cluster_imbalance" 2>/dev/null || true
             break
         fi
     fi
@@ -306,9 +324,8 @@ echo "OK: mpirun -http served 4 rank-labeled series with a clean mid-run imbalan
 # Stall localization: freeze rank 3's receive side for 3s mid-run and
 # require the cluster detector to name it. (The deterministic only-rank-3
 # assertion lives in the simnet twin; this exercises the live pipeline.)
-dport=$((port_base + 4))
 sout="$tmp/stall_out"
-if ! "$tmp/mpirun" -n 4 -http "127.0.0.1:$dport" -poll 100ms -report-out cluster_stall_report.json \
+if ! "$tmp/mpirun" -n 4 -http 127.0.0.1:0 -poll 100ms -report-out cluster_stall_report.json \
     "$tmp/multirate" -pairs 4 -window 64 -iters 1500 -machine fast -stall 3s -stall-at 2 >"$sout" 2>&1; then
     echo "FAIL: mpirun -stall job exited nonzero" >&2
     tail -20 "$sout" >&2
