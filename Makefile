@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build test loc allocs race race-lockfree vet fmt bench-telemetry bench-real-smoke chaos fuzz-wire check conformance lint-layers lint-onepath twin-exact rebaseline tcp-smoke
+.PHONY: build test examples loc allocs race race-lockfree vet fmt bench-telemetry bench-real-smoke chaos fuzz-wire check conformance lint-layers lint-onepath twin-exact rebaseline tcp-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The reader of examples/: each of the five demonstrates one pattern from the
+# paper (README table) and is otherwise only compiled. Run each to completion
+# — all exit 0 in a few seconds — with a minute's grace apiece.
+examples:
+	@for e in quickstart halo taskqueue rmacounter montecarlo; do \
+		echo "== examples/$$e"; timeout 60 $(GO) run ./examples/$$e >/dev/null || exit 1; done
 
 # The allocation ladder: every testing.AllocsPerRun pin on the message path
 # (CRI acquire/release, an eager message and a 128-message window in process,
@@ -48,6 +55,8 @@ conformance:
 # implements the seam's types itself, so an alias of a transport name
 # (`type Packet = transport.Packet`, `const X = transport.X`) or an adapter
 # type around its own Device or Endpoint growing back in internal/fabric fails.
+# So does a Prometheus text parser: the aggregator decodes the ranks' typed
+# document, and no non-test file defines ParsePromText or PromFamily again.
 lint-layers:
 	@fail=0; \
 	if grep -rln --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out \
@@ -56,6 +65,9 @@ lint-layers:
 	fab=$$(ls internal/fabric/*.go | grep -v _test.go); \
 	if grep -nE '(^|[^:!=<>])= *transport\.|^type +(tdev|lazyEndpoint)\b' $$fab; then \
 		echo "FAIL: internal/fabric aliases a transport name or wraps its own types again"; fail=1; fi; \
+	if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out \
+		'^func +ParsePromText\b|^type +PromFamily\b' .; then \
+		echo "FAIL: a rank serves its typed document (/debug/stats); nothing parses the exposition text back"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "layering ok"; else exit 1; fi
 
 # The size figure every simplicity entry in CHANGES.md quotes: non-test Go
@@ -176,4 +188,4 @@ chaos:
 	$(GO) run ./cmd/multirate -engine sim -pairs 1 -window 64 -iters 4 \
 		-flight 2048 -watchdog -stall 2s -stall-at 2 -flight-out flight_sim_stall.json
 
-check: build vet lint-layers lint-onepath test allocs race conformance
+check: build vet lint-layers lint-onepath test examples allocs race conformance

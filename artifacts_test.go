@@ -16,19 +16,7 @@ func TestEveryModelArtifactIsChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recipe string
-	inRule := false
-	for _, line := range strings.Split(string(mk), "\n") {
-		if strings.HasPrefix(line, "\t") {
-			if inRule {
-				recipe += line + "\n"
-			}
-			continue
-		}
-		targets, _, isRule := strings.Cut(line, ":")
-		inRule = isRule && !strings.HasPrefix(line, "#") &&
-			strings.Contains(" "+targets+" ", " twin-exact ")
-	}
+	recipe := makeRule(string(mk), "twin-exact")
 	if recipe == "" {
 		t.Fatal("Makefile has no twin-exact recipe")
 	}

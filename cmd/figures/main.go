@@ -20,7 +20,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/figures"
 )
 
@@ -73,8 +72,7 @@ func main() {
 		start := time.Now()
 		switch name {
 		case "trajectory", "trajectory-latency":
-			// The design sweep as JSON; its shape is the zero SweepConfig.
-			b, err := benchjson.Marshal(benchjson.Run(benchjson.SweepConfig{Latency: name == "trajectory-latency"}))
+			b, err := figures.Trajectory(name == "trajectory-latency")
 			if err == nil {
 				_, err = os.Stdout.Write(b)
 			}

@@ -7,7 +7,6 @@
 // away.
 //
 //	mpitop http://127.0.0.1:9099          # live: refresh every second
-//	mpitop -interval 250ms http://...     # live: faster refresh
 //	mpitop -once http://...               # one table, no refresh
 //	mpitop -snapshot report.json          # render a saved cluster report
 //
@@ -31,13 +30,12 @@ import (
 
 func main() {
 	var (
-		interval  = flag.Duration("interval", time.Second, "refresh interval in live mode")
 		once      = flag.Bool("once", false, "print one table and exit (no screen refresh)")
 		snapshot  = flag.String("snapshot", "", "render a saved cluster report JSON file instead of polling a live aggregator")
 		reportOut = flag.String("report-out", "", "save the last fetched report JSON to this file")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mpitop [-interval D] [-once] [-report-out FILE] <aggregator-url>\n"+
+		fmt.Fprintf(os.Stderr, "usage: mpitop [-once] [-report-out FILE] <aggregator-url>\n"+
 			"       mpitop -snapshot report.json\n")
 		flag.PrintDefaults()
 	}
@@ -81,7 +79,7 @@ func main() {
 		if *once {
 			return
 		}
-		time.Sleep(*interval)
+		time.Sleep(time.Second) // live-mode refresh interval
 	}
 }
 

@@ -4,9 +4,9 @@
 // sends/receives with wait-all, in either thread mode (pairs are threads of
 // two processes) or process mode (each pair is its own process pair).
 //
-// This harness measures wall-clock rates on live goroutines. On a
-// single-core host the multithreaded scaling shapes of the paper cannot
-// materialize here; the deterministic virtual-time twin of this harness
+// This harness measures wall-clock rates on live goroutines. On the
+// two-core reproduction host (`nproc`) the paper's 20-pair scaling shapes
+// cannot materialize here; the deterministic virtual-time twin of this harness
 // (internal/simnet) regenerates the figures. Both exist so the design can
 // be validated functionally (here) and quantitatively (there).
 package multirate

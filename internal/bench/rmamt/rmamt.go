@@ -43,25 +43,6 @@ type Config struct {
 	// OnSampler, when set, is called with the background sampler right
 	// after it starts (only when SampleInterval > 0).
 	OnSampler func(*telemetry.Sampler)
-	// StallPut, when positive, freezes origin thread 0 for this wall-clock
-	// duration right after it finishes the put burst of round
-	// StallAfterRound, before the flush — the one-sided sibling of
-	// multirate's receiver freeze: the whole flush round goes quiet while
-	// the other threads' completions pile up behind the window lock. The
-	// run still completes with full totals once the freeze ends.
-	StallPut        time.Duration
-	StallAfterRound int
-	// StallRank selects which world rank takes the freeze, for flag parity
-	// with multirate's distributed runs (0 = the origin, the only rank with
-	// put threads; selecting the passive target rank 1 makes the stall a
-	// no-op).
-	StallRank int
-}
-
-// stallsHere reports whether origin thread g takes the injected freeze in
-// the given round.
-func (c Config) stallsHere(g, round int) bool {
-	return c.StallPut > 0 && c.StallRank == 0 && g == 0 && round == c.StallAfterRound
 }
 
 func (c Config) withDefaults() Config {
@@ -153,13 +134,6 @@ func Run(cfg Config) (Result, error) {
 						errs <- fmt.Errorf("rmamt put: %w", err)
 						return
 					}
-				}
-				if cfg.stallsHere(g, round) {
-					// Injected fault: leave the burst unflushed — this
-					// origin's completion counters freeze mid-round, the
-					// straggler signature the observability plane must
-					// surface.
-					time.Sleep(cfg.StallPut)
 				}
 				if err := origin.Flush(th, 1); err != nil {
 					errs <- fmt.Errorf("rmamt flush: %w", err)

@@ -7,45 +7,13 @@ import (
 	"strconv"
 
 	"repro/internal/spc"
+	"repro/internal/telemetry"
 )
 
-// MergeFamilies concatenates every rank's families into one exposition:
-// one family per name (first-seen HELP/TYPE wins; the exporters emit
-// identical metadata on every rank), samples appended in rank order.
-// Because every sample carries a rank label (enforced at scrape time), the
-// merge can never collide two ranks' series.
-func MergeFamilies(ranks []RankState) []PromFamily {
-	var out []PromFamily
-	index := map[string]int{}
-	for _, rs := range ranks {
-		for _, f := range rs.Families {
-			i, ok := index[f.Name]
-			if !ok {
-				index[f.Name] = len(out)
-				out = append(out, PromFamily{Name: f.Name, Type: f.Type, Help: f.Help})
-				i = len(out) - 1
-			}
-			out[i].Samples = append(out[i].Samples, f.Samples...)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// RollupSPC merges every rank's process-scope counters into the cluster
-// total — the same Merge invariant the per-process roll-up uses across
-// CRIs and communicators, applied one level up across ranks.
-func RollupSPC(ranks []RankState) spc.Snapshot {
-	snaps := make([]spc.Snapshot, 0, len(ranks))
-	for _, rs := range ranks {
-		snaps = append(snaps, rs.SPC)
-	}
-	return spc.Merge(snaps...)
-}
-
 // ClusterState is one aggregation round's full output: the scraped ranks,
-// the merged exposition, the rollup, per-rank rates from the detector, and
-// the verdicts fired so far.
+// the rollup of their process-scope counters (the Merge invariant the
+// per-process roll-up uses across CRIs and communicators, one level up),
+// per-rank rates from the detector, and the verdicts fired so far.
 type ClusterState struct {
 	CapturedNs int64
 	Polls      int64
@@ -64,19 +32,34 @@ type ClusterState struct {
 // Clean reports whether the run has produced no verdicts at all.
 func (cs ClusterState) Clean() bool { return len(cs.History) == 0 }
 
-// WriteClusterMetrics renders the aggregate exposition: every rank's
-// families merged, followed by the mpi_cluster_* gauges that only exist at
-// this level (rank counts, readiness, scrape errors, per-rank rates and
-// depths, verdict counts, imbalance flag).
+// WriteClusterMetrics renders the aggregate exposition: every scraped
+// rank's document through the exporter the ranks' own /metrics use, followed
+// by the mpi_cluster_* gauges that only exist at this level (rank counts,
+// readiness, scrape errors, per-rank rates and depths, verdict counts,
+// imbalance flag).
 func WriteClusterMetrics(w io.Writer, cs ClusterState) error {
-	if err := WriteFamilies(w, MergeFamilies(cs.Ranks)); err != nil {
+	var docs []telemetry.RankDoc
+	for _, rs := range cs.Ranks {
+		if rs.Info != nil { // nil: no scrape of this rank has succeeded yet
+			docs = append(docs, rs.RankDoc)
+		}
+	}
+	if err := telemetry.WriteExposition(w, docs...); err != nil {
 		return err
 	}
-	g := func(name, help string, samples ...PromSample) {
+	// gauge writes one family; each sample is a label pair ("" = none) and a value.
+	type sample struct {
+		key, val string
+		v        float64
+	}
+	gauge := func(name, help string, samples ...sample) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
 		for _, s := range samples {
-			s.Name = name
-			formatSample(w, s)
+			labels := ""
+			if s.key != "" {
+				labels = fmt.Sprintf("{%s=%q}", s.key, s.val)
+			}
+			fmt.Fprintf(w, "%s%s %s\n", name, labels, strconv.FormatFloat(s.v, 'f', -1, 64))
 		}
 	}
 	ready, errs := 0, 0
@@ -87,33 +70,25 @@ func WriteClusterMetrics(w io.Writer, cs ClusterState) error {
 			ready++
 		}
 	}
-	g("mpi_cluster_ranks", "Ranks the aggregator scrapes.",
-		PromSample{Value: float64(len(cs.Ranks))})
-	g("mpi_cluster_ranks_ready", "Ranks whose /readyz answered 200 on the last poll.",
-		PromSample{Value: float64(ready)})
-	g("mpi_cluster_scrape_errors", "Ranks whose last scrape failed.",
-		PromSample{Value: float64(errs)})
-	g("mpi_cluster_polls_total", "Aggregation rounds completed.",
-		PromSample{Value: float64(cs.Polls)})
+	gauge("mpi_cluster_ranks", "Ranks the aggregator scrapes.", sample{v: float64(len(cs.Ranks))})
+	gauge("mpi_cluster_ranks_ready", "Ranks whose /readyz answered 200 on the last poll.", sample{v: float64(ready)})
+	gauge("mpi_cluster_scrape_errors", "Ranks whose last scrape failed.", sample{v: float64(errs)})
+	gauge("mpi_cluster_polls_total", "Aggregation rounds completed.", sample{v: float64(cs.Polls)})
 
-	var rateSamples, depthSamples []PromSample
+	var rates, depths []sample
 	for _, rs := range cs.Ranks {
 		rank := strconv.Itoa(rs.Rank)
 		if r, ok := cs.Rates[rs.Rank]; ok {
-			rateSamples = append(rateSamples, PromSample{
-				Labels: map[string]string{"rank": rank}, Value: r})
+			rates = append(rates, sample{"rank", rank, r})
 		}
 		depth := 0
 		for _, cq := range rs.Queues.Comms {
 			depth += cq.Unexpected
 		}
-		depthSamples = append(depthSamples, PromSample{
-			Labels: map[string]string{"rank": rank}, Value: float64(depth)})
+		depths = append(depths, sample{"rank", rank, float64(depth)})
 	}
-	g("mpi_cluster_msg_rate", "Per-rank message rate (sent+received per second) over the last rate window.",
-		rateSamples...)
-	g("mpi_cluster_unexpected_depth", "Per-rank unexpected-queue depth summed over communicators.",
-		depthSamples...)
+	gauge("mpi_cluster_msg_rate", "Per-rank message rate (sent+received per second) over the last rate window.", rates...)
+	gauge("mpi_cluster_unexpected_depth", "Per-rank unexpected-queue depth summed over communicators.", depths...)
 
 	byReason := map[string]int{}
 	for _, v := range cs.History {
@@ -124,26 +99,24 @@ func WriteClusterMetrics(w io.Writer, cs ClusterState) error {
 		reasons = append(reasons, r)
 	}
 	sort.Strings(reasons)
-	verdictSamples := make([]PromSample, 0, len(reasons))
+	verdicts := make([]sample, 0, len(reasons))
 	for _, r := range reasons {
-		verdictSamples = append(verdictSamples, PromSample{
-			Labels: map[string]string{"reason": r}, Value: float64(byReason[r])})
+		verdicts = append(verdicts, sample{"reason", r, float64(byReason[r])})
 	}
-	g("mpi_cluster_verdicts_total", "Imbalance verdicts fired this run, by reason.",
-		verdictSamples...)
+	gauge("mpi_cluster_verdicts_total", "Imbalance verdicts fired this run, by reason.", verdicts...)
 	imbalance := 0.0
 	if len(cs.Current) > 0 {
 		imbalance = 1
 	}
-	g("mpi_cluster_imbalance", "1 while the latest observation fired at least one verdict.",
-		PromSample{Value: imbalance})
+	gauge("mpi_cluster_imbalance", "1 while the latest observation fired at least one verdict.", sample{v: imbalance})
 	return nil
 }
 
 // WriteClusterSPC renders the /cluster/spc document: the cluster-level
-// rollup first, then every rank's own attribution dump verbatim.
+// rollup first, then every rank's own attribution dump, as its /spc
+// renders it.
 func WriteClusterSPC(w io.Writer, cs ClusterState) error {
-	if _, err := fmt.Fprintf(w, "cluster totals (%d ranks):\n%s", len(cs.Ranks), indent(cs.Rollup.String())); err != nil {
+	if _, err := fmt.Fprintf(w, "cluster totals (%d ranks):\n%s", len(cs.Ranks), cs.Rollup.Indented()); err != nil {
 		return err
 	}
 	for _, rs := range cs.Ranks {
@@ -151,23 +124,14 @@ func WriteClusterSPC(w io.Writer, cs ClusterState) error {
 			fmt.Fprintf(w, "--- rank %d (scrape failed: %s)\n", rs.Rank, rs.Err)
 			continue
 		}
-		fmt.Fprintf(w, "--- rank %d\n%s", rs.Rank, rs.SPCText)
-	}
-	return nil
-}
-
-func indent(s string) string {
-	if s == "" {
-		return "  (all zero)\n"
-	}
-	out := "  "
-	for i := 0; i < len(s); i++ {
-		out += string(s[i])
-		if s[i] == '\n' && i != len(s)-1 {
-			out += "  "
+		fmt.Fprintf(w, "--- rank %d\n", rs.Rank)
+		for _, ps := range rs.Stats {
+			if err := ps.WriteText(w); err != nil {
+				return err
+			}
 		}
 	}
-	return out
+	return nil
 }
 
 // RankReport is one rank's row in the cluster report — exactly the columns
@@ -268,10 +232,8 @@ func BuildReport(cs ClusterState) Report {
 			rr.Unexpected += cq.Unexpected
 			rr.OOSBuffered += cq.OOSBuffered
 		}
-		if f, ok := FamilyByName(rs.Families, "mpi_msg_latency_ns"); ok {
-			rr.P99LatencyNs = HistogramQuantile(f, strconv.Itoa(rs.Rank), 0.99)
-		}
-		if e2e, stages := latencyFromFamilies(rs.Families, strconv.Itoa(rs.Rank)); e2e > 0 {
+		rr.P99LatencyNs = rs.hist(telemetry.HistMsgLatency).P99()
+		if e2e, stages := rs.latencyP99s(); e2e > 0 {
 			rr.E2EP99Ns = e2e
 			rr.StageP99Ns = make(map[string]int64, len(stages))
 			for _, sp := range stages {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,7 +24,9 @@ type fakeRank struct {
 	sent   atomic.Int64
 	recv   atomic.Int64
 	posted atomic.Int64
-	srv    *obs.Server
+	// hists, set before the first scrape, rides along in the rank's stats.
+	hists []telemetry.NamedHist
+	srv   *obs.Server
 }
 
 func startFakeRank(t *testing.T, rank int) *fakeRank {
@@ -35,7 +38,7 @@ func startFakeRank(t *testing.T, rank int) *fakeRank {
 			set.SetEnabled(true)
 			set.Add(spc.MessagesSent, fr.sent.Load())
 			set.Add(spc.MessagesReceived, fr.recv.Load())
-			return []telemetry.ProcStats{{Rank: rank, Process: set.Snapshot()}}
+			return []telemetry.ProcStats{{Rank: rank, Process: set.Snapshot(), Hists: fr.hists}}
 		},
 		Queues: func() []flight.QueueSnapshot {
 			return []flight.QueueSnapshot{{
@@ -89,16 +92,8 @@ func TestScrapeRecoversRankState(t *testing.T) {
 	if rs.UptimeSeconds <= 0 {
 		t.Fatalf("uptime = %v, want > 0", rs.UptimeSeconds)
 	}
-	if rs.SPCText == "" {
-		t.Fatal("raw /spc body empty")
-	}
-	// The rank-label contract holds on every parsed sample.
-	for _, f := range rs.Families {
-		for _, smp := range f.Samples {
-			if smp.Label("rank") == "" {
-				t.Fatalf("sample %s missing rank label", f.Name)
-			}
-		}
+	if len(rs.Stats) != 1 || rs.Stats[0].Rank != 2 || rs.Info["transport"] != "test" {
+		t.Fatalf("typed document = %+v", rs.RankDoc)
 	}
 }
 
@@ -108,6 +103,23 @@ func TestScrapeFailure(t *testing.T) {
 	if rs.Err == "" {
 		t.Fatal("dead endpoint scraped without error")
 	}
+}
+
+// typeNames returns the family names an exposition declares, failing on a
+// family declared twice.
+func typeNames(t *testing.T, exposition string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	for _, line := range strings.Split(exposition, "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			if names[name] {
+				t.Fatalf("family %s declared twice", name)
+			}
+			names[name] = true
+		}
+	}
+	return names
 }
 
 func get(t *testing.T, url string) (string, int) {
@@ -133,6 +145,12 @@ func TestAggregatorEndToEnd(t *testing.T) {
 		fr := startFakeRank(t, r)
 		fr.sent.Store(int64(100 * (r + 1)))
 		fr.recv.Store(int64(100 * (r + 1)))
+		// Ranks need not export the same families: the view is their union.
+		name := telemetry.HistMsgLatency
+		if r%2 == 1 {
+			name = telemetry.HistLockWait
+		}
+		fr.hists = []telemetry.NamedHist{{Name: name, Hist: seededHist(int64(r), 1)}}
 		ranks = append(ranks, fr)
 		eps = append(eps, fr.endpoint())
 	}
@@ -168,10 +186,29 @@ func TestAggregatorEndToEnd(t *testing.T) {
 			t.Fatalf("/cluster/metrics missing %q", want)
 		}
 	}
-	// The merged exposition must itself parse — aggregator output obeys the
-	// same format it scrapes.
-	if _, err := ParsePromText(strings.NewReader(body)); err != nil {
-		t.Fatalf("merged exposition does not re-parse: %v", err)
+	// The cluster view carries exactly the families the ranks' own /metrics
+	// carry, plus the eight gauges that only exist at this level.
+	want := map[string]bool{}
+	for _, fr := range ranks {
+		rankBody, _ := get(t, "http://"+fr.srv.Addr()+"/metrics")
+		for name := range typeNames(t, rankBody) {
+			want[name] = true
+		}
+	}
+	for _, g := range []string{"ranks", "ranks_ready", "scrape_errors", "polls_total",
+		"msg_rate", "unexpected_depth", "verdicts_total", "imbalance"} {
+		want["mpi_cluster_"+g] = true
+	}
+	if got := typeNames(t, body); !reflect.DeepEqual(got, want) {
+		t.Fatalf("/cluster/metrics families differ from the union of the ranks' + cluster gauges:\ngot  %v\nwant %v", got, want)
+	}
+	// The rollup is the sum of the ranks' process totals.
+	var procs []spc.Snapshot
+	for _, rs := range agg.State().Ranks {
+		procs = append(procs, rs.Stats[0].Process)
+	}
+	if got := agg.State().Rollup; got != spc.Merge(procs...) || got.Get(spc.MessagesSent) != 1000 {
+		t.Fatalf("rollup = %v, want the merge of the ranks' process totals", got)
 	}
 
 	// /cluster/spc: rollup sums the four ranks' sends (100+200+300+400).

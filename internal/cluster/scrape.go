@@ -1,3 +1,11 @@
+// Package cluster is the fleet-level observability plane: it fetches every
+// rank's typed stats document (/debug/stats), readiness and queue depths
+// over HTTP, renders the documents as one rank-labeled cluster view with an
+// SPC rollup through the exporters the ranks themselves use, and runs a
+// cross-rank imbalance detector over the polled state — the cluster-scale
+// sibling of the per-rank flight.Detector. The aggregator serves the view at
+// /cluster/* (wired into cmd/mpirun) and produces the end-of-run cluster
+// report consumed by cmd/mpitop and CI.
 package cluster
 
 import (
@@ -12,6 +20,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/latency"
 	"repro/internal/spc"
+	"repro/internal/telemetry"
 )
 
 // Endpoint names one rank's live observability endpoint.
@@ -31,20 +40,57 @@ type RankState struct {
 	Ready       bool
 	ReadyReason string
 
-	// Families is the rank's parsed /metrics exposition with the rank-label
-	// contract enforced: any sample missing a rank label gets this rank's.
-	Families []PromFamily
-	// SPC is the rank's process-scope counter snapshot recovered from the
-	// exposition — the per-rank operand of the cluster rollup.
+	// RankDoc is the rank's typed /debug/stats document: uptime, run
+	// labels, and the stats of every proc the process hosts. Info always
+	// carries a rank label (the scrape stamps this rank's onto a document
+	// that lacks one), so it is non-nil exactly when a scrape of the rank
+	// has succeeded.
+	telemetry.RankDoc
+	// SPC is the rank's process-scope counter snapshot — the per-rank
+	// operand of the cluster rollup.
 	SPC spc.Snapshot
 	// Queues is the rank's /debug/queues introspection snapshot.
 	Queues flight.QueueSnapshot
-	// SPCText is the raw human-readable /spc body, re-served per rank at
-	// /cluster/spc.
-	SPCText string
-	// UptimeSeconds is the rank's mpi_uptime_seconds gauge; a value lower
-	// than the previous poll's means the rank restarted between polls.
-	UptimeSeconds float64
+}
+
+// proc returns the stats of the proc whose rank this is (a thread-mode
+// world serves several procs from one endpoint).
+func (rs RankState) proc() telemetry.ProcStats {
+	for _, ps := range rs.Stats {
+		if ps.Rank == rs.Rank {
+			return ps
+		}
+	}
+	return telemetry.ProcStats{}
+}
+
+// hist returns the rank's histogram of the given export name (zero when the
+// rank doesn't export it).
+func (rs RankState) hist(name string) telemetry.HistSnapshot {
+	for _, h := range rs.proc().Hists {
+		if h.Name == name {
+			return h.Hist
+		}
+	}
+	return telemetry.HistSnapshot{}
+}
+
+// latencyP99s returns the rank's critical-path p99s: the e2e histogram's
+// (0 when the rank doesn't run the attribution layer or hasn't completed a
+// traced message) and the per-stage ones in stage order, zero-count stages
+// skipped.
+func (rs RankState) latencyP99s() (int64, []flight.StageP99) {
+	e2e := rs.hist(latency.HistE2E).P99()
+	if e2e == 0 {
+		return 0, nil
+	}
+	var stages []flight.StageP99
+	for s := latency.Stage(0); s < latency.NumStages; s++ {
+		if p99 := rs.hist(s.HistName()).P99(); p99 > 0 {
+			stages = append(stages, flight.StageP99{Stage: s.String(), P99Ns: p99})
+		}
+	}
+	return e2e, stages
 }
 
 // Obs condenses the state into one detector observation.
@@ -66,39 +112,12 @@ func (rs RankState) Obs() Obs {
 	for _, w := range rs.Queues.Windows {
 		o.Unacked += w.Unacked
 	}
-	if e2e, stages := latencyFromFamilies(rs.Families, strconv.Itoa(rs.Rank)); e2e > 0 {
+	if e2e, stages := rs.latencyP99s(); e2e > 0 {
 		o.LatencyValid = true
 		o.E2EP99Ns = e2e
 		o.StageP99 = stages
 	}
 	return o
-}
-
-// latencyFromFamilies recovers a rank's critical-path p99s from its parsed
-// exposition: the e2e histogram's p99 (0 when the rank doesn't export the
-// attribution layer or hasn't completed a traced message) and the per-stage
-// p99s in stage order, zero-count stages skipped — the scrape-side inverse
-// of latency.Recorder.StageP99s.
-func latencyFromFamilies(fams []PromFamily, rank string) (int64, []flight.StageP99) {
-	f, ok := FamilyByName(fams, "mpi_"+latency.HistE2E)
-	if !ok {
-		return 0, nil
-	}
-	e2e := HistogramQuantile(f, rank, 0.99)
-	if e2e == 0 {
-		return 0, nil
-	}
-	var stages []flight.StageP99
-	for s := latency.Stage(0); s < latency.NumStages; s++ {
-		sf, ok := FamilyByName(fams, "mpi_"+s.HistName())
-		if !ok {
-			continue
-		}
-		if p99 := HistogramQuantile(sf, rank, 0.99); p99 > 0 {
-			stages = append(stages, flight.StageP99{Stage: s.String(), P99Ns: p99})
-		}
-	}
-	return e2e, stages
 }
 
 // Scraper polls a fixed set of rank endpoints.
@@ -130,24 +149,26 @@ func (s *Scraper) scrapeOne(ep Endpoint) RankState {
 	rs := RankState{Rank: ep.Rank}
 	c := s.client()
 
-	body, _, err := fetch(c, ep.URL+"/metrics")
+	body, _, err := fetch(c, ep.URL+"/debug/stats")
+	if err == nil {
+		err = json.Unmarshal(body, &rs.RankDoc)
+	}
 	if err != nil {
-		rs.Err = fmt.Sprintf("/metrics: %v", err)
-		return rs
+		return RankState{Rank: ep.Rank, Err: fmt.Sprintf("/debug/stats: %v", err)}
 	}
-	fams, err := ParsePromText(strings.NewReader(body))
-	if err != nil {
-		rs.Err = err.Error()
-		return rs
+	// The merge-safety contract: every series of the cluster view carries a
+	// rank. A document that names its own keeps it (a proxy re-exporting
+	// another rank stays attributable).
+	if rs.Info == nil {
+		rs.Info = map[string]string{}
 	}
-	rs.Families = enforceRankLabel(fams, ep.Rank)
-	rs.SPC = SPCFromFamilies(rs.Families, strconv.Itoa(ep.Rank))
-	if f, ok := FamilyByName(rs.Families, "mpi_uptime_seconds"); ok && len(f.Samples) > 0 {
-		rs.UptimeSeconds = f.Samples[0].Value
+	if rs.Info["rank"] == "" {
+		rs.Info["rank"] = strconv.Itoa(ep.Rank)
 	}
+	rs.SPC = rs.proc().Process
 
 	// Readiness: /readyz answers 200 ("ready") or 503 with a reason body.
-	// A transport error here (after /metrics answered) is still a scrape
+	// A transport error here (after the stats answered) is still a scrape
 	// failure — half-scraped ranks would skew the detections.
 	rbody, status, err := fetch(c, ep.URL+"/readyz")
 	if err != nil && status == 0 {
@@ -156,101 +177,46 @@ func (s *Scraper) scrapeOne(ep Endpoint) RankState {
 	}
 	rs.Ready = status == http.StatusOK
 	if !rs.Ready {
-		rs.ReadyReason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rbody), "not ready:"))
+		rs.ReadyReason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(string(rbody)), "not ready:"))
 	}
 
-	qbody, _, err := fetch(c, ep.URL+"/debug/queues")
-	if err != nil {
-		rs.Err = fmt.Sprintf("/debug/queues: %v", err)
-		return rs
-	}
 	var snaps []flight.QueueSnapshot
-	if err := json.Unmarshal([]byte(qbody), &snaps); err != nil {
+	qbody, _, err := fetch(c, ep.URL+"/debug/queues")
+	if err == nil {
+		err = json.Unmarshal(qbody, &snaps)
+	}
+	if err != nil {
 		rs.Err = fmt.Sprintf("/debug/queues: %v", err)
 		return rs
 	}
 	// A process can host several local procs (thread-mode worlds); the
-	// distributed deployments this plane targets serve exactly one. Merge
-	// depths if several appear so the observation covers the process.
-	for _, qs := range snaps {
-		if len(snaps) == 1 || qs.Rank == ep.Rank {
-			rs.Queues = qs
-		}
-	}
-	if len(snaps) > 1 {
-		rs.Queues = mergeQueueSnapshots(ep.Rank, snaps)
-	}
-
-	sbody, _, err := fetch(c, ep.URL+"/spc")
-	if err != nil {
-		rs.Err = fmt.Sprintf("/spc: %v", err)
-		return rs
-	}
-	rs.SPCText = sbody
+	// distributed deployments this plane targets serve exactly one. Several
+	// fold into one, so the observation covers the process.
+	rs.Queues = mergeQueueSnapshots(ep.Rank, snaps)
 	return rs
 }
+
+// maxBody bounds what one fetch reads: a rank that answers with more is cut
+// off there, and what was read fails to decode.
+const maxBody = 64 << 20
 
 // fetch GETs url and returns the body and status. err is non-nil for
 // transport failures and non-2xx statuses other than 503 (which /readyz
 // uses to carry the not-ready reason; callers check status).
-func fetch(c *http.Client, url string) (body string, status int, err error) {
+func fetch(c *http.Client, url string) (body []byte, status int, err error) {
 	resp, err := c.Get(url)
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
 	if err != nil {
-		return "", resp.StatusCode, err
+		return nil, resp.StatusCode, err
 	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return string(b), resp.StatusCode, fmt.Errorf("status %d", resp.StatusCode)
+		return b, resp.StatusCode, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	return string(b), resp.StatusCode, nil
-}
-
-// enforceRankLabel stamps rank onto every sample that lacks one — the
-// merge-safety contract. Samples that already carry a rank label keep it
-// (a proxy re-exporting several ranks stays attributable).
-func enforceRankLabel(fams []PromFamily, rank int) []PromFamily {
-	r := strconv.Itoa(rank)
-	for fi := range fams {
-		for si := range fams[fi].Samples {
-			smp := &fams[fi].Samples[si]
-			if smp.Labels == nil {
-				smp.Labels = map[string]string{}
-			}
-			if _, ok := smp.Labels["rank"]; !ok {
-				smp.Labels["rank"] = r
-			}
-		}
-	}
-	return fams
-}
-
-// SPCFromFamilies recovers a rank's process-scope SPC snapshot from its
-// parsed exposition — the inverse of telemetry.WritePrometheus for the
-// scope="process" series, matched by counter name via spc.CounterByName so
-// counters this binary doesn't know (a newer rank) are skipped rather than
-// misfiled.
-func SPCFromFamilies(fams []PromFamily, rank string) spc.Snapshot {
-	var snap spc.Snapshot
-	for _, f := range fams {
-		name, ok := strings.CutPrefix(f.Name, "mpi_spc_")
-		if !ok {
-			continue
-		}
-		c, ok := spc.CounterByName(name)
-		if !ok {
-			continue
-		}
-		for _, smp := range f.Samples {
-			if smp.Label("scope") == "process" && smp.Label("rank") == rank {
-				snap[c] = int64(smp.Value)
-			}
-		}
-	}
-	return snap
+	return b, resp.StatusCode, nil
 }
 
 // mergeQueueSnapshots folds several local procs' snapshots into one

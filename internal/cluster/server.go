@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"repro/internal/spc"
 )
 
 // AggregatorConfig configures the polling aggregator.
@@ -97,15 +99,17 @@ func (a *Aggregator) PollOnce() ClusterState {
 		}
 	}
 	obs := make([]Obs, 0, len(ranks))
+	procs := make([]spc.Snapshot, 0, len(ranks))
 	for _, rs := range ranks {
 		obs = append(obs, rs.Obs())
+		procs = append(procs, rs.SPC)
 	}
 	verdicts := a.det.Observe(Sample{NowNs: now, Obs: obs})
 
 	a.state.CapturedNs = now
 	a.state.Polls++
 	a.state.Ranks = ranks
-	a.state.Rollup = RollupSPC(ranks)
+	a.state.Rollup = spc.Merge(procs...)
 	a.state.Current = verdicts
 	a.state.History = append(a.state.History, verdicts...)
 	a.state.Rates = map[int]float64{}

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Collective operations, built on the runtime's own point-to-point layer
@@ -116,15 +115,6 @@ var OpMinInt64 ReduceOp = reduceFunc(func(dst, src []byte) {
 		if b < a {
 			binary.LittleEndian.PutUint64(dst[i:], uint64(b))
 		}
-	}
-})
-
-// OpSumFloat64 adds IEEE-754 float64 lanes (MPI_SUM on MPI_DOUBLE).
-var OpSumFloat64 ReduceOp = reduceFunc(func(dst, src []byte) {
-	for i := 0; i+8 <= len(dst) && i+8 <= len(src); i += 8 {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:])) +
-			math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(v))
 	}
 })
 

@@ -88,8 +88,6 @@ func newComm(p *Proc, id uint32, group []int, myRank int, info Info) *Comm {
 		}
 		sh.BindProfSites(sites, p.prof.NewSite("match.stripe", -1, id), p.prof.NewSite("match.wild", -1, id))
 		c.engine = sh
-	} else if p.world.opts.HashMatching {
-		c.engine = match.NewHashEngine(id, len(group), p.world.machine.Scaled(), meter, c.spcs)
 	} else {
 		c.engine = match.NewEngine(id, len(group), p.world.machine.Scaled(), meter, c.spcs)
 	}
@@ -121,9 +119,6 @@ func (c *Comm) Proc() *Proc { return c.proc }
 // SPCs returns the communicator's attributed counter set. Runtime-internal
 // layers (e.g. the one-sided stack) record communicator-scoped counters here.
 func (c *Comm) SPCs() *spc.Set { return c.spcs }
-
-// Info returns the communicator's assertions.
-func (c *Comm) Info() Info { return c.info }
 
 // Dup collectively duplicates the communicator, returning the new handles
 // for every member (indexed by communicator rank), like MPI_Comm_dup
@@ -167,10 +162,6 @@ func (c *Comm) Isend(th *Thread, dst int, tag int32, buf []byte) (*Request, erro
 	clk := th.ts.Clock()
 	clk.Begin(prof.PhaseSend)
 	defer clk.End()
-	if p.bigLock {
-		p.bigMu.LockClocked(clk)
-		defer p.bigMu.Unlock()
-	}
 
 	if c.eagerLimit >= 0 && len(buf) > c.eagerLimit && c.group[dst] != p.rank {
 		return c.isendRendezvous(th, dst, tag, buf)
@@ -318,10 +309,6 @@ func (c *Comm) Irecv(th *Thread, src int, tag int32, buf []byte) (*Request, erro
 	}
 	p.levelGuard.enter(th)
 	defer p.levelGuard.leave()
-	if p.bigLock {
-		p.bigMu.LockClocked(th.ts.Clock())
-		defer p.bigMu.Unlock()
-	}
 	return c.post(th, src, tag, buf), nil
 }
 

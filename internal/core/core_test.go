@@ -520,7 +520,6 @@ func TestMultithreadedPairwiseStress(t *testing.T) {
 		{"cri-dedicated", CRIs(4, cri.Dedicated)},
 		{"concurrent-rr", CRIsConcurrent(4, cri.RoundRobin)},
 		{"concurrent-dedicated", CRIsConcurrent(4, cri.Dedicated)},
-		{"biglock", func() Options { o := Stock(); o.BigLock = true; return o }()},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {

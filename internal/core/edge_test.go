@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/flight"
+	"repro/internal/spc"
 )
 
 // TestNegativeEagerLimitDisablesRendezvous: with EagerLimit < 0 every
@@ -33,48 +35,6 @@ func TestNegativeEagerLimitDisablesRendezvous(t *testing.T) {
 			t.Fatal("rendezvous used despite negative eager limit")
 		}
 	}
-}
-
-// TestBigLockFunctional: the big-lock comparator design still delivers all
-// traffic (it is slow, not wrong).
-func TestBigLockFunctional(t *testing.T) {
-	opts := Stock()
-	opts.BigLock = true
-	w := newTestWorld(t, 2, opts)
-	const (
-		threads = 3
-		msgs    = 60
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		wg.Add(2)
-		go func(g int) {
-			defer wg.Done()
-			th := w.Proc(0).NewThread()
-			for i := 0; i < msgs; i++ {
-				if err := w.Proc(0).CommWorld().Send(th, 1, int32(g), []byte{byte(i)}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-		go func(g int) {
-			defer wg.Done()
-			th := w.Proc(1).NewThread()
-			buf := make([]byte, 1)
-			for i := 0; i < msgs; i++ {
-				if _, err := w.Proc(1).CommWorld().Recv(th, 0, int32(g), buf); err != nil {
-					t.Error(err)
-					return
-				}
-				if buf[0] != byte(i) {
-					t.Errorf("thread %d FIFO violated under big lock", g)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // TestZeroByteMessages: the paper's workload — pure envelopes.
@@ -146,4 +106,42 @@ func TestLargeWorld(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+}
+
+// TestSmallQueueDepthBackpressure: with QueueDepth shrunk to 8 a sender
+// that runs ahead of an idle receiver stalls on the receiver's full ring
+// (ring_full_waits ticks there) instead of losing or reordering anything;
+// once the receiver starts, all 200 messages arrive in order.
+func TestSmallQueueDepthBackpressure(t *testing.T) {
+	opts := Stock()
+	opts.QueueDepth = 8
+	w := newTestWorld(t, 2, opts)
+	const msgs = 200
+	sent := make(chan error, 1)
+	go func() {
+		th := w.Proc(0).NewThread()
+		for i := 0; i < msgs; i++ {
+			if err := w.Proc(0).CommWorld().Send(th, 1, 0, []byte{byte(i)}); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for w.Proc(1).SPCSnapshot().Get(spc.RingFullWaits) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	th := w.Proc(1).NewThread()
+	buf := make([]byte, 1)
+	for i := 0; i < msgs; i++ {
+		if _, err := w.Proc(1).CommWorld().Recv(th, 0, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != byte(i) {
+			t.Fatalf("message %d carried %d: order lost under back-pressure", i, buf[0])
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
 }

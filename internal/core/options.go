@@ -71,10 +71,6 @@ type Options struct {
 	ThreadLevel ThreadLevel
 	// QueueDepth sizes transport queues (0 = default 4096).
 	QueueDepth int
-	// BigLock serializes every MPI entry point behind one process-wide
-	// lock — the "global critical section" design some implementations
-	// use, the worst comparator in Fig. 5.
-	BigLock bool
 	// Telemetry attaches the latency-histogram layer (internal/telemetry):
 	// match-section time, instance-lock wait, progress-pass duration, and
 	// eager inject-to-match message latency, exportable in Prometheus text
@@ -100,32 +96,19 @@ type Options struct {
 	Latency bool
 	// Profile attaches the contention-and-phase profiler (internal/prof):
 	// every serialization point — instance locks, the serial progress lock,
-	// per-communicator matching locks, the reliability window, the big
-	// lock — records acquisitions, contended waits, and hold time, and every
-	// Thread carries a phase clock decomposing its wall time into the
+	// per-communicator matching locks, the reliability window — records
+	// acquisitions, contended waits, and hold time, and every Thread
+	// carries a phase clock decomposing its wall time into the
 	// paper's breakdown categories. Off by default; when off every hook is
 	// a single branch (see prof package docs).
 	Profile bool
-	// HashMatching replaces the OB1-style list matching engine with the
-	// hash-based engine (O(1) exact matching; see match.HashEngine) — the
-	// optimized-matching direction the paper's Section III-F leaves out of
-	// scope.
-	HashMatching bool
 	// MatchShards, when positive, replaces the externally locked matching
 	// engine with the internally synchronized sharded engine
 	// (match.Sharded): posted/unexpected state is hash-partitioned by
 	// (source, tag) into about this many shards (rounded up to a power of
 	// two) and the communicator-wide matching lock disappears entirely.
-	// Takes precedence over HashMatching. 0 keeps the paper-faithful
-	// single-lock engines.
+	// 0 keeps the paper-faithful single-lock list engine.
 	MatchShards int
-	// ProgressThread dedicates one runtime-owned thread per process to
-	// completion extraction — the software-offload design of Vaidyanathan
-	// et al. [20] the paper's related work discusses. Application threads
-	// stop driving the progress engine; they only wait. Orthogonal to the
-	// CRI knobs: the offload thread still uses the configured progress
-	// mode over the instance pool.
-	ProgressThread bool
 	// EagerLimit is the maximum payload carried eagerly; larger messages
 	// use the rendezvous protocol. 0 selects the default (8 KiB).
 	// Negative disables rendezvous entirely (everything eager).

@@ -41,9 +41,6 @@ func (p *Proc) NewThread() *Thread {
 // profiling; idempotent.
 func (t *Thread) Done() { t.ts.Clock().Stop() }
 
-// Proc returns the thread's process.
-func (t *Thread) Proc() *Proc { return t.proc }
-
 // State exposes the CRI thread state (used by the one-sided layer).
 func (t *Thread) State() *cri.ThreadState { return &t.ts }
 

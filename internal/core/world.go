@@ -130,9 +130,6 @@ func allRanks(n int) []int {
 // Size returns the number of Procs.
 func (w *World) Size() int { return len(w.procs) }
 
-// Machine returns the machine model the world runs on.
-func (w *World) Machine() hw.Machine { return w.machine }
-
 // Options returns the world's normalized options.
 func (w *World) Options() Options { return w.opts }
 
@@ -212,18 +209,12 @@ func (w *World) NewCommWithInfo(worldRanks []int, info Info) ([]*Comm, error) {
 	return comms, nil
 }
 
-// Close shuts down every proc's device and stops offload threads.
+// Close shuts down every proc's device.
 func (w *World) Close() {
 	for _, p := range w.procs {
-		if p == nil {
-			continue
+		if p != nil {
+			p.dev.Close()
 		}
-		if p.offloadStop != nil {
-			close(p.offloadStop)
-			<-p.offloadDone
-			p.offloadStop = nil
-		}
-		p.dev.Close()
 	}
 }
 
@@ -263,10 +254,6 @@ type Proc struct {
 	// process roll-up never loses history. Guarded by commMu.
 	retiredSPCs spc.Snapshot
 
-	// bigMu is the process-wide lock of the BigLock comparator design.
-	bigMu   prof.Mutex
-	bigLock bool
-
 	// prof is the contention-and-phase profiler (nil unless
 	// Options.Profile; all its hand-outs are nil-safe). profThreads
 	// numbers the thread clocks NewThread hands out.
@@ -299,11 +286,6 @@ type Proc struct {
 	timed     bool
 	timedRecv bool
 
-	// offload is the dedicated progress thread (Options.ProgressThread).
-	offload     bool
-	offloadStop chan struct{}
-	offloadDone chan struct{}
-
 	// rendezvous bookkeeping (see rendezvous.go).
 	rdvMu    sync.Mutex
 	rdvSends map[uint64]*rdvSend
@@ -318,14 +300,12 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		world:    w,
 		rank:     rank,
 		comms:    make(map[uint32]*Comm),
-		bigLock:  opts.BigLock,
 		rdvSends: make(map[uint64]*rdvSend),
 		rdvRecvs: make(map[rdvKey]*rdvRecv),
 	}
 	p.spcs = spc.NewSet()
 	if opts.Profile {
 		p.prof = prof.New()
-		p.bigMu.Bind(p.prof.NewSite("core.biglock", -1, 0))
 	}
 	if opts.FlightCapacity > 0 {
 		p.flight = flight.NewRecorder(opts.FlightCapacity)
@@ -406,34 +386,7 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 	if p.tel != nil {
 		p.prog.SetPassHistogram(p.tel.ProgressPass)
 	}
-	if opts.ProgressThread {
-		p.offload = true
-		p.offloadStop = make(chan struct{})
-		p.offloadDone = make(chan struct{})
-		go p.offloadLoop()
-	}
 	return p, nil
-}
-
-// offloadLoop is the dedicated progress thread: it alone drives completion
-// extraction, yielding when idle so application threads can run.
-func (p *Proc) offloadLoop() {
-	defer close(p.offloadDone)
-	var ts cri.ThreadState
-	ts.SetClock(p.prof.NewThreadClock(fmt.Sprintf("rank%d/offload", p.rank)))
-	ts.SetFlight(p.flight.NewRing(fmt.Sprintf("rank%d/offload", p.rank)))
-	defer ts.Clock().Stop()
-	for {
-		select {
-		case <-p.offloadStop:
-			return
-		default:
-		}
-		p.rel.maybeSweep(ts.Clock())
-		if p.prog.Progress(&ts) == 0 {
-			yield()
-		}
-	}
 }
 
 // wire acquires an endpoint from every local instance to one context of
@@ -784,19 +737,9 @@ func clampNs(v int64) int64 {
 	return v
 }
 
-// Progress drives the progress engine once for the calling thread. Under
-// the software-offload design, application threads never enter the engine;
-// the dedicated thread owns it, so callers simply yield.
+// progressFor drives the progress engine once for the calling thread.
 func (p *Proc) progressFor(ts *cri.ThreadState) int {
 	p.rel.maybeSweep(ts.Clock())
-	if p.offload {
-		yield()
-		return 0
-	}
-	if p.bigLock {
-		p.bigMu.LockClocked(ts.Clock())
-		defer p.bigMu.Unlock()
-	}
 	return p.prog.Progress(ts)
 }
 

@@ -295,9 +295,6 @@ func (p *Pool) SetSPCs(s *spc.Set) { p.spcs = s }
 // Len returns the number of instances.
 func (p *Pool) Len() int { return len(p.instances) }
 
-// Mode returns the pool's assignment strategy.
-func (p *Pool) Mode() Assignment { return p.mode }
-
 // Get returns instance i.
 func (p *Pool) Get(i int) *Instance { return p.instances[i] }
 

@@ -147,7 +147,9 @@ func (d Design) SimConfig(base simnet.Config, instances int) simnet.Config {
 
 // CoreOptions resolves the design to real-runtime options. Process-mode
 // designs still return options (single instance, no sharing); the harness
-// maps pairs to separate Procs instead of threads.
+// maps pairs to separate Procs instead of threads. The IMPI and MPICH
+// stand-ins are modelled only (SimConfig): the real runtime has no global
+// lock to select, so they run as Stock.
 func (d Design) CoreOptions(instances int) core.Options {
 	switch d {
 	case OMPIThreadCRI:
@@ -157,10 +159,6 @@ func (d Design) CoreOptions(instances int) core.Options {
 	case OMPIThreadCRILockFree:
 		o := core.CRIsConcurrent(instances, cri.FreeList)
 		o.MatchShards = 32
-		return o
-	case IMPIThread:
-		o := core.Stock()
-		o.BigLock = true
 		return o
 	default:
 		return core.Stock()

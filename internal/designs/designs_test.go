@@ -3,6 +3,7 @@ package designs
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/hw"
 	"repro/internal/progress"
@@ -61,8 +62,9 @@ func TestCoreOptionsResolution(t *testing.T) {
 	if o.Progress != progress.Concurrent {
 		t.Fatalf("CRIFull options = %+v", o)
 	}
-	if !IMPIThread.CoreOptions(1).BigLock {
-		t.Fatal("IMPIThread core options missing BigLock")
+	// The IMPI / MPICH stand-ins exist in the model only.
+	if IMPIThread.CoreOptions(1) != core.Stock() || MPICHThread.CoreOptions(1) != core.Stock() {
+		t.Fatal("modelled-only designs must resolve to core.Stock")
 	}
 	if OMPIThread.CoreOptions(1).NumInstances != 1 {
 		t.Fatal("OMPIThread core options wrong")

@@ -1,24 +1,25 @@
-package benchjson
+package figures
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/designs"
 	"repro/internal/hw"
 )
 
-func tinySweep() SweepConfig {
-	return SweepConfig{
-		Machine: hw.Fast(), MachineName: "fast",
-		Threads: []int{1, 2}, Window: 8, Iters: 2,
-		Designs: []designs.Design{designs.OMPIThread, designs.OMPIThreadCRIFull},
+func tinySweep(ds ...designs.Design) sweep {
+	return sweep{
+		machine: hw.Fast(), machineName: "fast",
+		trajectorySweep: trajectorySweep{Threads: []int{1, 2}, Window: 8, Iters: 2, Instances: 20},
+		designs:         ds,
 	}
 }
 
 // TestRunProducesValidFile: one positive-rate point per swept thread count,
 // in sweep order, for every design asked for.
 func TestRunProducesValidFile(t *testing.T) {
-	f := Run(tinySweep())
+	f := tinySweep(designs.OMPIThread, designs.OMPIThreadCRIFull).run(false)
 	if len(f.Designs) != 2 {
 		t.Fatalf("designs = %d, want 2", len(f.Designs))
 	}
@@ -36,14 +37,12 @@ func TestRunProducesValidFile(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Marshal(Run(tinySweep()))
+	sw := tinySweep(designs.OMPIThread, designs.OMPIThreadCRIFull)
+	a, err := json.Marshal(sw.run(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Marshal(Run(tinySweep()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, _ := json.Marshal(sw.run(false))
 	if string(a) != string(b) {
 		t.Fatal("two identical sweeps produced different trajectory files")
 	}
@@ -54,10 +53,8 @@ func TestRunDeterministic(t *testing.T) {
 // must not move the rate numbers at all (attribution reads only the virtual
 // clock).
 func TestRunLatencySweep(t *testing.T) {
-	cfg := tinySweep()
-	cfg.Latency = true
-	cfg.Designs = []designs.Design{designs.OMPIProcess, designs.OMPIThread}
-	f := Run(cfg)
+	sw := tinySweep(designs.OMPIProcess, designs.OMPIThread)
+	f := sw.run(true)
 	for _, d := range f.Designs {
 		for _, p := range d.Points {
 			if d.ProcessMode {
@@ -82,8 +79,7 @@ func TestRunLatencySweep(t *testing.T) {
 	}
 
 	// The rate trajectory must be identical with attribution off.
-	cfg.Latency = false
-	off := Run(cfg)
+	off := sw.run(false)
 	for i, d := range f.Designs {
 		for j, p := range d.Points {
 			q := off.Designs[i].Points[j]

@@ -36,31 +36,11 @@ func (t *SeqTracker) Next(dst int32) uint32 {
 	return t.sparse.inc(dst)
 }
 
-// Seed sets the next sequence number for dst, for wraparound regression
-// tests seeding counters near 2^32. Not for concurrent use with Next on
-// the same dst.
-func (t *SeqTracker) Seed(dst int32, v uint32) {
-	if dst >= 0 && int(dst) < len(t.dense) {
-		t.dense[dst].Store(v)
-		return
-	}
-	t.sparse.set(dst, v)
-}
-
 // atomicMap is a mutex-protected fallback for out-of-table ranks (rare:
 // only dynamic communicators hit it).
 type atomicMap struct {
 	mu sync.Mutex
 	m  map[int32]uint32
-}
-
-func (a *atomicMap) set(k int32, v uint32) {
-	a.mu.Lock()
-	if a.m == nil {
-		a.m = make(map[int32]uint32)
-	}
-	a.m[k] = v
-	a.mu.Unlock()
 }
 
 func (a *atomicMap) inc(k int32) uint32 {

@@ -7,6 +7,7 @@
 //	/trace         Chrome trace-event JSON rendering of the flight record
 //	/healthz       liveness probe (the process is up and serving)
 //	/readyz        readiness probe (the world is constructed and connected)
+//	/debug/stats   the typed document /metrics and /spc render from, as JSON
 //	/debug/queues  runtime introspection: posted/unexpected depths, windows
 //	/debug/flight  merged flight-recorder rings as JSON
 //	/debug/latency per-rank critical-path attribution: stage summaries + exemplars
@@ -19,6 +20,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -228,28 +230,29 @@ func Serve(addr string, src Source) (*Server, error) {
 		}
 		_ = latency.WriteDumps(w, dumps)
 	})
-	// Uptime resets to zero when the process restarts, which is how a
-	// scraper that only ever sees the endpoint (not the supervisor) detects
-	// a rank restart between two polls: the gauge went backwards.
+	// The typed document /metrics and /spc render from, and /debug/stats
+	// serves as it is. Uptime resets to zero when the process restarts,
+	// which is how a scraper that only ever sees the endpoint (not the
+	// supervisor) detects a rank restart between two polls.
 	started := time.Now()
+	doc := func() telemetry.RankDoc {
+		d := telemetry.RankDoc{UptimeSeconds: time.Since(started).Seconds(), Info: src.Info}
+		if src.Stats != nil {
+			d.Stats = src.Stats()
+		}
+		return d
+	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprintf(w, "# HELP mpi_uptime_seconds Seconds since this rank's observability endpoint started (resets on rank restart).\n"+
-			"# TYPE mpi_uptime_seconds gauge\nmpi_uptime_seconds{rank=%q} %.3f\n",
-			rankLabel(src.Info), time.Since(started).Seconds())
-		if len(src.Info) > 0 {
-			_ = telemetry.WritePrometheusInfo(w, "mpi_build_info", src.Info)
-		}
-		if src.Stats != nil {
-			_ = telemetry.WritePrometheus(w, src.Stats()...)
-		}
+		_ = telemetry.WriteExposition(w, doc())
+	})
+	mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(doc())
 	})
 	mux.HandleFunc("/spc", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if src.Stats == nil {
-			return
-		}
-		for _, ps := range src.Stats() {
+		for _, ps := range doc().Stats {
 			_ = ps.WriteText(w)
 		}
 	})
@@ -274,19 +277,6 @@ func Serve(addr string, src Source) (*Server, error) {
 		}
 	}()
 	return s, nil
-}
-
-// rankLabel extracts the serving process's world rank from the run
-// metadata for the series that the endpoint itself originates (uptime).
-// The commands put their -rank flag into Info["rank"]; a process that
-// never set one is a single-process run, rank 0 — the rank-label contract
-// aggregation depends on (every series carries a rank, so merged
-// expositions never collide).
-func rankLabel(info map[string]string) string {
-	if r, ok := info["rank"]; ok && r != "" {
-		return r
-	}
-	return "0"
 }
 
 // Addr returns the bound address (resolves ":0" to the chosen port).

@@ -71,12 +71,6 @@ func (o *Outputs) BindSampler(s *telemetry.Sampler) {
 	o.sampler = s
 }
 
-// Active reports whether any artifact path is configured.
-func (o *Outputs) Active() bool {
-	return o.MetricsPath != "" || o.TracePath != "" || o.SamplesPath != "" ||
-		o.ShardPath != "" || o.FlightPath != "" || o.LatencyPath != ""
-}
-
 // Flush writes every configured artifact exactly once; subsequent calls
 // return the first call's result.
 func (o *Outputs) Flush() error {

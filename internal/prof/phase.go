@@ -146,23 +146,11 @@ func (c *ThreadClock) snapshot() ThreadSnapshot {
 // out of ThreadSnapshots.
 type PhaseTotals [NumPhases]int64
 
-// Add accumulates ns into phase ph.
-func (t *PhaseTotals) Add(ph Phase, ns int64) { t[ph] += ns }
-
 // Merge adds o element-wise.
 func (t *PhaseTotals) Merge(o PhaseTotals) {
 	for i, v := range o {
 		t[i] += v
 	}
-}
-
-// Sum returns the total across all phases.
-func (t PhaseTotals) Sum() int64 {
-	var s int64
-	for _, v := range t {
-		s += v
-	}
-	return s
 }
 
 // Map returns the non-zero phases keyed by name.

@@ -16,6 +16,7 @@
 package prof
 
 import (
+	"encoding/json"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,21 +46,6 @@ type Site struct {
 	holdNs       atomic.Int64
 }
 
-// Name returns the site's registered name.
-func (s *Site) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-func (s *Site) recordAcquire() {
-	if s == nil {
-		return
-	}
-	s.acquisitions.Add(1)
-}
-
 func (s *Site) recordTryFail() {
 	if s == nil {
 		return
@@ -81,13 +67,6 @@ func (s *Site) recordWait(d int64) {
 			return
 		}
 	}
-}
-
-func (s *Site) recordHold(d int64) {
-	if s == nil {
-		return
-	}
-	s.holdNs.Add(d)
 }
 
 // Mutex is a drop-in sync.Mutex wrapper that attributes contention to a
@@ -270,6 +249,19 @@ type ThreadSnapshot struct {
 	Phases [NumPhases]int64 `json:"-"`
 	// PhaseNs mirrors Phases keyed by phase name for JSON consumers.
 	PhaseNs map[string]int64 `json:"phase_ns"`
+}
+
+// UnmarshalJSON restores Phases from the phase_ns object, so a snapshot read
+// back from JSON renders and merges like the one that was written.
+func (t *ThreadSnapshot) UnmarshalJSON(b []byte) error {
+	type plain ThreadSnapshot
+	if err := json.Unmarshal(b, (*plain)(t)); err != nil {
+		return err
+	}
+	for i := range t.Phases {
+		t.Phases[i] = t.PhaseNs[Phase(i).String()]
+	}
+	return nil
 }
 
 // Snapshot is a point-in-time copy of every registered site and clock,

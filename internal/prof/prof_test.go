@@ -278,14 +278,13 @@ func TestBreakdownRoundTrip(t *testing.T) {
 func TestPrometheusExport(t *testing.T) {
 	p := New()
 	s := p.NewSite("progress.serial", -1, 0)
-	s.recordAcquire()
 	s.recordTryFail()
 	c := p.NewThreadClock("rank0/t1")
 	c.Begin(PhaseMatch)
 	c.End()
 	c.Stop()
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, 0, p.Snapshot()); err != nil {
+	if err := WritePrometheusRanks(&buf, []RankSnapshot{{Rank: 0, Snap: p.Snapshot()}}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -209,12 +209,6 @@ type RankSnapshot struct {
 	Snap Snapshot
 }
 
-// WritePrometheus appends one rank's snapshot as Prometheus gauges: per-site
-// lock statistics and per-thread phase times.
-func WritePrometheus(w io.Writer, rank int, sn Snapshot) error {
-	return WritePrometheusRanks(w, []RankSnapshot{{Rank: rank, Snap: sn}})
-}
-
 // WritePrometheusRanks renders several ranks' snapshots with one HELP/TYPE
 // header per family, per the exposition-format contract. Empty snapshots are
 // skipped; if every snapshot is empty nothing is written.

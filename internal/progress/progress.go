@@ -90,9 +90,6 @@ func (e *Engine) SetPassHistogram(h *telemetry.Histogram) { e.passHist = h }
 // progress lock. Call during setup, before threads enter the engine.
 func (e *Engine) BindProfSite(s *prof.Site) { e.serialMu.Bind(s) }
 
-// Mode returns the engine's progress design.
-func (e *Engine) Mode() Mode { return e.mode }
-
 // Progress makes one progress pass on behalf of the thread owning ts and
 // returns the number of completion events handled.
 func (e *Engine) Progress(ts *cri.ThreadState) int {

@@ -107,9 +107,6 @@ func Allocate(comms []*core.Comm, size int) ([]*Win, error) {
 // puts are in flight is an application-level race, as in MPI.
 func (w *Win) Local() []byte { return w.local }
 
-// Comm returns the communicator the window was created over.
-func (w *Win) Comm() *core.Comm { return w.comm }
-
 // Size returns the window size of member rank.
 func (w *Win) Size(rank int) int { return w.regions[rank].Size() }
 

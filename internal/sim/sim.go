@@ -30,9 +30,6 @@ type Proc struct {
 	blocked bool
 }
 
-// Name returns the process name given at spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the process's virtual clock in nanoseconds.
 func (p *Proc) Now() int64 { return p.now }
 
@@ -85,12 +82,6 @@ func (h eventHeap) Less(i, j int) bool {
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() (event, bool) {
-	if len(h) == 0 {
-		return event{}, false
-	}
-	return h[0], true
-}
 
 // Env is the simulation environment. Create with NewEnv, spawn processes
 // with Go, then Run. Not safe for use from multiple host goroutines except
@@ -179,6 +170,3 @@ func (e *Env) Run() time.Duration {
 		}
 	}
 }
-
-// Now returns the latest virtual time observed by the executive.
-func (e *Env) Now() int64 { return e.maxNow }

@@ -6,6 +6,7 @@
 package spc
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -238,10 +239,9 @@ var countersByName = func() map[string]Counter {
 }()
 
 // CounterByName resolves a snake_case counter name back to its Counter —
-// the inverse of String, used by consumers that re-ingest an exported
-// counter dump (e.g. the cluster aggregator parsing a rank's Prometheus
-// exposition). Unknown names report ok=false rather than a zero Counter so
-// callers can skip counters added by a newer rank binary.
+// the inverse of String, used when a Snapshot is read back from JSON.
+// Unknown names report ok=false rather than a zero Counter so callers can
+// skip counters added by a newer rank binary.
 func CounterByName(name string) (c Counter, ok bool) {
 	c, ok = countersByName[name]
 	return c, ok
@@ -382,7 +382,19 @@ func (sn Snapshot) OutOfSequencePercent() float64 {
 }
 
 // String renders the non-zero counters, one per line, sorted by name.
-func (sn Snapshot) String() string {
+func (sn Snapshot) String() string { return sn.render("") }
+
+// Indented is String with every line indented two spaces and "(all zero)"
+// standing in for an empty snapshot — the form an attribution dump nests
+// under a heading.
+func (sn Snapshot) Indented() string {
+	if s := sn.render("  "); s != "" {
+		return s
+	}
+	return "  (all zero)\n"
+}
+
+func (sn Snapshot) render(prefix string) string {
 	type kv struct {
 		name string
 		v    int64
@@ -396,9 +408,38 @@ func (sn Snapshot) String() string {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	var b strings.Builder
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-24s %d\n", r.name, r.v)
+		fmt.Fprintf(&b, "%s%-24s %d\n", prefix, r.name, r.v)
 	}
 	return b.String()
+}
+
+// MarshalJSON renders the non-zero counters as an object keyed by counter
+// name, so the document survives counters being added or reordered between
+// the binary that wrote it and the one that reads it.
+func (sn Snapshot) MarshalJSON() ([]byte, error) {
+	m := map[string]int64{}
+	for i, v := range sn {
+		if v != 0 {
+			m[Counter(i).String()] = v
+		}
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON is MarshalJSON's inverse. A name this binary does not know
+// (a counter added by a newer writer) is skipped, not misfiled.
+func (sn *Snapshot) UnmarshalJSON(b []byte) error {
+	var m map[string]int64
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	*sn = Snapshot{}
+	for name, v := range m {
+		if c, ok := CounterByName(name); ok {
+			sn[c] = v
+		}
+	}
+	return nil
 }
 
 // Merge returns the element-wise sum of snapshots, taking the max for peak

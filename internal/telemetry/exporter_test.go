@@ -35,10 +35,16 @@ func testStats() ProcStats {
 
 func TestWritePrometheusGolden(t *testing.T) {
 	var sb strings.Builder
-	if err := WritePrometheus(&sb, testStats()); err != nil {
+	in := testStats()
+	if err := WritePrometheus(&sb, in); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
+	// The exposition is ordered (cri 0 before cri 1); the caller's slices are
+	// not — concurrent renders of one document must not write to it.
+	if in.PerCRI[0].Index != 1 || strings.Index(out, `cri="0"`) > strings.Index(out, `cri="1"`) {
+		t.Fatalf("render reordered its input (%+v) or left its output unordered", in.PerCRI)
+	}
 	// Exact lines the exposition must contain: process totals, attributed
 	// scopes, and a consistent histogram family.
 	want := []string{

@@ -144,10 +144,10 @@ func (h *Histogram) Snapshot() HistSnapshot {
 
 // HistSnapshot is an immutable copy of a histogram.
 type HistSnapshot struct {
-	Buckets [NumBuckets]int64
-	Count   int64
-	Sum     int64
-	Max     int64
+	Buckets [NumBuckets]int64 `json:"buckets"`
+	Count   int64             `json:"count"`
+	Sum     int64             `json:"sum"`
+	Max     int64             `json:"max"`
 }
 
 // Merge returns the element-wise sum of the snapshots (max of maxes).

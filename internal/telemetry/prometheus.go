@@ -109,27 +109,76 @@ func escapeLabel(v string) string {
 	return b.String()
 }
 
-// WritePrometheusInfo emits one info-style gauge (value 1) whose labels
-// carry free-form build/run metadata — transport name, caps, design — the
-// idiomatic Prometheus pattern for string-valued facts. Label keys are
-// emitted in sorted order and values escaped per the text format.
-func WritePrometheusInfo(w io.Writer, name string, labels map[string]string) error {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// WritePrometheusInfo emits one info-style gauge family whose samples (value
+// 1, one per label set) carry free-form build/run metadata — transport name,
+// caps, design — the idiomatic Prometheus pattern for string-valued facts.
+// Label keys are emitted in sorted order and values escaped per the text
+// format.
+func WritePrometheusInfo(w io.Writer, name string, labelSets ...map[string]string) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP %s Run metadata.\n# TYPE %s gauge\n%s{", name, name, name)
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
+	fmt.Fprintf(&b, "# HELP %s Run metadata.\n# TYPE %s gauge\n", name, name)
+	for _, labels := range labelSets {
+		keys := make([]string, 0, len(labels))
+		for k := range labels {
+			keys = append(keys, k)
 		}
-		fmt.Fprintf(&b, `%s="%s"`, k, escapeLabel(labels[k]))
+		sort.Strings(keys)
+		b.WriteString(name + "{")
+		for i, k := range keys {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `%s="%s"`, k, escapeLabel(labels[k]))
+		}
+		b.WriteString("} 1\n")
 	}
-	b.WriteString("} 1\n")
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// RankDoc is the typed document a rank's observability endpoint serves
+// (/debug/stats): the values its /metrics and /spc are rendered from, so an
+// aggregator decodes numbers instead of parsing the text back.
+type RankDoc struct {
+	// UptimeSeconds counts from the endpoint's start; a value lower than
+	// the previous poll's means the rank restarted between polls.
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	// Info labels the run (transport, caps, design, rank, ...).
+	Info  map[string]string `json:"info"`
+	Stats []ProcStats       `json:"stats"`
+}
+
+// WriteExposition renders rank documents as one Prometheus exposition: the
+// series the endpoint itself originates (mpi_uptime_seconds, mpi_build_info),
+// one sample per document, then every document's stats (WritePrometheus). A
+// rank's /metrics is this over its own document and the cluster view this
+// over all of them, so the two carry the same families by construction. The
+// uptime series takes its rank label from Info["rank"] (the commands put
+// their -rank flag there); a process that never set one is a single-process
+// run, rank 0 — every series carries a rank, so merged documents never
+// collide.
+func WriteExposition(w io.Writer, docs ...RankDoc) error {
+	fmt.Fprint(w, "# HELP mpi_uptime_seconds Seconds since this rank's observability endpoint started (resets on rank restart).\n"+
+		"# TYPE mpi_uptime_seconds gauge\n")
+	var infos []map[string]string
+	var stats []ProcStats
+	for _, d := range docs {
+		rank := d.Info["rank"]
+		if rank == "" {
+			rank = "0"
+		}
+		fmt.Fprintf(w, "mpi_uptime_seconds{rank=%q} %.3f\n", rank, d.UptimeSeconds)
+		if len(d.Info) > 0 {
+			infos = append(infos, d.Info)
+		}
+		stats = append(stats, d.Stats...)
+	}
+	if len(infos) > 0 {
+		if err := WritePrometheusInfo(w, "mpi_build_info", infos...); err != nil {
+			return err
+		}
+	}
+	return WritePrometheus(w, stats...)
 }
 
 // histNames collects the union of histogram names across stats, sorted.

@@ -154,8 +154,3 @@ func WriteSamplesCSV(w io.Writer, samples []Sample) error {
 	}
 	return bw.Flush()
 }
-
-// WriteCSV renders this sampler's collected series (see WriteSamplesCSV).
-func (s *Sampler) WriteCSV(w io.Writer) error {
-	return WriteSamplesCSV(w, s.Samples())
-}

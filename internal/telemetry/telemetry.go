@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -49,9 +50,6 @@ func New() *Telemetry {
 	}
 }
 
-// Enabled reports whether the bundle records anything.
-func (t *Telemetry) Enabled() bool { return t != nil }
-
 // Histogram names used in snapshots and exports.
 const (
 	HistMatchSection   = "match_section_ns"
@@ -64,8 +62,8 @@ const (
 
 // NamedHist pairs a histogram snapshot with its export name.
 type NamedHist struct {
-	Name string
-	Hist HistSnapshot
+	Name string       `json:"name"`
+	Hist HistSnapshot `json:"hist"`
 }
 
 // Snapshot captures all histograms in deterministic name order. Nil-safe:
@@ -86,14 +84,14 @@ func (t *Telemetry) Snapshot() []NamedHist {
 
 // CRIStat is one instance's attributed counter snapshot.
 type CRIStat struct {
-	Index    int
-	Counters spc.Snapshot
+	Index    int          `json:"index"`
+	Counters spc.Snapshot `json:"counters"`
 }
 
 // CommStat is one communicator's attributed counter snapshot.
 type CommStat struct {
-	ID       uint32
-	Counters spc.Snapshot
+	ID       uint32       `json:"id"`
+	Counters spc.Snapshot `json:"counters"`
 }
 
 // ProcStats is one process's full observability snapshot: the rolled-up
@@ -101,18 +99,18 @@ type CommStat struct {
 // merge from, a residual set for counters with no natural owner (plus
 // freed communicators), and the latency histograms.
 type ProcStats struct {
-	Rank    int
-	Process spc.Snapshot
-	PerCRI  []CRIStat
-	PerComm []CommStat
+	Rank    int          `json:"rank"`
+	Process spc.Snapshot `json:"process"`
+	PerCRI  []CRIStat    `json:"per_cri,omitempty"`
+	PerComm []CommStat   `json:"per_comm,omitempty"`
 	// Residual holds process-scoped counters (progress-engine entries,
 	// serial-mode try-lock failures) and the retained totals of freed
 	// communicators. Process == Merge(Residual, PerCRI..., PerComm...).
-	Residual spc.Snapshot
-	Hists    []NamedHist
+	Residual spc.Snapshot `json:"residual"`
+	Hists    []NamedHist  `json:"hists,omitempty"`
 	// Prof is the contention-profiler snapshot (lock sites and per-thread
 	// phase clocks); empty unless the world ran with Options.Profile.
-	Prof prof.Snapshot
+	Prof prof.Snapshot `json:"prof"`
 }
 
 // MergeChildren recomputes process totals from the attributed children —
@@ -133,16 +131,16 @@ func (ps ProcStats) MergeChildren() spc.Snapshot {
 // summaries. Ordering is deterministic.
 func (ps ProcStats) WriteText(w io.Writer) error {
 	sortStats(&ps)
-	if _, err := fmt.Fprintf(w, "rank %d process totals:\n%s", ps.Rank, indent(ps.Process.String())); err != nil {
+	if _, err := fmt.Fprintf(w, "rank %d process totals:\n%s", ps.Rank, ps.Process.Indented()); err != nil {
 		return err
 	}
 	for _, c := range ps.PerCRI {
-		fmt.Fprintf(w, "cri %d:\n%s", c.Index, indent(c.Counters.String()))
+		fmt.Fprintf(w, "cri %d:\n%s", c.Index, c.Counters.Indented())
 	}
 	for _, c := range ps.PerComm {
-		fmt.Fprintf(w, "comm %d:\n%s", c.ID, indent(c.Counters.String()))
+		fmt.Fprintf(w, "comm %d:\n%s", c.ID, c.Counters.Indented())
 	}
-	fmt.Fprintf(w, "residual:\n%s", indent(ps.Residual.String()))
+	fmt.Fprintf(w, "residual:\n%s", ps.Residual.Indented())
 	for _, h := range ps.Hists {
 		if h.Hist.Count == 0 {
 			continue
@@ -161,36 +159,11 @@ func (ps ProcStats) WriteText(w io.Writer) error {
 	return nil
 }
 
-func indent(s string) string {
-	if s == "" {
-		return "  (all zero)\n"
-	}
-	var out []byte
-	for _, line := range splitLines(s) {
-		out = append(out, ' ', ' ')
-		out = append(out, line...)
-		out = append(out, '\n')
-	}
-	return string(out)
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			lines = append(lines, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		lines = append(lines, s[start:])
-	}
-	return lines
-}
-
-// sortStats normalizes ordering for deterministic export.
+// sortStats normalizes ordering for deterministic export. It orders copies:
+// the cluster aggregator renders one decoded document from concurrent
+// request handlers, so a render must not reorder the slices it was handed.
 func sortStats(ps *ProcStats) {
+	ps.PerCRI, ps.PerComm, ps.Hists = slices.Clone(ps.PerCRI), slices.Clone(ps.PerComm), slices.Clone(ps.Hists)
 	sort.Slice(ps.PerCRI, func(i, j int) bool { return ps.PerCRI[i].Index < ps.PerCRI[j].Index })
 	sort.Slice(ps.PerComm, func(i, j int) bool { return ps.PerComm[i].ID < ps.PerComm[j].ID })
 	sort.Slice(ps.Hists, func(i, j int) bool { return ps.Hists[i].Name < ps.Hists[j].Name })

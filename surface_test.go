@@ -1,0 +1,219 @@
+package repro_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// surface is one thing a user, a figure or another package can select: an
+// Options field, a command-line flag, an example program.
+type surface struct {
+	name    string // as DESIGN's census spells it, e.g. "cmd/mpirun -poll"
+	home    string // directory that defines it; a reader must live elsewhere
+	mention string // regexp a reader must match to count as reading it
+}
+
+var flagCall = regexp.MustCompile(`^(String|Int|Int64|Uint|Uint64|Bool|Duration|Float64)(Var)?$`)
+
+// flagSurfaces walks the non-test Go files of dir for flag registrations —
+// flag.Int("n", ...) in a main, fs.BoolVar(&x, "n", ...) in the shared
+// registrar — and names each "<label> -<flag>".
+func flagSurfaces(t *testing.T, dir, label string) []surface {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []surface
+	inspect := func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		m := flagCall.FindStringSubmatch(sel.Sel.Name)
+		if recv, ok := sel.X.(*ast.Ident); !ok || m == nil || (recv.Name != "flag" && recv.Name != "fs") {
+			return true
+		}
+		arg := 0
+		if m[2] == "Var" {
+			arg = 1
+		}
+		lit, ok := call.Args[arg].(*ast.BasicLit)
+		if !ok {
+			t.Fatalf("%s: flag name of %s.%s is not a literal", dir, sel.X, sel.Sel.Name)
+		}
+		name, _ := strconv.Unquote(lit.Value)
+		out = append(out, surface{
+			name:    label + " -" + name,
+			home:    dir + "/",
+			mention: `(^|[^\w-])-` + regexp.QuoteMeta(name) + `($|[^\w-])`,
+		})
+		return true
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, inspect)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// makeRule returns the rule line and recipe of a Makefile target.
+func makeRule(mk, target string) string {
+	var rule string
+	inRule := false
+	for _, line := range strings.Split(mk, "\n") {
+		if strings.HasPrefix(line, "\t") {
+			if inRule {
+				rule += line + "\n"
+			}
+			continue
+		}
+		targets, _, isRule := strings.Cut(line, ":")
+		inRule = isRule && !strings.HasPrefix(line, "#") && !strings.Contains(targets, "=") &&
+			strings.Contains(" "+targets+" ", " "+target+" ")
+		if inRule {
+			rule += line + "\n"
+		}
+	}
+	return rule
+}
+
+// testSource returns the source text of one top-level function of a file.
+func testSource(path, fn string) (string, bool) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return "", false
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, src, 0)
+	if err != nil {
+		return "", false
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == fn {
+			return string(src[fset.Position(fd.Pos()).Offset:fset.Position(fd.End()).Offset]), true
+		}
+	}
+	return "", false
+}
+
+// TestEverySurfaceHasAReader is the surface census: every core.Options field,
+// every flag of the six mains (and of the registrar two of them share) and
+// every example has a row in DESIGN's "Surface census" appendix, and the
+// reader that row names — a non-test file outside the defining package, a
+// make target, a script, a CI step, a documented workflow, or for a
+// deliberate test lever a named test — exists and mentions it. A surface
+// nothing else reads has no row to write: it goes, or gains a real reader.
+func TestEverySurfaceHasAReader(t *testing.T) {
+	var surfaces []surface
+	opts := reflect.TypeOf(core.Options{})
+	for i := 0; i < opts.NumField(); i++ {
+		f := opts.Field(i).Name
+		surfaces = append(surfaces, surface{"core.Options." + f, "internal/core/", `\b` + f + `\b`})
+	}
+	mains, err := filepath.Glob("cmd/*")
+	if err != nil || len(mains) != 6 {
+		t.Fatalf("cmd/* = %v (%v), want the six mains", mains, err)
+	}
+	for _, dir := range mains {
+		surfaces = append(surfaces, flagSurfaces(t, dir, dir)...)
+	}
+	surfaces = append(surfaces, flagSurfaces(t, "internal/bench/cliobs", "cliobs")...)
+	examples, _ := filepath.Glob("examples/*")
+	for _, dir := range examples {
+		surfaces = append(surfaces, surface{dir, dir + "/", `\b` + filepath.Base(dir) + `\b`})
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, appendix, found := strings.Cut(string(design), "\n## Appendix: Surface census\n")
+	if !found {
+		t.Fatal(`DESIGN.md has no "## Appendix: Surface census"`)
+	}
+	row := regexp.MustCompile("(?m)^\\| `([^`]+)` \\| `([^`]+)` \\|")
+	readers := map[string]string{}
+	for _, m := range row.FindAllStringSubmatch(appendix, -1) {
+		if _, dup := readers[m[1]]; dup {
+			t.Errorf("census lists %s twice", m[1])
+		}
+		readers[m[1]] = m[2]
+	}
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, s := range surfaces {
+		reader, ok := readers[s.name]
+		delete(readers, s.name)
+		if !ok {
+			t.Errorf("%s has no row in DESIGN's surface census: name what reads it, or delete it", s.name)
+			continue
+		}
+		var text string
+		path, fn, isTest := strings.Cut(reader, ":")
+		switch target, isMake := strings.CutPrefix(reader, "make "); {
+		case isMake:
+			if text = makeRule(string(mk), target); text == "" {
+				t.Errorf("%s: the Makefile has no target %q", s.name, target)
+				continue
+			}
+		case isTest:
+			if !strings.HasSuffix(path, "_test.go") {
+				t.Errorf("%s: reader %s names a function of a non-test file", s.name, reader)
+				continue
+			}
+			if text, ok = testSource(path, fn); !ok {
+				t.Errorf("%s: no test %s in %s", s.name, fn, path)
+				continue
+			}
+		case strings.HasSuffix(reader, "_test.go"):
+			t.Errorf("%s: a test file reads it only through a named test (%s:TestName)", s.name, reader)
+			continue
+		case strings.HasPrefix(reader, s.home):
+			t.Errorf("%s: reader %s is the package that defines it", s.name, reader)
+			continue
+		case reader == "DESIGN.md":
+			text = body // the census does not count as its own reader
+		default:
+			b, err := os.ReadFile(reader)
+			if err != nil {
+				t.Errorf("%s: reader: %v", s.name, err)
+				continue
+			}
+			text = string(b)
+		}
+		if !regexp.MustCompile(s.mention).MatchString(text) {
+			t.Errorf("%s: reader %s does not mention it", s.name, reader)
+		}
+	}
+	stale := make([]string, 0, len(readers))
+	for name := range readers {
+		stale = append(stale, name)
+	}
+	sort.Strings(stale)
+	for _, name := range stale {
+		t.Errorf("census row %s names a surface that no longer exists", name)
+	}
+}
