@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -136,6 +137,7 @@ func TestConformance(t *testing.T) {
 	}{
 		{"Eager", conformEager},
 		{"Rendezvous", conformRendezvous},
+		{"RendezvousShapes", conformRendezvousShapes},
 		{"BufferOwnership", conformBufferOwnership},
 		{"AnyTagOvertaking", conformAnyTagOvertaking},
 		{"PersistentRequests", conformPersistent},
@@ -187,8 +189,8 @@ func conformEager(t *testing.T, h *harness) {
 }
 
 // conformRendezvous: a payload above the eager limit travels through the
-// RTS/ACK/FIN protocol — RDMA put on one-sided backends, data-in-FIN on
-// two-sided ones — and lands intact.
+// RTS/ACK/FIN protocol — an RDMA put in process, a landed frame over tcp —
+// and lands intact.
 func conformRendezvous(t *testing.T, h *harness) {
 	big := make([]byte, 64<<10) // 64 KiB > the 8 KiB eager limit
 	for i := range big {
@@ -209,6 +211,51 @@ func conformRendezvous(t *testing.T, h *harness) {
 		}
 		if !bytes.Equal(got, big) {
 			return fmt.Errorf("rendezvous payload corrupted")
+		}
+		return nil
+	})
+}
+
+// conformRendezvousShapes: the corners of the bulk step. A receive smaller
+// than the message takes its prefix and reports truncation, the bytes behind
+// its buffer untouched; a receive with no room at all still completes the
+// handshake (the sender's Wait returns) with nothing moved; and a message
+// above the eager limit to the sending rank itself never meets the wire.
+func conformRendezvousShapes(t *testing.T, h *harness) {
+	const total, room, tag = 64 << 10, 10 << 10, 71
+	big := make([]byte, total)
+	for i := range big {
+		big[i] = byte(i*13 + 5)
+	}
+	run2(t, h, func(rank int, th *core.Thread) error {
+		c := h.comms[rank]
+		if rank == 0 {
+			for i := 0; i < 2; i++ {
+				if err := c.Send(th, 1, tag, big); err != nil {
+					return fmt.Errorf("send %d: %w", i, err)
+				}
+			}
+			sreq, err := c.Isend(th, 0, tag, big)
+			if err != nil {
+				return err
+			}
+			got := make([]byte, total)
+			if st, err := c.Recv(th, 0, tag, got); err != nil || st.Count != total || !bytes.Equal(got, big) {
+				return fmt.Errorf("self-send above the eager limit: status %+v, %v, payload intact: %v", st, err, bytes.Equal(got, big))
+			}
+			return sreq.Wait(th)
+		}
+		backing := make([]byte, room+64)
+		st, err := c.Recv(th, 0, tag, backing[:room])
+		if !errors.Is(err, core.ErrTruncated) || st.Count != room || st.MessageLen != total || !st.Truncated {
+			return fmt.Errorf("truncating receive: status %+v, err %v", st, err)
+		}
+		if !bytes.Equal(backing[:room], big[:room]) || !bytes.Equal(backing[room:], make([]byte, 64)) {
+			return fmt.Errorf("truncating receive: the buffer is not the message's first %d bytes, or bytes behind it were written", room)
+		}
+		st, err = c.Recv(th, 0, tag, nil)
+		if !errors.Is(err, core.ErrTruncated) || st.Count != 0 || st.MessageLen != total {
+			return fmt.Errorf("receive with no room: status %+v, err %v", st, err)
 		}
 		return nil
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/flight"
@@ -15,18 +16,29 @@ import (
 //	sender                         receiver
 //	  RTS (envelope, matched) ───────▶ match against posted receives
 //	                                   register sink region
-//	  put data ◀────────────────────── ACK {rdv id, region, sink len}
-//	  (RDMA write into sink)
-//	  FIN {rdv id} ──────────────────▶ complete receive, deregister
+//	  PutNotify ◀───────────────────── ACK {rdv id, region, sink len}
+//	    data ═══════════════════════▶ lands in the sink region
+//	    FIN {rdv id} ───────────────▶ complete receive, deregister
 //
 // The RTS is an ordinary matched envelope, so rendezvous and eager traffic
 // share one sequence stream and FIFO semantics. ACK and FIN are control
 // packets that bypass matching, delivered through the same progress engine.
 //
-// On a backend without one-sided support there is no RDMA write: the FIN
-// carries the bulk data itself ({rdv id, data}), and the receiver copies it
-// into the registered sink on arrival — the copy-in/copy-out rendezvous of
-// send/recv-only transports.
+// Data and FIN are one transport operation on every backend
+// (Endpoint.PutNotify: an RDMA write then the FIN in process, one frame that
+// streams out of the send buffer and lands in the sink over tcp), and the FIN
+// is never delivered without the data: a transfer the wire loses leaves the
+// receive pending, never completed over bytes that did not arrive. Nothing
+// here copies the payload.
+//
+// Control payloads come off the wire: a handler checks lengths, the sink the
+// ACK permits and the source rank before it indexes anything, counts what it
+// refuses as late_packets, and fails a request that can then never complete
+// with ErrProtocol.
+
+// ErrProtocol reports a rendezvous control packet that contradicts the
+// transfer it names; the request it would have advanced fails with it.
+var ErrProtocol = errors.New("core: malformed rendezvous control packet")
 
 type rdvSend struct {
 	req      *Request
@@ -100,6 +112,13 @@ func (p *Proc) takeRdvRecv(key rdvKey) *rdvRecv {
 func (c *Comm) startRendezvousRecv(req *Request, comp match.Completion) {
 	p := c.proc
 	env := comp.Recv.MatchedEnv
+	if len(comp.Packet.Payload) < 8 || env.Src < 0 || int(env.Src) >= len(c.group) {
+		// The RTS consumed the posted receive and names no transfer (or no
+		// rank to answer): nothing will ever complete it.
+		p.spcs.Inc(spc.LatePackets)
+		req.finish(fmt.Errorf("%w: RTS from rank %d with %d payload bytes", ErrProtocol, env.Src, len(comp.Packet.Payload)))
+		return
+	}
 	id := binary.LittleEndian.Uint64(comp.Packet.Payload)
 	total := int(env.Len)
 	sink := len(comp.Recv.Buf)
@@ -151,15 +170,18 @@ func (c *Comm) startRendezvousRecv(req *Request, comp match.Completion) {
 	}
 }
 
-// handleRendezvousACK runs on the sender: move the data into the receiver's
-// sink and send the FIN. On a one-sided backend the data travels as an RDMA
-// write and the FIN carries only the transfer id; otherwise the FIN carries
-// the data.
+// handleRendezvousACK runs on the sender: land the data in the receiver's
+// sink and send the FIN behind it, one PutNotify. No instance lock is needed:
+// the data path is the backend's (packet queues are inherently thread-safe).
 func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 	p := c.proc
+	if len(pkt.Payload) < 24 {
+		p.spcs.Inc(spc.LatePackets)
+		return
+	}
 	id := binary.LittleEndian.Uint64(pkt.Payload[0:])
 	regionID := binary.LittleEndian.Uint64(pkt.Payload[8:])
-	sink := int(binary.LittleEndian.Uint64(pkt.Payload[16:]))
+	sink := binary.LittleEndian.Uint64(pkt.Payload[16:])
 
 	rs := p.takeRdvSend(id)
 	if rs == nil {
@@ -168,65 +190,52 @@ func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 		p.spcs.Inc(spc.LatePackets)
 		return
 	}
-
-	// carried is how much of the data rides the FIN itself: all of it on a
-	// send/recv-only backend, none where an RDMA write moves it.
-	carried := sink
-	if sink > 0 && p.world.caps.OneSided {
-		// The bulk transfer is a hardware put addressed by region id: the
-		// backend charges initiator CPU plus wire time; no instance lock is
-		// needed because the data path is offloaded (packet queues are
-		// inherently thread-safe).
-		ep, err := p.controlEndpoint(rs.dstWorld)
-		if err != nil {
-			rs.req.finish(err)
-			return
-		}
-		if err := ep.PutRegion(regionID, 0, rs.buf[:sink], nil); err != nil {
-			// The receiver tore the sink region down (e.g. its side of the
-			// transfer failed): the data cannot land, so fail the send.
-			p.spcs.Inc(spc.LatePackets)
-			rs.req.finish(fmt.Errorf("core: rendezvous put: %w", err))
-			return
-		}
-		carried = 0
+	if sink > uint64(len(rs.buf)) {
+		p.spcs.Inc(spc.LatePackets)
+		rs.req.finish(fmt.Errorf("%w: ACK permits %d bytes of a %d-byte send", ErrProtocol, sink, len(rs.buf)))
+		return
 	}
-
-	// {rdv id, data}: built here for this packet alone, so the packet takes it
-	// without the second copy of all the data a copying constructor would make.
-	fin := make([]byte, 8+carried)
-	binary.LittleEndian.PutUint64(fin, id)
-	copy(fin[8:], rs.buf[:carried])
+	ep, err := p.controlEndpoint(rs.dstWorld)
+	if err != nil {
+		rs.req.finish(err)
+		return
+	}
 	env := pkt.Envelope()
 	finEnv := transport.Envelope{
 		Src: env.Dst, Dst: env.Src, Comm: c.id, Kind: transport.KindRendezvousData,
 	}
-	finPkt := transport.NewPacketOwned(finEnv, fin, nil)
+	finPkt := transport.NewPacketRaw(finEnv, pkt.Payload[:8], nil)
 	p.rel.track(finPkt, rs.dstWorld, nil, nil)
-	if err := p.sendControl(rs.dstWorld, finPkt); err != nil {
-		rs.req.finish(err)
-		return
+	switch err := ep.PutNotify(regionID, rs.buf[:sink], finPkt); {
+	case errors.Is(err, transport.ErrRegionUnavailable):
+		// The receiver tore the sink region down (e.g. its side of the
+		// transfer failed): the data cannot land, so fail the send.
+		p.spcs.Inc(spc.LatePackets)
+		rs.req.finish(fmt.Errorf("core: rendezvous put: %w", err))
+	case err != nil:
+		rs.req.finish(fmt.Errorf("core: rendezvous data from rank %d to %d: %v: %w",
+			p.rank, rs.dstWorld, err, ErrPeerUnreachable))
+	default:
+		rs.req.finish(nil)
 	}
-	rs.req.finish(nil)
 }
 
-// handleRendezvousFIN runs on the receiver: the data has landed (or rides
-// the FIN itself); finish the receive.
+// handleRendezvousFIN runs on the receiver: the data has landed in the sink;
+// finish the receive.
 func (c *Comm) handleRendezvousFIN(pkt *transport.Packet) {
 	p := c.proc
-	id := binary.LittleEndian.Uint64(pkt.Payload)
 	env := pkt.Envelope()
-	key := rdvKey{srcWorld: c.group[env.Src], id: id}
+	if len(pkt.Payload) < 8 || env.Src < 0 || int(env.Src) >= len(c.group) {
+		p.spcs.Inc(spc.LatePackets)
+		return
+	}
+	key := rdvKey{srcWorld: c.group[env.Src], id: binary.LittleEndian.Uint64(pkt.Payload)}
 	rr := p.takeRdvRecv(key)
 	if rr == nil {
 		// Duplicate or orphaned FIN — the receive already completed (or was
 		// torn down). Count and drop.
 		p.spcs.Inc(spc.LatePackets)
 		return
-	}
-	if data := pkt.Payload[8:]; len(data) > 0 && rr.sink > 0 {
-		// Data-in-FIN path of non-one-sided backends.
-		copy(rr.region.Bytes(), data[:rr.sink])
 	}
 	p.dev.DeregisterMemory(rr.region)
 	p.flightRing.Record(flight.KindRendezvousDone, c.id, rr.src, int32(rr.sink))

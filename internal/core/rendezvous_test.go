@@ -1,0 +1,295 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/hw"
+	"repro/internal/spc"
+	"repro/internal/transport"
+	"repro/internal/transport/tcpnet"
+)
+
+// control builds a rendezvous control packet as a peer's wire would deliver
+// it: kind from communicator rank src of the world communicator, payload made
+// of the given little-endian words cut to size bytes.
+func control(kind transport.Kind, src int32, size int, words ...uint64) *transport.Packet {
+	var payload []byte
+	for _, w := range words {
+		payload = binary.LittleEndian.AppendUint64(payload, w)
+	}
+	env := transport.Envelope{Src: src, Dst: 0, Tag: 5, Comm: 1, Len: 1 << 10, Kind: kind}
+	return transport.NewPacketRaw(env, payload[:size], nil)
+}
+
+// TestHostileRendezvousControl: the rendezvous handlers take lengths, a sink
+// size and a source rank off the wire. A packet that is short, permits more
+// than was offered or names a rank outside the communicator is counted in
+// late_packets and dropped without a panic, and a request it leaves with no
+// way to complete fails with ErrProtocol instead of spinning in Wait.
+func TestHostileRendezvousControl(t *testing.T) {
+	opts := Stock()
+	opts.EagerLimit = 16
+	msg := bytes.Repeat([]byte{7}, 100)
+	for _, tc := range []struct {
+		name string
+		// pkt builds the hostile packet for rank 0; id is the transfer id of
+		// the rendezvous send rank 0 has pending.
+		pkt func(id uint64) *transport.Packet
+		// recv posts a receive on rank 0, from any source, for the packet to
+		// match.
+		recv bool
+		// failsSend / failsRecv: the pending request ends with ErrProtocol;
+		// otherwise it must still be pending.
+		failsSend, failsRecv bool
+	}{
+		{name: "ACK shorter than its three words",
+			pkt: func(id uint64) *transport.Packet { return control(transport.KindRendezvousACK, 1, 23, id, 1, 40) }},
+		{name: "ACK permitting more than the send holds", failsSend: true,
+			pkt: func(id uint64) *transport.Packet { return control(transport.KindRendezvousACK, 1, 24, id, 1, 101) }},
+		{name: "ACK permitting a length of all ones", failsSend: true,
+			pkt: func(id uint64) *transport.Packet {
+				return control(transport.KindRendezvousACK, 1, 24, id, 1, ^uint64(0))
+			}},
+		{name: "FIN shorter than a transfer id",
+			pkt: func(id uint64) *transport.Packet { return control(transport.KindRendezvousData, 1, 7, id) }},
+		{name: "FIN from a rank outside the communicator",
+			pkt: func(id uint64) *transport.Packet { return control(transport.KindRendezvousData, 99, 8, id) }},
+		{name: "FIN from a negative rank",
+			pkt: func(id uint64) *transport.Packet { return control(transport.KindRendezvousData, -3, 8, id) }},
+		{name: "RTS shorter than a transfer id", recv: true, failsRecv: true,
+			pkt: func(id uint64) *transport.Packet { return control(transport.KindRendezvousRTS, 1, 4, id) }},
+		{name: "RTS from a rank outside the communicator", recv: true, failsRecv: true,
+			pkt: func(id uint64) *transport.Packet { return control(transport.KindRendezvousRTS, 99, 8, id) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newTestWorld(t, 2, opts)
+			p := w.Proc(0)
+			th, c := p.NewThread(), p.CommWorld()
+			// A rendezvous send nobody answers: the hostile packet is all that
+			// ever arrives for it.
+			sreq, err := c.Isend(th, 1, 5, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rreq *Request
+			if tc.recv {
+				if rreq, err = c.Irecv(th, int(AnySource), 5, make([]byte, 40)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := p.spcs.Get(spc.LatePackets)
+			p.deliver(nil, nil, tc.pkt(p.rdvNext.Load()))
+			if got := p.spcs.Get(spc.LatePackets) - before; got != 1 {
+				t.Errorf("late_packets rose by %d, want 1", got)
+			}
+			check := func(what string, req *Request, fails bool) {
+				switch {
+				case req == nil:
+				case fails && (!req.Done() || !errors.Is(req.err, ErrProtocol)):
+					t.Errorf("%s: done=%v err=%v, want failed with ErrProtocol", what, req.Done(), req.err)
+				case !fails && req.Done():
+					t.Errorf("%s completed (err %v) by a packet that should have been dropped", what, req.err)
+				}
+			}
+			check("send", sreq, tc.failsSend)
+			check("receive", rreq, tc.failsRecv)
+		})
+	}
+}
+
+// TestTCPRendezvousAllocations: a steady-state 64 KiB rendezvous over loopback
+// tcp moves its payload without putting it on the heap — the FIN streams out
+// of the send buffer and lands in the posted receive — so one message costs
+// its handful of small objects (two requests, RTS, ACK and FIN packets with
+// their few payload bytes; 17 objects when the payload still rode the FIN)
+// and well under 4 KiB of heap (148 880 B then). A payload-sized make
+// anywhere on the path fails the byte bound at once.
+func TestTCPRendezvousAllocations(t *testing.T) {
+	const size = 64 << 10
+	nets, err := tcpnet.NewLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var th [2]*Thread
+	var c [2]*Comm
+	for rank := range th {
+		w, err := NewDistributedWorld(hw.Fast(), rank, 2, nets[rank], Stock())
+		if err != nil {
+			t.Fatalf("rank %d world: %v", rank, err)
+		}
+		t.Cleanup(w.Close)
+		th[rank], c[rank] = w.LocalProc().NewThread(), w.LocalProc().CommWorld()
+	}
+	payload, buf := make([]byte, size), make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	one := func() {
+		clear(buf)
+		rreq, err := c[1].Irecv(th[1], 0, 7, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sreq, err := c[0].Isend(th[0], 1, 7, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !sreq.Done() || !rreq.Done() {
+			th[0].Progress()
+			th[1].Progress()
+		}
+		if sreq.err != nil || rreq.err != nil || !bytes.Equal(buf, payload) {
+			t.Fatalf("send %v, receive %v, payload intact: %v", sreq.err, rreq.err, bytes.Equal(buf, payload))
+		}
+	}
+	one() // dial and handshake outside the measurement
+	pinAllocs(t, "core 64 KiB rendezvous, per message (tcp)", 17, 1, one)
+	const runs = 50
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		one()
+	}
+	runtime.ReadMemStats(&m1)
+	perMsg := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	t.Logf("heap bytes per 64 KiB rendezvous message: %d", perMsg)
+	if perMsg >= 4<<10 && !raceEnabled {
+		t.Errorf("a 64 KiB rendezvous allocates %d bytes of heap per message, want under 4 KiB: the payload is being copied to the heap", perMsg)
+	}
+}
+
+// handDial connects to a tcp rank's listener as rank 0 and completes the
+// handshake (tcpnet package comment: hello, echo, offset), returning the raw
+// connection for hand-written frames.
+func handDial(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	hello := binary.LittleEndian.AppendUint32(nil, 0x43524933) // "CRI3"
+	hello = append(hello, make([]byte, 4+4+8)...)              // rank 0, reserved, t1
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, make([]byte, 16)); err != nil { // echo: t2, t3
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(make([]byte, 16)); err != nil { // offset: θ, δ
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestRendezvousDataAndFINAreOneFrame: over tcp the body and its FIN share a
+// frame, so a link that dies between the frame's head and its last body byte
+// takes both. The receive stays pending — it is never completed over bytes
+// that did not arrive — and completes, intact, when the whole frame is
+// replayed on a new connection. Rank 1 is a real world; the test plays rank 0
+// on raw sockets.
+func TestRendezvousDataAndFINAreOneFrame(t *testing.T) {
+	const size, id = 64 << 10, 0x51
+	nets, err := tcpnet.NewLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if d, err := nets[0].NewDevice(0, hw.Fast(), transport.DeviceConfig{}); err == nil {
+			d.Close() // rank 0 was played by hand: only its listener needs closing
+		}
+	})
+	w, err := NewDistributedWorld(hw.Fast(), 1, 2, nets[1], Stock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	th, c := w.LocalProc().NewThread(), w.LocalProc().CommWorld()
+	got := make([]byte, size)
+	rreq, err := c.Irecv(th, 0, 7, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn := handDial(t, nets[1].Addr())
+	idb := binary.LittleEndian.AppendUint64(nil, id)
+	rts := transport.NewPacketRaw(transport.Envelope{Src: 0, Dst: 1, Tag: 7, Comm: 1, Len: size, Kind: transport.KindRendezvousRTS}, idb, nil)
+	if _, err := conn.Write(rts.AppendMuxFrame(nil, 0)); err != nil {
+		t.Fatal(err)
+	}
+	// Rank 1 matches the RTS and answers on the connection it came in on.
+	ackc := make(chan *transport.Packet, 1)
+	go func() {
+		var n [4]byte
+		if _, err := io.ReadFull(conn, n[:]); err != nil {
+			t.Error(err)
+			close(ackc)
+			return
+		}
+		frame := make([]byte, binary.LittleEndian.Uint32(n[:]))
+		if _, err := io.ReadFull(conn, frame); err != nil {
+			t.Error(err)
+			close(ackc)
+			return
+		}
+		_, ack, err := transport.DecodeMuxFrame(frame)
+		if err != nil {
+			t.Error(err)
+		}
+		ackc <- ack
+	}()
+	var ack *transport.Packet
+	for deadline := time.Now().Add(10 * time.Second); ack == nil; {
+		th.Progress()
+		select {
+		case ack = <-ackc:
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no ACK for the hand-written RTS")
+		}
+	}
+	if ack == nil || ack.Envelope().Kind != transport.KindRendezvousACK || len(ack.Payload) != 24 ||
+		binary.LittleEndian.Uint64(ack.Payload) != id || binary.LittleEndian.Uint64(ack.Payload[16:]) != size {
+		t.Fatalf("rank 1 answered the RTS with %+v", ack)
+	}
+	region := binary.LittleEndian.Uint64(ack.Payload[8:])
+
+	body := make([]byte, size)
+	for i := range body {
+		body[i] = byte(i*11 + 3)
+	}
+	fin := transport.NewPacketRaw(transport.Envelope{Src: 0, Dst: 1, Comm: 1, Kind: transport.KindRendezvousData}, idb, nil)
+	frame := append(fin.AppendLandedFrame(nil, 0, region, size), body...)
+	if _, err := conn.Write(frame[:len(frame)-size/2]); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	// Long enough for rank 1 to read all that was sent and meet the end of
+	// the stream.
+	for stop := time.Now().Add(50 * time.Millisecond); time.Now().Before(stop); {
+		th.Progress()
+	}
+	if rreq.Done() {
+		t.Fatalf("the receive completed (err %v) over a body whose second half never arrived", rreq.err)
+	}
+
+	// The sender's reconnect path: a new connection, the frame from its start.
+	again := handDial(t, nets[1].Addr())
+	if _, err := again.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := rreq.Wait(th); err != nil {
+		t.Fatal(err)
+	}
+	if st := rreq.Status(); st.Count != size || st.Truncated || !bytes.Equal(got, body) {
+		t.Fatalf("replayed transfer: status %+v, payload intact: %v", st, bytes.Equal(got, body))
+	}
+}

@@ -281,18 +281,23 @@ func headerSize(p *transport.Packet) int {
 	return transport.EnvelopeSize
 }
 
-// PutRegion writes src into the remote device's registered region at offset
-// — an RDMA write addressed by region id, routed through the endpoint so
-// callers need no handle on the peer's device. Completion is a local
-// PutComplete CQE carrying token.
-func (e *Endpoint) PutRegion(regionID uint64, offset int, src []byte, token any) error {
-	rc, err := e.resolve()
-	if err != nil {
-		return err
+// PutNotify writes src into the remote device's registered region — an RDMA
+// write addressed by region id, routed through the endpoint so callers need
+// no handle on the peer's device, completing with a local PutComplete CQE —
+// and then sends p. An empty src moves nothing and p goes alone.
+func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) error {
+	if len(src) > 0 {
+		rc, err := e.resolve()
+		if err != nil {
+			return err
+		}
+		r, ok := rc.dev.Region(regionID)
+		if !ok {
+			return transport.ErrRegionUnavailable
+		}
+		if err := e.local.Put(r, 0, src, nil); err != nil {
+			return err
+		}
 	}
-	r, ok := rc.dev.Region(regionID)
-	if !ok {
-		return transport.ErrRegionUnavailable
-	}
-	return e.local.Put(r, offset, src, token)
+	return e.Send(p)
 }

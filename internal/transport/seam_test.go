@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -78,6 +79,7 @@ func eager(seq uint32) *transport.Packet {
 type tally struct {
 	sendDone int
 	seqs     []uint32 // CQERecv sequence numbers, in delivery order
+	payloads [][]byte // CQERecv payloads, likewise
 }
 
 func (y *tally) handle(e transport.CQE) {
@@ -86,6 +88,7 @@ func (y *tally) handle(e transport.CQE) {
 		y.sendDone++
 	case transport.CQERecv:
 		y.seqs = append(y.seqs, e.Packet.Envelope().Seq)
+		y.payloads = append(y.payloads, e.Packet.Payload)
 	}
 }
 
@@ -183,6 +186,99 @@ func TestSeamContract(t *testing.T) {
 			other.device(t, 1, nil) // created so that its Close releases the listener
 			if ep, err := d0.Connect(fc, 1, 0); err == nil || ep != nil {
 				t.Fatalf("Connect with another backend's context = %v, %v; want nil and an error", ep, err)
+			}
+		})
+	}
+}
+
+// TestSeamPutNotify is the contract of the rendezvous bulk step, the same on
+// both backends: src is in the peer's region when p is delivered, p completes
+// locally once, src is the caller's again when the call returns, and p is
+// never delivered without src — toward a region the peer no longer holds the
+// transfer vanishes whole and the path stays usable.
+func TestSeamPutNotify(t *testing.T) {
+	for _, mk := range clusters {
+		cl := mk(t)
+		t.Run(cl.name, func(t *testing.T) {
+			d0, d1 := cl.device(t, 0, spc.NewSet()), cl.device(t, 1, spc.NewSet())
+			tx, rx := mustContext(t, d0), mustContext(t, d1)
+			ep := mustConnect(t, d0, tx, 1, 0)
+			fin := func(seq uint32) *transport.Packet {
+				env := transport.Envelope{Src: 0, Dst: 1, Seq: seq, Kind: transport.KindRendezvousData}
+				return transport.NewPacketRaw(env, []byte("transfer"), nil)
+			}
+			sink := make([]byte, 96<<10)
+			region := d1.RegisterMemory(sink)
+			var sender tally
+			// landed is what the region held at the moment each packet surfaced.
+			var landed [][]byte
+			var receiver tally
+			onRecv := func(e transport.CQE) {
+				if e.Kind == transport.CQERecv {
+					landed = append(landed, append([]byte(nil), sink...))
+					if e.Packet.Envelope().Kind != transport.KindRendezvousData && e.Packet.Envelope().Kind != transport.KindEager {
+						t.Errorf("delivered kind %v: a wire flag reached the receiver", e.Packet.Envelope().Kind)
+					}
+				}
+				receiver.handle(e)
+			}
+			wait := func(want int) {
+				t.Helper()
+				for deadline := time.Now().Add(10 * time.Second); len(receiver.seqs) < want; {
+					tx.Poll(sender.handle, 64)
+					rx.Poll(onRecv, 64)
+					if time.Now().After(deadline) {
+						t.Fatalf("receiver saw %d of %d packets", len(receiver.seqs), want)
+					}
+				}
+				for tx.Pending() {
+					tx.Poll(sender.handle, 64)
+				}
+			}
+
+			// A body shorter than the region (a truncating receive registers
+			// what it can take; a sender may offer less), overwritten by the
+			// caller the moment the call returns.
+			src := make([]byte, 64<<10)
+			for i := range src {
+				src[i] = byte(i*7 + 1)
+			}
+			want := append([]byte(nil), src...)
+			if err := ep.PutNotify(region.ID(), src, fin(0)); err != nil {
+				t.Fatal(err)
+			}
+			clear(src)
+			// An empty body: the packet goes alone.
+			if err := ep.PutNotify(region.ID(), nil, fin(1)); err != nil {
+				t.Fatal(err)
+			}
+			wait(2)
+			if !bytes.Equal(landed[0][:len(want)], want) || !bytes.Equal(landed[0][len(want):], make([]byte, len(sink)-len(want))) {
+				t.Fatal("the region did not hold exactly the body when its packet was delivered")
+			}
+			if string(receiver.payloads[0]) != "transfer" || receiver.seqs[0] != 0 || receiver.seqs[1] != 1 {
+				t.Fatalf("delivered %v with payload %q, want packets 0 and 1 carrying their own payload", receiver.seqs, receiver.payloads[0])
+			}
+			if sender.sendDone != 2 {
+				t.Fatalf("%d send completions for 2 PutNotify calls", sender.sendDone)
+			}
+
+			// A region that is gone: nothing is delivered, whether the backend
+			// can tell the caller (in process) or only the receiver finds out
+			// (tcp), and the packet sent next arrives.
+			d1.DeregisterMemory(region)
+			if err := ep.PutNotify(region.ID(), want, fin(2)); err != nil && !errors.Is(err, transport.ErrRegionUnavailable) {
+				t.Fatalf("PutNotify toward a deregistered region = %v, want nil or ErrRegionUnavailable", err)
+			}
+			if err := ep.Send(eager(3)); err != nil {
+				t.Fatal(err)
+			}
+			wait(3)
+			if receiver.seqs[2] != 3 {
+				t.Fatalf("packet %d was delivered without its body", receiver.seqs[2])
+			}
+			if !bytes.Equal(sink, landed[0]) {
+				t.Fatal("a transfer toward a deregistered region wrote into its old buffer")
 			}
 		})
 	}

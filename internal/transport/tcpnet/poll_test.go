@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -725,4 +726,194 @@ func TestIdlePollAllocatesNothing(t *testing.T) {
 		c0.Poll(nop, 0)
 		c1.Poll(nop, 0)
 	})
+}
+
+// landedFrame is the wire form of a landed frame toward context mux: the FIN
+// of transfer id (seq numbers it within its stream) and, behind it, body for
+// the receiver's region.
+func landedFrame(mux uint32, seq int, id, region uint64, body []byte) []byte {
+	env := transport.Envelope{Src: 0, Dst: 1, Tag: int32(mux), Seq: uint32(seq), Kind: transport.KindRendezvousData}
+	fin := transport.NewPacketRaw(env, binary.LittleEndian.AppendUint64(nil, id), nil)
+	return append(fin.AppendLandedFrame(nil, mux, region, len(body)), body...)
+}
+
+// seeded is n bytes no two offsets of which look alike for long.
+func seeded(n int) []byte {
+	b := make([]byte, n)
+	x := uint32(n)*2654435761 + 1
+	for i := range b {
+		x = x*1664525 + 1013904223
+		b[i] = byte(x >> 24)
+	}
+	return b
+}
+
+// TestLandedBody lands a seeded body in a registered region under each reader
+// alone — the pollers (no goroutine behind the connection) and the goroutine
+// (nobody polls until something is queued) — however the stream is cut up:
+// the body is in the region, whole, when its FIN is delivered, the FIN keeps
+// its place between the plain frames around it, and a frame whose link dies
+// between the head and the last body byte delivers nothing.
+func TestLandedBody(t *testing.T) {
+	const id = 0x1D
+	for _, tc := range []struct {
+		name  string
+		size  int  // body bytes
+		chunk int  // the peer writes this many bytes at a time (0: all at once)
+		ahead int  // plain frames ahead of the landed one
+		depth int  // ring depth (0: the default)
+		cut   bool // the link dies half-way through the body
+	}{
+		{name: "inside one window read", size: 4 << 10, ahead: 2},
+		{name: "one byte at a time", size: 300, chunk: 1, ahead: 1},
+		{name: "1 MiB, above the window", size: 1 << 20},
+		{name: "empty body", size: 0, ahead: 1},
+		{name: "ring full when the last byte lands", size: 4 << 10, ahead: 8, depth: 8},
+		{name: "link closed mid-body", size: 64 << 10, ahead: 1, cut: true},
+	} {
+		for _, reader := range []string{"pollers", "goroutine"} {
+			t.Run(tc.name+"/"+reader, func(t *testing.T) {
+				n, d, _, ctxs := newRank(t, tc.depth)
+				c := ctxs[0]
+				sink := make([]byte, tc.size+16) // the region may be larger than the body
+				region := d.RegisterMemory(sink)
+				peer, lk := pollOnly(t, n)
+				rx := &lk.rx
+				body := seeded(tc.size)
+				var stream []byte
+				for seq := 0; seq < tc.ahead; seq++ {
+					stream = append(stream, numbered(0, seq, nil)...)
+				}
+				stream = append(stream, landedFrame(0, tc.ahead, id, region.ID(), body)...)
+				whole := len(stream)
+				stream = append(stream, numbered(0, tc.ahead+1, []byte("behind"))...)
+				if tc.cut {
+					stream = stream[:whole-tc.size/2]
+				}
+				wrote := make(chan struct{})
+				go func() {
+					defer close(wrote)
+					for rest := stream; len(rest) > 0; {
+						m := len(rest)
+						if tc.chunk > 0 {
+							m = min(tc.chunk, m)
+						}
+						if _, err := peer.Write(rest[:m]); err != nil {
+							t.Error(err)
+							return
+						}
+						rest = rest[m:]
+					}
+					if tc.cut {
+						peer.Close()
+					}
+				}()
+				if tc.depth > 0 {
+					<-wrote
+					time.Sleep(2 * time.Millisecond) // one read takes it all: the ring fills under the FIN
+				}
+				if reader == "goroutine" {
+					attendLater(n, lk)
+				}
+				// next waits for the next delivery. With the goroutine reading,
+				// a pass is made only once something is queued and handles one
+				// event, so it never reaches the socket itself.
+				deadline := time.Now().Add(20 * time.Second)
+				next := func() (*transport.Packet, bool) {
+					for time.Now().Before(deadline) {
+						var got *transport.Packet
+						if reader == "pollers" || c.Pending() {
+							c.Poll(func(e transport.CQE) { got = e.Packet }, 1)
+						}
+						rx.mu.Lock()
+						ended := rx.err != nil && rx.held == nil
+						rx.mu.Unlock()
+						if got != nil {
+							return got, true
+						}
+						if ended && !c.Pending() {
+							return nil, false
+						}
+					}
+					t.Fatal("the stream neither delivered nor ended")
+					return nil, false
+				}
+				if tc.depth > 0 {
+					// Nothing is popped yet: the frames ahead fill the ring and
+					// the FIN, its body landed, is what the record keeps.
+					var held *transport.Packet
+					for held == nil && time.Now().Before(deadline) {
+						if reader == "pollers" {
+							n.sweep(c.(*Context))
+						}
+						rx.mu.Lock()
+						held = rx.held
+						rx.mu.Unlock()
+					}
+					if held == nil || held.Envelope().Kind != transport.KindRendezvousData || !bytes.Equal(sink[:tc.size], body) {
+						t.Fatalf("ring full under the landed frame: the record keeps %v, body landed: %v", held, bytes.Equal(sink[:tc.size], body))
+					}
+				}
+				for seq := 0; seq < tc.ahead; seq++ {
+					if p, ok := next(); !ok || p.Envelope().Seq != uint32(seq) || p.Envelope().Kind != transport.KindEager {
+						t.Fatalf("plain frame %d ahead of the landed one: got %v, %v", seq, p, ok)
+					}
+				}
+				fin, ok := next()
+				if tc.cut {
+					if ok {
+						t.Fatalf("a frame whose link died mid-body delivered %v", fin.Envelope())
+					}
+					rx.mu.Lock()
+					midair, left := rx.body.pkt != nil, rx.body.left
+					rx.mu.Unlock()
+					if !midair || left != tc.size/2 {
+						t.Fatalf("the record holds a packet in mid-air: %v, owed %d body bytes; want true and %d", midair, left, tc.size/2)
+					}
+					if !bytes.Equal(sink[:tc.size-left], body[:tc.size-left]) || !bytes.Equal(sink[tc.size-left:], make([]byte, left+16)) {
+						t.Fatal("the bytes that did arrive are not the head of the body, or something wrote past them")
+					}
+					return
+				}
+				if !ok {
+					t.Fatal("the stream ended before the landed frame's packet")
+				}
+				if env := fin.Envelope(); env.Kind != transport.KindRendezvousData || env.Seq != uint32(tc.ahead) ||
+					len(fin.Payload) != 8 || binary.LittleEndian.Uint64(fin.Payload) != id {
+					t.Fatalf("packet behind the body: %v with payload %x, want the FIN of transfer %#x with no flag left", env, fin.Payload, id)
+				}
+				if !bytes.Equal(sink[:tc.size], body) || !bytes.Equal(sink[tc.size:], make([]byte, 16)) {
+					t.Fatal("the region does not hold exactly the body when its FIN is delivered")
+				}
+				if p, ok := next(); !ok || string(p.Payload) != "behind" {
+					t.Fatalf("plain frame behind the landed one: got %v, %v", p, ok)
+				}
+				rx.mu.Lock()
+				spilled := cap(rx.scratch)
+				rx.mu.Unlock()
+				if spilled != 0 {
+					t.Fatalf("a %d-byte body took the spill path: scratch holds %d bytes", tc.size, spilled)
+				}
+			})
+		}
+	}
+}
+
+// TestLandedFrameForAGoneRegion: the receive was torn down while its data was
+// on the way. The body is read off the stream and dropped with its packet,
+// late_packets ticks once, and the connection carries on.
+func TestLandedFrameForAGoneRegion(t *testing.T) {
+	n, d, ctr, ctxs := newRank(t, 0)
+	gone := d.RegisterMemory(make([]byte, 1<<20))
+	d.DeregisterMemory(gone)
+	peer, _ := pollOnly(t, n)
+	stream := landedFrame(0, 0, 1, gone.ID(), seeded(1<<20)) // read through the window four times over
+	stream = append(stream, numbered(0, 1, []byte("behind"))...)
+	go peer.Write(stream)
+	if e := poll1(t, ctxs[0]); string(e.Packet.Payload) != "behind" {
+		t.Fatalf("first delivery is %v %q, want the plain frame behind the dropped one", e.Packet.Envelope(), e.Packet.Payload)
+	}
+	if late, bad := ctr.Get(spc.LatePackets), ctr.Get(spc.WireFramesRejected); late != 1 || bad != 0 {
+		t.Fatalf("late_packets = %d, wire_frames_rejected = %d; want 1 and 0", late, bad)
+	}
 }

@@ -24,7 +24,12 @@
 //
 // where the mux ID is the destination context index — the demux key that
 // routes the frame to one of the shared connection's per-context receive
-// rings. Each connection opens with a three-frame handshake that names the
+// rings. A rendezvous FIN travels as a landed frame (Endpoint.PutNotify,
+// transport.AppendLandedFrame): its envelope carries FlagLanded, a region id
+// and a body length n, and behind the packet come n body bytes the reader
+// writes into that region before it delivers the packet. Data and FIN are one
+// frame, so a link that dies mid-transfer loses both and the receive stays
+// pending. Each connection opens with a three-frame handshake that names the
 // dialing rank and takes one NTP-style clock sample:
 //
 //	dialer → server: magic(4) rank(4) reserved(4) t1(8)  — hello, 20 bytes
@@ -49,8 +54,10 @@
 //   - any of the rank's contexts finishes a Context.Poll (so Isend×128 then
 //     WaitAll is one syscall, and a blocking Send is still exactly one,
 //     issued by the Wait's first progress pass);
-//   - it crosses flushBytes (so a rendezvous-sized frame goes out inline,
-//     on the sending thread, as it always did);
+//   - it crosses flushBytes (so a frame near the eager limit goes out
+//     inline, on the sending thread);
+//   - a landed frame is sent: its head joins the buffer and the user's send
+//     buffer follows in the same vectored write, uncopied;
 //   - the backstop timer fires, at most backstopDelay after a clean→dirty
 //     transition — the liveness net under a caller that sends and never
 //     re-enters the runtime. The timer arms on that transition only, so an
@@ -97,8 +104,11 @@
 // also does the waiting a poller must not: for room in a full ring (the
 // decoded packet is kept in the record and delivered first by the next step,
 // whoever makes it), for a context the peer's first frame beat into
-// existence, and for the rest of a frame larger than the window, which spills
-// into a reused scratch slice grown as its bytes actually arrive. A poller
+// existence, and for the rest of a plain frame larger than the window, which
+// spills into a reused scratch slice grown as its bytes actually arrive. (A
+// landed frame never spills: step copies what the window holds of its body
+// into the region and reads the rest from the socket straight into it, one
+// non-blocking read per step, whoever steps.) A poller
 // that leaves any of these behind, or meets the end of the stream, wakes the
 // goroutine with an expired read deadline — the netpoller reports a socket
 // only while bytes sit in it, and the poller took them. wire_reads_polled and
@@ -120,9 +130,9 @@
 // Caps.Lossless and the runtime skips the ack/retransmit delivery layer.
 // (A dial-race handover can reorder frames across the old and new
 // connection; the matching engine's out-of-sequence buffering absorbs
-// exactly that.) One-sided operations are not supported: rendezvous bulk
-// data rides the FIN control message (the copy-in/copy-out path), and
-// window creation in internal/rma is refused up front.
+// exactly that.) One-sided operations are not supported (window creation in
+// internal/rma is refused up front); rendezvous bulk data crosses in the FIN's
+// landed frame, user buffer to kernel to user buffer.
 package tcpnet
 
 import (
@@ -183,8 +193,8 @@ const (
 	// default eager limit, so a full 128-message window of empty envelopes
 	// (7 KiB) coalesces while any rendezvous-sized frame goes out at once.
 	flushBytes = 8 << 10
-	// readBufSize is the reader's fixed window: holds several 64 KiB
-	// rendezvous frames, so only multi-hundred-KiB frames take the spill path.
+	// readBufSize is the reader's fixed window: any eager frame fits many
+	// times over, so only a plain frame of hundreds of KiB takes the spill path.
 	readBufSize = 256 << 10
 	// backstopDelay is the backstop timer period: far longer than a send
 	// burst takes to reach its own progress call (a 128-message window posts
@@ -207,8 +217,12 @@ const (
 	slabPackets = 64
 	// slabMaxFrame is the largest frame decoded into the slab. Above it the
 	// payload dwarfs the packet and sharing would only let one slow consumer
-	// pin its slab-mates' payloads (64 KiB rendezvous FINs measurably so).
+	// pin its slab-mates' payloads.
 	slabMaxFrame = 512
+	// maxLandedHead bounds a landed frame's head — all of it ahead of the
+	// body, length prefix included; a rendezvous FIN's is 76 bytes, 96 traced
+	// — so the reader has it whole in its window before a body byte moves.
+	maxLandedHead = 128
 )
 
 // errBadFrame reports inbound bytes that failed frame validation.
@@ -340,6 +354,10 @@ type peerSlot struct {
 	// buffer, owned by the wmu holder. Lock order: wmu → pmu.
 	wmu   sync.Mutex
 	spare []byte
+	// vec backs bufs, a landed frame's vectored write (the buffer, then the
+	// caller's body), so that it allocates nothing; owned by the wmu holder.
+	vec  [2][]byte
+	bufs net.Buffers
 
 	// pmu guards the pending buffer. Matched-path sends already hold their
 	// CRI lock, but distinct CRIs and control-path sends race onto the shared
@@ -394,7 +412,7 @@ func (n *Network) enqueue(peer int, p *transport.Packet, mux uint32) {
 	full := len(s.pend) >= flushBytes
 	s.pmu.Unlock()
 	if full {
-		n.flush(peer, false)
+		_ = n.flush(peer, false, nil, nil) // a failure waits in flushErr for the next Send
 	} else if wasClean {
 		n.armBackstop()
 	}
@@ -404,7 +422,7 @@ func (n *Network) enqueue(peer int, p *transport.Packet, mux uint32) {
 func (n *Network) flushDirty(backstop bool) {
 	for i := range n.slots {
 		if n.slots[i].dirty.Load() {
-			n.flush(i, backstop)
+			_ = n.flush(i, backstop, nil, nil) // a failure waits in flushErr for the next Send
 		}
 	}
 }
@@ -416,15 +434,26 @@ func (n *Network) flushDirty(backstop bool) {
 // pass must not sit in a dial, so nothing retries until a Send toward the peer
 // re-establishes the path and marks the slot dirty again — and the failure is
 // counted and left in flushErr for the next Send to return.
-func (n *Network) flush(peer int, backstop bool) {
+//
+// head and body, when given, are a landed frame: head joins the buffer under
+// the write-order lock, so nothing comes between the two, and body follows it
+// from the caller's memory in the same write; nil means the kernel has every
+// byte. Its failure is the caller's to report at once — the body is not ours
+// to keep for a replay — so head is cut back out before the rest is stranded.
+func (n *Network) flush(peer int, backstop bool, head, body []byte) error {
 	s := &n.slots[peer]
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.pmu.Lock()
+	ahead := len(s.pend)
+	if head != nil {
+		s.pend = append(s.pend, head...)
+		s.frames++
+	}
 	buf, frames := s.pend, s.frames
 	if len(buf) == 0 {
 		s.pmu.Unlock()
-		return
+		return nil
 	}
 	s.pend, s.frames = s.spare[:0], 0
 	if s.dirty.Swap(false) {
@@ -433,7 +462,7 @@ func (n *Network) flush(peer int, backstop bool) {
 	s.pmu.Unlock()
 
 	ctr := n.counters()
-	err := n.writeOut(peer, buf, ctr)
+	err := n.writeOut(peer, buf, body, ctr)
 	if err == nil {
 		s.spare = buf[:0]
 		ctr.Inc(spc.WireFlushes)
@@ -441,28 +470,36 @@ func (n *Network) flush(peer int, backstop bool) {
 		if backstop {
 			ctr.Inc(spc.WireBackstopFlushes)
 		}
-		return
+		return nil
+	}
+	if head != nil {
+		buf, frames = buf[:ahead], frames-1
 	}
 	s.pmu.Lock()
 	s.pend = append(buf, s.pend...)
 	s.frames += frames
 	s.pmu.Unlock()
 	s.spare = nil
-	// A copy local to this branch: taking err's own address would move it to
-	// the heap on every flush, successful ones included.
-	failed := err
-	s.flushErr.Store(&failed)
 	ctr.Inc(spc.WireFlushFailures)
-	ctr.Add(spc.WireFramesStranded, int64(frames))
+	if frames > 0 {
+		// A copy local to this branch: taking err's own address would move it
+		// to the heap on every flush, successful ones included.
+		failed := err
+		s.flushErr.Store(&failed)
+		ctr.Add(spc.WireFramesStranded, int64(frames))
+	}
+	return err
 }
 
-// writeOut writes buf to the peer's link. A failed write marks the link
+// writeOut writes buf to the peer's link, and body behind it in the same
+// vectored write when there is one. A failed write marks the link
 // broken for every sharer and is retried once, whole, on a re-established
 // link: a peer restart or transient RST should not kill the path for the
 // rest of the run. The new stream starts at a frame boundary, so replaying
 // from the start of buf is safe; frames the peer had already consumed are
 // absorbed by the matching engine's sequence dedup.
-func (n *Network) writeOut(peer int, buf []byte, ctr *spc.Set) error {
+func (n *Network) writeOut(peer int, buf, body []byte, ctr *spc.Set) error {
+	s := &n.slots[peer]
 	var werr error
 	for attempt := 0; attempt < 2; attempt++ {
 		lk, _, err := n.linkTo(peer)
@@ -472,12 +509,21 @@ func (n *Network) writeOut(peer int, buf []byte, ctr *spc.Set) error {
 		if attempt > 0 {
 			ctr.Inc(spc.Reconnects)
 		}
-		m, err := lk.conn.Write(buf)
+		var m int
+		if len(body) == 0 {
+			m, err = lk.conn.Write(buf)
+		} else {
+			s.vec = [2][]byte{buf, body}
+			s.bufs = s.vec[:]
+			var m64 int64
+			m64, err = s.bufs.WriteTo(lk.conn)
+			m, s.vec, s.bufs = int(m64), [2][]byte{}, nil // the body is the caller's again
+		}
 		if err == nil {
 			return nil
 		}
 		werr = err
-		if m > 0 && m < len(buf) {
+		if m > 0 && m < len(buf)+len(body) {
 			// Part of the buffer reached the kernel before the connection
 			// died; that stream is now mid-frame and unusable.
 			ctr.Inc(spc.ShortWrites)
@@ -624,15 +670,20 @@ func (n *Network) Addr() string {
 
 func (n *Network) Caps() transport.Caps { return Caps() }
 
+// device returns the rank's device, nil before its creation.
+func (n *Network) device() *Device {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.dev
+}
+
 // counters returns the device's SPC set, or nil before device creation (a
 // nil *spc.Set ignores updates).
 func (n *Network) counters() *spc.Set {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.dev == nil {
-		return nil
+	if dev := n.device(); dev != nil {
+		return dev.counters
 	}
-	return n.dev.counters
+	return nil
 }
 
 func (n *Network) isClosed() bool {
@@ -900,7 +951,9 @@ type rxConn struct {
 	// either caller, delivers it before anything else.
 	held    *transport.Packet
 	heldMux uint32
-	err     error
+	// body is the landed frame in mid-air, if any (see land).
+	body landingBody
+	err  error
 	// ctxs caches the destination contexts by mux ID.
 	ctxs []*Context
 }
@@ -940,12 +993,25 @@ func (rx *rxConn) toRing(mux uint32, pkt *transport.Packet) rxState {
 	return rxMore
 }
 
+// landingBody is a landed frame between its head, decoded, and the last byte
+// of its body.
+type landingBody struct {
+	// pkt goes to context mux once the body is whole. nil: the region was
+	// gone, and body and packet are dropped.
+	pkt *transport.Packet
+	mux uint32
+	// dst is the part of the region still to fill (empty while dropping),
+	// left the body bytes the stream still owes.
+	dst  []byte
+	left int
+}
+
 // step advances the receive half without ever waiting: deliver what is
 // already in hand, read once, deliver every frame the read completed. ctr and
 // by name the counter a read that returned bytes ticks. The stream fails
 // validation, and ends with errBadFrame, on a declared length outside
-// [MuxHeaderSize, maxFrame], a mux ID ≥ maxMux or a packet DecodeMuxFrameInto
-// rejects.
+// [MuxHeaderSize, maxFrame], a mux ID ≥ maxMux, a packet DecodeMuxFrameInto
+// rejects or a landed frame land refuses.
 func (rx *rxConn) step(ctr *spc.Set, by spc.Counter) rxState {
 	if rx.err != nil {
 		return rxEnded
@@ -963,10 +1029,19 @@ func (rx *rxConn) step(ctr *spc.Set, by spc.Counter) rxState {
 		// front so the read has the whole window behind it.
 		rx.hi = copy(rx.buf, rx.buf[rx.lo:rx.hi])
 		rx.lo = 0
-		m, err := rx.readOnce(rx.buf[rx.hi:])
+		b, into := &rx.body, rx.buf[rx.hi:]
+		landing := len(b.dst) > 0
+		if landing {
+			into = b.dst // from the socket straight into the region; the window is empty
+		}
+		m, err := rx.readOnce(into)
 		switch {
 		case m > 0:
-			rx.hi += m
+			if landing {
+				b.dst, b.left = b.dst[m:], b.left-m
+			} else {
+				rx.hi += m
+			}
 			ctr.Inc(by)
 		case err == errWouldBlock:
 			return rxIdle
@@ -988,9 +1063,10 @@ func (rx *rxConn) readOnce(p []byte) (int, error) {
 	return rx.src.Read(p)
 }
 
-// decode delivers the kept packet, then every complete frame in the window.
-// It returns rxMore when all of it went through and only a partial frame (or
-// nothing) is left.
+// decode delivers the kept packet, moves what the window holds of a body in
+// mid-air, then delivers every complete frame in the window. It returns rxMore
+// when all of it went through and only a partial frame or body (or nothing)
+// is left.
 func (rx *rxConn) decode() rxState {
 	if rx.held != nil {
 		if st := rx.deliver(rx.heldMux, rx.held); st != rxMore {
@@ -998,11 +1074,25 @@ func (rx *rxConn) decode() rxState {
 		}
 		rx.held = nil
 	}
+	if st := rx.landMore(); st != rxMore || rx.body.left > 0 {
+		return st
+	}
 	buf := rx.buf
 	for rx.hi-rx.lo >= 4 {
 		flen := int(binary.LittleEndian.Uint32(buf[rx.lo:]))
 		if flen < transport.MuxHeaderSize || flen > maxFrame {
 			return rx.end(errBadFrame)
+		}
+		if rx.hi-rx.lo < min(4+flen, maxLandedHead, len(buf)) {
+			break // too little to tell a landed frame, and have its head whole
+		}
+		if rx.hi-rx.lo >= transport.LandedPeek {
+			if region, n, landed := transport.PeekLanded(buf[rx.lo:rx.hi]); landed {
+				if st := rx.land(flen, region, n); st != rxMore || rx.body.left > 0 {
+					return st
+				}
+				continue
+			}
 		}
 		var body []byte
 		if end := rx.lo + 4 + flen; end <= rx.hi {
@@ -1020,18 +1110,70 @@ func (rx *rxConn) decode() rxState {
 		if err != nil || mux >= maxMux {
 			return rx.end(errBadFrame)
 		}
-		if pkt.TraceID != 0 {
-			// Transport-arrival stamp for the critical-path attribution
-			// layer: the gap to the matching-engine delivery stamp is the
-			// receive-side progress lag (deliver_wait stage).
-			pkt.ArriveNs = time.Now().UnixNano()
-		}
-		if st := rx.deliver(mux, pkt); st != rxMore {
-			rx.held, rx.heldMux = pkt, mux
+		if st := rx.hand(mux, pkt); st != rxMore {
 			return st
 		}
 	}
 	return rxMore
+}
+
+// hand passes a decoded packet on, keeping it for the next step when deliver
+// cannot take it.
+func (rx *rxConn) hand(mux uint32, pkt *transport.Packet) rxState {
+	if pkt.TraceID != 0 {
+		// Transport-arrival stamp for the critical-path attribution
+		// layer: the gap to the matching-engine delivery stamp is the
+		// receive-side progress lag (deliver_wait stage).
+		pkt.ArriveNs = time.Now().UnixNano()
+	}
+	st := rx.deliver(mux, pkt)
+	if st != rxMore {
+		rx.held, rx.heldMux = pkt, mux
+	}
+	return st
+}
+
+// land begins the landed frame at the front of the window: flen is its
+// declared length, region and n what its landing extension says. All is
+// checked before a body byte moves: the head — the frame less its body — is at
+// most maxLandedHead bytes and decodes to a rendezvous data packet for a mux
+// ID below maxMux, and the body fits the region registered under that id;
+// anything else is a bad frame. A region that is gone (the receive was torn
+// down with its data on the way) is nobody's fault: body and packet are read
+// off and dropped, late_packets ticks once, and the stream goes on.
+func (rx *rxConn) land(flen int, region uint64, n int) rxState {
+	head := 4 + flen - n
+	if n > flen || head > maxLandedHead || head > rx.hi-rx.lo { // the last in a window below maxLandedHead only
+		return rx.end(errBadFrame)
+	}
+	pkt := rx.packet(head)
+	mux, err := transport.DecodeLandedHeadInto(pkt, rx.buf[rx.lo+4:rx.lo+head])
+	dst, ok := rx.net.region(region)
+	if err != nil || mux >= maxMux || ok && n > len(dst) {
+		return rx.end(errBadFrame)
+	}
+	if rx.lo += head; ok {
+		rx.body = landingBody{pkt: pkt, mux: mux, dst: dst[:n], left: n}
+	} else {
+		rx.net.counters().Inc(spc.LatePackets)
+		rx.body = landingBody{left: n}
+	}
+	return rx.landMore()
+}
+
+// landMore moves what the window holds of the body in mid-air, if there is
+// one, and delivers the packet behind a body that is whole.
+func (rx *rxConn) landMore() rxState {
+	b := &rx.body
+	m := min(rx.hi-rx.lo, b.left)
+	b.dst = b.dst[copy(b.dst, rx.buf[rx.lo:rx.lo+m]):]
+	rx.lo, b.left = rx.lo+m, b.left-m
+	if b.left > 0 || b.pkt == nil {
+		return rxMore
+	}
+	pkt := b.pkt
+	b.pkt = nil
+	return rx.hand(b.mux, pkt)
 }
 
 // end records why the stream is over; the first reason stands.
@@ -1279,13 +1421,20 @@ func (n *Network) waitContext(idx int) *Context {
 
 // context returns local context idx, or nil while it does not exist.
 func (n *Network) context(idx int) *Context {
-	n.mu.Lock()
-	dev := n.dev
-	n.mu.Unlock()
-	if dev == nil {
-		return nil
+	if dev := n.device(); dev != nil {
+		return dev.Context(idx)
 	}
-	return dev.Context(idx)
+	return nil
+}
+
+// region returns the buffer registered under id, for a landed frame to fill.
+func (n *Network) region(id uint64) ([]byte, bool) {
+	if dev := n.device(); dev != nil {
+		if r, ok := dev.Region(id); ok {
+			return r.Bytes(), true
+		}
+	}
+	return nil, false
 }
 
 // dial connects to a peer's listener, retrying while it comes up. Each
@@ -1326,7 +1475,7 @@ func (n *Network) close() {
 	n.mu.Unlock()
 	n.backstop.Stop()
 	for i := range n.slots {
-		n.flush(i, false)
+		_ = n.flush(i, false, nil, nil) // best effort: nobody is left to tell
 	}
 	if n.ln != nil {
 		n.ln.Close()
@@ -1585,7 +1734,18 @@ func (e *Endpoint) inject(p *transport.Packet) error {
 		e.loop.push(p)
 		return nil
 	}
-	if size := transport.MuxHeaderSize + p.WireSize(); size > maxFrame {
+	if err := e.path(transport.MuxHeaderSize + p.WireSize()); err != nil {
+		return err
+	}
+	e.dev.net.enqueue(e.peer, p, e.mux)
+	return nil
+}
+
+// path readies the way to the peer for a frame of size bytes: a frame above
+// maxFrame is refused, a flush that lost the peer earlier is reported, and the
+// first use establishes the link.
+func (e *Endpoint) path(size int) error {
+	if size > maxFrame {
 		return fmt.Errorf("tcpnet: %d-byte frame to peer %d exceeds the %d-byte frame limit", size, e.peer, maxFrame)
 	}
 	n := e.dev.net
@@ -1603,13 +1763,39 @@ func (e *Endpoint) inject(p *transport.Packet) error {
 	if !e.attached.Load() && !e.attached.Swap(true) && !established {
 		e.dev.counters.Inc(spc.ConnsReused)
 	}
-	n.enqueue(e.peer, p, e.mux)
 	return nil
 }
 
-// PutRegion requires one-sided support, which TCP does not advertise.
-func (e *Endpoint) PutRegion(regionID uint64, offset int, src []byte, token any) error {
-	return transport.ErrNotSupported
+// PutNotify sends p as a landed frame: what is pending toward the peer, p's
+// head and then src itself, uncopied, leave in one vectored write on the
+// calling thread, and the peer's reader fills its region before it delivers p
+// (rxConn.land). A write that fails, re-established link included, fails the
+// call, and the peer never sees the transfer. The frame, body counted, is held
+// to maxFrame and its head to maxLandedHead before a byte is written. A
+// same-rank endpoint copies into the local region at once.
+func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) error {
+	if e.loop != nil {
+		dst, ok := e.local.net.region(regionID)
+		if !ok || len(src) > len(dst) {
+			return fmt.Errorf("tcpnet: %d bytes for local region %d: %w", len(src), regionID, transport.ErrRegionUnavailable)
+		}
+		copy(dst, src)
+		e.loop.push(p)
+	} else {
+		size := p.LandedFrameSize(len(src))
+		if 4+size-len(src) > maxLandedHead {
+			return fmt.Errorf("tcpnet: packet of %d wire bytes is too large to head a landed frame", p.WireSize())
+		}
+		if err := e.path(size); err != nil {
+			return err
+		}
+		var head [maxLandedHead]byte
+		if err := e.dev.net.flush(e.peer, false, p.AppendLandedFrame(head[:0], e.mux, regionID, len(src)), src); err != nil {
+			return err
+		}
+	}
+	e.local.complete(transport.CQE{Kind: transport.CQESendComplete, Packet: p})
+	return nil
 }
 
 // MemRegion is a locally registered buffer (rendezvous sink bookkeeping).

@@ -105,6 +105,26 @@ func TestLoopbackEndpointSameRank(t *testing.T) {
 		}
 		seen++
 	}
+	// PutNotify toward the same rank fills the local region before it returns:
+	// the source is the caller's again at once.
+	sink := make([]byte, 8)
+	src := []byte("landed")
+	fin := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, []byte("transfer"), nil)
+	if err := ep.PutNotify(d0.RegisterMemory(sink).ID(), src, fin); err != nil {
+		t.Fatal(err)
+	}
+	clear(src)
+	if string(sink) != "landed\x00\x00" {
+		t.Fatalf("local region holds %q after PutNotify returned", sink)
+	}
+	for seen = 0; seen < 2; seen++ {
+		if e := poll1(t, c0); e.Packet != fin {
+			t.Fatalf("same-rank PutNotify surfaced %+v", e)
+		}
+	}
+	if err := ep.PutNotify(99, src, fin); !errors.Is(err, transport.ErrRegionUnavailable) || c0.Pending() {
+		t.Fatalf("PutNotify into a region nobody registered = %v, pending %v", err, c0.Pending())
+	}
 }
 
 func TestManyPacketsFIFO(t *testing.T) {
@@ -152,12 +172,29 @@ func TestCapsAndUnsupportedOps(t *testing.T) {
 	if err := c0.Put(r, 0, []byte{1}, nil); !errors.Is(err, transport.ErrNotSupported) {
 		t.Fatalf("Put err = %v", err)
 	}
-	ep, err := d0.Connect(c0, 1, 0)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestPutNotifyRefusesBeforeWriting: a landed frame is held to the frame limit
+// with its body counted, and its head to maxLandedHead, before anything is
+// dialed, buffered or written.
+func TestPutNotifyRefusesBeforeWriting(t *testing.T) {
+	nets, d0, _, ctr := newCountedPair(t)
+	ep := mustConnect(t, d0, mustContext(t, d0), 1, 0)
+	fin := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, make([]byte, 8), nil)
+	body := make([]byte, maxFrame-fin.LandedFrameSize(0)+1) // never touched: no page of it becomes resident
+	if err := ep.PutNotify(1, body, fin); err == nil || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("PutNotify of a frame one byte above maxFrame = %v, want the frame-limit refusal", err)
 	}
-	if err := ep.PutRegion(r.ID(), 0, []byte{1}, nil); !errors.Is(err, transport.ErrNotSupported) {
-		t.Fatalf("PutRegion err = %v", err)
+	fat := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, make([]byte, maxLandedHead), nil)
+	if err := ep.PutNotify(1, nil, fat); err == nil {
+		t.Fatal("PutNotify accepted a head above maxLandedHead: the peer would close the link over it")
+	}
+	s := &nets[0].slots[1]
+	s.pmu.Lock()
+	pending := len(s.pend)
+	s.pmu.Unlock()
+	if pending != 0 || ctr.Get(spc.ConnsOpened) != 0 || ctr.Get(spc.WireFlushes) != 0 {
+		t.Fatalf("a refused PutNotify left %d bytes pending, %d connections, %d flushes", pending, ctr.Get(spc.ConnsOpened), ctr.Get(spc.WireFlushes))
 	}
 }
 
@@ -960,6 +997,13 @@ func rawDial(t *testing.T, n *Network, asRank int) net.Conn {
 func TestHostileFramesCloseTheLink(t *testing.T) {
 	valid := transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, []byte("ok"), nil)
 	le := binary.LittleEndian
+	// Landed frames for region 1, which hostileStream registers with 16 bytes.
+	const kindAt, bodyLenAt = 4 + transport.MuxHeaderSize + 24, transport.LandedPeek - 4
+	eagerLanded := landedFrame(0, 1, 1, 1, make([]byte, 16))
+	eagerLanded[kindAt] = byte(transport.KindEager)
+	pastFrame := landedFrame(0, 1, 1, 1, make([]byte, 16))
+	le.PutUint32(pastFrame[bodyLenAt:], le.Uint32(pastFrame)+1)
+	fat := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, make([]byte, maxLandedHead), nil)
 	for _, tc := range []struct {
 		name   string
 		stream []byte
@@ -969,6 +1013,10 @@ func TestHostileFramesCloseTheLink(t *testing.T) {
 		{"length below the mux header", le.AppendUint32(nil, transport.MuxHeaderSize-1)},
 		{"mux above the cap", valid.AppendMuxFrame(nil, maxMux)},
 		{"packet shorter than an envelope", append(le.AppendUint32(le.AppendUint32(nil, 4+8), 0), make([]byte, 8)...)},
+		{"landed body longer than its region", landedFrame(0, 1, 1, 1, make([]byte, 17))},
+		{"landed body longer than its frame", pastFrame},
+		{"landed flag on an eager packet", eagerLanded},
+		{"landed head above its limit", fat.AppendLandedFrame(nil, 0, 1, 0)},
 	} {
 		// A valid frame first: the stream is good until the bad bytes. One
 		// more behind them: it must never arrive.
@@ -983,8 +1031,17 @@ func TestHostileFramesCloseTheLink(t *testing.T) {
 
 // hostileStream is one case of TestHostileFramesCloseTheLink.
 func hostileStream(t *testing.T, stream []byte, pollersRead bool) {
-	n, _, ctr, ctxs := newRank(t, 0)
+	n, d, ctr, ctxs := newRank(t, 0)
 	c1 := ctxs[0]
+	sink := make([]byte, 16)
+	if id := d.RegisterMemory(sink).ID(); id != 1 {
+		t.Fatalf("the rank's first region got id %d, the landed frames name 1", id)
+	}
+	defer func() {
+		if !bytes.Equal(sink, make([]byte, 16)) {
+			t.Errorf("a rejected landed frame wrote %x into its region", sink)
+		}
+	}()
 	var conn net.Conn
 	if pollersRead {
 		var lk *link
@@ -1036,10 +1093,13 @@ func hostileStream(t *testing.T, stream []byte, pollersRead bool) {
 }
 
 // newRx returns a receive half with no socket under it: run reads r through a
-// window-byte window with blocking reads — the path of a connection without a
-// raw descriptor — and hands every frame step accepts to deliver.
+// window-byte window (at least maxLandedHead, if landed frames are to fit)
+// with blocking reads — the path of a connection without a raw descriptor —
+// and hands every frame step accepts to deliver.
 func newRx(r net.Conn, window int, deliver func(mux uint32, p *transport.Packet)) *rxConn {
-	return &rxConn{net: &Network{}, src: r, buf: make([]byte, window), deliver: func(mux uint32, p *transport.Packet) rxState {
+	// A device with one 64-byte region, id 1, for landed frames to fill.
+	dev := &Device{regions: map[uint64]*MemRegion{1: {id: 1, buf: make([]byte, 64)}}}
+	return &rxConn{net: &Network{dev: dev}, src: r, buf: make([]byte, window), deliver: func(mux uint32, p *transport.Packet) rxState {
 		deliver(mux, p)
 		return rxMore
 	}}
@@ -1084,8 +1144,11 @@ func TestFrameReaderSpillIsPaidByBytesReceived(t *testing.T) {
 
 // FuzzReadFrames feeds the frame reader arbitrary bytes in arbitrary write
 // sizes. It must never panic, never hold more than maxFrame of scratch,
-// accept the same frames whatever its window size (in place or spilled), and
-// every frame it accepts must round-trip AppendMuxFrame.
+// accept the same frames and land the same bytes whatever its window size (in
+// place or spilled), and every frame it accepts must round-trip
+// AppendMuxFrame. A landed frame is delivered as the plain packet behind its
+// body, or not at all when its region (anything but newRx's region 1) is
+// unknown.
 func FuzzReadFrames(f *testing.F) {
 	pkt := func(payload int, traced bool) *transport.Packet {
 		p := transport.NewPacket(transport.Envelope{Src: 1, Dst: 2, Tag: 3, Comm: 4, Seq: 5, Kind: transport.KindEager}, make([]byte, payload), nil)
@@ -1097,7 +1160,7 @@ func FuzzReadFrames(f *testing.F) {
 	}
 	var valid []byte
 	valid = pkt(0, false).AppendMuxFrame(valid, 0)
-	valid = pkt(300, true).AppendMuxFrame(valid, 7) // spills a 64-byte window
+	valid = pkt(300, true).AppendMuxFrame(valid, 7) // spills a 128-byte window
 	valid = pkt(9, false).AppendMuxFrame(valid, maxMux-1)
 	le := binary.LittleEndian
 	f.Add(valid, uint8(255))
@@ -1109,14 +1172,26 @@ func FuzzReadFrames(f *testing.F) {
 	f.Add(append(le.AppendUint32(nil, 2), valid...), uint8(64))            // below the mux header
 	f.Add(append(valid[:60:60], le.AppendUint32(nil, 1<<20)...), uint8(3)) // good frame, then a length that never arrives
 	f.Add(pkt(0, false).AppendMuxFrame(nil, maxMux), uint8(8))             // mux above the cap
+	between := func(frame []byte) []byte {                                 // a landed frame with plain frames around it
+		return append(append(valid[:56:56], frame...), valid...)
+	}
+	f.Add(between(landedFrame(3, 0, 7, 1, seeded(64))), uint8(5))  // lands in region 1, to the last byte
+	f.Add(between(landedFrame(3, 0, 7, 1, seeded(65))), uint8(70)) // one byte more than the region holds
+	f.Add(between(landedFrame(3, 0, 7, 2, seeded(500))), uint8(9)) // a region nobody registered: drained and dropped
+	flagged := landedFrame(3, 0, 7, 1, seeded(8))
+	flagged[4+transport.MuxHeaderSize+24] = byte(transport.KindRendezvousACK)
+	f.Add(between(flagged), uint8(200)) // the landed flag on another kind
 	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
-		small, fr, errSmall := readAll(64, int(chunk)+1, stream)
+		small, fr, errSmall := readAll(maxLandedHead, int(chunk)+1, stream)
 		if c := cap(fr.scratch); c > maxFrame {
 			t.Fatalf("scratch grew to %d bytes, above maxFrame", c)
 		}
-		large, _, errLarge := readAll(4096, int(chunk)+1, stream)
+		large, frLarge, errLarge := readAll(4096, int(chunk)+1, stream)
 		if len(small) != len(large) || (errSmall == errBadFrame) != (errLarge == errBadFrame) {
-			t.Fatalf("window 64: %d frames, %v; window 4096: %d frames, %v", len(small), errSmall, len(large), errLarge)
+			t.Fatalf("window %d: %d frames, %v; window 4096: %d frames, %v", maxLandedHead, len(small), errSmall, len(large), errLarge)
+		}
+		if a, b := fr.net.dev.regions[1].buf, frLarge.net.dev.regions[1].buf; !bytes.Equal(a, b) {
+			t.Fatalf("region 1 holds %x behind a %d-byte window, %x behind 4096 bytes", a, maxLandedHead, b)
 		}
 		consumed := 0
 		for i, frame := range small {
@@ -1125,9 +1200,20 @@ func FuzzReadFrames(f *testing.F) {
 			}
 			// The re-encoded frame is canonical: reading it back and encoding
 			// again reproduces it byte for byte.
-			again, _, _ := readAll(64, len(frame), frame)
+			again, _, _ := readAll(maxLandedHead, len(frame), frame)
 			if len(again) != 1 || !bytes.Equal(again[0], frame) {
 				t.Fatalf("frame %d does not round-trip AppendMuxFrame", i)
+			}
+			// Landed frames for an unknown region were consumed undelivered.
+			for {
+				rest := stream[consumed:]
+				if len(rest) < transport.LandedPeek {
+					break
+				}
+				if region, _, landed := transport.PeekLanded(rest); !landed || region == 1 {
+					break
+				}
+				consumed += 4 + int(le.Uint32(rest))
 			}
 			if !bytes.Equal(frame[4:8], stream[consumed+4:consumed+8]) {
 				t.Fatalf("frame %d delivered to mux %d, sent to %d", i, le.Uint32(frame[4:]), le.Uint32(stream[consumed+4:]))

@@ -30,9 +30,8 @@ var ErrConnEstablish = errors.New("transport: connection establishment failed")
 
 // Caps describes what a backend can do. The runtime consults it at world
 // construction: a lossless backend skips the ack/retransmit delivery layer,
-// a backend without one-sided support routes rendezvous bulk data through
-// the FIN control message instead of an RDMA write, and fault injection is
-// refused by backends that cannot honor it.
+// windows (internal/rma) are refused on a backend without one-sided support,
+// and fault injection is refused by backends that cannot honor it.
 type Caps struct {
 	// Name identifies the backend ("sim", "tcp", ...).
 	Name string
@@ -40,8 +39,9 @@ type Caps struct {
 	// TCP stream): the delivery-reliability layer's retransmit bookkeeping
 	// is unnecessary and is skipped.
 	Lossless bool
-	// OneSided means remote memory regions are addressable by peers
-	// (Endpoint.PutRegion and the Context RMA initiators work).
+	// OneSided means remote memory regions are addressable by peers: the
+	// Context RMA initiators work. Rendezvous does not ask — every backend
+	// lands its bulk data through Endpoint.PutNotify.
 	OneSided bool
 	// FaultInjection means the backend honors DeviceConfig fault and
 	// scramble settings.
@@ -163,8 +163,8 @@ type Device interface {
 	// peer rank's device. Nothing is established here: see Endpoint.Send.
 	Connect(local Context, peer int, remoteIdx int) (Endpoint, error)
 	// RegisterMemory registers buf for one-sided access and returns its
-	// region. On backends without OneSided caps the region is only locally
-	// addressable (the rendezvous sink bookkeeping still uses it).
+	// region. On backends without OneSided caps a peer reaches it through
+	// Endpoint.PutNotify alone (the rendezvous sink).
 	RegisterMemory(buf []byte) MemRegion
 	// DeregisterMemory removes a region from visibility.
 	DeregisterMemory(r MemRegion)
@@ -235,10 +235,17 @@ type Endpoint interface {
 	// the same meaning as Send's; the reliability layer treats a failed
 	// resend like a lost packet (the retry budget governs).
 	Resend(p *Packet) error
-	// PutRegion writes src into the peer's registered region at offset (an
-	// RDMA write addressed by region id). Requires Caps.OneSided; returns
-	// ErrRegionUnavailable when the target tore the region down.
-	PutRegion(regionID uint64, offset int, src []byte, token any) error
+	// PutNotify lands src at the start of the peer's registered region
+	// regionID, then delivers p to the remote context and posts p's
+	// send-completion CQE locally — a write with notification, the bulk step
+	// of a rendezvous. p is never delivered without src: a path that fails
+	// mid-transfer loses both. src is not referenced after the call returns
+	// (in process it is an RDMA write; tcpnet streams it behind p's head in
+	// one frame and returns once the kernel has every byte). Every backend
+	// implements it, with or without Caps.OneSided. ErrRegionUnavailable
+	// means the peer's device is known to hold no such region; p was not
+	// sent.
+	PutNotify(regionID uint64, src []byte, p *Packet) error
 }
 
 // MemRegion is a registered memory region — the transport-level object

@@ -56,6 +56,12 @@ const KindMask Kind = 0xff
 // the wire format is byte-identical to the paper-faithful framing.
 const FlagTraced Kind = 1 << 8
 
+// FlagLanded marks a landed frame (AppendLandedFrame): the landing extension
+// rides the wire after the envelope, and behind the packet comes a body the
+// receiving backend writes into a registered region before it delivers the
+// packet. Only a KindRendezvousData packet is framed so.
+const FlagLanded Kind = 1 << 9
+
 // Base strips the wire flags, returning the packet kind alone.
 func (k Kind) Base() Kind { return k & KindMask }
 
@@ -71,10 +77,9 @@ const (
 	// KindRendezvousACK is the receiver's clear-to-send response carrying
 	// the registered sink region.
 	KindRendezvousACK
-	// KindRendezvousData is the bulk-data / FIN control message of a
-	// rendezvous transfer. On one-sided-capable backends it carries only
-	// the transfer id (the data traveled by RDMA write); on send/recv-only
-	// backends it carries the data itself.
+	// KindRendezvousData is the FIN of a rendezvous transfer. It carries the
+	// transfer id alone and arrives behind the data (Endpoint.PutNotify): an
+	// RDMA write in process, the body of its own landed frame over tcp.
 	KindRendezvousData
 	// KindAck is a delivery-reliability acknowledgement: a cumulative ack
 	// plus a selective-ack bitmap for one sender→receiver transport stream.
@@ -186,17 +191,6 @@ func (p *Packet) Init(env Envelope, payload []byte, token any) {
 	p.Token = token
 }
 
-// NewPacketOwned is NewPacketRaw without the payload copy: ownership of
-// payload's backing array transfers to the packet. The caller must have built
-// the slice for this packet alone and must neither read nor write it after the
-// call — an in-process receiver reads the same bytes, a batching wire frames
-// them later. Never pass a user's buffer.
-func NewPacketOwned(env Envelope, payload []byte, token any) *Packet {
-	p := &Packet{Payload: payload, Token: token}
-	env.Marshal(&p.header)
-	return p
-}
-
 // Envelope decodes and returns the packet's header.
 func (p *Packet) Envelope() Envelope {
 	var e Envelope
@@ -212,6 +206,13 @@ const wireMetaSize = 8 + 4 + 8
 // header: TraceID (8) + Origin (4) + send Stamp (8). It rides the wire
 // directly after the 28-byte envelope, only when FlagTraced is set.
 const TraceExtSize = 8 + 4 + 8
+
+// LandExtSize is the framed size of the landing extension: region id (8) +
+// body length (4), directly after the envelope, only when FlagLanded is set.
+const LandExtSize = 8 + 4
+
+// LandedPeek is how much of a frame, length prefix included, PeekLanded reads.
+const LandedPeek = 4 + MuxHeaderSize + EnvelopeSize + LandExtSize
 
 // kindOffset is the byte offset of the envelope's Kind word in the header.
 const kindOffset = 24
@@ -231,20 +232,24 @@ func (p *Packet) WireSize() int {
 // packet's envelope carries FlagTraced in its Kind word on the wire; an
 // untraced packet's framing is byte-identical to the canonical format.
 // Token never crosses the wire; it is sender-local state.
-func (p *Packet) AppendWire(b []byte) []byte {
+func (p *Packet) AppendWire(b []byte) []byte { return p.appendWire(b, false, 0, 0) }
+
+// appendWire is AppendWire, with the landing extension when landed is set.
+func (p *Packet) appendWire(b []byte, landed bool, region uint64, bodyLen int) []byte {
+	flags := len(b) + kindOffset + 1 // the Kind word's second byte holds the wire flags
+	b = append(b, p.header[:]...)
+	if landed {
+		b[flags] |= byte(FlagLanded >> 8)
+		b = binary.LittleEndian.AppendUint64(b, region)
+		b = binary.LittleEndian.AppendUint32(b, uint32(bodyLen))
+	}
 	if p.TraceID != 0 {
-		var hdr [EnvelopeSize]byte
-		copy(hdr[:], p.header[:])
-		kind := binary.LittleEndian.Uint32(hdr[kindOffset:]) | uint32(FlagTraced)
-		binary.LittleEndian.PutUint32(hdr[kindOffset:], kind)
-		b = append(b, hdr[:]...)
+		b[flags] |= byte(FlagTraced >> 8)
 		var ext [TraceExtSize]byte
 		binary.LittleEndian.PutUint64(ext[0:], p.TraceID)
 		binary.LittleEndian.PutUint32(ext[8:], uint32(p.Origin))
 		binary.LittleEndian.PutUint64(ext[12:], uint64(p.Stamp))
 		b = append(b, ext[:]...)
-	} else {
-		b = append(b, p.header[:]...)
 	}
 	var meta [wireMetaSize]byte
 	binary.LittleEndian.PutUint64(meta[0:], p.RelSeq)
@@ -267,15 +272,23 @@ func DecodePacket(b []byte) (*Packet, error) {
 }
 
 // DecodePacketInto is DecodePacket into storage the caller provides: p must be
-// a zero packet (a tcp reader carves them from a slab). A frame it rejects
-// leaves p untouched, so a refused slot is still a zero packet.
-func DecodePacketInto(p *Packet, b []byte) error {
-	if len(b) < EnvelopeSize+wireMetaSize {
+// a zero packet (a tcp reader carves them from a slab). A frame it rejects —
+// a landed one included: that is DecodeLandedHeadInto's — leaves p untouched,
+// so a refused slot is still a zero packet.
+func DecodePacketInto(p *Packet, b []byte) error { return decodeInto(p, b, 0) }
+
+// decodeInto is DecodePacketInto over a frame that carries ext bytes of
+// landing extension behind its envelope: LandExtSize if flagged, else none.
+func decodeInto(p *Packet, b []byte, ext int) error {
+	if len(b) < EnvelopeSize+ext+wireMetaSize {
 		return fmt.Errorf("transport: short packet frame (%d bytes)", len(b))
 	}
-	rest := b[EnvelopeSize:]
+	rest := b[EnvelopeSize+ext:]
 	kind := Kind(binary.LittleEndian.Uint32(b[kindOffset:]))
 	// Every check comes before the first write to p.
+	if (kind&FlagLanded != 0) != (ext != 0) {
+		return fmt.Errorf("transport: landed flag on a plain frame, or none on a landed one")
+	}
 	if kind.Traced() {
 		if len(rest) < TraceExtSize+wireMetaSize {
 			return fmt.Errorf("transport: short traced packet frame (%d bytes)", len(b))
@@ -287,8 +300,8 @@ func DecodePacketInto(p *Packet, b []byte) error {
 		}
 	}
 	copy(p.header[:], b[:EnvelopeSize])
+	binary.LittleEndian.PutUint32(p.header[kindOffset:], uint32(kind&^(FlagTraced|FlagLanded)))
 	if kind.Traced() {
-		binary.LittleEndian.PutUint32(p.header[kindOffset:], uint32(kind&^FlagTraced))
 		p.TraceID = binary.LittleEndian.Uint64(rest[0:])
 		p.Origin = int32(binary.LittleEndian.Uint32(rest[8:]))
 		p.Stamp = int64(binary.LittleEndian.Uint64(rest[12:]))
@@ -339,6 +352,40 @@ func DecodeMuxFrameInto(p *Packet, b []byte) (mux uint32, err error) {
 		return 0, fmt.Errorf("transport: short mux frame (%d bytes)", len(b))
 	}
 	return binary.LittleEndian.Uint32(b), DecodePacketInto(p, b[MuxHeaderSize:])
+}
+
+// LandedFrameSize is the length a landed frame declares for p and a body of
+// bodyLen bytes: mux header, p's wire form, landing extension, body.
+func (p *Packet) LandedFrameSize(bodyLen int) int {
+	return MuxHeaderSize + p.WireSize() + LandExtSize + bodyLen
+}
+
+// AppendLandedFrame appends the head of a landed frame: length prefix, mux ID
+// and p's wire form with FlagLanded and the landing extension. The body —
+// bodyLen bytes for the receiver's region — follows on the wire from wherever
+// the caller keeps it.
+func (p *Packet) AppendLandedFrame(b []byte, mux uint32, region uint64, bodyLen int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.LandedFrameSize(bodyLen)))
+	b = binary.LittleEndian.AppendUint32(b, mux)
+	return p.appendWire(b, true, region, bodyLen)
+}
+
+// PeekLanded reads the landing extension off the first LandedPeek bytes of a
+// frame, length prefix included; landed is false for a plain frame.
+func PeekLanded(frame []byte) (region uint64, bodyLen int, landed bool) {
+	ext := frame[LandedPeek-LandExtSize:]
+	landed = Kind(binary.LittleEndian.Uint32(frame[4+MuxHeaderSize+kindOffset:]))&FlagLanded != 0
+	return binary.LittleEndian.Uint64(ext), int(binary.LittleEndian.Uint32(ext[8:])), landed
+}
+
+// DecodeLandedHeadInto parses the head of a landed frame, less its length
+// prefix, into the zero packet p. Only a rendezvous data packet lands.
+func DecodeLandedHeadInto(p *Packet, head []byte) (mux uint32, err error) {
+	if len(head) < MuxHeaderSize+EnvelopeSize ||
+		Kind(binary.LittleEndian.Uint32(head[MuxHeaderSize+kindOffset:]))&^FlagTraced != KindRendezvousData|FlagLanded {
+		return 0, fmt.Errorf("transport: no rendezvous data packet heads the landed frame")
+	}
+	return binary.LittleEndian.Uint32(head), decodeInto(p, head[MuxHeaderSize:], LandExtSize)
 }
 
 // CQEKind discriminates completion-queue entries.

@@ -33,8 +33,8 @@ func samePacket(a, b *Packet) bool {
 // the same size that decodes to the same packet.
 func checkDecoded(t *testing.T, frame []byte, p *Packet) {
 	t.Helper()
-	if p.Envelope().Kind.Traced() {
-		t.Fatalf("decoded envelope keeps FlagTraced: %v", p.Envelope())
+	if p.Envelope().Kind&(FlagTraced|FlagLanded) != 0 {
+		t.Fatalf("decoded envelope keeps a wire flag: %v", p.Envelope())
 	}
 	if !bytes.HasSuffix(frame, p.Payload) {
 		t.Fatalf("payload %x is not the tail of frame %x", p.Payload, frame)
@@ -68,6 +68,7 @@ func FuzzDecodePacket(f *testing.F) {
 	f.Add(int32(0), int32(1), int32(7), uint32(3), uint32(42), uint32(0), uint8(4), uint64(1), int64(2), uint64(0), int32(0), []byte(nil), uint16(24*8+8), uint16(0xffff))           // sets FlagTraced on an untraced frame
 	f.Add(int32(0), int32(1), int32(7), uint32(3), uint32(42), uint32(3), uint8(0), uint64(9), int64(1234), uint64(7), int32(0), []byte("abc"), uint16(0), uint16(EnvelopeSize+TraceExtSize))
 	f.Add(int32(0), int32(1), int32(7), uint32(3), uint32(42), uint32(3), uint8(0), uint64(9), int64(1234), uint64(0), int32(0), []byte("abc"), uint16(0), uint16(EnvelopeSize+3))
+	f.Add(int32(0), int32(1), int32(7), uint32(3), uint32(42), uint32(12), uint8(3), uint64(9), int64(1234), uint64(0), int32(0), []byte("123456789012"), uint16(24*8+9), uint16(0xffff)) // sets FlagLanded on a plain frame
 	f.Fuzz(func(t *testing.T, src, dst, tag int32, comm, seq, length uint32, kind uint8, relSeq uint64, stamp int64, traceID uint64, origin int32, payload []byte, flip, cut uint16) {
 		p := fuzzPacket(src, dst, tag, comm, seq, length, kind, relSeq, stamp, traceID, origin, payload)
 		frame := p.AppendWire(nil)

@@ -113,6 +113,7 @@ func TestDecodePacketIntoRejectsWithoutWriting(t *testing.T) {
 		"short driver metadata":     plain[:EnvelopeSize+wireMetaSize-1],
 		"short traced extension":    traced.AppendWire(nil)[:EnvelopeSize+TraceExtSize+wireMetaSize-1],
 		"traced flag without an id": noID,
+		"landed frame":              NewPacket(testEnvelope(), []byte("payload"), nil).AppendLandedFrame(nil, 0, 1, 0)[4+MuxHeaderSize:],
 	} {
 		var p Packet
 		if err := DecodePacketInto(&p, frame); err == nil {
@@ -133,9 +134,8 @@ func TestDecodePacketIntoRejectsWithoutWriting(t *testing.T) {
 	}
 }
 
-// Init fills an embedded packet exactly as NewPacketRaw builds a fresh one,
-// and NewPacketOwned differs from it only in taking the payload slice itself.
-func TestPacketInitAndOwned(t *testing.T) {
+// Init fills an embedded packet exactly as NewPacketRaw builds a fresh one.
+func TestPacketInit(t *testing.T) {
 	env := testEnvelope()
 	env.Len = 99 // raw: the advertised length is not the carried one
 	payload := []byte("carried")
@@ -147,15 +147,45 @@ func TestPacketInitAndOwned(t *testing.T) {
 	if !reflect.DeepEqual(&in, want) || &in.Payload[0] == &payload[0] {
 		t.Fatalf("Init = %+v (payload aliased: %v), NewPacketRaw = %+v", in, &in.Payload[0] == &payload[0], want)
 	}
-	owned := NewPacketOwned(env, payload, tok)
-	if !reflect.DeepEqual(owned, want) {
-		t.Fatalf("NewPacketOwned = %+v, NewPacketRaw = %+v", owned, want)
-	}
-	if &owned.Payload[0] != &payload[0] {
-		t.Fatal("NewPacketOwned copied the payload it was given")
-	}
-	if empty := NewPacketOwned(env, nil, nil); empty.Payload != nil || empty.Envelope().Len != 99 {
-		t.Fatalf("NewPacketOwned(nil) = %+v", empty)
+}
+
+// A landed frame's head carries the packet whole — flags stripped on the way
+// in, trace extension and metadata intact — with the region and body length
+// where PeekLanded reads them, and declares a length that counts the body.
+func TestWireLandedRoundTrip(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		env := testEnvelope()
+		env.Kind = KindRendezvousData
+		p := NewPacketRaw(env, []byte("transfer"), nil)
+		p.RelSeq, p.RelSrc, p.Stamp = 9, 3, 1234
+		if traced {
+			p.TraceID, p.Origin = 0xfeed, 3
+		}
+		const mux, region, body = 5, 0xABCDEF0123, 70000
+		head := p.AppendLandedFrame(nil, mux, region, body)
+		if got := int(binary.LittleEndian.Uint32(head)); got != len(head)-4+body || got != p.LandedFrameSize(body) {
+			t.Fatalf("traced=%v: declared length %d, head %d bytes + body %d, LandedFrameSize %d", traced, got, len(head), body, p.LandedFrameSize(body))
+		}
+		if r, n, landed := PeekLanded(head); !landed || r != region || n != body {
+			t.Fatalf("traced=%v: PeekLanded = %#x, %d, %v", traced, r, n, landed)
+		}
+		if _, _, landed := PeekLanded(append(p.AppendMuxFrame(nil, mux), make([]byte, LandedPeek)...)); landed {
+			t.Fatalf("traced=%v: PeekLanded takes a plain frame for a landed one", traced)
+		}
+		var q Packet
+		gotMux, err := DecodeLandedHeadInto(&q, head[4:])
+		if err != nil || gotMux != mux || !reflect.DeepEqual(&q, p) {
+			t.Fatalf("traced=%v: head decodes to mux %d, %+v, %v; want mux %d, %+v", traced, gotMux, q, err, mux, p)
+		}
+		// Only the rendezvous data packet lands, and only from a whole head.
+		other := append([]byte(nil), head[4:]...)
+		other[MuxHeaderSize+kindOffset] = byte(KindEager)
+		for name, bad := range map[string][]byte{"flag on an eager packet": other, "short head": head[4 : len(head)-len(p.Payload)-1], "plain frame": p.AppendMuxFrame(nil, mux)[4:]} {
+			var q Packet
+			if _, err := DecodeLandedHeadInto(&q, bad); err == nil || !reflect.DeepEqual(q, Packet{}) {
+				t.Errorf("traced=%v, %s: err %v, packet left as %+v", traced, name, err, q)
+			}
+		}
 	}
 }
 

@@ -10,6 +10,9 @@
 #     and /metrics + /debug/queues answer while the run is in flight,
 #   - the per-rank trace shards merge into one Chrome trace with
 #     cross-rank flow arrows.
+# Then once more, briefly, with 64 KiB payloads: every message a rendezvous
+# whose data streams out of the sender's buffer and lands in the posted
+# receive across a real process boundary, totals consistent again.
 #
 # Stage 2 — four ranks through the launcher: run the same benchmark via
 # `mpirun -n 4`, poll a rank's live /spc mid-run, and assert the
@@ -78,27 +81,34 @@ wait "$recv_pid"
 field() { grep -o "$2=[^ ]*" "$1" | head -1 | cut -d= -f2; }
 counter() { awk -v k="$2" '$1 == k { print $2 }' "$1"; }
 
-msgs0="$(field "$out0" messages)"
-msgs1="$(field "$out1" messages)"
-sent="$(counter "$out0" messages_sent)"
-received="$(counter "$out1" messages_received)"
-
-echo "rank 0: $(head -c 200 <(grep engine= "$out0"))"
-echo "rank 1: $(head -c 200 <(grep engine= "$out1"))"
-
-if [[ -z "$msgs0" || "$msgs0" != "$msgs1" ]]; then
-    echo "FAIL: header message totals differ (rank0=$msgs0 rank1=$msgs1)" >&2
-    exit 1
-fi
-if [[ -z "$sent" || "$sent" -lt "$msgs0" ]]; then
-    echo "FAIL: sender SPC messages_sent=$sent < benchmark total $msgs0" >&2
-    exit 1
-fi
-# The receiver also absorbs internal barrier traffic, so >= is the invariant.
-if [[ -z "$received" || "$received" -lt "$sent" ]]; then
-    echo "FAIL: receiver SPC messages_received=$received < sender messages_sent=$sent" >&2
-    exit 1
-fi
+# check_totals OUT0 OUT1: both halves finished and agree — the same message
+# total in both headers, the sender's messages_sent covering it and fully
+# accounted for by the receiver's messages_received. Leaves the three numbers
+# in msgs, sent and received.
+check_totals() {
+    local msgs1
+    msgs="$(field "$1" messages)"
+    msgs1="$(field "$2" messages)"
+    sent="$(counter "$1" messages_sent)"
+    received="$(counter "$2" messages_received)"
+    echo "rank 0: $(head -c 200 <(grep engine= "$1"))"
+    echo "rank 1: $(head -c 200 <(grep engine= "$2"))"
+    if [[ -z "$msgs" || "$msgs" != "$msgs1" ]]; then
+        echo "FAIL: header message totals differ (rank0=$msgs rank1=$msgs1)" >&2
+        exit 1
+    fi
+    if [[ -z "$sent" || "$sent" -lt "$msgs" ]]; then
+        echo "FAIL: sender SPC messages_sent=$sent < benchmark total $msgs" >&2
+        exit 1
+    fi
+    # The receiver also absorbs internal barrier traffic, so >= is the invariant.
+    if [[ -z "$received" || "$received" -lt "$sent" ]]; then
+        echo "FAIL: receiver SPC messages_received=$received < sender messages_sent=$sent" >&2
+        exit 1
+    fi
+}
+check_totals "$out0" "$out1"
+msgs0="$msgs"
 
 # The live endpoint must have answered during the run.
 if ! wait "$curl_pid"; then
@@ -141,6 +151,22 @@ fi
 
 echo "OK: $msgs0 benchmark messages; sender sent=$sent, receiver received=$received"
 echo "OK: live /healthz, /readyz, /metrics and /debug/queues served; merged trace carries $flows flow-arrow events"
+
+# Rendezvous over real sockets: the same two processes, 64 KiB per message.
+rdv_peers="127.0.0.1:$((port_base + 3)),127.0.0.1:$((port_base + 4))"
+rdv_args=(-transport tcp -peers "$rdv_peers" -pairs 2 -window 8 -iters 32 -size 65536 -machine fast -spcs)
+"$tmp/multirate" -rank 1 "${rdv_args[@]}" >"$tmp/rdv1" 2>&1 &
+rdv_pid=$!
+"$tmp/multirate" -rank 0 "${rdv_args[@]}" >"$tmp/rdv0" 2>&1
+wait "$rdv_pid"
+check_totals "$tmp/rdv0" "$tmp/rdv1"
+for f in "$tmp/rdv0" "$tmp/rdv1"; do
+    if [[ -n "$(counter "$f" wire_frames_rejected)$(counter "$f" wire_flush_failures)" ]]; then
+        echo "FAIL: the 64 KiB run rejected frames or lost flushes: $(grep -E 'wire_frames_rejected|wire_flush_failures' "$f")" >&2
+        exit 1
+    fi
+done
+echo "OK: $msgs rendezvous messages of 64 KiB across two processes; sender sent=$sent, receiver received=$received"
 
 # ---- 4-rank mpirun launch ---------------------------------------------
 # Launch the same benchmark as a 4-rank job through the mpirun launcher,
