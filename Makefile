@@ -57,6 +57,9 @@ conformance:
 # type around its own Device or Endpoint growing back in internal/fabric fails.
 # So does a Prometheus text parser: the aggregator decodes the ranks' typed
 # document, and no non-test file defines ParsePromText or PromFamily again.
+# And the diagnosis plane has one rule engine: a Detector, an Obs or a Verdict
+# type, or an Observe method over samples, defined outside internal/flight is
+# the second engine growing back.
 lint-layers:
 	@fail=0; \
 	if grep -rln --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out \
@@ -68,6 +71,9 @@ lint-layers:
 	if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out \
 		'^func +ParsePromText\b|^type +PromFamily\b' .; then \
 		echo "FAIL: a rank serves its typed document (/debug/stats); nothing parses the exposition text back"; fail=1; fi; \
+	if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out --exclude-dir=benchmark \
+		'^type +(Detector|Obs|Verdict)\b|^func +\([^)]*\) +Observe\(.*\b(Sample|Obs|Verdict)\b' . | grep -v '^\./internal/flight/'; then \
+		echo "FAIL: internal/flight owns sample -> detect -> verdict; feed its Detector instead of writing another"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "layering ok"; else exit 1; fi
 
 # The size figure every simplicity entry in CHANGES.md quotes: non-test Go

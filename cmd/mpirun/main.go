@@ -170,9 +170,8 @@ func run(argv []string, addrs, obsAddrs []string, aggLn net.Listener, poll time.
 		agg = cluster.NewAggregator(cluster.AggregatorConfig{Endpoints: eps, Poll: poll})
 		agg.Start()
 		if aggLn != nil {
-			srv := cluster.Serve(aggLn, agg)
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "mpirun: cluster aggregator on http://%s\n", srv.Addr())
+			defer cluster.Serve(aggLn, agg).Close()
+			fmt.Fprintf(os.Stderr, "mpirun: cluster aggregator on http://%s\n", aggLn.Addr())
 		}
 	}
 

@@ -189,7 +189,11 @@ func render(w io.Writer, rep cluster.Report, refresh bool) {
 	if len(rep.Verdicts) > 0 {
 		b.WriteString("\nverdicts:\n")
 		for _, v := range rep.Verdicts {
-			fmt.Fprintf(&b, "  [%s] rank %d: %s\n", v.Reason, v.Rank, v.Detail)
+			where := ""
+			if v.Phase != "" || v.Site != "" {
+				where = fmt.Sprintf(" (phase %s, site %s)", v.Phase, v.Site)
+			}
+			fmt.Fprintf(&b, "  [%s] rank %d%s: %s\n", v.Reason, v.Rank, where, v.Detail)
 		}
 	}
 	io.WriteString(w, b.String())

@@ -11,7 +11,7 @@ package cliobs
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"repro/internal/core"
@@ -135,7 +135,7 @@ type Session struct {
 func (f *Flags) Start(info map[string]string) (*Session, error) {
 	s := &Session{Flags: f}
 	if f.PprofContention {
-		s.restoreProf = obs.EnableContentionProfiling(0, 0)
+		s.restoreProf = obs.EnableContentionProfiling()
 	}
 	s.Outputs = &obs.Outputs{
 		MetricsPath: f.MetricsOut, TracePath: f.TraceOut,
@@ -252,29 +252,17 @@ func HeaderPath(key, path string) string {
 
 // WriteBreakdown writes a phase/lock-wait breakdown file.
 func WriteBreakdown(path string, bf prof.BreakdownFile) error {
-	return writeTo(path, func(w *os.File) error { return prof.WriteBreakdown(w, bf) })
+	return obs.WriteFile(path, func(w io.Writer) error { return prof.WriteBreakdown(w, bf) })
 }
 
 // WriteLatencyDumps writes per-rank attribution dumps (used by the sim
 // engine, which returns the dumps in its result instead of holding a live
 // world).
 func WriteLatencyDumps(path string, dumps []latency.RankDump) error {
-	return writeTo(path, func(w *os.File) error { return latency.WriteDumps(w, dumps) })
+	return obs.WriteFile(path, func(w io.Writer) error { return latency.WriteDumps(w, dumps) })
 }
 
 // WriteFlightDump writes a flight-record exit dump.
 func WriteFlightDump(path string, dump flight.ExitDump) error {
-	return writeTo(path, func(w *os.File) error { return flight.WriteExitDump(w, dump) })
-}
-
-func writeTo(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return obs.WriteFile(path, func(w io.Writer) error { return flight.WriteExitDump(w, dump) })
 }

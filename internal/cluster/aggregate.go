@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/flight"
 	"repro/internal/spc"
 	"repro/internal/telemetry"
 )
@@ -25,8 +26,8 @@ type ClusterState struct {
 	Rates map[int]float64
 	// Current holds the verdicts fired by the latest observation; History
 	// accumulates every verdict of the run in firing order.
-	Current []Verdict
-	History []Verdict
+	Current []flight.Verdict
+	History []flight.Verdict
 }
 
 // Clean reports whether the run has produced no verdicts at all.
@@ -81,11 +82,7 @@ func WriteClusterMetrics(w io.Writer, cs ClusterState) error {
 		if r, ok := cs.Rates[rs.Rank]; ok {
 			rates = append(rates, sample{"rank", rank, r})
 		}
-		depth := 0
-		for _, cq := range rs.Queues.Comms {
-			depth += cq.Unexpected
-		}
-		depths = append(depths, sample{"rank", rank, float64(depth)})
+		depths = append(depths, sample{"rank", rank, float64(rs.Depths().Unexpected)})
 	}
 	gauge("mpi_cluster_msg_rate", "Per-rank message rate (sent+received per second) over the last rate window.", rates...)
 	gauge("mpi_cluster_unexpected_depth", "Per-rank unexpected-queue depth summed over communicators.", depths...)
@@ -184,7 +181,7 @@ type Report struct {
 	Clean         bool             `json:"clean"`
 	Ranks         []RankReport     `json:"ranks"`
 	Cluster       map[string]int64 `json:"cluster_totals"`
-	Verdicts      []Verdict        `json:"verdicts"`
+	Verdicts      []flight.Verdict `json:"verdicts"`
 }
 
 // ReportSchemaVersion identifies the cluster report layout. v2 added the
@@ -199,7 +196,7 @@ func BuildReport(cs ClusterState) Report {
 		Polls:         cs.Polls,
 		Clean:         cs.Clean(),
 		Cluster:       map[string]int64{},
-		Verdicts:      append([]Verdict{}, cs.History...),
+		Verdicts:      append([]flight.Verdict{}, cs.History...),
 		Ranks:         []RankReport{},
 	}
 	for c := 0; c < spc.NumCounters; c++ {
@@ -212,31 +209,28 @@ func BuildReport(cs ClusterState) Report {
 		lastVerdict[v.Rank] = v.Reason
 	}
 	for _, rs := range cs.Ranks {
+		depths := rs.Depths()
 		rr := RankReport{
 			Rank:          rs.Rank,
 			Ready:         rs.Ready,
 			ReadyReason:   rs.ReadyReason,
 			Err:           rs.Err,
 			UptimeSeconds: rs.UptimeSeconds,
-			Sent:          rs.SPC.Get(spc.MessagesSent),
-			Received:      rs.SPC.Get(spc.MessagesReceived),
-			Retransmits:   rs.SPC.Get(spc.Retransmits),
+			MsgRate:       cs.Rates[rs.Rank],
+			Sent:          rs.Sent,
+			Received:      rs.Received,
+			Retransmits:   rs.Retransmits,
 			Conns:         rs.SPC.Get(spc.ConnsOpened) - rs.SPC.Get(spc.DialRacesLost),
+			Posted:        depths.Posted,
+			Unexpected:    depths.Unexpected,
+			OOSBuffered:   depths.OOSBuffered,
+			P99LatencyNs:  rs.hist(telemetry.HistMsgLatency).P99(),
+			E2EP99Ns:      rs.E2EP99Ns,
 			Verdict:       lastVerdict[rs.Rank],
 		}
-		if r, ok := cs.Rates[rs.Rank]; ok {
-			rr.MsgRate = r
-		}
-		for _, cq := range rs.Queues.Comms {
-			rr.Posted += cq.Posted
-			rr.Unexpected += cq.Unexpected
-			rr.OOSBuffered += cq.OOSBuffered
-		}
-		rr.P99LatencyNs = rs.hist(telemetry.HistMsgLatency).P99()
-		if e2e, stages := rs.latencyP99s(); e2e > 0 {
-			rr.E2EP99Ns = e2e
-			rr.StageP99Ns = make(map[string]int64, len(stages))
-			for _, sp := range stages {
+		if rs.LatencyValid {
+			rr.StageP99Ns = make(map[string]int64, len(rs.StageP99))
+			for _, sp := range rs.StageP99 {
 				rr.StageP99Ns[sp.Stage] = sp.P99Ns
 			}
 		}

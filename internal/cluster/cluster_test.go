@@ -86,8 +86,8 @@ func TestScrapeRecoversRankState(t *testing.T) {
 	if got := rs.SPC.Get(spc.MessagesReceived); got != 456 {
 		t.Fatalf("received = %d, want 456", got)
 	}
-	if len(rs.Queues.Comms) != 1 || rs.Queues.Comms[0].Posted != 7 {
-		t.Fatalf("queues = %+v", rs.Queues)
+	if len(rs.Comms) != 1 || rs.Depths().Posted != 7 {
+		t.Fatalf("queues = %+v", rs.Comms)
 	}
 	if rs.UptimeSeconds <= 0 {
 		t.Fatalf("uptime = %v, want > 0", rs.UptimeSeconds)
@@ -162,7 +162,7 @@ func TestAggregatorEndToEnd(t *testing.T) {
 	}
 	srv := Serve(ln, agg)
 	defer srv.Close()
-	base := "http://" + srv.Addr()
+	base := "http://" + ln.Addr().String()
 
 	// /cluster/metrics: one process series per rank plus the cluster gauges.
 	body, status := get(t, base+"/cluster/metrics")
@@ -229,8 +229,8 @@ func TestAggregatorEndToEnd(t *testing.T) {
 	// /cluster/imbalance: clean.
 	body, _ = get(t, base+"/cluster/imbalance")
 	var imb struct {
-		Clean    bool      `json:"clean"`
-		Verdicts []Verdict `json:"verdicts"`
+		Clean    bool             `json:"clean"`
+		Verdicts []flight.Verdict `json:"verdicts"`
 	}
 	if err := json.Unmarshal([]byte(body), &imb); err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestAggregatorDetectsLiveStraggler(t *testing.T) {
 	ranks[2].posted.Store(4) // rank 2 wedges with receives outstanding
 	agg := NewAggregator(AggregatorConfig{
 		Endpoints: eps,
-		Detector:  DetectorConfig{StallAfter: 40 * time.Millisecond},
+		Detector:  flight.DetectorConfig{StallAfter: 40 * time.Millisecond},
 	})
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -301,11 +301,11 @@ func TestAggregatorDetectsLiveStraggler(t *testing.T) {
 	}
 	srv := Serve(ln, agg)
 	defer srv.Close()
-	body, _ := get(t, "http://"+srv.Addr()+"/cluster/imbalance")
+	body, _ := get(t, "http://"+ln.Addr().String()+"/cluster/imbalance")
 	if !strings.Contains(body, `"rank-straggler"`) {
 		t.Fatalf("/cluster/imbalance missing straggler verdict: %s", body)
 	}
-	body, _ = get(t, "http://"+srv.Addr()+"/cluster/metrics")
+	body, _ = get(t, "http://"+ln.Addr().String()+"/cluster/metrics")
 	if !strings.Contains(body, `mpi_cluster_verdicts_total{reason="rank-straggler"}`) {
 		t.Fatalf("verdict gauge missing:\n%s", body)
 	}
@@ -341,7 +341,7 @@ func TestAggregatorKeepsLastGoodState(t *testing.T) {
 	}
 	srv := Serve(ln, agg)
 	defer srv.Close()
-	body, status := get(t, "http://"+srv.Addr()+"/cluster/health")
+	body, status := get(t, "http://"+ln.Addr().String()+"/cluster/health")
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("/cluster/health status %d with a dead rank: %s", status, body)
 	}

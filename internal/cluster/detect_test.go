@@ -3,26 +3,33 @@ package cluster
 import (
 	"testing"
 	"time"
+
+	"repro/internal/flight"
 )
 
 const stepNs = int64(250 * time.Millisecond)
 
 // feed runs the detector over rounds of observations spaced stepNs apart
 // and returns every verdict in firing order.
-func feed(d *Detector, rounds [][]Obs) []Verdict {
-	var out []Verdict
+func feed(d *flight.Detector, rounds [][]flight.Sample) []flight.Verdict {
+	var out []flight.Verdict
 	for i, obs := range rounds {
-		out = append(out, d.Observe(Sample{NowNs: int64(i+1) * stepNs, Obs: obs})...)
+		out = append(out, d.Observe(int64(i+1)*stepNs, obs)...)
 	}
 	return out
 }
 
-// movingObs is a healthy rank: counters advance every round, nothing queued.
-func movingObs(rank, round int) Obs {
-	return Obs{Rank: rank, Ready: true, Sent: int64(100 * round), Received: int64(100 * round)}
+// queues is a rank's depths, held on one communicator.
+func queues(posted, unexpected int) []flight.CommQueues {
+	return []flight.CommQueues{{Posted: posted, Unexpected: unexpected}}
 }
 
-func reasons(vs []Verdict) map[string][]int {
+// movingObs is a healthy rank: counters advance every round, nothing queued.
+func movingObs(rank, round int) flight.Sample {
+	return flight.Sample{Rank: rank, Ready: true, Sent: int64(100 * round), Received: int64(100 * round)}
+}
+
+func reasons(vs []flight.Verdict) map[string][]int {
 	m := map[string][]int{}
 	for _, v := range vs {
 		m[v.Reason] = append(m[v.Reason], v.Rank)
@@ -31,15 +38,15 @@ func reasons(vs []Verdict) map[string][]int {
 }
 
 func TestStragglerNamesFrozenRankOnly(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	var rounds [][]Obs
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
 	for round := 1; round <= 8; round++ { // 2s of observations
-		rounds = append(rounds, []Obs{
+		rounds = append(rounds, []flight.Sample{
 			movingObs(0, round),
 			movingObs(1, round),
 			// Rank 2: counters frozen after priming, receives posted and
 			// unacked sends outstanding — a stuck receiver.
-			{Rank: 2, Ready: true, Sent: 50, Received: 50, Posted: 4, Unacked: 2},
+			{Rank: 2, Ready: true, Sent: 50, Received: 50, Comms: queues(4, 0), Unacked: 2},
 		})
 	}
 	got := reasons(feed(d, rounds))
@@ -55,27 +62,28 @@ func TestStragglerNamesFrozenRankOnly(t *testing.T) {
 }
 
 func TestGlobalStallIsNotAStraggler(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	frozen := []Obs{
-		{Rank: 0, Ready: true, Sent: 10, Received: 10, Posted: 1},
-		{Rank: 1, Ready: true, Sent: 10, Received: 10, Posted: 1},
+	d := flight.NewDetector(flight.DetectorConfig{})
+	frozen := []flight.Sample{
+		{Rank: 0, Ready: true, Sent: 10, Received: 10, Comms: queues(1, 0)},
+		{Rank: 1, Ready: true, Sent: 10, Received: 10, Comms: queues(1, 0)},
 	}
-	var rounds [][]Obs
+	var rounds [][]flight.Sample
 	for i := 0; i < 12; i++ {
 		rounds = append(rounds, frozen)
 	}
-	if vs := feed(d, rounds); len(vs) != 0 {
-		// A whole-job deadlock belongs to the per-rank watchdog, not the
-		// cross-rank imbalance detector.
-		t.Fatalf("global stall produced cluster verdicts: %+v", vs)
+	// A whole-job deadlock has no rank to single out: nobody moved, so each
+	// frozen rank is named no-progress, as its own watchdog would name it.
+	got := reasons(feed(d, rounds))
+	if len(got["rank-straggler"]) != 0 || len(got["no-progress"]) == 0 || len(got) != 1 {
+		t.Fatalf("global stall verdicts = %v, want no-progress only", got)
 	}
 }
 
 func TestFinishedRankIsNotAStraggler(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	var rounds [][]Obs
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
 	for round := 1; round <= 12; round++ {
-		rounds = append(rounds, []Obs{
+		rounds = append(rounds, []flight.Sample{
 			movingObs(0, round),
 			movingObs(1, round),
 			// Rank 2 finished: frozen counters but fully drained queues.
@@ -92,13 +100,13 @@ func TestFinishedRankIsNotAStraggler(t *testing.T) {
 // or two while slower peers keep moving. That is waiting, not straggling —
 // the MinOutstanding floor keeps it quiet.
 func TestBarrierWaitIsNotAStraggler(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	var rounds [][]Obs
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
 	for round := 1; round <= 12; round++ {
-		rounds = append(rounds, []Obs{
+		rounds = append(rounds, []flight.Sample{
 			movingObs(0, round),
 			movingObs(1, round),
-			{Rank: 2, Ready: true, Sent: 500, Received: 500, Posted: 1, Unexpected: 1},
+			{Rank: 2, Ready: true, Sent: 500, Received: 500, Comms: queues(1, 1)},
 		})
 	}
 	if vs := feed(d, rounds); len(vs) != 0 {
@@ -107,13 +115,13 @@ func TestBarrierWaitIsNotAStraggler(t *testing.T) {
 }
 
 func TestStragglerRearmsNotFloods(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	var rounds [][]Obs
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
 	for round := 1; round <= 16; round++ { // 4s: two full stall windows
-		rounds = append(rounds, []Obs{
+		rounds = append(rounds, []flight.Sample{
 			movingObs(0, round),
 			movingObs(1, round),
-			{Rank: 2, Ready: true, Sent: 50, Received: 50, Posted: 4},
+			{Rank: 2, Ready: true, Sent: 50, Received: 50, Comms: queues(4, 0)},
 		})
 	}
 	vs := feed(d, rounds)
@@ -125,16 +133,16 @@ func TestStragglerRearmsNotFloods(t *testing.T) {
 }
 
 func TestRateSkew(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	var rounds [][]Obs
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
 	for round := 1; round <= 10; round++ {
-		rounds = append(rounds, []Obs{
+		rounds = append(rounds, []flight.Sample{
 			movingObs(0, round),
 			movingObs(1, round),
 			movingObs(2, round),
 			// Rank 3 crawls at 1% of the others' rate with work queued — slow,
 			// not stopped, so the straggler rule stays quiet.
-			{Rank: 3, Ready: true, Sent: int64(round), Received: int64(round), Posted: 6},
+			{Rank: 3, Ready: true, Sent: int64(round), Received: int64(round), Comms: queues(6, 0)},
 		})
 	}
 	got := reasons(feed(d, rounds))
@@ -156,20 +164,20 @@ func TestRateSkew(t *testing.T) {
 // scheduler noise on an oversubscribed host — must not fire; only
 // SkewWindows consecutive qualifying windows do.
 func TestRateSkewIgnoresOneBadWindow(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	slow := func(round int) Obs { // freezes at 600: ~0 msg/s for this window
-		return Obs{Rank: 3, Ready: true, Sent: 600, Received: 600, Posted: 6}
+	d := flight.NewDetector(flight.DetectorConfig{})
+	slow := func(round int) flight.Sample { // freezes at 600: ~0 msg/s for this window
+		return flight.Sample{Rank: 3, Ready: true, Sent: 600, Received: 600, Comms: queues(6, 0)}
 	}
-	fast := func(round int) Obs {
-		return Obs{Rank: 3, Ready: true, Sent: int64(100 * round), Received: int64(100 * round), Posted: 6}
+	fast := func(round int) flight.Sample {
+		return flight.Sample{Rank: 3, Ready: true, Sent: int64(100 * round), Received: int64(100 * round), Comms: queues(6, 0)}
 	}
-	var rounds [][]Obs
+	var rounds [][]flight.Sample
 	for round := 1; round <= 16; round++ {
 		o := fast(round) // healthy except one bad window (rounds 6-9)
 		if round >= 6 && round <= 9 {
 			o = slow(round)
 		}
-		rounds = append(rounds, []Obs{movingObs(0, round), movingObs(1, round), movingObs(2, round), o})
+		rounds = append(rounds, []flight.Sample{movingObs(0, round), movingObs(1, round), movingObs(2, round), o})
 	}
 	if got := reasons(feed(d, rounds)); len(got["rate-skew"]) != 0 {
 		t.Fatalf("rate-skew fired on a single bad window: %v", got)
@@ -177,12 +185,12 @@ func TestRateSkewIgnoresOneBadWindow(t *testing.T) {
 }
 
 func TestRateSkewNeedsThreeRanks(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	var rounds [][]Obs
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
 	for round := 1; round <= 10; round++ {
-		rounds = append(rounds, []Obs{
+		rounds = append(rounds, []flight.Sample{
 			movingObs(0, round),
-			{Rank: 1, Ready: true, Sent: int64(round), Received: int64(round), Posted: 6},
+			{Rank: 1, Ready: true, Sent: int64(round), Received: int64(round), Comms: queues(6, 0)},
 		})
 	}
 	if got := reasons(feed(d, rounds)); len(got["rate-skew"]) != 0 {
@@ -194,18 +202,18 @@ func TestUnexpectedDivergenceLatches(t *testing.T) {
 	// One observation step of receive stagnation is enough here; the rank
 	// keeps sending (so the straggler rule stays silent) while its received
 	// counter freezes under a deep unexpected queue.
-	d := NewDetector(DetectorConfig{DivergeAfter: time.Duration(stepNs)})
-	diverged := func(round int) []Obs {
-		return []Obs{
+	d := flight.NewDetector(flight.DetectorConfig{DivergeAfter: time.Duration(stepNs)})
+	diverged := func(round int) []flight.Sample {
+		return []flight.Sample{
 			movingObs(0, round),
 			movingObs(1, round),
-			{Rank: 2, Ready: true, Sent: int64(100 * round), Received: 100, Unexpected: 300},
+			{Rank: 2, Ready: true, Sent: int64(100 * round), Received: 100, Comms: queues(0, 300)},
 		}
 	}
-	healthy := func(round int) []Obs {
-		return []Obs{movingObs(0, round), movingObs(1, round), movingObs(2, round)}
+	healthy := func(round int) []flight.Sample {
+		return []flight.Sample{movingObs(0, round), movingObs(1, round), movingObs(2, round)}
 	}
-	var rounds [][]Obs
+	var rounds [][]flight.Sample
 	for round := 1; round <= 6; round++ {
 		rounds = append(rounds, diverged(round))
 	}
@@ -224,15 +232,15 @@ func TestUnexpectedDivergenceLatches(t *testing.T) {
 // and run far ahead). As long as the receiver keeps draining — its
 // received counter advances — no depth may fire divergence.
 func TestDivergenceSparesDrainingReceivers(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	var rounds [][]Obs
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
 	for round := 1; round <= 12; round++ {
-		rounds = append(rounds, []Obs{
+		rounds = append(rounds, []flight.Sample{
 			movingObs(0, round), // sender: no queue
 			movingObs(2, round), // sender: no queue
 			// Receivers: thousands deep but receiving the whole time.
-			{Rank: 1, Ready: true, Received: int64(100 * round), Unexpected: 3000 + 100*round},
-			{Rank: 3, Ready: true, Received: int64(80 * round), Unexpected: 6000 + 200*round},
+			{Rank: 1, Ready: true, Received: int64(100 * round), Comms: queues(0, 3000+100*round)},
+			{Rank: 3, Ready: true, Received: int64(80 * round), Comms: queues(0, 6000+200*round)},
 		})
 	}
 	got := reasons(feed(d, rounds))
@@ -242,12 +250,12 @@ func TestDivergenceSparesDrainingReceivers(t *testing.T) {
 }
 
 func TestRetransmitStormLocalized(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	var rounds [][]Obs
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
 	for round := 1; round <= 8; round++ {
 		o := movingObs(1, round)
 		o.Retransmits = int64(50 * round) // 200/s: well past the 100/window threshold
-		rounds = append(rounds, []Obs{movingObs(0, round), o, movingObs(2, round)})
+		rounds = append(rounds, []flight.Sample{movingObs(0, round), o, movingObs(2, round)})
 	}
 	got := reasons(feed(d, rounds))
 	if ranks := got["retransmit-storm"]; len(ranks) == 0 {
@@ -262,10 +270,10 @@ func TestRetransmitStormLocalized(t *testing.T) {
 }
 
 func TestReadinessStragglerFiresOnce(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	var rounds [][]Obs
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
 	for round := 1; round <= 12; round++ { // 3s, threshold 2s
-		rounds = append(rounds, []Obs{
+		rounds = append(rounds, []flight.Sample{
 			{Rank: 0, Ready: true},
 			{Rank: 1, Ready: false, ReadyReason: "world not constructed"},
 		})
@@ -277,14 +285,14 @@ func TestReadinessStragglerFiresOnce(t *testing.T) {
 }
 
 func TestErroredRankExcluded(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
-	var rounds [][]Obs
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
 	for round := 1; round <= 10; round++ {
-		rounds = append(rounds, []Obs{
+		rounds = append(rounds, []flight.Sample{
 			movingObs(0, round),
 			movingObs(1, round),
 			// Scrape failures leave stale zeros — must not read as a stall.
-			{Rank: 2, Err: "connection refused", Posted: 5},
+			{Rank: 2, Err: "connection refused", Comms: queues(5, 0)},
 		})
 	}
 	if vs := feed(d, rounds); len(vs) != 0 {
@@ -292,13 +300,39 @@ func TestErroredRankExcluded(t *testing.T) {
 	}
 }
 
+// TestFirstGoodScrapePrimes: at start-up the launcher polls before a rank
+// listens. The failed scrape's zero observation must not become the rank's
+// baseline, or the first good scrape books the rank's whole history into
+// one window: a retransmit-storm for any rank with 100 cumulative
+// retransmissions, and an inflated message rate.
+func TestFirstGoodScrapePrimes(t *testing.T) {
+	d := flight.NewDetector(flight.DetectorConfig{})
+	var rounds [][]flight.Sample
+	for round := 1; round <= 8; round++ {
+		late := flight.Sample{Rank: 1, Err: "connection refused"}
+		if round > 1 {
+			late = movingObs(1, round)
+			late.Sent += 1_000_000 // history from before the first good scrape
+			late.Retransmits = 500
+		}
+		rounds = append(rounds, []flight.Sample{movingObs(0, round), late, movingObs(2, round)})
+	}
+	if vs := feed(d, rounds); len(vs) != 0 {
+		t.Fatalf("a rank's history before its first good scrape fired: %+v", vs)
+	}
+	// 200 msgs per 250ms step = 800 msg/s, not the million it had already sent.
+	if r, ok := d.Rate(1); !ok || r < 700 || r > 900 {
+		t.Fatalf("rate = %v (valid %v), want ~800", r, ok)
+	}
+}
+
 func TestRateAccessor(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := flight.NewDetector(flight.DetectorConfig{})
 	if _, ok := d.Rate(0); ok {
 		t.Fatal("rate valid before any observation")
 	}
 	for round := 1; round <= 6; round++ {
-		d.Observe(Sample{NowNs: int64(round) * stepNs, Obs: []Obs{movingObs(0, round)}})
+		d.Observe(int64(round)*stepNs, []flight.Sample{movingObs(0, round)})
 	}
 	r, ok := d.Rate(0)
 	if !ok {

@@ -10,11 +10,11 @@ import (
 
 // latObs builds one latency-reporting rank observation with steady
 // counters and a posted receive so the other rules stay quiet.
-func latObs(rank int, sent int64, e2eP99 int64, stages ...flight.StageP99) Obs {
-	return Obs{
+func latObs(rank int, sent int64, e2eP99 int64, stages ...flight.StageP99) flight.Sample {
+	return flight.Sample{
 		Rank: rank, Ready: true,
 		Sent: sent, Received: sent,
-		Posted:       1,
+		Comms:        queues(1, 0),
 		LatencyValid: true,
 		E2EP99Ns:     e2eP99,
 		StageP99:     stages,
@@ -23,7 +23,7 @@ func latObs(rank int, sent int64, e2eP99 int64, stages ...flight.StageP99) Obs {
 
 // tailClusterSample: ranks 0-2 healthy at ~500µs e2e p99, rank 3 at 20ms
 // with the excess in deliver_wait.
-func tailClusterSample(nowNs int64, moving int64) Sample {
+func tailClusterSample(moving int64) []flight.Sample {
 	healthyStages := []flight.StageP99{
 		{Stage: "transit", P99Ns: 100_000},
 		{Stage: "deliver_wait", P99Ns: 200_000},
@@ -34,23 +34,23 @@ func tailClusterSample(nowNs int64, moving int64) Sample {
 		{Stage: "deliver_wait", P99Ns: 19_500_000},
 		{Stage: "match_posted", P99Ns: 150_000},
 	}
-	return Sample{NowNs: nowNs, Obs: []Obs{
+	return []flight.Sample{
 		latObs(0, moving, 500_000, healthyStages...),
 		latObs(1, moving, 520_000, healthyStages...),
 		latObs(2, moving, 480_000, healthyStages...),
 		latObs(3, moving, 20_000_000, sickStages...),
-	}}
+	}
 }
 
 // TestDetectorLatencyTailSkew: a sustained 40x tail on one rank fires
 // exactly one latency-tail-skew verdict naming that rank and its dominant
 // stage, after the configured number of consecutive observations.
 func TestDetectorLatencyTailSkew(t *testing.T) {
-	det := NewDetector(DetectorConfig{})
+	det := flight.NewDetector(flight.DetectorConfig{})
 	ms := int64(time.Millisecond)
-	var fired []Verdict
+	var fired []flight.Verdict
 	for i := int64(1); i <= 5; i++ {
-		vs := det.Observe(tailClusterSample(i*100*ms, i*1000))
+		vs := det.Observe(i*100*ms, tailClusterSample(i*1000))
 		for _, v := range vs {
 			if v.Reason != "latency-tail-skew" {
 				t.Fatalf("unexpected verdict: %+v", v)
@@ -76,15 +76,15 @@ func TestDetectorLatencyTailSkew(t *testing.T) {
 	// Episode over: the tail returns to normal, then skews again — the
 	// detector must re-arm and fire a second episode.
 	for i := int64(6); i <= 8; i++ {
-		s := tailClusterSample(i*100*ms, i*1000)
-		s.Obs[3].E2EP99Ns = 500_000
-		if vs := det.Observe(s); len(vs) != 0 {
+		s := tailClusterSample(i * 1000)
+		s[3].E2EP99Ns = 500_000
+		if vs := det.Observe(i*100*ms, s); len(vs) != 0 {
 			t.Fatalf("healthy tail produced verdicts: %+v", vs)
 		}
 	}
-	var again []Verdict
+	var again []flight.Verdict
 	for i := int64(9); i <= 12; i++ {
-		again = append(again, det.Observe(tailClusterSample(i*100*ms, i*1000))...)
+		again = append(again, det.Observe(i*100*ms, tailClusterSample(i*1000))...)
 	}
 	if len(again) != 1 || again[0].Reason != "latency-tail-skew" || again[0].Rank != 3 {
 		t.Fatalf("re-armed episode verdicts = %+v, want one more tail-skew on rank 3", again)
@@ -95,14 +95,14 @@ func TestDetectorLatencyTailSkew(t *testing.T) {
 // latency-reporting ranks "the median" is half the straggler itself, so
 // the rule must stay silent however skewed the pair looks.
 func TestDetectorLatencyTailSkewNeedsThreeRanks(t *testing.T) {
-	det := NewDetector(DetectorConfig{})
+	det := flight.NewDetector(flight.DetectorConfig{})
 	ms := int64(time.Millisecond)
 	for i := int64(1); i <= 6; i++ {
-		s := Sample{NowNs: i * 100 * ms, Obs: []Obs{
+		s := []flight.Sample{
 			latObs(0, i*1000, 500_000),
 			latObs(1, i*1000, 20_000_000),
-		}}
-		if vs := det.Observe(s); len(vs) != 0 {
+		}
+		if vs := det.Observe(i*100*ms, s); len(vs) != 0 {
 			t.Fatalf("tail-skew fired with 2 valid ranks: %+v", vs)
 		}
 	}
@@ -111,38 +111,17 @@ func TestDetectorLatencyTailSkewNeedsThreeRanks(t *testing.T) {
 // TestDetectorLatencyTailSkewFloor: a rank at many times a tiny median is
 // measurement noise, not a tail — TailMinP99 suppresses it.
 func TestDetectorLatencyTailSkewFloor(t *testing.T) {
-	det := NewDetector(DetectorConfig{})
+	det := flight.NewDetector(flight.DetectorConfig{})
 	ms := int64(time.Millisecond)
 	for i := int64(1); i <= 6; i++ {
-		s := Sample{NowNs: i * 100 * ms, Obs: []Obs{
+		s := []flight.Sample{
 			latObs(0, i*1000, 2_000),
 			latObs(1, i*1000, 2_100),
 			latObs(2, i*1000, 1_900),
 			latObs(3, i*1000, 900_000), // 450x the median but under the 1ms floor
-		}}
-		if vs := det.Observe(s); len(vs) != 0 {
+		}
+		if vs := det.Observe(i*100*ms, s); len(vs) != 0 {
 			t.Fatalf("tail-skew fired under the absolute floor: %+v", vs)
 		}
-	}
-}
-
-// TestDominantStage: ratio against the cluster median picks the stage the
-// sick rank is an outlier in, even when another stage has a larger
-// absolute p99 everywhere.
-func TestDominantStage(t *testing.T) {
-	med := map[string]float64{
-		"wire_write":   1_000_000, // big everywhere
-		"deliver_wait": 1_000,
-	}
-	stages := []flight.StageP99{
-		{Stage: "wire_write", P99Ns: 1_200_000}, // 1.2x median
-		{Stage: "deliver_wait", P99Ns: 500_000}, // 500x median
-	}
-	stage, p99 := dominantStage(stages, med)
-	if stage != "deliver_wait" || p99 != 500_000 {
-		t.Fatalf("dominantStage = %q/%d, want deliver_wait/500000", stage, p99)
-	}
-	if s, _ := dominantStage(nil, med); s != "" {
-		t.Fatalf("dominantStage(nil) = %q, want empty", s)
 	}
 }

@@ -1,11 +1,11 @@
 // Package cluster is the fleet-level observability plane: it fetches every
 // rank's typed stats document (/debug/stats), readiness and queue depths
 // over HTTP, renders the documents as one rank-labeled cluster view with an
-// SPC rollup through the exporters the ranks themselves use, and runs a
-// cross-rank imbalance detector over the polled state — the cluster-scale
-// sibling of the per-rank flight.Detector. The aggregator serves the view at
-// /cluster/* (wired into cmd/mpirun) and produces the end-of-run cluster
-// report consumed by cmd/mpitop and CI.
+// SPC rollup through the exporters the ranks themselves use, and shows
+// flight.Detector — the engine behind each rank's stall watchdog — every
+// rank at once. The aggregator serves the view at /cluster/* (wired into
+// cmd/mpirun) and produces the end-of-run cluster report consumed by
+// cmd/mpitop and CI.
 package cluster
 
 import (
@@ -34,11 +34,10 @@ type Endpoint struct {
 // scrape carries Err and the zero value elsewhere; the aggregator then
 // keeps serving the rank's last good state with the error noted.
 type RankState struct {
-	Rank int
-	Err  string
-
-	Ready       bool
-	ReadyReason string
+	// Sample is the rank's observation — rank, scrape error, readiness,
+	// movement counters, queue depths, latency p99s — as the detector, the
+	// report row and the cluster gauges read it.
+	flight.Sample
 
 	// RankDoc is the rank's typed /debug/stats document: uptime, run
 	// labels, and the stats of every proc the process hosts. Info always
@@ -49,8 +48,6 @@ type RankState struct {
 	// SPC is the rank's process-scope counter snapshot — the per-rank
 	// operand of the cluster rollup.
 	SPC spc.Snapshot
-	// Queues is the rank's /debug/queues introspection snapshot.
-	Queues flight.QueueSnapshot
 }
 
 // proc returns the stats of the proc whose rank this is (a thread-mode
@@ -93,33 +90,6 @@ func (rs RankState) latencyP99s() (int64, []flight.StageP99) {
 	return e2e, stages
 }
 
-// Obs condenses the state into one detector observation.
-func (rs RankState) Obs() Obs {
-	o := Obs{
-		Rank:        rs.Rank,
-		Err:         rs.Err,
-		Ready:       rs.Ready,
-		ReadyReason: rs.ReadyReason,
-		Sent:        rs.SPC.Get(spc.MessagesSent),
-		Received:    rs.SPC.Get(spc.MessagesReceived),
-		Retransmits: rs.SPC.Get(spc.Retransmits),
-	}
-	for _, cq := range rs.Queues.Comms {
-		o.Posted += cq.Posted
-		o.Unexpected += cq.Unexpected
-		o.OOSBuffered += cq.OOSBuffered
-	}
-	for _, w := range rs.Queues.Windows {
-		o.Unacked += w.Unacked
-	}
-	if e2e, stages := rs.latencyP99s(); e2e > 0 {
-		o.LatencyValid = true
-		o.E2EP99Ns = e2e
-		o.StageP99 = stages
-	}
-	return o
-}
-
 // Scraper polls a fixed set of rank endpoints.
 type Scraper struct {
 	Endpoints []Endpoint
@@ -146,7 +116,11 @@ func (s *Scraper) Scrape() []RankState {
 }
 
 func (s *Scraper) scrapeOne(ep Endpoint) RankState {
-	rs := RankState{Rank: ep.Rank}
+	rs := RankState{Sample: flight.Sample{Rank: ep.Rank}}
+	failed := func(doc string, err error) RankState {
+		rs.Err = fmt.Sprintf("%s: %v", doc, err)
+		return rs
+	}
 	c := s.client()
 
 	body, _, err := fetch(c, ep.URL+"/debug/stats")
@@ -154,7 +128,8 @@ func (s *Scraper) scrapeOne(ep Endpoint) RankState {
 		err = json.Unmarshal(body, &rs.RankDoc)
 	}
 	if err != nil {
-		return RankState{Rank: ep.Rank, Err: fmt.Sprintf("/debug/stats: %v", err)}
+		rs.RankDoc = telemetry.RankDoc{}
+		return failed("/debug/stats", err)
 	}
 	// The merge-safety contract: every series of the cluster view carries a
 	// rank. A document that names its own keeps it (a proxy re-exporting
@@ -166,33 +141,41 @@ func (s *Scraper) scrapeOne(ep Endpoint) RankState {
 		rs.Info["rank"] = strconv.Itoa(ep.Rank)
 	}
 	rs.SPC = rs.proc().Process
+	rs.Sent = rs.SPC.Get(spc.MessagesSent)
+	rs.Received = rs.SPC.Get(spc.MessagesReceived)
+	rs.Retransmits = rs.SPC.Get(spc.Retransmits)
+	rs.E2EP99Ns, rs.StageP99 = rs.latencyP99s()
+	rs.LatencyValid = rs.E2EP99Ns > 0
 
 	// Readiness: /readyz answers 200 ("ready") or 503 with a reason body.
 	// A transport error here (after the stats answered) is still a scrape
 	// failure — half-scraped ranks would skew the detections.
 	rbody, status, err := fetch(c, ep.URL+"/readyz")
 	if err != nil && status == 0 {
-		rs.Err = fmt.Sprintf("/readyz: %v", err)
-		return rs
+		return failed("/readyz", err)
 	}
 	rs.Ready = status == http.StatusOK
 	if !rs.Ready {
 		rs.ReadyReason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(string(rbody)), "not ready:"))
 	}
 
+	// A process can host several local procs (thread-mode worlds); the
+	// distributed deployments this plane targets serve exactly one. Several
+	// fold into one, so the observation covers the process.
 	var snaps []flight.QueueSnapshot
 	qbody, _, err := fetch(c, ep.URL+"/debug/queues")
 	if err == nil {
 		err = json.Unmarshal(qbody, &snaps)
 	}
 	if err != nil {
-		rs.Err = fmt.Sprintf("/debug/queues: %v", err)
-		return rs
+		return failed("/debug/queues", err)
 	}
-	// A process can host several local procs (thread-mode worlds); the
-	// distributed deployments this plane targets serve exactly one. Several
-	// fold into one, so the observation covers the process.
-	rs.Queues = mergeQueueSnapshots(ep.Rank, snaps)
+	for _, qs := range snaps {
+		rs.Comms = append(rs.Comms, qs.Comms...)
+		for _, w := range qs.Windows {
+			rs.Unacked += w.Unacked
+		}
+	}
 	return rs
 }
 
@@ -217,19 +200,4 @@ func fetch(c *http.Client, url string) (body []byte, status int, err error) {
 		return b, resp.StatusCode, fmt.Errorf("status %d", resp.StatusCode)
 	}
 	return b, resp.StatusCode, nil
-}
-
-// mergeQueueSnapshots folds several local procs' snapshots into one
-// process-level view (comm depths concatenated, windows concatenated).
-func mergeQueueSnapshots(rank int, snaps []flight.QueueSnapshot) flight.QueueSnapshot {
-	out := flight.QueueSnapshot{Rank: rank}
-	for _, qs := range snaps {
-		if qs.CapturedNs > out.CapturedNs {
-			out.CapturedNs = qs.CapturedNs
-		}
-		out.Comms = append(out.Comms, qs.Comms...)
-		out.Windows = append(out.Windows, qs.Windows...)
-		out.CRIs = append(out.CRIs, qs.CRIs...)
-	}
-	return out
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/latency"
 	"repro/internal/obs"
 	"repro/internal/prof"
@@ -201,7 +202,7 @@ func TestEnforceRankLabel(t *testing.T) {
 func TestMergeFamiliesNoCollision(t *testing.T) {
 	var ranks []RankState
 	for r := 0; r < 3; r++ {
-		ranks = append(ranks, RankState{Rank: r, RankDoc: telemetry.RankDoc{
+		ranks = append(ranks, RankState{Sample: flight.Sample{Rank: r}, RankDoc: telemetry.RankDoc{
 			Info:  map[string]string{"rank": fmt.Sprint(r)},
 			Stats: []telemetry.ProcStats{testProcStats(r)},
 		}})
@@ -305,9 +306,9 @@ func TestP99MatchesParentsQuantile(t *testing.T) {
 }
 
 // TestTailSkewThroughTypedPath feeds the tail-skew rule the way the live
-// plane does — rank histograms, scraped as typed documents, condensed by
-// Obs — and wants the verdict TestDetectorLatencyTailSkew wants: the sick
-// rank, and the stage its excess sits in.
+// plane does — rank histograms, scraped as typed documents, condensed into
+// the rank's Sample — and wants the verdict TestDetectorLatencyTailSkew
+// wants: the sick rank, and the stage its excess sits in.
 func TestTailSkewThroughTypedPath(t *testing.T) {
 	var eps []Endpoint
 	var ranks []*fakeRank
@@ -327,7 +328,7 @@ func TestTailSkewThroughTypedPath(t *testing.T) {
 		eps = append(eps, fr.endpoint())
 	}
 	agg := NewAggregator(AggregatorConfig{Endpoints: eps})
-	var fired []Verdict
+	var fired []flight.Verdict
 	for i := 0; i < 5; i++ {
 		for _, fr := range ranks {
 			fr.sent.Add(1000)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/spc"
 )
 
@@ -15,22 +16,21 @@ type AggregatorConfig struct {
 	Endpoints []Endpoint
 	// Poll is the scrape interval (default 250ms).
 	Poll time.Duration
-	// Detector tunes the cross-rank imbalance detector.
-	Detector DetectorConfig
+	// Detector tunes the detector the polled ranks are shown to.
+	Detector flight.DetectorConfig
 	// Client overrides the scrape HTTP client (tests).
 	Client *http.Client
 }
 
-// Aggregator polls every rank endpoint on an interval, feeds each round
-// through the cross-rank Detector, and serves the merged cluster view. It
-// is the live twin of DetectSeries: same detector, wall-clock samples.
+// Aggregator polls every rank endpoint on an interval, shows each round's
+// samples to one flight.Detector, and serves the merged cluster view.
 type Aggregator struct {
 	cfg     AggregatorConfig
 	scraper *Scraper
 	start   time.Time
 
 	mu       sync.Mutex
-	det      *Detector
+	det      *flight.Detector
 	state    ClusterState
 	lastGood map[int]RankState
 
@@ -49,7 +49,7 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 		cfg:      cfg,
 		scraper:  &Scraper{Endpoints: cfg.Endpoints, Client: cfg.Client},
 		start:    time.Now(),
-		det:      NewDetector(cfg.Detector),
+		det:      flight.NewDetector(cfg.Detector),
 		lastGood: map[int]RankState{},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -91,53 +91,45 @@ func (a *Aggregator) PollOnce() ClusterState {
 	// so one missed poll doesn't blank the rank's row.
 	for i, rs := range ranks {
 		if rs.Err == "" {
-			good := rs
-			a.lastGood[rs.Rank] = good
+			a.lastGood[rs.Rank] = rs
 		} else if prev, ok := a.lastGood[rs.Rank]; ok {
 			prev.Err = rs.Err
 			ranks[i] = prev
 		}
 	}
-	obs := make([]Obs, 0, len(ranks))
+	samples := make([]flight.Sample, 0, len(ranks))
 	procs := make([]spc.Snapshot, 0, len(ranks))
 	for _, rs := range ranks {
-		obs = append(obs, rs.Obs())
+		samples = append(samples, rs.Sample)
 		procs = append(procs, rs.SPC)
 	}
-	verdicts := a.det.Observe(Sample{NowNs: now, Obs: obs})
+	verdicts := a.det.Observe(now, samples)
 
-	a.state.CapturedNs = now
-	a.state.Polls++
-	a.state.Ranks = ranks
-	a.state.Rollup = spc.Merge(procs...)
-	a.state.Current = verdicts
-	a.state.History = append(a.state.History, verdicts...)
-	a.state.Rates = map[int]float64{}
+	// A round replaces the state: every slice and map in it is new (History
+	// only grows past what an earlier copy can see), so State hands out the
+	// struct as it is and nobody copies it.
+	a.state = ClusterState{
+		CapturedNs: now,
+		Polls:      a.state.Polls + 1,
+		Ranks:      ranks,
+		Rollup:     spc.Merge(procs...),
+		Rates:      map[int]float64{},
+		Current:    verdicts,
+		History:    append(a.state.History, verdicts...),
+	}
 	for _, rs := range ranks {
 		if r, ok := a.det.Rate(rs.Rank); ok {
 			a.state.Rates[rs.Rank] = r
 		}
 	}
-	return a.snapshotLocked()
+	return a.state
 }
 
-// State returns a copy of the latest aggregation round.
+// State returns the latest aggregation round.
 func (a *Aggregator) State() ClusterState {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.snapshotLocked()
-}
-
-func (a *Aggregator) snapshotLocked() ClusterState {
-	cs := a.state
-	cs.Ranks = append([]RankState{}, a.state.Ranks...)
-	cs.Current = append([]Verdict{}, a.state.Current...)
-	cs.History = append([]Verdict{}, a.state.History...)
-	cs.Rates = make(map[int]float64, len(a.state.Rates))
-	for k, v := range a.state.Rates {
-		cs.Rates[k] = v
-	}
-	return cs
+	return a.state
 }
 
 // Handler returns the /cluster/* mux.
@@ -182,15 +174,15 @@ func (a *Aggregator) Handler() http.Handler {
 	mux.HandleFunc("/cluster/imbalance", func(w http.ResponseWriter, r *http.Request) {
 		cs := a.State()
 		out := struct {
-			Clean    bool      `json:"clean"`
-			Current  []Verdict `json:"current"`
-			Verdicts []Verdict `json:"verdicts"`
+			Clean    bool             `json:"clean"`
+			Current  []flight.Verdict `json:"current"`
+			Verdicts []flight.Verdict `json:"verdicts"`
 		}{Clean: cs.Clean(), Current: cs.Current, Verdicts: cs.History}
 		if out.Current == nil {
-			out.Current = []Verdict{}
+			out.Current = []flight.Verdict{}
 		}
 		if out.Verdicts == nil {
-			out.Verdicts = []Verdict{}
+			out.Verdicts = []flight.Verdict{}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		writeJSON(w, out)
@@ -208,23 +200,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// Server is a live aggregator endpoint.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
 // Serve serves the aggregator's /cluster/* endpoints on ln, which the caller
-// bound (the launcher binds it before it reserves any rank's port); Addr
-// reports its address.
-func Serve(ln net.Listener, a *Aggregator) *Server {
-	s := &Server{ln: ln, srv: &http.Server{Handler: a.Handler()}}
-	go s.srv.Serve(ln)
-	return s
+// bound (the launcher binds it before it reserves any rank's port) and whose
+// address it therefore has. Close the returned server to stop.
+func Serve(ln net.Listener, a *Aggregator) *http.Server {
+	srv := &http.Server{Handler: a.Handler()}
+	go srv.Serve(ln)
+	return srv
 }
-
-// Addr returns the bound address, e.g. "127.0.0.1:9090".
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the server down.
-func (s *Server) Close() error { return s.srv.Close() }

@@ -10,14 +10,10 @@ import (
 	"repro/internal/spc"
 )
 
-// DefaultWatchdogInterval is the stall watchdog's sampling period when
-// WatchdogConfig.Interval is unset.
-const DefaultWatchdogInterval = 100 * time.Millisecond
-
 // WatchdogConfig configures the stall watchdog started by
 // World.StartWatchdog.
 type WatchdogConfig struct {
-	// Interval is the sampling period (0 = DefaultWatchdogInterval).
+	// Interval is the sampling period (0 = 100ms).
 	Interval time.Duration
 	// Detector bounds the detections (zero fields take the defaults
 	// documented on flight.DetectorConfig).
@@ -29,18 +25,19 @@ type WatchdogConfig struct {
 }
 
 // StartWatchdog starts the stall watchdog: a goroutine that samples every
-// local proc's movement counters and queue depths each Interval, feeds them
-// through a per-proc flight.Detector, and on any verdict (no-progress,
-// retransmit storm, unexpected-queue growth) dumps the merged flight record
-// plus the runtime introspection snapshot. The returned stop function is
-// idempotent and waits for the goroutine to exit.
+// local proc's movement counters and queue depths each Interval, shows each
+// proc alone to its own flight.Detector — so the rank-local rules run
+// (no-progress, retransmit storm, unexpected-queue growth) and the
+// comparative ones, which need peers, stay silent — and on any verdict dumps
+// the merged flight record plus the runtime introspection snapshot. The
+// returned stop function is idempotent and waits for the goroutine to exit.
 //
 // The watchdog works with the flight recorder off — dumps then carry only
 // the queue snapshot — but pairs with Options.FlightCapacity to answer
 // "what happened just before it stalled".
 func (w *World) StartWatchdog(cfg WatchdogConfig) (stop func()) {
 	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultWatchdogInterval
+		cfg.Interval = 100 * time.Millisecond
 	}
 	onDump := cfg.OnDump
 	if onDump == nil {
@@ -65,7 +62,8 @@ func (w *World) StartWatchdog(cfg WatchdogConfig) (stop func()) {
 			case <-ticker.C:
 			}
 			for i, p := range procs {
-				if v, ok := dets[i].Observe(p.watchdogSample()); ok {
+				s := p.watchdogSample()
+				for _, v := range dets[i].Observe(s.NowNs, []flight.Sample{s}) {
 					onDump(flight.Dump{
 						Rank:    p.rank,
 						Verdict: v,
@@ -124,21 +122,19 @@ func (p *Proc) QueueSnapshot() flight.QueueSnapshot {
 // watchdogSample condenses the proc's state into one detector observation.
 func (p *Proc) watchdogSample() flight.Sample {
 	snap := p.SPCSnapshot()
-	s := flight.Sample{
-		NowNs:       time.Now().UnixNano(),
-		Sent:        uint64(snap[spc.MessagesSent]),
-		Received:    uint64(snap[spc.MessagesReceived]),
-		Retransmits: uint64(snap[spc.Retransmits]),
-	}
 	qs := p.QueueSnapshot()
-	s.Comms = qs.Comms
+	s := flight.Sample{
+		Rank:        p.rank,
+		NowNs:       qs.CapturedNs,
+		Ready:       true,
+		Sent:        snap[spc.MessagesSent],
+		Received:    snap[spc.MessagesReceived],
+		Retransmits: snap[spc.Retransmits],
+		Comms:       qs.Comms,
+	}
 	for _, w := range qs.Windows {
 		s.Unacked += w.Unacked
 	}
-	if stages, e2e, ok := p.lat.StageP99s(); ok {
-		s.LatencyValid = true
-		s.E2EP99Ns = e2e
-		s.StageP99 = stages
-	}
+	s.StageP99, s.E2EP99Ns, s.LatencyValid = p.lat.StageP99s()
 	return s
 }

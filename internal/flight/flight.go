@@ -421,9 +421,7 @@ func WriteRecords(w io.Writer, recs []RankRecord) error {
 	if recs == nil {
 		recs = []RankRecord{}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
+	return writeIndented(w, recs)
 }
 
 // ReadRecords parses a document written by WriteRecords.

@@ -2,9 +2,7 @@ package flight
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"time"
 )
 
 // CommQueues is one communicator's live matching-queue depths. Depths are
@@ -58,30 +56,65 @@ func WriteSnapshots(w io.Writer, snaps []QueueSnapshot) error {
 	if snaps == nil {
 		snaps = []QueueSnapshot{}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snaps)
+	return writeIndented(w, snaps)
 }
 
-// Sample is one watchdog observation of a rank: monotonically increasing
-// movement counters plus the live queue depths.
+func writeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// Sample is one observation of one rank — what the detector, the cluster
+// report row and the mpi_cluster_* gauges all read. It has three
+// constructors: core.Proc.watchdogSample, simnet's twin of it, and the
+// cluster scrape.
 type Sample struct {
-	NowNs       int64
-	Sent        uint64
-	Received    uint64
-	Retransmits uint64
-	Unacked     int
-	Comms       []CommQueues
+	Rank int
+	// NowNs is when the sample was taken on its sampler's clock; a poll that
+	// gathers many ranks holds the observation's time itself and leaves it 0.
+	NowNs int64
+	// Err is a non-empty scrape failure description. An errored rank
+	// contributes nothing to the detections this round (its counters are
+	// stale), but stays visible in health output.
+	Err string
+	// Ready mirrors the rank's /readyz; ReadyReason carries the 503 body. A
+	// rank sampled from inside its own process is ready by construction.
+	Ready       bool
+	ReadyReason string
+	// Cumulative SPC movement counters.
+	Sent, Received, Retransmits int64
+	// Unacked is the rank's total reliability-window occupancy.
+	Unacked int
+	// Comms holds the live queue depths of each communicator.
+	Comms []CommQueues
 	// LatencyValid marks a sample carrying latency-attribution quantiles
 	// (the run had the internal/latency layer on and at least one traced
-	// message completed on this rank by this observation).
+	// message completed on this rank by this observation); the tail-skew
+	// rule only scores these ranks.
 	LatencyValid bool
 	// E2EP99Ns is the rank's end-to-end latency p99 at this observation;
-	// StageP99 the per-stage p99 vector in stage order. Cumulative-histogram
-	// quantiles, so they move slowly — the cluster tail-skew rule compares
+	// StageP99 the per-stage p99 vector in stage order — what lets the
+	// tail-skew verdict name the stage responsible, not just the rank.
+	// Cumulative-histogram quantiles, so they move slowly: the rule compares
 	// them across ranks rather than across time.
 	E2EP99Ns int64
 	StageP99 []StageP99
+}
+
+// QueueDepths is a rank's matching-queue depths summed over its communicators.
+type QueueDepths struct {
+	Posted, Unexpected, OOSBuffered int
+}
+
+// Depths sums the rank's queue depths — the one place that sum is taken.
+func (s Sample) Depths() (d QueueDepths) {
+	for _, cq := range s.Comms {
+		d.Posted += cq.Posted
+		d.Unexpected += cq.Unexpected
+		d.OOSBuffered += cq.OOSBuffered
+	}
+	return d
 }
 
 // StageP99 is one critical-path stage's p99 in a latency-carrying Sample.
@@ -91,224 +124,6 @@ type Sample struct {
 type StageP99 struct {
 	Stage string `json:"stage"`
 	P99Ns int64  `json:"p99_ns"`
-}
-
-// RankSeries is one rank's observation time series: the same Samples the
-// watchdog consumes one at a time, retained in observation order. The
-// simnet engine collects one per simulated rank (in virtual time, so the
-// series is byte-deterministic) and the cluster imbalance detector
-// consumes sets of them — the bridge that lets cross-rank verdicts be
-// asserted without a live cluster.
-type RankSeries struct {
-	Rank    int
-	Samples []Sample
-}
-
-// DetectorConfig bounds the stall detections. Zero values take defaults.
-type DetectorConfig struct {
-	// StallAfter fires the no-progress detection when neither sent nor
-	// received counters move for this long while work is outstanding
-	// (default 1s).
-	StallAfter time.Duration
-	// StormWindow and StormRetransmits fire the retransmit-storm detection
-	// when at least StormRetransmits retransmissions land within one
-	// StormWindow (defaults 1s / 100).
-	StormWindow      time.Duration
-	StormRetransmits int64
-	// GrowthSamples fires the unexpected-queue-growth detection when a
-	// communicator's unexpected depth grows strictly monotonically across
-	// this many consecutive observations (default 8).
-	GrowthSamples int
-	// GrowthMinDelta is the minimum total depth increase over a monotone
-	// streak before the growth detection may fire (default: GrowthSamples).
-	// Queue depths are sampled from approximate atomic counters (see
-	// ringbuf.MPSC.Len and match.Sharded) that can read transiently high by
-	// a few elements against in-flight operations; a streak of +1 jitter
-	// must not be mistaken for a real backlog.
-	GrowthMinDelta int
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.StallAfter <= 0 {
-		c.StallAfter = time.Second
-	}
-	if c.StormWindow <= 0 {
-		c.StormWindow = time.Second
-	}
-	if c.StormRetransmits <= 0 {
-		c.StormRetransmits = 100
-	}
-	if c.GrowthSamples <= 0 {
-		c.GrowthSamples = 8
-	}
-	if c.GrowthMinDelta <= 0 {
-		c.GrowthMinDelta = c.GrowthSamples
-	}
-	return c
-}
-
-// Verdict is one fired detection: the reason, the runtime phase it
-// implicates (named like the contention profiler's phases), the site (named
-// like prof's lock-site labels), and a human-readable detail line.
-type Verdict struct {
-	Reason  string `json:"reason"`
-	Phase   string `json:"phase"`
-	Site    string `json:"site"`
-	Detail  string `json:"detail"`
-	SinceNs int64  `json:"since_ns"`
-}
-
-type commTrend struct {
-	last   int
-	first  int
-	streak int
-}
-
-// Detector is the watchdog's decision core: a pure deterministic state
-// machine fed periodic Samples, firing at most one Verdict per observation.
-// Keeping it free of clocks and goroutines is what lets the simulator run
-// the identical logic in virtual time.
-type Detector struct {
-	cfg    DetectorConfig
-	primed bool
-
-	lastMoveNs         int64
-	lastSent, lastRecv uint64
-
-	stormAnchorNs      int64
-	stormAnchorRetrans uint64
-
-	trends map[uint32]*commTrend
-}
-
-// NewDetector creates a detector with cfg (zero fields take defaults).
-func NewDetector(cfg DetectorConfig) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), trends: make(map[uint32]*commTrend)}
-}
-
-// Observe feeds one sample. The first sample primes the baselines; later
-// ones may fire. After firing, the corresponding detection re-arms so a
-// persistent stall produces a dump per detection period, not per sample.
-func (d *Detector) Observe(s Sample) (Verdict, bool) {
-	if !d.primed {
-		d.primed = true
-		d.lastMoveNs = s.NowNs
-		d.lastSent, d.lastRecv = s.Sent, s.Received
-		d.stormAnchorNs, d.stormAnchorRetrans = s.NowNs, s.Retransmits
-		for _, cq := range s.Comms {
-			d.trends[cq.Comm] = &commTrend{last: cq.Unexpected, first: cq.Unexpected}
-		}
-		return Verdict{}, false
-	}
-
-	// Unexpected-queue growth: strictly monotone depth across
-	// GrowthSamples consecutive observations means arrivals are outpacing
-	// posted receives — the classic "receiver stopped posting" signature.
-	for _, cq := range s.Comms {
-		tr := d.trends[cq.Comm]
-		if tr == nil {
-			d.trends[cq.Comm] = &commTrend{last: cq.Unexpected, first: cq.Unexpected}
-			continue
-		}
-		if cq.Unexpected > tr.last {
-			if tr.streak == 0 {
-				tr.first = tr.last
-			}
-			tr.streak++
-		} else {
-			tr.streak = 0
-		}
-		tr.last = cq.Unexpected
-		if tr.streak >= d.cfg.GrowthSamples && cq.Unexpected-tr.first >= d.cfg.GrowthMinDelta {
-			streak := tr.streak
-			tr.streak = 0
-			return Verdict{
-				Reason: "unexpected-queue-growth",
-				Phase:  "match",
-				Site:   fmt.Sprintf("match.comm %d unexpected queue", cq.Comm),
-				Detail: fmt.Sprintf("unexpected queue grew monotonically %d -> %d over %d samples; arrivals are outpacing posted receives",
-					tr.first, cq.Unexpected, streak+1),
-				SinceNs: s.NowNs,
-			}, true
-		}
-	}
-
-	// Retransmit storm: too many sweep re-injections inside one window.
-	if s.NowNs-d.stormAnchorNs >= int64(d.cfg.StormWindow) {
-		delta := s.Retransmits - d.stormAnchorRetrans
-		anchor := d.stormAnchorNs
-		d.stormAnchorNs, d.stormAnchorRetrans = s.NowNs, s.Retransmits
-		if delta >= uint64(d.cfg.StormRetransmits) {
-			return Verdict{
-				Reason: "retransmit-storm",
-				Phase:  "retransmit",
-				Site:   "reliability send windows",
-				Detail: fmt.Sprintf("%d retransmissions in %v (threshold %d); acks are not arriving or the fault rate is pathological",
-					delta, time.Duration(s.NowNs-anchor), d.cfg.StormRetransmits),
-				SinceNs: anchor,
-			}, true
-		}
-	}
-
-	// No progress: work outstanding but neither counter moved for
-	// StallAfter.
-	if s.Sent != d.lastSent || s.Received != d.lastRecv {
-		d.lastSent, d.lastRecv = s.Sent, s.Received
-		d.lastMoveNs = s.NowNs
-	} else if outstanding(s) && s.NowNs-d.lastMoveNs >= int64(d.cfg.StallAfter) {
-		since := d.lastMoveNs
-		d.lastMoveNs = s.NowNs // re-arm
-		return Verdict{
-			Reason:  "no-progress",
-			Phase:   "progress",
-			Site:    stallSite(s),
-			Detail:  fmt.Sprintf("no send/recv movement for %v with work outstanding (%s)", time.Duration(s.NowNs-since), outstandingDetail(s)),
-			SinceNs: since,
-		}, true
-	}
-
-	return Verdict{}, false
-}
-
-func outstanding(s Sample) bool {
-	if s.Unacked > 0 {
-		return true
-	}
-	for _, cq := range s.Comms {
-		if cq.Posted > 0 || cq.Unexpected > 0 || cq.OOSBuffered > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// stallSite names the dominant outstanding work site so the verdict points
-// at a place, not just a symptom.
-func stallSite(s Sample) string {
-	best, bestDepth := "", -1
-	for _, cq := range s.Comms {
-		if d := cq.Posted + cq.Unexpected + cq.OOSBuffered; d > bestDepth && d > 0 {
-			best = fmt.Sprintf("match.comm %d posted/unexpected queues", cq.Comm)
-			bestDepth = d
-		}
-	}
-	if s.Unacked > bestDepth {
-		return "reliability send windows"
-	}
-	if best != "" {
-		return best
-	}
-	return "reliability send windows"
-}
-
-func outstandingDetail(s Sample) string {
-	posted, unexp, oos := 0, 0, 0
-	for _, cq := range s.Comms {
-		posted += cq.Posted
-		unexp += cq.Unexpected
-		oos += cq.OOSBuffered
-	}
-	return fmt.Sprintf("posted=%d unexpected=%d oos=%d unacked=%d", posted, unexp, oos, s.Unacked)
 }
 
 // Dump is one watchdog firing in full: the verdict, the queue introspection
@@ -321,11 +136,7 @@ type Dump struct {
 }
 
 // WriteDump writes one watchdog dump as indented JSON.
-func WriteDump(w io.Writer, d Dump) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
+func WriteDump(w io.Writer, d Dump) error { return writeIndented(w, d) }
 
 // ExitDump is the end-of-run artifact written by -flight-out (and by the
 // signal/panic flush paths): every local rank's queue snapshot and flight
@@ -345,7 +156,5 @@ func WriteExitDump(w io.Writer, d ExitDump) error {
 	if d.Flight == nil {
 		d.Flight = []RankRecord{}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
+	return writeIndented(w, d)
 }

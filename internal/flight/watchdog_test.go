@@ -13,13 +13,23 @@ func sampleAt(now int64) Sample {
 	return Sample{NowNs: now}
 }
 
+// observe shows the detector one rank, the way the stall watchdog does, and
+// returns the first verdict the observation fired.
+func observe(d *Detector, s Sample) (Verdict, bool) {
+	vs := d.Observe(s.NowNs, []Sample{s})
+	if len(vs) == 0 {
+		return Verdict{}, false
+	}
+	return vs[0], true
+}
+
 func TestDetectorNoProgress(t *testing.T) {
 	d := NewDetector(DetectorConfig{StallAfter: 10 * time.Millisecond})
 
 	s := sampleAt(0)
 	s.Sent, s.Received = 5, 5
 	s.Comms = []CommQueues{{Comm: 1, Posted: 2}}
-	if _, fired := d.Observe(s); fired {
+	if _, fired := observe(d, s); fired {
 		t.Fatal("priming sample fired")
 	}
 
@@ -27,7 +37,7 @@ func TestDetectorNoProgress(t *testing.T) {
 	s = sampleAt(5 * ms)
 	s.Sent, s.Received = 6, 5
 	s.Comms = []CommQueues{{Comm: 1, Posted: 2}}
-	if _, fired := d.Observe(s); fired {
+	if _, fired := observe(d, s); fired {
 		t.Fatal("fired while counters moved")
 	}
 
@@ -35,7 +45,7 @@ func TestDetectorNoProgress(t *testing.T) {
 	for now := int64(10); now <= 40; now += 5 {
 		s = sampleAt(now * ms)
 		s.Sent, s.Received = 6, 5
-		if _, fired := d.Observe(s); fired {
+		if _, fired := observe(d, s); fired {
 			t.Fatalf("fired at %dms with nothing outstanding", now)
 		}
 	}
@@ -48,7 +58,7 @@ func TestDetectorNoProgress(t *testing.T) {
 		s = sampleAt(now * ms)
 		s.Sent, s.Received = 6, 5
 		s.Comms = []CommQueues{{Comm: 1, Posted: 2}}
-		if got, ok := d.Observe(s); ok {
+		if got, ok := observe(d, s); ok {
 			fired++
 			v = got
 		}
@@ -71,19 +81,19 @@ func TestDetectorNoProgress(t *testing.T) {
 
 func TestDetectorRetransmitStorm(t *testing.T) {
 	d := NewDetector(DetectorConfig{StormWindow: 10 * time.Millisecond, StormRetransmits: 8})
-	d.Observe(sampleAt(0))
+	observe(d, sampleAt(0))
 
 	// 4 retransmits in the first window: below threshold.
 	s := sampleAt(12 * ms)
 	s.Retransmits = 4
-	if v, fired := d.Observe(s); fired {
+	if v, fired := observe(d, s); fired {
 		t.Fatalf("fired below threshold: %+v", v)
 	}
 
 	// 20 more in the next window: storm.
 	s = sampleAt(25 * ms)
 	s.Retransmits = 24
-	v, fired := d.Observe(s)
+	v, fired := observe(d, s)
 	if !fired || v.Reason != "retransmit-storm" || v.Phase != "retransmit" {
 		t.Fatalf("storm verdict = %+v fired=%v", v, fired)
 	}
@@ -96,7 +106,7 @@ func TestDetectorUnexpectedGrowth(t *testing.T) {
 	d := NewDetector(DetectorConfig{GrowthSamples: 4})
 	s := sampleAt(0)
 	s.Comms = []CommQueues{{Comm: 3, Unexpected: 10}}
-	d.Observe(s)
+	observe(d, s)
 
 	// Growth interrupted by a plateau: streak resets.
 	depths := []int{11, 12, 12, 13, 14, 15, 16}
@@ -105,7 +115,7 @@ func TestDetectorUnexpectedGrowth(t *testing.T) {
 	for i, depth := range depths {
 		s = sampleAt(int64(i+1) * ms)
 		s.Comms = []CommQueues{{Comm: 3, Unexpected: depth}}
-		if got, ok := d.Observe(s); ok {
+		if got, ok := observe(d, s); ok {
 			if fired {
 				t.Fatalf("fired twice: %+v and %+v", v, got)
 			}
@@ -134,19 +144,19 @@ func TestDetectorGrowthMinDelta(t *testing.T) {
 	d := NewDetector(DetectorConfig{GrowthSamples: 3, GrowthMinDelta: 50})
 	s := sampleAt(0)
 	s.Comms = []CommQueues{{Comm: 1, Unexpected: 0}}
-	d.Observe(s)
+	observe(d, s)
 	// +1 per sample: monotone, but far below the delta floor.
 	for i := 1; i <= 10; i++ {
 		s = sampleAt(int64(i) * ms)
 		s.Comms = []CommQueues{{Comm: 1, Unexpected: i}}
-		if v, ok := d.Observe(s); ok {
+		if v, ok := observe(d, s); ok {
 			t.Fatalf("sample %d fired on +1 creep below GrowthMinDelta: %+v", i, v)
 		}
 	}
 	// A real backlog crosses the floor and fires.
 	s = sampleAt(11 * ms)
 	s.Comms = []CommQueues{{Comm: 1, Unexpected: 120}}
-	v, ok := d.Observe(s)
+	v, ok := observe(d, s)
 	if !ok {
 		t.Fatal("real growth past GrowthMinDelta never fired")
 	}
@@ -163,7 +173,7 @@ func TestDetectorDeterminism(t *testing.T) {
 			s := sampleAt(i * ms)
 			s.Sent = 10
 			s.Comms = []CommQueues{{Comm: 1, Unexpected: int(i) / 2, Posted: 1}}
-			if v, ok := d.Observe(s); ok {
+			if v, ok := observe(d, s); ok {
 				out = append(out, v)
 			}
 		}
@@ -215,5 +225,69 @@ func TestWriteDumpAndExitDump(t *testing.T) {
 	}
 	if strings.TrimSpace(buf.String()) != "[]" {
 		t.Fatalf("nil snapshots JSON = %q", buf.String())
+	}
+}
+
+// TestDominantStage: ratio against the cluster median picks the stage the
+// sick rank is an outlier in, even when another stage has a larger
+// absolute p99 everywhere.
+func TestDominantStage(t *testing.T) {
+	med := map[string]float64{
+		"wire_write":   1_000_000, // big everywhere
+		"deliver_wait": 1_000,
+	}
+	stages := []StageP99{
+		{Stage: "wire_write", P99Ns: 1_200_000}, // 1.2x median
+		{Stage: "deliver_wait", P99Ns: 500_000}, // 500x median
+	}
+	stage, p99 := dominantStage(stages, med)
+	if stage != "deliver_wait" || p99 != 500_000 {
+		t.Fatalf("dominantStage = %q/%d, want deliver_wait/500000", stage, p99)
+	}
+	if s, _ := dominantStage(nil, med); s != "" {
+		t.Fatalf("dominantStage(nil) = %q, want empty", s)
+	}
+}
+
+// TestEveryRuleSeesEverySample: an observation that fires one rule still
+// reaches the others. The growth verdict used to return from inside the
+// per-communicator loop, so that sample never re-anchored the storm window
+// (the next delta was then measured over two windows and read as a storm)
+// and never reached the movement clock (a stall starting on it was dated one
+// interval late).
+func TestEveryRuleSeesEverySample(t *testing.T) {
+	d := NewDetector(DetectorConfig{
+		GrowthSamples: 2, GrowthMinDelta: 2,
+		StormWindow: 10 * time.Millisecond, StormRetransmits: 8,
+		StallAfter: 30 * time.Millisecond,
+	})
+	// One sample per storm window, 6 retransmissions in each — under the
+	// threshold. The unexpected queue of comm 1 grows until the third sample
+	// fires the growth rule; the counters move up to and including that
+	// sample, then freeze with a receive posted.
+	var all []Verdict
+	for i := int64(0); i <= 8; i++ {
+		s := sampleAt(i * 10 * ms)
+		s.Sent = min(i, 2)
+		s.Retransmits = 6 * i
+		s.Comms = []CommQueues{{Comm: 1, Posted: 1, Unexpected: int(4 * min(i, 2))}}
+		all = append(all, d.Observe(s.NowNs, []Sample{s})...)
+	}
+	var growth, stall []Verdict
+	for _, v := range all {
+		switch v.Reason {
+		case ReasonUnexpectedGrowth:
+			growth = append(growth, v)
+		case ReasonNoProgress:
+			stall = append(stall, v)
+		default:
+			t.Fatalf("6 retransmissions per window is no storm, yet: %+v", v)
+		}
+	}
+	if len(growth) != 1 || growth[0].SinceNs != 20*ms {
+		t.Fatalf("growth verdicts = %+v, want one at 20ms", growth)
+	}
+	if len(stall) == 0 || stall[0].SinceNs != 20*ms {
+		t.Fatalf("no-progress verdicts = %+v, want the first dated from the last movement at 20ms", stall)
 	}
 }

@@ -1,17 +1,10 @@
 // Package obs is the live observability endpoint: a small HTTP server a
 // benchmark process attaches to its running world, serving the telemetry
 // layer's exporters over the wire instead of only into files at exit.
-//
-//	/metrics       Prometheus text format (SPC attribution + histograms)
-//	/spc           human-readable counter attribution dump
-//	/trace         Chrome trace-event JSON rendering of the flight record
-//	/healthz       liveness probe (the process is up and serving)
-//	/readyz        readiness probe (the world is constructed and connected)
-//	/debug/stats   the typed document /metrics and /spc render from, as JSON
-//	/debug/queues  runtime introspection: posted/unexpected depths, windows
-//	/debug/flight  merged flight-recorder rings as JSON
-//	/debug/latency per-rank critical-path attribution: stage summaries + exemplars
-//	/debug/pprof   the standard Go profiler endpoints
+// The documents are the rows of views below — /metrics, /spc, /trace and the
+// /debug/{stats,queues,flight,latency} introspection set — beside /healthz
+// (the process is up and serving), /readyz (the world is constructed and
+// connected) and the standard /debug/pprof profiler endpoints.
 //
 // The server pulls through a Source of callbacks so it always serves the
 // current state of a run in flight; it takes no locks of its own beyond
@@ -23,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -37,22 +31,13 @@ import (
 
 // EnableContentionProfiling turns on the Go runtime's own lock-contention
 // instrumentation so the /debug/pprof/mutex and /debug/pprof/block profiles
-// served by this endpoint actually populate: mutexFraction samples 1/n of
-// contended mutex events (runtime.SetMutexProfileFraction) and blockRateNs
-// records blocking events lasting at least that many nanoseconds
-// (runtime.SetBlockProfileRate). Zero values pick sensible defaults (1 and
-// 1µs). Returns a restore func that puts both rates back; profiling the
-// runtime's own locks costs a few percent, so benchmarks only enable it
-// behind an explicit flag.
-func EnableContentionProfiling(mutexFraction, blockRateNs int) (restore func()) {
-	if mutexFraction <= 0 {
-		mutexFraction = 1
-	}
-	if blockRateNs <= 0 {
-		blockRateNs = int(time.Microsecond)
-	}
-	prev := runtime.SetMutexProfileFraction(mutexFraction)
-	runtime.SetBlockProfileRate(blockRateNs)
+// served by this endpoint actually populate: every contended mutex event is
+// sampled and every blocking event of at least 1µs recorded. Returns a
+// restore func that puts both rates back; profiling the runtime's own locks
+// costs a few percent, so benchmarks only enable it behind an explicit flag.
+func EnableContentionProfiling() (restore func()) {
+	prev := runtime.SetMutexProfileFraction(1)
+	runtime.SetBlockProfileRate(int(time.Microsecond))
 	return func() {
 		runtime.SetMutexProfileFraction(prev)
 		runtime.SetBlockProfileRate(0)
@@ -80,9 +65,82 @@ type Source struct {
 	// communication can proceed. Nil means always ready — right for
 	// single-process runs with no startup negotiation.
 	Ready func() (bool, string)
+	// Phases returns the profiler's phase-breakdown series by rank, drawn as
+	// a counter track in the Chrome trace (Outputs fills it from its sampler).
+	Phases func() map[int][]telemetry.PhasePoint
 	// Info labels the run (transport, caps, design, ...) — exported as the
 	// mpi_build_info gauge on /metrics.
 	Info map[string]string
+}
+
+// call reads one Source callback; a missing one is an empty document.
+func call[T any](f func() []T) []T {
+	if f == nil {
+		return nil
+	}
+	return f()
+}
+
+// started anchors mpi_uptime_seconds. Uptime resets to zero when the process
+// restarts, which is how a scraper that only ever sees the endpoint (not the
+// supervisor) detects a rank restart between two polls.
+var started = time.Now()
+
+// doc is the typed document /metrics and /spc render from, and /debug/stats
+// serves as it is.
+func (s Source) doc() telemetry.RankDoc {
+	return telemetry.RankDoc{UptimeSeconds: time.Since(started).Seconds(), Info: s.Info, Stats: call(s.Stats)}
+}
+
+// view is one document a Source renders to: served at path (when it has
+// one) and written at exit to the file Outputs names for it (when it has
+// one) by the same render, so the two forms of a document cannot drift.
+type view struct {
+	name   string
+	path   string // endpoint; "" = file only
+	ctype  string
+	file   func(*Outputs) string // nil = endpoint only
+	render func(Source, io.Writer) error
+}
+
+const (
+	typeJSON = "application/json"
+	typeText = "text/plain; charset=utf-8"
+	typeProm = "text/plain; version=0.0.4; charset=utf-8"
+)
+
+var views = []view{
+	{"prometheus", "/metrics", typeProm, func(o *Outputs) string { return o.MetricsPath },
+		func(s Source, w io.Writer) error { return telemetry.WriteExposition(w, s.doc()) }},
+	{"chrome trace", "/trace", typeJSON, func(o *Outputs) string { return o.TracePath },
+		func(s Source, w io.Writer) error {
+			var phases map[int][]telemetry.PhasePoint
+			if s.Phases != nil {
+				phases = s.Phases()
+			}
+			return telemetry.WriteChromeTraceRanks(w, call(s.Flight), phases)
+		}},
+	{"flight records", "/debug/flight", typeJSON, func(o *Outputs) string { return o.ShardPath },
+		func(s Source, w io.Writer) error { return flight.WriteRecords(w, call(s.Flight)) }},
+	{"exit dump", "", typeJSON, func(o *Outputs) string { return o.FlightPath },
+		func(s Source, w io.Writer) error {
+			return flight.WriteExitDump(w, flight.ExitDump{Queues: call(s.Queues), Flight: call(s.Flight)})
+		}},
+	{"latency dump", "/debug/latency", typeJSON, func(o *Outputs) string { return o.LatencyPath },
+		func(s Source, w io.Writer) error { return latency.WriteDumps(w, call(s.Latency)) }},
+	{"queues", "/debug/queues", typeJSON, nil,
+		func(s Source, w io.Writer) error { return flight.WriteSnapshots(w, call(s.Queues)) }},
+	{"stats", "/debug/stats", typeJSON, nil,
+		func(s Source, w io.Writer) error { return json.NewEncoder(w).Encode(s.doc()) }},
+	{"spc", "/spc", typeText, nil,
+		func(s Source, w io.Writer) error {
+			for _, ps := range call(s.Stats) {
+				if err := ps.WriteText(w); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
 }
 
 // A Holder late-binds a Source so the HTTP endpoint can start serving
@@ -135,30 +193,10 @@ func (h *Holder) Source() Source {
 		return h.src
 	}
 	return Source{
-		Stats: func() []telemetry.ProcStats {
-			if s := get(); s.Stats != nil {
-				return s.Stats()
-			}
-			return nil
-		},
-		Queues: func() []flight.QueueSnapshot {
-			if s := get(); s.Queues != nil {
-				return s.Queues()
-			}
-			return nil
-		},
-		Flight: func() []flight.RankRecord {
-			if s := get(); s.Flight != nil {
-				return s.Flight()
-			}
-			return nil
-		},
-		Latency: func() []latency.RankDump {
-			if s := get(); s.Latency != nil {
-				return s.Latency()
-			}
-			return nil
-		},
+		Stats:   func() []telemetry.ProcStats { return call(get().Stats) },
+		Queues:  func() []flight.QueueSnapshot { return call(get().Queues) },
+		Flight:  func() []flight.RankRecord { return call(get().Flight) },
+		Latency: func() []latency.RankDump { return call(get().Latency) },
 		Ready: func() (bool, string) {
 			h.mu.RLock()
 			defer h.mu.RUnlock()
@@ -191,11 +229,11 @@ func Serve(addr string, src Source) (*Server, error) {
 	mux := http.NewServeMux()
 	s := &Server{ln: ln, probed: make(chan struct{})}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Header().Set("Content-Type", typeText)
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Header().Set("Content-Type", typeText)
 		if src.Ready != nil {
 			if ok, reason := src.Ready(); !ok {
 				w.WriteHeader(http.StatusServiceUnavailable)
@@ -206,64 +244,15 @@ func Serve(addr string, src Source) (*Server, error) {
 		fmt.Fprintln(w, "ready")
 		s.probeOnce.Do(func() { close(s.probed) })
 	})
-	mux.HandleFunc("/debug/queues", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var qs []flight.QueueSnapshot
-		if src.Queues != nil {
-			qs = src.Queues()
+	for _, v := range views {
+		if v.path == "" {
+			continue
 		}
-		_ = flight.WriteSnapshots(w, qs)
-	})
-	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var recs []flight.RankRecord
-		if src.Flight != nil {
-			recs = src.Flight()
-		}
-		_ = flight.WriteRecords(w, recs)
-	})
-	mux.HandleFunc("/debug/latency", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var dumps []latency.RankDump
-		if src.Latency != nil {
-			dumps = src.Latency()
-		}
-		_ = latency.WriteDumps(w, dumps)
-	})
-	// The typed document /metrics and /spc render from, and /debug/stats
-	// serves as it is. Uptime resets to zero when the process restarts,
-	// which is how a scraper that only ever sees the endpoint (not the
-	// supervisor) detects a rank restart between two polls.
-	started := time.Now()
-	doc := func() telemetry.RankDoc {
-		d := telemetry.RankDoc{UptimeSeconds: time.Since(started).Seconds(), Info: src.Info}
-		if src.Stats != nil {
-			d.Stats = src.Stats()
-		}
-		return d
+		mux.HandleFunc(v.path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", v.ctype)
+			_ = v.render(src, w)
+		})
 	}
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = telemetry.WriteExposition(w, doc())
-	})
-	mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(doc())
-	})
-	mux.HandleFunc("/spc", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, ps := range doc().Stats {
-			_ = ps.WriteText(w)
-		}
-	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var recs []flight.RankRecord
-		if src.Flight != nil {
-			recs = src.Flight()
-		}
-		_ = telemetry.WriteChromeTraceRanks(w, recs, nil)
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -4,11 +4,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/flight"
+	"repro/internal/latency"
 	"repro/internal/spc"
 	"repro/internal/telemetry"
 )
@@ -89,6 +93,73 @@ func TestServerEndpoints(t *testing.T) {
 
 	if body, _ := get(t, base+"/debug/pprof/cmdline"); body == "" {
 		t.Error("/debug/pprof/cmdline empty")
+	}
+}
+
+// TestFileFormEqualsEndpoint: every document that has both an endpoint and
+// an output file is the same bytes in both for the same Source — /metrics
+// and -metrics-out had drifted (the file lacked mpi_uptime_seconds) while
+// each was rendered by its own hand-written list. The one field that is a
+// function of when it was rendered, the uptime sample's value, is masked.
+func TestFileFormEqualsEndpoint(t *testing.T) {
+	var residual spc.Snapshot
+	residual[spc.MessagesSent] = 12
+	stats := telemetry.ProcStats{Rank: 1, Residual: residual}
+	stats.Process = stats.MergeChildren()
+	src := Source{
+		Stats:  func() []telemetry.ProcStats { return []telemetry.ProcStats{stats} },
+		Queues: func() []flight.QueueSnapshot { return []flight.QueueSnapshot{{Rank: 1}} },
+		Flight: func() []flight.RankRecord {
+			return []flight.RankRecord{{Rank: 1, Events: []flight.Event{
+				{TS: 100, Seq: 1, Kind: flight.KindSendInject, Inst: 1, A0: 1},
+			}}}
+		},
+		Latency: func() []latency.RankDump { return []latency.RankDump{{Rank: 1}} },
+		Info:    map[string]string{"rank": "1", "transport": "sim"},
+	}
+	s, err := Serve("127.0.0.1:0", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	dir := t.TempDir()
+	out := &Outputs{
+		MetricsPath: filepath.Join(dir, "m.prom"), TracePath: filepath.Join(dir, "t.json"),
+		ShardPath: filepath.Join(dir, "shard.json"), FlightPath: filepath.Join(dir, "exit.json"),
+		LatencyPath: filepath.Join(dir, "lat.json"),
+	}
+	out.Bind(src)
+	if err := out.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	uptime := regexp.MustCompile(`(?m)^(mpi_uptime_seconds\{[^}]*\}) \S+$`)
+	compared := 0
+	for _, v := range views {
+		if v.file == nil {
+			continue
+		}
+		file, err := os.ReadFile(v.file(out))
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if v.path == "" {
+			continue // a file with no endpoint: written, nothing to compare
+		}
+		served, ct := get(t, "http://"+s.Addr()+v.path)
+		if ct != v.ctype {
+			t.Errorf("%s: content type %q, want %q", v.name, ct, v.ctype)
+		}
+		if got, want := uptime.ReplaceAllString(string(file), "$1 T"), uptime.ReplaceAllString(served, "$1 T"); got != want {
+			t.Errorf("%s: the file differs from %s:\n--- file\n%s\n--- endpoint\n%s", v.name, v.path, got, want)
+		}
+		compared++
+	}
+	if compared != 4 {
+		t.Fatalf("compared %d documents, want 4 (prometheus, chrome trace, flight records, latency dump)", compared)
+	}
+	if m, _ := os.ReadFile(out.MetricsPath); !strings.Contains(string(m), `mpi_uptime_seconds{rank="1"} `) {
+		t.Fatalf("-metrics-out lacks mpi_uptime_seconds:\n%s", m)
 	}
 }
 

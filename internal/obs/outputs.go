@@ -8,8 +8,6 @@ import (
 	"sync"
 	"syscall"
 
-	"repro/internal/flight"
-	"repro/internal/latency"
 	"repro/internal/telemetry"
 )
 
@@ -18,9 +16,10 @@ import (
 // each is written exactly once, whether the run completes normally or a
 // signal cuts it short mid-flight. Paths left empty are skipped.
 //
-// The artifacts are pulled through the same Source callbacks the live HTTP
-// endpoint serves, so an interrupted run flushes whatever partial state the
-// world has accumulated so far rather than nothing.
+// The artifacts are the file forms of the documents the live HTTP endpoint
+// serves — one table of views renders both — pulled through the same Source
+// callbacks, so an interrupted run flushes whatever partial state the world
+// has accumulated so far rather than nothing.
 type Outputs struct {
 	// MetricsPath receives a Prometheus text-format snapshot.
 	MetricsPath string
@@ -82,90 +81,35 @@ func (o *Outputs) flush() error {
 	o.mu.Lock()
 	src, smp := o.src, o.sampler
 	o.mu.Unlock()
-
-	if o.MetricsPath != "" {
-		err := writeFile(o.MetricsPath, func(w io.Writer) error {
-			if len(o.Info) > 0 {
-				if err := telemetry.WritePrometheusInfo(w, "mpi_build_info", o.Info); err != nil {
-					return err
-				}
-			}
-			if src.Stats == nil {
-				return nil
-			}
-			return telemetry.WritePrometheus(w, src.Stats()...)
-		})
-		if err != nil {
-			return err
-		}
+	if src.Info == nil {
+		src.Info = o.Info // flushed before any world was bound
 	}
-
-	// One flight snapshot feeds the Chrome trace, the trace shard and the
-	// exit dump.
-	var records []flight.RankRecord
-	if src.Flight != nil && (o.TracePath != "" || o.ShardPath != "" || o.FlightPath != "") {
-		records = src.Flight()
-	}
-	if o.TracePath != "" {
-		var phases map[int][]telemetry.PhasePoint
-		if smp != nil {
-			// Fold the sampler's profiler series into the trace as a counter
-			// track on the sampled rank's pid group.
-			smp.Stop()
-			if pts := telemetry.PhasePointsFromSamples(smp.Samples()); len(pts) > 0 {
-				phases = map[int][]telemetry.PhasePoint{o.ProfRank: pts}
-			}
-		}
-		err := writeFile(o.TracePath, func(w io.Writer) error {
-			return telemetry.WriteChromeTraceRanks(w, records, phases)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if o.ShardPath != "" {
-		err := writeFile(o.ShardPath, func(w io.Writer) error {
-			return flight.WriteRecords(w, records)
-		})
-		if err != nil {
-			return err
-		}
-	}
-
-	if o.FlightPath != "" {
-		dump := flight.ExitDump{Flight: records}
-		if src.Queues != nil {
-			dump.Queues = src.Queues()
-		}
-		err := writeFile(o.FlightPath, func(w io.Writer) error {
-			return flight.WriteExitDump(w, dump)
-		})
-		if err != nil {
-			return err
-		}
-	}
-
-	if o.LatencyPath != "" {
-		var dumps []latency.RankDump
-		if src.Latency != nil {
-			dumps = src.Latency()
-		}
-		err := writeFile(o.LatencyPath, func(w io.Writer) error {
-			return latency.WriteDumps(w, dumps)
-		})
-		if err != nil {
-			return err
-		}
-	}
-
-	if o.SamplesPath != "" && smp != nil {
+	if smp != nil && (o.TracePath != "" || o.SamplesPath != "") {
 		smp.Stop()
-		err := writeFile(o.SamplesPath, func(w io.Writer) error {
+	}
+	if smp != nil && src.Phases == nil {
+		// Fold the sampler's profiler series into the trace as a counter
+		// track on the sampled rank's pid group.
+		src.Phases = func() map[int][]telemetry.PhasePoint {
+			if pts := telemetry.PhasePointsFromSamples(smp.Samples()); len(pts) > 0 {
+				return map[int][]telemetry.PhasePoint{o.ProfRank: pts}
+			}
+			return nil
+		}
+	}
+	for _, v := range views {
+		if v.file == nil || v.file(o) == "" {
+			continue
+		}
+		err := WriteFile(v.file(o), func(w io.Writer) error { return v.render(src, w) })
+		if err != nil {
+			return fmt.Errorf("obs: %s: %w", v.name, err)
+		}
+	}
+	if o.SamplesPath != "" && smp != nil {
+		return WriteFile(o.SamplesPath, func(w io.Writer) error {
 			return telemetry.WriteSamplesCSV(w, smp.Samples())
 		})
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -215,8 +159,8 @@ func (o *Outputs) DumpOnPanic() {
 	panic(r)
 }
 
-// writeFile creates path and streams fn's output into it.
-func writeFile(path string, fn func(io.Writer) error) error {
+// WriteFile creates path and streams fn's output into it.
+func WriteFile(path string, fn func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

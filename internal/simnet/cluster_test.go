@@ -5,50 +5,91 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/simnet"
 )
 
+// compose lines up the series of independent 2-rank virtual runs in argument
+// order: one N-rank series set, whose ranks detectSeries numbers 0, 1, 2, ….
+// Every run's clock starts at zero, so the runs read as one job.
+func compose(runs ...simnet.Result) [][]flight.Sample {
+	var series [][]flight.Sample
+	for _, res := range runs {
+		series = append(series, res.Series...)
+	}
+	return series
+}
+
+// detectSeries shows a detector the composed ranks the way a live
+// aggregator polling at the sampling period would see them and returns
+// every verdict in firing order. The runs sample on one period from time
+// zero, so the k-th samples of all ranks are simultaneous; a rank whose run
+// has finished keeps reporting its final, drained sample.
+func detectSeries(t *testing.T, cfg flight.DetectorConfig, series [][]flight.Sample) []flight.Verdict {
+	t.Helper()
+	det := flight.NewDetector(cfg)
+	var out []flight.Verdict
+	for k, live := 0, true; live; k++ {
+		live = false
+		var now int64
+		obs := make([]flight.Sample, len(series))
+		for i, samples := range series {
+			last := len(samples) - 1
+			if k < last {
+				live = true
+			}
+			obs[i] = samples[min(k, last)]
+			obs[i].Rank = i
+			if k <= last {
+				if now != 0 && now != obs[i].NowNs {
+					t.Fatalf("sample %d: rank %d at %dns, an earlier rank at %dns — the runs sample on different periods",
+						k, i, obs[i].NowNs, now)
+				}
+				now = obs[i].NowNs
+			}
+		}
+		out = append(out, det.Observe(now, obs)...)
+	}
+	return out
+}
+
 // Virtual multirate runs complete in hundreds of microseconds to tens of
-// milliseconds, so the cluster sampler and the detector windows are scaled
+// milliseconds, so the sampler and the detector windows are scaled
 // down with them: 100µs sampling, 1ms stall window. Multirate is
 // asymmetric by design — receivers carry deep transient unexpected queues
 // that senders never do — but the divergence rule's drain-stagnation gate
 // (DivergeAfter, defaulting to StallAfter) keeps that benign depth quiet:
 // only a receiver that stops receiving can diverge.
-var testDetCfg = cluster.DetectorConfig{
+var testDetCfg = flight.DetectorConfig{
 	StallAfter: time.Millisecond,
 }
 
 // healthyRun is a 2-rank virtual run long enough (~13ms virtual) to still
 // be moving while a composed stalled run's receiver is frozen.
-func healthyRun(rankBase int) simnet.Result {
+func healthyRun() simnet.Result {
 	return simnet.RunMultirate(simnet.Config{
-		Machine:         hw.AlembertHaswell(),
-		Pairs:           2,
-		Window:          128,
-		Iters:           64,
-		NumInstances:    2,
-		ClusterInterval: 100 * time.Microsecond,
-		RankBase:        rankBase,
+		Machine:        hw.AlembertHaswell(),
+		Pairs:          2,
+		Window:         128,
+		Iters:          64,
+		NumInstances:   2,
+		SampleInterval: 100 * time.Microsecond,
 	})
 }
 
 // stalledRun is a short 2-rank virtual run whose pair-0 receiver freezes
 // after its second posted window, receives outstanding, for 20ms virtual.
-func stalledRun(rankBase int) simnet.Result {
+func stalledRun() simnet.Result {
 	return simnet.RunMultirate(simnet.Config{
-		Machine:         hw.AlembertHaswell(),
-		Pairs:           2,
-		Window:          32,
-		Iters:           4,
-		NumInstances:    2,
-		ClusterInterval: 100 * time.Microsecond,
-		RankBase:        rankBase,
-		StallRecv:       20 * time.Millisecond,
-		StallAfterIter:  1,
+		Machine:        hw.AlembertHaswell(),
+		Pairs:          2,
+		Window:         32,
+		Iters:          4,
+		NumInstances:   2,
+		SampleInterval: 100 * time.Microsecond,
+		StallRecv:      20 * time.Millisecond,
+		StallAfterIter: 1,
 	})
 }
 
@@ -58,22 +99,20 @@ func stalledRun(rankBase int) simnet.Result {
 // receives) must produce an imbalance verdict naming rank 3 and nobody
 // else.
 func TestClusterSeriesStallVerdict(t *testing.T) {
-	healthy := healthyRun(0)
-	stalled := stalledRun(2)
-	series := append(append([]flight.RankSeries{}, healthy.Series...), stalled.Series...)
+	series := compose(healthyRun(), stalledRun())
 	if len(series) != 4 {
 		t.Fatalf("series = %d, want 4 ranks", len(series))
 	}
-	for i, rs := range series {
-		if rs.Rank != i {
-			t.Fatalf("series[%d].Rank = %d (RankBase mis-wired)", i, rs.Rank)
+	for i, samples := range series {
+		if len(samples) == 0 {
+			t.Fatalf("rank %d collected no samples", i)
 		}
-		if len(rs.Samples) == 0 {
-			t.Fatalf("rank %d collected no samples", rs.Rank)
+		if got := samples[0].Rank; got != i%2 {
+			t.Fatalf("series[%d] carries rank %d, want the run's own rank %d", i, got, i%2)
 		}
 	}
 
-	verdicts := cluster.DetectSeries(testDetCfg, series)
+	verdicts := detectSeries(t, testDetCfg, series)
 	if len(verdicts) == 0 {
 		t.Fatal("stalled virtual cluster produced no verdicts")
 	}
@@ -95,14 +134,12 @@ func TestClusterSeriesStallVerdict(t *testing.T) {
 // 4-rank series must run verdict-free under the same scaled detector —
 // the precondition for the tcp smoke's clean-run assertion.
 func TestClusterSeriesHealthyClean(t *testing.T) {
-	a := healthyRun(0)
-	b := healthyRun(2)
-	series := append(append([]flight.RankSeries{}, a.Series...), b.Series...)
-	if vs := cluster.DetectSeries(testDetCfg, series); len(vs) != 0 {
+	series := compose(healthyRun(), healthyRun())
+	if vs := detectSeries(t, testDetCfg, series); len(vs) != 0 {
 		t.Fatalf("healthy virtual cluster produced verdicts: %+v", vs)
 	}
 	// The production-default configuration stays clean on it too.
-	if vs := cluster.DetectSeries(cluster.DetectorConfig{}, series); len(vs) != 0 {
+	if vs := detectSeries(t, flight.DetectorConfig{}, series); len(vs) != 0 {
 		t.Fatalf("healthy cluster dirty under default config: %+v", vs)
 	}
 }
@@ -110,13 +147,13 @@ func TestClusterSeriesHealthyClean(t *testing.T) {
 // TestClusterSeriesDeterministic: identical configurations must yield
 // byte-identical series and verdicts across runs.
 func TestClusterSeriesDeterministic(t *testing.T) {
-	r1 := stalledRun(2)
-	r2 := stalledRun(2)
+	r1 := stalledRun()
+	r2 := stalledRun()
 	if !reflect.DeepEqual(r1.Series, r2.Series) {
 		t.Fatal("cluster series differ across identical runs")
 	}
-	v1 := cluster.DetectSeries(testDetCfg, r1.Series)
-	v2 := cluster.DetectSeries(testDetCfg, r2.Series)
+	v1 := detectSeries(t, testDetCfg, r1.Series)
+	v2 := detectSeries(t, testDetCfg, r2.Series)
 	if !reflect.DeepEqual(v1, v2) {
 		t.Fatalf("verdicts differ across identical runs:\n%+v\n%+v", v1, v2)
 	}
@@ -130,7 +167,7 @@ func TestClusterSamplingOffChangesNothing(t *testing.T) {
 		Machine: hw.AlembertHaswell(), Pairs: 2, Window: 32, Iters: 4, NumInstances: 2,
 	}
 	base := simnet.RunMultirate(cfg)
-	cfg.ClusterInterval = time.Millisecond
+	cfg.SampleInterval = time.Millisecond
 	sampled := simnet.RunMultirate(cfg)
 	if len(sampled.Series) == 0 {
 		t.Fatal("sampling on but no series")

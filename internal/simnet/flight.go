@@ -10,12 +10,6 @@ import (
 	"repro/internal/spc"
 )
 
-// DefaultSimWatchdogInterval is the virtual-time sampling period of the
-// simulated stall watchdog when Config.WatchdogInterval is unset. Virtual
-// sampling is free, so the model samples far more often than the real
-// watchdog's 100ms would.
-const DefaultSimWatchdogInterval = time.Millisecond
-
 // enableFlight stamps the proc's world rank and, when the configuration
 // asks for it, attaches a flight recorder whose clock is the virtual time
 // of whichever simulated thread is currently charging — the same
@@ -70,21 +64,20 @@ func (p *simProc) queueSnapshot(now int64) flight.QueueSnapshot {
 }
 
 // watchdogSample condenses the proc's state into one detector observation
-// at virtual time now.
+// at virtual time now — the twin of core.Proc.watchdogSample. Virtual ranks
+// are always ready: the model has no startup negotiation to straggle on.
 func (p *simProc) watchdogSample(now int64) flight.Sample {
 	snap := p.spcs.Snapshot()
 	s := flight.Sample{
+		Rank:        p.frank,
 		NowNs:       now,
-		Sent:        uint64(snap[spc.MessagesSent]),
-		Received:    uint64(snap[spc.MessagesReceived]),
-		Retransmits: uint64(snap[spc.Retransmits]),
+		Ready:       true,
+		Sent:        snap[spc.MessagesSent],
+		Received:    snap[spc.MessagesReceived],
+		Retransmits: snap[spc.Retransmits],
+		Comms:       p.queueSnapshot(now).Comms,
 	}
-	s.Comms = p.queueSnapshot(now).Comms
-	if stages, e2e, ok := p.lat.StageP99s(); ok {
-		s.LatencyValid = true
-		s.E2EP99Ns = e2e
-		s.StageP99 = stages
-	}
+	s.StageP99, s.E2EP99Ns, s.LatencyValid = p.lat.StageP99s()
 	return s
 }
 
@@ -95,62 +88,47 @@ func (p *simProc) latencyDump() latency.RankDump {
 	return p.lat.Dump(p.frank, p.flightRecord())
 }
 
-// spawnWatchdog starts the virtual-time stall watchdog for p: a simulated
-// thread that wakes every WatchdogInterval, feeds a sample through the
-// same flight.Detector the real watchdog uses, and appends any verdict's
-// dump to sink. It exits once every workload thread has finished, so it
-// never extends a healthy run's makespan by more than one interval. The
-// DES serializes simulated threads, making the dump sequence fully
-// deterministic — the acceptance property the watchdog tests assert.
-func (p *simProc) spawnWatchdog(env *sim.Env, name string, sink *[]flight.Dump) {
-	if p.cfg.Watchdog == nil {
+// spawnSampler starts p's one sampling thread when Config.SampleInterval or
+// Config.Watchdog asks for it: a simulated thread that wakes every interval,
+// appends the proc's observation to series and, with a watchdog configured,
+// shows it — one rank, alone — to the flight.Detector the real watchdog
+// uses, appending any verdict's dump to sink. Sampling charges no virtual
+// time. The thread exits on the first wake-up after the last workload thread
+// finished, so it never extends a run's makespan by more than one interval,
+// and that last sample is the drained state: a finished rank's
+// carried-forward sample never reads as outstanding work. The DES serializes
+// simulated threads, so series and dumps are byte-deterministic.
+func (p *simProc) spawnSampler(env *sim.Env, name string, series *[]flight.Sample, sink *[]flight.Dump) {
+	interval := p.cfg.SampleInterval
+	var det *flight.Detector
+	if p.cfg.Watchdog != nil {
+		det = flight.NewDetector(*p.cfg.Watchdog)
+		if interval <= 0 {
+			interval = time.Millisecond
+		}
+	}
+	if interval <= 0 {
 		return
 	}
-	interval := p.cfg.WatchdogInterval
-	if interval <= 0 {
-		interval = DefaultSimWatchdogInterval
-	}
-	det := flight.NewDetector(*p.cfg.Watchdog)
 	env.Go(name, 0, func(sp *sim.Proc) {
-		for p.finished < p.nWork {
+		for {
 			sp.Advance(interval)
 			sp.Yield()
+			s := p.watchdogSample(sp.Now())
+			*series = append(*series, s)
 			if p.finished >= p.nWork {
 				return
 			}
-			if v, ok := det.Observe(p.watchdogSample(sp.Now())); ok {
+			if det == nil {
+				continue
+			}
+			for _, v := range det.Observe(s.NowNs, []flight.Sample{s}) {
 				*sink = append(*sink, flight.Dump{
 					Rank:    p.frank,
 					Verdict: v,
 					Queues:  p.queueSnapshot(sp.Now()),
 					Record:  p.flightRecord(),
 				})
-			}
-		}
-	})
-}
-
-// spawnClusterSampler starts the virtual-time cluster sampling thread for
-// p: a simulated thread that wakes every ClusterInterval and appends the
-// proc's watchdog-style observation to series — the per-rank feed the
-// cluster imbalance detector's simnet twin (cluster.DetectSeries) replays.
-// Sampling charges no virtual time; after the last workload thread
-// finishes, one final drained sample is appended so a finished rank's
-// carried-forward state never reads as outstanding work. The DES
-// serializes simulated threads, so the series is byte-deterministic.
-func (p *simProc) spawnClusterSampler(env *sim.Env, name string, series *flight.RankSeries) {
-	if p.cfg.ClusterInterval <= 0 {
-		return
-	}
-	interval := p.cfg.ClusterInterval
-	series.Rank = p.frank
-	env.Go(name, 0, func(sp *sim.Proc) {
-		for {
-			sp.Advance(interval)
-			sp.Yield()
-			series.Samples = append(series.Samples, p.watchdogSample(sp.Now()))
-			if p.finished >= p.nWork {
-				return
 			}
 		}
 	})

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/latency"
@@ -216,32 +215,31 @@ func TestLatencyDumpsByteReproducible(t *testing.T) {
 // vector the tail-skew detector consumes.
 func TestLatencySampleFeedsDetectorFields(t *testing.T) {
 	cfg := latBase()
-	cfg.ClusterInterval = 100 * time.Microsecond
+	cfg.SampleInterval = 100 * time.Microsecond
 	res := simnet.RunMultirate(cfg)
 	if len(res.Series) != 2 {
 		t.Fatalf("series = %d, want 2", len(res.Series))
 	}
-	last := res.Series[1].Samples[len(res.Series[1].Samples)-1]
+	last := res.Series[1][len(res.Series[1])-1]
 	if !last.LatencyValid || last.E2EP99Ns <= 0 || len(last.StageP99) == 0 {
 		t.Fatalf("final receiver sample lacks latency fields: %+v", last)
 	}
 }
 
-// latClusterRun is a 2-rank virtual run with both attribution and cluster
-// sampling on, composable by RankBase.
-func latClusterRun(rankBase int, stall time.Duration) simnet.Result {
+// latClusterRun is a 2-rank virtual run with both attribution and sampling
+// on.
+func latClusterRun(stall time.Duration) simnet.Result {
 	// Virtual sampling is free, so the interval is tight enough that the
 	// post-stall drain — where the piled-up tail becomes visible in the
 	// cumulative histograms — spans the detector's streak window.
 	cfg := simnet.Config{
-		Machine:         hw.AlembertHaswell(),
-		Pairs:           2,
-		Window:          32,
-		Iters:           8,
-		NumInstances:    2,
-		ClusterInterval: 20 * time.Microsecond,
-		RankBase:        rankBase,
-		Latency:         true,
+		Machine:        hw.AlembertHaswell(),
+		Pairs:          2,
+		Window:         32,
+		Iters:          8,
+		NumInstances:   2,
+		SampleInterval: 20 * time.Microsecond,
+		Latency:        true,
 	}
 	if stall > 0 {
 		cfg.StallRecv = stall
@@ -256,11 +254,9 @@ func latClusterRun(rankBase int, stall time.Duration) simnet.Result {
 // stalled receiver's tail must draw a latency-tail-skew verdict naming it
 // and no other rank, with the dominant stage named in the detail.
 func TestClusterSeriesLatencyTailSkewVerdict(t *testing.T) {
-	a := latClusterRun(0, 0)
-	b := latClusterRun(2, 0)
-	c := latClusterRun(4, 20*time.Millisecond)
-	series := append(append(append([]flight.RankSeries{}, a.Series...), b.Series...), c.Series...)
-	verdicts := cluster.DetectSeries(cluster.DetectorConfig{StallAfter: time.Millisecond}, series)
+	a, b := latClusterRun(0), latClusterRun(0)
+	series := compose(a, b, latClusterRun(20*time.Millisecond))
+	verdicts := detectSeries(t, flight.DetectorConfig{StallAfter: time.Millisecond}, series)
 	sawTail := false
 	for _, v := range verdicts {
 		if v.Reason != "latency-tail-skew" {
@@ -279,8 +275,7 @@ func TestClusterSeriesLatencyTailSkewVerdict(t *testing.T) {
 	}
 
 	// A healthy composition must stay tail-clean under the default config.
-	healthy := append(append([]flight.RankSeries{}, a.Series...), b.Series...)
-	for _, v := range cluster.DetectSeries(cluster.DetectorConfig{}, healthy) {
+	for _, v := range detectSeries(t, flight.DetectorConfig{}, compose(a, b)) {
 		if v.Reason == "latency-tail-skew" {
 			t.Fatalf("healthy composition drew a tail-skew verdict: %+v", v)
 		}

@@ -44,10 +44,8 @@ func runMultirateThreads(cfg Config) Result {
 	receiver := newSimProc(env, cfg, recvWire, cfg.NumInstances)
 	// Rank stamping and (optionally) the virtual-time flight recorder must
 	// precede communicator and thread creation, which bind their rings.
-	// RankBase shifts the reported world ranks so several virtual runs
-	// compose into one N-rank cluster (see Config.RankBase).
-	sender.enableFlight(cfg.RankBase)
-	receiver.enableFlight(cfg.RankBase + 1)
+	sender.enableFlight(0)
+	receiver.enableFlight(1)
 
 	// Communicators: one shared, or one per pair (Fig. 3c). Both procs
 	// register every communicator under the same id.
@@ -74,11 +72,9 @@ func runMultirateThreads(cfg Config) Result {
 	sender.spawnOffload(env, "offload-send")
 	receiver.spawnOffload(env, "offload-recv")
 	var dumps []flight.Dump
-	sender.spawnWatchdog(env, "watchdog-send", &dumps)
-	receiver.spawnWatchdog(env, "watchdog-recv", &dumps)
-	series := make([]flight.RankSeries, 2)
-	sender.spawnClusterSampler(env, "cluster-send", &series[0])
-	receiver.spawnClusterSampler(env, "cluster-recv", &series[1])
+	series := make([][]flight.Sample, 2)
+	sender.spawnSampler(env, "sampler-send", &series[0], &dumps)
+	receiver.spawnSampler(env, "sampler-recv", &series[1], &dumps)
 
 	for pair := 0; pair < cfg.Pairs; pair++ {
 		pair := pair
@@ -134,7 +130,7 @@ func runMultirateThreads(cfg Config) Result {
 		now := int64(makespan)
 		res.Queues = []flight.QueueSnapshot{sender.queueSnapshot(now), receiver.queueSnapshot(now)}
 	}
-	if cfg.ClusterInterval > 0 {
+	if len(series[0]) > 0 {
 		res.Series = series
 	}
 	if cfg.Latency {

@@ -148,9 +148,14 @@ type Config struct {
 	// this detector configuration on every proc; verdict dumps land in
 	// Result.Dumps in deterministic order.
 	Watchdog *flight.DetectorConfig
-	// WatchdogInterval is the watchdog's virtual sampling period
-	// (0 = DefaultSimWatchdogInterval).
-	WatchdogInterval time.Duration
+	// SampleInterval, when positive, is the virtual period at which each
+	// proc's one sampler thread takes the watchdog's observation: the
+	// samples land in Result.Series and, with Watchdog set, feed its
+	// detector (which samples every millisecond when this is zero: virtual
+	// sampling is free, so far more often than the real watchdog's 100ms).
+	// With both unset nothing samples and the run is byte-identical to one
+	// before sampling existed. Thread mode only.
+	SampleInterval time.Duration
 	// StallRecv injects a fault for watchdog acceptance tests: pair 0's
 	// receiver goes quiet — no posting, no progress — for this much
 	// virtual time (0 = no injection; thread mode only).
@@ -159,16 +164,6 @@ type Config struct {
 	// injected stall follows (receives are posted, then the receiver
 	// stalls before extracting completions).
 	StallAfterIter int
-	// ClusterInterval, when positive, samples every proc's watchdog-style
-	// observation at this virtual period into Result.Series — the feed for
-	// the cluster imbalance detector's simnet twin (cluster.DetectSeries).
-	// Zero leaves sampling off and the run byte-identical to before the
-	// cluster plane existed. Thread mode only.
-	ClusterInterval time.Duration
-	// RankBase offsets the world ranks this run's procs report in flight
-	// and cluster series (sender RankBase, receiver RankBase+1), so several
-	// virtual runs compose into one N-rank cluster series set.
-	RankBase int
 }
 
 // faultsEnabled reports whether any fault probability is non-zero.
@@ -260,10 +255,12 @@ type Result struct {
 	// Dumps holds the watchdog's verdict dumps in firing order — the same
 	// bytes on every run of the same configuration.
 	Dumps []flight.Dump
-	// Series holds each rank's virtual-time observation series when
-	// Config.ClusterInterval is set, in rank order — the deterministic
-	// input to the cluster imbalance detector (cluster.DetectSeries).
-	Series []flight.RankSeries
+	// Series holds what each rank's sampler saw — one slice of samples per
+	// rank, in rank order — when Config.SampleInterval or Config.Watchdog
+	// turned it on: deterministic input for a flight.Detector shown several
+	// ranks at once, which lets cross-rank verdicts be asserted without a
+	// live cluster.
+	Series [][]flight.Sample
 	// Latency holds each rank's critical-path attribution dump when
 	// Config.Latency is set, in rank order — byte-reproducible across runs
 	// of the same configuration.

@@ -15,11 +15,11 @@ import (
 func stallConfig() Config {
 	return Config{
 		Machine: hw.Fast(), Pairs: 1, Window: 64, Iters: 4,
-		FlightCapacity:   2048,
-		Watchdog:         &flight.DetectorConfig{StallAfter: 5 * time.Millisecond},
-		WatchdogInterval: time.Millisecond,
-		StallRecv:        50 * time.Millisecond,
-		StallAfterIter:   2,
+		FlightCapacity: 2048,
+		Watchdog:       &flight.DetectorConfig{StallAfter: 5 * time.Millisecond},
+		SampleInterval: time.Millisecond,
+		StallRecv:      50 * time.Millisecond,
+		StallAfterIter: 2,
 	}
 }
 

@@ -363,4 +363,19 @@ if ! grep -q '"reason": "rank-straggler"' cluster_stall_report.json ||
     grep -A2 '"verdicts"' cluster_stall_report.json >&2 || true
     exit 1
 fi
-echo "OK: cluster detector localized the injected stall to rank 3 over tcp"
+# The verdict names a place, not only a rank: the straggler verdict on rank 3
+# carries the phase and the site the detector read off the rank's queues, and
+# mpitop prints them.
+straggler="$(grep -A3 '"reason": "rank-straggler"' cluster_stall_report.json | grep -A2 '"rank": 3,' || true)"
+if ! grep -Eq '"phase": "[^"]+"' <<<"$straggler" || ! grep -Eq '"site": "[^"]+"' <<<"$straggler"; then
+    echo "FAIL: no rank-straggler verdict with \"rank\": 3 and a non-empty phase and site:" >&2
+    grep -A5 '"reason": "rank-straggler"' cluster_stall_report.json >&2 || true
+    exit 1
+fi
+if ! "$tmp/mpitop" -snapshot cluster_stall_report.json |
+    grep -Eq '\[rank-straggler\] rank 3 \(phase [a-z_]+, site [^)]+\): '; then
+    echo "FAIL: mpitop -snapshot does not print the straggler verdict's phase and site" >&2
+    "$tmp/mpitop" -snapshot cluster_stall_report.json | tail -5 >&2
+    exit 1
+fi
+echo "OK: cluster detector localized the injected stall to rank 3 over tcp ($(grep -o '"site": "[^"]*"' <<<"$straggler" | head -1))"

@@ -31,12 +31,6 @@ var flagCall = regexp.MustCompile(`^(String|Int|Int64|Uint|Uint64|Bool|Duration|
 // registrar — and names each "<label> -<flag>".
 func flagSurfaces(t *testing.T, dir, label string) []surface {
 	t.Helper()
-	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []surface
 	inspect := func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -67,10 +61,47 @@ func flagSurfaces(t *testing.T, dir, label string) []surface {
 		})
 		return true
 	}
+	inspectNonTest(t, dir, inspect)
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// inspectNonTest walks the syntax of every non-test Go file of dir.
+func inspectNonTest(t *testing.T, dir string, inspect func(ast.Node) bool) {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, inspect)
 		}
+	}
+}
+
+// reasonSurfaces walks internal/flight's non-test files for the Reason*
+// string constants — every reason a verdict can carry — and names each
+// "verdict <reason>". Its reader must spell the constant or the string.
+func reasonSurfaces(t *testing.T) []surface {
+	t.Helper()
+	var out []surface
+	inspectNonTest(t, "internal/flight", func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || len(vs.Values) != 1 || !strings.HasPrefix(vs.Names[0].Name, "Reason") {
+			return true
+		}
+		if lit, ok := vs.Values[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			reason, _ := strconv.Unquote(lit.Value)
+			out = append(out, surface{"verdict " + reason, "internal/flight/",
+				`\b` + vs.Names[0].Name + `\b|"` + regexp.QuoteMeta(reason) + `"`})
+		}
+		return true
+	})
+	if len(out) == 0 {
+		t.Fatal("internal/flight defines no Reason* constants")
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
@@ -117,12 +148,13 @@ func testSource(path, fn string) (string, bool) {
 }
 
 // TestEverySurfaceHasAReader is the surface census: every core.Options field,
-// every flag of the six mains (and of the registrar two of them share) and
-// every example has a row in DESIGN's "Surface census" appendix, and the
-// reader that row names — a non-test file outside the defining package, a
-// make target, a script, a CI step, a documented workflow, or for a
-// deliberate test lever a named test — exists and mentions it. A surface
-// nothing else reads has no row to write: it goes, or gains a real reader.
+// every flag of the six mains (and of the registrar two of them share), every
+// example and every verdict reason has a row in DESIGN's "Surface census"
+// appendix, and the reader that row names — a non-test file outside the
+// defining package, a make target, a script, a CI step, a documented
+// workflow, or for a deliberate test lever (or a reason's drill case) a named
+// test — exists and mentions it. A surface nothing else reads has no row to
+// write: it goes, or gains a real reader.
 func TestEverySurfaceHasAReader(t *testing.T) {
 	var surfaces []surface
 	opts := reflect.TypeOf(core.Options{})
@@ -142,6 +174,7 @@ func TestEverySurfaceHasAReader(t *testing.T) {
 	for _, dir := range examples {
 		surfaces = append(surfaces, surface{dir, dir + "/", `\b` + filepath.Base(dir) + `\b`})
 	}
+	surfaces = append(surfaces, reasonSurfaces(t)...)
 
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
