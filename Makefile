@@ -35,10 +35,11 @@ race:
 	$(GO) test -race ./internal/fabric ./internal/prof ./internal/telemetry ./internal/core ./internal/progress ./internal/cri ./internal/rma ./internal/flight ./internal/obs ./internal/transport/... ./internal/conformance ./internal/bench/... ./internal/ringbuf ./internal/match
 
 # Dedicated stress pass over the lock-free structures (MPSC completion
-# ring, CRI free-list, sharded matching) at high parallelism; these tests
-# only bite with the race detector watching.
+# ring, CRI free-list, sharded matching, the windows' per-CRI outstanding-
+# operation counters) at high parallelism; these tests only bite with the
+# race detector watching.
 race-lockfree:
-	$(GO) test -race -count=2 ./internal/ringbuf ./internal/match ./internal/cri
+	$(GO) test -race -count=2 ./internal/ringbuf ./internal/match ./internal/cri ./internal/rma
 
 # Cross-backend conformance: the same message-passing semantics over the
 # simulated fabric and real TCP, under the race detector — then once more on a

@@ -1,0 +1,227 @@
+package rma
+
+import (
+	"bytes"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"unsafe"
+
+	"repro/internal/core"
+	"repro/internal/cri"
+	"repro/internal/spc"
+)
+
+// TestPendingNeverNegative: with more threads than instances every
+// completion can be reaped by a thread other than its issuer, so an
+// operation counted only after the instance lock is released can be taken
+// off the count before it was put on — the count reads −1, hides another
+// thread's outstanding operation, and that thread's Flush may return early.
+// Four threads share two instances round-robin; a watcher samples the count
+// throughout, and every thread checks its own bytes after its own flush.
+// The window is a few instructions wide: counting after release fails this
+// test every time under the race detector (make race-lockfree) and in a few
+// percent of plain runs.
+func TestPendingNeverNegative(t *testing.T) {
+	const (
+		threads = 4
+		burst   = 16
+		size    = 8
+		rounds  = 1500
+	)
+	w, wins := newWinPair(t, core.CRIsConcurrent(2, cri.RoundRobin), threads*burst*size)
+	win := wins[0]
+	win.LockAll()
+
+	var stop atomic.Bool
+	var lowest atomic.Int64
+	watcher := make(chan struct{})
+	go func() {
+		defer close(watcher)
+		for !stop.Load() {
+			if n := win.Pending(1); n < lowest.Load() {
+				lowest.Store(n)
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < threads; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := w.Proc(0).NewThread()
+			base := g * burst * size
+			src := make([]byte, burst*size)
+			for r := 0; r < rounds; r++ {
+				for i := range src {
+					src[i] = byte(r + g)
+				}
+				for off := 0; off < len(src); off += size {
+					if err := win.Put(th, 1, base+off, src[off:off+size]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := win.Flush(th, 1); err != nil {
+					t.Error(err)
+					return
+				}
+				if n := win.Pending(1); n < 0 {
+					t.Errorf("thread %d round %d: Pending(1) = %d after Flush", g, r, n)
+					return
+				}
+				if !bytes.Equal(wins[1].Local()[base:base+len(src)], src) {
+					t.Errorf("thread %d round %d: own range not in the target after own Flush", g, r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	<-watcher
+	if n := lowest.Load(); n < 0 {
+		t.Fatalf("Pending(1) sampled at %d: an operation was completed before it was counted", n)
+	}
+	if n := win.Pending(1); n != 0 {
+		t.Fatalf("Pending(1) = %d after every thread flushed", n)
+	}
+}
+
+// TestOpCountersAttributedToCRI: a one-sided operation is charged to the
+// instance that carried it, not to the communicator — two dedicated threads
+// issuing n puts each show n on each instance, nothing on any communicator,
+// and 2n in the process total every roll-up reads.
+func TestOpCountersAttributedToCRI(t *testing.T) {
+	const n = 200
+	w, wins := newWinPair(t, core.CRIsConcurrent(2, cri.Dedicated), 64)
+	win := wins[0]
+	win.LockAll()
+	ths := []*core.Thread{w.Proc(0).NewThread(), w.Proc(0).NewThread()}
+	src := []byte("12345678")
+	// A thread's first operation assigns its instance from the round-robin
+	// counter the progress sweep also advances: take both assignments before
+	// anything progresses, so the threads hold instances 0 and 1.
+	for g, th := range ths {
+		if err := win.Put(th, 1, g*8, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g, th := range ths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i < n; i++ {
+				if err := win.Put(th, 1, g*8, src); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := win.Flush(th, 1); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	ps := w.Proc(0).TelemetryStats()
+	if len(ps.PerCRI) != 2 {
+		t.Fatalf("%d per-CRI entries, want 2", len(ps.PerCRI))
+	}
+	for _, c := range ps.PerCRI {
+		if got := c.Counters.Get(spc.PutsIssued); got != n {
+			t.Errorf("cri %d: puts_issued = %d, want %d", c.Index, got, n)
+		}
+	}
+	for _, c := range ps.PerComm {
+		if got := c.Counters.Get(spc.PutsIssued); got != 0 {
+			t.Errorf("comm %d: puts_issued = %d, want 0 (op counts are per-CRI)", c.ID, got)
+		}
+	}
+	if got := ps.Process.Get(spc.PutsIssued); got != 2*n {
+		t.Errorf("process puts_issued = %d, want %d", got, 2*n)
+	}
+	if got := ps.Process.Get(spc.FlushCalls); got != 2 {
+		t.Errorf("process flush_calls = %d, want 2", got)
+	}
+}
+
+// TestCounterLayout: no two instances' rows of outstanding-operation
+// counters share a cache line, and the epoch words share one with neither —
+// the property the put path's scaling rests on, whatever the group size and
+// wherever the allocator puts the slab.
+func TestCounterLayout(t *testing.T) {
+	disjoint := func(t *testing.T, rows [][]atomic.Int64) {
+		t.Helper()
+		owner := map[uintptr]int{} // 64-byte line → the row that has a counter on it
+		for i, row := range rows {
+			for c := range row {
+				line := uintptr(unsafe.Pointer(&row[c])) / 64
+				if j, taken := owner[line]; taken && j != i {
+					t.Fatalf("rows %d and %d share cache line %#x", j, i, line*64)
+				}
+				owner[line] = i
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 7, 8, 9, 17} {
+		for _, k := range []int{1, 2, 5} {
+			rows := newRows(k, n)
+			if len(rows) != k || len(rows[0]) != n {
+				t.Fatalf("newRows(%d, %d): %d rows of %d", k, n, len(rows), len(rows[0]))
+			}
+			disjoint(t, rows)
+		}
+	}
+	// The window itself: a row per instance, then the epoch words.
+	_, wins := newWins(t, 3, core.CRIsConcurrent(2, cri.Dedicated), 8)
+	win := wins[0]
+	if len(win.pending) != 2 || len(win.pending[0]) != 3 || len(win.locked) != 3 {
+		t.Fatalf("window of 3 ranks over 2 instances: %d rows of %d, %d epoch words", len(win.pending), len(win.pending[0]), len(win.locked))
+	}
+	disjoint(t, append(append([][]atomic.Int64{}, win.pending...), win.locked))
+}
+
+// TestFlushAllAcrossInstances: operations outstanding on two targets, carried
+// by two instances, all complete under one FlushAll — it scans every row.
+func TestFlushAllAcrossInstances(t *testing.T) {
+	w, wins := newWins(t, 3, core.CRIsConcurrent(2, cri.Dedicated), 16)
+	win := wins[0]
+	win.LockAll()
+	// Nothing progresses between the puts, so the two threads are assigned
+	// instances 0 and 1 and every completion stays queued.
+	ths := []*core.Thread{w.Proc(0).NewThread(), w.Proc(0).NewThread()}
+	const puts = 5
+	for i := 0; i < puts; i++ {
+		if err := win.Put(ths[0], 1, 0, []byte("to rank1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := win.Put(ths[1], 2, 8, []byte("to rank2")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := win.pending[0][1].Load(), win.pending[1][2].Load(); a != puts || b != puts {
+		t.Fatalf("outstanding: instance 0 → target 1 = %d, instance 1 → target 2 = %d, want %d each", a, b, puts)
+	}
+	if win.Pending(1) != puts || win.Pending(2) != puts || win.Pending(0) != 0 {
+		t.Fatalf("Pending = %d, %d, %d for targets 0, 1, 2", win.Pending(0), win.Pending(1), win.Pending(2))
+	}
+	if err := win.FlushAll(ths[0]); err != nil {
+		t.Fatal(err)
+	}
+	for target := 0; target < 3; target++ {
+		if n := win.Pending(target); n != 0 {
+			t.Fatalf("Pending(%d) = %d after FlushAll", target, n)
+		}
+	}
+	if got := string(wins[1].Local()[:8]); got != "to rank1" {
+		t.Fatalf("rank 1 window = %q", got)
+	}
+	if got := string(wins[2].Local()[8:]); got != "to rank2" {
+		t.Fatalf("rank 2 window = %q", got)
+	}
+	if err := win.UnlockAll(ths[0]); err != nil {
+		t.Fatal(err)
+	}
+}

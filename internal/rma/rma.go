@@ -33,11 +33,16 @@ type Win struct {
 	local []byte
 	// regions[commRank] is the target's registered region.
 	regions []transport.MemRegion
-	// pending[commRank] counts outstanding one-sided ops to that target.
-	pending []atomic.Int64
+	// pending[cri][commRank] counts the operations instance cri carried to
+	// that target and has not yet completed. An operation's completion is
+	// posted to the context that issued it, so a row is written only under
+	// its own instance's lock; the flushes of other threads only read it.
+	pending [][]atomic.Int64
 	// locked[commRank] is nonzero while an access epoch (passive lock,
-	// PSCW start, or fence) is open to that target.
-	locked []atomic.Int32
+	// PSCW start, or fence) is open to that target. Read on every operation
+	// and written only at epoch boundaries, so it keeps to lines no
+	// per-operation word lives on (see newRows).
+	locked []atomic.Int64
 
 	// Active-target epoch state (single-threaded by MPI semantics — the
 	// funneling constraint the paper highlights).
@@ -47,15 +52,31 @@ type Win struct {
 }
 
 // opToken completes one outstanding one-sided operation when its CQE is
-// extracted by the progress engine.
+// extracted by the progress engine: n is the counter the operation was
+// charged to at issue, in the row of the instance that carried it.
 type opToken struct {
-	win    *Win
-	target int
+	n *atomic.Int64
 }
 
 // Complete implements core.Completer.
-func (t *opToken) Complete(transport.CQE) {
-	t.win.pending[t.target].Add(-1)
+func (t *opToken) Complete(transport.CQE) { t.n.Add(-1) }
+
+// cacheLineWords is a 64-byte cache line in 8-byte counters.
+const cacheLineWords = 8
+
+// newRows returns rows rows of n counters cut from one slab, laid out so that
+// no two rows — and nothing allocated beside the slab — can share a cache
+// line with a row wherever the allocator puts it: a row is rounded up to
+// whole lines and a line of slack follows it (and leads the first). The cost
+// is rows × a few lines, not a line per counter.
+func newRows(rows, n int) [][]atomic.Int64 {
+	stride := (n+cacheLineWords-1)/cacheLineWords*cacheLineWords + cacheLineWords
+	slab := make([]atomic.Int64, cacheLineWords+rows*stride)
+	out := make([][]atomic.Int64, rows)
+	for i := range out {
+		out[i] = slab[cacheLineWords+i*stride:][:n:n]
+	}
+	return out
 }
 
 // New collectively creates a window over the communicator whose per-member
@@ -80,11 +101,14 @@ func New(comms []*core.Comm, sizes []int) ([]*Win, error) {
 		}
 		local := make([]byte, sizes[r])
 		regions[r] = c.Proc().RegisterMemory(local)
+		// One row per instance, then the epoch words in a row of their own.
+		k := c.Proc().Pool().Len()
+		rows := newRows(k+1, n)
 		wins[r] = &Win{
 			comm:    c,
 			local:   local,
-			pending: make([]atomic.Int64, n),
-			locked:  make([]atomic.Int32, n),
+			pending: rows[:k],
+			locked:  rows[k],
 		}
 	}
 	for _, w := range wins {
@@ -178,10 +202,15 @@ func (w *Win) inEpoch(target int) error {
 }
 
 // issue runs one one-sided operation through the thread's instance under
-// the instance lock — the contention point the figures sweep. It returns
-// the index of the instance that carried the operation so callers can
-// attribute counters and trace events to it.
-func (w *Win) issue(th *core.Thread, target int, f func(ctx transport.Context, r transport.MemRegion, tok *opToken) error) (int, error) {
+// the instance lock — the contention point the figures sweep. Every word it
+// writes belongs to that instance: the operation is counted in the
+// instance's row of pending and charged as c on the instance's counter set,
+// both under its lock. The count is taken before the context sees the
+// operation (a completion reaped early by a stealing thread then finds it
+// there) and taken back on error, so a counter never reads below zero. It
+// returns the index of the instance that carried the operation so callers
+// can attribute trace events to it.
+func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx transport.Context, r transport.MemRegion, tok *opToken) error) (int, error) {
 	if err := w.checkTarget(target); err != nil {
 		return -1, err
 	}
@@ -189,29 +218,32 @@ func (w *Win) issue(th *core.Thread, target int, f func(ctx transport.Context, r
 		return -1, fmt.Errorf("%w (target %d)", err, target)
 	}
 	p := w.comm.Proc()
-	tok := &opToken{win: w, target: target}
+	tok := &opToken{} // allocated outside the instance lock, filled in under it
 	clk := th.State().Clock()
 	clk.Begin(prof.PhaseSend)
 	inst, release := p.Pool().AcquireSend(th.State())
+	tok.n = &w.pending[inst.Index()][target]
+	tok.n.Add(1)
 	clk.Begin(prof.PhaseWire)
 	err := f(inst.Context(), w.regions[target], tok)
 	clk.End()
+	if err != nil {
+		tok.n.Add(-1)
+	} else {
+		inst.SPCs().Inc(c)
+	}
 	release()
 	clk.End()
-	if err == nil {
-		w.pending[target].Add(1)
-	}
 	return inst.Index(), err
 }
 
 // Put writes src into target's window at offset (MPI_Put). Completion is
 // local-only; use Flush to guarantee remote completion.
 func (w *Win) Put(th *core.Thread, target, offset int, src []byte) error {
-	cri, err := w.issue(th, target, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
+	cri, err := w.issue(th, target, spc.PutsIssued, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
 		return ctx.Put(r, offset, src, tok)
 	})
 	if err == nil {
-		w.comm.SPCs().Inc(spc.PutsIssued)
 		ring := th.State().Flight()
 		ring.RecordAt(ring.Now(), flight.KindPutIssue, w.comm.ID(), int32(target), int32(len(src)), cri, 0)
 	}
@@ -221,24 +253,18 @@ func (w *Win) Put(th *core.Thread, target, offset int, src []byte) error {
 // Get reads len(dst) bytes from target's window at offset (MPI_Get).
 // dst is valid only after a Flush.
 func (w *Win) Get(th *core.Thread, target, offset int, dst []byte) error {
-	_, err := w.issue(th, target, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
+	_, err := w.issue(th, target, spc.GetsIssued, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
 		return ctx.Get(r, offset, dst, tok)
 	})
-	if err == nil {
-		w.comm.SPCs().Inc(spc.GetsIssued)
-	}
 	return err
 }
 
 // Accumulate applies op element-wise over int64 lanes at offset in target's
 // window (MPI_Accumulate), atomically with respect to other accumulates.
 func (w *Win) Accumulate(th *core.Thread, target, offset int, operand []int64, op transport.AccumulateOp) error {
-	_, err := w.issue(th, target, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
+	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
 		return ctx.Accumulate(r, offset, operand, op, tok)
 	})
-	if err == nil {
-		w.comm.SPCs().Inc(spc.AccumulatesIssued)
-	}
 	return err
 }
 
@@ -250,7 +276,7 @@ func (w *Win) Flush(th *core.Thread, target int) error {
 		return err
 	}
 	w.comm.SPCs().Inc(spc.FlushCalls)
-	for w.pending[target].Load() > 0 {
+	for w.Pending(target) > 0 {
 		if th.Progress() == 0 {
 			yield()
 		}
@@ -265,8 +291,8 @@ func (w *Win) FlushAll(th *core.Thread) error {
 	w.comm.SPCs().Inc(spc.FlushCalls)
 	for {
 		outstanding := false
-		for i := range w.pending {
-			if w.pending[i].Load() > 0 {
+		for t := range w.regions {
+			if w.Pending(t) > 0 {
 				outstanding = true
 				break
 			}
@@ -280,6 +306,14 @@ func (w *Win) FlushAll(th *core.Thread) error {
 	}
 }
 
-// Pending returns the number of outstanding operations to target
-// (diagnostic).
-func (w *Win) Pending(target int) int64 { return w.pending[target].Load() }
+// Pending returns the number of outstanding operations to target, summed
+// over the instances that carried them. No counter is ever negative, so a
+// zero sum means every operation counted before the call has completed —
+// the property Flush waits on.
+func (w *Win) Pending(target int) int64 {
+	var n int64
+	for _, row := range w.pending {
+		n += row[target].Load()
+	}
+	return n
+}

@@ -3,6 +3,7 @@ package rma
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -13,14 +14,25 @@ import (
 	"repro/internal/transport"
 )
 
-func newWinPair(t *testing.T, opts core.Options, size int) (*core.World, []*Win) {
+func newWinPair(t testing.TB, opts core.Options, size int) (*core.World, []*Win) {
 	t.Helper()
-	w, err := core.NewWorld(hw.Fast(), 2, opts)
+	return newWins(t, 2, opts, size)
+}
+
+// newWins builds a world of the given number of ranks and a window of size
+// bytes per member over a communicator of all of them.
+func newWins(t testing.TB, ranks int, opts core.Options, size int) (*core.World, []*Win) {
+	t.Helper()
+	w, err := core.NewWorld(hw.Fast(), ranks, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	comms, err := w.NewComm([]int{0, 1})
+	members := make([]int, ranks)
+	for r := range members {
+		members[r] = r
+	}
+	comms, err := w.NewComm(members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +206,22 @@ func TestSPCCounters(t *testing.T) {
 	_ = wins[0].Put(th, 1, 0, []byte("a"))
 	_ = wins[0].Get(th, 1, 0, make([]byte, 1))
 	_ = wins[0].Accumulate(th, 1, 8, []int64{1}, transport.AccSum)
+	// The two single-lane atomics are accumulates to the counters, as they are
+	// to the transport (both complete as CQEAccComplete).
+	if _, err := wins[0].FetchAndOp(th, 1, 16, 1, transport.AccSum); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wins[0].CompareAndSwap(th, 1, 24, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	// A refused operation is charged nowhere.
+	if err := wins[0].Put(th, 1, 60, []byte("too long")); err == nil {
+		t.Fatal("out-of-bounds Put succeeded")
+	}
 	_ = wins[0].UnlockAll(th)
 	s := w.Proc(0).SPCSnapshot()
-	if s.Get(spc.PutsIssued) != 1 || s.Get(spc.GetsIssued) != 1 || s.Get(spc.AccumulatesIssued) != 1 {
-		t.Fatalf("counters: puts=%d gets=%d accs=%d", s.Get(spc.PutsIssued), s.Get(spc.GetsIssued), s.Get(spc.AccumulatesIssued))
+	if s.Get(spc.PutsIssued) != 1 || s.Get(spc.GetsIssued) != 1 || s.Get(spc.AccumulatesIssued) != 3 {
+		t.Fatalf("counters: puts=%d gets=%d accs=%d, want 1, 1, 3", s.Get(spc.PutsIssued), s.Get(spc.GetsIssued), s.Get(spc.AccumulatesIssued))
 	}
 	if s.Get(spc.FlushCalls) == 0 {
 		t.Fatal("flush_calls not counted")
@@ -309,7 +333,7 @@ func TestFreeDeregisters(t *testing.T) {
 
 // TestPutAllocations: a put costs its completion token and nothing else — the
 // CRI release function is prebuilt, and the flush that reaps the completion
-// allocates nothing. (The token stays: see ROADMAP item 2(a).) The options are
+// allocates nothing. (The token stays: see ROADMAP item 1(e).) The options are
 // the benchmark's inproc_rma_put_8B_mt ones.
 func TestPutAllocations(t *testing.T) {
 	const pinned = 1
@@ -332,5 +356,54 @@ func TestPutAllocations(t *testing.T) {
 	}
 	if err := wins[0].UnlockAll(th); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkPutFlush is the benchmark's inproc_rma_put_8B_mt traffic with the
+// origin thread count as the axis — Fig. 6's shape on the real engine: each
+// thread has a dedicated instance and its own half of the target window, and
+// one iteration is a burst of 1000 8-byte puts to distinct offsets, then a
+// flush, on every thread. puts/s at threads=2 against threads=1 is what
+// initiator-side sharing costs; -benchtime 2000x is 2 M puts per thread.
+func BenchmarkPutFlush(b *testing.B) {
+	const (
+		burst = 1000
+		size  = 8
+	)
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			w, wins := newWinPair(b, core.CRIsConcurrent(2, cri.Dedicated), threads*burst*size)
+			win := wins[0]
+			win.LockAll()
+			ths := make([]*core.Thread, threads)
+			for g := range ths {
+				ths[g] = w.Proc(0).NewThread()
+			}
+			src := make([]byte, burst*size)
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for g, th := range ths {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					base := g * len(src)
+					for i := 0; i < b.N; i++ {
+						for off := 0; off < len(src); off += size {
+							if err := win.Put(th, 1, base+off, src[off:off+size]); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+						if err := win.Flush(th, 1); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(threads*b.N*burst)/b.Elapsed().Seconds(), "puts/s")
+		})
 	}
 }

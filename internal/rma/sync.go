@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/spc"
 	"repro/internal/transport"
 )
 
@@ -117,7 +118,7 @@ func (w *Win) WaitEpoch(th *core.Thread) error {
 // flush-bounded operation).
 func (w *Win) FetchAndOp(th *core.Thread, target, offset int, operand int64, op transport.AccumulateOp) (int64, error) {
 	var result int64
-	_, err := w.issue(th, target, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
+	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
 		return ctx.FetchAndOp(r, offset, operand, op, &result, tok)
 	})
 	if err != nil {
@@ -133,7 +134,7 @@ func (w *Win) FetchAndOp(th *core.Thread, target, offset int, operand int64, op 
 // it equals compare, returning the previous value (MPI_Compare_and_swap).
 func (w *Win) CompareAndSwap(th *core.Thread, target, offset int, compare, swap int64) (int64, error) {
 	var result int64
-	_, err := w.issue(th, target, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
+	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
 		return ctx.CompareAndSwap(r, offset, compare, swap, &result, tok)
 	})
 	if err != nil {

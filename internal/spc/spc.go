@@ -61,11 +61,15 @@ const (
 	// SendLockWaits counts send-path instance-lock acquisitions that found
 	// the lock contended.
 	SendLockWaits
-	// PutsIssued counts one-sided put operations initiated.
+	// PutsIssued counts one-sided put operations initiated. The three
+	// one-sided operation counters are ticked on the counter set of the CRI
+	// that carried the operation, under its lock.
 	PutsIssued
 	// GetsIssued counts one-sided get operations initiated.
 	GetsIssued
-	// AccumulatesIssued counts one-sided accumulate operations initiated.
+	// AccumulatesIssued counts one-sided accumulate operations initiated,
+	// including the single-lane atomics FetchAndOp and CompareAndSwap (every
+	// operation that completes as an accumulate completion).
 	AccumulatesIssued
 	// FlushCalls counts window flush synchronizations.
 	FlushCalls
