@@ -60,7 +60,12 @@ conformance:
 # document, and no non-test file defines ParsePromText or PromFamily again.
 # And the diagnosis plane has one rule engine: a Detector, an Obs or a Verdict
 # type, or an Observe method over samples, defined outside internal/flight is
-# the second engine growing back.
+# the second engine growing back. And both engines observe through the same
+# observers: latency.RecordPacket is the one derivation of a message's stages,
+# so a latency.Measurement literal outside internal/latency is an engine's
+# private copy of it, and prof.ThreadClock is the one phase clock (fed wall or
+# virtual instants), so an array or slice of prof.Phase held outside
+# internal/prof is a second phase stack.
 lint-layers:
 	@fail=0; \
 	if grep -rln --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out \
@@ -75,6 +80,12 @@ lint-layers:
 	if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out --exclude-dir=benchmark \
 		'^type +(Detector|Obs|Verdict)\b|^func +\([^)]*\) +Observe\(.*\b(Sample|Obs|Verdict)\b' . | grep -v '^\./internal/flight/'; then \
 		echo "FAIL: internal/flight owns sample -> detect -> verdict; feed its Detector instead of writing another"; fail=1; fi; \
+	if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out --exclude-dir=benchmark \
+		'latency\.Measurement{' .; then \
+		echo "FAIL: latency.RecordPacket derives every Measurement; hand it the packet's stamps instead"; fail=1; fi; \
+	if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out --exclude-dir=benchmark \
+		'\[[^]]*\] *prof\.Phase\b *([^{]|$$)' .; then \
+		echo "FAIL: only prof.ThreadClock keeps a phase stack; give it the thread's clock (NewThreadClock's now) instead"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "layering ok"; else exit 1; fi
 
 # The size figure every simplicity entry in CHANGES.md quotes: non-test Go

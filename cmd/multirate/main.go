@@ -152,7 +152,7 @@ func main() {
 		if ob.BreakdownOut != "" {
 			bf := prof.BreakdownFile{Engine: "sim"}
 			for _, b := range res.Breakdown {
-				bf.Reports = append(bf.Reports, b.Report(designLabel(*prog, *assignment), *pairs))
+				bf.Reports = append(bf.Reports, prof.BuildReport(b.Rank, designLabel(*prog, *assignment), *pairs, b.Snap))
 			}
 			check(cliobs.WriteBreakdown(ob.BreakdownOut, bf))
 		}

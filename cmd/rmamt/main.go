@@ -83,7 +83,7 @@ func main() {
 		if ob.BreakdownOut != "" {
 			bf := prof.BreakdownFile{Engine: "sim"}
 			for _, b := range res.Breakdown {
-				bf.Reports = append(bf.Reports, b.Report(designLabel(*prog, *assignment), *threads))
+				bf.Reports = append(bf.Reports, prof.BuildReport(b.Rank, designLabel(*prog, *assignment), *threads, b.Snap))
 			}
 			check(cliobs.WriteBreakdown(ob.BreakdownOut, bf))
 		}

@@ -140,7 +140,7 @@ var (
 	// runtime: wall-clock time, the wire, the rings, the ack protocol and
 	// one-sided operations the model has no code for, plus send_lock_waits,
 	// which the model knows per lock site (Result.Breakdown) but does not tick
-	// (filed in ROADMAP item 4). The model must read zero.
+	// (filed in ROADMAP item 2). The model must read zero.
 	oneSidedCounters = []spc.Counter{
 		spc.MatchTimeNanos, spc.SendLockWaits,
 		spc.GetsIssued, spc.AccumulatesIssued,

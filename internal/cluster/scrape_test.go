@@ -52,7 +52,7 @@ func testProcStats(rank int) telemetry.ProcStats {
 	p := prof.New()
 	var mu prof.Mutex
 	mu.Bind(p.NewSite("cri.instance", 0, 0))
-	clk := p.NewThreadClock(fmt.Sprintf("rank%d/t0", rank))
+	clk := p.NewThreadClock(fmt.Sprintf("rank%d/t0", rank), nil)
 	clk.Begin(prof.PhaseSend)
 	mu.LockClocked(clk)
 	mu.Unlock()

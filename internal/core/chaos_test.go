@@ -132,11 +132,7 @@ func TestFaultStressAllTrafficCompletes(t *testing.T) {
 		// the last thread of the round has completed its requests.
 		finish := func(th *Thread) {
 			busy.Add(-1)
-			for busy.Load() > 0 {
-				if th.Progress() == 0 {
-					yield()
-				}
-			}
+			th.WaitUntil(func() bool { return busy.Load() == 0 })
 		}
 		tag := func(g, i int) int32 { return int32(round*10000 + g*1000 + i) }
 		var wg sync.WaitGroup

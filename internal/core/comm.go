@@ -458,9 +458,9 @@ func (c *Comm) completeRecv(comp match.Completion, unexpected bool) {
 		if pkt.Stamp != 0 {
 			sent := p.sendStampLocal(pkt)
 			p.histLatency.ObserveNs(now - sent)
-			if p.lat != nil && flow != 0 {
-				p.lat.Record(p.measure(pkt, env.Tag, sent, now, unexpected))
-			}
+			// Completion anchored on the flight recorder's clock (relative
+			// wall time) so exemplar event windows compare against Event.TS.
+			p.lat.RecordPacket(pkt, env.Tag, unexpected, sent, now, p.flightBase)
 		}
 		if pkt.RecvStamp != 0 {
 			// Arrival at the matching engine to match completion: how long

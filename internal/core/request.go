@@ -100,11 +100,7 @@ func (r *Request) Wait(th *Thread) error {
 	if th.proc != r.proc {
 		panic("core: Wait with a thread from a different proc")
 	}
-	for !r.done.Load() {
-		if th.Progress() == 0 {
-			yield()
-		}
-	}
+	th.WaitUntil(r.done.Load)
 	return r.err
 }
 
@@ -125,16 +121,17 @@ func WaitAny(th *Thread, reqs ...*Request) (int, error) {
 	if len(reqs) == 0 {
 		panic("core: WaitAny with no requests")
 	}
-	for {
+	var first int
+	th.WaitUntil(func() bool {
 		for i, r := range reqs {
 			if r.done.Load() {
-				return i, r.err
+				first = i
+				return true
 			}
 		}
-		if th.Progress() == 0 {
-			yield()
-		}
-	}
+		return false
+	})
+	return first, reqs[first].err
 }
 
 // TestAll progresses once and reports whether every request has completed

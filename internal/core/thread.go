@@ -29,7 +29,7 @@ func (p *Proc) NewThread() *Thread {
 	if p.prof != nil || p.flight != nil {
 		n := p.profThreads.Add(1) - 1
 		if p.prof != nil {
-			th.ts.SetClock(p.prof.NewThreadClock(fmt.Sprintf("rank%d/t%d", p.rank, n)))
+			th.ts.SetClock(p.prof.NewThreadClock(fmt.Sprintf("rank%d/t%d", p.rank, n), nil))
 		}
 		th.ts.SetFlight(p.flight.NewRing(fmt.Sprintf("rank%d/t%d", p.rank, n)))
 	}
@@ -48,6 +48,20 @@ func (t *Thread) State() *cri.ThreadState { return &t.ts }
 // thread and returns the number of completion events handled.
 func (t *Thread) Progress() int {
 	return t.proc.progressFor(&t.ts)
+}
+
+// WaitUntil drives the progress engine until done reports true — the one
+// wait loop behind every blocking call (Request.Wait, WaitAny, the one-sided
+// flushes), which is how blocking calls honour MPI's mandatory-progress rule
+// (Section II-B). A pass that handled nothing yields the core: single-core
+// hosts depend on it so the peer can make progress. done runs once per pass
+// and must not allocate.
+func (t *Thread) WaitUntil(done func() bool) {
+	for !done() {
+		if t.Progress() == 0 {
+			runtime.Gosched()
+		}
+	}
 }
 
 // Detach releases the thread's dedicated instance assignment. The instance
@@ -94,7 +108,3 @@ func sinceTimer(s *spc.Set, t0 time.Time) time.Duration {
 	}
 	return time.Since(t0)
 }
-
-// yield relinquishes the core; single-core hosts depend on wait loops
-// yielding so the peer can make progress.
-func yield() { runtime.Gosched() }

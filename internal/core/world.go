@@ -658,65 +658,6 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 	p.scratchPool.Put(scratch)
 }
 
-// measure assembles one completed eager message's critical-path measurement
-// from the packet's stamps. sent is the send post on this proc's clock and
-// now the completion instant, both read once by completeRecv; unexpected
-// reports whether the message matched via the unexpected queue. Sender-local
-// stage fields that never crossed the wire (real networks) stay Unknown; the
-// transit stage absorbs whatever the engine could not split out, so the
-// stages always sum to at most the end-to-end. Match and completion are one
-// instant here, as in the virtual-time twin, so the complete stage is zero.
-func (p *Proc) measure(pkt *transport.Packet, tag int32, sent, now int64, unexpected bool) latency.Measurement {
-	m := latency.Measurement{
-		TraceID:    pkt.TraceID,
-		Origin:     pkt.Origin,
-		Tag:        tag,
-		Unexpected: unexpected,
-		E2ENs:      clampNs(now - sent),
-		// Completion anchored on the flight recorder's clock (relative wall
-		// time) so exemplar event windows compare directly against Event.TS.
-		CompletedAtNs: now - p.flightBase,
-	}
-	for i := range m.StageNs {
-		m.StageNs[i] = latency.Unknown
-	}
-	acq, wire := pkt.SendAcqNs, pkt.SendWireNs
-	if acq > 0 {
-		m.StageNs[latency.StageCRIAcquire] = acq
-	}
-	if wire > 0 {
-		m.StageNs[latency.StageWireWrite] = wire
-	}
-	// "Injection complete" is the transit anchor; unknown sender stages fold
-	// into transit rather than vanishing.
-	base := sent
-	if acq > 0 {
-		base += acq
-	}
-	if wire > 0 {
-		base += wire
-	}
-	recv := pkt.RecvStamp
-	if arrive := pkt.ArriveNs; arrive > 0 {
-		m.StageNs[latency.StageTransit] = clampNs(arrive - base)
-		if recv != 0 {
-			m.StageNs[latency.StageDeliverWait] = clampNs(recv - arrive)
-		}
-	} else if recv != 0 {
-		// No arrival stamp (self messages): transit absorbs the delivery wait.
-		m.StageNs[latency.StageTransit] = clampNs(recv - base)
-	}
-	if recv != 0 {
-		ms := latency.StageMatchPosted
-		if unexpected {
-			ms = latency.StageMatchUnexpected
-		}
-		m.StageNs[ms] = clampNs(now - recv)
-	}
-	m.StageNs[latency.StageComplete] = 0
-	return m
-}
-
 // sendStampLocal maps a traced pkt's send stamp, taken on its origin's
 // clock, onto this proc's clock with the transport's NTP-style estimate
 // (local = peer + offset); unchanged when there is no estimate (in-process
@@ -728,13 +669,6 @@ func (p *Proc) sendStampLocal(pkt *transport.Packet) int64 {
 		}
 	}
 	return pkt.Stamp
-}
-
-func clampNs(v int64) int64 {
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // progressFor drives the progress engine once for the calling thread.

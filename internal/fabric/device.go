@@ -25,8 +25,8 @@ type Device struct {
 	maxContexts int
 	limiter     *rateLimiter
 
-	scrambler *Scrambler     // adversarial reordering of inbound packets, or nil
-	faults    *FaultInjector // wire faults on outbound packets, or nil
+	scrambler *scrambler     // adversarial reordering of inbound packets, or nil
+	faults    *faultInjector // wire faults on outbound packets, or nil
 
 	mu       sync.Mutex
 	contexts []*Context

@@ -66,14 +66,14 @@ func (n *Network) NewDevice(rank int, m hw.Machine, cfg transport.DeviceConfig) 
 		limiter:     newRateLimiter(m.LinkGbps, m.MaxInjectionRate),
 		regions:     make(map[uint64]*MemRegion),
 		connected:   make(map[int]bool),
-		faults:      NewFaultInjector(cfg.Faults, cfg.Counters),
+		faults:      newFaultInjector(cfg.Faults, cfg.Counters),
 	}
 	if cfg.ScrambleWindow > 0 {
 		seed := cfg.ScrambleSeed
 		if seed == 0 {
 			seed = 1
 		}
-		d.scrambler = NewScrambler(seed, cfg.ScrambleWindow)
+		d.scrambler = newScrambler(seed, cfg.ScrambleWindow)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -9,28 +9,28 @@ import (
 	"repro/internal/transport"
 )
 
-// FaultInjector perturbs packet delivery at the device layer under a seeded
+// faultInjector perturbs packet delivery at the device layer under a seeded
 // RNG: drops, duplications, and delays. It models an imperfect network under
 // the fabric's synchronous-delivery design, so the layers above can be
 // tested against loss, duplication, and reordering instead of assuming the
 // perfect wire the paper evaluates on. Injected faults are recorded in the
 // attached counter set (nil-safe).
-type FaultInjector struct {
+type faultInjector struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
 	cfg  transport.FaultConfig
 	spcs *spc.Set
 }
 
-// NewFaultInjector builds an injector for cfg recording into spcs (may be
+// newFaultInjector builds an injector for cfg recording into spcs (may be
 // nil). Returns nil when cfg injects nothing, so callers can install the
 // result unconditionally.
-func NewFaultInjector(cfg transport.FaultConfig, spcs *spc.Set) *FaultInjector {
+func newFaultInjector(cfg transport.FaultConfig, spcs *spc.Set) *faultInjector {
 	if !cfg.Enabled() {
 		return nil
 	}
 	cfg = cfg.WithDefaults()
-	return &FaultInjector{rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg, spcs: spcs}
+	return &faultInjector{rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg, spcs: spcs}
 }
 
 // fate is the injector's verdict for one packet.
@@ -41,7 +41,7 @@ type fate struct {
 }
 
 // judge rolls the dice for one packet and advances the fault counters.
-func (f *FaultInjector) judge() fate {
+func (f *faultInjector) judge() fate {
 	f.mu.Lock()
 	var ft fate
 	if f.cfg.Drop > 0 && f.rng.Float64() < f.cfg.Drop {
@@ -70,7 +70,7 @@ func (f *FaultInjector) judge() fate {
 // inject delivers p to dst subject to the injector's faults. A duplicated
 // packet is the same *transport.Packet delivered twice — receivers must treat
 // packets as read-only, which they do.
-func (f *FaultInjector) inject(dst *Context, p *transport.Packet) {
+func (f *faultInjector) inject(dst *Context, p *transport.Packet) {
 	ft := f.judge()
 	if ft.drop {
 		return

@@ -33,10 +33,10 @@ func drain(dst transport.Context, rounds int) int {
 }
 
 func TestFaultInjectorDisabledIsNil(t *testing.T) {
-	if f := NewFaultInjector(transport.FaultConfig{}, spc.NewSet()); f != nil {
+	if f := newFaultInjector(transport.FaultConfig{}, spc.NewSet()); f != nil {
 		t.Fatal("zero FaultConfig must yield a nil injector")
 	}
-	if f := NewFaultInjector(transport.FaultConfig{Drop: 0.5}, nil); f == nil {
+	if f := newFaultInjector(transport.FaultConfig{Drop: 0.5}, nil); f == nil {
 		t.Fatal("non-zero drop probability must yield an injector (nil spcs is allowed)")
 	}
 }
@@ -104,7 +104,7 @@ func TestFaultDelayReleasedByPoll(t *testing.T) {
 // make identical per-packet decisions, and a different seed diverges.
 func TestFaultDeterministicSeed(t *testing.T) {
 	roll := func(seed int64) []bool {
-		f := NewFaultInjector(transport.FaultConfig{Drop: 0.5, Seed: seed}, nil)
+		f := newFaultInjector(transport.FaultConfig{Drop: 0.5, Seed: seed}, nil)
 		out := make([]bool, 256)
 		for i := range out {
 			out[i] = f.judge().drop

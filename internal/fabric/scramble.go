@@ -7,30 +7,30 @@ import (
 	"repro/internal/transport"
 )
 
-// Scrambler adversarially reorders packet delivery within a bounded window.
+// scrambler adversarially reorders packet delivery within a bounded window.
 // Real networks provide no ordering guarantee (Section II-C); in the
 // simulated fabric natural reordering only arises from concurrent senders,
-// so tests install a Scrambler to exercise the sequence-validation and
+// so tests install a scrambler to exercise the sequence-validation and
 // out-of-sequence buffering paths deterministically.
-type Scrambler struct {
+type scrambler struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	window int
 	held   []*transport.Packet
 }
 
-// NewScrambler returns a scrambler holding back up to window packets,
+// newScrambler returns a scrambler holding back up to window packets,
 // releasing them in seeded-random order.
-func NewScrambler(seed int64, window int) *Scrambler {
+func newScrambler(seed int64, window int) *scrambler {
 	if window < 1 {
 		window = 1
 	}
-	return &Scrambler{rng: rand.New(rand.NewSource(seed)), window: window}
+	return &scrambler{rng: rand.New(rand.NewSource(seed)), window: window}
 }
 
 // scramble accepts one packet and returns zero or more packets to deliver
 // now, in scrambled order.
-func (s *Scrambler) scramble(p *transport.Packet) []*transport.Packet {
+func (s *scrambler) scramble(p *transport.Packet) []*transport.Packet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.held = append(s.held, p)
@@ -44,14 +44,14 @@ func (s *Scrambler) scramble(p *transport.Packet) []*transport.Packet {
 
 // flush releases everything held, in random order: an idle Poll calls it so
 // a scrambled stream can never strand its tail.
-func (s *Scrambler) flush() []*transport.Packet {
+func (s *scrambler) flush() []*transport.Packet {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.release()
 }
 
 // release empties held into a fresh slice in seeded-random order; s.mu held.
-func (s *Scrambler) release() []*transport.Packet {
+func (s *scrambler) release() []*transport.Packet {
 	out := make([]*transport.Packet, len(s.held))
 	for i, j := range s.rng.Perm(len(s.held)) {
 		out[i] = s.held[j]

@@ -69,20 +69,17 @@ func TimeBreakdown(sc Scale, threads int) BreakdownFigure {
 	for _, d := range designs.All() {
 		cfg := d.SimConfig(base, threads)
 		res := simnet.RunMultirate(cfg)
-		var wall int64
-		var totals prof.PhaseTotals
-		var sites []prof.SiteSnapshot
+		var job prof.Snapshot // both ranks, reported as one
 		for _, b := range res.Breakdown {
-			wall += b.WallNs
-			totals.Merge(b.Phases)
-			sites = append(sites, b.Sites...)
+			job.Threads = append(job.Threads, b.Snap.Threads...)
+			job.Sites = append(job.Sites, b.Snap.Sites...)
 		}
-		rep := prof.ReportFromTotals(0, d.String(), threads, wall, totals, sites)
+		rep := prof.BuildReport(0, d.String(), threads, job)
 		bar := BreakdownBar{Design: d.String(), Shares: map[string]float64{}, Bottleneck: rep.Bottleneck}
-		if wall > 0 {
+		if totals := rep.Totals(); rep.WallNs > 0 {
 			for _, ph := range breakdownPhases {
 				if totals[ph] > 0 {
-					bar.Shares[ph.String()] = float64(totals[ph]) / float64(wall)
+					bar.Shares[ph.String()] = float64(totals[ph]) / float64(rep.WallNs)
 				}
 			}
 		}

@@ -11,8 +11,9 @@
 // ignores every call, so hot paths pay one branch when attribution is off.
 // Stage timestamps come from the existing 20-byte trace extension (send
 // stamp, clock-sync corrected into the receiver's domain) plus driver-private
-// packet metadata; which stages are exact and which are approximate depends
-// on the engine and is documented in DESIGN.md §8.
+// packet metadata, and every engine derives the stages from them with the one
+// function RecordPacket; which stages are exact and which are approximate
+// depends on the stamps the engine takes and is documented in DESIGN.md §9.
 package latency
 
 import (
@@ -24,6 +25,7 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 // Stage names one segment of a message's critical path.
@@ -86,10 +88,10 @@ const HistE2E = "latency_e2e_ns"
 // (e.g. sender-local stages of a message that crossed a real wire).
 const Unknown int64 = -1
 
-// Measurement is one traced message's completed critical path, assembled at
-// the completion site. Stage durations are nanoseconds; Unknown (-1) marks
-// stages the engine could not observe, which are skipped by the histograms
-// and rendered as unknown in exemplar dumps.
+// Measurement is one traced message's completed critical path, derived by
+// RecordPacket at the completion site. Stage durations are nanoseconds;
+// Unknown (-1) marks stages the engine could not observe, which are skipped
+// by the histograms and rendered as unknown in exemplar dumps.
 type Measurement struct {
 	TraceID uint64
 	// Origin is the sender's world rank; Tag the message tag.
@@ -153,16 +155,84 @@ func (r *Recorder) ObserveStage(s Stage, ns int64) {
 	r.stage[s].ObserveNs(ns)
 }
 
-// Record folds one completed message in: the receiver-observable stages and
+// RecordPacket is the one derivation of a message's stages, for every
+// engine: it turns the stamps a traced packet carries to its completion into
+// a Measurement and records it. sent is the send post on the completing
+// rank's clock (the packet's Stamp, clock-corrected when it crossed a real
+// wire), now the completion instant on that clock, and base the zero of the
+// flight recorder's clock on it (0 in virtual time), so CompletedAtNs lands
+// on the recorder's timeline. tag is the matched tag, unexpected whether the
+// message matched via the unexpected queue.
+//
+// A sender stage the packet carries as zero was not observed here and stays
+// Unknown: a real wire does not carry SendAcqNs/SendWireNs, and the real
+// engine never writes SendWireNs (the receiver owns an in-process packet once
+// Send returns). Transit starts at "injection complete" — the send post plus
+// the observed sender stages — so it absorbs whatever the sender did not
+// split out; without an arrival stamp (self messages) it absorbs the
+// delivery wait too. Every interval is clamped at zero; with the stamps in
+// order the stages partition the end-to-end latency, so the known ones sum
+// to at most e2e. Match and completion are one instant, so the complete
+// stage is zero. Nil-safe on the recorder; an untraced packet records
+// nothing.
+func (r *Recorder) RecordPacket(pkt *transport.Packet, tag int32, unexpected bool, sent, now, base int64) {
+	if r == nil || pkt == nil || pkt.TraceID == 0 {
+		return
+	}
+	m := Measurement{
+		TraceID:       pkt.TraceID,
+		Origin:        pkt.Origin,
+		Tag:           tag,
+		Unexpected:    unexpected,
+		E2ENs:         clamp(now - sent),
+		CompletedAtNs: now - base,
+	}
+	for i := range m.StageNs {
+		m.StageNs[i] = Unknown
+	}
+	injected := sent
+	if acq := pkt.SendAcqNs; acq > 0 {
+		m.StageNs[StageCRIAcquire] = acq
+		injected += acq
+	}
+	if wire := pkt.SendWireNs; wire > 0 {
+		m.StageNs[StageWireWrite] = wire
+		injected += wire
+	}
+	recv := pkt.RecvStamp
+	if arrive := pkt.ArriveNs; arrive > 0 {
+		m.StageNs[StageTransit] = clamp(arrive - injected)
+		if recv != 0 {
+			m.StageNs[StageDeliverWait] = clamp(recv - arrive)
+		}
+	} else if recv != 0 {
+		m.StageNs[StageTransit] = clamp(recv - injected)
+	}
+	if recv != 0 {
+		ms := StageMatchPosted
+		if unexpected {
+			ms = StageMatchUnexpected
+		}
+		m.StageNs[ms] = clamp(now - recv)
+	}
+	m.StageNs[StageComplete] = 0
+	r.record(m)
+}
+
+func clamp(ns int64) int64 {
+	if ns < 0 {
+		return 0
+	}
+	return ns
+}
+
+// record folds one completed message in: the receiver-observable stages and
 // the end-to-end latency land in the histograms, and the message contends
 // for a tail-exemplar slot. Sender-local stages (CRI acquire, wire write)
 // are NOT histogrammed here — the sender records those via ObserveStage, so
 // each stage is counted on exactly one rank — but they stay in the exemplar's
-// stage vector when the engine knew them. Nil-safe.
-func (r *Recorder) Record(m Measurement) {
-	if r == nil {
-		return
-	}
+// stage vector when the engine knew them.
+func (r *Recorder) record(m Measurement) {
 	for s := StageTransit; s < NumStages; s++ {
 		if v := m.StageNs[s]; v >= 0 {
 			r.stage[s].ObserveNs(v)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/flight"
+	"repro/internal/transport"
 )
 
 func meas(id uint64, e2e int64) Measurement {
@@ -43,7 +44,7 @@ func TestNilRecorderSafe(t *testing.T) {
 		t.Fatal("nil recorder claims enabled")
 	}
 	r.ObserveStage(StageCRIAcquire, 10)
-	r.Record(meas(1, 100))
+	r.RecordPacket(&transport.Packet{TraceID: 1, Stamp: 1}, 0, false, 1, 100, 0)
 	if r.Exemplars() != nil || r.Snapshot() != nil {
 		t.Fatal("nil recorder returned data")
 	}
@@ -61,7 +62,7 @@ func TestNilRecorderSafe(t *testing.T) {
 func TestReservoirKeepsSlowest(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 1; i <= 100; i++ {
-		r.Record(meas(uint64(i), int64(i)*10))
+		r.record(meas(uint64(i), int64(i)*10))
 	}
 	ex := r.Exemplars()
 	if len(ex) != 4 {
@@ -83,7 +84,7 @@ func TestReservoirDeterministicTieBreak(t *testing.T) {
 	for _, order := range ids {
 		r := NewRecorder(2)
 		for _, id := range order {
-			r.Record(meas(id, 500))
+			r.record(meas(id, 500))
 		}
 		got := r.Exemplars()
 		if len(got) != 2 || got[0].TraceID != 1 || got[1].TraceID != 2 {
@@ -95,7 +96,7 @@ func TestReservoirDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-// TestRecordSkipsSenderStagesAndUnknowns: Record histograms only the
+// TestRecordSkipsSenderStagesAndUnknowns: record histograms only the
 // receive-path stages — sender stages arrive via ObserveStage on the sender
 // — and Unknown (-1) durations stay out of the histograms entirely.
 func TestRecordSkipsSenderStagesAndUnknowns(t *testing.T) {
@@ -103,17 +104,17 @@ func TestRecordSkipsSenderStagesAndUnknowns(t *testing.T) {
 	m := meas(1, 1000)
 	m.StageNs[StageCRIAcquire] = 400 // sender-local: must NOT histogram here
 	m.StageNs[StageTransit] = Unknown
-	r.Record(m)
+	r.record(m)
 	stages, e2e, ok := r.StageP99s()
 	if !ok || e2e <= 0 {
-		t.Fatalf("no e2e after Record: %v %v", e2e, ok)
+		t.Fatalf("no e2e after record: %v %v", e2e, ok)
 	}
 	for _, sp := range stages {
 		if sp.Stage == "cri_acquire" {
-			t.Fatal("Record histogrammed a sender-local stage")
+			t.Fatal("record histogrammed a sender-local stage")
 		}
 		if sp.Stage == "transit" {
-			t.Fatal("Record histogrammed an Unknown stage")
+			t.Fatal("record histogrammed an Unknown stage")
 		}
 	}
 	r.ObserveStage(StageCRIAcquire, 400)
@@ -129,13 +130,99 @@ func TestRecordSkipsSenderStagesAndUnknowns(t *testing.T) {
 	}
 }
 
+// TestRecordPacketStampShapes pins the one stage derivation over every shape
+// of stamps an engine hands it. u marks a stage left Unknown; each shape's
+// known stages must sum to at most e2e.
+func TestRecordPacketStampShapes(t *testing.T) {
+	const u = Unknown
+	for _, tc := range []struct {
+		name                   string
+		acq, wire, arrive, rcv int64 // packet stamps; send post at 1000
+		now, base              int64
+		unexpected             bool
+		want                   [NumStages]int64
+		wantE2E                int64
+	}{
+		{
+			// The real engine in process: the sender stamps the acquire, but
+			// the receiver owns the packet once Send returns, so SendWireNs is
+			// never written and transit absorbs the wire write.
+			name: "in-process real engine", acq: 50, arrive: 1200, rcv: 1300, now: 1400, base: 400,
+			want:    [NumStages]int64{50, u, 150, 100, 100, u, 0},
+			wantE2E: 400,
+		},
+		{
+			// Over tcp the sender fields never cross the wire.
+			name: "tcp", arrive: 1200, rcv: 1300, now: 1400, base: 400, unexpected: true,
+			want:    [NumStages]int64{u, u, 200, 100, u, 100, 0},
+			wantE2E: 400,
+		},
+		{
+			// A self message bypasses the transport: no arrival stamp, so
+			// transit absorbs the delivery wait.
+			name: "self message", rcv: 1100, now: 1150, base: 400,
+			want:    [NumStages]int64{u, u, 100, u, 50, u, 0},
+			wantE2E: 150,
+		},
+		{
+			// The model stamps arrival at injection complete: transit is
+			// exactly 0 and the stages tile e2e.
+			name: "virtual time", acq: 40, wire: 60, arrive: 1100, rcv: 1300, now: 1350,
+			want:    [NumStages]int64{40, 60, 0, 200, 50, u, 0},
+			wantE2E: 350,
+		},
+		{
+			// An uncontended virtual acquire takes no time; zero reads as
+			// unobserved, and transit is still exactly 0.
+			name: "virtual time, free acquire", wire: 60, arrive: 1060, rcv: 1060, now: 1100, unexpected: true,
+			want:    [NumStages]int64{u, 60, 0, 0, u, 40, 0},
+			wantE2E: 100,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRecorder(1)
+			pkt := &transport.Packet{TraceID: 9, Origin: 3, Stamp: 1000,
+				SendAcqNs: tc.acq, SendWireNs: tc.wire, ArriveNs: tc.arrive, RecvStamp: tc.rcv}
+			r.RecordPacket(pkt, 5, tc.unexpected, pkt.Stamp, tc.now, tc.base)
+			ex := r.Exemplars()
+			if len(ex) != 1 {
+				t.Fatalf("recorded %d measurements, want 1", len(ex))
+			}
+			m := ex[0]
+			if m.StageNs != tc.want {
+				t.Errorf("stages = %v, want %v", m.StageNs, tc.want)
+			}
+			if m.E2ENs != tc.wantE2E || m.CompletedAtNs != tc.now-tc.base ||
+				m.TraceID != 9 || m.Origin != 3 || m.Tag != 5 || m.Unexpected != tc.unexpected {
+				t.Errorf("measurement = %+v", m)
+			}
+			var sum int64
+			for _, v := range m.StageNs {
+				if v > 0 {
+					sum += v
+				}
+			}
+			if sum > m.E2ENs {
+				t.Errorf("known stages sum %d > e2e %d", sum, m.E2ENs)
+			}
+		})
+	}
+
+	r := NewRecorder(1)
+	r.RecordPacket(&transport.Packet{Stamp: 1000, RecvStamp: 1100}, 0, false, 1000, 1200, 0)
+	r.RecordPacket(nil, 0, false, 0, 0, 0)
+	if len(r.Exemplars()) != 0 {
+		t.Fatal("an untraced packet was recorded")
+	}
+}
+
 // TestDumpEventWindowing: an exemplar picks up exactly the flight events
 // inside its lifetime window and none outside it.
 func TestDumpEventWindowing(t *testing.T) {
 	r := NewRecorder(1)
 	m := meas(7, 1000)
 	m.CompletedAtNs = 5000 // lifetime [4000-slack, 5000+slack]
-	r.Record(m)
+	r.record(m)
 	rec := flight.RankRecord{Events: []flight.Event{
 		{TS: 100},  // long before
 		{TS: 4500}, // inside

@@ -61,12 +61,16 @@ func (ph Phase) String() string {
 // still balance Begin/End correctly, they just stop re-slicing.
 const maxNest = 8
 
-// ThreadClock decomposes one thread's wall time into exclusive phases.
+// ThreadClock decomposes one thread's time into exclusive phases. The
+// instants come from the clock its creator supplied: the wall clock on the
+// real runtime, a simulated thread's virtual clock in the model (which then
+// decomposes exactly — every virtual nanosecond lands in one phase).
 // Begin/End/Stop must be called only by the owning thread; Snapshot may be
 // read concurrently (the per-phase totals are atomics). A nil *ThreadClock
 // ignores everything — the disabled path is one branch per call.
 type ThreadClock struct {
 	label   string
+	now     func() int64 // nil reads the wall clock
 	startNs int64
 	stopped atomic.Bool
 	wallNs  atomic.Int64
@@ -80,12 +84,20 @@ type ThreadClock struct {
 	depth    int
 }
 
+// read returns the clock's current instant.
+func (c *ThreadClock) read() int64 {
+	if c.now != nil {
+		return c.now()
+	}
+	return nowNs()
+}
+
 // Begin suspends the current phase and enters ph.
 func (c *ThreadClock) Begin(ph Phase) {
 	if c == nil {
 		return
 	}
-	now := nowNs()
+	now := c.read()
 	c.ns[c.cur].Add(now - c.curSince)
 	c.curSince = now
 	if c.depth < maxNest {
@@ -100,7 +112,7 @@ func (c *ThreadClock) End() {
 	if c == nil || c.depth == 0 {
 		return
 	}
-	now := nowNs()
+	now := c.read()
 	c.ns[c.cur].Add(now - c.curSince)
 	c.curSince = now
 	c.depth--
@@ -117,7 +129,7 @@ func (c *ThreadClock) Stop() {
 	if c == nil || !c.stopped.CompareAndSwap(false, true) {
 		return
 	}
-	now := nowNs()
+	now := c.read()
 	c.ns[c.cur].Add(now - c.curSince)
 	c.curSince = now
 	c.wallNs.Store(now - c.startNs)
@@ -128,7 +140,7 @@ func (c *ThreadClock) snapshot() ThreadSnapshot {
 	if c.stopped.Load() {
 		sn.WallNs = c.wallNs.Load()
 	} else {
-		sn.WallNs = nowNs() - c.startNs
+		sn.WallNs = c.read() - c.startNs
 	}
 	for i := range c.ns {
 		v := c.ns[i].Load()
@@ -141,9 +153,7 @@ func (c *ThreadClock) snapshot() ThreadSnapshot {
 }
 
 // PhaseTotals is an aggregate per-phase time vector (nanoseconds — wall or
-// virtual). The virtual-time model (internal/simnet) accumulates one of
-// these per simulated thread with plain adds; the real runtime sums them
-// out of ThreadSnapshots.
+// virtual), summed out of ThreadSnapshots.
 type PhaseTotals [NumPhases]int64
 
 // Merge adds o element-wise.

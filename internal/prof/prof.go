@@ -214,13 +214,17 @@ func (p *Profiler) NewSite(name string, cri int, comm uint32) *Site {
 }
 
 // NewThreadClock registers a phase clock for one thread, started in
-// PhaseApp. Returns nil on a nil profiler.
-func (p *Profiler) NewThreadClock(label string) *ThreadClock {
+// PhaseApp at now's current instant. now supplies the clock's instants in
+// nanoseconds — the virtual-time model passes its simulated thread's clock,
+// the same seam flight.Recorder.SetClock offers; nil reads the wall clock.
+// Returns nil on a nil profiler.
+func (p *Profiler) NewThreadClock(label string, now func() int64) *ThreadClock {
 	if p == nil {
 		return nil
 	}
-	now := nowNs()
-	c := &ThreadClock{label: label, startNs: now, curSince: now}
+	c := &ThreadClock{label: label, now: now}
+	c.startNs = c.read()
+	c.curSince = c.startNs
 	p.mu.Lock()
 	p.clocks = append(p.clocks, c)
 	p.mu.Unlock()

@@ -94,7 +94,7 @@ func TestTryMutexLosses(t *testing.T) {
 // and must account for nearly all of it once the clock is stopped.
 func TestPhaseSumWithinWall(t *testing.T) {
 	p := New()
-	c := p.NewThreadClock("t0")
+	c := p.NewThreadClock("t0", nil)
 	for i := 0; i < 50; i++ {
 		c.Begin(PhaseSend)
 		c.Begin(PhaseLockWait)
@@ -133,6 +133,51 @@ func TestPhaseSumWithinWall(t *testing.T) {
 	}
 }
 
+// TestPhaseExactOnSuppliedClock: a clock driven by the instants its creator
+// supplies — the virtual-time model's seam — decomposes exactly: through
+// nested Begin/End and Stop every tick lands in exactly one phase, so
+// Σphases == wall with no residue, and nothing before the clock's creation
+// counts.
+func TestPhaseExactOnSuppliedClock(t *testing.T) {
+	now := int64(1000) // the clock is created mid-run, not at zero
+	c := New().NewThreadClock("v", func() int64 { return now })
+	tick := func(d int64) { now += d }
+	tick(7) // app
+	c.Begin(PhaseProgressOwn)
+	tick(11)
+	c.Begin(PhaseMatch)
+	tick(13)
+	c.Begin(PhaseLockWait)
+	tick(17)
+	c.End() // back in match
+	tick(19)
+	c.End() // back in progress_own
+	tick(23)
+	c.End() // back in app
+	c.Begin(PhaseSend)
+	tick(29)
+	c.End()
+	tick(31) // app
+	c.Stop()
+	tick(1000) // a stopped clock's wall time is frozen
+
+	th := c.snapshot()
+	want := [NumPhases]int64{
+		PhaseApp: 7 + 31, PhaseProgressOwn: 11 + 23, PhaseMatch: 13 + 19,
+		PhaseLockWait: 17, PhaseSend: 29,
+	}
+	if th.Phases != want {
+		t.Errorf("phases = %v, want %v", th.Phases, want)
+	}
+	var sum int64
+	for _, v := range th.Phases {
+		sum += v
+	}
+	if wall := int64(7 + 11 + 13 + 17 + 19 + 23 + 29 + 31); th.WallNs != wall || sum != wall {
+		t.Fatalf("Σphases %d, wall %d: want both %d", sum, th.WallNs, wall)
+	}
+}
+
 // TestPhaseSumConcurrent runs one clock per goroutine under the race
 // detector while a snapshotter reads mid-flight.
 func TestPhaseSumConcurrent(t *testing.T) {
@@ -154,7 +199,7 @@ func TestPhaseSumConcurrent(t *testing.T) {
 	var thwg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		thwg.Add(1)
-		c := p.NewThreadClock("t")
+		c := p.NewThreadClock("t", nil)
 		go func() {
 			defer thwg.Done()
 			for i := 0; i < 500; i++ {
@@ -188,7 +233,7 @@ func TestDisabledBranchOnly(t *testing.T) {
 	if site != nil {
 		t.Fatal("nil profiler handed out a site")
 	}
-	clk := p.NewThreadClock("x")
+	clk := p.NewThreadClock("x", nil)
 	if clk != nil {
 		t.Fatal("nil profiler handed out a clock")
 	}
@@ -221,7 +266,7 @@ func TestReportRankingAndBottleneck(t *testing.T) {
 	cold := p.NewSite("match.comm", -1, 7)
 	hot.recordWait(int64(80 * time.Millisecond))
 	cold.recordWait(int64(5 * time.Millisecond))
-	c := p.NewThreadClock("rank0/t0")
+	c := p.NewThreadClock("rank0/t0", nil)
 	c.Begin(PhaseLockWait)
 	time.Sleep(2 * time.Millisecond)
 	c.End()
@@ -248,11 +293,13 @@ func TestReportRankingAndBottleneck(t *testing.T) {
 }
 
 func TestBreakdownRoundTrip(t *testing.T) {
+	snap := Snapshot{
+		Threads: []ThreadSnapshot{{Label: "rank0/t0", WallNs: 1000, Phases: PhaseTotals{PhaseApp: 500, PhaseLockWait: 400, PhaseSend: 100}}},
+		Sites:   []SiteSnapshot{{Name: "cri.instance", CRI: 0, Contended: 3, WaitNs: 400, Acquisitions: 5}},
+	}
 	f := BreakdownFile{
-		Engine: "sim",
-		Reports: []Report{ReportFromTotals(0, "ompi-thread", 8, 1000,
-			PhaseTotals{PhaseLockWait: 400, PhaseSend: 100},
-			[]SiteSnapshot{{Name: "cri.instance", CRI: 0, Contended: 3, WaitNs: 400, Acquisitions: 5}})},
+		Engine:  "sim",
+		Reports: []Report{BuildReport(0, "ompi-thread", 8, snap)},
 	}
 	var buf bytes.Buffer
 	if err := WriteBreakdown(&buf, f); err != nil {
@@ -279,7 +326,7 @@ func TestPrometheusExport(t *testing.T) {
 	p := New()
 	s := p.NewSite("progress.serial", -1, 0)
 	s.recordTryFail()
-	c := p.NewThreadClock("rank0/t1")
+	c := p.NewThreadClock("rank0/t1", nil)
 	c.Begin(PhaseMatch)
 	c.End()
 	c.Stop()

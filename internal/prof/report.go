@@ -41,41 +41,22 @@ func (r Report) Totals() PhaseTotals {
 
 // BuildReport aggregates a snapshot into a rank's bottleneck report.
 // design/threads are labels carried into the output (empty/zero to omit).
+// Sites keep their snapshot order among equal waits, so the hottest site
+// named on a tie is the first one the snapshot lists.
 func BuildReport(rank int, design string, threads int, snap Snapshot) Report {
-	r := Report{Rank: rank, Design: design, Threads: threads, PhaseNs: map[string]int64{}}
+	r := Report{Rank: rank, Design: design, Threads: threads}
 	var totals PhaseTotals
 	for _, th := range snap.Threads {
 		r.WallNs += th.WallNs
 		totals.Merge(th.Phases)
 	}
-	for i, v := range totals {
-		if v != 0 {
-			r.PhaseNs[Phase(i).String()] = v
-		}
-	}
+	r.PhaseNs = totals.Map()
 	if r.WallNs > 0 {
 		r.LockWaitShare = float64(totals[PhaseLockWait]) / float64(r.WallNs)
 	}
 	r.Sites = append([]SiteSnapshot(nil), snap.Sites...)
 	sort.SliceStable(r.Sites, func(i, j int) bool { return r.Sites[i].WaitNs > r.Sites[j].WaitNs })
 	r.Bottleneck = bottleneck(totals, r.WallNs, r.Sites)
-	return r
-}
-
-// ReportFromTotals builds a report straight from an aggregate phase vector
-// and pre-ranked sites — the virtual-time model's entry point, where phase
-// times are deterministic virtual nanoseconds rather than thread clocks.
-func ReportFromTotals(rank int, design string, threads int, wallNs int64, totals PhaseTotals, sites []SiteSnapshot) Report {
-	r := Report{Rank: rank, Design: design, Threads: threads, WallNs: wallNs, PhaseNs: totals.Map()}
-	if r.PhaseNs == nil {
-		r.PhaseNs = map[string]int64{}
-	}
-	if wallNs > 0 {
-		r.LockWaitShare = float64(totals[PhaseLockWait]) / float64(wallNs)
-	}
-	r.Sites = append([]SiteSnapshot(nil), sites...)
-	sort.SliceStable(r.Sites, func(i, j int) bool { return r.Sites[i].WaitNs > r.Sites[j].WaitNs })
-	r.Bottleneck = bottleneck(totals, wallNs, r.Sites)
 	return r
 }
 

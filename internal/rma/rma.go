@@ -276,11 +276,7 @@ func (w *Win) Flush(th *core.Thread, target int) error {
 		return err
 	}
 	w.comm.SPCs().Inc(spc.FlushCalls)
-	for w.Pending(target) > 0 {
-		if th.Progress() == 0 {
-			yield()
-		}
-	}
+	th.WaitUntil(func() bool { return w.Pending(target) == 0 })
 	th.State().Flight().Record(flight.KindFlush, w.comm.ID(), int32(target), 0)
 	return nil
 }
@@ -289,21 +285,15 @@ func (w *Win) Flush(th *core.Thread, target int) error {
 // (MPI_Win_flush_all).
 func (w *Win) FlushAll(th *core.Thread) error {
 	w.comm.SPCs().Inc(spc.FlushCalls)
-	for {
-		outstanding := false
+	th.WaitUntil(func() bool {
 		for t := range w.regions {
 			if w.Pending(t) > 0 {
-				outstanding = true
-				break
+				return false
 			}
 		}
-		if !outstanding {
-			return nil
-		}
-		if th.Progress() == 0 {
-			yield()
-		}
-	}
+		return true
+	})
+	return nil
 }
 
 // Pending returns the number of outstanding operations to target, summed

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/flight"
 	"repro/internal/latency"
+	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/spc"
 )
@@ -84,7 +85,7 @@ func runMultirateThreads(cfg Config) Result {
 		// simultaneous start would synchronize posting bursts in a way
 		// real runs never exhibit.
 		env.Go(fmt.Sprintf("send-%d", pair), threadSkew(2*pair), func(sp *sim.Proc) {
-			st.clk.start(sp)
+			st.startClock(sp)
 			c := sendComms[commOf(pair)]
 			for it := 0; it < cfg.Iters; it++ {
 				for w := 0; w < cfg.Window; w++ {
@@ -92,12 +93,12 @@ func runMultirateThreads(cfg Config) Result {
 				}
 				st.waitFor(sp, func() bool { return st.pendingSends == 0 })
 			}
-			st.clk.stop(sp)
+			st.clk.Stop()
 			sender.finished++
 		})
 		rt := newSimThread(receiver)
 		env.Go(fmt.Sprintf("recv-%d", pair), threadSkew(2*pair+1), func(sp *sim.Proc) {
-			rt.clk.start(sp)
+			rt.startClock(sp)
 			c := recvComms[commOf(pair)]
 			target := int64(0)
 			for it := 0; it < cfg.Iters; it++ {
@@ -114,14 +115,14 @@ func runMultirateThreads(cfg Config) Result {
 				target += int64(cfg.Window)
 				rt.waitFor(sp, func() bool { return rt.recvsDone >= target })
 			}
-			rt.clk.stop(sp)
+			rt.clk.Stop()
 			receiver.finished++
 		})
 	}
 	makespan := env.Run()
 	total := int64(cfg.Pairs) * int64(cfg.Window) * int64(cfg.Iters)
 	res := newResult(total, makespan, receiver.spcs, sender.spcs)
-	res.Breakdown = []RankBreakdown{sender.breakdown(0), receiver.breakdown(1)}
+	res.Breakdown = []prof.RankSnapshot{rankSnapshot(0, sender), rankSnapshot(1, receiver)}
 	res.Dumps = dumps
 	if cfg.FlightCapacity > 0 {
 		res.Flight = []flight.RankRecord{sender.flightRecord(), receiver.flightRecord()}
@@ -150,7 +151,7 @@ func runMultirateProcesses(cfg Config) Result {
 	pcfg := cfg
 	pcfg.NumInstances = 1       // one process, one thread, one context
 	pcfg.ProgressThread = false // a single-threaded process progresses itself
-	pcfg.Latency = false        // attribution is mirrored in thread mode only
+	pcfg.Latency = false        // attribution runs in thread mode only
 
 	recvSPCs := spc.NewSet()
 	sendSPCs := spc.NewSet()
@@ -167,18 +168,18 @@ func runMultirateProcesses(cfg Config) Result {
 
 		st := newSimThread(sender)
 		env.Go(fmt.Sprintf("psend-%d", pair), threadSkew(2*pair), func(sp *sim.Proc) {
-			st.clk.start(sp)
+			st.startClock(sp)
 			for it := 0; it < cfg.Iters; it++ {
 				for w := 0; w < cfg.Window; w++ {
 					st.send(sp, sc, receiver, 0, 1, 0)
 				}
 				st.waitFor(sp, func() bool { return st.pendingSends == 0 })
 			}
-			st.clk.stop(sp)
+			st.clk.Stop()
 		})
 		rt := newSimThread(receiver)
 		env.Go(fmt.Sprintf("precv-%d", pair), threadSkew(2*pair+1), func(sp *sim.Proc) {
-			rt.clk.start(sp)
+			rt.startClock(sp)
 			target := int64(0)
 			for it := 0; it < cfg.Iters; it++ {
 				for w := 0; w < cfg.Window; w++ {
@@ -187,7 +188,7 @@ func runMultirateProcesses(cfg Config) Result {
 				target += int64(cfg.Window)
 				rt.waitFor(sp, func() bool { return rt.recvsDone >= target })
 			}
-			rt.clk.stop(sp)
+			rt.clk.Stop()
 		})
 		senders = append(senders, sender)
 		receivers = append(receivers, receiver)
@@ -195,12 +196,6 @@ func runMultirateProcesses(cfg Config) Result {
 	makespan := env.Run()
 	total := int64(cfg.Pairs) * int64(cfg.Window) * int64(cfg.Iters)
 	res := newResult(total, makespan, recvSPCs, sendSPCs)
-	sparts := make([]RankBreakdown, len(senders))
-	rparts := make([]RankBreakdown, len(receivers))
-	for i := range senders {
-		sparts[i] = senders[i].breakdown(0)
-		rparts[i] = receivers[i].breakdown(1)
-	}
-	res.Breakdown = []RankBreakdown{mergeBreakdowns(0, sparts), mergeBreakdowns(1, rparts)}
+	res.Breakdown = []prof.RankSnapshot{rankSnapshot(0, senders...), rankSnapshot(1, receivers...)}
 	return res
 }

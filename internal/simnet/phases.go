@@ -7,88 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// vClock is the virtual-time twin of prof.ThreadClock: it decomposes one
-// simulated thread's virtual wall time into the same exclusive phase
-// categories, with the same nested-section semantics (beginning a phase
-// suspends the enclosing one). Because the discrete-event engine runs one
-// process at a time, plain fields suffice — and because the clock reads
-// sim.Proc virtual time, the resulting breakdown is byte-reproducible.
-//
-// A clock that was never started ignores every call, so the RMA-MT and
-// Multirate threads share one simThread type whether or not the caller asked
-// for a breakdown.
-type vClock struct {
-	running  bool
-	startNs  int64
-	wallNs   int64
-	totals   prof.PhaseTotals
-	cur      prof.Phase
-	curSince int64
-	stack    [8]prof.Phase
-	depth    int
-}
-
-// start begins accounting at the thread's current virtual instant, in the
-// app phase.
-func (c *vClock) start(sp *sim.Proc) {
-	c.running = true
-	c.startNs = sp.Now()
-	c.curSince = c.startNs
-	c.cur = prof.PhaseApp
-}
-
-// begin flushes the current phase and enters ph.
-func (c *vClock) begin(sp *sim.Proc, ph prof.Phase) {
-	if !c.running || c.depth >= len(c.stack) {
-		return
-	}
-	now := sp.Now()
-	c.totals[c.cur] += now - c.curSince
-	c.curSince = now
-	c.stack[c.depth] = c.cur
-	c.depth++
-	c.cur = ph
-}
-
-// end flushes the current phase and resumes the enclosing one.
-func (c *vClock) end(sp *sim.Proc) {
-	if !c.running || c.depth == 0 {
-		return
-	}
-	now := sp.Now()
-	c.totals[c.cur] += now - c.curSince
-	c.curSince = now
-	c.depth--
-	c.cur = c.stack[c.depth]
-}
-
-// stop flushes the open phase and freezes the wall time.
-func (c *vClock) stop(sp *sim.Proc) {
-	if !c.running {
-		return
-	}
-	now := sp.Now()
-	c.totals[c.cur] += now - c.curSince
-	c.wallNs = now - c.startNs
-	c.running = false
-}
-
-// RankBreakdown is one simulated rank's deterministic time breakdown: the
-// summed virtual wall time of its threads, the exclusive phase totals, and
-// every lock's contention statistics — the virtual-time feedstock of
-// prof.ReportFromTotals.
-type RankBreakdown struct {
-	Rank   int
-	WallNs int64
-	Phases prof.PhaseTotals
-	Sites  []prof.SiteSnapshot
-}
-
-// Report converts the breakdown into the profiler's report form.
-func (b RankBreakdown) Report(design string, threads int) prof.Report {
-	return prof.ReportFromTotals(b.Rank, design, threads, b.WallNs, b.Phases, b.Sites)
-}
-
 // siteSnapshots renders every lock of the proc as a profiler site, in the
 // same naming scheme the real runtime binds (prof package docs). sim.Lock
 // does not track try-failures, max wait, or hold time; those fields stay
@@ -122,26 +40,15 @@ func (p *simProc) siteSnapshots() []prof.SiteSnapshot {
 	return out
 }
 
-// breakdown aggregates the proc's thread clocks and lock sites into one
-// rank's breakdown.
-func (p *simProc) breakdown(rank int) RankBreakdown {
-	b := RankBreakdown{Rank: rank, Sites: p.siteSnapshots()}
-	for _, t := range p.threads {
-		b.WallNs += t.clk.wallNs
-		b.Phases.Merge(t.clk.totals)
+// rankSnapshot is one rank's time breakdown in the profiler's own form:
+// the thread clocks of every listed proc plus their lock sites, each proc's
+// sites in siteSnapshots order. Process mode lists all sender (or receiver)
+// processes, aggregated the way thread mode aggregates threads.
+func rankSnapshot(rank int, procs ...*simProc) prof.RankSnapshot {
+	rs := prof.RankSnapshot{Rank: rank}
+	for _, p := range procs {
+		rs.Snap.Threads = append(rs.Snap.Threads, p.prof.Snapshot().Threads...)
+		rs.Snap.Sites = append(rs.Snap.Sites, p.siteSnapshots()...)
 	}
-	return b
-}
-
-// mergeBreakdowns folds several procs' breakdowns into one rank entry —
-// process mode aggregates all sender (or receiver) processes the way the
-// thread-mode run aggregates threads.
-func mergeBreakdowns(rank int, parts []RankBreakdown) RankBreakdown {
-	b := RankBreakdown{Rank: rank}
-	for _, part := range parts {
-		b.WallNs += part.WallNs
-		b.Phases.Merge(part.Phases)
-		b.Sites = append(b.Sites, part.Sites...)
-	}
-	return b
+	return rs
 }

@@ -11,13 +11,17 @@ import (
 	"repro/internal/spc"
 )
 
-// sumPhases is the exclusive-phase total for one rank's breakdown.
-func sumPhases(b RankBreakdown) int64 {
-	var s int64
-	for _, v := range b.Phases {
-		s += v
+// totals sums one rank's thread clocks: its wall time, its per-phase
+// times, and the exclusive-phase total.
+func totals(b prof.RankSnapshot) (wall int64, phases prof.PhaseTotals, sum int64) {
+	for _, th := range b.Snap.Threads {
+		wall += th.WallNs
+		phases.Merge(th.Phases)
 	}
-	return s
+	for _, v := range phases {
+		sum += v
+	}
+	return wall, phases, sum
 }
 
 // TestBreakdownPhasesSumToWall: in virtual time the decomposition is exact —
@@ -32,11 +36,12 @@ func TestBreakdownPhasesSumToWall(t *testing.T) {
 			t.Fatalf("progress=%v: %d breakdowns, want 2", pm, len(res.Breakdown))
 		}
 		for _, b := range res.Breakdown {
-			if b.WallNs <= 0 {
-				t.Fatalf("progress=%v rank %d: wall %d, want > 0", pm, b.Rank, b.WallNs)
+			wall, _, got := totals(b)
+			if wall <= 0 {
+				t.Fatalf("progress=%v rank %d: wall %d, want > 0", pm, b.Rank, wall)
 			}
-			if got := sumPhases(b); got != b.WallNs {
-				t.Errorf("progress=%v rank %d: phases sum %d != wall %d", pm, b.Rank, got, b.WallNs)
+			if got != wall {
+				t.Errorf("progress=%v rank %d: phases sum %d != wall %d", pm, b.Rank, got, wall)
 			}
 		}
 	}
@@ -47,8 +52,8 @@ func TestBreakdownProcessModePhasesSumToWall(t *testing.T) {
 	cfg.ProcessMode = true
 	res := RunMultirate(cfg)
 	for _, b := range res.Breakdown {
-		if got := sumPhases(b); got != b.WallNs || b.WallNs <= 0 {
-			t.Errorf("rank %d: phases sum %d, wall %d", b.Rank, got, b.WallNs)
+		if wall, _, got := totals(b); got != wall || wall <= 0 {
+			t.Errorf("rank %d: phases sum %d, wall %d", b.Rank, got, wall)
 		}
 	}
 }
@@ -57,8 +62,9 @@ func TestBreakdownProcessModePhasesSumToWall(t *testing.T) {
 func aggLockShare(res Result) float64 {
 	var lock, wall int64
 	for _, b := range res.Breakdown {
-		lock += b.Phases[prof.PhaseLockWait]
-		wall += b.WallNs
+		w, phases, _ := totals(b)
+		lock += phases[prof.PhaseLockWait]
+		wall += w
 	}
 	return float64(lock) / float64(wall)
 }
@@ -97,8 +103,11 @@ func TestSerialProgressAttributesMoreLockWait(t *testing.T) {
 		return RunMultirate(cfg)
 	}
 	s1, c1 := runOne(progress.Serial), runOne(progress.Concurrent)
-	sShare := float64(s1.Breakdown[0].Phases[prof.PhaseLockWait]) / float64(s1.Breakdown[0].WallNs)
-	cShare := float64(c1.Breakdown[0].Phases[prof.PhaseLockWait]) / float64(c1.Breakdown[0].WallNs)
+	senderShare := func(res Result) float64 {
+		wall, phases, _ := totals(res.Breakdown[0])
+		return float64(phases[prof.PhaseLockWait]) / float64(wall)
+	}
+	sShare, cShare := senderShare(s1), senderShare(c1)
 	if !(sShare > cShare) {
 		t.Fatalf("single-CRI sender: serial share %.4f not above concurrent %.4f", sShare, cShare)
 	}
@@ -117,7 +126,7 @@ func TestBreakdownDeterministic(t *testing.T) {
 		res := RunMultirate(cfg)
 		reports := make([]prof.Report, len(res.Breakdown))
 		for i, b := range res.Breakdown {
-			reports[i] = b.Report("test", 6)
+			reports[i] = prof.BuildReport(b.Rank, "test", 6, b.Snap)
 		}
 		b, err := json.Marshal(reports)
 		if err != nil {
@@ -139,7 +148,7 @@ func TestBreakdownSitesNamed(t *testing.T) {
 	res := RunMultirate(cfg)
 	want := map[string]bool{"cri.instance": false, "progress.serial": false, "match.comm": false}
 	for _, b := range res.Breakdown {
-		for _, s := range b.Sites {
+		for _, s := range b.Snap.Sites {
 			if _, ok := want[s.Name]; ok {
 				want[s.Name] = true
 			}
@@ -164,11 +173,11 @@ func TestRMAMTBreakdown(t *testing.T) {
 	if len(res.Breakdown) != 1 {
 		t.Fatalf("%d breakdowns, want 1", len(res.Breakdown))
 	}
-	b := res.Breakdown[0]
-	if got := sumPhases(b); got != b.WallNs || b.WallNs <= 0 {
-		t.Fatalf("phases sum %d, wall %d", got, b.WallNs)
+	wall, phases, got := totals(res.Breakdown[0])
+	if got != wall || wall <= 0 {
+		t.Fatalf("phases sum %d, wall %d", got, wall)
 	}
-	if b.Phases[prof.PhaseWire] == 0 {
+	if phases[prof.PhaseWire] == 0 {
 		t.Error("RMA put burst charged no wire time")
 	}
 }

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cri"
 	"repro/internal/hw"
@@ -37,8 +36,6 @@ type RMAMTConfig struct {
 	// Progress selects serial or concurrent progress for completion
 	// reaping during flush.
 	Progress progress.Mode
-	// LockPenalty overrides the contended handoff cost (0 = default).
-	LockPenalty time.Duration
 }
 
 func (c RMAMTConfig) withDefaults() RMAMTConfig {
@@ -71,9 +68,6 @@ func RunRMAMT(rc RMAMTConfig) Result {
 		Progress:     rc.Progress,
 		MsgSize:      rc.MsgSize,
 	}.withDefaults()
-	if rc.LockPenalty > 0 {
-		cfg.LockPenalty = rc.LockPenalty
-	}
 
 	env := sim.NewEnv()
 	wire := sim.NewWire(rc.Machine.LinkGbps, rc.Machine.MaxInjectionRate)
@@ -83,34 +77,34 @@ func RunRMAMT(rc RMAMTConfig) Result {
 	for g := 0; g < rc.Threads; g++ {
 		t := newSimThread(origin)
 		env.Go(fmt.Sprintf("rma-%d", g), threadSkew(g), func(sp *sim.Proc) {
-			t.clk.start(sp)
+			t.startClock(sp)
 			for round := 0; round < rc.Rounds; round++ {
 				for k := 0; k < rc.PutsPerThread; k++ {
 					inst := origin.instanceFor(&t.ts)
-					t.clk.begin(sp, prof.PhaseSend)
-					t.clk.begin(sp, prof.PhaseLockWait)
+					t.clk.Begin(prof.PhaseSend)
+					t.clk.Begin(prof.PhaseLockWait)
 					inst.lock.Acquire(sp)
-					t.clk.end(sp)
+					t.clk.End()
 					sp.Advance(costs.RMAPut)
-					t.clk.begin(sp, prof.PhaseWire)
+					t.clk.Begin(prof.PhaseWire)
 					origin.wire.Reserve(sp, 28+rc.MsgSize)
-					t.clk.end(sp)
+					t.clk.End()
 					inst.cq = append(inst.cq, cqe{pending: &t.pendingSends})
 					inst.lock.Release(sp)
-					t.clk.end(sp)
+					t.clk.End()
 					t.noteUsed(inst)
 					t.pendingSends++
 					origin.spcs.Inc(spc.PutsIssued)
 				}
 				t.flush(sp)
 			}
-			t.clk.stop(sp)
+			t.clk.Stop()
 		})
 	}
 	makespan := env.Run()
 	total := int64(rc.Threads) * int64(rc.PutsPerThread) * int64(rc.Rounds)
 	res := newResult(total, makespan, origin.spcs)
-	res.Breakdown = []RankBreakdown{origin.breakdown(0)}
+	res.Breakdown = []prof.RankSnapshot{rankSnapshot(0, origin)}
 	return res
 }
 
@@ -139,10 +133,10 @@ func (t *simThread) flush(sp *sim.Proc) {
 		n := 0
 		for _, inst := range t.used {
 			if inst.lock.TryAcquire(sp) {
-				t.clk.begin(sp, prof.PhaseProgressOwn)
+				t.clk.Begin(prof.PhaseProgressOwn)
 				sp.Advance(p.costs.RMAFlushPerInstance)
 				n += t.poll(sp, inst, 64)
-				t.clk.end(sp)
+				t.clk.End()
 				inst.lock.Release(sp)
 			} else {
 				p.spcs.Inc(spc.ProgressTryLockFail)

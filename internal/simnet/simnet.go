@@ -6,8 +6,10 @@
 // RMA-MT). All Figures 3-7 and Table II are regenerated from this model.
 //
 // The model and the real runtime (internal/core) share the matching engine,
-// the cost model, and the SPC counters; they differ only in how time and
-// mutual exclusion are realized (virtual vs. wall-clock).
+// the cost model, the SPC counters and the observers — the phase clock, the
+// latency stage derivation and the flight recorder, fed virtual instants
+// here; they differ only in how time and mutual exclusion are realized
+// (virtual vs. wall-clock).
 package simnet
 
 import (
@@ -27,11 +29,17 @@ import (
 	"repro/internal/transport"
 )
 
-// DefaultLockPenalty is the base cost of one contended lock handoff at
-// Haswell speed. The effective handoff cost grows with the number of
-// waiters (sim.Lock), reaching the microseconds a futex wakeup costs under
-// a heavy convoy — the regime a single shared instance lives in.
-const DefaultLockPenalty = 120 * time.Nanosecond
+// lockPenalty is the base cost of one contended lock handoff at Haswell
+// speed, scaled by the machine's speed factor. The effective handoff cost
+// grows with the number of waiters (sim.Lock), reaching the microseconds a
+// futex wakeup costs under a heavy convoy — the regime a single shared
+// instance lives in.
+const lockPenalty = 120 * time.Nanosecond
+
+// ackBatch is the credit-return granularity: receivers acknowledge consumed
+// fragments in batches of this many (piggybacked ACKs), or of Credits when
+// that is smaller.
+const ackBatch = 64
 
 // Config describes one simulated experiment configuration.
 type Config struct {
@@ -85,9 +93,6 @@ type Config struct {
 	// completion extraction (the software-offload design of Vaidyanathan
 	// et al. [20]); application threads only wait.
 	ProgressThread bool
-	// LockPenalty overrides the contended-lock handoff cost
-	// (0 = DefaultLockPenalty).
-	LockPenalty time.Duration
 	// QueueDepth bounds each instance's inbound queue (0 = 4096); senders
 	// stall when the remote queue is full (hardware back-pressure).
 	QueueDepth int
@@ -96,9 +101,6 @@ type Config struct {
 	// implements. Without it a sender could run arbitrarily far ahead of
 	// the receiver's matching, growing the unexpected queue without bound.
 	Credits int
-	// AckBatch is the credit-return granularity (0 = 64): receivers
-	// acknowledge consumed fragments in batches (piggybacked ACKs).
-	AckBatch int
 	// SleepPenalty is the futex-wake cost paid per lock handoff once a
 	// lock is convoyed (>= 4 sleeping waiters); 0 = 2us at Haswell speed.
 	// This is what makes a single instance shared by 20 pounding threads
@@ -119,11 +121,8 @@ type Config struct {
 	// copy is discarded by the matching layer's dedup.
 	FaultDup float64
 	// FaultDelay is the per-packet probability of a held-back (reordered)
-	// delivery.
+	// delivery, held for transport.DefaultFaultDelay of virtual time.
 	FaultDelay float64
-	// FaultDelayDur is the virtual hold time of a delayed packet
-	// (0 = transport.DefaultFaultDelay).
-	FaultDelayDur time.Duration
 	// FaultSeed seeds the deterministic per-thread fault RNGs (0 = 1).
 	FaultSeed int64
 	// Traced models the trace-context wire extension being on: every eager
@@ -184,29 +183,17 @@ func (c Config) withDefaults() Config {
 	if max := c.Machine.MaxContexts; max > 0 && c.NumInstances > max {
 		c.NumInstances = max
 	}
-	if c.LockPenalty <= 0 {
-		c.LockPenalty = time.Duration(float64(DefaultLockPenalty) * c.Machine.SpeedFactor)
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4096
 	}
 	if c.Credits <= 0 {
 		c.Credits = 4096
 	}
-	if c.AckBatch <= 0 {
-		c.AckBatch = 64
-	}
-	if c.AckBatch > c.Credits {
-		c.AckBatch = c.Credits
-	}
 	if c.SendJitter <= 0 {
 		c.SendJitter = time.Duration(600 * c.Machine.SpeedFactor * float64(time.Nanosecond))
 	}
 	if c.SleepPenalty <= 0 {
 		c.SleepPenalty = time.Duration(2000 * c.Machine.SpeedFactor * float64(time.Nanosecond))
-	}
-	if c.FaultDelayDur <= 0 {
-		c.FaultDelayDur = transport.DefaultFaultDelay
 	}
 	if c.FaultSeed == 0 {
 		c.FaultSeed = 1
@@ -224,7 +211,7 @@ const (
 // newLock builds a virtual-time lock with the configuration's contention
 // model applied.
 func (c Config) newLock(env *sim.Env, name string) *sim.Lock {
-	l := sim.NewLock(env, name, c.LockPenalty)
+	l := sim.NewLock(env, name, time.Duration(float64(lockPenalty)*c.Machine.SpeedFactor))
 	l.SleepPenalty = c.SleepPenalty
 	return l
 }
@@ -242,10 +229,11 @@ type Result struct {
 	// side: the receive-side matching counters plus, when fault injection
 	// is on, the send-side fault and retransmission counters.
 	SPCs spc.Snapshot
-	// Breakdown holds each rank's deterministic time breakdown (virtual
-	// phase totals plus lock-site contention stats), in rank order —
-	// sender first. Feed each entry's Report into prof.WriteBreakdown.
-	Breakdown []RankBreakdown
+	// Breakdown holds each rank's deterministic time breakdown — its
+	// threads' virtual-time phase clocks plus lock-site contention stats —
+	// in rank order, sender first: prof.BuildReport turns an entry into the
+	// report every real-engine breakdown output renders.
+	Breakdown []prof.RankSnapshot
 	// Flight holds each rank's merged flight record when
 	// Config.FlightCapacity is set, in rank order.
 	Flight []flight.RankRecord
@@ -357,7 +345,6 @@ type simProc struct {
 	// every send to one index, concentrating remote traffic artificially.
 	freeList []int
 	nThreads int
-	threads  []*simThread
 	comms    map[uint32]*simComm
 	spcs     *spc.Set
 	// connSeen mirrors the lazy-connect counters of the distributed
@@ -370,15 +357,19 @@ type simProc struct {
 	connSeen map[connKey]bool
 	// frank is the proc's world rank for flight/introspection labelling.
 	frank int
-	// flight mirrors the real runtime's flight recorder on virtual time;
+	// flight is the real runtime's flight recorder on virtual time;
 	// flightSP holds the sim thread currently charging, whose clock the
 	// recorder reads (the threadMeter pattern).
 	flight   *flight.Recorder
 	flightSP *sim.Proc
-	// lat mirrors the real runtime's critical-path attribution recorder on
-	// virtual time (Config.Latency; nil-safe). Observation only: recording
-	// never advances the clock.
-	lat      *latency.Recorder
+	// lat is the real runtime's critical-path attribution recorder, fed
+	// virtual-time stamps (Config.Latency; nil-safe). Observation only:
+	// recording never advances the clock.
+	lat *latency.Recorder
+	// prof holds the workload threads' phase clocks, which read their
+	// simulated thread's virtual clock (the lock sites are sim.Locks, which
+	// keep their own statistics; see siteSnapshots).
+	prof     *prof.Profiler
 	progLock *sim.Lock // serial progress global lock
 	bigLock  *sim.Lock // BigLock design, nil unless enabled
 	wire     *sim.Wire // owning node's wire (shared)
@@ -396,6 +387,7 @@ func newSimProc(env *sim.Env, cfg Config, wire *sim.Wire, instances int) *simPro
 		comms:    make(map[uint32]*simComm),
 		spcs:     spc.NewSet(),
 		connSeen: make(map[connKey]bool),
+		prof:     prof.New(),
 		wire:     wire,
 	}
 	p.progLock = cfg.newLock(env, "progress")
@@ -549,7 +541,7 @@ func (p *simProc) instanceFor(ts *cri.ThreadState) *simInstance {
 
 // flowState is the per-pair eager flow control: sent counts injections,
 // consumed counts fragments the receiver has extracted, and matched is the
-// credit count actually returned to the sender — advanced in AckBatch
+// credit count actually returned to the sender — advanced in ackBatch
 // chunks, as piggybacked BTL ACKs are. Batched returns make blocked
 // senders wake to credit *bursts*; many threads bursting at once is what
 // interleaves sequence numbers so heavily in real runs (Table II's 83-94%
@@ -594,9 +586,10 @@ type simThread struct {
 	// shared buffer would let one thread's completions clobber the other's.
 	scratch []match.Completion
 
-	// clk decomposes this thread's virtual time into exclusive phases; it
-	// records nothing until the workload starts it (see vClock).
-	clk vClock
+	// clk decomposes this thread's virtual time into exclusive phases. It
+	// is nil — recording nothing — until the workload calls startClock.
+	clk   *prof.ThreadClock
+	label string
 
 	// fring is this thread's flight-recorder ring (nil when the recorder
 	// is off); events carry explicit virtual timestamps via RecordAt.
@@ -605,16 +598,19 @@ type simThread struct {
 
 func newSimThread(p *simProc) *simThread {
 	t := &simThread{proc: p, ts: cri.NewThreadState(-1)}
-	t.flow.ackBatch = int64(p.cfg.AckBatch)
-	if t.flow.ackBatch <= 0 {
-		t.flow.ackBatch = 1
-	}
+	t.flow.ackBatch = int64(min(ackBatch, p.cfg.Credits))
 	p.nThreads++
-	p.threads = append(p.threads, t)
-	t.fring = p.flight.NewRing(fmt.Sprintf("rank%d/t%d", p.frank, p.nThreads-1))
+	t.label = fmt.Sprintf("rank%d/t%d", p.frank, p.nThreads-1)
+	t.fring = p.flight.NewRing(t.label)
 	t.rng = uint64(p.nThreads) * 0x9E3779B97F4A7C15
 	t.frng = uint64(p.cfg.FaultSeed)*0xD1B54A32D192ED03 ^ uint64(p.nThreads)*0x9E3779B97F4A7C15
 	return t
+}
+
+// startClock gives the thread its phase clock, on its simulated thread's
+// virtual time, starting now in the app phase.
+func (t *simThread) startClock(sp *sim.Proc) {
+	t.clk = t.proc.prof.NewThreadClock(t.label, sp.Now)
 }
 
 // faultRoll returns the next deterministic uniform draw in [0, 1).
@@ -651,7 +647,7 @@ func (t *simThread) faultFate(sp *sim.Proc) (delay time.Duration, copies int) {
 	}
 	if cfg.FaultDelay > 0 && t.faultRoll() < cfg.FaultDelay {
 		p.spcs.Inc(spc.FaultPacketsDelayed)
-		delay += cfg.FaultDelayDur
+		delay += transport.DefaultFaultDelay
 	}
 	return delay, copies
 }
@@ -684,8 +680,8 @@ func (t *simThread) backoffWait(sp *sim.Proc, pred func() bool) {
 // instance's queue (with back-pressure), and a local send-completion CQE.
 func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRank, tag int32) {
 	p := t.proc
-	t.clk.begin(sp, prof.PhaseSend)
-	defer t.clk.end(sp)
+	t.clk.Begin(prof.PhaseSend)
+	defer t.clk.End()
 	// Send-post instant for critical-path attribution: the CRI-acquire stage
 	// starts here, so credit backoff is attributed like any other wait for a
 	// communication resource.
@@ -715,9 +711,9 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 			// Retransmission timeouts and held-back deliveries push this
 			// packet's arrival past traffic injected meanwhile — the same
 			// reordering the wall-clock injector's delay queue produces.
-			t.clk.begin(sp, prof.PhaseRetransmit)
+			t.clk.Begin(prof.PhaseRetransmit)
 			sp.Advance(faultDelay)
-			t.clk.end(sp)
+			t.clk.End()
 		}
 	}
 	env := transport.Envelope{
@@ -735,9 +731,9 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	}
 
 	if p.bigLock != nil {
-		t.clk.begin(sp, prof.PhaseLockWait)
+		t.clk.Begin(prof.PhaseLockWait)
 		p.bigLock.Acquire(sp)
-		t.clk.end(sp)
+		t.clk.End()
 	}
 	inst, putBack := p.acquireSendInstance(&t.ts)
 	p.noteConn(dst, inst.index)
@@ -746,9 +742,9 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 		// same cost class as the lock model's uncontended acquire (zero
 		// virtual time) — and the producer never blocks or pays a handoff.
 	} else {
-		t.clk.begin(sp, prof.PhaseLockWait)
+		t.clk.Begin(prof.PhaseLockWait)
 		instWait := inst.lock.Acquire(sp)
-		t.clk.end(sp)
+		t.clk.End()
 		if instWait >= flight.LockWaitThreshold {
 			t.fring.RecordAt(sp.Now(), flight.KindLockWait, 0, int32(inst.index), int32(instWait/time.Microsecond), -1, 0)
 		}
@@ -763,7 +759,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	if p.cfg.Traced {
 		header += transport.TraceExtSize
 	}
-	t.clk.begin(sp, prof.PhaseWire)
+	t.clk.Begin(prof.PhaseWire)
 	p.wire.Reserve(sp, header+p.cfg.MsgSize)
 
 	remote := dst.instances[inst.index%len(dst.instances)]
@@ -791,7 +787,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 		p.wire.Reserve(sp, header+p.cfg.MsgSize)
 		remote.rxQ = append(remote.rxQ, cqe{pkt: pkt})
 	}
-	t.clk.end(sp)
+	t.clk.End()
 	inst.cq = append(inst.cq, cqe{pending: &t.pendingSends})
 	if !p.cfg.LockFreeCQ {
 		inst.lock.Release(sp)
@@ -808,12 +804,12 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 // postRecv posts one receive into the communicator's matching engine.
 func (t *simThread) postRecv(sp *sim.Proc, c *simComm, srcRank, tag int32) {
 	p := t.proc
-	t.clk.begin(sp, prof.PhaseMatch)
-	defer t.clk.end(sp)
+	t.clk.Begin(prof.PhaseMatch)
+	defer t.clk.End()
 	if p.bigLock != nil {
-		t.clk.begin(sp, prof.PhaseLockWait)
+		t.clk.Begin(prof.PhaseLockWait)
 		p.bigLock.Acquire(sp)
-		t.clk.end(sp)
+		t.clk.End()
 		defer p.bigLock.Release(sp)
 	}
 	if c.anyTag {
@@ -823,9 +819,9 @@ func (t *simThread) postRecv(sp *sim.Proc, c *simComm, srcRank, tag int32) {
 	sp.Advance(p.costs.RecvPost)
 	p.memSerial.Reserve(sp, 0)
 	r := &match.Recv{Source: srcRank, Tag: tag, Token: t}
-	t.clk.begin(sp, prof.PhaseLockWait)
+	t.clk.Begin(prof.PhaseLockWait)
 	waited, release := c.acquireMatch(sp, srcRank, tag)
-	t.clk.end(sp)
+	t.clk.End()
 	c.engine.ChargeWait(waited)
 	c.meter.p = sp
 	p.flightSP = sp
@@ -836,7 +832,7 @@ func (t *simThread) postRecv(sp *sim.Proc, c *simComm, srcRank, tag int32) {
 		// the unexpected queue since its delivery stamp.
 		tt := comp.Recv.Token.(*simThread)
 		tt.recvsDone++
-		p.latRecord(sp, comp, true)
+		p.lat.RecordPacket(comp.Packet, comp.Recv.MatchedEnv.Tag, true, comp.Packet.Stamp, sp.Now(), 0)
 	}
 }
 
@@ -855,9 +851,9 @@ func (t *simThread) progressPass(sp *sim.Proc) int {
 	p := t.proc
 	p.spcs.Inc(spc.ProgressCalls)
 	if p.bigLock != nil {
-		t.clk.begin(sp, prof.PhaseLockWait)
+		t.clk.Begin(prof.PhaseLockWait)
 		p.bigLock.Acquire(sp)
-		t.clk.end(sp)
+		t.clk.End()
 		defer p.bigLock.Release(sp)
 	}
 	if p.cfg.Progress == progress.Serial {
@@ -865,17 +861,17 @@ func (t *simThread) progressPass(sp *sim.Proc) int {
 			p.spcs.Inc(spc.ProgressTryLockFail)
 			return 0
 		}
-		t.clk.begin(sp, prof.PhaseProgressOwn)
+		t.clk.Begin(prof.PhaseProgressOwn)
 		count := 0
 		for _, inst := range p.instances {
-			t.clk.begin(sp, prof.PhaseLockWait)
+			t.clk.Begin(prof.PhaseLockWait)
 			inst.lock.Acquire(sp)
-			t.clk.end(sp)
+			t.clk.End()
 			count += t.poll(sp, inst, 64)
 			inst.lock.Release(sp)
 		}
 		p.progLock.Release(sp)
-		t.clk.end(sp)
+		t.clk.End()
 		return count
 	}
 	// Concurrent (Algorithm 2): dedicated instance first.
@@ -883,9 +879,9 @@ func (t *simThread) progressPass(sp *sim.Proc) int {
 	if k := t.ts.Dedicated(); k >= 0 {
 		inst := p.instances[k]
 		if inst.lock.TryAcquire(sp) {
-			t.clk.begin(sp, prof.PhaseProgressOwn)
+			t.clk.Begin(prof.PhaseProgressOwn)
 			count = t.poll(sp, inst, 64)
-			t.clk.end(sp)
+			t.clk.End()
 			inst.lock.Release(sp)
 		} else {
 			p.spcs.Inc(spc.ProgressTryLockFail)
@@ -894,8 +890,8 @@ func (t *simThread) progressPass(sp *sim.Proc) int {
 	if count > 0 {
 		return count
 	}
-	t.clk.begin(sp, prof.PhaseProgressSteal)
-	defer t.clk.end(sp)
+	t.clk.Begin(prof.PhaseProgressSteal)
+	defer t.clk.End()
 	for range p.instances {
 		inst := p.instances[p.nextRR()]
 		if !inst.lock.TryAcquire(sp) {
@@ -964,59 +960,23 @@ func (t *simThread) deliver(sp *sim.Proc, pkt *transport.Packet) {
 	if fs, ok := pkt.Token.(*flowState); ok {
 		fs.consume()
 	}
-	t.clk.begin(sp, prof.PhaseLockWait)
+	t.clk.Begin(prof.PhaseLockWait)
 	waited, release := c.acquireMatch(sp, env.Src, env.Tag)
-	t.clk.end(sp)
-	t.clk.begin(sp, prof.PhaseMatch)
+	t.clk.End()
+	t.clk.Begin(prof.PhaseMatch)
 	c.engine.ChargeWait(waited)
 	c.meter.p = sp
 	p.flightSP = sp
 	t.scratch = c.engine.Deliver(pkt, t.scratch[:0])
 	comps := t.scratch
-	t.clk.end(sp)
+	t.clk.End()
 	release()
 	for _, comp := range comps {
 		tt := comp.Recv.Token.(*simThread)
 		tt.recvsDone++
 		c.postedOut++
-		p.latRecord(sp, comp, false)
+		p.lat.RecordPacket(comp.Packet, comp.Recv.MatchedEnv.Tag, false, comp.Packet.Stamp, sp.Now(), 0)
 	}
-}
-
-// latRecord folds one matched completion into the attribution recorder:
-// every stage derives from the deterministic schedule's stamps, no virtual
-// time is charged, and the in-model completion coincides with the match
-// (the complete stage is 0 by construction). Nil-safe and untraced-safe.
-func (p *simProc) latRecord(sp *sim.Proc, comp match.Completion, unexpected bool) {
-	pkt := comp.Packet
-	if p.lat == nil || pkt == nil || pkt.TraceID == 0 {
-		return
-	}
-	now := sp.Now()
-	m := latency.Measurement{
-		TraceID:       pkt.TraceID,
-		Origin:        pkt.Origin,
-		Tag:           comp.Recv.MatchedEnv.Tag,
-		Unexpected:    unexpected,
-		E2ENs:         now - pkt.Stamp,
-		CompletedAtNs: now,
-	}
-	for i := range m.StageNs {
-		m.StageNs[i] = latency.Unknown
-	}
-	m.StageNs[latency.StageCRIAcquire] = pkt.SendAcqNs
-	m.StageNs[latency.StageWireWrite] = pkt.SendWireNs
-	m.StageNs[latency.StageTransit] = 0 // arrival coincides with injection
-	if pkt.RecvStamp != 0 {
-		m.StageNs[latency.StageDeliverWait] = pkt.RecvStamp - pkt.ArriveNs
-		ms := latency.StageMatchPosted
-		if unexpected {
-			ms = latency.StageMatchUnexpected
-		}
-		m.StageNs[ms] = now - pkt.RecvStamp
-	}
-	m.StageNs[latency.StageComplete] = 0
-	p.lat.Record(m)
 }
 
 // waitFor spins (in virtual time) until pred holds, driving progress with
