@@ -17,13 +17,14 @@ examples:
 
 # The allocation ladder: every testing.AllocsPerRun pin on the message path
 # (CRI acquire/release, an eager message and a 128-message window in process,
-# an 8-byte round trip over loopback tcp, an RMA put, a tcp flush, an idle tcp
-# Poll that reads a live connection's empty socket), run without
-# the race detector — under it sync.Pool drops Puts at random and core only
-# logs its counts — then the rows the tests logged as one table. CI's test job
-# runs the suite under -race only, so this is the step that holds the line.
+# an 8-byte round trip over loopback tcp, a 64 KiB rendezvous, an unexpected
+# message claimed in each matching engine, an RMA put, a tcp flush, an idle
+# tcp Poll that reads a live connection's empty socket), run without the race
+# detector, then the rows the tests logged as one table. Nothing on the path
+# is pooled, so the pins hold under -race as well and CI's -race test job
+# enforces them too; this target is the readable table.
 allocs:
-	@out=$$($(GO) test -count=1 -v -run Alloc ./internal/cri ./internal/core ./internal/rma ./internal/transport/tcpnet 2>&1); rc=$$?; \
+	@out=$$($(GO) test -count=1 -v -run Alloc ./internal/cri ./internal/core ./internal/match ./internal/rma ./internal/transport/tcpnet 2>&1); rc=$$?; \
 	echo "$$out"; echo; \
 	printf '%-48s %9s %7s\n' path allocs/op pinned; \
 	echo "$$out" | awk -F' *[|] *' '/allocs-pin [|]/ { printf "%-48s %9s %7s\n", $$2, $$3, $$4 }'; \

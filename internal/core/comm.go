@@ -54,11 +54,6 @@ type Comm struct {
 	eagerLimit int
 }
 
-// completionScratch recycles the slice Deliver appends into.
-type completionScratch struct {
-	buf []match.Completion
-}
-
 // traceID derives the deterministic message-lifecycle trace id for one
 // eager send: origin rank (biased so rank 0 yields a non-zero id), the
 // communicator id, and the per-destination sequence number. Both ends of a
@@ -205,9 +200,10 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 	ring := th.ts.Flight()
 	ring.RecordAt(now-p.flightBase, flight.KindSendPost, c.id, int32(dst), int32(env.Seq), -1, 0)
 	env.Len = uint32(len(buf))
-	op := &sendOp{Request: Request{proc: p, kind: reqSend}}
+	op := carve(&th.sends)
+	op.proc, op.kind = p, reqSend
 	req, pkt := &op.Request, &op.pkt
-	pkt.Init(env, buf, req)
+	pkt.Init(env, buf, req, &th.payloads)
 	user := userEager(env)
 	if user {
 		pkt.Stamp = now
@@ -223,7 +219,7 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 			ring.RecordAt(now-p.flightBase, flight.KindSendInject, c.id, int32(dst), int32(env.Seq), -1, pkt.TraceID)
 		}
 		req.finish(nil)
-		p.deliver(th.ts.Clock(), nil, pkt)
+		p.deliver(th.ts.Clock(), nil, pkt, &th.scratch)
 		return req, nil
 	}
 	if err := c.inject(th, env, pkt, req, nil); err != nil {
@@ -339,10 +335,9 @@ func (c *Comm) unlockMatch() {
 func (c *Comm) post(th *Thread, src int, tag int32, buf []byte) *Request {
 	p := c.proc
 	clk := th.ts.Clock()
-	op := &recvOp{
-		Request: Request{proc: p, kind: reqRecv},
-		recv:    match.Recv{Source: int32(src), Tag: tag, Buf: buf},
-	}
+	op := carve(&th.recvs)
+	op.proc, op.kind = p, reqRecv
+	op.recv = match.Recv{Source: int32(src), Tag: tag, Buf: buf}
 	req := &op.Request
 	op.recv.Token = req
 	c.lockMatch(clk)

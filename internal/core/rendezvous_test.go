@@ -85,7 +85,7 @@ func TestHostileRendezvousControl(t *testing.T) {
 				}
 			}
 			before := p.spcs.Get(spc.LatePackets)
-			p.deliver(nil, nil, tc.pkt(p.rdvNext.Load()))
+			p.deliver(nil, nil, tc.pkt(p.rdvNext.Load()), &th.scratch)
 			if got := p.spcs.Get(spc.LatePackets) - before; got != 1 {
 				t.Errorf("late_packets rose by %d, want 1", got)
 			}
@@ -107,10 +107,12 @@ func TestHostileRendezvousControl(t *testing.T) {
 // TestTCPRendezvousAllocations: a steady-state 64 KiB rendezvous over loopback
 // tcp moves its payload without putting it on the heap — the FIN streams out
 // of the send buffer and lands in the posted receive — so one message costs
-// its handful of small objects (two requests, RTS, ACK and FIN packets with
-// their few payload bytes; 17 objects when the payload still rode the FIN)
-// and well under 4 KiB of heap (148 880 B then). A payload-sized make
-// anywhere on the path fails the byte bound at once.
+// its handful of small objects (the send's request and rendezvous records,
+// the RTS, ACK and FIN packets the sender and receiver build with their few
+// payload bytes, the sink's registration; the receive and the decoded packets
+// come from slabs; 17 objects when the payload still rode the FIN) and well
+// under 4 KiB of heap (148 880 B then). A payload-sized make anywhere on the
+// path fails the byte bound at once.
 func TestTCPRendezvousAllocations(t *testing.T) {
 	const size = 64 << 10
 	nets, err := tcpnet.NewLoopback(2)
@@ -150,7 +152,7 @@ func TestTCPRendezvousAllocations(t *testing.T) {
 		}
 	}
 	one() // dial and handshake outside the measurement
-	pinAllocs(t, "core 64 KiB rendezvous, per message (tcp)", 17, 1, one)
+	pinAllocs(t, "core 64 KiB rendezvous, per message (tcp)", 12, 1, one)
 	const runs = 50
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -160,7 +162,7 @@ func TestTCPRendezvousAllocations(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	perMsg := (m1.TotalAlloc - m0.TotalAlloc) / runs
 	t.Logf("heap bytes per 64 KiB rendezvous message: %d", perMsg)
-	if perMsg >= 4<<10 && !raceEnabled {
+	if perMsg >= 4<<10 {
 		t.Errorf("a 64 KiB rendezvous allocates %d bytes of heap per message, want under 4 KiB: the payload is being copied to the heap", perMsg)
 	}
 }

@@ -53,14 +53,15 @@ type Request struct {
 	err error
 }
 
-// A posted operation is one heap object: the handle the caller holds and the
+// A posted operation is one slab entry: the handle the caller holds and the
 // record the message path works on sit side by side, and the handle is the
 // address of the first field. The two shapes are separate structs so that
-// neither pays for the other's record. Nothing recycles them — the collector
-// frees an operation once the caller has dropped the handle and the message
-// path its packet or receive record — so a holder that lingers costs memory,
-// never a use after free (over the in-process fabric the sender's packet IS
-// the packet in the receiver's queues).
+// neither pays for the other's record. Each Thread carves them from its own
+// slabs of opSlab entries (see carve), and no entry is ever handed out twice
+// — the collector frees a slab once every holder of every entry in it has let
+// go — so a holder that lingers costs memory, never a use after free (over the
+// in-process fabric the sender's packet IS the packet in the receiver's
+// queues).
 
 // sendOp is an eager send: the request and the packet that carries it.
 type sendOp struct {

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"sync"
 	"testing"
+
+	"repro/internal/cri"
 )
 
 func TestWaitAnyReturnsFirstCompleted(t *testing.T) {
@@ -20,7 +24,8 @@ func TestWaitAnyReturnsFirstCompleted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = c0.Send(t0, 1, 8, []byte("b")) }()
+	sent := make(chan struct{})
+	go func() { _ = c0.Send(t0, 1, 8, []byte("b")); close(sent) }()
 	idx, err := WaitAny(t1, ra, rb)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +33,9 @@ func TestWaitAnyReturnsFirstCompleted(t *testing.T) {
 	if idx != 1 {
 		t.Fatalf("WaitAny = %d, want 1", idx)
 	}
-	// Satisfy the other receive so the world drains cleanly.
+	// Satisfy the other receive so the world drains cleanly — once the first
+	// sender is done with t0: a Thread belongs to one goroutine at a time.
+	<-sent
 	go func() { _ = c0.Send(t0, 1, 7, []byte("a")) }()
 	if err := ra.Wait(t1); err != nil {
 		t.Fatal(err)
@@ -121,4 +128,106 @@ func TestWaitCrossProcPanics(t *testing.T) {
 		_ = req.Wait(t1)
 	}()
 	_ = req.Wait(t0) // wrong proc's thread
+}
+
+// An operation's entry in its Thread's slab is never handed out again, so a
+// handle outlives any amount of later traffic: after ten slabs' worth of
+// further operations on the same Threads, a receive's *Request still reads
+// the Status and error it completed with, and a message claimed by MProbe —
+// in process, the sender's own packet, its payload carved from the sender's
+// chunk — still receives its original bytes.
+func TestHandlesOutliveTheirSlab(t *testing.T) {
+	w := newTestWorld(t, 2, Stock())
+	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
+	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
+	buf := make([]byte, 8)
+	rreq, err := c1.Irecv(t1, 0, 1, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c0.Send(t0, 1, 1, []byte("received")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c0.Send(t0, 1, 2, []byte("claimed!")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rreq.Wait(t1); err != nil {
+		t.Fatal(err)
+	}
+	want := rreq.Status()
+	var msg *Message
+	for ok := false; !ok; {
+		msg, ok = c1.MProbe(t1, 0, 2)
+	}
+
+	in := make([]byte, 16)
+	for i := 0; i < 10*opSlab; i++ {
+		out := bytes.Repeat([]byte{byte(i)}, 1+i%16)
+		r, err := c1.Irecv(t1, 0, 3, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c0.Send(t0, 1, 3, out); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Wait(t1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if got := rreq.Status(); got != want || !rreq.Done() || rreq.err != nil || want.Tag != 1 || want.Count != 8 {
+		t.Fatalf("receive handle after %d more operations: status %+v (was %+v), done %v, err %v", 10*opSlab, got, want, rreq.Done(), rreq.err)
+	}
+	got := make([]byte, 8)
+	if st, err := msg.MRecv(got); err != nil || st.Tag != 2 || string(got) != "claimed!" {
+		t.Fatalf("claimed message after %d more operations: %q, status %+v, err %v", 10*opSlab, got, st, err)
+	}
+}
+
+// Two Threads of one proc post at once — sends on rank 0, receives on rank 1,
+// over two instances with concurrent progress — each through its own slabs
+// and payload chunk, while deliveries collect into their instance's scratch:
+// under the race detector none of it is shared.
+func TestThreadsPostConcurrently(t *testing.T) {
+	w := newTestWorld(t, 2, CRIsConcurrent(2, cri.Dedicated))
+	const msgs = 3 * opSlab
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			th, c := w.Proc(0).NewThread(), w.Proc(0).CommWorld()
+			for i := 0; i < msgs; i++ {
+				if err := c.Send(th, 1, int32(g), []byte{byte(g), byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			th, c := w.Proc(1).NewThread(), w.Proc(1).CommWorld()
+			reqs := make([]*Request, msgs)
+			bufs := make([][]byte, msgs)
+			for i := range reqs {
+				bufs[i] = make([]byte, 2)
+				var err error
+				if reqs[i], err = c.Irecv(th, 0, int32(g), bufs[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := WaitAll(th, reqs...); err != nil {
+				t.Error(err)
+				return
+			}
+			for i, b := range bufs {
+				if b[0] != byte(g) || b[1] != byte(i) {
+					t.Errorf("thread %d receive %d: payload %v", g, i, b)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

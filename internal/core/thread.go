@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"repro/internal/cri"
+	"repro/internal/match"
 	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
 // Thread is a communicating thread's handle into the runtime — the explicit
@@ -15,9 +17,37 @@ import (
 // Each goroutine that performs communication should create one Thread and
 // use it for all calls; the handle caches the dedicated instance assignment
 // and is not safe for concurrent use by multiple goroutines.
+//
+// That single owner is also what lets a message cost no heap object of its
+// own: the thread's eager sends and posted receives are carved from its
+// operation slabs, its small eager payload copies from its payload chunk, and
+// a self message is matched through its completion scratch — none of it
+// synchronized, because only the owning goroutine touches it. Slabs fill on
+// first use, never in NewThread.
 type Thread struct {
 	proc *Proc
 	ts   cri.ThreadState
+
+	sends    []sendOp
+	recvs    []recvOp
+	payloads transport.PayloadSlab
+	scratch  []match.Completion
+}
+
+// opSlab is how many operations share one allocation. An entry is never
+// handed out twice (see carve), so a caller may read a *Request after Wait;
+// a handle held for long keeps its slab — 64 operations, about 14 KiB — alive.
+const opSlab = 64
+
+// carve returns the next zero entry of *slab, refilling it with opSlab fresh
+// entries when it is used up.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, opSlab)
+	}
+	e := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return e
 }
 
 // NewThread attaches a communication thread to the proc. Under

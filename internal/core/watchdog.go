@@ -2,7 +2,6 @@ package core
 
 import (
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -90,14 +89,10 @@ func (w *World) StartWatchdog(cfg WatchdogConfig) (stop func()) {
 // flight recorder off.
 func (p *Proc) QueueSnapshot() flight.QueueSnapshot {
 	qs := flight.QueueSnapshot{Rank: p.rank, CapturedNs: time.Now().UnixNano()}
-	p.commMu.RLock()
-	comms := make([]*Comm, 0, len(p.comms))
-	for _, c := range p.comms {
-		comms = append(comms, c)
-	}
-	p.commMu.RUnlock()
-	sort.Slice(comms, func(i, j int) bool { return comms[i].id < comms[j].id })
-	for _, c := range comms {
+	for _, c := range *p.comms.Load() { // indexed by id: in id order
+		if c == nil {
+			continue
+		}
 		// Self-locking engines (match.Sharded) publish approximate atomic
 		// depth counters; there is no engine-wide lock to freeze them under,
 		// and monitoring must not introduce one. Depths from either path are

@@ -11,6 +11,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/latency"
+	"repro/internal/match"
 	"repro/internal/prof"
 	"repro/internal/progress"
 	"repro/internal/spc"
@@ -248,10 +249,14 @@ type Proc struct {
 	traceWire bool
 	clock     transport.ClockSync
 
-	commMu sync.RWMutex
-	comms  map[uint32]*Comm
-	// retiredSPCs retains the counter totals of freed communicators so the
-	// process roll-up never loses history. Guarded by commMu.
+	// comms is the communicator table delivery reads without a lock: an
+	// immutable slice indexed by communicator id (nil where none lives),
+	// replaced whole under commMu on register and free. retiredSPCs retains
+	// the counter totals of freed communicators so the process roll-up never
+	// loses history; it changes with the table, under commMu, so a reader
+	// holding commMu sees the two agree.
+	commMu      sync.RWMutex
+	comms       atomic.Pointer[[]*Comm]
 	retiredSPCs spc.Snapshot
 
 	// prof is the contention-and-phase profiler (nil unless
@@ -292,17 +297,20 @@ type Proc struct {
 	rdvRecvs map[rdvKey]*rdvRecv
 	rdvNext  atomic.Uint64
 
-	scratchPool sync.Pool // []match.Completion scratch buffers
+	// scratch[k] is the slice instance k's deliveries collect completions
+	// in. Delivery from a CQ runs under that instance's lock, which makes the
+	// instance its single owner (a self message uses its Thread's instead).
+	scratch [][]match.Completion
 }
 
 func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error) {
 	p := &Proc{
 		world:    w,
 		rank:     rank,
-		comms:    make(map[uint32]*Comm),
 		rdvSends: make(map[uint64]*rdvSend),
 		rdvRecvs: make(map[rdvKey]*rdvRecv),
 	}
+	p.comms.Store(new([]*Comm))
 	p.spcs = spc.NewSet()
 	if opts.Profile {
 		p.prof = prof.New()
@@ -376,6 +384,7 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		insts[i].BindProfSite(p.prof.NewSite("cri.instance", i, 0))
 		insts[i].BindFlight(p.flightRing)
 	}
+	p.scratch = make([][]match.Completion, len(insts))
 	p.pool, err = cri.NewPool(insts, opts.Assignment)
 	if err != nil {
 		return nil, err
@@ -444,8 +453,10 @@ func (p *Proc) SPCSnapshot() spc.Snapshot {
 	}
 	p.commMu.RLock()
 	snaps = append(snaps, p.retiredSPCs)
-	for _, c := range p.comms {
-		snaps = append(snaps, c.spcs.Snapshot())
+	for _, c := range *p.comms.Load() {
+		if c != nil {
+			snaps = append(snaps, c.spcs.Snapshot())
+		}
 	}
 	p.commMu.RUnlock()
 	return spc.Merge(snaps...)
@@ -465,8 +476,10 @@ func (p *Proc) TelemetryStats() telemetry.ProcStats {
 	}
 	p.commMu.RLock()
 	ps.Residual = spc.Merge(p.spcs.Snapshot(), p.retiredSPCs)
-	for id, c := range p.comms {
-		ps.PerComm = append(ps.PerComm, telemetry.CommStat{ID: id, Counters: c.spcs.Snapshot()})
+	for _, c := range *p.comms.Load() {
+		if c != nil {
+			ps.PerComm = append(ps.PerComm, telemetry.CommStat{ID: c.id, Counters: c.spcs.Snapshot()})
+		}
 	}
 	p.commMu.RUnlock()
 	ps.Process = ps.MergeChildren()
@@ -536,33 +549,43 @@ func (p *Proc) TransportCaps() transport.Caps { return p.world.caps }
 
 // CommWorld returns this proc's handle on the world communicator.
 func (p *Proc) CommWorld() *Comm {
-	p.commMu.RLock()
-	defer p.commMu.RUnlock()
-	return p.comms[1] // id 1 is created by NewWorld
+	return p.commByID(1) // id 1 is created by NewWorld
+}
+
+// setComm publishes a copy of the communicator table with slot id set to c.
+// The caller holds commMu.
+func (p *Proc) setComm(id uint32, c *Comm) {
+	old := *p.comms.Load()
+	t := make([]*Comm, max(len(old), int(id)+1))
+	copy(t, old)
+	t[id] = c
+	p.comms.Store(&t)
 }
 
 func (p *Proc) registerComm(c *Comm) {
 	p.commMu.Lock()
-	p.comms[c.id] = c
+	p.setComm(c.id, c)
 	p.commMu.Unlock()
 }
 
 func (p *Proc) unregisterComm(id uint32) {
 	p.commMu.Lock()
-	if c := p.comms[id]; c != nil {
+	if c := p.commByID(id); c != nil {
 		// Retain the freed communicator's totals so process roll-ups are
 		// monotone across communicator lifetimes.
 		p.retiredSPCs = spc.Merge(p.retiredSPCs, c.spcs.Snapshot())
+		p.setComm(id, nil)
 	}
-	delete(p.comms, id)
 	p.commMu.Unlock()
 }
 
+// commByID looks a communicator up without a lock: one atomic load of the
+// table, nil for an id no live communicator has.
 func (p *Proc) commByID(id uint32) *Comm {
-	p.commMu.RLock()
-	c := p.comms[id]
-	p.commMu.RUnlock()
-	return c
+	if t := *p.comms.Load(); uint64(id) < uint64(len(t)) {
+		return t[id]
+	}
+	return nil
 }
 
 // Completer is implemented by CQE tokens that know how to complete
@@ -581,7 +604,7 @@ func (p *Proc) dispatch(clk *prof.ThreadClock, in *cri.Instance, e transport.CQE
 			c.Complete(e)
 		}
 	case transport.CQERecv:
-		p.deliver(clk, in, e.Packet)
+		p.deliver(clk, in, e.Packet, &p.scratch[in.Index()])
 	default: // one-sided completions
 		if c, ok := e.Token.(Completer); ok && c != nil {
 			c.Complete(e)
@@ -592,8 +615,10 @@ func (p *Proc) dispatch(clk *prof.ThreadClock, in *cri.Instance, e transport.CQE
 // deliver pushes an inbound two-sided packet through the owning
 // communicator's matching engine under its matching lock. in is the CRI
 // instance whose context the packet arrived on (nil for self messages,
-// which bypass the fabric); clk the delivering thread's phase clock.
-func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.Packet) {
+// which bypass the fabric); clk the delivering thread's phase clock; scratch
+// the completion slice of deliver's single owner there — the instance, or
+// the sending thread of a self message.
+func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.Packet, scratch *[]match.Completion) {
 	env := pkt.Envelope()
 	if env.Kind == transport.KindAck {
 		p.rel.handleAck(pkt)
@@ -639,23 +664,20 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 		}
 	}
 	p.flightRing.RecordAt(now-p.flightBase, flight.KindRecvDeliver, env.Comm, env.Src, int32(env.Seq), criIdx, pkt.TraceID)
-	scratch, _ := p.scratchPool.Get().(*completionScratch)
-	if scratch == nil {
-		scratch = &completionScratch{}
-	}
 	c.lockMatch(clk)
 	clk.Begin(prof.PhaseMatch)
 	h0 := p.histMatch.Start()
-	scratch.buf = c.engine.Deliver(pkt, scratch.buf[:0])
+	comps := c.engine.Deliver(pkt, (*scratch)[:0])
 	p.histMatch.ObserveSince(h0)
 	clk.End()
 	c.unlockMatch()
-	for _, comp := range scratch.buf {
+	for _, comp := range comps {
 		// A completion produced at delivery matched a posted receive.
 		c.completeRecv(comp, false)
 	}
-	scratch.buf = scratch.buf[:0]
-	p.scratchPool.Put(scratch)
+	// Cleared, so the scratch pins no packet or receive past this delivery.
+	clear(comps)
+	*scratch = comps[:0]
 }
 
 // sendStampLocal maps a traced pkt's send stamp, taken on its origin's

@@ -69,8 +69,8 @@ func (e *HashEngine) PostRecv(r *Recv) (Completion, bool) {
 		e.walked(walked)
 	}
 	if m != nil {
-		e.store.removeUnexpected(m)
-		return e.claim(r, m, e.store.arrivals.n), true
+		env, pkt := e.store.takeUnexpected(m)
+		return e.claim(r, env, pkt, e.store.arrivals.n), true
 	}
 	e.nextTicket++
 	r.ticket = e.nextTicket
@@ -132,7 +132,7 @@ func (e *HashEngine) matchIn(env transport.Envelope, pkt *transport.Packet, out 
 		e.posted--
 		return e.matched(best, env, pkt, e.posted, out)
 	}
-	e.store.addUnexpected(&pendingMsg{env: env, pkt: pkt})
+	e.store.addUnexpected(env, pkt, 0)
 	e.unexpected(env, e.store.arrivals.n)
 	return out
 }
@@ -151,7 +151,7 @@ func (e *HashEngine) MProbe(source, tag int32) (*transport.Packet, bool) {
 	if m == nil {
 		return nil, false
 	}
-	e.store.removeUnexpected(m)
-	e.dequeued(m, e.store.arrivals.n)
-	return m.pkt, true
+	env, pkt := e.store.takeUnexpected(m)
+	e.dequeued(env.Src, e.store.arrivals.n)
+	return pkt, true
 }

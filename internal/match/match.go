@@ -184,19 +184,19 @@ func (c *common) unexpected(env transport.Envelope, depth int) {
 	c.spcs.Max(spc.UnexpectedQueuePeak, int64(depth))
 }
 
-// dequeued records that m left the unexpected queue, depth messages
-// remaining: claimed by a matched probe, or by a receive (see claim).
-func (c *common) dequeued(m *pendingMsg, depth int) {
-	c.flight.Record(flight.KindUnexpDeq, c.comm, m.env.Src, int32(depth))
+// dequeued records that a message from src left the unexpected queue, depth
+// messages remaining: claimed by a matched probe, or by a receive (see claim).
+func (c *common) dequeued(src int32, depth int) {
+	c.flight.Record(flight.KindUnexpDeq, c.comm, src, int32(depth))
 }
 
-// claim completes a receive being posted with unexpected message m, already
-// unlinked.
-func (c *common) claim(r *Recv, m *pendingMsg, depth int) Completion {
-	c.dequeued(m, depth)
-	fill(r, m.env, m.pkt)
+// claim completes a receive being posted with the unexpected message env and
+// pkt, already taken off the queue.
+func (c *common) claim(r *Recv, env transport.Envelope, pkt *transport.Packet, depth int) Completion {
+	c.dequeued(env.Src, depth)
+	fill(r, env, pkt)
 	c.spcs.Inc(spc.MessagesReceived)
-	return Completion{Recv: r, Packet: m.pkt}
+	return Completion{Recv: r, Packet: pkt}
 }
 
 // fill copies payload into the receive and records results.
@@ -221,6 +221,7 @@ type Engine struct {
 
 	posted bucket
 	unexp  msgList
+	free   msgFree
 }
 
 // NewEngine creates the matching engine for communicator id comm with
@@ -265,7 +266,8 @@ func (e *Engine) PostRecv(r *Recv) (Completion, bool) {
 	e.walked(walked)
 	if m != nil {
 		e.unexp.remove(m)
-		return e.claim(r, m, e.unexp.n), true
+		env, pkt := e.free.release(m)
+		return e.claim(r, env, pkt, e.unexp.n), true
 	}
 	e.posted.push(r)
 	e.queued(r, e.posted.n)
@@ -326,7 +328,7 @@ func (e *Engine) matchIn(env transport.Envelope, pkt *transport.Packet, out []Co
 		e.posted.remove(r)
 		return e.matched(r, env, pkt, e.posted.n, out)
 	}
-	e.unexp.push(&pendingMsg{env: env, pkt: pkt})
+	e.unexp.push(e.free.get(env, pkt, 0))
 	e.unexpected(env, e.unexp.n)
 	return out
 }
@@ -348,6 +350,7 @@ func (e *Engine) MProbe(source, tag int32) (*transport.Packet, bool) {
 		return nil, false
 	}
 	e.unexp.remove(m)
-	e.dequeued(m, e.unexp.n)
-	return m.pkt, true
+	env, pkt := e.free.release(m)
+	e.dequeued(env.Src, e.unexp.n)
+	return pkt, true
 }

@@ -210,10 +210,10 @@ func (e *Sharded) PostRecv(r *Recv) (Completion, bool) {
 		sh.mu.Lock()
 		e.charge(e.costs.MatchBase)
 		if m := sh.unexpectedHead(r.Source, r.Tag); m != nil {
-			sh.removeUnexpected(m)
+			env, pkt := sh.takeUnexpected(m)
 			un := e.unexpCount.Add(-1)
 			sh.mu.Unlock()
-			return e.claim(r, m, int(un)), true
+			return e.claim(r, env, pkt, int(un)), true
 		}
 		r.ticket = e.nextTicket.Add(1)
 		sh.postedBucket(r.Source, r.Tag).push(r)
@@ -228,10 +228,10 @@ func (e *Sharded) PostRecv(r *Recv) (Completion, bool) {
 	m, sh, walked := e.oldestUnexpected(r.Source, r.Tag)
 	e.walked(walked)
 	if m != nil {
-		sh.removeUnexpected(m)
+		env, pkt := sh.takeUnexpected(m)
 		un := e.unexpCount.Add(-1)
 		e.unlockAllShards()
-		return e.claim(r, m, int(un)), true
+		return e.claim(r, env, pkt, int(un)), true
 	}
 	// Publish the wildcard receive before releasing the shards, so no
 	// in-flight Deliver can miss it.
@@ -343,8 +343,7 @@ func (e *Sharded) matchIn(env transport.Envelope, pkt *transport.Packet, out []C
 		sh.mu.Unlock()
 		return e.matched(best, env, pkt, int(posted), out)
 	}
-	m := &pendingMsg{env: env, pkt: pkt, stamp: e.nextStamp.Add(1)}
-	sh.addUnexpected(m)
+	sh.addUnexpected(env, pkt, e.nextStamp.Add(1))
 	un := e.unexpCount.Add(1)
 	sh.mu.Unlock()
 	e.unexpected(env, int(un))
@@ -372,30 +371,30 @@ func (e *Sharded) Probe(source, tag int32) (transport.Envelope, bool) {
 
 // MProbe implements Matcher.
 func (e *Sharded) MProbe(source, tag int32) (*transport.Packet, bool) {
-	var m *pendingMsg
+	var env transport.Envelope
+	var pkt *transport.Packet
 	var un int64
 	if exact(source, tag) {
 		sh := e.shardFor(source, tag)
 		sh.mu.Lock()
-		if m = sh.unexpectedHead(source, tag); m != nil {
-			sh.removeUnexpected(m)
+		if m := sh.unexpectedHead(source, tag); m != nil {
+			env, pkt = sh.takeUnexpected(m)
 			un = e.unexpCount.Add(-1)
 		}
 		sh.mu.Unlock()
 	} else {
 		e.lockAllShards()
-		var sh *matchShard
-		if m, sh, _ = e.oldestUnexpected(source, tag); m != nil {
-			sh.removeUnexpected(m)
+		if m, sh, _ := e.oldestUnexpected(source, tag); m != nil {
+			env, pkt = sh.takeUnexpected(m)
 			un = e.unexpCount.Add(-1)
 		}
 		e.unlockAllShards()
 	}
-	if m == nil {
+	if pkt == nil {
 		return nil, false
 	}
-	e.dequeued(m, int(un))
-	return m.pkt, true
+	e.dequeued(env.Src, int(un))
+	return pkt, true
 }
 
 // SeedNextSeq sets the expected inbound sequence for src, for wraparound

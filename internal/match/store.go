@@ -74,6 +74,35 @@ type pendingMsg struct {
 	stamp uint64
 }
 
+// msgFree recycles the pendingMsg records of one engine or shard, under the
+// lock that already guards its unexpected queue. A record never leaves its
+// engine — a claim hands the receive the envelope and the packet, not the
+// record — so once off every list it goes back here and the next message that
+// misses reuses it. The list never holds more records than the queue once did.
+type msgFree struct{ head *pendingMsg }
+
+// get returns a record for an unexpected message, reusing a freed one.
+func (f *msgFree) get(env transport.Envelope, pkt *transport.Packet, stamp uint64) *pendingMsg {
+	m := f.head
+	if m == nil {
+		m = new(pendingMsg)
+	} else {
+		f.head = m.links[byArrival].next
+	}
+	*m = pendingMsg{env: env, pkt: pkt, stamp: stamp}
+	return m
+}
+
+// release frees m, already off every list, and returns what it carried. The
+// freed record keeps no packet alive.
+func (f *msgFree) release(m *pendingMsg) (transport.Envelope, *transport.Packet) {
+	env, pkt := m.env, m.pkt
+	*m = pendingMsg{}
+	m.links[byArrival].next = f.head
+	f.head = m
+	return env, pkt
+}
+
 const (
 	byArrival = iota // every unexpected message of an engine or shard, oldest first
 	byKey            // the messages sharing one exact (source, tag)
@@ -134,6 +163,7 @@ type hashStore struct {
 	posted   map[key64]*bucket
 	unexp    map[key64]*msgList
 	arrivals msgList
+	free     msgFree
 }
 
 func newHashStore() hashStore {
@@ -170,7 +200,10 @@ func (s *hashStore) oldestUnexpected(source, tag int32) (m *pendingMsg, walked i
 	return s.arrivals.first(source, tag)
 }
 
-func (s *hashStore) addUnexpected(m *pendingMsg) {
+// addUnexpected queues a message no posted receive matched; stamp is its
+// global arrival order (Sharded only).
+func (s *hashStore) addUnexpected(env transport.Envelope, pkt *transport.Packet, stamp uint64) {
+	m := s.free.get(env, pkt, stamp)
 	s.arrivals.push(m)
 	k := mkKey(m.env.Src, m.env.Tag)
 	l := s.unexp[k]
@@ -181,9 +214,11 @@ func (s *hashStore) addUnexpected(m *pendingMsg) {
 	l.push(m)
 }
 
-func (s *hashStore) removeUnexpected(m *pendingMsg) {
+// takeUnexpected removes m from the store and returns what it carried.
+func (s *hashStore) takeUnexpected(m *pendingMsg) (transport.Envelope, *transport.Packet) {
 	s.arrivals.remove(m)
 	s.unexp[mkKey(m.env.Src, m.env.Tag)].remove(m)
+	return s.free.release(m)
 }
 
 // wildSet holds the posted receives with a wildcard coordinate, one FIFO per

@@ -77,13 +77,15 @@
 // the path and takes the stranded frames with it.
 //
 // Read side: a connection's receive half is one record (rxConn: the
-// descriptor, a fixed readBufSize window, the packet slab, the mux→context
-// cache, one mutex) advanced by one function, step, which never waits: it
-// reads the socket once, without blocking, and decodes every complete frame
-// in place (DecodePacketInto copies the payload out) — one read per burst.
-// Small frames decode into packets carved from a slabPackets-entry slab, one
-// allocation per slab instead of one per frame; a frame above slabMaxFrame
-// gets a packet of its own, so a slab never keeps a large payload alive.
+// descriptor, a fixed readBufSize window, the packet and payload slabs, the
+// mux→context cache, one mutex) advanced by one function, step, which never
+// waits: it reads the socket once, without blocking, and decodes every
+// complete frame in place (DecodeMuxFrameInto copies the payload out) — one
+// read per burst. Small frames decode into packets carved from a
+// slabPackets-entry slab, and their payloads into the record's
+// transport.PayloadSlab, one allocation per slab or chunk instead of one per
+// frame; a frame above slabMaxFrame gets a packet of its own, so a slab never
+// keeps a large payload alive.
 // Bytes off the socket are hostile until validated: a frame length outside
 // [MuxHeaderSize, maxFrame], a mux index ≥ maxMux, or an undecodable packet
 // closes the connection and ticks wire_frames_rejected.
@@ -212,8 +214,9 @@ const (
 	// slabPackets is how many decoded packets share one allocation. Nothing
 	// returns a slab: the collector frees it when the last of its packets is
 	// dropped, so one long-lived unexpected message keeps its slab reachable —
-	// slabPackets packets, about 9 KiB, plus whatever payloads of at most
-	// slabMaxFrame its slab-mates still carry — and no more.
+	// slabPackets packets, about 9 KiB — plus the payload chunks its
+	// slab-mates' payloads (at most slabMaxFrame each, carved in arrival order)
+	// were cut from: five 8 KiB chunks at most, and no more.
 	slabPackets = 64
 	// slabMaxFrame is the largest frame decoded into the slab. Above it the
 	// payload dwarfs the packet and sharing would only let one slow consumer
@@ -945,8 +948,10 @@ type rxConn struct {
 	// scratch holds a frame larger than the window once the goroutine has
 	// assembled it (its length is then the frame's), and is reused.
 	scratch []byte
-	// slab is the unused rest of the current packet slab.
-	slab []transport.Packet
+	// slab is the unused rest of the current packet slab; payloads the
+	// chunk small payloads are copied into.
+	slab     []transport.Packet
+	payloads transport.PayloadSlab
 	// held is a decoded packet deliver could not take; the next step, by
 	// either caller, delivers it before anything else.
 	held    *transport.Packet
@@ -1106,7 +1111,7 @@ func (rx *rxConn) decode() rxState {
 			rx.lo, rx.hi = 0, 0
 		}
 		pkt := rx.packet(flen)
-		mux, err := transport.DecodeMuxFrameInto(pkt, body)
+		mux, err := transport.DecodeMuxFrameInto(pkt, body, &rx.payloads)
 		if err != nil || mux >= maxMux {
 			return rx.end(errBadFrame)
 		}
@@ -1147,7 +1152,7 @@ func (rx *rxConn) land(flen int, region uint64, n int) rxState {
 		return rx.end(errBadFrame)
 	}
 	pkt := rx.packet(head)
-	mux, err := transport.DecodeLandedHeadInto(pkt, rx.buf[rx.lo+4:rx.lo+head])
+	mux, err := transport.DecodeLandedHeadInto(pkt, rx.buf[rx.lo+4:rx.lo+head], &rx.payloads)
 	dst, ok := rx.net.region(region)
 	if err != nil || mux >= maxMux || ok && n > len(dst) {
 		return rx.end(errBadFrame)

@@ -164,6 +164,44 @@ type Packet struct {
 	ArriveNs int64
 }
 
+// PayloadSlab carves small payload copies out of shared chunks — one
+// allocation per chunk instead of one per payload — for an owner that already
+// serializes its calls (a core Thread, a tcp connection's reader). A carved
+// copy is never handed out twice: the collector frees a chunk once the last
+// packet carved from it is dropped, so a long-held packet pins its chunk,
+// never another packet's bytes in use. A payload above slabMaxPayload gets an
+// allocation of its own, so a chunk never keeps a large body alive. The zero
+// value is ready; a nil *PayloadSlab allocates every copy.
+type PayloadSlab struct{ rest []byte }
+
+const (
+	// slabMaxPayload is the largest payload carved from a chunk: tcpnet's
+	// largest slab frame, where a payload stops being small next to its packet.
+	slabMaxPayload = 512
+	// slabChunk is a chunk's size: at least 16 payloads of the largest carved
+	// size, and what one long-held payload pins at most.
+	slabChunk = 8 << 10
+)
+
+// Copy returns a copy of b, nil for an empty b. The copy's capacity is its
+// length, so an append to it never reaches its chunk-mates.
+func (s *PayloadSlab) Copy(b []byte) []byte {
+	n := len(b)
+	switch {
+	case n == 0:
+		return nil
+	case s == nil || n > slabMaxPayload:
+		return append([]byte(nil), b...)
+	}
+	if len(s.rest) < n {
+		s.rest = make([]byte, slabChunk)
+	}
+	c := s.rest[:n:n]
+	s.rest = s.rest[n:]
+	copy(c, b)
+	return c
+}
+
 // NewPacket marshals env and copies payload into a fresh packet, setting
 // the envelope's Len to the payload length.
 func NewPacket(env Envelope, payload []byte, token any) *Packet {
@@ -176,18 +214,17 @@ func NewPacket(env Envelope, payload []byte, token any) *Packet {
 // payload.
 func NewPacketRaw(env Envelope, payload []byte, token any) *Packet {
 	p := new(Packet)
-	p.Init(env, payload, token)
+	p.Init(env, payload, token, nil)
 	return p
 }
 
 // Init makes the zero packet p what NewPacketRaw returns, in place, so a
 // caller can embed the packet in a larger object of its own (a send request
-// and its packet are one allocation). env.Len is marshaled as given.
-func (p *Packet) Init(env Envelope, payload []byte, token any) {
+// and its packet are one allocation), with the payload copy carved from slab
+// (nil: a copy of its own). env.Len is marshaled as given.
+func (p *Packet) Init(env Envelope, payload []byte, token any, slab *PayloadSlab) {
 	env.Marshal(&p.header)
-	if len(payload) > 0 {
-		p.Payload = append([]byte(nil), payload...)
-	}
+	p.Payload = slab.Copy(payload)
 	p.Token = token
 }
 
@@ -275,11 +312,12 @@ func DecodePacket(b []byte) (*Packet, error) {
 // a zero packet (a tcp reader carves them from a slab). A frame it rejects —
 // a landed one included: that is DecodeLandedHeadInto's — leaves p untouched,
 // so a refused slot is still a zero packet.
-func DecodePacketInto(p *Packet, b []byte) error { return decodeInto(p, b, 0) }
+func DecodePacketInto(p *Packet, b []byte) error { return decodeInto(p, b, 0, nil) }
 
 // decodeInto is DecodePacketInto over a frame that carries ext bytes of
-// landing extension behind its envelope: LandExtSize if flagged, else none.
-func decodeInto(p *Packet, b []byte, ext int) error {
+// landing extension behind its envelope (LandExtSize if flagged, else none),
+// copying the payload out through slab.
+func decodeInto(p *Packet, b []byte, ext int, slab *PayloadSlab) error {
 	if len(b) < EnvelopeSize+ext+wireMetaSize {
 		return fmt.Errorf("transport: short packet frame (%d bytes)", len(b))
 	}
@@ -312,9 +350,7 @@ func decodeInto(p *Packet, b []byte, ext int) error {
 	if s := int64(binary.LittleEndian.Uint64(rest[12:])); p.Stamp == 0 {
 		p.Stamp = s
 	}
-	if rest = rest[wireMetaSize:]; len(rest) > 0 {
-		p.Payload = append([]byte(nil), rest...)
-	}
+	p.Payload = slab.Copy(rest[wireMetaSize:])
 	return nil
 }
 
@@ -339,19 +375,20 @@ func (p *Packet) AppendMuxFrame(b []byte, mux uint32) []byte {
 // the length prefix): the mux ID and the packet.
 func DecodeMuxFrame(b []byte) (mux uint32, p *Packet, err error) {
 	p = new(Packet)
-	if mux, err = DecodeMuxFrameInto(p, b); err != nil {
+	if mux, err = DecodeMuxFrameInto(p, b, nil); err != nil {
 		return mux, nil, err
 	}
 	return mux, p, nil
 }
 
 // DecodeMuxFrameInto is DecodeMuxFrame into the zero packet p (see
-// DecodePacketInto).
-func DecodeMuxFrameInto(p *Packet, b []byte) (mux uint32, err error) {
+// DecodePacketInto), with the payload copy carved from slab (nil: a copy of
+// its own).
+func DecodeMuxFrameInto(p *Packet, b []byte, slab *PayloadSlab) (mux uint32, err error) {
 	if len(b) < MuxHeaderSize {
 		return 0, fmt.Errorf("transport: short mux frame (%d bytes)", len(b))
 	}
-	return binary.LittleEndian.Uint32(b), DecodePacketInto(p, b[MuxHeaderSize:])
+	return binary.LittleEndian.Uint32(b), decodeInto(p, b[MuxHeaderSize:], 0, slab)
 }
 
 // LandedFrameSize is the length a landed frame declares for p and a body of
@@ -379,13 +416,14 @@ func PeekLanded(frame []byte) (region uint64, bodyLen int, landed bool) {
 }
 
 // DecodeLandedHeadInto parses the head of a landed frame, less its length
-// prefix, into the zero packet p. Only a rendezvous data packet lands.
-func DecodeLandedHeadInto(p *Packet, head []byte) (mux uint32, err error) {
+// prefix, into the zero packet p, with the payload copy carved from slab (nil:
+// a copy of its own). Only a rendezvous data packet lands.
+func DecodeLandedHeadInto(p *Packet, head []byte, slab *PayloadSlab) (mux uint32, err error) {
 	if len(head) < MuxHeaderSize+EnvelopeSize ||
 		Kind(binary.LittleEndian.Uint32(head[MuxHeaderSize+kindOffset:]))&^FlagTraced != KindRendezvousData|FlagLanded {
 		return 0, fmt.Errorf("transport: no rendezvous data packet heads the landed frame")
 	}
-	return binary.LittleEndian.Uint32(head), decodeInto(p, head[MuxHeaderSize:], LandExtSize)
+	return binary.LittleEndian.Uint32(head), decodeInto(p, head[MuxHeaderSize:], LandExtSize, slab)
 }
 
 // CQEKind discriminates completion-queue entries.

@@ -143,7 +143,7 @@ func TestPacketInit(t *testing.T) {
 	want := NewPacketRaw(env, payload, tok)
 
 	var in Packet
-	in.Init(env, payload, tok)
+	in.Init(env, payload, tok, nil)
 	if !reflect.DeepEqual(&in, want) || &in.Payload[0] == &payload[0] {
 		t.Fatalf("Init = %+v (payload aliased: %v), NewPacketRaw = %+v", in, &in.Payload[0] == &payload[0], want)
 	}
@@ -173,7 +173,7 @@ func TestWireLandedRoundTrip(t *testing.T) {
 			t.Fatalf("traced=%v: PeekLanded takes a plain frame for a landed one", traced)
 		}
 		var q Packet
-		gotMux, err := DecodeLandedHeadInto(&q, head[4:])
+		gotMux, err := DecodeLandedHeadInto(&q, head[4:], nil)
 		if err != nil || gotMux != mux || !reflect.DeepEqual(&q, p) {
 			t.Fatalf("traced=%v: head decodes to mux %d, %+v, %v; want mux %d, %+v", traced, gotMux, q, err, mux, p)
 		}
@@ -182,7 +182,7 @@ func TestWireLandedRoundTrip(t *testing.T) {
 		other[MuxHeaderSize+kindOffset] = byte(KindEager)
 		for name, bad := range map[string][]byte{"flag on an eager packet": other, "short head": head[4 : len(head)-len(p.Payload)-1], "plain frame": p.AppendMuxFrame(nil, mux)[4:]} {
 			var q Packet
-			if _, err := DecodeLandedHeadInto(&q, bad); err == nil || !reflect.DeepEqual(q, Packet{}) {
+			if _, err := DecodeLandedHeadInto(&q, bad, nil); err == nil || !reflect.DeepEqual(q, Packet{}) {
 				t.Errorf("traced=%v, %s: err %v, packet left as %+v", traced, name, err, q)
 			}
 		}
@@ -236,5 +236,42 @@ func TestPacketCopiesPayload(t *testing.T) {
 	}
 	if env := p.Envelope(); env.Len != 3 {
 		t.Fatalf("packet Len = %d, want 3", env.Len)
+	}
+}
+
+// A PayloadSlab copy is the caller's bytes in a chunk shared with other
+// copies and nothing else: capped at its length, so an append to it cannot
+// reach the copy carved after it; one allocation per chunk; a payload above
+// slabMaxPayload, or any payload through a nil slab, gets its own.
+func TestPayloadSlabCopy(t *testing.T) {
+	var s PayloadSlab
+	if s.Copy(nil) != nil || (*PayloadSlab)(nil).Copy([]byte{}) != nil {
+		t.Fatal("an empty payload copied to a non-nil slice")
+	}
+	src := []byte("first")
+	a := s.Copy(src)
+	b := s.Copy([]byte("second"))
+	src[0] = 'X'
+	if string(a) != "first" || cap(a) != len(a) || string(b) != "second" {
+		t.Fatalf("copies %q (cap %d) and %q after the source changed", a, cap(a), b)
+	}
+	_ = append(a, "!!!"...)
+	if string(b) != "second" {
+		t.Fatalf("an append to one copy reached the next: %q", b)
+	}
+	eight := []byte("12345678")
+	if n := testing.AllocsPerRun(10, func() {
+		for range slabChunk / len(eight) {
+			s.Copy(eight)
+		}
+	}); n > 1 {
+		t.Fatalf("8-byte copies filling one chunk cost %v allocations, want at most 1", n)
+	}
+	big := make([]byte, slabMaxPayload+1)
+	if n := testing.AllocsPerRun(10, func() { s.Copy(big) }); n != 1 {
+		t.Fatalf("a %d-byte copy cost %v allocations, want its own one", len(big), n)
+	}
+	if n := testing.AllocsPerRun(10, func() { (*PayloadSlab)(nil).Copy(src) }); n != 1 {
+		t.Fatalf("a copy through a nil slab cost %v allocations, want its own one", n)
 	}
 }
