@@ -104,7 +104,8 @@ loc:
 # event per pass), and a step of the message path reads the wall clock once
 # for all its consumers — send post, instance held, wire write done (latency
 # attribution only), delivery, completion — so core's message path holds at
-# most six time.Now() sites.
+# most six time.Now() sites. And a communicator's NoWildcards assertion is the
+# one place the sharded engine is built, in the runtime and in the model.
 lint-onepath:
 	@fail=0; \
 	one() { n=$$(cat $$2 | grep -c -- "$$1"); \
@@ -112,7 +113,10 @@ lint-onepath:
 	core=$$(ls internal/core/*.go | grep -v _test.go); \
 	match=$$(ls internal/match/*.go | grep -v _test.go); \
 	progress=$$(ls internal/progress/*.go | grep -v _test.go); \
+	simnet=$$(ls internal/simnet/*.go | grep -v _test.go); \
 	one 'AcquireSend(' "$$core" internal/core; \
+	one 'match\.NewSharded(' "$$core" internal/core; \
+	one 'match\.NewSharded(' "$$simnet" internal/simnet; \
 	one 'engine\.PostRecv(' "$$core" internal/core; \
 	one 'spc\.OutOfSequence' "$$match" internal/match; \
 	one '^func .*\bfill(' "$$match" internal/match; \

@@ -56,7 +56,7 @@ func main() {
 		assignment  = flag.String("assignment", "round-robin", "round-robin | dedicated | freelist")
 		prog        = flag.String("progress", "serial", "serial | concurrent")
 		commPerPair = flag.Bool("comm-per-pair", false, "private communicator per pair (concurrent matching)")
-		matchShards = flag.Int("match-shards", 0, "hash-sharded matching partitions per communicator (0 = single-lock engine)")
+		noWildcards = flag.Bool("no-wildcards", false, "assert mpi_assert_no_any_source and mpi_assert_no_any_tag: matching shards by (source, tag), wildcards are refused")
 		overtaking  = flag.Bool("overtaking", false, "assert mpi_assert_allow_overtaking")
 		anyTag      = flag.Bool("any-tag", false, "post wildcard-tag receives")
 		processMode = flag.Bool("process-mode", false, "map pairs to process pairs")
@@ -117,7 +117,7 @@ func main() {
 		scfg := simnet.Config{
 			Machine: machine, Pairs: *pairs, Window: *window, Iters: *iters,
 			MsgSize: *msgSize, NumInstances: *instances, Assignment: asg,
-			Progress: pm, CommPerPair: *commPerPair, MatchShards: *matchShards,
+			Progress: pm, CommPerPair: *commPerPair, NoWildcards: *noWildcards,
 			AllowOvertaking: *overtaking, AnyTagRecv: *anyTag,
 			ProcessMode: *processMode, Traced: ob.TraceWire,
 			FaultDrop: *faultDrop, FaultDup: *faultDup,
@@ -128,6 +128,7 @@ func main() {
 		if ob.Watchdog {
 			scfg.Watchdog = &flight.DetectorConfig{}
 		}
+		check(scfg.Validate())
 		res := simnet.RunMultirate(scfg)
 		for _, d := range res.Dumps {
 			fmt.Fprintln(os.Stderr, "multirate: watchdog verdict:")
@@ -165,7 +166,6 @@ func main() {
 		wantProf := ob.Profile || ob.BreakdownOut != ""
 		opts := core.Options{
 			NumInstances: *instances, Assignment: asg, Progress: pm,
-			MatchShards: *matchShards,
 			ThreadLevel: core.ThreadMultiple,
 			Telemetry:   ob.WantTelemetry() || ob.TraceWire, TraceWire: ob.TraceWire,
 			Profile:   wantProf,
@@ -194,8 +194,8 @@ func main() {
 		bcfg := bench.Config{
 			Machine: machine, Opts: opts, Pairs: *pairs, Window: *window,
 			Iters: *iters, MsgSize: *msgSize, CommPerPair: *commPerPair,
-			AnyTag: *anyTag, Overtaking: *overtaking, ProcessMode: *processMode,
-			Pattern: pat, SampleInterval: ob.SampleInterval,
+			AnyTag: *anyTag, Overtaking: *overtaking, NoWildcards: *noWildcards,
+			ProcessMode: *processMode, Pattern: pat, SampleInterval: ob.SampleInterval,
 			StallRecv: *stallRecv, StallAfterIter: *stallAt, StallRank: *stallRank,
 			OnSampler: sess.Outputs.BindSampler,
 			OnWorld:   sess.BindWorld,

@@ -177,11 +177,12 @@ func TestEnginesAgreeOnCounterContract(t *testing.T) {
 		window = 32
 		iters  = 2
 	)
-	for _, d := range []designs.Design{designs.OMPIThread, designs.OMPIThreadCRI, designs.OMPIThreadCRIFull} {
+	for _, d := range []designs.Design{designs.OMPIThread, designs.OMPIThreadCRI, designs.OMPIThreadCRIFull, designs.OMPIThreadCRILockFree} {
 		t.Run(d.Slug(), func(t *testing.T) {
 			rres, err := benchmr.Run(benchmr.Config{
 				Machine: hw.Fast(), Opts: d.CoreOptions(pairs),
-				Pairs: pairs, Window: window, Iters: iters, CommPerPair: d.UsesCommPerPair(),
+				Pairs: pairs, Window: window, Iters: iters,
+				CommPerPair: d.UsesCommPerPair(), NoWildcards: d.NoWildcards(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -191,7 +192,15 @@ func TestEnginesAgreeOnCounterContract(t *testing.T) {
 				Machine: hw.Fast(), Pairs: pairs, Window: window, Iters: iters,
 			}, pairs)).SPCs
 
+			// Under the free list conns_reused is a relation, not an equality:
+			// which instance a send pops is scheduling. The runtime's stack
+			// hands a thread back the instance it just released while sends
+			// do not overlap; the model rotates FIFO through every instance.
+			freeList := d.CoreOptions(pairs).Assignment == cri.FreeList
 			for _, c := range exactCounters {
+				if c == spc.ConnsReused && freeList {
+					continue
+				}
 				if r, m := real.Get(c), model.Get(c); r != m {
 					t.Errorf("%s: runtime %d, model %d, want equal", c, r, m)
 				}
@@ -208,33 +217,48 @@ func TestEnginesAgreeOnCounterContract(t *testing.T) {
 			if d.UsesCommPerPair() {
 				perComm = 1
 			}
-			checkRelations(t, "runtime", real, int64(window*perComm), perComm == 1)
-			checkRelations(t, "model", model, int64(window*perComm), perComm == 1)
+			shape := runShape{postedBound: int64(window * perComm), fifo: perComm == 1, sharded: d.NoWildcards(), instances: pairs}
+			checkRelations(t, "runtime", real, shape)
+			checkRelations(t, "model", model, shape)
 		})
 	}
 }
 
+// runShape is what checkRelations needs to know of a design's run.
+type runShape struct {
+	postedBound int64 // the most receives one communicator can have posted
+	fifo        bool  // every communicator has one sender on a dedicated instance: arrivals in sequence, every match at a queue head
+	sharded     bool  // the communicator asserts no wildcards: bucketed matching walks nothing
+	instances   int64 // CRIs per process
+}
+
 // checkRelations holds one engine's snapshot to the relations stated beside
-// approxCounters. postedBound is the most receives one communicator can have
-// posted; fifo says every communicator has a single sender on a dedicated
-// instance, so arrivals are in sequence and every match is at a queue head.
-func checkRelations(t *testing.T, engine string, sn spc.Snapshot, postedBound int64, fifo bool) {
+// approxCounters, and to those of the exact counters a design exercises.
+func checkRelations(t *testing.T, engine string, sn spc.Snapshot, shape runShape) {
 	t.Helper()
 	recv, unexp, exp := sn.Get(spc.MessagesReceived), sn.Get(spc.UnexpectedMessages), sn.Get(spc.ExpectedMessages)
 	if unexp+exp != recv {
 		t.Errorf("%s: unexpected %d + expected %d != messages_received %d", engine, unexp, exp, recv)
 	}
-	if oos := sn.Get(spc.OutOfSequence); oos < 0 || oos > recv || (fifo && oos != 0) {
-		t.Errorf("%s: out_of_sequence = %d of %d received (fifo=%v)", engine, oos, recv, fifo)
+	if oos := sn.Get(spc.OutOfSequence); oos < 0 || oos > recv || (shape.fifo && oos != 0) {
+		t.Errorf("%s: out_of_sequence = %d of %d received (fifo=%v)", engine, oos, recv, shape.fifo)
 	}
 	if peak := sn.Get(spc.UnexpectedQueuePeak); peak > unexp || (unexp > 0 && peak < 1) {
 		t.Errorf("%s: unexpected_queue_peak = %d with %d unexpected messages", engine, peak, unexp)
 	}
-	if peak := sn.Get(spc.PostedQueuePeak); peak > postedBound || (exp > 0 && peak < 1) {
-		t.Errorf("%s: posted_queue_peak = %d, bound %d, %d expected messages", engine, peak, postedBound, exp)
+	if peak := sn.Get(spc.PostedQueuePeak); peak > shape.postedBound || (exp > 0 && peak < 1) {
+		t.Errorf("%s: posted_queue_peak = %d, bound %d, %d expected messages", engine, peak, shape.postedBound, exp)
 	}
-	if walk := sn.Get(spc.MatchWalkElements); walk < recv || (fifo && walk != recv) {
-		t.Errorf("%s: match_walk_elements = %d for %d matches (fifo=%v)", engine, walk, recv, fifo)
+	if walk := sn.Get(spc.MatchWalkElements); shape.sharded && walk != 0 {
+		t.Errorf("%s: match_walk_elements = %d on sharded matching, want 0", engine, walk)
+	} else if !shape.sharded && (walk < recv || (shape.fifo && walk != recv)) {
+		t.Errorf("%s: match_walk_elements = %d for %d matches (fifo=%v)", engine, walk, recv, shape.fifo)
+	}
+	if reused := sn.Get(spc.ConnsReused); reused > shape.instances-1 {
+		t.Errorf("%s: conns_reused = %d with %d instances", engine, reused, shape.instances)
+	}
+	if pops := sn.Get(spc.FreeListAcquires) + sn.Get(spc.FreeListEmpty); pops != 0 && pops != sn.Get(spc.MessagesSent) {
+		t.Errorf("%s: freelist_acquires + freelist_empty = %d for %d messages sent", engine, pops, sn.Get(spc.MessagesSent))
 	}
 	if calls := sn.Get(spc.ProgressCalls); calls < 1 {
 		t.Errorf("%s: progress_calls = %d", engine, calls)

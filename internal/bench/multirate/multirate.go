@@ -67,6 +67,11 @@ type Config struct {
 	AnyTag bool
 	// Overtaking asserts mpi_assert_allow_overtaking (Fig. 4 mode).
 	Overtaking bool
+	// NoWildcards asserts mpi_assert_no_any_source and
+	// mpi_assert_no_any_tag (core.Info.NoWildcards): the run's
+	// communicators match on the sharded engine, and AnyTag or the incast
+	// pattern's wildcard receives fail with core.ErrWildcard.
+	NoWildcards bool
 	// ProcessMode maps each pair to its own process pair.
 	ProcessMode bool
 	// WorldSize is the number of OS processes in a distributed run
@@ -102,6 +107,11 @@ type Config struct {
 	// (0 = the last, highest-numbered receiver rank). Single-process runs
 	// ignore it: their only receiver process takes the freeze.
 	StallRank int
+}
+
+// info is the assertions every communicator of the run carries.
+func (c Config) info() core.Info {
+	return core.Info{AllowOvertaking: c.Overtaking, NoWildcards: c.NoWildcards}
 }
 
 func (c Config) withDefaults() Config {
@@ -166,8 +176,7 @@ func runIncast(cfg Config) (Result, error) {
 	if cfg.OnWorld != nil {
 		cfg.OnWorld(w)
 	}
-	info := core.Info{AllowOvertaking: cfg.Overtaking}
-	comms, err := w.NewCommWithInfo([]int{0, 1}, info)
+	comms, err := w.NewCommWithInfo([]int{0, 1}, cfg.info())
 	if err != nil {
 		return Result{}, err
 	}
@@ -238,12 +247,11 @@ func runThreads(cfg Config) (Result, error) {
 		cfg.OnWorld(w)
 	}
 
-	info := core.Info{AllowOvertaking: cfg.Overtaking}
 	sendComms := make([]*core.Comm, cfg.Pairs)
 	recvComms := make([]*core.Comm, cfg.Pairs)
 	for pair := 0; pair < cfg.Pairs; pair++ {
 		if cfg.CommPerPair || pair == 0 {
-			comms, err := w.NewCommWithInfo([]int{0, 1}, info)
+			comms, err := w.NewCommWithInfo([]int{0, 1}, cfg.info())
 			if err != nil {
 				return Result{}, err
 			}
@@ -302,11 +310,10 @@ func runProcesses(cfg Config) (Result, error) {
 		cfg.OnWorld(w)
 	}
 
-	info := core.Info{AllowOvertaking: cfg.Overtaking}
 	type pairComms struct{ s, r *core.Comm }
 	pcs := make([]pairComms, cfg.Pairs)
 	for pair := 0; pair < cfg.Pairs; pair++ {
-		comms, err := w.NewCommWithInfo([]int{2 * pair, 2*pair + 1}, info)
+		comms, err := w.NewCommWithInfo([]int{2 * pair, 2*pair + 1}, cfg.info())
 		if err != nil {
 			return Result{}, err
 		}
@@ -408,14 +415,13 @@ func RunDistributed(cfg Config, rank int, net transport.Network) (Result, error)
 	// deterministic communicator ids in agreement (the MPI_Comm_create
 	// contract), so each rank creates every process pair's communicators and
 	// keeps only its own pair's.
-	info := core.Info{AllowOvertaking: cfg.Overtaking}
 	pairBase := rank - rank%2 // even rank of this process pair
 	comms := make([]*core.Comm, cfg.Pairs)
 	for pp := 0; pp < size/2; pp++ {
 		group := []int{2 * pp, 2*pp + 1}
 		for pair := 0; pair < cfg.Pairs; pair++ {
 			if cfg.CommPerPair || pair == 0 {
-				cs, err := w.NewCommWithInfo(group, info)
+				cs, err := w.NewCommWithInfo(group, cfg.info())
 				if err != nil {
 					return Result{}, err
 				}

@@ -144,6 +144,7 @@ func TestConformance(t *testing.T) {
 		{"WaitAny", conformWaitAny},
 		{"SPCRollup", conformSPCRollup},
 		{"FlightRecord", conformFlightRecord},
+		{"NoWildcards", conformNoWildcards},
 	}
 	for name, mk := range backends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -388,6 +389,73 @@ func conformAnyTagOvertaking(t *testing.T, h *harness) {
 			}
 		}
 		return nil
+	})
+}
+
+// conformNoWildcards: a communicator asserting NoWildcards matches on the
+// sharded engine with the semantics of the list engine — FIFO per channel,
+// the rendezvous protocol, exactly-once delivery under overtaking — and Fig.
+// 4's ANY_TAG receive is refused with ErrWildcard before anything is posted,
+// so nothing waits on it.
+func conformNoWildcards(t *testing.T, h *harness) {
+	asserted := func(t *testing.T, info core.Info) *harness {
+		t.Helper()
+		info.NoWildcards = true
+		comms, err := h.newComm(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := *h
+		a.comms = comms
+		return &a
+	}
+	t.Run("FIFO", func(t *testing.T) { conformEager(t, asserted(t, core.Info{})) })
+	t.Run("Rendezvous", func(t *testing.T) { conformRendezvous(t, asserted(t, core.Info{})) })
+	t.Run("Overtaking", func(t *testing.T) {
+		a := asserted(t, core.Info{AllowOvertaking: true})
+		const n = 8
+		run2(t, a, func(rank int, th *core.Thread) error {
+			c := a.comms[rank]
+			if rank == 0 {
+				for i := 0; i < n; i++ {
+					if err := c.Send(th, 1, int32(100+i), []byte{byte(i)}); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			// Posted against the send order: each message still finds the one
+			// receive of its channel.
+			bufs := make([][]byte, n)
+			reqs := make([]*core.Request, n)
+			for i := n - 1; i >= 0; i-- {
+				bufs[i] = make([]byte, 1)
+				req, err := c.Irecv(th, 0, int32(100+i), bufs[i])
+				if err != nil {
+					return err
+				}
+				reqs[i] = req
+			}
+			if err := core.WaitAll(th, reqs...); err != nil {
+				return err
+			}
+			for i, b := range bufs {
+				if st := reqs[i].Status(); st.Tag != int32(100+i) || b[0] != byte(i) {
+					return fmt.Errorf("tag %d: status %+v payload %d", 100+i, st, b[0])
+				}
+			}
+			return nil
+		})
+	})
+	t.Run("AnyTagRefused", func(t *testing.T) {
+		a := asserted(t, core.Info{AllowOvertaking: true})
+		th := a.procs[1].NewThread()
+		if req, err := a.comms[1].Irecv(th, 0, core.AnyTag, make([]byte, 1)); !errors.Is(err, core.ErrWildcard) || req != nil {
+			t.Fatalf("ANY_TAG receive on an asserted communicator = %v, %v; want ErrWildcard", req, err)
+		}
+		if pr, err := a.comms[1].RecvInit(int(core.AnySource), 0, nil); !errors.Is(err, core.ErrWildcard) || pr != nil {
+			t.Fatalf("ANY_SOURCE persistent receive on an asserted communicator = %v, %v; want ErrWildcard", pr, err)
+		}
 	})
 }
 

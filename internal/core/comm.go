@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -20,6 +21,10 @@ const (
 	// AnyTag matches any tag (MPI_ANY_TAG).
 	AnyTag = match.AnyTag
 )
+
+// ErrWildcard is Irecv's and RecvInit's refusal of AnySource or AnyTag on a
+// communicator asserting Info.NoWildcards.
+var ErrWildcard = match.ErrWildcard
 
 // Comm is one process's handle on a communicator. Matching state is
 // per-communicator (OB1-style), which is what makes the paper's
@@ -75,13 +80,15 @@ func newComm(p *Proc, id uint32, group []int, myRank int, info Info) *Comm {
 	c.spcs = spc.NewSet()
 	c.matchMu.Bind(p.prof.NewSite("match.comm", -1, id))
 	var meter match.Meter = match.SpinMeter{}
-	if n := p.world.opts.MatchShards; n > 0 {
-		sh := match.NewSharded(id, len(group), n, p.world.machine.Scaled(), meter, c.spcs)
+	if info.NoWildcards {
+		// Every receive names one (source, tag) channel, so matching shards
+		// by channel and the communicator-wide lock goes.
+		sh := match.NewSharded(id, len(group), match.DefaultShards, p.world.machine.Scaled(), meter, c.spcs)
 		sites := make([]*prof.Site, sh.NumShards())
 		for i := range sites {
 			sites[i] = p.prof.NewSite("match.shard", i, id)
 		}
-		sh.BindProfSites(sites, p.prof.NewSite("match.stripe", -1, id), p.prof.NewSite("match.wild", -1, id))
+		sh.BindProfSites(sites, p.prof.NewSite("match.stripe", -1, id))
 		c.engine = sh
 	} else {
 		c.engine = match.NewEngine(id, len(group), p.world.machine.Scaled(), meter, c.spcs)
@@ -131,6 +138,37 @@ func (c *Comm) checkRank(r int, what string) error {
 		return fmt.Errorf("core: %s rank %d outside communicator of size %d", what, r, len(c.group))
 	}
 	return nil
+}
+
+// checkSource validates a receive's coordinates: a source rank inside the
+// communicator or AnySource, and no wildcard the communicator refuses.
+func (c *Comm) checkSource(src int, tag int32) error {
+	if err := c.refuseWildcard(src, tag); err != nil {
+		return err
+	}
+	if src == int(AnySource) {
+		return nil
+	}
+	return c.checkRank(src, "source")
+}
+
+// refuseWildcard is the one check of Info.NoWildcards: on a communicator
+// that asserts it, a wildcard source or tag is refused with ErrWildcard
+// before it can reach the sharded engine, which has no wildcard path.
+func (c *Comm) refuseWildcard(src int, tag int32) error {
+	if !c.info.NoWildcards {
+		return nil
+	}
+	return match.RefuseWildcard(int32(src), tag)
+}
+
+// checkProbe refuses a wildcard probe the way refuseWildcard refuses a
+// receive, but Probe and MProbe have no error to return: the refusal is
+// documented misuse and panics, like a threading-level violation.
+func (c *Comm) checkProbe(src int, tag int32) {
+	if err := c.refuseWildcard(src, tag); err != nil {
+		panic(err)
+	}
 }
 
 // Isend starts a non-blocking send of buf to communicator rank dst. As in
@@ -292,16 +330,14 @@ func (c *Comm) Send(th *Thread, dst int, tag int32, buf []byte) error {
 }
 
 // Irecv posts a non-blocking receive. src may be AnySource and tag may be
-// AnyTag.
+// AnyTag, unless the communicator asserts Info.NoWildcards (ErrWildcard).
 func (c *Comm) Irecv(th *Thread, src int, tag int32, buf []byte) (*Request, error) {
 	p := c.proc
 	if th.proc != p {
 		panic("core: Irecv with a thread from a different proc")
 	}
-	if src != int(AnySource) {
-		if err := c.checkRank(src, "source"); err != nil {
-			return nil, err
-		}
+	if err := c.checkSource(src, tag); err != nil {
+		return nil, err
 	}
 	p.levelGuard.enter(th)
 	defer p.levelGuard.leave()
@@ -364,8 +400,11 @@ func (c *Comm) Recv(th *Thread, src int, tag int32, buf []byte) (Status, error) 
 }
 
 // Probe checks (without blocking or consuming) for an unexpected message
-// matching src/tag, progressing once first (MPI_Iprobe).
+// matching src/tag, progressing once first (MPI_Iprobe). A wildcard on a
+// communicator asserting Info.NoWildcards panics (misuse; Irecv returns
+// ErrWildcard for the same coordinates).
 func (c *Comm) Probe(th *Thread, src int, tag int32) (Status, bool) {
+	c.checkProbe(src, tag)
 	th.Progress()
 	c.lockMatch(th.ts.Clock())
 	env, ok := c.engine.Probe(int32(src), tag)
@@ -393,8 +432,10 @@ func (m *Message) Status() Status {
 // MProbe claims the oldest unexpected message matching src/tag
 // (MPI_Mprobe, non-blocking form): once claimed, the message can no longer
 // match any posted receive — the thread-safe alternative to Probe+Recv,
-// which races when multiple threads probe the same coordinates.
+// which races when multiple threads probe the same coordinates. A wildcard
+// on a communicator asserting Info.NoWildcards panics, as in Probe.
 func (c *Comm) MProbe(th *Thread, src int, tag int32) (*Message, bool) {
+	c.checkProbe(src, tag)
 	th.Progress()
 	c.lockMatch(th.ts.Clock())
 	pkt, ok := c.engine.MProbe(int32(src), tag)
@@ -405,10 +446,15 @@ func (c *Comm) MProbe(th *Thread, src int, tag int32) (*Message, bool) {
 	return &Message{comm: c, pkt: pkt}, true
 }
 
-// MRecv receives a claimed message into buf (MPI_Mrecv).
+// ErrConsumed is MRecv's refusal of a message it has already received: a
+// matched-probe handle is receivable exactly once.
+var ErrConsumed = errors.New("core: MRecv on an already received message")
+
+// MRecv receives a claimed message into buf (MPI_Mrecv). A second MRecv on
+// the same handle returns ErrConsumed and leaves buf untouched.
 func (m *Message) MRecv(buf []byte) (Status, error) {
 	if m.used {
-		panic("core: MRecv on a consumed message")
+		return Status{}, ErrConsumed
 	}
 	m.used = true
 	env := m.pkt.Envelope()

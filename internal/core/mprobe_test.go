@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/spc"
 )
 
 func TestMProbeMRecv(t *testing.T) {
@@ -51,7 +54,7 @@ func TestMProbeMissReturnsFalse(t *testing.T) {
 	}
 }
 
-func TestMRecvTwicePanics(t *testing.T) {
+func TestMRecvTwiceErrors(t *testing.T) {
 	w := newTestWorld(t, 2, Stock())
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 	go func() { _ = w.Proc(0).CommWorld().Send(t0, 1, 1, []byte("x")) }()
@@ -67,12 +70,14 @@ func TestMRecvTwicePanics(t *testing.T) {
 	if _, err := msg.MRecv(buf); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second MRecv did not panic")
-		}
-	}()
-	_, _ = msg.MRecv(buf)
+	received := w.Proc(1).SPCSnapshot().Get(spc.MessagesReceived)
+	buf[0] = 0
+	if st, err := msg.MRecv(buf); !errors.Is(err, ErrConsumed) || st != (Status{}) || buf[0] != 0 {
+		t.Fatalf("second MRecv = %+v, %v, buf %q; want ErrConsumed and nothing written", st, err, buf[:1])
+	}
+	if got := w.Proc(1).SPCSnapshot().Get(spc.MessagesReceived); got != received {
+		t.Fatalf("second MRecv counted a receive: messages_received %d -> %d", received, got)
+	}
 }
 
 // TestMProbeConcurrentClaimants: the defining property of matched probe —

@@ -102,13 +102,6 @@ type Options struct {
 	// paper's breakdown categories. Off by default; when off every hook is
 	// a single branch (see prof package docs).
 	Profile bool
-	// MatchShards, when positive, replaces the externally locked matching
-	// engine with the internally synchronized sharded engine
-	// (match.Sharded): posted/unexpected state is hash-partitioned by
-	// (source, tag) into about this many shards (rounded up to a power of
-	// two) and the communicator-wide matching lock disappears entirely.
-	// 0 keeps the paper-faithful single-lock list engine.
-	MatchShards int
 	// EagerLimit is the maximum payload carried eagerly; larger messages
 	// use the rendezvous protocol. 0 selects the default (8 KiB).
 	// Negative disables rendezvous entirely (everything eager).

@@ -109,10 +109,8 @@ type PersistentRecv struct {
 
 // RecvInit creates a persistent receive (not yet started).
 func (c *Comm) RecvInit(src int, tag int32, buf []byte) (*PersistentRecv, error) {
-	if src != int(AnySource) {
-		if err := c.checkRank(src, "source"); err != nil {
-			return nil, err
-		}
+	if err := c.checkSource(src, tag); err != nil {
+		return nil, err
 	}
 	return &PersistentRecv{comm: c, src: src, tag: tag, buf: buf}, nil
 }

@@ -171,6 +171,13 @@ type Info struct {
 	// does not rely on FIFO matching order, so sequence validation is
 	// skipped (Section IV-D).
 	AllowOvertaking bool
+	// NoWildcards is mpi_assert_no_any_source and mpi_assert_no_any_tag
+	// asserted together: every receive and probe names one source and one
+	// tag. The communicator then matches on the sharded engine
+	// (match.Sharded), where distinct (source, tag) channels match in
+	// parallel with no communicator-wide lock. A wildcard is refused:
+	// Irecv and RecvInit return ErrWildcard, Probe and MProbe panic.
+	NoWildcards bool
 }
 
 // NewComm collectively creates a communicator over the given world ranks

@@ -34,10 +34,11 @@ const (
 	// CRIs*", up to ~10x the base).
 	OMPIThreadCRIFull
 	// OMPIThreadCRILockFree replaces CRIs*'s communicator-per-pair trick
-	// with lock-free hot paths on ONE communicator: hash-sharded matching
-	// inside the communicator, free-list instance acquisition, and
-	// lock-free MPSC completion rings. Concurrent matching without asking
-	// the application to restructure — the step past Section III-F.
+	// with lock-free hot paths on ONE communicator: that communicator
+	// asserts no wildcards, so its matching shards by (source, tag)
+	// channel; instances come off a free list, and completions go through
+	// lock-free MPSC rings. Concurrent matching from an MPI 4.0 assertion
+	// instead of a restructured application — the step past Section III-F.
 	OMPIThreadCRILockFree
 	// IMPIProcess models Intel MPI process mode; the model gives the three
 	// process-mode designs one configuration.
@@ -131,7 +132,7 @@ func (d Design) SimConfig(base simnet.Config, instances int) simnet.Config {
 		cfg.NumInstances = instances
 		cfg.Assignment = cri.FreeList
 		cfg.Progress = progress.Concurrent
-		cfg.MatchShards = 32
+		cfg.NoWildcards = true
 		cfg.LockFreeCQ = true
 	case IMPIThread:
 		// Global-lock runtime: one big lock across send/progress/match.
@@ -157,9 +158,7 @@ func (d Design) CoreOptions(instances int) core.Options {
 	case OMPIThreadCRIFull:
 		return core.CRIsConcurrent(instances, cri.Dedicated)
 	case OMPIThreadCRILockFree:
-		o := core.CRIsConcurrent(instances, cri.FreeList)
-		o.MatchShards = 32
-		return o
+		return core.CRIsConcurrent(instances, cri.FreeList)
 	default:
 		return core.Stock()
 	}
@@ -167,7 +166,14 @@ func (d Design) CoreOptions(instances int) core.Options {
 
 // UsesCommPerPair reports whether the design's harness should create a
 // private communicator per pair. The lock-free design deliberately does
-// not: its sharded matching keeps all pairs on the world communicator.
+// not: its sharded matching keeps all pairs on one communicator.
 func (d Design) UsesCommPerPair() bool {
 	return d == OMPIThreadCRIFull
+}
+
+// NoWildcards reports whether the design's harness asserts no wildcards on
+// its communicators (core.Info.NoWildcards), which is what shards the
+// lock-free design's matching.
+func (d Design) NoWildcards() bool {
+	return d == OMPIThreadCRILockFree
 }

@@ -51,6 +51,9 @@ func TestSimConfigResolution(t *testing.T) {
 	if cfg := OMPIProcess.SimConfig(base, 20); !cfg.ProcessMode {
 		t.Fatal("OMPIProcess must be process mode")
 	}
+	if cfg := OMPIThreadCRILockFree.SimConfig(base, 20); !cfg.NoWildcards || cfg.CommPerPair || cfg.Assignment != cri.FreeList {
+		t.Fatalf("LF config = %+v, want free-list instances on one communicator asserting no wildcards", cfg)
+	}
 }
 
 func TestCoreOptionsResolution(t *testing.T) {
@@ -71,6 +74,16 @@ func TestCoreOptionsResolution(t *testing.T) {
 	}
 	if !OMPIThreadCRIFull.UsesCommPerPair() || OMPIThread.UsesCommPerPair() {
 		t.Fatal("UsesCommPerPair flags wrong")
+	}
+	// LF is CRIs* minus comm-per-pair: its options are plain, and its one
+	// communicator's assertion is what shards matching.
+	if OMPIThreadCRILockFree.CoreOptions(8) != core.CRIsConcurrent(8, cri.FreeList) {
+		t.Fatalf("LF options = %+v", OMPIThreadCRILockFree.CoreOptions(8))
+	}
+	for _, d := range All() {
+		if d.NoWildcards() != (d == OMPIThreadCRILockFree) {
+			t.Errorf("%v: NoWildcards = %v", d, d.NoWildcards())
+		}
 	}
 }
 

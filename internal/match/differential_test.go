@@ -11,12 +11,15 @@ import (
 	"repro/internal/transport"
 )
 
-// The differential test drives one seeded op stream through the three
-// matching engines and requires them to be indistinguishable from outside:
-// same (recv, packet) pairings, same completion order, same probe answers,
-// same final queue depths, same values of the counters the engines are
-// contracted to agree on. The stream is generated without looking at any
-// engine, so a divergence is an engine bug, never a generator artifact.
+// The differential test drives one seeded op stream through the matching
+// engines and requires them to be indistinguishable from outside: same
+// (recv, packet) pairings, same completion order, same probe answers, same
+// final queue depths, same values of the counters the engines are contracted
+// to agree on. The stream is generated without looking at any engine, so a
+// divergence is an engine bug, never a generator artifact. A stream with
+// wildcards runs through the list and hash engines; an exact-coordinate
+// stream — what a communicator asserting no wildcards carries — through the
+// sharded engine as well.
 
 type diffOpKind uint8
 
@@ -48,11 +51,12 @@ const (
 // zero, one a few messages before the uint32 wrap, one well clear of both.
 var diffSeqBase = [diffSources]uint32{0, math.MaxUint32 - 5, 1 << 20}
 
-// genDiffOps builds the op stream for one seed. Deliveries are drawn from a
+// genDiffOps builds the op stream for one seed, with wildcard receive and
+// probe coordinates when wild is set. Deliveries are drawn from a
 // per-source window of sent-but-undelivered messages: the head (in order),
 // a random window slot (reordered), or a message already handed over once
 // (duplicate — stale if it was in order, a second buffered copy otherwise).
-func genDiffOps(seed int64, n int) []diffOp {
+func genDiffOps(seed int64, n int, wild bool) []diffOp {
 	rng := rand.New(rand.NewSource(seed))
 	type sent struct {
 		seq     uint32
@@ -70,10 +74,10 @@ func genDiffOps(seed int64, n int) []diffOp {
 	)
 	coords := func() (int32, int32) {
 		src, tag := int32(rng.Intn(diffSources)), int32(rng.Intn(diffTags))
-		if rng.Intn(5) == 0 {
+		if wild && rng.Intn(5) == 0 {
 			src = AnySource
 		}
-		if rng.Intn(5) == 0 {
+		if wild && rng.Intn(5) == 0 {
 			tag = AnyTag
 		}
 		return src, tag
@@ -206,46 +210,51 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 	costs := hw.Fast().Scaled()
 	for seed := 1; seed <= seeds; seed++ {
-		ops := genDiffOps(int64(seed), 400)
-		for _, overtaking := range []bool{false, true} {
-			sets := [3]*spc.Set{spc.NewSet(), spc.NewSet(), spc.NewSet()}
-			list := NewEngine(1, diffSources, costs, NopMeter{}, sets[0])
-			hash := NewHashEngine(1, diffSources, costs, NopMeter{}, sets[1])
-			sharded := NewSharded(1, diffSources, 4, costs, NopMeter{}, sets[2])
-			for s, base := range diffSeqBase {
-				list.SeedNextSeq(int32(s), base)
-				hash.SeedNextSeq(int32(s), base)
-				sharded.SeedNextSeq(int32(s), base)
-			}
-			names := [3]string{"list", "hash", "sharded"}
-			var results [3]diffResult
-			for i, e := range [3]Matcher{list, hash, sharded} {
-				e.SetAllowOvertaking(overtaking)
-				results[i] = runDiffOps(e, sets[i], ops)
-			}
-			ref := results[0]
-			if !overtaking && ref.counters[3] == 0 {
-				t.Fatalf("seed %d: the stream never arrived out of sequence; the generator lost its teeth", seed)
-			}
-			for i := 1; i < 3; i++ {
-				got := results[i]
-				for j := range ref.log {
-					if got.log[j] != ref.log[j] {
-						t.Fatalf("seed %d overtaking=%v: %s diverges from list at op\n  list: %s\n  %s: %s",
-							seed, overtaking, names[i], ref.log[j], names[i], got.log[j])
+		for _, wild := range []bool{true, false} {
+			ops := genDiffOps(int64(seed), 400, wild)
+			for _, overtaking := range []bool{false, true} {
+				names := []string{"list", "hash"}
+				sets := []*spc.Set{spc.NewSet(), spc.NewSet()}
+				engines := []Matcher{
+					NewEngine(1, diffSources, costs, NopMeter{}, sets[0]),
+					NewHashEngine(1, diffSources, costs, NopMeter{}, sets[1]),
+				}
+				if !wild {
+					names = append(names, "sharded")
+					sets = append(sets, spc.NewSet())
+					engines = append(engines, NewSharded(1, diffSources, 4, costs, NopMeter{}, sets[2]))
+				}
+				results := make([]diffResult, len(engines))
+				for i, e := range engines {
+					for s, base := range diffSeqBase {
+						e.(interface{ SeedNextSeq(int32, uint32) }).SeedNextSeq(int32(s), base)
 					}
+					e.SetAllowOvertaking(overtaking)
+					results[i] = runDiffOps(e, sets[i], ops)
 				}
-				if fmt.Sprint(got.perSrc) != fmt.Sprint(ref.perSrc) {
-					t.Fatalf("seed %d overtaking=%v: %s per-source completion order %v, list %v",
-						seed, overtaking, names[i], got.perSrc, ref.perSrc)
+				ref := results[0]
+				if !overtaking && ref.counters[3] == 0 {
+					t.Fatalf("seed %d: the stream never arrived out of sequence; the generator lost its teeth", seed)
 				}
-				if got.depths != ref.depths {
-					t.Fatalf("seed %d overtaking=%v: %s final posted/unexpected/oos depths %v, list %v",
-						seed, overtaking, names[i], got.depths, ref.depths)
-				}
-				if got.counters != ref.counters {
-					t.Fatalf("seed %d overtaking=%v: %s counters %v, list %v (received, expected, unexpected, oos, duplicates)",
-						seed, overtaking, names[i], got.counters, ref.counters)
+				at := fmt.Sprintf("seed %d wild=%v overtaking=%v", seed, wild, overtaking)
+				for i := 1; i < len(results); i++ {
+					got := results[i]
+					for j := range ref.log {
+						if got.log[j] != ref.log[j] {
+							t.Fatalf("%s: %s diverges from list at op\n  list: %s\n  %s: %s",
+								at, names[i], ref.log[j], names[i], got.log[j])
+						}
+					}
+					if fmt.Sprint(got.perSrc) != fmt.Sprint(ref.perSrc) {
+						t.Fatalf("%s: %s per-source completion order %v, list %v", at, names[i], got.perSrc, ref.perSrc)
+					}
+					if got.depths != ref.depths {
+						t.Fatalf("%s: %s final posted/unexpected/oos depths %v, list %v", at, names[i], got.depths, ref.depths)
+					}
+					if got.counters != ref.counters {
+						t.Fatalf("%s: %s counters %v, list %v (received, expected, unexpected, oos, duplicates)",
+							at, names[i], got.counters, ref.counters)
+					}
 				}
 			}
 		}

@@ -132,7 +132,7 @@ func (e *HashEngine) matchIn(env transport.Envelope, pkt *transport.Packet, out 
 		e.posted--
 		return e.matched(best, env, pkt, e.posted, out)
 	}
-	e.store.addUnexpected(env, pkt, 0)
+	e.store.addUnexpected(env, pkt)
 	e.unexpected(env, e.store.arrivals.n)
 	return out
 }

@@ -100,7 +100,7 @@ type Recv struct {
 	// prev/next link the recv into the one bucket it waits on.
 	prev, next *Recv
 	queued     bool
-	// ticket orders posted receives across the hash engines' buckets.
+	// ticket orders posted receives across HashEngine's buckets.
 	ticket uint64
 }
 
@@ -328,7 +328,7 @@ func (e *Engine) matchIn(env transport.Envelope, pkt *transport.Packet, out []Co
 		e.posted.remove(r)
 		return e.matched(r, env, pkt, e.posted.n, out)
 	}
-	e.unexp.push(e.free.get(env, pkt, 0))
+	e.unexp.push(e.free.get(env, pkt))
 	e.unexpected(env, e.unexp.n)
 	return out
 }

@@ -1,6 +1,8 @@
 package match
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/hw"
@@ -9,41 +11,51 @@ import (
 	"repro/internal/transport"
 )
 
-// Sharded is a concurrently accessible matching engine: posted receives and
-// unexpected messages are partitioned into hash shards by (source, tag), so
-// exact-coordinate traffic on different shards matches in parallel — taking
-// the paper's "concurrent matching" (communicator-per-pair, Section III-F)
-// one step further, inside a single communicator. Unlike Engine and
-// HashEngine it synchronizes INTERNALLY (SelfLocking reports true); callers
-// must NOT wrap it in a communicator-wide matching lock, or the sharding
-// buys nothing.
+// DefaultShards is the shard count of the engine behind every communicator
+// that asserts no wildcards, in the runtime and in the model alike.
+const DefaultShards = 32
+
+// ErrWildcard refuses a wildcard receive or probe on a communicator that
+// asserts mpi_assert_no_any_source and mpi_assert_no_any_tag.
+var ErrWildcard = errors.New("match: wildcard on a communicator asserting no wildcards (mpi_assert_no_any_source, mpi_assert_no_any_tag)")
+
+// RefuseWildcard is the one check of that assertion: it returns ErrWildcard,
+// naming the coordinates, when source or tag is a wildcard, and nil when
+// (source, tag) names one channel.
+func RefuseWildcard(source, tag int32) error {
+	if exact(source, tag) {
+		return nil
+	}
+	return fmt.Errorf("%w: source %d, tag %d", ErrWildcard, source, tag)
+}
+
+// Sharded is a concurrently accessible matching engine for a communicator
+// that asserts no wildcards: posted receives and unexpected messages are
+// partitioned into hash shards by (source, tag), so traffic on different
+// shards matches in parallel — taking the paper's "concurrent matching"
+// (communicator-per-pair, Section III-F) one step further, inside a single
+// communicator. Unlike Engine and HashEngine it synchronizes INTERNALLY
+// (SelfLocking reports true); callers must NOT wrap it in a
+// communicator-wide matching lock, or the sharding buys nothing.
 //
-// Correctness rests on three ordered lock classes, always acquired in this
-// order (each op takes at most one pass through them, so the hierarchy is
-// acyclic and deadlock-free):
+// Every receive and probe names one (source, tag), so it touches exactly one
+// shard, and MPI's matching order is the FIFO order of that shard's buckets:
+// no two candidates for one message ever sit on different shards. A wildcard
+// names no shard; one that reaches the engine panics with RefuseWildcard's
+// error, and the runtime refuses it before that.
+//
+// Correctness rests on two ordered lock classes, always acquired in this
+// order:
 //
 //  1. stripe (per-source): serializes sequence validation and
 //     out-of-sequence buffering for one sender, and is HELD ACROSS the
 //     shard insertion so two in-order messages from the same sender can
 //     never race into their buckets in the wrong order.
 //  2. shard (per source/tag hash): guards that shard's posted and
-//     unexpected buckets. Wildcard operations lock all shards in ascending
-//     index order.
-//  3. wild: guards the wildcard posted lists (ANY_SOURCE / ANY_TAG), taken
-//     last. A wildcard receive is inserted under the wild lock while all
-//     shard locks are still held, so a concurrent Deliver can never enqueue
-//     a matching message as unexpected without either seeing the receive or
-//     forcing the receive's scan to see the message.
-//
-// MPI matching order is preserved: posted receives carry a global atomic
-// ticket (lowest ticket wins among the exact-bucket head and the wildcard
-// heads), and unexpected messages carry a global atomic arrival stamp
-// (wildcard receives and probes claim the lowest stamp across shards).
+//     unexpected buckets.
 //
 // Each shard is a lock over the same hashStore HashEngine uses, each stripe
-// a lock over the same seqGate; what Sharded adds is the three lock classes,
-// the global ticket and stamp that keep MPI order across shards, and the
-// wildCount fast path that keeps exact traffic off the wild lock.
+// a lock over the same seqGate.
 //
 // PostedLen/UnexpectedLen are approximate by design: they read atomic
 // counters without stopping the world, the same monitoring-only contract as
@@ -58,19 +70,11 @@ type Sharded struct {
 	shardMask uint64
 	stripes   []seqStripe
 
-	wildMu    prof.Mutex
-	wild      wildSet
-	wildCount atomic.Int64
-
-	nextTicket atomic.Uint64
-	nextStamp  atomic.Uint64
-
 	postedCount atomic.Int64
 	unexpCount  atomic.Int64
 }
 
-// matchShard is one hash partition of the matching state; its arrival list
-// is stamp-ordered, walked by wildcard receives and probes.
+// matchShard is one hash partition of the matching state.
 type matchShard struct {
 	mu prof.Mutex
 	hashStore
@@ -97,7 +101,6 @@ func NewSharded(comm uint32, nRanks, nShards int, costs hw.CostModel, meter Mete
 		shards:    make([]matchShard, n),
 		shardMask: uint64(n - 1),
 		stripes:   make([]seqStripe, n),
-		wild:      newWildSet(),
 	}
 	for i := range e.shards {
 		e.shards[i].hashStore = newHashStore()
@@ -127,17 +130,16 @@ func (e *Sharded) NumShards() int { return len(e.shards) }
 func (e *Sharded) SetAllowOvertaking(on bool) { e.allowOvertaking = on }
 
 // BindProfSites attaches contention-profiler sites: one per shard lock (a
-// short slice binds only the covered prefix), one shared by all stripe
-// locks, one for the wildcard lock. Sites are all-atomic, so sharing one
-// across stripes is safe. Call during setup only.
-func (e *Sharded) BindProfSites(shards []*prof.Site, stripe, wild *prof.Site) {
+// short slice binds only the covered prefix) and one shared by all stripe
+// locks. Sites are all-atomic, so sharing one across stripes is safe. Call
+// during setup only.
+func (e *Sharded) BindProfSites(shards []*prof.Site, stripe *prof.Site) {
 	for i := range e.shards {
 		if i < len(shards) {
 			e.shards[i].mu.Bind(shards[i])
 		}
 		e.stripes[i].mu.Bind(stripe)
 	}
-	e.wildMu.Bind(wild)
 }
 
 // hash64 finalizes a (src, tag) key into a well-mixed shard index
@@ -162,6 +164,15 @@ func (e *Sharded) shardFor(src, tag int32) *matchShard {
 	return &e.shards[e.ShardOf(src, tag)]
 }
 
+// recvShard is shardFor for a receive or probe, whose coordinates may be a
+// wildcard: that names no shard, and is refused (see the type comment).
+func (e *Sharded) recvShard(source, tag int32) *matchShard {
+	if err := RefuseWildcard(source, tag); err != nil {
+		panic(err)
+	}
+	return e.shardFor(source, tag)
+}
+
 func (e *Sharded) stripeFor(src int32) *seqStripe {
 	return &e.stripes[hash64(key64(uint32(src)))&e.shardMask]
 }
@@ -184,106 +195,37 @@ func (e *Sharded) OOSBuffered() int {
 	return n
 }
 
-func (e *Sharded) lockAllShards() {
-	for i := range e.shards {
-		e.shards[i].mu.Lock()
-	}
-}
-
-func (e *Sharded) unlockAllShards() {
-	for i := range e.shards {
-		e.shards[i].mu.Unlock()
-	}
-}
-
-// PostRecv implements Matcher. Exact receives touch only their shard;
-// wildcard receives lock every shard (ascending) to scan arrivals in stamp
-// order and, on a miss, publish themselves under the wild lock before any
-// shard is released.
+// PostRecv implements Matcher: the receive's shard only.
 func (e *Sharded) PostRecv(r *Recv) (Completion, bool) {
 	if r.queued {
 		panic("match: Recv posted twice")
 	}
+	sh := e.recvShard(r.Source, r.Tag)
 	e.spcs.Inc(spc.MatchAttempts)
-	if exact(r.Source, r.Tag) {
-		sh := e.shardFor(r.Source, r.Tag)
-		sh.mu.Lock()
-		e.charge(e.costs.MatchBase)
-		if m := sh.unexpectedHead(r.Source, r.Tag); m != nil {
-			env, pkt := sh.takeUnexpected(m)
-			un := e.unexpCount.Add(-1)
-			sh.mu.Unlock()
-			return e.claim(r, env, pkt, int(un)), true
-		}
-		r.ticket = e.nextTicket.Add(1)
-		sh.postedBucket(r.Source, r.Tag).push(r)
-		posted := e.postedCount.Add(1)
-		sh.mu.Unlock()
-		e.queued(r, int(posted))
-		return Completion{}, false
-	}
-
-	// Wildcard: scan all shards for the oldest matching arrival.
-	e.lockAllShards()
-	m, sh, walked := e.oldestUnexpected(r.Source, r.Tag)
-	e.walked(walked)
-	if m != nil {
+	sh.mu.Lock()
+	e.charge(e.costs.MatchBase)
+	if m := sh.unexpectedHead(r.Source, r.Tag); m != nil {
 		env, pkt := sh.takeUnexpected(m)
 		un := e.unexpCount.Add(-1)
-		e.unlockAllShards()
+		sh.mu.Unlock()
 		return e.claim(r, env, pkt, int(un)), true
 	}
-	// Publish the wildcard receive before releasing the shards, so no
-	// in-flight Deliver can miss it.
-	e.wildMu.Lock()
-	r.ticket = e.nextTicket.Add(1)
-	e.wild.bucketFor(r).push(r)
-	e.wildCount.Add(1)
+	sh.postedBucket(r.Source, r.Tag).push(r)
 	posted := e.postedCount.Add(1)
-	e.wildMu.Unlock()
-	e.unlockAllShards()
+	sh.mu.Unlock()
 	e.queued(r, int(posted))
 	return Completion{}, false
 }
 
-// oldestUnexpected scans every shard's arrival FIFO (all shard locks held)
-// for the stamp-oldest message (source, tag) accepts, returning it, its
-// shard, and the total elements walked. Each shard contributes at most its
-// first match: FIFO per shard makes that the shard's oldest.
-func (e *Sharded) oldestUnexpected(source, tag int32) (*pendingMsg, *matchShard, int) {
-	var best *pendingMsg
-	var bestShard *matchShard
-	walked := 0
-	for i := range e.shards {
-		sh := &e.shards[i]
-		m, w := sh.arrivals.first(source, tag)
-		walked += w
-		if m != nil && (best == nil || m.stamp < best.stamp) {
-			best, bestShard = m, sh
-		}
-	}
-	return best, bestShard, walked
-}
-
 // CancelRecv implements Matcher.
 func (e *Sharded) CancelRecv(r *Recv) bool {
-	if exact(r.Source, r.Tag) {
-		sh := e.shardFor(r.Source, r.Tag)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if !r.queued {
-			return false
-		}
-		sh.postedBucket(r.Source, r.Tag).remove(r)
-	} else {
-		e.wildMu.Lock()
-		defer e.wildMu.Unlock()
-		if !r.queued {
-			return false
-		}
-		e.wild.bucketFor(r).remove(r)
-		e.wildCount.Add(-1)
+	sh := e.recvShard(r.Source, r.Tag)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if !r.queued {
+		return false
 	}
+	sh.postedBucket(r.Source, r.Tag).remove(r)
 	e.postedCount.Add(-1)
 	return true
 }
@@ -315,35 +257,21 @@ func (e *Sharded) Deliver(pkt *transport.Packet, out []Completion) []Completion 
 	return out
 }
 
-// matchIn matches one sequence-valid (or overtaking) message: shard lock,
-// then — only when a wildcard receive might exist — the wild lock. The
-// wildCount fast path is sound because wildcard receives are inserted while
-// holding every shard lock, including ours.
+// matchIn matches one sequence-valid (or overtaking) message against the
+// head of its (source, tag) bucket, under its shard lock alone.
 func (e *Sharded) matchIn(env transport.Envelope, pkt *transport.Packet, out []Completion) []Completion {
 	e.spcs.Inc(spc.MatchAttempts)
 	e.charge(e.costs.MatchBase)
 	sh := e.shardFor(env.Src, env.Tag)
 	sh.mu.Lock()
-	best, in := older(sh.posted[mkKey(env.Src, env.Tag)], nil, nil)
-	if e.wildCount.Load() > 0 {
-		e.wildMu.Lock()
-		exactIn := in
-		if best, in = e.wild.oldest(env.Src, env.Tag, best, in); best != nil {
-			in.remove(best)
-			if in != exactIn {
-				e.wildCount.Add(-1)
-			}
-		}
-		e.wildMu.Unlock()
-	} else if best != nil {
-		in.remove(best)
-	}
-	if best != nil {
+	if b := sh.posted[mkKey(env.Src, env.Tag)]; b != nil && b.head != nil {
+		r := b.head
+		b.remove(r)
 		posted := e.postedCount.Add(-1)
 		sh.mu.Unlock()
-		return e.matched(best, env, pkt, int(posted), out)
+		return e.matched(r, env, pkt, int(posted), out)
 	}
-	sh.addUnexpected(env, pkt, e.nextStamp.Add(1))
+	sh.addUnexpected(env, pkt)
 	un := e.unexpCount.Add(1)
 	sh.mu.Unlock()
 	e.unexpected(env, int(un))
@@ -352,47 +280,27 @@ func (e *Sharded) matchIn(env transport.Envelope, pkt *transport.Packet, out []C
 
 // Probe implements Matcher.
 func (e *Sharded) Probe(source, tag int32) (transport.Envelope, bool) {
-	var m *pendingMsg
-	if exact(source, tag) {
-		sh := e.shardFor(source, tag)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		m = sh.unexpectedHead(source, tag)
-	} else {
-		e.lockAllShards()
-		defer e.unlockAllShards()
-		m, _, _ = e.oldestUnexpected(source, tag)
+	sh := e.recvShard(source, tag)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if m := sh.unexpectedHead(source, tag); m != nil {
+		return m.env, true
 	}
-	if m == nil {
-		return transport.Envelope{}, false
-	}
-	return m.env, true
+	return transport.Envelope{}, false
 }
 
 // MProbe implements Matcher.
 func (e *Sharded) MProbe(source, tag int32) (*transport.Packet, bool) {
-	var env transport.Envelope
-	var pkt *transport.Packet
-	var un int64
-	if exact(source, tag) {
-		sh := e.shardFor(source, tag)
-		sh.mu.Lock()
-		if m := sh.unexpectedHead(source, tag); m != nil {
-			env, pkt = sh.takeUnexpected(m)
-			un = e.unexpCount.Add(-1)
-		}
+	sh := e.recvShard(source, tag)
+	sh.mu.Lock()
+	m := sh.unexpectedHead(source, tag)
+	if m == nil {
 		sh.mu.Unlock()
-	} else {
-		e.lockAllShards()
-		if m, sh, _ := e.oldestUnexpected(source, tag); m != nil {
-			env, pkt = sh.takeUnexpected(m)
-			un = e.unexpCount.Add(-1)
-		}
-		e.unlockAllShards()
-	}
-	if pkt == nil {
 		return nil, false
 	}
+	env, pkt := sh.takeUnexpected(m)
+	un := e.unexpCount.Add(-1)
+	sh.mu.Unlock()
 	e.dequeued(env.Src, int(un))
 	return pkt, true
 }

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"sync"
@@ -60,43 +61,58 @@ func TestShardedUnexpectedThenPost(t *testing.T) {
 	}
 }
 
-// TestShardedPostedOrder: a message must match the OLDEST (lowest-ticket)
-// candidate even when an exact receive and a wildcard receive both match.
+// TestShardedPostedOrder: a message matches the oldest receive posted on its
+// own (source, tag) channel; receives on other channels never compete.
 func TestShardedPostedOrder(t *testing.T) {
 	e := newTestSharded(nil)
-	wild := &Recv{Source: AnySource, Tag: AnyTag}
-	exact := &Recv{Source: 1, Tag: 5}
-	e.PostRecv(wild)  // ticket 1
-	e.PostRecv(exact) // ticket 2
-	comps := e.Deliver(pkt(1, 5, 0, nil), nil)
-	if len(comps) != 1 || comps[0].Recv != wild {
-		t.Fatalf("message matched %+v, want the older wildcard", comps)
-	}
-	comps = e.Deliver(pkt(1, 5, 1, nil), nil)
-	if len(comps) != 1 || comps[0].Recv != exact {
-		t.Fatalf("second message matched %+v, want the exact recv", comps)
+	first := &Recv{Source: 1, Tag: 5}
+	second := &Recv{Source: 1, Tag: 5}
+	other := &Recv{Source: 1, Tag: 6}
+	e.PostRecv(first)
+	e.PostRecv(other)
+	e.PostRecv(second)
+	for seq, want := range []*Recv{first, other, second} {
+		comps := e.Deliver(pkt(1, want.Tag, uint32(seq), nil), nil)
+		if len(comps) != 1 || comps[0].Recv != want {
+			t.Fatalf("message %d matched %+v, want the oldest receive of tag %d", seq, comps, want.Tag)
+		}
 	}
 }
 
-// TestShardedWildcardOldestAcrossShards: a wildcard receive must claim the
-// stamp-oldest unexpected message even when candidates live on different
-// shards.
-func TestShardedWildcardOldestAcrossShards(t *testing.T) {
-	e := newTestSharded(nil)
-	// Different (src, tag) pairs land on different shards (with 8 shards
-	// and distinct keys, at least some do); arrival order must still win.
-	e.Deliver(pkt(0, 10, 0, []byte("first")), nil)
-	e.Deliver(pkt(1, 20, 0, []byte("second")), nil)
-	e.Deliver(pkt(2, 30, 0, []byte("third")), nil)
-	for _, want := range []int32{0, 1, 2} {
-		r := &Recv{Source: AnySource, Tag: AnyTag, Buf: make([]byte, 16)}
-		c, ok := e.PostRecv(r)
-		if !ok {
-			t.Fatalf("wildcard did not match queued message %d", want)
+// TestShardedRefusesWildcards: a wildcard names no shard, so every receive
+// entry point panics with ErrWildcard — documented misuse the runtime refuses
+// earlier (core.Info.NoWildcards) — before touching a counter or a queue.
+func TestShardedRefusesWildcards(t *testing.T) {
+	set := spc.NewSet()
+	e := newTestSharded(set)
+	e.Deliver(pkt(0, 10, 0, []byte("queued")), nil)
+	for _, co := range [][2]int32{{AnySource, 10}, {0, AnyTag}, {AnySource, AnyTag}} {
+		src, tag := co[0], co[1]
+		if err := RefuseWildcard(src, tag); !errors.Is(err, ErrWildcard) {
+			t.Fatalf("RefuseWildcard(%d, %d) = %v, want ErrWildcard", src, tag, err)
 		}
-		if c.Recv.MatchedEnv.Src != want {
-			t.Fatalf("wildcard matched src %d, want %d (arrival order)", c.Recv.MatchedEnv.Src, want)
+		for name, op := range map[string]func(){
+			"PostRecv":   func() { e.PostRecv(&Recv{Source: src, Tag: tag}) },
+			"CancelRecv": func() { e.CancelRecv(&Recv{Source: src, Tag: tag}) },
+			"Probe":      func() { e.Probe(src, tag) },
+			"MProbe":     func() { e.MProbe(src, tag) },
+		} {
+			func() {
+				defer func() {
+					if err, _ := recover().(error); !errors.Is(err, ErrWildcard) {
+						t.Errorf("%s(%d, %d): recovered %v, want an ErrWildcard panic", name, src, tag, err)
+					}
+				}()
+				op()
+			}()
 		}
+	}
+	if err := RefuseWildcard(0, 10); err != nil {
+		t.Fatalf("RefuseWildcard of exact coordinates = %v", err)
+	}
+	if e.PostedLen() != 0 || e.UnexpectedLen() != 1 || set.Get(spc.MatchAttempts) != 1 {
+		t.Fatalf("refused wildcards changed the engine: posted %d, unexpected %d, attempts %d",
+			e.PostedLen(), e.UnexpectedLen(), set.Get(spc.MatchAttempts))
 	}
 }
 
@@ -107,11 +123,11 @@ func TestShardedProbeAndMProbe(t *testing.T) {
 	if env, ok := e.Probe(4, 2); !ok || env.Src != 4 {
 		t.Fatalf("exact Probe = %+v %v", env, ok)
 	}
-	if env, ok := e.Probe(AnySource, AnyTag); !ok || env.Src != 4 {
-		t.Fatalf("wildcard Probe = %+v %v (want oldest, src 4)", env, ok)
+	if _, ok := e.Probe(4, 3); ok {
+		t.Fatal("Probe matched a message of another channel")
 	}
-	if p, ok := e.MProbe(AnySource, AnyTag); !ok || p.Envelope().Src != 4 {
-		t.Fatal("wildcard MProbe did not claim the oldest")
+	if p, ok := e.MProbe(4, 2); !ok || p.Envelope().Src != 4 {
+		t.Fatal("exact MProbe did not claim the queued message")
 	}
 	if e.UnexpectedLen() != 1 {
 		t.Fatalf("UnexpectedLen = %d after MProbe, want 1", e.UnexpectedLen())
@@ -124,10 +140,10 @@ func TestShardedProbeAndMProbe(t *testing.T) {
 func TestShardedCancelRecv(t *testing.T) {
 	e := newTestSharded(nil)
 	exact := &Recv{Source: 1, Tag: 1}
-	wild := &Recv{Source: AnySource, Tag: 9}
+	other := &Recv{Source: 2, Tag: 9}
 	e.PostRecv(exact)
-	e.PostRecv(wild)
-	if !e.CancelRecv(exact) || !e.CancelRecv(wild) {
+	e.PostRecv(other)
+	if !e.CancelRecv(exact) || !e.CancelRecv(other) {
 		t.Fatal("cancel failed")
 	}
 	if e.CancelRecv(exact) {
@@ -329,7 +345,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 			compMu.Unlock()
 		}(int32(s))
 	}
-	// A prober hammering wildcard and exact probes concurrently.
+	// A prober hammering exact probes concurrently.
 	stop := make(chan struct{})
 	wg.Add(1)
 	go func() {
@@ -339,8 +355,8 @@ func TestShardedConcurrentStress(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				e.Probe(AnySource, AnyTag)
 				e.Probe(3, 3)
+				e.Probe(5, 1)
 				e.PostedLen()
 				e.UnexpectedLen()
 			}

@@ -69,9 +69,6 @@ type pendingMsg struct {
 	env   transport.Envelope
 	pkt   *transport.Packet
 	links [2]struct{ prev, next *pendingMsg }
-	// stamp is the global arrival order (Sharded only): wildcard receives
-	// claim the lowest stamp across shards.
-	stamp uint64
 }
 
 // msgFree recycles the pendingMsg records of one engine or shard, under the
@@ -82,14 +79,14 @@ type pendingMsg struct {
 type msgFree struct{ head *pendingMsg }
 
 // get returns a record for an unexpected message, reusing a freed one.
-func (f *msgFree) get(env transport.Envelope, pkt *transport.Packet, stamp uint64) *pendingMsg {
+func (f *msgFree) get(env transport.Envelope, pkt *transport.Packet) *pendingMsg {
 	m := f.head
 	if m == nil {
 		m = new(pendingMsg)
 	} else {
 		f.head = m.links[byArrival].next
 	}
-	*m = pendingMsg{env: env, pkt: pkt, stamp: stamp}
+	*m = pendingMsg{env: env, pkt: pkt}
 	return m
 }
 
@@ -200,10 +197,9 @@ func (s *hashStore) oldestUnexpected(source, tag int32) (m *pendingMsg, walked i
 	return s.arrivals.first(source, tag)
 }
 
-// addUnexpected queues a message no posted receive matched; stamp is its
-// global arrival order (Sharded only).
-func (s *hashStore) addUnexpected(env transport.Envelope, pkt *transport.Packet, stamp uint64) {
-	m := s.free.get(env, pkt, stamp)
+// addUnexpected queues a message no posted receive matched.
+func (s *hashStore) addUnexpected(env transport.Envelope, pkt *transport.Packet) {
+	m := s.free.get(env, pkt)
 	s.arrivals.push(m)
 	k := mkKey(m.env.Src, m.env.Tag)
 	l := s.unexp[k]

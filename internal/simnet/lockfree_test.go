@@ -8,15 +8,15 @@ import (
 	"repro/internal/spc"
 )
 
-// lockFreeCfg is the sim mirror of the lock-free hot-path design: sharded
-// matching, free-list instance acquisition, lock-free completion rings,
-// concurrent progress.
+// lockFreeCfg is the sim mirror of the lock-free hot-path design: one
+// communicator asserting no wildcards (sharded matching), free-list instance
+// acquisition, lock-free completion rings, concurrent progress.
 func lockFreeCfg(pairs int) Config {
 	cfg := baseCfg(pairs)
 	cfg.NumInstances = pairs
 	cfg.Assignment = cri.FreeList
 	cfg.Progress = progress.Concurrent
-	cfg.MatchShards = 32
+	cfg.NoWildcards = true
 	cfg.LockFreeCQ = true
 	return cfg
 }

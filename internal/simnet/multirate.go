@@ -21,10 +21,10 @@ import (
 // The returned rate is total messages over the virtual makespan — the
 // paper's "message rate" Y axis.
 func RunMultirate(cfg Config) Result {
-	cfg = cfg.withDefaults()
-	if cfg.Pairs <= 0 {
-		panic("simnet: Pairs must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
+	cfg = cfg.withDefaults()
 	if cfg.ProcessMode {
 		return runMultirateProcesses(cfg)
 	}

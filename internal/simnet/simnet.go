@@ -13,6 +13,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -76,13 +77,14 @@ type Config struct {
 	// HashMatching swaps the OB1-style list matcher for the hash-based
 	// engine (O(1) exact matching).
 	HashMatching bool
-	// MatchShards, when positive, mirrors the runtime's sharded matching
-	// engine (match.Sharded): matching state is hash-partitioned by
-	// (source, tag) and each partition gets its own virtual-time lock, so
-	// exact-coordinate traffic on distinct shards stops contending. Takes
-	// precedence over HashMatching. Deterministic: the partition function is
-	// the engine's own ShardOf.
-	MatchShards int
+	// NoWildcards mirrors a communicator asserting no wildcards
+	// (core.Info.NoWildcards): matching runs on the runtime's sharded
+	// engine (match.Sharded, match.DefaultShards partitions by (source,
+	// tag)) and each partition gets its own virtual-time lock, so traffic
+	// on distinct shards stops contending. Takes precedence over
+	// HashMatching. Deterministic: the partition function is the engine's
+	// own ShardOf. AnyTagRecv is refused (Validate).
+	NoWildcards bool
 	// LockFreeCQ mirrors the lock-free MPSC completion ring (ringbuf.MPSC):
 	// senders enqueue completions with an atomic slot claim instead of the
 	// instance lock, so producers stop contending with each other and with
@@ -168,6 +170,19 @@ type Config struct {
 // faultsEnabled reports whether any fault probability is non-zero.
 func (c Config) faultsEnabled() bool {
 	return c.FaultDrop > 0 || c.FaultDup > 0 || c.FaultDelay > 0
+}
+
+// Validate reports a configuration the model refuses to run: no pairs, or
+// wildcard-tag receives on communicators asserting no wildcards — the error
+// the runtime's Irecv returns for the same receive.
+func (c Config) Validate() error {
+	if c.Pairs <= 0 {
+		return errors.New("simnet: Pairs must be positive")
+	}
+	if c.NoWildcards && c.AnyTagRecv {
+		return match.RefuseWildcard(0, match.AnyTag)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -314,9 +329,9 @@ type simComm struct {
 	id    uint32
 	lock  *sim.Lock
 	meter threadMeter
-	// sharded is set (aliasing engine) under Config.MatchShards; matching
-	// then synchronizes on shardLocks — one virtual lock per partition,
-	// wildcards take all in ascending order — instead of lock.
+	// sharded is set (aliasing engine) under Config.NoWildcards; matching
+	// then synchronizes on shardLocks — one virtual lock per partition —
+	// instead of lock.
 	sharded    *match.Sharded
 	shardLocks []*sim.Lock
 	engine     match.Matcher
@@ -473,8 +488,8 @@ func (p *simProc) addComm(id uint32, nRanks int) *simComm {
 		seq:    match.NewSeqTracker(nRanks),
 		anyTag: p.cfg.AnyTagRecv,
 	}
-	if n := p.cfg.MatchShards; n > 0 {
-		sh := match.NewSharded(id, nRanks, n, p.costs, &c.meter, p.spcs)
+	if p.cfg.NoWildcards {
+		sh := match.NewSharded(id, nRanks, match.DefaultShards, p.costs, &c.meter, p.spcs)
 		c.sharded = sh
 		c.engine = sh
 		c.shardLocks = make([]*sim.Lock, sh.NumShards())
@@ -494,30 +509,16 @@ func (p *simProc) addComm(id uint32, nRanks int) *simComm {
 	return c
 }
 
-// acquireMatch takes the virtual lock(s) covering matching at (src, tag):
-// the single communicator lock normally, or — sharded — the one partition
-// lock for exact coordinates and every partition lock (ascending, the
-// engine's own wildcard order) for wildcards. Returns the contended wait and
-// the release closure.
+// acquireMatch takes the virtual lock covering matching at (src, tag): the
+// single communicator lock normally, or — sharded — the one partition lock
+// of that channel. Returns the contended wait and the release closure.
 func (c *simComm) acquireMatch(sp *sim.Proc, src, tag int32) (time.Duration, func()) {
-	if c.sharded == nil {
-		w := c.lock.Acquire(sp)
-		return w, func() { c.lock.Release(sp) }
+	l := c.lock
+	if c.sharded != nil {
+		l = c.shardLocks[c.sharded.ShardOf(src, tag)]
 	}
-	if src != match.AnySource && tag != match.AnyTag {
-		l := c.shardLocks[c.sharded.ShardOf(src, tag)]
-		w := l.Acquire(sp)
-		return w, func() { l.Release(sp) }
-	}
-	var w time.Duration
-	for _, l := range c.shardLocks {
-		w += l.Acquire(sp)
-	}
-	return w, func() {
-		for _, l := range c.shardLocks {
-			l.Release(sp)
-		}
-	}
+	w := l.Acquire(sp)
+	return w, func() { l.Release(sp) }
 }
 
 // nextRR advances the deterministic round-robin instance counter.

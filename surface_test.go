@@ -147,8 +147,8 @@ func testSource(path, fn string) (string, bool) {
 	return "", false
 }
 
-// TestEverySurfaceHasAReader is the surface census: every core.Options field,
-// every flag of the six mains (and of the registrar two of them share), every
+// TestEverySurfaceHasAReader is the surface census: every core.Options field
+// and core.Info assertion, every flag of the six mains (and of the registrar two of them share), every
 // example and every verdict reason has a row in DESIGN's "Surface census"
 // appendix, and the reader that row names — a non-test file outside the
 // defining package, a make target, a script, a CI step, a documented
@@ -157,10 +157,11 @@ func testSource(path, fn string) (string, bool) {
 // write: it goes, or gains a real reader.
 func TestEverySurfaceHasAReader(t *testing.T) {
 	var surfaces []surface
-	opts := reflect.TypeOf(core.Options{})
-	for i := 0; i < opts.NumField(); i++ {
-		f := opts.Field(i).Name
-		surfaces = append(surfaces, surface{"core.Options." + f, "internal/core/", `\b` + f + `\b`})
+	for _, typ := range []reflect.Type{reflect.TypeOf(core.Options{}), reflect.TypeOf(core.Info{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i).Name
+			surfaces = append(surfaces, surface{"core." + typ.Name() + "." + f, "internal/core/", `\b` + f + `\b`})
+		}
 	}
 	mains, err := filepath.Glob("cmd/*")
 	if err != nil || len(mains) != 6 {
