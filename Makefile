@@ -18,11 +18,12 @@ examples:
 # The allocation ladder: every testing.AllocsPerRun pin on the message path
 # (CRI acquire/release, an eager message and a 128-message window in process,
 # an 8-byte round trip over loopback tcp, a 64 KiB rendezvous, an unexpected
-# message claimed in each matching engine, an RMA put, a tcp flush, an idle
-# tcp Poll that reads a live connection's empty socket), run without the race
-# detector, then the rows the tests logged as one table. Nothing on the path
-# is pooled, so the pins hold under -race as well and CI's -race test job
-# enforces them too; this target is the readable table.
+# message claimed in each matching engine, each one-sided operation — put,
+# get, accumulate, fetch-and-op, compare-and-swap — with its flush, a tcp
+# flush, an idle tcp Poll that reads a live connection's empty socket), run
+# without the race detector, then the rows the tests logged as one table.
+# Nothing on the path is pooled, so the pins hold under -race as well and
+# CI's -race test job enforces them too; this target is the readable table.
 allocs:
 	@out=$$($(GO) test -count=1 -v -run Alloc ./internal/cri ./internal/core ./internal/match ./internal/rma ./internal/transport/tcpnet 2>&1); rc=$$?; \
 	echo "$$out"; echo; \
@@ -36,11 +37,15 @@ race:
 	$(GO) test -race ./internal/fabric ./internal/prof ./internal/telemetry ./internal/core ./internal/progress ./internal/cri ./internal/rma ./internal/flight ./internal/obs ./internal/transport/... ./internal/conformance ./internal/bench/... ./internal/ringbuf ./internal/match
 
 # Dedicated stress pass over the lock-free structures (MPSC completion
-# ring, CRI free-list, sharded matching, the windows' per-CRI outstanding-
-# operation counters) at high parallelism; these tests only bite with the
-# race detector watching.
+# ring, CRI free-list, sharded matching, the windows' per-CRI issued and
+# completed counters) at high parallelism; these tests only bite with the
+# race detector watching. Then the windows' flush and full-queue tests once
+# more on a single P, where a putter and a flusher only alternate when one of
+# them yields: a flush that needs a quiet moment, or an initiator that waits
+# on a completion queue only it can drain, hangs there.
 race-lockfree:
 	$(GO) test -race -count=2 ./internal/ringbuf ./internal/match ./internal/cri ./internal/rma
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'Flush|Pending|QueueDepth' ./internal/rma
 
 # Cross-backend conformance: the same message-passing semantics over the
 # simulated fabric and real TCP, under the race detector — then once more on a

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -145,6 +146,7 @@ func TestConformance(t *testing.T) {
 		{"SPCRollup", conformSPCRollup},
 		{"FlightRecord", conformFlightRecord},
 		{"NoWildcards", conformNoWildcards},
+		{"IsendPastQueueDepth", conformIsendPastQueueDepth},
 	}
 	for name, mk := range backends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -543,6 +545,43 @@ func conformWaitAny(t *testing.T, h *harness) {
 			}
 			live = append(live[:idx], live[idx+1:]...)
 			origIdx = append(origIdx[:idx], origIdx[idx+1:]...)
+		}
+		return nil
+	})
+}
+
+// conformIsendPastQueueDepth: one thread posts four completion queues'
+// worth of sends before it waits on any. Nobody else polls an instance the
+// sender holds, so the backend refuses the send that finds its completion
+// queue full instead of waiting for room (transport.ErrCQFull), and the
+// sender drains its own instance and retries: every message arrives once, in
+// order, and WaitAll returns.
+func conformIsendPastQueueDepth(t *testing.T, h *harness) {
+	const n = 4 * 4096 // four times the default Options.QueueDepth
+	run2(t, h, func(rank int, th *core.Thread) error {
+		c := h.comms[rank]
+		if rank == 0 {
+			reqs := make([]*core.Request, n)
+			for i := range reqs {
+				var buf [8]byte
+				binary.LittleEndian.PutUint64(buf[:], uint64(i))
+				r, err := c.Isend(th, 1, 9, buf[:])
+				if err != nil {
+					return fmt.Errorf("isend %d: %w", i, err)
+				}
+				reqs[i] = r
+			}
+			return core.WaitAll(th, reqs...)
+		}
+		buf := make([]byte, 8)
+		for i := 0; i < n; i++ {
+			st, err := c.Recv(th, 0, 9, buf)
+			if err != nil {
+				return err
+			}
+			if got := binary.LittleEndian.Uint64(buf); st.Count != 8 || got != uint64(i) {
+				return fmt.Errorf("message %d: got %d (%d bytes)", i, got, st.Count)
+			}
 		}
 		return nil
 	})

@@ -303,6 +303,10 @@ func (c *Comm) inject(th *Thread, env transport.Envelope, pkt *transport.Packet,
 	clk := th.ts.Clock()
 	clk.Begin(prof.PhaseWire)
 	err := ep.Send(pkt)
+	for err != nil && errors.Is(err, transport.ErrCQFull) {
+		th.PollHeld(inst)
+		err = ep.Send(pkt)
+	}
 	if staged && err == nil {
 		p.lat.ObserveStage(latency.StageCRIAcquire, acqNs)
 		// Wire write is the one stage that starts and ends inside a single

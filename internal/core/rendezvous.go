@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/flight"
 	"repro/internal/match"
@@ -195,18 +196,18 @@ func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 		rs.req.finish(fmt.Errorf("%w: ACK permits %d bytes of a %d-byte send", ErrProtocol, sink, len(rs.buf)))
 		return
 	}
-	ep, err := p.controlEndpoint(rs.dstWorld)
-	if err != nil {
-		rs.req.finish(err)
-		return
-	}
 	env := pkt.Envelope()
 	finEnv := transport.Envelope{
 		Src: env.Dst, Dst: env.Src, Comm: c.id, Kind: transport.KindRendezvousData,
 	}
 	finPkt := transport.NewPacketRaw(finEnv, pkt.Payload[:8], nil)
 	p.rel.track(finPkt, rs.dstWorld, nil, nil)
-	switch err := ep.PutNotify(regionID, rs.buf[:sink], finPkt); {
+	err := p.controlSend(rs.dstWorld, func(ep transport.Endpoint) error {
+		return ep.PutNotify(regionID, rs.buf[:sink], finPkt)
+	})
+	switch {
+	case errors.Is(err, ErrPeerUnreachable):
+		rs.req.finish(err)
 	case errors.Is(err, transport.ErrRegionUnavailable):
 		// The receiver tore the sink region down (e.g. its side of the
 		// transfer failed): the data cannot land, so fail the send.
@@ -254,15 +255,30 @@ func (c *Comm) handleRendezvousFIN(pkt *transport.Packet) {
 // A missing endpoint — on a real network, an unreachable address — is a
 // typed error the caller surfaces through the request.
 func (p *Proc) sendControl(dstWorld int, pkt *transport.Packet) error {
-	ep, err := p.controlEndpoint(dstWorld)
-	if err != nil {
-		return err
-	}
-	if err := ep.Send(pkt); err != nil {
+	err := p.controlSend(dstWorld, func(ep transport.Endpoint) error { return ep.Send(pkt) })
+	if err != nil && !errors.Is(err, ErrPeerUnreachable) {
 		return fmt.Errorf("core: control send from rank %d to %d: %v: %w",
 			p.rank, dstWorld, err, ErrPeerUnreachable)
 	}
-	return nil
+	return err
+}
+
+// controlSend runs send on a round-robin instance's endpoint toward dstWorld
+// until the backend accepts it. Control traffic holds no instance lock, so a
+// full completion queue (transport.ErrCQFull) is drained by whoever
+// progresses that instance: the retry yields, then moves to the next
+// instance. A missing endpoint comes back wrapping ErrPeerUnreachable.
+func (p *Proc) controlSend(dstWorld int, send func(transport.Endpoint) error) error {
+	for {
+		ep, err := p.controlEndpoint(dstWorld)
+		if err != nil {
+			return err
+		}
+		if err = send(ep); !errors.Is(err, transport.ErrCQFull) {
+			return err
+		}
+		runtime.Gosched()
+	}
 }
 
 // controlEndpoint picks the next round-robin instance's endpoint toward

@@ -32,6 +32,10 @@ type Thread struct {
 	recvs    []recvOp
 	payloads transport.PayloadSlab
 	scratch  []match.Completion
+	// fetched is where a fetching one-sided atomic lands its result: such an
+	// operation completes before its caller returns, so one word per thread
+	// is enough (see FetchWord).
+	fetched int64
 }
 
 // opSlab is how many operations share one allocation. An entry is never
@@ -93,6 +97,23 @@ func (t *Thread) WaitUntil(done func() bool) {
 		}
 	}
 }
+
+// PollHeld is what a caller holding in's lock does when the backend refused
+// an operation with transport.ErrCQFull: poll in through the proc's dispatch,
+// reaping its completions (and delivering what arrived on it), before the
+// caller retries. Nobody else can drain a context whose instance lock the
+// caller holds, so waiting instead would wait forever. A pass that found
+// nothing yields the core.
+func (t *Thread) PollHeld(in *cri.Instance) {
+	if in.Poll(t.ts.Clock(), t.proc.dispatch, 64) == 0 {
+		runtime.Gosched()
+	}
+}
+
+// FetchWord returns the thread's landing word for a fetching one-sided
+// atomic's result (rma's FetchAndOp, CompareAndSwap). The operation must
+// complete before the thread issues another.
+func (t *Thread) FetchWord() *int64 { return &t.fetched }
 
 // Detach releases the thread's dedicated instance assignment. The instance
 // itself remains in the pool and — per the orphaned-CRI guarantee of

@@ -78,16 +78,14 @@ func (c *Context) deliverDirect(p *transport.Packet) {
 		p.ArriveNs = time.Now().UnixNano()
 	}
 	if !c.recvQ.Push(p) {
-		c.waitRing(func() bool { return c.recvQ.Push(p) })
-	}
-}
-
-// waitRing is a delivery that found its ring full: counted once on the
-// ring's device — not once per spin — it yields until push succeeds.
-func (c *Context) waitRing(push func() bool) {
-	c.dev.counters.Inc(spc.RingFullWaits)
-	for !push() {
-		runtime.Gosched()
+		// A delivery that found the receive ring full: counted once on the
+		// ring's device — not once per spin — it yields until there is room.
+		// The receiver's own progress drains the ring, so the sender may
+		// wait here.
+		c.dev.counters.Inc(spc.RingFullWaits)
+		for !c.recvQ.Push(p) {
+			runtime.Gosched()
+		}
 	}
 }
 
@@ -122,11 +120,21 @@ func (c *Context) releaseDue() {
 	}
 }
 
-// completeLocal enqueues a local completion, blocking on a full CQ.
-func (c *Context) completeLocal(e transport.CQE) {
-	if !c.cq.Push(e) {
-		c.waitRing(func() bool { return c.cq.Push(e) })
+// claim posts an operation's local completion before the operation does
+// anything, in one push attempt. A full CQ refuses the operation with
+// transport.ErrCQFull (counted as a ring-full wait on the device): only a
+// Poll of this context drains it, and the caller may hold the one lock that
+// lets a thread poll it, so waiting here could wait forever. Posting first is
+// what makes the refusal clean — nothing was injected, so a retry cannot
+// inject twice — and nobody reaps the completion early: the matched paths
+// hold the instance lock every Poll of this context takes, and control
+// traffic's completions carry no token.
+func (c *Context) claim(e transport.CQE) error {
+	if c.cq.Push(e) {
+		return nil
 	}
+	c.dev.counters.Inc(spc.RingFullWaits)
+	return transport.ErrCQFull
 }
 
 // Poll extracts up to max completion events, invoking handler for each, and
@@ -234,15 +242,11 @@ func (e *Endpoint) resolve() (*Context, error) {
 	return rc, nil
 }
 
-// inject puts p on the wire: charges the injection CPU cost, reserves wire
-// time (header + payload) on the local device's rate limiter and delivers to
-// the remote context's receive queue, through the fault injector if the
-// device has one.
-func (e *Endpoint) inject(p *transport.Packet) error {
-	rc, err := e.resolve()
-	if err != nil {
-		return err
-	}
+// inject puts p on the wire toward rc: charges the injection CPU cost,
+// reserves wire time (header + payload) on the local device's rate limiter
+// and delivers to the remote context's receive queue, through the fault
+// injector if the device has one.
+func (e *Endpoint) inject(rc *Context, p *transport.Packet) {
 	d := e.local.dev
 	hw.Spin(d.costs.SendInject)
 	d.limiter.reserve(headerSize(p) + len(p.Payload))
@@ -251,16 +255,19 @@ func (e *Endpoint) inject(p *transport.Packet) error {
 	} else {
 		rc.deliver(p)
 	}
-	return nil
 }
 
 // Send injects a two-sided packet and posts a send-completion CQE to the
-// local context.
+// local context; a full CQ refuses it with transport.ErrCQFull (see claim).
 func (e *Endpoint) Send(p *transport.Packet) error {
-	if err := e.inject(p); err != nil {
+	rc, err := e.resolve()
+	if err != nil {
 		return err
 	}
-	e.local.completeLocal(transport.CQE{Kind: transport.CQESendComplete, Packet: p})
+	if err := e.local.claim(transport.CQE{Kind: transport.CQESendComplete, Packet: p}); err != nil {
+		return err
+	}
+	e.inject(rc, p)
 	return nil
 }
 
@@ -268,7 +275,14 @@ func (e *Endpoint) Send(p *transport.Packet) error {
 // the retransmission path of the delivery-reliability layer, which already
 // holds local completion state for the packet. The retransmitted copy faces
 // the wire faults again.
-func (e *Endpoint) Resend(p *transport.Packet) error { return e.inject(p) }
+func (e *Endpoint) Resend(p *transport.Packet) error {
+	rc, err := e.resolve()
+	if err != nil {
+		return err
+	}
+	e.inject(rc, p)
+	return nil
+}
 
 // headerSize is the per-packet wire-header footprint the rate limiter
 // charges: the canonical envelope, plus the trace-context extension when
@@ -283,21 +297,30 @@ func headerSize(p *transport.Packet) int {
 
 // PutNotify writes src into the remote device's registered region — an RDMA
 // write addressed by region id, routed through the endpoint so callers need
-// no handle on the peer's device, completing with a local PutComplete CQE —
-// and then sends p. An empty src moves nothing and p goes alone.
+// no handle on the peer's device — and then sends p, whose send completion
+// is the call's one CQE. An empty src moves nothing and p goes alone.
 func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) error {
+	rc, err := e.resolve()
+	if err != nil {
+		return err
+	}
+	var r *MemRegion
 	if len(src) > 0 {
-		rc, err := e.resolve()
-		if err != nil {
-			return err
-		}
-		r, ok := rc.dev.Region(regionID)
+		reg, ok := rc.dev.Region(regionID)
 		if !ok {
 			return transport.ErrRegionUnavailable
 		}
-		if err := e.local.Put(r, 0, src, nil); err != nil {
+		r = reg.(*MemRegion)
+		if err := checkBounds("put", r, 0, len(src)); err != nil {
 			return err
 		}
 	}
-	return e.Send(p)
+	if err := e.local.claim(transport.CQE{Kind: transport.CQESendComplete, Packet: p}); err != nil {
+		return err
+	}
+	if r != nil {
+		e.local.write(r, 0, src)
+	}
+	e.inject(rc, p)
+	return nil
 }

@@ -112,11 +112,19 @@ func (c *Context) Put(reg transport.MemRegion, offset int, src []byte, token any
 	if err := checkBounds("put", r, offset, len(src)); err != nil {
 		return err
 	}
+	if err := c.claim(transport.CQE{Kind: transport.CQEPutComplete, Token: token}); err != nil {
+		return err
+	}
+	c.write(r, offset, src)
+	return nil
+}
+
+// write is a put's data movement: initiator-side CPU cost, wire reservation
+// for the payload and the direct memory write.
+func (c *Context) write(r *MemRegion, offset int, src []byte) {
 	hw.Spin(c.dev.costs.RMAPut)
 	c.dev.limiter.reserve(transport.EnvelopeSize + len(src))
 	copy(r.buf[offset:], src)
-	c.completeLocal(transport.CQE{Kind: transport.CQEPutComplete, Token: token})
-	return nil
 }
 
 // Get reads len(dst) bytes from the remote region at offset into dst and
@@ -129,10 +137,12 @@ func (c *Context) Get(reg transport.MemRegion, offset int, dst []byte, token any
 	if err := checkBounds("get", r, offset, len(dst)); err != nil {
 		return err
 	}
+	if err := c.claim(transport.CQE{Kind: transport.CQEGetComplete, Token: token}); err != nil {
+		return err
+	}
 	hw.Spin(c.dev.costs.RMAGet)
 	c.dev.limiter.reserve(transport.EnvelopeSize + len(dst))
 	copy(dst, r.buf[offset:offset+len(dst)])
-	c.completeLocal(transport.CQE{Kind: transport.CQEGetComplete, Token: token})
 	return nil
 }
 
@@ -168,6 +178,9 @@ func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int6
 	if offset%8 != 0 {
 		return &BoundsError{Op: "accumulate (alignment)", Offset: offset, Len: n, Size: len(r.buf)}
 	}
+	if err := c.claim(transport.CQE{Kind: transport.CQEAccComplete, Token: token}); err != nil {
+		return err
+	}
 	hw.Spin(c.dev.costs.RMAPut)
 	c.dev.limiter.reserve(transport.EnvelopeSize + n)
 	r.atomMu.Lock()
@@ -176,13 +189,12 @@ func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int6
 		binary.LittleEndian.PutUint64(p, uint64(apply(op, int64(binary.LittleEndian.Uint64(p)), v)))
 	}
 	r.atomMu.Unlock()
-	c.completeLocal(transport.CQE{Kind: transport.CQEAccComplete, Token: token})
 	return nil
 }
 
 // FetchAndOp atomically applies op to the int64 at offset and writes the
-// previous value into *result before posting an AccComplete CQE — the
-// MPI_Fetch_and_op primitive RDMA NICs provide natively.
+// previous value into *result, which is valid once its AccComplete CQE is
+// reaped — the MPI_Fetch_and_op primitive RDMA NICs provide natively.
 func (c *Context) FetchAndOp(reg transport.MemRegion, offset int, operand int64, op transport.AccumulateOp, result *int64, token any) error {
 	return c.atomic64("fetch_and_op", reg, offset, 8, result, token, func(old int64) int64 {
 		return apply(op, old, operand)
@@ -216,6 +228,9 @@ func (c *Context) atomic64(name string, reg transport.MemRegion, offset, wire in
 	if offset%8 != 0 {
 		return &BoundsError{Op: name + " (alignment)", Offset: offset, Len: 8, Size: len(r.buf)}
 	}
+	if err := c.claim(transport.CQE{Kind: transport.CQEAccComplete, Token: token}); err != nil {
+		return err
+	}
 	hw.Spin(c.dev.costs.RMAPut)
 	c.dev.limiter.reserve(transport.EnvelopeSize + wire)
 	r.atomMu.Lock()
@@ -226,6 +241,5 @@ func (c *Context) atomic64(name string, reg transport.MemRegion, offset, wire in
 	if result != nil {
 		*result = old
 	}
-	c.completeLocal(transport.CQE{Kind: transport.CQEAccComplete, Token: token})
 	return nil
 }

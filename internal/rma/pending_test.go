@@ -13,15 +13,17 @@ import (
 )
 
 // TestPendingNeverNegative: with more threads than instances every
-// completion can be reaped by a thread other than its issuer, so an
-// operation counted only after the instance lock is released can be taken
-// off the count before it was put on — the count reads −1, hides another
-// thread's outstanding operation, and that thread's Flush may return early.
-// Four threads share two instances round-robin; a watcher samples the count
-// throughout, and every thread checks its own bytes after its own flush.
-// The window is a few instructions wide: counting after release fails this
-// test every time under the race detector (make race-lockfree) and in a few
-// percent of plain runs.
+// completion can be reaped by a thread other than its issuer. Were an
+// operation counted in its instance's issued word only after the instance
+// lock is released, its completion could be added to the completed word
+// first — the instance's term of the sum reads −1, hides another thread's
+// outstanding operation, and a flush snapshot of the issued word could miss
+// an operation already in flight. Four threads share two instances
+// round-robin; a watcher samples the count throughout, and every thread
+// checks its own bytes after its own flush. The window is a few
+// instructions wide: counting after release fails this test every time
+// under the race detector (make race-lockfree) and in a few percent of
+// plain runs.
 func TestPendingNeverNegative(t *testing.T) {
 	const (
 		threads = 4
@@ -147,21 +149,23 @@ func TestOpCountersAttributedToCRI(t *testing.T) {
 	}
 }
 
-// TestCounterLayout: no two instances' rows of outstanding-operation
-// counters share a cache line, and the epoch words share one with neither —
-// the property the put path's scaling rests on, whatever the group size and
-// wherever the allocator puts the slab.
+// TestCounterLayout: each instance's issued and completed words share one
+// row, no two instances' rows share a cache line, and the epoch words share
+// one with neither — the property the put path's scaling rests on, whatever
+// the group size and wherever the allocator puts the slab.
 func TestCounterLayout(t *testing.T) {
-	disjoint := func(t *testing.T, rows [][]atomic.Int64) {
+	disjoint := func(t *testing.T, rows [][][]counter) {
 		t.Helper()
 		owner := map[uintptr]int{} // 64-byte line → the row that has a counter on it
 		for i, row := range rows {
-			for c := range row {
-				line := uintptr(unsafe.Pointer(&row[c])) / 64
-				if j, taken := owner[line]; taken && j != i {
-					t.Fatalf("rows %d and %d share cache line %#x", j, i, line*64)
+			for _, words := range row {
+				for c := range words {
+					line := uintptr(unsafe.Pointer(&words[c])) / 64
+					if j, taken := owner[line]; taken && j != i {
+						t.Fatalf("rows %d and %d share cache line %#x", j, i, line*64)
+					}
+					owner[line] = i
 				}
-				owner[line] = i
 			}
 		}
 	}
@@ -171,16 +175,26 @@ func TestCounterLayout(t *testing.T) {
 			if len(rows) != k || len(rows[0]) != n {
 				t.Fatalf("newRows(%d, %d): %d rows of %d", k, n, len(rows), len(rows[0]))
 			}
-			disjoint(t, rows)
+			var each [][][]counter
+			for _, row := range rows {
+				each = append(each, [][]counter{row})
+			}
+			disjoint(t, each)
 		}
 	}
-	// The window itself: a row per instance, then the epoch words.
+	// The window itself: per instance, its issued and completed words for
+	// every target in one row; then the epoch words.
 	_, wins := newWins(t, 3, core.CRIsConcurrent(2, cri.Dedicated), 8)
 	win := wins[0]
-	if len(win.pending) != 2 || len(win.pending[0]) != 3 || len(win.locked) != 3 {
-		t.Fatalf("window of 3 ranks over 2 instances: %d rows of %d, %d epoch words", len(win.pending), len(win.pending[0]), len(win.locked))
+	if len(win.issued) != 2 || len(win.completed) != 2 || len(win.issued[0]) != 3 || len(win.completed[1]) != 3 || len(win.locked) != 3 {
+		t.Fatalf("window of 3 ranks over 2 instances: %d issued and %d completed rows of %d and %d, %d epoch words",
+			len(win.issued), len(win.completed), len(win.issued[0]), len(win.completed[1]), len(win.locked))
 	}
-	disjoint(t, append(append([][]atomic.Int64{}, win.pending...), win.locked))
+	disjoint(t, [][][]counter{
+		{win.issued[0], win.completed[0]},
+		{win.issued[1], win.completed[1]},
+		{win.locked},
+	})
 }
 
 // TestFlushAllAcrossInstances: operations outstanding on two targets, carried
@@ -201,8 +215,11 @@ func TestFlushAllAcrossInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a, b := win.pending[0][1].Load(), win.pending[1][2].Load(); a != puts || b != puts {
-		t.Fatalf("outstanding: instance 0 → target 1 = %d, instance 1 → target 2 = %d, want %d each", a, b, puts)
+	if a, b := win.issued[0][1].Load(), win.issued[1][2].Load(); a != puts || b != puts {
+		t.Fatalf("issued: instance 0 → target 1 = %d, instance 1 → target 2 = %d, want %d each", a, b, puts)
+	}
+	if a, b := win.completed[0][1].Load(), win.completed[1][2].Load(); a != 0 || b != 0 {
+		t.Fatalf("completed before any progress: %d and %d, want 0", a, b)
 	}
 	if win.Pending(1) != puts || win.Pending(2) != puts || win.Pending(0) != 0 {
 		t.Fatalf("Pending = %d, %d, %d for targets 0, 1, 2", win.Pending(0), win.Pending(1), win.Pending(2))
@@ -214,6 +231,9 @@ func TestFlushAllAcrossInstances(t *testing.T) {
 		if n := win.Pending(target); n != 0 {
 			t.Fatalf("Pending(%d) = %d after FlushAll", target, n)
 		}
+	}
+	if a, b := win.completed[0][1].Load(), win.completed[1][2].Load(); a != puts || b != puts {
+		t.Fatalf("completed after FlushAll: %d and %d, want %d each", a, b, puts)
 	}
 	if got := string(wins[1].Local()[:8]); got != "to rank1" {
 		t.Fatalf("rank 1 window = %q", got)

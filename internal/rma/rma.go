@@ -33,16 +33,22 @@ type Win struct {
 	local []byte
 	// regions[commRank] is the target's registered region.
 	regions []transport.MemRegion
-	// pending[cri][commRank] counts the operations instance cri carried to
-	// that target and has not yet completed. An operation's completion is
-	// posted to the context that issued it, so a row is written only under
-	// its own instance's lock; the flushes of other threads only read it.
-	pending [][]atomic.Int64
+	// issued[cri][commRank] and completed[cri][commRank] count the
+	// operations instance cri carried to that target, and those of them that
+	// have completed. Both only grow, and both are written only under the
+	// instance's lock: an operation is counted once the context accepted it,
+	// and its completion is posted to that same context, whose every Poll
+	// takes the lock. So completed never passes issued, and — the context's
+	// queue being FIFO — it reaches a value n only once the first n
+	// operations counted have all completed. The two words of an instance
+	// share its own cache-line row (see newRows); other threads' flushes
+	// only read them.
+	issued, completed [][]counter
 	// locked[commRank] is nonzero while an access epoch (passive lock,
 	// PSCW start, or fence) is open to that target. Read on every operation
 	// and written only at epoch boundaries, so it keeps to lines no
-	// per-operation word lives on (see newRows).
-	locked []atomic.Int64
+	// per-operation word lives on.
+	locked []counter
 
 	// Active-target epoch state (single-threaded by MPI semantics — the
 	// funneling constraint the paper highlights).
@@ -51,15 +57,14 @@ type Win struct {
 	access    []int // ranks started to (access epoch)
 }
 
-// opToken completes one outstanding one-sided operation when its CQE is
-// extracted by the progress engine: n is the counter the operation was
-// charged to at issue, in the row of the instance that carried it.
-type opToken struct {
-	n *atomic.Int64
-}
+// counter is one atomic count word. A completed count is also the
+// completion token of every operation charged to it: the transport hands it
+// back in the operation's CQE, and Complete adds the one. No operation
+// carries an object of its own.
+type counter struct{ atomic.Int64 }
 
 // Complete implements core.Completer.
-func (t *opToken) Complete(transport.CQE) { t.n.Add(-1) }
+func (c *counter) Complete(transport.CQE) { c.Add(1) }
 
 // cacheLineWords is a 64-byte cache line in 8-byte counters.
 const cacheLineWords = 8
@@ -69,10 +74,10 @@ const cacheLineWords = 8
 // line with a row wherever the allocator puts it: a row is rounded up to
 // whole lines and a line of slack follows it (and leads the first). The cost
 // is rows × a few lines, not a line per counter.
-func newRows(rows, n int) [][]atomic.Int64 {
+func newRows(rows, n int) [][]counter {
 	stride := (n+cacheLineWords-1)/cacheLineWords*cacheLineWords + cacheLineWords
-	slab := make([]atomic.Int64, cacheLineWords+rows*stride)
-	out := make([][]atomic.Int64, rows)
+	slab := make([]counter, cacheLineWords+rows*stride)
+	out := make([][]counter, rows)
 	for i := range out {
 		out[i] = slab[cacheLineWords+i*stride:][:n:n]
 	}
@@ -101,15 +106,21 @@ func New(comms []*core.Comm, sizes []int) ([]*Win, error) {
 		}
 		local := make([]byte, sizes[r])
 		regions[r] = c.Proc().RegisterMemory(local)
-		// One row per instance, then the epoch words in a row of their own.
+		// One row per instance holding its issued then its completed words,
+		// then the epoch words in a row of their own.
 		k := c.Proc().Pool().Len()
-		rows := newRows(k+1, n)
-		wins[r] = &Win{
-			comm:    c,
-			local:   local,
-			pending: rows[:k],
-			locked:  rows[k],
+		rows := newRows(k+1, 2*n)
+		win := &Win{
+			comm:      c,
+			local:     local,
+			issued:    make([][]counter, k),
+			completed: make([][]counter, k),
+			locked:    rows[k][:n:n],
 		}
+		for i, row := range rows[:k] {
+			win.issued[i], win.completed[i] = row[:n:n], row[n:]
+		}
+		wins[r] = win
 	}
 	for _, w := range wins {
 		w.regions = regions
@@ -203,14 +214,18 @@ func (w *Win) inEpoch(target int) error {
 
 // issue runs one one-sided operation through the thread's instance under
 // the instance lock — the contention point the figures sweep. Every word it
-// writes belongs to that instance: the operation is counted in the
-// instance's row of pending and charged as c on the instance's counter set,
-// both under its lock. The count is taken before the context sees the
-// operation (a completion reaped early by a stealing thread then finds it
-// there) and taken back on error, so a counter never reads below zero. It
-// returns the index of the instance that carried the operation so callers
-// can attribute trace events to it.
-func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx transport.Context, r transport.MemRegion, tok *opToken) error) (int, error) {
+// writes belongs to that instance: the operation's completion token is the
+// instance's completed word for target, and once the context has accepted
+// the operation it is counted in the instance's issued word and charged as
+// c on the instance's counter set, all under the lock. No thread can reap
+// the completion before the lock is released, so counting after acceptance
+// is not late, and an operation the context refused is never counted at
+// all. A context whose completion queue is full refuses with
+// transport.ErrCQFull; only a Poll of that context drains it, and the lock
+// this thread holds is the one a Poll takes, so the thread polls the
+// instance itself and retries. It returns the index of the instance that
+// carried the operation so callers can attribute trace events to it.
+func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx transport.Context, r transport.MemRegion, done *counter) error) (int, error) {
 	if err := w.checkTarget(target); err != nil {
 		return -1, err
 	}
@@ -218,30 +233,32 @@ func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx trans
 		return -1, fmt.Errorf("%w (target %d)", err, target)
 	}
 	p := w.comm.Proc()
-	tok := &opToken{} // allocated outside the instance lock, filled in under it
 	clk := th.State().Clock()
 	clk.Begin(prof.PhaseSend)
 	inst, release := p.Pool().AcquireSend(th.State())
-	tok.n = &w.pending[inst.Index()][target]
-	tok.n.Add(1)
+	i := inst.Index()
+	ctx, r, done := inst.Context(), w.regions[target], &w.completed[i][target]
 	clk.Begin(prof.PhaseWire)
-	err := f(inst.Context(), w.regions[target], tok)
+	err := f(ctx, r, done)
+	for err != nil && errors.Is(err, transport.ErrCQFull) {
+		th.PollHeld(inst)
+		err = f(ctx, r, done)
+	}
 	clk.End()
-	if err != nil {
-		tok.n.Add(-1)
-	} else {
+	if err == nil {
+		w.issued[i][target].Add(1)
 		inst.SPCs().Inc(c)
 	}
 	release()
 	clk.End()
-	return inst.Index(), err
+	return i, err
 }
 
 // Put writes src into target's window at offset (MPI_Put). Completion is
 // local-only; use Flush to guarantee remote completion.
 func (w *Win) Put(th *core.Thread, target, offset int, src []byte) error {
-	cri, err := w.issue(th, target, spc.PutsIssued, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
-		return ctx.Put(r, offset, src, tok)
+	cri, err := w.issue(th, target, spc.PutsIssued, func(ctx transport.Context, r transport.MemRegion, done *counter) error {
+		return ctx.Put(r, offset, src, done)
 	})
 	if err == nil {
 		ring := th.State().Flight()
@@ -253,8 +270,8 @@ func (w *Win) Put(th *core.Thread, target, offset int, src []byte) error {
 // Get reads len(dst) bytes from target's window at offset (MPI_Get).
 // dst is valid only after a Flush.
 func (w *Win) Get(th *core.Thread, target, offset int, dst []byte) error {
-	_, err := w.issue(th, target, spc.GetsIssued, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
-		return ctx.Get(r, offset, dst, tok)
+	_, err := w.issue(th, target, spc.GetsIssued, func(ctx transport.Context, r transport.MemRegion, done *counter) error {
+		return ctx.Get(r, offset, dst, done)
 	})
 	return err
 }
@@ -262,48 +279,67 @@ func (w *Win) Get(th *core.Thread, target, offset int, dst []byte) error {
 // Accumulate applies op element-wise over int64 lanes at offset in target's
 // window (MPI_Accumulate), atomically with respect to other accumulates.
 func (w *Win) Accumulate(th *core.Thread, target, offset int, operand []int64, op transport.AccumulateOp) error {
-	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
-		return ctx.Accumulate(r, offset, operand, op, tok)
+	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, done *counter) error {
+		return ctx.Accumulate(r, offset, operand, op, done)
 	})
 	return err
 }
 
-// Flush blocks until every outstanding operation this process issued to
-// target has completed (MPI_Win_flush). Any thread's flush drives the
+// Flush blocks until every operation this process issued to target before
+// the call has completed (MPI_Win_flush). Any thread's flush drives the
 // progress engine, reaping completions for all threads.
 func (w *Win) Flush(th *core.Thread, target int) error {
 	if err := w.checkTarget(target); err != nil {
 		return err
 	}
 	w.comm.SPCs().Inc(spc.FlushCalls)
-	th.WaitUntil(func() bool { return w.Pending(target) == 0 })
+	w.await(th, target, target+1)
 	th.State().Flight().Record(flight.KindFlush, w.comm.ID(), int32(target), 0)
 	return nil
 }
 
-// FlushAll completes outstanding operations to every target
+// FlushAll completes the operations issued to every target before the call
 // (MPI_Win_flush_all).
 func (w *Win) FlushAll(th *core.Thread) error {
 	w.comm.SPCs().Inc(spc.FlushCalls)
+	w.await(th, 0, len(w.regions))
+	return nil
+}
+
+// await drives th's progress loop until, for every instance row and every
+// target in [lo, hi), the completed word has caught up with the issued word
+// as it read when the wait reached that pair: each pair is read once, on
+// arrival, and then only its completed word is polled. What was issued
+// before the call is covered, and a thread that keeps issuing cannot hold
+// the wait back — it never needs a moment when nothing is outstanding. The
+// snapshot lives in the closure, so any pool size costs nothing.
+func (w *Win) await(th *core.Thread, lo, hi int) {
+	row, t, want := 0, lo, int64(-1)
 	th.WaitUntil(func() bool {
-		for t := range w.regions {
-			if w.Pending(t) > 0 {
+		for row < len(w.issued) {
+			if want < 0 {
+				want = w.issued[row][t].Load()
+			}
+			if w.completed[row][t].Load() < want {
 				return false
+			}
+			if want, t = -1, t+1; t == hi {
+				row, t = row+1, lo
 			}
 		}
 		return true
 	})
-	return nil
 }
 
 // Pending returns the number of outstanding operations to target, summed
-// over the instances that carried them. No counter is ever negative, so a
-// zero sum means every operation counted before the call has completed —
-// the property Flush waits on.
+// over the instances that carried them. Each instance's completed word is
+// read before its issued word, and completed never passes issued, so no
+// term is negative.
 func (w *Win) Pending(target int) int64 {
 	var n int64
-	for _, row := range w.pending {
-		n += row[target].Load()
+	for i := range w.issued {
+		done := w.completed[i][target].Load()
+		n += w.issued[i][target].Load() - done
 	}
 	return n
 }

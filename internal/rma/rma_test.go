@@ -331,31 +331,81 @@ func TestFreeDeregisters(t *testing.T) {
 	}
 }
 
-// TestPutAllocations: a put costs its completion token and nothing else — the
-// CRI release function is prebuilt, and the flush that reaps the completion
-// allocates nothing. (The token stays: see ROADMAP item 1(e).) The options are
-// the benchmark's inproc_rma_put_8B_mt ones.
+// TestPutAllocations: a put costs nothing on the heap — its completion token
+// is its instance's completed word, the CRI release function is prebuilt, and
+// the flush that reaps the completion allocates nothing. The options are the
+// benchmark's inproc_rma_put_8B_mt ones.
 func TestPutAllocations(t *testing.T) {
-	const pinned = 1
 	w, wins := newWinPair(t, core.CRIsConcurrent(2, cri.Dedicated), 64)
 	th := w.Proc(0).NewThread()
 	wins[0].LockAll()
 	src := []byte("12345678")
-	got := testing.AllocsPerRun(200, func() {
+	pinAllocs(t, "rma.Put + Flush (sim, dedicated CRIs)", func() error {
 		if err := wins[0].Put(th, 1, 8, src); err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if err := wins[0].Flush(th, 1); err != nil {
+		return wins[0].Flush(th, 1)
+	})
+	if err := wins[0].UnlockAll(th); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneSidedAllocations: the other one-sided operations are as free as a
+// put — Get and Accumulate are each followed by a Flush, and the fetching
+// atomics flush themselves and land their result in the thread's own word.
+func TestOneSidedAllocations(t *testing.T) {
+	w, wins := newWinPair(t, core.CRIsConcurrent(2, cri.Dedicated), 64)
+	th := w.Proc(0).NewThread()
+	win := wins[0]
+	win.LockAll()
+	dst := make([]byte, 8)
+	operand := []int64{1}
+	for _, row := range []struct {
+		name string
+		op   func() error
+	}{
+		{"rma.Get + Flush", func() error {
+			if err := win.Get(th, 1, 8, dst); err != nil {
+				return err
+			}
+			return win.Flush(th, 1)
+		}},
+		{"rma.Accumulate + Flush", func() error {
+			if err := win.Accumulate(th, 1, 16, operand, transport.AccSum); err != nil {
+				return err
+			}
+			return win.Flush(th, 1)
+		}},
+		{"rma.FetchAndOp", func() error {
+			_, err := win.FetchAndOp(th, 1, 24, 1, transport.AccSum)
+			return err
+		}},
+		{"rma.CompareAndSwap", func() error {
+			_, err := win.CompareAndSwap(th, 1, 32, 0, 1)
+			return err
+		}},
+	} {
+		pinAllocs(t, row.name+" (sim, dedicated CRIs)", row.op)
+	}
+	if err := win.UnlockAll(th); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pinAllocs pins op at zero heap allocations per run and logs the row
+// `make allocs` collects into its table.
+func pinAllocs(t *testing.T, name string, op func() error) {
+	t.Helper()
+	const pinned = 0
+	got := testing.AllocsPerRun(200, func() {
+		if err := op(); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// The row `make allocs` collects into its table.
-	t.Logf("allocs-pin | %-46s | %5.2f | %5.2f", "rma.Put + Flush (sim, dedicated CRIs)", got, float64(pinned))
+	t.Logf("allocs-pin | %-46s | %5.2f | %5.2f", name, got, float64(pinned))
 	if got > pinned {
-		t.Fatalf("Put + Flush allocates %v times, pinned at %d", got, pinned)
-	}
-	if err := wins[0].UnlockAll(th); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s allocates %v times per run, pinned at %d", name, got, pinned)
 	}
 }
 

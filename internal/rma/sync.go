@@ -117,9 +117,9 @@ func (w *Win) WaitEpoch(th *core.Thread) error {
 // remotely (MPI_Fetch_and_op; completes before returning, like a
 // flush-bounded operation).
 func (w *Win) FetchAndOp(th *core.Thread, target, offset int, operand int64, op transport.AccumulateOp) (int64, error) {
-	var result int64
-	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
-		return ctx.FetchAndOp(r, offset, operand, op, &result, tok)
+	result := th.FetchWord()
+	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, done *counter) error {
+		return ctx.FetchAndOp(r, offset, operand, op, result, done)
 	})
 	if err != nil {
 		return 0, err
@@ -127,15 +127,15 @@ func (w *Win) FetchAndOp(th *core.Thread, target, offset int, operand int64, op 
 	if err := w.Flush(th, target); err != nil {
 		return 0, err
 	}
-	return result, nil
+	return *result, nil
 }
 
 // CompareAndSwap atomically swaps the int64 at offset in target's window if
 // it equals compare, returning the previous value (MPI_Compare_and_swap).
 func (w *Win) CompareAndSwap(th *core.Thread, target, offset int, compare, swap int64) (int64, error) {
-	var result int64
-	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, tok *opToken) error {
-		return ctx.CompareAndSwap(r, offset, compare, swap, &result, tok)
+	result := th.FetchWord()
+	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, done *counter) error {
+		return ctx.CompareAndSwap(r, offset, compare, swap, result, done)
 	})
 	if err != nil {
 		return 0, err
@@ -143,7 +143,7 @@ func (w *Win) CompareAndSwap(th *core.Thread, target, offset int, compare, swap 
 	if err := w.Flush(th, target); err != nil {
 		return 0, err
 	}
-	return result, nil
+	return *result, nil
 }
 
 // String describes the window.

@@ -1666,11 +1666,18 @@ func (c *Context) push(p *transport.Packet) {
 	}
 }
 
-func (c *Context) complete(e transport.CQE) {
-	for !c.cq.Push(e) {
-		c.ctr.Inc(spc.RingFullWaits)
-		time.Sleep(10 * time.Microsecond)
+// claim posts an operation's local completion before the operation does
+// anything, in one push attempt; a full ring refuses it with
+// transport.ErrCQFull (one ring-full wait). Only a Poll of this context
+// drains the ring, and the caller may hold the instance lock every Poll of it
+// takes, so it must not wait here. Posting first keeps the refusal clean —
+// nothing was enqueued, so a retry cannot send twice.
+func (c *Context) claim(e transport.CQE) error {
+	if c.cq.Push(e) {
+		return nil
 	}
+	c.ctr.Inc(spc.RingFullWaits)
+	return transport.ErrCQFull
 }
 
 // TCP is two-sided only.
@@ -1721,29 +1728,45 @@ type Endpoint struct {
 // have already completed, so the error is returned by the next Send toward
 // the peer (whose packet is not injected) and counted in wire_flush_failures
 // and wire_frames_stranded. Packets whose frame would exceed maxFrame
-// (64 MiB) are refused.
+// (64 MiB) are refused, and so is a send that finds the completion ring
+// full (transport.ErrCQFull): the completion is claimed once the path is
+// ready and before the packet is enqueued.
 func (e *Endpoint) Send(p *transport.Packet) error {
-	if err := e.inject(p); err != nil {
+	if err := e.ready(p); err != nil {
 		return err
 	}
-	e.local.complete(transport.CQE{Kind: transport.CQESendComplete, Packet: p})
+	if err := e.local.claim(transport.CQE{Kind: transport.CQESendComplete, Packet: p}); err != nil {
+		return err
+	}
+	e.inject(p)
 	return nil
 }
 
 // Resend re-injects without a new completion. Unreachable in practice: the
 // runtime disables the retransmit layer on lossless backends.
-func (e *Endpoint) Resend(p *transport.Packet) error { return e.inject(p) }
-
-func (e *Endpoint) inject(p *transport.Packet) error {
-	if e.loop != nil {
-		e.loop.push(p)
-		return nil
-	}
-	if err := e.path(transport.MuxHeaderSize + p.WireSize()); err != nil {
+func (e *Endpoint) Resend(p *transport.Packet) error {
+	if err := e.ready(p); err != nil {
 		return err
 	}
-	e.dev.net.enqueue(e.peer, p, e.mux)
+	e.inject(p)
 	return nil
+}
+
+// ready readies the path for p; a same-rank endpoint needs none.
+func (e *Endpoint) ready(p *transport.Packet) error {
+	if e.loop != nil {
+		return nil
+	}
+	return e.path(transport.MuxHeaderSize + p.WireSize())
+}
+
+// inject hands p to a ready path.
+func (e *Endpoint) inject(p *transport.Packet) {
+	if e.loop != nil {
+		e.loop.push(p)
+		return
+	}
+	e.dev.net.enqueue(e.peer, p, e.mux)
 }
 
 // path readies the way to the peer for a frame of size bytes: a frame above
@@ -1776,31 +1799,35 @@ func (e *Endpoint) path(size int) error {
 // calling thread, and the peer's reader fills its region before it delivers p
 // (rxConn.land). A write that fails, re-established link included, fails the
 // call, and the peer never sees the transfer. The frame, body counted, is held
-// to maxFrame and its head to maxLandedHead before a byte is written. A
+// to maxFrame and its head to maxLandedHead before a byte is written, and
+// p's completion is claimed after those checks and before the write. A
 // same-rank endpoint copies into the local region at once.
 func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) error {
+	done := transport.CQE{Kind: transport.CQESendComplete, Packet: p}
 	if e.loop != nil {
 		dst, ok := e.local.net.region(regionID)
 		if !ok || len(src) > len(dst) {
 			return fmt.Errorf("tcpnet: %d bytes for local region %d: %w", len(src), regionID, transport.ErrRegionUnavailable)
 		}
+		if err := e.local.claim(done); err != nil {
+			return err
+		}
 		copy(dst, src)
 		e.loop.push(p)
-	} else {
-		size := p.LandedFrameSize(len(src))
-		if 4+size-len(src) > maxLandedHead {
-			return fmt.Errorf("tcpnet: packet of %d wire bytes is too large to head a landed frame", p.WireSize())
-		}
-		if err := e.path(size); err != nil {
-			return err
-		}
-		var head [maxLandedHead]byte
-		if err := e.dev.net.flush(e.peer, false, p.AppendLandedFrame(head[:0], e.mux, regionID, len(src)), src); err != nil {
-			return err
-		}
+		return nil
 	}
-	e.local.complete(transport.CQE{Kind: transport.CQESendComplete, Packet: p})
-	return nil
+	size := p.LandedFrameSize(len(src))
+	if 4+size-len(src) > maxLandedHead {
+		return fmt.Errorf("tcpnet: packet of %d wire bytes is too large to head a landed frame", p.WireSize())
+	}
+	if err := e.path(size); err != nil {
+		return err
+	}
+	if err := e.local.claim(done); err != nil {
+		return err
+	}
+	var head [maxLandedHead]byte
+	return e.dev.net.flush(e.peer, false, p.AppendLandedFrame(head[:0], e.mux, regionID, len(src)), src)
 }
 
 // MemRegion is a locally registered buffer (rendezvous sink bookkeeping).

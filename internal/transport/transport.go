@@ -28,6 +28,15 @@ var ErrNoEndpoint = errors.New("transport: no endpoint to peer")
 // that triggered establishment was not injected.
 var ErrConnEstablish = errors.New("transport: connection establishment failed")
 
+// ErrCQFull reports an operation refused because the local context's
+// completion queue had no room for its completion (libfabric's FI_EAGAIN):
+// nothing was injected and no completion was posted. Only a Poll of that
+// context makes room, and the layers above poll a context only under its
+// instance's lock, so a caller holding that lock polls the context itself
+// and then retries; a caller that does not hold it yields to the threads
+// that can.
+var ErrCQFull = errors.New("transport: completion queue full")
+
 // Caps describes what a backend can do. The runtime consults it at world
 // construction: a lossless backend skips the ack/retransmit delivery layer,
 // windows (internal/rma) are refused on a backend without one-sided support,
@@ -203,7 +212,8 @@ type Context interface {
 
 	// One-sided initiators (OneSided backends only; others return
 	// ErrNotSupported). r addresses a region of the target device;
-	// completion is a local CQE carrying token.
+	// completion is a local CQE carrying token. An initiator whose
+	// completion queue is full returns ErrCQFull having touched nothing.
 	Put(r MemRegion, offset int, src []byte, token any) error
 	Get(r MemRegion, offset int, dst []byte, token any) error
 	Accumulate(r MemRegion, offset int, operand []int64, op AccumulateOp, token any) error
@@ -223,7 +233,8 @@ type Endpoint interface {
 	// Send establishes it (tcpnet dials, or reuses the peer pair's one
 	// connection; the in-process fabric looks the peer's context up), and a
 	// failed establishment surfaces as an error wrapping ErrConnEstablish —
-	// the packet is not injected and no completion is posted.
+	// the packet is not injected and no completion is posted. So is a
+	// Send that finds the local completion queue full (ErrCQFull).
 	// Completion means the packet was copied out of the caller's hands, not
 	// that it left the host: a batching backend (tcpnet) puts it on the wire
 	// at the end of the rank's next Context.Poll, or from a bounded-delay
@@ -244,7 +255,9 @@ type Endpoint interface {
 	// one frame and returns once the kernel has every byte). Every backend
 	// implements it, with or without Caps.OneSided. ErrRegionUnavailable
 	// means the peer's device is known to hold no such region; p was not
-	// sent.
+	// sent. p's completion is claimed before anything moves: ErrCQFull
+	// means nothing was sent, and a write that fails after the claim still
+	// leaves the completion posted (the error is what reports the loss).
 	PutNotify(regionID uint64, src []byte, p *Packet) error
 }
 
