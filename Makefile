@@ -22,13 +22,18 @@ examples:
 # get, accumulate, fetch-and-op, compare-and-swap — with its flush, a tcp
 # flush, an idle tcp Poll that reads a live connection's empty socket), run
 # without the race detector, then the rows the tests logged as one table.
+# The core rows also measure heap bytes per op (B/op, size-class rounding
+# included), and the in-process window and the tcp round trip pin them; with
+# TestMessageFootprint, which pins the size of every two-sided message's slab
+# entries, they hold a message's bytes, not only its objects. A row without
+# a byte measurement or pin shows "-".
 # Nothing on the path is pooled, so the pins hold under -race as well and
 # CI's -race test job enforces them too; this target is the readable table.
 allocs:
-	@out=$$($(GO) test -count=1 -v -run Alloc ./internal/cri ./internal/core ./internal/match ./internal/rma ./internal/transport/tcpnet 2>&1); rc=$$?; \
+	@out=$$($(GO) test -count=1 -v -run 'Alloc|Footprint' ./internal/cri ./internal/core ./internal/match ./internal/rma ./internal/transport/tcpnet 2>&1); rc=$$?; \
 	echo "$$out"; echo; \
-	printf '%-48s %9s %7s\n' path allocs/op pinned; \
-	echo "$$out" | awk -F' *[|] *' '/allocs-pin [|]/ { printf "%-48s %9s %7s\n", $$2, $$3, $$4 }'; \
+	printf '%-48s %9s %7s %7s %7s\n' path allocs/op pinned B/op pinned; \
+	echo "$$out" | awk -F' *[|] *' '/allocs-pin [|]/ { printf "%-48s %9s %7s %7s %7s\n", $$2, $$3, $$4, ($$5 == "" ? "-" : $$5), ($$6 == "" ? "-" : $$6) }'; \
 	exit $$rc
 
 # Race-detector pass over the concurrency-heavy packages (the full suite

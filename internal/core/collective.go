@@ -310,5 +310,5 @@ func (c *Comm) Alltoall(th *Thread, send, recv []byte) error {
 func (c *Comm) recvInternalInto(th *Thread, src int, tag int32, buf []byte) (Status, error) {
 	req := c.post(th, src, tag, buf)
 	err := req.Wait(th)
-	return req.status, err
+	return req.Status(), err
 }

@@ -241,20 +241,21 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 	op := carve(&th.sends)
 	op.proc, op.kind = p, reqSend
 	req, pkt := &op.Request, &op.pkt
-	pkt.Init(env, buf, req, &th.payloads)
+	pkt.Init(env, buf, req, &th.slab)
 	user := userEager(env)
-	if user {
-		pkt.Stamp = now
+	if user && p.timed {
+		m := pkt.MetaFrom(&th.slab)
+		m.Stamp = now
 		if p.traceWire {
-			pkt.TraceID = traceID(p.rank, c.id, env.Seq)
-			pkt.Origin = int32(p.rank)
+			m.TraceID = traceID(p.rank, c.id, env.Seq)
+			m.Origin = int32(p.rank)
 		}
 	}
 	if c.group[dst] == p.rank {
 		// Self message: bypass the fabric, deliver straight into the
 		// matching engine and complete the send.
 		if user {
-			ring.RecordAt(now-p.flightBase, flight.KindSendInject, c.id, int32(dst), int32(env.Seq), -1, pkt.TraceID)
+			ring.RecordAt(now-p.flightBase, flight.KindSendInject, c.id, int32(dst), int32(env.Seq), -1, pkt.TraceID())
 		}
 		req.finish(nil)
 		p.deliver(th.ts.Clock(), nil, pkt, &th.scratch)
@@ -286,20 +287,21 @@ func (c *Comm) inject(th *Thread, env transport.Envelope, pkt *transport.Packet,
 		held = time.Now().UnixNano()
 	}
 	if userEager(env) {
-		th.ts.Flight().RecordAt(held-p.flightBase, flight.KindSendInject, c.id, env.Dst, int32(env.Seq), inst.Index(), pkt.TraceID)
+		th.ts.Flight().RecordAt(held-p.flightBase, flight.KindSendInject, c.id, env.Dst, int32(env.Seq), inst.Index(), pkt.TraceID())
 	}
 	// Only stamped packets have a send post to measure the stages from
 	// (Latency implies TraceWire, and every user eager send is stamped).
 	var acqNs int64
-	staged := p.lat != nil && pkt.Stamp != 0
+	m := pkt.Meta
+	staged := p.lat != nil && m != nil && m.Stamp != 0
 	if staged {
 		// Stored on the packet before injection so an in-process receiver
 		// reads it race-free; over a real wire the field never leaves this
 		// process.
-		acqNs = held - pkt.Stamp
-		pkt.SendAcqNs = acqNs
+		acqNs = held - m.Stamp
+		m.SendAcqNs = acqNs
 	}
-	p.rel.track(pkt, dstWorld, req, fail)
+	p.rel.track(pkt, dstWorld, req, fail, &th.slab)
 	clk := th.ts.Clock()
 	clk.Begin(prof.PhaseWire)
 	err := ep.Send(pkt)
@@ -376,10 +378,9 @@ func (c *Comm) post(th *Thread, src int, tag int32, buf []byte) *Request {
 	p := c.proc
 	clk := th.ts.Clock()
 	op := carve(&th.recvs)
-	op.proc, op.kind = p, reqRecv
-	op.recv = match.Recv{Source: int32(src), Tag: tag, Buf: buf}
+	op.proc, op.kind, op.matched = p, reqRecv, &op.recv
 	req := &op.Request
-	op.recv.Token = req
+	op.recv = match.Recv{Source: int32(src), Tag: tag, Buf: buf, Token: req}
 	c.lockMatch(clk)
 	clk.Begin(prof.PhaseMatch)
 	h0 := p.histMatch.Start()
@@ -400,7 +401,7 @@ func (c *Comm) Recv(th *Thread, src int, tag int32, buf []byte) (Status, error) 
 		return Status{}, err
 	}
 	err = req.Wait(th)
-	return req.status, err
+	return req.Status(), err
 }
 
 // Probe checks (without blocking or consuming) for an unexpected message
@@ -498,30 +499,25 @@ func (c *Comm) completeRecv(comp match.Completion, unexpected bool) {
 		now = time.Now().UnixNano()
 	}
 	var flow uint64
-	if pkt := comp.Packet; pkt != nil && now != 0 {
-		flow = pkt.TraceID
-		if pkt.Stamp != 0 {
+	if pkt := comp.Packet; pkt != nil && pkt.Meta != nil && now != 0 {
+		m := pkt.Meta
+		flow = m.TraceID
+		if m.Stamp != 0 {
 			sent := p.sendStampLocal(pkt)
 			p.histLatency.ObserveNs(now - sent)
 			// Completion anchored on the flight recorder's clock (relative
 			// wall time) so exemplar event windows compare against Event.TS.
 			p.lat.RecordPacket(pkt, env.Tag, unexpected, sent, now, p.flightBase)
 		}
-		if pkt.RecvStamp != 0 {
+		if m.RecvStamp != 0 {
 			// Arrival at the matching engine to match completion: how long
 			// the message sat in the unexpected queue (or how fast a posted
 			// receive consumed it).
-			p.histResidency.ObserveNs(now - pkt.RecvStamp)
+			p.histResidency.ObserveNs(now - m.RecvStamp)
 		}
 	}
 	p.flightRing.RecordAt(now-p.flightBase, flight.KindMatchComplete, c.id, env.Src, env.Tag, -1, flow)
-	req.finishRecv(Status{
-		Source:     env.Src,
-		Tag:        env.Tag,
-		Count:      comp.Recv.N,
-		MessageLen: int(env.Len),
-		Truncated:  comp.Recv.Truncated,
-	})
+	req.finishRecv()
 }
 
 // Free removes this handle's communicator state from its process

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/backends"
 	"repro/internal/flight"
 	"repro/internal/hw"
+	"repro/internal/match"
 	"repro/internal/transport"
 	"repro/internal/transport/tcpnet"
 )
@@ -200,15 +203,32 @@ func TestLatenciesShareOneClockCorrection(t *testing.T) {
 }
 
 // pinAllocs fails when f allocates more than pinned times per op — a run of f
-// is ops operations — and logs the row `make allocs` collects into its table.
-// Nothing on the message path is pooled, so the count is the same under the
-// race detector and the pins hold there too.
-func pinAllocs(t *testing.T, path string, pinned float64, ops int, f func()) {
+// is ops operations — or, with pinnedBytes above zero, more than pinnedBytes
+// heap bytes per op (the TotalAlloc delta over as many runs, size-class
+// rounding included: what the collector sees), and logs the row `make allocs`
+// collects into its table. Nothing on the message path is pooled, so the
+// counts are the same under the race detector and the pins hold there too.
+func pinAllocs(t *testing.T, path string, pinned float64, pinnedBytes uint64, ops int, f func()) {
 	t.Helper()
-	got := testing.AllocsPerRun(200, f) / float64(ops)
-	t.Logf("allocs-pin | %-46s | %5.2f | %5.2f", path, got, pinned)
+	const runs = 200
+	got := testing.AllocsPerRun(runs, f) / float64(ops)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	bytes := (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs*ops)
+	bytePin := "-"
+	if pinnedBytes > 0 {
+		bytePin = fmt.Sprint(pinnedBytes)
+	}
+	t.Logf("allocs-pin | %-46s | %5.2f | %5.2f | %6d | %6s", path, got, pinned, bytes, bytePin)
 	if got > pinned {
 		t.Errorf("%s allocates %v times per op, pinned at %v", path, got, pinned)
+	}
+	if pinnedBytes > 0 && bytes > pinnedBytes {
+		t.Errorf("%s allocates %d heap bytes per op, pinned at %d", path, bytes, pinnedBytes)
 	}
 }
 
@@ -226,7 +246,7 @@ func TestStockMessageAllocations(t *testing.T) {
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
 	buf, payload := make([]byte, 8), []byte("12345678")
-	pinAllocs(t, "core 8 B eager send + matched receive (sim)", 0.1, 1, func() {
+	pinAllocs(t, "core 8 B eager send + matched receive (sim)", 0.1, 0, 1, func() {
 		rreq, err := c1.Irecv(t1, 0, 7, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -248,14 +268,16 @@ func TestStockMessageAllocations(t *testing.T) {
 // empty messages, receives posted first. Each side refills its operation slab
 // once per 64 messages, so a message costs 2/64 of an allocation — above
 // zero, because callers may read a *Request after Wait and no entry is ever
-// handed out twice.
+// handed out twice — and its two slab entries in bytes: a 112-byte send and a
+// 144-byte receive (148 with the slab's size-class rounding), about 276 B per
+// message in all. An untimed message carves no metadata record.
 func TestStockWindowAllocations(t *testing.T) {
 	const window = 128
 	w := newTestWorld(t, 2, Stock())
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
 	sreqs, rreqs := make([]*Request, window), make([]*Request, window)
-	pinAllocs(t, "core 0 B window of 128, per message (sim)", 0.05, window, func() {
+	pinAllocs(t, "core 0 B window of 128, per message (sim)", 0.05, 280, window, func() {
 		var err error
 		for i := range rreqs {
 			if rreqs[i], err = c1.Irecv(t1, 0, 3, nil); err != nil {
@@ -279,7 +301,9 @@ func TestStockWindowAllocations(t *testing.T) {
 // Over a real wire the receiver also decodes each message: the packet comes
 // from the reader's 64-entry slab and the payload copy from its 8 KiB chunk,
 // and a successful flush allocates nothing. An 8-byte round trip — the
-// benchmark's tcp_pingpong_8B — is two such messages.
+// benchmark's tcp_pingpong_8B — is two such messages, about 345 heap bytes
+// each: the two operations, the decoded 80-byte packet and two 8-byte payload
+// copies. An untraced frame decodes without a metadata record.
 func TestTCPRoundTripAllocations(t *testing.T) {
 	nets, err := tcpnet.NewLoopback(2)
 	if err != nil {
@@ -313,12 +337,12 @@ func TestTCPRoundTripAllocations(t *testing.T) {
 			th[src].Progress()
 			th[dst].Progress()
 		}
-		if sreq.err != nil || rreq.err != nil || string(buf) != "12345678" {
-			t.Fatalf("rank %d to %d: send %v, receive %v, payload %q", src, dst, sreq.err, rreq.err, buf)
+		if sreq.result() != nil || rreq.result() != nil || string(buf) != "12345678" {
+			t.Fatalf("rank %d to %d: send %v, receive %v, payload %q", src, dst, sreq.result(), rreq.result(), buf)
 		}
 	}
 	oneWay(0) // dial and handshake outside the measurement
-	pinAllocs(t, "core 8 B eager round trip, per message (tcp)", 0.1, 2, func() {
+	pinAllocs(t, "core 8 B eager round trip, per message (tcp)", 0.1, 360, 2, func() {
 		oneWay(0)
 		oneWay(1)
 	})
@@ -372,5 +396,30 @@ func TestTCPWaitProgressesOnOneP(t *testing.T) {
 		t.Errorf("%d round trips on one P took %v, want under 2s", trips, d)
 	} else {
 		t.Logf("%d round trips on one P: %v", trips, d)
+	}
+}
+
+// TestMessageFootprint pins the size of the two slab entries every two-sided
+// message carves and of the structs they are made of, on 64-bit platforms:
+// heap bytes per message are what drive the collector, so a field added to
+// any of them costs every message. A failure names the struct that grew.
+func TestMessageFootprint(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	for _, s := range []struct {
+		name         string
+		size, pinned uintptr
+	}{
+		{"core.Request", unsafe.Sizeof(Request{}), 32},
+		{"transport.Packet", unsafe.Sizeof(transport.Packet{}), 80},
+		{"match.Recv", unsafe.Sizeof(match.Recv{}), 112},
+		{"core.sendOp (Request + Packet)", unsafe.Sizeof(sendOp{}), 112},
+		{"core.recvOp (Request + match.Recv)", unsafe.Sizeof(recvOp{}), 144},
+	} {
+		t.Logf("%-36s %4d B (pinned %d)", s.name, s.size, s.pinned)
+		if s.size > s.pinned {
+			t.Errorf("%s grew to %d bytes, pinned at %d: every message pays for the growth", s.name, s.size, s.pinned)
+		}
 	}
 }

@@ -38,7 +38,7 @@ const relMaxRTO = 100 * time.Millisecond
 //
 //   - Every tracked outbound packet carries a transport-level sequence
 //     number per (sender, destination) pair in its driver metadata
-//     (Packet.RelSeq/RelSrc) — separate from the matching layer's
+//     (Meta.RelSeq/RelSrc) — separate from the matching layer's
 //     per-communicator sequence, exactly as a BTL-level reliability window
 //     is separate from PML matching in Open MPI.
 //   - The receiver acks every tracked packet with a KindAck control packet
@@ -158,10 +158,11 @@ func (r *reliability) initPeers(n int) {
 }
 
 // track registers an outbound packet for ack/retransmit, assigning its
-// transport sequence number. Must be called before the packet is injected.
-// req (if non-nil) is marked reliable: its send completion shifts from the
-// local CQE to the peer's ack.
-func (r *reliability) track(pkt *transport.Packet, dstWorld int, req *Request, fail func(error)) {
+// transport sequence number in the packet's Meta record, carved from slab if
+// it has none (a nil slab: a record of its own). Must be called before the
+// packet is injected. req (if non-nil) is marked reliable: its send completion
+// shifts from the local CQE to the peer's ack.
+func (r *reliability) track(pkt *transport.Packet, dstWorld int, req *Request, fail func(error), slab *transport.Slab) {
 	if r == nil {
 		return
 	}
@@ -169,11 +170,12 @@ func (r *reliability) track(pkt *transport.Packet, dstWorld int, req *Request, f
 		req.reliable = true
 	}
 	now := time.Now()
+	m := pkt.MetaFrom(slab)
 	sp := &r.send[dstWorld]
 	sp.mu.Lock()
 	sp.nextSeq = relNextSeq(sp.nextSeq)
-	pkt.RelSeq = sp.nextSeq
-	pkt.RelSrc = int32(r.proc.rank)
+	m.RelSeq = sp.nextSeq
+	m.RelSrc = int32(r.proc.rank)
 	if sp.unacked == nil {
 		sp.unacked = make(map[uint64]*relEntry)
 	}
@@ -188,8 +190,8 @@ func (r *reliability) track(pkt *transport.Packet, dstWorld int, req *Request, f
 // (counted and dropped; the ack is re-sent because the original may have
 // been lost on the wire).
 func (r *reliability) acceptData(pkt *transport.Packet) bool {
-	src := int(pkt.RelSrc)
-	seq := pkt.RelSeq
+	src := int(pkt.Meta.RelSrc)
+	seq := pkt.Meta.RelSeq
 	rp := &r.recv[src]
 	rp.mu.Lock()
 	fresh := false

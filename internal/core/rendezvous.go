@@ -52,13 +52,13 @@ type rdvKey struct {
 	id       uint64
 }
 
+// rdvRecv is a receive whose RTS matched: its envelope — source, tag, the
+// message's full length — is in the request's matching record, where the FIN
+// writes how much of it landed.
 type rdvRecv struct {
 	req    *Request
 	region transport.MemRegion
-	total  int
 	sink   int
-	src    int32 // sender's communicator rank
-	tag    int32
 }
 
 func (c *Comm) isendRendezvous(th *Thread, dst int, tag int32, buf []byte) (*Request, error) {
@@ -143,7 +143,7 @@ func (c *Comm) startRendezvousRecv(req *Request, comp match.Completion) {
 		p.spcs.Inc(spc.LatePackets)
 		return
 	}
-	p.rdvRecvs[key] = &rdvRecv{req: req, region: region, total: total, sink: sink, src: env.Src, tag: env.Tag}
+	p.rdvRecvs[key] = &rdvRecv{req: req, region: region, sink: sink}
 	p.rdvMu.Unlock()
 	p.flightRing.Record(flight.KindRendezvousStart, c.id, env.Src, int32(total))
 
@@ -165,7 +165,7 @@ func (c *Comm) startRendezvousRecv(req *Request, comp match.Completion) {
 			rr.req.finish(err)
 		}
 	}
-	p.rel.track(ackPkt, dstWorld, nil, teardown)
+	p.rel.track(ackPkt, dstWorld, nil, teardown, nil)
 	if err := p.sendControl(dstWorld, ackPkt); err != nil {
 		teardown(err)
 	}
@@ -201,7 +201,7 @@ func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 		Src: env.Dst, Dst: env.Src, Comm: c.id, Kind: transport.KindRendezvousData,
 	}
 	finPkt := transport.NewPacketRaw(finEnv, pkt.Payload[:8], nil)
-	p.rel.track(finPkt, rs.dstWorld, nil, nil)
+	p.rel.track(finPkt, rs.dstWorld, nil, nil, nil)
 	err := p.controlSend(rs.dstWorld, func(ep transport.Endpoint) error {
 		return ep.PutNotify(regionID, rs.buf[:sink], finPkt)
 	})
@@ -239,14 +239,10 @@ func (c *Comm) handleRendezvousFIN(pkt *transport.Packet) {
 		return
 	}
 	p.dev.DeregisterMemory(rr.region)
-	p.flightRing.Record(flight.KindRendezvousDone, c.id, rr.src, int32(rr.sink))
-	rr.req.finishRecv(Status{
-		Source:     rr.src,
-		Tag:        rr.tag,
-		Count:      rr.sink,
-		MessageLen: rr.total,
-		Truncated:  rr.sink < rr.total,
-	})
+	m := rr.req.matched
+	p.flightRing.Record(flight.KindRendezvousDone, c.id, m.MatchedEnv.Src, int32(rr.sink))
+	m.N, m.Truncated = rr.sink, rr.sink < int(m.MatchedEnv.Len)
+	rr.req.finishRecv()
 }
 
 // sendControl injects a control packet outside the matched send path. It

@@ -36,21 +36,24 @@ const (
 )
 
 // Request is a non-blocking operation handle. Wait/Test observe completion;
-// the progress engine (any thread's) completes it.
+// the progress engine (any thread's) completes it. It holds only what every
+// operation uses, in four words: a receive's status is read from its matching
+// record, which a send does not have, and an error — rare — is boxed.
 type Request struct {
 	proc *Proc
-	kind reqKind
-	done atomic.Bool
+	// matched is a receive's matching-engine record, whose result fields —
+	// MatchedEnv, N, Truncated — are the receive's status; nil for a send.
+	matched *match.Recv
+	// err is the error the operation completed with, nil on success (see
+	// result).
+	err *error
 
+	kind reqKind
 	// reliable marks a send tracked by the delivery-reliability layer: it
 	// completes on the peer's ack (or ErrPeerUnreachable), not on the local
 	// send CQE. Written before injection, so the CQE handler observes it.
 	reliable bool
-
-	// status is the result of a completed receive.
-	status Status
-
-	err error
+	done     atomic.Bool
 }
 
 // A posted operation is one slab entry: the handle the caller holds and the
@@ -80,17 +83,29 @@ type recvOp struct {
 func (r *Request) Done() bool { return r.done.Load() }
 
 // Status returns the receive status. Valid only after completion of a
-// receive request.
-func (r *Request) Status() Status { return r.status }
+// receive request; a send's is the zero Status.
+func (r *Request) Status() Status {
+	m := r.matched
+	if m == nil {
+		return Status{}
+	}
+	return Status{
+		Source:     m.MatchedEnv.Src,
+		Tag:        m.MatchedEnv.Tag,
+		Count:      m.N,
+		MessageLen: int(m.MatchedEnv.Len),
+		Truncated:  m.Truncated,
+	}
+}
 
 // Test progresses the runtime once and reports completion (MPI_Test).
 func (r *Request) Test(th *Thread) (bool, error) {
 	if r.done.Load() {
-		return true, r.err
+		return true, r.result()
 	}
 	th.Progress()
 	if r.done.Load() {
-		return true, r.err
+		return true, r.result()
 	}
 	return false, nil
 }
@@ -102,7 +117,7 @@ func (r *Request) Wait(th *Thread) error {
 		panic("core: Wait with a thread from a different proc")
 	}
 	th.WaitUntil(r.done.Load)
-	return r.err
+	return r.result()
 }
 
 // WaitAll waits on every request (MPI_Waitall), returning the first error.
@@ -132,7 +147,7 @@ func WaitAny(th *Thread, reqs ...*Request) (int, error) {
 		}
 		return false
 	})
-	return first, reqs[first].err
+	return first, reqs[first].result()
 }
 
 // TestAll progresses once and reports whether every request has completed
@@ -144,8 +159,8 @@ func TestAll(th *Thread, reqs ...*Request) (bool, error) {
 		if !r.done.Load() {
 			return false, nil
 		}
-		if r.err != nil && first == nil {
-			first = r.err
+		if err := r.result(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return true, first
@@ -167,18 +182,29 @@ func (r *Request) Complete(transport.CQE) {
 }
 
 func (r *Request) finish(err error) {
-	r.err = err
+	if err != nil {
+		box := new(error)
+		*box = err
+		r.err = box
+	}
 	if r.done.Swap(true) {
 		panic(fmt.Sprintf("core: request completed twice (kind %d)", r.kind))
 	}
 }
 
-// finishRecv records receive results and completes the request.
-func (r *Request) finishRecv(st Status) {
-	r.status = st
+// result is the error a completed operation finished with, nil on success.
+func (r *Request) result() error {
+	if r.err == nil {
+		return nil
+	}
+	return *r.err
+}
+
+// finishRecv completes a receive whose results are in its matching record.
+func (r *Request) finishRecv() {
 	var err error
-	if st.Truncated {
-		err = fmt.Errorf("%w: %d-byte message into %d-byte buffer", ErrTruncated, st.MessageLen, st.Count)
+	if m := r.matched; m.Truncated {
+		err = fmt.Errorf("%w: %d-byte message into %d-byte buffer", ErrTruncated, m.MatchedEnv.Len, m.N)
 	}
 	r.finish(err)
 }

@@ -175,8 +175,8 @@ func TestHandlesOutliveTheirSlab(t *testing.T) {
 		}
 	}
 
-	if got := rreq.Status(); got != want || !rreq.Done() || rreq.err != nil || want.Tag != 1 || want.Count != 8 {
-		t.Fatalf("receive handle after %d more operations: status %+v (was %+v), done %v, err %v", 10*opSlab, got, want, rreq.Done(), rreq.err)
+	if got := rreq.Status(); got != want || !rreq.Done() || rreq.result() != nil || want.Tag != 1 || want.Count != 8 {
+		t.Fatalf("receive handle after %d more operations: status %+v (was %+v), done %v, err %v", 10*opSlab, got, want, rreq.Done(), rreq.result())
 	}
 	got := make([]byte, 8)
 	if st, err := msg.MRecv(got); err != nil || st.Tag != 2 || string(got) != "claimed!" {

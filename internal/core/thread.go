@@ -20,18 +20,19 @@ import (
 //
 // That single owner is also what lets a message cost no heap object of its
 // own: the thread's eager sends and posted receives are carved from its
-// operation slabs, its small eager payload copies from its payload chunk, and
-// a self message is matched through its completion scratch — none of it
+// operation slabs, its small eager payload copies and the metadata records of
+// its timed or tracked packets from its transport.Slab, and a self message is
+// matched through its completion scratch — none of it
 // synchronized, because only the owning goroutine touches it. Slabs fill on
 // first use, never in NewThread.
 type Thread struct {
 	proc *Proc
 	ts   cri.ThreadState
 
-	sends    []sendOp
-	recvs    []recvOp
-	payloads transport.PayloadSlab
-	scratch  []match.Completion
+	sends   []sendOp
+	recvs   []recvOp
+	slab    transport.Slab
+	scratch []match.Completion
 	// fetched is where a fetching one-sided atomic lands its result: such an
 	// operation completes before its caller returns, so one word per thread
 	// is enough (see FetchWord).
@@ -40,7 +41,8 @@ type Thread struct {
 
 // opSlab is how many operations share one allocation. An entry is never
 // handed out twice (see carve), so a caller may read a *Request after Wait;
-// a handle held for long keeps its slab — 64 operations, about 14 KiB — alive.
+// a handle held for long keeps its slab — 64 operations, 7 KiB of sends or
+// 9 KiB of receives — alive.
 const opSlab = 64
 
 // carve returns the next zero entry of *slab, refilling it with opSlab fresh

@@ -631,7 +631,8 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 		p.rel.handleAck(pkt)
 		return
 	}
-	if pkt.RelSeq != 0 && p.rel != nil && !p.rel.acceptData(pkt) {
+	m := pkt.Meta
+	if m != nil && m.RelSeq != 0 && p.rel != nil && !p.rel.acceptData(pkt) {
 		// Transport-level duplicate: already delivered (or buffered); the
 		// dedup counted it and re-acked the sender. Drop before matching.
 		return
@@ -661,16 +662,17 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 	// the match-residency histogram and the receive-side stages are measured
 	// from.
 	var now int64
-	if p.flight != nil || pkt.TraceID != 0 && p.timedRecv {
+	traced := m != nil && m.TraceID != 0
+	if p.flight != nil || traced && p.timedRecv {
 		now = time.Now().UnixNano()
 	}
-	if pkt.TraceID != 0 && now != 0 {
-		pkt.RecvStamp = now
-		if pkt.Stamp != 0 {
+	if traced && now != 0 {
+		m.RecvStamp = now
+		if m.Stamp != 0 {
 			p.histOneWay.ObserveNs(now - p.sendStampLocal(pkt))
 		}
 	}
-	p.flightRing.RecordAt(now-p.flightBase, flight.KindRecvDeliver, env.Comm, env.Src, int32(env.Seq), criIdx, pkt.TraceID)
+	p.flightRing.RecordAt(now-p.flightBase, flight.KindRecvDeliver, env.Comm, env.Src, int32(env.Seq), criIdx, pkt.TraceID())
 	c.lockMatch(clk)
 	clk.Begin(prof.PhaseMatch)
 	h0 := p.histMatch.Start()
@@ -690,14 +692,16 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 // sendStampLocal maps a traced pkt's send stamp, taken on its origin's
 // clock, onto this proc's clock with the transport's NTP-style estimate
 // (local = peer + offset); unchanged when there is no estimate (in-process
-// worlds) or no origin to look up (untraced packets carry none).
+// worlds) or no origin to look up (untraced packets carry none). pkt has a
+// Meta record: only a stamped packet is mapped.
 func (p *Proc) sendStampLocal(pkt *transport.Packet) int64 {
-	if p.clock != nil && pkt.TraceID != 0 {
-		if off, ok := p.clock.PeerClockOffsetNs(int(pkt.Origin)); ok {
-			return pkt.Stamp + off
+	m := pkt.Meta
+	if p.clock != nil && m.TraceID != 0 {
+		if off, ok := p.clock.PeerClockOffsetNs(int(m.Origin)); ok {
+			return m.Stamp + off
 		}
 	}
-	return pkt.Stamp
+	return m.Stamp
 }
 
 // progressFor drives the progress engine once for the calling thread.

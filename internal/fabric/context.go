@@ -69,13 +69,13 @@ func (c *Context) deliver(p *transport.Packet) {
 }
 
 func (c *Context) deliverDirect(p *transport.Packet) {
-	if p.TraceID != 0 && p.ArriveNs == 0 {
+	if m := p.Meta; m != nil && m.TraceID != 0 && m.ArriveNs == 0 {
 		// Transport-arrival stamp for the critical-path attribution layer:
 		// the gap to the matching-engine delivery stamp is the receive-side
 		// progress lag (deliver_wait stage). Write-once: duplicates and
 		// retransmits re-deliver the same *Packet, which must stay read-only
 		// once the first delivery published the pointer to the receiver.
-		p.ArriveNs = time.Now().UnixNano()
+		m.ArriveNs = time.Now().UnixNano()
 	}
 	if !c.recvQ.Push(p) {
 		// A delivery that found the receive ring full: counted once on the
@@ -289,7 +289,7 @@ func (e *Endpoint) Resend(p *transport.Packet) error {
 // the packet carries one — the simulated wire mirrors the real framing's
 // conditional cost byte for byte.
 func headerSize(p *transport.Packet) int {
-	if p.TraceID != 0 {
+	if p.TraceID() != 0 {
 		return transport.EnvelopeSize + transport.TraceExtSize
 	}
 	return transport.EnvelopeSize

@@ -176,12 +176,13 @@ func (r *Recorder) ObserveStage(s Stage, ns int64) {
 // stage is zero. Nil-safe on the recorder; an untraced packet records
 // nothing.
 func (r *Recorder) RecordPacket(pkt *transport.Packet, tag int32, unexpected bool, sent, now, base int64) {
-	if r == nil || pkt == nil || pkt.TraceID == 0 {
+	if r == nil || pkt == nil || pkt.TraceID() == 0 {
 		return
 	}
+	meta := pkt.Meta
 	m := Measurement{
-		TraceID:       pkt.TraceID,
-		Origin:        pkt.Origin,
+		TraceID:       meta.TraceID,
+		Origin:        meta.Origin,
 		Tag:           tag,
 		Unexpected:    unexpected,
 		E2ENs:         clamp(now - sent),
@@ -191,16 +192,16 @@ func (r *Recorder) RecordPacket(pkt *transport.Packet, tag int32, unexpected boo
 		m.StageNs[i] = Unknown
 	}
 	injected := sent
-	if acq := pkt.SendAcqNs; acq > 0 {
+	if acq := meta.SendAcqNs; acq > 0 {
 		m.StageNs[StageCRIAcquire] = acq
 		injected += acq
 	}
-	if wire := pkt.SendWireNs; wire > 0 {
+	if wire := meta.SendWireNs; wire > 0 {
 		m.StageNs[StageWireWrite] = wire
 		injected += wire
 	}
-	recv := pkt.RecvStamp
-	if arrive := pkt.ArriveNs; arrive > 0 {
+	recv := meta.RecvStamp
+	if arrive := meta.ArriveNs; arrive > 0 {
 		m.StageNs[StageTransit] = clamp(arrive - injected)
 		if recv != 0 {
 			m.StageNs[StageDeliverWait] = clamp(recv - arrive)

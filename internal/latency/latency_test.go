@@ -44,7 +44,7 @@ func TestNilRecorderSafe(t *testing.T) {
 		t.Fatal("nil recorder claims enabled")
 	}
 	r.ObserveStage(StageCRIAcquire, 10)
-	r.RecordPacket(&transport.Packet{TraceID: 1, Stamp: 1}, 0, false, 1, 100, 0)
+	r.RecordPacket(&transport.Packet{Meta: &transport.Meta{TraceID: 1, Stamp: 1}}, 0, false, 1, 100, 0)
 	if r.Exemplars() != nil || r.Snapshot() != nil {
 		t.Fatal("nil recorder returned data")
 	}
@@ -181,9 +181,9 @@ func TestRecordPacketStampShapes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRecorder(1)
-			pkt := &transport.Packet{TraceID: 9, Origin: 3, Stamp: 1000,
-				SendAcqNs: tc.acq, SendWireNs: tc.wire, ArriveNs: tc.arrive, RecvStamp: tc.rcv}
-			r.RecordPacket(pkt, 5, tc.unexpected, pkt.Stamp, tc.now, tc.base)
+			pkt := &transport.Packet{Meta: &transport.Meta{TraceID: 9, Origin: 3, Stamp: 1000,
+				SendAcqNs: tc.acq, SendWireNs: tc.wire, ArriveNs: tc.arrive, RecvStamp: tc.rcv}}
+			r.RecordPacket(pkt, 5, tc.unexpected, pkt.Meta.Stamp, tc.now, tc.base)
 			ex := r.Exemplars()
 			if len(ex) != 1 {
 				t.Fatalf("recorded %d measurements, want 1", len(ex))
@@ -209,7 +209,7 @@ func TestRecordPacketStampShapes(t *testing.T) {
 	}
 
 	r := NewRecorder(1)
-	r.RecordPacket(&transport.Packet{Stamp: 1000, RecvStamp: 1100}, 0, false, 1000, 1200, 0)
+	r.RecordPacket(&transport.Packet{Meta: &transport.Meta{Stamp: 1000, RecvStamp: 1100}}, 0, false, 1000, 1200, 0)
 	r.RecordPacket(nil, 0, false, 0, 0, 0)
 	if len(r.Exemplars()) != 0 {
 		t.Fatal("an untraced packet was recorded")

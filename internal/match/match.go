@@ -92,14 +92,16 @@ type Recv struct {
 	// Results, valid after the Recv appears in a Completion.
 	MatchedEnv transport.Envelope
 	Truncated  bool // payload longer than Buf
-	N          int  // bytes copied into Buf
+	// queued is set while the recv waits in a posted queue; it shares
+	// Truncated's word.
+	queued bool
+	N      int // bytes copied into Buf
 
 	// Token is opaque caller state (the user-level request).
 	Token any
 
 	// prev/next link the recv into the one bucket it waits on.
 	prev, next *Recv
-	queued     bool
 	// ticket orders posted receives across HashEngine's buckets.
 	ticket uint64
 }

@@ -722,13 +722,17 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 		Seq: seq, Len: uint32(p.cfg.MsgSize), Kind: transport.KindEager,
 	}
 	pkt := transport.NewPacketRaw(env, nil, &t.flow)
+	var meta *transport.Meta
 	if p.lat != nil {
 		// Same deterministic id scheme as core's traceID, on world ranks, and
 		// no wire-byte cost: attribution marks the in-memory packet only, so
 		// (unlike Traced) the makespan is byte-identical with the layer off.
-		pkt.TraceID = uint64(p.frank+1)<<48 | uint64(c.id&0xffff)<<32 | uint64(seq)
-		pkt.Origin = int32(p.frank)
-		pkt.Stamp = latPost
+		meta = &transport.Meta{
+			TraceID: uint64(p.frank+1)<<48 | uint64(c.id&0xffff)<<32 | uint64(seq),
+			Origin:  int32(p.frank),
+			Stamp:   latPost,
+		}
+		pkt.Meta = meta
 	}
 
 	if p.bigLock != nil {
@@ -753,7 +757,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	if p.lat != nil {
 		// CRI acquired (send post to instance held, including credit backoff
 		// and any lock convoy above).
-		pkt.SendAcqNs = sp.Now() - latPost
+		meta.SendAcqNs = sp.Now() - latPost
 	}
 	sp.Advance(p.costs.SendInject)
 	header := transport.EnvelopeSize
@@ -776,10 +780,10 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 		// append publishes the pointer; the sender-local stages also land in
 		// the sender's histograms here.
 		now := sp.Now()
-		pkt.SendWireNs = now - latPost - pkt.SendAcqNs
-		pkt.ArriveNs = now
-		p.lat.ObserveStage(latency.StageCRIAcquire, pkt.SendAcqNs)
-		p.lat.ObserveStage(latency.StageWireWrite, pkt.SendWireNs)
+		meta.SendWireNs = now - latPost - meta.SendAcqNs
+		meta.ArriveNs = now
+		p.lat.ObserveStage(latency.StageCRIAcquire, meta.SendAcqNs)
+		p.lat.ObserveStage(latency.StageWireWrite, meta.SendWireNs)
 	}
 	remote.rxQ = append(remote.rxQ, cqe{pkt: pkt})
 	if copies > 1 {
@@ -833,7 +837,7 @@ func (t *simThread) postRecv(sp *sim.Proc, c *simComm, srcRank, tag int32) {
 		// the unexpected queue since its delivery stamp.
 		tt := comp.Recv.Token.(*simThread)
 		tt.recvsDone++
-		p.lat.RecordPacket(comp.Packet, comp.Recv.MatchedEnv.Tag, true, comp.Packet.Stamp, sp.Now(), 0)
+		p.recordLatency(comp, true, sp.Now())
 	}
 }
 
@@ -946,11 +950,11 @@ func (t *simThread) deliver(sp *sim.Proc, pkt *transport.Packet) {
 		p.spcs.Inc(spc.LatePackets)
 		return
 	}
-	if p.lat != nil && pkt.TraceID != 0 && pkt.RecvStamp == 0 {
+	if p.lat != nil && pkt.Meta.RecvStamp == 0 {
 		// Matching-engine delivery stamp: the gap from the arrival stamp is
 		// the receive-side progress lag (deliver_wait). Write-once so a
 		// duplicate copy cannot restamp a message sitting unexpected.
-		pkt.RecvStamp = sp.Now()
+		pkt.Meta.RecvStamp = sp.Now()
 	}
 	// Inbound fragment handling allocates/recycles through process-wide
 	// memory management before matching.
@@ -976,7 +980,15 @@ func (t *simThread) deliver(sp *sim.Proc, pkt *transport.Packet) {
 		tt := comp.Recv.Token.(*simThread)
 		tt.recvsDone++
 		c.postedOut++
-		p.lat.RecordPacket(comp.Packet, comp.Recv.MatchedEnv.Tag, false, comp.Packet.Stamp, sp.Now(), 0)
+		p.recordLatency(comp, false, sp.Now())
+	}
+}
+
+// recordLatency hands a matched message to the latency recorder, if any:
+// under attribution every packet carries its Meta record.
+func (p *simProc) recordLatency(comp match.Completion, unexpected bool, now int64) {
+	if p.lat != nil {
+		p.lat.RecordPacket(comp.Packet, comp.Recv.MatchedEnv.Tag, unexpected, comp.Packet.Meta.Stamp, now, 0)
 	}
 }
 

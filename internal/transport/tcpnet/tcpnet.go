@@ -82,10 +82,11 @@
 // waits: it reads the socket once, without blocking, and decodes every
 // complete frame in place (DecodeMuxFrameInto copies the payload out) — one
 // read per burst. Small frames decode into packets carved from a
-// slabPackets-entry slab, and their payloads into the record's
-// transport.PayloadSlab, one allocation per slab or chunk instead of one per
-// frame; a frame above slabMaxFrame gets a packet of its own, so a slab never
-// keeps a large payload alive.
+// slabPackets-entry slab, and their payloads — and the Meta record of a
+// traced or reliability-tracked frame — into the record's transport.Slab, one
+// allocation per slab or chunk instead of one per frame; a frame above
+// slabMaxFrame gets a packet of its own, so a slab never keeps a large payload
+// alive.
 // Bytes off the socket are hostile until validated: a frame length outside
 // [MuxHeaderSize, maxFrame], a mux index ≥ maxMux, or an undecodable packet
 // closes the connection and ticks wire_frames_rejected.
@@ -214,7 +215,7 @@ const (
 	// slabPackets is how many decoded packets share one allocation. Nothing
 	// returns a slab: the collector frees it when the last of its packets is
 	// dropped, so one long-lived unexpected message keeps its slab reachable —
-	// slabPackets packets, about 9 KiB — plus the payload chunks its
+	// slabPackets packets, about 5 KiB — plus the payload chunks its
 	// slab-mates' payloads (at most slabMaxFrame each, carved in arrival order)
 	// were cut from: five 8 KiB chunks at most, and no more.
 	slabPackets = 64
@@ -949,9 +950,9 @@ type rxConn struct {
 	// assembled it (its length is then the frame's), and is reused.
 	scratch []byte
 	// slab is the unused rest of the current packet slab; payloads the
-	// chunk small payloads are copied into.
+	// chunks small payloads are copied into and Meta records carved from.
 	slab     []transport.Packet
-	payloads transport.PayloadSlab
+	payloads transport.Slab
 	// held is a decoded packet deliver could not take; the next step, by
 	// either caller, delivers it before anything else.
 	held    *transport.Packet
@@ -1125,11 +1126,11 @@ func (rx *rxConn) decode() rxState {
 // hand passes a decoded packet on, keeping it for the next step when deliver
 // cannot take it.
 func (rx *rxConn) hand(mux uint32, pkt *transport.Packet) rxState {
-	if pkt.TraceID != 0 {
+	if pkt.TraceID() != 0 {
 		// Transport-arrival stamp for the critical-path attribution
 		// layer: the gap to the matching-engine delivery stamp is the
 		// receive-side progress lag (deliver_wait stage).
-		pkt.ArriveNs = time.Now().UnixNano()
+		pkt.Meta.ArriveNs = time.Now().UnixNano()
 	}
 	st := rx.deliver(mux, pkt)
 	if st != rxMore {

@@ -68,7 +68,7 @@ func TestSendAcrossProcessesBoundary(t *testing.T) {
 	}
 	env := transport.Envelope{Src: 0, Dst: 1, Tag: 7, Kind: transport.KindEager}
 	pkt := transport.NewPacket(env, []byte("over the wire"), nil)
-	pkt.RelSeq, pkt.RelSrc = 42, 0
+	pkt.Meta = &transport.Meta{RelSeq: 42}
 	ep.Send(pkt)
 
 	if e := poll1(t, c0); e.Kind != transport.CQESendComplete {
@@ -82,8 +82,8 @@ func TestSendAcrossProcessesBoundary(t *testing.T) {
 	if got.Tag != 7 || string(e.Packet.Payload) != "over the wire" {
 		t.Fatalf("packet corrupted: tag=%d payload=%q", got.Tag, e.Packet.Payload)
 	}
-	if e.Packet.RelSeq != 42 {
-		t.Fatalf("driver metadata lost: RelSeq=%d", e.Packet.RelSeq)
+	if m := e.Packet.Meta; m == nil || m.RelSeq != 42 {
+		t.Fatalf("driver metadata lost: %+v", m)
 	}
 	if e.Packet.Token != nil {
 		t.Fatal("token must not cross the wire")
@@ -1152,9 +1152,9 @@ func TestFrameReaderSpillIsPaidByBytesReceived(t *testing.T) {
 func FuzzReadFrames(f *testing.F) {
 	pkt := func(payload int, traced bool) *transport.Packet {
 		p := transport.NewPacket(transport.Envelope{Src: 1, Dst: 2, Tag: 3, Comm: 4, Seq: 5, Kind: transport.KindEager}, make([]byte, payload), nil)
-		p.RelSeq, p.RelSrc, p.Stamp = 9, 1, 77
+		p.Meta = &transport.Meta{RelSeq: 9, RelSrc: 1, Stamp: 77}
 		if traced {
-			p.TraceID, p.Origin = 0xABCDEF, 1
+			p.Meta.TraceID, p.Meta.Origin = 0xABCDEF, 1
 		}
 		return p
 	}
@@ -1318,7 +1318,7 @@ func TestRejectedFrameDeliversNothing(t *testing.T) {
 		return transport.NewPacket(env, []byte{byte(seq), 0xEE}, nil).AppendMuxFrame(nil, 0)
 	}
 	traced := transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, []byte("x"), nil)
-	traced.TraceID, traced.Origin = 0xABCDEF, 1
+	traced.Meta = &transport.Meta{TraceID: 0xABCDEF, Origin: 1}
 	noID := traced.AppendMuxFrame(nil, 0)
 	// The trace id is the first 8 bytes of the extension, right after the
 	// length prefix, the mux header and the envelope.

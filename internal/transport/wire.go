@@ -117,33 +117,37 @@ func (e Envelope) String() string {
 
 // Packet is one message on the wire: a marshaled envelope plus an owned
 // copy of the payload (eager protocol semantics — the sender's buffer is
-// free as soon as injection returns).
+// free as soon as injection returns). It holds only what every message uses;
+// the fields a timed, traced or reliability-tracked message also needs sit in
+// its Meta record, which an untimed message never has.
 type Packet struct {
 	header  [EnvelopeSize]byte
 	Payload []byte
 	// Token is opaque sender state echoed in the send-completion CQE,
 	// typically the request to mark complete. It never crosses the wire.
 	Token any
-	// Stamp is an optional injection timestamp (UnixNano) set by the
-	// telemetry layer to measure inject-to-match latency; 0 = unstamped.
-	// It rides the packet but is not part of the wire envelope, exactly
-	// like driver-private metadata on a real send WQE.
+	// Meta is the packet's driver metadata, nil unless the sending proc is
+	// timed, the packet is traced, or the reliability layer tracks it.
+	Meta *Meta
+}
+
+// Meta is a packet's driver-private metadata — what a real driver keeps
+// beside a send WQE: the telemetry stamps, the trace context and the
+// reliability layer's sequence. A zero field is unset. Its owner carves it
+// (Slab.Meta) only when one of those layers writes a field, so a message
+// that none of them touches costs no bytes for it.
+type Meta struct {
+	// Stamp is the injection timestamp (UnixNano) set by the telemetry layer
+	// to measure inject-to-match latency; 0 = unstamped.
 	Stamp int64
-	// RelSeq is the transport-level sequence number assigned by the
-	// delivery-reliability layer when it is enabled; 0 = untracked. Like
-	// Stamp it is driver-private metadata, not part of the wire envelope.
-	RelSeq uint64
-	// RelSrc is the sender's world rank for reliability tracking when
-	// RelSeq != 0 (the envelope's Src is communicator-relative).
-	RelSrc int32
 	// TraceID is the message-lifecycle trace id (0 = untraced). A non-zero
 	// id marks the packet for cross-rank lifecycle stitching: real wires
 	// frame it in the trace-context extension header (FlagTraced), and the
 	// receiver's trace events carry it as their flow id.
 	TraceID uint64
-	// Origin is the sender's world rank for trace attribution when
-	// TraceID != 0 (the envelope's Src is communicator-relative).
-	Origin int32
+	// RelSeq is the transport-level sequence number assigned by the
+	// delivery-reliability layer when it is enabled; 0 = untracked.
+	RelSeq uint64
 	// RecvStamp is the receiver-local arrival timestamp (UnixNano) set by
 	// the delivery path to measure match-queue residency; 0 = unstamped.
 	// Receiver-private — it never crosses the wire.
@@ -151,9 +155,9 @@ type Packet struct {
 	// SendAcqNs and SendWireNs are the sender's critical-path stage
 	// durations (send post to CRI acquired; CRI acquired to injection
 	// complete), set by the latency-attribution layer BEFORE injection so
-	// in-process receivers read them race-free; 0 = unobserved. Like Stamp
-	// they are driver-private and never cross a real wire — a remote
-	// receiver sees 0 and marks the stages unknown in its exemplars.
+	// in-process receivers read them race-free; 0 = unobserved. They never
+	// cross a real wire — a remote receiver sees 0 and marks the stages
+	// unknown in its exemplars.
 	SendAcqNs  int64
 	SendWireNs int64
 	// ArriveNs is the receiver-local transport-arrival timestamp (UnixNano,
@@ -162,17 +166,35 @@ type Packet struct {
 	// unstamped. The gap to RecvStamp is the delivery-wait stage: how long
 	// the packet sat before a progress pass extracted it. Receiver-private.
 	ArriveNs int64
+	// Origin is the sender's world rank for trace attribution when
+	// TraceID != 0 (the envelope's Src is communicator-relative).
+	Origin int32
+	// RelSrc is the sender's world rank for reliability tracking when
+	// RelSeq != 0.
+	RelSrc int32
 }
 
-// PayloadSlab carves small payload copies out of shared chunks — one
-// allocation per chunk instead of one per payload — for an owner that already
-// serializes its calls (a core Thread, a tcp connection's reader). A carved
-// copy is never handed out twice: the collector frees a chunk once the last
-// packet carved from it is dropped, so a long-held packet pins its chunk,
-// never another packet's bytes in use. A payload above slabMaxPayload gets an
-// allocation of its own, so a chunk never keeps a large body alive. The zero
-// value is ready; a nil *PayloadSlab allocates every copy.
-type PayloadSlab struct{ rest []byte }
+// TraceID returns the packet's trace id, 0 for an untraced packet.
+func (p *Packet) TraceID() uint64 {
+	if p.Meta == nil {
+		return 0
+	}
+	return p.Meta.TraceID
+}
+
+// Slab carves small payload copies and metadata records out of shared
+// chunks — one allocation per chunk instead of one per packet — for an owner
+// that already serializes its calls (a core Thread, a tcp connection's
+// reader). A carved copy or record is never handed out twice: the collector
+// frees a chunk once the last packet carved from it is dropped, so a
+// long-held packet pins its chunk, never another packet's bytes in use. A
+// payload above slabMaxPayload gets an allocation of its own, so a chunk never
+// keeps a large body alive. The zero value is ready; a nil *Slab allocates
+// every copy and record.
+type Slab struct {
+	rest  []byte
+	metas []Meta
+}
 
 const (
 	// slabMaxPayload is the largest payload carved from a chunk: tcpnet's
@@ -181,11 +203,13 @@ const (
 	// slabChunk is a chunk's size: at least 16 payloads of the largest carved
 	// size, and what one long-held payload pins at most.
 	slabChunk = 8 << 10
+	// slabMetas is how many metadata records share one allocation (4 KiB).
+	slabMetas = 64
 )
 
 // Copy returns a copy of b, nil for an empty b. The copy's capacity is its
 // length, so an append to it never reaches its chunk-mates.
-func (s *PayloadSlab) Copy(b []byte) []byte {
+func (s *Slab) Copy(b []byte) []byte {
 	n := len(b)
 	switch {
 	case n == 0:
@@ -200,6 +224,28 @@ func (s *PayloadSlab) Copy(b []byte) []byte {
 	s.rest = s.rest[n:]
 	copy(c, b)
 	return c
+}
+
+// Meta returns a zero metadata record.
+func (s *Slab) Meta() *Meta {
+	if s == nil {
+		return new(Meta)
+	}
+	if len(s.metas) == 0 {
+		s.metas = make([]Meta, slabMetas)
+	}
+	m := &s.metas[0]
+	s.metas = s.metas[1:]
+	return m
+}
+
+// MetaFrom returns p's metadata record, carving one from s first if p has
+// none.
+func (p *Packet) MetaFrom(s *Slab) *Meta {
+	if p.Meta == nil {
+		p.Meta = s.Meta()
+	}
+	return p.Meta
 }
 
 // NewPacket marshals env and copies payload into a fresh packet, setting
@@ -222,7 +268,7 @@ func NewPacketRaw(env Envelope, payload []byte, token any) *Packet {
 // caller can embed the packet in a larger object of its own (a send request
 // and its packet are one allocation), with the payload copy carved from slab
 // (nil: a copy of its own). env.Len is marshaled as given.
-func (p *Packet) Init(env Envelope, payload []byte, token any, slab *PayloadSlab) {
+func (p *Packet) Init(env Envelope, payload []byte, token any, slab *Slab) {
 	env.Marshal(&p.header)
 	p.Payload = slab.Copy(payload)
 	p.Token = token
@@ -257,7 +303,7 @@ const kindOffset = 24
 // WireSize returns the number of bytes AppendWire emits for p.
 func (p *Packet) WireSize() int {
 	n := EnvelopeSize + wireMetaSize + len(p.Payload)
-	if p.TraceID != 0 {
+	if p.TraceID() != 0 {
 		n += TraceExtSize
 	}
 	return n
@@ -280,18 +326,20 @@ func (p *Packet) appendWire(b []byte, landed bool, region uint64, bodyLen int) [
 		b = binary.LittleEndian.AppendUint64(b, region)
 		b = binary.LittleEndian.AppendUint32(b, uint32(bodyLen))
 	}
-	if p.TraceID != 0 {
-		b[flags] |= byte(FlagTraced >> 8)
-		var ext [TraceExtSize]byte
-		binary.LittleEndian.PutUint64(ext[0:], p.TraceID)
-		binary.LittleEndian.PutUint32(ext[8:], uint32(p.Origin))
-		binary.LittleEndian.PutUint64(ext[12:], uint64(p.Stamp))
-		b = append(b, ext[:]...)
-	}
 	var meta [wireMetaSize]byte
-	binary.LittleEndian.PutUint64(meta[0:], p.RelSeq)
-	binary.LittleEndian.PutUint32(meta[8:], uint32(p.RelSrc))
-	binary.LittleEndian.PutUint64(meta[12:], uint64(p.Stamp))
+	if m := p.Meta; m != nil {
+		if m.TraceID != 0 {
+			b[flags] |= byte(FlagTraced >> 8)
+			var ext [TraceExtSize]byte
+			binary.LittleEndian.PutUint64(ext[0:], m.TraceID)
+			binary.LittleEndian.PutUint32(ext[8:], uint32(m.Origin))
+			binary.LittleEndian.PutUint64(ext[12:], uint64(m.Stamp))
+			b = append(b, ext[:]...)
+		}
+		binary.LittleEndian.PutUint64(meta[0:], m.RelSeq)
+		binary.LittleEndian.PutUint32(meta[8:], uint32(m.RelSrc))
+		binary.LittleEndian.PutUint64(meta[12:], uint64(m.Stamp))
+	}
 	b = append(b, meta[:]...)
 	return append(b, p.Payload...)
 }
@@ -299,7 +347,9 @@ func (p *Packet) appendWire(b []byte, landed bool, region uint64, bodyLen int) [
 // DecodePacket parses one packet from its AppendWire form, copying the
 // payload out of b. The FlagTraced wire flag is consumed here: the decoded
 // envelope carries only the base kind, and the extension fields land in
-// TraceID/Origin (the ext's send stamp wins over the driver-metadata copy).
+// Meta.TraceID/Origin (the ext's send stamp wins over the driver-metadata
+// copy). The packet has a Meta record only when the frame was traced or its
+// driver metadata is not all zero.
 func DecodePacket(b []byte) (*Packet, error) {
 	p := new(Packet)
 	if err := DecodePacketInto(p, b); err != nil {
@@ -316,8 +366,9 @@ func DecodePacketInto(p *Packet, b []byte) error { return decodeInto(p, b, 0, ni
 
 // decodeInto is DecodePacketInto over a frame that carries ext bytes of
 // landing extension behind its envelope (LandExtSize if flagged, else none),
-// copying the payload out through slab.
-func decodeInto(p *Packet, b []byte, ext int, slab *PayloadSlab) error {
+// copying the payload out through slab and carving a Meta record from it
+// when the frame carries one.
+func decodeInto(p *Packet, b []byte, ext int, slab *Slab) error {
 	if len(b) < EnvelopeSize+ext+wireMetaSize {
 		return fmt.Errorf("transport: short packet frame (%d bytes)", len(b))
 	}
@@ -340,15 +391,21 @@ func decodeInto(p *Packet, b []byte, ext int, slab *PayloadSlab) error {
 	copy(p.header[:], b[:EnvelopeSize])
 	binary.LittleEndian.PutUint32(p.header[kindOffset:], uint32(kind&^(FlagTraced|FlagLanded)))
 	if kind.Traced() {
-		p.TraceID = binary.LittleEndian.Uint64(rest[0:])
-		p.Origin = int32(binary.LittleEndian.Uint32(rest[8:]))
-		p.Stamp = int64(binary.LittleEndian.Uint64(rest[12:]))
+		m := p.MetaFrom(slab)
+		m.TraceID = binary.LittleEndian.Uint64(rest[0:])
+		m.Origin = int32(binary.LittleEndian.Uint32(rest[8:]))
+		m.Stamp = int64(binary.LittleEndian.Uint64(rest[12:]))
 		rest = rest[TraceExtSize:]
 	}
-	p.RelSeq = binary.LittleEndian.Uint64(rest[0:])
-	p.RelSrc = int32(binary.LittleEndian.Uint32(rest[8:]))
-	if s := int64(binary.LittleEndian.Uint64(rest[12:])); p.Stamp == 0 {
-		p.Stamp = s
+	relSeq := binary.LittleEndian.Uint64(rest[0:])
+	relSrc := int32(binary.LittleEndian.Uint32(rest[8:]))
+	stamp := int64(binary.LittleEndian.Uint64(rest[12:]))
+	if relSeq != 0 || relSrc != 0 || stamp != 0 {
+		m := p.MetaFrom(slab)
+		m.RelSeq, m.RelSrc = relSeq, relSrc
+		if m.Stamp == 0 {
+			m.Stamp = stamp
+		}
 	}
 	p.Payload = slab.Copy(rest[wireMetaSize:])
 	return nil
@@ -384,7 +441,7 @@ func DecodeMuxFrame(b []byte) (mux uint32, p *Packet, err error) {
 // DecodeMuxFrameInto is DecodeMuxFrame into the zero packet p (see
 // DecodePacketInto), with the payload copy carved from slab (nil: a copy of
 // its own).
-func DecodeMuxFrameInto(p *Packet, b []byte, slab *PayloadSlab) (mux uint32, err error) {
+func DecodeMuxFrameInto(p *Packet, b []byte, slab *Slab) (mux uint32, err error) {
 	if len(b) < MuxHeaderSize {
 		return 0, fmt.Errorf("transport: short mux frame (%d bytes)", len(b))
 	}
@@ -418,7 +475,7 @@ func PeekLanded(frame []byte) (region uint64, bodyLen int, landed bool) {
 // DecodeLandedHeadInto parses the head of a landed frame, less its length
 // prefix, into the zero packet p, with the payload copy carved from slab (nil:
 // a copy of its own). Only a rendezvous data packet lands.
-func DecodeLandedHeadInto(p *Packet, head []byte, slab *PayloadSlab) (mux uint32, err error) {
+func DecodeLandedHeadInto(p *Packet, head []byte, slab *Slab) (mux uint32, err error) {
 	if len(head) < MuxHeaderSize+EnvelopeSize ||
 		Kind(binary.LittleEndian.Uint32(head[MuxHeaderSize+kindOffset:]))&^FlagTraced != KindRendezvousData|FlagLanded {
 		return 0, fmt.Errorf("transport: no rendezvous data packet heads the landed frame")

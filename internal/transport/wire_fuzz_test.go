@@ -11,19 +11,30 @@ import (
 func fuzzPacket(src, dst, tag int32, comm, seq, length uint32, kind uint8, relSeq uint64, stamp int64, traceID uint64, origin int32, payload []byte) *Packet {
 	env := Envelope{Src: src, Dst: dst, Tag: tag, Comm: comm, Seq: seq, Len: length, Kind: Kind(kind%uint8(KindAck)) + KindEager}
 	p := NewPacketRaw(env, payload, nil)
-	p.RelSeq, p.RelSrc, p.Stamp = relSeq, src, stamp
+	m := &Meta{RelSeq: relSeq, RelSrc: src, Stamp: stamp}
 	if traceID != 0 {
-		p.TraceID, p.Origin = traceID, origin
+		m.TraceID, m.Origin = traceID, origin
+	}
+	if *m != (Meta{}) {
+		p.Meta = m
 	}
 	return p
 }
 
 // samePacket reports whether two packets agree in everything that crosses
-// the wire.
+// the wire; a missing Meta record reads as a zero one.
 func samePacket(a, b *Packet) bool {
 	return a.header == b.header && bytes.Equal(a.Payload, b.Payload) &&
-		a.RelSeq == b.RelSeq && a.RelSrc == b.RelSrc && a.Stamp == b.Stamp &&
-		a.TraceID == b.TraceID && a.Origin == b.Origin
+		wireMeta(a) == wireMeta(b)
+}
+
+// wireMeta is the part of p's Meta record that crosses the wire.
+func wireMeta(p *Packet) Meta {
+	if p.Meta == nil {
+		return Meta{}
+	}
+	m := p.Meta
+	return Meta{RelSeq: m.RelSeq, RelSrc: m.RelSrc, Stamp: m.Stamp, TraceID: m.TraceID, Origin: m.Origin}
 }
 
 // checkDecoded holds a packet the decoder accepted from frame to the

@@ -17,9 +17,7 @@ func testEnvelope() Envelope {
 // extension, no flag bit.
 func TestWireUntracedByteIdentical(t *testing.T) {
 	p := NewPacket(testEnvelope(), []byte("abc"), nil)
-	p.RelSeq = 9
-	p.RelSrc = 2
-	p.Stamp = 1234
+	p.Meta = &Meta{RelSeq: 9, RelSrc: 2, Stamp: 1234}
 	got := p.AppendWire(nil)
 
 	var want []byte
@@ -48,11 +46,7 @@ func TestWireUntracedByteIdentical(t *testing.T) {
 
 func TestWireTracedRoundTrip(t *testing.T) {
 	p := NewPacket(testEnvelope(), []byte("payload"), nil)
-	p.RelSeq = 5
-	p.RelSrc = 0
-	p.Stamp = 777
-	p.TraceID = 0xdeadbeefcafe
-	p.Origin = 3
+	p.Meta = &Meta{RelSeq: 5, Stamp: 777, TraceID: 0xdeadbeefcafe, Origin: 3}
 	frame := p.AppendWire(nil)
 
 	if got := len(frame); got != p.WireSize() {
@@ -76,11 +70,11 @@ func TestWireTracedRoundTrip(t *testing.T) {
 	if env.Kind.Traced() {
 		t.Fatal("decoded envelope still carries FlagTraced")
 	}
-	if q.TraceID != p.TraceID || q.Origin != 3 || q.Stamp != 777 {
-		t.Fatalf("trace context lost: id=%#x origin=%d stamp=%d", q.TraceID, q.Origin, q.Stamp)
+	if m := q.Meta; m == nil || m.TraceID != p.Meta.TraceID || m.Origin != 3 || m.Stamp != 777 {
+		t.Fatalf("trace context lost: %+v", m)
 	}
-	if string(q.Payload) != "payload" || q.RelSeq != 5 {
-		t.Fatalf("payload/meta lost: %q relseq=%d", q.Payload, q.RelSeq)
+	if string(q.Payload) != "payload" || q.Meta.RelSeq != 5 {
+		t.Fatalf("payload/meta lost: %q relseq=%d", q.Payload, q.Meta.RelSeq)
 	}
 
 	// A re-framed decoded packet must reproduce the original bytes (the
@@ -92,7 +86,7 @@ func TestWireTracedRoundTrip(t *testing.T) {
 
 func TestWireShortTracedFrame(t *testing.T) {
 	p := NewPacket(testEnvelope(), nil, nil)
-	p.TraceID = 1
+	p.Meta = &Meta{TraceID: 1}
 	frame := p.AppendWire(nil)
 	if _, err := DecodePacket(frame[:EnvelopeSize+4]); err == nil {
 		t.Fatal("short traced frame decoded without error")
@@ -104,7 +98,7 @@ func TestWireShortTracedFrame(t *testing.T) {
 // partially decoded packet someone could later be handed.
 func TestDecodePacketIntoRejectsWithoutWriting(t *testing.T) {
 	traced := NewPacket(testEnvelope(), []byte("payload"), nil)
-	traced.TraceID, traced.Origin, traced.RelSeq = 7, 1, 9
+	traced.Meta = &Meta{TraceID: 7, Origin: 1, RelSeq: 9}
 	noID := traced.AppendWire(nil)
 	clear(noID[EnvelopeSize:][:8])
 	plain := NewPacket(testEnvelope(), []byte("payload"), nil).AppendWire(nil)
@@ -157,9 +151,9 @@ func TestWireLandedRoundTrip(t *testing.T) {
 		env := testEnvelope()
 		env.Kind = KindRendezvousData
 		p := NewPacketRaw(env, []byte("transfer"), nil)
-		p.RelSeq, p.RelSrc, p.Stamp = 9, 3, 1234
+		p.Meta = &Meta{RelSeq: 9, RelSrc: 3, Stamp: 1234}
 		if traced {
-			p.TraceID, p.Origin = 0xfeed, 3
+			p.Meta.TraceID, p.Meta.Origin = 0xfeed, 3
 		}
 		const mux, region, body = 5, 0xABCDEF0123, 70000
 		head := p.AppendLandedFrame(nil, mux, region, body)
@@ -239,13 +233,13 @@ func TestPacketCopiesPayload(t *testing.T) {
 	}
 }
 
-// A PayloadSlab copy is the caller's bytes in a chunk shared with other
+// A Slab's payload copy is the caller's bytes in a chunk shared with other
 // copies and nothing else: capped at its length, so an append to it cannot
 // reach the copy carved after it; one allocation per chunk; a payload above
 // slabMaxPayload, or any payload through a nil slab, gets its own.
 func TestPayloadSlabCopy(t *testing.T) {
-	var s PayloadSlab
-	if s.Copy(nil) != nil || (*PayloadSlab)(nil).Copy([]byte{}) != nil {
+	var s Slab
+	if s.Copy(nil) != nil || (*Slab)(nil).Copy([]byte{}) != nil {
 		t.Fatal("an empty payload copied to a non-nil slice")
 	}
 	src := []byte("first")
@@ -271,7 +265,41 @@ func TestPayloadSlabCopy(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { s.Copy(big) }); n != 1 {
 		t.Fatalf("a %d-byte copy cost %v allocations, want its own one", len(big), n)
 	}
-	if n := testing.AllocsPerRun(10, func() { (*PayloadSlab)(nil).Copy(src) }); n != 1 {
+	if n := testing.AllocsPerRun(10, func() { (*Slab)(nil).Copy(src) }); n != 1 {
 		t.Fatalf("a copy through a nil slab cost %v allocations, want its own one", n)
+	}
+}
+
+// A frame carries a Meta record to its decoded packet only when there is
+// something in it: an untraced frame with zero driver metadata — every
+// message no observer or reliability layer touched — decodes without one,
+// and a traced or tracked frame's record comes from the decoder's slab, 64
+// records to an allocation.
+func TestDecodeCarvesMetaOnlyWhenCarried(t *testing.T) {
+	var s Slab
+	plain := NewPacket(testEnvelope(), []byte("x"), nil).AppendMuxFrame(nil, 0)[4:]
+	var p Packet
+	if _, err := DecodeMuxFrameInto(&p, plain, &s); err != nil || p.Meta != nil {
+		t.Fatalf("untraced frame: err %v, Meta %+v, want none", err, p.Meta)
+	}
+	tracked := NewPacket(testEnvelope(), nil, nil)
+	tracked.Meta = &Meta{RelSeq: 3, RelSrc: 1}
+	frame := tracked.AppendMuxFrame(nil, 0)[4:]
+	var a, b Packet
+	if _, err := DecodeMuxFrameInto(&a, frame, &s); err != nil || a.Meta == nil || *a.Meta != *tracked.Meta {
+		t.Fatalf("tracked frame: err %v, Meta %+v, want %+v", err, a.Meta, tracked.Meta)
+	}
+	if _, err := DecodeMuxFrameInto(&b, frame, &s); err != nil || b.Meta == a.Meta {
+		t.Fatalf("two decodes share one Meta record (err %v)", err)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for range slabMetas {
+			s.Meta()
+		}
+	}); n > 1 {
+		t.Fatalf("%d records cost %v allocations, want at most 1", slabMetas, n)
+	}
+	if (*Slab)(nil).Meta() == nil {
+		t.Fatal("a nil slab gave no record")
 	}
 }
