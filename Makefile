@@ -17,15 +17,17 @@ examples:
 
 # The allocation ladder: every testing.AllocsPerRun pin on the message path
 # (CRI acquire/release, an eager message and a 128-message window in process,
-# an 8-byte round trip over loopback tcp, a 64 KiB rendezvous, an unexpected
-# message claimed in each matching engine, each one-sided operation — put,
+# an 8-byte round trip over loopback tcp, a 64 KiB rendezvous in process and
+# over tcp — 0 objects, like an eager message: its send, receive and sink
+# records are carved too — an unexpected message claimed in each matching
+# engine, each one-sided operation — put,
 # get, accumulate, fetch-and-op, compare-and-swap — with its flush, a tcp
 # flush, an idle tcp Poll that reads a live connection's empty socket), run
 # without the race detector, then the rows the tests logged as one table.
 # The core rows also measure heap bytes per op (B/op, size-class rounding
-# included), and the in-process window and the tcp round trip pin them; with
-# TestMessageFootprint, which pins the size of every two-sided message's slab
-# entries, they hold a message's bytes, not only its objects. A row without
+# included), and the in-process window, the tcp round trip and both
+# rendezvous rows pin them; with TestMessageFootprint, which pins the size of
+# every two-sided message's slab entries, rendezvous records included, they hold a message's bytes, not only its objects. A row without
 # a byte measurement or pin shows "-".
 # Nothing on the path is pooled, so the pins hold under -race as well and
 # CI's -race test job enforces them too; this target is the readable table.

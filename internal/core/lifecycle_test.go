@@ -416,6 +416,8 @@ func TestMessageFootprint(t *testing.T) {
 		{"match.Recv", unsafe.Sizeof(match.Recv{}), 112},
 		{"core.sendOp (Request + Packet)", unsafe.Sizeof(sendOp{}), 112},
 		{"core.recvOp (Request + match.Recv)", unsafe.Sizeof(recvOp{}), 144},
+		{"core.rdvSendOp (Request + RTS + FIN)", unsafe.Sizeof(rdvSendOp{}), 232},
+		{"core.rdvRecv (transfer state + ACK)", unsafe.Sizeof(rdvRecv{}), 136},
 	} {
 		t.Logf("%-36s %4d B (pinned %d)", s.name, s.size, s.pinned)
 		if s.size > s.pinned {

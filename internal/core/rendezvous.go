@@ -41,10 +41,36 @@ import (
 // transfer it names; the request it would have advanced fails with it.
 var ErrProtocol = errors.New("core: malformed rendezvous control packet")
 
-type rdvSend struct {
-	req      *Request
+// A rendezvous costs no heap object of its own. Each side's transfer state
+// is one record with its control packets and their few payload bytes inline:
+// the send is carved from the sending Thread's slab, as an eager send is, and
+// the receive from the proc's slab under rdvMu, because the RTS matches
+// inside a progress pass, which has no Thread. Records are carved, never
+// recycled (see carve): in process the peer reads the embedded ACK and FIN by
+// pointer, and the reliability layer may resend them after the transfer is
+// over. A record drops its references to user memory when its transfer ends,
+// so a slab pins no user buffer.
+
+// rdvSendOp is a rendezvous send: the request the caller holds, the RTS that
+// carries its envelope, and what the ACK handler needs — the user's buffer and
+// the FIN that follows the data. The ACK is handled inside dispatch, which has
+// no Thread, so the FIN is carved with the send, before the ACK can arrive.
+type rdvSendOp struct {
+	Request
+	rts transport.Packet
+	fin transport.Packet
+	// id is the transfer id, the payload of both RTS and FIN.
+	id       [8]byte
 	buf      []byte
 	dstWorld int
+}
+
+// settle ends the transfer: the record lets go of the user's buffer and the
+// request completes with err. The caller took the record from rdvSends, so
+// no other path settles it.
+func (op *rdvSendOp) settle(err error) {
+	op.buf = nil
+	op.finish(err)
 }
 
 type rdvKey struct {
@@ -52,51 +78,71 @@ type rdvKey struct {
 	id       uint64
 }
 
-// rdvRecv is a receive whose RTS matched: its envelope — source, tag, the
-// message's full length — is in the request's matching record, where the FIN
-// writes how much of it landed.
+// rdvRecv is a receive whose RTS matched, from the match to its FIN: its
+// envelope — source, tag, the message's full length — is in the request's
+// matching record, where the FIN writes how much of it landed. The ACK that
+// answers the RTS, payload included, lives here too.
 type rdvRecv struct {
-	req    *Request
-	region transport.MemRegion
-	sink   int
+	req     *Request
+	region  transport.MemRegion
+	sink    int
+	ack     transport.Packet
+	ackBody [24]byte
+}
+
+// initControl makes pkt a control packet whose payload is body itself, not a
+// copy: body sits in the record that holds pkt and is never written again.
+func initControl(pkt *transport.Packet, env transport.Envelope, body []byte, token any) {
+	pkt.Init(env, nil, token, nil)
+	pkt.Payload = body
 }
 
 func (c *Comm) isendRendezvous(th *Thread, dst int, tag int32, buf []byte) (*Request, error) {
 	p := c.proc
-	req := &Request{proc: p, kind: reqRendezvousSend}
+	op := carve(&th.rdvs)
+	op.proc, op.kind = p, reqRendezvousSend
+	op.buf, op.dstWorld = buf, c.group[dst]
 	id := p.rdvNext.Add(1)
-	p.rdvMu.Lock()
-	p.rdvSends[id] = &rdvSend{req: req, buf: buf, dstWorld: c.group[dst]}
-	p.rdvMu.Unlock()
-
+	binary.LittleEndian.PutUint64(op.id[:], id)
 	env := c.newEnvelope(dst, tag, transport.KindRendezvousRTS)
 	env.Len = uint32(len(buf))
-	var idb [8]byte
-	binary.LittleEndian.PutUint64(idb[:], id)
-	pkt := transport.NewPacketRaw(env, idb[:], req)
+	initControl(&op.rts, env, op.id[:], &op.Request)
+	p.rdvMu.Lock()
+	p.rdvSends[id] = op
+	p.rdvMu.Unlock()
 
 	// The RTS completes the rendezvous via put+FIN, never on transport ack,
 	// so it is tracked with a failure hook only: an unreachable peer tears
-	// down the pending-send entry and fails the request.
-	err := c.inject(th, env, pkt, nil, func(err error) {
-		p.takeRdvSend(id)
-		req.finish(err)
-	})
-	if err != nil {
-		p.takeRdvSend(id)
+	// down the pending-send entry and fails the request — if the entry is
+	// still there: an RTS abandoned after its transfer completed (its ack
+	// lost, then the peer gone) finds nothing to fail.
+	var fail func(error)
+	if p.rel != nil {
+		fail = func(err error) { p.abandonRdvSend(id, err) }
+	}
+	if err := c.inject(th, env, &op.rts, nil, fail); err != nil {
+		p.abandonRdvSend(id, err)
 		return nil, err
 	}
-	return req, nil
+	return &op.Request, nil
 }
 
 // takeRdvSend removes and returns the pending rendezvous send id, nil if it
 // is already gone (completed, or torn down by the other path).
-func (p *Proc) takeRdvSend(id uint64) *rdvSend {
+func (p *Proc) takeRdvSend(id uint64) *rdvSendOp {
 	p.rdvMu.Lock()
-	rs := p.rdvSends[id]
+	op := p.rdvSends[id]
 	delete(p.rdvSends, id)
 	p.rdvMu.Unlock()
-	return rs
+	return op
+}
+
+// abandonRdvSend fails the pending rendezvous send id with err, if it is
+// still pending.
+func (p *Proc) abandonRdvSend(id uint64, err error) {
+	if op := p.takeRdvSend(id); op != nil {
+		op.settle(err)
+	}
 }
 
 // takeRdvRecv is takeRdvSend for the receive side's pending transfers.
@@ -106,6 +152,24 @@ func (p *Proc) takeRdvRecv(key rdvKey) *rdvRecv {
 	delete(p.rdvRecvs, key)
 	p.rdvMu.Unlock()
 	return rr
+}
+
+// endRdvRecv ends the receive side of a transfer the caller took from
+// rdvRecvs: the sink goes, the record lets go of it and of the request, and
+// the request is returned for the caller to complete.
+func (p *Proc) endRdvRecv(rr *rdvRecv) *Request {
+	p.dev.DeregisterMemory(rr.region)
+	req := rr.req
+	rr.req, rr.region = nil, nil
+	return req
+}
+
+// abandonRdvRecv fails the pending rendezvous receive key with err, if it is
+// still pending.
+func (p *Proc) abandonRdvRecv(key rdvKey, err error) {
+	if rr := p.takeRdvRecv(key); rr != nil {
+		p.endRdvRecv(rr).finish(err)
+	}
 }
 
 // startRendezvousRecv runs on the receiver when an RTS matches a posted
@@ -143,31 +207,29 @@ func (c *Comm) startRendezvousRecv(req *Request, comp match.Completion) {
 		p.spcs.Inc(spc.LatePackets)
 		return
 	}
-	p.rdvRecvs[key] = &rdvRecv{req: req, region: region, sink: sink}
+	rr := carve(&p.rdvRecvSlab)
+	rr.req, rr.region, rr.sink = req, region, sink
+	// ACK: rdv id, region id, permitted sink length.
+	binary.LittleEndian.PutUint64(rr.ackBody[0:], id)
+	binary.LittleEndian.PutUint64(rr.ackBody[8:], region.ID())
+	binary.LittleEndian.PutUint64(rr.ackBody[16:], uint64(sink))
+	initControl(&rr.ack, transport.Envelope{
+		Src: int32(c.myRank), Dst: env.Src, Comm: c.id, Kind: transport.KindRendezvousACK,
+	}, rr.ackBody[:], nil)
+	p.rdvRecvs[key] = rr
 	p.rdvMu.Unlock()
 	p.flightRing.Record(flight.KindRendezvousStart, c.id, env.Src, int32(total))
 
-	// ACK: rdv id, region id, permitted sink length.
-	var payload [24]byte
-	binary.LittleEndian.PutUint64(payload[0:], id)
-	binary.LittleEndian.PutUint64(payload[8:], region.ID())
-	binary.LittleEndian.PutUint64(payload[16:], uint64(sink))
-	ackEnv := transport.Envelope{
-		Src: int32(c.myRank), Dst: env.Src, Comm: c.id, Kind: transport.KindRendezvousACK,
-	}
-	ackPkt := transport.NewPacketRaw(ackEnv, payload[:], nil)
 	dstWorld := c.group[env.Src]
 	// If the ACK can never reach the sender, the posted receive would wait
 	// forever for a put that is not coming: tear down and surface the error.
-	teardown := func(err error) {
-		if rr := p.takeRdvRecv(key); rr != nil {
-			p.dev.DeregisterMemory(rr.region)
-			rr.req.finish(err)
-		}
+	var fail func(error)
+	if p.rel != nil {
+		fail = func(err error) { p.abandonRdvRecv(key, err) }
 	}
-	p.rel.track(ackPkt, dstWorld, nil, teardown, nil)
-	if err := p.sendControl(dstWorld, ackPkt); err != nil {
-		teardown(err)
+	p.rel.track(&rr.ack, dstWorld, nil, fail, nil)
+	if err := p.sendControl(dstWorld, &rr.ack); err != nil {
+		p.abandonRdvRecv(key, err)
 	}
 }
 
@@ -184,41 +246,38 @@ func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 	regionID := binary.LittleEndian.Uint64(pkt.Payload[8:])
 	sink := binary.LittleEndian.Uint64(pkt.Payload[16:])
 
-	rs := p.takeRdvSend(id)
-	if rs == nil {
+	op := p.takeRdvSend(id)
+	if op == nil {
 		// Duplicate or orphaned ACK (the transfer already ran, or the RTS
 		// was abandoned by the retransmit sweep). Count and drop.
 		p.spcs.Inc(spc.LatePackets)
 		return
 	}
-	if sink > uint64(len(rs.buf)) {
+	if sink > uint64(len(op.buf)) {
 		p.spcs.Inc(spc.LatePackets)
-		rs.req.finish(fmt.Errorf("%w: ACK permits %d bytes of a %d-byte send", ErrProtocol, sink, len(rs.buf)))
+		op.settle(fmt.Errorf("%w: ACK permits %d bytes of a %d-byte send", ErrProtocol, sink, len(op.buf)))
 		return
 	}
 	env := pkt.Envelope()
-	finEnv := transport.Envelope{
+	initControl(&op.fin, transport.Envelope{
 		Src: env.Dst, Dst: env.Src, Comm: c.id, Kind: transport.KindRendezvousData,
-	}
-	finPkt := transport.NewPacketRaw(finEnv, pkt.Payload[:8], nil)
-	p.rel.track(finPkt, rs.dstWorld, nil, nil, nil)
-	err := p.controlSend(rs.dstWorld, func(ep transport.Endpoint) error {
-		return ep.PutNotify(regionID, rs.buf[:sink], finPkt)
+	}, op.id[:], nil)
+	p.rel.track(&op.fin, op.dstWorld, nil, nil, nil)
+	err := p.controlSend(op.dstWorld, func(ep transport.Endpoint) error {
+		return ep.PutNotify(regionID, op.buf[:sink], &op.fin)
 	})
 	switch {
 	case errors.Is(err, ErrPeerUnreachable):
-		rs.req.finish(err)
 	case errors.Is(err, transport.ErrRegionUnavailable):
 		// The receiver tore the sink region down (e.g. its side of the
 		// transfer failed): the data cannot land, so fail the send.
 		p.spcs.Inc(spc.LatePackets)
-		rs.req.finish(fmt.Errorf("core: rendezvous put: %w", err))
+		err = fmt.Errorf("core: rendezvous put: %w", err)
 	case err != nil:
-		rs.req.finish(fmt.Errorf("core: rendezvous data from rank %d to %d: %v: %w",
-			p.rank, rs.dstWorld, err, ErrPeerUnreachable))
-	default:
-		rs.req.finish(nil)
+		err = fmt.Errorf("core: rendezvous data from rank %d to %d: %v: %w",
+			p.rank, op.dstWorld, err, ErrPeerUnreachable)
 	}
+	op.settle(err)
 }
 
 // handleRendezvousFIN runs on the receiver: the data has landed in the sink;
@@ -238,11 +297,11 @@ func (c *Comm) handleRendezvousFIN(pkt *transport.Packet) {
 		p.spcs.Inc(spc.LatePackets)
 		return
 	}
-	p.dev.DeregisterMemory(rr.region)
-	m := rr.req.matched
+	req := p.endRdvRecv(rr)
+	m := req.matched
 	p.flightRing.Record(flight.KindRendezvousDone, c.id, m.MatchedEnv.Src, int32(rr.sink))
 	m.N, m.Truncated = rr.sink, rr.sink < int(m.MatchedEnv.Len)
-	rr.req.finishRecv()
+	req.finishRecv()
 }
 
 // sendControl injects a control packet outside the matched send path. It

@@ -103,23 +103,21 @@ func TestHostileRendezvousControl(t *testing.T) {
 	}
 }
 
-// TestTCPRendezvousAllocations: a steady-state 64 KiB rendezvous over loopback
-// tcp moves its payload without putting it on the heap — the FIN streams out
-// of the send buffer and lands in the posted receive — so one message costs
-// its handful of small objects (the send's request and rendezvous records,
-// the RTS, ACK and FIN packets the sender and receiver build with their few
-// payload bytes, the sink's registration; the receive and the decoded packets
-// come from slabs; 17 objects when the payload still rode the FIN) and well
-// under 4 KiB of heap (148 880 B then). A payload-sized make anywhere on the
-// path fails the byte bound at once.
-func TestTCPRendezvousAllocations(t *testing.T) {
-	const size = 64 << 10
+// rdvPair is a two-rank world over the in-process fabric or loopback tcp: a
+// Thread and the world communicator on each rank.
+func rdvPair(t *testing.T, tcp bool) (th [2]*Thread, c [2]*Comm) {
+	t.Helper()
+	if !tcp {
+		w := newTestWorld(t, 2, Stock())
+		for rank := range th {
+			th[rank], c[rank] = w.Proc(rank).NewThread(), w.Proc(rank).CommWorld()
+		}
+		return th, c
+	}
 	nets, err := tcpnet.NewLoopback(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var th [2]*Thread
-	var c [2]*Comm
 	for rank := range th {
 		w, err := NewDistributedWorld(hw.Fast(), rank, 2, nets[rank], Stock())
 		if err != nil {
@@ -128,31 +126,152 @@ func TestTCPRendezvousAllocations(t *testing.T) {
 		t.Cleanup(w.Close)
 		th[rank], c[rank] = w.LocalProc().NewThread(), w.LocalProc().CommWorld()
 	}
-	payload, buf := make([]byte, size), make([]byte, size)
+	return th, c
+}
+
+// rdvOnce moves payload from rank 0 into buf on rank 1 — a rendezvous when
+// payload is above the eager limit — progressing both ranks until both ends
+// complete, and checks that it arrived intact.
+func rdvOnce(t *testing.T, th [2]*Thread, c [2]*Comm, payload, buf []byte) (sreq, rreq *Request) {
+	clear(buf)
+	rreq, err := c[1].Irecv(th[1], 0, 7, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sreq, err = c[0].Isend(th[0], 1, 7, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !sreq.Done() || !rreq.Done() {
+		th[0].Progress()
+		th[1].Progress()
+	}
+	if sreq.result() != nil || rreq.result() != nil || !bytes.Equal(buf, payload) {
+		t.Fatalf("send %v, receive %v, payload intact: %v", sreq.result(), rreq.result(), bytes.Equal(buf, payload))
+	}
+	return sreq, rreq
+}
+
+// seededPayload is a 64 KiB rendezvous payload and a receive buffer for it.
+func seededPayload() (payload, buf []byte) {
+	payload, buf = make([]byte, 64<<10), make([]byte, 64<<10)
 	for i := range payload {
 		payload[i] = byte(i * 13)
 	}
-	one := func() {
-		clear(buf)
-		rreq, err := c[1].Irecv(th[1], 0, 7, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sreq, err := c[0].Isend(th[0], 1, 7, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !sreq.Done() || !rreq.Done() {
-			th[0].Progress()
-			th[1].Progress()
-		}
-		if sreq.result() != nil || rreq.result() != nil || !bytes.Equal(buf, payload) {
-			t.Fatalf("send %v, receive %v, payload intact: %v", sreq.result(), rreq.result(), bytes.Equal(buf, payload))
+	return payload, buf
+}
+
+// A 64 KiB rendezvous costs no heap object of its own, over either backend:
+// the payload never touches the heap — the FIN streams out of the send buffer
+// and lands in the posted receive — and the rest is carved. The send (request,
+// RTS, FIN, the transfer id and the user's buffer) is one entry of the sending
+// Thread's slab; the receive's matching record one of its Thread's; the
+// receive's transfer state (request, sink, the ACK and its 24 payload bytes)
+// one of the proc's slab, carved under rdvMu; the sink's registration one of
+// the device's region slab; tcp's decoded packets come from the reader's
+// slabs. So the run averages one allocation per slab refill — a few per 64
+// messages, which AllocsPerRun's whole-number average reads as 0 (12 objects
+// when each of these had one of its own, 17 when the payload still rode the
+// FIN) — and well under 4 KiB of heap (148 880 B then): a payload-sized make
+// anywhere on the path fails the byte bound at once.
+func TestTCPRendezvousAllocations(t *testing.T) {
+	th, c := rdvPair(t, true)
+	payload, buf := seededPayload()
+	one := func() { rdvOnce(t, th, c, payload, buf) }
+	one() // dial and handshake outside the measurement
+	pinAllocs(t, "core 64 KiB rendezvous, per message (tcp)", 0.1, 4<<10-1, 1, one)
+}
+
+// TestSimRendezvousAllocations is TestTCPRendezvousAllocations over the
+// in-process fabric, where the receiver reads the sender's RTS and FIN, and
+// the sender the receiver's ACK, by pointer.
+func TestSimRendezvousAllocations(t *testing.T) {
+	th, c := rdvPair(t, false)
+	payload, buf := seededPayload()
+	one := func() { rdvOnce(t, th, c, payload, buf) }
+	one()
+	pinAllocs(t, "core 64 KiB rendezvous, per message (sim)", 0.1, 4<<10-1, 1, one)
+}
+
+// TestFinishedRendezvousHoldsNoUserMemory: records are carved, never recycled,
+// so a record that outlived its transfer would pin the user's buffer for as
+// long as anything holds its slab. When a transfer ends, its send record has
+// let go of the send buffer, its receive record of the request and the sink,
+// and a deregistered region of its buffer, on either backend.
+func TestFinishedRendezvousHoldsNoUserMemory(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		t.Run(map[bool]string{false: "sim", true: "tcp"}[tcp], func(t *testing.T) {
+			th, c := rdvPair(t, tcp)
+			payload, buf := seededPayload()
+			rdvOnce(t, th, c, payload, buf) // fills the slabs: the next records are known
+			p1 := c[1].proc
+			send := &th[0].rdvs[0]
+			p1.rdvMu.Lock()
+			recv := &p1.rdvRecvSlab[0]
+			p1.rdvMu.Unlock()
+			sreq, _ := rdvOnce(t, th, c, payload, buf)
+			if sreq != &send.Request || recv.ack.Envelope().Kind != transport.KindRendezvousACK {
+				t.Fatal("the transfer did not use the next record of each slab")
+			}
+			if send.buf != nil {
+				t.Error("the finished send's record still holds the send buffer")
+			}
+			if recv.req != nil || recv.region != nil {
+				t.Errorf("the finished receive's record still holds request %p, region %v", recv.req, recv.region)
+			}
+			region := p1.RegisterMemory(buf)
+			p1.DeregisterMemory(region)
+			if region.Bytes() != nil {
+				t.Error("a deregistered region still holds its buffer")
+			}
+		})
+	}
+}
+
+// TestReliableRendezvousAbandonedAfterCompletion: the RTS's failure hook can
+// fire after its transfer completed — its reliability ack lost, say, and then
+// the peer gone. It finds no pending send to fail: no request completes twice
+// and the send's result stays nil.
+func TestReliableRendezvousAbandonedAfterCompletion(t *testing.T) {
+	opts := Stock()
+	opts.Reliable = true
+	w := newTestWorld(t, 2, opts)
+	p0 := w.Proc(0)
+	th := [2]*Thread{p0.NewThread(), w.Proc(1).NewThread()}
+	c := [2]*Comm{p0.CommWorld(), w.Proc(1).CommWorld()}
+	payload, buf := seededPayload()
+	rreq, err := c[1].Irecv(th[1], 0, 7, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sreq, err := c[0].Isend(th[0], 1, 7, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The RTS's reliability entry, before any progress pass can retire it.
+	var hook func(error)
+	sp := &p0.rel.send[1]
+	sp.mu.Lock()
+	for _, e := range sp.unacked {
+		if e.pkt.Envelope().Kind == transport.KindRendezvousRTS {
+			hook = e.fail
 		}
 	}
-	one() // dial and handshake outside the measurement
-	// Under 4 KiB of heap per message: a payload-sized make fails the pin.
-	pinAllocs(t, "core 64 KiB rendezvous, per message (tcp)", 12, 4<<10-1, 1, one)
+	sp.mu.Unlock()
+	if hook == nil {
+		t.Fatal("the RTS is not tracked with a failure hook")
+	}
+	for !sreq.Done() || !rreq.Done() {
+		th[0].Progress()
+		th[1].Progress()
+	}
+	if sreq.result() != nil || rreq.result() != nil || !bytes.Equal(buf, payload) {
+		t.Fatalf("send %v, receive %v, payload intact: %v", sreq.result(), rreq.result(), bytes.Equal(buf, payload))
+	}
+	hook(ErrPeerUnreachable)
+	if err := sreq.result(); err != nil {
+		t.Fatalf("the completed send's result became %v", err)
+	}
 }
 
 // handDial connects to a tcp rank's listener as rank 0 and completes the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -187,8 +188,16 @@ func TestHandlesOutliveTheirSlab(t *testing.T) {
 // Two Threads of one proc post at once — sends on rank 0, receives on rank 1,
 // over two instances with concurrent progress — each through its own slabs
 // and payload chunk, while deliveries collect into their instance's scratch:
-// under the race detector none of it is shared.
+// under the race detector none of it is shared. Above the eager limit the
+// same traffic goes by rendezvous, whose receive records and sink regions two
+// progress passes carve at once from the proc's and the device's slabs.
 func TestThreadsPostConcurrently(t *testing.T) {
+	for _, size := range []int{2, 2 * DefaultEagerLimit} {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) { postConcurrently(t, size) })
+	}
+}
+
+func postConcurrently(t *testing.T, size int) {
 	w := newTestWorld(t, 2, CRIsConcurrent(2, cri.Dedicated))
 	const msgs = 3 * opSlab
 	var wg sync.WaitGroup
@@ -198,7 +207,9 @@ func TestThreadsPostConcurrently(t *testing.T) {
 			defer wg.Done()
 			th, c := w.Proc(0).NewThread(), w.Proc(0).CommWorld()
 			for i := 0; i < msgs; i++ {
-				if err := c.Send(th, 1, int32(g), []byte{byte(g), byte(i)}); err != nil {
+				payload := make([]byte, size)
+				payload[0], payload[1] = byte(g), byte(i)
+				if err := c.Send(th, 1, int32(g), payload); err != nil {
 					t.Error(err)
 					return
 				}
@@ -210,7 +221,7 @@ func TestThreadsPostConcurrently(t *testing.T) {
 			reqs := make([]*Request, msgs)
 			bufs := make([][]byte, msgs)
 			for i := range reqs {
-				bufs[i] = make([]byte, 2)
+				bufs[i] = make([]byte, size)
 				var err error
 				if reqs[i], err = c.Irecv(th, 0, int32(g), bufs[i]); err != nil {
 					t.Error(err)
@@ -223,7 +234,7 @@ func TestThreadsPostConcurrently(t *testing.T) {
 			}
 			for i, b := range bufs {
 				if b[0] != byte(g) || b[1] != byte(i) {
-					t.Errorf("thread %d receive %d: payload %v", g, i, b)
+					t.Errorf("thread %d receive %d: payload %v", g, i, b[:2])
 					return
 				}
 			}

@@ -19,10 +19,10 @@ import (
 // and is not safe for concurrent use by multiple goroutines.
 //
 // That single owner is also what lets a message cost no heap object of its
-// own: the thread's eager sends and posted receives are carved from its
-// operation slabs, its small eager payload copies and the metadata records of
-// its timed or tracked packets from its transport.Slab, and a self message is
-// matched through its completion scratch — none of it
+// own: the thread's sends — eager or rendezvous — and posted receives are
+// carved from its operation slabs, its small eager payload copies and the
+// metadata records of its timed or tracked packets from its transport.Slab,
+// and a self message is matched through its completion scratch — none of it
 // synchronized, because only the owning goroutine touches it. Slabs fill on
 // first use, never in NewThread.
 type Thread struct {
@@ -31,6 +31,7 @@ type Thread struct {
 
 	sends   []sendOp
 	recvs   []recvOp
+	rdvs    []rdvSendOp
 	slab    transport.Slab
 	scratch []match.Completion
 	// fetched is where a fetching one-sided atomic lands its result: such an
@@ -41,8 +42,8 @@ type Thread struct {
 
 // opSlab is how many operations share one allocation. An entry is never
 // handed out twice (see carve), so a caller may read a *Request after Wait;
-// a handle held for long keeps its slab — 64 operations, 7 KiB of sends or
-// 9 KiB of receives — alive.
+// a handle held for long keeps its slab — 64 operations, 7 KiB of eager
+// sends, 9 KiB of receives or 16 KiB of rendezvous sends — alive.
 const opSlab = 64
 
 // carve returns the next zero entry of *slab, refilling it with opSlab fresh

@@ -298,11 +298,13 @@ type Proc struct {
 	timed     bool
 	timedRecv bool
 
-	// rendezvous bookkeeping (see rendezvous.go).
-	rdvMu    sync.Mutex
-	rdvSends map[uint64]*rdvSend
-	rdvRecvs map[rdvKey]*rdvRecv
-	rdvNext  atomic.Uint64
+	// rendezvous bookkeeping (see rendezvous.go). rdvRecvSlab is what the
+	// receive records are carved from, under rdvMu.
+	rdvMu       sync.Mutex
+	rdvSends    map[uint64]*rdvSendOp
+	rdvRecvs    map[rdvKey]*rdvRecv
+	rdvRecvSlab []rdvRecv
+	rdvNext     atomic.Uint64
 
 	// scratch[k] is the slice instance k's deliveries collect completions
 	// in. Delivery from a CQ runs under that instance's lock, which makes the
@@ -314,7 +316,7 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 	p := &Proc{
 		world:    w,
 		rank:     rank,
-		rdvSends: make(map[uint64]*rdvSend),
+		rdvSends: make(map[uint64]*rdvSendOp),
 		rdvRecvs: make(map[rdvKey]*rdvRecv),
 	}
 	p.comms.Store(new([]*Comm))

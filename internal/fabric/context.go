@@ -304,22 +304,22 @@ func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) e
 	if err != nil {
 		return err
 	}
-	var r *MemRegion
+	var dst []byte
 	if len(src) > 0 {
-		reg, ok := rc.dev.Region(regionID)
+		buf, ok := rc.dev.regionBytes(regionID)
 		if !ok {
 			return transport.ErrRegionUnavailable
 		}
-		r = reg.(*MemRegion)
-		if err := checkBounds("put", r, 0, len(src)); err != nil {
-			return err
+		if len(src) > len(buf) {
+			return &BoundsError{Op: "put", Len: len(src), Size: len(buf)}
 		}
+		dst = buf
 	}
 	if err := e.local.claim(transport.CQE{Kind: transport.CQESendComplete, Packet: p}); err != nil {
 		return err
 	}
-	if r != nil {
-		e.local.write(r, 0, src)
+	if dst != nil {
+		e.local.write(dst, src)
 	}
 	e.inject(rc, p)
 	return nil

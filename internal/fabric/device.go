@@ -32,8 +32,11 @@ type Device struct {
 	contexts []*Context
 	closed   bool
 
+	// regMu guards the region table, the unused rest of the region slab
+	// regions are carved from, and each region's buf.
 	regMu   sync.RWMutex
 	regions map[uint64]*MemRegion
+	regSlab []MemRegion
 	nextReg uint64
 
 	// connMu guards connected, the peers some endpoint of this device has

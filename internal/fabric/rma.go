@@ -34,21 +34,34 @@ func (r *MemRegion) Size() int { return len(r.buf) }
 // Bytes exposes the underlying buffer (local access for the window owner).
 func (r *MemRegion) Bytes() []byte { return r.buf }
 
-// RegisterMemory registers buf for remote access and returns its region.
+// regSlab is how many regions share one allocation (2.5 KiB).
+const regSlab = 64
+
+// RegisterMemory registers buf for remote access and returns its region,
+// carved from the device's region slab: a rendezvous registers one sink per
+// message. A region is never handed out twice, so a stale handle is a gone
+// region, never another's.
 func (d *Device) RegisterMemory(buf []byte) transport.MemRegion {
 	d.regMu.Lock()
 	defer d.regMu.Unlock()
+	if len(d.regSlab) == 0 {
+		d.regSlab = make([]MemRegion, regSlab)
+	}
+	r := &d.regSlab[0]
+	d.regSlab = d.regSlab[1:]
 	d.nextReg++
-	r := &MemRegion{id: d.nextReg, buf: buf}
+	r.id, r.buf = d.nextReg, buf
 	d.regions[r.id] = r
 	return r
 }
 
-// DeregisterMemory removes a region from remote visibility.
+// DeregisterMemory removes a region from remote visibility. The region lets
+// go of its buffer, so its slab pins no user memory.
 func (d *Device) DeregisterMemory(r transport.MemRegion) {
 	if rr, ok := r.(*MemRegion); ok && rr != nil {
 		d.regMu.Lock()
 		delete(d.regions, rr.id)
+		rr.buf = nil
 		d.regMu.Unlock()
 	}
 }
@@ -62,6 +75,17 @@ func (d *Device) Region(id uint64) (transport.MemRegion, bool) {
 		return nil, false // untyped: a nil *MemRegion in the interface would not compare nil
 	}
 	return r, true
+}
+
+// regionBytes returns the buffer registered under id, read under the lock
+// deregistration clears it under.
+func (d *Device) regionBytes(id uint64) ([]byte, bool) {
+	d.regMu.RLock()
+	defer d.regMu.RUnlock()
+	if r, ok := d.regions[id]; ok {
+		return r.buf, true
+	}
+	return nil, false
 }
 
 // errBounds is returned when a one-sided access falls outside the region.
@@ -115,16 +139,16 @@ func (c *Context) Put(reg transport.MemRegion, offset int, src []byte, token any
 	if err := c.claim(transport.CQE{Kind: transport.CQEPutComplete, Token: token}); err != nil {
 		return err
 	}
-	c.write(r, offset, src)
+	c.write(r.buf[offset:], src)
 	return nil
 }
 
 // write is a put's data movement: initiator-side CPU cost, wire reservation
-// for the payload and the direct memory write.
-func (c *Context) write(r *MemRegion, offset int, src []byte) {
+// for the payload and the direct memory write into dst.
+func (c *Context) write(dst, src []byte) {
 	hw.Spin(c.dev.costs.RMAPut)
 	c.dev.limiter.reserve(transport.EnvelopeSize + len(src))
-	copy(r.buf[offset:], src)
+	copy(dst, src)
 }
 
 // Get reads len(dst) bytes from the remote region at offset into dst and

@@ -81,7 +81,15 @@
 // mux→context cache, one mutex) advanced by one function, step, which never
 // waits: it reads the socket once, without blocking, and decodes every
 // complete frame in place (DecodeMuxFrameInto copies the payload out) — one
-// read per burst. Small frames decode into packets carved from a
+// read per burst. Landed frames are the exception: a body should go from the
+// socket to its region without crossing the window, and landed frames come in
+// runs (one per rendezvous ACK, and ACKs arrive in batches). So after a landed
+// frame the next read into the window asks for at most maxLandedHead bytes:
+// the next head arrives alone, with at most a few dozen bytes of its body, and
+// the rest of that body is read straight into the region. What still crosses
+// the window is what a full-size read fetched before a run began — typically
+// the first landed frame after a batch of RTSs; an eager-only stream never
+// takes the capped read. Small frames decode into packets carved from a
 // slabPackets-entry slab, and their payloads — and the Meta record of a
 // traced or reliability-tracked frame — into the record's transport.Slab, one
 // allocation per slab or chunk instead of one per frame; a frame above
@@ -110,8 +118,9 @@
 // existence, and for the rest of a plain frame larger than the window, which
 // spills into a reused scratch slice grown as its bytes actually arrive. (A
 // landed frame never spills: step copies what the window holds of its body
-// into the region and reads the rest from the socket straight into it, one
-// non-blocking read per step, whoever steps.) A poller
+// — after the capped read, little or nothing — into the region and reads the
+// rest from the socket straight into it, one non-blocking read per step,
+// whoever steps.) A poller
 // that leaves any of these behind, or meets the end of the stream, wakes the
 // goroutine with an expired read deadline — the netpoller reports a socket
 // only while bytes sit in it, and the poller took them. wire_reads_polled and
@@ -225,8 +234,11 @@ const (
 	slabMaxFrame = 512
 	// maxLandedHead bounds a landed frame's head — all of it ahead of the
 	// body, length prefix included; a rendezvous FIN's is 76 bytes, 96 traced
-	// — so the reader has it whole in its window before a body byte moves.
+	// — so the reader has it whole in its window before a body byte moves. It
+	// is also all the reader's next read asks for after a landed frame.
 	maxLandedHead = 128
+	// regSlab is how many registered regions share one allocation (2 KiB).
+	regSlab = 64
 )
 
 // errBadFrame reports inbound bytes that failed frame validation.
@@ -960,6 +972,14 @@ type rxConn struct {
 	// body is the landed frame in mid-air, if any (see land).
 	body landingBody
 	err  error
+	// capped is set by a landed frame and cleared by the next read into the
+	// window, which asks for at most maxLandedHead bytes: landed frames come
+	// in runs, so that read most likely fetches the next head alone, and its
+	// body is read straight into the region instead of through the window.
+	capped bool
+	// windowed counts the body bytes landMore copied out of the window (the
+	// reader's tests read it).
+	windowed int
 	// ctxs caches the destination contexts by mux ID.
 	ctxs []*Context
 }
@@ -1037,8 +1057,11 @@ func (rx *rxConn) step(ctr *spc.Set, by spc.Counter) rxState {
 		rx.lo = 0
 		b, into := &rx.body, rx.buf[rx.hi:]
 		landing := len(b.dst) > 0
-		if landing {
+		switch {
+		case landing:
 			into = b.dst // from the socket straight into the region; the window is empty
+		case rx.capped:
+			into = into[:min(len(into), maxLandedHead)]
 		}
 		m, err := rx.readOnce(into)
 		switch {
@@ -1047,6 +1070,7 @@ func (rx *rxConn) step(ctr *spc.Set, by spc.Counter) rxState {
 				b.dst, b.left = b.dst[m:], b.left-m
 			} else {
 				rx.hi += m
+				rx.capped = false
 			}
 			ctr.Inc(by)
 		case err == errWouldBlock:
@@ -1158,6 +1182,7 @@ func (rx *rxConn) land(flen int, region uint64, n int) rxState {
 	if err != nil || mux >= maxMux || ok && n > len(dst) {
 		return rx.end(errBadFrame)
 	}
+	rx.capped = true
 	if rx.lo += head; ok {
 		rx.body = landingBody{pkt: pkt, mux: mux, dst: dst[:n], left: n}
 	} else {
@@ -1172,7 +1197,8 @@ func (rx *rxConn) land(flen int, region uint64, n int) rxState {
 func (rx *rxConn) landMore() rxState {
 	b := &rx.body
 	m := min(rx.hi-rx.lo, b.left)
-	b.dst = b.dst[copy(b.dst, rx.buf[rx.lo:rx.lo+m]):]
+	c := copy(b.dst, rx.buf[rx.lo:rx.lo+m])
+	b.dst, rx.windowed = b.dst[c:], rx.windowed+c
 	rx.lo, b.left = rx.lo+m, b.left-m
 	if b.left > 0 || b.pkt == nil {
 		return rxMore
@@ -1433,12 +1459,17 @@ func (n *Network) context(idx int) *Context {
 	return nil
 }
 
-// region returns the buffer registered under id, for a landed frame to fill.
+// region returns the buffer registered under id, for a landed frame to fill,
+// read under the lock deregistration clears it under.
 func (n *Network) region(id uint64) ([]byte, bool) {
-	if dev := n.device(); dev != nil {
-		if r, ok := dev.Region(id); ok {
-			return r.Bytes(), true
-		}
+	dev := n.device()
+	if dev == nil {
+		return nil, false
+	}
+	dev.regMu.RLock()
+	defer dev.regMu.RUnlock()
+	if r, ok := dev.regions[id]; ok {
+		return r.buf, true
 	}
 	return nil, false
 }
@@ -1500,8 +1531,11 @@ type Device struct {
 	mu       sync.Mutex
 	contexts []*Context
 
+	// regMu guards the region table, the unused rest of the region slab
+	// regions are carved from, and each region's buf.
 	regMu   sync.RWMutex
 	regions map[uint64]*MemRegion
+	regSlab []MemRegion
 	nextReg uint64
 }
 
@@ -1567,19 +1601,29 @@ func (d *Device) PeerClockOffsetNs(peer int) (int64, bool) {
 	return d.net.PeerClockOffsetNs(peer)
 }
 
+// RegisterMemory registers a rendezvous sink, carved from the device's region
+// slab (one sink per message; a region is never handed out twice).
 func (d *Device) RegisterMemory(buf []byte) transport.MemRegion {
 	d.regMu.Lock()
 	defer d.regMu.Unlock()
+	if len(d.regSlab) == 0 {
+		d.regSlab = make([]MemRegion, regSlab)
+	}
+	r := &d.regSlab[0]
+	d.regSlab = d.regSlab[1:]
 	d.nextReg++
-	r := &MemRegion{id: d.nextReg, buf: buf}
+	r.id, r.buf = d.nextReg, buf
 	d.regions[r.id] = r
 	return r
 }
 
+// DeregisterMemory removes a region. The region lets go of its buffer, so its
+// slab pins no user memory.
 func (d *Device) DeregisterMemory(r transport.MemRegion) {
-	if rr, ok := r.(*MemRegion); ok {
+	if rr, ok := r.(*MemRegion); ok && rr != nil {
 		d.regMu.Lock()
 		delete(d.regions, rr.id)
+		rr.buf = nil
 		d.regMu.Unlock()
 	}
 }

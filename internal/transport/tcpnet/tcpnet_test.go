@@ -1092,13 +1092,17 @@ func hostileStream(t *testing.T, stream []byte, pollersRead bool) {
 	}
 }
 
+// rxRegion is the size of newRx's region 1: larger than a window of
+// maxLandedHead bytes, so a body that fills it spans several reads.
+const rxRegion = 1 << 10
+
 // newRx returns a receive half with no socket under it: run reads r through a
 // window-byte window (at least maxLandedHead, if landed frames are to fit)
 // with blocking reads — the path of a connection without a raw descriptor —
 // and hands every frame step accepts to deliver.
 func newRx(r net.Conn, window int, deliver func(mux uint32, p *transport.Packet)) *rxConn {
-	// A device with one 64-byte region, id 1, for landed frames to fill.
-	dev := &Device{regions: map[uint64]*MemRegion{1: {id: 1, buf: make([]byte, 64)}}}
+	// A device with one rxRegion-byte region, id 1, for landed frames to fill.
+	dev := &Device{regions: map[uint64]*MemRegion{1: {id: 1, buf: make([]byte, rxRegion)}}}
 	return &rxConn{net: &Network{dev: dev}, src: r, buf: make([]byte, window), deliver: func(mux uint32, p *transport.Packet) rxState {
 		deliver(mux, p)
 		return rxMore
@@ -1126,6 +1130,33 @@ func readAll(window, chunk int, stream []byte) (frames [][]byte, fr *rxConn, err
 	err = fr.run()
 	server.Close()
 	return frames, fr, err
+}
+
+// TestLandedBodiesSkipTheWindow: landed frames come in runs, so after one the
+// reader asks the socket for no more than a landed head. One plain frame and
+// then four back-to-back landed frames arrive as one write, through a window
+// smaller than a body: the first body may cross the window in bulk, but of
+// each one after it the window carries at most maxLandedHead bytes — the rest
+// is read from the socket straight into the region.
+func TestLandedBodiesSkipTheWindow(t *testing.T) {
+	const window, landed = 4 * maxLandedHead, 4
+	stream := numbered(0, 0, []byte("ahead"))
+	var last []byte
+	for i := range landed {
+		last = seeded(rxRegion - i) // no two bodies alike
+		stream = append(stream, landedFrame(0, 1+i, uint64(i), 1, last)...)
+	}
+	frames, fr, err := readAll(window, len(stream), stream)
+	if err != io.EOF || len(frames) != 1+landed {
+		t.Fatalf("read %d frames, then %v; want %d and EOF", len(frames), err, 1+landed)
+	}
+	if got := fr.net.dev.regions[1].buf[:len(last)]; !bytes.Equal(got, last) {
+		t.Fatal("region 1 does not hold the last body")
+	}
+	if bound := window + (landed-1)*maxLandedHead; fr.windowed > bound {
+		t.Fatalf("the window carried %d body bytes, want at most %d: a %d-byte window for the first body, %d for each after it",
+			fr.windowed, bound, window, maxLandedHead)
+	}
 }
 
 // TestFrameReaderSpillIsPaidByBytesReceived: a stream that declares a huge
@@ -1175,12 +1206,18 @@ func FuzzReadFrames(f *testing.F) {
 	between := func(frame []byte) []byte {                                 // a landed frame with plain frames around it
 		return append(append(valid[:56:56], frame...), valid...)
 	}
-	f.Add(between(landedFrame(3, 0, 7, 1, seeded(64))), uint8(5))  // lands in region 1, to the last byte
-	f.Add(between(landedFrame(3, 0, 7, 1, seeded(65))), uint8(70)) // one byte more than the region holds
-	f.Add(between(landedFrame(3, 0, 7, 2, seeded(500))), uint8(9)) // a region nobody registered: drained and dropped
+	f.Add(between(landedFrame(3, 0, 7, 1, seeded(rxRegion))), uint8(5))    // lands in region 1, to the last byte
+	f.Add(between(landedFrame(3, 0, 7, 1, seeded(rxRegion+1))), uint8(70)) // one byte more than the region holds
+	f.Add(between(landedFrame(3, 0, 7, 2, seeded(500))), uint8(9))         // a region nobody registered: drained and dropped
 	flagged := landedFrame(3, 0, 7, 1, seeded(8))
 	flagged[4+transport.MuxHeaderSize+24] = byte(transport.KindRendezvousACK)
 	f.Add(between(flagged), uint8(200)) // the landed flag on another kind
+	// Back-to-back landed frames, then a landed frame followed by plain frames.
+	run := landedFrame(3, 0, 7, 1, seeded(300))
+	run = append(run, landedFrame(3, 1, 8, 1, seeded(rxRegion))...)
+	run = append(run, landedFrame(3, 2, 9, 1, seeded(5))...)
+	f.Add(run, uint8(255))
+	f.Add(append(landedFrame(3, 0, 7, 1, seeded(200)), valid...), uint8(99))
 	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
 		small, fr, errSmall := readAll(maxLandedHead, int(chunk)+1, stream)
 		if c := cap(fr.scratch); c > maxFrame {
