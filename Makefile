@@ -211,8 +211,9 @@ fuzz-wire:
 
 # Fault-injection and teardown chaos: the reliability layer repairing a
 # lossy, duplicating, reordering wire, communicator free with packets still
-# in flight, and a seeded faulty benchmark run — all under the race detector.
-# The faulty run flies with the recorder and watchdog armed and leaves its
+# in flight, and seeded faulty two-sided and RMA benchmark runs — the tests
+# under the race detector.
+# The two-sided faulty run flies with the recorder and watchdog armed and leaves its
 # flight-record dump as a triage artifact; a deterministic virtual-time
 # stall then proves the watchdog names the stalled site.
 chaos:
@@ -220,6 +221,8 @@ chaos:
 	$(GO) run ./cmd/multirate -engine real -pairs 4 -window 32 -iters 4 \
 		-fault-drop 0.01 -fault-dup 0.01 -fault-delay 0.02 -fault-seed 7 -spcs \
 		-watchdog -flight-out flight_chaos.json
+	$(GO) run ./cmd/rmamt -engine real -fault-drop 0.01 -fault-dup 0.01 -fault-seed 7 \
+		-threads 4 -puts 200 -rounds 2
 	$(GO) run ./cmd/multirate -engine sim -pairs 1 -window 64 -iters 4 \
 		-flight 2048 -watchdog -stall 2s -stall-at 2 -flight-out flight_sim_stall.json
 

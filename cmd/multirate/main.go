@@ -43,6 +43,7 @@ import (
 	"repro/internal/progress"
 	"repro/internal/simnet"
 	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -100,6 +101,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "multirate: profiling flags instrument the real runtime; switching to -engine real")
 		*engine = "real"
 	}
+	// The fault flags build the in-process fabric's adversary; a tcp run
+	// has no adversary to build.
+	faults := transport.FaultConfig{Drop: *faultDrop, Dup: *faultDup, Delay: *faultDelay, Seed: *faultSeed}
+	if *transportName == "tcp" && faults.Enabled() {
+		check(fmt.Errorf("-fault-drop/-fault-dup/-fault-delay inject on the in-process fabric only, not -transport tcp"))
+	}
 	if *transportName == "tcp" && *engine == "sim" {
 		fmt.Fprintln(os.Stderr, "multirate: -transport tcp runs the real runtime; switching to -engine real")
 		*engine = "real"
@@ -120,9 +127,7 @@ func main() {
 			Progress: pm, CommPerPair: *commPerPair, NoWildcards: *noWildcards,
 			AllowOvertaking: *overtaking, AnyTagRecv: *anyTag,
 			ProcessMode: *processMode, Traced: ob.TraceWire,
-			FaultDrop: *faultDrop, FaultDup: *faultDup,
-			FaultDelay: *faultDelay, FaultSeed: *faultSeed,
-			FlightCapacity: ob.FlightCap, Latency: ob.Latency,
+			Faults: faults, FlightCapacity: ob.FlightCap, Latency: ob.Latency,
 			StallRecv: *stallRecv, StallAfterIter: *stallAt,
 		}
 		if ob.Watchdog {
@@ -168,10 +173,8 @@ func main() {
 			NumInstances: *instances, Assignment: asg, Progress: pm,
 			ThreadLevel: core.ThreadMultiple,
 			Telemetry:   ob.WantTelemetry() || ob.TraceWire, TraceWire: ob.TraceWire,
-			Profile:   wantProf,
-			Latency:   ob.Latency,
-			FaultDrop: *faultDrop, FaultDup: *faultDup,
-			FaultDelay: *faultDelay, FaultSeed: *faultSeed,
+			Profile:        wantProf,
+			Latency:        ob.Latency,
 			FlightCapacity: flightCap,
 		}
 		pat := bench.Pairwise
@@ -204,6 +207,10 @@ func main() {
 		var err error
 		switch *transportName {
 		case "sim", "":
+			if faults.Enabled() {
+				// A fabric serves one world; bench.Run builds one.
+				bcfg.Opts.Network = backends.Faulty(faults)
+			}
 			res, err = bench.Run(bcfg)
 		case "tcp":
 			peers, perr := backends.ParsePeers(*peerList)

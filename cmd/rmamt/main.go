@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/backends"
 	"repro/internal/bench/cliobs"
 	bench "repro/internal/bench/rmamt"
 	"repro/internal/core"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/prof"
 	"repro/internal/progress"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -62,6 +64,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rmamt: profiling flags instrument the real runtime; switching to -engine real")
 		*engine = "real"
 	}
+	// The RMA-MT model has no faulty wire: the fault flags build the
+	// in-process fabric's adversary, so they imply the real engine too.
+	faults := transport.FaultConfig{Drop: *faultDrop, Dup: *faultDup, Delay: *faultDelay, Seed: *faultSeed}
+	if faults.Enabled() && *engine == "sim" {
+		fmt.Fprintln(os.Stderr, "rmamt: fault flags inject on the real runtime's wire; switching to -engine real")
+		*engine = "real"
+	}
 
 	machine, err := hw.MachineByName(*machineName)
 	check(err)
@@ -96,12 +105,14 @@ func main() {
 		opts := core.Options{
 			NumInstances: ni, Assignment: asg, Progress: pm,
 			ThreadLevel: core.ThreadMultiple, Telemetry: ob.WantTelemetry(),
-			Profile:   wantProf,
-			TraceWire: ob.TraceWire,
-			Latency:   ob.Latency,
-			FaultDrop: *faultDrop, FaultDup: *faultDup,
-			FaultDelay: *faultDelay, FaultSeed: *faultSeed,
+			Profile:        wantProf,
+			TraceWire:      ob.TraceWire,
+			Latency:        ob.Latency,
 			FlightCapacity: ob.RealFlightCap(),
+		}
+		if faults.Enabled() {
+			// A fabric serves one world; bench.Run builds one.
+			opts.Network = backends.Faulty(faults)
 		}
 		sess, serr := ob.Start(map[string]string{
 			"cmd": "rmamt", "progress": *prog, "assignment": *assignment,

@@ -15,6 +15,12 @@ import (
 // when a World is created without an explicit Network.
 func Sim() transport.Network { return fabric.NewNetwork() }
 
+// Faulty returns a fresh simulated in-process cluster whose wire is the
+// adversary fc describes: it advertises !Lossless even when every
+// probability in fc is zero, so the runtime runs its reliability layer over
+// it. A Network serves one world.
+func Faulty(fc transport.FaultConfig) transport.Network { return fabric.NewFaultyNetwork(fc) }
+
 // TCP returns a real TCP backend serving one rank of a multi-process job.
 // listen is this rank's accept address; peers[r] is rank r's address.
 func TCP(rank, size int, listen string, peers []string) (transport.Network, error) {

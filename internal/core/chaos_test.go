@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backends"
 	"repro/internal/progress"
 	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
 // TestFreeCommLatePacketsCounted sends into a communicator the receiver has
@@ -107,8 +109,10 @@ func TestFreeCommWhilePacketsInFlight(t *testing.T) {
 func TestFaultStressAllTrafficCompletes(t *testing.T) {
 	w := newTestWorld(t, 2, Options{
 		NumInstances: 2, Progress: progress.Serial, ThreadLevel: ThreadMultiple,
-		FaultDrop: 0.02, FaultDup: 0.02, FaultDelay: 0.05,
-		FaultDelayDur: 50 * time.Microsecond, FaultSeed: 42,
+		Network: backends.Faulty(transport.FaultConfig{
+			Drop: 0.02, Dup: 0.02, Delay: 0.05,
+			DelayDur: 50 * time.Microsecond, Seed: 42,
+		}),
 	})
 	const (
 		groups    = 2
@@ -213,9 +217,13 @@ func TestFaultStressAllTrafficCompletes(t *testing.T) {
 func TestPeerUnreachable(t *testing.T) {
 	w := newTestWorld(t, 2, Options{
 		NumInstances: 1, Progress: progress.Serial, ThreadLevel: ThreadMultiple,
-		FaultDrop: 1, FaultSeed: 5,
-		RetransmitTimeout: 200 * time.Microsecond, RetryBudget: 3,
+		Network: backends.Faulty(transport.FaultConfig{Drop: 1, Seed: 5}),
 	})
+	// Short timeouts and three tries, so a dead peer surfaces in
+	// milliseconds; set before any traffic.
+	for r := range 2 {
+		w.Proc(r).rel.rto, w.Proc(r).rel.budget = 200*time.Microsecond, 3
+	}
 	t0 := w.Proc(0).NewThread()
 	c := w.Proc(0).CommWorld()
 
@@ -239,13 +247,13 @@ func TestPeerUnreachable(t *testing.T) {
 	}
 }
 
-// TestReliableZeroFaultDelivery enables the ack/retransmit layer on a perfect
-// wire: traffic must flow normally (sends complete on ack), with no spurious
-// retransmissions.
+// TestReliableZeroFaultDelivery runs the ack/retransmit layer over a faulty
+// network whose adversary injects nothing: traffic must flow normally (sends
+// complete on ack), with no spurious retransmissions.
 func TestReliableZeroFaultDelivery(t *testing.T) {
 	w := newTestWorld(t, 2, Options{
 		NumInstances: 1, Progress: progress.Serial, ThreadLevel: ThreadMultiple,
-		Reliable: true,
+		Network: backends.Faulty(transport.FaultConfig{}),
 	})
 	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
@@ -283,5 +291,35 @@ func TestReliableZeroFaultDelivery(t *testing.T) {
 	}
 	if total[spc.RetransmitFailures] != 0 {
 		t.Errorf("perfect wire produced %d retransmit failures", total[spc.RetransmitFailures])
+	}
+}
+
+// TestReliabilityFollowsLossless: the ack/retransmit layer exists exactly
+// when the backend does not advertise Lossless. A faulty network is not
+// lossless even when its adversary injects nothing or only reorders; the
+// clean fabric and tcp are.
+func TestReliabilityFollowsLossless(t *testing.T) {
+	for _, tc := range []struct {
+		name, backend string
+		net           transport.Network
+		caps          string
+	}{
+		{"sim", "sim", backends.Sim(), "lossless,one-sided"},
+		{"faulty-zero", "sim", backends.Faulty(transport.FaultConfig{}), "one-sided"},
+		{"faulty-scramble", "sim", backends.Faulty(transport.FaultConfig{ScrambleWindow: 4}), "one-sided"},
+		{"tcp", "tcp", nil, "lossless"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			th, _ := metaPair(t, tc.backend, Options{Network: tc.net})
+			for _, x := range th {
+				p, caps := x.proc, x.proc.TransportCaps()
+				if got := caps.String(); got != tc.caps {
+					t.Errorf("rank %d caps = %q, want %q", p.Rank(), got, tc.caps)
+				}
+				if (p.rel != nil) != !caps.Lossless {
+					t.Errorf("rank %d: reliability layer present = %v on a backend with Lossless = %v", p.Rank(), p.rel != nil, caps.Lossless)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/backends"
 	"repro/internal/hw"
 	"repro/internal/latency"
 	"repro/internal/transport"
@@ -93,7 +94,7 @@ func TestUntimedMessageCarriesNoMeta(t *testing.T) {
 		})
 	}
 	opts := Stock()
-	opts.Reliable = true
+	opts.Network = backends.Faulty(transport.FaultConfig{})
 	sent, _ := sendUnexpected(t, "sim", opts)
 	if m := sent.Meta; m == nil || m.RelSeq == 0 || m.RelSrc != 0 || m.TraceID != 0 || m.Stamp != 0 {
 		t.Fatalf("tracked untimed message: Meta %+v, want a sequence and no trace context", m)

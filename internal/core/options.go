@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cri"
 	"repro/internal/hw"
@@ -54,9 +53,9 @@ func (l ThreadLevel) String() string {
 type Options struct {
 	// Network selects the transport backend. Nil picks the default
 	// simulated fabric (see internal/backends). The backend's capability
-	// flags adjust the stack at world construction: a Lossless backend
-	// skips the reliability layer, and fault/scramble options require
-	// FaultInjection support.
+	// flags adjust the stack at world construction: the reliability layer
+	// runs exactly when the backend is not Lossless. A faulty wire is a
+	// backend of its own (backends.Faulty), not a setting here.
 	Network transport.Network
 	// NumInstances is the number of Communication Resource Instances per
 	// process (the MCA-parameter hint of Section III-B). 0 means 1.
@@ -106,40 +105,6 @@ type Options struct {
 	// use the rendezvous protocol. 0 selects the default (8 KiB).
 	// Negative disables rendezvous entirely (everything eager).
 	EagerLimit int
-	// ScrambleWindow, when positive, installs an adversarial packet
-	// scrambler on every device: inbound delivery is reordered within a
-	// window of this many packets (deterministic, seeded by ScrambleSeed).
-	// Real networks guarantee no ordering (Section II-C); the scrambler
-	// exercises the sequence-validation and out-of-sequence buffering
-	// paths under worst-case delivery. Testing/failure-injection only.
-	ScrambleWindow int
-	// ScrambleSeed seeds the scrambler (0 = 1).
-	ScrambleSeed int64
-	// FaultDrop is the per-packet probability the wire silently drops an
-	// outbound packet (see transport.FaultConfig). Any non-zero fault
-	// probability auto-enables the Reliable delivery layer.
-	FaultDrop float64
-	// FaultDup is the per-packet duplication probability.
-	FaultDup float64
-	// FaultDelay is the per-packet probability of a delayed (reordered)
-	// delivery.
-	FaultDelay float64
-	// FaultDelayDur is how long a delayed packet is held
-	// (0 = transport.DefaultFaultDelay).
-	FaultDelayDur time.Duration
-	// FaultSeed seeds the per-proc fault RNGs (0 = 1; proc rank is mixed in
-	// so ranks draw decorrelated streams).
-	FaultSeed int64
-	// Reliable enables the ack/retransmit delivery layer (see
-	// reliability.go) even without fault injection. Auto-enabled when any
-	// Fault* probability is non-zero.
-	Reliable bool
-	// RetransmitTimeout is the base retransmission timeout, doubled per
-	// retry (0 = DefaultRetransmitTimeout). Reliable mode only.
-	RetransmitTimeout time.Duration
-	// RetryBudget is how many retransmissions are attempted before a send
-	// fails with ErrPeerUnreachable (0 = DefaultRetryBudget).
-	RetryBudget int
 	// FlightCapacity, when positive, attaches the flight recorder
 	// (internal/flight), the runtime's one message-lifecycle event record:
 	// every thread, every communicator's matching engine, the delivery and
@@ -172,19 +137,6 @@ func (o Options) withDefaults(m hw.Machine) Options {
 		// Stage attribution is anchored on the trace extension's send stamp,
 		// so traced wires are a prerequisite, not an independent choice.
 		o.TraceWire = true
-	}
-	if o.FaultDrop > 0 || o.FaultDup > 0 || o.FaultDelay > 0 {
-		// An imperfect wire without the reliability layer would hang
-		// waiters on the first dropped packet.
-		o.Reliable = true
-	}
-	if o.Reliable {
-		if o.RetransmitTimeout <= 0 {
-			o.RetransmitTimeout = DefaultRetransmitTimeout
-		}
-		if o.RetryBudget <= 0 {
-			o.RetryBudget = DefaultRetryBudget
-		}
 	}
 	return o
 }

@@ -5,8 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/backends"
 	"repro/internal/cri"
 	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
 func TestSendrecvSymmetricExchange(t *testing.T) {
@@ -248,21 +250,31 @@ func TestSplitValidation(t *testing.T) {
 
 // TestScrambledDeliveryPreservesFIFO is the failure-injection test: with an
 // adversarial packet scrambler on every device, the sequence-validation
-// layer must still deliver per-sender FIFO order, exactly once.
+// layer must still deliver per-sender FIFO order, exactly once. A scrambled
+// wire is not lossless, so its sends complete on the reliability ack: they
+// are all posted before any is waited for, or only one would be in flight
+// and there would be nothing to reorder.
 func TestScrambledDeliveryPreservesFIFO(t *testing.T) {
 	opts := CRIsConcurrent(2, cri.Dedicated)
-	opts.ScrambleWindow = 8
-	opts.ScrambleSeed = 99
+	opts.Network = backends.Faulty(transport.FaultConfig{ScrambleWindow: 8, Seed: 99})
 	w := newTestWorld(t, 2, opts)
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
 	const msgs = 300
+	sent := make(chan struct{})
 	go func() {
+		defer close(sent)
+		reqs := make([]*Request, 0, msgs)
 		for i := 0; i < msgs; i++ {
-			if err := c0.Send(t0, 1, 1, []byte{byte(i), byte(i >> 8)}); err != nil {
+			r, err := c0.Isend(t0, 1, 1, []byte{byte(i), byte(i >> 8)})
+			if err != nil {
 				t.Error(err)
 				return
 			}
+			reqs = append(reqs, r)
+		}
+		if err := WaitAll(t0, reqs...); err != nil {
+			t.Error(err)
 		}
 	}()
 	buf := make([]byte, 2)
@@ -275,6 +287,15 @@ func TestScrambledDeliveryPreservesFIFO(t *testing.T) {
 			t.Fatalf("message %d arrived as %d under scrambling", i, got)
 		}
 	}
+	// Keep the receiver progressing until the sender has its acks.
+	t1.WaitUntil(func() bool {
+		select {
+		case <-sent:
+			return true
+		default:
+			return false
+		}
+	})
 	// The scrambler must actually have produced out-of-sequence arrivals,
 	// or this test proves nothing.
 	if oos := w.Proc(1).SPCSnapshot().Get(spc.OutOfSequence); oos == 0 {
@@ -287,8 +308,7 @@ func TestScrambledDeliveryPreservesFIFO(t *testing.T) {
 func TestScrambledRendezvous(t *testing.T) {
 	opts := Stock()
 	opts.EagerLimit = 32
-	opts.ScrambleWindow = 4
-	opts.ScrambleSeed = 7
+	opts.Network = backends.Faulty(transport.FaultConfig{ScrambleWindow: 4, Seed: 7})
 	w := newTestWorld(t, 2, opts)
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 	msg := bytes.Repeat([]byte{0xAB}, 500)

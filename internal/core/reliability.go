@@ -17,13 +17,12 @@ import (
 // the failure to the caller instead of hanging.
 var ErrPeerUnreachable = errors.New("core: peer unreachable (retransmit budget exhausted)")
 
-// DefaultRetransmitTimeout is the base retransmission timeout when
-// Options.RetransmitTimeout is unset. Each retry doubles it (capped at
-// relMaxRTO).
+// DefaultRetransmitTimeout is the base retransmission timeout. Each retry
+// doubles it (capped at relMaxRTO).
 const DefaultRetransmitTimeout = time.Millisecond
 
-// DefaultRetryBudget is the default number of retransmissions attempted
-// before a packet is abandoned with ErrPeerUnreachable.
+// DefaultRetryBudget is the number of retransmissions attempted before a
+// packet is abandoned with ErrPeerUnreachable.
 const DefaultRetryBudget = 10
 
 // relSweepTick bounds how often any one thread scans for expired
@@ -33,8 +32,9 @@ const relSweepTick = 200 * time.Microsecond
 // relMaxRTO caps the exponential backoff.
 const relMaxRTO = 100 * time.Millisecond
 
-// Delivery-reliability protocol (enabled by Options.Reliable, which fault
-// injection turns on automatically):
+// Delivery-reliability protocol (runs when the backend is not lossless —
+// Caps.Lossless false, e.g. a fabric built by backends.Faulty; a lossless
+// wire gets no reliability state at all):
 //
 //   - Every tracked outbound packet carries a transport-level sequence
 //     number per (sender, destination) pair in its driver metadata
@@ -47,7 +47,7 @@ const relMaxRTO = 100 * time.Millisecond
 //     original ack may have been lost), and dropped before matching.
 //   - The sender keeps unacked packets in a per-peer window and, on a
 //     coarse tick driven by the progress engine, retransmits entries whose
-//     exponentially backed-off timeout expired. After RetryBudget
+//     exponentially backed-off timeout expired. After the retry budget
 //     retransmissions the entry is abandoned: its request (or fail hook)
 //     completes with ErrPeerUnreachable.
 //
@@ -124,8 +124,8 @@ type reliability struct {
 	lastSweep atomic.Int64
 }
 
-func newReliability(p *Proc, rto time.Duration, budget int) *reliability {
-	return &reliability{proc: p, rto: rto, budget: budget}
+func newReliability(p *Proc) *reliability {
+	return &reliability{proc: p, rto: DefaultRetransmitTimeout, budget: DefaultRetryBudget}
 }
 
 // bindProfSite attaches the profiler site shared by every stripe lock.

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backends"
 	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
 func TestRelNextSeqSkipsSentinel(t *testing.T) {
@@ -54,8 +56,9 @@ func TestReliabilityWraparound(t *testing.T) {
 	// The retransmit timer is pinned far beyond the test's runtime: under load
 	// a legitimate 1 ms timer retransmission can race its own ack and be
 	// counted as a duplicate, which is not what this test is about.
-	w := newTestWorld(t, 2, Options{Reliable: true, RetransmitTimeout: time.Minute})
+	w := newTestWorld(t, 2, Options{Network: backends.Faulty(transport.FaultConfig{})})
 	p0, p1 := w.Proc(0), w.Proc(1)
+	p0.rel.rto, p1.rel.rto = time.Minute, time.Minute
 
 	// Seed both ends of the 0 -> 1 stream near the wrap, in lockstep.
 	p0.rel.send[1].nextSeq = start

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backends"
 	"repro/internal/hw"
 	"repro/internal/spc"
 	"repro/internal/transport"
@@ -234,7 +235,7 @@ func TestFinishedRendezvousHoldsNoUserMemory(t *testing.T) {
 // and the send's result stays nil.
 func TestReliableRendezvousAbandonedAfterCompletion(t *testing.T) {
 	opts := Stock()
-	opts.Reliable = true
+	opts.Network = backends.Faulty(transport.FaultConfig{})
 	w := newTestWorld(t, 2, opts)
 	p0 := w.Proc(0)
 	th := [2]*Thread{p0.NewThread(), w.Proc(1).NewThread()}

@@ -95,8 +95,8 @@ func NewDistributedWorld(machine hw.Machine, rank, size int, net transport.Netwo
 	return w, nil
 }
 
-// newWorld validates options against the backend's capabilities and builds
-// the empty world shell.
+// newWorld normalizes options, picks the default backend when none is given
+// and builds the empty world shell.
 func newWorld(machine hw.Machine, n int, opts Options) (*World, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: world size %d < 1", n)
@@ -107,17 +107,7 @@ func newWorld(machine hw.Machine, n int, opts Options) (*World, error) {
 		net = backends.Sim()
 		opts.Network = net
 	}
-	caps := net.Caps()
-	wantFaults := opts.FaultDrop > 0 || opts.FaultDup > 0 || opts.FaultDelay > 0
-	if (wantFaults || opts.ScrambleWindow > 0) && !caps.FaultInjection {
-		return nil, fmt.Errorf("core: transport %q does not support fault injection", caps.Name)
-	}
-	if caps.Lossless {
-		// A lossless wire (e.g. a TCP stream) cannot drop or duplicate:
-		// the ack/retransmit bookkeeping would be pure overhead.
-		opts.Reliable = false
-	}
-	return &World{machine: machine, opts: opts, net: net, caps: caps}, nil
+	return &World{machine: machine, opts: opts, net: net, caps: net.Caps()}, nil
 }
 
 func allRanks(n int) []int {
@@ -275,7 +265,7 @@ type Proc struct {
 	// levelGuard enforces the negotiated threading level.
 	levelGuard levelGuard
 
-	// rel is the delivery-reliability layer (nil unless Options.Reliable;
+	// rel is the delivery-reliability layer (nil on a lossless backend;
 	// all its methods are nil-safe).
 	rel *reliability
 
@@ -329,34 +319,15 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		p.flightRing = p.flight.NewRing(fmt.Sprintf("rank%d/proc", rank))
 		p.flightBase = p.flight.StartUnixNano()
 	}
-	cfg := transport.DeviceConfig{Counters: p.spcs}
-	if opts.ScrambleWindow > 0 {
-		seed := opts.ScrambleSeed
-		if seed == 0 {
-			seed = 1
-		}
-		// Rank is mixed into the seed so procs draw decorrelated streams.
-		cfg.ScrambleWindow = opts.ScrambleWindow
-		cfg.ScrambleSeed = seed + int64(rank)
-	}
-	if fc := (transport.FaultConfig{
-		Drop: opts.FaultDrop, Dup: opts.FaultDup,
-		Delay: opts.FaultDelay, DelayDur: opts.FaultDelayDur,
-	}); fc.Enabled() {
-		seed := opts.FaultSeed
-		if seed == 0 {
-			seed = 1
-		}
-		fc.Seed = seed + int64(rank)
-		cfg.Faults = fc
-	}
-	dev, err := w.net.NewDevice(rank, machine, cfg)
+	dev, err := w.net.NewDevice(rank, machine, transport.DeviceConfig{Counters: p.spcs})
 	if err != nil {
 		return nil, err
 	}
 	p.dev = dev
-	if opts.Reliable {
-		p.rel = newReliability(p, opts.RetransmitTimeout, opts.RetryBudget)
+	if !w.caps.Lossless {
+		// A wire that may drop, duplicate or reorder gets the ack/retransmit
+		// layer; on a lossless one its bookkeeping would be pure overhead.
+		p.rel = newReliability(p)
 		p.rel.bindProfSite(p.prof.NewSite("reliability.window", -1, 0))
 	}
 	if opts.Telemetry {

@@ -60,7 +60,7 @@ func TestFetchAndOpBasics(t *testing.T) {
 func TestFetchAndOpBounds(t *testing.T) {
 	target, _, ictx := newInitiator(t)
 	reg := target.RegisterMemory(make([]byte, 8))
-	var be *BoundsError
+	var be *boundsError
 	if err := ictx.FetchAndOp(reg, 8, 1, transport.AccSum, nil, nil); !errors.As(err, &be) {
 		t.Fatalf("out-of-bounds err = %v", err)
 	}

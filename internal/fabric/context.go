@@ -311,7 +311,7 @@ func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) e
 			return transport.ErrRegionUnavailable
 		}
 		if len(src) > len(buf) {
-			return &BoundsError{Op: "put", Len: len(src), Size: len(buf)}
+			return &boundsError{Op: "put", Len: len(src), Size: len(buf)}
 		}
 		dst = buf
 	}

@@ -10,10 +10,10 @@ import (
 	"repro/internal/transport"
 )
 
-// ErrContextLimit is returned by CreateContext when the device's hardware
+// errContextLimit is returned by CreateContext when the device's hardware
 // context limit (the Cray Aries-style constraint from Section III-B) is
 // exhausted.
-var ErrContextLimit = errors.New("fabric: hardware network context limit reached")
+var errContextLimit = errors.New("fabric: hardware network context limit reached")
 
 // Device is one rank's NIC. It owns the device-wide rate limiter, the set of
 // network contexts, the registered memory regions remote peers address with
@@ -48,7 +48,7 @@ type Device struct {
 
 // CreateContext allocates a new network context with the given queue depth
 // (rounded up to a power of two; depth <= 0 selects the default 4096).
-// It fails with ErrContextLimit when the hardware limit is reached.
+// It fails with errContextLimit when the hardware limit is reached.
 func (d *Device) CreateContext(depth int) (transport.Context, error) {
 	if depth <= 0 {
 		depth = 4096
@@ -59,7 +59,7 @@ func (d *Device) CreateContext(depth int) (transport.Context, error) {
 		return nil, errors.New("fabric: device closed")
 	}
 	if d.maxContexts > 0 && len(d.contexts) >= d.maxContexts {
-		return nil, ErrContextLimit
+		return nil, errContextLimit
 	}
 	ctx := newContext(d, len(d.contexts), depth)
 	d.contexts = append(d.contexts, ctx)

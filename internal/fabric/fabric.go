@@ -14,9 +14,12 @@
 // internal/hw) and reserving wire time on a per-device rate limiter. All
 // serialization effects the paper studies — endpoint locks, progress
 // serialization, matching locks — live *above* the fabric; the fabric
-// supplies real concurrent queues for them to contend on. Being the backend
-// that advertises FaultInjection, it also carries the adversaries the layers
-// above are tested against: a seeded scrambler and a drop/dup/delay injector.
+// supplies real concurrent queues for them to contend on. NewNetwork builds
+// a clean wire that never drops, duplicates or reorders, and advertises
+// Lossless. NewFaultyNetwork builds one with the adversaries the layers above
+// are tested against — a seeded scrambler and a drop/dup/delay injector —
+// and advertises !Lossless even when every probability is zero, so the
+// runtime runs its reliability layer over it.
 //
 // Only internal/backends imports this package; everything else reaches it
 // through the interfaces (make lint-layers).
@@ -39,24 +42,37 @@ var (
 )
 
 // Network is an in-process cluster of devices, one per world rank, wired
-// through shared memory.
+// through shared memory. It serves one world: a rank's device is created
+// once.
 type Network struct {
 	mu   sync.Mutex
 	devs map[int]*Device
+	// faults is the adversary every device is built with, or nil on a clean
+	// wire.
+	faults *transport.FaultConfig
 }
 
-// NewNetwork creates an empty cluster.
+// NewNetwork creates an empty clean cluster.
 func NewNetwork() *Network {
 	return &Network{devs: make(map[int]*Device)}
 }
 
-// Caps describes the fabric: a faulty, one-sided-capable wire.
-func (n *Network) Caps() transport.Caps {
-	return transport.Caps{Name: "sim", OneSided: true, FaultInjection: true}
+// NewFaultyNetwork creates an empty cluster whose wire is the adversary
+// fc describes.
+func NewFaultyNetwork(fc transport.FaultConfig) *Network {
+	n := NewNetwork()
+	n.faults = &fc
+	return n
 }
 
-// NewDevice creates the device for world rank r, honoring the scramble and
-// fault settings in cfg.
+// Caps describes the fabric: a one-sided-capable wire, lossless unless it
+// was built with an adversary.
+func (n *Network) Caps() transport.Caps {
+	return transport.Caps{Name: "sim", Lossless: n.faults == nil, OneSided: true}
+}
+
+// NewDevice creates the device for world rank r, with the network's
+// scrambler and injector when it has an adversary.
 func (n *Network) NewDevice(rank int, m hw.Machine, cfg transport.DeviceConfig) (transport.Device, error) {
 	d := &Device{
 		net:         n,
@@ -66,14 +82,15 @@ func (n *Network) NewDevice(rank int, m hw.Machine, cfg transport.DeviceConfig) 
 		limiter:     newRateLimiter(m.LinkGbps, m.MaxInjectionRate),
 		regions:     make(map[uint64]*MemRegion),
 		connected:   make(map[int]bool),
-		faults:      newFaultInjector(cfg.Faults, cfg.Counters),
 	}
-	if cfg.ScrambleWindow > 0 {
-		seed := cfg.ScrambleSeed
-		if seed == 0 {
-			seed = 1
+	if n.faults != nil {
+		// Rank is mixed into the seed so devices draw decorrelated streams.
+		fc := n.faults.WithDefaults()
+		fc.Seed += int64(rank)
+		d.faults = newFaultInjector(fc, cfg.Counters)
+		if fc.ScrambleWindow > 0 {
+			d.scrambler = newScrambler(fc.Seed, fc.ScrambleWindow)
 		}
-		d.scrambler = newScrambler(seed, cfg.ScrambleWindow)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()

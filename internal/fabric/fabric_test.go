@@ -44,13 +44,12 @@ func connect(t testing.TB, d transport.Device, local transport.Context, peer, re
 	return ep
 }
 
-// newPair builds ranks 0 and 1 on the Fast machine, one context each, and an
-// endpoint from rank 0's context to rank 1's; cfg configures rank 0 (the
-// sender: faults act outbound) and rank 1 (the receiver: the scrambler acts
-// inbound) alike.
-func newPair(t testing.TB, cfg transport.DeviceConfig) (ep transport.Endpoint, tx, rx transport.Context) {
+// newPair builds ranks 0 and 1 of n on the Fast machine, one context each,
+// and an endpoint from rank 0's context to rank 1's; cfg configures both
+// devices alike. On a faulty n, faults act on rank 0 (outbound) and the
+// scrambler on rank 1 (inbound).
+func newPair(t testing.TB, n *Network, cfg transport.DeviceConfig) (ep transport.Endpoint, tx, rx transport.Context) {
 	t.Helper()
-	n := NewNetwork()
 	d0 := newDevice(t, n, 0, hw.Fast(), cfg)
 	d1 := newDevice(t, n, 1, hw.Fast(), cfg)
 	tx, rx = newContextOn(t, d0, 0), newContextOn(t, d1, 0)
@@ -83,8 +82,8 @@ func TestContextLimit(t *testing.T) {
 	if _, err := d.CreateContext(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.CreateContext(0); !errors.Is(err, ErrContextLimit) {
-		t.Fatalf("third CreateContext err = %v, want ErrContextLimit", err)
+	if _, err := d.CreateContext(0); !errors.Is(err, errContextLimit) {
+		t.Fatalf("third CreateContext err = %v, want errContextLimit", err)
 	}
 	if n := len(d.(*Device).contexts); n != 2 {
 		t.Fatalf("device holds %d contexts, want 2", n)
@@ -111,7 +110,7 @@ func TestClosedDeviceRefusesContexts(t *testing.T) {
 }
 
 func TestSendDeliversAndCompletes(t *testing.T) {
-	ep, sctx, rctx := newPair(t, transport.DeviceConfig{})
+	ep, sctx, rctx := newPair(t, NewNetwork(), transport.DeviceConfig{})
 
 	tok := "req-1"
 	env := transport.Envelope{Src: 0, Dst: 1, Tag: 5, Comm: 1, Seq: 0, Kind: transport.KindEager}
@@ -145,7 +144,7 @@ func TestSendDeliversAndCompletes(t *testing.T) {
 }
 
 func TestPollMaxBound(t *testing.T) {
-	ep, _, rx := newPair(t, transport.DeviceConfig{})
+	ep, _, rx := newPair(t, NewNetwork(), transport.DeviceConfig{})
 	for i := 0; i < 10; i++ {
 		ep.Send(eager(uint32(i)))
 	}
@@ -166,7 +165,7 @@ func TestPollMaxBound(t *testing.T) {
 }
 
 func TestPollFIFOPerSender(t *testing.T) {
-	ep, _, rx := newPair(t, transport.DeviceConfig{})
+	ep, _, rx := newPair(t, NewNetwork(), transport.DeviceConfig{})
 	const n = 100
 	for i := 0; i < n; i++ {
 		ep.Send(eager(uint32(i)))
@@ -292,9 +291,9 @@ func TestRMABounds(t *testing.T) {
 		ictx.Accumulate(reg, 3, []int64{1}, transport.AccSum, nil), // misaligned
 	}
 	for i, err := range cases {
-		var be *BoundsError
+		var be *boundsError
 		if !errors.As(err, &be) {
-			t.Errorf("case %d: err = %v, want BoundsError", i, err)
+			t.Errorf("case %d: err = %v, want boundsError", i, err)
 		}
 	}
 	if ictx.Pending() {
@@ -358,7 +357,7 @@ func TestAccumulateAtomicUnderConcurrency(t *testing.T) {
 }
 
 func TestScramblerDeliversEverythingOnce(t *testing.T) {
-	ep, _, rx := newPair(t, transport.DeviceConfig{ScrambleWindow: 8, ScrambleSeed: 42})
+	ep, _, rx := newPair(t, NewFaultyNetwork(transport.FaultConfig{ScrambleWindow: 8, Seed: 42}), transport.DeviceConfig{})
 	const n = 200
 	for i := 0; i < n; i++ {
 		ep.Send(eager(uint32(i)))

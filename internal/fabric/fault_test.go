@@ -1,20 +1,22 @@
 package fabric
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/hw"
 	"repro/internal/spc"
 	"repro/internal/transport"
 )
 
-// faultPair builds two devices with cfg installed (faults act on the sending
-// side) and returns a sender->receiver endpoint, both contexts and the
+// faultPair builds two devices of a network faulty by cfg (faults act on
+// the sending side) and returns a sender->receiver endpoint, both contexts and the
 // counter set the injector records into.
 func faultPair(t *testing.T, cfg transport.FaultConfig) (ep transport.Endpoint, src, dst transport.Context, s *spc.Set) {
 	t.Helper()
 	s = spc.NewSet()
-	ep, src, dst = newPair(t, transport.DeviceConfig{Faults: cfg, Counters: s})
+	ep, src, dst = newPair(t, NewFaultyNetwork(cfg), transport.DeviceConfig{Counters: s})
 	return ep, src, dst, s
 }
 
@@ -123,5 +125,38 @@ func TestFaultDeterministicSeed(t *testing.T) {
 	}
 	if same {
 		t.Fatal("seeds 42 and 43 produced identical fault sequences")
+	}
+}
+
+// TestFaultyNetworkSeedsPerRank: a faulty network gives rank r's injector
+// and scrambler the seed Seed+r (Seed 0 counting as 1), so every rank draws
+// its own stream and a run replays from the one seed. The clean network
+// builds neither and advertises Lossless; the faulty one does not, even
+// with every probability zero.
+func TestFaultyNetworkSeedsPerRank(t *testing.T) {
+	if caps := NewNetwork().Caps(); !caps.Lossless {
+		t.Fatalf("clean fabric caps = %v, want lossless", caps)
+	}
+	if caps := NewFaultyNetwork(transport.FaultConfig{}).Caps(); caps.Lossless {
+		t.Fatalf("faulty fabric caps = %v, want not lossless", caps)
+	}
+	clean := newDevice(t, NewNetwork(), 0, hw.Fast(), transport.DeviceConfig{}).(*Device)
+	if clean.faults != nil || clean.scrambler != nil {
+		t.Fatal("the clean fabric built an adversary")
+	}
+	for _, seed := range []int64{0, 42} {
+		n := NewFaultyNetwork(transport.FaultConfig{Drop: 0.5, ScrambleWindow: 4, Seed: seed})
+		for rank := range 3 {
+			d := newDevice(t, n, rank, hw.Fast(), transport.DeviceConfig{}).(*Device)
+			want := max(seed, 1) + int64(rank)
+			ref := rand.New(rand.NewSource(want))
+			if got, exp := d.faults.rng.Int63(), ref.Int63(); got != exp {
+				t.Errorf("seed %d rank %d: injector draws %d, want the stream of seed %d (%d)", seed, rank, got, want, exp)
+			}
+			ref = rand.New(rand.NewSource(want))
+			if got, exp := d.scrambler.rng.Int63(), ref.Int63(); got != exp {
+				t.Errorf("seed %d rank %d: scrambler draws %d, want the stream of seed %d (%d)", seed, rank, got, want, exp)
+			}
+		}
 	}
 }

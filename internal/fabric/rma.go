@@ -91,24 +91,24 @@ func (d *Device) regionBytes(id uint64) ([]byte, bool) {
 // errBounds is returned when a one-sided access falls outside the region.
 var errBounds = errors.New("fabric: one-sided access out of region bounds")
 
-// BoundsError wraps errBounds with the offending access.
-type BoundsError struct {
+// boundsError wraps errBounds with the offending access.
+type boundsError struct {
 	Op     string
 	Offset int
 	Len    int
 	Size   int
 }
 
-func (e *BoundsError) Error() string {
+func (e *boundsError) Error() string {
 	return fmt.Sprintf("fabric: %s [%d, %d) outside region of %d bytes",
 		e.Op, e.Offset, e.Offset+e.Len, e.Size)
 }
 
-func (e *BoundsError) Unwrap() error { return errBounds }
+func (e *boundsError) Unwrap() error { return errBounds }
 
 func checkBounds(op string, r *MemRegion, offset, n int) error {
 	if offset < 0 || n < 0 || offset+n > len(r.buf) {
-		return &BoundsError{Op: op, Offset: offset, Len: n, Size: len(r.buf)}
+		return &boundsError{Op: op, Offset: offset, Len: n, Size: len(r.buf)}
 	}
 	return nil
 }
@@ -200,7 +200,7 @@ func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int6
 		return err
 	}
 	if offset%8 != 0 {
-		return &BoundsError{Op: "accumulate (alignment)", Offset: offset, Len: n, Size: len(r.buf)}
+		return &boundsError{Op: "accumulate (alignment)", Offset: offset, Len: n, Size: len(r.buf)}
 	}
 	if err := c.claim(transport.CQE{Kind: transport.CQEAccComplete, Token: token}); err != nil {
 		return err
@@ -250,7 +250,7 @@ func (c *Context) atomic64(name string, reg transport.MemRegion, offset, wire in
 		return err
 	}
 	if offset%8 != 0 {
-		return &BoundsError{Op: name + " (alignment)", Offset: offset, Len: 8, Size: len(r.buf)}
+		return &boundsError{Op: name + " (alignment)", Offset: offset, Len: 8, Size: len(r.buf)}
 	}
 	if err := c.claim(transport.CQE{Kind: transport.CQEAccComplete, Token: token}); err != nil {
 		return err

@@ -22,9 +22,6 @@ type scrambler struct {
 // newScrambler returns a scrambler holding back up to window packets,
 // releasing them in seeded-random order.
 func newScrambler(seed int64, window int) *scrambler {
-	if window < 1 {
-		window = 1
-	}
 	return &scrambler{rng: rand.New(rand.NewSource(seed)), window: window}
 }
 

@@ -4,14 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
 func faultCfg(pairs int) Config {
 	cfg := baseCfg(pairs)
-	cfg.FaultDrop = 0.05
-	cfg.FaultDup = 0.05
-	cfg.FaultDelay = 0.05
-	cfg.FaultSeed = 9
+	cfg.Faults = transport.FaultConfig{Drop: 0.05, Dup: 0.05, Delay: 0.05, Seed: 9}
 	return cfg
 }
 
@@ -23,13 +21,13 @@ func TestMultirateWithFaultsCompletes(t *testing.T) {
 		t.Fatalf("Messages = %d, want %d (every message must complete despite faults)", res.Messages, want)
 	}
 	if got := res.SPCs.Get(spc.FaultPacketsDropped); got == 0 {
-		t.Error("no drops injected at FaultDrop=0.05")
+		t.Error("no drops injected at Faults.Drop=0.05")
 	}
 	if got := res.SPCs.Get(spc.FaultPacketsDuplicated); got == 0 {
-		t.Error("no duplications injected at FaultDup=0.05")
+		t.Error("no duplications injected at Faults.Dup=0.05")
 	}
 	if got := res.SPCs.Get(spc.FaultPacketsDelayed); got == 0 {
-		t.Error("no delays injected at FaultDelay=0.05")
+		t.Error("no delays injected at Faults.Delay=0.05")
 	}
 	if got := res.SPCs.Get(spc.Retransmits); got == 0 {
 		t.Error("drops occurred but no retransmissions were modeled")
@@ -50,7 +48,7 @@ func TestMultirateWithFaultsDeterministic(t *testing.T) {
 		t.Fatal("nondeterministic drop count for identical seeds")
 	}
 	c := cfg
-	c.FaultSeed = 10
+	c.Faults.Seed = 10
 	if d := RunMultirate(c); d.SPCs.Get(spc.FaultPacketsDropped) == a.SPCs.Get(spc.FaultPacketsDropped) &&
 		d.Makespan == a.Makespan {
 		t.Fatal("different fault seed reproduced the identical run")
@@ -64,5 +62,18 @@ func TestMultirateFaultsCostTime(t *testing.T) {
 	if rf.Makespan <= rc.Makespan {
 		t.Fatalf("faulty wire makespan %v not above clean %v (retransmit RTOs cost virtual time)",
 			rf.Makespan, rc.Makespan)
+	}
+}
+
+// TestValidateRefusesScramble: the model has no scrambler, so a scrambled
+// wire is refused up front rather than run as a FIFO one.
+func TestValidateRefusesScramble(t *testing.T) {
+	cfg := faultCfg(1)
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("faulty config refused: %v", err)
+	}
+	cfg.Faults.ScrambleWindow = 8
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("a scramble window was accepted by a model that cannot scramble")
 	}
 }

@@ -115,18 +115,14 @@ type Config struct {
 	// threads inject out of sequence order — the paper's out-of-sequence
 	// storm. Deterministic per-thread LCG keeps runs reproducible.
 	SendJitter time.Duration
-	// FaultDrop mirrors transport.FaultConfig.Drop on virtual time: a dropped
-	// packet costs its sender one backed-off retransmission timeout per
-	// attempt before the delivery that finally survives.
-	FaultDrop float64
-	// FaultDup is the per-packet duplication probability; the duplicate
-	// copy is discarded by the matching layer's dedup.
-	FaultDup float64
-	// FaultDelay is the per-packet probability of a held-back (reordered)
-	// delivery, held for transport.DefaultFaultDelay of virtual time.
-	FaultDelay float64
-	// FaultSeed seeds the deterministic per-thread fault RNGs (0 = 1).
-	FaultSeed int64
+	// Faults is the faulty wire's adversary on virtual time, in the runtime's
+	// own terms: a dropped packet costs its sender one backed-off
+	// retransmission timeout per attempt before the delivery that finally
+	// survives; a duplicate copy is discarded by the matching layer's dedup;
+	// a delayed packet is held for DelayDur of virtual time. Seed seeds the
+	// deterministic per-thread fault RNGs. The model has no scrambler:
+	// Validate refuses a ScrambleWindow.
+	Faults transport.FaultConfig
 	// Traced models the trace-context wire extension being on: every eager
 	// packet carries TraceExtSize extra header bytes, mirroring the real
 	// runtime's flag-gated framing on the virtual wire so the extension's
@@ -167,20 +163,19 @@ type Config struct {
 	StallAfterIter int
 }
 
-// faultsEnabled reports whether any fault probability is non-zero.
-func (c Config) faultsEnabled() bool {
-	return c.FaultDrop > 0 || c.FaultDup > 0 || c.FaultDelay > 0
-}
-
-// Validate reports a configuration the model refuses to run: no pairs, or
+// Validate reports a configuration the model refuses to run: no pairs,
 // wildcard-tag receives on communicators asserting no wildcards — the error
-// the runtime's Irecv returns for the same receive.
+// the runtime's Irecv returns for the same receive — or a scrambled wire,
+// which the model does not implement.
 func (c Config) Validate() error {
 	if c.Pairs <= 0 {
 		return errors.New("simnet: Pairs must be positive")
 	}
 	if c.NoWildcards && c.AnyTagRecv {
 		return match.RefuseWildcard(0, match.AnyTag)
+	}
+	if c.Faults.ScrambleWindow != 0 {
+		return errors.New("simnet: the model has no scrambler (Faults.ScrambleWindow must be 0)")
 	}
 	return nil
 }
@@ -210,14 +205,13 @@ func (c Config) withDefaults() Config {
 	if c.SleepPenalty <= 0 {
 		c.SleepPenalty = time.Duration(2000 * c.Machine.SpeedFactor * float64(time.Nanosecond))
 	}
-	if c.FaultSeed == 0 {
-		c.FaultSeed = 1
-	}
+	c.Faults = c.Faults.WithDefaults()
 	return c
 }
 
-// simRTO and simRetryBudget mirror the real runtime's reliability defaults
-// (core.DefaultRetransmitTimeout / DefaultRetryBudget) without importing it.
+// simRTO and simRetryBudget mirror core.DefaultRetransmitTimeout and
+// core.DefaultRetryBudget — the only timeout and budget the real runtime's
+// reliability layer uses — without importing it.
 const (
 	simRTO         = time.Millisecond
 	simRetryBudget = 10
@@ -604,7 +598,7 @@ func newSimThread(p *simProc) *simThread {
 	t.label = fmt.Sprintf("rank%d/t%d", p.frank, p.nThreads-1)
 	t.fring = p.flight.NewRing(t.label)
 	t.rng = uint64(p.nThreads) * 0x9E3779B97F4A7C15
-	t.frng = uint64(p.cfg.FaultSeed)*0xD1B54A32D192ED03 ^ uint64(p.nThreads)*0x9E3779B97F4A7C15
+	t.frng = uint64(p.cfg.Faults.Seed)*0xD1B54A32D192ED03 ^ uint64(p.nThreads)*0x9E3779B97F4A7C15
 	return t
 }
 
@@ -629,11 +623,11 @@ func (t *simThread) faultRoll() float64 {
 // counters land on the sending proc's set, as the real injector's do.
 func (t *simThread) faultFate(sp *sim.Proc) (delay time.Duration, copies int) {
 	p := t.proc
-	cfg := &p.cfg
+	cfg := &p.cfg.Faults
 	copies = 1
 	rto := simRTO
 	for attempt := 0; attempt <= simRetryBudget; attempt++ {
-		if t.faultRoll() >= cfg.FaultDrop {
+		if t.faultRoll() >= cfg.Drop {
 			break
 		}
 		p.spcs.Inc(spc.FaultPacketsDropped)
@@ -642,13 +636,13 @@ func (t *simThread) faultFate(sp *sim.Proc) (delay time.Duration, copies int) {
 		delay += rto
 		rto *= 2
 	}
-	if cfg.FaultDup > 0 && t.faultRoll() < cfg.FaultDup {
+	if cfg.Dup > 0 && t.faultRoll() < cfg.Dup {
 		p.spcs.Inc(spc.FaultPacketsDuplicated)
 		copies = 2
 	}
-	if cfg.FaultDelay > 0 && t.faultRoll() < cfg.FaultDelay {
+	if cfg.Delay > 0 && t.faultRoll() < cfg.Delay {
 		p.spcs.Inc(spc.FaultPacketsDelayed)
-		delay += transport.DefaultFaultDelay
+		delay += cfg.DelayDur
 	}
 	return delay, copies
 }
@@ -705,7 +699,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	// sequence order (Section II-C).
 	sp.Advance(t.jitter())
 	copies := 1
-	if p.cfg.faultsEnabled() {
+	if p.cfg.Faults.Enabled() {
 		var faultDelay time.Duration
 		faultDelay, copies = t.faultFate(sp)
 		if faultDelay > 0 {

@@ -709,15 +709,10 @@ func (n *Network) isClosed() bool {
 }
 
 // NewDevice creates the device serving the local rank. rank must equal
-// Config.Rank — a TCP network hosts exactly one rank per process. Fault and
-// scramble settings in cfg are refused (the capability flags say so, and the
-// world constructor checks them first).
+// Config.Rank — a TCP network hosts exactly one rank per process.
 func (n *Network) NewDevice(rank int, m hw.Machine, cfg transport.DeviceConfig) (transport.Device, error) {
 	if rank != n.cfg.Rank {
 		return nil, fmt.Errorf("tcpnet: device for rank %d on a network serving rank %d", rank, n.cfg.Rank)
-	}
-	if cfg.ScrambleWindow > 0 || cfg.Faults.Enabled() {
-		return nil, transport.ErrNotSupported
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()

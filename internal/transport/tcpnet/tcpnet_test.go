@@ -162,7 +162,7 @@ func TestManyPacketsFIFO(t *testing.T) {
 func TestCapsAndUnsupportedOps(t *testing.T) {
 	d0, _, c0, _ := newPair(t)
 	caps := Caps()
-	if caps.Name != "tcp" || !caps.Lossless || caps.OneSided || caps.FaultInjection {
+	if caps.Name != "tcp" || !caps.Lossless || caps.OneSided {
 		t.Fatalf("caps = %+v", caps)
 	}
 	if got := caps.String(); got != "lossless" {
@@ -195,19 +195,6 @@ func TestPutNotifyRefusesBeforeWriting(t *testing.T) {
 	s.pmu.Unlock()
 	if pending != 0 || ctr.Get(spc.ConnsOpened) != 0 || ctr.Get(spc.WireFlushes) != 0 {
 		t.Fatalf("a refused PutNotify left %d bytes pending, %d connections, %d flushes", pending, ctr.Get(spc.ConnsOpened), ctr.Get(spc.WireFlushes))
-	}
-}
-
-func TestFaultConfigRefused(t *testing.T) {
-	nets, err := NewLoopback(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = nets[0].NewDevice(0, hw.Fast(), transport.DeviceConfig{
-		Faults: transport.FaultConfig{Drop: 0.1},
-	})
-	if !errors.Is(err, transport.ErrNotSupported) {
-		t.Fatalf("err = %v, want ErrNotSupported", err)
 	}
 }
 

@@ -38,27 +38,27 @@ var ErrConnEstablish = errors.New("transport: connection establishment failed")
 var ErrCQFull = errors.New("transport: completion queue full")
 
 // Caps describes what a backend can do. The runtime consults it at world
-// construction: a lossless backend skips the ack/retransmit delivery layer,
-// windows (internal/rma) are refused on a backend without one-sided support,
-// and fault injection is refused by backends that cannot honor it.
+// construction: the ack/retransmit delivery layer runs exactly when the
+// backend is not lossless, and windows (internal/rma) are refused on a
+// backend without one-sided support. A backend's adversary (the faulty
+// fabric's scrambler and injector) is built into the Network, not requested
+// through the runtime.
 type Caps struct {
 	// Name identifies the backend ("sim", "tcp", ...).
 	Name string
-	// Lossless means delivery is reliable and per-endpoint FIFO (e.g. a
-	// TCP stream): the delivery-reliability layer's retransmit bookkeeping
-	// is unnecessary and is skipped.
+	// Lossless means delivery is reliable and per-endpoint FIFO (a TCP
+	// stream, the clean in-process fabric): the delivery-reliability layer's
+	// retransmit bookkeeping is unnecessary and is skipped. A wire that may
+	// drop, duplicate or reorder leaves it false.
 	Lossless bool
 	// OneSided means remote memory regions are addressable by peers: the
 	// Context RMA initiators work. Rendezvous does not ask — every backend
 	// lands its bulk data through Endpoint.PutNotify.
 	OneSided bool
-	// FaultInjection means the backend honors DeviceConfig fault and
-	// scramble settings.
-	FaultInjection bool
 }
 
 // String renders the capability set for self-describing results files,
-// e.g. "lossless" or "one-sided,faults".
+// e.g. "lossless" or "lossless,one-sided".
 func (c Caps) String() string {
 	var parts []string
 	if c.Lossless {
@@ -66,9 +66,6 @@ func (c Caps) String() string {
 	}
 	if c.OneSided {
 		parts = append(parts, "one-sided")
-	}
-	if c.FaultInjection {
-		parts = append(parts, "faults")
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -90,10 +87,10 @@ type ClockSync interface {
 	PeerClockOffsetNs(peer int) (int64, bool)
 }
 
-// FaultConfig parameterizes wire-fault injection on backends that support
-// it. All probabilities are per-packet and independent; a packet is first
-// tested for drop, then (if it survived) for duplication and delay. The
-// zero value injects nothing.
+// FaultConfig parameterizes the adversary a faulty network is built with
+// (the in-process fabric's, through backends.Faulty). All probabilities are
+// per-packet and independent; a packet is first tested for drop, then (if
+// it survived) for duplication and delay. The zero value injects nothing.
 type FaultConfig struct {
 	// Drop is the probability a packet vanishes on the wire. The sender
 	// still observes local send completion — exactly like real hardware,
@@ -108,7 +105,14 @@ type FaultConfig struct {
 	Delay float64
 	// DelayDur is how long a delayed packet is held (0 = 200µs).
 	DelayDur time.Duration
-	// Seed seeds the deterministic RNG (0 = 1).
+	// ScrambleWindow, when positive, reorders inbound delivery within a
+	// window of this many packets. Real networks guarantee no ordering
+	// (Section II-C); the scrambler exercises the sequence-validation and
+	// out-of-sequence buffering paths under worst-case delivery.
+	ScrambleWindow int
+	// Seed seeds the deterministic RNGs of the injector and the scrambler
+	// (0 = 1). A network mixes the rank in, so ranks draw decorrelated
+	// streams.
 	Seed int64
 }
 
@@ -116,7 +120,8 @@ type FaultConfig struct {
 // FaultConfig.DelayDur is unset.
 const DefaultFaultDelay = 200 * time.Microsecond
 
-// Enabled reports whether any fault has a non-zero probability.
+// Enabled reports whether any fault has a non-zero probability. The
+// scramble window is not a probability and does not count.
 func (c FaultConfig) Enabled() bool {
 	return c.Drop > 0 || c.Dup > 0 || c.Delay > 0
 }
@@ -138,15 +143,6 @@ type DeviceConfig struct {
 	// Counters receives backend-level counter increments (injected faults,
 	// wire errors). May be nil.
 	Counters *spc.Set
-	// ScrambleWindow, when positive, requests adversarial delivery-order
-	// scrambling within a window of this many packets. Honored only when
-	// Caps.FaultInjection.
-	ScrambleWindow int
-	// ScrambleSeed seeds the scrambler (0 = 1).
-	ScrambleSeed int64
-	// Faults requests wire-fault injection. Honored only when
-	// Caps.FaultInjection.
-	Faults FaultConfig
 }
 
 // Network creates the devices of one world — the backend entry point.
