@@ -148,10 +148,10 @@ lint-onepath:
 # rewrites the artifacts in place and the review is `git diff` of the tables;
 # twin-out/ stays behind either way, so `diff twin-out/F F` shows what moved.
 # Each job line is "<output> <figures flags>": q* are the parts of
-# results_quick.txt (what `figures -all` prints, in its order), x* those of
-# results_extensions.txt. A simulation runs one simulated thread at a time, so
-# the jobs (~140 CPU-seconds, Fig. 7 alone ~40) get one P each and run one per
-# core, longest first. flight_sim_stall.json is not committed (`make chaos`
+# results_quick.txt (what `figures -all` prints, in its order). A simulation
+# runs one simulated thread at a time, so the jobs (~110 CPU-seconds, Fig. 7
+# alone ~35) get one P each and run one per core, longest first.
+# flight_sim_stall.json is not committed (`make chaos`
 # writes it), so its oracle is two runs agreeing plus the watchdog verdict;
 # compare against a parent checkout's dump for more.
 twin-exact: VERB = cmp
@@ -161,12 +161,11 @@ twin-exact rebaseline:
 	$(GO) build -o $$d/ ./cmd/figures ./cmd/multirate; \
 	printf '%s\n' 'q7 -fig 7' 'results_ablations.txt -ablation all' 'q5 -fig 5' \
 		'BENCH_4_latency.json -fig trajectory-latency' 'BENCH_4.json -fig trajectory' \
-		'q3b -fig 3b' 'q3a -fig 3a' 'xoffload -fig offload' 'q6 -fig 6' 'q4a -fig 4a' \
-		'xmatching -fig matching' 'q3c -fig 3c' 'q4c -fig 4c' 'qtable2 -table 2' 'q4b -fig 4b' \
+		'q3b -fig 3b' 'q3a -fig 3a' 'q6 -fig 6' 'q4a -fig 4a' \
+		'results_extensions.txt -fig matching' 'q3c -fig 3c' 'q4c -fig 4c' 'qtable2 -table 2' 'q4b -fig 4b' \
 		'qbreakdown -fig breakdown' 'qwaterfall -fig waterfall' \
 	| xargs -P $$(getconf _NPROCESSORS_ONLN) -L 1 sh -c 'GOMAXPROCS=1 "$$0"/figures "$$2" "$$3" > "$$0/$$1"' $$d; \
-	(cd $$d; cat q3a q3b q3c q4a q4b q4c q5 q6 q7 qbreakdown qwaterfall qtable2 > results_quick.txt; \
-		cat xoffload xmatching > results_extensions.txt; rm q* x*); \
+	(cd $$d; cat q3a q3b q3c q4a q4b q4c q5 q6 q7 qbreakdown qwaterfall qtable2 > results_quick.txt; rm q*); \
 	for i in 1 2; do $$d/multirate -engine sim -pairs 1 -window 64 -iters 4 \
 		-flight 2048 -watchdog -stall 2s -stall-at 2 -flight-out $$d/flight_sim_stall.$$i.json >/dev/null 2>&1; done; \
 	cmp $$d/flight_sim_stall.1.json $$d/flight_sim_stall.2.json; grep -q '"reason": "no-progress"' $$d/flight_sim_stall.1.json; \

@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 3a 3b 3c 4a 4b 4c 5 6 7 offload matching breakdown waterfall trajectory trajectory-latency")
+	fig := flag.String("fig", "", "figure to regenerate: 3a 3b 3c 4a 4b 4c 5 6 7 matching breakdown waterfall trajectory trajectory-latency")
 	bdThreads := flag.Int("threads", 8, "thread pairs for -fig breakdown / -fig waterfall")
 	table := flag.String("table", "", "table to regenerate: 2")
 	all := flag.Bool("all", false, "regenerate every figure and table")
@@ -55,7 +55,6 @@ func main() {
 		"5":        func() []figures.Table { return []figures.Table{figures.Fig5(sc)} },
 		"6":        func() []figures.Table { return figures.Fig6(sc) },
 		"7":        func() []figures.Table { return figures.Fig7(sc) },
-		"offload":  func() []figures.Table { return []figures.Table{figures.ExtensionOffload(sc)} },
 		"matching": func() []figures.Table { return []figures.Table{figures.ExtensionMatching(sc)} },
 	}
 

@@ -193,9 +193,9 @@ func TestEnginesAgreeOnCounterContract(t *testing.T) {
 			}, pairs)).SPCs
 
 			// Under the free list conns_reused is a relation, not an equality:
-			// which instance a send pops is scheduling. The runtime's stack
-			// hands a thread back the instance it just released while sends
-			// do not overlap; the model rotates FIFO through every instance.
+			// which instance a send pops depends on which sends overlap. Both
+			// stacks hand a thread back the instance it just released while
+			// sends do not overlap; the runtime's overlap is scheduling.
 			freeList := d.CoreOptions(pairs).Assignment == cri.FreeList
 			for _, c := range exactCounters {
 				if c == spc.ConnsReused && freeList {

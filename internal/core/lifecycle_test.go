@@ -413,9 +413,9 @@ func TestMessageFootprint(t *testing.T) {
 	}{
 		{"core.Request", unsafe.Sizeof(Request{}), 32},
 		{"transport.Packet", unsafe.Sizeof(transport.Packet{}), 80},
-		{"match.Recv", unsafe.Sizeof(match.Recv{}), 112},
+		{"match.Recv", unsafe.Sizeof(match.Recv{}), 104},
 		{"core.sendOp (Request + Packet)", unsafe.Sizeof(sendOp{}), 112},
-		{"core.recvOp (Request + match.Recv)", unsafe.Sizeof(recvOp{}), 144},
+		{"core.recvOp (Request + match.Recv)", unsafe.Sizeof(recvOp{}), 136},
 		{"core.rdvSendOp (Request + RTS + FIN)", unsafe.Sizeof(rdvSendOp{}), 232},
 		{"core.rdvRecv (transfer state + ACK)", unsafe.Sizeof(rdvRecv{}), 136},
 	} {

@@ -34,21 +34,19 @@ const (
 	// CRIs*", up to ~10x the base).
 	OMPIThreadCRIFull
 	// OMPIThreadCRILockFree replaces CRIs*'s communicator-per-pair trick
-	// with lock-free hot paths on ONE communicator: that communicator
-	// asserts no wildcards, so its matching shards by (source, tag)
-	// channel; instances come off a free list, and completions go through
-	// lock-free MPSC rings. Concurrent matching from an MPI 4.0 assertion
-	// instead of a restructured application — the step past Section III-F.
+	// with ONE communicator that asserts no wildcards, so its matching
+	// shards by (source, tag) channel; instances come off a free list.
+	// Concurrent matching from an MPI 4.0 assertion instead of a
+	// restructured application — the step past Section III-F.
 	OMPIThreadCRILockFree
-	// IMPIProcess models Intel MPI process mode; the model gives the three
-	// process-mode designs one configuration.
+	// IMPIProcess labels Intel MPI process mode (see Runs).
 	IMPIProcess
 	// IMPIThread models Intel MPI thread mode: a global-lock runtime.
 	IMPIThread
-	// MPICHProcess models MPICH process mode.
+	// MPICHProcess labels MPICH process mode.
 	MPICHProcess
-	// MPICHThread models MPICH thread mode: per-object locks with a
-	// global-queue matching path (stock-like serialization).
+	// MPICHThread labels MPICH thread mode: per-object locks, one device
+	// context, serialized progress — OMPIThread's configuration.
 	MPICHThread
 
 	numDesigns
@@ -103,18 +101,29 @@ func (d Design) Slug() string {
 	return slugs[d]
 }
 
-// IsProcessMode reports whether the design maps pairs to processes.
-func (d Design) IsProcessMode() bool {
-	return d == OMPIProcess || d == IMPIProcess || d == MPICHProcess
+// Runs returns the design whose configuration d runs: OMPIProcess for the
+// IMPI and MPICH process modes, OMPIThread for MPICH Thread, else d. Figures
+// run each configuration once and print it under every label.
+func (d Design) Runs() Design {
+	switch d {
+	case IMPIProcess, MPICHProcess:
+		return OMPIProcess
+	case MPICHThread:
+		return OMPIThread
+	}
+	return d
 }
+
+// IsProcessMode reports whether the design maps pairs to processes.
+func (d Design) IsProcessMode() bool { return d.Runs() == OMPIProcess }
 
 // SimConfig resolves the design to a virtual-time model configuration over
 // base (which carries machine, pairs, window, iterations). instances is the
 // CRI count used by the CRI variants (the paper uses one per core).
 func (d Design) SimConfig(base simnet.Config, instances int) simnet.Config {
 	cfg := base
-	switch d {
-	case OMPIProcess, IMPIProcess, MPICHProcess:
+	switch d.Runs() {
+	case OMPIProcess:
 		cfg.ProcessMode = true
 	case OMPIThread:
 		cfg.NumInstances = 1
@@ -133,24 +142,18 @@ func (d Design) SimConfig(base simnet.Config, instances int) simnet.Config {
 		cfg.Assignment = cri.FreeList
 		cfg.Progress = progress.Concurrent
 		cfg.NoWildcards = true
-		cfg.LockFreeCQ = true
 	case IMPIThread:
 		// Global-lock runtime: one big lock across send/progress/match.
 		cfg.NumInstances = 1
 		cfg.BigLock = true
-	case MPICHThread:
-		// Per-object locks, one device context, serialized progress.
-		cfg.NumInstances = 1
-		cfg.Progress = progress.Serial
 	}
 	return cfg
 }
 
 // CoreOptions resolves the design to real-runtime options. Process-mode
 // designs still return options (single instance, no sharing); the harness
-// maps pairs to separate Procs instead of threads. The IMPI and MPICH
-// stand-ins are modelled only (SimConfig): the real runtime has no global
-// lock to select, so they run as Stock.
+// maps pairs to separate Procs instead of threads. IMPI Thread runs as
+// Stock: the real runtime has no global lock to select.
 func (d Design) CoreOptions(instances int) core.Options {
 	switch d {
 	case OMPIThreadCRI:
@@ -167,13 +170,9 @@ func (d Design) CoreOptions(instances int) core.Options {
 // UsesCommPerPair reports whether the design's harness should create a
 // private communicator per pair. The lock-free design deliberately does
 // not: its sharded matching keeps all pairs on one communicator.
-func (d Design) UsesCommPerPair() bool {
-	return d == OMPIThreadCRIFull
-}
+func (d Design) UsesCommPerPair() bool { return d == OMPIThreadCRIFull }
 
 // NoWildcards reports whether the design's harness asserts no wildcards on
 // its communicators (core.Info.NoWildcards), which is what shards the
 // lock-free design's matching.
-func (d Design) NoWildcards() bool {
-	return d == OMPIThreadCRILockFree
-}
+func (d Design) NoWildcards() bool { return d == OMPIThreadCRILockFree }

@@ -1,6 +1,7 @@
 package designs
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -30,6 +31,31 @@ func TestProcessModeFlags(t *testing.T) {
 		want := d == OMPIProcess || d == IMPIProcess || d == MPICHProcess
 		if d.IsProcessMode() != want {
 			t.Errorf("%v: IsProcessMode = %v, want %v", d, d.IsProcessMode(), want)
+		}
+	}
+}
+
+// TestLabelsRunTheirDesign: a legend label runs exactly the configuration
+// of the design it names, and the designs that remain are all distinct, so
+// Fig. 5 has one configuration per design it runs.
+func TestLabelsRunTheirDesign(t *testing.T) {
+	base := simnet.Config{Machine: hw.AlembertHaswell(), Pairs: 4, Window: 32, Iters: 2}
+	runs := map[Design]simnet.Config{}
+	for _, d := range All() {
+		cfg := d.SimConfig(base, 20)
+		if !reflect.DeepEqual(cfg, d.Runs().SimConfig(base, 20)) {
+			t.Errorf("%v resolves to another configuration than %v, the design it runs", d, d.Runs())
+		}
+		runs[d.Runs()] = cfg
+	}
+	if len(runs) != 6 {
+		t.Errorf("%d distinct designs run, want 6 (four OMPI thread designs, process mode, IMPI Thread)", len(runs))
+	}
+	for a, ca := range runs {
+		for b, cb := range runs {
+			if a < b && reflect.DeepEqual(ca, cb) {
+				t.Errorf("%v and %v run the same configuration: one of them is a label", a, b)
+			}
 		}
 	}
 }
@@ -118,8 +144,8 @@ func TestFig5Ordering(t *testing.T) {
 // TestLockFreeOrdering checks the lock-free design at the paper's 20-pair
 // operating point. Its claim is not "faster than CRIs*" — it is "as fast as
 // CRIs* without the communicator-per-pair restructuring": all pairs share the
-// world communicator, and sharded matching + free-list CRIs + lock-free rings
-// recover nearly all of what comm-per-pair buys. So: far above every
+// world communicator, and sharded matching + free-list CRIs recover nearly
+// all of what comm-per-pair buys. So: far above every
 // single-communicator locked design, within a small factor of CRIs*, and
 // still below process mode (per-process resources have no sharing at all).
 func TestLockFreeOrdering(t *testing.T) {

@@ -53,8 +53,9 @@ var phaseGlyphs = map[prof.Phase]byte{
 	prof.PhaseRetransmit:    'r',
 }
 
-// TimeBreakdown runs the Multirate workload once per design at the given
-// thread count and decomposes where the threads' virtual time went.
+// TimeBreakdown runs the Multirate workload once per distinct design
+// configuration at the given thread count and decomposes where the threads'
+// virtual time went, one bar per legend label.
 func TimeBreakdown(sc Scale, threads int) BreakdownFigure {
 	fig := BreakdownFigure{
 		Title:   fmt.Sprintf("Time breakdown across the design ladder, %d thread pairs", threads),
@@ -66,16 +67,15 @@ func TimeBreakdown(sc Scale, threads int) BreakdownFigure {
 		Machine: hw.AlembertHaswell(), Pairs: threads,
 		Window: sc.Window, Iters: sc.Iters,
 	}
-	for _, d := range designs.All() {
-		cfg := d.SimConfig(base, threads)
-		res := simnet.RunMultirate(cfg)
+	eachDesign(designs.All(), func(d designs.Design) BreakdownBar {
+		res := simnet.RunMultirate(d.SimConfig(base, threads))
 		var job prof.Snapshot // both ranks, reported as one
 		for _, b := range res.Breakdown {
 			job.Threads = append(job.Threads, b.Snap.Threads...)
 			job.Sites = append(job.Sites, b.Snap.Sites...)
 		}
 		rep := prof.BuildReport(0, d.String(), threads, job)
-		bar := BreakdownBar{Design: d.String(), Shares: map[string]float64{}, Bottleneck: rep.Bottleneck}
+		bar := BreakdownBar{Shares: map[string]float64{}, Bottleneck: rep.Bottleneck}
 		if totals := rep.Totals(); rep.WallNs > 0 {
 			for _, ph := range breakdownPhases {
 				if totals[ph] > 0 {
@@ -83,8 +83,11 @@ func TimeBreakdown(sc Scale, threads int) BreakdownFigure {
 				}
 			}
 		}
+		return bar
+	}, func(d designs.Design, bar BreakdownBar) {
+		bar.Design = d.String()
 		fig.Bars = append(fig.Bars, bar)
-	}
+	})
 	return fig
 }
 

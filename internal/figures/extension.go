@@ -7,39 +7,35 @@ import (
 	"repro/internal/simnet"
 )
 
-// ExtensionOffload goes beyond the paper's evaluation: it compares the
-// software-offload design (a dedicated progress thread, Vaidyanathan et
-// al. [20], discussed in the paper's related work) against the paper's CRI
-// designs on the same Multirate pairwise workload. Offloading removes the
-// progress-engine contention entirely — application threads never extract —
-// at the cost of one core and of serializing extraction through a single
-// thread, so it tracks the serial-progress ceiling while avoiding the
-// try-lock churn.
 // ExtensionMatching quantifies what the paper leaves open in Section III-F:
-// how much of the thread-mode gap is the matching *search* (removable with
-// a better data structure — the hash engine here) versus the matching
-// *serialization* (inherent in MPI's ordered-matching semantics). The hash
-// engine removes the queue walk; the per-communicator lock remains.
+// how much of the thread-mode gap is the matching *search* versus the
+// matching *serialization* inherent in MPI's ordered-matching semantics. A
+// communicator asserting no wildcards (core.Info.NoWildcards) matches on
+// the runtime's sharded engine: O(1) per channel, and one lock per shard
+// instead of one per communicator. Against the list engine under serial
+// progress it removes the search; under concurrent progress it removes the
+// serialization too, which comm-per-pair removes by restructuring the
+// application instead.
 func ExtensionMatching(sc Scale) Table {
 	m := hw.AlembertHaswell()
 	t := Table{
-		Title:  "Extension — list vs hash matching engine",
+		Title:  "Extension — list matching vs a communicator asserting no wildcards",
 		XLabel: "msg/s by thread pairs",
 		XS:     sc.PairPoints,
 		Notes:  "Multirate pairwise, 0-byte messages, 20 dedicated instances",
 	}
 	type variant struct {
-		label string
-		prog  progress.Mode
-		hash  bool
-		cpp   bool
+		label    string
+		prog     progress.Mode
+		asserted bool
+		cpp      bool
 	}
 	variants := []variant{
 		{"list matching, serial progress", progress.Serial, false, false},
-		{"hash matching, serial progress", progress.Serial, true, false},
+		{"asserted, serial progress", progress.Serial, true, false},
 		{"list matching, concurrent progress", progress.Concurrent, false, false},
-		{"hash matching, concurrent progress", progress.Concurrent, true, false},
-		{"hash matching + comm-per-pair", progress.Concurrent, true, true},
+		{"asserted, concurrent progress", progress.Concurrent, true, false},
+		{"list matching + comm-per-pair", progress.Concurrent, false, true},
 	}
 	for _, v := range variants {
 		row := Row{Label: v.label}
@@ -47,44 +43,7 @@ func ExtensionMatching(sc Scale) Table {
 			cfg := simnet.Config{
 				Machine: m, Pairs: pairs, Window: sc.Window, Iters: sc.Iters,
 				NumInstances: 20, Assignment: cri.Dedicated, Progress: v.prog,
-				HashMatching: v.hash, CommPerPair: v.cpp,
-			}
-			row.Values = append(row.Values, simnet.RunMultirate(cfg).Rate)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-func ExtensionOffload(sc Scale) Table {
-	m := hw.AlembertHaswell()
-	t := Table{
-		Title:  "Extension — software offload (dedicated progress thread) vs CRI designs",
-		XLabel: "msg/s by thread pairs",
-		XS:     sc.PairPoints,
-		Notes:  "Multirate pairwise, 0-byte messages; offload rows dedicate one core to progress",
-	}
-	type variant struct {
-		label   string
-		inst    int
-		mode    cri.Assignment
-		prog    progress.Mode
-		offload bool
-	}
-	variants := []variant{
-		{"stock (1 inst, serial)", 1, cri.RoundRobin, progress.Serial, false},
-		{"CRIs dedicated, serial", 20, cri.Dedicated, progress.Serial, false},
-		{"offload, 1 instance", 1, cri.RoundRobin, progress.Serial, true},
-		{"offload + CRIs dedicated", 20, cri.Dedicated, progress.Serial, true},
-		{"offload + CRIs, concurrent engine", 20, cri.Dedicated, progress.Concurrent, true},
-	}
-	for _, v := range variants {
-		row := Row{Label: v.label}
-		for _, pairs := range sc.PairPoints {
-			cfg := simnet.Config{
-				Machine: m, Pairs: pairs, Window: sc.Window, Iters: sc.Iters,
-				NumInstances: v.inst, Assignment: v.mode, Progress: v.prog,
-				ProgressThread: v.offload,
+				NoWildcards: v.asserted, CommPerPair: v.cpp,
 			}
 			row.Values = append(row.Values, simnet.RunMultirate(cfg).Rate)
 		}

@@ -193,7 +193,8 @@ func Fig4c(sc Scale) Table {
 	return fig34("Figure 4c — concurrent progress + matching, no ordering", sc, progress.Concurrent, true, true, true)
 }
 
-// Fig5 compares the state-of-the-art designs (log-scale in the paper).
+// Fig5 compares the state-of-the-art designs (log-scale in the paper), one
+// row per legend label; each distinct configuration runs once.
 func Fig5(sc Scale) Table {
 	m := hw.AlembertHaswell()
 	t := Table{
@@ -203,16 +204,32 @@ func Fig5(sc Scale) Table {
 		Notes:  "Process rows map pairs to process pairs; thread rows to threads of one process pair.",
 	}
 	base := simnet.Config{Machine: m, Window: sc.Window, Iters: sc.Iters}
-	for _, d := range designs.All() {
-		row := Row{Label: d.String()}
+	eachDesign(designs.All(), func(d designs.Design) (rates []float64) {
 		for _, pairs := range sc.PairPoints {
 			cfg := d.SimConfig(base, 20)
 			cfg.Pairs = pairs
-			row.Values = append(row.Values, simnet.RunMultirate(cfg).Rate)
+			rates = append(rates, simnet.RunMultirate(cfg).Rate)
 		}
-		t.Rows = append(t.Rows, row)
-	}
+		return rates
+	}, func(d designs.Design, rates []float64) {
+		t.Rows = append(t.Rows, Row{Label: d.String(), Values: rates})
+	})
 	return t
+}
+
+// eachDesign calls emit for each of ds in order with what run returned for
+// the configuration the design runs (designs.Design.Runs), calling run once
+// per distinct configuration: a legend label shares its design's result.
+func eachDesign[T any](ds []designs.Design, run func(designs.Design) T, emit func(designs.Design, T)) {
+	ran := map[designs.Design]T{}
+	for _, d := range ds {
+		r, ok := ran[d.Runs()]
+		if !ok {
+			r = run(d.Runs())
+			ran[d.Runs()] = r
+		}
+		emit(d, r)
+	}
 }
 
 // TableII reproduces the SPC table: out-of-sequence counts and match time

@@ -49,9 +49,9 @@ var stageGlyphs = map[latency.Stage]byte{
 	latency.StageComplete:        'c',
 }
 
-// Waterfall runs the Multirate workload once per thread-mode design with
-// critical-path attribution on and decomposes where a message's latency
-// went.
+// Waterfall runs the Multirate workload once per distinct thread-mode
+// design configuration with critical-path attribution on and decomposes
+// where a message's latency went, one bar per legend label.
 func Waterfall(sc Scale, threads int) WaterfallFigure {
 	fig := WaterfallFigure{
 		Title:   fmt.Sprintf("Critical-path latency waterfall across the design ladder, %d thread pairs", threads),
@@ -63,15 +63,20 @@ func Waterfall(sc Scale, threads int) WaterfallFigure {
 		Machine: hw.AlembertHaswell(), Pairs: threads,
 		Window: sc.Window, Iters: sc.Iters,
 	}
+	var threadModes []designs.Design
 	for _, d := range designs.All() {
-		if d.IsProcessMode() {
-			continue
+		if !d.IsProcessMode() {
+			threadModes = append(threadModes, d)
 		}
+	}
+	eachDesign(threadModes, func(d designs.Design) WaterfallBar {
 		cfg := d.SimConfig(base, threads)
 		cfg.Latency = true
-		res := simnet.RunMultirate(cfg)
-		fig.Bars = append(fig.Bars, waterfallBar(d.String(), res.Latency))
-	}
+		return waterfallBar(simnet.RunMultirate(cfg).Latency)
+	}, func(d designs.Design, bar WaterfallBar) {
+		bar.Design = d.String()
+		fig.Bars = append(fig.Bars, bar)
+	})
 	return fig
 }
 
@@ -79,8 +84,8 @@ func Waterfall(sc Scale, threads int) WaterfallFigure {
 // into one stacked bar: per-stage mean durations summed across ranks — the
 // recording ownership rule guarantees each stage appears on exactly one
 // side — normalized into shares.
-func waterfallBar(design string, dumps []latency.RankDump) WaterfallBar {
-	bar := WaterfallBar{Design: design, Shares: map[string]float64{}}
+func waterfallBar(dumps []latency.RankDump) WaterfallBar {
+	bar := WaterfallBar{Shares: map[string]float64{}}
 	means := map[string]float64{}
 	var total float64
 	var tailP99 int64

@@ -16,10 +16,9 @@ import (
 // (recv, packet) pairings, same completion order, same probe answers, same
 // final queue depths, same values of the counters the engines are contracted
 // to agree on. The stream is generated without looking at any engine, so a
-// divergence is an engine bug, never a generator artifact. A stream with
-// wildcards runs through the list and hash engines; an exact-coordinate
-// stream — what a communicator asserting no wildcards carries — through the
-// sharded engine as well.
+// divergence is an engine bug, never a generator artifact. The stream names
+// exact coordinates only — what a communicator asserting no wildcards
+// carries — so it runs through the list engine and the sharded engine alike.
 
 type diffOpKind uint8
 
@@ -51,12 +50,11 @@ const (
 // zero, one a few messages before the uint32 wrap, one well clear of both.
 var diffSeqBase = [diffSources]uint32{0, math.MaxUint32 - 5, 1 << 20}
 
-// genDiffOps builds the op stream for one seed, with wildcard receive and
-// probe coordinates when wild is set. Deliveries are drawn from a
+// genDiffOps builds the op stream for one seed. Deliveries are drawn from a
 // per-source window of sent-but-undelivered messages: the head (in order),
 // a random window slot (reordered), or a message already handed over once
 // (duplicate — stale if it was in order, a second buffered copy otherwise).
-func genDiffOps(seed int64, n int, wild bool) []diffOp {
+func genDiffOps(seed int64, n int) []diffOp {
 	rng := rand.New(rand.NewSource(seed))
 	type sent struct {
 		seq     uint32
@@ -73,14 +71,7 @@ func genDiffOps(seed int64, n int, wild bool) []diffOp {
 		nMsg    int
 	)
 	coords := func() (int32, int32) {
-		src, tag := int32(rng.Intn(diffSources)), int32(rng.Intn(diffTags))
-		if wild && rng.Intn(5) == 0 {
-			src = AnySource
-		}
-		if wild && rng.Intn(5) == 0 {
-			tag = AnyTag
-		}
-		return src, tag
+		return int32(rng.Intn(diffSources)), int32(rng.Intn(diffTags))
 	}
 	deliver := func(s int32, m sent) {
 		ops = append(ops, diffOp{kind: diffDeliver, src: s, tag: m.tag, seq: m.seq, msg: m.msg, payload: m.payload})
@@ -210,52 +201,40 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 	costs := hw.Fast().Scaled()
 	for seed := 1; seed <= seeds; seed++ {
-		for _, wild := range []bool{true, false} {
-			ops := genDiffOps(int64(seed), 400, wild)
-			for _, overtaking := range []bool{false, true} {
-				names := []string{"list", "hash"}
-				sets := []*spc.Set{spc.NewSet(), spc.NewSet()}
-				engines := []Matcher{
-					NewEngine(1, diffSources, costs, NopMeter{}, sets[0]),
-					NewHashEngine(1, diffSources, costs, NopMeter{}, sets[1]),
+		ops := genDiffOps(int64(seed), 400)
+		for _, overtaking := range []bool{false, true} {
+			sets := [2]*spc.Set{spc.NewSet(), spc.NewSet()}
+			engines := [2]Matcher{
+				NewEngine(1, diffSources, costs, NopMeter{}, sets[0]),
+				NewSharded(1, diffSources, 4, costs, NopMeter{}, sets[1]),
+			}
+			var results [2]diffResult
+			for i, e := range engines {
+				for s, base := range diffSeqBase {
+					e.(interface{ SeedNextSeq(int32, uint32) }).SeedNextSeq(int32(s), base)
 				}
-				if !wild {
-					names = append(names, "sharded")
-					sets = append(sets, spc.NewSet())
-					engines = append(engines, NewSharded(1, diffSources, 4, costs, NopMeter{}, sets[2]))
+				e.SetAllowOvertaking(overtaking)
+				results[i] = runDiffOps(e, sets[i], ops)
+			}
+			ref, got := results[0], results[1]
+			if !overtaking && ref.counters[3] == 0 {
+				t.Fatalf("seed %d: the stream never arrived out of sequence; the generator lost its teeth", seed)
+			}
+			at := fmt.Sprintf("seed %d overtaking=%v", seed, overtaking)
+			for j := range ref.log {
+				if got.log[j] != ref.log[j] {
+					t.Fatalf("%s: sharded diverges from list at op\n  list: %s\n  sharded: %s", at, ref.log[j], got.log[j])
 				}
-				results := make([]diffResult, len(engines))
-				for i, e := range engines {
-					for s, base := range diffSeqBase {
-						e.(interface{ SeedNextSeq(int32, uint32) }).SeedNextSeq(int32(s), base)
-					}
-					e.SetAllowOvertaking(overtaking)
-					results[i] = runDiffOps(e, sets[i], ops)
-				}
-				ref := results[0]
-				if !overtaking && ref.counters[3] == 0 {
-					t.Fatalf("seed %d: the stream never arrived out of sequence; the generator lost its teeth", seed)
-				}
-				at := fmt.Sprintf("seed %d wild=%v overtaking=%v", seed, wild, overtaking)
-				for i := 1; i < len(results); i++ {
-					got := results[i]
-					for j := range ref.log {
-						if got.log[j] != ref.log[j] {
-							t.Fatalf("%s: %s diverges from list at op\n  list: %s\n  %s: %s",
-								at, names[i], ref.log[j], names[i], got.log[j])
-						}
-					}
-					if fmt.Sprint(got.perSrc) != fmt.Sprint(ref.perSrc) {
-						t.Fatalf("%s: %s per-source completion order %v, list %v", at, names[i], got.perSrc, ref.perSrc)
-					}
-					if got.depths != ref.depths {
-						t.Fatalf("%s: %s final posted/unexpected/oos depths %v, list %v", at, names[i], got.depths, ref.depths)
-					}
-					if got.counters != ref.counters {
-						t.Fatalf("%s: %s counters %v, list %v (received, expected, unexpected, oos, duplicates)",
-							at, names[i], got.counters, ref.counters)
-					}
-				}
+			}
+			if fmt.Sprint(got.perSrc) != fmt.Sprint(ref.perSrc) {
+				t.Fatalf("%s: sharded per-source completion order %v, list %v", at, got.perSrc, ref.perSrc)
+			}
+			if got.depths != ref.depths {
+				t.Fatalf("%s: sharded final posted/unexpected/oos depths %v, list %v", at, got.depths, ref.depths)
+			}
+			if got.counters != ref.counters {
+				t.Fatalf("%s: sharded counters %v, list %v (received, expected, unexpected, oos, duplicates)",
+					at, got.counters, ref.counters)
 			}
 		}
 	}

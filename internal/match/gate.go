@@ -16,10 +16,10 @@ type peerState struct {
 
 // seqGate is the sequence validation every engine runs before matching:
 // per-sender next-expected sequence, the out-of-sequence buffer, and the
-// stale/duplicate classification. It is unsynchronised — Engine and
-// HashEngine own one under the caller's matching lock, Sharded owns one per
-// stripe under the stripe lock. Sequence numbers are compared with serial
-// (modular) arithmetic, so a stream stays ordered across the uint32 wrap.
+// stale/duplicate classification. It is unsynchronised — Engine owns one
+// under the caller's matching lock, Sharded owns one per stripe under the
+// stripe lock. Sequence numbers are compared with serial (modular)
+// arithmetic, so a stream stays ordered across the uint32 wrap.
 type seqGate struct {
 	c      *common
 	dense  []peerState // senders [0, len)

@@ -47,9 +47,10 @@ type NopMeter struct{}
 func (NopMeter) Charge(time.Duration) {}
 
 // Matcher is the matching-engine contract shared by the list-based Engine
-// (OB1-style, the paper's subject) and the hash-based HashEngine (the
-// "optimized matching" direction Section III-F leaves out of scope). All
-// implementations require external synchronization per communicator.
+// (OB1-style, the paper's subject) and Sharded, the engine behind a
+// communicator that asserts no wildcards. Engine requires external
+// synchronization per communicator; Sharded synchronizes internally
+// (SelfLocking).
 type Matcher interface {
 	// PostRecv posts a receive, completing immediately against a queued
 	// unexpected message when possible.
@@ -102,8 +103,6 @@ type Recv struct {
 
 	// prev/next link the recv into the one bucket it waits on.
 	prev, next *Recv
-	// ticket orders posted receives across HashEngine's buckets.
-	ticket uint64
 }
 
 // Completion reports one matched message: the receive and its packet.
@@ -114,7 +113,7 @@ type Completion struct {
 
 // common is what a matching engine is apart from how it searches: its
 // identity, where modeled cost and counters go, the flight ring, and the
-// hooks all three engines fire at the same points of a message's life — so
+// hooks both engines fire at the same points of a message's life — so
 // their order and values, which the virtual-time twin replays, exist once.
 type common struct {
 	comm   uint32

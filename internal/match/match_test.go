@@ -273,22 +273,6 @@ func TestDuplicateSeqDiscarded(t *testing.T) {
 	}
 }
 
-// TestDuplicateSeqDiscardedHash is the same property on the hash engine.
-func TestDuplicateSeqDiscardedHash(t *testing.T) {
-	s := spc.NewSet()
-	e := NewHashEngine(1, 8, hw.Fast().Scaled(), NopMeter{}, s)
-	e.Deliver(pkt(0, 1, 0, nil), nil)
-	e.Deliver(pkt(0, 1, 0, nil), nil)
-	e.Deliver(pkt(0, 1, 3, nil), nil)
-	e.Deliver(pkt(0, 1, 3, nil), nil)
-	if got := s.Get(spc.DuplicateSequences); got != 2 {
-		t.Fatalf("DuplicateSequences = %d, want 2", got)
-	}
-	if got := e.UnexpectedLen(); got != 1 {
-		t.Fatalf("UnexpectedLen = %d, want 1", got)
-	}
-}
-
 func TestSPCQueuePeaks(t *testing.T) {
 	s := spc.NewSet()
 	e := NewEngine(1, 4, hw.Fast().Scaled(), NopMeter{}, s)
@@ -502,7 +486,7 @@ func BenchmarkDeliverOOSWindow(b *testing.B) {
 
 // An unexpected message costs its engine no allocation once warm: the
 // record that queues it comes off the free list the last claim put it on,
-// in all three engines. The row joins the table `make allocs` prints.
+// in both engines. The row joins the table `make allocs` prints.
 func TestUnexpectedClaimAllocations(t *testing.T) {
 	const runs = 200
 	for _, eng := range []struct {
@@ -510,7 +494,6 @@ func TestUnexpectedClaimAllocations(t *testing.T) {
 		e    Matcher
 	}{
 		{"list", newTestEngine(spc.NewSet())},
-		{"hash", newTestHash(spc.NewSet())},
 		{"sharded", newTestSharded(spc.NewSet())},
 	} {
 		pkts := make([]*transport.Packet, runs+1)

@@ -34,7 +34,7 @@ func RefuseWildcard(source, tag int32) error {
 // partitioned into hash shards by (source, tag), so traffic on different
 // shards matches in parallel — taking the paper's "concurrent matching"
 // (communicator-per-pair, Section III-F) one step further, inside a single
-// communicator. Unlike Engine and HashEngine it synchronizes INTERNALLY
+// communicator. Unlike Engine it synchronizes INTERNALLY
 // (SelfLocking reports true); callers must NOT wrap it in a
 // communicator-wide matching lock, or the sharding buys nothing.
 //
@@ -54,8 +54,8 @@ func RefuseWildcard(source, tag int32) error {
 //  2. shard (per source/tag hash): guards that shard's posted and
 //     unexpected buckets.
 //
-// Each shard is a lock over the same hashStore HashEngine uses, each stripe
-// a lock over the same seqGate.
+// Each shard is a lock over a hashStore, each stripe a lock over the same
+// seqGate Engine runs.
 //
 // PostedLen/UnexpectedLen are approximate by design: they read atomic
 // counters without stopping the world, the same monitoring-only contract as
@@ -116,7 +116,7 @@ func (e *Sharded) selfLocking() {}
 
 // SelfLocking reports whether m synchronizes internally, in which case the
 // caller must not (and must not need to) wrap it in an external matching
-// lock. Engine and HashEngine return false; Sharded returns true.
+// lock. Engine returns false; Sharded returns true.
 func SelfLocking(m Matcher) bool {
 	type sl interface{ selfLocking() }
 	_, ok := m.(sl)

@@ -3,9 +3,12 @@ package match
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/hw"
 	"repro/internal/spc"
@@ -21,9 +24,6 @@ func TestShardedSelfLocking(t *testing.T) {
 	}
 	if SelfLocking(newTestEngine(nil)) {
 		t.Fatal("Engine must not report SelfLocking")
-	}
-	if SelfLocking(NewHashEngine(1, 8, hw.Fast().Scaled(), NopMeter{}, nil)) {
-		t.Fatal("HashEngine must not report SelfLocking")
 	}
 }
 
@@ -203,16 +203,11 @@ func TestShardedOutOfSequence(t *testing.T) {
 func TestSeqWraparound(t *testing.T) {
 	const start = math.MaxUint32 - 2 // three pre-wrap seqs, then 0, 1, ...
 	engines := map[string]Matcher{
-		"engine": newTestEngine(spc.NewSet()),
-		"hash":   NewHashEngine(1, 8, hw.Fast().Scaled(), NopMeter{}, spc.NewSet()),
-		"sharded": func() Matcher {
-			e := newTestSharded(spc.NewSet())
-			return e
-		}(),
+		"engine":  newTestEngine(spc.NewSet()),
+		"sharded": newTestSharded(spc.NewSet()),
 	}
 	seed := map[string]func(src int32, v uint32){
 		"engine":  engines["engine"].(*Engine).SeedNextSeq,
-		"hash":    engines["hash"].(*HashEngine).SeedNextSeq,
 		"sharded": engines["sharded"].(*Sharded).SeedNextSeq,
 	}
 	for name, e := range engines {
@@ -390,5 +385,228 @@ func TestShardedConcurrentStress(t *testing.T) {
 	if e.PostedLen() != 0 || e.UnexpectedLen() != 0 || e.OOSBuffered() != 0 {
 		t.Fatalf("queues not empty: posted=%d unexp=%d oos=%d",
 			e.PostedLen(), e.UnexpectedLen(), e.OOSBuffered())
+	}
+}
+
+// The cases below test Sharded's shards as hash stores: every receive,
+// message and probe lands in the bucket of its exact (source, tag).
+
+// TestHashExactMatch: receives posted on one channel match that channel's
+// messages first-in first-out, each with its own payload.
+func TestHashExactMatch(t *testing.T) {
+	e := newTestSharded(nil)
+	first := &Recv{Source: 2, Tag: 7, Buf: make([]byte, 8)}
+	second := &Recv{Source: 2, Tag: 7, Buf: make([]byte, 8)}
+	for _, r := range []*Recv{first, second} {
+		if _, ok := e.PostRecv(r); ok {
+			t.Fatal("matched with nothing delivered")
+		}
+	}
+	for seq, want := range []*Recv{first, second} {
+		payload := []byte("abc")[:seq+2]
+		comps := e.Deliver(pkt(2, 7, uint32(seq), payload), nil)
+		if len(comps) != 1 || comps[0].Recv != want || want.N != len(payload) {
+			t.Fatalf("message %d: comps = %+v, want the oldest receive with %d bytes", seq, comps, len(payload))
+		}
+	}
+	if e.PostedLen() != 0 || e.UnexpectedLen() != 0 {
+		t.Fatal("queues not empty")
+	}
+}
+
+// TestHashUnexpectedExactLookup: a receive claims the queued message of its
+// own tag and leaves a sender's other tags queued.
+func TestHashUnexpectedExactLookup(t *testing.T) {
+	e := newTestSharded(nil)
+	e.Deliver(pkt(1, 5, 0, []byte("x")), nil)
+	e.Deliver(pkt(1, 6, 1, []byte("y")), nil)
+	r := &Recv{Source: 1, Tag: 6, Buf: make([]byte, 2)}
+	c, ok := e.PostRecv(r)
+	if !ok || c.Recv.MatchedEnv.Tag != 6 {
+		t.Fatalf("exact unexpected lookup failed: %+v", c)
+	}
+	if e.UnexpectedLen() != 1 {
+		t.Fatalf("unexpected len = %d", e.UnexpectedLen())
+	}
+}
+
+// TestHashSequenceValidation: buffered out-of-sequence packets drain in
+// sequence order, so the payloads land in the receives in that order.
+func TestHashSequenceValidation(t *testing.T) {
+	s := spc.NewSet()
+	e := newTestSharded(s)
+	for i := 0; i < 3; i++ {
+		e.PostRecv(&Recv{Source: 0, Tag: 1, Buf: make([]byte, 1)})
+	}
+	e.Deliver(pkt(0, 1, 2, []byte{2}), nil)
+	e.Deliver(pkt(0, 1, 1, []byte{1}), nil)
+	if got := s.Get(spc.OutOfSequence); got != 2 {
+		t.Fatalf("OOS = %d", got)
+	}
+	comps := e.Deliver(pkt(0, 1, 0, []byte{0}), nil)
+	if len(comps) != 3 {
+		t.Fatalf("drain produced %d completions", len(comps))
+	}
+	for i, c := range comps {
+		if c.Recv.Buf[0] != byte(i) {
+			t.Fatalf("completion %d carries payload %d", i, c.Recv.Buf[0])
+		}
+	}
+	if e.OOSBuffered() != 0 {
+		t.Fatal("OOS buffer not drained")
+	}
+}
+
+// TestHashOvertaking: with overtaking asserted a packet matches at once,
+// whatever its sequence number.
+func TestHashOvertaking(t *testing.T) {
+	e := newTestSharded(nil)
+	e.SetAllowOvertaking(true)
+	e.PostRecv(&Recv{Source: 0, Tag: 1, Buf: make([]byte, 1)})
+	comps := e.Deliver(pkt(0, 1, 99, []byte{7}), nil) // wild seq: fine
+	if len(comps) != 1 {
+		t.Fatal("overtaking did not match immediately")
+	}
+	if e.OOSBuffered() != 0 {
+		t.Fatal("an overtaking packet was sequence-buffered")
+	}
+}
+
+// TestHashCancel: a cancelled receive leaves its bucket, and a second cancel
+// finds nothing.
+func TestHashCancel(t *testing.T) {
+	e := newTestSharded(nil)
+	r := &Recv{Source: 0, Tag: 0}
+	e.PostRecv(r)
+	if !e.CancelRecv(r) || e.CancelRecv(r) {
+		t.Fatal("cancel semantics broken")
+	}
+	if e.PostedLen() != 0 {
+		t.Fatal("posted count wrong after cancel")
+	}
+}
+
+// TestHashProbe: a probe reads its own channel's oldest message and no
+// other channel's.
+func TestHashProbe(t *testing.T) {
+	e := newTestSharded(nil)
+	e.Deliver(pkt(3, 42, 0, []byte("xy")), nil)
+	if env, ok := e.Probe(3, 42); !ok || env.Len != 2 {
+		t.Fatalf("exact probe = %+v %v", env, ok)
+	}
+	if _, ok := e.Probe(3, 43); ok {
+		t.Fatal("probe matched wrong tag")
+	}
+	if _, ok := e.Probe(4, 42); ok {
+		t.Fatal("probe matched wrong source")
+	}
+}
+
+// TestDuplicateSeqDiscardedHash: a duplicate of a delivered or of a
+// buffered sequence number is discarded and counted, on the sharded engine.
+func TestDuplicateSeqDiscardedHash(t *testing.T) {
+	s := spc.NewSet()
+	e := newTestSharded(s)
+	e.Deliver(pkt(0, 1, 0, nil), nil)
+	e.Deliver(pkt(0, 1, 0, nil), nil)
+	e.Deliver(pkt(0, 1, 3, nil), nil)
+	e.Deliver(pkt(0, 1, 3, nil), nil)
+	if got := s.Get(spc.DuplicateSequences); got != 2 {
+		t.Fatalf("DuplicateSequences = %d, want 2", got)
+	}
+	if got := e.UnexpectedLen(); got != 1 {
+		t.Fatalf("UnexpectedLen = %d, want 1", got)
+	}
+}
+
+// TestQuickHashEquivalentToList: for random exact-coordinate workloads
+// (random posts interleaved with random-permutation deliveries), the
+// sharded engine produces exactly the list engine's match results.
+func TestQuickHashEquivalentToList(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		list := NewEngine(1, 4, hw.Fast().Scaled(), NopMeter{}, nil)
+		sharded := NewSharded(1, 4, 4, hw.Fast().Scaled(), NopMeter{}, nil)
+
+		const nMsgs = 24
+		perm := rng.Perm(nMsgs)
+		type post struct{ src, tag int32 }
+		var posts []post
+		for i := 0; i < nMsgs; i++ {
+			posts = append(posts, post{src: int32(rng.Intn(2)), tag: int32(rng.Intn(3))})
+		}
+		var listOut, shardedOut []string
+		di, pi := 0, 0
+		record := func(out *[]string, comps []Completion) {
+			for _, c := range comps {
+				*out = append(*out, string([]byte{byte(c.Recv.Token.(int)), ':', c.Recv.Buf[0]}))
+			}
+		}
+		for di < nMsgs || pi < nMsgs {
+			if pi < nMsgs && (di >= nMsgs || rng.Intn(2) == 0) {
+				for _, e := range []struct {
+					m   Matcher
+					out *[]string
+				}{{list, &listOut}, {sharded, &shardedOut}} {
+					r := &Recv{Source: posts[pi].src, Tag: posts[pi].tag, Buf: make([]byte, 4), Token: pi}
+					if c, ok := e.m.PostRecv(r); ok {
+						record(e.out, []Completion{c})
+					}
+				}
+				pi++
+			} else {
+				// Two senders with independent streams, handed to both
+				// engines in the same random order.
+				seq := perm[di]
+				src, msgSeq, tag := int32(seq%2), uint32(seq/2), int32(seq%3)
+				record(&listOut, list.Deliver(pkt(src, tag, msgSeq, []byte{byte(seq)}), nil))
+				record(&shardedOut, sharded.Deliver(pkt(src, tag, msgSeq, []byte{byte(seq)}), nil))
+				di++
+			}
+		}
+		return slices.Equal(listOut, shardedOut) &&
+			list.PostedLen() == sharded.PostedLen() &&
+			list.UnexpectedLen() == sharded.UnexpectedLen() &&
+			list.OOSBuffered() == sharded.OOSBuffered()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkShardedDeliverExact(b *testing.B) {
+	e := newTestSharded(nil)
+	b.ReportAllocs()
+	var comps []Completion
+	for i := 0; i < b.N; i++ {
+		e.PostRecv(&Recv{Source: 0, Tag: 1})
+		comps = e.Deliver(pkt(0, 1, uint32(i), nil), comps[:0])
+	}
+}
+
+// BenchmarkMatchEnginesDeepQueues contrasts list vs sharded search cost with
+// many distinct tags outstanding — the regime Section IV-D's queue-search
+// discussion worries about.
+func BenchmarkMatchEnginesDeepQueues(b *testing.B) {
+	const depth = 256
+	for _, eng := range []struct {
+		name string
+		e    Matcher
+	}{
+		{"list", NewEngine(1, 4, hw.Fast().Scaled(), NopMeter{}, nil)},
+		{"sharded", newTestSharded(nil)},
+	} {
+		b.Run(eng.name, func(b *testing.B) {
+			e := eng.e
+			for d := 0; d < depth; d++ {
+				e.PostRecv(&Recv{Source: 0, Tag: int32(1000 + d)})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.PostRecv(&Recv{Source: 0, Tag: 1})
+				e.Deliver(pkt(0, 1, uint32(i), nil), nil)
+			}
+		})
 	}
 }

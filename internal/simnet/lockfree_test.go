@@ -10,14 +10,13 @@ import (
 
 // lockFreeCfg is the sim mirror of the lock-free hot-path design: one
 // communicator asserting no wildcards (sharded matching), free-list instance
-// acquisition, lock-free completion rings, concurrent progress.
+// acquisition, concurrent progress.
 func lockFreeCfg(pairs int) Config {
 	cfg := baseCfg(pairs)
 	cfg.NumInstances = pairs
 	cfg.Assignment = cri.FreeList
 	cfg.Progress = progress.Concurrent
 	cfg.NoWildcards = true
-	cfg.LockFreeCQ = true
 	return cfg
 }
 
@@ -53,7 +52,8 @@ func TestLockFreeDeterministic(t *testing.T) {
 // TestLockFreeBeatsLockedAtScale: at the paper's 20-pair operating point,
 // with every pair on ONE shared communicator, the lock-free hot paths must
 // crush the equivalent locked design — single-lock matching serializes all
-// 20 pairs, while sharded matching + lock-free rings let them proceed. It
+// 20 pairs, while sharded matching and free-list instances let them
+// proceed. It
 // must also land within striking distance of the comm-per-pair CRIs*
 // configuration, which is the whole point: concurrent matching without
 // restructuring the application.

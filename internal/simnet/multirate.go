@@ -70,8 +70,6 @@ func runMultirateThreads(cfg Config) Result {
 
 	sender.nWork = cfg.Pairs
 	receiver.nWork = cfg.Pairs
-	sender.spawnOffload(env, "offload-send")
-	receiver.spawnOffload(env, "offload-recv")
 	var dumps []flight.Dump
 	series := make([][]flight.Sample, 2)
 	sender.spawnSampler(env, "sampler-send", &series[0], &dumps)
@@ -149,9 +147,8 @@ func runMultirateProcesses(cfg Config) Result {
 	recvWire := sim.NewWire(cfg.Machine.LinkGbps, cfg.Machine.MaxInjectionRate)
 
 	pcfg := cfg
-	pcfg.NumInstances = 1       // one process, one thread, one context
-	pcfg.ProgressThread = false // a single-threaded process progresses itself
-	pcfg.Latency = false        // attribution runs in thread mode only
+	pcfg.NumInstances = 1 // one process, one thread, one context
+	pcfg.Latency = false  // attribution runs in thread mode only
 
 	recvSPCs := spc.NewSet()
 	sendSPCs := spc.NewSet()

@@ -74,27 +74,14 @@ type Config struct {
 	// BigLock wraps every runtime entry (send, progress, match) in one
 	// process-wide lock — the worst-case comparator design.
 	BigLock bool
-	// HashMatching swaps the OB1-style list matcher for the hash-based
-	// engine (O(1) exact matching).
-	HashMatching bool
 	// NoWildcards mirrors a communicator asserting no wildcards
 	// (core.Info.NoWildcards): matching runs on the runtime's sharded
 	// engine (match.Sharded, match.DefaultShards partitions by (source,
 	// tag)) and each partition gets its own virtual-time lock, so traffic
-	// on distinct shards stops contending. Takes precedence over
-	// HashMatching. Deterministic: the partition function is the engine's
-	// own ShardOf. AnyTagRecv is refused (Validate).
+	// on distinct shards stops contending. Deterministic: the partition
+	// function is the engine's own ShardOf. AnyTagRecv is refused
+	// (Validate).
 	NoWildcards bool
-	// LockFreeCQ mirrors the lock-free MPSC completion ring (ringbuf.MPSC):
-	// senders enqueue completions with an atomic slot claim instead of the
-	// instance lock, so producers stop contending with each other and with
-	// the progress engine. Extraction keeps the instance lock — the ring is
-	// single-consumer by contract.
-	LockFreeCQ bool
-	// ProgressThread dedicates one runtime thread per process to all
-	// completion extraction (the software-offload design of Vaidyanathan
-	// et al. [20]); application threads only wait.
-	ProgressThread bool
 	// QueueDepth bounds each instance's inbound queue (0 = 4096); senders
 	// stall when the remote queue is full (hardware back-pressure).
 	QueueDepth int
@@ -336,8 +323,8 @@ type simComm struct {
 
 // simProc is one simulated MPI process.
 type simProc struct {
-	// finished counts workload threads that completed; the offload
-	// progress thread exits when all have.
+	// finished counts workload threads that completed; the sampler stops
+	// once all nWork have.
 	finished int
 	nWork    int
 
@@ -346,12 +333,10 @@ type simProc struct {
 	env       *sim.Env
 	instances []*simInstance
 	rr        uint64
-	// freeList mirrors cri.Pool's free-list assignment deterministically:
-	// senders pop an exclusively owned instance index and push it back
-	// after injection; empty falls back to round-robin. The sim rotates
-	// FIFO — under real concurrent churn the stack order is effectively
-	// arbitrary, and the sim's serialized execution would otherwise pin
-	// every send to one index, concentrating remote traffic artificially.
+	// freeList mirrors cri.Pool's free-list: a stack (top at the end)
+	// seeded with index 0 on top, which senders pop an exclusively owned
+	// instance from and push it back onto after injection; empty falls
+	// back to round-robin.
 	freeList []int
 	nThreads int
 	comms    map[uint32]*simComm
@@ -416,18 +401,13 @@ func newSimProc(env *sim.Env, cfg Config, wire *sim.Wire, instances int) *simPro
 		})
 	}
 	if cfg.Assignment == cri.FreeList {
-		p.freeList = make([]int, instances)
-		for i := range p.freeList {
-			p.freeList[i] = i
+		for i := instances - 1; i >= 0; i-- {
+			p.freeList = append(p.freeList, i)
 		}
 	}
 	return p
 }
 
-// acquireSendInstance mirrors cri.Pool.AcquireSend: under FreeList, pop an
-// exclusive instance (push back on release) and fall back to round-robin
-// when drained, with the same SPC accounting; other assignments delegate to
-// instanceFor with a no-op release.
 // connKey identifies one lazy-connect edge: a peer proc, plus the local
 // instance using it (inst == -1 marks the peer-level "any instance" entry).
 type connKey struct {
@@ -460,11 +440,16 @@ func (p *simProc) noteConn(dst *simProc, inst int) {
 	}
 }
 
+// acquireSendInstance mirrors cri.Pool.AcquireSend: under FreeList, pop an
+// exclusive instance (push back on release) and fall back to round-robin
+// when drained, with the same SPC accounting; other assignments delegate to
+// instanceFor with a no-op release. The caller then takes the instance's
+// lock, as AcquireSend does.
 func (p *simProc) acquireSendInstance(ts *cri.ThreadState) (*simInstance, func()) {
 	if p.cfg.Assignment == cri.FreeList {
-		if len(p.freeList) > 0 {
-			i := p.freeList[0]
-			p.freeList = p.freeList[1:]
+		if n := len(p.freeList); n > 0 {
+			i := p.freeList[n-1]
+			p.freeList = p.freeList[:n-1]
 			p.spcs.Inc(spc.FreeListAcquires)
 			return p.instances[i], func() { p.freeList = append(p.freeList, i) }
 		}
@@ -490,8 +475,6 @@ func (p *simProc) addComm(id uint32, nRanks int) *simComm {
 		for i := range c.shardLocks {
 			c.shardLocks[i] = p.cfg.newLock(p.env, "match.shard")
 		}
-	} else if p.cfg.HashMatching {
-		c.engine = match.NewHashEngine(id, nRanks, p.costs, &c.meter, p.spcs)
 	} else {
 		c.engine = match.NewEngine(id, nRanks, p.costs, &c.meter, p.spcs)
 	}
@@ -736,17 +719,11 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	}
 	inst, putBack := p.acquireSendInstance(&t.ts)
 	p.noteConn(dst, inst.index)
-	if p.cfg.LockFreeCQ {
-		// Lock-free completion ring: the slot claim is an atomic CAS — the
-		// same cost class as the lock model's uncontended acquire (zero
-		// virtual time) — and the producer never blocks or pays a handoff.
-	} else {
-		t.clk.Begin(prof.PhaseLockWait)
-		instWait := inst.lock.Acquire(sp)
-		t.clk.End()
-		if instWait >= flight.LockWaitThreshold {
-			t.fring.RecordAt(sp.Now(), flight.KindLockWait, 0, int32(inst.index), int32(instWait/time.Microsecond), -1, 0)
-		}
+	t.clk.Begin(prof.PhaseLockWait)
+	instWait := inst.lock.Acquire(sp)
+	t.clk.End()
+	if instWait >= flight.LockWaitThreshold {
+		t.fring.RecordAt(sp.Now(), flight.KindLockWait, 0, int32(inst.index), int32(instWait/time.Microsecond), -1, 0)
 	}
 	if p.lat != nil {
 		// CRI acquired (send post to instance held, including credit backoff
@@ -788,9 +765,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	}
 	t.clk.End()
 	inst.cq = append(inst.cq, cqe{pending: &t.pendingSends})
-	if !p.cfg.LockFreeCQ {
-		inst.lock.Release(sp)
-	}
+	inst.lock.Release(sp)
 	putBack()
 	if p.bigLock != nil {
 		p.bigLock.Release(sp)
@@ -987,13 +962,8 @@ func (p *simProc) recordLatency(comp match.Completion, unexpected bool, now int6
 }
 
 // waitFor spins (in virtual time) until pred holds, driving progress with
-// adaptive backoff on idle passes. Under the software-offload design the
-// dedicated thread owns the progress engine, so waiters only back off.
+// adaptive backoff on idle passes.
 func (t *simThread) waitFor(sp *sim.Proc, pred func() bool) {
-	if t.proc.cfg.ProgressThread {
-		t.backoffWait(sp, pred)
-		return
-	}
 	backoff := retryCost
 	for !pred() {
 		if t.progress(sp) == 0 {
@@ -1006,43 +976,4 @@ func (t *simThread) waitFor(sp *sim.Proc, pred func() bool) {
 			backoff = retryCost
 		}
 	}
-}
-
-// anyQueued reports whether any instance still holds events.
-func (p *simProc) anyQueued() bool {
-	for _, in := range p.instances {
-		if in.queued() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// spawnOffload starts the dedicated progress thread for p, which runs
-// until every workload thread has finished and the queues are drained.
-func (p *simProc) spawnOffload(env *sim.Env, name string) {
-	if !p.cfg.ProgressThread {
-		return
-	}
-	t := newSimThread(p)
-	env.Go(name, 0, func(sp *sim.Proc) {
-		backoff := retryCost
-		for p.finished < p.nWork || p.anyQueued() {
-			if t.offloadProgress(sp) == 0 {
-				sp.Advance(backoff)
-				sp.Yield()
-				if backoff < maxBackoff {
-					backoff *= 2
-				}
-			} else {
-				backoff = retryCost
-			}
-		}
-	})
-}
-
-// offloadProgress is the offload thread's engine pass: it bypasses the
-// ProgressThread waiting discipline and drives the configured engine.
-func (t *simThread) offloadProgress(sp *sim.Proc) int {
-	return t.progress(sp)
 }

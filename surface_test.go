@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -13,7 +14,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench/cliobs"
+	benchmr "repro/internal/bench/multirate"
 	"repro/internal/core"
+	"repro/internal/simnet"
 )
 
 // surface is one thing a user, a figure or another package can select: an
@@ -147,14 +151,61 @@ func testSource(path, fn string) (string, bool) {
 	return "", false
 }
 
+// modelOnly names the simnet.Config fields that select a mechanism the
+// runtime does not have: the IMPI Thread comparator's global lock, eager
+// credits until the runtime ports flow control (ROADMAP item 4), and the two
+// contention knobs the ablations sweep. The model runs only what the
+// runtime runs; a field added to this list is a design argued for here.
+var modelOnly = map[string]bool{"BigLock": true, "Credits": true, "SleepPenalty": true, "SendJitter": true}
+
+// modelCounterparts are the runtime-side types a simnet.Config row may name:
+// a workload parameter is a field of the harness or command configuration
+// the real engine's run takes from the same flag; a mirror is an Options
+// field or Info assertion of the runtime itself.
+var modelCounterparts = map[string]map[string]reflect.Type{
+	"workload": {"multirate.Config": reflect.TypeOf(benchmr.Config{}), "cliobs.Flags": reflect.TypeOf(cliobs.Flags{})},
+	"mirror":   {"core.Options": reflect.TypeOf(core.Options{}), "core.Info": reflect.TypeOf(core.Info{})},
+}
+
+var modelClass = regexp.MustCompile("^ *(workload|mirror|model-only):(?: `([a-z]+\\.[A-Za-z]+)\\.([A-Za-z]+)`)?")
+
+// classifyModelField checks the census row of simnet.Config field against
+// the three kinds of model parameter: "workload: `multirate.Config.X`",
+// "mirror: `core.Options.X`" (or `core.Info.X`), each naming a field that
+// exists, or "model-only:" for a field of modelOnly.
+func classifyModelField(field, what string) error {
+	m := modelClass.FindStringSubmatch(what)
+	switch {
+	case m == nil:
+		return fmt.Errorf("the row must classify it as workload:, mirror: or model-only:")
+	case m[1] == "model-only":
+		if !modelOnly[field] {
+			return fmt.Errorf("model-only, but the runtime has no such mechanism: make it the runtime's or delete it")
+		}
+		return nil
+	case m[2] == "":
+		return fmt.Errorf("a %s row names its runtime counterpart in backquotes", m[1])
+	}
+	typ, ok := modelCounterparts[m[1]][m[2]]
+	if !ok {
+		return fmt.Errorf("%s is not where a %s row's counterpart lives", m[2], m[1])
+	}
+	if _, ok := typ.FieldByName(m[3]); !ok {
+		return fmt.Errorf("%s has no field %s", m[2], m[3])
+	}
+	return nil
+}
+
 // TestEverySurfaceHasAReader is the surface census: every core.Options field
-// and core.Info assertion, every flag of the six mains (and of the registrar two of them share), every
-// example and every verdict reason has a row in DESIGN's "Surface census"
-// appendix, and the reader that row names — a non-test file outside the
-// defining package, a make target, a script, a CI step, a documented
-// workflow, or for a deliberate test lever (or a reason's drill case) a named
-// test — exists and mentions it. A surface nothing else reads has no row to
-// write: it goes, or gains a real reader.
+// and core.Info assertion, every simnet.Config field, every flag of the six
+// mains (and of the registrar two of them share), every example and every
+// verdict reason has a row in DESIGN's "Surface census" appendix, and the
+// reader that row names — a non-test file outside the defining package, a
+// make target, a script, a CI step, a documented workflow, or for a
+// deliberate test lever (or a reason's drill case) a named test — exists and
+// mentions it. A surface nothing else reads has no row to write: it goes, or
+// gains a real reader. A simnet.Config row also classifies its field (see
+// classifyModelField).
 func TestEverySurfaceHasAReader(t *testing.T) {
 	var surfaces []surface
 	for _, typ := range []reflect.Type{reflect.TypeOf(core.Options{}), reflect.TypeOf(core.Info{})} {
@@ -162,6 +213,11 @@ func TestEverySurfaceHasAReader(t *testing.T) {
 			f := typ.Field(i).Name
 			surfaces = append(surfaces, surface{"core." + typ.Name() + "." + f, "internal/core/", `\b` + f + `\b`})
 		}
+	}
+	model := reflect.TypeOf(simnet.Config{})
+	for i := 0; i < model.NumField(); i++ {
+		f := model.Field(i).Name
+		surfaces = append(surfaces, surface{"simnet.Config." + f, "internal/simnet/", `\b` + f + `\b`})
 	}
 	mains, err := filepath.Glob("cmd/*")
 	if err != nil || len(mains) != 6 {
@@ -185,13 +241,15 @@ func TestEverySurfaceHasAReader(t *testing.T) {
 	if !found {
 		t.Fatal(`DESIGN.md has no "## Appendix: Surface census"`)
 	}
-	row := regexp.MustCompile("(?m)^\\| `([^`]+)` \\| `([^`]+)` \\|")
+	row := regexp.MustCompile("(?m)^\\| `([^`]+)` \\| `([^`]+)` \\|(.*)$")
 	readers := map[string]string{}
+	whats := map[string]string{}
 	for _, m := range row.FindAllStringSubmatch(appendix, -1) {
 		if _, dup := readers[m[1]]; dup {
 			t.Errorf("census lists %s twice", m[1])
 		}
 		readers[m[1]] = m[2]
+		whats[m[1]] = m[3]
 	}
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -204,6 +262,11 @@ func TestEverySurfaceHasAReader(t *testing.T) {
 		if !ok {
 			t.Errorf("%s has no row in DESIGN's surface census: name what reads it, or delete it", s.name)
 			continue
+		}
+		if field, isModel := strings.CutPrefix(s.name, "simnet.Config."); isModel {
+			if err := classifyModelField(field, whats[s.name]); err != nil {
+				t.Errorf("%s: %v", s.name, err)
+			}
 		}
 		var text string
 		path, fn, isTest := strings.Cut(reader, ":")
