@@ -45,11 +45,11 @@ race:
 
 # Dedicated stress pass over the lock-free structures (MPSC completion
 # ring, CRI free-list, sharded matching, the windows' per-CRI issued and
-# completed counters) at high parallelism; these tests only bite with the
-# race detector watching. Then the windows' flush and full-queue tests once
-# more on a single P, where a putter and a flusher only alternate when one of
-# them yields: a flush that needs a quiet moment, or an initiator that waits
-# on a completion queue only it can drain, hangs there.
+# completed counters and flush marker words) at high parallelism; these tests
+# only bite with the race detector watching. Then the windows' flush and
+# full-queue tests once more on a single P, where a putter and a flusher only
+# alternate when one of them yields: a flush that needs a quiet moment, or a
+# marker post that waits on a completion queue only it can drain, hangs there.
 race-lockfree:
 	$(GO) test -race -count=2 ./internal/ringbuf ./internal/match ./internal/cri ./internal/rma
 	GOMAXPROCS=1 $(GO) test -count=1 -run 'Flush|Pending|QueueDepth' ./internal/rma

@@ -14,35 +14,35 @@ func TestFetchAndOpBasics(t *testing.T) {
 	reg := target.RegisterMemory(mem)
 
 	var old int64
-	if err := ictx.FetchAndOp(reg, 0, 10, transport.AccSum, &old, nil); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 10, transport.AccSum, &old, "f1"); err != nil {
 		t.Fatal(err)
 	}
 	if old != 0 {
 		t.Fatalf("old = %d, want 0", old)
 	}
-	if err := ictx.FetchAndOp(reg, 0, 7, transport.AccReplace, &old, nil); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 7, transport.AccReplace, &old, "f2"); err != nil {
 		t.Fatal(err)
 	}
 	if old != 10 {
 		t.Fatalf("old = %d, want 10", old)
 	}
-	if err := ictx.FetchAndOp(reg, 0, 100, transport.AccMax, &old, nil); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 100, transport.AccMax, &old, "f3"); err != nil {
 		t.Fatal(err)
 	}
 	if old != 7 || le64(mem[:8]) != 100 {
 		t.Fatalf("max: old=%d mem=%d", old, le64(mem[:8]))
 	}
-	if err := ictx.FetchAndOp(reg, 0, 1, transport.AccMin, &old, nil); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 1, transport.AccMin, &old, "f4"); err != nil {
 		t.Fatal(err)
 	}
 	if old != 100 || le64(mem[:8]) != 1 {
 		t.Fatalf("min: old=%d mem=%d", old, le64(mem[:8]))
 	}
 	// nil result pointer is allowed.
-	if err := ictx.FetchAndOp(reg, 8, 1, transport.AccSum, nil, nil); err != nil {
+	if err := ictx.FetchAndOp(reg, 8, 1, transport.AccSum, nil, "f5"); err != nil {
 		t.Fatal(err)
 	}
-	// Completions: one per op.
+	// Completions: one per signaled op.
 	n := 0
 	for ictx.Pending() {
 		ictx.Poll(func(e transport.CQE) {
@@ -54,6 +54,16 @@ func TestFetchAndOpBasics(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("completions = %d, want 5", n)
+	}
+	// Unsignaled (nil token): the atomic happens and posts no completion.
+	if err := ictx.FetchAndOp(reg, 8, 2, transport.AccSum, &old, nil); err != nil || old != 1 {
+		t.Fatalf("unsignaled FetchAndOp = %d, %v", old, err)
+	}
+	if err := ictx.CompareAndSwap(reg, 8, 3, 9, &old, nil); err != nil || old != 3 || le64(mem[8:]) != 9 {
+		t.Fatalf("unsignaled CompareAndSwap = %d, %v (mem %d)", old, err, le64(mem[8:]))
+	}
+	if ictx.Pending() {
+		t.Fatal("an unsignaled atomic posted a completion")
 	}
 }
 

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"sync"
@@ -279,16 +280,58 @@ func TestRMAPutGet(t *testing.T) {
 	}
 }
 
+// TestUnsignaledPutsImpliedBySignaled: the transport's selective-completion
+// rule. k puts with a nil token post nothing; the one signaled put after
+// them posts the context's only CQE, and every one of the k+1 writes is in
+// the target by the time that CQE is reaped.
+func TestUnsignaledPutsImpliedBySignaled(t *testing.T) {
+	const k, size = 100, 8
+	target, _, ictx := newInitiator(t)
+	mem := make([]byte, (k+1)*size)
+	reg := target.RegisterMemory(mem)
+	want := make([]byte, len(mem))
+	for i := range want {
+		want[i] = byte(i%251 + 1)
+	}
+	for i := 0; i < k; i++ {
+		if err := ictx.Put(reg, i*size, want[i*size:][:size], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ictx.Pending() {
+		t.Fatal("an unsignaled put posted a completion")
+	}
+	if err := ictx.Put(reg, k*size, want[k*size:], "last"); err != nil {
+		t.Fatal(err)
+	}
+	var tokens []any
+	for ictx.Pending() {
+		ictx.Poll(func(e transport.CQE) {
+			if e.Kind != transport.CQEPutComplete {
+				t.Fatalf("completion kind = %d", e.Kind)
+			}
+			if !bytes.Equal(mem, want) {
+				t.Fatal("a write the signaled completion covers is not in the target when it is reaped")
+			}
+			tokens = append(tokens, e.Token)
+		}, 16)
+	}
+	if len(tokens) != 1 || tokens[0] != "last" {
+		t.Fatalf("completions = %v, want the signaled put's alone", tokens)
+	}
+}
+
 func TestRMABounds(t *testing.T) {
 	target, _, ictx := newInitiator(t)
 	reg := target.RegisterMemory(make([]byte, 16))
 
+	// Signaled, so a completion a failed operation posted would show.
 	cases := []error{
-		ictx.Put(reg, 12, []byte("too long"), nil),
-		ictx.Put(reg, -1, []byte("x"), nil),
-		ictx.Get(reg, 16, make([]byte, 1), nil),
-		ictx.Accumulate(reg, 16, []int64{1}, transport.AccSum, nil),
-		ictx.Accumulate(reg, 3, []int64{1}, transport.AccSum, nil), // misaligned
+		ictx.Put(reg, 12, []byte("too long"), "bad"),
+		ictx.Put(reg, -1, []byte("x"), "bad"),
+		ictx.Get(reg, 16, make([]byte, 1), "bad"),
+		ictx.Accumulate(reg, 16, []int64{1}, transport.AccSum, "bad"),
+		ictx.Accumulate(reg, 3, []int64{1}, transport.AccSum, "bad"), // misaligned
 	}
 	for i, err := range cases {
 		var be *boundsError

@@ -125,9 +125,21 @@ func simRegion(reg transport.MemRegion) (*MemRegion, error) {
 	return r, nil
 }
 
+// signal posts a one-sided operation's local completion through claim — or,
+// for an unsignaled operation (nil token), nothing. Every initiator finishes
+// its work before it returns and the CQ is FIFO, so the CQE of the next
+// signaled operation on this context implies the unsignaled ones before it.
+func (c *Context) signal(kind transport.CQEKind, token any) error {
+	if token == nil {
+		return nil
+	}
+	return c.claim(transport.CQE{Kind: kind, Token: token})
+}
+
 // Put writes src into the remote region at offset: initiator-side CPU cost,
 // wire reservation for the payload, direct memory write, and a local
-// PutComplete CQE carrying token. The target's CPU is never involved.
+// PutComplete CQE carrying token (none when token is nil; see signal). The
+// target's CPU is never involved.
 func (c *Context) Put(reg transport.MemRegion, offset int, src []byte, token any) error {
 	r, err := simRegion(reg)
 	if err != nil {
@@ -136,7 +148,7 @@ func (c *Context) Put(reg transport.MemRegion, offset int, src []byte, token any
 	if err := checkBounds("put", r, offset, len(src)); err != nil {
 		return err
 	}
-	if err := c.claim(transport.CQE{Kind: transport.CQEPutComplete, Token: token}); err != nil {
+	if err := c.signal(transport.CQEPutComplete, token); err != nil {
 		return err
 	}
 	c.write(r.buf[offset:], src)
@@ -161,7 +173,7 @@ func (c *Context) Get(reg transport.MemRegion, offset int, dst []byte, token any
 	if err := checkBounds("get", r, offset, len(dst)); err != nil {
 		return err
 	}
-	if err := c.claim(transport.CQE{Kind: transport.CQEGetComplete, Token: token}); err != nil {
+	if err := c.signal(transport.CQEGetComplete, token); err != nil {
 		return err
 	}
 	hw.Spin(c.dev.costs.RMAGet)
@@ -202,7 +214,7 @@ func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int6
 	if offset%8 != 0 {
 		return &boundsError{Op: "accumulate (alignment)", Offset: offset, Len: n, Size: len(r.buf)}
 	}
-	if err := c.claim(transport.CQE{Kind: transport.CQEAccComplete, Token: token}); err != nil {
+	if err := c.signal(transport.CQEAccComplete, token); err != nil {
 		return err
 	}
 	hw.Spin(c.dev.costs.RMAPut)
@@ -252,7 +264,7 @@ func (c *Context) atomic64(name string, reg transport.MemRegion, offset, wire in
 	if offset%8 != 0 {
 		return &boundsError{Op: name + " (alignment)", Offset: offset, Len: 8, Size: len(r.buf)}
 	}
-	if err := c.claim(transport.CQE{Kind: transport.CQEAccComplete, Token: token}); err != nil {
+	if err := c.signal(transport.CQEAccComplete, token); err != nil {
 		return err
 	}
 	hw.Spin(c.dev.costs.RMAPut)

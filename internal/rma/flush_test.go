@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cri"
+	"repro/internal/spc"
 )
 
 // flushDeadline bounds every wait in this file: a flush that has not
@@ -51,10 +52,10 @@ func dedicatedThreads(t *testing.T, w *core.World, win *Win, n int) []*core.Thre
 }
 
 // TestPutsPastQueueDepth: one thread issues four completion queues' worth of
-// puts before it flushes. Nobody else polls its instance while it holds the
-// lock, so the context refuses the operation that finds the queue full
-// (transport.ErrCQFull) and the issuing thread drains its own instance and
-// retries — every put lands once, and the flush returns.
+// puts before it flushes. A put posts no completion, so none of them finds
+// the queue full; the flush covers them all with one marker, every put lands
+// once, and the flush returns. (TestFlushMarkerPastQueueDepth is the full
+// queue.)
 func TestPutsPastQueueDepth(t *testing.T) {
 	const depth, puts, size = 64, 4 * 64, 8
 	opts := core.Stock()
@@ -81,7 +82,7 @@ func TestPutsPastQueueDepth(t *testing.T) {
 	if !bytes.Equal(wins[1].Local(), want) {
 		t.Fatal("target window does not hold every put after the flush")
 	}
-	if n := win.issued[0][1].Load(); n != puts {
+	if n := win.flows[0][1].issued.Load(); n != puts {
 		t.Fatalf("issued = %d, want %d: a refused put was counted, or a put was issued twice", n, puts)
 	}
 	if n := win.Pending(1); n != 0 {
@@ -89,11 +90,67 @@ func TestPutsPastQueueDepth(t *testing.T) {
 	}
 }
 
+// TestFlushMarkerPastQueueDepth: the flush's marker finds its instance's
+// completion queue full — of send completions from Isends nobody has waited
+// for — and the context refuses it (transport.ErrCQFull). Nobody else polls
+// the instance while the flushing thread holds its lock, so that thread
+// drains the instance itself and retries: the flush returns, the put is in
+// the target, and the sends complete.
+func TestFlushMarkerPastQueueDepth(t *testing.T) {
+	const depth = 64
+	opts := core.Stock()
+	opts.QueueDepth = depth
+	w, wins := newWinPair(t, opts, 8)
+	win := wins[0]
+	win.LockAll()
+	th := w.Proc(0).NewThread()
+	comm := win.comm
+	refusals := func() int64 { return w.Proc(0).TelemetryStats().Process.Get(spc.RingFullWaits) }
+	reqs := make([]*core.Request, depth)
+	within(t, "a flush whose marker finds the queue full", func() {
+		for i := range reqs {
+			req, err := comm.Isend(th, 1, 7, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reqs[i] = req
+		}
+		if n := refusals(); n != 0 {
+			t.Errorf("%d refusals before the flush: the sends alone overflowed the queue", n)
+			return
+		}
+		if err := win.Put(th, 1, 0, []byte("marked!!")); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := win.Flush(th, 1); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := core.WaitAll(th, reqs...); err != nil {
+			t.Error(err)
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	if n := refusals(); n == 0 {
+		t.Fatal("the marker was never refused: the send completions did not fill the queue")
+	}
+	if got := string(wins[1].Local()); got != "marked!!" {
+		t.Fatalf("target window = %q after the flush", got)
+	}
+	if n := win.Pending(1); n != 0 {
+		t.Fatalf("Pending(1) = %d after Flush", n)
+	}
+}
+
 // TestFlushLiveness: a flush waits for what was issued before it, not for a
-// moment when nothing is outstanding. A second thread keeps putting and never
-// flushes — past the queue depth, so it also drains its own instance — and
-// there is always an operation of its in flight; the first thread's flushes
-// still return.
+// moment when nothing is outstanding. A second thread keeps putting past the
+// queue depth and never flushes, so there is always an operation of its
+// outstanding, and the first thread's markers on its instance contend with
+// its puts for the lock; the first thread's flushes still return.
 func TestFlushLiveness(t *testing.T) {
 	const depth, rounds, size = 64, 20, 8
 	opts := core.CRIsConcurrent(2, cri.Dedicated)
@@ -147,11 +204,11 @@ func TestFlushLiveness(t *testing.T) {
 
 // TestFlushSurvivesFailedIssue: an operation the context refuses is never
 // counted, so it can hold no flush back. A flush waits on an instance whose
-// lock the test holds — an operation is in flight there that nobody can reap
-// — after it has read the other instance's words; an out-of-bounds put is
-// then issued on that other instance, the lock is released, and the flush
-// returns. Then the same under load: one thread mixes valid and failing puts
-// while another flushes over and over.
+// lock the test holds — an operation is outstanding there, and no marker can
+// be posted or reaped for it — after it has finished with the other
+// instance; an out-of-bounds put is then issued on that other instance, the
+// lock is released, and the flush returns. Then the same under load: one
+// thread mixes valid and failing puts while another flushes over and over.
 func TestFlushSurvivesFailedIssue(t *testing.T) {
 	w, wins := newWinPair(t, core.CRIsConcurrent(2, cri.Dedicated), 64)
 	win := wins[0]
@@ -160,7 +217,7 @@ func TestFlushSurvivesFailedIssue(t *testing.T) {
 	ths := dedicatedThreads(t, w, win, 3)
 	held := w.Proc(0).Pool().Get(1)
 	held.Lock()
-	// Its put (a completion nobody can reap while the lock is held) went out
+	// Its put (which no marker can cover while the lock is held) went out
 	// above; the flush clears row 0 and waits on row 1.
 	flushed := make(chan error, 1)
 	go func() { flushed <- win.Flush(ths[0], 1) }()
@@ -208,8 +265,8 @@ func TestFlushSurvivesFailedIssue(t *testing.T) {
 	})
 	stop.Store(true)
 	<-mixer
-	for i := range win.issued {
-		if is, done := win.issued[i][1].Load(), win.completed[i][1].Load(); done > is {
+	for i := range win.flows {
+		if is, done := win.flows[i][1].issued.Load(), win.flows[i][1].completed.Load(); done > is {
 			t.Fatalf("instance %d: completed %d passed issued %d", i, done, is)
 		}
 	}

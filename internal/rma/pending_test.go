@@ -12,18 +12,16 @@ import (
 	"repro/internal/spc"
 )
 
-// TestPendingNeverNegative: with more threads than instances every
-// completion can be reaped by a thread other than its issuer. Were an
-// operation counted in its instance's issued word only after the instance
-// lock is released, its completion could be added to the completed word
-// first — the instance's term of the sum reads −1, hides another thread's
-// outstanding operation, and a flush snapshot of the issued word could miss
-// an operation already in flight. Four threads share two instances
-// round-robin; a watcher samples the count throughout, and every thread
-// checks its own bytes after its own flush. The window is a few
-// instructions wide: counting after release fails this test every time
-// under the race detector (make race-lockfree) and in a few percent of
-// plain runs.
+// TestPendingNeverNegative: with more threads than instances a flow's
+// marker can be posted, and reaped, by a thread other than the ones whose
+// operations it covers, while they keep issuing. Pending reads each flow's
+// completed word before its issued word; read the other way round, a marker
+// reaped between the two reads covers operations issued after the first,
+// the term reads below zero, and it hides another thread's outstanding
+// operations. Four threads share two instances round-robin; a watcher
+// samples the count throughout, and every thread checks its own bytes after
+// its own flush. Reading issued first fails this test in plain runs and
+// under the race detector (make race-lockfree).
 func TestPendingNeverNegative(t *testing.T) {
 	const (
 		threads = 4
@@ -84,7 +82,7 @@ func TestPendingNeverNegative(t *testing.T) {
 	stop.Store(true)
 	<-watcher
 	if n := lowest.Load(); n < 0 {
-		t.Fatalf("Pending(1) sampled at %d: an operation was completed before it was counted", n)
+		t.Fatalf("Pending(1) sampled at %d: a flow's term read below zero", n)
 	}
 	if n := win.Pending(1); n != 0 {
 		t.Fatalf("Pending(1) = %d after every thread flushed", n)
@@ -149,52 +147,71 @@ func TestOpCountersAttributedToCRI(t *testing.T) {
 	}
 }
 
-// TestCounterLayout: each instance's issued and completed words share one
-// row, no two instances' rows share a cache line, and the epoch words share
-// one with neither — the property the put path's scaling rests on, whatever
-// the group size and wherever the allocator puts the slab.
+// TestCounterLayout: each instance's issued, completed and marker words
+// share one row, no two instances' rows share a cache line, and the epoch
+// words share one with neither — the property the put path's scaling rests
+// on, whatever the group size and wherever the allocator puts the slab.
 func TestCounterLayout(t *testing.T) {
-	disjoint := func(t *testing.T, rows [][][]counter) {
+	// disjoint fails if two rows, each a list of word addresses, have a
+	// word on the same 64-byte line.
+	disjoint := func(t *testing.T, rows [][]uintptr) {
 		t.Helper()
-		owner := map[uintptr]int{} // 64-byte line → the row that has a counter on it
+		owner := map[uintptr]int{} // line → the row that has a word on it
 		for i, row := range rows {
-			for _, words := range row {
-				for c := range words {
-					line := uintptr(unsafe.Pointer(&words[c])) / 64
-					if j, taken := owner[line]; taken && j != i {
-						t.Fatalf("rows %d and %d share cache line %#x", j, i, line*64)
-					}
-					owner[line] = i
+			for _, addr := range row {
+				line := addr / 64
+				if j, taken := owner[line]; taken && j != i {
+					t.Fatalf("rows %d and %d share cache line %#x", j, i, line*64)
 				}
+				owner[line] = i
 			}
 		}
 	}
+	words := func(flows []flow) []uintptr {
+		var out []uintptr
+		for c := range flows {
+			f := &flows[c]
+			for _, w := range []*atomic.Int64{&f.issued, &f.completed, &f.seq} {
+				out = append(out, uintptr(unsafe.Pointer(w)))
+			}
+		}
+		return out
+	}
+	epoch := func(locked []atomic.Int64) []uintptr {
+		var out []uintptr
+		for c := range locked {
+			out = append(out, uintptr(unsafe.Pointer(&locked[c])))
+		}
+		return out
+	}
 	for _, n := range []int{1, 2, 7, 8, 9, 17} {
 		for _, k := range []int{1, 2, 5} {
-			rows := newRows(k, n)
+			rows := newRows[flow](k, n)
 			if len(rows) != k || len(rows[0]) != n {
 				t.Fatalf("newRows(%d, %d): %d rows of %d", k, n, len(rows), len(rows[0]))
 			}
-			var each [][][]counter
+			var each [][]uintptr
 			for _, row := range rows {
-				each = append(each, [][]counter{row})
+				each = append(each, words(row))
+			}
+			disjoint(t, each)
+			epochs := newRows[atomic.Int64](k, n)
+			each = each[:0]
+			for _, row := range epochs {
+				each = append(each, epoch(row))
 			}
 			disjoint(t, each)
 		}
 	}
-	// The window itself: per instance, its issued and completed words for
-	// every target in one row; then the epoch words.
+	// The window itself: per instance, the flows to every target in one
+	// row; then the epoch words.
 	_, wins := newWins(t, 3, core.CRIsConcurrent(2, cri.Dedicated), 8)
 	win := wins[0]
-	if len(win.issued) != 2 || len(win.completed) != 2 || len(win.issued[0]) != 3 || len(win.completed[1]) != 3 || len(win.locked) != 3 {
-		t.Fatalf("window of 3 ranks over 2 instances: %d issued and %d completed rows of %d and %d, %d epoch words",
-			len(win.issued), len(win.completed), len(win.issued[0]), len(win.completed[1]), len(win.locked))
+	if len(win.flows) != 2 || len(win.flows[0]) != 3 || len(win.flows[1]) != 3 || len(win.locked) != 3 {
+		t.Fatalf("window of 3 ranks over 2 instances: %d flow rows of %d and %d, %d epoch words",
+			len(win.flows), len(win.flows[0]), len(win.flows[1]), len(win.locked))
 	}
-	disjoint(t, [][][]counter{
-		{win.issued[0], win.completed[0]},
-		{win.issued[1], win.completed[1]},
-		{win.locked},
-	})
+	disjoint(t, [][]uintptr{words(win.flows[0]), words(win.flows[1]), epoch(win.locked)})
 }
 
 // TestFlushAllAcrossInstances: operations outstanding on two targets, carried
@@ -215,10 +232,10 @@ func TestFlushAllAcrossInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a, b := win.issued[0][1].Load(), win.issued[1][2].Load(); a != puts || b != puts {
+	if a, b := win.flows[0][1].issued.Load(), win.flows[1][2].issued.Load(); a != puts || b != puts {
 		t.Fatalf("issued: instance 0 → target 1 = %d, instance 1 → target 2 = %d, want %d each", a, b, puts)
 	}
-	if a, b := win.completed[0][1].Load(), win.completed[1][2].Load(); a != 0 || b != 0 {
+	if a, b := win.flows[0][1].completed.Load(), win.flows[1][2].completed.Load(); a != 0 || b != 0 {
 		t.Fatalf("completed before any progress: %d and %d, want 0", a, b)
 	}
 	if win.Pending(1) != puts || win.Pending(2) != puts || win.Pending(0) != 0 {
@@ -232,7 +249,7 @@ func TestFlushAllAcrossInstances(t *testing.T) {
 			t.Fatalf("Pending(%d) = %d after FlushAll", target, n)
 		}
 	}
-	if a, b := win.completed[0][1].Load(), win.completed[1][2].Load(); a != puts || b != puts {
+	if a, b := win.flows[0][1].completed.Load(), win.flows[1][2].completed.Load(); a != puts || b != puts {
 		t.Fatalf("completed after FlushAll: %d and %d, want %d each", a, b, puts)
 	}
 	if got := string(wins[1].Local()[:8]); got != "to rank1" {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/flight"
@@ -33,22 +34,16 @@ type Win struct {
 	local []byte
 	// regions[commRank] is the target's registered region.
 	regions []transport.MemRegion
-	// issued[cri][commRank] and completed[cri][commRank] count the
-	// operations instance cri carried to that target, and those of them that
-	// have completed. Both only grow, and both are written only under the
-	// instance's lock: an operation is counted once the context accepted it,
-	// and its completion is posted to that same context, whose every Poll
-	// takes the lock. So completed never passes issued, and — the context's
-	// queue being FIFO — it reaches a value n only once the first n
-	// operations counted have all completed. The two words of an instance
-	// share its own cache-line row (see newRows); other threads' flushes
-	// only read them.
-	issued, completed [][]counter
+	// flows[cri][commRank] holds the words of the operations instance cri
+	// carried to that target (see flow). An instance's flows fill a
+	// cache-line row of their own (see newRows); other threads' flushes
+	// only read them, and take the instance's lock to post its marker.
+	flows [][]flow
 	// locked[commRank] is nonzero while an access epoch (passive lock,
 	// PSCW start, or fence) is open to that target. Read on every operation
 	// and written only at epoch boundaries, so it keeps to lines no
 	// per-operation word lives on.
-	locked []counter
+	locked []atomic.Int64
 
 	// Active-target epoch state (single-threaded by MPI semantics — the
 	// funneling constraint the paper highlights).
@@ -57,29 +52,47 @@ type Win struct {
 	access    []int // ranks started to (access epoch)
 }
 
-// counter is one atomic count word. A completed count is also the
-// completion token of every operation charged to it: the transport hands it
-// back in the operation's CQE, and Complete adds the one. No operation
-// carries an object of its own.
-type counter struct{ atomic.Int64 }
+// flow is one (instance, target) pair's count words. issued counts the
+// operations the instance carried to the target; completed counts those of
+// them known to be complete. An operation posts no completion of its own: a
+// flush that finds completed behind posts the flow's marker — one signaled
+// zero-byte put on the same context — and the marker's CQE, completions
+// being in order, covers every operation issued before it. seq is the
+// issued count the marker in flight covers; at most one is in flight, and
+// it is in flight exactly while seq > completed.
+//
+// All three words only grow, and all are written under the instance's
+// lock: an operation is counted once the context accepted it, a marker's
+// seq is set as it is posted, and its completion is reaped by a Poll of
+// that same context, which takes the lock. So completed never passes
+// issued, and it reaches a value n only once the first n operations counted
+// have all completed.
+type flow struct {
+	issued, completed, seq atomic.Int64
+}
 
-// Complete implements core.Completer.
-func (c *counter) Complete(transport.CQE) { c.Add(1) }
+// Complete is the marker's completion (core.Completer): every operation up
+// to seq has completed. It is rma's one completion token, and it is the
+// flow itself, so no operation and no flush carries an object of its own.
+func (f *flow) Complete(transport.CQE) { f.completed.Store(f.seq.Load()) }
 
-// cacheLineWords is a 64-byte cache line in 8-byte counters.
-const cacheLineWords = 8
+// cacheLine is the line size, in bytes, rows are kept apart by.
+const cacheLine = 64
 
-// newRows returns rows rows of n counters cut from one slab, laid out so that
-// no two rows — and nothing allocated beside the slab — can share a cache
-// line with a row wherever the allocator puts it: a row is rounded up to
-// whole lines and a line of slack follows it (and leads the first). The cost
-// is rows × a few lines, not a line per counter.
-func newRows(rows, n int) [][]counter {
-	stride := (n+cacheLineWords-1)/cacheLineWords*cacheLineWords + cacheLineWords
-	slab := make([]counter, cacheLineWords+rows*stride)
-	out := make([][]counter, rows)
+// newRows returns rows rows of n Ts cut from one slab, laid out so that no
+// two rows — and nothing allocated beside the slab — can share a cache line
+// with a row wherever the allocator puts it: at least a line of slack
+// separates consecutive rows, and leads the first and trails the last. The
+// cost is rows × about a line, not a line per element.
+func newRows[T any](rows, n int) [][]T {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	pad := (cacheLine + size - 1) / size
+	stride := n + pad
+	slab := make([]T, pad+rows*stride)
+	out := make([][]T, rows)
 	for i := range out {
-		out[i] = slab[cacheLineWords+i*stride:][:n:n]
+		out[i] = slab[pad+i*stride:][:n:n]
 	}
 	return out
 }
@@ -106,21 +119,14 @@ func New(comms []*core.Comm, sizes []int) ([]*Win, error) {
 		}
 		local := make([]byte, sizes[r])
 		regions[r] = c.Proc().RegisterMemory(local)
-		// One row per instance holding its issued then its completed words,
-		// then the epoch words in a row of their own.
-		k := c.Proc().Pool().Len()
-		rows := newRows(k+1, 2*n)
-		win := &Win{
-			comm:      c,
-			local:     local,
-			issued:    make([][]counter, k),
-			completed: make([][]counter, k),
-			locked:    rows[k][:n:n],
+		// One row of flows per instance, and the epoch words in a row of
+		// their own.
+		wins[r] = &Win{
+			comm:   c,
+			local:  local,
+			flows:  newRows[flow](c.Proc().Pool().Len(), n),
+			locked: newRows[atomic.Int64](1, n)[0],
 		}
-		for i, row := range rows[:k] {
-			win.issued[i], win.completed[i] = row[:n:n], row[n:]
-		}
-		wins[r] = win
 	}
 	for _, w := range wins {
 		w.regions = regions
@@ -181,7 +187,9 @@ func (w *Win) Unlock(th *core.Thread, target int) error {
 	if err := w.Flush(th, target); err != nil {
 		return err
 	}
-	w.locked[target].Add(-1)
+	if !closeEpoch(&w.locked[target]) {
+		return fmt.Errorf("rma: Unlock(%d) without Lock", target)
+	}
 	return nil
 }
 
@@ -192,17 +200,37 @@ func (w *Win) LockAll() {
 	}
 }
 
-// UnlockAll flushes and closes every epoch (MPI_Win_unlock_all).
+// UnlockAll flushes and closes every epoch (MPI_Win_unlock_all). With some
+// target's epoch not open it refuses, and every epoch count is as it found
+// it: the targets already released are opened again.
 func (w *Win) UnlockAll(th *core.Thread) error {
 	if err := w.FlushAll(th); err != nil {
 		return err
 	}
 	for i := range w.locked {
-		if w.locked[i].Add(-1) < 0 {
+		if !closeEpoch(&w.locked[i]) {
+			for j := range i {
+				w.locked[j].Add(1)
+			}
 			return fmt.Errorf("rma: UnlockAll without LockAll (target %d)", i)
 		}
 	}
 	return nil
+}
+
+// closeEpoch closes one epoch on an epoch count, and reports false —
+// leaving the count alone — when none is open: a count never goes below
+// zero, with any number of threads locking and unlocking.
+func closeEpoch(locked *atomic.Int64) bool {
+	for {
+		n := locked.Load()
+		if n <= 0 {
+			return false
+		}
+		if locked.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
 }
 
 func (w *Win) inEpoch(target int) error {
@@ -213,19 +241,17 @@ func (w *Win) inEpoch(target int) error {
 }
 
 // issue runs one one-sided operation through the thread's instance under
-// the instance lock — the contention point the figures sweep. Every word it
-// writes belongs to that instance: the operation's completion token is the
-// instance's completed word for target, and once the context has accepted
-// the operation it is counted in the instance's issued word and charged as
-// c on the instance's counter set, all under the lock. No thread can reap
-// the completion before the lock is released, so counting after acceptance
-// is not late, and an operation the context refused is never counted at
-// all. A context whose completion queue is full refuses with
-// transport.ErrCQFull; only a Poll of that context drains it, and the lock
-// this thread holds is the one a Poll takes, so the thread polls the
-// instance itself and retries. It returns the index of the instance that
-// carried the operation so callers can attribute trace events to it.
-func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx transport.Context, r transport.MemRegion, done *counter) error) (int, error) {
+// the instance lock — the contention point the figures sweep. The operation
+// is unsignaled (f passes a nil token): it posts no completion, and a later
+// flush's marker covers it. Every word issue writes belongs to that
+// instance: once the context has accepted the operation it is counted in
+// the instance's issued word for target and charged as c on the instance's
+// counter set, both under the lock — no marker can be posted, or reaped,
+// before the lock is released, so counting after acceptance is not late,
+// and an operation the context refused is never counted at all. It returns
+// the index of the instance that carried the operation so callers can
+// attribute trace events to it.
+func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx transport.Context, r transport.MemRegion) error) (int, error) {
 	if err := w.checkTarget(target); err != nil {
 		return -1, err
 	}
@@ -237,16 +263,11 @@ func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx trans
 	clk.Begin(prof.PhaseSend)
 	inst, release := p.Pool().AcquireSend(th.State())
 	i := inst.Index()
-	ctx, r, done := inst.Context(), w.regions[target], &w.completed[i][target]
 	clk.Begin(prof.PhaseWire)
-	err := f(ctx, r, done)
-	for err != nil && errors.Is(err, transport.ErrCQFull) {
-		th.PollHeld(inst)
-		err = f(ctx, r, done)
-	}
+	err := f(inst.Context(), w.regions[target])
 	clk.End()
 	if err == nil {
-		w.issued[i][target].Add(1)
+		w.flows[i][target].issued.Add(1)
 		inst.SPCs().Inc(c)
 	}
 	release()
@@ -257,8 +278,8 @@ func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx trans
 // Put writes src into target's window at offset (MPI_Put). Completion is
 // local-only; use Flush to guarantee remote completion.
 func (w *Win) Put(th *core.Thread, target, offset int, src []byte) error {
-	cri, err := w.issue(th, target, spc.PutsIssued, func(ctx transport.Context, r transport.MemRegion, done *counter) error {
-		return ctx.Put(r, offset, src, done)
+	cri, err := w.issue(th, target, spc.PutsIssued, func(ctx transport.Context, r transport.MemRegion) error {
+		return ctx.Put(r, offset, src, nil)
 	})
 	if err == nil {
 		ring := th.State().Flight()
@@ -270,8 +291,8 @@ func (w *Win) Put(th *core.Thread, target, offset int, src []byte) error {
 // Get reads len(dst) bytes from target's window at offset (MPI_Get).
 // dst is valid only after a Flush.
 func (w *Win) Get(th *core.Thread, target, offset int, dst []byte) error {
-	_, err := w.issue(th, target, spc.GetsIssued, func(ctx transport.Context, r transport.MemRegion, done *counter) error {
-		return ctx.Get(r, offset, dst, done)
+	_, err := w.issue(th, target, spc.GetsIssued, func(ctx transport.Context, r transport.MemRegion) error {
+		return ctx.Get(r, offset, dst, nil)
 	})
 	return err
 }
@@ -279,21 +300,24 @@ func (w *Win) Get(th *core.Thread, target, offset int, dst []byte) error {
 // Accumulate applies op element-wise over int64 lanes at offset in target's
 // window (MPI_Accumulate), atomically with respect to other accumulates.
 func (w *Win) Accumulate(th *core.Thread, target, offset int, operand []int64, op transport.AccumulateOp) error {
-	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, done *counter) error {
-		return ctx.Accumulate(r, offset, operand, op, done)
+	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion) error {
+		return ctx.Accumulate(r, offset, operand, op, nil)
 	})
 	return err
 }
 
 // Flush blocks until every operation this process issued to target before
 // the call has completed (MPI_Win_flush). Any thread's flush drives the
-// progress engine, reaping completions for all threads.
+// progress engine, reaping completions for all threads. It fails only when
+// a context refuses a marker for a reason other than a full queue.
 func (w *Win) Flush(th *core.Thread, target int) error {
 	if err := w.checkTarget(target); err != nil {
 		return err
 	}
 	w.comm.SPCs().Inc(spc.FlushCalls)
-	w.await(th, target, target+1)
+	if err := w.await(th, target, target+1); err != nil {
+		return err
+	}
 	th.State().Flight().Record(flight.KindFlush, w.comm.ID(), int32(target), 0)
 	return nil
 }
@@ -302,26 +326,34 @@ func (w *Win) Flush(th *core.Thread, target int) error {
 // (MPI_Win_flush_all).
 func (w *Win) FlushAll(th *core.Thread) error {
 	w.comm.SPCs().Inc(spc.FlushCalls)
-	w.await(th, 0, len(w.regions))
-	return nil
+	return w.await(th, 0, len(w.regions))
 }
 
-// await drives th's progress loop until, for every instance row and every
-// target in [lo, hi), the completed word has caught up with the issued word
-// as it read when the wait reached that pair: each pair is read once, on
-// arrival, and then only its completed word is polled. What was issued
-// before the call is covered, and a thread that keeps issuing cannot hold
-// the wait back — it never needs a moment when nothing is outstanding. The
-// snapshot lives in the closure, so any pool size costs nothing.
-func (w *Win) await(th *core.Thread, lo, hi int) {
+// await drives th's progress loop until, for every instance and every
+// target in [lo, hi), the flow's completed word has caught up with its
+// issued word as it read when the wait reached that flow: each flow is read
+// once, on arrival, and then only its completed word is polled. A flow found
+// behind with no marker in flight gets one (see mark), so a flush reaps one
+// CQE per flow, not one per operation. What was issued before the call is
+// covered, and a thread that keeps issuing cannot hold the wait back — it
+// never needs a moment when nothing is outstanding. The snapshot lives in
+// the closure, so any pool size costs nothing.
+func (w *Win) await(th *core.Thread, lo, hi int) error {
 	row, t, want := 0, lo, int64(-1)
+	var err error
 	th.WaitUntil(func() bool {
-		for row < len(w.issued) {
+		for row < len(w.flows) {
+			f := &w.flows[row][t]
 			if want < 0 {
-				want = w.issued[row][t].Load()
+				want = f.issued.Load()
 			}
-			if w.completed[row][t].Load() < want {
-				return false
+			if done := f.completed.Load(); done < want {
+				// seq only grows, so a seq read equal to done was equal
+				// when done was read: no marker was in flight then.
+				if f.seq.Load() == done {
+					err = w.mark(th, row, t)
+				}
+				return err != nil
 			}
 			if want, t = -1, t+1; t == hi {
 				row, t = row+1, lo
@@ -329,17 +361,48 @@ func (w *Win) await(th *core.Thread, lo, hi int) {
 		}
 		return true
 	})
+	return err
 }
 
-// Pending returns the number of outstanding operations to target, summed
-// over the instances that carried them. Each instance's completed word is
-// read before its issued word, and completed never passes issued, so no
-// term is negative.
+// mark posts flow (i, target)'s marker: under instance i's lock, unless a
+// marker is already in flight or nothing is outstanding, a zero-byte put to
+// target whose token is the flow, covering every operation issued so far.
+// A context whose completion queue is full refuses with transport.ErrCQFull;
+// only a Poll of that context drains it, and the lock held here is the one
+// a Poll takes, so the thread polls the instance itself and retries. Any
+// other refusal is returned, and no marker is in flight.
+func (w *Win) mark(th *core.Thread, i, target int) error {
+	inst := w.comm.Proc().Pool().Get(i)
+	inst.LockClocked(th.State().Clock())
+	defer inst.Unlock()
+	f := &w.flows[i][target]
+	seq, done := f.issued.Load(), f.completed.Load()
+	if f.seq.Load() != done || done == seq {
+		return nil
+	}
+	ctx, r := inst.Context(), w.regions[target]
+	err := ctx.Put(r, 0, nil, f)
+	for errors.Is(err, transport.ErrCQFull) {
+		th.PollHeld(inst)
+		err = ctx.Put(r, 0, nil, f)
+	}
+	if err == nil {
+		f.seq.Store(seq)
+	}
+	return err
+}
+
+// Pending returns the number of operations to target not yet known to be
+// complete, summed over the instances that carried them: those issued since
+// the last marker a flush posted there was reaped. Each flow's completed
+// word is read before its issued word, and completed never passes issued,
+// so no term is negative.
 func (w *Win) Pending(target int) int64 {
 	var n int64
-	for i := range w.issued {
-		done := w.completed[i][target].Load()
-		n += w.issued[i][target].Load() - done
+	for i := range w.flows {
+		f := &w.flows[i][target]
+		done := f.completed.Load()
+		n += f.issued.Load() - done
 	}
 	return n
 }

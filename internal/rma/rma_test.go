@@ -127,6 +127,65 @@ func TestEpochEnforcement(t *testing.T) {
 	}
 }
 
+// TestRefusedUnlockAllKeepsEpochs: an UnlockAll without LockAll is refused
+// and changes no epoch count — neither on a target that had no epoch open
+// nor on one that had. Were a count taken below zero, a later Lock would
+// bring it only back to zero, and the next operation would fail outside its
+// epoch.
+func TestRefusedUnlockAllKeepsEpochs(t *testing.T) {
+	w, wins := newWinPair(t, core.Stock(), 16)
+	win := wins[0]
+	th := w.Proc(0).NewThread()
+	if err := win.UnlockAll(th); err == nil {
+		t.Fatal("UnlockAll without LockAll succeeded")
+	}
+	if err := win.Lock(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := win.Put(th, 0, 0, []byte("self")); err != nil {
+		t.Fatalf("Put inside a Lock(0) epoch after a refused UnlockAll: %v", err)
+	}
+	// Target 0's epoch is open, target 1's is not: the refusal must leave
+	// target 0's open.
+	if err := win.UnlockAll(th); err == nil {
+		t.Fatal("UnlockAll with target 1 not locked succeeded")
+	}
+	if err := win.Put(th, 0, 4, []byte("more")); err != nil {
+		t.Fatalf("Put to target 0 after UnlockAll was refused on target 1: %v", err)
+	}
+	if err := win.Unlock(th, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := win.Put(th, 0, 0, []byte("x")); !errors.Is(err, ErrNoEpoch) {
+		t.Fatalf("Put after the epoch closed: err = %v, want ErrNoEpoch", err)
+	}
+	if got := string(win.Local()[:8]); got != "selfmore" {
+		t.Fatalf("window = %q", got)
+	}
+	// Racing LockAll/UnlockAll pairs never leave a count below zero.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := w.Proc(0).NewThread()
+			for i := 0; i < 200; i++ {
+				win.LockAll()
+				if err := win.UnlockAll(th); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range win.locked {
+		if n := win.locked[i].Load(); n != 0 {
+			t.Fatalf("target %d: epoch count %d after balanced LockAll/UnlockAll pairs", i, n)
+		}
+	}
+}
+
 func TestTargetValidation(t *testing.T) {
 	w, wins := newWinPair(t, core.Stock(), 16)
 	th := w.Proc(0).NewThread()
@@ -207,7 +266,7 @@ func TestSPCCounters(t *testing.T) {
 	_ = wins[0].Get(th, 1, 0, make([]byte, 1))
 	_ = wins[0].Accumulate(th, 1, 8, []int64{1}, transport.AccSum)
 	// The two single-lane atomics are accumulates to the counters, as they are
-	// to the transport (both complete as CQEAccComplete).
+	// to the transport (both would complete as CQEAccComplete).
 	if _, err := wins[0].FetchAndOp(th, 1, 16, 1, transport.AccSum); err != nil {
 		t.Fatal(err)
 	}
@@ -331,10 +390,11 @@ func TestFreeDeregisters(t *testing.T) {
 	}
 }
 
-// TestPutAllocations: a put costs nothing on the heap — its completion token
-// is its instance's completed word, the CRI release function is prebuilt, and
-// the flush that reaps the completion allocates nothing. The options are the
-// benchmark's inproc_rma_put_8B_mt ones.
+// TestPutAllocations: a put costs nothing on the heap — it carries no
+// completion token, the CRI release function is prebuilt, and the flush,
+// whose marker token is a word of the window's counter slab, posts and reaps
+// it allocating nothing. The options are the benchmark's
+// inproc_rma_put_8B_mt ones.
 func TestPutAllocations(t *testing.T) {
 	w, wins := newWinPair(t, core.CRIsConcurrent(2, cri.Dedicated), 64)
 	th := w.Proc(0).NewThread()

@@ -118,8 +118,8 @@ func (w *Win) WaitEpoch(th *core.Thread) error {
 // flush-bounded operation).
 func (w *Win) FetchAndOp(th *core.Thread, target, offset int, operand int64, op transport.AccumulateOp) (int64, error) {
 	result := th.FetchWord()
-	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, done *counter) error {
-		return ctx.FetchAndOp(r, offset, operand, op, result, done)
+	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion) error {
+		return ctx.FetchAndOp(r, offset, operand, op, result, nil)
 	})
 	if err != nil {
 		return 0, err
@@ -134,8 +134,8 @@ func (w *Win) FetchAndOp(th *core.Thread, target, offset int, operand int64, op 
 // it equals compare, returning the previous value (MPI_Compare_and_swap).
 func (w *Win) CompareAndSwap(th *core.Thread, target, offset int, compare, swap int64) (int64, error) {
 	result := th.FetchWord()
-	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion, done *counter) error {
-		return ctx.CompareAndSwap(r, offset, compare, swap, result, done)
+	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion) error {
+		return ctx.CompareAndSwap(r, offset, compare, swap, result, nil)
 	})
 	if err != nil {
 		return 0, err

@@ -208,8 +208,13 @@ type Context interface {
 
 	// One-sided initiators (OneSided backends only; others return
 	// ErrNotSupported). r addresses a region of the target device;
-	// completion is a local CQE carrying token. An initiator whose
-	// completion queue is full returns ErrCQFull having touched nothing.
+	// completion is a local CQE carrying token. An initiator called with
+	// a nil token is unsignaled: it posts no CQE, and its completion is
+	// implied by the CQE of any later operation on the same context that
+	// carries a token — completions are in order (selective completion,
+	// as with unsignaled verbs work requests). An initiator whose
+	// completion queue is full returns ErrCQFull having touched nothing;
+	// an unsignaled one never does.
 	Put(r MemRegion, offset int, src []byte, token any) error
 	Get(r MemRegion, offset int, dst []byte, token any) error
 	Accumulate(r MemRegion, offset int, operand []int64, op AccumulateOp, token any) error
