@@ -118,6 +118,9 @@ loc:
 # attribution only), delivery, completion — so core's message path holds at
 # most six time.Now() sites. And a communicator's NoWildcards assertion is the
 # one place the sharded engine is built, in the runtime and in the model.
+# Multirate is one loop over rank pairs: thread mode, process mode, incast and
+# the distributed run create their communicators at one site in the harness,
+# and the model builds one simulation for both modes.
 lint-onepath:
 	@fail=0; \
 	one() { n=$$(cat $$2 | grep -c -- "$$1"); \
@@ -126,6 +129,7 @@ lint-onepath:
 	match=$$(ls internal/match/*.go | grep -v _test.go); \
 	progress=$$(ls internal/progress/*.go | grep -v _test.go); \
 	simnet=$$(ls internal/simnet/*.go | grep -v _test.go); \
+	multirate=$$(ls internal/bench/multirate/*.go | grep -v _test.go); \
 	one 'AcquireSend(' "$$core" internal/core; \
 	one 'match\.NewSharded(' "$$core" internal/core; \
 	one 'match\.NewSharded(' "$$simnet" internal/simnet; \
@@ -133,6 +137,8 @@ lint-onepath:
 	one 'spc\.OutOfSequence' "$$match" internal/match; \
 	one '^func .*\bfill(' "$$match" internal/match; \
 	one 'flight\.KindProgress' "$$progress" internal/progress; \
+	one 'NewCommWithInfo(' "$$multirate" internal/bench/multirate; \
+	one 'sim\.NewEnv(' internal/simnet/multirate.go internal/simnet/multirate.go; \
 	if grep -rn --include='*.go' --exclude-dir=.bench_build '"repro/internal/trace"' .; then \
 		echo "FAIL: internal/trace is gone; record into internal/flight"; fail=1; fi; \
 	n=$$(cat internal/core/comm.go internal/core/world.go | grep -c 'time\.Now()'); \

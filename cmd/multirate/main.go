@@ -76,9 +76,9 @@ func main() {
 		faultDelay = flag.Float64("fault-delay", 0, "per-packet delayed-delivery (reorder) probability")
 		faultSeed  = flag.Int64("fault-seed", 1, "fault-injection RNG seed")
 
-		stallRecv = flag.Duration("stall", 0, "freeze pair 0's receiver for this long mid-run: virtual time on the sim engine (deterministic; pair with -watchdog), wall clock on the real engine (pair with mpirun -http to watch the cluster detector localize it)")
+		stallRecv = flag.Duration("stall", 0, "freeze receivers for this long mid-run: the sim engine freezes pair 0's receiver thread in virtual time (deterministic; pair with -watchdog), the real engine every receiver thread of the -stall-rank rank in wall clock (pair with mpirun -http to watch the cluster detector localize it)")
 		stallAt   = flag.Int("stall-at", 0, "window iteration at which the -stall freeze fires")
-		stallRank = flag.Int("stall-rank", 0, "world rank the -stall freeze applies to in a distributed run (0 = the last receiver rank)")
+		stallRank = flag.Int("stall-rank", 0, "world rank whose receiver threads the real engine's -stall freezes (0 = the last receiver rank)")
 	)
 	// The sim engine mirrors the flight recorder, watchdog, and latency
 	// attribution in virtual time, so those flags stay on either engine.

@@ -62,7 +62,7 @@ func Register(fs *flag.FlagSet, cmd string, simMirrors bool) *Flags {
 	latEngines := "real engine"
 	if simMirrors {
 		either = "either engine — sim records in virtual time"
-		latEngines = "either engine — sim mirrors it deterministically; thread mode only"
+		latEngines = "either engine — sim mirrors it deterministically"
 	}
 	fs.BoolVar(&f.SPCDump, "spc-dump", false, "dump counters with per-CRI/per-communicator attribution (real engine)")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write a Prometheus text-format metrics snapshot to this file (real engine)")

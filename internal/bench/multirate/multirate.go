@@ -1,8 +1,11 @@
 // Package multirate implements the Multirate pairwise benchmark
 // (Patinyasakdikul et al. [6]) over the real runtime (internal/core): N
 // communication pairs, each iterating window-sized bursts of non-blocking
-// sends/receives with wait-all, in either thread mode (pairs are threads of
-// two processes) or process mode (each pair is its own process pair).
+// sends/receives with wait-all. Every run is one layout: a world of 2k ranks
+// paired (0,1), (2,3), ..., each process pair carrying t thread pairs, its
+// even rank hosting the senders and its odd rank the receivers. Thread mode
+// is k = 1, t = Pairs; process mode k = Pairs, t = 1; a distributed run
+// k = WorldSize/2, t = Pairs; incast is thread mode with one receiver.
 //
 // This harness measures wall-clock rates on live goroutines. On the
 // two-core reproduction host (`nproc`) the paper's 20-pair scaling shapes
@@ -19,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/prof"
 	"repro/internal/spc"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -72,7 +76,7 @@ type Config struct {
 	// communicators match on the sharded engine, and AnyTag or the incast
 	// pattern's wildcard receives fail with core.ErrWildcard.
 	NoWildcards bool
-	// ProcessMode maps each pair to its own process pair.
+	// ProcessMode maps each pair to its own process pair (k = Pairs, t = 1).
 	ProcessMode bool
 	// WorldSize is the number of OS processes in a distributed run
 	// (RunDistributed only; 0 = 2). Must be even: ranks pair up as
@@ -82,8 +86,8 @@ type Config struct {
 	// Pattern selects pairwise (default) or incast.
 	Pattern Pattern
 	// SampleInterval, when positive, runs a background sampler on the
-	// receiver process snapshotting counters and histograms at this
-	// interval; the time series lands in Result.Samples.
+	// first local receiver rank snapshotting counters, histograms and the
+	// profiler at this interval; the time series lands in Result.Samples.
 	SampleInterval time.Duration
 	// OnWorld, when set, is called with the world right after construction
 	// and before the measured section — the hook a command uses to attach
@@ -95,17 +99,18 @@ type Config struct {
 	// run can stop it and flush the partial time series.
 	OnSampler func(*telemetry.Sampler)
 	// StallRecv, when positive, freezes every receiver thread on the
-	// stalled rank for this wall-clock duration right after it posts
-	// window iteration StallAfterIter — the real-engine sibling of
+	// stall rank (StallRank) for this wall-clock duration right after it
+	// posts window iteration StallAfterIter — the real-engine sibling of
 	// simnet's deterministic virtual stall injection, used to surface a
 	// live straggler to the cluster imbalance detector: the whole rank's
-	// receive side goes quiet while its peer keeps sending. The run still
-	// completes with full totals once the freeze ends.
+	// receive side goes quiet while its peer keeps sending. Every layout
+	// picks the rank by the same rule, so process mode freezes one
+	// receiver process, not all of them. The run still completes with
+	// full totals once the freeze ends.
 	StallRecv      time.Duration
 	StallAfterIter int
-	// StallRank restricts a distributed run's freeze to one world rank
-	// (0 = the last, highest-numbered receiver rank). Single-process runs
-	// ignore it: their only receiver process takes the freeze.
+	// StallRank is the world rank whose receivers freeze (0 = the last,
+	// highest-numbered receiver rank).
 	StallRank int
 }
 
@@ -135,254 +140,51 @@ type Result struct {
 	Elapsed time.Duration
 	// Rate is Messages/Elapsed in msg/s.
 	Rate float64
-	// SPCs is the receiver-side counter snapshot: the full per-process
-	// roll-up (residual + per-CRI + per-communicator child sets).
+	// SPCs rolls up the local receiver ranks' counters, each the full
+	// per-process roll-up (residual + per-CRI + per-communicator child
+	// sets); a process hosting no receiver (the even rank of a distributed
+	// run) reports its sender rank instead.
 	SPCs spc.Snapshot
 	// Transport names the backend the run used and its capability flags.
 	Transport transport.Caps
-	// Stats holds every process's attributed counter/histogram breakdown
-	// in rank order (sender is rank 0, receiver rank 1 in thread mode).
+	// Stats holds every local rank's attributed counter/histogram
+	// breakdown in rank order (even ranks send, odd ranks receive).
 	Stats []telemetry.ProcStats
 	// Samples is the sampler time series when Config.SampleInterval > 0.
 	Samples []telemetry.Sample
-	// TraceDump holds the receiver-side flight record rendered as text
-	// (empty unless Options.FlightCapacity > 0).
+	// TraceDump holds the first local receiver rank's flight record
+	// rendered as text (empty unless Options.FlightCapacity > 0).
 	TraceDump string
 }
 
-// Run executes the benchmark.
+// Run executes the benchmark in one OS process. Thread mode is one process
+// pair carrying every thread pair; process mode gives each pair a process
+// pair of its own.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Pattern == Incast {
-		if cfg.ProcessMode {
+	procPairs, threads := 1, cfg.Pairs
+	if cfg.ProcessMode {
+		if cfg.Pattern == Incast {
 			return Result{}, fmt.Errorf("multirate: incast has no process mode")
 		}
-		return runIncast(cfg)
+		procPairs, threads = cfg.Pairs, 1
 	}
-	if cfg.ProcessMode {
-		return runProcesses(cfg)
-	}
-	return runThreads(cfg)
-}
-
-// runIncast: cfg.Pairs sender threads on proc 0, one receiver thread on
-// proc 1 posting wildcard receives for the whole volume.
-func runIncast(cfg Config) (Result, error) {
-	w, err := core.NewWorld(cfg.Machine, 2, cfg.Opts)
+	w, err := core.NewWorld(cfg.Machine, 2*procPairs, cfg.Opts)
 	if err != nil {
 		return Result{}, err
 	}
 	defer w.Close()
-	if cfg.OnWorld != nil {
-		cfg.OnWorld(w)
-	}
-	comms, err := w.NewCommWithInfo([]int{0, 1}, cfg.info())
-	if err != nil {
-		return Result{}, err
-	}
-	smp := startSampler(cfg, w.Proc(1))
-	errs := make(chan error, cfg.Pairs+1)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for pair := 0; pair < cfg.Pairs; pair++ {
-		wg.Add(1)
-		go func(pair int) {
-			defer wg.Done()
-			errs <- senderLoop(w.Proc(0).NewThread(), comms[0], cfg, int32(pair))
-		}(pair)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := w.Proc(1).NewThread()
-		defer th.Done()
-		buf := make([]byte, cfg.MsgSize)
-		total := cfg.Pairs * cfg.Window * cfg.Iters
-		for i := 0; i < total; i++ {
-			if _, err := comms[1].Recv(th, 0, core.AnyTag, buf); err != nil {
-				errs <- fmt.Errorf("incast receiver: %w", err)
-				return
-			}
-		}
-		errs <- nil
-	}()
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			smp.Stop()
-			return Result{}, err
-		}
-	}
-	return result(cfg, elapsed, w, smp), nil
-}
-
-// startSampler attaches a background counter/histogram sampler observing p,
-// or returns nil when Config.SampleInterval is unset.
-func startSampler(cfg Config, p *core.Proc) *telemetry.Sampler {
-	if cfg.SampleInterval <= 0 {
-		return nil
-	}
-	s := telemetry.NewSampler(cfg.SampleInterval, func() (spc.Snapshot, []telemetry.NamedHist) {
-		return p.SPCSnapshot(), p.Telemetry().Snapshot()
-	})
-	if p.Profiler().Enabled() {
-		s.BindProf(p.Profiler().Snapshot)
-	}
-	s.Start()
-	if cfg.OnSampler != nil {
-		cfg.OnSampler(s)
-	}
-	return s
-}
-
-func runThreads(cfg Config) (Result, error) {
-	w, err := core.NewWorld(cfg.Machine, 2, cfg.Opts)
-	if err != nil {
-		return Result{}, err
-	}
-	defer w.Close()
-	if cfg.OnWorld != nil {
-		cfg.OnWorld(w)
-	}
-
-	sendComms := make([]*core.Comm, cfg.Pairs)
-	recvComms := make([]*core.Comm, cfg.Pairs)
-	for pair := 0; pair < cfg.Pairs; pair++ {
-		if cfg.CommPerPair || pair == 0 {
-			comms, err := w.NewCommWithInfo([]int{0, 1}, cfg.info())
-			if err != nil {
-				return Result{}, err
-			}
-			sendComms[pair], recvComms[pair] = comms[0], comms[1]
-		} else {
-			sendComms[pair], recvComms[pair] = sendComms[0], recvComms[0]
-		}
-	}
-
-	smp := startSampler(cfg, w.Proc(1))
-	errs := make(chan error, 2*cfg.Pairs)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for pair := 0; pair < cfg.Pairs; pair++ {
-		wg.Add(2)
-		go func(pair int) {
-			defer wg.Done()
-			errs <- senderLoop(w.Proc(0).NewThread(), sendComms[pair], cfg, int32(pair))
-		}(pair)
-		go func(pair int) {
-			defer wg.Done()
-			errs <- receiverLoop(w.Proc(1).NewThread(), recvComms[pair], cfg, int32(pair), cfg.stallsHere(1, 0))
-		}(pair)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			smp.Stop()
-			return Result{}, err
-		}
-	}
-	res := result(cfg, elapsed, w, smp)
-	res.TraceDump = traceDump(w.Proc(1))
-	return res, nil
-}
-
-// traceDump renders the proc's flight record one event per line, or ""
-// with the recorder off.
-func traceDump(p *core.Proc) string {
-	var sb strings.Builder
-	for _, e := range p.FlightRecord().Events {
-		fmt.Fprintln(&sb, e)
-	}
-	return sb.String()
-}
-
-func runProcesses(cfg Config) (Result, error) {
-	w, err := core.NewWorld(cfg.Machine, 2*cfg.Pairs, cfg.Opts)
-	if err != nil {
-		return Result{}, err
-	}
-	defer w.Close()
-	if cfg.OnWorld != nil {
-		cfg.OnWorld(w)
-	}
-
-	type pairComms struct{ s, r *core.Comm }
-	pcs := make([]pairComms, cfg.Pairs)
-	for pair := 0; pair < cfg.Pairs; pair++ {
-		comms, err := w.NewCommWithInfo([]int{2 * pair, 2*pair + 1}, cfg.info())
-		if err != nil {
-			return Result{}, err
-		}
-		pcs[pair] = pairComms{comms[0], comms[1]}
-	}
-	errs := make(chan error, 2*cfg.Pairs)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for pair := 0; pair < cfg.Pairs; pair++ {
-		wg.Add(2)
-		go func(pair int) {
-			defer wg.Done()
-			errs <- senderLoop(pcs[pair].s.Proc().NewThread(), pcs[pair].s, cfg, 0)
-		}(pair)
-		go func(pair int) {
-			defer wg.Done()
-			errs <- receiverLoop(pcs[pair].r.Proc().NewThread(), pcs[pair].r, cfg, 0, cfg.stallsHere(1, 0))
-		}(pair)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	// Aggregate receiver-side SPC roll-ups across all receiver procs.
-	snaps := make([]spc.Snapshot, 0, cfg.Pairs)
-	for pair := 0; pair < cfg.Pairs; pair++ {
-		snaps = append(snaps, pcs[pair].r.Proc().SPCSnapshot())
-	}
-	res := result(cfg, elapsed, w, nil)
-	res.SPCs = spc.Merge(snaps...)
-	return res, nil
-}
-
-// result assembles the common fields: rates, the receiver roll-up (rank 1,
-// the convention every caller of Result.SPCs relies on), and per-process
-// attributed stats for all ranks.
-func result(cfg Config, elapsed time.Duration, w *core.World, smp *telemetry.Sampler) Result {
-	total := int64(cfg.Pairs) * int64(cfg.Window) * int64(cfg.Iters)
-	r := Result{Messages: total, Elapsed: elapsed}
-	if elapsed > 0 {
-		r.Rate = float64(total) / elapsed.Seconds()
-	}
-	if w != nil {
-		r.Transport = w.TransportCaps()
-		r.SPCs = w.Proc(1).SPCSnapshot()
-		for rank := 0; rank < w.Size(); rank++ {
-			r.Stats = append(r.Stats, w.Proc(rank).TelemetryStats())
-		}
-	}
-	if smp != nil {
-		smp.Stop()
-		r.Samples = smp.Samples()
-	}
-	return r
+	return run(cfg, w, threads)
 }
 
 // RunDistributed executes this process's share of a multi-process pairwise
-// run over a distributed transport backend (e.g. tcpnet). The world holds
-// cfg.WorldSize ranks (default 2) paired as (0,1), (2,3), ...: the even rank
-// of each process pair hosts the sender threads, the odd rank the receivers.
-// All processes must call it with identical cfg so the collective
-// communicator-creation order agrees. The returned Result is local: an odd
-// rank's SPCs are the receiver-side roll-up the single-process harness
-// reports; an even rank sees the sender side. Messages/Rate count this
-// process pair's traffic only.
+// run over a distributed transport backend (e.g. tcpnet): a world of
+// cfg.WorldSize ranks (default 2), each process pair carrying cfg.Pairs
+// thread pairs. All processes must call it with identical cfg so the
+// collective communicator-creation order agrees. The returned Result is
+// local: an odd rank's SPCs are the receiver-side roll-up the single-process
+// harness reports; an even rank sees the sender side. Messages/Rate count
+// this process pair's traffic only.
 func RunDistributed(cfg Config, rank int, net transport.Network) (Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Pattern != Pairwise {
@@ -406,60 +208,89 @@ func RunDistributed(cfg Config, rank int, net transport.Network) (Result, error)
 		return Result{}, err
 	}
 	defer w.Close()
+	return run(cfg, w, cfg.Pairs)
+}
+
+// run is Multirate on every rank of w this process hosts. The world's ranks
+// pair up as (0,1), (2,3), ...; each process pair carries threads thread
+// pairs, the even rank hosting the senders and the odd rank the receivers
+// (one AnyTag receiver under the incast pattern).
+func run(cfg Config, w *core.World, threads int) (Result, error) {
 	if cfg.OnWorld != nil {
 		cfg.OnWorld(w)
 	}
-	p := w.LocalProc()
-
-	// Identical collective creation order on every rank keeps the
-	// deterministic communicator ids in agreement (the MPI_Comm_create
-	// contract), so each rank creates every process pair's communicators and
-	// keeps only its own pair's.
-	pairBase := rank - rank%2 // even rank of this process pair
-	comms := make([]*core.Comm, cfg.Pairs)
-	for pp := 0; pp < size/2; pp++ {
-		group := []int{2 * pp, 2*pp + 1}
-		for pair := 0; pair < cfg.Pairs; pair++ {
-			if cfg.CommPerPair || pair == 0 {
-				cs, err := w.NewCommWithInfo(group, cfg.info())
-				if err != nil {
-					return Result{}, err
-				}
-				if group[0] == pairBase {
-					comms[pair] = cs[rank%2]
-				}
-			} else if group[0] == pairBase {
-				comms[pair] = comms[0]
+	// Every rank creates every process pair's communicators in the same
+	// order, which keeps the deterministic communicator ids in agreement
+	// across processes (the MPI_Comm_create contract); a remote rank's
+	// handle is nil. Incast's one receiver drains a single communicator.
+	size := w.Size()
+	comms := make([][]*core.Comm, size)
+	for even := 0; even < size; even += 2 {
+		comms[even], comms[even+1] = make([]*core.Comm, threads), make([]*core.Comm, threads)
+		for i := 0; i < threads; i++ {
+			if i > 0 && (!cfg.CommPerPair || cfg.Pattern == Incast) {
+				comms[even][i], comms[even+1][i] = comms[even][0], comms[even+1][0]
+				continue
 			}
+			cs, err := w.NewCommWithInfo([]int{even, even + 1}, cfg.info())
+			if err != nil {
+				return Result{}, err
+			}
+			comms[even][i], comms[even+1][i] = cs[0], cs[1]
 		}
 	}
 
-	// Bracket the timed section with barriers so both processes measure the
-	// same message volume, not each other's startup skew.
-	th := p.NewThread()
-	if err := p.CommWorld().Barrier(th); err != nil {
+	local := w.LocalProcs()
+	var senders, receivers []*core.Proc
+	for _, p := range local {
+		if p.Rank()%2 == 0 {
+			senders = append(senders, p)
+		} else {
+			receivers = append(receivers, p)
+		}
+	}
+	// Peers in other processes start with their own skew: bracket the timed
+	// section with barriers so every process measures the same volume.
+	fence := func() error { return nil }
+	if len(local) < size {
+		th := local[0].NewThread()
+		fence = func() error { return local[0].CommWorld().Barrier(th) }
+	}
+	if err := fence(); err != nil {
 		return Result{}, fmt.Errorf("multirate: start barrier: %w", err)
 	}
 	var smp *telemetry.Sampler
-	if rank%2 == 1 {
-		smp = startSampler(cfg, p)
+	if len(receivers) > 0 {
+		smp = startSampler(cfg, receivers[0])
 	}
-	errs := make(chan error, cfg.Pairs)
+	errs := make(chan error, len(local)*threads)
 	var wg sync.WaitGroup
-	start := time.Now()
-	for pair := 0; pair < cfg.Pairs; pair++ {
+	spawn := func(loop func() error) {
 		wg.Add(1)
-		go func(pair int) {
+		go func() {
 			defer wg.Done()
-			if rank%2 == 0 {
-				errs <- senderLoop(p.NewThread(), comms[pair], cfg, int32(pair))
-			} else {
-				errs <- receiverLoop(p.NewThread(), comms[pair], cfg, int32(pair), cfg.stallsHere(rank, size))
-			}
-		}(pair)
+			errs <- loop()
+		}()
+	}
+	start := time.Now()
+	for _, p := range senders {
+		for i, c := range comms[p.Rank()] {
+			spawn(func() error { return senderLoop(p.NewThread(), c, cfg, int32(i)) })
+		}
+	}
+	for _, p := range receivers {
+		cs, stall := comms[p.Rank()], cfg.stallsHere(p.Rank(), size)
+		if cfg.Pattern == Incast {
+			spawn(func() error { return incastLoop(p.NewThread(), cs[0], cfg, threads) })
+			continue
+		}
+		for i, c := range cs {
+			spawn(func() error { return receiverLoop(p.NewThread(), c, cfg, int32(i), stall) })
+		}
 	}
 	wg.Wait()
-	if err := p.CommWorld().Barrier(th); err != nil {
+	if err := fence(); err != nil {
+		smp.Stop()
 		return Result{}, fmt.Errorf("multirate: end barrier: %w", err)
 	}
 	elapsed := time.Since(start)
@@ -476,16 +307,49 @@ func RunDistributed(cfg Config, rank int, net transport.Network) (Result, error)
 	if elapsed > 0 {
 		res.Rate = float64(total) / elapsed.Seconds()
 	}
-	res.SPCs = p.SPCSnapshot()
-	res.Stats = []telemetry.ProcStats{p.TelemetryStats()}
-	if rank%2 == 1 {
-		res.TraceDump = traceDump(p)
+	for _, p := range local {
+		res.Stats = append(res.Stats, p.TelemetryStats())
 	}
-	if smp != nil {
-		smp.Stop()
-		res.Samples = smp.Samples()
+	rollup := receivers
+	if len(rollup) == 0 {
+		rollup = senders
+	} else {
+		res.TraceDump = traceDump(receivers[0])
 	}
+	snaps := make([]spc.Snapshot, len(rollup))
+	for i, p := range rollup {
+		snaps[i] = p.SPCSnapshot()
+	}
+	res.SPCs = spc.Merge(snaps...)
+	smp.Stop()
+	res.Samples = smp.Samples()
 	return res, nil
+}
+
+// startSampler attaches a background counter/histogram sampler observing p,
+// or returns nil when Config.SampleInterval is unset.
+func startSampler(cfg Config, p *core.Proc) *telemetry.Sampler {
+	if cfg.SampleInterval <= 0 {
+		return nil
+	}
+	s := telemetry.NewSampler(cfg.SampleInterval, func() (spc.Snapshot, []telemetry.NamedHist, prof.Snapshot) {
+		return p.SPCSnapshot(), p.Telemetry().Snapshot(), p.Profiler().Snapshot()
+	})
+	s.Start()
+	if cfg.OnSampler != nil {
+		cfg.OnSampler(s)
+	}
+	return s
+}
+
+// traceDump renders the proc's flight record one event per line, or ""
+// with the recorder off.
+func traceDump(p *core.Proc) string {
+	var sb strings.Builder
+	for _, e := range p.FlightRecord().Events {
+		fmt.Fprintln(&sb, e)
+	}
+	return sb.String()
 }
 
 func senderLoop(th *core.Thread, c *core.Comm, cfg Config, tag int32) error {
@@ -543,16 +407,26 @@ func receiverLoop(th *core.Thread, c *core.Comm, cfg Config, tag int32, stall bo
 	return nil
 }
 
-// stallsHere reports whether this receiver thread takes the injected
-// freeze: in a distributed world only the configured stall rank's threads
-// do (default: the last receiver rank), so every other rank keeps moving
-// and the cluster detector has the cross-rank contrast it needs.
+// incastLoop is incast's one receiver: a blocking AnyTag receive at a time
+// for every message of the process pair's threads senders.
+func incastLoop(th *core.Thread, c *core.Comm, cfg Config, threads int) error {
+	defer th.Done()
+	buf := make([]byte, cfg.MsgSize)
+	for i := 0; i < threads*cfg.Window*cfg.Iters; i++ {
+		if _, err := c.Recv(th, 0, core.AnyTag, buf); err != nil {
+			return fmt.Errorf("incast receiver: %w", err)
+		}
+	}
+	return nil
+}
+
+// stallsHere reports whether rank's receiver threads take the injected
+// freeze: only the configured stall rank's do (default: the last receiver
+// rank), so every other rank keeps moving and the cluster detector has the
+// cross-rank contrast it needs.
 func (c Config) stallsHere(rank, size int) bool {
 	if c.StallRecv <= 0 {
 		return false
-	}
-	if size == 0 { // single-process harness: the one receiver proc
-		return true
 	}
 	target := c.StallRank
 	if target == 0 {

@@ -1,6 +1,8 @@
 package multirate
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/cri"
 	"repro/internal/hw"
 	"repro/internal/spc"
+	"repro/internal/transport/tcpnet"
 )
 
 func fastCfg() Config {
@@ -48,6 +51,28 @@ func TestProcessModeCompletes(t *testing.T) {
 	}
 	if got := res.SPCs.Get(spc.MessagesReceived); got != 64 {
 		t.Fatalf("aggregated messages_received = %d, want 64", got)
+	}
+}
+
+// TestProcessModeKeepsObservers: process mode runs thread mode's loop, so
+// its first receiver rank carries the sampler and the flight record too.
+func TestProcessModeKeepsObservers(t *testing.T) {
+	cfg := fastCfg()
+	cfg.ProcessMode = true
+	cfg.SampleInterval = time.Millisecond
+	cfg.Opts.FlightCapacity = 256
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Samples) == 0 {
+		t.Fatal("process mode with SampleInterval returned no samples")
+	}
+	if res.TraceDump == "" {
+		t.Fatal("process mode with FlightCapacity returned an empty TraceDump")
+	}
+	if len(res.Stats) != 4 {
+		t.Fatalf("stats for %d ranks, want 4", len(res.Stats))
 	}
 }
 
@@ -140,7 +165,7 @@ func TestAllDesignKnobsFunctional(t *testing.T) {
 }
 
 // TestStallInjectionStillCompletes: the real-engine stall freeze delays
-// pair 0's receiver but must not change the run's totals — the cluster
+// the receiver rank but must not change the run's totals — the cluster
 // smoke relies on a -stall job finishing cleanly after the verdict fires.
 func TestStallInjectionStillCompletes(t *testing.T) {
 	cfg := fastCfg()
@@ -178,5 +203,78 @@ func TestStallsHereTargetsOneRank(t *testing.T) {
 	}
 	if (Config{}).stallsHere(3, 4) {
 		t.Fatal("stall fired with StallRecv unset")
+	}
+}
+
+// runDistributed runs cfg over a loopback tcp world of cfg.WorldSize ranks,
+// one goroutine per rank, and returns each rank's result.
+func runDistributed(t *testing.T, cfg Config) []Result {
+	t.Helper()
+	nets, err := tcpnet.NewLoopback(cfg.WorldSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := make([]Result, cfg.WorldSize)
+	errs := make([]error, cfg.WorldSize)
+	var wg sync.WaitGroup
+	for rank := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[rank], errs[rank] = RunDistributed(cfg, rank, nets[rank])
+		}()
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	return res
+}
+
+// pairTraffic sums a counter over a rank's communicators other than the
+// world communicator (id 1), whose barriers bracket the timed section.
+func pairTraffic(r Result, c spc.Counter) (n int64, ids []uint32) {
+	for _, cs := range r.Stats[0].PerComm {
+		if cs.ID != 1 {
+			n += cs.Counters.Get(c)
+			ids = append(ids, cs.ID)
+		}
+	}
+	slices.Sort(ids)
+	return n, ids
+}
+
+// TestRunDistributedPairsRanks: four ranks over loopback tcp are two
+// process pairs; each carries every thread pair's volume on communicators
+// both of its ranks agree on, even ranks sending and odd ranks receiving.
+func TestRunDistributedPairsRanks(t *testing.T) {
+	for _, stall := range []time.Duration{0, 20 * time.Millisecond} {
+		cfg := fastCfg()
+		cfg.WorldSize, cfg.CommPerPair = 4, true
+		cfg.StallRecv, cfg.StallAfterIter = stall, 1
+		res := runDistributed(t, cfg)
+		want := int64(cfg.Pairs * cfg.Window * cfg.Iters)
+		for rank, r := range res {
+			if r.Messages != want {
+				t.Fatalf("stall %v rank %d: Messages = %d, want %d", stall, rank, r.Messages, want)
+			}
+			counter := spc.MessagesSent
+			if rank%2 == 1 {
+				counter = spc.MessagesReceived
+			}
+			got, ids := pairTraffic(r, counter)
+			if got != want {
+				t.Fatalf("stall %v rank %d: %s = %d, want %d", stall, rank, counter, got, want)
+			}
+			_, peerIDs := pairTraffic(res[rank^1], counter)
+			if len(ids) != cfg.Pairs || !slices.Equal(ids, peerIDs) {
+				t.Fatalf("stall %v rank %d: communicators %v, peer %v", stall, rank, ids, peerIDs)
+			}
+		}
+		if stall > 0 && res[3].Elapsed < stall {
+			t.Fatalf("stall rank 3 took %v, less than the %v freeze", res[3].Elapsed, stall)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/prof"
 	"repro/internal/rma"
 	"repro/internal/spc"
 	"repro/internal/telemetry"
@@ -34,7 +35,8 @@ type Config struct {
 	// Rounds repeats the burst+flush cycle.
 	Rounds int
 	// SampleInterval, when positive, runs a background sampler on the
-	// origin process; the time series lands in Result.Samples.
+	// origin process snapshotting counters, histograms and the profiler;
+	// the time series lands in Result.Samples.
 	SampleInterval time.Duration
 	// OnWorld, when set, is called with the world right after construction
 	// and before the measured section — the hook a command uses to attach
@@ -107,8 +109,8 @@ func Run(cfg Config) (Result, error) {
 	var smp *telemetry.Sampler
 	if cfg.SampleInterval > 0 {
 		op := w.Proc(0)
-		smp = telemetry.NewSampler(cfg.SampleInterval, func() (spc.Snapshot, []telemetry.NamedHist) {
-			return op.SPCSnapshot(), op.Telemetry().Snapshot()
+		smp = telemetry.NewSampler(cfg.SampleInterval, func() (spc.Snapshot, []telemetry.NamedHist, prof.Snapshot) {
+			return op.SPCSnapshot(), op.Telemetry().Snapshot(), op.Profiler().Snapshot()
 		})
 		smp.Start()
 		if cfg.OnSampler != nil {

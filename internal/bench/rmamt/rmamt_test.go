@@ -2,6 +2,7 @@ package rmamt
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cri"
@@ -56,4 +57,24 @@ func TestDefaults(t *testing.T) {
 	if res.Puts != 10 { // 1 thread x 10 puts x 1 round
 		t.Fatalf("Puts = %d", res.Puts)
 	}
+}
+
+// TestSamplesCarryProfiler: with Profile on, the origin's samples carry the
+// profiler's thread clocks, the phase-breakdown counter track's input.
+func TestSamplesCarryProfiler(t *testing.T) {
+	opts := core.Stock()
+	opts.Profile = true
+	res, err := Run(Config{
+		Machine: hw.Fast(), Opts: opts, SampleInterval: time.Millisecond,
+		Threads: 2, MsgSize: 8, PutsPerThread: 50, Rounds: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Samples {
+		if len(s.Prof.Threads) > 0 {
+			return
+		}
+	}
+	t.Fatalf("none of %d samples carries profiler threads", len(res.Samples))
 }

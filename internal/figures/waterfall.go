@@ -16,7 +16,7 @@ import (
 // rendered as horizontal stacked bars with the e2e p50/p99 and the
 // tail-dominant stage named per design. Computed on the deterministic
 // virtual-time model, so the bars reproduce bit-for-bit. Process-mode
-// designs are skipped: attribution is mirrored in thread mode only.
+// designs are skipped: the ladder's question is where a thread's path goes.
 type WaterfallFigure struct {
 	Title   string
 	Threads int

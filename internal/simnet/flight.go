@@ -14,8 +14,7 @@ import (
 // asks for it, attaches a flight recorder whose clock is the virtual time
 // of whichever simulated thread is currently charging — the same
 // clock-holder pattern threadMeter uses for match-engine cost, so the
-// engine's hook events land on the virtual timeline. Thread-mode only;
-// process mode shares SPC sets across procs and is not mirrored.
+// engine's hook events land on the virtual timeline.
 func (p *simProc) enableFlight(rank int) {
 	p.frank = rank
 	if p.cfg.FlightCapacity <= 0 {

@@ -56,7 +56,7 @@ type Config struct {
 	Iters int
 	// MsgSize is the payload size in bytes (0 = envelope only).
 	MsgSize int
-	// NumInstances is the number of CRIs per process (thread mode).
+	// NumInstances is the number of CRIs per process (1 in process mode).
 	NumInstances int
 	// Assignment is the thread-to-instance strategy.
 	Assignment cri.Assignment
@@ -118,7 +118,7 @@ type Config struct {
 	// FlightCapacity attaches a virtual-time flight recorder with this
 	// per-ring event capacity (0 = off). Recording advances no virtual
 	// time, so a flight-enabled run reproduces the flight-off makespan
-	// exactly. Thread mode only; process mode ignores it.
+	// exactly.
 	FlightCapacity int
 	// Latency attaches the critical-path attribution layer (internal/latency)
 	// on virtual time: every message's lifecycle stages are stamped from the
@@ -126,7 +126,7 @@ type Config struct {
 	// tail-exemplar reservoir (Result.Latency). Observation only — no virtual
 	// time is charged and no wire bytes are added (unlike Traced), so a
 	// latency-enabled run reproduces the latency-off makespan exactly and the
-	// dumps are byte-reproducible. Thread mode only; process mode ignores it.
+	// dumps are byte-reproducible.
 	Latency bool
 	// Watchdog, when non-nil, runs the virtual-time stall watchdog with
 	// this detector configuration on every proc; verdict dumps land in
@@ -138,11 +138,11 @@ type Config struct {
 	// detector (which samples every millisecond when this is zero: virtual
 	// sampling is free, so far more often than the real watchdog's 100ms).
 	// With both unset nothing samples and the run is byte-identical to one
-	// before sampling existed. Thread mode only.
+	// before sampling existed.
 	SampleInterval time.Duration
 	// StallRecv injects a fault for watchdog acceptance tests: pair 0's
-	// receiver goes quiet — no posting, no progress — for this much
-	// virtual time (0 = no injection; thread mode only).
+	// receiver thread goes quiet — no posting, no progress — for this much
+	// virtual time (0 = no injection).
 	StallRecv time.Duration
 	// StallAfterIter is the window iteration whose posted receives the
 	// injected stall follows (receives are posted, then the receiver

@@ -21,14 +21,15 @@ type Sample struct {
 	// Hists are the histogram snapshots at that instant.
 	Hists []NamedHist
 	// Prof is the contention-profiler snapshot at that instant; empty when
-	// the sampler has no profiler source bound.
+	// the observed process runs without the profiler.
 	Prof prof.Snapshot
 }
 
 // Source produces one observation for the sampler. Implementations snapshot
-// live counter sets and histograms; they must be safe to call concurrently
-// with the workload (snapshots are).
-type Source func() (spc.Snapshot, []NamedHist)
+// live counter sets, histograms and the profiler (whose Snapshot is
+// nil-safe); they must be safe to call concurrently with the workload
+// (snapshots are).
+type Source func() (spc.Snapshot, []NamedHist, prof.Snapshot)
 
 // Sampler periodically snapshots a Source from a background goroutine into
 // an in-memory time series. Start/Stop bracket the workload; Stop always
@@ -36,7 +37,6 @@ type Source func() (spc.Snapshot, []NamedHist)
 type Sampler struct {
 	interval time.Duration
 	src      Source
-	profSrc  func() prof.Snapshot
 
 	mu      sync.Mutex
 	samples []Sample
@@ -54,15 +54,6 @@ func NewSampler(interval time.Duration, src Source) *Sampler {
 		interval = time.Millisecond
 	}
 	return &Sampler{interval: interval, src: src}
-}
-
-// BindProf adds a contention-profiler source: every sample then also carries
-// a prof.Snapshot, feeding the Chrome-trace phase counter track. Call before
-// Start. Nil-safe on both receiver and source.
-func (s *Sampler) BindProf(src func() prof.Snapshot) {
-	if s != nil {
-		s.profSrc = src
-	}
 }
 
 // Start launches the background sampling goroutine.
@@ -91,11 +82,8 @@ func (s *Sampler) loop() {
 }
 
 func (s *Sampler) take() {
-	counters, hists := s.src()
-	smp := Sample{Elapsed: time.Since(s.start), Counters: counters, Hists: hists}
-	if s.profSrc != nil {
-		smp.Prof = s.profSrc()
-	}
+	counters, hists, ps := s.src()
+	smp := Sample{Elapsed: time.Since(s.start), Counters: counters, Hists: hists, Prof: ps}
 	s.mu.Lock()
 	s.samples = append(s.samples, smp)
 	s.mu.Unlock()

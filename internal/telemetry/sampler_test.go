@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/prof"
 	"repro/internal/spc"
 )
 
@@ -13,10 +14,10 @@ func TestSamplerCollects(t *testing.T) {
 	var ticks atomic.Int64
 	h := NewHistogram()
 	h.ObserveNs(500)
-	src := func() (spc.Snapshot, []NamedHist) {
+	src := func() (spc.Snapshot, []NamedHist, prof.Snapshot) {
 		var sn spc.Snapshot
 		sn[spc.MessagesSent] = ticks.Add(1)
-		return sn, []NamedHist{{HistMsgLatency, h.Snapshot()}}
+		return sn, []NamedHist{{HistMsgLatency, h.Snapshot()}}, prof.Snapshot{}
 	}
 	s := NewSampler(time.Millisecond, src)
 	s.Start()
@@ -92,8 +93,8 @@ func TestSamplerNil(t *testing.T) {
 		t.Fatal("nil sampler returned samples")
 	}
 	// Never-started sampler: Stop must not panic or hang.
-	ns := NewSampler(time.Millisecond, func() (spc.Snapshot, []NamedHist) {
-		return spc.Snapshot{}, nil
+	ns := NewSampler(time.Millisecond, func() (spc.Snapshot, []NamedHist, prof.Snapshot) {
+		return spc.Snapshot{}, nil, prof.Snapshot{}
 	})
 	ns.Stop()
 	if len(ns.Samples()) != 0 {
