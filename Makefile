@@ -120,7 +120,10 @@ loc:
 # one place the sharded engine is built, in the runtime and in the model.
 # Multirate is one loop over rank pairs: thread mode, process mode, incast and
 # the distributed run create their communicators at one site in the harness,
-# and the model builds one simulation for both modes.
+# and the model builds one simulation for both modes. A received message is
+# matched at one site in core — the eager run's flush, which timed and
+# untimed packets alike reach — and the matching engines count in their own
+# blocks under their own locks, never through an atomic counter set.
 lint-onepath:
 	@fail=0; \
 	one() { n=$$(cat $$2 | grep -c -- "$$1"); \
@@ -134,11 +137,14 @@ lint-onepath:
 	one 'match\.NewSharded(' "$$core" internal/core; \
 	one 'match\.NewSharded(' "$$simnet" internal/simnet; \
 	one 'engine\.PostRecv(' "$$core" internal/core; \
+	one 'engine\.Deliver(' "$$core" internal/core; \
 	one 'spc\.OutOfSequence' "$$match" internal/match; \
 	one '^func .*\bfill(' "$$match" internal/match; \
 	one 'flight\.KindProgress' "$$progress" internal/progress; \
 	one 'NewCommWithInfo(' "$$multirate" internal/bench/multirate; \
 	one 'sim\.NewEnv(' internal/simnet/multirate.go internal/simnet/multirate.go; \
+	if grep -nE '\.spcs\.(Inc|Add|Max)\(' $$match; then \
+		echo "FAIL: the matching engines count in their own blocks under their own locks, not in a counter set"; fail=1; fi; \
 	if grep -rn --include='*.go' --exclude-dir=.bench_build '"repro/internal/trace"' .; then \
 		echo "FAIL: internal/trace is gone; record into internal/flight"; fail=1; fi; \
 	n=$$(cat internal/core/comm.go internal/core/world.go | grep -c 'time\.Now()'); \

@@ -44,9 +44,12 @@ func testOptions() core.Options {
 }
 
 // newSimHarness builds both ranks in one world over the simulated fabric.
-func newSimHarness(t *testing.T) *harness {
+func newSimHarness(t *testing.T) *harness { return newSimHarnessWith(t, testOptions()) }
+
+// newSimHarnessWith is newSimHarness under the given options.
+func newSimHarnessWith(t *testing.T, opts core.Options) *harness {
 	t.Helper()
-	w, err := core.NewWorld(hw.Fast(), 2, testOptions())
+	w, err := core.NewWorld(hw.Fast(), 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +70,10 @@ func newSimHarness(t *testing.T) *harness {
 
 // newTCPHarness builds one distributed world per rank, joined over loopback
 // TCP — the same code path as two OS processes, minus the fork.
-func newTCPHarness(t *testing.T) *harness {
+func newTCPHarness(t *testing.T) *harness { return newTCPHarnessWith(t, testOptions()) }
+
+// newTCPHarnessWith is newTCPHarness under the given options.
+func newTCPHarnessWith(t *testing.T, opts core.Options) *harness {
 	t.Helper()
 	nets, err := tcpnet.NewLoopback(2)
 	if err != nil {
@@ -75,7 +81,7 @@ func newTCPHarness(t *testing.T) *harness {
 	}
 	var worlds [2]*core.World
 	for r := 0; r < 2; r++ {
-		w, err := core.NewDistributedWorld(hw.Fast(), r, 2, nets[r], testOptions())
+		w, err := core.NewDistributedWorld(hw.Fast(), r, 2, nets[r], opts)
 		if err != nil {
 			t.Fatalf("rank %d world: %v", r, err)
 		}
@@ -157,6 +163,83 @@ func TestConformance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConformanceMixedProtocolOrder: one source interleaves eager and
+// rendezvous sends on one tag into AnySource/AnyTag receives, half posted
+// before the traffic and half after it started, and receive k gets message
+// k — under serial and concurrent progress, on every backend. A progress
+// pass matches its eager arrivals at the end of the pass but answers a
+// rendezvous RTS when it polls it, delivering the eager run before it: the
+// order of matching is the order of arrival.
+func TestConformanceMixedProtocolOrder(t *testing.T) {
+	for _, opts := range []core.Options{core.CRIs(2, cri.RoundRobin), core.CRIsConcurrent(2, cri.Dedicated)} {
+		for name, mk := range map[string]func(*testing.T, core.Options) *harness{
+			"sim": newSimHarnessWith,
+			"tcp": newTCPHarnessWith,
+		} {
+			t.Run(name+"/"+opts.Progress.String(), func(t *testing.T) {
+				h := mk(t, opts)
+				defer h.close()
+				conformMixedProtocolOrder(t, h)
+			})
+		}
+	}
+}
+
+func conformMixedProtocolOrder(t *testing.T, h *harness) {
+	const n, big = 96, 3 * core.DefaultEagerLimit
+	size := func(i int) int {
+		if i%4 == 3 {
+			return big
+		}
+		return 8
+	}
+	run2(t, h, func(rank int, th *core.Thread) error {
+		c := h.comms[rank]
+		if rank == 0 {
+			reqs := make([]*core.Request, n)
+			for i := range reqs {
+				buf := make([]byte, size(i))
+				binary.LittleEndian.PutUint32(buf, uint32(i))
+				var err error
+				if reqs[i], err = c.Isend(th, 1, 5, buf); err != nil {
+					return err
+				}
+			}
+			return core.WaitAll(th, reqs...)
+		}
+		reqs := make([]*core.Request, n)
+		bufs := make([][]byte, n)
+		post := func(i int) (err error) {
+			bufs[i] = make([]byte, big)
+			reqs[i], err = c.Irecv(th, int(core.AnySource), core.AnyTag, bufs[i])
+			return err
+		}
+		for i := 0; i < n/2; i++ {
+			if err := post(i); err != nil {
+				return err
+			}
+		}
+		if err := reqs[0].Wait(th); err != nil {
+			return err
+		}
+		for i := n / 2; i < n; i++ {
+			if err := post(i); err != nil {
+				return err
+			}
+		}
+		if err := core.WaitAll(th, reqs...); err != nil {
+			return err
+		}
+		for i, r := range reqs {
+			st := r.Status()
+			if got := binary.LittleEndian.Uint32(bufs[i]); got != uint32(i) || st.Count != size(i) {
+				return fmt.Errorf("receive %d got message %d (%d bytes), want message %d (%d bytes)", i, got, st.Count, i, size(i))
+			}
+		}
+		return nil
+	})
 }
 
 // conformEager: a burst of small messages arrives in FIFO order with intact

@@ -48,8 +48,10 @@ type Comm struct {
 	seq       *match.SeqTracker
 
 	// spcs is this communicator's attributed counter set — a child of the
-	// process totals (see Proc.SPCSnapshot). The matching engine records
-	// into it directly.
+	// process totals (see Proc.SPCSnapshot) — for what the communicator
+	// counts outside matching (sends, flushes, matched-probe receives). The
+	// matching engine keeps its own counters under the matching lock;
+	// SPCSnapshot merges the two.
 	spcs *spc.Set
 
 	// collSeq numbers collective calls; all ranks advance it in lockstep
@@ -120,7 +122,18 @@ func (c *Comm) Proc() *Proc { return c.proc }
 
 // SPCs returns the communicator's attributed counter set. Runtime-internal
 // layers (e.g. the one-sided stack) record communicator-scoped counters here.
+// It does not hold the matching engine's counts: read SPCSnapshot.
 func (c *Comm) SPCs() *spc.Set { return c.spcs }
+
+// SPCSnapshot returns the communicator's counters: its set merged with the
+// matching engine's counts, read under the matching lock. Never call it
+// holding a matching or instance lock.
+func (c *Comm) SPCSnapshot() spc.Snapshot {
+	c.lockMatch(nil)
+	n := c.engine.Counts()
+	c.unlockMatch()
+	return spc.Merge(c.spcs.Snapshot(), n)
+}
 
 // Dup collectively duplicates the communicator, returning the new handles
 // for every member (indexed by communicator rank), like MPI_Comm_dup
@@ -258,7 +271,7 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 			ring.RecordAt(now-p.flightBase, flight.KindSendInject, c.id, int32(dst), int32(env.Seq), -1, pkt.TraceID())
 		}
 		req.finish(nil)
-		p.deliver(th.ts.Clock(), nil, pkt, &th.scratch)
+		p.deliver(th.ts.Clock(), nil, pkt, &th.run)
 		return req, nil
 	}
 	if err := c.inject(th, env, pkt, req, nil); err != nil {

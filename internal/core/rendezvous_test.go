@@ -85,7 +85,7 @@ func TestHostileRendezvousControl(t *testing.T) {
 				}
 			}
 			before := p.spcs.Get(spc.LatePackets)
-			p.deliver(nil, nil, tc.pkt(p.rdvNext.Load()), &th.scratch)
+			p.deliver(nil, nil, tc.pkt(p.rdvNext.Load()), &th.run)
 			if got := p.spcs.Get(spc.LatePackets) - before; got != 1 {
 				t.Errorf("late_packets rose by %d, want 1", got)
 			}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cri"
-	"repro/internal/match"
 	"repro/internal/spc"
 	"repro/internal/transport"
 )
@@ -22,18 +21,18 @@ import (
 // own: the thread's sends — eager or rendezvous — and posted receives are
 // carved from its operation slabs, its small eager payload copies and the
 // metadata records of its timed or tracked packets from its transport.Slab,
-// and a self message is matched through its completion scratch — none of it
+// and a self message is matched through its eager run — none of it
 // synchronized, because only the owning goroutine touches it. Slabs fill on
 // first use, never in NewThread.
 type Thread struct {
 	proc *Proc
 	ts   cri.ThreadState
 
-	sends   []sendOp
-	recvs   []recvOp
-	rdvs    []rdvSendOp
-	slab    transport.Slab
-	scratch []match.Completion
+	sends []sendOp
+	recvs []recvOp
+	rdvs  []rdvSendOp
+	slab  transport.Slab
+	run   eagerRun
 	// fetched is where a fetching one-sided atomic lands its result: such an
 	// operation completes before its caller returns, so one word per thread
 	// is enough (see FetchWord).

@@ -296,10 +296,10 @@ type Proc struct {
 	rdvRecvSlab []rdvRecv
 	rdvNext     atomic.Uint64
 
-	// scratch[k] is the slice instance k's deliveries collect completions
-	// in. Delivery from a CQ runs under that instance's lock, which makes the
+	// runs[k] is the eager run instance k's passes collect (see eagerRun):
+	// delivery from a CQ runs under that instance's lock, which makes the
 	// instance its single owner (a self message uses its Thread's instead).
-	scratch [][]match.Completion
+	runs []*eagerRun
 }
 
 func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error) {
@@ -357,14 +357,15 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		}
 		// Each instance owns a child counter set; Proc.SPCSnapshot merges
 		// the children back into the process totals.
-		insts[i] = cri.NewInstance(i, ctx, spc.NewSet())
+		pc := &pollCtx{Context: ctx, p: p}
+		p.runs = append(p.runs, &pc.run)
+		insts[i] = cri.NewInstance(i, pc, spc.NewSet())
 		if p.tel != nil {
 			insts[i].SetLockWaitHistogram(p.tel.LockWait)
 		}
 		insts[i].BindProfSite(p.prof.NewSite("cri.instance", i, 0))
 		insts[i].BindFlight(p.flightRing)
 	}
-	p.scratch = make([][]match.Completion, len(insts))
 	p.pool, err = cri.NewPool(insts, opts.Assignment)
 	if err != nil {
 		return nil, err
@@ -400,7 +401,7 @@ func (p *Proc) wire() error {
 			if q := p.world.procs[j]; q != nil {
 				peerInstances = q.pool.Len()
 			}
-			ep, err := p.dev.Connect(inst.Context(), j, k%peerInstances)
+			ep, err := p.dev.Connect(inst.Context().(*pollCtx).Context, j, k%peerInstances)
 			if err != nil {
 				return fmt.Errorf("core: wiring rank %d instance %d to rank %d: %w", p.rank, k, j, err)
 			}
@@ -423,8 +424,10 @@ func (p *Proc) World() *World { return p.world }
 func (p *Proc) SPCs() *spc.Set { return p.spcs }
 
 // SPCSnapshot returns the process counter totals: the residual set merged
-// with every instance's and every live communicator's child set, plus the
-// retained totals of freed communicators.
+// with every instance's set and every live communicator's counters (see
+// Comm.SPCSnapshot), plus the retained totals of freed communicators. It
+// takes each communicator's matching lock in turn: never call it holding a
+// matching or instance lock.
 func (p *Proc) SPCSnapshot() spc.Snapshot {
 	snaps := make([]spc.Snapshot, 0, 2+p.pool.Len())
 	snaps = append(snaps, p.spcs.Snapshot())
@@ -435,7 +438,7 @@ func (p *Proc) SPCSnapshot() spc.Snapshot {
 	snaps = append(snaps, p.retiredSPCs)
 	for _, c := range *p.comms.Load() {
 		if c != nil {
-			snaps = append(snaps, c.spcs.Snapshot())
+			snaps = append(snaps, c.SPCSnapshot())
 		}
 	}
 	p.commMu.RUnlock()
@@ -448,7 +451,8 @@ func (p *Proc) Telemetry() *telemetry.Telemetry { return p.tel }
 
 // TelemetryStats assembles the proc's full observability snapshot: rolled
 // up process totals, the per-CRI and per-communicator attributions they
-// merge from, the residual set, and the latency histograms.
+// merge from, the residual set, and the latency histograms. Like
+// SPCSnapshot it takes the matching locks.
 func (p *Proc) TelemetryStats() telemetry.ProcStats {
 	ps := telemetry.ProcStats{Rank: p.rank, Hists: append(p.tel.Snapshot(), p.lat.Snapshot()...)}
 	for i := 0; i < p.pool.Len(); i++ {
@@ -458,7 +462,7 @@ func (p *Proc) TelemetryStats() telemetry.ProcStats {
 	ps.Residual = spc.Merge(p.spcs.Snapshot(), p.retiredSPCs)
 	for _, c := range *p.comms.Load() {
 		if c != nil {
-			ps.PerComm = append(ps.PerComm, telemetry.CommStat{ID: c.id, Counters: c.spcs.Snapshot()})
+			ps.PerComm = append(ps.PerComm, telemetry.CommStat{ID: c.id, Counters: c.SPCSnapshot()})
 		}
 	}
 	p.commMu.RUnlock()
@@ -553,7 +557,7 @@ func (p *Proc) unregisterComm(id uint32) {
 	if c := p.commByID(id); c != nil {
 		// Retain the freed communicator's totals so process roll-ups are
 		// monotone across communicator lifetimes.
-		p.retiredSPCs = spc.Merge(p.retiredSPCs, c.spcs.Snapshot())
+		p.retiredSPCs = spc.Merge(p.retiredSPCs, c.SPCSnapshot())
 		p.setComm(id, nil)
 	}
 	p.commMu.Unlock()
@@ -576,15 +580,22 @@ type Completer interface {
 
 // dispatch routes one extracted completion event. It runs inside the
 // progress engine, under the instance lock of the polled instance; clk is
-// the progressing thread's phase clock (nil when profiling is off).
+// the progressing thread's phase clock (nil when profiling is off). An eager
+// arrival joins the instance's run, which the end of the pass delivers (see
+// pollCtx); any other event first delivers the run, so events take effect in
+// the order they were polled.
 func (p *Proc) dispatch(clk *prof.ThreadClock, in *cri.Instance, e transport.CQE) {
+	run := p.runs[in.Index()]
+	if e.Kind != transport.CQERecv {
+		p.flush(run)
+	}
 	switch e.Kind {
 	case transport.CQESendComplete:
 		if c, ok := e.Packet.Token.(Completer); ok && c != nil {
 			c.Complete(e)
 		}
 	case transport.CQERecv:
-		p.deliver(clk, in, e.Packet, &p.scratch[in.Index()])
+		p.deliver(clk, in, e.Packet, run)
 	default: // one-sided completions
 		if c, ok := e.Token.(Completer); ok && c != nil {
 			c.Complete(e)
@@ -592,14 +603,48 @@ func (p *Proc) dispatch(clk *prof.ThreadClock, in *cri.Instance, e transport.CQE
 	}
 }
 
-// deliver pushes an inbound two-sided packet through the owning
-// communicator's matching engine under its matching lock. in is the CRI
-// instance whose context the packet arrived on (nil for self messages,
-// which bypass the fabric); clk the delivering thread's phase clock; scratch
-// the completion slice of deliver's single owner there — the instance, or
-// the sending thread of a self message.
-func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.Packet, scratch *[]match.Completion) {
+// eagerRun collects the matched arrivals of one progress pass on one
+// instance: consecutive packets for one communicator, delivered under one
+// matching-lock hold by flush. Its owner is the instance's lock holder (or,
+// for self messages, the sending Thread).
+type eagerRun struct {
+	c     *Comm
+	clk   *prof.ThreadClock
+	pkts  []*transport.Packet
+	comps []match.Completion
+}
+
+// pollCtx is an instance's transport context as the proc hands it to cri:
+// the backend's own, whose Poll is followed by delivering the eager run the
+// pass collected — still under the instance lock, before the pass returns.
+// The run sits a cache line away from the backend context the senders read.
+type pollCtx struct {
+	transport.Context
+	p   *Proc
+	_   [64 - 24]byte // Context and p fill the first line
+	run eagerRun
+}
+
+// Poll implements transport.Context.
+func (x *pollCtx) Poll(handler func(transport.CQE), max int) int {
+	n := x.Context.Poll(handler, max)
+	x.p.flush(&x.run)
+	return n
+}
+
+// deliver takes an inbound two-sided packet to the owning communicator's
+// matching engine. in is the CRI instance whose context the packet arrived
+// on (nil for self messages, which bypass the fabric); clk the delivering
+// thread's phase clock; run the eager run of deliver's single owner there —
+// the instance, or the sending thread of a self message. Everything but the
+// matching happens here, once per packet; an eager packet from a context
+// then waits in run for the end of the pass, anything else is matched at
+// once (flush).
+func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.Packet, run *eagerRun) {
 	env := pkt.Envelope()
+	if env.Kind != transport.KindEager {
+		p.flush(run)
+	}
 	if env.Kind == transport.KindAck {
 		p.rel.handleAck(pkt)
 		return
@@ -646,20 +691,46 @@ func (p *Proc) deliver(clk *prof.ThreadClock, in *cri.Instance, pkt *transport.P
 		}
 	}
 	p.flightRing.RecordAt(now-p.flightBase, flight.KindRecvDeliver, env.Comm, env.Src, int32(env.Seq), criIdx, pkt.TraceID())
+	if run.c != c {
+		p.flush(run)
+		run.c = c
+	}
+	run.clk = clk
+	run.pkts = append(run.pkts, pkt)
+	if in == nil || env.Kind != transport.KindEager {
+		// A self message completes its send at once, and a rendezvous RTS
+		// is answered within the pass that polled it.
+		p.flush(run)
+	}
+}
+
+// flush matches run's packets under one hold of their communicator's
+// matching lock, then completes the receives they matched — after the
+// unlock, as every completion is.
+func (p *Proc) flush(run *eagerRun) {
+	if len(run.pkts) == 0 {
+		return
+	}
+	c, clk := run.c, run.clk
+	comps := run.comps[:0]
 	c.lockMatch(clk)
 	clk.Begin(prof.PhaseMatch)
-	h0 := p.histMatch.Start()
-	comps := c.engine.Deliver(pkt, (*scratch)[:0])
-	p.histMatch.ObserveSince(h0)
+	for _, pkt := range run.pkts {
+		h0 := p.histMatch.Start()
+		comps = c.engine.Deliver(pkt, comps)
+		p.histMatch.ObserveSince(h0)
+	}
 	clk.End()
 	c.unlockMatch()
+	// Cleared, so the run pins no packet or receive past this delivery.
+	clear(run.pkts)
+	run.pkts, run.c, run.clk = run.pkts[:0], nil, nil
 	for _, comp := range comps {
 		// A completion produced at delivery matched a posted receive.
 		c.completeRecv(comp, false)
 	}
-	// Cleared, so the scratch pins no packet or receive past this delivery.
 	clear(comps)
-	*scratch = comps[:0]
+	run.comps = comps[:0]
 }
 
 // sendStampLocal maps a traced pkt's send stamp, taken on its origin's

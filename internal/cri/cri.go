@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/flight"
 	"repro/internal/prof"
@@ -66,8 +67,19 @@ func AssignmentByName(name string) (Assignment, error) {
 	}
 }
 
-// Instance is one Communication Resource Instance.
+// Instance is one Communication Resource Instance. Its size is a whole
+// number of cache lines: allocated one by one, instances then start on a
+// line and never share one, so one thread's sends and polls on its instance
+// do not slow another's on the next (TestInstanceLayout). A field added to
+// instance moves the pad, not the alignment. (The pad leads: a zero-length
+// array closing a struct would itself cost a word.)
 type Instance struct {
+	_ [(64 - unsafe.Sizeof(instance{})%64) % 64]byte
+	instance
+}
+
+// instance is what an Instance holds.
+type instance struct {
 	mu    prof.Mutex
 	index int
 	ctx   transport.Context
@@ -99,7 +111,7 @@ type Instance struct {
 // that want per-instance attribution pass a fresh set per instance and
 // roll the children up with spc.Merge.
 func NewInstance(index int, ctx transport.Context, spcs *spc.Set) *Instance {
-	in := &Instance{index: index, ctx: ctx, spcs: spcs}
+	in := &Instance{instance: instance{index: index, ctx: ctx, spcs: spcs}}
 	in.pollFn = func(e transport.CQE) { in.pollHandler(in.pollClk, in, e) }
 	in.unlockFn = in.Unlock
 	return in

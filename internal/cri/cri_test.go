@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/backends"
 	"repro/internal/hw"
@@ -273,5 +274,31 @@ func BenchmarkForThreadDedicated(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.ForThread(&ts)
+	}
+}
+
+// TestInstanceLayout: an Instance is a whole number of cache lines, so the
+// instances of a pool each start on a line of their own and no two share
+// one — a thread sending or polling on its instance never invalidates the
+// line another thread's instance lives on. (An instance grown by one word
+// into the next size class used to put two instances on one line.)
+func TestInstanceLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(Instance{}); sz%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(Instance{}) = %d, not a multiple of 64", sz)
+	}
+	pool := newTestPool(t, 4, RoundRobin)
+	lines := map[uintptr]int{} // cache line → the instance on it
+	for i := 0; i < pool.Len(); i++ {
+		in := pool.Get(i)
+		start := uintptr(unsafe.Pointer(in))
+		if start%64 != 0 {
+			t.Fatalf("instance %d at %#x is not 64-byte aligned", i, start)
+		}
+		for line := start / 64; line < (start+unsafe.Sizeof(*in)+63)/64; line++ {
+			if j, taken := lines[line]; taken {
+				t.Fatalf("instances %d and %d share cache line %#x", j, i, line*64)
+			}
+			lines[line] = i
+		}
 	}
 }

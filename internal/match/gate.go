@@ -22,13 +22,14 @@ type peerState struct {
 // arithmetic, so a stream stays ordered across the uint32 wrap.
 type seqGate struct {
 	c      *common
+	n      *tally      // the counter block under the same lock as the gate
 	dense  []peerState // senders [0, len)
 	sparse map[int32]*peerState
 	held   int // packets buffered right now
 }
 
-func newSeqGate(c *common, nRanks int) seqGate {
-	g := seqGate{c: c, sparse: make(map[int32]*peerState)}
+func newSeqGate(c *common, n *tally, nRanks int) seqGate {
+	g := seqGate{c: c, n: n, sparse: make(map[int32]*peerState)}
 	if nRanks > 0 {
 		g.dense = make([]peerState, nRanks)
 	}
@@ -60,25 +61,24 @@ func (g *seqGate) admit(p *peerState, seq uint32, pkt *transport.Packet) bool {
 }
 
 func (g *seqGate) hold(p *peerState, seq uint32, pkt *transport.Packet) {
-	c := g.c
 	if int32(seq-p.nextSeq) < 0 {
 		// Stale sequence: this message was already delivered, so the packet
 		// is a duplicate (fabric duplication or a retransmission that lost
 		// the race with its original). Discard and count — re-matching it
 		// would violate exactly-once delivery.
-		c.spcs.Inc(spc.DuplicateSequences)
+		g.n.add(spc.DuplicateSequences, 1)
 		return
 	}
 	// Out of sequence: buffer for later. This is the costly mid-path
 	// allocation the paper measures; SPC out_of_sequence counts it.
-	c.spcs.Inc(spc.OutOfSequence)
-	c.charge(c.costs.OOSBuffer)
+	g.n.add(spc.OutOfSequence, 1)
+	g.c.charge(g.n, g.c.costs.OOSBuffer)
 	if p.oos == nil {
 		p.oos = make(map[uint32]*transport.Packet)
 	}
 	if _, dup := p.oos[seq]; dup {
 		// Same future sequence already buffered: duplicate copy.
-		c.spcs.Inc(spc.DuplicateSequences)
+		g.n.add(spc.DuplicateSequences, 1)
 		return
 	}
 	p.oos[seq] = pkt

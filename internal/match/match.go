@@ -9,6 +9,8 @@
 // the simulator). CPU costs are charged through a Meter so the same code
 // serves both wall-clock and virtual-time execution, and the SPC match-time
 // counter is advanced by the *modeled* cost, making Table II deterministic.
+// The engine's counters are plain words kept under the same lock as the
+// state they describe (see tally); Counts reads them.
 package match
 
 import (
@@ -70,6 +72,11 @@ type Matcher interface {
 	SetAllowOvertaking(on bool)
 	// ChargeWait accounts externally measured matching-lock wait time.
 	ChargeWait(d time.Duration)
+	// Counts returns the engine's counters: matching attempts, walked
+	// elements, match time, expected, unexpected and received messages,
+	// both queue peaks, out-of-sequence and duplicate arrivals. All zero
+	// for an engine built with a nil counter set.
+	Counts() spc.Snapshot
 	// PostedLen and UnexpectedLen report queue lengths; OOSBuffered the
 	// number of sequence-buffered packets.
 	PostedLen() int
@@ -112,22 +119,23 @@ type Completion struct {
 }
 
 // common is what a matching engine is apart from how it searches: its
-// identity, where modeled cost and counters go, the flight ring, and the
-// hooks both engines fire at the same points of a message's life — so
-// their order and values, which the virtual-time twin replays, exist once.
+// identity, where modeled cost goes, the flight ring, and the hooks both
+// engines fire at the same points of a message's life — so their order and
+// values, which the virtual-time twin replays, exist once. The hooks record
+// events; counting is the tally's, under the lock of the state it counts.
 type common struct {
-	comm   uint32
-	costs  hw.CostModel
-	meter  Meter
-	spcs   *spc.Set
-	flight *flight.Ring
+	comm     uint32
+	costs    hw.CostModel
+	meter    Meter
+	counting bool
+	flight   *flight.Ring
 }
 
 func newCommon(comm uint32, costs hw.CostModel, meter Meter, spcs *spc.Set) common {
 	if meter == nil {
 		meter = NopMeter{}
 	}
-	return common{comm: comm, costs: costs, meter: meter, spcs: spcs}
+	return common{comm: comm, costs: costs, meter: meter, counting: spcs != nil}
 }
 
 // Comm returns the communicator id this engine serves.
@@ -136,16 +144,18 @@ func (c *common) Comm() uint32 { return c.comm }
 // BindFlight implements Matcher.
 func (c *common) BindFlight(r *flight.Ring) { c.flight = r }
 
-// ChargeWait adds externally measured lock-wait time to the match-time
-// counter; the runtime and simulator report matching-lock contention here
-// so Table II's "match time" includes waiting, as Open MPI's SPC does.
-func (c *common) ChargeWait(d time.Duration) {
-	c.spcs.Add(spc.MatchTimeNanos, int64(d))
+// spin runs the meter for a modeled cost; a zero cost does nothing.
+func (c *common) spin(d time.Duration) {
+	if d != 0 {
+		c.meter.Charge(d)
+	}
 }
 
-func (c *common) charge(d time.Duration) {
-	c.meter.Charge(d)
-	c.ChargeWait(d)
+// charge runs the meter for a modeled cost and counts it as match time in t,
+// whose lock the caller holds.
+func (c *common) charge(t *tally, d time.Duration) {
+	c.spin(d)
+	t.wait(d)
 }
 
 // wrongComm refuses another communicator's traffic.
@@ -153,16 +163,15 @@ func (c *common) wrongComm(got uint32) {
 	panic(fmt.Sprintf("match: packet for comm %d delivered to engine %d", got, c.comm))
 }
 
-// walked accounts a linear search that visited n queue elements.
-func (c *common) walked(n int) {
-	c.spcs.Add(spc.MatchWalkElements, int64(n))
-	c.charge(c.costs.MatchBase + time.Duration(n)*c.costs.MatchPerElement)
+// walked accounts, in t, a linear search that visited n queue elements.
+func (c *common) walked(t *tally, n int) {
+	t.add(spc.MatchWalkElements, int64(n))
+	c.charge(t, c.costs.MatchBase+time.Duration(n)*c.costs.MatchPerElement)
 }
 
 // queued records that r found no message and now waits in a posted queue
 // holding depth receives.
 func (c *common) queued(r *Recv, depth int) {
-	c.spcs.Max(spc.PostedQueuePeak, int64(depth))
 	c.flight.Record(flight.KindRecvPost, c.comm, r.Source, int32(depth))
 }
 
@@ -171,8 +180,6 @@ func (c *common) queued(r *Recv, depth int) {
 func (c *common) matched(r *Recv, env transport.Envelope, pkt *transport.Packet, depth int, out []Completion) []Completion {
 	c.flight.Record(flight.KindMatchHit, c.comm, env.Src, int32(depth))
 	fill(r, env, pkt)
-	c.spcs.Inc(spc.ExpectedMessages)
-	c.spcs.Inc(spc.MessagesReceived)
 	return append(out, Completion{Recv: r, Packet: pkt})
 }
 
@@ -181,8 +188,6 @@ func (c *common) matched(r *Recv, env transport.Envelope, pkt *transport.Packet,
 func (c *common) unexpected(env transport.Envelope, depth int) {
 	c.flight.Record(flight.KindMatchMiss, c.comm, env.Src, env.Tag)
 	c.flight.Record(flight.KindUnexpEnq, c.comm, env.Src, int32(depth))
-	c.spcs.Inc(spc.UnexpectedMessages)
-	c.spcs.Max(spc.UnexpectedQueuePeak, int64(depth))
 }
 
 // dequeued records that a message from src left the unexpected queue, depth
@@ -196,9 +201,60 @@ func (c *common) dequeued(src int32, depth int) {
 func (c *common) claim(r *Recv, env transport.Envelope, pkt *transport.Packet, depth int) Completion {
 	c.dequeued(env.Src, depth)
 	fill(r, env, pkt)
-	c.spcs.Inc(spc.MessagesReceived)
 	return Completion{Recv: r, Packet: pkt}
 }
+
+// tally is one block of an engine's counters as plain words. Every word is
+// written only by the holder of the lock that guards the block — the
+// communicator's matching lock for Engine's one block, a shard or stripe
+// lock for Sharded's — and read by Counts under the same lock, so counting a
+// message costs no locked instruction. The methods name the points of a
+// message's life that count. A block of an engine built without a counter
+// set stays zero.
+type tally struct {
+	on bool
+	v  spc.Snapshot
+}
+
+func (t *tally) add(c spc.Counter, d int64) {
+	if t.on {
+		t.v[c] += d
+	}
+}
+
+func (t *tally) max(c spc.Counter, v int64) {
+	if t.on && v > t.v[c] {
+		t.v[c] = v
+	}
+}
+
+// wait counts d as match time; zero counts nothing.
+func (t *tally) wait(d time.Duration) {
+	if d != 0 {
+		t.add(spc.MatchTimeNanos, int64(d))
+	}
+}
+
+// attempt counts one entry into matching: a posted receive or an arrival.
+func (t *tally) attempt() { t.add(spc.MatchAttempts, 1) }
+
+// posted counts a receive left waiting in a posted queue of depth receives.
+func (t *tally) posted(depth int) { t.max(spc.PostedQueuePeak, int64(depth)) }
+
+// expected counts an arrival that matched a posted receive.
+func (t *tally) expected() {
+	t.add(spc.ExpectedMessages, 1)
+	t.add(spc.MessagesReceived, 1)
+}
+
+// unexpected counts an arrival queued as unexpected, depth messages queued.
+func (t *tally) unexpected(depth int) {
+	t.add(spc.UnexpectedMessages, 1)
+	t.max(spc.UnexpectedQueuePeak, int64(depth))
+}
+
+// claimed counts a receive that took a queued unexpected message.
+func (t *tally) claimed() { t.add(spc.MessagesReceived, 1) }
 
 // fill copies payload into the receive and records results.
 func fill(r *Recv, env transport.Envelope, pkt *transport.Packet) {
@@ -223,14 +279,20 @@ type Engine struct {
 	posted bucket
 	unexp  msgList
 	free   msgFree
+
+	// n is the engine's one counter block, under the matching lock.
+	n tally
 }
 
 // NewEngine creates the matching engine for communicator id comm with
 // the given cost model. nRanks sizes the dense per-peer table; senders
-// outside [0, nRanks) fall back to a map. spcs may be nil.
+// outside [0, nRanks) fall back to a map. The engine keeps its own counters
+// (see Counts) and never writes spcs: a nil spcs builds an engine that
+// counts nothing.
 func NewEngine(comm uint32, nRanks int, costs hw.CostModel, meter Meter, spcs *spc.Set) *Engine {
 	e := &Engine{common: newCommon(comm, costs, meter, spcs)}
-	e.gate = newSeqGate(&e.common, nRanks)
+	e.n.on = e.counting
+	e.gate = newSeqGate(&e.common, &e.n, nRanks)
 	return e
 }
 
@@ -244,6 +306,15 @@ func (e *Engine) SeedNextSeq(src int32, v uint32) { e.gate.peer(src).nextSeq = v
 
 // static interface check
 var _ Matcher = (*Engine)(nil)
+
+// ChargeWait implements Matcher: externally measured lock-wait time counts
+// toward match time, so Table II's "match time" includes the time threads
+// spend fighting over the matching critical section, as Open MPI's SPC
+// does. The caller holds the matching lock it waited for.
+func (e *Engine) ChargeWait(d time.Duration) { e.n.wait(d) }
+
+// Counts implements Matcher, under the matching lock like every method.
+func (e *Engine) Counts() spc.Snapshot { return e.n.v }
 
 // PostedLen returns the posted-receive queue length.
 func (e *Engine) PostedLen() int { return e.posted.n }
@@ -262,15 +333,17 @@ func (e *Engine) PostRecv(r *Recv) (Completion, bool) {
 	if r.queued {
 		panic("match: Recv posted twice")
 	}
-	e.spcs.Inc(spc.MatchAttempts)
+	e.n.attempt()
 	m, walked := e.unexp.first(r.Source, r.Tag)
-	e.walked(walked)
+	e.walked(&e.n, walked)
 	if m != nil {
 		e.unexp.remove(m)
 		env, pkt := e.free.release(m)
+		e.n.claimed()
 		return e.claim(r, env, pkt, e.unexp.n), true
 	}
 	e.posted.push(r)
+	e.n.posted(e.posted.n)
 	e.queued(r, e.posted.n)
 	return Completion{}, false
 }
@@ -315,7 +388,7 @@ func (e *Engine) Deliver(pkt *transport.Packet, out []Completion) []Completion {
 // matchIn matches one sequence-valid (or overtaking) message against the
 // posted-receive queue, or stores it as unexpected.
 func (e *Engine) matchIn(env transport.Envelope, pkt *transport.Packet, out []Completion) []Completion {
-	e.spcs.Inc(spc.MatchAttempts)
+	e.n.attempt()
 	walked := 0
 	r := e.posted.head
 	for ; r != nil; r = r.next {
@@ -324,12 +397,14 @@ func (e *Engine) matchIn(env transport.Envelope, pkt *transport.Packet, out []Co
 			break
 		}
 	}
-	e.walked(walked)
+	e.walked(&e.n, walked)
 	if r != nil {
 		e.posted.remove(r)
+		e.n.expected()
 		return e.matched(r, env, pkt, e.posted.n, out)
 	}
 	e.unexp.push(e.free.get(env, pkt))
+	e.n.unexpected(e.unexp.n)
 	e.unexpected(env, e.unexp.n)
 	return out
 }

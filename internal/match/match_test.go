@@ -108,7 +108,7 @@ func TestOutOfSequenceBuffering(t *testing.T) {
 	if e.OOSBuffered() != 2 {
 		t.Fatalf("OOSBuffered = %d, want 2", e.OOSBuffered())
 	}
-	if got := s.Get(spc.OutOfSequence); got != 2 {
+	if got := e.Counts().Get(spc.OutOfSequence); got != 2 {
 		t.Fatalf("SPC out_of_sequence = %d, want 2", got)
 	}
 	// Seq 0 arrives: all three deliver, in order.
@@ -165,7 +165,7 @@ func TestAllowOvertakingSkipsSeqValidation(t *testing.T) {
 	if comps[0].Recv != r1 || comps[1].Recv != r2 {
 		t.Fatal("overtaking did not match first-posted-first")
 	}
-	if got := s.Get(spc.OutOfSequence); got != 0 {
+	if got := e.Counts().Get(spc.OutOfSequence); got != 0 {
 		t.Fatalf("overtaking recorded %d OOS messages, want 0", got)
 	}
 	if e.OOSBuffered() != 0 {
@@ -252,7 +252,7 @@ func TestDuplicateSeqDiscarded(t *testing.T) {
 	// Future sequence, buffered; its duplicate must not double-buffer.
 	e.Deliver(pkt(0, 1, 5, nil), nil)
 	e.Deliver(pkt(0, 1, 5, nil), nil)
-	if got := s.Get(spc.DuplicateSequences); got != 1 {
+	if got := e.Counts().Get(spc.DuplicateSequences); got != 1 {
 		t.Fatalf("buffered duplicate: DuplicateSequences = %d, want 1", got)
 	}
 	if got := e.OOSBuffered(); got != 1 {
@@ -265,7 +265,7 @@ func TestDuplicateSeqDiscarded(t *testing.T) {
 		t.Fatalf("UnexpectedLen = %d, want 1", got)
 	}
 	e.Deliver(pkt(0, 1, 0, nil), nil)
-	if got := s.Get(spc.DuplicateSequences); got != 2 {
+	if got := e.Counts().Get(spc.DuplicateSequences); got != 2 {
 		t.Fatalf("stale duplicate: DuplicateSequences = %d, want 2", got)
 	}
 	if got := e.UnexpectedLen(); got != 1 {
@@ -279,13 +279,13 @@ func TestSPCQueuePeaks(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.PostRecv(&Recv{Source: 0, Tag: int32(100 + i)})
 	}
-	if got := s.Get(spc.PostedQueuePeak); got != 5 {
+	if got := e.Counts().Get(spc.PostedQueuePeak); got != 5 {
 		t.Fatalf("posted peak = %d, want 5", got)
 	}
 	for i := 0; i < 3; i++ {
 		e.Deliver(pkt(1, int32(200+i), uint32(i), nil), nil)
 	}
-	if got := s.Get(spc.UnexpectedQueuePeak); got != 3 {
+	if got := e.Counts().Get(spc.UnexpectedQueuePeak); got != 3 {
 		t.Fatalf("unexpected peak = %d, want 3", got)
 	}
 }

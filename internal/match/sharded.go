@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/hw"
 	"repro/internal/prof"
@@ -59,7 +60,8 @@ func RefuseWildcard(source, tag int32) error {
 //
 // PostedLen/UnexpectedLen are approximate by design: they read atomic
 // counters without stopping the world, the same monitoring-only contract as
-// ringbuf.MPSC.Len. OOSBuffered sums the gates one stripe lock at a time.
+// ringbuf.MPSC.Len. OOSBuffered sums the gates one stripe lock at a time,
+// and Counts the shards' and stripes' counter blocks the same way.
 type Sharded struct {
 	common
 
@@ -74,23 +76,29 @@ type Sharded struct {
 	unexpCount  atomic.Int64
 }
 
-// matchShard is one hash partition of the matching state.
+// matchShard is one hash partition of the matching state, with the counter
+// block its matching writes.
 type matchShard struct {
 	mu prof.Mutex
 	hashStore
+	n tally
 }
 
 // seqStripe serializes per-sender sequence state. Sources hash onto
-// stripes, so distinct senders usually validate concurrently.
+// stripes, so distinct senders usually validate concurrently. Its counter
+// block holds what the gate counts: out-of-sequence and duplicate arrivals
+// and the buffering's match time.
 type seqStripe struct {
 	mu   prof.Mutex
 	gate seqGate
+	n    tally
 }
 
 // NewSharded creates a sharded matching engine for communicator comm with
 // nShards hash partitions (rounded up to a power of two, minimum 2).
 // nRanks is accepted for signature parity with the other engines; peer
-// state is allocated lazily per stripe. spcs may be nil.
+// state is allocated lazily per stripe. As with NewEngine, the engine keeps
+// its own counters and a nil spcs builds one that counts nothing.
 func NewSharded(comm uint32, nRanks, nShards int, costs hw.CostModel, meter Meter, spcs *spc.Set) *Sharded {
 	n := 2
 	for n < nShards {
@@ -103,8 +111,10 @@ func NewSharded(comm uint32, nRanks, nShards int, costs hw.CostModel, meter Mete
 		stripes:   make([]seqStripe, n),
 	}
 	for i := range e.shards {
-		e.shards[i].hashStore = newHashStore()
-		e.stripes[i].gate = newSeqGate(&e.common, 0)
+		sh, st := &e.shards[i], &e.stripes[i]
+		sh.hashStore = newHashStore()
+		sh.n.on, st.n.on = e.counting, e.counting
+		st.gate = newSeqGate(&e.common, &st.n, 0)
 	}
 	return e
 }
@@ -195,23 +205,57 @@ func (e *Sharded) OOSBuffered() int {
 	return n
 }
 
+// ChargeWait implements Matcher. Sharded has no engine-wide lock to wait
+// for, so the runtime never calls it; the model charges the wait of the
+// shard lock it simulates, counted in shard 0's block under its lock.
+func (e *Sharded) ChargeWait(d time.Duration) {
+	if d == 0 {
+		return
+	}
+	sh := &e.shards[0]
+	sh.mu.Lock()
+	sh.n.wait(d)
+	sh.mu.Unlock()
+}
+
+// Counts implements Matcher: the shards' and the stripes' blocks merged,
+// each read under its own lock.
+func (e *Sharded) Counts() spc.Snapshot {
+	var out spc.Snapshot
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		out = spc.Merge(out, sh.n.v)
+		sh.mu.Unlock()
+	}
+	for i := range e.stripes {
+		st := &e.stripes[i]
+		st.mu.Lock()
+		out = spc.Merge(out, st.n.v)
+		st.mu.Unlock()
+	}
+	return out
+}
+
 // PostRecv implements Matcher: the receive's shard only.
 func (e *Sharded) PostRecv(r *Recv) (Completion, bool) {
 	if r.queued {
 		panic("match: Recv posted twice")
 	}
 	sh := e.recvShard(r.Source, r.Tag)
-	e.spcs.Inc(spc.MatchAttempts)
 	sh.mu.Lock()
-	e.charge(e.costs.MatchBase)
+	sh.n.attempt()
+	e.charge(&sh.n, e.costs.MatchBase)
 	if m := sh.unexpectedHead(r.Source, r.Tag); m != nil {
 		env, pkt := sh.takeUnexpected(m)
 		un := e.unexpCount.Add(-1)
+		sh.n.claimed()
 		sh.mu.Unlock()
 		return e.claim(r, env, pkt, int(un)), true
 	}
 	sh.postedBucket(r.Source, r.Tag).push(r)
 	posted := e.postedCount.Add(1)
+	sh.n.posted(int(posted))
 	sh.mu.Unlock()
 	e.queued(r, int(posted))
 	return Completion{}, false
@@ -258,21 +302,25 @@ func (e *Sharded) Deliver(pkt *transport.Packet, out []Completion) []Completion 
 }
 
 // matchIn matches one sequence-valid (or overtaking) message against the
-// head of its (source, tag) bucket, under its shard lock alone.
+// head of its (source, tag) bucket, under its shard lock alone. The modeled
+// cost runs before the lock and is counted under it.
 func (e *Sharded) matchIn(env transport.Envelope, pkt *transport.Packet, out []Completion) []Completion {
-	e.spcs.Inc(spc.MatchAttempts)
-	e.charge(e.costs.MatchBase)
+	e.spin(e.costs.MatchBase)
 	sh := e.shardFor(env.Src, env.Tag)
 	sh.mu.Lock()
+	sh.n.attempt()
+	sh.n.wait(e.costs.MatchBase)
 	if b := sh.posted[mkKey(env.Src, env.Tag)]; b != nil && b.head != nil {
 		r := b.head
 		b.remove(r)
 		posted := e.postedCount.Add(-1)
+		sh.n.expected()
 		sh.mu.Unlock()
 		return e.matched(r, env, pkt, int(posted), out)
 	}
 	sh.addUnexpected(env, pkt)
 	un := e.unexpCount.Add(1)
+	sh.n.unexpected(int(un))
 	sh.mu.Unlock()
 	e.unexpected(env, int(un))
 	return out

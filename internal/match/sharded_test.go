@@ -110,9 +110,9 @@ func TestShardedRefusesWildcards(t *testing.T) {
 	if err := RefuseWildcard(0, 10); err != nil {
 		t.Fatalf("RefuseWildcard of exact coordinates = %v", err)
 	}
-	if e.PostedLen() != 0 || e.UnexpectedLen() != 1 || set.Get(spc.MatchAttempts) != 1 {
+	if e.PostedLen() != 0 || e.UnexpectedLen() != 1 || e.Counts().Get(spc.MatchAttempts) != 1 {
 		t.Fatalf("refused wildcards changed the engine: posted %d, unexpected %d, attempts %d",
-			e.PostedLen(), e.UnexpectedLen(), set.Get(spc.MatchAttempts))
+			e.PostedLen(), e.UnexpectedLen(), e.Counts().Get(spc.MatchAttempts))
 	}
 }
 
@@ -190,8 +190,8 @@ func TestShardedOutOfSequence(t *testing.T) {
 	if e.OOSBuffered() != 0 {
 		t.Fatalf("OOSBuffered = %d after drain", e.OOSBuffered())
 	}
-	if set.Get(spc.OutOfSequence) != 2 {
-		t.Fatalf("OutOfSequence = %d, want 2", set.Get(spc.OutOfSequence))
+	if e.Counts().Get(spc.OutOfSequence) != 2 {
+		t.Fatalf("OutOfSequence = %d, want 2", e.Counts().Get(spc.OutOfSequence))
 	}
 }
 
@@ -253,7 +253,7 @@ func TestSeqWraparoundOutOfOrder(t *testing.T) {
 	if comps := e.Deliver(pkt(3, 2, 1, []byte("c")), nil); len(comps) != 0 {
 		t.Fatal("post-wrap packet matched before the pre-wrap one")
 	}
-	if set.Get(spc.DuplicateSequences) != 0 {
+	if e.Counts().Get(spc.DuplicateSequences) != 0 {
 		t.Fatal("post-wrap packets misclassified as duplicates (plain comparison bug)")
 	}
 	comps := e.Deliver(pkt(3, 2, math.MaxUint32, []byte("a")), nil)
@@ -269,8 +269,8 @@ func TestSeqWraparoundOutOfOrder(t *testing.T) {
 	if comps := e.Deliver(pkt(3, 2, math.MaxUint32, []byte("dup")), nil); len(comps) != 0 {
 		t.Fatal("stale pre-wrap duplicate matched")
 	}
-	if set.Get(spc.DuplicateSequences) != 1 {
-		t.Fatalf("DuplicateSequences = %d, want 1", set.Get(spc.DuplicateSequences))
+	if e.Counts().Get(spc.DuplicateSequences) != 1 {
+		t.Fatalf("DuplicateSequences = %d, want 1", e.Counts().Get(spc.DuplicateSequences))
 	}
 }
 
@@ -440,7 +440,7 @@ func TestHashSequenceValidation(t *testing.T) {
 	}
 	e.Deliver(pkt(0, 1, 2, []byte{2}), nil)
 	e.Deliver(pkt(0, 1, 1, []byte{1}), nil)
-	if got := s.Get(spc.OutOfSequence); got != 2 {
+	if got := e.Counts().Get(spc.OutOfSequence); got != 2 {
 		t.Fatalf("OOS = %d", got)
 	}
 	comps := e.Deliver(pkt(0, 1, 0, []byte{0}), nil)
@@ -511,7 +511,7 @@ func TestDuplicateSeqDiscardedHash(t *testing.T) {
 	e.Deliver(pkt(0, 1, 0, nil), nil)
 	e.Deliver(pkt(0, 1, 3, nil), nil)
 	e.Deliver(pkt(0, 1, 3, nil), nil)
-	if got := s.Get(spc.DuplicateSequences); got != 2 {
+	if got := e.Counts().Get(spc.DuplicateSequences); got != 2 {
 		t.Fatalf("DuplicateSequences = %d, want 2", got)
 	}
 	if got := e.UnexpectedLen(); got != 1 {
@@ -606,6 +606,47 @@ func BenchmarkMatchEnginesDeepQueues(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e.PostRecv(&Recv{Source: 0, Tag: 1})
 				e.Deliver(pkt(0, 1, uint32(i), nil), nil)
+			}
+		})
+	}
+}
+
+// Each engine keeps its own counters and reads them back with Counts; one
+// built with a nil set counts nothing, and neither writes the set it was
+// given. The same traffic — a receive posted first, an arrival out of
+// sequence, an unexpected message claimed later — counts alike in both.
+func TestEngineCounts(t *testing.T) {
+	traffic := func(e Matcher) {
+		e.PostRecv(&Recv{Source: 0, Tag: 1})
+		e.Deliver(pkt(0, 1, 1, nil), nil) // out of sequence
+		e.Deliver(pkt(0, 1, 0, nil), nil) // matches the posted receive, releases seq 1
+		e.PostRecv(&Recv{Source: 0, Tag: 1})
+	}
+	for name, mk := range map[string]func(*spc.Set) Matcher{
+		"list":    func(s *spc.Set) Matcher { return NewEngine(1, 8, hw.Fast().Scaled(), NopMeter{}, s) },
+		"sharded": func(s *spc.Set) Matcher { return newTestSharded(s) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			off := mk(nil)
+			traffic(off)
+			if got := off.Counts(); got != (spc.Snapshot{}) {
+				t.Errorf("engine built with a nil set counted:\n%v", got)
+			}
+			set := spc.NewSet()
+			e := mk(set)
+			traffic(e)
+			if got := set.Snapshot(); got != (spc.Snapshot{}) {
+				t.Errorf("engine wrote the set it was given:\n%v", got)
+			}
+			n := e.Counts()
+			for c, want := range map[spc.Counter]int64{
+				spc.MatchAttempts: 4, spc.MessagesReceived: 2, spc.ExpectedMessages: 1,
+				spc.UnexpectedMessages: 1, spc.OutOfSequence: 1, spc.PostedQueuePeak: 1,
+				spc.UnexpectedQueuePeak: 1,
+			} {
+				if n[c] != want {
+					t.Errorf("%s = %d, want %d", c, n[c], want)
+				}
 			}
 		})
 	}

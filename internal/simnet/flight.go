@@ -66,7 +66,7 @@ func (p *simProc) queueSnapshot(now int64) flight.QueueSnapshot {
 // at virtual time now — the twin of core.Proc.watchdogSample. Virtual ranks
 // are always ready: the model has no startup negotiation to straggle on.
 func (p *simProc) watchdogSample(now int64) flight.Sample {
-	snap := p.spcs.Snapshot()
+	snap := p.snapshot()
 	s := flight.Sample{
 		Rank:        p.frank,
 		NowNs:       now,

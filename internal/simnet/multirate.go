@@ -6,7 +6,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/prof"
 	"repro/internal/sim"
-	"repro/internal/spc"
 )
 
 // RunMultirate executes the Multirate pairwise benchmark on the model
@@ -112,11 +111,7 @@ func RunMultirate(cfg Config) Result {
 	}
 	makespan := env.Run()
 	total := int64(cfg.Pairs) * int64(cfg.Window) * int64(cfg.Iters)
-	sets := make([]*spc.Set, len(procs))
-	for rank, p := range procs {
-		sets[rank] = p.spcs
-	}
-	res := newResult(total, makespan, sets...)
+	res := newResult(total, makespan, procs...)
 	res.Breakdown = []prof.RankSnapshot{rankSnapshot(0, sides[0]...), rankSnapshot(1, sides[1]...)}
 	res.Dumps = dumps
 	now := int64(makespan)

@@ -103,7 +103,7 @@ func RunRMAMT(rc RMAMTConfig) Result {
 	}
 	makespan := env.Run()
 	total := int64(rc.Threads) * int64(rc.PutsPerThread) * int64(rc.Rounds)
-	res := newResult(total, makespan, origin.spcs)
+	res := newResult(total, makespan, origin)
 	res.Breakdown = []prof.RankSnapshot{rankSnapshot(0, origin)}
 	return res
 }

@@ -251,16 +251,14 @@ type Result struct {
 	Latency []latency.RankDump
 }
 
-func newResult(messages int64, makespan time.Duration, sets ...*spc.Set) Result {
+func newResult(messages int64, makespan time.Duration, procs ...*simProc) Result {
 	r := Result{Messages: messages, Makespan: makespan}
 	if makespan > 0 {
 		r.Rate = float64(messages) / makespan.Seconds()
 	}
-	snaps := make([]spc.Snapshot, 0, len(sets))
-	for _, s := range sets {
-		if s != nil {
-			snaps = append(snaps, s.Snapshot())
-		}
+	snaps := make([]spc.Snapshot, len(procs))
+	for i, p := range procs {
+		snaps[i] = p.snapshot()
 	}
 	r.SPCs = spc.Merge(snaps...)
 	return r
@@ -457,6 +455,16 @@ func (p *simProc) acquireSendInstance(ts *cri.ThreadState) (*simInstance, func()
 		return p.instances[p.nextRR()], func() {}
 	}
 	return p.instanceFor(ts), func() {}
+}
+
+// snapshot returns the proc's counter totals: its own set merged with every
+// communicator's matching-engine counts, which the engines keep themselves.
+func (p *simProc) snapshot() spc.Snapshot {
+	snaps := []spc.Snapshot{p.spcs.Snapshot()}
+	for _, c := range p.comms {
+		snaps = append(snaps, c.engine.Counts())
+	}
+	return spc.Merge(snaps...)
 }
 
 // addComm registers a communicator with nRanks members on this proc.
