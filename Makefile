@@ -78,7 +78,9 @@ conformance:
 # so a latency.Measurement literal outside internal/latency is an engine's
 # private copy of it, and prof.ThreadClock is the one phase clock (fed wall or
 # virtual instants), so an array or slice of prof.Phase held outside
-# internal/prof is a second phase stack.
+# internal/prof is a second phase stack. And the model takes the harnesses'
+# configurations: a configuration struct declared in internal/simnet is the
+# hand-mirrored copy of multirate.Config or rmamt.Config growing back.
 lint-layers:
 	@fail=0; \
 	if grep -rln --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out \
@@ -99,6 +101,8 @@ lint-layers:
 	if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out --exclude-dir=benchmark \
 		'\[[^]]*\] *prof\.Phase\b *([^{]|$$)' .; then \
 		echo "FAIL: only prof.ThreadClock keeps a phase stack; give it the thread's clock (NewThreadClock's now) instead"; fail=1; fi; \
+	if grep -nE '^type +\w*Config +struct' $$(ls internal/simnet/*.go | grep -v _test.go); then \
+		echo "FAIL: the model runs the harness's configuration (multirate.Config, rmamt.Config); simnet.Model holds only what the runtime has no mechanism for"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "layering ok"; else exit 1; fi
 
 # The size figure every simplicity entry in CHANGES.md quotes: non-test Go
@@ -123,7 +127,10 @@ loc:
 # and the model builds one simulation for both modes. A received message is
 # matched at one site in core — the eager run's flush, which timed and
 # untimed packets alike reach — and the matching engines count in their own
-# blocks under their own locks, never through an atomic counter set.
+# blocks under their own locks, never through an atomic counter set. And a
+# design resolves once, to the multirate.Config both engines run: a second
+# function of internal/designs returning a configuration or option set is a
+# second resolution of the same design.
 lint-onepath:
 	@fail=0; \
 	one() { n=$$(cat $$2 | grep -c -- "$$1"); \
@@ -133,6 +140,7 @@ lint-onepath:
 	progress=$$(ls internal/progress/*.go | grep -v _test.go); \
 	simnet=$$(ls internal/simnet/*.go | grep -v _test.go); \
 	multirate=$$(ls internal/bench/multirate/*.go | grep -v _test.go); \
+	designs=$$(ls internal/designs/*.go | grep -v _test.go); \
 	one 'AcquireSend(' "$$core" internal/core; \
 	one 'match\.NewSharded(' "$$core" internal/core; \
 	one 'match\.NewSharded(' "$$simnet" internal/simnet; \
@@ -143,6 +151,7 @@ lint-onepath:
 	one 'flight\.KindProgress' "$$progress" internal/progress; \
 	one 'NewCommWithInfo(' "$$multirate" internal/bench/multirate; \
 	one 'sim\.NewEnv(' internal/simnet/multirate.go internal/simnet/multirate.go; \
+	one '^func (d Design) [A-Za-z]*(.*) \(multirate\.Config\|core\.Options\)' "$$designs" internal/designs; \
 	if grep -nE '\.spcs\.(Inc|Add|Max)\(' $$match; then \
 		echo "FAIL: the matching engines count in their own blocks under their own locks, not in a counter set"; fail=1; fi; \
 	if grep -rn --include='*.go' --exclude-dir=.bench_build '"repro/internal/trace"' .; then \

@@ -39,7 +39,6 @@ import (
 	"repro/internal/cri"
 	"repro/internal/flight"
 	"repro/internal/hw"
-	"repro/internal/prof"
 	"repro/internal/progress"
 	"repro/internal/simnet"
 	"repro/internal/spc"
@@ -101,11 +100,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "multirate: profiling flags instrument the real runtime; switching to -engine real")
 		*engine = "real"
 	}
-	// The fault flags build the in-process fabric's adversary; a tcp run
-	// has no adversary to build.
-	faults := transport.FaultConfig{Drop: *faultDrop, Dup: *faultDup, Delay: *faultDelay, Seed: *faultSeed}
-	if *transportName == "tcp" && faults.Enabled() {
-		check(fmt.Errorf("-fault-drop/-fault-dup/-fault-delay inject on the in-process fabric only, not -transport tcp"))
+	// The model runs the pairwise pattern only.
+	if *pattern == "incast" && *engine == "sim" {
+		fmt.Fprintln(os.Stderr, "multirate: -pattern incast runs on the real runtime; switching to -engine real")
+		*engine = "real"
 	}
 	if *transportName == "tcp" && *engine == "sim" {
 		fmt.Fprintln(os.Stderr, "multirate: -transport tcp runs the real runtime; switching to -engine real")
@@ -118,23 +116,41 @@ func main() {
 	check(err)
 	pm, err := progress.ModeByName(*prog)
 	check(err)
+	pat := bench.Pairwise
+	if *pattern == "incast" {
+		pat = bench.Incast
+	}
+	// The model records in virtual time at -flight's capacity; a real run
+	// also arms the recorder for every output that reads it.
+	flightCap := ob.FlightCap
+	if *engine == "real" {
+		flightCap = max(ob.RealFlightCap(), *traceN)
+	}
+	cfg := bench.Config{
+		Machine: machine, Pairs: *pairs, Window: *window, Iters: *iters, MsgSize: *msgSize,
+		Opts: core.Options{
+			NumInstances: *instances, Assignment: asg, Progress: pm,
+			ThreadLevel: core.ThreadMultiple,
+			Telemetry:   ob.WantTelemetry() || ob.TraceWire, TraceWire: ob.TraceWire,
+			// A real-engine -breakdown-out needs the profiler's wall-clock data.
+			Profile:        ob.Profile || ob.BreakdownOut != "",
+			Latency:        ob.Latency,
+			FlightCapacity: flightCap,
+		},
+		CommPerPair: *commPerPair, AnyTag: *anyTag, Overtaking: *overtaking, NoWildcards: *noWildcards,
+		ProcessMode: *processMode, Pattern: pat, SampleInterval: ob.SampleInterval,
+		StallRecv: *stallRecv, StallAfterIter: *stallAt, StallRank: *stallRank,
+		Faults: transport.FaultConfig{Drop: *faultDrop, Dup: *faultDup, Delay: *faultDelay, Seed: *faultSeed},
+	}
 
 	switch *engine {
 	case "sim":
-		scfg := simnet.Config{
-			Machine: machine, Pairs: *pairs, Window: *window, Iters: *iters,
-			MsgSize: *msgSize, NumInstances: *instances, Assignment: asg,
-			Progress: pm, CommPerPair: *commPerPair, NoWildcards: *noWildcards,
-			AllowOvertaking: *overtaking, AnyTagRecv: *anyTag,
-			ProcessMode: *processMode, Traced: ob.TraceWire,
-			Faults: faults, FlightCapacity: ob.FlightCap, Latency: ob.Latency,
-			StallRecv: *stallRecv, StallAfterIter: *stallAt,
-		}
+		var m simnet.Model
 		if ob.Watchdog {
-			scfg.Watchdog = &flight.DetectorConfig{}
+			m.Watchdog = &flight.DetectorConfig{}
 		}
-		check(scfg.Validate())
-		res := simnet.RunMultirate(scfg)
+		check(simnet.Validate(cfg))
+		res := simnet.RunMultirate(cfg, m)
 		for _, d := range res.Dumps {
 			fmt.Fprintln(os.Stderr, "multirate: watchdog verdict:")
 			check(flight.WriteDump(os.Stderr, d))
@@ -155,32 +171,8 @@ func main() {
 		if *showSPCs {
 			fmt.Print(res.SPCs.String())
 		}
-		if ob.BreakdownOut != "" {
-			bf := prof.BreakdownFile{Engine: "sim"}
-			for _, b := range res.Breakdown {
-				bf.Reports = append(bf.Reports, prof.BuildReport(b.Rank, designLabel(*prog, *assignment), *pairs, b.Snap))
-			}
-			check(cliobs.WriteBreakdown(ob.BreakdownOut, bf))
-		}
+		check(ob.WriteReports(os.Stdout, "sim", *prog, *assignment, *pairs, res.Breakdown))
 	case "real":
-		flightCap := ob.RealFlightCap()
-		if *traceN > flightCap {
-			flightCap = *traceN
-		}
-		// A real-engine -breakdown-out needs the profiler's wall-clock data.
-		wantProf := ob.Profile || ob.BreakdownOut != ""
-		opts := core.Options{
-			NumInstances: *instances, Assignment: asg, Progress: pm,
-			ThreadLevel: core.ThreadMultiple,
-			Telemetry:   ob.WantTelemetry() || ob.TraceWire, TraceWire: ob.TraceWire,
-			Profile:        wantProf,
-			Latency:        ob.Latency,
-			FlightCapacity: flightCap,
-		}
-		pat := bench.Pairwise
-		if *pattern == "incast" {
-			pat = bench.Incast
-		}
 		sess, serr := ob.Start(map[string]string{
 			"cmd": "multirate", "transport": *transportName,
 			"progress": *prog, "assignment": *assignment,
@@ -194,24 +186,13 @@ func main() {
 		if addr := sess.Addr(); addr != "" {
 			fmt.Fprintf(os.Stderr, "multirate: observability endpoint on http://%s\n", addr)
 		}
-		bcfg := bench.Config{
-			Machine: machine, Opts: opts, Pairs: *pairs, Window: *window,
-			Iters: *iters, MsgSize: *msgSize, CommPerPair: *commPerPair,
-			AnyTag: *anyTag, Overtaking: *overtaking, NoWildcards: *noWildcards,
-			ProcessMode: *processMode, Pattern: pat, SampleInterval: ob.SampleInterval,
-			StallRecv: *stallRecv, StallAfterIter: *stallAt, StallRank: *stallRank,
-			OnSampler: sess.Outputs.BindSampler,
-			OnWorld:   sess.BindWorld,
-		}
+		cfg.OnSampler = sess.Outputs.BindSampler
+		cfg.OnWorld = sess.BindWorld
 		var res bench.Result
 		var err error
 		switch *transportName {
 		case "sim", "":
-			if faults.Enabled() {
-				// A fabric serves one world; bench.Run builds one.
-				bcfg.Opts.Network = backends.Faulty(faults)
-			}
-			res, err = bench.Run(bcfg)
+			res, err = bench.Run(cfg)
 		case "tcp":
 			peers, perr := backends.ParsePeers(*peerList)
 			check(perr)
@@ -227,8 +208,8 @@ func main() {
 			}
 			tnet, terr := backends.TCP(*rank, len(peers), addr, peers)
 			check(terr)
-			bcfg.WorldSize = len(peers)
-			res, err = bench.RunDistributed(bcfg, *rank, tnet)
+			cfg.WorldSize = len(peers)
+			res, err = bench.RunDistributed(cfg, *rank, tnet)
 		default:
 			check(fmt.Errorf("unknown transport %q", *transportName))
 		}
@@ -252,33 +233,11 @@ func main() {
 		if *traceN > 0 {
 			fmt.Print(res.TraceDump)
 		}
-		if ob.Profile {
-			for _, ps := range res.Stats {
-				if !ps.Prof.Empty() {
-					check(prof.BuildReport(ps.Rank, designLabel(*prog, *assignment), *pairs, ps.Prof).WriteText(os.Stdout))
-				}
-			}
-		}
-		if ob.BreakdownOut != "" {
-			bf := prof.BreakdownFile{Engine: "real"}
-			for _, ps := range res.Stats {
-				if ps.Prof.Empty() {
-					continue
-				}
-				bf.Reports = append(bf.Reports, prof.BuildReport(ps.Rank, designLabel(*prog, *assignment), *pairs, ps.Prof))
-			}
-			check(cliobs.WriteBreakdown(ob.BreakdownOut, bf))
-		}
+		check(ob.WriteReports(os.Stdout, "real", *prog, *assignment, *pairs, cliobs.Ranks(res.Stats)))
 		check(sess.Finish())
 	default:
 		check(fmt.Errorf("unknown engine %q", *engine))
 	}
-}
-
-// designLabel names the configuration under test in breakdown reports, the
-// same way the paper labels its design ladder rungs.
-func designLabel(progress, assignment string) string {
-	return fmt.Sprintf("progress=%s,assignment=%s", progress, assignment)
 }
 
 func check(err error) {

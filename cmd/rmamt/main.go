@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/hw"
-	"repro/internal/prof"
 	"repro/internal/progress"
 	"repro/internal/simnet"
 	"repro/internal/transport"
@@ -78,41 +77,35 @@ func main() {
 	check(err)
 	pm, err := progress.ModeByName(*prog)
 	check(err)
-
-	switch *engine {
-	case "sim":
-		res := simnet.RunRMAMT(simnet.RMAMTConfig{
-			Machine: machine, Threads: *threads, MsgSize: *msgSize,
-			PutsPerThread: *puts, Rounds: *rounds,
-			NumInstances: *instances, Assignment: asg, Progress: pm,
-		})
-		fmt.Printf("engine=sim transport=virtual caps=none threads=%d size=%dB puts=%d makespan=%v rate=%.0f puts/s peak=%.0f\n",
-			*threads, *msgSize, res.Messages, res.Makespan, res.Rate,
-			machine.PeakMessageRate(*msgSize))
-		if ob.BreakdownOut != "" {
-			bf := prof.BreakdownFile{Engine: "sim"}
-			for _, b := range res.Breakdown {
-				bf.Reports = append(bf.Reports, prof.BuildReport(b.Rank, designLabel(*prog, *assignment), *threads, b.Snap))
-			}
-			check(cliobs.WriteBreakdown(ob.BreakdownOut, bf))
-		}
-	case "real":
-		ni := *instances
-		if ni <= 0 {
-			ni = machine.DefaultContexts
-		}
-		wantProf := ob.Profile || ob.BreakdownOut != ""
-		opts := core.Options{
+	ni := *instances
+	if ni <= 0 {
+		ni = machine.DefaultContexts
+	}
+	cfg := bench.Config{
+		Machine: machine, Threads: *threads, MsgSize: *msgSize,
+		PutsPerThread: *puts, Rounds: *rounds, SampleInterval: ob.SampleInterval,
+		Opts: core.Options{
 			NumInstances: ni, Assignment: asg, Progress: pm,
 			ThreadLevel: core.ThreadMultiple, Telemetry: ob.WantTelemetry(),
-			Profile:        wantProf,
+			// A real-engine -breakdown-out needs the profiler's wall-clock data.
+			Profile:        ob.Profile || ob.BreakdownOut != "",
 			TraceWire:      ob.TraceWire,
 			Latency:        ob.Latency,
 			FlightCapacity: ob.RealFlightCap(),
-		}
+		},
+	}
+
+	switch *engine {
+	case "sim":
+		res := simnet.RunRMAMT(cfg, simnet.Model{})
+		fmt.Printf("engine=sim transport=virtual caps=none threads=%d size=%dB puts=%d makespan=%v rate=%.0f puts/s peak=%.0f\n",
+			*threads, *msgSize, res.Messages, res.Makespan, res.Rate,
+			machine.PeakMessageRate(*msgSize))
+		check(ob.WriteReports(os.Stdout, "sim", *prog, *assignment, *threads, res.Breakdown))
+	case "real":
 		if faults.Enabled() {
 			// A fabric serves one world; bench.Run builds one.
-			opts.Network = backends.Faulty(faults)
+			cfg.Opts.Network = backends.Faulty(faults)
 		}
 		sess, serr := ob.Start(map[string]string{
 			"cmd": "rmamt", "progress": *prog, "assignment": *assignment,
@@ -123,12 +116,9 @@ func main() {
 		if addr := sess.Addr(); addr != "" {
 			fmt.Fprintf(os.Stderr, "rmamt: observability endpoint on http://%s\n", addr)
 		}
-		res, err := bench.Run(bench.Config{
-			Machine: machine, Opts: opts, Threads: *threads, MsgSize: *msgSize,
-			PutsPerThread: *puts, Rounds: *rounds, SampleInterval: ob.SampleInterval,
-			OnSampler: sess.Outputs.BindSampler,
-			OnWorld:   sess.BindWorld,
-		})
+		cfg.OnSampler = sess.Outputs.BindSampler
+		cfg.OnWorld = sess.BindWorld
+		res, err := bench.Run(cfg)
 		check(err)
 		fmt.Printf("engine=real transport=%s caps=%s threads=%d size=%dB puts=%d elapsed=%v rate=%.0f puts/s%s%s\n",
 			res.Transport.Name, res.Transport, *threads, *msgSize, res.Puts, res.Elapsed, res.Rate,
@@ -139,32 +129,11 @@ func main() {
 				check(ps.WriteText(os.Stdout))
 			}
 		}
-		if ob.Profile {
-			for _, ps := range res.Stats {
-				if !ps.Prof.Empty() {
-					check(prof.BuildReport(ps.Rank, designLabel(*prog, *assignment), *threads, ps.Prof).WriteText(os.Stdout))
-				}
-			}
-		}
-		if ob.BreakdownOut != "" {
-			bf := prof.BreakdownFile{Engine: "real"}
-			for _, ps := range res.Stats {
-				if ps.Prof.Empty() {
-					continue
-				}
-				bf.Reports = append(bf.Reports, prof.BuildReport(ps.Rank, designLabel(*prog, *assignment), *threads, ps.Prof))
-			}
-			check(cliobs.WriteBreakdown(ob.BreakdownOut, bf))
-		}
+		check(ob.WriteReports(os.Stdout, "real", *prog, *assignment, *threads, cliobs.Ranks(res.Stats)))
 		check(sess.Finish())
 	default:
 		check(fmt.Errorf("unknown engine %q", *engine))
 	}
-}
-
-// designLabel names the configuration under test in breakdown reports.
-func designLabel(progress, assignment string) string {
-	return fmt.Sprintf("progress=%s,assignment=%s", progress, assignment)
 }
 
 func check(err error) {

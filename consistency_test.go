@@ -8,14 +8,20 @@ import (
 	"testing"
 
 	benchmr "repro/internal/bench/multirate"
-	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/designs"
 	"repro/internal/hw"
-	"repro/internal/progress"
 	"repro/internal/simnet"
 	"repro/internal/spc"
 )
+
+// concurrentProgress is CRIs* on one communicator shared by every pair: one
+// dedicated instance per pair and concurrent progress, matching serialized.
+func concurrentProgress(base benchmr.Config) benchmr.Config {
+	cfg := designs.OMPIThreadCRIFull.Config(base, base.Pairs)
+	cfg.CommPerPair = false
+	return cfg
+}
 
 func TestEnginesAgreeOnMessageCounts(t *testing.T) {
 	const (
@@ -25,17 +31,12 @@ func TestEnginesAgreeOnMessageCounts(t *testing.T) {
 	)
 	want := int64(pairs * window * iters)
 
-	rres, err := benchmr.Run(benchmr.Config{
-		Machine: hw.Fast(), Opts: core.CRIsConcurrent(pairs, cri.Dedicated),
-		Pairs: pairs, Window: window, Iters: iters,
-	})
+	cfg := concurrentProgress(benchmr.Config{Machine: hw.Fast(), Pairs: pairs, Window: window, Iters: iters})
+	rres, err := benchmr.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres := simnet.RunMultirate(simnet.Config{
-		Machine: hw.Fast(), Pairs: pairs, Window: window, Iters: iters,
-		NumInstances: pairs, Assignment: cri.Dedicated, Progress: progress.Concurrent,
-	})
+	sres := simnet.RunMultirate(cfg, simnet.Model{})
 	cases := []struct {
 		name     string
 		rv, simv int64
@@ -58,19 +59,15 @@ func TestEnginesAgreeOvertakingEliminatesOOS(t *testing.T) {
 		window = 16
 		iters  = 2
 	)
-	real, err := benchmr.Run(benchmr.Config{
-		Machine: hw.Fast(), Opts: core.CRIsConcurrent(pairs, cri.Dedicated),
-		Pairs: pairs, Window: window, Iters: iters,
+	cfg := concurrentProgress(benchmr.Config{
+		Machine: hw.Fast(), Pairs: pairs, Window: window, Iters: iters,
 		AnyTag: true, Overtaking: true,
 	})
+	real, err := benchmr.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := simnet.RunMultirate(simnet.Config{
-		Machine: hw.Fast(), Pairs: pairs, Window: window, Iters: iters,
-		NumInstances: pairs, Assignment: cri.Dedicated, Progress: progress.Concurrent,
-		AnyTagRecv: true, AllowOvertaking: true,
-	})
+	sim := simnet.RunMultirate(cfg, simnet.Model{})
 	if r := real.SPCs.Get(spc.OutOfSequence); r != 0 {
 		t.Errorf("real engine recorded %d OOS under overtaking", r)
 	}
@@ -87,18 +84,12 @@ func TestEnginesAgreeCommPerPairFIFOHasNoOOS(t *testing.T) {
 		window = 16
 		iters  = 2
 	)
-	real, err := benchmr.Run(benchmr.Config{
-		Machine: hw.Fast(), Opts: core.CRIsConcurrent(pairs, cri.Dedicated),
-		Pairs: pairs, Window: window, Iters: iters, CommPerPair: true,
-	})
+	cfg := designs.OMPIThreadCRIFull.Config(benchmr.Config{Machine: hw.Fast(), Pairs: pairs, Window: window, Iters: iters}, pairs)
+	real, err := benchmr.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := simnet.RunMultirate(simnet.Config{
-		Machine: hw.Fast(), Pairs: pairs, Window: window, Iters: iters,
-		NumInstances: pairs, Assignment: cri.Dedicated, Progress: progress.Concurrent,
-		CommPerPair: true,
-	})
+	sim := simnet.RunMultirate(cfg, designs.OMPIThreadCRIFull.Model())
 	if r := real.SPCs.Get(spc.OutOfSequence); r != 0 {
 		t.Errorf("real engine: comm-per-pair dedicated OOS = %d", r)
 	}
@@ -179,24 +170,19 @@ func TestEnginesAgreeOnCounterContract(t *testing.T) {
 	)
 	for _, d := range []designs.Design{designs.OMPIThread, designs.OMPIThreadCRI, designs.OMPIThreadCRIFull, designs.OMPIThreadCRILockFree} {
 		t.Run(d.Slug(), func(t *testing.T) {
-			rres, err := benchmr.Run(benchmr.Config{
-				Machine: hw.Fast(), Opts: d.CoreOptions(pairs),
-				Pairs: pairs, Window: window, Iters: iters,
-				CommPerPair: d.UsesCommPerPair(), NoWildcards: d.NoWildcards(),
-			})
+			cfg := d.Config(benchmr.Config{Machine: hw.Fast(), Pairs: pairs, Window: window, Iters: iters}, pairs)
+			rres, err := benchmr.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			real := spc.Merge(rres.Stats[0].Process, rres.Stats[1].Process)
-			model := simnet.RunMultirate(d.SimConfig(simnet.Config{
-				Machine: hw.Fast(), Pairs: pairs, Window: window, Iters: iters,
-			}, pairs)).SPCs
+			model := simnet.RunMultirate(cfg, d.Model()).SPCs
 
 			// Under the free list conns_reused is a relation, not an equality:
 			// which instance a send pops depends on which sends overlap. Both
 			// stacks hand a thread back the instance it just released while
 			// sends do not overlap; the runtime's overlap is scheduling.
-			freeList := d.CoreOptions(pairs).Assignment == cri.FreeList
+			freeList := cfg.Opts.Assignment == cri.FreeList
 			for _, c := range exactCounters {
 				if c == spc.ConnsReused && freeList {
 					continue
@@ -214,10 +200,10 @@ func TestEnginesAgreeOnCounterContract(t *testing.T) {
 				}
 			}
 			perComm := pairs
-			if d.UsesCommPerPair() {
+			if cfg.CommPerPair {
 				perComm = 1
 			}
-			shape := runShape{postedBound: int64(window * perComm), fifo: perComm == 1, sharded: d.NoWildcards(), instances: pairs}
+			shape := runShape{postedBound: int64(window * perComm), fifo: perComm == 1, sharded: cfg.NoWildcards, instances: pairs}
 			checkRelations(t, "runtime", real, shape)
 			checkRelations(t, "model", model, shape)
 		})

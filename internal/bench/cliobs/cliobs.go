@@ -250,9 +250,38 @@ func HeaderPath(key, path string) string {
 	return fmt.Sprintf(" %s=%s", key, path)
 }
 
-// WriteBreakdown writes a phase/lock-wait breakdown file.
-func WriteBreakdown(path string, bf prof.BreakdownFile) error {
-	return obs.WriteFile(path, func(w io.Writer) error { return prof.WriteBreakdown(w, bf) })
+// WriteReports renders a run's time breakdown, one report per rank that
+// has profiler data, labeled the way the paper labels its design ladder
+// rungs: with -profile each as text on w, with -breakdown-out all of them
+// as the engine's breakdown file.
+func (f *Flags) WriteReports(w io.Writer, engine, progress, assignment string, threads int, ranks []prof.RankSnapshot) error {
+	label := fmt.Sprintf("progress=%s,assignment=%s", progress, assignment)
+	bf := prof.BreakdownFile{Engine: engine}
+	for _, r := range ranks {
+		if r.Snap.Empty() {
+			continue
+		}
+		rep := prof.BuildReport(r.Rank, label, threads, r.Snap)
+		if f.Profile {
+			if err := rep.WriteText(w); err != nil {
+				return err
+			}
+		}
+		bf.Reports = append(bf.Reports, rep)
+	}
+	if f.BreakdownOut == "" {
+		return nil
+	}
+	return obs.WriteFile(f.BreakdownOut, func(w io.Writer) error { return prof.WriteBreakdown(w, bf) })
+}
+
+// Ranks is the real engine's per-rank profiler data in the model's form.
+func Ranks(stats []telemetry.ProcStats) []prof.RankSnapshot {
+	out := make([]prof.RankSnapshot, len(stats))
+	for i, ps := range stats {
+		out[i] = prof.RankSnapshot{Rank: ps.Rank, Snap: ps.Prof}
+	}
+	return out
 }
 
 // WriteLatencyDumps writes per-rank attribution dumps (used by the sim

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backends"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/prof"
@@ -112,6 +113,10 @@ type Config struct {
 	// StallRank is the world rank whose receivers freeze (0 = the last,
 	// highest-numbered receiver rank).
 	StallRank int
+	// Faults, when enabled, runs Run on the in-process fabric's faulty wire
+	// (backends.Faulty): the reliability layer repairs the drops,
+	// duplicates and delays it injects. RunDistributed refuses it.
+	Faults transport.FaultConfig
 }
 
 // info is the assertions every communicator of the run carries.
@@ -119,7 +124,8 @@ func (c Config) info() core.Info {
 	return core.Info{AllowOvertaking: c.Overtaking, NoWildcards: c.NoWildcards}
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults normalizes the workload's zero values; core normalizes Opts.
+func (c Config) WithDefaults() Config {
 	if c.Pairs <= 0 {
 		c.Pairs = 1
 	}
@@ -161,13 +167,20 @@ type Result struct {
 // pair carrying every thread pair; process mode gives each pair a process
 // pair of its own.
 func Run(cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	procPairs, threads := 1, cfg.Pairs
 	if cfg.ProcessMode {
 		if cfg.Pattern == Incast {
 			return Result{}, fmt.Errorf("multirate: incast has no process mode")
 		}
 		procPairs, threads = cfg.Pairs, 1
+	}
+	if cfg.Faults.Enabled() {
+		if cfg.Opts.Network != nil {
+			return Result{}, fmt.Errorf("multirate: Faults builds the network; leave Opts.Network unset")
+		}
+		// A fabric serves one world; this run builds one.
+		cfg.Opts.Network = backends.Faulty(cfg.Faults)
 	}
 	w, err := core.NewWorld(cfg.Machine, 2*procPairs, cfg.Opts)
 	if err != nil {
@@ -186,12 +199,15 @@ func Run(cfg Config) (Result, error) {
 // harness reports; an even rank sees the sender side. Messages/Rate count
 // this process pair's traffic only.
 func RunDistributed(cfg Config, rank int, net transport.Network) (Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if cfg.Pattern != Pairwise {
 		return Result{}, fmt.Errorf("multirate: distributed mode supports only the pairwise pattern")
 	}
 	if cfg.ProcessMode {
 		return Result{}, fmt.Errorf("multirate: distributed mode already maps ranks to processes")
+	}
+	if cfg.Faults.Enabled() {
+		return Result{}, fmt.Errorf("multirate: fault injection runs on the in-process fabric only, not a distributed network")
 	}
 	size := cfg.WorldSize
 	if size == 0 {

@@ -2,14 +2,17 @@ package multirate
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/backends"
 	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/hw"
 	"repro/internal/spc"
+	"repro/internal/transport"
 	"repro/internal/transport/tcpnet"
 )
 
@@ -138,6 +141,35 @@ func TestIncastRejectsProcessMode(t *testing.T) {
 	cfg.ProcessMode = true
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("incast + process mode accepted")
+	}
+}
+
+// TestFaultsRunOnTheFaultyFabric: Faults puts Run on the in-process
+// fabric's faulty wire, whose losses the reliability layer repairs; a
+// distributed run, and a run that also names its own network, refuse it.
+func TestFaultsRunOnTheFaultyFabric(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Faults = transport.FaultConfig{Drop: 0.05, Dup: 0.05, Seed: 3}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.SPCs.Get(spc.MessagesReceived); got != 64 {
+		t.Fatalf("messages_received = %d, want 64 despite the faults", got)
+	}
+	var injected int64
+	for _, ps := range res.Stats {
+		injected += ps.Process.Get(spc.FaultPacketsDropped) + ps.Process.Get(spc.FaultPacketsDuplicated)
+	}
+	if injected == 0 {
+		t.Fatal("no faults injected: the run did not fly on the faulty wire")
+	}
+	if _, err := RunDistributed(cfg, 0, nil); err == nil || !strings.Contains(err.Error(), "fault") {
+		t.Errorf("a distributed run with Faults: err = %v, want the fault refusal", err)
+	}
+	cfg.Opts.Network = backends.Faulty(cfg.Faults)
+	if _, err := Run(cfg); err == nil {
+		t.Error("Faults accepted beside a network of the caller's")
 	}
 }
 

@@ -47,7 +47,8 @@ type Config struct {
 	OnSampler func(*telemetry.Sampler)
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults normalizes the workload's zero values; core normalizes Opts.
+func (c Config) WithDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = 1
 	}
@@ -86,7 +87,7 @@ type Result struct {
 // Run executes the benchmark: two processes, a window on each, all threads
 // putting from rank 0 into rank 1's window at disjoint offsets.
 func Run(cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	w, err := core.NewWorld(cfg.Machine, 2, cfg.Opts)
 	if err != nil {
 		return Result{}, err

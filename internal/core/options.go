@@ -119,8 +119,8 @@ type Options struct {
 // DefaultEagerLimit is the eager/rendezvous switchover when unspecified.
 const DefaultEagerLimit = 8192
 
-// withDefaults normalizes zero values.
-func (o Options) withDefaults(m hw.Machine) Options {
+// WithDefaults normalizes zero values.
+func (o Options) WithDefaults(m hw.Machine) Options {
 	if o.NumInstances <= 0 {
 		o.NumInstances = 1
 	}

@@ -101,7 +101,7 @@ func newWorld(machine hw.Machine, n int, opts Options) (*World, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: world size %d < 1", n)
 	}
-	opts = opts.withDefaults(machine)
+	opts = opts.WithDefaults(machine)
 	net := opts.Network
 	if net == nil {
 		net = backends.Sim()

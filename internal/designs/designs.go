@@ -1,15 +1,16 @@
 // Package designs names the runtime designs compared in Figure 5 — Open
 // MPI's stock threading, the paper's CRI variants, and simulated stand-ins
 // for the closed/other implementations (Intel MPI, MPICH), modeled by their
-// locking architecture. Each design resolves to both a virtual-time model
-// configuration (internal/simnet) and a real-runtime option set
-// (internal/core), so the same named design can be simulated
-// deterministically or executed on live goroutines.
+// locking architecture. Each design resolves once, to the configuration the
+// Multirate harness takes (Config), so the same named design can be
+// simulated deterministically (internal/simnet) or executed on live
+// goroutines (internal/bench/multirate).
 package designs
 
 import (
 	"fmt"
 
+	"repro/internal/bench/multirate"
 	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/progress"
@@ -117,62 +118,34 @@ func (d Design) Runs() Design {
 // IsProcessMode reports whether the design maps pairs to processes.
 func (d Design) IsProcessMode() bool { return d.Runs() == OMPIProcess }
 
-// SimConfig resolves the design to a virtual-time model configuration over
-// base (which carries machine, pairs, window, iterations). instances is the
-// CRI count used by the CRI variants (the paper uses one per core).
-func (d Design) SimConfig(base simnet.Config, instances int) simnet.Config {
+// Config resolves the design over base, which carries the machine and the
+// workload, for either engine: the real runtime's harness runs it as it
+// is, and the model runs it with Model. instances is the CRI count of the
+// CRI variants (the paper uses one per core). IMPI Thread runs as stock
+// here: its global lock is the model's (Model).
+func (d Design) Config(base multirate.Config, instances int) multirate.Config {
 	cfg := base
+	o := &cfg.Opts
+	o.ThreadLevel = core.ThreadMultiple
+	o.NumInstances, o.Assignment, o.Progress = 1, cri.RoundRobin, progress.Serial
 	switch d.Runs() {
 	case OMPIProcess:
 		cfg.ProcessMode = true
-	case OMPIThread:
-		cfg.NumInstances = 1
-		cfg.Progress = progress.Serial
 	case OMPIThreadCRI:
-		cfg.NumInstances = instances
-		cfg.Assignment = cri.Dedicated
-		cfg.Progress = progress.Serial
+		o.NumInstances, o.Assignment = instances, cri.Dedicated
 	case OMPIThreadCRIFull:
-		cfg.NumInstances = instances
-		cfg.Assignment = cri.Dedicated
-		cfg.Progress = progress.Concurrent
+		o.NumInstances, o.Assignment, o.Progress = instances, cri.Dedicated, progress.Concurrent
 		cfg.CommPerPair = true
 	case OMPIThreadCRILockFree:
-		cfg.NumInstances = instances
-		cfg.Assignment = cri.FreeList
-		cfg.Progress = progress.Concurrent
+		// One communicator asserting no wildcards shards the matching.
+		o.NumInstances, o.Assignment, o.Progress = instances, cri.FreeList, progress.Concurrent
 		cfg.NoWildcards = true
-	case IMPIThread:
-		// Global-lock runtime: one big lock across send/progress/match.
-		cfg.NumInstances = 1
-		cfg.BigLock = true
 	}
 	return cfg
 }
 
-// CoreOptions resolves the design to real-runtime options. Process-mode
-// designs still return options (single instance, no sharing); the harness
-// maps pairs to separate Procs instead of threads. IMPI Thread runs as
-// Stock: the real runtime has no global lock to select.
-func (d Design) CoreOptions(instances int) core.Options {
-	switch d {
-	case OMPIThreadCRI:
-		return core.CRIs(instances, cri.Dedicated)
-	case OMPIThreadCRIFull:
-		return core.CRIsConcurrent(instances, cri.Dedicated)
-	case OMPIThreadCRILockFree:
-		return core.CRIsConcurrent(instances, cri.FreeList)
-	default:
-		return core.Stock()
-	}
+// Model is what the design needs of the model beyond Config: IMPI Thread's
+// global lock, the one mechanism the runtime does not have.
+func (d Design) Model() simnet.Model {
+	return simnet.Model{BigLock: d.Runs() == IMPIThread}
 }
-
-// UsesCommPerPair reports whether the design's harness should create a
-// private communicator per pair. The lock-free design deliberately does
-// not: its sharded matching keeps all pairs on one communicator.
-func (d Design) UsesCommPerPair() bool { return d == OMPIThreadCRIFull }
-
-// NoWildcards reports whether the design's harness asserts no wildcards on
-// its communicators (core.Info.NoWildcards), which is what shards the
-// lock-free design's matching.
-func (d Design) NoWildcards() bool { return d == OMPIThreadCRILockFree }

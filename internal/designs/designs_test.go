@@ -4,10 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bench/multirate"
 	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/hw"
-	"repro/internal/progress"
 	"repro/internal/simnet"
 )
 
@@ -39,14 +39,18 @@ func TestProcessModeFlags(t *testing.T) {
 // of the design it names, and the designs that remain are all distinct, so
 // Fig. 5 has one configuration per design it runs.
 func TestLabelsRunTheirDesign(t *testing.T) {
-	base := simnet.Config{Machine: hw.AlembertHaswell(), Pairs: 4, Window: 32, Iters: 2}
-	runs := map[Design]simnet.Config{}
+	type run struct {
+		cfg multirate.Config
+		m   simnet.Model
+	}
+	base := multirate.Config{Machine: hw.AlembertHaswell(), Pairs: 4, Window: 32, Iters: 2}
+	runs := map[Design]run{}
 	for _, d := range All() {
-		cfg := d.SimConfig(base, 20)
-		if !reflect.DeepEqual(cfg, d.Runs().SimConfig(base, 20)) {
+		r := run{d.Config(base, 20), d.Model()}
+		if !reflect.DeepEqual(r, run{d.Runs().Config(base, 20), d.Runs().Model()}) {
 			t.Errorf("%v resolves to another configuration than %v, the design it runs", d, d.Runs())
 		}
-		runs[d.Runs()] = cfg
+		runs[d.Runs()] = r
 	}
 	if len(runs) != 6 {
 		t.Errorf("%d distinct designs run, want 6 (four OMPI thread designs, process mode, IMPI Thread)", len(runs))
@@ -60,56 +64,69 @@ func TestLabelsRunTheirDesign(t *testing.T) {
 	}
 }
 
-func TestSimConfigResolution(t *testing.T) {
-	base := simnet.Config{Machine: hw.AlembertHaswell(), Pairs: 4, Window: 32, Iters: 2}
+// resolutions is each design's one resolution, as both engines run it:
+// TestCoreOptionsResolution checks the runtime options of the table,
+// TestSimConfigResolution the rest of what the model runs.
+var resolutions = []struct {
+	d           Design
+	opts        core.Options
+	commPerPair bool
+	noWildcards bool
+	processMode bool
+	bigLock     bool
+}{
+	{d: OMPIProcess, opts: core.Stock(), processMode: true},
+	{d: OMPIThread, opts: core.Stock()},
+	{d: OMPIThreadCRI, opts: core.CRIs(20, cri.Dedicated)},
+	{d: OMPIThreadCRIFull, opts: core.CRIsConcurrent(20, cri.Dedicated), commPerPair: true},
+	// LF is CRIs* minus comm-per-pair: its options are plain, and its one
+	// communicator's assertion is what shards matching.
+	{d: OMPIThreadCRILockFree, opts: core.CRIsConcurrent(20, cri.FreeList), noWildcards: true},
+	{d: IMPIProcess, opts: core.Stock(), processMode: true},
+	// The IMPI / MPICH stand-ins run as core.Stock on the runtime; IMPI
+	// Thread's global lock is the model's.
+	{d: IMPIThread, opts: core.Stock(), bigLock: true},
+	{d: MPICHProcess, opts: core.Stock(), processMode: true},
+	{d: MPICHThread, opts: core.Stock()},
+}
 
-	cfg := OMPIThreadCRIFull.SimConfig(base, 20)
-	if cfg.NumInstances != 20 || cfg.Assignment != cri.Dedicated ||
-		cfg.Progress != progress.Concurrent || !cfg.CommPerPair {
-		t.Fatalf("CRIFull config = %+v", cfg)
-	}
-	if cfg := OMPIThread.SimConfig(base, 20); cfg.NumInstances != 1 || cfg.ProcessMode {
-		t.Fatalf("OMPIThread config = %+v", cfg)
-	}
-	if cfg := IMPIThread.SimConfig(base, 20); !cfg.BigLock {
-		t.Fatal("IMPIThread must be a big-lock design")
-	}
-	if cfg := OMPIProcess.SimConfig(base, 20); !cfg.ProcessMode {
-		t.Fatal("OMPIProcess must be process mode")
-	}
-	if cfg := OMPIThreadCRILockFree.SimConfig(base, 20); !cfg.NoWildcards || cfg.CommPerPair || cfg.Assignment != cri.FreeList {
-		t.Fatalf("LF config = %+v, want free-list instances on one communicator asserting no wildcards", cfg)
+var resolutionBase = multirate.Config{Machine: hw.AlembertHaswell(), Pairs: 4, Window: 32, Iters: 2}
+
+func TestResolutionsCoverAll(t *testing.T) {
+	if len(resolutions) != len(All()) {
+		t.Fatalf("resolution table has %d designs, want %d", len(resolutions), len(All()))
 	}
 }
 
-func TestCoreOptionsResolution(t *testing.T) {
-	o := OMPIThreadCRI.CoreOptions(8)
-	if o.NumInstances != 8 || o.Assignment != cri.Dedicated || o.Progress != progress.Serial {
-		t.Fatalf("CRI options = %+v", o)
-	}
-	o = OMPIThreadCRIFull.CoreOptions(8)
-	if o.Progress != progress.Concurrent {
-		t.Fatalf("CRIFull options = %+v", o)
-	}
-	// The IMPI / MPICH stand-ins exist in the model only.
-	if IMPIThread.CoreOptions(1) != core.Stock() || MPICHThread.CoreOptions(1) != core.Stock() {
-		t.Fatal("modelled-only designs must resolve to core.Stock")
-	}
-	if OMPIThread.CoreOptions(1).NumInstances != 1 {
-		t.Fatal("OMPIThread core options wrong")
-	}
-	if !OMPIThreadCRIFull.UsesCommPerPair() || OMPIThread.UsesCommPerPair() {
-		t.Fatal("UsesCommPerPair flags wrong")
-	}
-	// LF is CRIs* minus comm-per-pair: its options are plain, and its one
-	// communicator's assertion is what shards matching.
-	if OMPIThreadCRILockFree.CoreOptions(8) != core.CRIsConcurrent(8, cri.FreeList) {
-		t.Fatalf("LF options = %+v", OMPIThreadCRILockFree.CoreOptions(8))
-	}
-	for _, d := range All() {
-		if d.NoWildcards() != (d == OMPIThreadCRILockFree) {
-			t.Errorf("%v: NoWildcards = %v", d, d.NoWildcards())
+// TestSimConfigResolution: the layout flags, the model's big lock and the
+// untouched workload of each design's configuration.
+func TestSimConfigResolution(t *testing.T) {
+	for _, tc := range resolutions {
+		cfg := tc.d.Config(resolutionBase, 20)
+		if cfg.CommPerPair != tc.commPerPair || cfg.NoWildcards != tc.noWildcards || cfg.ProcessMode != tc.processMode {
+			t.Errorf("%v: comm-per-pair %v, no-wildcards %v, process mode %v; want %v, %v, %v", tc.d,
+				cfg.CommPerPair, cfg.NoWildcards, cfg.ProcessMode, tc.commPerPair, tc.noWildcards, tc.processMode)
 		}
+		if got := tc.d.Model().BigLock; got != tc.bigLock {
+			t.Errorf("%v: BigLock = %v, want %v", tc.d, got, tc.bigLock)
+		}
+		b := resolutionBase
+		if cfg.Machine != b.Machine || cfg.Pairs != b.Pairs || cfg.Window != b.Window || cfg.Iters != b.Iters {
+			t.Errorf("%v: the workload moved: %+v", tc.d, cfg)
+		}
+	}
+}
+
+// TestCoreOptionsResolution: the runtime options of each design's
+// configuration, at the CRI count it is given.
+func TestCoreOptionsResolution(t *testing.T) {
+	for _, tc := range resolutions {
+		if got := tc.d.Config(resolutionBase, 20).Opts; got != tc.opts {
+			t.Errorf("%v: options = %+v, want %+v", tc.d, got, tc.opts)
+		}
+	}
+	if got, want := OMPIThreadCRI.Config(resolutionBase, 8).Opts, core.CRIs(8, cri.Dedicated); got != want {
+		t.Errorf("CRI options at 8 instances = %+v, want %+v", got, want)
 	}
 }
 
@@ -117,10 +134,10 @@ func TestCoreOptionsResolution(t *testing.T) {
 // and checks the paper's headline ordering: every process mode beats every
 // stock thread mode; CRIs beats stock; CRIs* beats CRIs.
 func TestFig5Ordering(t *testing.T) {
-	base := simnet.Config{Machine: hw.AlembertHaswell(), Pairs: 12, Window: 128, Iters: 3}
+	base := multirate.Config{Machine: hw.AlembertHaswell(), Pairs: 12, Window: 128, Iters: 3}
 	rates := map[Design]float64{}
 	for _, d := range All() {
-		rates[d] = simnet.RunMultirate(d.SimConfig(base, 20)).Rate
+		rates[d] = simnet.RunMultirate(d.Config(base, 20), d.Model()).Rate
 	}
 	for _, proc := range []Design{OMPIProcess, IMPIProcess, MPICHProcess} {
 		for _, thr := range []Design{OMPIThread, IMPIThread, MPICHThread} {
@@ -149,8 +166,8 @@ func TestFig5Ordering(t *testing.T) {
 // single-communicator locked design, within a small factor of CRIs*, and
 // still below process mode (per-process resources have no sharing at all).
 func TestLockFreeOrdering(t *testing.T) {
-	base := simnet.Config{Machine: hw.AlembertHaswell(), Pairs: 20, Window: 128, Iters: 3}
-	rate := func(d Design) float64 { return simnet.RunMultirate(d.SimConfig(base, 20)).Rate }
+	base := multirate.Config{Machine: hw.AlembertHaswell(), Pairs: 20, Window: 128, Iters: 3}
+	rate := func(d Design) float64 { return simnet.RunMultirate(d.Config(base, 20), d.Model()).Rate }
 	full, lf, proc := rate(OMPIThreadCRIFull), rate(OMPIThreadCRILockFree), rate(OMPIProcess)
 	stock, cris := rate(OMPIThread), rate(OMPIThreadCRI)
 	if lf < 4*stock {

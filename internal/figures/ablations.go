@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bench/multirate"
+	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/hw"
 	"repro/internal/progress"
@@ -16,15 +18,15 @@ import (
 // so the mechanism's contribution to the paper's phenomena is visible.
 
 // ablationPoint runs one multirate configuration and reports rate + OOS%.
-func ablationPoint(cfg simnet.Config) (rate, oosPct float64) {
-	res := simnet.RunMultirate(cfg)
+func ablationPoint(cfg multirate.Config, m simnet.Model) (rate, oosPct float64) {
+	res := simnet.RunMultirate(cfg, m)
 	return res.Rate, res.SPCs.OutOfSequencePercent()
 }
 
-func ablationBase(sc Scale) simnet.Config {
-	return simnet.Config{
+func ablationBase(sc Scale) multirate.Config {
+	return multirate.Config{
 		Machine: hw.AlembertHaswell(), Pairs: 20, Window: sc.Window, Iters: sc.Iters,
-		NumInstances: 20, Assignment: cri.Dedicated, Progress: progress.Serial,
+		Opts: core.Options{NumInstances: 20, Assignment: cri.Dedicated, Progress: progress.Serial},
 	}
 }
 
@@ -43,13 +45,11 @@ func AblationJitter(sc Scale) Table {
 	var rates, oos []float64
 	for _, span := range spans {
 		t.XS = append(t.XS, int(span.Nanoseconds()))
-		cfg := ablationBase(sc)
+		m := simnet.Model{SendJitter: span}
 		if span == 0 {
-			cfg.SendJitter = time.Nanosecond // ~zero (0 selects the default)
-		} else {
-			cfg.SendJitter = span
+			m.SendJitter = time.Nanosecond // ~zero (0 selects the default)
 		}
-		r, o := ablationPoint(cfg)
+		r, o := ablationPoint(ablationBase(sc), m)
 		rates = append(rates, r)
 		oos = append(oos, o)
 	}
@@ -71,9 +71,8 @@ func AblationCredits(sc Scale) Table {
 	var rates, oos []float64
 	for _, d := range depths {
 		cfg := ablationBase(sc)
-		cfg.Credits = d
-		cfg.QueueDepth = 32768 // keep hardware back-pressure out of the sweep
-		r, o := ablationPoint(cfg)
+		cfg.Opts.QueueDepth = 32768 // keep hardware back-pressure out of the sweep
+		r, o := ablationPoint(cfg, simnet.Model{Credits: d})
 		rates = append(rates, r)
 		oos = append(oos, o)
 	}
@@ -96,9 +95,8 @@ func AblationConvoy(sc Scale) Table {
 	for _, p := range penalties {
 		t.XS = append(t.XS, int(p.Nanoseconds()))
 		cfg := ablationBase(sc)
-		cfg.NumInstances = 1
-		cfg.SleepPenalty = p
-		r, _ := ablationPoint(cfg)
+		cfg.Opts.NumInstances = 1
+		r, _ := ablationPoint(cfg, simnet.Model{SleepPenalty: p})
 		rates = append(rates, r)
 	}
 	t.Rows = []Row{{Label: "msg/s", Values: rates}}
@@ -119,8 +117,8 @@ func AblationInstances(sc Scale) Table {
 	var rates []float64
 	for _, n := range counts {
 		cfg := ablationBase(sc)
-		cfg.NumInstances = n
-		r, _ := ablationPoint(cfg)
+		cfg.Opts.NumInstances = n
+		r, _ := ablationPoint(cfg, simnet.Model{})
 		rates = append(rates, r)
 	}
 	t.Rows = []Row{{Label: "msg/s", Values: rates}}
@@ -143,12 +141,12 @@ func AblationAllocSerialize(sc Scale) Table {
 		t.XS = append(t.XS, int(c.Nanoseconds()))
 		m := hw.AlembertHaswell()
 		m.Costs.AllocSerialize = c
-		cfg := simnet.Config{
+		cfg := multirate.Config{
 			Machine: m, Pairs: 20, Window: sc.Window, Iters: sc.Iters,
-			NumInstances: 20, Assignment: cri.Dedicated,
-			Progress: progress.Concurrent, CommPerPair: true,
+			Opts:        core.Options{NumInstances: 20, Assignment: cri.Dedicated, Progress: progress.Concurrent},
+			CommPerPair: true,
 		}
-		r, _ := ablationPoint(cfg)
+		r, _ := ablationPoint(cfg, simnet.Model{})
 		rates = append(rates, r)
 	}
 	t.Rows = []Row{{Label: "msg/s", Values: rates}}

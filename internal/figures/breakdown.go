@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/bench/multirate"
 	"repro/internal/designs"
 	"repro/internal/hw"
 	"repro/internal/prof"
@@ -63,12 +64,12 @@ func TimeBreakdown(sc Scale, threads int) BreakdownFigure {
 		Notes: "share of summed thread wall time per phase (virtual time, Multirate pairwise);\n" +
 			"legend: .=app L=lock_wait M=match P=progress_own S=progress_steal s=send w=wire r=retransmit",
 	}
-	base := simnet.Config{
+	base := multirate.Config{
 		Machine: hw.AlembertHaswell(), Pairs: threads,
 		Window: sc.Window, Iters: sc.Iters,
 	}
 	eachDesign(designs.All(), func(d designs.Design) BreakdownBar {
-		res := simnet.RunMultirate(d.SimConfig(base, threads))
+		res := simnet.RunMultirate(d.Config(base, threads), d.Model())
 		var job prof.Snapshot // both ranks, reported as one
 		for _, b := range res.Breakdown {
 			job.Threads = append(job.Threads, b.Snap.Threads...)

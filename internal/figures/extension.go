@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"repro/internal/bench/multirate"
+	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/hw"
 	"repro/internal/progress"
@@ -40,12 +42,12 @@ func ExtensionMatching(sc Scale) Table {
 	for _, v := range variants {
 		row := Row{Label: v.label}
 		for _, pairs := range sc.PairPoints {
-			cfg := simnet.Config{
+			cfg := multirate.Config{
 				Machine: m, Pairs: pairs, Window: sc.Window, Iters: sc.Iters,
-				NumInstances: 20, Assignment: cri.Dedicated, Progress: v.prog,
+				Opts:        core.Options{NumInstances: 20, Assignment: cri.Dedicated, Progress: v.prog},
 				NoWildcards: v.asserted, CommPerPair: v.cpp,
 			}
-			row.Values = append(row.Values, simnet.RunMultirate(cfg).Rate)
+			row.Values = append(row.Values, simnet.RunMultirate(cfg, simnet.Model{}).Rate)
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bench/multirate"
+	"repro/internal/bench/rmamt"
+	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/designs"
 	"repro/internal/hw"
@@ -151,12 +154,12 @@ func fig34(title string, sc Scale, prog progress.Mode, commPerPair, overtaking, 
 	for _, ln := range fig3Lines() {
 		row := Row{Label: ln.label}
 		for _, pairs := range sc.PairPoints {
-			cfg := simnet.Config{
+			cfg := multirate.Config{
 				Machine: m, Pairs: pairs, Window: sc.Window, Iters: sc.Iters,
-				NumInstances: ln.instances, Assignment: ln.mode, Progress: prog,
-				CommPerPair: commPerPair, AllowOvertaking: overtaking, AnyTagRecv: anyTag,
+				Opts:        core.Options{NumInstances: ln.instances, Assignment: ln.mode, Progress: prog},
+				CommPerPair: commPerPair, Overtaking: overtaking, AnyTag: anyTag,
 			}
-			row.Values = append(row.Values, simnet.RunMultirate(cfg).Rate)
+			row.Values = append(row.Values, simnet.RunMultirate(cfg, simnet.Model{}).Rate)
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -203,12 +206,12 @@ func Fig5(sc Scale) Table {
 		XS:     sc.PairPoints,
 		Notes:  "Process rows map pairs to process pairs; thread rows to threads of one process pair.",
 	}
-	base := simnet.Config{Machine: m, Window: sc.Window, Iters: sc.Iters}
+	base := multirate.Config{Machine: m, Window: sc.Window, Iters: sc.Iters}
 	eachDesign(designs.All(), func(d designs.Design) (rates []float64) {
 		for _, pairs := range sc.PairPoints {
-			cfg := d.SimConfig(base, 20)
+			cfg := d.Config(base, 20)
 			cfg.Pairs = pairs
-			rates = append(rates, simnet.RunMultirate(cfg).Rate)
+			rates = append(rates, simnet.RunMultirate(cfg, d.Model()).Rate)
 		}
 		return rates
 	}, func(d designs.Design, rates []float64) {
@@ -270,12 +273,12 @@ func TableII(sc Scale, full bool) TableIIResult {
 	var res TableIIResult
 	for _, g := range groups {
 		for _, inst := range []int{1, 10, 20} {
-			cfg := simnet.Config{
+			cfg := multirate.Config{
 				Machine: m, Pairs: 20, Window: sc.Window, Iters: iters,
-				NumInstances: inst, Assignment: cri.Dedicated,
-				Progress: g.prog, CommPerPair: g.cpp,
+				Opts:        core.Options{NumInstances: inst, Assignment: cri.Dedicated, Progress: g.prog},
+				CommPerPair: g.cpp,
 			}
-			r := simnet.RunMultirate(cfg)
+			r := simnet.RunMultirate(cfg, simnet.Model{})
 			res.Configs = append(res.Configs, fmt.Sprintf("%s/%d", g.name, inst))
 			res.TotalMessages = r.Messages
 			res.OutOfSequence = append(res.OutOfSequence, r.SPCs.Get(spc.OutOfSequence))
@@ -324,13 +327,14 @@ func figRMA(title string, m hw.Machine, threadPoints []int, sc Scale) []Table {
 		mode      cri.Assignment
 		prog      progress.Mode
 	}
+	perCore := m.DefaultContexts
 	variants := []variant{
 		{"single / serial", 1, cri.RoundRobin, progress.Serial},
 		{"single / concurrent", 1, cri.RoundRobin, progress.Concurrent},
-		{"dedicated / serial", 0, cri.Dedicated, progress.Serial},
-		{"dedicated / concurrent", 0, cri.Dedicated, progress.Concurrent},
-		{"round-robin / serial", 0, cri.RoundRobin, progress.Serial},
-		{"round-robin / concurrent", 0, cri.RoundRobin, progress.Concurrent},
+		{"dedicated / serial", perCore, cri.Dedicated, progress.Serial},
+		{"dedicated / concurrent", perCore, cri.Dedicated, progress.Concurrent},
+		{"round-robin / serial", perCore, cri.RoundRobin, progress.Serial},
+		{"round-robin / concurrent", perCore, cri.RoundRobin, progress.Concurrent},
 	}
 	var tables []Table
 	for _, size := range rmaSizes {
@@ -344,12 +348,12 @@ func figRMA(title string, m hw.Machine, threadPoints []int, sc Scale) []Table {
 		for _, v := range variants {
 			row := Row{Label: v.label}
 			for _, threads := range threadPoints {
-				cfg := simnet.RMAMTConfig{
+				cfg := rmamt.Config{
 					Machine: m, Threads: threads, MsgSize: size,
 					PutsPerThread: sc.RMAPuts, Rounds: sc.RMARounds,
-					NumInstances: v.instances, Assignment: v.mode, Progress: v.prog,
+					Opts: core.Options{NumInstances: v.instances, Assignment: v.mode, Progress: v.prog},
 				}
-				row.Values = append(row.Values, simnet.RunRMAMT(cfg).Rate)
+				row.Values = append(row.Values, simnet.RunRMAMT(cfg, simnet.Model{}).Rate)
 			}
 			t.Rows = append(t.Rows, row)
 		}

@@ -3,6 +3,7 @@ package figures
 import (
 	"encoding/json"
 
+	"repro/internal/bench/multirate"
 	"repro/internal/designs"
 	"repro/internal/hw"
 	"repro/internal/latency"
@@ -111,14 +112,14 @@ func (sw sweep) run(withLatency bool) trajectoryFile {
 		Sweep:         sw.trajectorySweep,
 	}
 	f.Sweep.Latency = withLatency
-	base := simnet.Config{Machine: sw.machine, Window: sw.Window, Iters: sw.Iters}
+	base := multirate.Config{Machine: sw.machine, Window: sw.Window, Iters: sw.Iters}
 	for _, d := range sw.designs {
 		line := trajectoryLine{Name: d.String(), Slug: d.Slug(), ProcessMode: d.IsProcessMode()}
 		for _, threads := range sw.Threads {
-			sc := d.SimConfig(base, sw.Instances)
-			sc.Pairs = threads
-			sc.Latency = withLatency && !d.IsProcessMode()
-			res := simnet.RunMultirate(sc)
+			cfg := d.Config(base, sw.Instances)
+			cfg.Pairs = threads
+			cfg.Opts.Latency = withLatency && !d.IsProcessMode()
+			res := simnet.RunMultirate(cfg, d.Model())
 			line.Points = append(line.Points, trajectoryPoint{
 				Threads:        threads,
 				MessagesPerSec: res.Rate,

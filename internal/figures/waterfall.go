@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/bench/multirate"
 	"repro/internal/designs"
 	"repro/internal/hw"
 	"repro/internal/latency"
@@ -59,7 +60,7 @@ func Waterfall(sc Scale, threads int) WaterfallFigure {
 		Notes: "share of summed per-stage mean latency (virtual time, Multirate pairwise); tail = largest stage p99;\n" +
 			"legend: C=cri_acquire w=wire_write t=transit D=deliver_wait m=match_posted U=match_unexpected c=complete",
 	}
-	base := simnet.Config{
+	base := multirate.Config{
 		Machine: hw.AlembertHaswell(), Pairs: threads,
 		Window: sc.Window, Iters: sc.Iters,
 	}
@@ -70,9 +71,9 @@ func Waterfall(sc Scale, threads int) WaterfallFigure {
 		}
 	}
 	eachDesign(threadModes, func(d designs.Design) WaterfallBar {
-		cfg := d.SimConfig(base, threads)
-		cfg.Latency = true
-		return waterfallBar(simnet.RunMultirate(cfg).Latency)
+		cfg := d.Config(base, threads)
+		cfg.Opts.Latency = true
+		return waterfallBar(simnet.RunMultirate(cfg, d.Model()).Latency)
 	}, func(d designs.Design, bar WaterfallBar) {
 		bar.Design = d.String()
 		fig.Bars = append(fig.Bars, bar)

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench/multirate"
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/simnet"
@@ -68,29 +70,29 @@ var testDetCfg = flight.DetectorConfig{
 // healthyRun is a 2-rank virtual run long enough (~13ms virtual) to still
 // be moving while a composed stalled run's receiver is frozen.
 func healthyRun() simnet.Result {
-	return simnet.RunMultirate(simnet.Config{
+	return simnet.RunMultirate(multirate.Config{
 		Machine:        hw.AlembertHaswell(),
 		Pairs:          2,
 		Window:         128,
 		Iters:          64,
-		NumInstances:   2,
+		Opts:           core.Options{NumInstances: 2},
 		SampleInterval: 100 * time.Microsecond,
-	})
+	}, simnet.Model{})
 }
 
 // stalledRun is a short 2-rank virtual run whose pair-0 receiver freezes
 // after its second posted window, receives outstanding, for 20ms virtual.
 func stalledRun() simnet.Result {
-	return simnet.RunMultirate(simnet.Config{
+	return simnet.RunMultirate(multirate.Config{
 		Machine:        hw.AlembertHaswell(),
 		Pairs:          2,
 		Window:         32,
 		Iters:          4,
-		NumInstances:   2,
+		Opts:           core.Options{NumInstances: 2},
 		SampleInterval: 100 * time.Microsecond,
 		StallRecv:      20 * time.Millisecond,
 		StallAfterIter: 1,
-	})
+	}, simnet.Model{})
 }
 
 // TestClusterSeriesStallVerdict is the deterministic twin of the live
@@ -163,12 +165,13 @@ func TestClusterSeriesDeterministic(t *testing.T) {
 // without sampling must produce identical results otherwise — the
 // BENCH-reproducibility guarantee.
 func TestClusterSamplingOffChangesNothing(t *testing.T) {
-	cfg := simnet.Config{
-		Machine: hw.AlembertHaswell(), Pairs: 2, Window: 32, Iters: 4, NumInstances: 2,
+	cfg := multirate.Config{
+		Opts:    core.Options{NumInstances: 2},
+		Machine: hw.AlembertHaswell(), Pairs: 2, Window: 32, Iters: 4,
 	}
-	base := simnet.RunMultirate(cfg)
+	base := simnet.RunMultirate(cfg, simnet.Model{})
 	cfg.SampleInterval = time.Millisecond
-	sampled := simnet.RunMultirate(cfg)
+	sampled := simnet.RunMultirate(cfg, simnet.Model{})
 	if len(sampled.Series) == 0 {
 		t.Fatal("sampling on but no series")
 	}

@@ -1,13 +1,17 @@
 package simnet
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/bench/multirate"
+	"repro/internal/match"
 	"repro/internal/spc"
 	"repro/internal/transport"
 )
 
-func faultCfg(pairs int) Config {
+func faultCfg(pairs int) multirate.Config {
 	cfg := baseCfg(pairs)
 	cfg.Faults = transport.FaultConfig{Drop: 0.05, Dup: 0.05, Delay: 0.05, Seed: 9}
 	return cfg
@@ -15,7 +19,7 @@ func faultCfg(pairs int) Config {
 
 func TestMultirateWithFaultsCompletes(t *testing.T) {
 	cfg := faultCfg(4)
-	res := RunMultirate(cfg)
+	res := RunMultirate(cfg, Model{})
 	want := int64(4 * 64 * 4)
 	if res.Messages != want {
 		t.Fatalf("Messages = %d, want %d (every message must complete despite faults)", res.Messages, want)
@@ -40,7 +44,7 @@ func TestMultirateWithFaultsCompletes(t *testing.T) {
 
 func TestMultirateWithFaultsDeterministic(t *testing.T) {
 	cfg := faultCfg(4)
-	a, b := RunMultirate(cfg), RunMultirate(cfg)
+	a, b := RunMultirate(cfg, Model{}), RunMultirate(cfg, Model{})
 	if a.Makespan != b.Makespan {
 		t.Fatalf("nondeterministic faulty makespan: %v vs %v", a.Makespan, b.Makespan)
 	}
@@ -49,7 +53,7 @@ func TestMultirateWithFaultsDeterministic(t *testing.T) {
 	}
 	c := cfg
 	c.Faults.Seed = 10
-	if d := RunMultirate(c); d.SPCs.Get(spc.FaultPacketsDropped) == a.SPCs.Get(spc.FaultPacketsDropped) &&
+	if d := RunMultirate(c, Model{}); d.SPCs.Get(spc.FaultPacketsDropped) == a.SPCs.Get(spc.FaultPacketsDropped) &&
 		d.Makespan == a.Makespan {
 		t.Fatal("different fault seed reproduced the identical run")
 	}
@@ -58,7 +62,7 @@ func TestMultirateWithFaultsDeterministic(t *testing.T) {
 func TestMultirateFaultsCostTime(t *testing.T) {
 	clean := baseCfg(4)
 	faulty := faultCfg(4)
-	rc, rf := RunMultirate(clean), RunMultirate(faulty)
+	rc, rf := RunMultirate(clean, Model{}), RunMultirate(faulty, Model{})
 	if rf.Makespan <= rc.Makespan {
 		t.Fatalf("faulty wire makespan %v not above clean %v (retransmit RTOs cost virtual time)",
 			rf.Makespan, rc.Makespan)
@@ -69,11 +73,40 @@ func TestMultirateFaultsCostTime(t *testing.T) {
 // wire is refused up front rather than run as a FIFO one.
 func TestValidateRefusesScramble(t *testing.T) {
 	cfg := faultCfg(1)
-	if err := cfg.Validate(); err != nil {
+	if err := Validate(cfg); err != nil {
 		t.Fatalf("faulty config refused: %v", err)
 	}
 	cfg.Faults.ScrambleWindow = 8
-	if err := cfg.Validate(); err == nil {
+	if err := Validate(cfg); err == nil {
 		t.Fatal("a scramble window was accepted by a model that cannot scramble")
+	}
+}
+
+// TestValidateRefusesWhatTheModelDoesNotModel: each configuration the
+// runtime's harness runs but the model does not is refused, naming the
+// field, rather than run as something else (the scrambler has its own test
+// above).
+func TestValidateRefusesWhatTheModelDoesNotModel(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		edit  func(*multirate.Config)
+	}{
+		{"Pattern", func(c *multirate.Config) { c.Pattern = multirate.Incast }},
+		{"WorldSize", func(c *multirate.Config) { c.WorldSize = 4 }},
+		{"StallRank", func(c *multirate.Config) { c.StallRank = 1 }},
+	} {
+		cfg := baseCfg(2)
+		if err := Validate(cfg); err != nil {
+			t.Fatalf("pairwise config refused: %v", err)
+		}
+		tc.edit(&cfg)
+		if err := Validate(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate = %v, want a refusal naming the field", tc.field, err)
+		}
+	}
+	cfg := baseCfg(2)
+	cfg.NoWildcards, cfg.AnyTag = true, true
+	if err := Validate(cfg); !errors.Is(err, match.ErrWildcard) {
+		t.Errorf("wildcard receives on an asserted communicator: Validate = %v, want the runtime's wildcard error", err)
 	}
 }

@@ -17,10 +17,10 @@ import (
 // engine's hook events land on the virtual timeline.
 func (p *simProc) enableFlight(rank int) {
 	p.frank = rank
-	if p.cfg.FlightCapacity <= 0 {
+	if p.cfg.Opts.FlightCapacity <= 0 {
 		return
 	}
-	p.flight = flight.NewRecorder(p.cfg.FlightCapacity)
+	p.flight = flight.NewRecorder(p.cfg.Opts.FlightCapacity)
 	p.flight.SetClock(func() int64 {
 		if p.flightSP != nil {
 			return p.flightSP.Now()
@@ -87,8 +87,8 @@ func (p *simProc) latencyDump() latency.RankDump {
 	return p.lat.Dump(p.frank, p.flightRecord())
 }
 
-// spawnSampler starts p's one sampling thread when Config.SampleInterval or
-// Config.Watchdog asks for it: a simulated thread that wakes every interval,
+// spawnSampler starts p's one sampling thread when SampleInterval or
+// Model.Watchdog asks for it: a simulated thread that wakes every interval,
 // appends the proc's observation to series and, with a watchdog configured,
 // shows it — one rank, alone — to the flight.Detector the real watchdog
 // uses, appending any verdict's dump to sink. Sampling charges no virtual
@@ -135,7 +135,7 @@ func (p *simProc) spawnSampler(env *sim.Env, name string, series *[]flight.Sampl
 
 // stallFor parks the thread in virtual time without posting receives or
 // driving progress — the injected fault the watchdog acceptance tests
-// detect (Config.StallRecv / StallAfterIter).
+// detect (multirate.Config.StallRecv / StallAfterIter).
 func (t *simThread) stallFor(sp *sim.Proc, d time.Duration) {
 	sp.Advance(d)
 	sp.Yield()

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench/multirate"
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/latency"
@@ -14,14 +16,13 @@ import (
 )
 
 // latBase is a small 2-rank virtual run with attribution on.
-func latBase() simnet.Config {
-	return simnet.Config{
-		Machine:      hw.AlembertHaswell(),
-		Pairs:        2,
-		Window:       32,
-		Iters:        8,
-		NumInstances: 2,
-		Latency:      true,
+func latBase() multirate.Config {
+	return multirate.Config{
+		Machine: hw.AlembertHaswell(),
+		Pairs:   2,
+		Window:  32,
+		Iters:   8,
+		Opts:    core.Options{NumInstances: 2, Latency: true},
 	}
 }
 
@@ -40,7 +41,7 @@ func stageP99(d latency.RankDump, stage string) int64 {
 // receiver's the receive-path stages plus end-to-end, and every exemplar's
 // stage breakdown is consistent with its end-to-end latency.
 func TestLatencyDumpsPopulated(t *testing.T) {
-	res := simnet.RunMultirate(latBase())
+	res := simnet.RunMultirate(latBase(), simnet.Model{})
 	if len(res.Latency) != 2 {
 		t.Fatalf("Latency dumps = %d, want 2", len(res.Latency))
 	}
@@ -100,11 +101,11 @@ func TestLatencyDumpsPopulated(t *testing.T) {
 // guiltyStage runs a baseline and a stalled variant of cfg and returns the
 // receive-path stage whose p99 shifted the most, plus that shift and the
 // end-to-end shift.
-func guiltyStage(cfg simnet.Config, stall time.Duration) (string, int64, int64, map[string]int64) {
-	base := simnet.RunMultirate(cfg)
+func guiltyStage(cfg multirate.Config, stall time.Duration) (string, int64, int64, map[string]int64) {
+	base := simnet.RunMultirate(cfg, simnet.Model{})
 	cfg.StallRecv = stall
 	cfg.StallAfterIter = 1
-	stalled := simnet.RunMultirate(cfg)
+	stalled := simnet.RunMultirate(cfg, simnet.Model{})
 	br, sr := base.Latency[1], stalled.Latency[1]
 	shifts := map[string]int64{}
 	for _, name := range []string{"transit", "deliver_wait", "match_posted", "match_unexpected", "complete", "e2e"} {
@@ -169,9 +170,9 @@ func TestLatencyAttributesSlowPosterToUnexpectedQueue(t *testing.T) {
 // clock, so rate, makespan, counters, and breakdowns cannot move.
 func TestLatencyOffChangesNothing(t *testing.T) {
 	cfg := latBase()
-	on := simnet.RunMultirate(cfg)
-	cfg.Latency = false
-	off := simnet.RunMultirate(cfg)
+	on := simnet.RunMultirate(cfg, simnet.Model{})
+	cfg.Opts.Latency = false
+	off := simnet.RunMultirate(cfg, simnet.Model{})
 	if on.Makespan != off.Makespan || on.Rate != off.Rate || on.Messages != off.Messages {
 		t.Fatalf("attribution changed the run: on=(%v %f) off=(%v %f)",
 			on.Makespan, on.Rate, off.Makespan, off.Rate)
@@ -192,9 +193,9 @@ func TestLatencyOffChangesNothing(t *testing.T) {
 // deterministic schedule, including the reservoir's tie-breaks.
 func TestLatencyDumpsByteReproducible(t *testing.T) {
 	cfg := latBase()
-	cfg.FlightCapacity = 64 // exemplars carry surrounding flight events too
-	r1 := simnet.RunMultirate(cfg)
-	r2 := simnet.RunMultirate(cfg)
+	cfg.Opts.FlightCapacity = 64 // exemplars carry surrounding flight events too
+	r1 := simnet.RunMultirate(cfg, simnet.Model{})
+	r2 := simnet.RunMultirate(cfg, simnet.Model{})
 	var b1, b2 bytes.Buffer
 	if err := latency.WriteDumps(&b1, r1.Latency); err != nil {
 		t.Fatal(err)
@@ -216,7 +217,7 @@ func TestLatencyDumpsByteReproducible(t *testing.T) {
 func TestLatencySampleFeedsDetectorFields(t *testing.T) {
 	cfg := latBase()
 	cfg.SampleInterval = 100 * time.Microsecond
-	res := simnet.RunMultirate(cfg)
+	res := simnet.RunMultirate(cfg, simnet.Model{})
 	if len(res.Series) != 2 {
 		t.Fatalf("series = %d, want 2", len(res.Series))
 	}
@@ -232,20 +233,19 @@ func latClusterRun(stall time.Duration) simnet.Result {
 	// Virtual sampling is free, so the interval is tight enough that the
 	// post-stall drain — where the piled-up tail becomes visible in the
 	// cumulative histograms — spans the detector's streak window.
-	cfg := simnet.Config{
+	cfg := multirate.Config{
 		Machine:        hw.AlembertHaswell(),
 		Pairs:          2,
 		Window:         32,
 		Iters:          8,
-		NumInstances:   2,
+		Opts:           core.Options{NumInstances: 2, Latency: true},
 		SampleInterval: 20 * time.Microsecond,
-		Latency:        true,
 	}
 	if stall > 0 {
 		cfg.StallRecv = stall
 		cfg.StallAfterIter = 1
 	}
-	return simnet.RunMultirate(cfg)
+	return simnet.RunMultirate(cfg, simnet.Model{})
 }
 
 // TestClusterSeriesLatencyTailSkewVerdict is the deterministic twin of the

@@ -3,6 +3,7 @@ package simnet
 import (
 	"testing"
 
+	"repro/internal/bench/multirate"
 	"repro/internal/cri"
 	"repro/internal/progress"
 	"repro/internal/spc"
@@ -11,18 +12,18 @@ import (
 // lockFreeCfg is the sim mirror of the lock-free hot-path design: one
 // communicator asserting no wildcards (sharded matching), free-list instance
 // acquisition, concurrent progress.
-func lockFreeCfg(pairs int) Config {
+func lockFreeCfg(pairs int) multirate.Config {
 	cfg := baseCfg(pairs)
-	cfg.NumInstances = pairs
-	cfg.Assignment = cri.FreeList
-	cfg.Progress = progress.Concurrent
+	cfg.Opts.NumInstances = pairs
+	cfg.Opts.Assignment = cri.FreeList
+	cfg.Opts.Progress = progress.Concurrent
 	cfg.NoWildcards = true
 	return cfg
 }
 
 func TestLockFreeCompletesAndCounts(t *testing.T) {
 	cfg := lockFreeCfg(4)
-	res := RunMultirate(cfg)
+	res := RunMultirate(cfg, Model{})
 	want := int64(4 * 64 * 4)
 	if res.Messages != want {
 		t.Fatalf("Messages = %d, want %d", res.Messages, want)
@@ -37,7 +38,7 @@ func TestLockFreeCompletesAndCounts(t *testing.T) {
 
 func TestLockFreeDeterministic(t *testing.T) {
 	cfg := lockFreeCfg(8)
-	a, b := RunMultirate(cfg), RunMultirate(cfg)
+	a, b := RunMultirate(cfg, Model{}), RunMultirate(cfg, Model{})
 	if a.Makespan != b.Makespan {
 		t.Fatalf("nondeterministic makespan: %v vs %v", a.Makespan, b.Makespan)
 	}
@@ -60,21 +61,21 @@ func TestLockFreeDeterministic(t *testing.T) {
 func TestLockFreeBeatsLockedAtScale(t *testing.T) {
 	locked := baseCfg(20)
 	locked.Window = 128
-	locked.NumInstances = 20
-	locked.Assignment = cri.Dedicated
-	locked.Progress = progress.Concurrent
+	locked.Opts.NumInstances = 20
+	locked.Opts.Assignment = cri.Dedicated
+	locked.Opts.Progress = progress.Concurrent
 
 	free := lockFreeCfg(20)
 	free.Window = 128
 
 	commPerPair := baseCfg(20)
 	commPerPair.Window = 128
-	commPerPair.NumInstances = 20
-	commPerPair.Assignment = cri.Dedicated
-	commPerPair.Progress = progress.Concurrent
+	commPerPair.Opts.NumInstances = 20
+	commPerPair.Opts.Assignment = cri.Dedicated
+	commPerPair.Opts.Progress = progress.Concurrent
 	commPerPair.CommPerPair = true
 
-	rl, rf, rc := RunMultirate(locked), RunMultirate(free), RunMultirate(commPerPair)
+	rl, rf, rc := RunMultirate(locked, Model{}), RunMultirate(free, Model{}), RunMultirate(commPerPair, Model{})
 	if rf.Rate < 4*rl.Rate {
 		t.Fatalf("lock-free single-comm design did not crush the locked one: %.0f msg/s vs locked %.0f msg/s", rf.Rate, rl.Rate)
 	}

@@ -3,15 +3,16 @@ package simnet
 import (
 	"fmt"
 
+	"repro/internal/bench/multirate"
 	"repro/internal/flight"
 	"repro/internal/prof"
 	"repro/internal/sim"
 )
 
 // RunMultirate executes the Multirate pairwise benchmark on the model
-// (Patinyasakdikul et al. [6]): cfg.Pairs communication pairs between two
-// nodes; each pair performs cfg.Iters iterations of a cfg.Window-message
-// window (sender: window sends + wait-all; receiver: window receives +
+// (Patinyasakdikul et al. [6]), as the runtime's harness (multirate.Run)
+// runs it: Pairs communication pairs between two nodes; each pair performs
+// Iters iterations of a Window-message window (sender: window sends + wait-all; receiver: window receives +
 // wait-all). Every run is one layout of Fig. 2's binding modes: process
 // pairs (0,1), (2,3), ..., each carrying the same number of thread pairs,
 // the even process on node 0 sending and the odd one on node 1 receiving.
@@ -19,16 +20,17 @@ import (
 // process pair per pair, each process with one instance.
 //
 // The returned rate is total messages over the virtual makespan — the
-// paper's "message rate" Y axis.
-func RunMultirate(cfg Config) Result {
-	if err := cfg.Validate(); err != nil {
+// paper's "message rate" Y axis. It panics on a configuration Validate
+// refuses.
+func RunMultirate(c multirate.Config, m Model) Result {
+	if err := Validate(c); err != nil {
 		panic(err)
 	}
-	cfg = cfg.withDefaults()
+	cfg := resolve(c, m)
 	procPairs, threads := 1, cfg.Pairs
 	if cfg.ProcessMode {
 		procPairs, threads = cfg.Pairs, 1
-		cfg.NumInstances = 1 // one process, one thread, one context
+		cfg.Opts.NumInstances = 1 // one process, one thread, one context
 	}
 	env := sim.NewEnv()
 	// Every process of a node injects through the node's one wire.
@@ -39,7 +41,7 @@ func RunMultirate(cfg Config) Result {
 	procs := make([]*simProc, 2*procPairs)
 	sides := [2][]*simProc{} // senders, receivers
 	for rank := range procs {
-		p := newSimProc(env, cfg, wires[rank%2], cfg.NumInstances)
+		p := newSimProc(env, cfg, wires[rank%2])
 		// Rank stamping and (optionally) the virtual-time flight recorder
 		// must precede communicator and thread creation, which bind their
 		// rings.
@@ -116,13 +118,13 @@ func RunMultirate(cfg Config) Result {
 	res.Dumps = dumps
 	now := int64(makespan)
 	for _, p := range procs {
-		if cfg.FlightCapacity > 0 {
+		if cfg.Opts.FlightCapacity > 0 {
 			res.Flight = append(res.Flight, p.flightRecord())
 		}
-		if cfg.FlightCapacity > 0 || cfg.Watchdog != nil {
+		if cfg.Opts.FlightCapacity > 0 || cfg.Watchdog != nil {
 			res.Queues = append(res.Queues, p.queueSnapshot(now))
 		}
-		if cfg.Latency {
+		if cfg.Opts.Latency {
 			res.Latency = append(res.Latency, p.latencyDump())
 		}
 	}

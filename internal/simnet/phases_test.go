@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/bench/rmamt"
+	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/hw"
 	"repro/internal/prof"
@@ -30,8 +32,8 @@ func totals(b prof.RankSnapshot) (wall int64, phases prof.PhaseTotals, sum int64
 func TestBreakdownPhasesSumToWall(t *testing.T) {
 	for _, pm := range []progress.Mode{progress.Serial, progress.Concurrent} {
 		cfg := baseCfg(8)
-		cfg.Progress = pm
-		res := RunMultirate(cfg)
+		cfg.Opts.Progress = pm
+		res := RunMultirate(cfg, Model{})
 		if len(res.Breakdown) != 2 {
 			t.Fatalf("progress=%v: %d breakdowns, want 2", pm, len(res.Breakdown))
 		}
@@ -50,7 +52,7 @@ func TestBreakdownPhasesSumToWall(t *testing.T) {
 func TestBreakdownProcessModePhasesSumToWall(t *testing.T) {
 	cfg := baseCfg(4)
 	cfg.ProcessMode = true
-	res := RunMultirate(cfg)
+	res := RunMultirate(cfg, Model{})
 	for _, b := range res.Breakdown {
 		if wall, _, got := totals(b); got != wall || wall <= 0 {
 			t.Errorf("rank %d: phases sum %d, wall %d", b.Rank, got, wall)
@@ -79,11 +81,11 @@ func aggLockShare(res Result) float64 {
 func TestSerialProgressAttributesMoreLockWait(t *testing.T) {
 	run := func(pm progress.Mode) Result {
 		cfg := baseCfg(8)
-		cfg.NumInstances = 8
-		cfg.Assignment = cri.Dedicated
+		cfg.Opts.NumInstances = 8
+		cfg.Opts.Assignment = cri.Dedicated
 		cfg.CommPerPair = true
-		cfg.Progress = pm
-		return RunMultirate(cfg)
+		cfg.Opts.Progress = pm
+		return RunMultirate(cfg, Model{})
 	}
 	serial, conc := run(progress.Serial), run(progress.Concurrent)
 	ss, cs := aggLockShare(serial), aggLockShare(conc)
@@ -99,8 +101,8 @@ func TestSerialProgressAttributesMoreLockWait(t *testing.T) {
 	// instance lock.
 	runOne := func(pm progress.Mode) Result {
 		cfg := baseCfg(8)
-		cfg.Progress = pm
-		return RunMultirate(cfg)
+		cfg.Opts.Progress = pm
+		return RunMultirate(cfg, Model{})
 	}
 	s1, c1 := runOne(progress.Serial), runOne(progress.Concurrent)
 	senderShare := func(res Result) float64 {
@@ -121,9 +123,9 @@ func TestSerialProgressAttributesMoreLockWait(t *testing.T) {
 func TestBreakdownDeterministic(t *testing.T) {
 	run := func() []byte {
 		cfg := baseCfg(6)
-		cfg.Progress = progress.Concurrent
-		cfg.NumInstances = 4
-		res := RunMultirate(cfg)
+		cfg.Opts.Progress = progress.Concurrent
+		cfg.Opts.NumInstances = 4
+		res := RunMultirate(cfg, Model{})
 		reports := make([]prof.Report, len(res.Breakdown))
 		for i, b := range res.Breakdown {
 			reports[i] = prof.BuildReport(b.Rank, "test", 6, b.Snap)
@@ -144,8 +146,8 @@ func TestBreakdownDeterministic(t *testing.T) {
 // real runtime does, so reports are comparable across engines.
 func TestBreakdownSitesNamed(t *testing.T) {
 	cfg := baseCfg(4)
-	cfg.NumInstances = 2
-	res := RunMultirate(cfg)
+	cfg.Opts.NumInstances = 2
+	res := RunMultirate(cfg, Model{})
 	want := map[string]bool{"cri.instance": false, "progress.serial": false, "match.comm": false}
 	for _, b := range res.Breakdown {
 		for _, s := range b.Snap.Sites {
@@ -165,11 +167,11 @@ func TestBreakdownSitesNamed(t *testing.T) {
 // (The Haswell model, not hw.Fast(): Fast's RMA costs round to zero virtual
 // nanoseconds, which would make a zero wall time correct but vacuous.)
 func TestRMAMTBreakdown(t *testing.T) {
-	res := RunRMAMT(RMAMTConfig{
+	res := RunRMAMT(rmamt.Config{
 		Machine: hw.AlembertHaswell(), Threads: 4, MsgSize: 8,
 		PutsPerThread: 50, Rounds: 2,
-		Assignment: cri.Dedicated, Progress: progress.Concurrent,
-	})
+		Opts: core.Options{NumInstances: hw.AlembertHaswell().DefaultContexts, Assignment: cri.Dedicated, Progress: progress.Concurrent},
+	}, Model{})
 	if len(res.Breakdown) != 1 {
 		t.Fatalf("%d breakdowns, want 1", len(res.Breakdown))
 	}

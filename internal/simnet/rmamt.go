@@ -3,75 +3,28 @@ package simnet
 import (
 	"fmt"
 
-	"repro/internal/cri"
-	"repro/internal/hw"
+	"repro/internal/bench/multirate"
+	"repro/internal/bench/rmamt"
 	"repro/internal/prof"
 	"repro/internal/progress"
 	"repro/internal/sim"
 	"repro/internal/spc"
 )
 
-// RMAMTConfig describes one RMA-MT run (Dosanjh et al. [7]): Threads
-// threads on the origin process, each performing PutsPerThread MPI_Put
-// operations of MsgSize bytes followed by an MPI_Win_flush, repeated Rounds
-// times. InstanceMode selects the resource design under test.
-type RMAMTConfig struct {
-	// Machine supplies cost model, contexts, and link rate.
-	Machine hw.Machine
-	// Threads is the number of origin-side threads (1..32 Haswell,
-	// 1..64 KNL).
-	Threads int
-	// MsgSize is the put payload in bytes.
-	MsgSize int
-	// PutsPerThread per flush round (the benchmark uses 1000).
-	PutsPerThread int
-	// Rounds of put-burst + flush.
-	Rounds int
-	// NumInstances: 1 reproduces the "single" (red) curves; the machine
-	// default (one per core, 32/72) with Assignment selects
-	// dedicated/round-robin.
-	NumInstances int
-	// Assignment is the thread-to-instance strategy.
-	Assignment cri.Assignment
-	// Progress selects serial or concurrent progress for completion
-	// reaping during flush.
-	Progress progress.Mode
-}
-
-func (c RMAMTConfig) withDefaults() RMAMTConfig {
-	if c.PutsPerThread <= 0 {
-		c.PutsPerThread = 1000
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 4
-	}
-	if c.NumInstances <= 0 {
-		c.NumInstances = c.Machine.DefaultContexts
-	}
-	if max := c.Machine.MaxContexts; max > 0 && c.NumInstances > max {
-		c.NumInstances = max
-	}
-	return c
-}
-
 // RunRMAMT executes the RMA-MT put+flush workload on the model and returns
 // the achieved put rate. One-sided operations have no matching stage: each
 // put charges initiator CPU under the instance lock and reserves wire time;
 // flush drives the progress engine until the thread's outstanding
 // completions are reaped.
-func RunRMAMT(rc RMAMTConfig) Result {
-	rc = rc.withDefaults()
-	cfg := Config{
-		Machine:      rc.Machine,
-		NumInstances: rc.NumInstances,
-		Assignment:   rc.Assignment,
-		Progress:     rc.Progress,
-		MsgSize:      rc.MsgSize,
-	}.withDefaults()
+func RunRMAMT(rc rmamt.Config, m Model) Result {
+	rc = rc.WithDefaults()
+	// The origin is a proc like Multirate's: of the workload, only the
+	// design knobs and the put size apply to it.
+	cfg := resolve(multirate.Config{Machine: rc.Machine, Opts: rc.Opts, MsgSize: rc.MsgSize}, m)
 
 	env := sim.NewEnv()
 	wire := sim.NewWire(rc.Machine.LinkGbps, rc.Machine.MaxInjectionRate)
-	origin := newSimProc(env, cfg, wire, cfg.NumInstances)
+	origin := newSimProc(env, cfg, wire)
 
 	costs := origin.costs
 	for g := 0; g < rc.Threads; g++ {
@@ -142,7 +95,7 @@ func (t *simThread) flush(sp *sim.Proc) {
 				p.spcs.Inc(spc.ProgressTryLockFail)
 			}
 		}
-		if p.cfg.Progress == progress.Serial {
+		if p.cfg.Opts.Progress == progress.Serial {
 			// The serialized opal_progress tick every flush round.
 			if p.progLock.TryAcquire(sp) {
 				sp.Advance(p.costs.CQPollEmpty)

@@ -4,6 +4,9 @@
 // (Algorithm 2), per-communicator matching via the shared match.Engine, the
 // NIC wire cap, and both benchmark workloads (Multirate pairwise and
 // RMA-MT). All Figures 3-7 and Table II are regenerated from this model.
+// It runs the configuration the runtime's harnesses take (multirate.Config,
+// rmamt.Config, core.Options under their Opts), normalized with their own
+// defaults; Model holds only what the runtime has no mechanism for.
 //
 // The model and the real runtime (internal/core) share the matching engine,
 // the cost model, the SPC counters and the observers — the phase clock, the
@@ -18,6 +21,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bench/multirate"
+	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/flight"
 	"repro/internal/hw"
@@ -42,49 +47,19 @@ const lockPenalty = 120 * time.Nanosecond
 // that is smaller.
 const ackBatch = 64
 
-// Config describes one simulated experiment configuration.
-type Config struct {
-	// Machine supplies the cost model, core counts, and link rate.
-	Machine hw.Machine
-	// Pairs is the number of communication pairs (Multirate) — threads or
-	// processes per side depending on ProcessMode.
-	Pairs int
-	// Window is the number of outstanding messages per iteration (the
-	// paper uses 128).
-	Window int
-	// Iters is the number of window iterations per pair.
-	Iters int
-	// MsgSize is the payload size in bytes (0 = envelope only).
-	MsgSize int
-	// NumInstances is the number of CRIs per process (1 in process mode).
-	NumInstances int
-	// Assignment is the thread-to-instance strategy.
-	Assignment cri.Assignment
-	// Progress selects the serial or concurrent progress engine.
-	Progress progress.Mode
-	// CommPerPair gives every pair a private communicator (Fig. 3c).
-	CommPerPair bool
-	// AllowOvertaking asserts the overtaking info key (Fig. 4).
-	AllowOvertaking bool
-	// AnyTagRecv posts receives with the wildcard tag (Fig. 4).
-	AnyTagRecv bool
-	// ProcessMode maps each pair to its own process with private
-	// resources (the process-per-core baseline of Fig. 5).
-	ProcessMode bool
+// Model holds what the model simulates that the runtime has no mechanism
+// for. Everything else it reads from the configuration the runtime's
+// harness takes (multirate.Config, rmamt.Config): the design knobs from
+// Opts, the workload and its assertions from the configuration itself, all
+// on virtual time. Opts.TraceWire charges the trace extension's header
+// bytes on the virtual wire; Opts.FlightCapacity and Opts.Latency observe
+// without charging time, so the makespan does not move with them;
+// NoWildcards gives each match shard its own virtual lock; Faults costs a
+// dropped packet one backed-off retransmission timeout per attempt.
+type Model struct {
 	// BigLock wraps every runtime entry (send, progress, match) in one
 	// process-wide lock — the worst-case comparator design.
 	BigLock bool
-	// NoWildcards mirrors a communicator asserting no wildcards
-	// (core.Info.NoWildcards): matching runs on the runtime's sharded
-	// engine (match.Sharded, match.DefaultShards partitions by (source,
-	// tag)) and each partition gets its own virtual-time lock, so traffic
-	// on distinct shards stops contending. Deterministic: the partition
-	// function is the engine's own ShardOf. AnyTagRecv is refused
-	// (Validate).
-	NoWildcards bool
-	// QueueDepth bounds each instance's inbound queue (0 = 4096); senders
-	// stall when the remote queue is full (hardware back-pressure).
-	QueueDepth int
 	// Credits bounds a sender thread's unmatched eager messages to its
 	// peer (0 = 4096), modeling the per-peer flow control every eager BTL
 	// implements. Without it a sender could run arbitrarily far ahead of
@@ -102,111 +77,64 @@ type Config struct {
 	// threads inject out of sequence order — the paper's out-of-sequence
 	// storm. Deterministic per-thread LCG keeps runs reproducible.
 	SendJitter time.Duration
-	// Faults is the faulty wire's adversary on virtual time, in the runtime's
-	// own terms: a dropped packet costs its sender one backed-off
-	// retransmission timeout per attempt before the delivery that finally
-	// survives; a duplicate copy is discarded by the matching layer's dedup;
-	// a delayed packet is held for DelayDur of virtual time. Seed seeds the
-	// deterministic per-thread fault RNGs. The model has no scrambler:
-	// Validate refuses a ScrambleWindow.
-	Faults transport.FaultConfig
-	// Traced models the trace-context wire extension being on: every eager
-	// packet carries TraceExtSize extra header bytes, mirroring the real
-	// runtime's flag-gated framing on the virtual wire so the extension's
-	// bandwidth cost is measurable deterministically.
-	Traced bool
-	// FlightCapacity attaches a virtual-time flight recorder with this
-	// per-ring event capacity (0 = off). Recording advances no virtual
-	// time, so a flight-enabled run reproduces the flight-off makespan
-	// exactly.
-	FlightCapacity int
-	// Latency attaches the critical-path attribution layer (internal/latency)
-	// on virtual time: every message's lifecycle stages are stamped from the
-	// deterministic schedule and folded into per-stage histograms plus the
-	// tail-exemplar reservoir (Result.Latency). Observation only — no virtual
-	// time is charged and no wire bytes are added (unlike Traced), so a
-	// latency-enabled run reproduces the latency-off makespan exactly and the
-	// dumps are byte-reproducible.
-	Latency bool
 	// Watchdog, when non-nil, runs the virtual-time stall watchdog with
 	// this detector configuration on every proc; verdict dumps land in
 	// Result.Dumps in deterministic order.
 	Watchdog *flight.DetectorConfig
-	// SampleInterval, when positive, is the virtual period at which each
-	// proc's one sampler thread takes the watchdog's observation: the
-	// samples land in Result.Series and, with Watchdog set, feed its
-	// detector (which samples every millisecond when this is zero: virtual
-	// sampling is free, so far more often than the real watchdog's 100ms).
-	// With both unset nothing samples and the run is byte-identical to one
-	// before sampling existed.
-	SampleInterval time.Duration
-	// StallRecv injects a fault for watchdog acceptance tests: pair 0's
-	// receiver thread goes quiet — no posting, no progress — for this much
-	// virtual time (0 = no injection).
-	StallRecv time.Duration
-	// StallAfterIter is the window iteration whose posted receives the
-	// injected stall follows (receives are posted, then the receiver
-	// stalls before extracting completions).
-	StallAfterIter int
 }
 
-// Validate reports a configuration the model refuses to run: no pairs,
-// wildcard-tag receives on communicators asserting no wildcards — the error
-// the runtime's Irecv returns for the same receive — or a scrambled wire,
-// which the model does not implement.
-func (c Config) Validate() error {
-	if c.Pairs <= 0 {
-		return errors.New("simnet: Pairs must be positive")
-	}
-	if c.NoWildcards && c.AnyTagRecv {
+// Validate reports a configuration the model refuses to run: a pattern, a
+// world size or a stall rank it does not model, wildcard-tag receives on
+// communicators asserting no wildcards — the error the runtime's Irecv
+// returns for the same receive — or a scrambled wire, which the model does
+// not implement.
+func Validate(cfg multirate.Config) error {
+	switch {
+	case cfg.Pattern != multirate.Pairwise:
+		return fmt.Errorf("simnet: the model runs the pairwise pattern only (Pattern %v)", cfg.Pattern)
+	case cfg.WorldSize != 0:
+		return errors.New("simnet: the model runs in one process (WorldSize must be 0)")
+	case cfg.StallRank != 0:
+		return errors.New("simnet: the model stalls pair 0's receiver (StallRank must be 0)")
+	case cfg.NoWildcards && cfg.AnyTag:
 		return match.RefuseWildcard(0, match.AnyTag)
-	}
-	if c.Faults.ScrambleWindow != 0 {
+	case cfg.Faults.ScrambleWindow != 0:
 		return errors.New("simnet: the model has no scrambler (Faults.ScrambleWindow must be 0)")
 	}
 	return nil
 }
 
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 128
-	}
-	if c.Iters <= 0 {
-		c.Iters = 8
-	}
-	if c.NumInstances <= 0 {
-		c.NumInstances = 1
-	}
-	if max := c.Machine.MaxContexts; max > 0 && c.NumInstances > max {
-		c.NumInstances = max
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
-	}
-	if c.Credits <= 0 {
-		c.Credits = 4096
-	}
-	if c.SendJitter <= 0 {
-		c.SendJitter = time.Duration(600 * c.Machine.SpeedFactor * float64(time.Nanosecond))
-	}
-	if c.SleepPenalty <= 0 {
-		c.SleepPenalty = time.Duration(2000 * c.Machine.SpeedFactor * float64(time.Nanosecond))
-	}
-	c.Faults = c.Faults.WithDefaults()
-	return c
+// params is one run's normalized configuration: the harness's, with the
+// runtime's own defaults applied, beside the model's.
+type params struct {
+	multirate.Config
+	Model
 }
 
-// simRTO and simRetryBudget mirror core.DefaultRetransmitTimeout and
-// core.DefaultRetryBudget — the only timeout and budget the real runtime's
-// reliability layer uses — without importing it.
-const (
-	simRTO         = time.Millisecond
-	simRetryBudget = 10
-)
+// resolve normalizes cfg with the harness's and core's defaults and m with
+// the model's.
+func resolve(cfg multirate.Config, m Model) params {
+	cfg = cfg.WithDefaults()
+	// Core's Latency implies TraceWire; the model's adds no wire bytes.
+	traced := cfg.Opts.TraceWire
+	cfg.Opts = cfg.Opts.WithDefaults(cfg.Machine)
+	cfg.Opts.TraceWire = traced
+	cfg.Faults = cfg.Faults.WithDefaults()
+	if m.Credits <= 0 {
+		m.Credits = 4096
+	}
+	if m.SendJitter <= 0 {
+		m.SendJitter = time.Duration(600 * cfg.Machine.SpeedFactor * float64(time.Nanosecond))
+	}
+	if m.SleepPenalty <= 0 {
+		m.SleepPenalty = time.Duration(2000 * cfg.Machine.SpeedFactor * float64(time.Nanosecond))
+	}
+	return params{cfg, m}
+}
 
 // newLock builds a virtual-time lock with the configuration's contention
 // model applied.
-func (c Config) newLock(env *sim.Env, name string) *sim.Lock {
+func (c params) newLock(env *sim.Env, name string) *sim.Lock {
 	l := sim.NewLock(env, name, time.Duration(float64(lockPenalty)*c.Machine.SpeedFactor))
 	l.SleepPenalty = c.SleepPenalty
 	return l
@@ -231,7 +159,7 @@ type Result struct {
 	// report every real-engine breakdown output renders.
 	Breakdown []prof.RankSnapshot
 	// Flight holds each rank's merged flight record when
-	// Config.FlightCapacity is set, in rank order.
+	// Opts.FlightCapacity is set, in rank order.
 	Flight []flight.RankRecord
 	// Queues holds each rank's final queue-introspection snapshot when the
 	// recorder or watchdog is on, in rank order.
@@ -240,13 +168,13 @@ type Result struct {
 	// bytes on every run of the same configuration.
 	Dumps []flight.Dump
 	// Series holds what each rank's sampler saw — one slice of samples per
-	// rank, in rank order — when Config.SampleInterval or Config.Watchdog
+	// rank, in rank order — when SampleInterval or Model.Watchdog
 	// turned it on: deterministic input for a flight.Detector shown several
 	// ranks at once, which lets cross-rank verdicts be asserted without a
 	// live cluster.
 	Series [][]flight.Sample
 	// Latency holds each rank's critical-path attribution dump when
-	// Config.Latency is set, in rank order — byte-reproducible across runs
+	// Opts.Latency is set, in rank order — byte-reproducible across runs
 	// of the same configuration.
 	Latency []latency.RankDump
 }
@@ -308,7 +236,7 @@ type simComm struct {
 	id    uint32
 	lock  *sim.Lock
 	meter threadMeter
-	// sharded is set (aliasing engine) under Config.NoWildcards; matching
+	// sharded is set (aliasing engine) under NoWildcards; matching
 	// then synchronizes on shardLocks — one virtual lock per partition —
 	// instead of lock.
 	sharded    *match.Sharded
@@ -326,7 +254,7 @@ type simProc struct {
 	finished int
 	nWork    int
 
-	cfg       Config
+	cfg       params
 	costs     hw.CostModel
 	env       *sim.Env
 	instances []*simInstance
@@ -355,7 +283,7 @@ type simProc struct {
 	flight   *flight.Recorder
 	flightSP *sim.Proc
 	// lat is the real runtime's critical-path attribution recorder, fed
-	// virtual-time stamps (Config.Latency; nil-safe). Observation only:
+	// virtual-time stamps (Opts.Latency; nil-safe). Observation only:
 	// recording never advances the clock.
 	lat *latency.Recorder
 	// prof holds the workload threads' phase clocks, which read their
@@ -371,7 +299,7 @@ type simProc struct {
 	memSerial *sim.Wire
 }
 
-func newSimProc(env *sim.Env, cfg Config, wire *sim.Wire, instances int) *simProc {
+func newSimProc(env *sim.Env, cfg params, wire *sim.Wire) *simProc {
 	p := &simProc{
 		cfg:      cfg,
 		costs:    cfg.Machine.Scaled(),
@@ -386,19 +314,20 @@ func newSimProc(env *sim.Env, cfg Config, wire *sim.Wire, instances int) *simPro
 	if cfg.BigLock {
 		p.bigLock = cfg.newLock(env, "biglock")
 	}
-	if cfg.Latency {
+	if cfg.Opts.Latency {
 		p.lat = latency.NewRecorder(latency.DefaultExemplars)
 	}
 	if alloc := p.costs.AllocSerialize; alloc > 0 {
 		p.memSerial = sim.NewWire(0, 1e9/float64(alloc.Nanoseconds()))
 	}
+	instances := cfg.Opts.NumInstances
 	for i := 0; i < instances; i++ {
 		p.instances = append(p.instances, &simInstance{
 			index: i,
 			lock:  cfg.newLock(env, "instance"),
 		})
 	}
-	if cfg.Assignment == cri.FreeList {
+	if cfg.Opts.Assignment == cri.FreeList {
 		for i := instances - 1; i >= 0; i-- {
 			p.freeList = append(p.freeList, i)
 		}
@@ -444,7 +373,7 @@ func (p *simProc) noteConn(dst *simProc, inst int) {
 // instanceFor with a no-op release. The caller then takes the instance's
 // lock, as AcquireSend does.
 func (p *simProc) acquireSendInstance(ts *cri.ThreadState) (*simInstance, func()) {
-	if p.cfg.Assignment == cri.FreeList {
+	if p.cfg.Opts.Assignment == cri.FreeList {
 		if n := len(p.freeList); n > 0 {
 			i := p.freeList[n-1]
 			p.freeList = p.freeList[:n-1]
@@ -473,7 +402,7 @@ func (p *simProc) addComm(id uint32, nRanks int) *simComm {
 		id:     id,
 		lock:   p.cfg.newLock(p.env, "match"),
 		seq:    match.NewSeqTracker(nRanks),
-		anyTag: p.cfg.AnyTagRecv,
+		anyTag: p.cfg.AnyTag,
 	}
 	if p.cfg.NoWildcards {
 		sh := match.NewSharded(id, nRanks, match.DefaultShards, p.costs, &c.meter, p.spcs)
@@ -486,7 +415,7 @@ func (p *simProc) addComm(id uint32, nRanks int) *simComm {
 	} else {
 		c.engine = match.NewEngine(id, nRanks, p.costs, &c.meter, p.spcs)
 	}
-	c.engine.SetAllowOvertaking(p.cfg.AllowOvertaking)
+	c.engine.SetAllowOvertaking(p.cfg.Overtaking)
 	// The matching lock serializes the engine, so one ring per comm; the
 	// recorder's clock-holder gives the events virtual timestamps.
 	c.engine.BindFlight(p.flight.NewRing(fmt.Sprintf("rank%d/comm%d", p.frank, id)))
@@ -515,7 +444,7 @@ func (p *simProc) nextRR() int {
 
 // instanceFor applies the assignment strategy (Algorithm 1).
 func (p *simProc) instanceFor(ts *cri.ThreadState) *simInstance {
-	if p.cfg.Assignment == cri.Dedicated {
+	if p.cfg.Opts.Assignment == cri.Dedicated {
 		if ts.Dedicated() < 0 {
 			// First use: assign round-robin and cache (the TLS write).
 			*ts = cri.NewThreadState(p.nextRR())
@@ -616,8 +545,8 @@ func (t *simThread) faultFate(sp *sim.Proc) (delay time.Duration, copies int) {
 	p := t.proc
 	cfg := &p.cfg.Faults
 	copies = 1
-	rto := simRTO
-	for attempt := 0; attempt <= simRetryBudget; attempt++ {
+	rto := core.DefaultRetransmitTimeout
+	for attempt := 0; attempt <= core.DefaultRetryBudget; attempt++ {
 		if t.faultRoll() >= cfg.Drop {
 			break
 		}
@@ -740,7 +669,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	}
 	sp.Advance(p.costs.SendInject)
 	header := transport.EnvelopeSize
-	if p.cfg.Traced {
+	if p.cfg.Opts.TraceWire {
 		header += transport.TraceExtSize
 	}
 	t.clk.Begin(prof.PhaseWire)
@@ -748,7 +677,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 
 	remote := dst.instances[inst.index%len(dst.instances)]
 	// Hardware back-pressure: stall while the remote receive queue is full.
-	for len(remote.rxQ) >= p.cfg.QueueDepth {
+	for len(remote.rxQ) >= p.cfg.Opts.QueueDepth {
 		sp.Advance(retryCost)
 		sp.Yield()
 	}
@@ -838,7 +767,7 @@ func (t *simThread) progressPass(sp *sim.Proc) int {
 		t.clk.End()
 		defer p.bigLock.Release(sp)
 	}
-	if p.cfg.Progress == progress.Serial {
+	if p.cfg.Opts.Progress == progress.Serial {
 		if !p.progLock.TryAcquire(sp) {
 			p.spcs.Inc(spc.ProgressTryLockFail)
 			return 0

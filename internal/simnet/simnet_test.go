@@ -3,14 +3,17 @@ package simnet
 import (
 	"testing"
 
+	"repro/internal/bench/multirate"
+	"repro/internal/bench/rmamt"
+	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/hw"
 	"repro/internal/progress"
 	"repro/internal/spc"
 )
 
-func baseCfg(pairs int) Config {
-	return Config{
+func baseCfg(pairs int) multirate.Config {
+	return multirate.Config{
 		Machine: hw.AlembertHaswell(),
 		Pairs:   pairs,
 		Window:  64,
@@ -20,7 +23,7 @@ func baseCfg(pairs int) Config {
 
 func TestMultirateCompletesAndCounts(t *testing.T) {
 	cfg := baseCfg(2)
-	res := RunMultirate(cfg)
+	res := RunMultirate(cfg, Model{})
 	want := int64(2 * 64 * 4)
 	if res.Messages != want {
 		t.Fatalf("Messages = %d, want %d", res.Messages, want)
@@ -35,8 +38,8 @@ func TestMultirateCompletesAndCounts(t *testing.T) {
 
 func TestMultirateDeterministic(t *testing.T) {
 	cfg := baseCfg(4)
-	a := RunMultirate(cfg)
-	b := RunMultirate(cfg)
+	a := RunMultirate(cfg, Model{})
+	b := RunMultirate(cfg, Model{})
 	if a.Makespan != b.Makespan {
 		t.Fatalf("nondeterministic makespan: %v vs %v", a.Makespan, b.Makespan)
 	}
@@ -51,12 +54,12 @@ func TestDedicatedInstancesBeatSingleInstance(t *testing.T) {
 	// pairs, window 128).
 	single := baseCfg(20)
 	single.Window = 128
-	single.NumInstances = 1
+	single.Opts.NumInstances = 1
 	multi := baseCfg(20)
 	multi.Window = 128
-	multi.NumInstances = 20
-	multi.Assignment = cri.Dedicated
-	rs, rm := RunMultirate(single), RunMultirate(multi)
+	multi.Opts.NumInstances = 20
+	multi.Opts.Assignment = cri.Dedicated
+	rs, rm := RunMultirate(single, Model{}), RunMultirate(multi, Model{})
 	if rm.Rate <= rs.Rate {
 		t.Fatalf("dedicated (%.0f msg/s) did not beat single instance (%.0f msg/s)", rm.Rate, rs.Rate)
 	}
@@ -66,12 +69,12 @@ func TestConcurrentProgressHurtsOnSharedComm(t *testing.T) {
 	// Fig. 3b: concurrent progress with a single communicator must NOT
 	// beat serial progress — the matching lock funnels everything.
 	serial := baseCfg(16)
-	serial.NumInstances = 16
-	serial.Assignment = cri.Dedicated
-	serial.Progress = progress.Serial
+	serial.Opts.NumInstances = 16
+	serial.Opts.Assignment = cri.Dedicated
+	serial.Opts.Progress = progress.Serial
 	conc := serial
-	conc.Progress = progress.Concurrent
-	rs, rc := RunMultirate(serial), RunMultirate(conc)
+	conc.Opts.Progress = progress.Concurrent
+	rs, rc := RunMultirate(serial, Model{}), RunMultirate(conc, Model{})
 	if rc.Rate > rs.Rate*1.15 {
 		t.Fatalf("concurrent progress (%.0f) substantially beat serial (%.0f) on a shared communicator", rc.Rate, rs.Rate)
 	}
@@ -87,11 +90,11 @@ func TestCommPerPairUnlocksConcurrentMatching(t *testing.T) {
 	// must clearly beat the stock configuration.
 	stock := baseCfg(16)
 	best := baseCfg(16)
-	best.NumInstances = 16
-	best.Assignment = cri.Dedicated
-	best.Progress = progress.Concurrent
+	best.Opts.NumInstances = 16
+	best.Opts.Assignment = cri.Dedicated
+	best.Opts.Progress = progress.Concurrent
 	best.CommPerPair = true
-	r0, r1 := RunMultirate(stock), RunMultirate(best)
+	r0, r1 := RunMultirate(stock, Model{}), RunMultirate(best, Model{})
 	if r1.Rate < r0.Rate*2 {
 		t.Fatalf("concurrent matching (%.0f) not >= 2x stock (%.0f)", r1.Rate, r0.Rate)
 	}
@@ -101,12 +104,12 @@ func TestOOSCollapsesWithCommPerPairAndDedicated(t *testing.T) {
 	// Table II: shared comm -> massive OOS; comm-per-pair with one
 	// instance per pair -> zero OOS.
 	shared := baseCfg(8)
-	shared.NumInstances = 8
-	shared.Assignment = cri.Dedicated
-	shared.Progress = progress.Concurrent
+	shared.Opts.NumInstances = 8
+	shared.Opts.Assignment = cri.Dedicated
+	shared.Opts.Progress = progress.Concurrent
 	perPair := shared
 	perPair.CommPerPair = true
-	rs, rp := RunMultirate(shared), RunMultirate(perPair)
+	rs, rp := RunMultirate(shared, Model{}), RunMultirate(perPair, Model{})
 	if pct := rs.SPCs.OutOfSequencePercent(); pct < 20 {
 		t.Fatalf("shared-comm OOS%% = %.1f, want large", pct)
 	}
@@ -117,11 +120,11 @@ func TestOOSCollapsesWithCommPerPairAndDedicated(t *testing.T) {
 
 func TestOvertakingEliminatesOOS(t *testing.T) {
 	cfg := baseCfg(8)
-	cfg.NumInstances = 8
-	cfg.Assignment = cri.Dedicated
-	cfg.AllowOvertaking = true
-	cfg.AnyTagRecv = true
-	res := RunMultirate(cfg)
+	cfg.Opts.NumInstances = 8
+	cfg.Opts.Assignment = cri.Dedicated
+	cfg.Overtaking = true
+	cfg.AnyTag = true
+	res := RunMultirate(cfg, Model{})
 	if got := res.SPCs.Get(spc.OutOfSequence); got != 0 {
 		t.Fatalf("overtaking OOS = %d, want 0", got)
 	}
@@ -135,7 +138,7 @@ func TestProcessModeBeatsThreadMode(t *testing.T) {
 	thread := baseCfg(8)
 	proc := baseCfg(8)
 	proc.ProcessMode = true
-	rt, rp := RunMultirate(thread), RunMultirate(proc)
+	rt, rp := RunMultirate(thread, Model{}), RunMultirate(proc, Model{})
 	if rp.Rate <= rt.Rate {
 		t.Fatalf("process mode (%.0f) did not beat thread mode (%.0f)", rp.Rate, rt.Rate)
 	}
@@ -146,11 +149,9 @@ func TestBigLockClustersWithStock(t *testing.T) {
 	// locks or one big lock — cluster similarly poorly, far below process
 	// mode.
 	stock := baseCfg(8)
-	big := baseCfg(8)
-	big.BigLock = true
 	proc := baseCfg(8)
 	proc.ProcessMode = true
-	rs, rb, rp := RunMultirate(stock), RunMultirate(big), RunMultirate(proc)
+	rs, rb, rp := RunMultirate(stock, Model{}), RunMultirate(stock, Model{BigLock: true}), RunMultirate(proc, Model{})
 	if rb.Rate > rs.Rate*1.5 || rs.Rate > rb.Rate*3 {
 		t.Fatalf("big-lock (%.0f) and stock (%.0f) do not cluster", rb.Rate, rs.Rate)
 	}
@@ -160,7 +161,7 @@ func TestBigLockClustersWithStock(t *testing.T) {
 }
 
 func TestSinglePairSane(t *testing.T) {
-	res := RunMultirate(baseCfg(1))
+	res := RunMultirate(baseCfg(1), Model{})
 	// One pair on Haswell should land in the paper's ballpark
 	// (hundreds of K to a few M msg/s).
 	if res.Rate < 1e5 || res.Rate > 3e7 {
@@ -169,51 +170,51 @@ func TestSinglePairSane(t *testing.T) {
 }
 
 func TestRMAMTDedicatedScales(t *testing.T) {
-	base := RMAMTConfig{
+	base := rmamt.Config{
 		Machine:       hw.TrinititeHaswell(),
 		Threads:       1,
 		MsgSize:       1,
 		PutsPerThread: 200,
 		Rounds:        2,
-		Assignment:    cri.Dedicated,
+		Opts:          core.Options{NumInstances: hw.TrinititeHaswell().DefaultContexts, Assignment: cri.Dedicated},
 	}
-	r1 := RunRMAMT(base)
+	r1 := RunRMAMT(base, Model{})
 	base.Threads = 8
-	r8 := RunRMAMT(base)
+	r8 := RunRMAMT(base, Model{})
 	if r8.Rate < r1.Rate*4 {
 		t.Fatalf("dedicated RMA did not scale: 1T %.0f vs 8T %.0f", r1.Rate, r8.Rate)
 	}
 }
 
 func TestRMAMTSingleInstanceFlat(t *testing.T) {
-	base := RMAMTConfig{
+	base := rmamt.Config{
 		Machine:       hw.TrinititeHaswell(),
 		Threads:       1,
 		MsgSize:       1,
 		PutsPerThread: 200,
 		Rounds:        2,
-		NumInstances:  1,
+		Opts:          core.Options{NumInstances: 1},
 	}
-	r1 := RunRMAMT(base)
+	r1 := RunRMAMT(base, Model{})
 	base.Threads = 16
-	r16 := RunRMAMT(base)
+	r16 := RunRMAMT(base, Model{})
 	if r16.Rate > r1.Rate*2 {
 		t.Fatalf("single-instance RMA scaled unexpectedly: 1T %.0f vs 16T %.0f", r1.Rate, r16.Rate)
 	}
 }
 
 func TestRMAMTDedicatedBeatsRoundRobin(t *testing.T) {
-	cfg := RMAMTConfig{
+	cfg := rmamt.Config{
 		Machine:       hw.TrinititeHaswell(),
 		Threads:       16,
 		MsgSize:       128,
 		PutsPerThread: 200,
 		Rounds:        2,
-		Assignment:    cri.Dedicated,
+		Opts:          core.Options{NumInstances: hw.TrinititeHaswell().DefaultContexts, Assignment: cri.Dedicated},
 	}
-	rd := RunRMAMT(cfg)
-	cfg.Assignment = cri.RoundRobin
-	rr := RunRMAMT(cfg)
+	rd := RunRMAMT(cfg, Model{})
+	cfg.Opts.Assignment = cri.RoundRobin
+	rr := RunRMAMT(cfg, Model{})
 	if rd.Rate <= rr.Rate {
 		t.Fatalf("dedicated (%.0f) did not beat round-robin (%.0f)", rd.Rate, rr.Rate)
 	}
@@ -221,15 +222,15 @@ func TestRMAMTDedicatedBeatsRoundRobin(t *testing.T) {
 
 func TestRMAMTLargeSizeBandwidthBound(t *testing.T) {
 	m := hw.TrinititeHaswell()
-	cfg := RMAMTConfig{
+	cfg := rmamt.Config{
 		Machine:       m,
 		Threads:       32,
 		MsgSize:       16384,
 		PutsPerThread: 100,
 		Rounds:        2,
-		Assignment:    cri.Dedicated,
+		Opts:          core.Options{NumInstances: m.DefaultContexts, Assignment: cri.Dedicated},
 	}
-	res := RunRMAMT(cfg)
+	res := RunRMAMT(cfg, Model{})
 	peak := m.PeakMessageRate(16384)
 	if res.Rate > peak*1.05 {
 		t.Fatalf("rate %.0f exceeds theoretical peak %.0f", res.Rate, peak)
@@ -240,15 +241,15 @@ func TestRMAMTLargeSizeBandwidthBound(t *testing.T) {
 }
 
 func TestRMAMTCountsPuts(t *testing.T) {
-	cfg := RMAMTConfig{
+	cfg := rmamt.Config{
 		Machine:       hw.TrinititeKNL(),
 		Threads:       4,
 		MsgSize:       8,
 		PutsPerThread: 50,
 		Rounds:        3,
-		Assignment:    cri.Dedicated,
+		Opts:          core.Options{NumInstances: hw.TrinititeKNL().DefaultContexts, Assignment: cri.Dedicated},
 	}
-	res := RunRMAMT(cfg)
+	res := RunRMAMT(cfg, Model{})
 	if res.Messages != 4*50*3 {
 		t.Fatalf("Messages = %d, want %d", res.Messages, 4*50*3)
 	}

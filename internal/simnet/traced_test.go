@@ -3,6 +3,7 @@ package simnet
 import (
 	"testing"
 
+	"repro/internal/bench/multirate"
 	"repro/internal/hw"
 )
 
@@ -10,13 +11,13 @@ import (
 // exactly like it does on the real one: a traced sweep is deterministically
 // reproducible and never faster than the untraced twin.
 func TestTracedWireCost(t *testing.T) {
-	base := Config{Machine: hw.Fast(), Pairs: 4, Window: 32, Iters: 4, MsgSize: 64}
+	base := multirate.Config{Machine: hw.Fast(), Pairs: 4, Window: 32, Iters: 4, MsgSize: 64}
 
-	plain := RunMultirate(base)
+	plain := RunMultirate(base, Model{})
 	traced := base
-	traced.Traced = true
-	on := RunMultirate(traced)
-	on2 := RunMultirate(traced)
+	traced.Opts.TraceWire = true
+	on := RunMultirate(traced, Model{})
+	on2 := RunMultirate(traced, Model{})
 
 	if on.Makespan != on2.Makespan || on.Messages != on2.Messages {
 		t.Fatalf("traced run not deterministic: %v/%d vs %v/%d",

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench/multirate"
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/hw"
 )
@@ -12,15 +14,14 @@ import (
 // stallConfig injects a receiver stall the watchdog must catch: one pair,
 // with the receiver leaving a freshly posted window unserviced for 50ms of
 // virtual time.
-func stallConfig() Config {
-	return Config{
+func stallConfig() (multirate.Config, Model) {
+	return multirate.Config{
 		Machine: hw.Fast(), Pairs: 1, Window: 64, Iters: 4,
-		FlightCapacity: 2048,
-		Watchdog:       &flight.DetectorConfig{StallAfter: 5 * time.Millisecond},
+		Opts:           core.Options{FlightCapacity: 2048},
 		SampleInterval: time.Millisecond,
 		StallRecv:      50 * time.Millisecond,
 		StallAfterIter: 2,
-	}
+	}, Model{Watchdog: &flight.DetectorConfig{StallAfter: 5 * time.Millisecond}}
 }
 
 // An injected receiver stall must produce a watchdog dump that names the
@@ -103,11 +104,11 @@ func TestSimWatchdogDeterminism(t *testing.T) {
 // flight-off makespan and counters exactly, which is why the committed
 // model artifacts do not depend on whether the recorder ran.
 func TestSimFlightRecordingIsTimeNeutral(t *testing.T) {
-	base := Config{Machine: hw.Fast(), Pairs: 4, Window: 64, Iters: 4}
-	off := RunMultirate(base)
+	base := multirate.Config{Machine: hw.Fast(), Pairs: 4, Window: 64, Iters: 4}
+	off := RunMultirate(base, Model{})
 	on := base
-	on.FlightCapacity = 1024
-	got := RunMultirate(on)
+	on.Opts.FlightCapacity = 1024
+	got := RunMultirate(on, Model{})
 	if got.Makespan != off.Makespan {
 		t.Fatalf("flight recording changed makespan: %v vs %v", got.Makespan, off.Makespan)
 	}
@@ -121,9 +122,9 @@ func TestSimFlightRecordingIsTimeNeutral(t *testing.T) {
 
 // A healthy run must not fire the watchdog.
 func TestSimWatchdogQuietOnHealthyRun(t *testing.T) {
-	cfg := stallConfig()
+	cfg, m := stallConfig()
 	cfg.StallRecv = 0
-	res := RunMultirate(cfg)
+	res := RunMultirate(cfg, m)
 	if len(res.Dumps) != 0 {
 		t.Fatalf("healthy run fired %d watchdog dumps; first: %+v", len(res.Dumps), res.Dumps[0].Verdict)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bench/cliobs"
 	benchmr "repro/internal/bench/multirate"
+	benchrma "repro/internal/bench/rmamt"
 	"repro/internal/core"
 	"repro/internal/simnet"
 )
@@ -151,60 +152,101 @@ func testSource(path, fn string) (string, bool) {
 	return "", false
 }
 
-// modelOnly names the simnet.Config fields that select a mechanism the
+// modelOnly names the simnet.Model fields that select a mechanism the
 // runtime does not have: the IMPI Thread comparator's global lock, eager
 // credits until the runtime ports flow control (ROADMAP item 4), and the two
 // contention knobs the ablations sweep. The model runs only what the
 // runtime runs; a field added to this list is a design argued for here.
 var modelOnly = map[string]bool{"BigLock": true, "Credits": true, "SleepPenalty": true, "SendJitter": true}
 
-// modelCounterparts are the runtime-side types a simnet.Config row may name:
-// a workload parameter is a field of the harness or command configuration
-// the real engine's run takes from the same flag; a mirror is an Options
-// field or Info assertion of the runtime itself.
-var modelCounterparts = map[string]map[string]reflect.Type{
-	"workload": {"multirate.Config": reflect.TypeOf(benchmr.Config{}), "cliobs.Flags": reflect.TypeOf(cliobs.Flags{})},
-	"mirror":   {"core.Options": reflect.TypeOf(core.Options{}), "core.Info": reflect.TypeOf(core.Info{})},
+// harnessConfigs are the configurations the model takes from the runtime's
+// harnesses, and what the runtime itself is configured by: a simnet.Model
+// field of the same name as one of theirs is a copy of it.
+var harnessConfigs = []reflect.Type{
+	reflect.TypeOf(benchmr.Config{}), reflect.TypeOf(benchrma.Config{}),
+	reflect.TypeOf(core.Options{}), reflect.TypeOf(core.Info{}),
 }
 
-var modelClass = regexp.MustCompile("^ *(workload|mirror|model-only):(?: `([a-z]+\\.[A-Za-z]+)\\.([A-Za-z]+)`)?")
+var modelClass = regexp.MustCompile("^ *(workload|model-only):(?: `([a-z]+\\.[A-Za-z]+)\\.([A-Za-z]+)`)?")
 
-// classifyModelField checks the census row of simnet.Config field against
-// the three kinds of model parameter: "workload: `multirate.Config.X`",
-// "mirror: `core.Options.X`" (or `core.Info.X`), each naming a field that
-// exists, or "model-only:" for a field of modelOnly.
+// classifyModelField checks the census row of simnet.Model field against
+// the two kinds of model parameter: "workload: `cliobs.Flags.X`", naming a
+// flag field that exists, or "model-only:" for a field of modelOnly.
 func classifyModelField(field, what string) error {
 	m := modelClass.FindStringSubmatch(what)
 	switch {
 	case m == nil:
-		return fmt.Errorf("the row must classify it as workload:, mirror: or model-only:")
+		return fmt.Errorf("the row must classify it as workload: or model-only:")
 	case m[1] == "model-only":
 		if !modelOnly[field] {
 			return fmt.Errorf("model-only, but the runtime has no such mechanism: make it the runtime's or delete it")
 		}
 		return nil
-	case m[2] == "":
-		return fmt.Errorf("a %s row names its runtime counterpart in backquotes", m[1])
+	case m[2] != "cliobs.Flags":
+		return fmt.Errorf("a workload row names its `cliobs.Flags` field in backquotes")
 	}
-	typ, ok := modelCounterparts[m[1]][m[2]]
-	if !ok {
-		return fmt.Errorf("%s is not where a %s row's counterpart lives", m[2], m[1])
-	}
-	if _, ok := typ.FieldByName(m[3]); !ok {
-		return fmt.Errorf("%s has no field %s", m[2], m[3])
+	if _, ok := reflect.TypeOf(cliobs.Flags{}).FieldByName(m[3]); !ok {
+		return fmt.Errorf("cliobs.Flags has no field %s", m[3])
 	}
 	return nil
 }
 
+// modelIgnores names the harness configuration fields the model neither
+// reads nor refuses, each with the reason it may pass them by.
+var modelIgnores = map[string]string{
+	"OnWorld":     "a hook on the runtime's world; the model builds none",
+	"OnSampler":   "a hook on the runtime's wall-clock sampler; the model samples in virtual time",
+	"Network":     "the runtime's transport; the model's wire is virtual (Faults is its adversary)",
+	"Telemetry":   "the runtime's histograms; the model has no wall-clock layer to instrument",
+	"Profile":     "the runtime's profiler; the model's phase clocks always run (Result.Breakdown)",
+	"ThreadLevel": "a runtime check on calling threads; the model's threads are its own",
+	"EagerLimit":  "the rendezvous switchover; the model is eager-only",
+}
+
+// TestModelTakesTheHarnessConfig: the model keeps only what the runtime
+// has no mechanism for — no simnet.Model field copies a harness or runtime
+// configuration field — and every field of the harnesses' configurations,
+// Opts included, is read by the model (simnet.Validate's refusals count),
+// or passed by on modelIgnores with a reason.
+func TestModelTakesTheHarnessConfig(t *testing.T) {
+	harness := map[string]string{}
+	for _, typ := range harnessConfigs {
+		for i := 0; i < typ.NumField(); i++ {
+			harness[typ.Field(i).Name] = typ.String()
+		}
+	}
+	model := reflect.TypeOf(simnet.Model{})
+	for i := 0; i < model.NumField(); i++ {
+		if f := model.Field(i).Name; harness[f] != "" {
+			t.Errorf("simnet.Model.%s copies %s.%s: read the harness's field instead", f, harness[f], f)
+		}
+	}
+	read := map[string]bool{}
+	inspectNonTest(t, "internal/simnet", func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			read[sel.Sel.Name] = true
+		}
+		return true
+	})
+	for _, typ := range []reflect.Type{reflect.TypeOf(benchmr.Config{}), reflect.TypeOf(benchrma.Config{}), reflect.TypeOf(core.Options{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i).Name
+			if !read[f] && modelIgnores[f] == "" {
+				t.Errorf("%s.%s: the model neither reads nor refuses it; read it, refuse it in simnet.Validate, or add it to modelIgnores with a reason", typ, f)
+			}
+		}
+	}
+}
+
 // TestEverySurfaceHasAReader is the surface census: every core.Options field
-// and core.Info assertion, every simnet.Config field, every flag of the six
+// and core.Info assertion, every simnet.Model field, every flag of the six
 // mains (and of the registrar two of them share), every example and every
 // verdict reason has a row in DESIGN's "Surface census" appendix, and the
 // reader that row names — a non-test file outside the defining package, a
 // make target, a script, a CI step, a documented workflow, or for a
 // deliberate test lever (or a reason's drill case) a named test — exists and
 // mentions it. A surface nothing else reads has no row to write: it goes, or
-// gains a real reader. A simnet.Config row also classifies its field (see
+// gains a real reader. A simnet.Model row also classifies its field (see
 // classifyModelField).
 func TestEverySurfaceHasAReader(t *testing.T) {
 	var surfaces []surface
@@ -214,10 +256,10 @@ func TestEverySurfaceHasAReader(t *testing.T) {
 			surfaces = append(surfaces, surface{"core." + typ.Name() + "." + f, "internal/core/", `\b` + f + `\b`})
 		}
 	}
-	model := reflect.TypeOf(simnet.Config{})
+	model := reflect.TypeOf(simnet.Model{})
 	for i := 0; i < model.NumField(); i++ {
 		f := model.Field(i).Name
-		surfaces = append(surfaces, surface{"simnet.Config." + f, "internal/simnet/", `\b` + f + `\b`})
+		surfaces = append(surfaces, surface{"simnet.Model." + f, "internal/simnet/", `\b` + f + `\b`})
 	}
 	mains, err := filepath.Glob("cmd/*")
 	if err != nil || len(mains) != 6 {
@@ -263,7 +305,7 @@ func TestEverySurfaceHasAReader(t *testing.T) {
 			t.Errorf("%s has no row in DESIGN's surface census: name what reads it, or delete it", s.name)
 			continue
 		}
-		if field, isModel := strings.CutPrefix(s.name, "simnet.Config."); isModel {
+		if field, isModel := strings.CutPrefix(s.name, "simnet.Model."); isModel {
 			if err := classifyModelField(field, whats[s.name]); err != nil {
 				t.Errorf("%s: %v", s.name, err)
 			}
