@@ -80,7 +80,11 @@ conformance:
 # virtual instants), so an array or slice of prof.Phase held outside
 # internal/prof is a second phase stack. And the model takes the harnesses'
 # configurations: a configuration struct declared in internal/simnet is the
-# hand-mirrored copy of multirate.Config or rmamt.Config growing back.
+# hand-mirrored copy of multirate.Config or rmamt.Config growing back. And the
+# paper's hardware lives in the model alone: the runtime runs at the host's
+# speed and takes only a machine's context limits, so a busy-spin (hw.Spin) or
+# a read of the cost model (.Scaled(), .Costs) or the link (LinkGbps,
+# MaxInjectionRate) in its layers is a wall-clock emulation growing back.
 lint-layers:
 	@fail=0; \
 	if grep -rln --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out \
@@ -103,6 +107,9 @@ lint-layers:
 		echo "FAIL: only prof.ThreadClock keeps a phase stack; give it the thread's clock (NewThreadClock's now) instead"; fail=1; fi; \
 	if grep -nE '^type +\w*Config +struct' $$(ls internal/simnet/*.go | grep -v _test.go); then \
 		echo "FAIL: the model runs the harness's configuration (multirate.Config, rmamt.Config); simnet.Model holds only what the runtime has no mechanism for"; fail=1; fi; \
+	if grep -rnE --include='*.go' --exclude='*_test.go' 'hw\.Spin\(|\.Scaled\(\)|\.Costs\b|\bLinkGbps\b|\bMaxInjectionRate\b' \
+		internal/core internal/fabric internal/transport internal/cri internal/progress internal/rma; then \
+		echo "FAIL: the runtime runs at the host's speed; the machine's costs and link rates are the virtual-time model's (internal/simnet)"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "layering ok"; else exit 1; fi
 
 # The size figure every simplicity entry in CHANGES.md quotes: non-test Go

@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/backends"
 	"repro/internal/bench/cliobs"
@@ -61,7 +62,7 @@ func main() {
 		anyTag      = flag.Bool("any-tag", false, "post wildcard-tag receives")
 		processMode = flag.Bool("process-mode", false, "map pairs to process pairs")
 		pattern     = flag.String("pattern", "pairwise", "pairwise | incast (real engine only)")
-		machineName = flag.String("machine", "alembert", "alembert | trinitite | knl | fast")
+		machineName = flag.String("machine", "alembert", "alembert | trinitite | knl | fast: the testbed the model charges; the real engine takes only its context limits")
 		showSPCs    = flag.Bool("spcs", false, "dump software performance counters")
 		traceN      = flag.Int("trace", 0, "run the flight recorder with at least N events per ring (real engine) and dump the receiver's record as text")
 
@@ -100,8 +101,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "multirate: profiling flags instrument the real runtime; switching to -engine real")
 		*engine = "real"
 	}
+	pat, err := bench.PatternByName(*pattern)
+	check(err)
 	// The model runs the pairwise pattern only.
-	if *pattern == "incast" && *engine == "sim" {
+	if pat == bench.Incast && *engine == "sim" {
 		fmt.Fprintln(os.Stderr, "multirate: -pattern incast runs on the real runtime; switching to -engine real")
 		*engine = "real"
 	}
@@ -116,10 +119,6 @@ func main() {
 	check(err)
 	pm, err := progress.ModeByName(*prog)
 	check(err)
-	pat := bench.Pairwise
-	if *pattern == "incast" {
-		pat = bench.Incast
-	}
 	// The model records in virtual time at -flight's capacity; a real run
 	// also arms the recorder for every output that reads it.
 	flightCap := ob.FlightCap
@@ -240,9 +239,11 @@ func main() {
 	}
 }
 
+// check exits 1 on err, its message prefixed with the command's name once:
+// the harness's errors already carry it.
 func check(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "multirate:", err)
+		fmt.Fprintln(os.Stderr, "multirate: "+strings.TrimPrefix(err.Error(), "multirate: "))
 		os.Exit(1)
 	}
 }

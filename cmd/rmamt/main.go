@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/backends"
 	"repro/internal/bench/cliobs"
@@ -36,7 +37,7 @@ func main() {
 		instances   = flag.Int("instances", 0, "instances (0 = one per core, paper default)")
 		assignment  = flag.String("assignment", "dedicated", "round-robin | dedicated | freelist")
 		prog        = flag.String("progress", "serial", "serial | concurrent")
-		machineName = flag.String("machine", "trinitite", "alembert | trinitite | knl | fast")
+		machineName = flag.String("machine", "trinitite", "alembert | trinitite | knl | fast: the testbed the model charges; the real engine takes only its context limits")
 
 		faultDrop  = flag.Float64("fault-drop", 0, "per-packet drop probability on the control path (enables ack/retransmit reliability; real engine)")
 		faultDup   = flag.Float64("fault-dup", 0, "per-packet duplication probability (real engine)")
@@ -136,9 +137,11 @@ func main() {
 	}
 }
 
+// check exits 1 on err, its message prefixed with the command's name once:
+// the harness's errors already carry it.
 func check(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rmamt:", err)
+		fmt.Fprintln(os.Stderr, "rmamt: "+strings.TrimPrefix(err.Error(), "rmamt: "))
 		os.Exit(1)
 	}
 }

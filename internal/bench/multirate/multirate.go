@@ -52,6 +52,18 @@ func (p Pattern) String() string {
 	}
 }
 
+// PatternByName is the inverse of String.
+func PatternByName(name string) (Pattern, error) {
+	switch name {
+	case "pairwise":
+		return Pairwise, nil
+	case "incast":
+		return Incast, nil
+	default:
+		return 0, fmt.Errorf("unknown pattern %q (want pairwise | incast)", name)
+	}
+}
+
 // Config parameterizes one run.
 type Config struct {
 	// Machine is the hardware model (use hw.Fast for functional runs).

@@ -179,6 +179,32 @@ func TestPatternString(t *testing.T) {
 	}
 }
 
+func TestPatternByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Pattern
+		ok   bool
+	}{
+		{"pairwise", Pairwise, true},
+		{"incast", Incast, true},
+		{"foo", 0, false},
+		{"", 0, false},
+		{"Incast", 0, false},
+	} {
+		got, err := PatternByName(tc.name)
+		switch {
+		case tc.ok && (err != nil || got != tc.want):
+			t.Errorf("PatternByName(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		case !tc.ok && err == nil:
+			t.Errorf("PatternByName(%q) = %v; want an error", tc.name, got)
+		case !tc.ok && !strings.Contains(err.Error(), "pairwise | incast"):
+			t.Errorf("PatternByName(%q) error %q does not name the valid patterns", tc.name, err)
+		case tc.ok && got.String() != tc.name:
+			t.Errorf("PatternByName(%q).String() = %q", tc.name, got)
+		}
+	}
+}
+
 func TestAllDesignKnobsFunctional(t *testing.T) {
 	opts := []core.Options{
 		core.Stock(),

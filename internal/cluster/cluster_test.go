@@ -35,7 +35,6 @@ func startFakeRank(t *testing.T, rank int) *fakeRank {
 	src := obs.Source{
 		Stats: func() []telemetry.ProcStats {
 			set := spc.NewSet()
-			set.SetEnabled(true)
 			set.Add(spc.MessagesSent, fr.sent.Load())
 			set.Add(spc.MessagesReceived, fr.recv.Load())
 			return []telemetry.ProcStats{{Rank: rank, Process: set.Snapshot(), Hists: fr.hists}}

@@ -35,18 +35,15 @@ func seededHist(seed int64, scale float64) telemetry.HistSnapshot {
 // snapshot.
 func testProcStats(rank int) telemetry.ProcStats {
 	proc := spc.NewSet()
-	proc.SetEnabled(true)
 	proc.Add(spc.MessagesSent, int64(100*(rank+1)))
 	proc.Add(spc.MessagesReceived, int64(90*(rank+1)))
 	proc.Add(spc.Retransmits, int64(rank))
 	proc.Max(spc.UnexpectedQueuePeak, int64(7*(rank+1)))
 
 	cri := spc.NewSet()
-	cri.SetEnabled(true)
 	cri.Add(spc.MessagesSent, 40)
 
 	comm := spc.NewSet()
-	comm.SetEnabled(true)
 	comm.Add(spc.MessagesReceived, 25)
 
 	p := prof.New()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/flight"
+	"repro/internal/hw"
 	"repro/internal/latency"
 	"repro/internal/match"
 	"repro/internal/prof"
@@ -81,11 +82,12 @@ func newComm(p *Proc, id uint32, group []int, myRank int, info Info) *Comm {
 	}
 	c.spcs = spc.NewSet()
 	c.matchMu.Bind(p.prof.NewSite("match.comm", -1, id))
-	var meter match.Meter = match.SpinMeter{}
+	// The runtime runs at the host's speed: its engines charge no modeled
+	// cost (the virtual-time model charges the machine's through its meter).
 	if info.NoWildcards {
 		// Every receive names one (source, tag) channel, so matching shards
 		// by channel and the communicator-wide lock goes.
-		sh := match.NewSharded(id, len(group), match.DefaultShards, p.world.machine.Scaled(), meter, c.spcs)
+		sh := match.NewSharded(id, len(group), match.DefaultShards, hw.CostModel{}, nil, c.spcs)
 		sites := make([]*prof.Site, sh.NumShards())
 		for i := range sites {
 			sites[i] = p.prof.NewSite("match.shard", i, id)
@@ -93,7 +95,7 @@ func newComm(p *Proc, id uint32, group []int, myRank int, info Info) *Comm {
 		sh.BindProfSites(sites, p.prof.NewSite("match.stripe", -1, id))
 		c.engine = sh
 	} else {
-		c.engine = match.NewEngine(id, len(group), p.world.machine.Scaled(), meter, c.spcs)
+		c.engine = match.NewEngine(id, len(group), hw.CostModel{}, nil, c.spcs)
 	}
 	c.selfMatch = match.SelfLocking(c.engine)
 	c.engine.SetAllowOvertaking(info.AllowOvertaking)
@@ -372,9 +374,9 @@ func (c *Comm) lockMatch(clk *prof.ThreadClock) {
 	if c.selfMatch || c.matchMu.TryLockQuiet() {
 		return
 	}
-	t0 := c.spcs.StartTimer()
+	t0 := time.Now()
 	c.matchMu.LockClocked(clk)
-	c.engine.ChargeWait(sinceTimer(c.spcs, t0))
+	c.engine.ChargeWait(time.Since(t0))
 }
 
 func (c *Comm) unlockMatch() {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cri"
-	"repro/internal/spc"
 	"repro/internal/transport"
 )
 
@@ -151,13 +149,4 @@ func (g *levelGuard) leave() {
 	if g.level == ThreadSerialized {
 		g.inCall.Add(-1)
 	}
-}
-
-// sinceTimer returns elapsed time for a timer started on s, or zero if the
-// timer never started (a set switched off with SetEnabled).
-func sinceTimer(s *spc.Set, t0 time.Time) time.Duration {
-	if t0.IsZero() {
-		return 0
-	}
-	return time.Since(t0)
 }

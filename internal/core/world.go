@@ -25,11 +25,10 @@ import (
 // backend (see NewDistributedWorld) each OS process hosts exactly one local
 // Proc and the slice holds nil for remote ranks.
 type World struct {
-	machine hw.Machine
-	opts    Options
-	net     transport.Network
-	caps    transport.Caps
-	procs   []*Proc
+	opts  Options
+	net   transport.Network
+	caps  transport.Caps
+	procs []*Proc
 
 	commMu   sync.Mutex
 	nextComm uint32
@@ -107,7 +106,7 @@ func newWorld(machine hw.Machine, n int, opts Options) (*World, error) {
 		net = backends.Sim()
 		opts.Network = net
 	}
-	return &World{machine: machine, opts: opts, net: net, caps: net.Caps()}, nil
+	return &World{opts: opts, net: net, caps: net.Caps()}, nil
 }
 
 func allRanks(n int) []int {

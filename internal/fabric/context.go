@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/hw"
 	"repro/internal/ringbuf"
 	"repro/internal/spc"
 	"repro/internal/transport"
@@ -16,8 +15,8 @@ import (
 // Context is one network context: an independent injection path into the
 // NIC with its own receive queue and completion queue. A Communication
 // Resource Instance (CRI) wraps exactly one Context. Contexts are the unit
-// of hardware parallelism — two threads on two different contexts do not
-// share any fabric-level state except the device-wide rate limiter.
+// of hardware parallelism — two threads on two different contexts share no
+// fabric-level state.
 //
 // Thread safety: Inject and the RMA initiators may be called concurrently
 // (the receive queue and CQ are multi-producer). Poll must be called by one
@@ -144,9 +143,7 @@ func (c *Context) claim(e transport.CQE) error {
 
 // Poll extracts up to max completion events, invoking handler for each, and
 // returns the number handled. Inbound packets are surfaced as CQERecv
-// events. Each extraction charges the receive-side CPU cost; an empty poll
-// charges the empty-poll cost — exactly the per-call economics of reading a
-// real CQ.
+// events.
 func (c *Context) Poll(handler func(transport.CQE), max int) int {
 	if max <= 0 {
 		max = 64
@@ -154,30 +151,23 @@ func (c *Context) Poll(handler func(transport.CQE), max int) int {
 	if c.hasDelayed.Load() {
 		c.releaseDue()
 	}
-	costs := &c.dev.costs
 	n := 0
 	for n < max {
 		e, ok := c.cq.Pop()
 		if !ok {
 			break
 		}
-		hw.Spin(costs.RecvExtract)
 		handler(e)
 		n++
 	}
 	n = c.popRecv(handler, n, max)
-	if n == 0 {
-		if s := c.dev.scrambler; s != nil {
-			// An idle poll flushes any adversarially held packets so a
-			// scrambled stream can never strand its tail.
-			for _, p := range s.flush() {
-				c.deliverDirect(p)
-			}
-			n = c.popRecv(handler, n, max)
+	if s := c.dev.scrambler; n == 0 && s != nil {
+		// An idle poll flushes any adversarially held packets so a
+		// scrambled stream can never strand its tail.
+		for _, p := range s.flush() {
+			c.deliverDirect(p)
 		}
-		if n == 0 {
-			hw.Spin(costs.CQPollEmpty)
-		}
+		n = c.popRecv(handler, n, max)
 	}
 	return n
 }
@@ -187,12 +177,10 @@ func (c *Context) Poll(handler func(transport.CQE), max int) int {
 // at a time (ringbuf.MPSC.PopBatch), which publishes the queue head once per
 // batch rather than once per packet.
 func (c *Context) popRecv(handler func(transport.CQE), n, max int) int {
-	costs := &c.dev.costs
 	for n < max {
 		want := min(len(c.rx), max-n)
 		k := c.recvQ.PopBatch(c.rx[:want])
 		for _, p := range c.rx[:k] {
-			hw.Spin(costs.RecvExtract)
 			handler(transport.CQE{Kind: transport.CQERecv, Packet: p})
 		}
 		clear(c.rx[:k])
@@ -253,15 +241,10 @@ func (e *Endpoint) resolve() (*Context, error) {
 	return rc, nil
 }
 
-// inject puts p on the wire toward rc: charges the injection CPU cost,
-// reserves wire time (header + payload) on the local device's rate limiter
-// and delivers to the remote context's receive queue, through the fault
-// injector if the device has one.
+// inject puts p on the wire toward rc: it delivers to the remote context's
+// receive queue, through the fault injector if the device has one.
 func (e *Endpoint) inject(rc *Context, p *transport.Packet) {
-	d := e.local.dev
-	hw.Spin(d.costs.SendInject)
-	d.limiter.reserve(headerSize(p) + len(p.Payload))
-	if f := d.faults; f != nil {
+	if f := e.local.dev.faults; f != nil {
 		f.inject(rc, p)
 	} else {
 		rc.deliver(p)
@@ -295,17 +278,6 @@ func (e *Endpoint) Resend(p *transport.Packet) error {
 	return nil
 }
 
-// headerSize is the per-packet wire-header footprint the rate limiter
-// charges: the canonical envelope, plus the trace-context extension when
-// the packet carries one — the simulated wire mirrors the real framing's
-// conditional cost byte for byte.
-func headerSize(p *transport.Packet) int {
-	if p.TraceID() != 0 {
-		return transport.EnvelopeSize + transport.TraceExtSize
-	}
-	return transport.EnvelopeSize
-}
-
 // PutNotify writes src into the remote device's registered region — an RDMA
 // write addressed by region id, routed through the endpoint so callers need
 // no handle on the peer's device — and then sends p, whose send completion
@@ -329,9 +301,7 @@ func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) e
 	if err := e.local.claim(transport.CQE{Kind: transport.CQESendComplete, Packet: p}); err != nil {
 		return err
 	}
-	if dst != nil {
-		e.local.write(dst, src)
-	}
+	copy(dst, src)
 	e.inject(rc, p)
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/hw"
 	"repro/internal/spc"
 	"repro/internal/transport"
 )
@@ -15,15 +14,13 @@ import (
 // exhausted.
 var errContextLimit = errors.New("fabric: hardware network context limit reached")
 
-// Device is one rank's NIC. It owns the device-wide rate limiter, the set of
-// network contexts, the registered memory regions remote peers address with
-// one-sided operations, and the table of peers its endpoints have reached.
+// Device is one rank's NIC. It owns the set of network contexts, the
+// registered memory regions remote peers address with one-sided operations,
+// and the table of peers its endpoints have reached.
 type Device struct {
 	net         *Network
 	counters    *spc.Set // nil-safe
-	costs       hw.CostModel
 	maxContexts int
-	limiter     *rateLimiter
 
 	scrambler *scrambler     // adversarial reordering of inbound packets, or nil
 	faults    *faultInjector // wire faults on outbound packets, or nil

@@ -9,9 +9,10 @@
 // operations). The wire contracts (Envelope, Packet, CQE, Kind) are
 // transport's; nothing here renames them.
 //
-// The fabric is synchronous-with-costs: the injecting goroutine itself
-// executes delivery, paying a calibrated CPU cost per operation (see
-// internal/hw) and reserving wire time on a per-device rate limiter. All
+// The fabric is synchronous: the injecting goroutine itself executes
+// delivery and runs at the host's speed. The paper's hardware costs (see
+// internal/hw) are charged only by the virtual-time model (internal/simnet);
+// a machine gives the fabric its context limit and nothing else. All
 // serialization effects the paper studies — endpoint locks, progress
 // serialization, matching locks — live *above* the fabric; the fabric
 // supplies real concurrent queues for them to contend on. NewNetwork builds
@@ -77,9 +78,7 @@ func (n *Network) NewDevice(rank int, m hw.Machine, cfg transport.DeviceConfig) 
 	d := &Device{
 		net:         n,
 		counters:    cfg.Counters,
-		costs:       m.Scaled(),
 		maxContexts: m.MaxContexts,
-		limiter:     newRateLimiter(m.LinkGbps, m.MaxInjectionRate),
 		regions:     make(map[uint64]*MemRegion),
 		connected:   make(map[int]bool),
 	}

@@ -15,8 +15,8 @@ import (
 
 // The tests drive the fabric the way the runtime does: devices come from
 // NewNetwork().NewDevice, endpoints from Device.Connect. Only what the seam
-// does not show (the context table, the rate limiter, the injector's dice) is
-// read off the concrete types.
+// does not show (the context table, the injector's dice) is read off the
+// concrete types.
 
 func newDevice(t testing.TB, n *Network, rank int, m hw.Machine, cfg transport.DeviceConfig) transport.Device {
 	t.Helper()
@@ -474,36 +474,6 @@ func TestRingFullWaitsCountedPerDelivery(t *testing.T) {
 	}
 	if waits := txCtr.Get(spc.RingFullWaits); waits != 0 {
 		t.Fatalf("sender's device counted %d ring_full_waits; its completion queue never filled", waits)
-	}
-}
-
-func TestRateLimiterCapsThroughput(t *testing.T) {
-	// 1e6 msg/s cap: 200 messages should take >= ~200us of wall time.
-	l := newRateLimiter(0, 1e6)
-	for i := 0; i < 200; i++ {
-		l.reserve(0)
-	}
-	elapsed := l.next.Load()
-	if elapsed < 190_000 { // virtual ns reserved
-		t.Fatalf("reserved only %d ns of wire time, want ~200000", elapsed)
-	}
-}
-
-func TestRateLimiterDisabled(t *testing.T) {
-	l := newRateLimiter(0, 0)
-	if l.enabled() {
-		t.Fatal("zero-rate limiter reports enabled")
-	}
-	l.reserve(1 << 20) // must not block or panic
-	var nilL *rateLimiter
-	nilL.reserve(10) // nil limiter is a no-op
-}
-
-func TestRateLimiterBandwidthDimension(t *testing.T) {
-	l := newRateLimiter(8, 0) // 8 Gbps = 1 byte/ns
-	l.reserve(1000)
-	if got := l.next.Load(); got < 1000 {
-		t.Fatalf("1000-byte reservation advanced cursor by %d ns, want >= 1000", got)
 	}
 }
 

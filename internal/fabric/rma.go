@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/hw"
 	"repro/internal/transport"
 )
 
@@ -136,10 +135,9 @@ func (c *Context) signal(kind transport.CQEKind, token any) error {
 	return c.claim(transport.CQE{Kind: kind, Token: token})
 }
 
-// Put writes src into the remote region at offset: initiator-side CPU cost,
-// wire reservation for the payload, direct memory write, and a local
-// PutComplete CQE carrying token (none when token is nil; see signal). The
-// target's CPU is never involved.
+// Put writes src into the remote region at offset — a direct memory write —
+// and posts a local PutComplete CQE carrying token (none when token is nil;
+// see signal). The target's CPU is never involved.
 func (c *Context) Put(reg transport.MemRegion, offset int, src []byte, token any) error {
 	r, err := simRegion(reg)
 	if err != nil {
@@ -151,16 +149,8 @@ func (c *Context) Put(reg transport.MemRegion, offset int, src []byte, token any
 	if err := c.signal(transport.CQEPutComplete, token); err != nil {
 		return err
 	}
-	c.write(r.buf[offset:], src)
+	copy(r.buf[offset:], src)
 	return nil
-}
-
-// write is a put's data movement: initiator-side CPU cost, wire reservation
-// for the payload and the direct memory write into dst.
-func (c *Context) write(dst, src []byte) {
-	hw.Spin(c.dev.costs.RMAPut)
-	c.dev.limiter.reserve(transport.EnvelopeSize + len(src))
-	copy(dst, src)
 }
 
 // Get reads len(dst) bytes from the remote region at offset into dst and
@@ -176,8 +166,6 @@ func (c *Context) Get(reg transport.MemRegion, offset int, dst []byte, token any
 	if err := c.signal(transport.CQEGetComplete, token); err != nil {
 		return err
 	}
-	hw.Spin(c.dev.costs.RMAGet)
-	c.dev.limiter.reserve(transport.EnvelopeSize + len(dst))
 	copy(dst, r.buf[offset:offset+len(dst)])
 	return nil
 }
@@ -199,9 +187,9 @@ func apply(op transport.AccumulateOp, cur, v int64) int64 {
 
 // Accumulate applies op element-wise over int64 lanes at offset. The
 // operation is atomic with respect to other Accumulates on the same region
-// (MPI's same-op atomicity guarantee); it costs initiator CPU plus wire
-// time, posts an AccComplete CQE with token, and never involves the target
-// CPU — the "remote atomic" of the RDMA hardware.
+// (MPI's same-op atomicity guarantee); it posts an AccComplete CQE with
+// token and never involves the target CPU — the "remote atomic" of the RDMA
+// hardware.
 func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int64, op transport.AccumulateOp, token any) error {
 	r, err := simRegion(reg)
 	if err != nil {
@@ -217,8 +205,6 @@ func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int6
 	if err := c.signal(transport.CQEAccComplete, token); err != nil {
 		return err
 	}
-	hw.Spin(c.dev.costs.RMAPut)
-	c.dev.limiter.reserve(transport.EnvelopeSize + n)
 	r.atomMu.Lock()
 	for i, v := range operand {
 		p := r.buf[offset+8*i:]
@@ -267,8 +253,6 @@ func (c *Context) atomic64(name string, reg transport.MemRegion, offset, wire in
 	if err := c.signal(transport.CQEAccComplete, token); err != nil {
 		return err
 	}
-	hw.Spin(c.dev.costs.RMAPut)
-	c.dev.limiter.reserve(transport.EnvelopeSize + wire)
 	r.atomMu.Lock()
 	p := r.buf[offset:]
 	old := int64(binary.LittleEndian.Uint64(p))

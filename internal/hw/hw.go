@@ -1,9 +1,11 @@
 // Package hw models the hardware testbeds from the paper's Table I: per-core
-// speed, core counts, NIC context limits, and link rates. The machine model
-// parameterizes the simulated fabric's CPU cost model so that the Haswell
-// (Alembert, Trinitite) and KNL (Trinitite) experiments differ the way the
-// paper's do — KNL has more cores and more NIC contexts, but each core is
-// slower, and every per-message software cost grows accordingly.
+// speed, core counts, NIC context limits, and link rates. The costs and link
+// rates parameterize the virtual-time model (internal/simnet) so that the
+// Haswell (Alembert, Trinitite) and KNL (Trinitite) experiments differ the
+// way the paper's do — KNL has more cores and more NIC contexts, but each
+// core is slower, and every per-message software cost grows accordingly.
+// The runtime takes only the topology from a Machine (MaxContexts,
+// DefaultContexts) and runs at the host's speed.
 package hw
 
 import (
@@ -37,11 +39,12 @@ type Machine struct {
 	Costs CostModel
 }
 
-// CostModel lists the CPU time charged for each software operation on the
-// message path, calibrated to a Haswell-class core. These are the costs the
-// real driver stack pays for envelope processing, CQ manipulation, and
-// matching-queue bookkeeping; they put the simulation's absolute message
-// rates in the regime the paper reports (~0.1M-3M msg/s two-sided).
+// CostModel lists the CPU time the virtual-time model charges for each
+// software operation on the message path, calibrated to a Haswell-class
+// core. These are the costs the real driver stack pays for envelope
+// processing, CQ manipulation, and matching-queue bookkeeping; they put the
+// model's absolute message rates in the regime the paper reports (~0.1M-3M
+// msg/s two-sided).
 type CostModel struct {
 	// SendInject: build the 28-byte envelope and ring the doorbell.
 	SendInject time.Duration
@@ -204,9 +207,9 @@ func MachineByName(name string) (Machine, error) {
 	}
 }
 
-// Fast returns a machine with all CPU costs zeroed and no injection cap.
-// Unit and integration tests use it so correctness tests don't burn time in
-// the calibrated spin loops.
+// Fast returns a machine with all CPU costs zeroed and no injection cap:
+// the model then charges only its lock and wire mechanics. On the runtime
+// it differs from the testbeds only in its context limits.
 func Fast() Machine {
 	return Machine{
 		Name:            "fast",

@@ -5,11 +5,10 @@ import (
 	"time"
 )
 
-// Spin busy-waits for approximately d, charging CPU time to the calling
-// goroutine the way a real driver's per-message software path would. Unlike
-// time.Sleep it never yields the OS thread, so it models work, not waiting:
-// a core spinning here is genuinely unavailable, which is what makes the
-// simulation's scaling curves honest.
+// Spin busy-waits for approximately d. Unlike time.Sleep it never yields
+// the OS thread, so it burns the calling core. Neither the runtime nor the
+// model calls it — the model charges costs in virtual time — and its one
+// caller, match.SpinMeter, is named only by the benchmark module.
 //
 // Durations of zero or less return immediately, so cost models with zeroed
 // entries (hw.Fast) have no overhead beyond one branch.

@@ -6,9 +6,11 @@
 //
 // The engine is deliberately lock-free *internally*: the caller provides
 // mutual exclusion (a real sync.Mutex in the runtime, a virtual-time lock in
-// the simulator). CPU costs are charged through a Meter so the same code
-// serves both wall-clock and virtual-time execution, and the SPC match-time
-// counter is advanced by the *modeled* cost, making Table II deterministic.
+// the simulator). Modeled CPU costs are charged through a Meter, which only
+// the virtual-time model supplies: there the SPC match-time counter is
+// advanced by the modeled cost, making Table II deterministic. The runtime
+// builds its engines with a zero cost model, so it never calls a meter and
+// its match time is the contended lock wait it measures (ChargeWait).
 // The engine's counters are plain words kept under the same lock as the
 // state they describe (see tally); Counts reads them.
 package match
@@ -30,13 +32,17 @@ const (
 	AnyTag    int32 = -101
 )
 
-// Meter charges modeled CPU time to the executing thread. The runtime's
-// meter busy-spins (hw.Spin); the simulator's meter advances virtual time.
+// Meter charges modeled CPU time to the executing thread: the virtual-time
+// model's meter advances the simulated thread's clock. An engine calls it
+// only for a non-zero cost, so an engine built with a zero hw.CostModel —
+// the runtime's — never does.
 type Meter interface {
 	Charge(d time.Duration)
 }
 
-// SpinMeter charges cost by actually spinning the calling core.
+// SpinMeter charges cost by actually spinning the calling core. Neither the
+// runtime nor the model uses it; only the benchmark module's ladder names
+// it, always with zero costs.
 type SpinMeter struct{}
 
 // Charge implements Meter.

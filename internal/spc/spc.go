@@ -24,8 +24,12 @@ const (
 	// match the next expected sequence for their (peer, communicator) stream
 	// and therefore had to be buffered.
 	OutOfSequence Counter = iota
-	// MatchTimeNanos accumulates wall time spent inside the matching
-	// critical section, in nanoseconds.
+	// MatchTimeNanos accumulates time attributed to matching, in
+	// nanoseconds. On the runtime it is the wall-clock wait for a contended
+	// matching lock: the runtime charges no modeled cost, so a run whose
+	// matching lock is never contended reads 0. In the virtual-time model it
+	// is the matching cost the model charges plus its simulated lock wait —
+	// Table II's match time.
 	MatchTimeNanos
 	// MessagesSent counts matched envelopes created by senders: user eager
 	// sends, the runtime's internal-tag traffic (collectives, control), each
@@ -258,30 +262,15 @@ const NumCounters = int(numCounters)
 // concurrent use. A nil *Set is valid and ignores all updates, so call
 // sites need no nil checks on hot paths.
 type Set struct {
-	enabled atomic.Bool
-	vals    [numCounters]atomic.Int64
+	vals [numCounters]atomic.Int64
 }
 
-// NewSet returns an enabled counter set.
-func NewSet() *Set {
-	s := &Set{}
-	s.enabled.Store(true)
-	return s
-}
-
-// Enabled reports whether updates are being recorded.
-func (s *Set) Enabled() bool { return s != nil && s.enabled.Load() }
-
-// SetEnabled turns recording on or off. Disabling leaves current values.
-func (s *Set) SetEnabled(on bool) {
-	if s != nil {
-		s.enabled.Store(on)
-	}
-}
+// NewSet returns an empty counter set.
+func NewSet() *Set { return &Set{} }
 
 // Add increments c by delta.
 func (s *Set) Add(c Counter, delta int64) {
-	if s == nil || !s.enabled.Load() {
+	if s == nil {
 		return
 	}
 	s.vals[c].Add(delta)
@@ -292,7 +281,7 @@ func (s *Set) Inc(c Counter) { s.Add(c, 1) }
 
 // Max raises c to v if v is greater than the current value.
 func (s *Set) Max(c Counter, v int64) {
-	if s == nil || !s.enabled.Load() {
+	if s == nil {
 		return
 	}
 	for {
@@ -319,24 +308,6 @@ func (s *Set) Reset() {
 	for i := range s.vals {
 		s.vals[i].Store(0)
 	}
-}
-
-// StartTimer returns the current time if the set is enabled, or the zero
-// time otherwise. Pair with StopTimer around a timed critical section.
-func (s *Set) StartTimer() time.Time {
-	if s == nil || !s.enabled.Load() {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// StopTimer accumulates the elapsed time since start into c. A zero start
-// (from a disabled set) is ignored.
-func (s *Set) StopTimer(c Counter, start time.Time) {
-	if s == nil || start.IsZero() {
-		return
-	}
-	s.vals[c].Add(int64(time.Since(start)))
 }
 
 // Snapshot is an immutable copy of a Set's values.

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestNilSetIsSafe(t *testing.T) {
@@ -14,11 +13,6 @@ func TestNilSetIsSafe(t *testing.T) {
 	s.Add(MatchTimeNanos, 100)
 	s.Max(PostedQueuePeak, 5)
 	s.Reset()
-	s.SetEnabled(true)
-	s.StopTimer(MatchTimeNanos, s.StartTimer())
-	if s.Enabled() {
-		t.Fatal("nil set reports enabled")
-	}
 	if s.Get(MessagesSent) != 0 {
 		t.Fatal("nil set returned non-zero counter")
 	}
@@ -33,24 +27,6 @@ func TestAddIncGet(t *testing.T) {
 	s.Add(MessagesSent, 4)
 	if got := s.Get(MessagesSent); got != 5 {
 		t.Fatalf("Get = %d, want 5", got)
-	}
-}
-
-func TestDisabledSetIgnoresUpdates(t *testing.T) {
-	s := NewSet()
-	s.SetEnabled(false)
-	s.Inc(MessagesSent)
-	s.Max(PostedQueuePeak, 9)
-	if s.Get(MessagesSent) != 0 || s.Get(PostedQueuePeak) != 0 {
-		t.Fatal("disabled set recorded updates")
-	}
-	if !s.StartTimer().IsZero() {
-		t.Fatal("disabled set started a timer")
-	}
-	s.SetEnabled(true)
-	s.Inc(MessagesSent)
-	if s.Get(MessagesSent) != 1 {
-		t.Fatal("re-enabled set did not record")
 	}
 }
 
@@ -91,16 +67,6 @@ func TestReset(t *testing.T) {
 		if s.Get(c) != 0 {
 			t.Fatalf("counter %v = %d after Reset", c, s.Get(c))
 		}
-	}
-}
-
-func TestTimer(t *testing.T) {
-	s := NewSet()
-	start := s.StartTimer()
-	time.Sleep(2 * time.Millisecond)
-	s.StopTimer(MatchTimeNanos, start)
-	if got := s.Snapshot().MatchTime(); got < time.Millisecond {
-		t.Fatalf("MatchTime = %v, want >= 1ms", got)
 	}
 }
 
@@ -226,17 +192,8 @@ func TestWireCounterNames(t *testing.T) {
 	}
 }
 
-func BenchmarkIncEnabled(b *testing.B) {
+func BenchmarkInc(b *testing.B) {
 	s := NewSet()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Inc(MessagesSent)
-	}
-}
-
-func BenchmarkIncDisabled(b *testing.B) {
-	s := NewSet()
-	s.SetEnabled(false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Inc(MessagesSent)

@@ -3,9 +3,13 @@ package repro_test
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -194,13 +198,82 @@ func classifyModelField(field, what string) error {
 // modelIgnores names the harness configuration fields the model neither
 // reads nor refuses, each with the reason it may pass them by.
 var modelIgnores = map[string]string{
-	"OnWorld":     "a hook on the runtime's world; the model builds none",
-	"OnSampler":   "a hook on the runtime's wall-clock sampler; the model samples in virtual time",
-	"Network":     "the runtime's transport; the model's wire is virtual (Faults is its adversary)",
-	"Telemetry":   "the runtime's histograms; the model has no wall-clock layer to instrument",
-	"Profile":     "the runtime's profiler; the model's phase clocks always run (Result.Breakdown)",
-	"ThreadLevel": "a runtime check on calling threads; the model's threads are its own",
-	"EagerLimit":  "the rendezvous switchover; the model is eager-only",
+	"multirate.Config.OnWorld":   "a hook on the runtime's world; the model builds none",
+	"rmamt.Config.OnWorld":       "a hook on the runtime's world; the model builds none",
+	"multirate.Config.OnSampler": "a hook on the runtime's wall-clock sampler; the model samples in virtual time",
+	"rmamt.Config.OnSampler":     "a hook on the runtime's wall-clock sampler; the RMA model samples nothing",
+	"rmamt.Config.SampleInterval": "the RMA model runs no sampler (its Result.Series stays empty); " +
+		"cmd/rmamt's -sample-interval switches to the real engine, whose sampler reads it",
+	"core.Options.Network":     "the runtime's transport; the model's wire is virtual (Faults is its adversary)",
+	"core.Options.Telemetry":   "the runtime's histograms; the model has no wall-clock layer to instrument",
+	"core.Options.Profile":     "the runtime's profiler; the model's phase clocks always run (Result.Breakdown)",
+	"core.Options.ThreadLevel": "a runtime check on calling threads; the model's threads are its own",
+	"core.Options.EagerLimit":  "the rendezvous switchover; the model is eager-only",
+}
+
+// fieldsRead type-checks the non-test files of dir and returns every struct
+// field some selector there reads, keyed "pkg.Type.Field" by the named type
+// that declares it — so a field counts for its own type only, never for
+// another configuration that happens to have a field of the same name. A
+// field promoted through an embedded struct counts for the struct that
+// declares it.
+func fieldsRead(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil || len(pkgs) != 1 {
+		t.Fatalf("parse %s: %d packages, %v", dir, len(pkgs), err)
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files = append(files, f)
+		}
+	}
+	// The imports come from the build cache's export data, as go vet reads
+	// them: go list names each dependency's file.
+	out, err := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}", "./"+dir).Output()
+	if err != nil {
+		t.Fatalf("go list %s: %v", dir, err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok {
+			export[path] = file
+		}
+	}
+	lookup := func(path string) (io.ReadCloser, error) { return os.Open(export[path]) }
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
+	if _, err := conf.Check(dir, fset, files, info); err != nil {
+		t.Fatalf("type-check %s: %v", dir, err)
+	}
+	deref := func(typ types.Type) types.Type {
+		if p, ok := typ.(*types.Pointer); ok {
+			return p.Elem()
+		}
+		return typ
+	}
+	read := map[string]bool{}
+	for _, sel := range info.Selections {
+		if sel.Kind() != types.FieldVal {
+			continue
+		}
+		// Follow the embedding path to the struct declaring the field.
+		typ := deref(sel.Recv())
+		path := sel.Index()
+		for _, i := range path[:len(path)-1] {
+			typ = deref(typ.Underlying().(*types.Struct).Field(i).Type())
+		}
+		named, ok := typ.(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			continue
+		}
+		read[named.Obj().Pkg().Name()+"."+named.Obj().Name()+"."+sel.Obj().Name()] = true
+	}
+	return read
 }
 
 // TestModelTakesTheHarnessConfig: the model keeps only what the runtime
@@ -221,18 +294,15 @@ func TestModelTakesTheHarnessConfig(t *testing.T) {
 			t.Errorf("simnet.Model.%s copies %s.%s: read the harness's field instead", f, harness[f], f)
 		}
 	}
-	read := map[string]bool{}
-	inspectNonTest(t, "internal/simnet", func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			read[sel.Sel.Name] = true
-		}
-		return true
-	})
+	read := fieldsRead(t, "internal/simnet")
 	for _, typ := range []reflect.Type{reflect.TypeOf(benchmr.Config{}), reflect.TypeOf(benchrma.Config{}), reflect.TypeOf(core.Options{})} {
 		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i).Name
-			if !read[f] && modelIgnores[f] == "" {
-				t.Errorf("%s.%s: the model neither reads nor refuses it; read it, refuse it in simnet.Validate, or add it to modelIgnores with a reason", typ, f)
+			f := typ.String() + "." + typ.Field(i).Name
+			switch {
+			case read[f] && modelIgnores[f] != "":
+				t.Errorf("%s: the model reads it; take it off modelIgnores", f)
+			case !read[f] && modelIgnores[f] == "":
+				t.Errorf("%s: the model neither reads nor refuses it; read it, refuse it in simnet.Validate, or add it to modelIgnores with a reason", f)
 			}
 		}
 	}
