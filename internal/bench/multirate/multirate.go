@@ -278,14 +278,20 @@ func run(cfg Config, w *core.World, threads int) (Result, error) {
 		}
 	}
 	// Peers in other processes start with their own skew: bracket the timed
-	// section with barriers so every process measures the same volume.
+	// section with barriers so every process measures the same volume. The
+	// start fences twice. A rank leaves a barrier once its peers' messages
+	// have arrived, while its own may still wait on a dial retry; after a
+	// second barrier both directions of every link have carried a message,
+	// and the ranks leave it within one message latency of each other.
 	fence := func() error { return nil }
 	if len(local) < size {
 		th := local[0].NewThread()
 		fence = func() error { return local[0].CommWorld().Barrier(th) }
 	}
-	if err := fence(); err != nil {
-		return Result{}, fmt.Errorf("multirate: start barrier: %w", err)
+	for range 2 {
+		if err := fence(); err != nil {
+			return Result{}, fmt.Errorf("multirate: start barrier: %w", err)
+		}
 	}
 	var smp *telemetry.Sampler
 	if len(receivers) > 0 {

@@ -1,6 +1,8 @@
 package multirate
 
 import (
+	"fmt"
+	"net"
 	"slices"
 	"strings"
 	"sync"
@@ -335,4 +337,70 @@ func TestRunDistributedPairsRanks(t *testing.T) {
 			t.Fatalf("stall rank 3 took %v, less than the %v freeze", res[3].Elapsed, stall)
 		}
 	}
+}
+
+// reserveAddr returns a loopback address nothing listens on yet.
+func reserveAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestDistributedStartFenceAfterFailedDial: rank 1 comes up only after rank
+// 0's first dial toward it was refused, so rank 0's first start-barrier
+// message waits on a dial retry while rank 1's own dial succeeds. The start
+// fence must still release both ranks together, so that both time the same
+// stream: their Elapsed agree within ×2.
+func TestDistributedStartFenceAfterFailedDial(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Pairs, cfg.Window, cfg.Iters = 1, 64, 64
+	addrs := []string{reserveAddr(t), reserveAddr(t)}
+	nets := make([]*tcpnet.Network, 2)
+	res := make([]Result, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for rank := range nets {
+		if rank == 1 {
+			// Rank 0's first dial has been refused by now; its retry comes
+			// 5 ms later.
+			time.Sleep(2 * time.Millisecond)
+		}
+		n, err := tcpnet.New(tcpnet.Config{Rank: rank, Size: 2, Listen: addrs[rank], Peers: addrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[rank] = n
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[rank], errs[rank] = RunDistributed(cfg, rank, n)
+		}()
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	if got := res[0].SPCs.Get(spc.DialRetries); got == 0 {
+		t.Skip("rank 0's first dial succeeded: the listener came up too early to test the fence")
+	}
+	fast, slow := min(res[0].Elapsed, res[1].Elapsed), max(res[0].Elapsed, res[1].Elapsed)
+	if slow > 2*fast {
+		t.Fatalf("rank 0 timed %v and rank 1 %v for the same stream: the start fence released one rank early (rank 0 %v; rank 1 %v)",
+			res[0].Elapsed, res[1].Elapsed, linkCounts(res[0]), linkCounts(res[1]))
+	}
+}
+
+func linkCounts(r Result) string {
+	var b strings.Builder
+	for _, c := range []spc.Counter{spc.DialRetries, spc.DialRacesLost, spc.Reconnects, spc.ConnsOpened, spc.WireBackstopFlushes} {
+		fmt.Fprintf(&b, "%s=%d ", c, r.SPCs.Get(c))
+	}
+	return b.String()
 }

@@ -634,11 +634,9 @@ func conformWaitAny(t *testing.T, h *harness) {
 }
 
 // conformIsendPastQueueDepth: one thread posts four completion queues'
-// worth of sends before it waits on any. Nobody else polls an instance the
-// sender holds, so the backend refuses the send that finds its completion
-// queue full instead of waiting for room (transport.ErrCQFull), and the
-// sender drains its own instance and retries: every message arrives once, in
-// order, and WaitAll returns.
+// worth of sends before it waits on any. A send posts no completion, so no
+// queue of the sender's fills however many it posts: every message arrives
+// once, in order, and WaitAll returns.
 func conformIsendPastQueueDepth(t *testing.T, h *harness) {
 	const n = 4 * 4096 // four times the default Options.QueueDepth
 	run2(t, h, func(rank int, th *core.Thread) error {

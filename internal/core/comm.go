@@ -254,9 +254,9 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 	ring.RecordAt(now-p.flightBase, flight.KindSendPost, c.id, int32(dst), int32(env.Seq), -1, 0)
 	env.Len = uint32(len(buf))
 	op := carve(&th.sends)
-	op.proc, op.kind = p, reqSend
+	op.proc = p
 	req, pkt := &op.Request, &op.pkt
-	pkt.Init(env, buf, req, &th.slab)
+	pkt.Init(env, buf, &th.slab)
 	user := userEager(env)
 	if user && p.timed {
 		m := pkt.MetaFrom(&th.slab)
@@ -285,7 +285,9 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 // inject is the one way a matched envelope leaves this process: hold a CRI,
 // take its endpoint toward the destination, enter the packet in the
 // reliability window (req completes on ack; fail, if set, runs instead when
-// the peer is given up on), and write it to the wire inside PhaseWire.
+// the peer is given up on), and write it to the wire inside PhaseWire. On a
+// lossless backend req, if set, completes here: the backend took the packet,
+// whose payload was copied at the send post, and posts no completion for it.
 func (c *Comm) inject(th *Thread, env transport.Envelope, pkt *transport.Packet, req *Request, fail func(error)) error {
 	p := c.proc
 	dstWorld := c.group[env.Dst]
@@ -320,10 +322,6 @@ func (c *Comm) inject(th *Thread, env transport.Envelope, pkt *transport.Packet,
 	clk := th.ts.Clock()
 	clk.Begin(prof.PhaseWire)
 	err := ep.Send(pkt)
-	for err != nil && errors.Is(err, transport.ErrCQFull) {
-		th.PollHeld(inst)
-		err = ep.Send(pkt)
-	}
 	if staged && err == nil {
 		p.lat.ObserveStage(latency.StageCRIAcquire, acqNs)
 		// Wire write is the one stage that starts and ends inside a single
@@ -338,15 +336,22 @@ func (c *Comm) inject(th *Thread, env transport.Envelope, pkt *transport.Packet,
 		// to its retry budget, which re-drives or abandons it.
 		return fmt.Errorf("core: send from rank %d to %d: %v: %w", p.rank, dstWorld, err, ErrPeerUnreachable)
 	}
+	if req != nil && p.rel == nil {
+		req.finish(nil)
+	}
 	return nil
 }
 
-// Send is the blocking send (MPI_Send).
+// Send is the blocking send (MPI_Send). An eager send is complete when Isend
+// returns, so Wait alone would not progress; the one pass puts the message on
+// a batching wire (tcpnet writes inside Poll) before the caller's next step —
+// typically a receive, whose post would otherwise delay the write.
 func (c *Comm) Send(th *Thread, dst int, tag int32, buf []byte) error {
 	req, err := c.Isend(th, dst, tag, buf)
 	if err != nil {
 		return err
 	}
+	th.Progress()
 	return req.Wait(th)
 }
 
@@ -393,7 +398,7 @@ func (c *Comm) post(th *Thread, src int, tag int32, buf []byte) *Request {
 	p := c.proc
 	clk := th.ts.Clock()
 	op := carve(&th.recvs)
-	op.proc, op.kind, op.matched = p, reqRecv, &op.recv
+	op.proc, op.matched = p, &op.recv
 	req := &op.Request
 	op.recv = match.Recv{Source: int32(src), Tag: tag, Buf: buf, Token: req}
 	c.lockMatch(clk)

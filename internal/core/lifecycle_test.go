@@ -268,8 +268,8 @@ func TestStockMessageAllocations(t *testing.T) {
 // empty messages, receives posted first. Each side refills its operation slab
 // once per 64 messages, so a message costs 2/64 of an allocation — above
 // zero, because callers may read a *Request after Wait and no entry is ever
-// handed out twice — and its two slab entries in bytes: a 112-byte send and a
-// 144-byte receive (148 with the slab's size-class rounding), about 276 B per
+// handed out twice — and its two slab entries in bytes: a 96-byte send and a
+// 136-byte receive (148 with the slab's size-class rounding), about 250 B per
 // message in all. An untimed message carves no metadata record.
 func TestStockWindowAllocations(t *testing.T) {
 	const window = 128
@@ -277,7 +277,7 @@ func TestStockWindowAllocations(t *testing.T) {
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
 	sreqs, rreqs := make([]*Request, window), make([]*Request, window)
-	pinAllocs(t, "core 0 B window of 128, per message (sim)", 0.05, 280, window, func() {
+	pinAllocs(t, "core 0 B window of 128, per message (sim)", 0.05, 256, window, func() {
 		var err error
 		for i := range rreqs {
 			if rreqs[i], err = c1.Irecv(t1, 0, 3, nil); err != nil {
@@ -301,8 +301,8 @@ func TestStockWindowAllocations(t *testing.T) {
 // Over a real wire the receiver also decodes each message: the packet comes
 // from the reader's 64-entry slab and the payload copy from its 8 KiB chunk,
 // and a successful flush allocates nothing. An 8-byte round trip — the
-// benchmark's tcp_pingpong_8B — is two such messages, about 345 heap bytes
-// each: the two operations, the decoded 80-byte packet and two 8-byte payload
+// benchmark's tcp_pingpong_8B — is two such messages, about 315 heap bytes
+// each: the two operations, the decoded 64-byte packet and two 8-byte payload
 // copies. An untraced frame decodes without a metadata record.
 func TestTCPRoundTripAllocations(t *testing.T) {
 	nets, err := tcpnet.NewLoopback(2)
@@ -342,7 +342,7 @@ func TestTCPRoundTripAllocations(t *testing.T) {
 		}
 	}
 	oneWay(0) // dial and handshake outside the measurement
-	pinAllocs(t, "core 8 B eager round trip, per message (tcp)", 0.1, 360, 2, func() {
+	pinAllocs(t, "core 8 B eager round trip, per message (tcp)", 0.1, 328, 2, func() {
 		oneWay(0)
 		oneWay(1)
 	})
@@ -412,12 +412,12 @@ func TestMessageFootprint(t *testing.T) {
 		size, pinned uintptr
 	}{
 		{"core.Request", unsafe.Sizeof(Request{}), 32},
-		{"transport.Packet", unsafe.Sizeof(transport.Packet{}), 80},
+		{"transport.Packet", unsafe.Sizeof(transport.Packet{}), 64},
 		{"match.Recv", unsafe.Sizeof(match.Recv{}), 104},
-		{"core.sendOp (Request + Packet)", unsafe.Sizeof(sendOp{}), 112},
+		{"core.sendOp (Request + Packet)", unsafe.Sizeof(sendOp{}), 96},
 		{"core.recvOp (Request + match.Recv)", unsafe.Sizeof(recvOp{}), 136},
-		{"core.rdvSendOp (Request + RTS + FIN)", unsafe.Sizeof(rdvSendOp{}), 232},
-		{"core.rdvRecv (transfer state + ACK)", unsafe.Sizeof(rdvRecv{}), 136},
+		{"core.rdvSendOp (Request + RTS + FIN)", unsafe.Sizeof(rdvSendOp{}), 200},
+		{"core.rdvRecv (transfer state + ACK)", unsafe.Sizeof(rdvRecv{}), 120},
 	} {
 		t.Logf("%-36s %4d B (pinned %d)", s.name, s.size, s.pinned)
 		if s.size > s.pinned {

@@ -160,14 +160,10 @@ func (r *reliability) initPeers(n int) {
 // track registers an outbound packet for ack/retransmit, assigning its
 // transport sequence number in the packet's Meta record, carved from slab if
 // it has none (a nil slab: a record of its own). Must be called before the
-// packet is injected. req (if non-nil) is marked reliable: its send completion
-// shifts from the local CQE to the peer's ack.
+// packet is injected. req (if non-nil) completes on the peer's ack.
 func (r *reliability) track(pkt *transport.Packet, dstWorld int, req *Request, fail func(error), slab *transport.Slab) {
 	if r == nil {
 		return
-	}
-	if req != nil {
-		req.reliable = true
 	}
 	now := time.Now()
 	m := pkt.MetaFrom(slab)
@@ -240,7 +236,7 @@ func (r *reliability) sendAck(dstWorld int, cum, sel uint64) {
 	}
 	// An unsendable ack is repaired by the peer's retransmission, which
 	// re-triggers this path — same recovery as a lost ack on the wire.
-	_ = p.sendControl(dstWorld, transport.NewPacketRaw(env, payload[:], nil))
+	_ = p.sendControl(dstWorld, transport.NewPacketRaw(env, payload[:]))
 	p.spcs.Inc(spc.AcksSent)
 	p.flightRing.Record(flight.KindAckSent, 0, int32(dstWorld), int32(uint32(cum)))
 }
@@ -380,12 +376,8 @@ func (r *reliability) windowSnapshot() []flight.PeerWindow {
 }
 
 // resend re-injects a packet toward dstWorld on a round-robin instance's
-// endpoint without a new send-completion CQE (the original injection
-// already produced one).
+// endpoint. A failed resend is indistinguishable from a lost packet; the
+// retry budget governs, so the error is deliberately dropped.
 func (p *Proc) resend(dstWorld int, pkt *transport.Packet) {
-	if ep, err := p.controlEndpoint(dstWorld); err == nil {
-		// A failed resend is indistinguishable from a lost packet; the
-		// retry budget governs, so the error is deliberately dropped.
-		_ = ep.Resend(pkt)
-	}
+	_ = p.controlSend(dstWorld, func(ep transport.Endpoint) error { return ep.Send(pkt) })
 }

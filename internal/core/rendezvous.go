@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/flight"
 	"repro/internal/match"
@@ -92,21 +91,21 @@ type rdvRecv struct {
 
 // initControl makes pkt a control packet whose payload is body itself, not a
 // copy: body sits in the record that holds pkt and is never written again.
-func initControl(pkt *transport.Packet, env transport.Envelope, body []byte, token any) {
-	pkt.Init(env, nil, token, nil)
+func initControl(pkt *transport.Packet, env transport.Envelope, body []byte) {
+	pkt.Init(env, nil, nil)
 	pkt.Payload = body
 }
 
 func (c *Comm) isendRendezvous(th *Thread, dst int, tag int32, buf []byte) (*Request, error) {
 	p := c.proc
 	op := carve(&th.rdvs)
-	op.proc, op.kind = p, reqRendezvousSend
+	op.proc = p
 	op.buf, op.dstWorld = buf, c.group[dst]
 	id := p.rdvNext.Add(1)
 	binary.LittleEndian.PutUint64(op.id[:], id)
 	env := c.newEnvelope(dst, tag, transport.KindRendezvousRTS)
 	env.Len = uint32(len(buf))
-	initControl(&op.rts, env, op.id[:], &op.Request)
+	initControl(&op.rts, env, op.id[:])
 	p.rdvMu.Lock()
 	p.rdvSends[id] = op
 	p.rdvMu.Unlock()
@@ -215,7 +214,7 @@ func (c *Comm) startRendezvousRecv(req *Request, comp match.Completion) {
 	binary.LittleEndian.PutUint64(rr.ackBody[16:], uint64(sink))
 	initControl(&rr.ack, transport.Envelope{
 		Src: int32(c.myRank), Dst: env.Src, Comm: c.id, Kind: transport.KindRendezvousACK,
-	}, rr.ackBody[:], nil)
+	}, rr.ackBody[:])
 	p.rdvRecvs[key] = rr
 	p.rdvMu.Unlock()
 	p.flightRing.Record(flight.KindRendezvousStart, c.id, env.Src, int32(total))
@@ -261,7 +260,7 @@ func (c *Comm) handleRendezvousACK(pkt *transport.Packet) {
 	env := pkt.Envelope()
 	initControl(&op.fin, transport.Envelope{
 		Src: env.Dst, Dst: env.Src, Comm: c.id, Kind: transport.KindRendezvousData,
-	}, op.id[:], nil)
+	}, op.id[:])
 	p.rel.track(&op.fin, op.dstWorld, nil, nil, nil)
 	err := p.controlSend(op.dstWorld, func(ep transport.Endpoint) error {
 		return ep.PutNotify(regionID, op.buf[:sink], &op.fin)
@@ -318,22 +317,16 @@ func (p *Proc) sendControl(dstWorld int, pkt *transport.Packet) error {
 	return err
 }
 
-// controlSend runs send on a round-robin instance's endpoint toward dstWorld
-// until the backend accepts it. Control traffic holds no instance lock, so a
-// full completion queue (transport.ErrCQFull) is drained by whoever
-// progresses that instance: the retry yields, then moves to the next
-// instance. A missing endpoint comes back wrapping ErrPeerUnreachable.
+// controlSend runs send on a round-robin instance's endpoint toward dstWorld.
+// Control traffic holds no instance lock, and a two-sided operation posts no
+// completion, so there is no full queue to wait out. A missing endpoint comes
+// back wrapping ErrPeerUnreachable.
 func (p *Proc) controlSend(dstWorld int, send func(transport.Endpoint) error) error {
-	for {
-		ep, err := p.controlEndpoint(dstWorld)
-		if err != nil {
-			return err
-		}
-		if err = send(ep); !errors.Is(err, transport.ErrCQFull) {
-			return err
-		}
-		runtime.Gosched()
+	ep, err := p.controlEndpoint(dstWorld)
+	if err != nil {
+		return err
 	}
+	return send(ep)
 }
 
 // controlEndpoint picks the next round-robin instance's endpoint toward

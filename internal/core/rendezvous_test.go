@@ -25,7 +25,7 @@ func control(kind transport.Kind, src int32, size int, words ...uint64) *transpo
 		payload = binary.LittleEndian.AppendUint64(payload, w)
 	}
 	env := transport.Envelope{Src: src, Dst: 0, Tag: 5, Comm: 1, Len: 1 << 10, Kind: kind}
-	return transport.NewPacketRaw(env, payload[:size], nil)
+	return transport.NewPacketRaw(env, payload[:size])
 }
 
 // TestHostileRendezvousControl: the rendezvous handlers take lengths, a sink
@@ -330,7 +330,7 @@ func TestRendezvousDataAndFINAreOneFrame(t *testing.T) {
 
 	conn := handDial(t, nets[1].Addr())
 	idb := binary.LittleEndian.AppendUint64(nil, id)
-	rts := transport.NewPacketRaw(transport.Envelope{Src: 0, Dst: 1, Tag: 7, Comm: 1, Len: size, Kind: transport.KindRendezvousRTS}, idb, nil)
+	rts := transport.NewPacketRaw(transport.Envelope{Src: 0, Dst: 1, Tag: 7, Comm: 1, Len: size, Kind: transport.KindRendezvousRTS}, idb)
 	if _, err := conn.Write(rts.AppendMuxFrame(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestRendezvousDataAndFINAreOneFrame(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i*11 + 3)
 	}
-	fin := transport.NewPacketRaw(transport.Envelope{Src: 0, Dst: 1, Comm: 1, Kind: transport.KindRendezvousData}, idb, nil)
+	fin := transport.NewPacketRaw(transport.Envelope{Src: 0, Dst: 1, Comm: 1, Kind: transport.KindRendezvousData}, idb)
 	frame := append(fin.AppendLandedFrame(nil, 0, region, size), body...)
 	if _, err := conn.Write(frame[:len(frame)-size/2]); err != nil {
 		t.Fatal(err)

@@ -27,16 +27,9 @@ type Status struct {
 	Truncated bool
 }
 
-type reqKind uint8
-
-const (
-	reqSend reqKind = iota + 1
-	reqRecv
-	reqRendezvousSend
-)
-
 // Request is a non-blocking operation handle. Wait/Test observe completion;
-// the progress engine (any thread's) completes it. It holds only what every
+// the send path completes an eager send on a lossless wire, the progress
+// engine (any thread's) everything else. It holds only what every
 // operation uses, in four words: a receive's status is read from its matching
 // record, which a send does not have, and an error — rare — is boxed.
 type Request struct {
@@ -46,14 +39,8 @@ type Request struct {
 	matched *match.Recv
 	// err is the error the operation completed with, nil on success (see
 	// result).
-	err *error
-
-	kind reqKind
-	// reliable marks a send tracked by the delivery-reliability layer: it
-	// completes on the peer's ack (or ErrPeerUnreachable), not on the local
-	// send CQE. Written before injection, so the CQE handler observes it.
-	reliable bool
-	done     atomic.Bool
+	err  *error
+	done atomic.Bool
 }
 
 // A posted operation is one slab entry: the handle the caller holds and the
@@ -166,21 +153,6 @@ func TestAll(th *Thread, reqs ...*Request) (bool, error) {
 	return true, first
 }
 
-// Complete implements Completer for send completions extracted from a CQ.
-func (r *Request) Complete(transport.CQE) {
-	if r.kind == reqRendezvousSend {
-		// The eager injection of the RTS does not finish a rendezvous
-		// send; the put + FIN path completes it.
-		return
-	}
-	if r.reliable {
-		// Local injection is not delivery under the reliability layer; the
-		// ack path (or the retransmit sweep's failure) completes this send.
-		return
-	}
-	r.finish(nil)
-}
-
 func (r *Request) finish(err error) {
 	if err != nil {
 		box := new(error)
@@ -188,7 +160,7 @@ func (r *Request) finish(err error) {
 		r.err = box
 	}
 	if r.done.Swap(true) {
-		panic(fmt.Sprintf("core: request completed twice (kind %d)", r.kind))
+		panic("core: request completed twice")
 	}
 }
 

@@ -99,11 +99,12 @@ func (t *Thread) WaitUntil(done func() bool) {
 }
 
 // PollHeld is what a caller holding in's lock does when the backend refused
-// an operation with transport.ErrCQFull: poll in through the proc's dispatch,
-// reaping its completions (and delivering what arrived on it), before the
-// caller retries. Nobody else can drain a context whose instance lock the
-// caller holds, so waiting instead would wait forever. A pass that found
-// nothing yields the core.
+// a signaled one-sided operation with transport.ErrCQFull — the flush marker
+// of internal/rma, the one operation that can meet a full queue: poll in
+// through the proc's dispatch, reaping its completions (and delivering what
+// arrived on it), before the caller retries. Nobody else can drain a context
+// whose instance lock the caller holds, so waiting instead would wait
+// forever. A pass that found nothing yields the core.
 func (t *Thread) PollHeld(in *cri.Instance) {
 	if in.Poll(t.ts.Clock(), t.proc.dispatch, 64) == 0 {
 		runtime.Gosched()

@@ -572,7 +572,8 @@ func (p *Proc) commByID(id uint32) *Comm {
 }
 
 // Completer is implemented by CQE tokens that know how to complete
-// themselves (send requests, one-sided operations).
+// themselves: the one-sided operations' counters. A two-sided packet posts
+// no completion.
 type Completer interface {
 	Complete(transport.CQE)
 }
@@ -588,17 +589,10 @@ func (p *Proc) dispatch(clk *prof.ThreadClock, in *cri.Instance, e transport.CQE
 	if e.Kind != transport.CQERecv {
 		p.flush(run)
 	}
-	switch e.Kind {
-	case transport.CQESendComplete:
-		if c, ok := e.Packet.Token.(Completer); ok && c != nil {
-			c.Complete(e)
-		}
-	case transport.CQERecv:
+	if e.Kind == transport.CQERecv {
 		p.deliver(clk, in, e.Packet, run)
-	default: // one-sided completions
-		if c, ok := e.Token.(Completer); ok && c != nil {
-			c.Complete(e)
-		}
+	} else if c, ok := e.Token.(Completer); ok && c != nil {
+		c.Complete(e) // a one-sided completion
 	}
 }
 

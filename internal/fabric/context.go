@@ -124,15 +124,14 @@ func (c *Context) releaseDue() {
 	}
 }
 
-// claim posts an operation's local completion before the operation does
-// anything, in one push attempt. A full CQ refuses the operation with
-// transport.ErrCQFull (counted as a ring-full wait on the device): only a
-// Poll of this context drains it, and the caller may hold the one lock that
-// lets a thread poll it, so waiting here could wait forever. Posting first is
-// what makes the refusal clean — nothing was injected, so a retry cannot
-// inject twice — and nobody reaps the completion early: the matched paths
-// hold the instance lock every Poll of this context takes, and control
-// traffic's completions carry no token.
+// claim posts a signaled one-sided operation's local completion before the
+// operation does anything, in one push attempt. A full CQ refuses the
+// operation with transport.ErrCQFull (counted as a ring-full wait on the
+// device): only a Poll of this context drains it, and the caller holds the
+// one lock that lets a thread poll it, so waiting here could wait forever.
+// Posting first is what makes the refusal clean — nothing was injected, so a
+// retry cannot inject twice — and nobody reaps the completion early: the
+// caller holds the instance lock every Poll of this context takes.
 func (c *Context) claim(e transport.CQE) error {
 	if c.cq.Push(e) {
 		return nil
@@ -251,25 +250,10 @@ func (e *Endpoint) inject(rc *Context, p *transport.Packet) {
 	}
 }
 
-// Send injects a two-sided packet and posts a send-completion CQE to the
-// local context; a full CQ refuses it with transport.ErrCQFull (see claim).
+// Send injects a two-sided packet. It posts no completion: returning nil is
+// the local completion (transport.Endpoint). Sending a packet again is the
+// reliability layer's retransmission, which faces the wire faults again.
 func (e *Endpoint) Send(p *transport.Packet) error {
-	rc, err := e.resolve()
-	if err != nil {
-		return err
-	}
-	if err := e.local.claim(transport.CQE{Kind: transport.CQESendComplete, Packet: p}); err != nil {
-		return err
-	}
-	e.inject(rc, p)
-	return nil
-}
-
-// Resend re-injects a packet without posting a new send-completion CQE —
-// the retransmission path of the delivery-reliability layer, which already
-// holds local completion state for the packet. The retransmitted copy faces
-// the wire faults again.
-func (e *Endpoint) Resend(p *transport.Packet) error {
 	rc, err := e.resolve()
 	if err != nil {
 		return err
@@ -280,8 +264,8 @@ func (e *Endpoint) Resend(p *transport.Packet) error {
 
 // PutNotify writes src into the remote device's registered region — an RDMA
 // write addressed by region id, routed through the endpoint so callers need
-// no handle on the peer's device — and then sends p, whose send completion
-// is the call's one CQE. An empty src moves nothing and p goes alone.
+// no handle on the peer's device — and then sends p. Like Send it posts no
+// completion. An empty src moves nothing and p goes alone.
 func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) error {
 	rc, err := e.resolve()
 	if err != nil {
@@ -297,9 +281,6 @@ func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) e
 			return &boundsError{Op: "put", Len: len(src), Size: len(buf)}
 		}
 		dst = buf
-	}
-	if err := e.local.claim(transport.CQE{Kind: transport.CQESendComplete, Packet: p}); err != nil {
-		return err
 	}
 	copy(dst, src)
 	e.inject(rc, p)

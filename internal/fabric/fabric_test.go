@@ -113,20 +113,16 @@ func TestClosedDeviceRefusesContexts(t *testing.T) {
 func TestSendDeliversAndCompletes(t *testing.T) {
 	ep, sctx, rctx := newPair(t, NewNetwork(), transport.DeviceConfig{})
 
-	tok := "req-1"
 	env := transport.Envelope{Src: 0, Dst: 1, Tag: 5, Comm: 1, Seq: 0, Kind: transport.KindEager}
-	if err := ep.Send(transport.NewPacket(env, []byte("hi"), tok)); err != nil {
+	if err := ep.Send(transport.NewPacket(env, []byte("hi"), nil)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Sender side: one send completion.
+	// Sender side: Send returning nil was the completion; nothing is posted.
 	var sendDone []transport.CQE
 	sctx.Poll(func(e transport.CQE) { sendDone = append(sendDone, e) }, 16)
-	if len(sendDone) != 1 || sendDone[0].Kind != transport.CQESendComplete {
-		t.Fatalf("sender CQ = %+v, want one SendComplete", sendDone)
-	}
-	if sendDone[0].Packet.Token != tok {
-		t.Fatal("send completion lost its token")
+	if len(sendDone) != 0 || sctx.Pending() {
+		t.Fatalf("sender CQ = %+v, want no completion", sendDone)
 	}
 
 	// Receiver side: one recv event with intact envelope and payload.

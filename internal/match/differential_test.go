@@ -143,9 +143,9 @@ var diffCounters = [5]spc.Counter{
 func runDiffOps(e Matcher, ops []diffOp) diffResult {
 	var res diffResult
 	recvs := map[int]*Recv{}
-	msgOf := func(p *transport.Packet) int { return p.Token.(int) }
+	msgOf := map[*transport.Packet]int{}
 	complete := func(c Completion) string {
-		msg := msgOf(c.Packet)
+		msg := msgOf[c.Packet]
 		res.perSrc[c.Recv.MatchedEnv.Src] = append(res.perSrc[c.Recv.MatchedEnv.Src], msg)
 		return fmt.Sprintf("r%d<-m%d(seq=%d n=%d trunc=%v buf=%x)", c.Recv.Token.(int), msg,
 			c.Recv.MatchedEnv.Seq, c.Recv.N, c.Recv.Truncated, c.Recv.Buf[:c.Recv.N])
@@ -164,7 +164,8 @@ func runDiffOps(e Matcher, ops []diffOp) diffResult {
 		case diffDeliver:
 			p := transport.NewPacket(transport.Envelope{
 				Src: op.src, Tag: op.tag, Comm: 1, Seq: op.seq, Kind: transport.KindEager,
-			}, op.payload, op.msg)
+			}, op.payload, nil)
+			msgOf[p] = op.msg
 			line += fmt.Sprintf("deliver m%d(src=%d seq=%d)", op.msg, op.src, op.seq)
 			scratch = e.Deliver(p, scratch[:0])
 			for _, c := range scratch {
@@ -180,7 +181,7 @@ func runDiffOps(e Matcher, ops []diffOp) diffResult {
 			p, ok := e.MProbe(op.src, op.tag)
 			line += fmt.Sprintf("mprobe(%d,%d) %v", op.src, op.tag, ok)
 			if ok {
-				line += fmt.Sprintf(" m%d", msgOf(p))
+				line += fmt.Sprintf(" m%d", msgOf[p])
 			}
 		case diffCancel:
 			line += fmt.Sprintf("cancel r%d %v", op.recv, e.CancelRecv(recvs[op.recv]))

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
 // flushDeadline bounds every wait in this file: a flush that has not
@@ -90,12 +91,19 @@ func TestPutsPastQueueDepth(t *testing.T) {
 	}
 }
 
+// reaped counts the completions a progress pass hands it (core.Completer).
+type reaped struct{ n int }
+
+func (r *reaped) Complete(transport.CQE) { r.n++ }
+
 // TestFlushMarkerPastQueueDepth: the flush's marker finds its instance's
-// completion queue full — of send completions from Isends nobody has waited
-// for — and the context refuses it (transport.ErrCQFull). Nobody else polls
-// the instance while the flushing thread holds its lock, so that thread
-// drains the instance itself and retries: the flush returns, the put is in
-// the target, and the sends complete.
+// completion queue full — of signaled completions nobody has reaped — and the
+// context refuses it (transport.ErrCQFull). Nobody else polls the instance
+// while the flushing thread holds its lock, so that thread drains the
+// instance itself and retries: the flush returns, the put is in the target,
+// and the queued completions are reaped. Two-sided sends cannot fill the
+// queue (they post no completion), so the test fills it with signaled
+// zero-byte puts issued on the contexts directly.
 func TestFlushMarkerPastQueueDepth(t *testing.T) {
 	const depth = 64
 	opts := core.Stock()
@@ -104,31 +112,28 @@ func TestFlushMarkerPastQueueDepth(t *testing.T) {
 	win := wins[0]
 	win.LockAll()
 	th := w.Proc(0).NewThread()
-	comm := win.comm
 	refusals := func() int64 { return w.Proc(0).TelemetryStats().Process.Get(spc.RingFullWaits) }
-	reqs := make([]*core.Request, depth)
-	within(t, "a flush whose marker finds the queue full", func() {
-		for i := range reqs {
-			req, err := comm.Isend(th, 1, 7, nil)
-			if err != nil {
-				t.Error(err)
-				return
+	pool := w.Proc(0).Pool()
+	var fill reaped
+	for i := 0; i < pool.Len(); i++ {
+		inst := pool.Get(i)
+		inst.Lock()
+		for range depth {
+			if err := inst.Context().Put(win.regions[1], 0, nil, &fill); err != nil {
+				t.Fatal(err)
 			}
-			reqs[i] = req
 		}
-		if n := refusals(); n != 0 {
-			t.Errorf("%d refusals before the flush: the sends alone overflowed the queue", n)
-			return
-		}
+		inst.Unlock()
+	}
+	if n := refusals(); n != 0 {
+		t.Fatalf("%d refusals while filling the queues to their depth", n)
+	}
+	within(t, "a flush whose marker finds the queue full", func() {
 		if err := win.Put(th, 1, 0, []byte("marked!!")); err != nil {
 			t.Error(err)
 			return
 		}
 		if err := win.Flush(th, 1); err != nil {
-			t.Error(err)
-			return
-		}
-		if err := core.WaitAll(th, reqs...); err != nil {
 			t.Error(err)
 		}
 	})
@@ -136,13 +141,16 @@ func TestFlushMarkerPastQueueDepth(t *testing.T) {
 		return
 	}
 	if n := refusals(); n == 0 {
-		t.Fatal("the marker was never refused: the send completions did not fill the queue")
+		t.Fatal("the marker was never refused: the queue was not full")
 	}
 	if got := string(wins[1].Local()); got != "marked!!" {
 		t.Fatalf("target window = %q after the flush", got)
 	}
 	if n := win.Pending(1); n != 0 {
 		t.Fatalf("Pending(1) = %d after Flush", n)
+	}
+	if fill.n < depth {
+		t.Fatalf("the flush reaped %d of the %d queued completions of its instance", fill.n, depth)
 	}
 }
 

@@ -209,6 +209,9 @@ type cqe struct {
 	pending *int64
 	// pkt, when non-nil, is an inbound two-sided packet to match.
 	pkt *transport.Packet
+	// flow is the sending thread's eager flow control: each extraction of
+	// pkt, a duplicate copy's included, returns it a credit.
+	flow *flowState
 }
 
 // simInstance is one CRI in the model.
@@ -593,6 +596,8 @@ func (t *simThread) backoffWait(sp *sim.Proc, pred func() bool) {
 // send injects one message: instance acquisition per strategy, instance
 // lock, injection CPU cost, wire reservation, delivery to the remote
 // instance's queue (with back-pressure), and a local send-completion CQE.
+// The runtime's backends post no completion for a two-sided send; the model
+// keeps charging one (EXPERIMENTS.md, Known divergence 7).
 func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRank, tag int32) {
 	p := t.proc
 	t.clk.Begin(prof.PhaseSend)
@@ -635,7 +640,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 		Src: srcRank, Dst: dstRank, Tag: tag, Comm: c.id,
 		Seq: seq, Len: uint32(p.cfg.MsgSize), Kind: transport.KindEager,
 	}
-	pkt := transport.NewPacketRaw(env, nil, &t.flow)
+	pkt := transport.NewPacketRaw(env, nil)
 	var meta *transport.Meta
 	if p.lat != nil {
 		// Same deterministic id scheme as core's traceID, on world ranks, and
@@ -693,12 +698,12 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 		p.lat.ObserveStage(latency.StageCRIAcquire, meta.SendAcqNs)
 		p.lat.ObserveStage(latency.StageWireWrite, meta.SendWireNs)
 	}
-	remote.rxQ = append(remote.rxQ, cqe{pkt: pkt})
+	remote.rxQ = append(remote.rxQ, cqe{pkt: pkt, flow: &t.flow})
 	if copies > 1 {
 		// The duplicate copy consumes wire time too; matching-layer dedup
 		// discards it on the far side.
 		p.wire.Reserve(sp, header+p.cfg.MsgSize)
-		remote.rxQ = append(remote.rxQ, cqe{pkt: pkt})
+		remote.rxQ = append(remote.rxQ, cqe{pkt: pkt, flow: &t.flow})
 	}
 	t.clk.End()
 	inst.cq = append(inst.cq, cqe{pending: &t.pendingSends})
@@ -835,7 +840,7 @@ func (t *simThread) poll(sp *sim.Proc, inst *simInstance, max int) int {
 		e := inst.rxQ[0]
 		inst.rxQ = inst.rxQ[1:]
 		sp.Advance(p.costs.RecvExtract)
-		t.deliver(sp, e.pkt)
+		t.deliver(sp, e.pkt, e.flow)
 		n++
 	}
 	if n == 0 {
@@ -845,8 +850,9 @@ func (t *simThread) poll(sp *sim.Proc, inst *simInstance, max int) int {
 }
 
 // deliver pushes one inbound packet through its communicator's matching
-// engine, accounting lock wait as match time (as Open MPI's SPC does).
-func (t *simThread) deliver(sp *sim.Proc, pkt *transport.Packet) {
+// engine, accounting lock wait as match time (as Open MPI's SPC does), and
+// returns a credit to its sender's flow.
+func (t *simThread) deliver(sp *sim.Proc, pkt *transport.Packet, flow *flowState) {
 	p := t.proc
 	env := pkt.Envelope()
 	c := p.comms[env.Comm]
@@ -868,9 +874,7 @@ func (t *simThread) deliver(sp *sim.Proc, pkt *transport.Packet) {
 	// Eager credit returns at fragment consumption (BTL semantics), not at
 	// match time — an out-of-sequence message that sits buffered must not
 	// stall its sender forever.
-	if fs, ok := pkt.Token.(*flowState); ok {
-		fs.consume()
-	}
+	flow.consume()
 	t.clk.Begin(prof.PhaseLockWait)
 	waited, release := c.acquireMatch(sp, env.Src, env.Tag)
 	t.clk.End()

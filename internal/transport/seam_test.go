@@ -14,8 +14,8 @@ import (
 )
 
 // The seam's contract, one table over every backend: what the runtime relies
-// on from Device.Connect, Endpoint.Send/Resend and Context.Poll/Pending must
-// read the same on the in-process fabric and on loopback tcp.
+// on from Device.Connect, Endpoint.Send/PutNotify and Context.Poll/Pending
+// must read the same on the in-process fabric and on loopback tcp.
 
 // cluster hands out the devices of one two-rank world; device(r, ctr) may be
 // called once per rank.
@@ -77,19 +77,18 @@ func eager(seq uint32) *transport.Packet {
 
 // tally counts what a context's Poll surfaces.
 type tally struct {
-	sendDone int
+	others   int      // events that are not arrivals: a two-sided operation posts none
 	seqs     []uint32 // CQERecv sequence numbers, in delivery order
 	payloads [][]byte // CQERecv payloads, likewise
 }
 
 func (y *tally) handle(e transport.CQE) {
-	switch e.Kind {
-	case transport.CQESendComplete:
-		y.sendDone++
-	case transport.CQERecv:
-		y.seqs = append(y.seqs, e.Packet.Envelope().Seq)
-		y.payloads = append(y.payloads, e.Packet.Payload)
+	if e.Kind != transport.CQERecv {
+		y.others++
+		return
 	}
+	y.seqs = append(y.seqs, e.Packet.Envelope().Seq)
+	y.payloads = append(y.payloads, e.Packet.Payload)
 }
 
 // pump polls both ends (a batching backend writes and reads its wire there)
@@ -123,12 +122,13 @@ func TestSeamContract(t *testing.T) {
 				t.Fatalf("Connect established %d connections; nothing may resolve before the first send", got)
 			}
 
-			// Pending between a send and its poll; one completion per Send.
+			// A Send posts no completion: returning nil was the local
+			// completion, and the sender's context has nothing queued.
 			if err := ep.Send(eager(0)); err != nil {
 				t.Fatal(err)
 			}
-			if !tx.Pending() {
-				t.Fatal("sender context not Pending between a send and its poll")
+			if tx.Pending() {
+				t.Fatal("sender context Pending after a send: a completion was posted")
 			}
 			if opened, reused := ctr.Get(spc.ConnsOpened), ctr.Get(spc.ConnsReused); opened != 1 || reused != 0 {
 				t.Fatalf("first send toward the peer: conns_opened = %d, conns_reused = %d, want 1 and 0", opened, reused)
@@ -151,20 +151,21 @@ func TestSeamContract(t *testing.T) {
 					t.Fatalf("delivery %d carries seq %d: per-sender FIFO broken", i, seq)
 				}
 			}
-			if sender.sendDone != n {
-				t.Fatalf("%d send completions for %d sends", sender.sendDone, n)
-			}
-			if tx.Pending() {
-				t.Fatal("sender context still Pending after its completions drained")
+			if sender.others != 0 || tx.Pending() {
+				t.Fatalf("%d completions for %d sends (pending %v), want none", sender.others, n, tx.Pending())
 			}
 
-			// Resend delivers again and completes nothing.
-			if err := ep.Resend(eager(n)); err != nil {
-				t.Fatal(err)
+			// Sending a packet again — the reliability layer's retransmission
+			// — delivers it again, behind everything sent before it.
+			again := eager(n)
+			for range 2 {
+				if err := ep.Send(again); err != nil {
+					t.Fatal(err)
+				}
 			}
-			pump(t, tx, rx, &sender, &receiver, n+1)
-			if sender.sendDone != n {
-				t.Fatalf("Resend posted a completion: %d for %d sends", sender.sendDone, n)
+			pump(t, tx, rx, &sender, &receiver, n+2)
+			if receiver.seqs[n] != n || receiver.seqs[n+1] != n || sender.others != 0 {
+				t.Fatalf("a packet sent twice arrived as %v, sender saw %d completions", receiver.seqs[n:], sender.others)
 			}
 
 			// A second endpoint onto the same peer reuses the pair's path.
@@ -172,12 +173,12 @@ func TestSeamContract(t *testing.T) {
 			if err := mustConnect(t, d0, tx2, 1, 0).Send(eager(n + 1)); err != nil {
 				t.Fatal(err)
 			}
-			pump(t, tx2, rx, &sender2, &receiver, n+2)
+			pump(t, tx2, rx, &sender2, &receiver, n+3)
 			if opened, reused := ctr.Get(spc.ConnsOpened), ctr.Get(spc.ConnsReused); opened != 1 || reused != 1 {
 				t.Fatalf("second endpoint to the same peer: conns_opened = %d, conns_reused = %d, want 1 and 1", opened, reused)
 			}
-			if sender2.sendDone != 1 {
-				t.Fatalf("second endpoint's context saw %d completions, want 1", sender2.sendDone)
+			if sender2.others != 0 {
+				t.Fatalf("second endpoint's context saw %d completions, want none", sender2.others)
 			}
 
 			// A context of another backend is not a local context.
@@ -192,8 +193,8 @@ func TestSeamContract(t *testing.T) {
 }
 
 // TestSeamPutNotify is the contract of the rendezvous bulk step, the same on
-// both backends: src is in the peer's region when p is delivered, p completes
-// locally once, src is the caller's again when the call returns, and p is
+// both backends: src is in the peer's region when p is delivered, the call
+// posts no completion, src is the caller's again when the call returns, and p is
 // never delivered without src — toward a region the peer no longer holds the
 // transfer vanishes whole and the path stays usable.
 func TestSeamPutNotify(t *testing.T) {
@@ -205,7 +206,7 @@ func TestSeamPutNotify(t *testing.T) {
 			ep := mustConnect(t, d0, tx, 1, 0)
 			fin := func(seq uint32) *transport.Packet {
 				env := transport.Envelope{Src: 0, Dst: 1, Seq: seq, Kind: transport.KindRendezvousData}
-				return transport.NewPacketRaw(env, []byte("transfer"), nil)
+				return transport.NewPacketRaw(env, []byte("transfer"))
 			}
 			sink := make([]byte, 96<<10)
 			region := d1.RegisterMemory(sink)
@@ -259,8 +260,8 @@ func TestSeamPutNotify(t *testing.T) {
 			if string(receiver.payloads[0]) != "transfer" || receiver.seqs[0] != 0 || receiver.seqs[1] != 1 {
 				t.Fatalf("delivered %v with payload %q, want packets 0 and 1 carrying their own payload", receiver.seqs, receiver.payloads[0])
 			}
-			if sender.sendDone != 2 {
-				t.Fatalf("%d send completions for 2 PutNotify calls", sender.sendDone)
+			if sender.others != 0 || tx.Pending() {
+				t.Fatalf("%d completions for 2 PutNotify calls (pending %v), want none", sender.others, tx.Pending())
 			}
 
 			// A region that is gone: nothing is delivered, whether the backend
@@ -297,9 +298,6 @@ func TestSeamUnresolvablePeer(t *testing.T) {
 	if err := ep.Send(eager(0)); !errors.Is(err, transport.ErrConnEstablish) {
 		t.Fatalf("send toward a rank with no device = %v, want ErrConnEstablish", err)
 	}
-	if err := ep.Resend(eager(0)); !errors.Is(err, transport.ErrConnEstablish) {
-		t.Fatalf("resend toward a rank with no device = %v, want ErrConnEstablish", err)
-	}
 	if tx.Pending() {
 		t.Fatal("a failed send posted a completion")
 	}
@@ -317,8 +315,8 @@ func TestSeamUnresolvablePeer(t *testing.T) {
 	}
 	var sender, receiver tally
 	pump(t, tx, rx, &sender, &receiver, 1)
-	if sender.sendDone != 1 || receiver.seqs[0] != 1 || ctr.Get(spc.ConnsOpened) != 1 {
-		t.Fatalf("after the peer appeared: %d completions, seqs %v, conns_opened %d; want 1, [1], 1",
-			sender.sendDone, receiver.seqs, ctr.Get(spc.ConnsOpened))
+	if sender.others != 0 || receiver.seqs[0] != 1 || ctr.Get(spc.ConnsOpened) != 1 {
+		t.Fatalf("after the peer appeared: %d completions, seqs %v, conns_opened %d; want 0, [1], 1",
+			sender.others, receiver.seqs, ctr.Get(spc.ConnsOpened))
 	}
 }

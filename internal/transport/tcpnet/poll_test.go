@@ -733,7 +733,7 @@ func TestIdlePollAllocatesNothing(t *testing.T) {
 // the receiver's region.
 func landedFrame(mux uint32, seq int, id, region uint64, body []byte) []byte {
 	env := transport.Envelope{Src: 0, Dst: 1, Tag: int32(mux), Seq: uint32(seq), Kind: transport.KindRendezvousData}
-	fin := transport.NewPacketRaw(env, binary.LittleEndian.AppendUint64(nil, id), nil)
+	fin := transport.NewPacketRaw(env, binary.LittleEndian.AppendUint64(nil, id))
 	return append(fin.AppendLandedFrame(nil, mux, region, len(body)), body...)
 }
 

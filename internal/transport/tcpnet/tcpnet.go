@@ -47,15 +47,18 @@
 //
 // Write side: Endpoint.Send does not touch the socket. It appends the mux
 // frame to the peer pair's pending buffer (a short pending-lock hold, no
-// syscall) and posts the send completion — eager local completion means
-// "buffer copied", which is all MPI promises. The pending buffer reaches the
-// kernel in one Write when
+// syscall) and posts no completion — Send returning is the eager local
+// completion, "buffer copied", which is all MPI promises. The pending buffer
+// reaches the kernel in one Write when
 //
-//   - any of the rank's contexts finishes a Context.Poll (so Isend×128 then
-//     WaitAll is one syscall, and a blocking Send is still exactly one,
-//     issued by the Wait's first progress pass);
-//   - it crosses flushBytes (so a frame near the eager limit goes out
-//     inline, on the sending thread);
+//   - any of the rank's contexts polls: a pass that finds nothing queued
+//     flushes before it reads the sockets, any pass flushes at its end (so
+//     the blocking receive behind a send puts the send on the wire with its
+//     first pass, and a sender that never waits on anything coalesces until
+//     the next bullet);
+//   - it crosses flushBytes (so a stream's envelopes leave in 8 KiB
+//     batches and a frame near the eager limit goes out inline, on the
+//     sending thread);
 //   - a landed frame is sent: its head joins the buffer and the user's send
 //     buffer follows in the same vectored write, uncopied;
 //   - the backstop timer fires, at most backstopDelay after a clean→dirty
@@ -1546,7 +1549,6 @@ func (d *Device) CreateContext(depth int) (transport.Context, error) {
 		net:   d.net,
 		ctr:   d.counters,
 		recvQ: ringbuf.NewMPSC[*transport.Packet](depth),
-		cq:    ringbuf.NewMPSC[transport.CQE](depth),
 	}
 	d.contexts = append(d.contexts, c)
 	d.net.nctx.Store(int32(len(d.contexts)))
@@ -1638,15 +1640,16 @@ func (d *Device) Region(id uint64) (transport.MemRegion, bool) {
 // can drain.
 func (d *Device) Close() { d.net.close() }
 
-// Context is one injection path with its own receive and completion rings.
-// The rings are multi-producer (pollers of any context, reader goroutines and
-// local endpoints push concurrently); Poll is called under the per-CRI lock.
+// Context is one injection path with its own receive ring. It has no
+// completion ring: tcp is two-sided only, and a two-sided operation posts no
+// completion. The ring is multi-producer (pollers of any context, reader
+// goroutines and local endpoints push concurrently); Poll is called under the
+// per-CRI lock.
 type Context struct {
 	index int
 	net   *Network
 	ctr   *spc.Set
 	recvQ *ringbuf.MPSC[*transport.Packet]
-	cq    *ringbuf.MPSC[transport.CQE]
 
 	// rx is the batch drain pops the receive ring into; only the poller
 	// touches it, so it starts a cache line past everything pushers read.
@@ -1656,20 +1659,26 @@ type Context struct {
 
 func (c *Context) Index() int { return c.index }
 
-// Poll drains completions then inbound packets, up to max. A pass that found
-// both rings empty reads the sockets of the connections this context owns
-// (see sweep) and drains what that brought; a pass that popped anything reads
-// none. It then flushes whatever the rank has pending toward any peer —
-// frames sent before the pass and frames its handlers sent during it. Read
-// and flush run on the calling thread; the read never blocks, and an idle
-// pass pays one atomic load for the flush.
+// Poll drains inbound packets, up to max, and flushes whatever the rank has
+// pending toward any peer — frames sent before the pass and frames its
+// handlers sent during it. A pass that found the ring empty first flushes,
+// then reads the sockets of the connections this context owns (see sweep)
+// and drains what that brought, so a sender polling for nothing puts its
+// bytes on the wire before it pays a read that finds none; a pass that
+// popped anything reads none. Read and flush run on the calling thread; the
+// read never blocks, and a flush with nothing pending costs one atomic load.
 func (c *Context) Poll(handler func(transport.CQE), max int) int {
 	if max <= 0 {
 		max = 64
 	}
 	n := c.drain(handler, max)
-	if n == 0 && c.net.sweep(c) {
-		n = c.drain(handler, max)
+	if n == 0 {
+		if c.net.dirty.Load() != 0 {
+			c.net.flushDirty(false)
+		}
+		if c.net.sweep(c) {
+			n = c.drain(handler, max)
+		}
 	}
 	if c.net.dirty.Load() != 0 {
 		c.net.flushDirty(false)
@@ -1677,19 +1686,10 @@ func (c *Context) Poll(handler func(transport.CQE), max int) int {
 	return n
 }
 
-// drain hands up to max queued events to handler: completions, then inbound
-// packets, popped a batch at a time (ringbuf.MPSC.PopBatch publishes the
-// ring head once per batch).
+// drain hands up to max inbound packets to handler, popped a batch at a time
+// (ringbuf.MPSC.PopBatch publishes the ring head once per batch).
 func (c *Context) drain(handler func(transport.CQE), max int) int {
 	n := 0
-	for n < max {
-		e, ok := c.cq.Pop()
-		if !ok {
-			break
-		}
-		handler(e)
-		n++
-	}
 	for n < max {
 		want := min(len(c.rx), max-n)
 		k := c.recvQ.PopBatch(c.rx[:want])
@@ -1705,7 +1705,7 @@ func (c *Context) drain(handler func(transport.CQE), max int) int {
 	return n
 }
 
-func (c *Context) Pending() bool { return c.cq.Len() > 0 || c.recvQ.Len() > 0 }
+func (c *Context) Pending() bool { return c.recvQ.Len() > 0 }
 
 // push is a same-rank endpoint's delivery, which may wait for ring room on
 // the sending thread; frames off a socket go through rxConn.toRing.
@@ -1714,20 +1714,6 @@ func (c *Context) push(p *transport.Packet) {
 		c.ctr.Inc(spc.RingFullWaits)
 		time.Sleep(10 * time.Microsecond)
 	}
-}
-
-// claim posts an operation's local completion before the operation does
-// anything, in one push attempt; a full ring refuses it with
-// transport.ErrCQFull (one ring-full wait). Only a Poll of this context
-// drains the ring, and the caller may hold the instance lock every Poll of it
-// takes, so it must not wait here. Posting first keeps the refusal clean —
-// nothing was enqueued, so a retry cannot send twice.
-func (c *Context) claim(e transport.CQE) error {
-	if c.cq.Push(e) {
-		return nil
-	}
-	c.ctr.Inc(spc.RingFullWaits)
-	return transport.ErrCQFull
 }
 
 // TCP is two-sided only.
@@ -1765,11 +1751,10 @@ type Endpoint struct {
 	attached atomic.Bool
 }
 
-// Send injects one packet and posts the local send completion. On TCP the
-// completion means "copied into the peer's pending buffer", not "handed to
-// the kernel" — the caller's buffer is free, which is what eager local
-// completion promises. The bytes reach the socket at the end of the rank's
-// next Context.Poll, inline here once the buffer crosses flushBytes, or from
+// Send injects one packet. It posts no completion: returning nil means
+// "copied into the peer's pending buffer", not "handed to the kernel" — the
+// caller's buffer is free, which is what eager local completion promises.
+// The bytes reach the socket at the end of the rank's next Context.Poll, inline here once the buffer crosses flushBytes, or from
 // the backstop timer within backstopDelay if the caller never progresses (see
 // the package comment). The first send toward a peer establishes the shared
 // connection; a failed establishment surfaces as ErrConnEstablish and the
@@ -1778,45 +1763,18 @@ type Endpoint struct {
 // have already completed, so the error is returned by the next Send toward
 // the peer (whose packet is not injected) and counted in wire_flush_failures
 // and wire_frames_stranded. Packets whose frame would exceed maxFrame
-// (64 MiB) are refused, and so is a send that finds the completion ring
-// full (transport.ErrCQFull): the completion is claimed once the path is
-// ready and before the packet is enqueued.
+// (64 MiB) are refused. A same-rank endpoint pushes p straight into the
+// local context's ring.
 func (e *Endpoint) Send(p *transport.Packet) error {
-	if err := e.ready(p); err != nil {
-		return err
-	}
-	if err := e.local.claim(transport.CQE{Kind: transport.CQESendComplete, Packet: p}); err != nil {
-		return err
-	}
-	e.inject(p)
-	return nil
-}
-
-// Resend re-injects without a new completion. Unreachable in practice: the
-// runtime disables the retransmit layer on lossless backends.
-func (e *Endpoint) Resend(p *transport.Packet) error {
-	if err := e.ready(p); err != nil {
-		return err
-	}
-	e.inject(p)
-	return nil
-}
-
-// ready readies the path for p; a same-rank endpoint needs none.
-func (e *Endpoint) ready(p *transport.Packet) error {
-	if e.loop != nil {
-		return nil
-	}
-	return e.path(transport.MuxHeaderSize + p.WireSize())
-}
-
-// inject hands p to a ready path.
-func (e *Endpoint) inject(p *transport.Packet) {
 	if e.loop != nil {
 		e.loop.push(p)
-		return
+		return nil
+	}
+	if err := e.path(transport.MuxHeaderSize + p.WireSize()); err != nil {
+		return err
 	}
 	e.dev.net.enqueue(e.peer, p, e.mux)
+	return nil
 }
 
 // path readies the way to the peer for a frame of size bytes: a frame above
@@ -1849,18 +1807,14 @@ func (e *Endpoint) path(size int) error {
 // calling thread, and the peer's reader fills its region before it delivers p
 // (rxConn.land). A write that fails, re-established link included, fails the
 // call, and the peer never sees the transfer. The frame, body counted, is held
-// to maxFrame and its head to maxLandedHead before a byte is written, and
-// p's completion is claimed after those checks and before the write. A
-// same-rank endpoint copies into the local region at once.
+// to maxFrame and its head to maxLandedHead before a byte is written. Like
+// Send it posts no completion. A same-rank endpoint copies into the local
+// region at once.
 func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) error {
-	done := transport.CQE{Kind: transport.CQESendComplete, Packet: p}
 	if e.loop != nil {
 		dst, ok := e.local.net.region(regionID)
 		if !ok || len(src) > len(dst) {
 			return fmt.Errorf("tcpnet: %d bytes for local region %d: %w", len(src), regionID, transport.ErrRegionUnavailable)
-		}
-		if err := e.local.claim(done); err != nil {
-			return err
 		}
 		copy(dst, src)
 		e.loop.push(p)
@@ -1871,9 +1825,6 @@ func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) e
 		return fmt.Errorf("tcpnet: packet of %d wire bytes is too large to head a landed frame", p.WireSize())
 	}
 	if err := e.path(size); err != nil {
-		return err
-	}
-	if err := e.local.claim(done); err != nil {
 		return err
 	}
 	var head [maxLandedHead]byte

@@ -69,10 +69,13 @@ func TestSendAcrossProcessesBoundary(t *testing.T) {
 	env := transport.Envelope{Src: 0, Dst: 1, Tag: 7, Kind: transport.KindEager}
 	pkt := transport.NewPacket(env, []byte("over the wire"), nil)
 	pkt.Meta = &transport.Meta{RelSeq: 42}
-	ep.Send(pkt)
-
-	if e := poll1(t, c0); e.Kind != transport.CQESendComplete {
-		t.Fatalf("local completion kind = %v", e.Kind)
+	if err := ep.Send(pkt); err != nil {
+		t.Fatal(err)
+	}
+	// The sender's poll finds no completion (Send returning was it) and
+	// puts the frame on the wire.
+	if n := c0.Poll(func(e transport.CQE) { t.Errorf("sender polled %+v", e) }, 16); n != 0 {
+		t.Fatalf("sender polled %d events, want none", n)
 	}
 	e := poll1(t, c1)
 	if e.Kind != transport.CQERecv {
@@ -85,9 +88,6 @@ func TestSendAcrossProcessesBoundary(t *testing.T) {
 	if m := e.Packet.Meta; m == nil || m.RelSeq != 42 {
 		t.Fatalf("driver metadata lost: %+v", m)
 	}
-	if e.Packet.Token != nil {
-		t.Fatal("token must not cross the wire")
-	}
 }
 
 func TestLoopbackEndpointSameRank(t *testing.T) {
@@ -96,20 +96,18 @@ func TestLoopbackEndpointSameRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep.Send(transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, []byte("self"), nil))
-	seen := 0
-	for seen < 2 {
-		e := poll1(t, c0)
-		if e.Kind == transport.CQERecv && string(e.Packet.Payload) != "self" {
-			t.Fatalf("payload = %q", e.Packet.Payload)
-		}
-		seen++
+	if err := ep.Send(transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, []byte("self"), nil)); err != nil {
+		t.Fatal(err)
+	}
+	// One event: the arrival. The send posts no completion.
+	if e := poll1(t, c0); e.Kind != transport.CQERecv || string(e.Packet.Payload) != "self" || c0.Pending() {
+		t.Fatalf("same-rank Send surfaced %+v, pending %v", e, c0.Pending())
 	}
 	// PutNotify toward the same rank fills the local region before it returns:
 	// the source is the caller's again at once.
 	sink := make([]byte, 8)
 	src := []byte("landed")
-	fin := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, []byte("transfer"), nil)
+	fin := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, []byte("transfer"))
 	if err := ep.PutNotify(d0.RegisterMemory(sink).ID(), src, fin); err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +115,8 @@ func TestLoopbackEndpointSameRank(t *testing.T) {
 	if string(sink) != "landed\x00\x00" {
 		t.Fatalf("local region holds %q after PutNotify returned", sink)
 	}
-	for seen = 0; seen < 2; seen++ {
-		if e := poll1(t, c0); e.Packet != fin {
-			t.Fatalf("same-rank PutNotify surfaced %+v", e)
-		}
+	if e := poll1(t, c0); e.Kind != transport.CQERecv || e.Packet != fin || c0.Pending() {
+		t.Fatalf("same-rank PutNotify surfaced %+v, pending %v", e, c0.Pending())
 	}
 	if err := ep.PutNotify(99, src, fin); !errors.Is(err, transport.ErrRegionUnavailable) || c0.Pending() {
 		t.Fatalf("PutNotify into a region nobody registered = %v, pending %v", err, c0.Pending())
@@ -180,12 +176,12 @@ func TestCapsAndUnsupportedOps(t *testing.T) {
 func TestPutNotifyRefusesBeforeWriting(t *testing.T) {
 	nets, d0, _, ctr := newCountedPair(t)
 	ep := mustConnect(t, d0, mustContext(t, d0), 1, 0)
-	fin := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, make([]byte, 8), nil)
+	fin := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, make([]byte, 8))
 	body := make([]byte, maxFrame-fin.LandedFrameSize(0)+1) // never touched: no page of it becomes resident
 	if err := ep.PutNotify(1, body, fin); err == nil || !strings.Contains(err.Error(), "frame limit") {
 		t.Fatalf("PutNotify of a frame one byte above maxFrame = %v, want the frame-limit refusal", err)
 	}
-	fat := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, make([]byte, maxLandedHead), nil)
+	fat := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, make([]byte, maxLandedHead))
 	if err := ep.PutNotify(1, nil, fat); err == nil {
 		t.Fatal("PutNotify accepted a head above maxLandedHead: the peer would close the link over it")
 	}
@@ -594,7 +590,7 @@ func TestConcurrentFirstSendsConverge(t *testing.T) {
 		for _, c := range []transport.Context{c0, c1} {
 			got := 0
 			deadline := time.Now().Add(5 * time.Second)
-			for got < 2 { // one send completion + one inbound packet
+			for got < 1 { // the inbound packet; a send posts no completion
 				got += c.Poll(func(transport.CQE) {}, 8)
 				if time.Now().After(deadline) {
 					t.Fatal("delivery never converged after racing dials")
@@ -649,14 +645,17 @@ func mustConnect(t *testing.T, d transport.Device, c transport.Context, peer, re
 	return ep
 }
 
-// establish sends one frame from ep and polls both sides until it arrived,
-// so the link exists and nothing is pending when the test proper starts.
+// establish sends one frame from ep, polls the sender once (which finds no
+// completion and flushes the frame) and the receiver until it arrived, so the
+// link exists and nothing is pending when the test proper starts.
 func establish(t *testing.T, ep transport.Endpoint, local, remote transport.Context) {
 	t.Helper()
 	if err := ep.Send(transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
-	poll1(t, local)
+	if n := local.Poll(func(transport.CQE) {}, 64); n != 0 {
+		t.Fatalf("the sender polled %d events after a send, want no completion", n)
+	}
 	poll1(t, remote)
 }
 
@@ -990,7 +989,7 @@ func TestHostileFramesCloseTheLink(t *testing.T) {
 	eagerLanded[kindAt] = byte(transport.KindEager)
 	pastFrame := landedFrame(0, 1, 1, 1, make([]byte, 16))
 	le.PutUint32(pastFrame[bodyLenAt:], le.Uint32(pastFrame)+1)
-	fat := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, make([]byte, maxLandedHead), nil)
+	fat := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, make([]byte, maxLandedHead))
 	for _, tc := range []struct {
 		name   string
 		stream []byte
@@ -1401,9 +1400,9 @@ func pinAllocs(t *testing.T, path string, pinned float64, f func()) {
 	}
 }
 
-// TestSuccessfulFlushAllocatesNothing: buffering a frame, reaping its send
-// completion and the flush that Poll ends with allocate nothing once the
-// pending buffers have grown (the write error used to escape on every flush).
+// TestSuccessfulFlushAllocatesNothing: buffering a frame and the flush that
+// the sender's next Poll makes allocate nothing once the pending buffers have
+// grown (the write error used to escape on every flush).
 func TestSuccessfulFlushAllocatesNothing(t *testing.T) {
 	_, d0, d1, ctr := newCountedPair(t)
 	c0, c1 := mustContext(t, d0), mustContext(t, d1)

@@ -28,13 +28,14 @@ var ErrNoEndpoint = errors.New("transport: no endpoint to peer")
 // that triggered establishment was not injected.
 var ErrConnEstablish = errors.New("transport: connection establishment failed")
 
-// ErrCQFull reports an operation refused because the local context's
-// completion queue had no room for its completion (libfabric's FI_EAGAIN):
-// nothing was injected and no completion was posted. Only a Poll of that
-// context makes room, and the layers above poll a context only under its
-// instance's lock, so a caller holding that lock polls the context itself
-// and then retries; a caller that does not hold it yields to the threads
-// that can.
+// ErrCQFull reports a signaled one-sided operation refused because the
+// local context's completion queue had no room for its completion
+// (libfabric's FI_EAGAIN): nothing was injected and no completion was
+// posted. Only a Poll of that context makes room, and the layers above poll
+// a context only under its instance's lock, so the caller — holding that
+// lock — polls the context itself and then retries. Unsignaled initiators
+// and the two-sided Endpoint operations post no completion and never
+// return it.
 var ErrCQFull = errors.New("transport: completion queue full")
 
 // Caps describes what a backend can do. The runtime consults it at world
@@ -228,37 +229,36 @@ type Context interface {
 // injection itself thread-safe (the simulated fabric's queues are
 // multi-producer; tcpnet appends frames to a per-peer pending buffer under a
 // short lock and writes whole batches under a separate write-order lock).
+//
+// A two-sided operation posts no completion: Send and PutNotify returning
+// nil is the local completion, and the caller finishes whatever waits on it
+// (the nil-token rule of the one-sided initiators, with no signaled form).
+// So neither ever meets a full completion queue: ErrCQFull is a one-sided
+// initiator's error alone.
 type Endpoint interface {
-	// Send injects a two-sided packet and posts a send-completion CQE to
-	// the local context. An endpoint is a lazily resolved path: the first
-	// Send establishes it (tcpnet dials, or reuses the peer pair's one
-	// connection; the in-process fabric looks the peer's context up), and a
-	// failed establishment surfaces as an error wrapping ErrConnEstablish —
-	// the packet is not injected and no completion is posted. So is a
-	// Send that finds the local completion queue full (ErrCQFull).
-	// Completion means the packet was copied out of the caller's hands, not
-	// that it left the host: a batching backend (tcpnet) puts it on the wire
-	// at the end of the rank's next Context.Poll, or from a bounded-delay
-	// timer if no Poll comes, and reports a wire failure it meets there from
-	// the next Send toward the same peer.
+	// Send injects a two-sided packet. An endpoint is a lazily resolved
+	// path: the first Send establishes it (tcpnet dials, or reuses the peer
+	// pair's one connection; the in-process fabric looks the peer's context
+	// up), and a failed establishment surfaces as an error wrapping
+	// ErrConnEstablish — the packet is not injected. A nil return means the
+	// packet was copied out of the caller's hands, not that it left the
+	// host: a batching backend (tcpnet) puts it on the wire at the end of
+	// the rank's next Context.Poll, or from a bounded-delay timer if no Poll
+	// comes, and reports a wire failure it meets there from the next Send
+	// toward the same peer. Sending a packet again is the retransmission of
+	// the delivery-reliability layer, which treats a failed resend like a
+	// lost packet (the retry budget governs).
 	Send(p *Packet) error
-	// Resend re-injects a packet without a new send-completion CQE — the
-	// retransmission path of the delivery-reliability layer. Errors carry
-	// the same meaning as Send's; the reliability layer treats a failed
-	// resend like a lost packet (the retry budget governs).
-	Resend(p *Packet) error
 	// PutNotify lands src at the start of the peer's registered region
-	// regionID, then delivers p to the remote context and posts p's
-	// send-completion CQE locally — a write with notification, the bulk step
-	// of a rendezvous. p is never delivered without src: a path that fails
-	// mid-transfer loses both. src is not referenced after the call returns
+	// regionID, then delivers p to the remote context — a write with
+	// notification, the bulk step of a rendezvous. p is never delivered
+	// without src: a path that fails mid-transfer loses both, and the error
+	// is what reports the loss. src is not referenced after the call returns
 	// (in process it is an RDMA write; tcpnet streams it behind p's head in
 	// one frame and returns once the kernel has every byte). Every backend
 	// implements it, with or without Caps.OneSided. ErrRegionUnavailable
 	// means the peer's device is known to hold no such region; p was not
-	// sent. p's completion is claimed before anything moves: ErrCQFull
-	// means nothing was sent, and a write that fails after the claim still
-	// leaves the completion posted (the error is what reports the loss).
+	// sent.
 	PutNotify(regionID uint64, src []byte, p *Packet) error
 }
 

@@ -1,15 +1,16 @@
 // Package transport is the seam between the runtime and its wire: the wire
 // contracts every backend speaks (Envelope, Packet, CQE, the length-prefixed
 // codec) and the five types a backend implements — Network, Device, Context,
-// Endpoint, MemRegion, 22 methods in all.
+// Endpoint, MemRegion, 21 methods in all.
 //
 // The CRI design the paper builds on — one network context, one completion
 // queue, one endpoint table per instance, protected by one per-instance
 // lock — is backend-independent: the same locking discipline maps onto any
 // provider (Zambre et al.'s scalable-endpoints line of work), and the
 // software endpoint is a thin handle on the resource a thread drives. So the
-// seam holds exactly what the message path above calls — inject, poll/drain
-// a CQ, resend, one-sided ops, region bookkeeping — and nothing a caller
+// seam holds exactly what the message path above calls — inject (and inject
+// again, the reliability layer's resend), poll/drain a CQ, one-sided ops,
+// region bookkeeping — and nothing a caller
 // already has in hand (the machine model, the backend's Caps) or that
 // nothing branches on. An endpoint is a lazily resolved path on every
 // backend: Connect records where it leads, the first Send establishes it.
@@ -123,9 +124,6 @@ func (e Envelope) String() string {
 type Packet struct {
 	header  [EnvelopeSize]byte
 	Payload []byte
-	// Token is opaque sender state echoed in the send-completion CQE,
-	// typically the request to mark complete. It never crosses the wire.
-	Token any
 	// Meta is the packet's driver metadata, nil unless the sending proc is
 	// timed, the packet is traced, or the reliability layer tracks it.
 	Meta *Meta
@@ -249,18 +247,21 @@ func (p *Packet) MetaFrom(s *Slab) *Meta {
 }
 
 // NewPacket marshals env and copies payload into a fresh packet, setting
-// the envelope's Len to the payload length.
-func NewPacket(env Envelope, payload []byte, token any) *Packet {
+// the envelope's Len to the payload length. The third argument is ignored:
+// a packet carries no sender state (no backend posts a completion for a
+// two-sided packet), and the parameter stays so that callers written against
+// the three-argument form still build.
+func NewPacket(env Envelope, payload []byte, _ any) *Packet {
 	env.Len = uint32(len(payload))
-	return NewPacketRaw(env, payload, token)
+	return NewPacketRaw(env, payload)
 }
 
 // NewPacketRaw is NewPacket without overwriting env.Len — control packets
 // (e.g. a rendezvous RTS) advertise a length different from their carried
 // payload.
-func NewPacketRaw(env Envelope, payload []byte, token any) *Packet {
+func NewPacketRaw(env Envelope, payload []byte) *Packet {
 	p := new(Packet)
-	p.Init(env, payload, token, nil)
+	p.Init(env, payload, nil)
 	return p
 }
 
@@ -268,10 +269,9 @@ func NewPacketRaw(env Envelope, payload []byte, token any) *Packet {
 // caller can embed the packet in a larger object of its own (a send request
 // and its packet are one allocation), with the payload copy carved from slab
 // (nil: a copy of its own). env.Len is marshaled as given.
-func (p *Packet) Init(env Envelope, payload []byte, token any, slab *Slab) {
+func (p *Packet) Init(env Envelope, payload []byte, slab *Slab) {
 	env.Marshal(&p.header)
 	p.Payload = slab.Copy(payload)
-	p.Token = token
 }
 
 // Envelope decodes and returns the packet's header.
@@ -314,7 +314,6 @@ func (p *Packet) WireSize() int {
 // RelSrc, Stamp), payload — to b and returns the extended slice. A traced
 // packet's envelope carries FlagTraced in its Kind word on the wire; an
 // untraced packet's framing is byte-identical to the canonical format.
-// Token never crosses the wire; it is sender-local state.
 func (p *Packet) AppendWire(b []byte) []byte { return p.appendWire(b, false, 0, 0) }
 
 // appendWire is AppendWire, with the landing extension when landed is set.
@@ -487,10 +486,8 @@ func DecodeLandedHeadInto(p *Packet, head []byte, slab *Slab) (mux uint32, err e
 type CQEKind uint8
 
 const (
-	// CQESendComplete reports local completion of an injected send.
-	CQESendComplete CQEKind = iota + 1
 	// CQERecv reports arrival of a two-sided packet.
-	CQERecv
+	CQERecv CQEKind = iota + 1
 	// CQEPutComplete reports local completion of a one-sided put.
 	CQEPutComplete
 	// CQEGetComplete reports local completion of a one-sided get.
@@ -502,6 +499,6 @@ const (
 // CQE is one completion-queue entry.
 type CQE struct {
 	Kind   CQEKind
-	Packet *Packet // for CQERecv and CQESendComplete
+	Packet *Packet // for CQERecv
 	Token  any     // for one-sided completions: opaque initiator state
 }

@@ -10,7 +10,7 @@ import (
 // untraced, anything else frames the trace-context extension.
 func fuzzPacket(src, dst, tag int32, comm, seq, length uint32, kind uint8, relSeq uint64, stamp int64, traceID uint64, origin int32, payload []byte) *Packet {
 	env := Envelope{Src: src, Dst: dst, Tag: tag, Comm: comm, Seq: seq, Len: length, Kind: Kind(kind%uint8(KindAck)) + KindEager}
-	p := NewPacketRaw(env, payload, nil)
+	p := NewPacketRaw(env, payload)
 	m := &Meta{RelSeq: relSeq, RelSrc: src, Stamp: stamp}
 	if traceID != 0 {
 		m.TraceID, m.Origin = traceID, origin

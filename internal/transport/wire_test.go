@@ -77,8 +77,8 @@ func TestWireTracedRoundTrip(t *testing.T) {
 		t.Fatalf("payload/meta lost: %q relseq=%d", q.Payload, q.Meta.RelSeq)
 	}
 
-	// A re-framed decoded packet must reproduce the original bytes (the
-	// Resend path re-encodes from the struct).
+	// A re-framed decoded packet must reproduce the original bytes (a
+	// retransmission re-encodes from the struct).
 	if again := q.AppendWire(nil); !bytes.Equal(again, frame) {
 		t.Fatalf("re-encode differs:\ngot  %x\nwant %x", again, frame)
 	}
@@ -133,11 +133,10 @@ func TestPacketInit(t *testing.T) {
 	env := testEnvelope()
 	env.Len = 99 // raw: the advertised length is not the carried one
 	payload := []byte("carried")
-	tok := &struct{}{}
-	want := NewPacketRaw(env, payload, tok)
+	want := NewPacketRaw(env, payload)
 
 	var in Packet
-	in.Init(env, payload, tok, nil)
+	in.Init(env, payload, nil)
 	if !reflect.DeepEqual(&in, want) || &in.Payload[0] == &payload[0] {
 		t.Fatalf("Init = %+v (payload aliased: %v), NewPacketRaw = %+v", in, &in.Payload[0] == &payload[0], want)
 	}
@@ -150,7 +149,7 @@ func TestWireLandedRoundTrip(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		env := testEnvelope()
 		env.Kind = KindRendezvousData
-		p := NewPacketRaw(env, []byte("transfer"), nil)
+		p := NewPacketRaw(env, []byte("transfer"))
 		p.Meta = &Meta{RelSeq: 9, RelSrc: 3, Stamp: 1234}
 		if traced {
 			p.Meta.TraceID, p.Meta.Origin = 0xfeed, 3
