@@ -12,6 +12,7 @@ import (
 	"repro/internal/backends"
 	"repro/internal/core"
 	"repro/internal/cri"
+	"repro/internal/flight"
 	"repro/internal/hw"
 	"repro/internal/spc"
 	"repro/internal/transport"
@@ -354,47 +355,109 @@ func reserveAddr(t *testing.T) string {
 // TestDistributedStartFenceAfterFailedDial: rank 1 comes up only after rank
 // 0's first dial toward it was refused, so rank 0's first start-barrier
 // message waits on a dial retry while rank 1's own dial succeeds. The start
-// fence must still release both ranks together, so that both time the same
-// stream: their Elapsed agree within ×2.
+// fence must still hold each rank back until the peer has received one of its
+// fence messages, so that both time the same stream. The check reads the two
+// ranks' flight records (one process, one clock): the first delivery of a
+// rank's fence message at its peer precedes that rank's first stream event.
+// A single barrier breaks it: rank 0 leaves it on rank 1's message while its
+// own is still on its way.
 func TestDistributedStartFenceAfterFailedDial(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Pairs, cfg.Window, cfg.Iters = 1, 64, 64
 	addrs := []string{reserveAddr(t), reserveAddr(t)}
-	nets := make([]*tcpnet.Network, 2)
 	res := make([]Result, 2)
 	errs := make([]error, 2)
+	worlds := make([]*core.World, 2)
 	var wg sync.WaitGroup
-	for rank := range nets {
-		if rank == 1 {
-			// Rank 0's first dial has been refused by now; its retry comes
-			// 5 ms later.
-			time.Sleep(2 * time.Millisecond)
-		}
-		n, err := tcpnet.New(tcpnet.Config{Rank: rank, Size: 2, Listen: addrs[rank], Peers: addrs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nets[rank] = n
+	start := func(rank int, n transport.Network) {
+		cfg := fastCfg()
+		cfg.Pairs, cfg.Window, cfg.Iters = 1, 16, 4
+		cfg.Opts.FlightCapacity = 4096
+		cfg.OnWorld = func(w *core.World) { worlds[rank] = w }
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			res[rank], errs[rank] = RunDistributed(cfg, rank, n)
 		}()
 	}
+	n0, err := tcpnet.New(tcpnet.Config{Rank: 0, Size: 2, Listen: addrs[0], Peers: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank0 := countedNet{n0, make(chan *spc.Set, 1)}
+	start(0, rank0)
+	// Nothing listens on rank 1's address until its network exists: wait
+	// for rank 0's dial toward it to be refused.
+	deadline := time.Now().Add(10 * time.Second)
+	var ctr *spc.Set
+	select {
+	case ctr = <-rank0.counters:
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("rank 0 opened no device")
+	}
+	for ; ctr.Get(spc.DialRetries) == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("rank 0 never dialed rank 1")
+		}
+	}
+	n1, err := tcpnet.New(tcpnet.Config{Rank: 1, Size: 2, Listen: addrs[1], Peers: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start(1, n1)
 	wg.Wait()
 	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	if got := res[0].SPCs.Get(spc.DialRetries); got == 0 {
-		t.Skip("rank 0's first dial succeeded: the listener came up too early to test the fence")
+	fence := worlds[0].Proc(0).CommWorld().ID()
+	var recs [2]flight.RankRecord
+	for rank, w := range worlds {
+		recs[rank] = w.Proc(rank).FlightRecord()
 	}
-	fast, slow := min(res[0].Elapsed, res[1].Elapsed), max(res[0].Elapsed, res[1].Elapsed)
-	if slow > 2*fast {
-		t.Fatalf("rank 0 timed %v and rank 1 %v for the same stream: the start fence released one rank early (rank 0 %v; rank 1 %v)",
-			res[0].Elapsed, res[1].Elapsed, linkCounts(res[0]), linkCounts(res[1]))
+	for rank := range recs {
+		peer := 1 - rank
+		streamAt := firstEvent(recs[rank], func(e flight.Event) bool {
+			switch e.Kind {
+			case flight.KindSendPost, flight.KindRecvPost, flight.KindRecvDeliver, flight.KindMatchComplete:
+				return e.Comm != fence
+			}
+			return false
+		})
+		deliveredAt := firstEvent(recs[peer], func(e flight.Event) bool {
+			return e.Kind == flight.KindRecvDeliver && e.Comm == fence && e.A0 == int32(rank)
+		})
+		if streamAt < 0 || deliveredAt < 0 {
+			t.Fatalf("rank %d: no stream event (%d) or no fence message delivered at rank %d (%d)", rank, streamAt, peer, deliveredAt)
+		}
+		if deliveredAt > streamAt {
+			t.Errorf("rank %d began the stream %v before rank %d received its first fence message: the start fence released it early (rank 0 %v; rank 1 %v)",
+				rank, time.Duration(deliveredAt-streamAt), peer, linkCounts(res[0]), linkCounts(res[1]))
+		}
 	}
+}
+
+// firstEvent returns the unix-nanosecond instant of the first event of rec
+// that match selects, or -1.
+func firstEvent(rec flight.RankRecord, match func(flight.Event) bool) int64 {
+	first := int64(-1)
+	for _, e := range rec.Events {
+		if at := rec.StartUnixNs + e.TS; match(e) && (first < 0 || at < first) {
+			first = at
+		}
+	}
+	return first
+}
+
+// countedNet is a tcpnet network that hands the test the counter set of the
+// device the world opens on it.
+type countedNet struct {
+	*tcpnet.Network
+	counters chan *spc.Set
+}
+
+func (n countedNet) NewDevice(rank int, m hw.Machine, cfg transport.DeviceConfig) (transport.Device, error) {
+	n.counters <- cfg.Counters
+	return n.Network.NewDevice(rank, m, cfg)
 }
 
 func linkCounts(r Result) string {

@@ -318,7 +318,7 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		p.flightRing = p.flight.NewRing(fmt.Sprintf("rank%d/proc", rank))
 		p.flightBase = p.flight.StartUnixNano()
 	}
-	dev, err := w.net.NewDevice(rank, machine, transport.DeviceConfig{Counters: p.spcs})
+	dev, err := w.net.NewDevice(rank, machine, transport.DeviceConfig{Counters: p.spcs, Unsignaled: true})
 	if err != nil {
 		return nil, err
 	}

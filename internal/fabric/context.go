@@ -124,7 +124,7 @@ func (c *Context) releaseDue() {
 	}
 }
 
-// claim posts a signaled one-sided operation's local completion before the
+// claim posts a signaled operation's local completion before the
 // operation does anything, in one push attempt. A full CQ refuses the
 // operation with transport.ErrCQFull (counted as a ring-full wait on the
 // device): only a Poll of this context drains it, and the caller holds the
@@ -138,6 +138,14 @@ func (c *Context) claim(e transport.CQE) error {
 	}
 	c.dev.counters.Inc(spc.RingFullWaits)
 	return transport.ErrCQFull
+}
+
+// signalSend claims p's send completion unless the device is Unsignaled.
+func (c *Context) signalSend(p *transport.Packet) error {
+	if c.dev.unsignaled {
+		return nil
+	}
+	return c.claim(transport.CQE{Kind: transport.CQESendComplete, Packet: p})
 }
 
 // Poll extracts up to max completion events, invoking handler for each, and
@@ -250,12 +258,16 @@ func (e *Endpoint) inject(rc *Context, p *transport.Packet) {
 	}
 }
 
-// Send injects a two-sided packet. It posts no completion: returning nil is
-// the local completion (transport.Endpoint). Sending a packet again is the
+// Send injects a two-sided packet. On an Unsignaled device it posts no
+// completion: returning nil is the local completion (transport.Endpoint);
+// otherwise it claims a CQESendComplete first. Sending a packet again is the
 // reliability layer's retransmission, which faces the wire faults again.
 func (e *Endpoint) Send(p *transport.Packet) error {
 	rc, err := e.resolve()
 	if err != nil {
+		return err
+	}
+	if err := e.local.signalSend(p); err != nil {
 		return err
 	}
 	e.inject(rc, p)
@@ -264,8 +276,8 @@ func (e *Endpoint) Send(p *transport.Packet) error {
 
 // PutNotify writes src into the remote device's registered region — an RDMA
 // write addressed by region id, routed through the endpoint so callers need
-// no handle on the peer's device — and then sends p. Like Send it posts no
-// completion. An empty src moves nothing and p goes alone.
+// no handle on the peer's device — and then sends p, completing like Send.
+// An empty src moves nothing and p goes alone.
 func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) error {
 	rc, err := e.resolve()
 	if err != nil {
@@ -281,6 +293,9 @@ func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) e
 			return &boundsError{Op: "put", Len: len(src), Size: len(buf)}
 		}
 		dst = buf
+	}
+	if err := e.local.signalSend(p); err != nil {
+		return err
 	}
 	copy(dst, src)
 	e.inject(rc, p)

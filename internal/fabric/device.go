@@ -21,6 +21,7 @@ type Device struct {
 	net         *Network
 	counters    *spc.Set // nil-safe
 	maxContexts int
+	unsignaled  bool // two-sided operations post no completion
 
 	scrambler *scrambler     // adversarial reordering of inbound packets, or nil
 	faults    *faultInjector // wire faults on outbound packets, or nil

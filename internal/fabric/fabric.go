@@ -79,6 +79,7 @@ func (n *Network) NewDevice(rank int, m hw.Machine, cfg transport.DeviceConfig) 
 		net:         n,
 		counters:    cfg.Counters,
 		maxContexts: m.MaxContexts,
+		unsignaled:  cfg.Unsignaled,
 		regions:     make(map[uint64]*MemRegion),
 		connected:   make(map[int]bool),
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -110,33 +111,87 @@ func TestClosedDeviceRefusesContexts(t *testing.T) {
 	}
 }
 
+// TestSendDeliversAndCompletes: a Send delivers one Recv to the peer. A
+// signaled device (the zero DeviceConfig) posts one CQESendComplete naming
+// the packet to the sender's context; an Unsignaled one, as every device the
+// runtime opens is, posts nothing.
 func TestSendDeliversAndCompletes(t *testing.T) {
-	ep, sctx, rctx := newPair(t, NewNetwork(), transport.DeviceConfig{})
+	for _, unsignaled := range []bool{false, true} {
+		ep, sctx, rctx := newPair(t, NewNetwork(), transport.DeviceConfig{Unsignaled: unsignaled})
 
-	env := transport.Envelope{Src: 0, Dst: 1, Tag: 5, Comm: 1, Seq: 0, Kind: transport.KindEager}
-	if err := ep.Send(transport.NewPacket(env, []byte("hi"), nil)); err != nil {
-		t.Fatal(err)
-	}
+		env := transport.Envelope{Src: 0, Dst: 1, Tag: 5, Comm: 1, Seq: 0, Kind: transport.KindEager}
+		pkt := transport.NewPacket(env, []byte("hi"), nil)
+		if err := ep.Send(pkt); err != nil {
+			t.Fatal(err)
+		}
 
-	// Sender side: Send returning nil was the completion; nothing is posted.
-	var sendDone []transport.CQE
-	sctx.Poll(func(e transport.CQE) { sendDone = append(sendDone, e) }, 16)
-	if len(sendDone) != 0 || sctx.Pending() {
-		t.Fatalf("sender CQ = %+v, want no completion", sendDone)
-	}
+		var sendDone []transport.CQE
+		sctx.Poll(func(e transport.CQE) { sendDone = append(sendDone, e) }, 16)
+		want := []transport.CQE{{Kind: transport.CQESendComplete, Packet: pkt}}
+		if unsignaled {
+			want = nil
+		}
+		if !slices.Equal(sendDone, want) || sctx.Pending() {
+			t.Fatalf("unsignaled=%v: sender CQ = %+v, want %+v", unsignaled, sendDone, want)
+		}
 
-	// Receiver side: one recv event with intact envelope and payload.
-	var recvd []transport.CQE
-	rctx.Poll(func(e transport.CQE) { recvd = append(recvd, e) }, 16)
-	if len(recvd) != 1 || recvd[0].Kind != transport.CQERecv {
-		t.Fatalf("receiver CQ = %+v, want one Recv", recvd)
+		// Receiver side: one recv event with intact envelope and payload.
+		var recvd []transport.CQE
+		rctx.Poll(func(e transport.CQE) { recvd = append(recvd, e) }, 16)
+		if len(recvd) != 1 || recvd[0].Kind != transport.CQERecv {
+			t.Fatalf("receiver CQ = %+v, want one Recv", recvd)
+		}
+		got := recvd[0].Packet.Envelope()
+		if got.Tag != 5 || got.Src != 0 || got.Len != 2 {
+			t.Fatalf("received envelope = %+v", got)
+		}
+		if string(recvd[0].Packet.Payload) != "hi" {
+			t.Fatalf("payload = %q", recvd[0].Packet.Payload)
+		}
 	}
-	got := recvd[0].Packet.Envelope()
-	if got.Tag != 5 || got.Src != 0 || got.Len != 2 {
-		t.Fatalf("received envelope = %+v", got)
-	}
-	if string(recvd[0].Packet.Payload) != "hi" {
-		t.Fatalf("payload = %q", recvd[0].Packet.Payload)
+}
+
+// TestSignaledSendFullQueue: a signaled Send claims its completion before it
+// injects, so once the sender's completion queue is full a Send is refused
+// with ErrCQFull and nothing reaches the peer; a Poll of the sender makes
+// room. An Unsignaled device sends past any queue depth.
+func TestSignaledSendFullQueue(t *testing.T) {
+	const depth, sends = 8, 64
+	for _, unsignaled := range []bool{false, true} {
+		n := NewNetwork()
+		cfg := transport.DeviceConfig{Unsignaled: unsignaled}
+		d0 := newDevice(t, n, 0, hw.Fast(), cfg)
+		tx, rx := newContextOn(t, d0, depth), newContextOn(t, newDevice(t, n, 1, hw.Fast(), cfg), 0)
+		ep := connect(t, d0, tx, 1, 0)
+		accepted, refused := 0, 0
+		for i := range sends {
+			switch err := ep.Send(eager(uint32(i))); {
+			case err == nil:
+				accepted++
+			case errors.Is(err, transport.ErrCQFull):
+				refused++
+			default:
+				t.Fatal(err)
+			}
+		}
+		if got := drain(rx, 4); got != accepted {
+			t.Fatalf("unsignaled=%v: %d packets arrived for %d accepted sends", unsignaled, got, accepted)
+		}
+		if unsignaled {
+			if refused != 0 || tx.Pending() {
+				t.Fatalf("unsignaled device refused %d of %d sends (pending %v)", refused, sends, tx.Pending())
+			}
+			continue
+		}
+		if refused == 0 || accepted < depth {
+			t.Fatalf("signaled device accepted %d and refused %d of %d sends on a depth-%d queue", accepted, refused, sends, depth)
+		}
+		if reaped := tx.Poll(func(transport.CQE) {}, sends); reaped != accepted {
+			t.Fatalf("reaped %d send completions for %d accepted sends", reaped, accepted)
+		}
+		if err := ep.Send(eager(sends)); err != nil {
+			t.Fatalf("send after the sender's queue drained: %v", err)
+		}
 	}
 }
 

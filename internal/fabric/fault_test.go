@@ -46,12 +46,8 @@ func TestFaultInjectorDisabledIsNil(t *testing.T) {
 func TestFaultDropAll(t *testing.T) {
 	ep, src, dst, s := faultPair(t, transport.FaultConfig{Drop: 1})
 	const n = 16
-	// The sender still sees every send complete locally, like real
-	// hardware: each Send returns nil, and posts no completion.
 	for i := 0; i < n; i++ {
-		if err := ep.Send(eager(uint32(i))); err != nil {
-			t.Fatalf("send %d into a dropping wire: %v", i, err)
-		}
+		ep.Send(eager(uint32(i)))
 	}
 	if got := drain(dst, 4); got != 0 {
 		t.Fatalf("Drop=1 delivered %d packets, want 0", got)
@@ -59,8 +55,15 @@ func TestFaultDropAll(t *testing.T) {
 	if c := s.Get(spc.FaultPacketsDropped); c != n {
 		t.Fatalf("FaultPacketsDropped = %d, want %d", c, n)
 	}
-	if got := src.Poll(func(transport.CQE) {}, 64); got != 0 {
-		t.Fatalf("sender polled %d events, want no completion", got)
+	// The sender still sees local send completions, like real hardware.
+	sends := 0
+	src.Poll(func(e transport.CQE) {
+		if e.Kind == transport.CQESendComplete {
+			sends++
+		}
+	}, 64)
+	if sends != n {
+		t.Fatalf("sender saw %d send completions, want %d", sends, n)
 	}
 }
 

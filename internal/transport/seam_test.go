@@ -15,7 +15,8 @@ import (
 
 // The seam's contract, one table over every backend: what the runtime relies
 // on from Device.Connect, Endpoint.Send/PutNotify and Context.Poll/Pending
-// must read the same on the in-process fabric and on loopback tcp.
+// must read the same on the in-process fabric and on loopback tcp. Devices
+// are opened Unsignaled, as the runtime opens them.
 
 // cluster hands out the devices of one two-rank world; device(r, ctr) may be
 // called once per rank.
@@ -45,7 +46,7 @@ var clusters = []func(*testing.T) cluster{simCluster, tcpCluster}
 
 func mustDevice(t *testing.T, net transport.Network, rank int, ctr *spc.Set) transport.Device {
 	t.Helper()
-	d, err := net.NewDevice(rank, hw.Fast(), transport.DeviceConfig{Counters: ctr})
+	d, err := net.NewDevice(rank, hw.Fast(), transport.DeviceConfig{Counters: ctr, Unsignaled: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,9 @@ var ErrConnEstablish = errors.New("transport: connection establishment failed")
 // (libfabric's FI_EAGAIN): nothing was injected and no completion was
 // posted. Only a Poll of that context makes room, and the layers above poll
 // a context only under its instance's lock, so the caller — holding that
-// lock — polls the context itself and then retries. Unsignaled initiators
-// and the two-sided Endpoint operations post no completion and never
-// return it.
+// lock — polls the context itself and then retries. Unsignaled initiators,
+// and the two-sided Endpoint operations of an Unsignaled device, post no
+// completion and never return it.
 var ErrCQFull = errors.New("transport: completion queue full")
 
 // Caps describes what a backend can do. The runtime consults it at world
@@ -144,6 +144,13 @@ type DeviceConfig struct {
 	// Counters receives backend-level counter increments (injected faults,
 	// wire errors). May be nil.
 	Counters *spc.Set
+	// Unsignaled makes the device's two-sided operations post no
+	// completion: Endpoint.Send and PutNotify returning nil is the local
+	// completion. The runtime opens every device with it. Without it the
+	// in-process fabric posts one CQESendComplete per packet to the sending
+	// context, for a driver of the bare seam that counts its sends by
+	// polling; tcpnet never posts one.
+	Unsignaled bool
 }
 
 // Network creates the devices of one world — the backend entry point.
@@ -230,11 +237,12 @@ type Context interface {
 // multi-producer; tcpnet appends frames to a per-peer pending buffer under a
 // short lock and writes whole batches under a separate write-order lock).
 //
-// A two-sided operation posts no completion: Send and PutNotify returning
-// nil is the local completion, and the caller finishes whatever waits on it
-// (the nil-token rule of the one-sided initiators, with no signaled form).
-// So neither ever meets a full completion queue: ErrCQFull is a one-sided
-// initiator's error alone.
+// On an Unsignaled device (DeviceConfig) a two-sided operation posts no
+// completion: Send and PutNotify returning nil is the local completion, and
+// the caller finishes whatever waits on it (the nil-token rule of the
+// one-sided initiators). So neither ever meets a full completion queue. A
+// signaled in-process fabric posts a CQESendComplete per packet, claimed
+// before anything moves: ErrCQFull then means nothing was sent.
 type Endpoint interface {
 	// Send injects a two-sided packet. An endpoint is a lazily resolved
 	// path: the first Send establishes it (tcpnet dials, or reuses the peer

@@ -248,9 +248,9 @@ func (p *Packet) MetaFrom(s *Slab) *Meta {
 
 // NewPacket marshals env and copies payload into a fresh packet, setting
 // the envelope's Len to the payload length. The third argument is ignored:
-// a packet carries no sender state (no backend posts a completion for a
-// two-sided packet), and the parameter stays so that callers written against
-// the three-argument form still build.
+// a packet carries no sender state (a send completion names its packet),
+// and the parameter stays because the benchmark module, which builds against
+// this package, calls the three-argument form.
 func NewPacket(env Envelope, payload []byte, _ any) *Packet {
 	env.Len = uint32(len(payload))
 	return NewPacketRaw(env, payload)
@@ -494,11 +494,15 @@ const (
 	CQEGetComplete
 	// CQEAccComplete reports local completion of a one-sided accumulate.
 	CQEAccComplete
+	// CQESendComplete reports local completion of a two-sided packet on a
+	// signaled in-process fabric device (DeviceConfig.Unsignaled unset).
+	// The runtime's devices never post one.
+	CQESendComplete
 )
 
 // CQE is one completion-queue entry.
 type CQE struct {
 	Kind   CQEKind
-	Packet *Packet // for CQERecv
+	Packet *Packet // for CQERecv and CQESendComplete
 	Token  any     // for one-sided completions: opaque initiator state
 }
