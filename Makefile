@@ -142,7 +142,10 @@ loc:
 # the in-process fabric (which still signals for a bare-seam driver) and the
 # transport package names CQESendComplete, and the one operation that can meet
 # a full completion queue — and the one transport.ErrCQFull retry in core and
-# rma — is the flush marker (rma.Win.mark).
+# rma — is the flush marker (rma.Win.mark). Every send — user, collective or
+# control — picks its protocol at one comparison against DefaultEagerLimit,
+# and the runtime is MPI_THREAD_MULTIPLE only: no thread-level type or guard
+# grows back.
 lint-onepath:
 	@fail=0; \
 	one() { n=$$(cat $$2 | grep -c -- "$$1"); \
@@ -164,8 +167,11 @@ lint-onepath:
 	one 'NewCommWithInfo(' "$$multirate" internal/bench/multirate; \
 	one 'sim\.NewEnv(' internal/simnet/multirate.go internal/simnet/multirate.go; \
 	one '^func (d Design) [A-Za-z]*(.*) \(multirate\.Config\|core\.Options\)' "$$designs" internal/designs; \
+	one '> DefaultEagerLimit' "$$core" internal/core; \
 	if grep -nE '\.spcs\.(Inc|Add|Max)\(' $$match; then \
 		echo "FAIL: the matching engines count in their own blocks under their own locks, not in a counter set"; fail=1; fi; \
+	if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'ThreadLevel|levelGuard' .; then \
+		echo "FAIL: the runtime is MPI_THREAD_MULTIPLE only; no thread level or level guard"; fail=1; fi; \
 	if grep -rn --include='*.go' --exclude-dir=.bench_build '"repro/internal/trace"' .; then \
 		echo "FAIL: internal/trace is gone; record into internal/flight"; fail=1; fi; \
 	if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build --exclude-dir=fabric 'CQESendComplete' . \

@@ -129,8 +129,7 @@ func main() {
 		Machine: machine, Pairs: *pairs, Window: *window, Iters: *iters, MsgSize: *msgSize,
 		Opts: core.Options{
 			NumInstances: *instances, Assignment: asg, Progress: pm,
-			ThreadLevel: core.ThreadMultiple,
-			Telemetry:   ob.WantTelemetry() || ob.TraceWire, TraceWire: ob.TraceWire,
+			Telemetry: ob.WantTelemetry() || ob.TraceWire, TraceWire: ob.TraceWire,
 			// A real-engine -breakdown-out needs the profiler's wall-clock data.
 			Profile:        ob.Profile || ob.BreakdownOut != "",
 			Latency:        ob.Latency,

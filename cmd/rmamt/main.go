@@ -87,7 +87,7 @@ func main() {
 		PutsPerThread: *puts, Rounds: *rounds, SampleInterval: ob.SampleInterval,
 		Opts: core.Options{
 			NumInstances: ni, Assignment: asg, Progress: pm,
-			ThreadLevel: core.ThreadMultiple, Telemetry: ob.WantTelemetry(),
+			Telemetry: ob.WantTelemetry(),
 			// A real-engine -breakdown-out needs the profiler's wall-clock data.
 			Profile:        ob.Profile || ob.BreakdownOut != "",
 			TraceWire:      ob.TraceWire,

@@ -153,6 +153,7 @@ func TestConformance(t *testing.T) {
 		{"FlightRecord", conformFlightRecord},
 		{"NoWildcards", conformNoWildcards},
 		{"IsendPastQueueDepth", conformIsendPastQueueDepth},
+		{"CollectivesAboveEagerLimit", conformCollectivesAboveEagerLimit},
 	}
 	for name, mk := range backends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -363,7 +364,7 @@ func conformBufferOwnership(t *testing.T, h *harness) {
 		goTag   = 62
 	)
 	sizes := []int{0, 8, 4 << 10, 64 << 10}
-	eagerLimit := h.procs[0].World().Options().EagerLimit
+	const eagerLimit = core.DefaultEagerLimit
 	if eagerLimit < sizes[2] || eagerLimit >= sizes[3] {
 		t.Fatalf("eager limit %d: the sizes no longer straddle it", eagerLimit)
 	}
@@ -764,5 +765,131 @@ func conformFlightRecord(t *testing.T, h *harness) {
 		if qs.Rank != rank || len(qs.Comms) == 0 || len(qs.CRIs) == 0 {
 			t.Errorf("rank %d: snapshot incomplete: %+v", rank, qs)
 		}
+	}
+}
+
+// conformCollectivesAboveEagerLimit: a collective's traffic crosses the same
+// eager limit as a user send, so per-rank chunks of three times the limit
+// travel by rendezvous. Every collective still leaves the right bytes on
+// every rank, and the receiving ranks' flight records show a rendezvous of
+// exactly one chunk for each.
+func conformCollectivesAboveEagerLimit(t *testing.T, h *harness) {
+	const chunk = 3 * core.DefaultEagerLimit
+	pattern := func(seed int) []byte {
+		b := make([]byte, chunk)
+		for i := range b {
+			b[i] = byte(i*7 + seed)
+		}
+		return b
+	}
+	// lanes is chunk bytes of little-endian int64 lanes, lane i = f(i).
+	lanes := func(f func(i int) int64) []byte {
+		b := make([]byte, chunk)
+		for i := 0; i < chunk/8; i++ {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(f(i)))
+		}
+		return b
+	}
+	check := func(what string, got, want []byte) error {
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("%s: result differs from the expected %d bytes", what, len(want))
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(rank int, th *core.Thread, c *core.Comm) error
+	}{
+		{"Bcast", func(rank int, th *core.Thread, c *core.Comm) error {
+			buf := make([]byte, chunk)
+			if rank == 0 {
+				buf = pattern(1)
+			}
+			if err := c.Bcast(th, 0, buf); err != nil {
+				return err
+			}
+			return check("bcast", buf, pattern(1))
+		}},
+		{"Allreduce", func(rank int, th *core.Thread, c *core.Comm) error {
+			in := lanes(func(i int) int64 { return int64(i + 1000*rank) })
+			out := make([]byte, chunk)
+			if err := c.Allreduce(th, in, out, core.OpSumInt64); err != nil {
+				return err
+			}
+			return check("allreduce", out, lanes(func(i int) int64 { return int64(2*i + 1000) }))
+		}},
+		{"GatherScatter", func(rank int, th *core.Thread, c *core.Comm) error {
+			var all []byte
+			if rank == 0 {
+				all = make([]byte, 2*chunk)
+			}
+			if err := c.Gather(th, 0, pattern(10+rank), all); err != nil {
+				return err
+			}
+			if rank == 0 {
+				if err := check("gather", all, append(pattern(10), pattern(11)...)); err != nil {
+					return err
+				}
+				all = append(pattern(20), pattern(21)...)
+			}
+			mine := make([]byte, chunk)
+			if err := c.Scatter(th, 0, all, mine); err != nil {
+				return err
+			}
+			return check("scatter", mine, pattern(20+rank))
+		}},
+		{"Allgather", func(rank int, th *core.Thread, c *core.Comm) error {
+			all := make([]byte, 2*chunk)
+			if err := c.Allgather(th, pattern(30+rank), all); err != nil {
+				return err
+			}
+			return check("allgather", all, append(pattern(30), pattern(31)...))
+		}},
+		{"Alltoall", func(rank int, th *core.Thread, c *core.Comm) error {
+			// Slot j of rank r's send buffer is pattern(40+2r+j); rank r's
+			// receive slot j holds what rank j sent to r.
+			send := append(pattern(40+2*rank), pattern(41+2*rank)...)
+			recv := make([]byte, 2*chunk)
+			if err := c.Alltoall(th, send, recv); err != nil {
+				return err
+			}
+			return check("alltoall", recv, append(pattern(40+rank), pattern(42+rank)...))
+		}},
+		{"Scan", func(rank int, th *core.Thread, c *core.Comm) error {
+			in := lanes(func(i int) int64 { return int64(i + 1000*rank) })
+			out := make([]byte, chunk)
+			if err := c.Scan(th, in, out, core.OpSumInt64); err != nil {
+				return err
+			}
+			want := in
+			if rank == 1 {
+				want = lanes(func(i int) int64 { return int64(2*i + 1000) })
+			}
+			return check("scan", out, want)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mark [2]uint64
+			for r, p := range h.procs {
+				if evs := p.FlightRecord().Events; len(evs) > 0 {
+					mark[r] = evs[len(evs)-1].Seq
+				}
+			}
+			run2(t, h, func(rank int, th *core.Thread) error { return tc.run(rank, th, h.comms[rank]) })
+			started := 0
+			for r, p := range h.procs {
+				for _, e := range p.FlightRecord().Events {
+					if e.Kind == flight.KindRendezvousStart && e.Seq > mark[r] {
+						if e.A1 != chunk {
+							t.Errorf("rank %d: a %d-byte rendezvous, want %d-byte chunks only", r, e.A1, chunk)
+						}
+						started++
+					}
+				}
+			}
+			if started == 0 {
+				t.Errorf("no rendezvous started: %d-byte chunks went eagerly", chunk)
+			}
+		})
 	}
 }

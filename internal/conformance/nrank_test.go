@@ -100,6 +100,7 @@ func TestConformanceNRank(t *testing.T) {
 		{"GatherScatter", conformNGatherScatter},
 		{"Allgather", conformNAllgather},
 		{"Alltoall", conformNAlltoall},
+		{"AboveEagerLimit", conformNAboveEagerLimit},
 		{"WildcardAnySource", conformNWildcard},
 		{"SentEqualsReceived", conformNSentEqualsReceived},
 		// Last on purpose: it audits the connection counters the cases
@@ -258,6 +259,58 @@ func conformNAlltoall(t *testing.T, h *nHarness) {
 		for j := range recv {
 			if want := byte(j*16 + rank); recv[j] != want {
 				return fmt.Errorf("slot %d = %d, want %d", j, recv[j], want)
+			}
+		}
+		return nil
+	})
+}
+
+// conformNAboveEagerLimit: with every chunk above the eager limit each
+// collective's sends are rendezvous, which complete only once the peer has
+// posted its receive. The binomial trees (Bcast from the last rank, Allreduce)
+// and the pairwise exchanges (Allgather, Alltoall) still finish with the
+// right bytes at every world size.
+func conformNAboveEagerLimit(t *testing.T, h *nHarness) {
+	const chunk = core.DefaultEagerLimit + 8
+	slot := func(owner, j int) []byte { return bytes.Repeat([]byte{byte(owner*16 + j)}, chunk) }
+	runN(t, h, func(rank int, th *core.Thread) error {
+		c, root := h.comms[rank], h.n-1
+		buf := make([]byte, chunk)
+		if rank == root {
+			buf = slot(root, 0)
+		}
+		if err := c.Bcast(th, root, buf); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, slot(root, 0)) {
+			return fmt.Errorf("bcast from rank %d: payload differs", root)
+		}
+		in := make([]byte, chunk)
+		binary.LittleEndian.PutUint64(in[chunk-8:], uint64(rank+1))
+		sum := make([]byte, chunk)
+		if err := c.Allreduce(th, in, sum, core.OpSumInt64); err != nil {
+			return err
+		}
+		if got := binary.LittleEndian.Uint64(sum[chunk-8:]); got != uint64(h.n*(h.n+1)/2) {
+			return fmt.Errorf("allreduce: got %d, want %d", got, h.n*(h.n+1)/2)
+		}
+		all := make([]byte, h.n*chunk)
+		if err := c.Allgather(th, slot(rank, 0), all); err != nil {
+			return err
+		}
+		send, recv := make([]byte, 0, h.n*chunk), make([]byte, h.n*chunk)
+		for j := 0; j < h.n; j++ {
+			if !bytes.Equal(all[j*chunk:(j+1)*chunk], slot(j, 0)) {
+				return fmt.Errorf("allgather: slot %d differs", j)
+			}
+			send = append(send, slot(rank, j)...)
+		}
+		if err := c.Alltoall(th, send, recv); err != nil {
+			return err
+		}
+		for j := 0; j < h.n; j++ {
+			if !bytes.Equal(recv[j*chunk:(j+1)*chunk], slot(j, rank)) {
+				return fmt.Errorf("alltoall: slot %d differs", j)
 			}
 		}
 		return nil

@@ -108,7 +108,7 @@ func TestFreeCommWhilePacketsInFlight(t *testing.T) {
 // retransmission at all, so rounds repeat until one has lost tracked data.
 func TestFaultStressAllTrafficCompletes(t *testing.T) {
 	w := newTestWorld(t, 2, Options{
-		NumInstances: 2, Progress: progress.Serial, ThreadLevel: ThreadMultiple,
+		NumInstances: 2, Progress: progress.Serial,
 		Network: backends.Faulty(transport.FaultConfig{
 			Drop: 0.02, Dup: 0.02, Delay: 0.05,
 			DelayDur: 50 * time.Microsecond, Seed: 42,
@@ -216,7 +216,7 @@ func TestFaultStressAllTrafficCompletes(t *testing.T) {
 // hanging, on both the eager and rendezvous paths.
 func TestPeerUnreachable(t *testing.T) {
 	w := newTestWorld(t, 2, Options{
-		NumInstances: 1, Progress: progress.Serial, ThreadLevel: ThreadMultiple,
+		NumInstances: 1, Progress: progress.Serial,
 		Network: backends.Faulty(transport.FaultConfig{Drop: 1, Seed: 5}),
 	})
 	// Short timeouts and three tries, so a dead peer surfaces in
@@ -252,7 +252,7 @@ func TestPeerUnreachable(t *testing.T) {
 // complete on ack), with no spurious retransmissions.
 func TestReliableZeroFaultDelivery(t *testing.T) {
 	w := newTestWorld(t, 2, Options{
-		NumInstances: 1, Progress: progress.Serial, ThreadLevel: ThreadMultiple,
+		NumInstances: 1, Progress: progress.Serial,
 		Network: backends.Faulty(transport.FaultConfig{}),
 	})
 	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()

@@ -69,7 +69,7 @@ func (c *Comm) Bcast(th *Thread, root int, buf []byte) error {
 	var reqs []*Request
 	for bit := 1; bit < lowest && v+bit < n; bit <<= 1 {
 		child := unvrank(v+bit, root, n)
-		req, err := c.isendInternal(th, child, tag, buf)
+		req, err := c.isend(th, child, tag, buf)
 		if err != nil {
 			return fmt.Errorf("core: bcast send: %w", err)
 		}
@@ -234,7 +234,7 @@ func (c *Comm) Scatter(th *Thread, root int, send, recv []byte) error {
 				copy(recv, send[r*chunk:(r+1)*chunk])
 				continue
 			}
-			req, err := c.isendInternal(th, r, tag, send[r*chunk:(r+1)*chunk])
+			req, err := c.isend(th, r, tag, send[r*chunk:(r+1)*chunk])
 			if err != nil {
 				return err
 			}

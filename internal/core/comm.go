@@ -58,8 +58,6 @@ type Comm struct {
 	// collSeq numbers collective calls; all ranks advance it in lockstep
 	// because MPI requires collectives in identical order.
 	collSeq atomic.Uint32
-
-	eagerLimit int
 }
 
 // traceID derives the deterministic message-lifecycle trace id for one
@@ -72,14 +70,7 @@ func traceID(rank int, commID uint32, seq uint32) uint64 {
 }
 
 func newComm(p *Proc, id uint32, group []int, myRank int, info Info) *Comm {
-	c := &Comm{
-		proc:       p,
-		id:         id,
-		group:      group,
-		myRank:     myRank,
-		info:       info,
-		eagerLimit: p.world.opts.EagerLimit,
-	}
+	c := &Comm{proc: p, id: id, group: group, myRank: myRank, info: info}
 	c.spcs = spc.NewSet()
 	c.matchMu.Bind(p.prof.NewSite("match.comm", -1, id))
 	// The runtime runs at the host's speed: its engines charge no modeled
@@ -205,13 +196,18 @@ func (c *Comm) Isend(th *Thread, dst int, tag int32, buf []byte) (*Request, erro
 	if tag < 0 {
 		return nil, fmt.Errorf("core: negative tag %d is reserved", tag)
 	}
-	p.levelGuard.enter(th)
-	defer p.levelGuard.leave()
+	return c.isend(th, dst, tag, buf)
+}
+
+// isend is the one protocol decision, for user sends and the runtime's own
+// collective and control traffic (negative tags) alike: a payload above
+// DefaultEagerLimit to another rank goes by rendezvous, anything else — self
+// sends included — eagerly.
+func (c *Comm) isend(th *Thread, dst int, tag int32, buf []byte) (*Request, error) {
 	clk := th.ts.Clock()
 	clk.Begin(prof.PhaseSend)
 	defer clk.End()
-
-	if c.eagerLimit >= 0 && len(buf) > c.eagerLimit && c.group[dst] != p.rank {
+	if len(buf) > DefaultEagerLimit && c.group[dst] != c.proc.rank {
 		return c.isendRendezvous(th, dst, tag, buf)
 	}
 	return c.isendEager(th, dst, tag, buf)
@@ -238,9 +234,8 @@ func (c *Comm) newEnvelope(dst int, tag int32, kind transport.Kind) transport.En
 	}
 }
 
-// isendEager sends buf as one eager message: user sends below the eager
-// limit, and (with a negative tag) the runtime's own collective and control
-// traffic. The caller has opened PhaseSend.
+// isendEager sends buf as one eager message: a payload at or below the eager
+// limit, or any self send. The caller has opened PhaseSend.
 func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request, error) {
 	p := c.proc
 	env := c.newEnvelope(dst, tag, transport.KindEager)
@@ -365,8 +360,6 @@ func (c *Comm) Irecv(th *Thread, src int, tag int32, buf []byte) (*Request, erro
 	if err := c.checkSource(src, tag); err != nil {
 		return nil, err
 	}
-	p.levelGuard.enter(th)
-	defer p.levelGuard.leave()
 	return c.post(th, src, tag, buf), nil
 }
 
@@ -559,7 +552,7 @@ func (c *Comm) Barrier(th *Thread) error {
 		to := (c.myRank + dist) % n
 		from := (c.myRank - dist + n) % n
 		tag := barrierTagBase + int32(round)
-		sreq, err := c.isendInternal(th, to, tag, b[:])
+		sreq, err := c.isend(th, to, tag, b[:])
 		if err != nil {
 			return err
 		}
@@ -578,18 +571,10 @@ func (c *Comm) Barrier(th *Thread) error {
 // never collide with user receives.
 const barrierTagBase int32 = -1000
 
-// isendInternal sends with an internal (negative) tag, bypassing the
-// user-tag validation.
-func (c *Comm) isendInternal(th *Thread, dst int, tag int32, buf []byte) (*Request, error) {
-	clk := th.ts.Clock()
-	clk.Begin(prof.PhaseSend)
-	defer clk.End()
-	return c.isendEager(th, dst, tag, buf)
-}
-
-// sendInternal is the blocking isendInternal.
+// sendInternal is the blocking send with an internal (negative) tag, which
+// bypasses the user-tag validation.
 func (c *Comm) sendInternal(th *Thread, dst int, tag int32, buf []byte) error {
-	req, err := c.isendInternal(th, dst, tag, buf)
+	req, err := c.isend(th, dst, tag, buf)
 	if err != nil {
 		return err
 	}

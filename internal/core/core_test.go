@@ -49,7 +49,7 @@ func TestWorldSizeValidation(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	w := newTestWorld(t, 1, Options{})
 	o := w.Options()
-	if o.NumInstances != 1 || o.QueueDepth != 4096 || o.EagerLimit != DefaultEagerLimit {
+	if o.NumInstances != 1 || o.QueueDepth != 4096 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }
@@ -373,43 +373,39 @@ func TestBarrier(t *testing.T) {
 }
 
 func TestRendezvousLargeMessage(t *testing.T) {
-	opts := Stock()
-	opts.EagerLimit = 64
-	w := newTestWorld(t, 2, opts)
+	w := newTestWorld(t, 2, Stock())
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 
-	msg := bytes.Repeat([]byte("abcdefgh"), 100) // 800 B > 64 B eager limit
+	msg := bytes.Repeat([]byte("abcdefgh"), DefaultEagerLimit/8+100) // 800 B above the eager limit
 	go func() {
 		if err := w.Proc(0).CommWorld().Send(t0, 1, 5, msg); err != nil {
 			t.Error(err)
 		}
 	}()
-	buf := make([]byte, 1024)
+	buf := make([]byte, len(msg)+224)
 	st, err := w.Proc(1).CommWorld().Recv(t1, 0, 5, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Count != 800 || st.MessageLen != 800 || st.Truncated {
+	if st.Count != len(msg) || st.MessageLen != len(msg) || st.Truncated {
 		t.Fatalf("status = %+v", st)
 	}
-	if !bytes.Equal(buf[:800], msg) {
+	if !bytes.Equal(buf[:len(msg)], msg) {
 		t.Fatal("rendezvous payload corrupted")
 	}
 }
 
 func TestRendezvousTruncation(t *testing.T) {
-	opts := Stock()
-	opts.EagerLimit = 16
-	w := newTestWorld(t, 2, opts)
+	w := newTestWorld(t, 2, Stock())
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
-	msg := bytes.Repeat([]byte{7}, 100)
+	msg := bytes.Repeat([]byte{7}, DefaultEagerLimit+100)
 	go func() { _ = w.Proc(0).CommWorld().Send(t0, 1, 5, msg) }()
 	buf := make([]byte, 40)
 	st, err := w.Proc(1).CommWorld().Recv(t1, 0, 5, buf)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
-	if st.Count != 40 || st.MessageLen != 100 || !st.Truncated {
+	if st.Count != 40 || st.MessageLen != len(msg) || !st.Truncated {
 		t.Fatalf("status = %+v", st)
 	}
 	for i, b := range buf {
@@ -422,18 +418,16 @@ func TestRendezvousTruncation(t *testing.T) {
 func TestRendezvousPreservesFIFOWithEager(t *testing.T) {
 	// Eager then rendezvous then eager with the same tag: arrival order
 	// must equal send order even across protocol switches.
-	opts := Stock()
-	opts.EagerLimit = 32
-	w := newTestWorld(t, 2, opts)
+	w := newTestWorld(t, 2, Stock())
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 	go func() {
 		c := w.Proc(0).CommWorld()
 		_ = c.Send(t0, 1, 1, []byte{1})
-		_ = c.Send(t0, 1, 1, bytes.Repeat([]byte{2}, 100))
+		_ = c.Send(t0, 1, 1, bytes.Repeat([]byte{2}, DefaultEagerLimit+1))
 		_ = c.Send(t0, 1, 1, []byte{3})
 	}()
 	c1 := w.Proc(1).CommWorld()
-	buf := make([]byte, 128)
+	buf := make([]byte, DefaultEagerLimit+128)
 	for i, want := range []byte{1, 2, 3} {
 		st, err := c1.Recv(t1, 0, 1, buf)
 		if err != nil {
@@ -468,43 +462,38 @@ func TestMessagesSentCounter(t *testing.T) {
 	}
 }
 
-func TestThreadSerializedViolationPanics(t *testing.T) {
-	opts := Stock()
-	opts.ThreadLevel = ThreadSerialized
-	w := newTestWorld(t, 1, opts)
-	p := w.Proc(0)
-	// Simulate a concurrent entry by holding the guard.
-	p.levelGuard.enter(p.NewThread())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("concurrent entry at SERIALIZED did not panic")
+// TestZeroOptionsAllowsThreads: the zero Options is Stock(), an
+// MPI_THREAD_MULTIPLE world, so two Threads of one proc may send at once.
+func TestZeroOptionsAllowsThreads(t *testing.T) {
+	w := newTestWorld(t, 2, Options{})
+	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
+	const perThread = 100
+	var wg sync.WaitGroup
+	for tag := int32(0); tag < 2; tag++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := w.Proc(0).NewThread()
+			for i := 0; i < perThread; i++ {
+				req, err := c0.Isend(th, 1, tag, []byte{byte(i)})
+				if err == nil {
+					err = req.Wait(th)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	th := w.Proc(1).NewThread()
+	buf := make([]byte, 1)
+	for i := 0; i < 2*perThread; i++ {
+		if _, err := c1.Recv(th, int(AnySource), AnyTag, buf); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	p.levelGuard.enter(p.NewThread())
-}
-
-func TestThreadFunneledViolationPanics(t *testing.T) {
-	opts := Stock()
-	opts.ThreadLevel = ThreadFunneled
-	w := newTestWorld(t, 1, opts)
-	p := w.Proc(0)
-	p.levelGuard.enter(p.NewThread()) // main thread claims ownership
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second thread at FUNNELED did not panic")
-		}
-	}()
-	p.levelGuard.enter(p.NewThread())
-}
-
-func TestThreadMultipleAllowsConcurrency(t *testing.T) {
-	w := newTestWorld(t, 1, Stock())
-	p := w.Proc(0)
-	th1, th2 := p.NewThread(), p.NewThread()
-	p.levelGuard.enter(th1)
-	p.levelGuard.enter(th2) // must not panic
-	p.levelGuard.leave()
-	p.levelGuard.leave()
+	}
+	wg.Wait()
 }
 
 // TestMultithreadedPairwiseStress is the core concurrency test: N sender
@@ -672,7 +661,7 @@ func TestProgressModesDrainAfterChurn(t *testing.T) {
 	// threads must still complete all traffic via the round-robin sweep.
 	w := newTestWorld(t, 2, Options{
 		NumInstances: 4, Assignment: cri.Dedicated,
-		Progress: progress.Concurrent, ThreadLevel: ThreadMultiple,
+		Progress: progress.Concurrent,
 	})
 	t0 := w.Proc(0).NewThread()
 	c0 := w.Proc(0).CommWorld()

@@ -1,41 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/flight"
 	"repro/internal/spc"
 )
-
-// TestNegativeEagerLimitDisablesRendezvous: with EagerLimit < 0 every
-// message ships eagerly, including large ones.
-func TestNegativeEagerLimitDisablesRendezvous(t *testing.T) {
-	opts := Stock()
-	opts.EagerLimit = -1
-	opts.FlightCapacity = 256
-	w := newTestWorld(t, 2, opts)
-	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
-	msg := bytes.Repeat([]byte{9}, 64*1024) // far above any eager default
-	go func() { _ = w.Proc(0).CommWorld().Send(t0, 1, 1, msg) }()
-	buf := make([]byte, 64*1024)
-	st, err := w.Proc(1).CommWorld().Recv(t1, 0, 1, buf)
-	if err != nil || st.Count != len(msg) {
-		t.Fatalf("recv: %v %+v", err, st)
-	}
-	// No rendezvous events must have been recorded.
-	events := w.Proc(1).FlightRecord().Events
-	if len(events) == 0 {
-		t.Fatal("flight recorder recorded nothing")
-	}
-	for _, e := range events {
-		if e.Kind == flight.KindRendezvousStart {
-			t.Fatal("rendezvous used despite negative eager limit")
-		}
-	}
-}
 
 // TestZeroByteMessages: the paper's workload — pure envelopes.
 func TestZeroByteMessages(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 func TestFlightRecorderCapturesMessagePath(t *testing.T) {
 	w := newTestWorld(t, 2, Options{
 		NumInstances: 2, Progress: progress.Concurrent,
-		ThreadLevel: ThreadMultiple, FlightCapacity: 256,
+		FlightCapacity: 256,
 	})
 	p0, p1 := w.Proc(0), w.Proc(1)
 	th0, th1 := p0.NewThread(), p1.NewThread()
@@ -79,7 +79,7 @@ func TestFlightRecorderCapturesMessagePath(t *testing.T) {
 // receive that nothing will ever match, and the dump must name the site.
 func TestWatchdogFiresOnStall(t *testing.T) {
 	w := newTestWorld(t, 2, Options{
-		NumInstances: 1, ThreadLevel: ThreadMultiple, FlightCapacity: 128,
+		NumInstances: 1, FlightCapacity: 128,
 	})
 	p1 := w.Proc(1)
 	th1 := p1.NewThread()

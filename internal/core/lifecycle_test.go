@@ -66,13 +66,13 @@ func TestFlightRecordsMessageLifecycle(t *testing.T) {
 }
 
 func TestFlightRecordsRendezvous(t *testing.T) {
+	const size = DefaultEagerLimit + 100
 	opts := Stock()
-	opts.EagerLimit = 16
 	opts.FlightCapacity = 256
 	w := newTestWorld(t, 2, opts)
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
-	go func() { _ = w.Proc(0).CommWorld().Send(t0, 1, 1, make([]byte, 100)) }()
-	buf := make([]byte, 128)
+	go func() { _ = w.Proc(0).CommWorld().Send(t0, 1, 1, make([]byte, size)) }()
+	buf := make([]byte, size+28)
 	if _, err := w.Proc(1).CommWorld().Recv(t1, 0, 1, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFlightRecordsRendezvous(t *testing.T) {
 	if len(start) != 1 || len(done) != 1 {
 		t.Fatalf("rendezvous events: start=%d done=%d", len(start), len(done))
 	}
-	if start[0].A1 != 100 || done[0].A1 != 100 {
+	if start[0].A1 != size || done[0].A1 != size {
 		t.Fatalf("rendezvous lengths: start=%+v done=%+v", start[0], done[0])
 	}
 	// A rendezvous is followed by its own events, not by send_inject.

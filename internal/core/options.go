@@ -1,6 +1,6 @@
 // Package core implements the message-passing runtime whose internal design
 // the paper studies: an MPI-like API (communicators, two-sided send/receive
-// with tag matching and FIFO ordering, threading levels) built over
+// with tag matching and FIFO ordering, under MPI_THREAD_MULTIPLE) built over
 // Communication Resource Instances, a pluggable progress engine, and the
 // per-communicator matching engine. Every design knob from the paper —
 // instance count, assignment strategy, serial vs. concurrent progress,
@@ -9,47 +9,15 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cri"
 	"repro/internal/hw"
 	"repro/internal/progress"
 	"repro/internal/transport"
 )
 
-// ThreadLevel mirrors the MPI threading levels negotiated at init
-// (Section II-A). Only Multiple allows true thread concurrency.
-type ThreadLevel int
-
-const (
-	// ThreadSingle: only one thread exists in the process.
-	ThreadSingle ThreadLevel = iota
-	// ThreadFunneled: only the thread that initialized may call.
-	ThreadFunneled
-	// ThreadSerialized: any thread may call, but never concurrently.
-	ThreadSerialized
-	// ThreadMultiple: full concurrency, the subject of this study.
-	ThreadMultiple
-)
-
-func (l ThreadLevel) String() string {
-	switch l {
-	case ThreadSingle:
-		return "MPI_THREAD_SINGLE"
-	case ThreadFunneled:
-		return "MPI_THREAD_FUNNELED"
-	case ThreadSerialized:
-		return "MPI_THREAD_SERIALIZED"
-	case ThreadMultiple:
-		return "MPI_THREAD_MULTIPLE"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
-
-// Options configures one World. The zero value plus Defaults() reproduces
-// stock Open MPI's threading design: a single shared instance and a serial
-// progress engine.
+// Options configures one MPI_THREAD_MULTIPLE World. The zero value is
+// Stock(): stock Open MPI's threading design, a single shared instance and a
+// serial progress engine.
 type Options struct {
 	// Network selects the transport backend. Nil picks the default
 	// simulated fabric (see internal/backends). The backend's capability
@@ -65,9 +33,6 @@ type Options struct {
 	Assignment cri.Assignment
 	// Progress selects serial (stock) or concurrent (Algorithm 2).
 	Progress progress.Mode
-	// ThreadLevel is the negotiated threading level; calls are checked
-	// against it. Defaults to ThreadMultiple.
-	ThreadLevel ThreadLevel
 	// QueueDepth sizes transport queues (0 = default 4096).
 	QueueDepth int
 	// Telemetry attaches the latency-histogram layer (internal/telemetry):
@@ -101,10 +66,6 @@ type Options struct {
 	// paper's breakdown categories. Off by default; when off every hook is
 	// a single branch (see prof package docs).
 	Profile bool
-	// EagerLimit is the maximum payload carried eagerly; larger messages
-	// use the rendezvous protocol. 0 selects the default (8 KiB).
-	// Negative disables rendezvous entirely (everything eager).
-	EagerLimit int
 	// FlightCapacity, when positive, attaches the flight recorder
 	// (internal/flight), the runtime's one message-lifecycle event record:
 	// every thread, every communicator's matching engine, the delivery and
@@ -116,7 +77,9 @@ type Options struct {
 	FlightCapacity int
 }
 
-// DefaultEagerLimit is the eager/rendezvous switchover when unspecified.
+// DefaultEagerLimit is the eager/rendezvous switchover: a payload above it to
+// another rank — user, collective or control traffic alike — travels by
+// rendezvous, anything else eagerly.
 const DefaultEagerLimit = 8192
 
 // WithDefaults normalizes zero values.
@@ -130,9 +93,6 @@ func (o Options) WithDefaults(m hw.Machine) Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 4096
 	}
-	if o.EagerLimit == 0 {
-		o.EagerLimit = DefaultEagerLimit
-	}
 	if o.Latency {
 		// Stage attribution is anchored on the trace extension's send stamp,
 		// so traced wires are a prerequisite, not an independent choice.
@@ -144,16 +104,16 @@ func (o Options) WithDefaults(m hw.Machine) Options {
 // Stock returns the configuration of unmodified Open MPI threading:
 // one instance, serial progress.
 func Stock() Options {
-	return Options{NumInstances: 1, Progress: progress.Serial, ThreadLevel: ThreadMultiple}
+	return Options{NumInstances: 1, Progress: progress.Serial}
 }
 
 // CRIs returns the paper's concurrent-sends configuration: n instances with
 // the given assignment, serial progress (Fig. 3a).
 func CRIs(n int, a cri.Assignment) Options {
-	return Options{NumInstances: n, Assignment: a, Progress: progress.Serial, ThreadLevel: ThreadMultiple}
+	return Options{NumInstances: n, Assignment: a, Progress: progress.Serial}
 }
 
 // CRIsConcurrent adds the concurrent progress engine (Fig. 3b/3c).
 func CRIsConcurrent(n int, a cri.Assignment) Options {
-	return Options{NumInstances: n, Assignment: a, Progress: progress.Concurrent, ThreadLevel: ThreadMultiple}
+	return Options{NumInstances: n, Assignment: a, Progress: progress.Concurrent}
 }

@@ -45,9 +45,7 @@ func (c *Comm) Ssend(th *Thread, dst int, tag int32, buf []byte) error {
 		// send followed by the matching receive; deliver eagerly.
 		return c.Send(th, dst, tag, buf)
 	}
-	p.levelGuard.enter(th)
 	req, err := c.isendRendezvous(th, dst, tag, buf)
-	p.levelGuard.leave()
 	if err != nil {
 		return err
 	}

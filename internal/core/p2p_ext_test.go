@@ -307,22 +307,21 @@ func TestScrambledDeliveryPreservesFIFO(t *testing.T) {
 // scrambled channels; large transfers must still complete intact.
 func TestScrambledRendezvous(t *testing.T) {
 	opts := Stock()
-	opts.EagerLimit = 32
 	opts.Network = backends.Faulty(transport.FaultConfig{ScrambleWindow: 4, Seed: 7})
 	w := newTestWorld(t, 2, opts)
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
-	msg := bytes.Repeat([]byte{0xAB}, 500)
+	msg := bytes.Repeat([]byte{0xAB}, DefaultEagerLimit+500)
 	go func() {
 		if err := w.Proc(0).CommWorld().Send(t0, 1, 1, msg); err != nil {
 			t.Error(err)
 		}
 	}()
-	buf := make([]byte, 512)
+	buf := make([]byte, len(msg)+12)
 	st, err := w.Proc(1).CommWorld().Recv(t1, 0, 1, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Count != 500 || !bytes.Equal(buf[:500], msg) {
+	if st.Count != len(msg) || !bytes.Equal(buf[:len(msg)], msg) {
 		t.Fatal("rendezvous payload corrupted under scrambling")
 	}
 }

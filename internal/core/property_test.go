@@ -23,8 +23,6 @@ func TestQuickRandomTrafficConserved(t *testing.T) {
 			NumInstances: 1 + rng.Intn(3),
 			Assignment:   cri.Assignment(rng.Intn(2)),
 			Progress:     progress.Mode(rng.Intn(2)),
-			ThreadLevel:  ThreadMultiple,
-			EagerLimit:   16 + rng.Intn(64), // force some rendezvous
 		}
 		w, err := NewWorld(hwFast(), n, opts)
 		if err != nil {
@@ -45,8 +43,14 @@ func TestQuickRandomTrafficConserved(t *testing.T) {
 				flows = append(flows, flow{s, d, rng.Intn(12)})
 			}
 		}
+		// Every third message straddles the eager limit, so both protocols
+		// share each (src, dst) stream.
+		const nearLimit = DefaultEagerLimit - 50
 		payload := func(src, dst, i int) []byte {
 			ln := 1 + (src*31+dst*17+i*13)%100
+			if i%3 == 0 {
+				ln += nearLimit
+			}
 			b := make([]byte, ln)
 			for k := range b {
 				b[k] = byte(src ^ dst ^ i ^ k)
@@ -75,7 +79,7 @@ func TestQuickRandomTrafficConserved(t *testing.T) {
 				defer wg.Done()
 				th := w.Proc(f.dst).NewThread()
 				c := w.Proc(f.dst).CommWorld()
-				buf := make([]byte, 128)
+				buf := make([]byte, nearLimit+128)
 				for i := 0; i < f.count; i++ {
 					st, err := c.Recv(th, f.src, int32(f.src*100+f.dst), buf)
 					if err != nil {
@@ -148,19 +152,18 @@ func TestQuickBarrierNeverLosesRanks(t *testing.T) {
 }
 
 // TestQuickEagerRendezvousBoundary: messages straddling the eager limit
-// (limit-1, limit, limit+1, 2*limit) all round-trip intact.
+// (limit-1, limit, limit+1, a random size above it, 2*limit) all round-trip
+// intact.
 func TestQuickEagerRendezvousBoundary(t *testing.T) {
-	prop := func(limSeed uint8) bool {
-		limit := 8 + int(limSeed%120)
-		opts := Stock()
-		opts.EagerLimit = limit
-		w, err := NewWorld(hwFast(), 2, opts)
+	const limit = DefaultEagerLimit
+	prop := func(over uint8) bool {
+		w, err := NewWorld(hwFast(), 2, Stock())
 		if err != nil {
 			return false
 		}
 		defer w.Close()
 		t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
-		sizes := []int{limit - 1, limit, limit + 1, 2 * limit, 0}
+		sizes := []int{limit - 1, limit, limit + 1, limit + 2 + int(over), 2 * limit, 0}
 		done := make(chan bool, 1)
 		go func() {
 			c := w.Proc(0).CommWorld()
@@ -174,7 +177,7 @@ func TestQuickEagerRendezvousBoundary(t *testing.T) {
 			done <- true
 		}()
 		c := w.Proc(1).CommWorld()
-		buf := make([]byte, 4*256+16)
+		buf := make([]byte, 2*limit+16)
 		for i, sz := range sizes {
 			st, err := c.Recv(t1, 0, int32(i), buf)
 			if err != nil || st.Count != sz {

@@ -35,8 +35,7 @@ func control(kind transport.Kind, src int32, size int, words ...uint64) *transpo
 // way to complete fails with ErrProtocol instead of spinning in Wait.
 func TestHostileRendezvousControl(t *testing.T) {
 	opts := Stock()
-	opts.EagerLimit = 16
-	msg := bytes.Repeat([]byte{7}, 100)
+	msg := bytes.Repeat([]byte{7}, DefaultEagerLimit+100)
 	for _, tc := range []struct {
 		name string
 		// pkt builds the hostile packet for rank 0; id is the transfer id of
@@ -52,7 +51,9 @@ func TestHostileRendezvousControl(t *testing.T) {
 		{name: "ACK shorter than its three words",
 			pkt: func(id uint64) *transport.Packet { return control(transport.KindRendezvousACK, 1, 23, id, 1, 40) }},
 		{name: "ACK permitting more than the send holds", failsSend: true,
-			pkt: func(id uint64) *transport.Packet { return control(transport.KindRendezvousACK, 1, 24, id, 1, 101) }},
+			pkt: func(id uint64) *transport.Packet {
+				return control(transport.KindRendezvousACK, 1, 24, id, 1, uint64(len(msg)+1))
+			}},
 		{name: "ACK permitting a length of all ones", failsSend: true,
 			pkt: func(id uint64) *transport.Packet {
 				return control(transport.KindRendezvousACK, 1, 24, id, 1, ^uint64(0))

@@ -17,7 +17,7 @@ import (
 func telemetryOpts() Options {
 	return Options{
 		NumInstances: 4, Assignment: cri.Dedicated,
-		Progress: progress.Concurrent, ThreadLevel: ThreadMultiple,
+		Progress:  progress.Concurrent,
 		Telemetry: true, FlightCapacity: 4096,
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/cri"
 	"repro/internal/transport"
@@ -121,33 +120,3 @@ func (t *Thread) FetchWord() *int64 { return &t.fetched }
 // Section III-E — continues to be progressed by other threads' round-robin
 // sweeps.
 func (t *Thread) Detach() { t.ts.Reset() }
-
-// levelGuard enforces the negotiated threading level at runtime. Violations
-// panic: they are program bugs, exactly as they are undefined behavior in
-// MPI.
-type levelGuard struct {
-	level  ThreadLevel
-	inCall atomic.Int32
-	owner  atomic.Pointer[Thread]
-}
-
-func (g *levelGuard) enter(th *Thread) {
-	switch g.level {
-	case ThreadMultiple:
-		return
-	case ThreadSingle, ThreadFunneled:
-		if !g.owner.CompareAndSwap(nil, th) && g.owner.Load() != th {
-			panic("core: " + g.level.String() + " violated: call from a second thread")
-		}
-	case ThreadSerialized:
-		if g.inCall.Add(1) > 1 {
-			panic("core: MPI_THREAD_SERIALIZED violated: concurrent calls")
-		}
-	}
-}
-
-func (g *levelGuard) leave() {
-	if g.level == ThreadSerialized {
-		g.inCall.Add(-1)
-	}
-}

@@ -261,9 +261,6 @@ type Proc struct {
 	prof        *prof.Profiler
 	profThreads atomic.Int32
 
-	// levelGuard enforces the negotiated threading level.
-	levelGuard levelGuard
-
 	// rel is the delivery-reliability layer (nil on a lossless backend;
 	// all its methods are nil-safe).
 	rel *reliability
@@ -347,7 +344,6 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 	} else if cs, ok := w.net.(transport.ClockSync); ok {
 		p.clock = cs
 	}
-	p.levelGuard.level = opts.ThreadLevel
 	insts := make([]*cri.Instance, opts.NumInstances)
 	for i := range insts {
 		ctx, err := p.dev.CreateContext(opts.QueueDepth)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/bench/multirate"
-	"repro/internal/core"
 	"repro/internal/cri"
 	"repro/internal/progress"
 	"repro/internal/simnet"
@@ -126,7 +125,6 @@ func (d Design) IsProcessMode() bool { return d.Runs() == OMPIProcess }
 func (d Design) Config(base multirate.Config, instances int) multirate.Config {
 	cfg := base
 	o := &cfg.Opts
-	o.ThreadLevel = core.ThreadMultiple
 	o.NumInstances, o.Assignment, o.Progress = 1, cri.RoundRobin, progress.Serial
 	switch d.Runs() {
 	case OMPIProcess:

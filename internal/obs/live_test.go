@@ -20,7 +20,6 @@ import (
 func TestEndpointsUnderLiveTraffic(t *testing.T) {
 	w, err := core.NewWorld(hw.Fast(), 2, core.Options{
 		NumInstances:   2,
-		ThreadLevel:    core.ThreadMultiple,
 		FlightCapacity: 512,
 	})
 	if err != nil {

@@ -98,9 +98,12 @@
 // allocation per slab or chunk instead of one per frame; a frame above
 // slabMaxFrame gets a packet of its own, so a slab never keeps a large payload
 // alive.
-// Bytes off the socket are hostile until validated: a frame length outside
-// [MuxHeaderSize, maxFrame], a mux index ≥ maxMux, or an undecodable packet
-// closes the connection and ticks wire_frames_rejected.
+// A plain frame always fits the window: the runtime sends nothing above the
+// eager limit but by rendezvous, and Endpoint.Send refuses a frame the window
+// cannot hold. Bytes off the socket are hostile until validated: a frame
+// length outside [MuxHeaderSize, maxFrame], a plain frame longer than the
+// window, a mux index ≥ maxMux, or an undecodable packet closes the
+// connection and ticks wire_frames_rejected.
 //
 // step has two callers. The first is the progress engine: a Context.Poll
 // that popped nothing from its rings steps the connections it owns (peer
@@ -117,16 +120,14 @@
 // ranks flushing rendezvous frames at each other, must still be drained. It
 // also does the waiting a poller must not: for room in a full ring (the
 // decoded packet is kept in the record and delivered first by the next step,
-// whoever makes it), for a context the peer's first frame beat into
-// existence, and for the rest of a plain frame larger than the window, which
-// spills into a reused scratch slice grown as its bytes actually arrive. (A
-// landed frame never spills: step copies what the window holds of its body
-// — after the capped read, little or nothing — into the region and reads the
-// rest from the socket straight into it, one non-blocking read per step,
-// whoever steps.) A poller
-// that leaves any of these behind, or meets the end of the stream, wakes the
-// goroutine with an expired read deadline — the netpoller reports a socket
-// only while bytes sit in it, and the poller took them. wire_reads_polled and
+// whoever makes it) and for a context the peer's first frame beat into
+// existence. (A landed frame's body needs no waiting: step copies what the
+// window holds of it — after the capped read, little or nothing — into the
+// region and reads the rest from the socket straight into it, one
+// non-blocking read per step, whoever steps.) A poller that leaves either
+// behind, or meets the end of the stream, wakes the goroutine with an
+// expired read deadline — the netpoller reports a socket only while bytes sit
+// in it, and the poller took them. wire_reads_polled and
 // wire_reads_parked count the reads that returned bytes by who made them.
 //
 // Pollers read the raw descriptor, outside Go's descriptor reference
@@ -136,8 +137,8 @@
 // mutex with the mark unset. The mark stops reads, not delivery: frames the
 // record had already read still go out, for nobody would resend them. Lock
 // order: CRI lock → record try-lock on a polling thread; the goroutine takes
-// the record lock alone and waits for ring room, contexts and oversize frames
-// with it released. Where there is no raw non-blocking read
+// the record lock alone and waits for ring room and contexts with it
+// released. Where there is no raw non-blocking read
 // (rawread_other.go) connections are never handed to the pollers and the
 // goroutine carries the wire with blocking reads, through the same step.
 //
@@ -208,18 +209,20 @@ const (
 	// default eager limit, so a full 128-message window of empty envelopes
 	// (7 KiB) coalesces while any rendezvous-sized frame goes out at once.
 	flushBytes = 8 << 10
-	// readBufSize is the reader's fixed window: any eager frame fits many
-	// times over, so only a plain frame of hundreds of KiB takes the spill path.
+	// readBufSize is the reader's fixed window and the ceiling of a plain
+	// frame: an eager frame (at most the eager limit plus headers) fits many
+	// times over.
 	readBufSize = 256 << 10
 	// backstopDelay is the backstop timer period: far longer than a send
 	// burst takes to reach its own progress call (a 128-message window posts
 	// in tens of µs), short enough that a sender that never progresses delays
 	// its peer by at most one period, half a millisecond.
 	backstopDelay = 500 * time.Microsecond
-	// maxFrame bounds a frame's declared length (mux header + packet): 64 MiB
-	// is far above any payload the runtime's experiments send and keeps a
-	// corrupt u32 from claiming gigabytes. Send refuses larger packets (the
-	// runtime does not fragment, so this is the tcp message size ceiling).
+	// maxFrame bounds a landed frame's declared length (mux header + packet +
+	// body): 64 MiB is far above any payload the runtime's experiments send
+	// and keeps a corrupt u32 from claiming gigabytes. PutNotify refuses
+	// larger transfers (the runtime does not fragment, so this is the tcp
+	// message size ceiling).
 	maxFrame = 64 << 20
 	// maxMux bounds the mux ID (destination context index): contexts are
 	// CRIs, a few dozen per rank, so 1024 only caps the reader's demux table.
@@ -893,10 +896,9 @@ func (n *Network) setPolled(rx *rxConn, on bool) {
 // (peer index modulo the context count), so a pass over k idle contexts costs
 // one read per live connection, not k. It never blocks: a record another
 // thread holds is skipped, and what a step may not do here — wait for ring
-// room or for a context to exist, assemble a frame larger than the window,
-// close a link whose stream ended — is left in the record and the connection's
-// goroutine is kicked awake to do it. It reports whether any step did more
-// than find the socket empty.
+// room or for a context to exist, close a link whose stream ended — is left
+// in the record and the connection's goroutine is kicked awake to do it. It
+// reports whether any step did more than find the socket empty.
 func (n *Network) sweep(c *Context) bool {
 	rxs := n.polled.Load()
 	if rxs == nil {
@@ -926,7 +928,6 @@ const (
 	// The states below need the goroutine.
 	rxRingFull  // a decoded packet is kept: its context's ring has no room
 	rxNoContext // a decoded packet is kept: its context does not exist yet
-	rxOversize  // the next frame exceeds the window: the goroutine assembles it
 	rxEnded     // the stream is over, err says why
 )
 
@@ -939,7 +940,7 @@ type rxConn struct {
 	net  *Network
 	peer int
 	// src is the connection for reads that may block: the goroutine's, when
-	// it assembles an oversize frame or when there is no raw descriptor.
+	// there is no raw descriptor.
 	src net.Conn
 	// raw and fd are set when the socket can be read without blocking; fd is
 	// read only under mu with dead unset (see link.close).
@@ -956,9 +957,6 @@ type rxConn struct {
 	// buf[lo:hi] is read but not yet decoded.
 	buf    []byte
 	lo, hi int
-	// scratch holds a frame larger than the window once the goroutine has
-	// assembled it (its length is then the frame's), and is reused.
-	scratch []byte
 	// slab is the unused rest of the current packet slab; payloads the
 	// chunks small payloads are copied into and Meta records carved from.
 	slab     []transport.Packet
@@ -1034,8 +1032,8 @@ type landingBody struct {
 // already in hand, read once, deliver every frame the read completed. ctr and
 // by name the counter a read that returned bytes ticks. The stream fails
 // validation, and ends with errBadFrame, on a declared length outside
-// [MuxHeaderSize, maxFrame], a mux ID ≥ maxMux, a packet DecodeMuxFrameInto
-// rejects or a landed frame land refuses.
+// [MuxHeaderSize, maxFrame], a plain frame longer than the window, a mux ID ≥
+// maxMux, a packet DecodeMuxFrameInto rejects or a landed frame land refuses.
 func (rx *rxConn) step(ctr *spc.Set, by spc.Counter) rxState {
 	if rx.err != nil {
 		return rxEnded
@@ -1122,17 +1120,15 @@ func (rx *rxConn) decode() rxState {
 				continue
 			}
 		}
-		var body []byte
-		if end := rx.lo + 4 + flen; end <= rx.hi {
-			body, rx.lo = buf[rx.lo+4:end], end
-		} else if 4+flen <= len(buf) {
-			break // incomplete, but it fits the window: read more
-		} else if len(rx.scratch) != flen {
-			return rxOversize
-		} else {
-			body, rx.scratch = rx.scratch, rx.scratch[:0]
-			rx.lo, rx.hi = 0, 0
+		if 4+flen > len(buf) {
+			return rx.end(errBadFrame) // a plain frame fits the window
 		}
+		end := rx.lo + 4 + flen
+		if end > rx.hi {
+			break // incomplete: read more
+		}
+		body := buf[rx.lo+4 : end]
+		rx.lo = end
 		pkt := rx.packet(flen)
 		mux, err := transport.DecodeMuxFrameInto(pkt, body, &rx.payloads)
 		if err != nil || mux >= maxMux {
@@ -1240,11 +1236,10 @@ func (rx *rxConn) unkick() {
 // With a raw descriptor it parks on the netpoller until the socket is
 // readable and steps only when no poller got there first; without one it
 // steps with blocking reads. Either way it does the waiting step may not: for
-// room in a full ring (which propagates as TCP flow control), for a context
-// the peer's first frame beat into existence, for the rest of a frame larger
-// than the window. Writes block, so this loop is also what drains the socket
-// of a rank that is busy computing, or stuck in a flush toward a peer that is
-// flushing at it.
+// room in a full ring (which propagates as TCP flow control) and for a
+// context the peer's first frame beat into existence. Writes block, so this
+// loop is also what drains the socket of a rank that is busy computing, or
+// stuck in a flush toward a peer that is flushing at it.
 func (rx *rxConn) run() error {
 	var (
 		st  rxState
@@ -1280,52 +1275,10 @@ func (rx *rxConn) run() error {
 			if rx.net.waitContext(int(mux)) == nil {
 				return errBadFrame // no context to route it to
 			}
-		case rxOversize:
-			rx.assemble()
 		case rxEnded:
 			return err
 		}
 	}
-}
-
-// assemble is the spill: it reads the rest of the frame at the head of the
-// window, which the window cannot hold, into the scratch slice with blocking
-// reads, outside the mutex. Pollers meanwhile find the frame incomplete and
-// back off without touching the socket. Scratch grows by doubling as bytes
-// actually arrive and never past the frame, so a peer must send what it
-// declares before it costs memory. A failed read ends the stream.
-func (rx *rxConn) assemble() {
-	rx.mu.Lock()
-	flen := int(binary.LittleEndian.Uint32(rx.buf[rx.lo:]))
-	head := rx.buf[rx.lo+4 : rx.hi]
-	s := rx.scratch
-	if cap(s) < len(head) {
-		s = make([]byte, 0, min(flen, len(rx.buf))) // head is shorter than both
-	}
-	s = append(s[:0], head...)
-	rx.mu.Unlock()
-	var err error
-	for len(s) < flen && err == nil {
-		if len(s) == cap(s) {
-			grown := make([]byte, len(s), min(flen, max(2*cap(s), len(rx.buf))))
-			copy(grown, s)
-			s = grown
-		}
-		var m int
-		m, err = rx.src.Read(s[len(s):min(cap(s), flen)])
-		s = s[:len(s)+m]
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			rx.unkick()
-			err = nil
-		}
-	}
-	rx.mu.Lock()
-	if len(s) < flen {
-		rx.end(err)
-		s = s[:0]
-	}
-	rx.scratch = s
-	rx.mu.Unlock()
 }
 
 // linkTo returns the pair's shared physical link, establishing it on first
@@ -1565,14 +1518,13 @@ func (d *Device) Context(i int) *Context {
 	return d.contexts[i]
 }
 
-// Connect wires a send path from local to context remoteIdx of rank peer.
-// Same-rank endpoints short-circuit in process. Remote endpoints are lazily
-// connectable: nothing is dialed here — the first Send establishes (or
-// reuses) the pair's shared physical connection and the remote context
-// index becomes the frame's mux ID.
+// Connect wires a send path from local to context remoteIdx of rank peer, a
+// rank other than this one (the runtime delivers a self send itself). The
+// endpoint is lazily connectable: nothing is dialed here — the first Send
+// establishes (or reuses) the pair's shared physical connection and the
+// remote context index becomes the frame's mux ID.
 func (d *Device) Connect(local transport.Context, peer int, remoteIdx int) (transport.Endpoint, error) {
-	lc, ok := local.(*Context)
-	if !ok || lc == nil {
+	if lc, ok := local.(*Context); !ok || lc == nil {
 		return nil, errors.New("tcpnet: local context is not a tcpnet context")
 	}
 	cfg := d.net.cfg
@@ -1580,16 +1532,12 @@ func (d *Device) Connect(local transport.Context, peer int, remoteIdx int) (tran
 		return nil, fmt.Errorf("tcpnet: peer %d outside world of %d: %w", peer, cfg.Size, transport.ErrNoEndpoint)
 	}
 	if peer == cfg.Rank {
-		rc := d.Context(remoteIdx)
-		if rc == nil {
-			return nil, fmt.Errorf("tcpnet: no local context %d: %w", remoteIdx, transport.ErrNoEndpoint)
-		}
-		return &Endpoint{local: lc, loop: rc}, nil
+		return nil, fmt.Errorf("tcpnet: peer %d is this rank: %w", peer, transport.ErrNoEndpoint)
 	}
 	if remoteIdx < 0 {
 		return nil, fmt.Errorf("tcpnet: negative remote context %d: %w", remoteIdx, transport.ErrNoEndpoint)
 	}
-	return &Endpoint{local: lc, dev: d, peer: peer, mux: uint32(remoteIdx)}, nil
+	return &Endpoint{dev: d, peer: peer, mux: uint32(remoteIdx)}, nil
 }
 
 // PeerClockOffsetNs implements transport.ClockSync on the device, delegating
@@ -1642,9 +1590,8 @@ func (d *Device) Close() { d.net.close() }
 
 // Context is one injection path with its own receive ring. It has no
 // completion ring: tcp is two-sided only, and a two-sided operation posts no
-// completion. The ring is multi-producer (pollers of any context, reader
-// goroutines and local endpoints push concurrently); Poll is called under the
-// per-CRI lock.
+// completion. The ring is multi-producer (pollers of any context and reader
+// goroutines push concurrently); Poll is called under the per-CRI lock.
 type Context struct {
 	index int
 	net   *Network
@@ -1707,15 +1654,6 @@ func (c *Context) drain(handler func(transport.CQE), max int) int {
 
 func (c *Context) Pending() bool { return c.recvQ.Len() > 0 }
 
-// push is a same-rank endpoint's delivery, which may wait for ring room on
-// the sending thread; frames off a socket go through rxConn.toRing.
-func (c *Context) push(p *transport.Packet) {
-	for !c.recvQ.Push(p) {
-		c.ctr.Inc(spc.RingFullWaits)
-		time.Sleep(10 * time.Microsecond)
-	}
-}
-
 // TCP is two-sided only.
 func (c *Context) Put(r transport.MemRegion, offset int, src []byte, token any) error {
 	return transport.ErrNotSupported
@@ -1733,15 +1671,11 @@ func (c *Context) CompareAndSwap(r transport.MemRegion, offset int, compare, swa
 	return transport.ErrNotSupported
 }
 
-// Endpoint is a lazily connectable send path to one remote context: either
-// an in-process loopback (same rank) or a mux ID over the peer pair's
-// shared connection. The first Send establishes the physical link (or
-// attaches to one another context already established — a ConnsReused SPC
-// tick).
+// Endpoint is a lazily connectable send path to one remote context: a mux ID
+// over the peer pair's shared connection. The first Send establishes the
+// physical link (or attaches to one another context already established — a
+// ConnsReused SPC tick).
 type Endpoint struct {
-	local *Context
-	loop  *Context // same-rank short circuit; nil for TCP endpoints
-
 	dev  *Device
 	peer int
 	mux  uint32
@@ -1762,28 +1696,23 @@ type Endpoint struct {
 // re-established link by the flush; if that fails too, the sends it carried
 // have already completed, so the error is returned by the next Send toward
 // the peer (whose packet is not injected) and counted in wire_flush_failures
-// and wire_frames_stranded. Packets whose frame would exceed maxFrame
-// (64 MiB) are refused. A same-rank endpoint pushes p straight into the
-// local context's ring.
+// and wire_frames_stranded. A packet whose frame would not fit the peer's
+// readBufSize window is refused before anything is queued: a plain frame is
+// read whole through the window, and anything larger travels by PutNotify.
 func (e *Endpoint) Send(p *transport.Packet) error {
-	if e.loop != nil {
-		e.loop.push(p)
-		return nil
+	if size := 4 + transport.MuxHeaderSize + p.WireSize(); size > readBufSize {
+		return fmt.Errorf("tcpnet: %d-byte frame to peer %d exceeds the %d-byte read window", size, e.peer, readBufSize)
 	}
-	if err := e.path(transport.MuxHeaderSize + p.WireSize()); err != nil {
+	if err := e.path(); err != nil {
 		return err
 	}
 	e.dev.net.enqueue(e.peer, p, e.mux)
 	return nil
 }
 
-// path readies the way to the peer for a frame of size bytes: a frame above
-// maxFrame is refused, a flush that lost the peer earlier is reported, and the
-// first use establishes the link.
-func (e *Endpoint) path(size int) error {
-	if size > maxFrame {
-		return fmt.Errorf("tcpnet: %d-byte frame to peer %d exceeds the %d-byte frame limit", size, e.peer, maxFrame)
-	}
+// path readies the way to the peer: a flush that lost the peer earlier is
+// reported, and the first use establishes the link.
+func (e *Endpoint) path() error {
 	n := e.dev.net
 	if s := &n.slots[e.peer]; s.flushErr.Load() != nil {
 		// An earlier flush lost this peer after its sends had completed:
@@ -1808,23 +1737,16 @@ func (e *Endpoint) path(size int) error {
 // (rxConn.land). A write that fails, re-established link included, fails the
 // call, and the peer never sees the transfer. The frame, body counted, is held
 // to maxFrame and its head to maxLandedHead before a byte is written. Like
-// Send it posts no completion. A same-rank endpoint copies into the local
-// region at once.
+// Send it posts no completion.
 func (e *Endpoint) PutNotify(regionID uint64, src []byte, p *transport.Packet) error {
-	if e.loop != nil {
-		dst, ok := e.local.net.region(regionID)
-		if !ok || len(src) > len(dst) {
-			return fmt.Errorf("tcpnet: %d bytes for local region %d: %w", len(src), regionID, transport.ErrRegionUnavailable)
-		}
-		copy(dst, src)
-		e.loop.push(p)
-		return nil
-	}
 	size := p.LandedFrameSize(len(src))
 	if 4+size-len(src) > maxLandedHead {
 		return fmt.Errorf("tcpnet: packet of %d wire bytes is too large to head a landed frame", p.WireSize())
 	}
-	if err := e.path(size); err != nil {
+	if size > maxFrame {
+		return fmt.Errorf("tcpnet: %d-byte frame to peer %d exceeds the %d-byte frame limit", size, e.peer, maxFrame)
+	}
+	if err := e.path(); err != nil {
 		return err
 	}
 	var head [maxLandedHead]byte

@@ -90,36 +90,13 @@ func TestSendAcrossProcessesBoundary(t *testing.T) {
 	}
 }
 
+// TestLoopbackEndpointSameRank: tcpnet has no same-rank endpoint — the
+// runtime delivers a self send itself and never connects a rank to itself —
+// so Connect toward the device's own rank is refused with ErrNoEndpoint.
 func TestLoopbackEndpointSameRank(t *testing.T) {
 	d0, _, c0, _ := newPair(t)
-	ep, err := d0.Connect(c0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.Send(transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, []byte("self"), nil)); err != nil {
-		t.Fatal(err)
-	}
-	// One event: the arrival. The send posts no completion.
-	if e := poll1(t, c0); e.Kind != transport.CQERecv || string(e.Packet.Payload) != "self" || c0.Pending() {
-		t.Fatalf("same-rank Send surfaced %+v, pending %v", e, c0.Pending())
-	}
-	// PutNotify toward the same rank fills the local region before it returns:
-	// the source is the caller's again at once.
-	sink := make([]byte, 8)
-	src := []byte("landed")
-	fin := transport.NewPacketRaw(transport.Envelope{Kind: transport.KindRendezvousData}, []byte("transfer"))
-	if err := ep.PutNotify(d0.RegisterMemory(sink).ID(), src, fin); err != nil {
-		t.Fatal(err)
-	}
-	clear(src)
-	if string(sink) != "landed\x00\x00" {
-		t.Fatalf("local region holds %q after PutNotify returned", sink)
-	}
-	if e := poll1(t, c0); e.Kind != transport.CQERecv || e.Packet != fin || c0.Pending() {
-		t.Fatalf("same-rank PutNotify surfaced %+v, pending %v", e, c0.Pending())
-	}
-	if err := ep.PutNotify(99, src, fin); !errors.Is(err, transport.ErrRegionUnavailable) || c0.Pending() {
-		t.Fatalf("PutNotify into a region nobody registered = %v, pending %v", err, c0.Pending())
+	if ep, err := d0.Connect(c0, 0, 0); !errors.Is(err, transport.ErrNoEndpoint) || ep != nil {
+		t.Fatalf("Connect to the own rank = %v, %v; want no endpoint and ErrNoEndpoint", ep, err)
 	}
 }
 
@@ -888,42 +865,80 @@ func TestFlushFailureIsReported(t *testing.T) {
 	}
 }
 
-// TestOversizeFrameThenSmallFrames sends a frame larger than the reader's
-// window (the spill path) with a train of small frames behind it, at a
-// receiver that is already spinning in Poll: a poller that meets the frame
-// backs off and kicks the goroutine, which assembles it
-// (TestPollerLeavesOversizeFrameToGoroutine holds the goroutine back to show
-// the first half), and everything arrives in order.
+// TestOversizeFrameThenSmallFrames: a plain frame must fit the reader's
+// window. Send takes a frame of exactly the window, refuses one byte more
+// before it queues or dials anything, and the small frames sent behind both
+// arrive in order. A peer that declares a larger plain frame anyway has its
+// link closed — whether a poller or the goroutine meets it — with
+// wire_frames_rejected ticked once and nothing behind it delivered.
 func TestOversizeFrameThenSmallFrames(t *testing.T) {
-	_, d0, d1, _ := newCountedPair(t)
-	c0, c1 := mustContext(t, d0), mustContext(t, d1)
-	ep := mustConnect(t, d0, c0, 1, 0)
-	big := make([]byte, readBufSize+12345)
-	for i := range big {
-		big[i] = byte(i * 7)
-	}
-	send := func(seq uint32, payload []byte) {
-		env := transport.Envelope{Src: 0, Dst: 1, Seq: seq, Kind: transport.KindEager}
-		if err := ep.Send(transport.NewPacket(env, payload, nil)); err != nil {
-			t.Error(err)
+	t.Run("send", func(t *testing.T) {
+		nets, d0, d1, ctr := newCountedPair(t)
+		c0, c1 := mustContext(t, d0), mustContext(t, d1)
+		ep := mustConnect(t, d0, c0, 1, 0)
+		packet := func(seq uint32, payload []byte) *transport.Packet {
+			return transport.NewPacket(transport.Envelope{Src: 0, Dst: 1, Seq: seq, Kind: transport.KindEager}, payload, nil)
 		}
-	}
-	go func() {
-		time.Sleep(time.Millisecond) // the receiver is polling an empty socket by now
-		send(0, big)
+		head := 4 + transport.MuxHeaderSize + packet(0, nil).WireSize()
+		over := make([]byte, readBufSize-head+1)
+		if err := ep.Send(packet(0, over)); err == nil {
+			t.Fatalf("Send took a %d-byte frame through a %d-byte window", head+len(over), readBufSize)
+		}
+		s := &nets[0].slots[1]
+		s.pmu.Lock()
+		pending := len(s.pend)
+		s.pmu.Unlock()
+		if pending != 0 || s.dirty.Load() || ctr.Get(spc.ConnsOpened) != 0 {
+			t.Fatalf("the refused frame left %d bytes pending (dirty %v) and opened %d connections",
+				pending, s.dirty.Load(), ctr.Get(spc.ConnsOpened))
+		}
+		fit := seeded(readBufSize - head)
+		if err := ep.Send(packet(0, fit)); err != nil {
+			t.Fatalf("a frame of exactly the window: %v", err)
+		}
 		for i := 1; i <= 100; i++ {
-			send(uint32(i), []byte{byte(i)})
+			if err := ep.Send(packet(uint32(i), []byte{byte(i)})); err != nil {
+				t.Fatal(err)
+			}
 		}
 		c0.Poll(func(transport.CQE) {}, 128)
-	}()
-	if e := poll1(t, c1); e.Packet.Envelope().Seq != 0 || !bytes.Equal(e.Packet.Payload, big) {
-		t.Fatalf("oversize frame corrupted: seq %d, %d bytes", e.Packet.Envelope().Seq, len(e.Packet.Payload))
-	}
-	for i := 1; i <= 100; i++ {
-		e := poll1(t, c1)
-		if seq := e.Packet.Envelope().Seq; seq != uint32(i) || len(e.Packet.Payload) != 1 || e.Packet.Payload[0] != byte(i) {
-			t.Fatalf("small frame %d corrupted: seq %d payload %v", i, seq, e.Packet.Payload)
+		if e := poll1(t, c1); e.Packet.Envelope().Seq != 0 || !bytes.Equal(e.Packet.Payload, fit) {
+			t.Fatalf("window-sized frame corrupted: seq %d, %d bytes", e.Packet.Envelope().Seq, len(e.Packet.Payload))
 		}
+		for i := 1; i <= 100; i++ {
+			e := poll1(t, c1)
+			if seq := e.Packet.Envelope().Seq; seq != uint32(i) || len(e.Packet.Payload) != 1 || e.Packet.Payload[0] != byte(i) {
+				t.Fatalf("small frame %d corrupted: seq %d payload %v", i, seq, e.Packet.Payload)
+			}
+		}
+	})
+	// A plain frame one byte above the window, its first maxLandedHead bytes
+	// there (enough to tell it is not a landed frame), between two valid
+	// frames.
+	valid := transport.NewPacket(transport.Envelope{Kind: transport.KindEager}, []byte("ok"), nil)
+	stream := valid.AppendMuxFrame(nil, 0)
+	stream = binary.LittleEndian.AppendUint32(stream, readBufSize-3)
+	stream = append(stream, make([]byte, maxLandedHead)...)
+	stream = valid.AppendMuxFrame(stream, 0)
+	t.Run("goroutine reads", func(t *testing.T) { hostileStream(t, stream, false) })
+	t.Run("pollers read", func(t *testing.T) { hostileStream(t, stream, true) })
+}
+
+// TestFrameReaderSpillIsPaidByBytesReceived: a stream that declares a huge
+// frame and then stops costs the reader no more than what actually arrived.
+// No plain frame spills past the window, so the largest length a landed frame
+// may declare, on a plain frame, is refused at once and the window stays the
+// reader's only buffer.
+func TestFrameReaderSpillIsPaidByBytesReceived(t *testing.T) {
+	const window = 64
+	stream := binary.LittleEndian.AppendUint32(nil, maxFrame)
+	stream = append(stream, make([]byte, 100)...)
+	frames, fr, err := readAll(window, 7, stream)
+	if err != errBadFrame || len(frames) != 0 {
+		t.Fatalf("err = %v, %d frames; want errBadFrame and none", err, len(frames))
+	}
+	if c := cap(fr.buf); c != window {
+		t.Fatalf("the reader's buffer grew to %d bytes for a %d-byte window", c, window)
 	}
 }
 
@@ -1145,24 +1160,11 @@ func TestLandedBodiesSkipTheWindow(t *testing.T) {
 	}
 }
 
-// TestFrameReaderSpillIsPaidByBytesReceived: a stream that declares a huge
-// frame and then stops costs the reader no more than what actually arrived.
-func TestFrameReaderSpillIsPaidByBytesReceived(t *testing.T) {
-	stream := binary.LittleEndian.AppendUint32(nil, maxFrame)
-	stream = append(stream, make([]byte, 100)...)
-	frames, fr, err := readAll(64, 7, stream)
-	if err != io.EOF || len(frames) != 0 {
-		t.Fatalf("truncated frame: err = %v, %d frames, want EOF and none", err, len(frames))
-	}
-	if c := cap(fr.scratch); c > 4*len(stream) {
-		t.Fatalf("scratch grew to %d bytes for a %d-byte stream", c, len(stream))
-	}
-}
-
 // FuzzReadFrames feeds the frame reader arbitrary bytes in arbitrary write
-// sizes. It must never panic, never hold more than maxFrame of scratch,
-// accept the same frames and land the same bytes whatever its window size (in
-// place or spilled), and every frame it accepts must round-trip
+// sizes, through a window of maxLandedHead bytes and one of 4096. It must
+// never panic. Frames that fit both windows are accepted identically and land
+// the same bytes; the small window ends its stream with errBadFrame at the
+// first plain frame above it. Every frame accepted must round-trip
 // AppendMuxFrame. A landed frame is delivered as the plain packet behind its
 // body, or not at all when its region (anything but newRx's region 1) is
 // unknown.
@@ -1177,7 +1179,7 @@ func FuzzReadFrames(f *testing.F) {
 	}
 	var valid []byte
 	valid = pkt(0, false).AppendMuxFrame(valid, 0)
-	valid = pkt(300, true).AppendMuxFrame(valid, 7) // spills a 128-byte window
+	valid = pkt(300, true).AppendMuxFrame(valid, 7) // above a 128-byte window
 	valid = pkt(9, false).AppendMuxFrame(valid, maxMux-1)
 	le := binary.LittleEndian
 	f.Add(valid, uint8(255))
@@ -1206,45 +1208,73 @@ func FuzzReadFrames(f *testing.F) {
 	f.Add(append(landedFrame(3, 0, 7, 1, seeded(200)), valid...), uint8(99))
 	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
 		small, fr, errSmall := readAll(maxLandedHead, int(chunk)+1, stream)
-		if c := cap(fr.scratch); c > maxFrame {
-			t.Fatalf("scratch grew to %d bytes, above maxFrame", c)
-		}
 		large, frLarge, errLarge := readAll(4096, int(chunk)+1, stream)
+		if len(small) > len(large) {
+			t.Fatalf("window %d accepted %d frames, window 4096 only %d", maxLandedHead, len(small), len(large))
+		}
+		// skip steps over the landed frames for an unknown region at
+		// stream[at:], which both readers consume undelivered.
+		skip := func(at int) int {
+			for {
+				rest := stream[at:]
+				if len(rest) < transport.LandedPeek {
+					return at
+				}
+				region, _, landed := transport.PeekLanded(rest)
+				if end := at + 4 + int(le.Uint32(rest)); landed && region != 1 && end <= len(stream) {
+					at = end
+					continue
+				}
+				return at
+			}
+		}
+		// consumed walks the stream frame by frame alongside the large
+		// window's deliveries; cutAt is where the small window stopped.
+		consumed, cutAt := 0, -1
+		for i, frame := range large {
+			consumed = skip(consumed)
+			if i >= len(small) {
+				if i == len(small) {
+					cutAt = consumed
+				}
+			} else if !bytes.Equal(frame, small[i]) {
+				t.Fatalf("frame %d differs between window sizes", i)
+			}
+			// The re-encoded frame is canonical: reading it back and encoding
+			// again reproduces it byte for byte.
+			again, _, _ := readAll(4096, len(frame), frame)
+			if len(again) != 1 || !bytes.Equal(again[0], frame) {
+				t.Fatalf("frame %d does not round-trip AppendMuxFrame", i)
+			}
+			if !bytes.Equal(frame[4:8], stream[consumed+4:consumed+8]) {
+				t.Fatalf("frame %d delivered to mux %d, sent to %d", i, le.Uint32(frame[4:]), le.Uint32(stream[consumed+4:]))
+			}
+			if consumed += 4 + int(le.Uint32(stream[consumed:])); consumed > len(stream) {
+				t.Fatalf("accepted %d bytes of frames from a %d-byte stream", consumed, len(stream))
+			}
+		}
+		if cutAt < 0 {
+			cutAt = skip(consumed)
+		}
+		// The small window stops at a plain frame it cannot hold once it has
+		// maxLandedHead bytes of it: enough to tell it is not landed.
+		above := false
+		if rest := stream[cutAt:]; len(rest) >= maxLandedHead {
+			flen := int(le.Uint32(rest))
+			_, _, landed := transport.PeekLanded(rest)
+			above = !landed && flen >= transport.MuxHeaderSize && flen <= maxFrame && 4+flen > maxLandedHead
+		}
+		if above {
+			if errSmall != errBadFrame {
+				t.Fatalf("window %d met a frame above it after %d frames and ended with %v, want errBadFrame", maxLandedHead, len(small), errSmall)
+			}
+			return
+		}
 		if len(small) != len(large) || (errSmall == errBadFrame) != (errLarge == errBadFrame) {
 			t.Fatalf("window %d: %d frames, %v; window 4096: %d frames, %v", maxLandedHead, len(small), errSmall, len(large), errLarge)
 		}
 		if a, b := fr.net.dev.regions[1].buf, frLarge.net.dev.regions[1].buf; !bytes.Equal(a, b) {
 			t.Fatalf("region 1 holds %x behind a %d-byte window, %x behind 4096 bytes", a, maxLandedHead, b)
-		}
-		consumed := 0
-		for i, frame := range small {
-			if !bytes.Equal(frame, large[i]) {
-				t.Fatalf("frame %d differs between window sizes", i)
-			}
-			// The re-encoded frame is canonical: reading it back and encoding
-			// again reproduces it byte for byte.
-			again, _, _ := readAll(maxLandedHead, len(frame), frame)
-			if len(again) != 1 || !bytes.Equal(again[0], frame) {
-				t.Fatalf("frame %d does not round-trip AppendMuxFrame", i)
-			}
-			// Landed frames for an unknown region were consumed undelivered.
-			for {
-				rest := stream[consumed:]
-				if len(rest) < transport.LandedPeek {
-					break
-				}
-				if region, _, landed := transport.PeekLanded(rest); !landed || region == 1 {
-					break
-				}
-				consumed += 4 + int(le.Uint32(rest))
-			}
-			if !bytes.Equal(frame[4:8], stream[consumed+4:consumed+8]) {
-				t.Fatalf("frame %d delivered to mux %d, sent to %d", i, le.Uint32(frame[4:]), le.Uint32(stream[consumed+4:]))
-			}
-			consumed += 4 + int(le.Uint32(stream[consumed:]))
-		}
-		if consumed > len(stream) {
-			t.Fatalf("accepted %d bytes of frames from a %d-byte stream", consumed, len(stream))
 		}
 	})
 }
@@ -1256,7 +1286,7 @@ func FuzzReadFrames(f *testing.F) {
 // and no frame above slabMaxFrame may have taken a slab entry.
 func TestFrameReaderSlabPacketsStayDistinct(t *testing.T) {
 	const small = 200 // > 3 slabs
-	bigAt := map[int]int{10: slabMaxFrame + 1, 70: 5000, 130: 70 << 10, 199: 600}
+	bigAt := map[int]int{10: slabMaxFrame + 1, 70: 5000, 130: 8 << 10, 199: 600}
 	payload := func(i, n int) []byte {
 		b := make([]byte, n)
 		for k := range b {
@@ -1286,8 +1316,8 @@ func TestFrameReaderSlabPacketsStayDistinct(t *testing.T) {
 	}()
 	var fr *rxConn
 	var kept []*transport.Packet
-	var slabLeft []int                                                 // len(fr.slab) after each delivery's packet was taken
-	fr = newRx(server, 16<<10, func(mux uint32, p *transport.Packet) { // the 70 KiB frame spills
+	var slabLeft []int // len(fr.slab) after each delivery's packet was taken
+	fr = newRx(server, 16<<10, func(mux uint32, p *transport.Packet) {
 		if want := p.Envelope().Seq % 3; mux != want {
 			t.Errorf("frame %d delivered to mux %d, sent to %d", len(kept), mux, want)
 		}

@@ -255,7 +255,12 @@ type Endpoint interface {
 	// comes, and reports a wire failure it meets there from the next Send
 	// toward the same peer. Sending a packet again is the retransmission of
 	// the delivery-reliability layer, which treats a failed resend like a
-	// lost packet (the retry budget governs).
+	// lost packet (the retry budget governs). Each backend has its own
+	// ceiling on one packet, refused before anything is injected: the
+	// in-process fabric has none (packets move by pointer); tcpnet holds a
+	// plain frame to its reader's 256 KiB window and a PutNotify transfer to
+	// 64 MiB. The runtime's eager limit (8 KiB) keeps every Send far below
+	// either.
 	Send(p *Packet) error
 	// PutNotify lands src at the start of the peer's registered region
 	// regionID, then delivers p to the remote context — a write with

@@ -204,11 +204,9 @@ var modelIgnores = map[string]string{
 	"rmamt.Config.OnSampler":     "a hook on the runtime's wall-clock sampler; the RMA model samples nothing",
 	"rmamt.Config.SampleInterval": "the RMA model runs no sampler (its Result.Series stays empty); " +
 		"cmd/rmamt's -sample-interval switches to the real engine, whose sampler reads it",
-	"core.Options.Network":     "the runtime's transport; the model's wire is virtual (Faults is its adversary)",
-	"core.Options.Telemetry":   "the runtime's histograms; the model has no wall-clock layer to instrument",
-	"core.Options.Profile":     "the runtime's profiler; the model's phase clocks always run (Result.Breakdown)",
-	"core.Options.ThreadLevel": "a runtime check on calling threads; the model's threads are its own",
-	"core.Options.EagerLimit":  "the rendezvous switchover; the model is eager-only",
+	"core.Options.Network":   "the runtime's transport; the model's wire is virtual (Faults is its adversary)",
+	"core.Options.Telemetry": "the runtime's histograms; the model has no wall-clock layer to instrument",
+	"core.Options.Profile":   "the runtime's profiler; the model's phase clocks always run (Result.Breakdown)",
 }
 
 // fieldsRead type-checks the non-test files of dir and returns every struct
