@@ -25,11 +25,12 @@ examples:
 # flush, an idle tcp Poll that reads a live connection's empty socket), run
 # without the race detector, then the rows the tests logged as one table.
 # The core rows also measure heap bytes per op (B/op, size-class rounding
-# included), and the in-process window, the tcp round trip and both
-# rendezvous rows pin them; with TestMessageFootprint, which pins the size of
+# included), and the in-process eager message and window, the tcp round trip
+# and both rendezvous rows pin them; with TestMessageFootprint, which pins the size of
 # every two-sided message's slab entries, rendezvous records included, they hold a message's bytes, not only its objects. A row without
 # a byte measurement or pin shows "-".
-# Nothing on the path is pooled, so the pins hold under -race as well and
+# Nothing on the path is in a sync.Pool (a receive's record is reused through
+# its Thread's own free list), so the pins hold under -race as well and
 # CI's -race test job enforces them too; this target is the readable table.
 allocs:
 	@out=$$($(GO) test -count=1 -v -run 'Alloc|Footprint' ./internal/cri ./internal/core ./internal/match ./internal/rma ./internal/transport/tcpnet 2>&1); rc=$$?; \
@@ -145,7 +146,9 @@ loc:
 # rma — is the flush marker (rma.Win.mark). Every send — user, collective or
 # control — picks its protocol at one comparison against DefaultEagerLimit,
 # and the runtime is MPI_THREAD_MULTIPLE only: no thread-level type or guard
-# grows back.
+# grows back. A receive's matching record is reused: exactly one function in
+# core (Request.release) puts it back on its Thread's free list, and no slab
+# of receives (`carve(&th.recvs)`) grows back beside the list.
 lint-onepath:
 	@fail=0; \
 	one() { n=$$(cat $$2 | grep -c -- "$$1"); \
@@ -180,6 +183,11 @@ lint-onepath:
 	retries=$$(awk '/^func /{f=$$0} /errors\.Is\(.*transport\.ErrCQFull\)/{print FILENAME": "f}' $$core $$(ls internal/rma/*.go | grep -v _test.go)); \
 	if ! printf '%s\n' "$$retries" | grep -qx 'internal/rma/rma\.go: func (w \*Win) mark(.*' || [ "$$(printf '%s\n' "$$retries" | wc -l)" -ne 1 ]; then \
 		echo "FAIL: transport.ErrCQFull is retried only by rma.Win.mark (the flush marker), found:"; echo "$$retries"; fail=1; fi; \
+	pushes=$$(awk '/^func /{f=$$0} /^[[:space:]]*\/\//{next} /recvFree[^=]*=[^=]/ && !/= *[a-z]+\.next$$/{print FILENAME": "f}' $$core | sort -u); \
+	if [ "$$(printf '%s\n' "$$pushes" | grep -c .)" -ne 1 ]; then \
+		echo "FAIL: one function puts a receive record back on its Thread's free list (Request.release), found:"; echo "$$pushes"; fail=1; fi; \
+	if grep -rn --include='*.go' 'carve(&th\.recvs)' internal; then \
+		echo "FAIL: a receive's record comes from its Thread's free list (recvRecord), not a slab of receives"; fail=1; fi; \
 	n=$$(cat internal/core/comm.go internal/core/world.go | grep -c 'time\.Now()'); \
 	if [ "$$n" -gt 6 ]; then echo "FAIL: $$n time.Now() sites in core/comm.go + core/world.go, want at most 6"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "one path ok"; else exit 1; fi

@@ -121,8 +121,9 @@ func main() {
 		cfg.OnWorld = sess.BindWorld
 		res, err := bench.Run(cfg)
 		check(err)
-		fmt.Printf("engine=real transport=%s caps=%s threads=%d size=%dB puts=%d elapsed=%v rate=%.0f puts/s%s%s\n",
+		fmt.Printf("engine=real transport=%s caps=%s threads=%d size=%dB puts=%d elapsed=%v rate=%.0f puts/s gc_cycles=%d gc_cpu=%.1f%%%s%s\n",
 			res.Transport.Name, res.Transport, *threads, *msgSize, res.Puts, res.Elapsed, res.Rate,
+			res.GC.Cycles, 100*res.GC.CPUShare,
 			cliobs.HeaderPath("flight_out", ob.FlightOut),
 			cliobs.HeaderPath("latency_out", ob.LatencyOut))
 		if ob.SPCDump {

@@ -165,6 +165,9 @@ type Result struct {
 	SPCs spc.Snapshot
 	// Transport names the backend the run used and its capability flags.
 	Transport transport.Caps
+	// GC is what the Go collector cost this process over the measured
+	// section.
+	GC telemetry.GCCost
 	// Stats holds every local rank's attributed counter/histogram
 	// breakdown in rank order (even ranks send, odd ranks receive).
 	Stats []telemetry.ProcStats
@@ -306,6 +309,7 @@ func run(cfg Config, w *core.World, threads int) (Result, error) {
 			errs <- loop()
 		}()
 	}
+	gc := telemetry.ReadGC()
 	start := time.Now()
 	for _, p := range senders {
 		for i, c := range comms[p.Rank()] {
@@ -328,6 +332,7 @@ func run(cfg Config, w *core.World, threads int) (Result, error) {
 		return Result{}, fmt.Errorf("multirate: end barrier: %w", err)
 	}
 	elapsed := time.Since(start)
+	gcCost := gc.Since()
 	close(errs)
 	for err := range errs {
 		if err != nil {
@@ -337,7 +342,7 @@ func run(cfg Config, w *core.World, threads int) (Result, error) {
 	}
 
 	total := int64(cfg.Pairs) * int64(cfg.Window) * int64(cfg.Iters)
-	res := Result{Messages: total, Elapsed: elapsed, Transport: w.TransportCaps()}
+	res := Result{Messages: total, Elapsed: elapsed, Transport: w.TransportCaps(), GC: gcCost}
 	if elapsed > 0 {
 		res.Rate = float64(total) / elapsed.Seconds()
 	}

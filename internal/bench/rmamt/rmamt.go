@@ -82,6 +82,8 @@ type Result struct {
 	Samples []telemetry.Sample
 	// Transport names the backend the run used and its capability flags.
 	Transport transport.Caps
+	// GC is what the Go collector cost over the measured section.
+	GC telemetry.GCCost
 }
 
 // Run executes the benchmark: two processes, a window on each, all threads
@@ -120,6 +122,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	errs := make(chan error, cfg.Threads)
 	var wg sync.WaitGroup
+	gc := telemetry.ReadGC()
 	start := time.Now()
 	for g := 0; g < cfg.Threads; g++ {
 		wg.Add(1)
@@ -148,6 +151,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	gcCost := gc.Since()
 	smp.Stop()
 	close(errs)
 	for err := range errs {
@@ -161,7 +165,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	total := int64(cfg.Threads) * int64(cfg.PutsPerThread) * int64(cfg.Rounds)
-	res := Result{Puts: total, Elapsed: elapsed, Transport: w.TransportCaps()}
+	res := Result{Puts: total, Elapsed: elapsed, Transport: w.TransportCaps(), GC: gcCost}
 	if elapsed > 0 {
 		res.Rate = float64(total) / elapsed.Seconds()
 	}

@@ -248,9 +248,7 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 	ring := th.ts.Flight()
 	ring.RecordAt(now-p.flightBase, flight.KindSendPost, c.id, int32(dst), int32(env.Seq), -1, 0)
 	env.Len = uint32(len(buf))
-	op := carve(&th.sends)
-	op.proc = p
-	req, pkt := &op.Request, &op.pkt
+	pkt := carve(&th.pkts)
 	pkt.Init(env, buf, &th.slab)
 	user := userEager(env)
 	if user && p.timed {
@@ -267,22 +265,31 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 		if user {
 			ring.RecordAt(now-p.flightBase, flight.KindSendInject, c.id, int32(dst), int32(env.Seq), -1, pkt.TraceID())
 		}
-		req.finish(nil)
 		p.deliver(th.ts.Clock(), nil, pkt, &th.run)
-		return req, nil
+		return &p.sent, nil
+	}
+	var req *Request
+	if p.rel != nil {
+		// A tracked send completes on its ack, so it needs a handle of its own.
+		req = carve(&th.reqs)
+		req.proc = p
 	}
 	if err := c.inject(th, env, pkt, req, nil); err != nil {
 		return nil, err
+	}
+	if req == nil {
+		// A lossless wire: the send is complete once the backend has it.
+		return &p.sent, nil
 	}
 	return req, nil
 }
 
 // inject is the one way a matched envelope leaves this process: hold a CRI,
 // take its endpoint toward the destination, enter the packet in the
-// reliability window (req completes on ack; fail, if set, runs instead when
-// the peer is given up on), and write it to the wire inside PhaseWire. On a
-// lossless backend req, if set, completes here: the backend took the packet,
-// whose payload was copied at the send post, and posts no completion for it.
+// reliability window (req, if set, completes on ack; fail, if set, runs
+// instead when the peer is given up on), and write it to the wire inside
+// PhaseWire. On a lossless backend there is no window and no completion: the
+// backend took the packet, whose payload was copied at the send post.
 func (c *Comm) inject(th *Thread, env transport.Envelope, pkt *transport.Packet, req *Request, fail func(error)) error {
 	p := c.proc
 	dstWorld := c.group[env.Dst]
@@ -330,9 +337,6 @@ func (c *Comm) inject(th *Thread, env transport.Envelope, pkt *transport.Packet,
 		// write itself failed definitively). Any reliability entry is left
 		// to its retry budget, which re-drives or abandons it.
 		return fmt.Errorf("core: send from rank %d to %d: %v: %w", p.rank, dstWorld, err, ErrPeerUnreachable)
-	}
-	if req != nil && p.rel == nil {
-		req.finish(nil)
 	}
 	return nil
 }
@@ -390,14 +394,16 @@ func (c *Comm) unlockMatch() {
 func (c *Comm) post(th *Thread, src int, tag int32, buf []byte) *Request {
 	p := c.proc
 	clk := th.ts.Clock()
-	op := carve(&th.recvs)
-	op.proc, op.matched = p, &op.recv
-	req := &op.Request
-	op.recv = match.Recv{Source: int32(src), Tag: tag, Buf: buf, Token: req}
+	req := carve(&th.reqs)
+	rec := th.recvRecord()
+	req.proc, req.rec = p, rec
+	// A reused record keeps its last results, which the match overwrites;
+	// it is off every queue, its links clear.
+	rec.Source, rec.Tag, rec.Buf, rec.Token = int32(src), tag, buf, req
 	c.lockMatch(clk)
 	clk.Begin(prof.PhaseMatch)
 	h0 := p.histMatch.Start()
-	comp, ok := c.engine.PostRecv(&op.recv)
+	comp, ok := c.engine.PostRecv(&rec.Recv)
 	p.histMatch.ObserveSince(h0)
 	clk.End()
 	c.unlockMatch()
@@ -501,6 +507,7 @@ func (c *Comm) completeRecv(comp match.Completion, unexpected bool) {
 	if req == nil {
 		panic("core: matched receive without request token")
 	}
+	req.matched(&comp.Recv.MatchedEnv)
 	env := comp.Recv.MatchedEnv
 	if env.Kind == transport.KindRendezvousRTS {
 		c.startRendezvousRecv(req, comp)
@@ -530,7 +537,7 @@ func (c *Comm) completeRecv(comp match.Completion, unexpected bool) {
 		}
 	}
 	p.flightRing.RecordAt(now-p.flightBase, flight.KindMatchComplete, c.id, env.Src, env.Tag, -1, flow)
-	req.finishRecv()
+	req.finishRecv(comp.Recv.N)
 }
 
 // Free removes this handle's communicator state from its process

@@ -206,8 +206,10 @@ func TestLatenciesShareOneClockCorrection(t *testing.T) {
 // is ops operations — or, with pinnedBytes above zero, more than pinnedBytes
 // heap bytes per op (the TotalAlloc delta over as many runs, size-class
 // rounding included: what the collector sees), and logs the row `make allocs`
-// collects into its table. Nothing on the message path is pooled, so the
-// counts are the same under the race detector and the pins hold there too.
+// collects into its table. Nothing on the message path is in a sync.Pool (a
+// receive's record is reused through its Thread's own list, which the race
+// detector leaves alone), so the counts are the same under the race detector
+// and the pins hold there too.
 func pinAllocs(t *testing.T, path string, pinned float64, pinnedBytes uint64, ops int, f func()) {
 	t.Helper()
 	const runs = 200
@@ -234,50 +236,58 @@ func pinAllocs(t *testing.T, path string, pinned float64, pinnedBytes uint64, op
 
 // A message costs no heap object of its own: one Stock 8-byte eager message
 // end to end — posted receive, send, the receiver's progress pass that
-// matches it, the sender's pass that reaps the completion — carves the send
-// (request and packet in one) and the receive (request and matching record in
-// one) from their Threads' 64-entry operation slabs and the payload copy from
-// the sender's 8 KiB chunk. The CRI release function, the disabled hooks and
-// the progress passes cost nothing, so the run averages one allocation per
-// slab refill: about 2/64 per message, which AllocsPerRun's whole-number
-// average reads as 0.
+// matches it, both Waits — carves the receive's handle and the send's packet
+// from their Threads' slabs and the payload copy from the sender's 8 KiB
+// chunk. The send returns its proc's shared completed handle, and the
+// receive's matching record comes back to the receiving Thread at its Wait,
+// so the next receive reuses it. The CRI release function, the disabled
+// hooks and the progress passes cost nothing, so the run averages one
+// allocation per slab refill, which AllocsPerRun's whole-number average reads
+// as 0, and about 120 heap bytes: a 48-byte handle, a 64-byte packet and the
+// 8-byte payload. A run is 16 messages one after the other, so the bytes are
+// averaged over enough messages that where the 8 KiB slab refills fall moves
+// the figure by a few bytes, not by half of it.
 func TestStockMessageAllocations(t *testing.T) {
+	const msgs = 16
 	w := newTestWorld(t, 2, Stock())
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
 	buf, payload := make([]byte, 8), []byte("12345678")
-	pinAllocs(t, "core 8 B eager send + matched receive (sim)", 0.1, 0, 1, func() {
-		rreq, err := c1.Irecv(t1, 0, 7, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sreq, err := c0.Isend(t0, 1, 7, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rreq.Wait(t1); err != nil {
-			t.Fatal(err)
-		}
-		if err := sreq.Wait(t0); err != nil {
-			t.Fatal(err)
+	pinAllocs(t, "core 8 B eager send + matched receive (sim)", 0.1, 128, msgs, func() {
+		for range msgs {
+			rreq, err := c1.Irecv(t1, 0, 7, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sreq, err := c0.Isend(t0, 1, 7, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rreq.Wait(t1); err != nil {
+				t.Fatal(err)
+			}
+			if err := sreq.Wait(t0); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }
 
 // The Multirate shape the benchmark's inproc_stream_0B runs: a window of 128
-// empty messages, receives posted first. Each side refills its operation slab
-// once per 64 messages, so a message costs 2/64 of an allocation — above
-// zero, because callers may read a *Request after Wait and no entry is ever
-// handed out twice — and its two slab entries in bytes: a 96-byte send and a
-// 136-byte receive (148 with the slab's size-class rounding), about 250 B per
-// message in all. An untimed message carves no metadata record.
+// empty messages, receives posted first, then WaitAll on each side. A
+// message carves two slab entries, the receive's 48-byte handle and the
+// send's 64-byte packet, 112 bytes in all, and refills a slab once per 170
+// handles or 127 packets: above zero allocations, because a handle and a
+// packet are never handed out twice. The receives' matching records come
+// back to the receiving Thread at its WaitAll and serve the next window,
+// and an untimed message carves no metadata record.
 func TestStockWindowAllocations(t *testing.T) {
 	const window = 128
 	w := newTestWorld(t, 2, Stock())
 	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
 	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
 	sreqs, rreqs := make([]*Request, window), make([]*Request, window)
-	pinAllocs(t, "core 0 B window of 128, per message (sim)", 0.05, 256, window, func() {
+	pinAllocs(t, "core 0 B window of 128, per message (sim)", 0.05, 128, window, func() {
 		var err error
 		for i := range rreqs {
 			if rreqs[i], err = c1.Irecv(t1, 0, 3, nil); err != nil {
@@ -299,11 +309,12 @@ func TestStockWindowAllocations(t *testing.T) {
 }
 
 // Over a real wire the receiver also decodes each message: the packet comes
-// from the reader's 64-entry slab and the payload copy from its 8 KiB chunk,
+// from the reader's 63-entry slab and the payload copy from its 8 KiB chunk,
 // and a successful flush allocates nothing. An 8-byte round trip — the
-// benchmark's tcp_pingpong_8B — is two such messages, about 315 heap bytes
-// each: the two operations, the decoded 64-byte packet and two 8-byte payload
-// copies. An untraced frame decodes without a metadata record.
+// benchmark's tcp_pingpong_8B — is two such messages, about 190 heap bytes
+// each: the receive's handle, the sent and the decoded 64-byte packets and
+// two 8-byte payload copies. An untraced frame decodes without a metadata
+// record.
 func TestTCPRoundTripAllocations(t *testing.T) {
 	nets, err := tcpnet.NewLoopback(2)
 	if err != nil {
@@ -337,12 +348,16 @@ func TestTCPRoundTripAllocations(t *testing.T) {
 			th[src].Progress()
 			th[dst].Progress()
 		}
-		if sreq.result() != nil || rreq.result() != nil || string(buf) != "12345678" {
-			t.Fatalf("rank %d to %d: send %v, receive %v, payload %q", src, dst, sreq.result(), rreq.result(), buf)
+		// Waited on by their Threads, as Send and Recv wait: the receive's
+		// matching record goes back to its Thread for the next message.
+		serr, rerr := sreq.Wait(th[src]), rreq.Wait(th[dst])
+		if serr != nil || rerr != nil || string(buf) != "12345678" {
+			t.Fatalf("rank %d to %d: send %v, receive %v, payload %q", src, dst, serr, rerr, buf)
 		}
 	}
 	oneWay(0) // dial and handshake outside the measurement
-	pinAllocs(t, "core 8 B eager round trip, per message (tcp)", 0.1, 328, 2, func() {
+	oneWay(1)
+	pinAllocs(t, "core 8 B eager round trip, per message (tcp)", 0.1, 208, 2, func() {
 		oneWay(0)
 		oneWay(1)
 	})
@@ -399,10 +414,17 @@ func TestTCPWaitProgressesOnOneP(t *testing.T) {
 	}
 }
 
-// TestMessageFootprint pins the size of the two slab entries every two-sided
-// message carves and of the structs they are made of, on 64-bit platforms:
-// heap bytes per message are what drive the collector, so a field added to
-// any of them costs every message. A failure names the struct that grew.
+// TestMessageFootprint pins the size of what every two-sided message carves
+// and of the structs it is made of, on 64-bit platforms: heap bytes per
+// message are what drive the collector, so a field added to any of them
+// costs every message. An untracked eager message carves two entries, its
+// receive's handle and its send's packet — the send shares its proc's
+// completed handle and the receive's matching record is reused — so the
+// per-message row is their sum. The handle carries the receive's status,
+// which is why it is 48 bytes, not the 32 it was when the status was read
+// from a matching record that was never reused; the message as a whole went
+// from 232 bytes (a 96-byte send, a 136-byte receive) to 112. A failure names
+// the struct that grew.
 func TestMessageFootprint(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
@@ -411,15 +433,15 @@ func TestMessageFootprint(t *testing.T) {
 		name         string
 		size, pinned uintptr
 	}{
-		{"core.Request", unsafe.Sizeof(Request{}), 32},
-		{"transport.Packet", unsafe.Sizeof(transport.Packet{}), 64},
+		{"core.Request (the handle, status inline)", unsafe.Sizeof(Request{}), 48},
+		{"transport.Packet (an eager send's entry)", unsafe.Sizeof(transport.Packet{}), 64},
+		{"per message: receive handle + send packet", unsafe.Sizeof(Request{}) + unsafe.Sizeof(transport.Packet{}), 112},
 		{"match.Recv", unsafe.Sizeof(match.Recv{}), 104},
-		{"core.sendOp (Request + Packet)", unsafe.Sizeof(sendOp{}), 96},
-		{"core.recvOp (Request + match.Recv)", unsafe.Sizeof(recvOp{}), 136},
-		{"core.rdvSendOp (Request + RTS + FIN)", unsafe.Sizeof(rdvSendOp{}), 200},
+		{"core.recvRec (match.Recv + reuse; recycled)", unsafe.Sizeof(recvRec{}), 120},
+		{"core.rdvSendOp (Request + RTS + FIN)", unsafe.Sizeof(rdvSendOp{}), 216},
 		{"core.rdvRecv (transfer state + ACK)", unsafe.Sizeof(rdvRecv{}), 120},
 	} {
-		t.Logf("%-36s %4d B (pinned %d)", s.name, s.size, s.pinned)
+		t.Logf("%-44s %4d B (pinned %d)", s.name, s.size, s.pinned)
 		if s.size > s.pinned {
 			t.Errorf("%s grew to %d bytes, pinned at %d: every message pays for the growth", s.name, s.size, s.pinned)
 		}

@@ -40,8 +40,8 @@ func metaPair(t *testing.T, backend string, opts Options) (th [2]*Thread, c [2]*
 // sendUnexpected builds a metaPair, sends one 4-byte eager message from rank
 // 0 to rank 1 and claims it there with MProbe, returning the packet the
 // sender built and the one the receiver holds — the same packet over the
-// fabric, a decoded copy over tcp. A first message fills the sender's operation slab, so the entry
-// the measured send is carved from can be named before Isend.
+// fabric, a decoded copy over tcp. A first message fills the sender's packet
+// slab, so the packet the measured send is carved can be named before Isend.
 func sendUnexpected(t *testing.T, backend string, opts Options) (sent, got *transport.Packet) {
 	t.Helper()
 	th, c := metaPair(t, backend, opts)
@@ -51,7 +51,7 @@ func sendUnexpected(t *testing.T, backend string, opts Options) (sent, got *tran
 		if err != nil {
 			t.Fatal(err)
 		}
-		if op != nil && &op.Request != req {
+		if op != nil && string(op.Payload) != "meta" {
 			t.Fatal("the send was not carved from the thread's next slab entry")
 		}
 		var msg *Message
@@ -62,19 +62,19 @@ func sendUnexpected(t *testing.T, backend string, opts Options) (sent, got *tran
 			}
 		}
 		if op != nil {
-			return &op.pkt, msg.pkt
+			return op, msg.pkt
 		}
 	}
 	panic("unreachable")
 }
 
-// carveNext is the entry th's next eager send will be carved from, nil when
-// its slab is used up.
-func carveNext(th *Thread) *sendOp {
-	if len(th.sends) == 0 {
+// carveNext is the packet th's next eager send will be carved, nil when its
+// slab is used up.
+func carveNext(th *Thread) *transport.Packet {
+	if len(th.pkts) == 0 {
 		return nil
 	}
-	return &th.sends[0]
+	return &th.pkts[0]
 }
 
 // An untimed, untracked message carries no metadata record anywhere: not on

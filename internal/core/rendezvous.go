@@ -79,8 +79,10 @@ type rdvKey struct {
 
 // rdvRecv is a receive whose RTS matched, from the match to its FIN: its
 // envelope — source, tag, the message's full length — is in the request's
-// matching record, where the FIN writes how much of it landed. The ACK that
-// answers the RTS, payload included, lives here too.
+// handle since the match, and the FIN adds how much of it landed. It holds
+// the handle, not the matching record, which is idle from the match on and
+// reused once the FIN has completed the receive. The ACK that answers the
+// RTS, payload included, lives here too.
 type rdvRecv struct {
 	req     *Request
 	region  transport.MemRegion
@@ -297,10 +299,8 @@ func (c *Comm) handleRendezvousFIN(pkt *transport.Packet) {
 		return
 	}
 	req := p.endRdvRecv(rr)
-	m := req.matched
-	p.flightRing.Record(flight.KindRendezvousDone, c.id, m.MatchedEnv.Src, int32(rr.sink))
-	m.N, m.Truncated = rr.sink, rr.sink < int(m.MatchedEnv.Len)
-	req.finishRecv()
+	p.flightRing.Record(flight.KindRendezvousDone, c.id, req.src, int32(rr.sink))
+	req.finishRecv(rr.sink)
 }
 
 // sendControl injects a control packet outside the matched send path. It

@@ -30,71 +30,112 @@ type Status struct {
 // Request is a non-blocking operation handle. Wait/Test observe completion;
 // the send path completes an eager send on a lossless wire, the progress
 // engine (any thread's) everything else. It holds only what every
-// operation uses, in four words: a receive's status is read from its matching
-// record, which a send does not have, and an error — rare — is boxed.
+// operation uses, in six words: a completed receive's status is copied into
+// it before the done store, so Status reads the handle alone for as long as
+// the handle lives, and an error — rare — is boxed.
 type Request struct {
 	proc *Proc
-	// matched is a receive's matching-engine record, whose result fields —
-	// MatchedEnv, N, Truncated — are the receive's status; nil for a send.
-	matched *match.Recv
+	// rec is a receive's matching record, which its posting Thread reuses
+	// once it has seen the receive complete (see release); nil for a send.
+	// Any other Thread reads nothing of it but its immutable owner.
+	rec *recvRec
 	// err is the error the operation completed with, nil on success (see
 	// result).
 	err  *error
 	done atomic.Bool
+	// A receive's status (see finishRecv): source and tag of the matched
+	// message, the bytes delivered and the message's full length. A send's
+	// stay zero.
+	src, tag    int32
+	count, mlen uint32
 }
 
-// A posted operation is one slab entry: the handle the caller holds and the
-// record the message path works on sit side by side, and the handle is the
-// address of the first field. The two shapes are separate structs so that
-// neither pays for the other's record. Each Thread carves them from its own
-// slabs of opSlab entries (see carve), and no entry is ever handed out twice
-// — the collector frees a slab once every holder of every entry in it has let
-// go — so a holder that lingers costs memory, never a use after free (over the
-// in-process fabric the sender's packet IS the packet in the receiver's
-// queues).
+// A posted operation's handle is carved from its Thread's slab (see carve)
+// and never handed out twice — the collector frees a slab once every holder
+// of every handle in it has let go — so a stale handle costs memory, never a
+// use after free, and reads only its own result. What the message path works
+// on lives apart from the handle:
+//
+//   - an eager send's packet is carved from the Thread's packet slab and never
+//     reused either (over the in-process fabric the sender's packet IS the
+//     packet in the receiver's queues, held by pointer until it is matched);
+//     a send on a lossless wire is complete when Isend returns, so it shares
+//     its proc's one completed handle, and only a reliability-tracked send,
+//     which completes on its ack, carves a handle of its own;
+//   - a receive's matching record is reused: its posting Thread puts it back
+//     on its free list when one of its own Wait/Test calls sees the receive
+//     complete, and post takes from that list before it carves. No engine,
+//     eager run or rendezvous transfer holds a record past the completion
+//     (the transfer holds the handle), so the record is idle by then.
 
-// sendOp is an eager send: the request and the packet that carries it.
-type sendOp struct {
-	Request
-	pkt transport.Packet
+// recvRec is a posted receive's matching-engine record with the bookkeeping
+// of its reuse.
+type recvRec struct {
+	match.Recv
+	// owner is the Thread that carved the record, the only one that posts
+	// it and the only one that puts it back (release); set once at carve.
+	owner *Thread
+	// next links the record into its owner's free list while it is there
+	// (stale once popped: only the list reads it).
+	next *recvRec
 }
 
-// recvOp is a posted receive: the request and its matching-engine record.
-type recvOp struct {
-	Request
-	recv match.Recv
+// recvRecord returns a released record of th's, or a freshly carved one.
+func (th *Thread) recvRecord() *recvRec {
+	rec := th.recvFree
+	if rec == nil {
+		rec = carve(&th.recs)
+		rec.owner = th
+		return rec
+	}
+	th.recvFree = rec.next
+	return rec
+}
+
+// release is what a Wait or Test of th's does on seeing r complete: if r is a
+// receive th posted whose record is still r's, the record goes back on th's
+// free list, its buffer and handle cleared, so it retains no user memory and
+// names r no more. A send, a receive waited through another Thread (which
+// must not touch th's list) and a handle whose record already went back
+// release nothing: a completion that th never sees leaves its record to the
+// collector.
+func (r *Request) release(th *Thread) {
+	rec := r.rec
+	if rec == nil || rec.owner != th || rec.Token != any(r) {
+		return
+	}
+	rec.Buf, rec.Token = nil, nil
+	rec.next = th.recvFree
+	th.recvFree = rec
 }
 
 // Done reports whether the operation has completed. It does not progress
 // the runtime; use Test for the MPI_Test behavior.
 func (r *Request) Done() bool { return r.done.Load() }
 
-// Status returns the receive status. Valid only after completion of a
-// receive request; a send's is the zero Status.
+// Status returns the receive status, read from the handle alone: valid once
+// a receive has completed, for as long as the handle lives; a send's is the
+// zero Status.
 func (r *Request) Status() Status {
-	m := r.matched
-	if m == nil {
-		return Status{}
-	}
 	return Status{
-		Source:     m.MatchedEnv.Src,
-		Tag:        m.MatchedEnv.Tag,
-		Count:      m.N,
-		MessageLen: int(m.MatchedEnv.Len),
-		Truncated:  m.Truncated,
+		Source:     r.src,
+		Tag:        r.tag,
+		Count:      int(r.count),
+		MessageLen: int(r.mlen),
+		Truncated:  r.count < r.mlen,
 	}
 }
 
 // Test progresses the runtime once and reports completion (MPI_Test).
 func (r *Request) Test(th *Thread) (bool, error) {
-	if r.done.Load() {
-		return true, r.result()
+	if !r.done.Load() {
+		th.Progress()
+		if !r.done.Load() {
+			return false, nil
+		}
 	}
-	th.Progress()
-	if r.done.Load() {
-		return true, r.result()
-	}
-	return false, nil
+	r.release(th)
+	return true, r.result()
 }
 
 // Wait blocks (progressing the runtime) until the operation completes —
@@ -104,6 +145,7 @@ func (r *Request) Wait(th *Thread) error {
 		panic("core: Wait with a thread from a different proc")
 	}
 	th.WaitUntil(r.done.Load)
+	r.release(th)
 	return r.result()
 }
 
@@ -119,7 +161,8 @@ func WaitAll(th *Thread, reqs ...*Request) error {
 }
 
 // WaitAny blocks until at least one request completes and returns its
-// index (MPI_Waitany). Panics on an empty list.
+// index (MPI_Waitany); only that request counts as waited. Panics on an
+// empty list.
 func WaitAny(th *Thread, reqs ...*Request) (int, error) {
 	if len(reqs) == 0 {
 		panic("core: WaitAny with no requests")
@@ -134,18 +177,23 @@ func WaitAny(th *Thread, reqs ...*Request) (int, error) {
 		}
 		return false
 	})
+	reqs[first].release(th)
 	return first, reqs[first].result()
 }
 
 // TestAll progresses once and reports whether every request has completed
-// (MPI_Testall), returning the first error among completed requests.
+// (MPI_Testall), returning the first error among completed requests. Only a
+// true report counts as having waited on them.
 func TestAll(th *Thread, reqs ...*Request) (bool, error) {
 	th.Progress()
-	var first error
 	for _, r := range reqs {
 		if !r.done.Load() {
 			return false, nil
 		}
+	}
+	var first error
+	for _, r := range reqs {
+		r.release(th)
 		if err := r.result(); err != nil && first == nil {
 			first = err
 		}
@@ -172,11 +220,23 @@ func (r *Request) result() error {
 	return *r.err
 }
 
-// finishRecv completes a receive whose results are in its matching record.
-func (r *Request) finishRecv() {
+// matched records the envelope of the message a receive matched in its
+// handle: the source, tag and full length of its status. (By pointer: a
+// 28-byte copy staged twice through the stack stalls the load that reads it
+// back.)
+func (r *Request) matched(env *transport.Envelope) {
+	r.src, r.tag, r.mlen = env.Src, env.Tag, env.Len
+}
+
+// finishRecv completes a receive whose envelope matched recorded, n bytes of
+// it delivered. The status is whole before the done store, so whoever sees
+// the receive complete reads it from the handle — its record may be reused
+// from then on.
+func (r *Request) finishRecv(n int) {
+	r.count = uint32(n)
 	var err error
-	if m := r.matched; m.Truncated {
-		err = fmt.Errorf("%w: %d-byte message into %d-byte buffer", ErrTruncated, m.MatchedEnv.Len, m.N)
+	if r.count < r.mlen {
+		err = fmt.Errorf("%w: %d-byte message into %d-byte buffer", ErrTruncated, r.mlen, r.count)
 	}
 	r.finish(err)
 }

@@ -162,7 +162,7 @@ func TestHandlesOutliveTheirSlab(t *testing.T) {
 	}
 
 	in := make([]byte, 16)
-	for i := 0; i < 10*opSlab; i++ {
+	for i := 0; i < 10*slabLen[Request](); i++ {
 		out := bytes.Repeat([]byte{byte(i)}, 1+i%16)
 		r, err := c1.Irecv(t1, 0, 3, in)
 		if err != nil {
@@ -177,11 +177,11 @@ func TestHandlesOutliveTheirSlab(t *testing.T) {
 	}
 
 	if got := rreq.Status(); got != want || !rreq.Done() || rreq.result() != nil || want.Tag != 1 || want.Count != 8 {
-		t.Fatalf("receive handle after %d more operations: status %+v (was %+v), done %v, err %v", 10*opSlab, got, want, rreq.Done(), rreq.result())
+		t.Fatalf("receive handle after %d more operations: status %+v (was %+v), done %v, err %v", 10*slabLen[Request](), got, want, rreq.Done(), rreq.result())
 	}
 	got := make([]byte, 8)
 	if st, err := msg.MRecv(got); err != nil || st.Tag != 2 || string(got) != "claimed!" {
-		t.Fatalf("claimed message after %d more operations: %q, status %+v, err %v", 10*opSlab, got, st, err)
+		t.Fatalf("claimed message after %d more operations: %q, status %+v, err %v", 10*slabLen[Request](), got, st, err)
 	}
 }
 
@@ -199,7 +199,7 @@ func TestThreadsPostConcurrently(t *testing.T) {
 
 func postConcurrently(t *testing.T, size int) {
 	w := newTestWorld(t, 2, CRIsConcurrent(2, cri.Dedicated))
-	const msgs = 3 * opSlab
+	msgs := 3 * slabLen[Request]()
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(2)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"unsafe"
 
 	"repro/internal/cri"
 	"repro/internal/transport"
@@ -15,38 +16,56 @@ import (
 // and is not safe for concurrent use by multiple goroutines.
 //
 // That single owner is also what lets a message cost no heap object of its
-// own: the thread's sends — eager or rendezvous — and posted receives are
-// carved from its operation slabs, its small eager payload copies and the
-// metadata records of its timed or tracked packets from its transport.Slab,
-// and a self message is matched through its eager run — none of it
-// synchronized, because only the owning goroutine touches it. Slabs fill on
-// first use, never in NewThread.
+// own: the thread's request handles, eager packets and rendezvous sends are
+// carved from its operation slabs, its posted receives' matching records
+// come back to its free list once it has waited on them, its small eager
+// payload copies and the metadata records of its timed or tracked packets
+// are carved from its transport.Slab, and a self message is matched through
+// its eager run — none of it synchronized, because only the owning goroutine
+// touches it. Slabs fill on first use, never in NewThread.
 type Thread struct {
 	proc *Proc
 	ts   cri.ThreadState
 
-	sends []sendOp
-	recvs []recvOp
-	rdvs  []rdvSendOp
-	slab  transport.Slab
-	run   eagerRun
+	reqs []Request
+	pkts []transport.Packet
+	recs []recvRec
+	// recvFree lists the receive records this thread has released (see
+	// Request.release), linked through recvRec.next.
+	recvFree *recvRec
+	rdvs     []rdvSendOp
+	slab     transport.Slab
+	run      eagerRun
 	// fetched is where a fetching one-sided atomic lands its result: such an
 	// operation completes before its caller returns, so one word per thread
 	// is enough (see FetchWord).
 	fetched int64
 }
 
-// opSlab is how many operations share one allocation. An entry is never
-// handed out twice (see carve), so a caller may read a *Request after Wait;
-// a handle held for long keeps its slab — 64 operations, 7 KiB of eager
-// sends, 9 KiB of receives or 16 KiB of rendezvous sends — alive.
-const opSlab = 64
+// slabBytes is the size of one slab allocation: 8 KiB, less the 8-byte
+// header the Go runtime puts in front of every pointer-holding object above
+// 512 bytes, so a slab fills its size class exactly (a slab of 64 packets,
+// 4 KiB plus the header, would take a 4 864-byte block). A carved entry is
+// never handed out twice (see carve): a handle held for long keeps its slab
+// — 170 handles, or 64 rendezvous sends (see slabLen) — alive, and so does an
+// eager packet a receiver still holds (127 packets). Only a receive's record
+// is reused, and only through its Thread's free list.
+const slabBytes = 8<<10 - 8
 
-// carve returns the next zero entry of *slab, refilling it with opSlab fresh
-// entries when it is used up.
+// slabLen is how many entries of type T one slab holds: as many as fill
+// slabBytes, but never fewer than 64, so that an entry above 127 bytes — the
+// 216-byte rendezvous send — costs no more allocations per operation than
+// the small ones.
+func slabLen[T any]() int {
+	var zero T
+	return max(int(slabBytes/unsafe.Sizeof(zero)), 64)
+}
+
+// carve returns the next zero entry of *slab, refilling it with a slab of
+// fresh entries when it is used up.
 func carve[T any](slab *[]T) *T {
 	if len(*slab) == 0 {
-		*slab = make([]T, opSlab)
+		*slab = make([]T, slabLen[T]())
 	}
 	e := &(*slab)[0]
 	*slab = (*slab)[1:]

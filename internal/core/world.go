@@ -296,6 +296,10 @@ type Proc struct {
 	// delivery from a CQ runs under that instance's lock, which makes the
 	// instance its single owner (a self message uses its Thread's instead).
 	runs []*eagerRun
+
+	// sent is the handle every untracked eager send returns: such a send is
+	// complete when Isend returns, so one completed handle serves them all.
+	sent Request
 }
 
 func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error) {
@@ -306,6 +310,8 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		rdvRecvs: make(map[rdvKey]*rdvRecv),
 	}
 	p.comms.Store(new([]*Comm))
+	p.sent.proc = p
+	p.sent.done.Store(true)
 	p.spcs = spc.NewSet()
 	if opts.Profile {
 		p.prof = prof.New()
@@ -711,14 +717,16 @@ func (p *Proc) flush(run *eagerRun) {
 	}
 	clk.End()
 	c.unlockMatch()
-	// Cleared, so the run pins no packet or receive past this delivery.
+	// Cleared, so the run pins no packet or receive past this delivery: each
+	// completion leaves the run before it is finished, for a finished
+	// receive's record may be reused at once (see Request.release).
 	clear(run.pkts)
 	run.pkts, run.c, run.clk = run.pkts[:0], nil, nil
-	for _, comp := range comps {
+	for i, comp := range comps {
 		// A completion produced at delivery matched a posted receive.
+		comps[i] = match.Completion{}
 		c.completeRecv(comp, false)
 	}
-	clear(comps)
 	run.comps = comps[:0]
 }
 

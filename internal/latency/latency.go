@@ -46,7 +46,9 @@ const (
 	// receive-side progress lag. A receiver that posts its window and then
 	// goes quiet grows exactly this stage.
 	StageDeliverWait
-	// StageMatchPosted: delivery to match completion for a posted hit.
+	// StageMatchPosted: delivery to match completion for a posted hit. On
+	// the runtime delivery is the dispatch of the packet, so the stage
+	// includes its wait in the progress pass's eager run.
 	StageMatchPosted
 	// StageMatchUnexpected: delivery to match completion via the unexpected
 	// queue — the unexpected residency of a message that arrived early.

@@ -227,13 +227,15 @@ const (
 	// maxMux bounds the mux ID (destination context index): contexts are
 	// CRIs, a few dozen per rank, so 1024 only caps the reader's demux table.
 	maxMux = 1 << 10
-	// slabPackets is how many decoded packets share one allocation. Nothing
-	// returns a slab: the collector frees it when the last of its packets is
-	// dropped, so one long-lived unexpected message keeps its slab reachable —
-	// slabPackets packets, about 5 KiB — plus the payload chunks its
-	// slab-mates' payloads (at most slabMaxFrame each, carved in arrival order)
-	// were cut from: five 8 KiB chunks at most, and no more.
-	slabPackets = 64
+	// slabPackets is how many decoded packets share one allocation: 63
+	// 64-byte packets and the 8-byte header the Go runtime puts in front of a
+	// pointer-holding object above 512 bytes fill the 4 KiB size class (64
+	// would take a 4 864-byte block). Nothing returns a slab: the collector
+	// frees it when the last of its packets is dropped, so one long-lived
+	// unexpected message keeps its slab reachable — 4 KiB — plus the payload
+	// chunks its slab-mates' payloads (at most slabMaxFrame each, carved in
+	// arrival order) were cut from: five 8 KiB chunks at most, and no more.
+	slabPackets = 63
 	// slabMaxFrame is the largest frame decoded into the slab. Above it the
 	// payload dwarfs the packet and sharing would only let one slow consumer
 	// pin its slab-mates' payloads.
