@@ -148,7 +148,15 @@ loc:
 # and the runtime is MPI_THREAD_MULTIPLE only: no thread-level type or guard
 # grows back. A receive's matching record is reused: exactly one function in
 # core (Request.release) puts it back on its Thread's free list, and no slab
-# of receives (`carve(&th.recvs)`) grows back beside the list.
+# of receives (`carve(&th.recvs)`) grows back beside the list. The paper's
+# Algorithms 1 and 2 are written once, in cri.Pool and progress.Engine, and
+# the model runs them over virtual-time instances: no non-test file of
+# internal/simnet defines a progress pass or an instance choice of its own
+# (progressPass, acquireSendInstance, instanceFor, nextRR) or records the
+# progress event, and the model takes an instance or the serial progress lock
+# only through its virtual-lock adapter (vlock): outside it, only the
+# model-only big lock and the matching lock (simComm.acquireMatch) call a
+# sim.Lock's Acquire or TryAcquire.
 lint-onepath:
 	@fail=0; \
 	one() { n=$$(cat $$2 | grep -c -- "$$1"); \
@@ -166,7 +174,12 @@ lint-onepath:
 	one 'engine\.Deliver(' "$$core" internal/core; \
 	one 'spc\.OutOfSequence' "$$match" internal/match; \
 	one '^func .*\bfill(' "$$match" internal/match; \
-	one 'flight\.KindProgress' "$$progress" internal/progress; \
+	one 'flight\.KindProgress' "$$progress $$simnet" 'internal/progress + internal/simnet'; \
+	if grep -nE '^func .*\b(progressPass|acquireSendInstance|instanceFor|nextRR)\(' $$simnet; then \
+		echo "FAIL: the model runs cri.Pool and progress.Engine; no progress pass or instance choice of its own"; fail=1; fi; \
+	vsites=$$(awk '/^func /{f=$$0} /^[[:space:]]*\/\//{next} /Acquire\(/ && f !~ /^func \(v \*vlock\)/ && f !~ /^func \(c \*simComm\) acquireMatch\(/ && !/bigLock\.Acquire\(/ {print FILENAME":"FNR": "$$0}' $$simnet); \
+	if [ -n "$$vsites" ]; then \
+		echo "FAIL: the model takes instance and serial progress locks through the runtime (vlock), found:"; echo "$$vsites"; fail=1; fi; \
 	one 'NewCommWithInfo(' "$$multirate" internal/bench/multirate; \
 	one 'sim\.NewEnv(' internal/simnet/multirate.go internal/simnet/multirate.go; \
 	one '^func (d Design) [A-Za-z]*(.*) \(multirate\.Config\|core\.Options\)' "$$designs" internal/designs; \

@@ -130,6 +130,11 @@ func (in *Instance) BindFlight(r *flight.Ring) { in.flightRing = r }
 // unprofiled (single-branch overhead).
 func (in *Instance) BindProfSite(s *prof.Site) { in.mu.Bind(s) }
 
+// BindVirtualLock realizes the instance lock as v: the virtual-time model
+// (internal/simnet) runs the pool and the progress engine over instances
+// bound so. Call during setup only.
+func (in *Instance) BindVirtualLock(v prof.VirtualLock) { in.mu.BindVirtual(v) }
+
 // SPCs returns the instance's attributed counter set (nil when disabled).
 func (in *Instance) SPCs() *spc.Set { return in.spcs }
 
@@ -227,8 +232,7 @@ func (ts *ThreadState) SetFlight(r *flight.Ring) { ts.flight = r }
 func (ts *ThreadState) Flight() *flight.Ring { return ts.flight }
 
 // NewThreadState returns a state with a pre-assigned dedicated instance;
-// a negative index means unassigned. The virtual-time model (internal/simnet)
-// uses this to drive the same assignment logic without a Pool.
+// a negative index means unassigned, as in the zero state.
 func NewThreadState(dedicated int) ThreadState {
 	if dedicated < 0 {
 		return ThreadState{}

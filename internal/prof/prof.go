@@ -69,6 +69,22 @@ func (s *Site) recordWait(d int64) {
 	}
 }
 
+// VirtualLock is a lock realized off the host: the virtual-time model's,
+// which hands its executive the turn where a host mutex would block. A Mutex
+// or TryMutex bound to one acts on it instead of its own mutex, so the
+// model runs the runtime's locking code over virtual time. Each call acts
+// for the calling simulated thread.
+type VirtualLock interface {
+	// Lock returns once the caller holds the lock, charging the whole
+	// acquisition, contended or not, to a lock-wait phase section on c
+	// (nil-safe).
+	Lock(c *ThreadClock)
+	// TryLock takes the lock if it is free and reports whether it did.
+	TryLock() bool
+	// Unlock releases the lock.
+	Unlock()
+}
+
 // Mutex is a drop-in sync.Mutex wrapper that attributes contention to a
 // Site. The zero value is a plain unprofiled mutex; Bind attaches a site
 // during setup, before the lock is shared between threads. With a nil site
@@ -76,6 +92,8 @@ func (s *Site) recordWait(d int64) {
 type Mutex struct {
 	mu   sync.Mutex
 	site *Site
+	// virt, when bound, takes the place of mu and the site (BindVirtual).
+	virt VirtualLock
 	// heldSince is written after acquiring and read in Unlock — both under
 	// the mutex, so plain (non-atomic) access is race-free.
 	heldSince int64
@@ -84,6 +102,10 @@ type Mutex struct {
 // Bind attaches the site statistics. Call during setup only.
 func (m *Mutex) Bind(s *Site) { m.site = s }
 
+// BindVirtual makes every method act on v instead of the host mutex. Call
+// during setup only; unbound (the runtime) costs each method one branch.
+func (m *Mutex) BindVirtual(v VirtualLock) { m.virt = v }
+
 // Lock acquires the mutex, recording a contended acquisition (with wait
 // time) when the try-lock fast path fails.
 func (m *Mutex) Lock() { m.LockClocked(nil) }
@@ -91,6 +113,10 @@ func (m *Mutex) Lock() { m.LockClocked(nil) }
 // LockClocked is Lock, additionally charging any contended wait to a
 // lock-wait phase section on c (nil-safe on both receiver and clock).
 func (m *Mutex) LockClocked(c *ThreadClock) {
+	if m.virt != nil {
+		m.virt.Lock(c)
+		return
+	}
 	if m.mu.TryLock() {
 		if s := m.site; s != nil {
 			s.acquisitions.Add(1)
@@ -115,8 +141,13 @@ func (m *Mutex) LockClocked(c *ThreadClock) {
 // TryLockQuiet attempts the mutex recording an acquisition on success but
 // NOTHING on failure — for fast paths whose failure is immediately followed
 // by a blocking LockClocked (which records the contended acquisition), so a
-// miss is not double-counted as a try-lock loss.
+// miss is not double-counted as a try-lock loss. Bound to a virtual lock it
+// reports false without trying: the LockClocked that follows then takes the
+// lock in one virtual step, not a try and a wait.
 func (m *Mutex) TryLockQuiet() bool {
+	if m.virt != nil {
+		return false
+	}
 	if m.mu.TryLock() {
 		if s := m.site; s != nil {
 			s.acquisitions.Add(1)
@@ -130,6 +161,9 @@ func (m *Mutex) TryLockQuiet() bool {
 // TryLock attempts the mutex without blocking, recording the loss on the
 // site when it fails.
 func (m *Mutex) TryLock() bool {
+	if m.virt != nil {
+		return m.virt.TryLock()
+	}
 	if m.mu.TryLock() {
 		if s := m.site; s != nil {
 			s.acquisitions.Add(1)
@@ -143,6 +177,10 @@ func (m *Mutex) TryLock() bool {
 
 // Unlock releases the mutex, accumulating hold time on the site.
 func (m *Mutex) Unlock() {
+	if m.virt != nil {
+		m.virt.Unlock()
+		return
+	}
 	if s := m.site; s != nil {
 		s.holdNs.Add(nowNs() - m.heldSince)
 	}
@@ -152,36 +190,21 @@ func (m *Mutex) Unlock() {
 // TryMutex is the serial progress engine's lock shape: acquisition is only
 // ever attempted, never blocked on — a loser leaves assuming someone else
 // is progressing — so its contention metric is try-lock losses, not wait
-// time. The zero value is usable unprofiled.
-type TryMutex struct {
-	mu        sync.Mutex
-	site      *Site
-	heldSince int64
-}
+// time. It is a Mutex that offers no blocking Lock; the zero value is usable
+// unprofiled.
+type TryMutex struct{ m Mutex }
 
 // Bind attaches the site statistics. Call during setup only.
-func (m *TryMutex) Bind(s *Site) { m.site = s }
+func (t *TryMutex) Bind(s *Site) { t.m.Bind(s) }
+
+// BindVirtual makes both methods act on v, as Mutex.BindVirtual does.
+func (t *TryMutex) BindVirtual(v VirtualLock) { t.m.BindVirtual(v) }
 
 // TryLock attempts the lock, recording acquisition or loss on the site.
-func (m *TryMutex) TryLock() bool {
-	if m.mu.TryLock() {
-		if s := m.site; s != nil {
-			s.acquisitions.Add(1)
-			m.heldSince = nowNs()
-		}
-		return true
-	}
-	m.site.recordTryFail()
-	return false
-}
+func (t *TryMutex) TryLock() bool { return t.m.TryLock() }
 
 // Unlock releases the lock, accumulating hold time on the site.
-func (m *TryMutex) Unlock() {
-	if s := m.site; s != nil {
-		s.holdNs.Add(nowNs() - m.heldSince)
-	}
-	m.mu.Unlock()
-}
+func (t *TryMutex) Unlock() { t.m.Unlock() }
 
 // Profiler is one process's registry of lock sites and thread clocks. A nil
 // *Profiler is the disabled state: it hands out nil Sites and clocks, and

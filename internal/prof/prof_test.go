@@ -2,6 +2,7 @@ package prof
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -88,6 +89,83 @@ func TestTryMutexLosses(t *testing.T) {
 	if s.HoldNs <= 0 {
 		t.Fatalf("hold_ns = %d, want > 0", s.HoldNs)
 	}
+}
+
+// fakeVirtual records the calls a bound Mutex or TryMutex makes on it.
+type fakeVirtual struct {
+	calls  []string
+	clocks []*ThreadClock
+	free   bool
+}
+
+func (v *fakeVirtual) Lock(c *ThreadClock) {
+	v.calls = append(v.calls, "Lock")
+	v.clocks = append(v.clocks, c)
+}
+
+func (v *fakeVirtual) TryLock() bool {
+	v.calls = append(v.calls, "TryLock")
+	return v.free
+}
+
+func (v *fakeVirtual) Unlock() { v.calls = append(v.calls, "Unlock") }
+
+// TestBoundVirtualLockReplacesTheHostMutex: with a virtual lock bound, every
+// method of Mutex and TryMutex reaches it — TryLockQuiet by reporting false
+// untried, so a try-then-lock costs the virtual lock one step — and none
+// takes the host mutex or records on the site, which stays free. (Unbound,
+// the site tests above are the contract.)
+func TestBoundVirtualLockReplacesTheHostMutex(t *testing.T) {
+	p := New()
+	clk := p.NewThreadClock("t0", nil)
+	v := &fakeVirtual{free: true}
+	var m Mutex
+	m.Bind(p.NewSite("virtual", -1, 0))
+	m.BindVirtual(v)
+	m.Lock()
+	m.Unlock()
+	m.LockClocked(clk)
+	m.Unlock()
+	if m.TryLockQuiet() {
+		t.Fatal("TryLockQuiet on a virtual lock reported true")
+	}
+	if !m.TryLock() {
+		t.Fatal("TryLock did not report the virtual lock's answer")
+	}
+	m.Unlock()
+	v.free = false
+	if m.TryLock() {
+		t.Fatal("TryLock did not report the virtual lock's answer")
+	}
+	want := []string{"Lock", "Unlock", "Lock", "Unlock", "TryLock", "Unlock", "TryLock"}
+	if !slices.Equal(v.calls, want) {
+		t.Fatalf("virtual calls = %v, want %v", v.calls, want)
+	}
+	if len(v.clocks) != 2 || v.clocks[0] != nil || v.clocks[1] != clk {
+		t.Fatalf("Lock clocks = %v, want [nil clk]: LockClocked hands its clock on", v.clocks)
+	}
+	if !m.mu.TryLock() {
+		t.Fatal("the host mutex was left held")
+	}
+	m.mu.Unlock()
+	if s := p.Snapshot().Sites[0]; s != (SiteSnapshot{Name: "virtual", CRI: -1}) {
+		t.Fatalf("site recorded %+v through a virtual lock", s)
+	}
+
+	tv := &fakeVirtual{free: true}
+	var tm TryMutex
+	tm.BindVirtual(tv)
+	if !tm.TryLock() {
+		t.Fatal("TryMutex.TryLock did not report the virtual lock's answer")
+	}
+	tm.Unlock()
+	if !slices.Equal(tv.calls, []string{"TryLock", "Unlock"}) {
+		t.Fatalf("TryMutex virtual calls = %v", tv.calls)
+	}
+	if !tm.m.mu.TryLock() {
+		t.Fatal("TryMutex left its host mutex held")
+	}
+	tm.m.mu.Unlock()
 }
 
 // TestPhaseSumWithinWall: Σ(exclusive phase time) must not exceed wall time

@@ -90,6 +90,10 @@ func (e *Engine) SetPassHistogram(h *telemetry.Histogram) { e.passHist = h }
 // progress lock. Call during setup, before threads enter the engine.
 func (e *Engine) BindProfSite(s *prof.Site) { e.serialMu.Bind(s) }
 
+// BindVirtualLock realizes the serial progress lock as v, as
+// cri.Instance.BindVirtualLock does the instance lock. Call during setup.
+func (e *Engine) BindVirtualLock(v prof.VirtualLock) { e.serialMu.BindVirtual(v) }
+
 // Progress makes one progress pass on behalf of the thread owning ts and
 // returns the number of completion events handled.
 func (e *Engine) Progress(ts *cri.ThreadState) int {

@@ -5,9 +5,10 @@
 // and runs are exactly reproducible — independent of host core count.
 //
 // The paper's figures are regenerated on this engine (see internal/simnet):
-// the reproduction host has one physical core, so wall-clock measurement
-// cannot exhibit multithreaded scaling; virtual time can, and the lock
-// queueing + contention model below supplies the physics.
+// the reproduction host has two cores (EXPERIMENTS.md, "Reproducing"), so
+// wall-clock measurement cannot exhibit scaling to 20 or 64 threads; virtual
+// time can, and the lock queueing + contention model below supplies the
+// physics.
 package sim
 
 import (
@@ -94,7 +95,15 @@ type Env struct {
 	nextID  int
 	maxNow  int64
 	running bool
+	// cur is the proc Run last resumed: while it runs, the one executing.
+	cur *Proc
 }
+
+// Current returns the simulated thread the executive last resumed — during
+// Run, the one calling — or nil before Run resumes any. It lets code that
+// cannot be handed a *Proc, such as a lock reached through an interface,
+// act for its caller.
+func (e *Env) Current() *Proc { return e.cur }
 
 // NewEnv creates an empty simulation.
 func NewEnv() *Env {
@@ -163,6 +172,7 @@ func (e *Env) Run() time.Duration {
 		if ev.at > p.now {
 			p.now = ev.at
 		}
+		e.cur = p
 		p.resume <- struct{}{}
 		q := <-e.yieldCh
 		if q.now > e.maxNow {

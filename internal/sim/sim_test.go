@@ -185,6 +185,39 @@ func TestLockWaitTimeAccounting(t *testing.T) {
 	}
 }
 
+// TestCurrentIsTheResumedProc: Current names the proc Run resumed at every
+// point its code runs — before and after a lock hand-off parks and wakes it
+// — so an adapter that cannot be handed the *Proc acts for the right one.
+func TestCurrentIsTheResumedProc(t *testing.T) {
+	env := NewEnv()
+	if env.Current() != nil {
+		t.Fatal("Current before Run is not nil")
+	}
+	l := NewLock(env, "l", 50*time.Nanosecond)
+	check := func(p *Proc, when string) {
+		if got := env.Current(); got != p {
+			t.Errorf("%s %s: Current = %v, want the running proc", p.name, when, got)
+		}
+	}
+	body := func(p *Proc) {
+		check(p, "at start")
+		l.Acquire(p)
+		check(p, "holding")
+		p.Advance(time.Microsecond)
+		l.Release(p)
+		check(p, "after release")
+	}
+	a := env.Go("a", 0, body)
+	b := env.Go("b", 10, body) // parks on a's lock, woken by the hand-off
+	env.Run()
+	if l.Contended() != 1 {
+		t.Fatalf("contended = %d, want 1 (b must wait for a's hand-off)", l.Contended())
+	}
+	if cur := env.Current(); cur != a && cur != b {
+		t.Fatalf("Current after Run = %v, want the last resumed proc", cur)
+	}
+}
+
 func TestReleaseByNonHolderPanics(t *testing.T) {
 	env := NewEnv()
 	l := NewLock(env, "l", 0)

@@ -12,9 +12,8 @@ import (
 
 // enableFlight stamps the proc's world rank and, when the configuration
 // asks for it, attaches a flight recorder whose clock is the virtual time
-// of whichever simulated thread is currently charging — the same
-// clock-holder pattern threadMeter uses for match-engine cost, so the
-// engine's hook events land on the virtual timeline.
+// of the running simulated thread, so the engines' hook events land on the
+// virtual timeline.
 func (p *simProc) enableFlight(rank int) {
 	p.frank = rank
 	if p.cfg.Opts.FlightCapacity <= 0 {
@@ -22,8 +21,8 @@ func (p *simProc) enableFlight(rank int) {
 	}
 	p.flight = flight.NewRecorder(p.cfg.Opts.FlightCapacity)
 	p.flight.SetClock(func() int64 {
-		if p.flightSP != nil {
-			return p.flightSP.Now()
+		if sp := p.env.Current(); sp != nil {
+			return sp.Now()
 		}
 		return 0
 	})
@@ -54,9 +53,9 @@ func (p *simProc) queueSnapshot(now int64) flight.QueueSnapshot {
 			OOSBuffered: c.engine.OOSBuffered(),
 		})
 	}
-	for i, in := range p.instances {
+	for i, x := range p.ctxs {
 		qs.CRIs = append(qs.CRIs, flight.CRILevel{
-			Index: i, Pending: in.queued() > 0, Queued: in.queued(),
+			Index: i, Pending: x.queued() > 0, Queued: x.queued(),
 		})
 	}
 	return qs

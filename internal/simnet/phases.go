@@ -25,9 +25,9 @@ func (p *simProc) siteSnapshots() []prof.SiteSnapshot {
 		})
 	}
 	add("core.biglock", -1, 0, p.bigLock)
-	add("progress.serial", -1, 0, p.progLock)
-	for _, in := range p.instances {
-		add("cri.instance", in.index, 0, in.lock)
+	add("progress.serial", -1, 0, p.progLock.l)
+	for _, x := range p.ctxs {
+		add("cri.instance", x.index, 0, x.lock.l)
 	}
 	ids := make([]uint32, 0, len(p.comms))
 	for id := range p.comms {

@@ -5,10 +5,12 @@ import (
 
 	"repro/internal/bench/multirate"
 	"repro/internal/bench/rmamt"
+	"repro/internal/cri"
 	"repro/internal/prof"
 	"repro/internal/progress"
 	"repro/internal/sim"
 	"repro/internal/spc"
+	"repro/internal/transport"
 )
 
 // RunRMAMT executes the RMA-MT put+flush workload on the model and returns
@@ -33,17 +35,16 @@ func RunRMAMT(rc rmamt.Config, m Model) Result {
 			t.startClock(sp)
 			for round := 0; round < rc.Rounds; round++ {
 				for k := 0; k < rc.PutsPerThread; k++ {
-					inst := origin.instanceFor(&t.ts)
+					inst := origin.pool.ForThread(&t.ts)
 					t.clk.Begin(prof.PhaseSend)
-					t.clk.Begin(prof.PhaseLockWait)
-					inst.lock.Acquire(sp)
-					t.clk.End()
+					inst.LockClocked(t.clk)
 					sp.Advance(costs.RMAPut)
 					t.clk.Begin(prof.PhaseWire)
 					origin.wire.Reserve(sp, 28+rc.MsgSize)
 					t.clk.End()
-					inst.cq = append(inst.cq, cqe{pending: &t.pendingSends})
-					inst.lock.Release(sp)
+					ctx := origin.ctxs[inst.Index()]
+					ctx.cq = append(ctx.cq, transport.CQE{Kind: transport.CQEPutComplete, Token: &t.pendingSends})
+					inst.Unlock()
 					t.clk.End()
 					t.noteUsed(inst)
 					t.pendingSends++
@@ -62,7 +63,7 @@ func RunRMAMT(rc rmamt.Config, m Model) Result {
 }
 
 // noteUsed records an instance the thread issued one-sided operations on.
-func (t *simThread) noteUsed(inst *simInstance) {
+func (t *simThread) noteUsed(inst *cri.Instance) {
 	for _, u := range t.used {
 		if u == inst {
 			return
@@ -81,25 +82,26 @@ func (t *simThread) noteUsed(inst *simInstance) {
 func (t *simThread) flush(sp *sim.Proc) {
 	p := t.proc
 	p.spcs.Inc(spc.FlushCalls)
+	dispatch := cri.PollHandler(p.dispatch) // bound once, not per poll
 	backoff := retryCost
 	for t.pendingSends > 0 {
 		n := 0
 		for _, inst := range t.used {
-			if inst.lock.TryAcquire(sp) {
+			if inst.TryLock() {
 				t.clk.Begin(prof.PhaseProgressOwn)
 				sp.Advance(p.costs.RMAFlushPerInstance)
-				n += t.poll(sp, inst, 64)
+				n += inst.Poll(t.clk, dispatch, 64)
 				t.clk.End()
-				inst.lock.Release(sp)
+				inst.Unlock()
 			} else {
 				p.spcs.Inc(spc.ProgressTryLockFail)
 			}
 		}
 		if p.cfg.Opts.Progress == progress.Serial {
 			// The serialized opal_progress tick every flush round.
-			if p.progLock.TryAcquire(sp) {
+			if p.progLock.TryLock() {
 				sp.Advance(p.costs.CQPollEmpty)
-				p.progLock.Release(sp)
+				p.progLock.Unlock()
 			}
 		}
 		if n == 0 {

@@ -1,18 +1,18 @@
 // Package simnet models the paper's message path on the deterministic
-// virtual-time engine (internal/sim): Communication Resource Instances with
-// per-instance locks, the serial and concurrent progress engines
-// (Algorithm 2), per-communicator matching via the shared match.Engine, the
-// NIC wire cap, and both benchmark workloads (Multirate pairwise and
+// virtual-time engine (internal/sim): the runtime's own CRI pool
+// (Algorithm 1) and progress engine (Algorithm 2) over virtual-time
+// contexts and locks, per-communicator matching via the shared match.Engine,
+// the NIC wire cap, and both benchmark workloads (Multirate pairwise and
 // RMA-MT). All Figures 3-7 and Table II are regenerated from this model.
 // It runs the configuration the runtime's harnesses take (multirate.Config,
 // rmamt.Config, core.Options under their Opts), normalized with their own
 // defaults; Model holds only what the runtime has no mechanism for.
 //
-// The model and the real runtime (internal/core) share the matching engine,
-// the cost model, the SPC counters and the observers — the phase clock, the
-// latency stage derivation and the flight recorder, fed virtual instants
-// here; they differ only in how time and mutual exclusion are realized
-// (virtual vs. wall-clock).
+// The model and the real runtime (internal/core) share instance assignment,
+// the progress passes, the matching engine, the cost model, the SPC counters
+// and the observers — the phase clock, the latency stage derivation and the
+// flight recorder, fed virtual instants here; they differ only in how time
+// and mutual exclusion are realized (virtual vs. wall-clock).
 package simnet
 
 import (
@@ -202,27 +202,77 @@ const retryCost = 150 * time.Nanosecond
 // latency it pays).
 const maxBackoff = 2 * time.Microsecond
 
-// cqe is one completion-queue entry in the model.
-type cqe struct {
-	// pending, when non-nil, is decremented on extraction (send or
-	// one-sided completion attributed to the issuing thread).
-	pending *int64
-	// pkt, when non-nil, is an inbound two-sided packet to match.
-	pkt *transport.Packet
-	// flow is the sending thread's eager flow control: each extraction of
-	// pkt, a duplicate copy's included, returns it a credit.
-	flow *flowState
+// vlock is a virtual-time lock behind the runtime's lock seam
+// (prof.VirtualLock): bound to a cri.Instance or to the progress engine's
+// serial lock, it acquires and releases for the simulated thread the
+// executive is running. It is the one place the model takes an instance or
+// the serial progress lock.
+type vlock struct {
+	l   *sim.Lock
+	env *sim.Env
+	// waited is the last Lock's wait, for its holder to read.
+	waited time.Duration
 }
 
-// simInstance is one CRI in the model.
-type simInstance struct {
+func (v *vlock) Lock(c *prof.ThreadClock) {
+	c.Begin(prof.PhaseLockWait)
+	v.waited = v.l.Acquire(v.env.Current())
+	c.End()
+}
+
+func (v *vlock) TryLock() bool { return v.l.TryAcquire(v.env.Current()) }
+
+func (v *vlock) Unlock() { v.l.Release(v.env.Current()) }
+
+// simContext is one model CRI's network context, polled in virtual time. A
+// local completion (send or put) carries the issuing thread's count of
+// outstanding operations as its Token; an inbound packet carries its
+// sender's flow, to which each extraction, a duplicate copy's included,
+// returns a credit.
+type simContext struct {
+	// Context stays nil: a cri.Instance calls only Poll, and the model
+	// issues its one-sided operations itself (RunRMAMT).
+	transport.Context
+	proc  *simProc
 	index int
-	lock  *sim.Lock
-	cq    []cqe // local completions (send/put), FIFO
-	rxQ   []cqe // inbound packets, FIFO
+	// lock is the virtual lock of the instance over this context.
+	lock *vlock
+	cq   []transport.CQE // local completions, FIFO
+	rxQ  []transport.CQE // inbound packets, FIFO
+	// scratch receives Deliver completions. Every poll runs under the
+	// instance lock, so no two delivering threads share it — they interleave
+	// at virtual-time yields (the meter advances the clock mid-match), and a
+	// shared buffer would let one's completions clobber the other's.
+	scratch []match.Completion
 }
 
-func (in *simInstance) queued() int { return len(in.cq) + len(in.rxQ) }
+func (x *simContext) queued() int { return len(x.cq) + len(x.rxQ) }
+
+// Poll extracts up to max events, local completions before inbound packets,
+// charging the caller's simulated thread one extraction each, or one empty
+// poll when there were none.
+func (x *simContext) Poll(handler func(transport.CQE), max int) int {
+	sp, costs := x.proc.env.Current(), x.proc.costs
+	n := 0
+	for n < max {
+		q := &x.cq
+		if len(*q) == 0 {
+			q = &x.rxQ
+		}
+		if len(*q) == 0 {
+			break
+		}
+		e := (*q)[0]
+		*q = (*q)[1:]
+		sp.Advance(costs.RecvExtract)
+		handler(e)
+		n++
+	}
+	if n == 0 {
+		sp.Advance(costs.CQPollEmpty)
+	}
+	return n
+}
 
 // threadMeter routes match.Engine cost charges to whichever simulated
 // thread currently holds the matching lock.
@@ -257,16 +307,15 @@ type simProc struct {
 	finished int
 	nWork    int
 
-	cfg       params
-	costs     hw.CostModel
-	env       *sim.Env
-	instances []*simInstance
-	rr        uint64
-	// freeList mirrors cri.Pool's free-list: a stack (top at the end)
-	// seeded with index 0 on top, which senders pop an exclusively owned
-	// instance from and push it back onto after injection; empty falls
-	// back to round-robin.
-	freeList []int
+	cfg   params
+	costs hw.CostModel
+	env   *sim.Env
+	// ctxs are the contexts of pool's instances, by index; pool assigns
+	// them (Algorithm 1) and engine progresses them (Algorithm 2), as the
+	// runtime's do.
+	ctxs     []*simContext
+	pool     *cri.Pool
+	engine   *progress.Engine
 	nThreads int
 	comms    map[uint32]*simComm
 	spcs     *spc.Set
@@ -280,11 +329,9 @@ type simProc struct {
 	connSeen map[connKey]bool
 	// frank is the proc's world rank for flight/introspection labelling.
 	frank int
-	// flight is the real runtime's flight recorder on virtual time;
-	// flightSP holds the sim thread currently charging, whose clock the
-	// recorder reads (the threadMeter pattern).
-	flight   *flight.Recorder
-	flightSP *sim.Proc
+	// flight is the real runtime's flight recorder on virtual time: its
+	// clock is the running simulated thread's.
+	flight *flight.Recorder
 	// lat is the real runtime's critical-path attribution recorder, fed
 	// virtual-time stamps (Opts.Latency; nil-safe). Observation only:
 	// recording never advances the clock.
@@ -293,7 +340,7 @@ type simProc struct {
 	// simulated thread's virtual clock (the lock sites are sim.Locks, which
 	// keep their own statistics; see siteSnapshots).
 	prof     *prof.Profiler
-	progLock *sim.Lock // serial progress global lock
+	progLock *vlock    // the engine's serial progress lock
 	bigLock  *sim.Lock // BigLock design, nil unless enabled
 	wire     *sim.Wire // owning node's wire (shared)
 	// memSerial is the process-wide memory-management serializer (see
@@ -313,7 +360,7 @@ func newSimProc(env *sim.Env, cfg params, wire *sim.Wire) *simProc {
 		prof:     prof.New(),
 		wire:     wire,
 	}
-	p.progLock = cfg.newLock(env, "progress")
+	p.progLock = &vlock{l: cfg.newLock(env, "progress"), env: env}
 	if cfg.BigLock {
 		p.bigLock = cfg.newLock(env, "biglock")
 	}
@@ -323,18 +370,23 @@ func newSimProc(env *sim.Env, cfg params, wire *sim.Wire) *simProc {
 	if alloc := p.costs.AllocSerialize; alloc > 0 {
 		p.memSerial = sim.NewWire(0, 1e9/float64(alloc.Nanoseconds()))
 	}
-	instances := cfg.Opts.NumInstances
-	for i := 0; i < instances; i++ {
-		p.instances = append(p.instances, &simInstance{
-			index: i,
-			lock:  cfg.newLock(env, "instance"),
-		})
+	// The instances keep no counter set of their own: the pool and engine
+	// count into the proc's, and send_lock_waits — which LockClocked ticks
+	// whenever its quiet try-lock fails, over a virtual lock always — reads
+	// 0 in the model.
+	instances := make([]*cri.Instance, cfg.Opts.NumInstances)
+	for i := range instances {
+		x := &simContext{proc: p, index: i, lock: &vlock{l: cfg.newLock(env, "instance"), env: env}}
+		p.ctxs = append(p.ctxs, x)
+		instances[i] = cri.NewInstance(i, x, nil)
+		instances[i].BindVirtualLock(x.lock)
 	}
-	if cfg.Opts.Assignment == cri.FreeList {
-		for i := instances - 1; i >= 0; i-- {
-			p.freeList = append(p.freeList, i)
-		}
-	}
+	// Options.WithDefaults gives every run at least one instance, which is
+	// all NewPool checks.
+	p.pool, _ = cri.NewPool(instances, cfg.Opts.Assignment)
+	p.pool.SetSPCs(p.spcs)
+	p.engine = progress.New(cfg.Opts.Progress, p.pool, p.dispatch, p.spcs)
+	p.engine.BindVirtualLock(p.progLock)
 	return p
 }
 
@@ -368,25 +420,6 @@ func (p *simProc) noteConn(dst *simProc, inst int) {
 		p.connSeen[instKey] = true
 		p.spcs.Inc(spc.ConnsReused)
 	}
-}
-
-// acquireSendInstance mirrors cri.Pool.AcquireSend: under FreeList, pop an
-// exclusive instance (push back on release) and fall back to round-robin
-// when drained, with the same SPC accounting; other assignments delegate to
-// instanceFor with a no-op release. The caller then takes the instance's
-// lock, as AcquireSend does.
-func (p *simProc) acquireSendInstance(ts *cri.ThreadState) (*simInstance, func()) {
-	if p.cfg.Opts.Assignment == cri.FreeList {
-		if n := len(p.freeList); n > 0 {
-			i := p.freeList[n-1]
-			p.freeList = p.freeList[:n-1]
-			p.spcs.Inc(spc.FreeListAcquires)
-			return p.instances[i], func() { p.freeList = append(p.freeList, i) }
-		}
-		p.spcs.Inc(spc.FreeListEmpty)
-		return p.instances[p.nextRR()], func() {}
-	}
-	return p.instanceFor(ts), func() {}
 }
 
 // snapshot returns the proc's counter totals: its own set merged with every
@@ -438,25 +471,6 @@ func (c *simComm) acquireMatch(sp *sim.Proc, src, tag int32) (time.Duration, fun
 	return w, func() { l.Release(sp) }
 }
 
-// nextRR advances the deterministic round-robin instance counter.
-func (p *simProc) nextRR() int {
-	i := int(p.rr % uint64(len(p.instances)))
-	p.rr++
-	return i
-}
-
-// instanceFor applies the assignment strategy (Algorithm 1).
-func (p *simProc) instanceFor(ts *cri.ThreadState) *simInstance {
-	if p.cfg.Opts.Assignment == cri.Dedicated {
-		if ts.Dedicated() < 0 {
-			// First use: assign round-robin and cache (the TLS write).
-			*ts = cri.NewThreadState(p.nextRR())
-		}
-		return p.instances[ts.Dedicated()]
-	}
-	return p.instances[p.nextRR()]
-}
-
 // flowState is the per-pair eager flow control: sent counts injections,
 // consumed counts fragments the receiver has extracted, and matched is the
 // credit count actually returned to the sender — advanced in ackBatch
@@ -482,7 +496,9 @@ func (fs *flowState) consume() {
 // simThread is one communicating thread in the model.
 type simThread struct {
 	proc *simProc
-	ts   cri.ThreadState
+	// ts is the thread's assignment cache, clock and flight ring, which the
+	// pool and the progress engine read.
+	ts cri.ThreadState
 
 	pendingSends int64 // outstanding send completions
 	recvsDone    int64 // matched receives attributed to this thread
@@ -496,13 +512,7 @@ type simThread struct {
 
 	// used tracks the instances this thread has issued one-sided
 	// operations on; flush reaps completions from exactly these.
-	used []*simInstance
-
-	// scratch receives Deliver completions. It must be per-thread, not
-	// per-comm: under sharded matching two delivering threads interleave at
-	// virtual-time yields (the meter advances the clock mid-match), and a
-	// shared buffer would let one thread's completions clobber the other's.
-	scratch []match.Completion
+	used []*cri.Instance
 
 	// clk decomposes this thread's virtual time into exclusive phases. It
 	// is nil — recording nothing — until the workload calls startClock.
@@ -515,20 +525,23 @@ type simThread struct {
 }
 
 func newSimThread(p *simProc) *simThread {
-	t := &simThread{proc: p, ts: cri.NewThreadState(-1)}
+	t := &simThread{proc: p}
 	t.flow.ackBatch = int64(min(ackBatch, p.cfg.Credits))
 	p.nThreads++
 	t.label = fmt.Sprintf("rank%d/t%d", p.frank, p.nThreads-1)
 	t.fring = p.flight.NewRing(t.label)
+	t.ts.SetFlight(t.fring)
 	t.rng = uint64(p.nThreads) * 0x9E3779B97F4A7C15
 	t.frng = uint64(p.cfg.Faults.Seed)*0xD1B54A32D192ED03 ^ uint64(p.nThreads)*0x9E3779B97F4A7C15
 	return t
 }
 
 // startClock gives the thread its phase clock, on its simulated thread's
-// virtual time, starting now in the app phase.
+// virtual time, starting now in the app phase; the pool and the progress
+// engine read it from the thread state, as the runtime's do.
 func (t *simThread) startClock(sp *sim.Proc) {
 	t.clk = t.proc.prof.NewThreadClock(t.label, sp.Now)
+	t.ts.SetClock(t.clk)
 }
 
 // faultRoll returns the next deterministic uniform draw in [0, 1).
@@ -593,9 +606,10 @@ func (t *simThread) backoffWait(sp *sim.Proc, pred func() bool) {
 	}
 }
 
-// send injects one message: instance acquisition per strategy, instance
-// lock, injection CPU cost, wire reservation, delivery to the remote
-// instance's queue (with back-pressure), and a local send-completion CQE.
+// send injects one message: a locked instance from the pool
+// (cri.Pool.AcquireSend), injection CPU cost, wire reservation, delivery to
+// the remote instance's queue (with back-pressure), and a local
+// send-completion CQE.
 // The runtime's backends post no completion for a two-sided send; the model
 // keeps charging one (EXPERIMENTS.md, Known divergence 7).
 func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRank, tag int32) {
@@ -659,13 +673,11 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 		p.bigLock.Acquire(sp)
 		t.clk.End()
 	}
-	inst, putBack := p.acquireSendInstance(&t.ts)
-	p.noteConn(dst, inst.index)
-	t.clk.Begin(prof.PhaseLockWait)
-	instWait := inst.lock.Acquire(sp)
-	t.clk.End()
-	if instWait >= flight.LockWaitThreshold {
-		t.fring.RecordAt(sp.Now(), flight.KindLockWait, 0, int32(inst.index), int32(instWait/time.Microsecond), -1, 0)
+	inst, release := p.pool.AcquireSend(&t.ts)
+	ctx := p.ctxs[inst.Index()]
+	p.noteConn(dst, inst.Index())
+	if w := ctx.lock.waited; w >= flight.LockWaitThreshold {
+		t.fring.RecordAt(sp.Now(), flight.KindLockWait, 0, int32(inst.Index()), int32(w/time.Microsecond), -1, 0)
 	}
 	if p.lat != nil {
 		// CRI acquired (send post to instance held, including credit backoff
@@ -680,7 +692,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	t.clk.Begin(prof.PhaseWire)
 	p.wire.Reserve(sp, header+p.cfg.MsgSize)
 
-	remote := dst.instances[inst.index%len(dst.instances)]
+	remote := dst.ctxs[inst.Index()%len(dst.ctxs)]
 	// Hardware back-pressure: stall while the remote receive queue is full.
 	for len(remote.rxQ) >= p.cfg.Opts.QueueDepth {
 		sp.Advance(retryCost)
@@ -698,17 +710,17 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 		p.lat.ObserveStage(latency.StageCRIAcquire, meta.SendAcqNs)
 		p.lat.ObserveStage(latency.StageWireWrite, meta.SendWireNs)
 	}
-	remote.rxQ = append(remote.rxQ, cqe{pkt: pkt, flow: &t.flow})
+	arrival := transport.CQE{Kind: transport.CQERecv, Packet: pkt, Token: &t.flow}
+	remote.rxQ = append(remote.rxQ, arrival)
 	if copies > 1 {
 		// The duplicate copy consumes wire time too; matching-layer dedup
 		// discards it on the far side.
 		p.wire.Reserve(sp, header+p.cfg.MsgSize)
-		remote.rxQ = append(remote.rxQ, cqe{pkt: pkt, flow: &t.flow})
+		remote.rxQ = append(remote.rxQ, arrival)
 	}
 	t.clk.End()
-	inst.cq = append(inst.cq, cqe{pending: &t.pendingSends})
-	inst.lock.Release(sp)
-	putBack()
+	ctx.cq = append(ctx.cq, transport.CQE{Token: &t.pendingSends})
+	release()
 	if p.bigLock != nil {
 		p.bigLock.Release(sp)
 	}
@@ -740,7 +752,6 @@ func (t *simThread) postRecv(sp *sim.Proc, c *simComm, srcRank, tag int32) {
 	t.clk.End()
 	c.engine.ChargeWait(waited)
 	c.meter.p = sp
-	p.flightSP = sp
 	comp, ok := c.engine.PostRecv(r)
 	release()
 	if ok {
@@ -752,108 +763,35 @@ func (t *simThread) postRecv(sp *sim.Proc, c *simComm, srcRank, tag int32) {
 	}
 }
 
-// progress is the virtual-time progress engine: Serial takes the global
-// try-lock and polls every instance; Concurrent runs Algorithm 2.
-// Productive passes mirror onto the flight ring, as the real engine's do.
+// progress makes one pass of the runtime's progress engine for the thread,
+// inside the big lock under that design.
 func (t *simThread) progress(sp *sim.Proc) int {
-	count := t.progressPass(sp)
-	if count > 0 {
-		t.fring.RecordAt(sp.Now(), flight.KindProgress, 0, int32(count), 0, -1, 0)
-	}
-	return count
-}
-
-func (t *simThread) progressPass(sp *sim.Proc) int {
 	p := t.proc
-	p.spcs.Inc(spc.ProgressCalls)
 	if p.bigLock != nil {
 		t.clk.Begin(prof.PhaseLockWait)
 		p.bigLock.Acquire(sp)
 		t.clk.End()
 		defer p.bigLock.Release(sp)
 	}
-	if p.cfg.Opts.Progress == progress.Serial {
-		if !p.progLock.TryAcquire(sp) {
-			p.spcs.Inc(spc.ProgressTryLockFail)
-			return 0
-		}
-		t.clk.Begin(prof.PhaseProgressOwn)
-		count := 0
-		for _, inst := range p.instances {
-			t.clk.Begin(prof.PhaseLockWait)
-			inst.lock.Acquire(sp)
-			t.clk.End()
-			count += t.poll(sp, inst, 64)
-			inst.lock.Release(sp)
-		}
-		p.progLock.Release(sp)
-		t.clk.End()
-		return count
-	}
-	// Concurrent (Algorithm 2): dedicated instance first.
-	count := 0
-	if k := t.ts.Dedicated(); k >= 0 {
-		inst := p.instances[k]
-		if inst.lock.TryAcquire(sp) {
-			t.clk.Begin(prof.PhaseProgressOwn)
-			count = t.poll(sp, inst, 64)
-			t.clk.End()
-			inst.lock.Release(sp)
-		} else {
-			p.spcs.Inc(spc.ProgressTryLockFail)
-		}
-	}
-	if count > 0 {
-		return count
-	}
-	t.clk.Begin(prof.PhaseProgressSteal)
-	defer t.clk.End()
-	for range p.instances {
-		inst := p.instances[p.nextRR()]
-		if !inst.lock.TryAcquire(sp) {
-			p.spcs.Inc(spc.ProgressTryLockFail)
-			p.spcs.Inc(spc.ProgressStealLosses)
-			continue
-		}
-		c := t.poll(sp, inst, 64)
-		inst.lock.Release(sp)
-		count += c
-		if count > 0 {
-			return count
-		}
-	}
-	return count
+	return p.engine.Progress(&t.ts)
 }
 
-// poll drains up to max events from one instance under its (held) lock.
-func (t *simThread) poll(sp *sim.Proc, inst *simInstance, max int) int {
-	p := t.proc
-	n := 0
-	for n < max && len(inst.cq) > 0 {
-		e := inst.cq[0]
-		inst.cq = inst.cq[1:]
-		sp.Advance(p.costs.RecvExtract)
-		*e.pending--
-		n++
+// dispatch is the progress engine's handler for one extracted event: a local
+// completion returns one of its thread's outstanding operations, an inbound
+// packet goes to matching.
+func (p *simProc) dispatch(clk *prof.ThreadClock, in *cri.Instance, e transport.CQE) {
+	if e.Kind != transport.CQERecv {
+		*e.Token.(*int64)--
+		return
 	}
-	for n < max && len(inst.rxQ) > 0 {
-		e := inst.rxQ[0]
-		inst.rxQ = inst.rxQ[1:]
-		sp.Advance(p.costs.RecvExtract)
-		t.deliver(sp, e.pkt, e.flow)
-		n++
-	}
-	if n == 0 {
-		sp.Advance(p.costs.CQPollEmpty)
-	}
-	return n
+	p.ctxs[in.Index()].deliver(p.env.Current(), clk, e.Packet, e.Token.(*flowState))
 }
 
 // deliver pushes one inbound packet through its communicator's matching
 // engine, accounting lock wait as match time (as Open MPI's SPC does), and
 // returns a credit to its sender's flow.
-func (t *simThread) deliver(sp *sim.Proc, pkt *transport.Packet, flow *flowState) {
-	p := t.proc
+func (x *simContext) deliver(sp *sim.Proc, clk *prof.ThreadClock, pkt *transport.Packet, flow *flowState) {
+	p := x.proc
 	env := pkt.Envelope()
 	c := p.comms[env.Comm]
 	if c == nil {
@@ -875,16 +813,15 @@ func (t *simThread) deliver(sp *sim.Proc, pkt *transport.Packet, flow *flowState
 	// match time — an out-of-sequence message that sits buffered must not
 	// stall its sender forever.
 	flow.consume()
-	t.clk.Begin(prof.PhaseLockWait)
+	clk.Begin(prof.PhaseLockWait)
 	waited, release := c.acquireMatch(sp, env.Src, env.Tag)
-	t.clk.End()
-	t.clk.Begin(prof.PhaseMatch)
+	clk.End()
+	clk.Begin(prof.PhaseMatch)
 	c.engine.ChargeWait(waited)
 	c.meter.p = sp
-	p.flightSP = sp
-	t.scratch = c.engine.Deliver(pkt, t.scratch[:0])
-	comps := t.scratch
-	t.clk.End()
+	x.scratch = c.engine.Deliver(pkt, x.scratch[:0])
+	comps := x.scratch
+	clk.End()
 	release()
 	for _, comp := range comps {
 		tt := comp.Recv.Token.(*simThread)

@@ -158,7 +158,7 @@ func testSource(path, fn string) (string, bool) {
 
 // modelOnly names the simnet.Model fields that select a mechanism the
 // runtime does not have: the IMPI Thread comparator's global lock, eager
-// credits until the runtime ports flow control (ROADMAP item 4), and the two
+// credits until the runtime ports flow control (ROADMAP item 15), and the two
 // contention knobs the ablations sweep. The model runs only what the
 // runtime runs; a field added to this list is a design argued for here.
 var modelOnly = map[string]bool{"BigLock": true, "Credits": true, "SleepPenalty": true, "SendJitter": true}
