@@ -128,7 +128,10 @@ loc:
 # event per pass), and a step of the message path reads the wall clock once
 # for all its consumers — send post, instance held, wire write done (latency
 # attribution only), delivery, completion — so core's message path holds at
-# most six time.Now() sites. And a communicator's NoWildcards assertion is the
+# most five time.Now() sites. A lock wait is measured once, by prof.Mutex, whose
+# LockClocked returns it: no function of internal/cri or internal/core that
+# calls LockClocked reads time.Now or time.Since, and the try-then-lock
+# helper that measurement made necessary (TryLockQuiet) does not come back. And a communicator's NoWildcards assertion is the
 # one place the sharded engine is built, in the runtime and in the model.
 # Multirate is one loop over rank pairs: thread mode, process mode, incast and
 # the distributed run create their communicators at one site in the harness,
@@ -153,10 +156,11 @@ loc:
 # the model runs them over virtual-time instances: no non-test file of
 # internal/simnet defines a progress pass or an instance choice of its own
 # (progressPass, acquireSendInstance, instanceFor, nextRR) or records the
-# progress event, and the model takes an instance or the serial progress lock
-# only through its virtual-lock adapter (vlock): outside it, only the
-# model-only big lock and the matching lock (simComm.acquireMatch) call a
-# sim.Lock's Acquire or TryAcquire.
+# progress event, and every lock the model's breakdown reports is a
+# prof.Mutex over its virtual-lock adapter (vlock), its site filled by the
+# Mutex, not by a second statistics path (siteSnapshots): outside vlock, only
+# the NoWildcards shard locks (simComm.lockShard) call a sim.Lock's Acquire
+# or TryAcquire.
 lint-onepath:
 	@fail=0; \
 	one() { n=$$(cat $$2 | grep -c -- "$$1"); \
@@ -177,9 +181,17 @@ lint-onepath:
 	one 'flight\.KindProgress' "$$progress $$simnet" 'internal/progress + internal/simnet'; \
 	if grep -nE '^func .*\b(progressPass|acquireSendInstance|instanceFor|nextRR)\(' $$simnet; then \
 		echo "FAIL: the model runs cri.Pool and progress.Engine; no progress pass or instance choice of its own"; fail=1; fi; \
-	vsites=$$(awk '/^func /{f=$$0} /^[[:space:]]*\/\//{next} /Acquire\(/ && f !~ /^func \(v \*vlock\)/ && f !~ /^func \(c \*simComm\) acquireMatch\(/ && !/bigLock\.Acquire\(/ {print FILENAME":"FNR": "$$0}' $$simnet); \
+	vsites=$$(awk '/^func /{f=$$0} /^[[:space:]]*\/\//{next} /Acquire\(/ && f !~ /^func \(v \*vlock\)/ && f !~ /^func \(c \*simComm\) lockShard\(/ {print FILENAME":"FNR": "$$0}' $$simnet); \
 	if [ -n "$$vsites" ]; then \
-		echo "FAIL: the model takes instance and serial progress locks through the runtime (vlock), found:"; echo "$$vsites"; fail=1; fi; \
+		echo "FAIL: the model takes the locks its breakdown reports through prof.Mutex over vlock, found:"; echo "$$vsites"; fail=1; fi; \
+	if grep -n 'siteSnapshots' $$simnet; then \
+		echo "FAIL: the model's lock sites fill through prof.Mutex; no second lock-statistics path"; fail=1; fi; \
+	if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=benchmark 'TryLockQuiet' .; then \
+		echo "FAIL: prof.Mutex.LockClocked returns the wait it measured; no quiet try-lock before it"; fail=1; fi; \
+	clocked=$$(awk '/^func /{f=FILENAME": "$$0} /^[[:space:]]*\/\//{next} /LockClocked\(/{l[f]=1} /time\.(Now|Since)\(/{t[f]=1} END {for (k in l) if (k in t) print k}' \
+		$$(ls internal/cri/*.go internal/core/*.go | grep -v _test.go)); \
+	if [ -n "$$clocked" ]; then \
+		echo "FAIL: LockClocked returns the wait it measured; a clock read around it times the acquire twice, in:"; echo "$$clocked"; fail=1; fi; \
 	one 'NewCommWithInfo(' "$$multirate" internal/bench/multirate; \
 	one 'sim\.NewEnv(' internal/simnet/multirate.go internal/simnet/multirate.go; \
 	one '^func (d Design) [A-Za-z]*(.*) \(multirate\.Config\|core\.Options\)' "$$designs" internal/designs; \
@@ -202,7 +214,7 @@ lint-onepath:
 	if grep -rn --include='*.go' 'carve(&th\.recvs)' internal; then \
 		echo "FAIL: a receive's record comes from its Thread's free list (recvRecord), not a slab of receives"; fail=1; fi; \
 	n=$$(cat internal/core/comm.go internal/core/world.go | grep -c 'time\.Now()'); \
-	if [ "$$n" -gt 6 ]; then echo "FAIL: $$n time.Now() sites in core/comm.go + core/world.go, want at most 6"; fail=1; fi; \
+	if [ "$$n" -gt 5 ]; then echo "FAIL: $$n time.Now() sites in core/comm.go + core/world.go, want at most 5"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "one path ok"; else exit 1; fi
 
 # The one check of the virtual-time model. cmd/figures regenerates every

@@ -141,11 +141,6 @@ func (s *Scraper) scrapeOne(ep Endpoint) RankState {
 		rs.Info["rank"] = strconv.Itoa(ep.Rank)
 	}
 	rs.SPC = rs.proc().Process
-	rs.Sent = rs.SPC.Get(spc.MessagesSent)
-	rs.Received = rs.SPC.Get(spc.MessagesReceived)
-	rs.Retransmits = rs.SPC.Get(spc.Retransmits)
-	rs.E2EP99Ns, rs.StageP99 = rs.latencyP99s()
-	rs.LatencyValid = rs.E2EP99Ns > 0
 
 	// Readiness: /readyz answers 200 ("ready") or 503 with a reason body.
 	// A transport error here (after the stats answered) is still a scrape
@@ -154,9 +149,9 @@ func (s *Scraper) scrapeOne(ep Endpoint) RankState {
 	if err != nil && status == 0 {
 		return failed("/readyz", err)
 	}
-	rs.Ready = status == http.StatusOK
-	if !rs.Ready {
-		rs.ReadyReason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(string(rbody)), "not ready:"))
+	ready, reason := status == http.StatusOK, ""
+	if !ready {
+		reason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(string(rbody)), "not ready:"))
 	}
 
 	// A process can host several local procs (thread-mode worlds); the
@@ -170,12 +165,9 @@ func (s *Scraper) scrapeOne(ep Endpoint) RankState {
 	if err != nil {
 		return failed("/debug/queues", err)
 	}
-	for _, qs := range snaps {
-		rs.Comms = append(rs.Comms, qs.Comms...)
-		for _, w := range qs.Windows {
-			rs.Unacked += w.Unacked
-		}
-	}
+	e2e, stages := rs.latencyP99s()
+	rs.Sample = flight.NewSample(ep.Rank, rs.SPC, snaps, stages, e2e, e2e > 0)
+	rs.Ready, rs.ReadyReason = ready, reason
 	return rs
 }
 

@@ -60,12 +60,13 @@ type Comm struct {
 	collSeq atomic.Uint32
 }
 
-// traceID derives the deterministic message-lifecycle trace id for one
-// eager send: origin rank (biased so rank 0 yields a non-zero id), the
+// TraceID derives the deterministic message-lifecycle trace id for one
+// eager send: origin world rank (biased so rank 0 yields a non-zero id), the
 // communicator id, and the per-destination sequence number. Both ends of a
 // traced message compute the same id, which is what lets a merger stitch
-// the cross-rank flow without any id-exchange protocol.
-func traceID(rank int, commID uint32, seq uint32) uint64 {
+// the cross-rank flow without any id-exchange protocol; the virtual-time
+// model (internal/simnet) stamps its packets with it too.
+func TraceID(rank int, commID uint32, seq uint32) uint64 {
 	return uint64(rank+1)<<48 | uint64(commID&0xffff)<<32 | uint64(seq)
 }
 
@@ -255,7 +256,7 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 		m := pkt.MetaFrom(&th.slab)
 		m.Stamp = now
 		if p.traceWire {
-			m.TraceID = traceID(p.rank, c.id, env.Seq)
+			m.TraceID = TraceID(p.rank, c.id, env.Seq)
 			m.Origin = int32(p.rank)
 		}
 	}
@@ -373,12 +374,12 @@ func (c *Comm) Irecv(th *Thread, src int, tag int32, buf []byte) (*Request, erro
 // fighting over the matching critical section, and (profiled) toward the
 // lock's site and clk's lock-wait phase.
 func (c *Comm) lockMatch(clk *prof.ThreadClock) {
-	if c.selfMatch || c.matchMu.TryLockQuiet() {
+	if c.selfMatch {
 		return
 	}
-	t0 := time.Now()
-	c.matchMu.LockClocked(clk)
-	c.engine.ChargeWait(time.Since(t0))
+	if w := c.matchMu.LockClocked(clk); w > 0 {
+		c.engine.ChargeWait(w)
+	}
 }
 
 func (c *Comm) unlockMatch() {

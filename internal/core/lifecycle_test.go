@@ -107,7 +107,7 @@ func TestTraceWireLifecycle(t *testing.T) {
 	// Both ends compute the same deterministic flow id; the first eager
 	// send on the world communicator has seq 0 (the rank bias keeps the id
 	// non-zero regardless).
-	want := traceID(0, 1, 0)
+	want := TraceID(0, 1, 0)
 	for _, hop := range []struct {
 		p *Proc
 		k flight.Kind

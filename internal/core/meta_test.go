@@ -144,8 +144,8 @@ func TestTracedStagesInProcess(t *testing.T) {
 		t.Fatalf("%d exemplars, want 1", len(ex))
 	}
 	m := ex[0]
-	if m.TraceID != traceID(0, c0.ID(), 0) || m.Origin != 0 {
-		t.Fatalf("exemplar %+v: want trace id %#x from rank 0", m, traceID(0, c0.ID(), 0))
+	if m.TraceID != TraceID(0, c0.ID(), 0) || m.Origin != 0 {
+		t.Fatalf("exemplar %+v: want trace id %#x from rank 0", m, TraceID(0, c0.ID(), 0))
 	}
 	for _, s := range []latency.Stage{latency.StageTransit, latency.StageDeliverWait, latency.StageMatchPosted} {
 		if m.StageNs[s] == latency.Unknown {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/flight"
-	"repro/internal/spc"
 )
 
 // WatchdogConfig configures the stall watchdog started by
@@ -118,18 +117,8 @@ func (p *Proc) QueueSnapshot() flight.QueueSnapshot {
 func (p *Proc) watchdogSample() flight.Sample {
 	snap := p.SPCSnapshot()
 	qs := p.QueueSnapshot()
-	s := flight.Sample{
-		Rank:        p.rank,
-		NowNs:       qs.CapturedNs,
-		Ready:       true,
-		Sent:        snap[spc.MessagesSent],
-		Received:    snap[spc.MessagesReceived],
-		Retransmits: snap[spc.Retransmits],
-		Comms:       qs.Comms,
-	}
-	for _, w := range qs.Windows {
-		s.Unacked += w.Unacked
-	}
-	s.StageP99, s.E2EP99Ns, s.LatencyValid = p.lat.StageP99s()
+	stages, e2e, ok := p.lat.StageP99s()
+	s := flight.NewSample(p.rank, snap, []flight.QueueSnapshot{qs}, stages, e2e, ok)
+	s.NowNs, s.Ready = qs.CapturedNs, true
 	return s
 }

@@ -155,27 +155,21 @@ func (in *Instance) Endpoint(rank int) transport.Endpoint {
 	return in.eps[rank]
 }
 
-// Lock acquires the instance lock, recording contention in the instance's
-// SPC set (send_lock_waits), the lock-wait histogram, the flight record and
-// the profiler site when the fast-path try-lock fails. All records are
-// nil-safe single branches when disabled.
+// Lock acquires the instance lock, recording a contended acquisition in the
+// instance's SPC set (send_lock_waits), the lock-wait histogram, the flight
+// record and the profiler site. All records are nil-safe single branches
+// when disabled.
 func (in *Instance) Lock() { in.LockClocked(nil) }
 
 // LockClocked is Lock, additionally charging any contended wait to a
 // lock-wait phase section on the calling thread's clock (nil-safe). The
-// wait is timed once for the histogram and the flight event together.
+// wait the lock measured is the one every record reads.
 func (in *Instance) LockClocked(clk *prof.ThreadClock) {
-	if in.mu.TryLockQuiet() {
+	w := in.mu.LockClocked(clk)
+	if w == 0 {
 		return
 	}
 	in.spcs.Inc(spc.SendLockWaits)
-	if in.lockWait == nil && in.flightRing == nil {
-		in.mu.LockClocked(clk)
-		return
-	}
-	t0 := time.Now()
-	in.mu.LockClocked(clk)
-	w := time.Since(t0)
 	in.lockWait.Observe(w)
 	if w >= flight.LockWaitThreshold {
 		in.flightRing.Record(flight.KindLockWait, 0, int32(in.index), int32(w/time.Microsecond))

@@ -2,7 +2,6 @@ package cri
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -174,17 +173,22 @@ func TestLockContentionCounted(t *testing.T) {
 	s := spc.NewSet()
 	ctx, _ := simDevice(t, backends.Sim(), 0).CreateContext(0)
 	in := NewInstance(0, ctx, s)
+	// The contender's clock reports each instant it reads: its slow path
+	// opens the lock-wait phase once its try-lock has failed.
+	reads := make(chan struct{}, 4)
+	clk := prof.New().NewThreadClock("contender", func() int64 {
+		reads <- struct{}{}
+		return 0
+	})
+	<-reads // the clock's start
 	in.Lock()
 	done := make(chan struct{})
 	go func() {
-		in.Lock() // must block and count one contention
+		in.LockClocked(clk) // must block and count one contention
 		in.Unlock()
 		close(done)
 	}()
-	// Wait until the contender has certainly failed its try-lock.
-	for s.Get(spc.SendLockWaits) == 0 {
-		runtime.Gosched()
-	}
+	<-reads // the contender failed its try-lock
 	in.Unlock()
 	<-done
 	if got := s.Get(spc.SendLockWaits); got != 1 {

@@ -3,6 +3,8 @@ package flight
 import (
 	"encoding/json"
 	"io"
+
+	"repro/internal/spc"
 )
 
 // CommQueues is one communicator's live matching-queue depths. Depths are
@@ -66,8 +68,8 @@ func writeIndented(w io.Writer, v any) error {
 }
 
 // Sample is one observation of one rank — what the detector, the cluster
-// report row and the mpi_cluster_* gauges all read. It has three
-// constructors: core.Proc.watchdogSample, simnet's twin of it, and the
+// report row and the mpi_cluster_* gauges all read. NewSample builds it for
+// its three samplers: the runtime's watchdog, the model's sampler and the
 // cluster scrape.
 type Sample struct {
 	Rank int
@@ -100,6 +102,31 @@ type Sample struct {
 	// them across ranks rather than across time.
 	E2EP99Ns int64
 	StageP99 []StageP99
+}
+
+// NewSample assembles one rank's observation: the movement counters of its
+// process-scope counter snapshot, the communicators and the summed
+// reliability-window occupancy of its queue snapshots (a process hosting
+// several procs serves one each, folded here into one observation), and its
+// latency p99s. The sampler's clock, readiness and scrape error are the
+// caller's to set.
+func NewSample(rank int, counters spc.Snapshot, queues []QueueSnapshot, stages []StageP99, e2eP99Ns int64, latencyValid bool) Sample {
+	s := Sample{
+		Rank:         rank,
+		Sent:         counters[spc.MessagesSent],
+		Received:     counters[spc.MessagesReceived],
+		Retransmits:  counters[spc.Retransmits],
+		LatencyValid: latencyValid,
+		E2EP99Ns:     e2eP99Ns,
+		StageP99:     stages,
+	}
+	for _, qs := range queues {
+		s.Comms = append(s.Comms, qs.Comms...)
+		for _, w := range qs.Windows {
+			s.Unacked += w.Unacked
+		}
+	}
+	return s
 }
 
 // QueueDepths is a rank's matching-queue depths summed over its communicators.

@@ -9,6 +9,14 @@
 // phase clock that decomposes each benchmark thread's wall time into
 // exclusive phases, so "where did the time go" is a query, not a guess.
 //
+// A wait is measured once. Mutex.LockClocked times a contended acquisition,
+// records it on the site and the caller's clock, and returns it, so what the
+// caller records beside them (the instance lock's histogram and flight
+// event, the matching engine's match time) reads the same number. The
+// virtual-time model binds the same Mutex to a VirtualLock, and its sites
+// fill through the same code from virtual waits; hold time is measured on
+// the host alone and reads 0 there.
+//
 // Everything is nil-safe in the repo's usual way: a nil *Profiler hands out
 // nil Sites and nil ThreadClocks, and every record method on a nil receiver
 // is a single predictable branch, so instrumented hot paths cost ~1 ns when
@@ -46,19 +54,31 @@ type Site struct {
 	holdNs       atomic.Int64
 }
 
-func (s *Site) recordTryFail() {
+// recordTry records one try-lock attempt — an acquisition when ok, else a
+// loss — and returns ok.
+func (s *Site) recordTry(ok bool) bool {
 	if s == nil {
-		return
+		return ok
 	}
-	s.tryFails.Add(1)
+	if ok {
+		s.acquisitions.Add(1)
+	} else {
+		s.tryFails.Add(1)
+	}
+	return ok
 }
 
-// recordWait records one contended acquisition that blocked for d.
-func (s *Site) recordWait(d int64) {
+// record records one acquisition that waited d nanoseconds: contended when
+// d > 0, which a contended host acquisition always measures and a virtual
+// one reads whenever the lock was handed over.
+func (s *Site) record(d int64) {
 	if s == nil {
 		return
 	}
 	s.acquisitions.Add(1)
+	if d <= 0 {
+		return
+	}
 	s.contended.Add(1)
 	s.waitNs.Add(d)
 	for {
@@ -72,27 +92,29 @@ func (s *Site) recordWait(d int64) {
 // VirtualLock is a lock realized off the host: the virtual-time model's,
 // which hands its executive the turn where a host mutex would block. A Mutex
 // or TryMutex bound to one acts on it instead of its own mutex, so the
-// model runs the runtime's locking code over virtual time. Each call acts
-// for the calling simulated thread.
+// model runs the runtime's locking code over virtual time, and records its
+// site from the virtual waits as the host path does from measured ones.
+// Each call acts for the calling simulated thread.
 type VirtualLock interface {
 	// Lock returns once the caller holds the lock, charging the whole
 	// acquisition, contended or not, to a lock-wait phase section on c
-	// (nil-safe).
-	Lock(c *ThreadClock)
+	// (nil-safe), and returns the virtual time the caller waited (0 when it
+	// found the lock free).
+	Lock(c *ThreadClock) time.Duration
 	// TryLock takes the lock if it is free and reports whether it did.
 	TryLock() bool
 	// Unlock releases the lock.
 	Unlock()
 }
 
-// Mutex is a drop-in sync.Mutex wrapper that attributes contention to a
-// Site. The zero value is a plain unprofiled mutex; Bind attaches a site
-// during setup, before the lock is shared between threads. With a nil site
-// every extra path is one branch.
+// Mutex is a drop-in sync.Mutex wrapper that measures each contended wait
+// once, for its caller and its Site. The zero value is a plain unprofiled
+// mutex; Bind attaches a site during setup, before the lock is shared
+// between threads. With a nil site every extra path is one branch.
 type Mutex struct {
 	mu   sync.Mutex
 	site *Site
-	// virt, when bound, takes the place of mu and the site (BindVirtual).
+	// virt, when bound, takes the place of mu (BindVirtual).
 	virt VirtualLock
 	// heldSince is written after acquiring and read in Unlock — both under
 	// the mutex, so plain (non-atomic) access is race-free.
@@ -104,6 +126,8 @@ func (m *Mutex) Bind(s *Site) { m.site = s }
 
 // BindVirtual makes every method act on v instead of the host mutex. Call
 // during setup only; unbound (the runtime) costs each method one branch.
+// The site then records acquisitions, waits and try failures from v; hold
+// time stays the host's alone.
 func (m *Mutex) BindVirtual(v VirtualLock) { m.virt = v }
 
 // Lock acquires the mutex, recording a contended acquisition (with wait
@@ -111,58 +135,41 @@ func (m *Mutex) BindVirtual(v VirtualLock) { m.virt = v }
 func (m *Mutex) Lock() { m.LockClocked(nil) }
 
 // LockClocked is Lock, additionally charging any contended wait to a
-// lock-wait phase section on c (nil-safe on both receiver and clock).
-func (m *Mutex) LockClocked(c *ThreadClock) {
+// lock-wait phase section on c (nil-safe on both receiver and clock). It
+// returns the wait: 0 when the fast path took the lock, else the blocked
+// time (at least 1ns), measured whether or not a site is bound — the one
+// measurement the site, the clock and the caller's own records share.
+func (m *Mutex) LockClocked(c *ThreadClock) time.Duration {
 	if m.virt != nil {
-		m.virt.Lock(c)
-		return
+		d := m.virt.Lock(c)
+		m.site.record(int64(d))
+		return d
 	}
 	if m.mu.TryLock() {
 		if s := m.site; s != nil {
 			s.acquisitions.Add(1)
 			m.heldSince = nowNs()
 		}
-		return
-	}
-	s := m.site
-	if s == nil {
-		m.mu.Lock()
-		return
+		return 0
 	}
 	c.Begin(PhaseLockWait)
 	t0 := nowNs()
 	m.mu.Lock()
 	now := nowNs()
 	c.End()
-	s.recordWait(now - t0)
+	// At least 1ns: 0 means the fast path, even on a clock too coarse to
+	// see the wait.
+	d := max(now-t0, 1)
+	m.site.record(d)
 	m.heldSince = now
-}
-
-// TryLockQuiet attempts the mutex recording an acquisition on success but
-// NOTHING on failure — for fast paths whose failure is immediately followed
-// by a blocking LockClocked (which records the contended acquisition), so a
-// miss is not double-counted as a try-lock loss. Bound to a virtual lock it
-// reports false without trying: the LockClocked that follows then takes the
-// lock in one virtual step, not a try and a wait.
-func (m *Mutex) TryLockQuiet() bool {
-	if m.virt != nil {
-		return false
-	}
-	if m.mu.TryLock() {
-		if s := m.site; s != nil {
-			s.acquisitions.Add(1)
-			m.heldSince = nowNs()
-		}
-		return true
-	}
-	return false
+	return time.Duration(d)
 }
 
 // TryLock attempts the mutex without blocking, recording the loss on the
 // site when it fails.
 func (m *Mutex) TryLock() bool {
 	if m.virt != nil {
-		return m.virt.TryLock()
+		return m.site.recordTry(m.virt.TryLock())
 	}
 	if m.mu.TryLock() {
 		if s := m.site; s != nil {
@@ -171,8 +178,7 @@ func (m *Mutex) TryLock() bool {
 		}
 		return true
 	}
-	m.site.recordTryFail()
-	return false
+	return m.site.recordTry(false)
 }
 
 // Unlock releases the mutex, accumulating hold time on the site.

@@ -91,16 +91,59 @@ func TestTryMutexLosses(t *testing.T) {
 	}
 }
 
-// fakeVirtual records the calls a bound Mutex or TryMutex makes on it.
+// TestLockClockedReturnsTheWait: the host path returns 0 when its fast path
+// took the lock and the measured wait when it blocked, with or without a
+// site, and a bound site records that same wait.
+func TestLockClockedReturnsTheWait(t *testing.T) {
+	for _, bound := range []bool{false, true} {
+		p := New()
+		var m Mutex
+		if bound {
+			m.Bind(p.NewSite("m", -1, 0))
+		}
+		if d := m.LockClocked(nil); d != 0 {
+			t.Fatalf("bound=%v: uncontended LockClocked = %v, want 0", bound, d)
+		}
+		// Held: the next LockClocked fails its fast path and blocks until
+		// the holder lets go.
+		const hold = 2 * time.Millisecond
+		got := make(chan time.Duration)
+		go func() {
+			d := m.LockClocked(nil)
+			m.Unlock()
+			got <- d
+		}()
+		time.Sleep(hold)
+		m.Unlock()
+		d := <-got
+		if d <= 0 {
+			t.Fatalf("bound=%v: contended LockClocked = %v, want > 0", bound, d)
+		}
+		if !bound {
+			continue
+		}
+		s := p.Snapshot().Sites[0]
+		if s.Acquisitions != 2 || s.Contended != 1 || s.WaitNs != int64(d) || s.MaxWaitNs != int64(d) {
+			t.Fatalf("site %+v, want 2 acquisitions, 1 contended, wait = max wait = returned %d", s, d)
+		}
+	}
+}
+
+// fakeVirtual records the calls a bound Mutex or TryMutex makes on it and
+// answers Lock with its queued waits, in order.
 type fakeVirtual struct {
 	calls  []string
 	clocks []*ThreadClock
+	waits  []time.Duration
 	free   bool
 }
 
-func (v *fakeVirtual) Lock(c *ThreadClock) {
+func (v *fakeVirtual) Lock(c *ThreadClock) time.Duration {
 	v.calls = append(v.calls, "Lock")
 	v.clocks = append(v.clocks, c)
+	d := v.waits[0]
+	v.waits = v.waits[1:]
+	return d
 }
 
 func (v *fakeVirtual) TryLock() bool {
@@ -111,24 +154,28 @@ func (v *fakeVirtual) TryLock() bool {
 func (v *fakeVirtual) Unlock() { v.calls = append(v.calls, "Unlock") }
 
 // TestBoundVirtualLockReplacesTheHostMutex: with a virtual lock bound, every
-// method of Mutex and TryMutex reaches it — TryLockQuiet by reporting false
-// untried, so a try-then-lock costs the virtual lock one step — and none
-// takes the host mutex or records on the site, which stays free. (Unbound,
-// the site tests above are the contract.)
+// method of Mutex and TryMutex reaches it, none takes the host mutex, and
+// the site records from the virtual lock's answers exactly as the host path
+// records from its own measurements — acquisitions, contended acquisitions,
+// wait, max wait and try failures — with no hold time, which is the host's
+// alone. (Unbound, the site tests above are the contract.)
 func TestBoundVirtualLockReplacesTheHostMutex(t *testing.T) {
 	p := New()
 	clk := p.NewThreadClock("t0", nil)
-	v := &fakeVirtual{free: true}
+	v := &fakeVirtual{free: true, waits: []time.Duration{0, 300, 200}}
 	var m Mutex
 	m.Bind(p.NewSite("virtual", -1, 0))
 	m.BindVirtual(v)
 	m.Lock()
 	m.Unlock()
-	m.LockClocked(clk)
-	m.Unlock()
-	if m.TryLockQuiet() {
-		t.Fatal("TryLockQuiet on a virtual lock reported true")
+	if d := m.LockClocked(clk); d != 300 {
+		t.Fatalf("LockClocked = %v, want the virtual wait 300ns", d)
 	}
+	m.Unlock()
+	if d := m.LockClocked(nil); d != 200 {
+		t.Fatalf("LockClocked = %v, want the virtual wait 200ns", d)
+	}
+	m.Unlock()
 	if !m.TryLock() {
 		t.Fatal("TryLock did not report the virtual lock's answer")
 	}
@@ -137,35 +184,45 @@ func TestBoundVirtualLockReplacesTheHostMutex(t *testing.T) {
 	if m.TryLock() {
 		t.Fatal("TryLock did not report the virtual lock's answer")
 	}
-	want := []string{"Lock", "Unlock", "Lock", "Unlock", "TryLock", "Unlock", "TryLock"}
+	want := []string{"Lock", "Unlock", "Lock", "Unlock", "Lock", "Unlock", "TryLock", "Unlock", "TryLock"}
 	if !slices.Equal(v.calls, want) {
 		t.Fatalf("virtual calls = %v, want %v", v.calls, want)
 	}
-	if len(v.clocks) != 2 || v.clocks[0] != nil || v.clocks[1] != clk {
-		t.Fatalf("Lock clocks = %v, want [nil clk]: LockClocked hands its clock on", v.clocks)
+	if len(v.clocks) != 3 || v.clocks[0] != nil || v.clocks[1] != clk || v.clocks[2] != nil {
+		t.Fatalf("Lock clocks = %v, want [nil clk nil]: LockClocked hands its clock on", v.clocks)
 	}
 	if !m.mu.TryLock() {
 		t.Fatal("the host mutex was left held")
 	}
 	m.mu.Unlock()
-	if s := p.Snapshot().Sites[0]; s != (SiteSnapshot{Name: "virtual", CRI: -1}) {
-		t.Fatalf("site recorded %+v through a virtual lock", s)
+	wantSite := SiteSnapshot{Name: "virtual", CRI: -1, Acquisitions: 4, Contended: 2, TryFailures: 1, WaitNs: 500, MaxWaitNs: 300}
+	if s := p.Snapshot().Sites[0]; s != wantSite {
+		t.Fatalf("site recorded %+v through a virtual lock, want %+v", s, wantSite)
 	}
 
 	tv := &fakeVirtual{free: true}
 	var tm TryMutex
+	tm.Bind(p.NewSite("virtual.try", -1, 0))
 	tm.BindVirtual(tv)
 	if !tm.TryLock() {
 		t.Fatal("TryMutex.TryLock did not report the virtual lock's answer")
 	}
 	tm.Unlock()
-	if !slices.Equal(tv.calls, []string{"TryLock", "Unlock"}) {
+	tv.free = false
+	if tm.TryLock() {
+		t.Fatal("TryMutex.TryLock did not report the virtual lock's answer")
+	}
+	if !slices.Equal(tv.calls, []string{"TryLock", "Unlock", "TryLock"}) {
 		t.Fatalf("TryMutex virtual calls = %v", tv.calls)
 	}
 	if !tm.m.mu.TryLock() {
 		t.Fatal("TryMutex left its host mutex held")
 	}
 	tm.m.mu.Unlock()
+	wantTry := SiteSnapshot{Name: "virtual.try", CRI: -1, Acquisitions: 1, TryFailures: 1}
+	if s := p.Snapshot().Sites[1]; s != wantTry {
+		t.Fatalf("TryMutex site recorded %+v, want %+v", s, wantTry)
+	}
 }
 
 // TestPhaseSumWithinWall: Σ(exclusive phase time) must not exceed wall time
@@ -328,8 +385,8 @@ func TestDisabledBranchOnly(t *testing.T) {
 		clk.Begin(PhaseSend)
 		clk.End()
 		clk.Stop()
-		site.recordWait(1)
-		site.recordTryFail()
+		site.record(1)
+		site.recordTry(false)
 	}); n != 0 {
 		t.Fatalf("disabled path allocates %v per op", n)
 	}
@@ -342,8 +399,8 @@ func TestReportRankingAndBottleneck(t *testing.T) {
 	p := New()
 	hot := p.NewSite("cri.instance", 0, 0)
 	cold := p.NewSite("match.comm", -1, 7)
-	hot.recordWait(int64(80 * time.Millisecond))
-	cold.recordWait(int64(5 * time.Millisecond))
+	hot.record(int64(80 * time.Millisecond))
+	cold.record(int64(5 * time.Millisecond))
 	c := p.NewThreadClock("rank0/t0", nil)
 	c.Begin(PhaseLockWait)
 	time.Sleep(2 * time.Millisecond)
@@ -403,7 +460,7 @@ func TestBreakdownRoundTrip(t *testing.T) {
 func TestPrometheusExport(t *testing.T) {
 	p := New()
 	s := p.NewSite("progress.serial", -1, 0)
-	s.recordTryFail()
+	s.recordTry(false)
 	c := p.NewThreadClock("rank0/t1", nil)
 	c.Begin(PhaseMatch)
 	c.End()

@@ -37,26 +37,12 @@ type Lock struct {
 
 	// rng drives the deterministic unfair-handoff choice.
 	rng uint64
-
-	// stats
-	acquisitions int64
-	contended    int64
-	waitTimeNs   int64
 }
 
 // NewLock creates a lock with the given contention penalty.
 func NewLock(env *Env, name string, penalty time.Duration) *Lock {
 	return &Lock{env: env, name: name, Penalty: penalty, PenaltyCap: 4, SleepThreshold: 4, rng: 0x9E3779B97F4A7C15}
 }
-
-// Acquisitions returns the total number of successful acquisitions.
-func (l *Lock) Acquisitions() int64 { return l.acquisitions }
-
-// Contended returns how many acquisitions had to wait.
-func (l *Lock) Contended() int64 { return l.contended }
-
-// WaitTime returns the cumulative virtual time processes spent waiting.
-func (l *Lock) WaitTime() time.Duration { return time.Duration(l.waitTimeNs) }
 
 func (l *Lock) penalty() int64 {
 	n := len(l.waiters)
@@ -79,23 +65,21 @@ func (l *Lock) penalty() int64 {
 }
 
 // Acquire blocks (in virtual time) until the lock is held by p.
-// Returns the virtual time spent waiting.
+// Returns the virtual time spent waiting: 0 when the lock was free. The
+// lock keeps no statistics; its callers record the waits (prof.Mutex over
+// a prof.VirtualLock).
 func (l *Lock) Acquire(p *Proc) time.Duration {
 	p.Yield()
 	if !l.held {
 		l.held = true
 		l.holder = p
-		l.acquisitions++
 		return 0
 	}
-	l.contended++
 	t0 := p.now
 	l.waiters = append(l.waiters, p)
 	p.block()
 	// Rescheduled by Release with clock advanced past the handoff.
-	waited := p.now - t0
-	l.waitTimeNs += waited
-	return time.Duration(waited)
+	return time.Duration(p.now - t0)
 }
 
 // TryAcquire attempts the lock without blocking (the paper's try-lock
@@ -107,7 +91,6 @@ func (l *Lock) TryAcquire(p *Proc) bool {
 	}
 	l.held = true
 	l.holder = p
-	l.acquisitions++
 	return true
 }
 
@@ -131,7 +114,6 @@ func (l *Lock) Release(p *Proc) {
 	w := l.waiters[idx]
 	l.waiters = append(l.waiters[:idx], l.waiters[idx+1:]...)
 	l.holder = w
-	l.acquisitions++
 	at := p.now + l.penalty()
 	if w.now > at {
 		at = w.now
@@ -182,9 +164,10 @@ func (w *Wire) Reserve(p *Proc, wireBytes int) {
 	p.now = start
 }
 
-// Meter adapts a Proc to the match.Meter interface: modeled costs advance
-// the simulated thread's clock.
-type Meter struct{ P *Proc }
+// Meter adapts an Env to the match.Meter interface: modeled costs advance
+// the clock of the simulated thread that is running (Env.Current), so one
+// meter serves every thread that enters the engine.
+type Meter struct{ Env *Env }
 
 // Charge implements match.Meter.
-func (m Meter) Charge(d time.Duration) { m.P.Advance(d) }
+func (m Meter) Charge(d time.Duration) { m.Env.Current().Advance(d) }

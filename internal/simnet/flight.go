@@ -7,7 +7,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/latency"
 	"repro/internal/sim"
-	"repro/internal/spc"
 )
 
 // enableFlight stamps the proc's world rank and, when the configuration
@@ -62,20 +61,12 @@ func (p *simProc) queueSnapshot(now int64) flight.QueueSnapshot {
 }
 
 // watchdogSample condenses the proc's state into one detector observation
-// at virtual time now — the twin of core.Proc.watchdogSample. Virtual ranks
-// are always ready: the model has no startup negotiation to straggle on.
+// at virtual time now. Virtual ranks are always ready: the model has no
+// startup negotiation to straggle on.
 func (p *simProc) watchdogSample(now int64) flight.Sample {
-	snap := p.snapshot()
-	s := flight.Sample{
-		Rank:        p.frank,
-		NowNs:       now,
-		Ready:       true,
-		Sent:        snap[spc.MessagesSent],
-		Received:    snap[spc.MessagesReceived],
-		Retransmits: snap[spc.Retransmits],
-		Comms:       p.queueSnapshot(now).Comms,
-	}
-	s.StageP99, s.E2EP99Ns, s.LatencyValid = p.lat.StageP99s()
+	stages, e2e, ok := p.lat.StageP99s()
+	s := flight.NewSample(p.frank, p.snapshot(), []flight.QueueSnapshot{p.queueSnapshot(now)}, stages, e2e, ok)
+	s.NowNs, s.Ready = now, true
 	return s
 }
 

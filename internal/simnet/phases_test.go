@@ -163,6 +163,36 @@ func TestBreakdownSitesNamed(t *testing.T) {
 	}
 }
 
+// TestBreakdownSitesRecordThroughTheMutex: the model's sites fill through
+// prof.Mutex over virtual locks, as the runtime's do, so a contended run
+// shows what sim.Lock never tracked — cri.instance try failures (the
+// concurrent sweep's losses) and a max wait — and, hold time being measured
+// on the host alone, no hold time anywhere.
+func TestBreakdownSitesRecordThroughTheMutex(t *testing.T) {
+	cfg := baseCfg(8)
+	cfg.Opts.NumInstances = 2
+	cfg.Opts.Progress = progress.Concurrent
+	res := RunMultirate(cfg, Model{})
+	var tryFails, maxWait int64
+	for _, b := range res.Breakdown {
+		for _, s := range b.Snap.Sites {
+			if s.HoldNs != 0 {
+				t.Errorf("rank %d site %s[cri=%d comm=%d]: hold_ns %d, want 0 in virtual time", b.Rank, s.Name, s.CRI, s.Comm, s.HoldNs)
+			}
+			if s.MaxWaitNs > s.WaitNs || s.Contended > s.Acquisitions {
+				t.Errorf("rank %d site %+v: max wait above total or contended above acquisitions", b.Rank, s)
+			}
+			if s.Name == "cri.instance" {
+				tryFails += s.TryFailures
+				maxWait = max(maxWait, s.MaxWaitNs)
+			}
+		}
+	}
+	if tryFails == 0 || maxWait == 0 {
+		t.Fatalf("cri.instance try failures %d, max wait %d: want both > 0 in a contended run", tryFails, maxWait)
+	}
+}
+
 // TestRMAMTBreakdown: the one-sided benchmark carries a breakdown too.
 // (The Haswell model, not hw.Fast(): Fast's RMA costs round to zero virtual
 // nanoseconds, which would make a zero wall time correct but vacuous.)

@@ -99,9 +99,9 @@ func (t *simThread) flush(sp *sim.Proc) {
 		}
 		if p.cfg.Opts.Progress == progress.Serial {
 			// The serialized opal_progress tick every flush round.
-			if p.progLock.TryLock() {
+			if p.serial.TryLock() {
 				sp.Advance(p.costs.CQPollEmpty)
-				p.progLock.Unlock()
+				p.serial.Unlock()
 			}
 		}
 		if n == 0 {

@@ -203,10 +203,11 @@ const retryCost = 150 * time.Nanosecond
 const maxBackoff = 2 * time.Microsecond
 
 // vlock is a virtual-time lock behind the runtime's lock seam
-// (prof.VirtualLock): bound to a cri.Instance or to the progress engine's
-// serial lock, it acquires and releases for the simulated thread the
-// executive is running. It is the one place the model takes an instance or
-// the serial progress lock.
+// (prof.VirtualLock): bound to a prof.Mutex or TryMutex — an instance's, the
+// progress engine's serial lock, a matching lock, the big lock — it acquires
+// and releases for the simulated thread the executive is running, and the
+// Mutex records its waits on the proc's profiler site. It is the one place
+// the model takes a lock the breakdown reports.
 type vlock struct {
 	l   *sim.Lock
 	env *sim.Env
@@ -214,10 +215,11 @@ type vlock struct {
 	waited time.Duration
 }
 
-func (v *vlock) Lock(c *prof.ThreadClock) {
+func (v *vlock) Lock(c *prof.ThreadClock) time.Duration {
 	c.Begin(prof.PhaseLockWait)
 	v.waited = v.l.Acquire(v.env.Current())
 	c.End()
+	return v.waited
 }
 
 func (v *vlock) TryLock() bool { return v.l.TryAcquire(v.env.Current()) }
@@ -274,21 +276,10 @@ func (x *simContext) Poll(handler func(transport.CQE), max int) int {
 	return n
 }
 
-// threadMeter routes match.Engine cost charges to whichever simulated
-// thread currently holds the matching lock.
-type threadMeter struct{ p *sim.Proc }
-
-func (m *threadMeter) Charge(d time.Duration) {
-	if m.p != nil {
-		m.p.Advance(d)
-	}
-}
-
 // simComm is one communicator's matching state in the model.
 type simComm struct {
-	id    uint32
-	lock  *sim.Lock
-	meter threadMeter
+	id   uint32
+	lock *prof.Mutex
 	// sharded is set (aliasing engine) under NoWildcards; matching
 	// then synchronizes on shardLocks — one virtual lock per partition —
 	// instead of lock.
@@ -337,12 +328,13 @@ type simProc struct {
 	// recording never advances the clock.
 	lat *latency.Recorder
 	// prof holds the workload threads' phase clocks, which read their
-	// simulated thread's virtual clock (the lock sites are sim.Locks, which
-	// keep their own statistics; see siteSnapshots).
-	prof     *prof.Profiler
-	progLock *vlock    // the engine's serial progress lock
-	bigLock  *sim.Lock // BigLock design, nil unless enabled
-	wire     *sim.Wire // owning node's wire (shared)
+	// simulated thread's virtual clock, and the sites of the proc's locks,
+	// under the names the runtime binds.
+	prof *prof.Profiler
+	// serial is the engine's serial progress lock, for the RMA flush's tick.
+	serial  prof.TryMutex
+	bigLock *prof.Mutex // BigLock design, nil unless enabled
+	wire    *sim.Wire   // owning node's wire (shared)
 	// memSerial is the process-wide memory-management serializer (see
 	// hw.CostModel.AllocSerialize): threads of one process share it,
 	// separate processes each get their own.
@@ -360,9 +352,8 @@ func newSimProc(env *sim.Env, cfg params, wire *sim.Wire) *simProc {
 		prof:     prof.New(),
 		wire:     wire,
 	}
-	p.progLock = &vlock{l: cfg.newLock(env, "progress"), env: env}
 	if cfg.BigLock {
-		p.bigLock = cfg.newLock(env, "biglock")
+		p.bigLock = p.newMutex("core.biglock", 0)
 	}
 	if cfg.Opts.Latency {
 		p.lat = latency.NewRecorder(latency.DefaultExemplars)
@@ -371,23 +362,40 @@ func newSimProc(env *sim.Env, cfg params, wire *sim.Wire) *simProc {
 		p.memSerial = sim.NewWire(0, 1e9/float64(alloc.Nanoseconds()))
 	}
 	// The instances keep no counter set of their own: the pool and engine
-	// count into the proc's, and send_lock_waits — which LockClocked ticks
-	// whenever its quiet try-lock fails, over a virtual lock always — reads
-	// 0 in the model.
+	// count into the proc's, and send_lock_waits reads 0 in the model.
 	instances := make([]*cri.Instance, cfg.Opts.NumInstances)
 	for i := range instances {
-		x := &simContext{proc: p, index: i, lock: &vlock{l: cfg.newLock(env, "instance"), env: env}}
+		x := &simContext{proc: p, index: i, lock: p.newVlock("cri.instance")}
 		p.ctxs = append(p.ctxs, x)
 		instances[i] = cri.NewInstance(i, x, nil)
 		instances[i].BindVirtualLock(x.lock)
+		instances[i].BindProfSite(p.prof.NewSite("cri.instance", i, 0))
 	}
 	// Options.WithDefaults gives every run at least one instance, which is
 	// all NewPool checks.
 	p.pool, _ = cri.NewPool(instances, cfg.Opts.Assignment)
 	p.pool.SetSPCs(p.spcs)
 	p.engine = progress.New(cfg.Opts.Progress, p.pool, p.dispatch, p.spcs)
-	p.engine.BindVirtualLock(p.progLock)
+	serial, site := p.newVlock("progress.serial"), p.prof.NewSite("progress.serial", -1, 0)
+	p.engine.BindVirtualLock(serial)
+	p.engine.BindProfSite(site)
+	p.serial.BindVirtual(serial)
+	p.serial.Bind(site)
 	return p
+}
+
+// newVlock builds a virtual lock with the configuration's contention model.
+func (p *simProc) newVlock(name string) *vlock {
+	return &vlock{l: p.cfg.newLock(p.env, name), env: p.env}
+}
+
+// newMutex builds a runtime lock over a fresh virtual lock, recording on a
+// new site of the proc's profiler (comm 0: not communicator-scoped).
+func (p *simProc) newMutex(name string, comm uint32) *prof.Mutex {
+	m := new(prof.Mutex)
+	m.BindVirtual(p.newVlock(name))
+	m.Bind(p.prof.NewSite(name, -1, comm))
+	return m
 }
 
 // connKey identifies one lazy-connect edge: a peer proc, plus the local
@@ -436,12 +444,13 @@ func (p *simProc) snapshot() spc.Snapshot {
 func (p *simProc) addComm(id uint32, nRanks int) *simComm {
 	c := &simComm{
 		id:     id,
-		lock:   p.cfg.newLock(p.env, "match"),
+		lock:   p.newMutex("match.comm", id),
 		seq:    match.NewSeqTracker(nRanks),
 		anyTag: p.cfg.AnyTag,
 	}
+	meter := sim.Meter{Env: p.env}
 	if p.cfg.NoWildcards {
-		sh := match.NewSharded(id, nRanks, match.DefaultShards, p.costs, &c.meter, p.spcs)
+		sh := match.NewSharded(id, nRanks, match.DefaultShards, p.costs, meter, p.spcs)
 		c.sharded = sh
 		c.engine = sh
 		c.shardLocks = make([]*sim.Lock, sh.NumShards())
@@ -449,7 +458,7 @@ func (p *simProc) addComm(id uint32, nRanks int) *simComm {
 			c.shardLocks[i] = p.cfg.newLock(p.env, "match.shard")
 		}
 	} else {
-		c.engine = match.NewEngine(id, nRanks, p.costs, &c.meter, p.spcs)
+		c.engine = match.NewEngine(id, nRanks, p.costs, meter, p.spcs)
 	}
 	c.engine.SetAllowOvertaking(p.cfg.Overtaking)
 	// The matching lock serializes the engine, so one ring per comm; the
@@ -459,16 +468,28 @@ func (p *simProc) addComm(id uint32, nRanks int) *simComm {
 	return c
 }
 
-// acquireMatch takes the virtual lock covering matching at (src, tag): the
-// single communicator lock normally, or — sharded — the one partition lock
-// of that channel. Returns the contended wait and the release closure.
-func (c *simComm) acquireMatch(sp *sim.Proc, src, tag int32) (time.Duration, func()) {
-	l := c.lock
+// lockMatch takes the lock covering matching at (src, tag) for sp — the
+// communicator lock normally, or, sharded, the one partition lock of that
+// channel — charging the wait to clk's lock-wait phase and the engine's
+// match time. The returned function releases it.
+func (c *simComm) lockMatch(sp *sim.Proc, clk *prof.ThreadClock, src, tag int32) (unlock func()) {
 	if c.sharded != nil {
-		l = c.shardLocks[c.sharded.ShardOf(src, tag)]
+		return c.lockShard(sp, clk, src, tag)
 	}
-	w := l.Acquire(sp)
-	return w, func() { l.Release(sp) }
+	c.engine.ChargeWait(c.lock.LockClocked(clk))
+	return c.lock.Unlock
+}
+
+// lockShard takes a NoWildcards partition lock. The shard locks stay the
+// model's own raw sim.Locks, outside the lock seam and unreported: the model
+// takes one lock per arrival where the runtime's sharded engine takes a
+// stripe lock and then a shard lock of its own.
+func (c *simComm) lockShard(sp *sim.Proc, clk *prof.ThreadClock, src, tag int32) func() {
+	l := c.shardLocks[c.sharded.ShardOf(src, tag)]
+	clk.Begin(prof.PhaseLockWait)
+	c.engine.ChargeWait(l.Acquire(sp))
+	clk.End()
+	return func() { l.Release(sp) }
 }
 
 // flowState is the per-pair eager flow control: sent counts injections,
@@ -657,11 +678,11 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	pkt := transport.NewPacketRaw(env, nil)
 	var meta *transport.Meta
 	if p.lat != nil {
-		// Same deterministic id scheme as core's traceID, on world ranks, and
-		// no wire-byte cost: attribution marks the in-memory packet only, so
-		// (unlike Traced) the makespan is byte-identical with the layer off.
+		// The runtime's trace id, on world ranks, and no wire-byte cost:
+		// attribution marks the in-memory packet only, so (unlike Traced)
+		// the makespan is byte-identical with the layer off.
 		meta = &transport.Meta{
-			TraceID: uint64(p.frank+1)<<48 | uint64(c.id&0xffff)<<32 | uint64(seq),
+			TraceID: core.TraceID(p.frank, c.id, seq),
 			Origin:  int32(p.frank),
 			Stamp:   latPost,
 		}
@@ -669,9 +690,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	}
 
 	if p.bigLock != nil {
-		t.clk.Begin(prof.PhaseLockWait)
-		p.bigLock.Acquire(sp)
-		t.clk.End()
+		p.bigLock.LockClocked(t.clk)
 	}
 	inst, release := p.pool.AcquireSend(&t.ts)
 	ctx := p.ctxs[inst.Index()]
@@ -722,7 +741,7 @@ func (t *simThread) send(sp *sim.Proc, c *simComm, dst *simProc, srcRank, dstRan
 	ctx.cq = append(ctx.cq, transport.CQE{Token: &t.pendingSends})
 	release()
 	if p.bigLock != nil {
-		p.bigLock.Release(sp)
+		p.bigLock.Unlock()
 	}
 	t.pendingSends++
 	t.flow.sent++
@@ -735,10 +754,8 @@ func (t *simThread) postRecv(sp *sim.Proc, c *simComm, srcRank, tag int32) {
 	t.clk.Begin(prof.PhaseMatch)
 	defer t.clk.End()
 	if p.bigLock != nil {
-		t.clk.Begin(prof.PhaseLockWait)
-		p.bigLock.Acquire(sp)
-		t.clk.End()
-		defer p.bigLock.Release(sp)
+		p.bigLock.LockClocked(t.clk)
+		defer p.bigLock.Unlock()
 	}
 	if c.anyTag {
 		tag = match.AnyTag
@@ -747,13 +764,9 @@ func (t *simThread) postRecv(sp *sim.Proc, c *simComm, srcRank, tag int32) {
 	sp.Advance(p.costs.RecvPost)
 	p.memSerial.Reserve(sp, 0)
 	r := &match.Recv{Source: srcRank, Tag: tag, Token: t}
-	t.clk.Begin(prof.PhaseLockWait)
-	waited, release := c.acquireMatch(sp, srcRank, tag)
-	t.clk.End()
-	c.engine.ChargeWait(waited)
-	c.meter.p = sp
+	unlock := c.lockMatch(sp, t.clk, srcRank, tag)
 	comp, ok := c.engine.PostRecv(r)
-	release()
+	unlock()
 	if ok {
 		// The posted receive matched immediately: the message was sitting in
 		// the unexpected queue since its delivery stamp.
@@ -768,10 +781,8 @@ func (t *simThread) postRecv(sp *sim.Proc, c *simComm, srcRank, tag int32) {
 func (t *simThread) progress(sp *sim.Proc) int {
 	p := t.proc
 	if p.bigLock != nil {
-		t.clk.Begin(prof.PhaseLockWait)
-		p.bigLock.Acquire(sp)
-		t.clk.End()
-		defer p.bigLock.Release(sp)
+		p.bigLock.LockClocked(t.clk)
+		defer p.bigLock.Unlock()
 	}
 	return p.engine.Progress(&t.ts)
 }
@@ -813,16 +824,12 @@ func (x *simContext) deliver(sp *sim.Proc, clk *prof.ThreadClock, pkt *transport
 	// match time — an out-of-sequence message that sits buffered must not
 	// stall its sender forever.
 	flow.consume()
-	clk.Begin(prof.PhaseLockWait)
-	waited, release := c.acquireMatch(sp, env.Src, env.Tag)
-	clk.End()
+	unlock := c.lockMatch(sp, clk, env.Src, env.Tag)
 	clk.Begin(prof.PhaseMatch)
-	c.engine.ChargeWait(waited)
-	c.meter.p = sp
 	x.scratch = c.engine.Deliver(pkt, x.scratch[:0])
 	comps := x.scratch
 	clk.End()
-	release()
+	unlock()
 	for _, comp := range comps {
 		tt := comp.Recv.Token.(*simThread)
 		tt.recvsDone++
