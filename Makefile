@@ -213,6 +213,11 @@ lint-onepath:
 		echo "FAIL: one function puts a receive record back on its Thread's free list (Request.release), found:"; echo "$$pushes"; fail=1; fi; \
 	if grep -rn --include='*.go' 'carve(&th\.recvs)' internal; then \
 		echo "FAIL: a receive's record comes from its Thread's free list (recvRecord), not a slab of receives"; fail=1; fi; \
+	tickers=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=benchmark 'time\.NewTicker(' . | grep -v '^\./internal/cluster/'); \
+	if [ "$$(printf '%s\n' "$$tickers" | grep -c .)" -ne 1 ]; then \
+		echo "FAIL: a run is sampled by one loop (core.Sampler); want one time.NewTicker outside internal/cluster, found:"; echo "$$tickers"; fail=1; fi; \
+	if grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=benchmark 'StartWatchdog|NewSampler|OnSampler' .; then \
+		echo "FAIL: the world's one sampler (World.StartSampler) feeds the series and the detector; no second sampling path"; fail=1; fi; \
 	n=$$(cat internal/core/comm.go internal/core/world.go | grep -c 'time\.Now()'); \
 	if [ "$$n" -gt 5 ]; then echo "FAIL: $$n time.Now() sites in core/comm.go + core/world.go, want at most 5"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "one path ok"; else exit 1; fi

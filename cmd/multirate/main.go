@@ -136,19 +136,15 @@ func main() {
 			FlightCapacity: flightCap,
 		},
 		CommPerPair: *commPerPair, AnyTag: *anyTag, Overtaking: *overtaking, NoWildcards: *noWildcards,
-		ProcessMode: *processMode, Pattern: pat, SampleInterval: ob.SampleInterval,
+		ProcessMode: *processMode, Pattern: pat, SampleInterval: ob.SampleInterval, Watchdog: ob.Detector(),
 		StallRecv: *stallRecv, StallAfterIter: *stallAt, StallRank: *stallRank,
 		Faults: transport.FaultConfig{Drop: *faultDrop, Dup: *faultDup, Delay: *faultDelay, Seed: *faultSeed},
 	}
 
 	switch *engine {
 	case "sim":
-		var m simnet.Model
-		if ob.Watchdog {
-			m.Watchdog = &flight.DetectorConfig{}
-		}
 		check(simnet.Validate(cfg))
-		res := simnet.RunMultirate(cfg, m)
+		res := simnet.RunMultirate(cfg, simnet.Model{})
 		for _, d := range res.Dumps {
 			fmt.Fprintln(os.Stderr, "multirate: watchdog verdict:")
 			check(flight.WriteDump(os.Stderr, d))
@@ -177,14 +173,13 @@ func main() {
 			"pattern": *pattern, "rank": fmt.Sprint(*rank),
 		})
 		check(serr)
-		// The sampler observes the receiver; route the phase-breakdown
-		// counter track to its pid group in the Chrome trace.
+		// The samples CSV and the phase-breakdown counter track follow the
+		// receiver, as Result.Samples does.
 		sess.Outputs.ProfRank = 1
 		defer sess.Outputs.DumpOnPanic()
 		if addr := sess.Addr(); addr != "" {
 			fmt.Fprintf(os.Stderr, "multirate: observability endpoint on http://%s\n", addr)
 		}
-		cfg.OnSampler = sess.Outputs.BindSampler
 		cfg.OnWorld = sess.BindWorld
 		var res bench.Result
 		var err error

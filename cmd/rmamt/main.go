@@ -84,7 +84,7 @@ func main() {
 	}
 	cfg := bench.Config{
 		Machine: machine, Threads: *threads, MsgSize: *msgSize,
-		PutsPerThread: *puts, Rounds: *rounds, SampleInterval: ob.SampleInterval,
+		PutsPerThread: *puts, Rounds: *rounds, SampleInterval: ob.SampleInterval, Watchdog: ob.Detector(),
 		Opts: core.Options{
 			NumInstances: ni, Assignment: asg, Progress: pm,
 			Telemetry: ob.WantTelemetry(),
@@ -117,7 +117,6 @@ func main() {
 		if addr := sess.Addr(); addr != "" {
 			fmt.Fprintf(os.Stderr, "rmamt: observability endpoint on http://%s\n", addr)
 		}
-		cfg.OnSampler = sess.Outputs.BindSampler
 		cfg.OnWorld = sess.BindWorld
 		res, err := bench.Run(cfg)
 		check(err)

@@ -26,51 +26,67 @@ import (
 	"repro/internal/telemetry"
 )
 
-func main() {
-	out := flag.String("o", "", "output file (default stdout)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: tracemerge [-o merged.json] shard.json...\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is the command: it merges the shards args name into one trace on
+// stdout (or -o) and returns the exit status — 2 for a usage error, 1 for a
+// shard it cannot read or a rank given twice.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracemerge", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("o", "", "output file (default stdout)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: tracemerge [-o merged.json] shard.json...\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
+	}
+	if err := merge(fs.Args(), *out, stdout); err != nil {
+		fmt.Fprintln(stderr, "tracemerge:", err)
+		return 1
+	}
+	return 0
+}
+
+// merge reads the shards at paths and writes their ranks, in rank order, as
+// one Chrome trace to the file out, or to stdout when out is empty.
+func merge(paths []string, out string, stdout io.Writer) error {
 	var shards []flight.RankRecord
 	seen := make(map[int]string)
-	for _, path := range flag.Args() {
+	for _, path := range paths {
 		f, err := os.Open(path)
-		check(err)
+		if err != nil {
+			return err
+		}
 		recs, err := flight.ReadRecords(f)
 		f.Close()
 		if err != nil {
-			check(fmt.Errorf("%s: %w", path, err))
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		for _, rec := range recs {
 			if prev, dup := seen[rec.Rank]; dup {
-				check(fmt.Errorf("%s: rank %d already provided by %s", path, rec.Rank, prev))
+				return fmt.Errorf("%s: rank %d already provided by %s", path, rec.Rank, prev)
 			}
 			seen[rec.Rank] = path
 			shards = append(shards, rec)
 		}
 	}
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Rank < shards[j].Rank })
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		check(err)
-		defer func() { check(f.Close()) }()
-		w = f
+	if out == "" {
+		return telemetry.WriteChromeTraceRanks(stdout, shards, nil)
 	}
-	check(telemetry.WriteChromeTraceRanks(w, shards, nil))
-}
-
-func check(err error) {
+	f, err := os.Create(out)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracemerge:", err)
-		os.Exit(1)
+		return err
 	}
+	if err := telemetry.WriteChromeTraceRanks(f, shards, nil); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,10 +2,11 @@
 // the benchmark commands (cmd/multirate, cmd/rmamt): telemetry output
 // files, the live HTTP endpoint, the flight recorder and watchdog, the
 // contention profiler, and per-message critical-path latency attribution.
-// Each command registers the shared flag set, starts a Session around its
-// run, binds the world from its OnWorld hook, and finishes — the session
-// owns the holder/server/signal-flush/watchdog lifecycle so the commands
-// only keep their engine- and benchmark-specific logic.
+// Each command registers the shared flag set, sets its harness's Watchdog
+// from Detector, starts a Session around its run, binds the world from its
+// OnWorld hook, and finishes — the session owns the holder/server/
+// signal-flush lifecycle so the commands only keep their engine- and
+// benchmark-specific logic.
 package cliobs
 
 import (
@@ -76,8 +77,8 @@ func Register(fs *flag.FlagSet, cmd string, simMirrors bool) *Flags {
 	fs.StringVar(&f.BreakdownOut, "breakdown-out", "", "write the per-rank phase/lock-wait breakdown as JSON to this file (either engine; sim gives deterministic virtual-time numbers)")
 	fs.BoolVar(&f.PprofContention, "pprof-contention", false, "enable Go runtime mutex/block profiling so the -http pprof endpoints carry contention profiles (real engine)")
 	fs.IntVar(&f.FlightCap, "flight", 0, "flight recorder: per-ring event capacity (0 = off; "+either+")")
-	fs.StringVar(&f.FlightOut, "flight-out", "", "write the flight-record exit dump (rings + final queue snapshot) as JSON to this file; implies -flight "+fmt.Sprint(flight.DefaultRingCapacity))
-	fs.BoolVar(&f.Watchdog, "watchdog", false, "run the stall watchdog; a detected stall dumps the flight record and queue snapshot to stderr ("+either+")")
+	fs.StringVar(&f.FlightOut, "flight-out", "", "write the flight-record exit dump (rings + final queue snapshot + watchdog verdicts) as JSON to this file; implies -flight "+fmt.Sprint(flight.DefaultRingCapacity))
+	fs.BoolVar(&f.Watchdog, "watchdog", false, "show the sampler's ticks to the stall detector; a verdict dumps the flight record and queue snapshot to stderr and into -flight-out ("+either+")")
 	fs.BoolVar(&f.Latency, "latency", false, "attach per-message critical-path attribution: stage histograms and tail exemplars ("+latEngines+")")
 	fs.StringVar(&f.LatencyOut, "latency-out", "", "write the per-rank attribution dump (stage summaries + tail exemplars) as JSON to this file; implies -latency")
 	return f
@@ -92,6 +93,15 @@ func (f *Flags) Normalize() {
 	if f.LatencyOut != "" {
 		f.Latency = true
 	}
+}
+
+// Detector is the harness's Watchdog configuration: the detector's
+// defaults with -watchdog, nil without.
+func (f *Flags) Detector() *flight.DetectorConfig {
+	if !f.Watchdog {
+		return nil
+	}
+	return &flight.DetectorConfig{}
 }
 
 // RealFlightCap is the flight-ring capacity of a real-engine run: the
@@ -123,10 +133,9 @@ type Session struct {
 	Outputs *obs.Outputs
 	Holder  *obs.Holder
 
-	srv          *obs.Server
-	stopSignals  func()
-	stopWatchdog func()
-	restoreProf  func()
+	srv         *obs.Server
+	stopSignals func()
+	restoreProf func()
 }
 
 // Start builds the output sinks, binds the live endpoint (which serves
@@ -166,30 +175,24 @@ func (s *Session) Addr() string {
 }
 
 // BindWorld attaches a constructed world to the session: the outputs and
-// the live endpoint start observing it, /readyz flips to 200, and the
-// watchdog arms when requested. This is the commands' OnWorld hook.
+// the live endpoint start observing it and /readyz flips to 200. This is
+// the commands' OnWorld hook.
 func (s *Session) BindWorld(w *core.World) {
 	src := WorldSource(w, s.Outputs.Info)
 	s.Outputs.Bind(src)
 	s.Holder.Bind(src)
 	s.Holder.SetReady()
-	if s.Flags.Watchdog {
-		s.stopWatchdog = w.StartWatchdog(core.WatchdogConfig{})
-	}
 }
 
 // probeGrace bounds how long a finished run keeps its live endpoint up
 // waiting for an observer's first /readyz probe.
 const probeGrace = 2 * time.Second
 
-// Finish disarms the signal handler and watchdog, flushes every configured
+// Finish disarms the signal handler, flushes every configured
 // output, and closes the live endpoint once an observer has probed it (or
 // probeGrace has passed).
 func (s *Session) Finish() error {
 	s.stopSignals()
-	if s.stopWatchdog != nil {
-		s.stopWatchdog()
-	}
 	err := s.Outputs.Flush()
 	if s.srv != nil {
 		_ = s.srv.CloseAfterProbe(probeGrace)
@@ -202,7 +205,8 @@ func (s *Session) Finish() error {
 
 // WorldSource adapts a live world to the observability Source: every
 // request snapshots the current counters, histograms, queue states, flight
-// records, and latency attribution of all local ranks.
+// records, and latency attribution of all local ranks, or reads what the
+// world's sampler has seen so far.
 func WorldSource(w *core.World, info map[string]string) obs.Source {
 	return obs.Source{
 		Stats: func() []telemetry.ProcStats {
@@ -237,7 +241,9 @@ func WorldSource(w *core.World, info map[string]string) obs.Source {
 			}
 			return out
 		},
-		Info: info,
+		Samples: func(rank int) []telemetry.Sample { return w.Sampler().Samples(rank) },
+		Dumps:   func() []flight.Dump { return w.Sampler().Dumps() },
+		Info:    info,
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 
 	"repro/internal/backends"
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/hw"
-	"repro/internal/prof"
 	"repro/internal/spc"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -98,19 +98,21 @@ type Config struct {
 	WorldSize int
 	// Pattern selects pairwise (default) or incast.
 	Pattern Pattern
-	// SampleInterval, when positive, runs a background sampler on the
-	// first local receiver rank snapshotting counters, histograms and the
-	// profiler at this interval; the time series lands in Result.Samples.
+	// SampleInterval, when positive, runs the world's one sampler at this
+	// interval over the measured section, snapshotting every local rank's
+	// counters, histograms and profiler; the first local receiver rank's
+	// time series lands in Result.Samples.
 	SampleInterval time.Duration
+	// Watchdog, when non-nil, shows each rank's samples to a stall
+	// detector with this configuration (every 100ms when SampleInterval is
+	// unset; every millisecond of virtual time on the model). A verdict's
+	// dump goes to stderr as it fires and into the exit dump.
+	Watchdog *flight.DetectorConfig
 	// OnWorld, when set, is called with the world right after construction
 	// and before the measured section — the hook a command uses to attach
 	// live observability (HTTP endpoint, signal-triggered flushing) to a
 	// run in flight.
 	OnWorld func(*core.World)
-	// OnSampler, when set, is called with the background sampler right
-	// after it starts (only when SampleInterval > 0), so an interrupted
-	// run can stop it and flush the partial time series.
-	OnSampler func(*telemetry.Sampler)
 	// StallRecv, when positive, freezes every receiver thread on the
 	// stall rank (StallRank) for this wall-clock duration right after it
 	// posts window iteration StallAfterIter — the real-engine sibling of
@@ -171,7 +173,8 @@ type Result struct {
 	// Stats holds every local rank's attributed counter/histogram
 	// breakdown in rank order (even ranks send, odd ranks receive).
 	Stats []telemetry.ProcStats
-	// Samples is the sampler time series when Config.SampleInterval > 0.
+	// Samples is the first local receiver rank's sampled time series
+	// (Config.SampleInterval or Config.Watchdog).
 	Samples []telemetry.Sample
 	// TraceDump holds the first local receiver rank's flight record
 	// rendered as text (empty unless Options.FlightCapacity > 0).
@@ -296,10 +299,8 @@ func run(cfg Config, w *core.World, threads int) (Result, error) {
 			return Result{}, fmt.Errorf("multirate: start barrier: %w", err)
 		}
 	}
-	var smp *telemetry.Sampler
-	if len(receivers) > 0 {
-		smp = startSampler(cfg, receivers[0])
-	}
+	smp := w.StartSampler(cfg.SampleInterval, cfg.Watchdog)
+	defer smp.Stop()
 	errs := make(chan error, len(local)*threads)
 	var wg sync.WaitGroup
 	spawn := func(loop func() error) {
@@ -328,7 +329,6 @@ func run(cfg Config, w *core.World, threads int) (Result, error) {
 	}
 	wg.Wait()
 	if err := fence(); err != nil {
-		smp.Stop()
 		return Result{}, fmt.Errorf("multirate: end barrier: %w", err)
 	}
 	elapsed := time.Since(start)
@@ -336,7 +336,6 @@ func run(cfg Config, w *core.World, threads int) (Result, error) {
 	close(errs)
 	for err := range errs {
 		if err != nil {
-			smp.Stop()
 			return Result{}, err
 		}
 	}
@@ -349,36 +348,20 @@ func run(cfg Config, w *core.World, threads int) (Result, error) {
 	for _, p := range local {
 		res.Stats = append(res.Stats, p.TelemetryStats())
 	}
+	smp.Stop()
 	rollup := receivers
 	if len(rollup) == 0 {
 		rollup = senders
 	} else {
 		res.TraceDump = traceDump(receivers[0])
+		res.Samples = smp.Samples(receivers[0].Rank())
 	}
 	snaps := make([]spc.Snapshot, len(rollup))
 	for i, p := range rollup {
 		snaps[i] = p.SPCSnapshot()
 	}
 	res.SPCs = spc.Merge(snaps...)
-	smp.Stop()
-	res.Samples = smp.Samples()
 	return res, nil
-}
-
-// startSampler attaches a background counter/histogram sampler observing p,
-// or returns nil when Config.SampleInterval is unset.
-func startSampler(cfg Config, p *core.Proc) *telemetry.Sampler {
-	if cfg.SampleInterval <= 0 {
-		return nil
-	}
-	s := telemetry.NewSampler(cfg.SampleInterval, func() (spc.Snapshot, []telemetry.NamedHist, prof.Snapshot) {
-		return p.SPCSnapshot(), p.Telemetry().Snapshot(), p.Profiler().Snapshot()
-	})
-	s.Start()
-	if cfg.OnSampler != nil {
-		cfg.OnSampler(s)
-	}
-	return s
 }
 
 // traceDump renders the proc's flight record one event per line, or ""

@@ -12,8 +12,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/hw"
-	"repro/internal/prof"
 	"repro/internal/rma"
 	"repro/internal/spc"
 	"repro/internal/telemetry"
@@ -34,17 +34,18 @@ type Config struct {
 	PutsPerThread int
 	// Rounds repeats the burst+flush cycle.
 	Rounds int
-	// SampleInterval, when positive, runs a background sampler on the
-	// origin process snapshotting counters, histograms and the profiler;
-	// the time series lands in Result.Samples.
+	// SampleInterval, when positive, runs the world's one sampler over the
+	// measured section, snapshotting counters, histograms and the profiler;
+	// the origin's time series lands in Result.Samples.
 	SampleInterval time.Duration
+	// Watchdog, when non-nil, shows each rank's samples to a stall
+	// detector with this configuration (every 100ms when SampleInterval is
+	// unset), as multirate.Config.Watchdog does.
+	Watchdog *flight.DetectorConfig
 	// OnWorld, when set, is called with the world right after construction
 	// and before the measured section — the hook a command uses to attach
 	// live observability to a run in flight.
 	OnWorld func(*core.World)
-	// OnSampler, when set, is called with the background sampler right
-	// after it starts (only when SampleInterval > 0).
-	OnSampler func(*telemetry.Sampler)
 }
 
 // WithDefaults normalizes the workload's zero values; core normalizes Opts.
@@ -78,7 +79,8 @@ type Result struct {
 	// Stats holds both processes' attributed counter/histogram breakdowns
 	// in rank order (origin is rank 0, target rank 1).
 	Stats []telemetry.ProcStats
-	// Samples is the sampler time series when Config.SampleInterval > 0.
+	// Samples is the origin's sampled time series (Config.SampleInterval or
+	// Config.Watchdog).
 	Samples []telemetry.Sample
 	// Transport names the backend the run used and its capability flags.
 	Transport transport.Caps
@@ -109,17 +111,8 @@ func Run(cfg Config) (Result, error) {
 	origin := wins[0]
 	origin.LockAll()
 
-	var smp *telemetry.Sampler
-	if cfg.SampleInterval > 0 {
-		op := w.Proc(0)
-		smp = telemetry.NewSampler(cfg.SampleInterval, func() (spc.Snapshot, []telemetry.NamedHist, prof.Snapshot) {
-			return op.SPCSnapshot(), op.Telemetry().Snapshot(), op.Profiler().Snapshot()
-		})
-		smp.Start()
-		if cfg.OnSampler != nil {
-			cfg.OnSampler(smp)
-		}
-	}
+	smp := w.StartSampler(cfg.SampleInterval, cfg.Watchdog)
+	defer smp.Stop()
 	errs := make(chan error, cfg.Threads)
 	var wg sync.WaitGroup
 	gc := telemetry.ReadGC()
@@ -173,7 +166,7 @@ func Run(cfg Config) (Result, error) {
 	for rank := 0; rank < w.Size(); rank++ {
 		res.Stats = append(res.Stats, w.Proc(rank).TelemetryStats())
 	}
-	res.Samples = smp.Samples()
+	res.Samples = smp.Samples(0)
 	// Verify delivery: every byte of the target window must carry its
 	// thread's fill value (puts to disjoint offsets).
 	target := wins[1].Local()

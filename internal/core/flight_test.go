@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -72,72 +71,5 @@ func TestFlightRecorderCapturesMessagePath(t *testing.T) {
 	}
 	if q := w2.Proc(0).QueueSnapshot(); len(q.Comms) != 1 {
 		t.Fatalf("snapshot without recorder = %+v", q)
-	}
-}
-
-// The watchdog must fire a no-progress verdict when a receiver posts a
-// receive that nothing will ever match, and the dump must name the site.
-func TestWatchdogFiresOnStall(t *testing.T) {
-	w := newTestWorld(t, 2, Options{
-		NumInstances: 1, FlightCapacity: 128,
-	})
-	p1 := w.Proc(1)
-	th1 := p1.NewThread()
-	c1 := p1.CommWorld()
-
-	// A receive that never matches: posted depth stays 1, counters frozen.
-	if _, err := c1.Irecv(th1, 0, 99, make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var dumps []flight.Dump
-	stop := w.StartWatchdog(WatchdogConfig{
-		Interval: 2 * time.Millisecond,
-		Detector: flight.DetectorConfig{StallAfter: 10 * time.Millisecond},
-		OnDump: func(d flight.Dump) {
-			mu.Lock()
-			dumps = append(dumps, d)
-			mu.Unlock()
-		},
-	})
-	defer stop()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(dumps)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("watchdog never fired on a stalled receive")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-
-	mu.Lock()
-	defer mu.Unlock()
-	d := dumps[0]
-	if d.Rank != 1 {
-		t.Fatalf("dump rank = %d", d.Rank)
-	}
-	if d.Verdict.Reason != "no-progress" || d.Verdict.Phase != "progress" {
-		t.Fatalf("verdict = %+v", d.Verdict)
-	}
-	found := false
-	for _, cq := range d.Queues.Comms {
-		if cq.Posted > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("dump snapshot shows no posted receive: %+v", d.Queues)
-	}
-	if len(d.Record.Events) == 0 {
-		t.Fatal("dump carries no flight record")
 	}
 }

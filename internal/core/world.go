@@ -32,6 +32,8 @@ type World struct {
 
 	commMu   sync.Mutex
 	nextComm uint32
+
+	sampler atomic.Pointer[Sampler]
 }
 
 // NewWorld creates n Procs with identical options and wires instance k of

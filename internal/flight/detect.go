@@ -163,10 +163,10 @@ type rankTrack struct {
 // Detector is the one rule engine of the diagnosis plane: a deterministic
 // state machine fed, per observation, one Sample for every rank the caller
 // can see. A rule is a function of the ranks it is shown, never of who is
-// calling: the stall watchdog shows it one rank (core.World.StartWatchdog,
-// simnet's sampler), mpirun's aggregator shows it the job. It owns no
-// clocks or goroutines, which is what lets the simulator run the identical
-// logic in virtual time.
+// calling: the stall watchdog shows it one rank on each tick of the run's
+// one sampler (core.Sampler, simnet's sampler thread), mpirun's aggregator
+// shows it the job. It owns no clocks or goroutines, which is what lets the
+// simulator run the identical logic in virtual time.
 type Detector struct {
 	cfg          DetectorConfig
 	tracks       map[int]*rankTrack

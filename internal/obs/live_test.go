@@ -58,11 +58,8 @@ func TestEndpointsUnderLiveTraffic(t *testing.T) {
 	defer s.Close()
 	base := "http://" + s.Addr()
 
-	stopWatchdog := w.StartWatchdog(core.WatchdogConfig{
-		Interval: time.Millisecond,
-		OnDump:   func(flight.Dump) {},
-	})
-	defer stopWatchdog()
+	// The one sampler, with its detector, runs beside the handlers.
+	defer w.StartSampler(time.Millisecond, &flight.DetectorConfig{}).Stop()
 
 	const iters = 200
 	var traffic sync.WaitGroup

@@ -65,8 +65,14 @@ type Source struct {
 	// communication can proceed. Nil means always ready — right for
 	// single-process runs with no startup negotiation.
 	Ready func() (bool, string)
+	// Samples returns a local rank's time series so far from the run's one
+	// sampler (nil before it starts) — the samples CSV's rows.
+	Samples func(rank int) []telemetry.Sample
+	// Dumps returns the stall watchdog's verdict dumps so far — carried in
+	// the exit dump.
+	Dumps func() []flight.Dump
 	// Phases returns the profiler's phase-breakdown series by rank, drawn as
-	// a counter track in the Chrome trace (Outputs fills it from its sampler).
+	// a counter track in the Chrome trace (Outputs fills it from Samples).
 	Phases func() map[int][]telemetry.PhasePoint
 	// Info labels the run (transport, caps, design, ...) — exported as the
 	// mpi_build_info gauge on /metrics.
@@ -124,7 +130,7 @@ var views = []view{
 		func(s Source, w io.Writer) error { return flight.WriteRecords(w, call(s.Flight)) }},
 	{"exit dump", "", typeJSON, func(o *Outputs) string { return o.FlightPath },
 		func(s Source, w io.Writer) error {
-			return flight.WriteExitDump(w, flight.ExitDump{Queues: call(s.Queues), Flight: call(s.Flight)})
+			return flight.WriteExitDump(w, flight.ExitDump{Queues: call(s.Queues), Flight: call(s.Flight), Dumps: call(s.Dumps)})
 		}},
 	{"latency dump", "/debug/latency", typeJSON, func(o *Outputs) string { return o.LatencyPath },
 		func(s Source, w io.Writer) error { return latency.WriteDumps(w, call(s.Latency)) }},

@@ -25,33 +25,32 @@ type Outputs struct {
 	MetricsPath string
 	// TracePath receives the merged clock-corrected Chrome trace JSON.
 	TracePath string
-	// SamplesPath receives the background sampler time series as CSV.
+	// SamplesPath receives ProfRank's sampled time series as CSV.
 	SamplesPath string
 	// ShardPath receives the local ranks' flight records with their clock
 	// anchors — the /debug/flight document, input to cmd/tracemerge.
 	ShardPath string
 	// FlightPath receives the flight-record exit dump: every local rank's
-	// merged flight-recorder ring plus the final queue-introspection
-	// snapshot, as one JSON document. Written on normal exit, on
-	// SIGINT/SIGTERM via FlushOnSignal, and on panic via DumpOnPanic.
+	// merged flight-recorder ring, the final queue-introspection snapshot
+	// and the watchdog's verdict dumps, as one JSON document. Written on
+	// normal exit, on SIGINT/SIGTERM via FlushOnSignal, and on panic via
+	// DumpOnPanic.
 	FlightPath string
 	// LatencyPath receives the critical-path attribution exit dump: every
 	// local rank's per-stage summaries and tail exemplars as one JSON
 	// document (the file form of /debug/latency).
 	LatencyPath string
-	// ProfRank names the rank whose pid group receives the phase-breakdown
-	// counter track in the Chrome trace, when the bound sampler carries
-	// profiler snapshots (the sampler observes exactly one proc, so its
-	// series belongs to exactly one rank).
+	// ProfRank names the rank whose time series SamplesPath receives and
+	// whose pid group receives the phase-breakdown counter track in the
+	// Chrome trace, when its samples carry profiler snapshots.
 	ProfRank int
 	// Info labels the Prometheus snapshot (mpi_build_info).
 	Info map[string]string
 
-	mu      sync.Mutex
-	src     Source
-	sampler *telemetry.Sampler
-	once    sync.Once
-	err     error
+	mu   sync.Mutex
+	src  Source
+	once sync.Once
+	err  error
 }
 
 // Bind points the outputs at a run's live data source. Called from the
@@ -60,14 +59,6 @@ func (o *Outputs) Bind(src Source) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.src = src
-}
-
-// BindSampler hands the outputs the background sampler so a flush can stop
-// it and write the partial time series. Called from the OnSampler hook.
-func (o *Outputs) BindSampler(s *telemetry.Sampler) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.sampler = s
 }
 
 // Flush writes every configured artifact exactly once; subsequent calls
@@ -79,19 +70,22 @@ func (o *Outputs) Flush() error {
 
 func (o *Outputs) flush() error {
 	o.mu.Lock()
-	src, smp := o.src, o.sampler
+	src := o.src
 	o.mu.Unlock()
 	if src.Info == nil {
 		src.Info = o.Info // flushed before any world was bound
 	}
-	if smp != nil && (o.TracePath != "" || o.SamplesPath != "") {
-		smp.Stop()
+	// The series so far: a run cut short by a signal writes the samples its
+	// sampler has taken.
+	var series []telemetry.Sample
+	if src.Samples != nil {
+		series = src.Samples(o.ProfRank)
 	}
-	if smp != nil && src.Phases == nil {
-		// Fold the sampler's profiler series into the trace as a counter
-		// track on the sampled rank's pid group.
+	if src.Phases == nil {
+		// Fold the profiler series into the trace as a counter track on the
+		// sampled rank's pid group.
 		src.Phases = func() map[int][]telemetry.PhasePoint {
-			if pts := telemetry.PhasePointsFromSamples(smp.Samples()); len(pts) > 0 {
+			if pts := telemetry.PhasePointsFromSamples(series); len(pts) > 0 {
 				return map[int][]telemetry.PhasePoint{o.ProfRank: pts}
 			}
 			return nil
@@ -106,10 +100,8 @@ func (o *Outputs) flush() error {
 			return fmt.Errorf("obs: %s: %w", v.name, err)
 		}
 	}
-	if o.SamplesPath != "" && smp != nil {
-		return WriteFile(o.SamplesPath, func(w io.Writer) error {
-			return telemetry.WriteSamplesCSV(w, smp.Samples())
-		})
+	if o.SamplesPath != "" && len(series) > 0 {
+		return WriteFile(o.SamplesPath, func(w io.Writer) error { return telemetry.WriteSamplesCSV(w, series) })
 	}
 	return nil
 }

@@ -77,16 +77,17 @@ func (p *simProc) latencyDump() latency.RankDump {
 	return p.lat.Dump(p.frank, p.flightRecord())
 }
 
-// spawnSampler starts p's one sampling thread when SampleInterval or
-// Model.Watchdog asks for it: a simulated thread that wakes every interval,
-// appends the proc's observation to series and, with a watchdog configured,
-// shows it — one rank, alone — to the flight.Detector the real watchdog
-// uses, appending any verdict's dump to sink. Sampling charges no virtual
-// time. The thread exits on the first wake-up after the last workload thread
-// finished, so it never extends a run's makespan by more than one interval,
-// and that last sample is the drained state: a finished rank's
-// carried-forward sample never reads as outstanding work. The DES serializes
-// simulated threads, so series and dumps are byte-deterministic.
+// spawnSampler starts p's one sampling thread when the harness's
+// SampleInterval or Watchdog asks for it: a simulated thread that wakes
+// every interval, appends the proc's observation to series and, with a
+// watchdog configured, shows it — one rank, alone — to the flight.Detector
+// the real sampler uses, appending any verdict's dump to sink. Sampling
+// charges no virtual time. The thread exits on the first wake-up after the
+// last workload thread finished, so it never extends a run's makespan by
+// more than one interval, and that last sample is the drained state: a
+// finished rank's carried-forward sample never reads as outstanding work.
+// The DES serializes simulated threads, so series and dumps are
+// byte-deterministic.
 func (p *simProc) spawnSampler(env *sim.Env, name string, series *[]flight.Sample, sink *[]flight.Dump) {
 	interval := p.cfg.SampleInterval
 	var det *flight.Detector

@@ -77,10 +77,6 @@ type Model struct {
 	// threads inject out of sequence order — the paper's out-of-sequence
 	// storm. Deterministic per-thread LCG keeps runs reproducible.
 	SendJitter time.Duration
-	// Watchdog, when non-nil, runs the virtual-time stall watchdog with
-	// this detector configuration on every proc; verdict dumps land in
-	// Result.Dumps in deterministic order.
-	Watchdog *flight.DetectorConfig
 }
 
 // Validate reports a configuration the model refuses to run: a pattern, a
@@ -168,7 +164,7 @@ type Result struct {
 	// bytes on every run of the same configuration.
 	Dumps []flight.Dump
 	// Series holds what each rank's sampler saw — one slice of samples per
-	// rank, in rank order — when SampleInterval or Model.Watchdog
+	// rank, in rank order — when SampleInterval or Watchdog
 	// turned it on: deterministic input for a flight.Detector shown several
 	// ranks at once, which lets cross-rank verdicts be asserted without a
 	// live cluster.

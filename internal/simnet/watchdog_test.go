@@ -21,7 +21,8 @@ func stallConfig() (multirate.Config, Model) {
 		SampleInterval: time.Millisecond,
 		StallRecv:      50 * time.Millisecond,
 		StallAfterIter: 2,
-	}, Model{Watchdog: &flight.DetectorConfig{StallAfter: 5 * time.Millisecond}}
+		Watchdog:       &flight.DetectorConfig{StallAfter: 5 * time.Millisecond},
+	}, Model{}
 }
 
 // An injected receiver stall must produce a watchdog dump that names the

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench/cliobs"
 	benchmr "repro/internal/bench/multirate"
 	benchrma "repro/internal/bench/rmamt"
 	"repro/internal/core"
@@ -171,26 +170,16 @@ var harnessConfigs = []reflect.Type{
 	reflect.TypeOf(core.Options{}), reflect.TypeOf(core.Info{}),
 }
 
-var modelClass = regexp.MustCompile("^ *(workload|model-only):(?: `([a-z]+\\.[A-Za-z]+)\\.([A-Za-z]+)`)?")
-
-// classifyModelField checks the census row of simnet.Model field against
-// the two kinds of model parameter: "workload: `cliobs.Flags.X`", naming a
-// flag field that exists, or "model-only:" for a field of modelOnly.
+// classifyModelField checks the census row of simnet.Model field: it
+// reads "model-only:", and the field is one of modelOnly. The harness's own
+// configuration reaches the model as itself, so no row classifies a field
+// as a copy of a flag.
 func classifyModelField(field, what string) error {
-	m := modelClass.FindStringSubmatch(what)
 	switch {
-	case m == nil:
-		return fmt.Errorf("the row must classify it as workload: or model-only:")
-	case m[1] == "model-only":
-		if !modelOnly[field] {
-			return fmt.Errorf("model-only, but the runtime has no such mechanism: make it the runtime's or delete it")
-		}
-		return nil
-	case m[2] != "cliobs.Flags":
-		return fmt.Errorf("a workload row names its `cliobs.Flags` field in backquotes")
-	}
-	if _, ok := reflect.TypeOf(cliobs.Flags{}).FieldByName(m[3]); !ok {
-		return fmt.Errorf("cliobs.Flags has no field %s", m[3])
+	case !strings.HasPrefix(strings.TrimSpace(what), "model-only:"):
+		return fmt.Errorf("the row must classify it as model-only:")
+	case !modelOnly[field]:
+		return fmt.Errorf("model-only, but the runtime has no such mechanism: make it the runtime's or delete it")
 	}
 	return nil
 }
@@ -198,12 +187,12 @@ func classifyModelField(field, what string) error {
 // modelIgnores names the harness configuration fields the model neither
 // reads nor refuses, each with the reason it may pass them by.
 var modelIgnores = map[string]string{
-	"multirate.Config.OnWorld":   "a hook on the runtime's world; the model builds none",
-	"rmamt.Config.OnWorld":       "a hook on the runtime's world; the model builds none",
-	"multirate.Config.OnSampler": "a hook on the runtime's wall-clock sampler; the model samples in virtual time",
-	"rmamt.Config.OnSampler":     "a hook on the runtime's wall-clock sampler; the RMA model samples nothing",
+	"multirate.Config.OnWorld": "a hook on the runtime's world; the model builds none",
+	"rmamt.Config.OnWorld":     "a hook on the runtime's world; the model builds none",
 	"rmamt.Config.SampleInterval": "the RMA model runs no sampler (its Result.Series stays empty); " +
 		"cmd/rmamt's -sample-interval switches to the real engine, whose sampler reads it",
+	"rmamt.Config.Watchdog": "the RMA model runs no sampler, so no detector; " +
+		"on the real engine the world's one sampler reads it, as multirate's reads multirate.Config.Watchdog",
 	"core.Options.Network":   "the runtime's transport; the model's wire is virtual (Faults is its adversary)",
 	"core.Options.Telemetry": "the runtime's histograms; the model has no wall-clock layer to instrument",
 	"core.Options.Profile":   "the runtime's profiler; the model's phase clocks always run (Result.Breakdown)",
