@@ -17,7 +17,9 @@ examples:
 
 # The allocation ladder: every testing.AllocsPerRun pin on the message path
 # (CRI acquire/release, an eager message and a 128-message window in process,
-# an 8-byte round trip over loopback tcp, a 64 KiB rendezvous in process and
+# an 8-byte round trip and a 128-message window over loopback tcp, the
+# window's sender alone (its Isends, read from an allocation profile by stack:
+# 0 B), a 64 KiB rendezvous in process and
 # over tcp — 0 objects, like an eager message: its send, receive and sink
 # records are carved too — an unexpected message claimed in each matching
 # engine, each one-sided operation — put,
@@ -26,17 +28,23 @@ examples:
 # without the race detector, then the rows the tests logged as one table.
 # The core rows also measure heap bytes per op (B/op, size-class rounding
 # included), and the in-process eager message and window, the tcp round trip
-# and both rendezvous rows pin them; with TestMessageFootprint, which pins the size of
+# and window and both rendezvous rows pin them; with TestMessageFootprint, which pins the size of
 # every two-sided message's slab entries, rendezvous records included, they hold a message's bytes, not only its objects. A row without
 # a byte measurement or pin shows "-".
 # Nothing on the path is in a sync.Pool (a receive's record is reused through
 # its Thread's own free list), so the pins hold under -race as well and
 # CI's -race test job enforces them too; this target is the readable table.
+# It runs every pin at 1, 2 and 4 Ps (GOMAXPROCS, the table's first column):
+# a tcp row counts what the reader goroutine and the backstop timer allocate
+# beside the message path, which grows with the Ps.
 allocs:
-	@out=$$($(GO) test -count=1 -v -run 'Alloc|Footprint' ./internal/cri ./internal/core ./internal/match ./internal/rma ./internal/transport/tcpnet 2>&1); rc=$$?; \
-	echo "$$out"; echo; \
-	printf '%-48s %9s %7s %7s %7s\n' path allocs/op pinned B/op pinned; \
-	echo "$$out" | awk -F' *[|] *' '/allocs-pin [|]/ { printf "%-48s %9s %7s %7s %7s\n", $$2, $$3, $$4, ($$5 == "" ? "-" : $$5), ($$6 == "" ? "-" : $$6) }'; \
+	@rc=0; rows=; for p in 1 2 4; do \
+		out=$$($(GO) test -count=1 -cpu $$p -v -run 'Alloc|Footprint' ./internal/cri ./internal/core ./internal/match ./internal/rma ./internal/transport/tcpnet 2>&1) || rc=1; \
+		echo "$$out"; \
+		rows="$$rows$$(echo "$$out" | awk -F' *[|] *' -v p=$$p '/allocs-pin [|]/ { printf "%2s  %-48s %9s %7s %7s %7s\n", p, $$2, $$3, $$4, ($$5 == "" ? "-" : $$5), ($$6 == "" ? "-" : $$6) }')\n"; \
+	done; echo; \
+	printf '%2s  %-48s %9s %7s %7s %7s\n' Ps path allocs/op pinned B/op pinned; \
+	printf '%b' "$$rows"; \
 	exit $$rc
 
 # Race-detector pass over the concurrency-heavy packages (the full suite

@@ -249,8 +249,19 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 	ring := th.ts.Flight()
 	ring.RecordAt(now-p.flightBase, flight.KindSendPost, c.id, int32(dst), int32(env.Seq), -1, 0)
 	env.Len = uint32(len(buf))
-	pkt := carve(&th.pkts)
-	pkt.Init(env, buf, &th.slab)
+	self := c.group[dst] == p.rank
+	var pkt *transport.Packet
+	if p.reuseSend && !self {
+		// Send is done with the packet when it returns: the Thread's one
+		// packet carries buf uncopied.
+		pkt = &th.tx
+		pkt.Reset(env, buf)
+	} else {
+		// The in-process receiver, a self send's matching engine or the
+		// retransmit window keeps this packet.
+		pkt = carve(&th.pkts)
+		pkt.Init(env, buf, &th.slab)
+	}
 	user := userEager(env)
 	if user && p.timed {
 		m := pkt.MetaFrom(&th.slab)
@@ -260,7 +271,7 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 			m.Origin = int32(p.rank)
 		}
 	}
-	if c.group[dst] == p.rank {
+	if self {
 		// Self message: bypass the fabric, deliver straight into the
 		// matching engine and complete the send.
 		if user {
@@ -290,7 +301,8 @@ func (c *Comm) isendEager(th *Thread, dst int, tag int32, buf []byte) (*Request,
 // reliability window (req, if set, completes on ack; fail, if set, runs
 // instead when the peer is given up on), and write it to the wire inside
 // PhaseWire. On a lossless backend there is no window and no completion: the
-// backend took the packet, whose payload was copied at the send post.
+// backend took the packet, and its payload was copied either at the send post
+// or, on a backend that copies (Caps.Copies), by Send itself.
 func (c *Comm) inject(th *Thread, env transport.Envelope, pkt *transport.Packet, req *Request, fail func(error)) error {
 	p := c.proc
 	dstWorld := c.group[env.Dst]

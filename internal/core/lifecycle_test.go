@@ -308,28 +308,19 @@ func TestStockWindowAllocations(t *testing.T) {
 	})
 }
 
-// Over a real wire the receiver also decodes each message: the packet comes
-// from the reader's 63-entry slab and the payload copy from its 8 KiB chunk,
-// and a successful flush allocates nothing. An 8-byte round trip — the
-// benchmark's tcp_pingpong_8B — is two such messages, 192 heap bytes each:
-// the receive's 48-byte handle, the sent and the decoded 64-byte packets and
-// two 8-byte payload copies. An untraced frame decodes without a metadata
-// record.
+// Over tcp the sender carves nothing: tcpnet encodes each packet into its
+// wire buffer before Send returns (Caps.Copies), so the sending Thread reuses
+// one packet whose payload is the caller's buffer, copied once, into the
+// frame, and a successful flush allocates nothing. What a message still
+// carves is on the receiving side: the reader's 64-byte decoded packet, from
+// its 63-packet slab, the receive's 48-byte handle and the 8-byte payload in
+// the reader's 8 KiB chunk, 120 heap bytes. An untraced frame decodes without
+// a metadata record. An 8-byte round trip — the benchmark's tcp_pingpong_8B —
+// is two such messages. The pin leaves 8 bytes above the 120 measured at 1, 2
+// and 4 Ps for the backstop timer's firings, which start a goroutine inside
+// the measured loop, and for where the slabs refill.
 func TestTCPRoundTripAllocations(t *testing.T) {
-	nets, err := tcpnet.NewLoopback(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var th [2]*Thread
-	var c [2]*Comm
-	for rank := range th {
-		w, err := NewDistributedWorld(hw.Fast(), rank, 2, nets[rank], Stock())
-		if err != nil {
-			t.Fatalf("rank %d world: %v", rank, err)
-		}
-		t.Cleanup(w.Close)
-		th[rank], c[rank] = w.LocalProc().NewThread(), w.LocalProc().CommWorld()
-	}
+	th, c := metaPair(t, "tcp", Stock())
 	buf, payload := make([]byte, 8), []byte("12345678")
 	// oneWay moves one message from rank src to the other. Nothing leaves the
 	// sender until it polls (the flush rides its progress pass), so both ranks
@@ -360,12 +351,103 @@ func TestTCPRoundTripAllocations(t *testing.T) {
 	// A run is 16 round trips, so the bytes are averaged over 6400 messages
 	// and where the 8 KiB slab refills fall moves them by a fraction of a byte.
 	const trips = 16
-	pinAllocs(t, "core 8 B eager round trip, per message (tcp)", 0.1, 192, 2*trips, func() {
+	pinAllocs(t, "core 8 B eager round trip, per message (tcp)", 0.1, 128, 2*trips, func() {
 		for range trips {
 			oneWay(0)
 			oneWay(1)
 		}
 	})
+}
+
+// The benchmark's tcp_stream_0B shape: a window of 128 empty messages over
+// loopback tcp, receives posted first, then WaitAll on each side. tcpnet
+// copies each packet into its wire buffer (Caps.Copies), so the sender's 128
+// Isends allocate nothing: each reuses the sending Thread's one packet and
+// returns the proc's shared completed handle. What the window carves is the
+// receiver's, 112 bytes a message: the 48-byte receive handle and the reader's
+// 64-byte decoded packet. The sender's share is read from an allocation
+// profile, by stack, because the heap totals also count what the receiver's
+// reader goroutine decodes whenever the backstop timer flushes mid-loop.
+func TestTCPWindowAllocations(t *testing.T) {
+	const window = 128
+	th, c := metaPair(t, "tcp", Stock())
+	sreqs, rreqs := make([]*Request, window), make([]*Request, window)
+	round := func() {
+		var err error
+		for i := range rreqs {
+			if rreqs[i], err = c[1].Irecv(th[1], 0, 3, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range sreqs {
+			if sreqs[i], err = c[0].Isend(th[0], 1, 3, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		th[0].Progress() // the batch leaves with the sender's progress pass
+		if err := WaitAll(th[1], rreqs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := WaitAll(th[0], sreqs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // dial and handshake outside the measurements
+	pinAllocs(t, "core 0 B window of 128, per message (tcp)", 0.05, 128, window, round)
+
+	// Per message, as every byte pin reads: a carved slab entry of any size
+	// shows as a whole byte or more, while the runtime's timer heap, which
+	// can grow once when an Isend arms tcpnet's backstop timer, does not.
+	const sends = 16 * window
+	bytes, objects := heapUnder("repro/internal/core.(*Comm).Isend", func() {
+		for range sends / window {
+			round()
+		}
+	})
+	t.Logf("allocs-pin | %-46s | %5.2f | %5.2f | %6d | %6d", "core 0 B window of 128, sender's Isend (tcp)",
+		float64(objects)/sends, 0.0, bytes/sends, 0)
+	if bytes/sends != 0 {
+		t.Errorf("the sender's %d Isends allocated %d objects, %d heap bytes; want none", sends, objects, bytes)
+	}
+}
+
+// heapUnder runs f with every allocation profiled and returns the heap bytes
+// and objects allocated with function fn on the stack, so what f's calls of fn
+// allocate is told apart from what other goroutines (a tcp reader, a timer)
+// allocate meanwhile.
+func heapUnder(fn string, f func()) (bytes, objects int64) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	b0, o0 := profiledUnder(fn)
+	f()
+	b1, o1 := profiledUnder(fn)
+	return b1 - b0, o1 - o0
+}
+
+// profiledUnder sums the allocation profile's records whose stack holds fn.
+// The collection it runs first publishes every allocation made before it.
+func profiledUnder(fn string) (bytes, objects int64) {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n, ok := runtime.MemProfile(nil, true); !ok; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+		recs = recs[:n]
+	}
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == fn {
+				bytes, objects = bytes+r.AllocBytes, objects+r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return bytes, objects
 }
 
 // TestTCPWaitProgressesOnOneP: with a single P, two ranks spinning in Wait

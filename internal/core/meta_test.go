@@ -39,9 +39,13 @@ func metaPair(t *testing.T, backend string, opts Options) (th [2]*Thread, c [2]*
 
 // sendUnexpected builds a metaPair, sends one 4-byte eager message from rank
 // 0 to rank 1 and claims it there with MProbe, returning the packet the
-// sender built and the one the receiver holds — the same packet over the
-// fabric, a decoded copy over tcp. A first message fills the sender's packet
-// slab, so the packet the measured send is carved can be named before Isend.
+// sender built and the one the receiver holds. Over the fabric the sender
+// carves its packet from its Thread's slab and the receiver holds that very
+// packet; a first message fills the slab, so the entry the measured send is
+// carved from can be named before Isend. tcp copies each packet into its wire
+// buffer (Caps.Copies), so there the sender carves none: it reuses its
+// Thread's one packet, read as Isend left it, and the receiver holds a decoded
+// copy.
 func sendUnexpected(t *testing.T, backend string, opts Options) (sent, got *transport.Packet) {
 	t.Helper()
 	th, c := metaPair(t, backend, opts)
@@ -51,8 +55,14 @@ func sendUnexpected(t *testing.T, backend string, opts Options) (sent, got *tran
 		if err != nil {
 			t.Fatal(err)
 		}
+		if backend == "tcp" {
+			if len(th[0].pkts) != 0 {
+				t.Fatal("an eager send over tcp carved a packet")
+			}
+			op = &th[0].tx
+		}
 		if op != nil && string(op.Payload) != "meta" {
-			t.Fatal("the send was not carved from the thread's next slab entry")
+			t.Fatal("the send was not built in the packet named for it")
 		}
 		var msg *Message
 		for msg == nil || !req.Done() {
@@ -78,9 +88,10 @@ func carveNext(th *Thread) *transport.Packet {
 }
 
 // An untimed, untracked message carries no metadata record anywhere: not on
-// the sender's packet, not through fabric delivery (the receiver holds that
-// very packet), not out of the tcp decoder. The reliability layer gives one
-// to every packet it tracks; it tracks none on tcp, a lossless wire.
+// the sender's packet (carved over the fabric, the Thread's reused one over
+// tcp), not through fabric delivery (the receiver holds that very packet),
+// not out of the tcp decoder. The reliability layer gives one to every packet
+// it tracks; it tracks none on tcp, a lossless wire.
 func TestUntimedMessageCarriesNoMeta(t *testing.T) {
 	for _, backend := range []string{"sim", "tcp"} {
 		t.Run(backend, func(t *testing.T) {

@@ -125,6 +125,46 @@ func TestWatchdogFiresOnStall(t *testing.T) {
 	}
 }
 
+// A receiver that froze once its window matched: the sender's next window
+// waits in its unpolled receive ring, every matching queue reads empty, and
+// the watchdog still names the stall, at that CRI's receive ring.
+func TestWatchdogFiresOnFrozenReceiverRing(t *testing.T) {
+	const window = 8
+	w := newTestWorld(t, 2, Options{NumInstances: 1})
+	t0, t1 := w.Proc(0).NewThread(), w.Proc(1).NewThread()
+	c0, c1 := w.Proc(0).CommWorld(), w.Proc(1).CommWorld()
+	rreqs := make([]*Request, window)
+	for i := range rreqs {
+		var err error
+		if rreqs[i], err = c1.Irecv(t1, 0, 3, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send := func() {
+		for range window {
+			if _, err := c0.Isend(t0, 1, 3, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send()
+	if err := WaitAll(t1, rreqs...); err != nil {
+		t.Fatal(err)
+	}
+	send() // rank 1 polls no more
+	s := w.StartSampler(2*time.Millisecond, &flight.DetectorConfig{StallAfter: 10 * time.Millisecond})
+	defer s.Stop()
+	d := awaitDump(t, s)
+	if d.Rank != 1 || d.Verdict.Reason != flight.ReasonNoProgress || d.Verdict.Site != "cri.instance 0 receive ring" {
+		t.Fatalf("verdict = %+v, want no-progress on rank 1 at cri.instance 0's receive ring", d.Verdict)
+	}
+	for _, cq := range d.Queues.Comms {
+		if cq.Posted+cq.Unexpected+cq.OOSBuffered != 0 {
+			t.Fatalf("comm %d holds work, %+v: the receiver was not frozen with empty queues", cq.Comm, cq)
+		}
+	}
+}
+
 // With a sample interval and a detector, the detector sees the series'
 // ticks: a verdict dates from an observation stamped with the instant of
 // one of its rank's samples, which a detector on a ticker of its own would

@@ -17,12 +17,14 @@ import (
 //
 // That single owner is also what lets a message cost no heap object of its
 // own: the thread's request handles, eager packets and rendezvous sends are
-// carved from its operation slabs, its posted receives' matching records
-// come back to its free list once it has waited on them, its small eager
-// payload copies and the metadata records of its timed or tracked packets
-// are carved from its transport.Slab, and a self message is matched through
-// its eager run — none of it synchronized, because only the owning goroutine
-// touches it. Slabs fill on first use, never in NewThread.
+// carved from its operation slabs (an eager send to another rank over a
+// backend that copies reuses its one packet instead, Caps.Copies), its posted
+// receives' matching records come back to its free list once it has waited on
+// them, its small eager payload copies and the metadata records of its timed
+// or tracked packets are carved from its transport.Slab, and a self message
+// is matched through its eager run — none of it synchronized, because only
+// the owning goroutine touches it. Slabs fill on first use, never in
+// NewThread.
 type Thread struct {
 	proc *Proc
 	ts   cri.ThreadState
@@ -34,8 +36,12 @@ type Thread struct {
 	// Request.release), linked through recvRec.next.
 	recvFree *recvRec
 	rdvs     []rdvSendOp
-	slab     transport.Slab
-	run      eagerRun
+	// tx is the packet of every eager send to another rank when the proc
+	// reuses one (Proc.reuseSend): reset per message, its Payload the
+	// caller's buffer.
+	tx   transport.Packet
+	slab transport.Slab
+	run  eagerRun
 	// fetched is where a fetching one-sided atomic lands its result: such an
 	// operation completes before its caller returns, so one word per thread
 	// is enough (see FetchWord).

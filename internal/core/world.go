@@ -302,6 +302,10 @@ type Proc struct {
 	// sent is the handle every untracked eager send returns: such a send is
 	// complete when Isend returns, so one completed handle serves them all.
 	sent Request
+	// reuseSend says an eager send to another rank reuses its Thread's one
+	// packet: the backend is done with a packet when Send returns
+	// (Caps.Copies), and no reliability window keeps it (Caps.Lossless).
+	reuseSend bool
 }
 
 func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error) {
@@ -312,6 +316,7 @@ func newProc(w *World, rank int, machine hw.Machine, opts Options) (*Proc, error
 		rdvRecvs: make(map[rdvKey]*rdvRecv),
 	}
 	p.comms.Store(new([]*Comm))
+	p.reuseSend = w.caps.Copies && w.caps.Lossless
 	p.sent.proc = p
 	p.sent.done.Store(true)
 	p.spcs = spc.NewSet()

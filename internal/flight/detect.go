@@ -78,8 +78,8 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 // The thresholds nothing sets. Each keeps the reason for its value.
 const (
 	// minOutstanding is the least total queued work (posted + unexpected +
-	// out-of-sequence + unacked) the comparative rules (rank-straggler,
-	// rate-skew) require before implicating a rank. A rank blocked in a
+	// out-of-sequence + unacked + pending CRIs) the comparative rules
+	// (rank-straggler, rate-skew) require before implicating a rank. A rank blocked in a
 	// barrier while faster peers finish legitimately freezes holding one or
 	// two collective receives; a genuinely stuck rank holds a window's worth.
 	minOutstanding = 4
@@ -446,23 +446,33 @@ func unexpectedSite(comm uint32) string {
 
 // queued is the rank's total visible work in flight — the quantity that
 // separates "stuck" from "finished" (zero) and from "blocked in a
-// collective" (the ambient handful below minOutstanding).
+// collective" (the ambient handful below minOutstanding). A CRI with arrivals
+// no pass has taken counts one: a receiver that froze after its posted
+// receives matched holds its peer's further traffic there and nowhere else.
 func (r live) queued() int {
-	return r.Posted + r.Unexpected + r.OOSBuffered + r.Unacked
+	return r.Posted + r.Unexpected + r.OOSBuffered + r.Unacked + len(r.PendingCRIs)
 }
 
 func (r live) outstanding() string {
-	return fmt.Sprintf("posted=%d unexpected=%d oos=%d unacked=%d", r.Posted, r.Unexpected, r.OOSBuffered, r.Unacked)
+	s := fmt.Sprintf("posted=%d unexpected=%d oos=%d unacked=%d", r.Posted, r.Unexpected, r.OOSBuffered, r.Unacked)
+	if n := len(r.PendingCRIs); n > 0 {
+		s += fmt.Sprintf(" pending_cris=%d", n)
+	}
+	return s
 }
 
 // stallSite names the dominant outstanding work site so the verdict points
-// at a place, not just a symptom.
+// at a place, not just a symptom. A pending CRI weighs one, so its receive
+// ring is named only when no queue holds anything.
 func (r live) stallSite() string {
 	best, bestDepth := windowsSite, r.Unacked
 	for _, cq := range r.Comms {
 		if d := cq.Posted + cq.Unexpected + cq.OOSBuffered; d > bestDepth {
 			best, bestDepth = fmt.Sprintf("match.comm %d posted/unexpected queues", cq.Comm), d
 		}
+	}
+	if len(r.PendingCRIs) > 0 && bestDepth == 0 {
+		best = fmt.Sprintf("cri.instance %d receive ring", r.PendingCRIs[0])
 	}
 	return best
 }

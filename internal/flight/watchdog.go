@@ -90,6 +90,11 @@ type Sample struct {
 	Unacked int
 	// Comms holds the live queue depths of each communicator.
 	Comms []CommQueues
+	// PendingCRIs lists the CRIs whose transport context has work queued
+	// that no progress pass has taken yet (CRILevel.Pending), by index: the
+	// traffic of a rank that stopped polling waits in their receive rings,
+	// not in a matching queue.
+	PendingCRIs []int
 	// LatencyValid marks a sample carrying latency-attribution quantiles
 	// (the run had the internal/latency layer on and at least one traced
 	// message completed on this rank by this observation); the tail-skew
@@ -105,11 +110,11 @@ type Sample struct {
 }
 
 // NewSample assembles one rank's observation: the movement counters of its
-// process-scope counter snapshot, the communicators and the summed
-// reliability-window occupancy of its queue snapshots (a process hosting
-// several procs serves one each, folded here into one observation), and its
-// latency p99s. The sampler's clock, readiness and scrape error are the
-// caller's to set.
+// process-scope counter snapshot, the communicators, the pending CRIs and the
+// summed reliability-window occupancy of its queue snapshots (a process
+// hosting several procs serves one each, folded here into one observation),
+// and its latency p99s. The sampler's clock, readiness and scrape error are
+// the caller's to set.
 func NewSample(rank int, counters spc.Snapshot, queues []QueueSnapshot, stages []StageP99, e2eP99Ns int64, latencyValid bool) Sample {
 	s := Sample{
 		Rank:         rank,
@@ -124,6 +129,11 @@ func NewSample(rank int, counters spc.Snapshot, queues []QueueSnapshot, stages [
 		s.Comms = append(s.Comms, qs.Comms...)
 		for _, w := range qs.Windows {
 			s.Unacked += w.Unacked
+		}
+		for _, c := range qs.CRIs {
+			if c.Pending {
+				s.PendingCRIs = append(s.PendingCRIs, c.Index)
+			}
 		}
 	}
 	return s

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/spc"
 )
 
 const ms = int64(time.Millisecond)
@@ -76,6 +78,44 @@ func TestDetectorNoProgress(t *testing.T) {
 	// 12 samples over 55ms with a 10ms stall must fire at most 6 times.
 	if fired > 6 {
 		t.Fatalf("no-progress fired %d times in 55ms with 10ms stall — re-arm broken", fired)
+	}
+}
+
+// A receiver that froze after its posted receives matched holds its peer's
+// further traffic in a receive ring no pass drains: every matching queue is
+// empty, and the pending CRI alone is the work outstanding.
+func TestDetectorNoProgressPendingCRI(t *testing.T) {
+	d := NewDetector(DetectorConfig{StallAfter: 10 * time.Millisecond})
+	frozen := func(now int64) Sample {
+		qs := QueueSnapshot{Comms: []CommQueues{{Comm: 0}}, CRIs: []CRILevel{{Index: 0}, {Index: 1, Pending: true}}}
+		var counters spc.Snapshot
+		counters[spc.MessagesSent], counters[spc.MessagesReceived] = 64, 64
+		s := NewSample(0, counters, []QueueSnapshot{qs}, nil, 0, false)
+		s.NowNs, s.Ready = now, true
+		return s
+	}
+	var vs []Verdict
+	for now := int64(0); now <= 30; now += 5 {
+		vs = append(vs, d.Observe(now*ms, []Sample{frozen(now * ms)})...)
+	}
+	if len(vs) == 0 {
+		t.Fatal("a rank frozen with a pending CRI and empty queues fired nothing")
+	}
+	v := vs[0]
+	if v.Reason != ReasonNoProgress || v.Site != "cri.instance 1 receive ring" || !strings.HasSuffix(v.Detail, "unacked=0 pending_cris=1)") {
+		t.Fatalf("verdict = %+v, want no-progress at cri.instance 1's receive ring with one pending CRI", v)
+	}
+
+	// A queue with anything in it is the site, and the count is left out of
+	// the detail while no CRI is pending.
+	s := frozen(0)
+	s.Comms[0].Posted = 1
+	if got := (live{Sample: s, QueueDepths: s.Depths()}).stallSite(); got != "match.comm 0 posted/unexpected queues" {
+		t.Fatalf("site with a posted receive beside a pending CRI = %q", got)
+	}
+	s.PendingCRIs = nil
+	if got := (live{Sample: s, QueueDepths: s.Depths()}).outstanding(); got != "posted=1 unexpected=0 oos=0 unacked=0" {
+		t.Fatalf("outstanding with no pending CRI = %q", got)
 	}
 }
 

@@ -22,12 +22,13 @@ import (
 // called once per rank.
 type cluster struct {
 	name   string
+	caps   transport.Caps
 	device func(t *testing.T, rank int, ctr *spc.Set) transport.Device
 }
 
 func simCluster(t *testing.T) cluster {
 	net := backends.Sim()
-	return cluster{"sim", func(t *testing.T, rank int, ctr *spc.Set) transport.Device {
+	return cluster{"sim", net.Caps(), func(t *testing.T, rank int, ctr *spc.Set) transport.Device {
 		return mustDevice(t, net, rank, ctr)
 	}}
 }
@@ -37,7 +38,7 @@ func tcpCluster(t *testing.T) cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cluster{"tcp", func(t *testing.T, rank int, ctr *spc.Set) transport.Device {
+	return cluster{"tcp", nets[0].Caps(), func(t *testing.T, rank int, ctr *spc.Set) transport.Device {
 		return mustDevice(t, nets[rank], rank, ctr)
 	}}
 }
@@ -78,9 +79,11 @@ func eager(seq uint32) *transport.Packet {
 
 // tally counts what a context's Poll surfaces.
 type tally struct {
-	others   int      // events that are not arrivals: a two-sided operation posts none
-	seqs     []uint32 // CQERecv sequence numbers, in delivery order
-	payloads [][]byte // CQERecv payloads, likewise
+	others   int                  // events that are not arrivals: a two-sided operation posts none
+	seqs     []uint32             // CQERecv sequence numbers, in delivery order
+	payloads [][]byte             // CQERecv payloads, likewise
+	envs     []transport.Envelope // CQERecv envelopes, likewise
+	pkts     []*transport.Packet  // CQERecv packets, likewise
 }
 
 func (y *tally) handle(e transport.CQE) {
@@ -88,8 +91,11 @@ func (y *tally) handle(e transport.CQE) {
 		y.others++
 		return
 	}
-	y.seqs = append(y.seqs, e.Packet.Envelope().Seq)
+	env := e.Packet.Envelope()
+	y.seqs = append(y.seqs, env.Seq)
 	y.payloads = append(y.payloads, e.Packet.Payload)
+	y.envs = append(y.envs, env)
+	y.pkts = append(y.pkts, e.Packet)
 }
 
 // pump polls both ends (a batching backend writes and reads its wire there)
@@ -281,6 +287,73 @@ func TestSeamPutNotify(t *testing.T) {
 			}
 			if !bytes.Equal(sink, landed[0]) {
 				t.Fatal("a transfer toward a deregistered region wrote into its old buffer")
+			}
+		})
+	}
+}
+
+// TestSeamCopies holds Caps.Copies to its word. A backend that declares it is
+// done with a packet and its payload, and with PutNotify's body, when the call
+// returns: the caller overwrites all of them at once, as core's Thread reuses
+// its one send packet, and the peer still receives the original envelopes and
+// bytes. The in-process fabric hands the packet itself to the receiver, so it
+// must not declare it.
+func TestSeamCopies(t *testing.T) {
+	for _, mk := range clusters {
+		cl := mk(t)
+		t.Run(cl.name, func(t *testing.T) {
+			d0, d1 := cl.device(t, 0, spc.NewSet()), cl.device(t, 1, spc.NewSet())
+			tx, rx := mustContext(t, d0), mustContext(t, d1)
+			ep := mustConnect(t, d0, tx, 1, 0)
+			var sender, receiver tally
+			var p transport.Packet
+			if !cl.caps.Copies {
+				// What the fabric delivers is the sender's packet.
+				p.Reset(transport.Envelope{Src: 0, Dst: 1, Kind: transport.KindEager}, nil)
+				if err := ep.Send(&p); err != nil {
+					t.Fatal(err)
+				}
+				pump(t, tx, rx, &sender, &receiver, 1)
+				if cl.name == "sim" && receiver.pkts[0] != &p {
+					t.Fatal("the fabric delivered a copy; it could declare Caps.Copies")
+				}
+				return
+			}
+			if cl.name == "sim" {
+				t.Fatal("the fabric declares Caps.Copies, but its receiver holds the sender's packet")
+			}
+			sink := make([]byte, 4<<10)
+			region := d1.RegisterMemory(sink)
+			sent := transport.Envelope{Src: 0, Dst: 1, Tag: 7, Comm: 3, Seq: 0, Len: 8, Kind: transport.KindEager}
+			fin := transport.Envelope{Src: 0, Dst: 1, Tag: 7, Comm: 3, Seq: 1, Len: 3, Kind: transport.KindRendezvousData}
+			payload := []byte("original")
+			body := bytes.Repeat([]byte{0xab}, 1<<10)
+			overwrite := func() {
+				p.Reset(transport.Envelope{Src: 5, Dst: 9, Tag: 99, Comm: 8, Seq: 42, Len: 1, Kind: transport.KindRendezvousRTS}, payload)
+				copy(payload, "CLOBBERS")
+			}
+
+			p.Reset(sent, payload)
+			if err := ep.Send(&p); err != nil {
+				t.Fatal(err)
+			}
+			overwrite()
+			copy(payload, "fin")
+			p.Reset(fin, payload[:3])
+			if err := ep.PutNotify(region.ID(), body, &p); err != nil {
+				t.Fatal(err)
+			}
+			overwrite()
+			clear(body)
+			pump(t, tx, rx, &sender, &receiver, 2)
+			if receiver.envs[0] != sent || string(receiver.payloads[0]) != "original" {
+				t.Fatalf("Send delivered %v carrying %q, want %v carrying \"original\"", receiver.envs[0], receiver.payloads[0], sent)
+			}
+			if receiver.envs[1] != fin || string(receiver.payloads[1]) != "fin" {
+				t.Fatalf("PutNotify delivered %v carrying %q, want %v carrying \"fin\"", receiver.envs[1], receiver.payloads[1], fin)
+			}
+			if !bytes.Equal(sink[:len(body)], bytes.Repeat([]byte{0xab}, len(body))) {
+				t.Fatal("PutNotify landed the body as the caller overwrote it, not as it was sent")
 			}
 		})
 	}

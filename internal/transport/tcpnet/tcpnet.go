@@ -257,9 +257,11 @@ var errWouldBlock = errors.New("tcpnet: read would block")
 
 // Caps describes the TCP wire: lossless FIFO streams multiplexed over one
 // lazily dialed connection per peer pair, two-sided only, no fault
-// injection (the kernel would repair injected faults anyway).
+// injection (the kernel would repair injected faults anyway). Send and
+// PutNotify encode the packet into the wire buffer before they return and
+// keep no reference to it.
 func Caps() transport.Caps {
-	return transport.Caps{Name: "tcp", Lossless: true}
+	return transport.Caps{Name: "tcp", Lossless: true, Copies: true}
 }
 
 // ParsePeers splits a comma-separated peer address list, trimming

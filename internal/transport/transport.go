@@ -56,6 +56,12 @@ type Caps struct {
 	// Context RMA initiators work. Rendezvous does not ask — every backend
 	// lands its bulk data through Endpoint.PutNotify.
 	OneSided bool
+	// Copies means Endpoint.Send and PutNotify are done with the packet and
+	// its payload when they return (tcpnet encodes both into its wire
+	// buffer), so the caller may overwrite them at once. The in-process
+	// fabric hands the packet itself to the receiver and leaves it false.
+	// String does not print it.
+	Copies bool
 }
 
 // String renders the capability set for self-describing results files,
@@ -249,13 +255,17 @@ type Endpoint interface {
 	// pair's one connection; the in-process fabric looks the peer's context
 	// up), and a failed establishment surfaces as an error wrapping
 	// ErrConnEstablish — the packet is not injected. A nil return means the
-	// packet was copied out of the caller's hands, not that it left the
-	// host: a batching backend (tcpnet) puts it on the wire at the end of
-	// the rank's next Context.Poll, or from a bounded-delay timer if no Poll
-	// comes, and reports a wire failure it meets there from the next Send
-	// toward the same peer. Sending a packet again is the retransmission of
-	// the delivery-reliability layer, which treats a failed resend like a
-	// lost packet (the retry budget governs). Each backend has its own
+	// backend has the packet, not that it left the host. Who keeps p then is
+	// the backend's Caps.Copies: tcpnet has encoded p and its payload into
+	// its wire buffer and keeps neither, while the in-process fabric hands p
+	// itself to the receiver, which holds it until the message is matched,
+	// so the caller must not write to it again. A batching backend (tcpnet)
+	// puts the bytes on the wire at the end of the rank's next Context.Poll,
+	// or from a bounded-delay timer if no Poll comes, and reports a wire
+	// failure it meets there from the next Send toward the same peer.
+	// Sending a packet again is the retransmission of the
+	// delivery-reliability layer, which treats a failed resend like a lost
+	// packet (the retry budget governs). Each backend has its own
 	// ceiling on one packet, refused before anything is injected: the
 	// in-process fabric has none (packets move by pointer); tcpnet holds a
 	// plain frame to its reader's 256 KiB window and a PutNotify transfer to
@@ -268,7 +278,8 @@ type Endpoint interface {
 	// without src: a path that fails mid-transfer loses both, and the error
 	// is what reports the loss. src is not referenced after the call returns
 	// (in process it is an RDMA write; tcpnet streams it behind p's head in
-	// one frame and returns once the kernel has every byte). Every backend
+	// one frame and returns once the kernel has every byte); p is kept as
+	// Send keeps it (Caps.Copies). Every backend
 	// implements it, with or without Caps.OneSided. ErrRegionUnavailable
 	// means the peer's device is known to hold no such region; p was not
 	// sent.

@@ -274,6 +274,14 @@ func (p *Packet) Init(env Envelope, payload []byte, slab *Slab) {
 	p.Payload = slab.Copy(payload)
 }
 
+// Reset makes p a packet of env whose Payload is payload itself, uncopied,
+// with no Meta, for a sender reusing one packet across sends to a backend
+// that keeps neither (Caps.Copies). env.Len is marshaled as given.
+func (p *Packet) Reset(env Envelope, payload []byte) {
+	env.Marshal(&p.header)
+	p.Payload, p.Meta = payload, nil
+}
+
 // Envelope decodes and returns the packet's header.
 func (p *Packet) Envelope() Envelope {
 	var e Envelope
