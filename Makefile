@@ -94,6 +94,10 @@ conformance:
 # speed and takes only a machine's context limits, so a busy-spin (hw.Spin) or
 # a read of the cost model (.Scaled(), .Costs) or the link (LinkGbps,
 # MaxInjectionRate) in its layers is a wall-clock emulation growing back.
+# And one-sided is one package's concern: only internal/rma resolves a
+# context to transport.OneSided, and only internal/fabric implements it; the
+# name elsewhere (core, the model, a backend that stubs it) is the flag it
+# replaced growing back.
 lint-layers:
 	@fail=0; \
 	if grep -rln --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out \
@@ -119,6 +123,9 @@ lint-layers:
 	if grep -rnE --include='*.go' --exclude='*_test.go' 'hw\.Spin\(|\.Scaled\(\)|\.Costs\b|\bLinkGbps\b|\bMaxInjectionRate\b' \
 		internal/core internal/fabric internal/transport internal/cri internal/progress internal/rma; then \
 		echo "FAIL: the runtime runs at the host's speed; the machine's costs and link rates are the virtual-time model's (internal/simnet)"; fail=1; fi; \
+	if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=twin-out \
+		'transport\.OneSided\b' . | grep -v '^\./internal/rma/\|^\./internal/fabric/'; then \
+		echo "FAIL: only internal/rma and internal/fabric name transport.OneSided; one-sided is the window layer's concern"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "layering ok"; else exit 1; fi
 
 # The size figure every simplicity entry in CHANGES.md quotes: non-test Go

@@ -15,24 +15,39 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/figures"
 )
 
-func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 3a 3b 3c 4a 4b 4c 5 6 7 matching breakdown waterfall trajectory trajectory-latency")
-	bdThreads := flag.Int("threads", 8, "thread pairs for -fig breakdown / -fig waterfall")
-	table := flag.String("table", "", "table to regenerate: 2")
-	all := flag.Bool("all", false, "regenerate every figure and table")
-	ablation := flag.String("ablation", "", "ablation sweep: jitter credits convoy instances alloc all")
-	scaleName := flag.String("scale", "quick", "sweep scale: quick | paper")
-	full := flag.Bool("full", false, "Table II at the paper's exact message count")
-	format := flag.String("format", "text", "output format: text | csv")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it prints the selected figures and tables to stdout,
+// with a timing line per artifact on stderr, and returns the exit status —
+// 0 for -h, 2 for a usage error (a bad flag or value, or nothing selected),
+// 1 for a trajectory it cannot build or write.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "", "figure to regenerate: 3a 3b 3c 4a 4b 4c 5 6 7 matching breakdown waterfall trajectory trajectory-latency")
+	bdThreads := fs.Int("threads", 8, "thread pairs for -fig breakdown / -fig waterfall")
+	table := fs.String("table", "", "table to regenerate: 2")
+	all := fs.Bool("all", false, "regenerate every figure and table")
+	ablation := fs.String("ablation", "", "ablation sweep: jitter credits convoy instances alloc all")
+	scaleName := fs.String("scale", "quick", "sweep scale: quick | paper")
+	full := fs.Bool("full", false, "Table II at the paper's exact message count")
+	format := fs.String("format", "text", "output format: text | csv")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var sc figures.Scale
 	switch *scaleName {
@@ -41,8 +56,8 @@ func main() {
 	case "paper":
 		sc = figures.Paper()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -scale %q (want quick or paper)\n", *scaleName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown -scale %q (want quick or paper)\n", *scaleName)
+		return 2
 	}
 
 	single := map[string]func() []figures.Table{
@@ -67,63 +82,70 @@ func main() {
 		}
 		return t.Render()
 	}
-	run := func(name string) {
+	regen := func(name string) int {
 		start := time.Now()
 		switch name {
 		case "trajectory", "trajectory-latency":
 			b, err := figures.Trajectory(name == "trajectory-latency")
 			if err == nil {
-				_, err = os.Stdout.Write(b)
+				_, err = stdout.Write(b)
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "figures:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "figures:", err)
+				return 1
 			}
 		case "breakdown":
-			fmt.Println(render(figures.TimeBreakdown(sc, *bdThreads)))
+			fmt.Fprintln(stdout, render(figures.TimeBreakdown(sc, *bdThreads)))
 		case "waterfall":
-			fmt.Println(render(figures.Waterfall(sc, *bdThreads)))
+			fmt.Fprintln(stdout, render(figures.Waterfall(sc, *bdThreads)))
 		default:
 			gen, ok := single[name]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown figure %q\n", name)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "unknown figure %q\n", name)
+				return 2
 			}
 			for _, t := range gen() {
-				fmt.Println(render(t))
+				fmt.Fprintln(stdout, render(t))
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[fig %s regenerated in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[fig %s regenerated in %v]\n", name, time.Since(start).Round(time.Millisecond))
+		return 0
 	}
-	runTable2 := func() {
+	table2 := func() {
 		start := time.Now()
-		fmt.Println(figures.TableII(sc, *full).Render())
-		fmt.Fprintf(os.Stderr, "[table 2 regenerated in %v]\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout, figures.TableII(sc, *full).Render())
+		fmt.Fprintf(stderr, "[table 2 regenerated in %v]\n", time.Since(start).Round(time.Millisecond))
 	}
 
 	switch {
 	case *all:
 		for _, name := range []string{"3a", "3b", "3c", "4a", "4b", "4c", "5", "6", "7", "breakdown", "waterfall"} {
-			run(name)
+			if rc := regen(name); rc != 0 {
+				return rc
+			}
 		}
-		runTable2()
+		table2()
+		return 0
 	case *fig != "":
-		run(*fig)
+		return regen(*fig)
 	case *table == "2":
-		runTable2()
+		table2()
+		return 0
 	case *ablation == "all":
 		for _, t := range figures.Ablations(sc) {
-			fmt.Println(render(t))
+			fmt.Fprintln(stdout, render(t))
 		}
+		return 0
 	case *ablation != "":
 		t, err := figures.AblationByName(*ablation, sc)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		fmt.Println(render(t))
+		fmt.Fprintln(stdout, render(t))
+		return 0
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 }

@@ -304,15 +304,15 @@ func TestReliabilityFollowsLossless(t *testing.T) {
 		net           transport.Network
 		caps          string
 	}{
-		{"sim", "sim", backends.Sim(), "lossless,one-sided"},
-		{"faulty-zero", "sim", backends.Faulty(transport.FaultConfig{}), "one-sided"},
-		{"faulty-scramble", "sim", backends.Faulty(transport.FaultConfig{ScrambleWindow: 4}), "one-sided"},
+		{"sim", "sim", backends.Sim(), "lossless"},
+		{"faulty-zero", "sim", backends.Faulty(transport.FaultConfig{}), "none"},
+		{"faulty-scramble", "sim", backends.Faulty(transport.FaultConfig{ScrambleWindow: 4}), "none"},
 		{"tcp", "tcp", nil, "lossless"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			th, _ := metaPair(t, tc.backend, Options{Network: tc.net})
 			for _, x := range th {
-				p, caps := x.proc, x.proc.TransportCaps()
+				p, caps := x.proc, x.proc.world.TransportCaps()
 				if got := caps.String(); got != tc.caps {
 					t.Errorf("rank %d caps = %q, want %q", p.Rank(), got, tc.caps)
 				}

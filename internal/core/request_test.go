@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -129,6 +130,31 @@ func TestWaitCrossProcPanics(t *testing.T) {
 		_ = req.Wait(t1)
 	}()
 	_ = req.Wait(t0) // wrong proc's thread
+}
+
+// TestCrossProcThreadPanics: a Thread belongs to its proc. Isend, Irecv and
+// Ssend on another proc's communicator refuse it before touching anything.
+func TestCrossProcThreadPanics(t *testing.T) {
+	w := newTestWorld(t, 2, Stock())
+	t0 := w.Proc(0).NewThread()
+	c1 := w.Proc(1).CommWorld()
+	for _, op := range []struct {
+		name string
+		call func()
+	}{
+		{"Isend", func() { _, _ = c1.Isend(t0, 0, 1, nil) }},
+		{"Irecv", func() { _, _ = c1.Irecv(t0, 0, 1, nil) }},
+		{"Ssend", func() { _ = c1.Ssend(t0, 0, 1, nil) }},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, op.name+" with a thread from a different proc") {
+					t.Fatalf("%s with another proc's thread: recovered %q, want its panic", op.name, msg)
+				}
+			}()
+			op.call()
+		})
+	}
 }
 
 // An operation's entry in its Thread's slab is never handed out again, so a

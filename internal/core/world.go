@@ -409,7 +409,7 @@ func (p *Proc) wire() error {
 			if q := p.world.procs[j]; q != nil {
 				peerInstances = q.pool.Len()
 			}
-			ep, err := p.dev.Connect(inst.Context().(*pollCtx).Context, j, k%peerInstances)
+			ep, err := p.dev.Connect(p.Context(k), j, k%peerInstances)
 			if err != nil {
 				return fmt.Errorf("core: wiring rank %d instance %d to rank %d: %w", p.rank, k, j, err)
 			}
@@ -524,6 +524,11 @@ func (p *Proc) LatencyDump() latency.RankDump { return p.lat.Dump(p.rank, p.Flig
 // Pool exposes the instance pool (used by the one-sided layer).
 func (p *Proc) Pool() *cri.Pool { return p.pool }
 
+// Context returns instance i's backend context, the one its pool entry's
+// poll wrapper (pollCtx) delegates to: what the proc's endpoints are
+// connected from and what the one-sided layer issues its operations on.
+func (p *Proc) Context(i int) transport.Context { return p.pool.Get(i).Context().(*pollCtx).Context }
+
 // RegisterMemory registers buf with the proc's device for one-sided access
 // (the window/rendezvous sink path of the one-sided layer).
 func (p *Proc) RegisterMemory(buf []byte) transport.MemRegion {
@@ -532,12 +537,6 @@ func (p *Proc) RegisterMemory(buf []byte) transport.MemRegion {
 
 // DeregisterMemory removes a region registered with RegisterMemory.
 func (p *Proc) DeregisterMemory(r transport.MemRegion) { p.dev.DeregisterMemory(r) }
-
-// Region looks up a registered region by id.
-func (p *Proc) Region(id uint64) (transport.MemRegion, bool) { return p.dev.Region(id) }
-
-// TransportCaps returns the capability flags of the proc's backend.
-func (p *Proc) TransportCaps() transport.Caps { return p.world.caps }
 
 // CommWorld returns this proc's handle on the world communicator.
 func (p *Proc) CommWorld() *Comm {

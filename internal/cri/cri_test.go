@@ -216,8 +216,8 @@ func TestEndpointTable(t *testing.T) {
 	net := backends.Sim()
 	dev := simDevice(t, net, 0)
 	in := newTestPoolOn(t, dev, 1, RoundRobin).Get(0)
-	remote, _ := simDevice(t, net, 1).CreateContext(0)
-	ep, err := dev.Connect(in.Context(), 1, remote.Index())
+	simDevice(t, net, 1).CreateContext(0)
+	ep, err := dev.Connect(in.Context(), 1, 0) // remote: rank 1's first context
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestInstancePollDispatches(t *testing.T) {
 	p := newTestPoolOn(t, dev, 2, RoundRobin)
 	rx := p.Get(0)
 	tx := p.Get(1)
-	ep, err := dev.Connect(tx.Context(), 0, rx.Context().Index())
+	ep, err := dev.Connect(tx.Context(), 0, 0) // rx: the device's first context
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,56 +14,51 @@ func TestFetchAndOpBasics(t *testing.T) {
 	reg := target.RegisterMemory(mem)
 
 	var old int64
-	if err := ictx.FetchAndOp(reg, 0, 10, transport.AccSum, &old, "f1"); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 10, transport.AccSum, &old); err != nil {
 		t.Fatal(err)
 	}
 	if old != 0 {
 		t.Fatalf("old = %d, want 0", old)
 	}
-	if err := ictx.FetchAndOp(reg, 0, 7, transport.AccReplace, &old, "f2"); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 7, transport.AccReplace, &old); err != nil {
 		t.Fatal(err)
 	}
 	if old != 10 {
 		t.Fatalf("old = %d, want 10", old)
 	}
-	if err := ictx.FetchAndOp(reg, 0, 100, transport.AccMax, &old, "f3"); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 100, transport.AccMax, &old); err != nil {
 		t.Fatal(err)
 	}
 	if old != 7 || le64(mem[:8]) != 100 {
 		t.Fatalf("max: old=%d mem=%d", old, le64(mem[:8]))
 	}
-	if err := ictx.FetchAndOp(reg, 0, 1, transport.AccMin, &old, "f4"); err != nil {
+	if err := ictx.FetchAndOp(reg, 0, 1, transport.AccMin, &old); err != nil {
 		t.Fatal(err)
 	}
 	if old != 100 || le64(mem[:8]) != 1 {
 		t.Fatalf("min: old=%d mem=%d", old, le64(mem[:8]))
 	}
 	// nil result pointer is allowed.
-	if err := ictx.FetchAndOp(reg, 8, 1, transport.AccSum, nil, "f5"); err != nil {
+	if err := ictx.FetchAndOp(reg, 8, 1, transport.AccSum, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Completions: one per signaled op.
-	n := 0
-	for ictx.Pending() {
-		ictx.Poll(func(e transport.CQE) {
-			if e.Kind != transport.CQEAccComplete {
-				t.Fatalf("completion kind = %d", e.Kind)
-			}
-			n++
-		}, 16)
+	if err := ictx.CompareAndSwap(reg, 8, 1, 9, &old); err != nil || old != 1 || le64(mem[8:]) != 9 {
+		t.Fatalf("CompareAndSwap = %d, %v (mem %d)", old, err, le64(mem[8:]))
 	}
-	if n != 5 {
-		t.Fatalf("completions = %d, want 5", n)
-	}
-	// Unsignaled (nil token): the atomic happens and posts no completion.
-	if err := ictx.FetchAndOp(reg, 8, 2, transport.AccSum, &old, nil); err != nil || old != 1 {
-		t.Fatalf("unsignaled FetchAndOp = %d, %v", old, err)
-	}
-	if err := ictx.CompareAndSwap(reg, 8, 3, 9, &old, nil); err != nil || old != 3 || le64(mem[8:]) != 9 {
-		t.Fatalf("unsignaled CompareAndSwap = %d, %v (mem %d)", old, err, le64(mem[8:]))
-	}
+	// An atomic posts no completion of its own: a signaled put after it
+	// posts the context's only one.
 	if ictx.Pending() {
-		t.Fatal("an unsignaled atomic posted a completion")
+		t.Fatal("an atomic posted a completion")
+	}
+	if err := ictx.Put(reg, 0, nil, "after"); err != nil {
+		t.Fatal(err)
+	}
+	var tokens []any
+	for ictx.Pending() {
+		ictx.Poll(func(e transport.CQE) { tokens = append(tokens, e.Token) }, 16)
+	}
+	if len(tokens) != 1 || tokens[0] != "after" {
+		t.Fatalf("completions = %v, want the signaled put's alone", tokens)
 	}
 }
 
@@ -71,13 +66,13 @@ func TestFetchAndOpBounds(t *testing.T) {
 	target, _, ictx := newInitiator(t)
 	reg := target.RegisterMemory(make([]byte, 8))
 	var be *boundsError
-	if err := ictx.FetchAndOp(reg, 8, 1, transport.AccSum, nil, nil); !errors.As(err, &be) {
+	if err := ictx.FetchAndOp(reg, 8, 1, transport.AccSum, nil); !errors.As(err, &be) {
 		t.Fatalf("out-of-bounds err = %v", err)
 	}
-	if err := ictx.FetchAndOp(reg, 4, 1, transport.AccSum, nil, nil); !errors.As(err, &be) {
+	if err := ictx.FetchAndOp(reg, 4, 1, transport.AccSum, nil); !errors.As(err, &be) {
 		t.Fatalf("misaligned err = %v", err)
 	}
-	if err := ictx.CompareAndSwap(reg, 12, 0, 1, nil, nil); !errors.As(err, &be) {
+	if err := ictx.CompareAndSwap(reg, 12, 0, 1, nil); !errors.As(err, &be) {
 		t.Fatalf("CAS out-of-bounds err = %v", err)
 	}
 }
@@ -88,13 +83,13 @@ func TestCompareAndSwapSemantics(t *testing.T) {
 	reg := target.RegisterMemory(mem)
 
 	var old int64
-	if err := ictx.CompareAndSwap(reg, 0, 0, 42, &old, nil); err != nil || old != 0 {
+	if err := ictx.CompareAndSwap(reg, 0, 0, 42, &old); err != nil || old != 0 {
 		t.Fatalf("CAS = %d, %v", old, err)
 	}
 	if got := le64(mem); got != 42 {
 		t.Fatalf("mem = %d, want 42", got)
 	}
-	if err := ictx.CompareAndSwap(reg, 0, 7, 99, &old, nil); err != nil || old != 42 {
+	if err := ictx.CompareAndSwap(reg, 0, 7, 99, &old); err != nil || old != 42 {
 		t.Fatalf("failed CAS = %d, %v", old, err)
 	}
 	if got := le64(mem); got != 42 {
@@ -120,17 +115,17 @@ func TestFetchAndOpAtomicTickets(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(ctx transport.Context) {
+		go func(ctx *Context) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				var old int64
-				if err := ctx.FetchAndOp(reg, 0, 1, transport.AccSum, &old, nil); err != nil {
+				if err := ctx.FetchAndOp(reg, 0, 1, transport.AccSum, &old); err != nil {
 					t.Error(err)
 					return
 				}
 				tickets <- old
 			}
-		}(ctx)
+		}(ctx.(*Context))
 	}
 	wg.Wait()
 	close(tickets)

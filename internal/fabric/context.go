@@ -18,16 +18,15 @@ import (
 // of hardware parallelism — two threads on two different contexts share no
 // fabric-level state.
 //
-// Thread safety: Inject and the RMA initiators may be called concurrently
-// (the receive queue and CQ are multi-producer). Poll must be called by one
-// goroutine at a time; the layers above guarantee this with the per-CRI
-// lock the paper describes.
+// Thread safety: Endpoint sends and the one-sided initiators may be called
+// concurrently (the receive queue and CQ are multi-producer). Poll must be
+// called by one goroutine at a time; the layers above guarantee this with
+// the per-CRI lock the paper describes.
 type Context struct {
-	dev   *Device
-	index int
+	dev *Device
 
 	recvQ *ringbuf.MPSC[*transport.Packet] // packets from remote senders
-	cq    *ringbuf.MPSC[transport.CQE]     // local completions (send/put/get)
+	cq    *ringbuf.MPSC[transport.CQE]     // local completions (send, signaled put)
 
 	// delayed holds fault-injector-delayed packets until their release
 	// time; hasDelayed makes the empty check a single atomic load on the
@@ -48,17 +47,13 @@ type delayedPacket struct {
 	pkt *transport.Packet
 }
 
-func newContext(d *Device, index, depth int) *Context {
+func newContext(d *Device, depth int) *Context {
 	return &Context{
 		dev:   d,
-		index: index,
 		recvQ: ringbuf.NewMPSC[*transport.Packet](depth),
 		cq:    ringbuf.NewMPSC[transport.CQE](depth),
 	}
 }
-
-// Index returns the context's index within its device.
-func (c *Context) Index() int { return c.index }
 
 // deliver enqueues an inbound packet, blocking (with yields) on a full
 // queue — hardware back-pressure. The remote sender's goroutine runs this.

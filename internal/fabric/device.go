@@ -59,7 +59,7 @@ func (d *Device) CreateContext(depth int) (transport.Context, error) {
 	if d.maxContexts > 0 && len(d.contexts) >= d.maxContexts {
 		return nil, errContextLimit
 	}
-	ctx := newContext(d, len(d.contexts), depth)
+	ctx := newContext(d, depth)
 	d.contexts = append(d.contexts, ctx)
 	return ctx, nil
 }

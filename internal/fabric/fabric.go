@@ -38,6 +38,7 @@ var (
 	_ transport.Network   = (*Network)(nil)
 	_ transport.Device    = (*Device)(nil)
 	_ transport.Context   = (*Context)(nil)
+	_ transport.OneSided  = (*Context)(nil)
 	_ transport.Endpoint  = (*Endpoint)(nil)
 	_ transport.MemRegion = (*MemRegion)(nil)
 )
@@ -66,10 +67,10 @@ func NewFaultyNetwork(fc transport.FaultConfig) *Network {
 	return n
 }
 
-// Caps describes the fabric: a one-sided-capable wire, lossless unless it
-// was built with an adversary.
+// Caps describes the fabric: lossless unless it was built with an
+// adversary. Its contexts are one-sided (transport.OneSided) either way.
 func (n *Network) Caps() transport.Caps {
-	return transport.Caps{Name: "sim", Lossless: n.faults == nil, OneSided: true}
+	return transport.Caps{Name: "sim", Lossless: n.faults == nil}
 }
 
 // NewDevice creates the device for world rank r, with the network's

@@ -60,12 +60,12 @@ func newPair(t testing.TB, n *Network, cfg transport.DeviceConfig) (ep transport
 
 // newInitiator builds a target device (rank 0) and one context of an
 // initiator device (rank 1) for the one-sided tests.
-func newInitiator(t testing.TB) (target, initiator transport.Device, ictx transport.Context) {
+func newInitiator(t testing.TB) (target, initiator transport.Device, ictx *Context) {
 	t.Helper()
 	n := NewNetwork()
 	target = newDevice(t, n, 0, hw.Fast(), transport.DeviceConfig{})
 	initiator = newDevice(t, n, 1, hw.Fast(), transport.DeviceConfig{})
-	return target, initiator, newContextOn(t, initiator, 0)
+	return target, initiator, newContextOn(t, initiator, 0).(*Context)
 }
 
 func eager(seq uint32) *transport.Packet {
@@ -294,9 +294,6 @@ func TestRMAPutGet(t *testing.T) {
 
 	mem := make([]byte, 64)
 	reg := target.RegisterMemory(mem)
-	if r, ok := target.Region(reg.ID()); !ok || r != reg {
-		t.Fatal("Region lookup failed after RegisterMemory")
-	}
 
 	if err := ictx.Put(reg, 8, []byte("hello"), "p1"); err != nil {
 		t.Fatal(err)
@@ -306,28 +303,33 @@ func TestRMAPutGet(t *testing.T) {
 	}
 
 	dst := make([]byte, 5)
-	if err := ictx.Get(reg, 8, dst, "g1"); err != nil {
+	if err := ictx.Get(reg, 8, dst); err != nil {
 		t.Fatal(err)
 	}
 	if string(dst) != "hello" {
 		t.Fatalf("Get read %q", dst)
 	}
 
+	// Only the signaled put completes; a get posts nothing.
 	var kinds []transport.CQEKind
 	var tokens []any
 	for ictx.Pending() {
 		ictx.Poll(func(e transport.CQE) { kinds = append(kinds, e.Kind); tokens = append(tokens, e.Token) }, 16)
 	}
-	if len(kinds) != 2 || kinds[0] != transport.CQEPutComplete || kinds[1] != transport.CQEGetComplete {
-		t.Fatalf("completions = %v", kinds)
-	}
-	if tokens[0] != "p1" || tokens[1] != "g1" {
-		t.Fatalf("tokens = %v", tokens)
+	if len(kinds) != 1 || kinds[0] != transport.CQEPutComplete || tokens[0] != "p1" {
+		t.Fatalf("completions = %v, tokens = %v; want the put's alone", kinds, tokens)
 	}
 
+	// A deregistered region lets go of its buffer: a stale handle addresses
+	// no byte, and a notified write to its id finds no region.
 	target.DeregisterMemory(reg)
-	if _, ok := target.Region(reg.ID()); ok {
-		t.Fatal("region still visible after DeregisterMemory")
+	if err := ictx.Put(reg, 8, []byte("x"), nil); !errors.Is(err, errBounds) {
+		t.Fatalf("Put to a deregistered region = %v, want a bounds error", err)
+	}
+	newContextOn(t, target, 0)
+	ep := connect(t, ictx.dev, ictx, 0, 0)
+	if err := ep.PutNotify(reg.ID(), []byte("x"), eager(0)); !errors.Is(err, transport.ErrRegionUnavailable) {
+		t.Fatalf("PutNotify to a deregistered region = %v, want ErrRegionUnavailable", err)
 	}
 }
 
@@ -376,13 +378,13 @@ func TestRMABounds(t *testing.T) {
 	target, _, ictx := newInitiator(t)
 	reg := target.RegisterMemory(make([]byte, 16))
 
-	// Signaled, so a completion a failed operation posted would show.
+	// The puts are signaled, so a completion a failed put posted would show.
 	cases := []error{
 		ictx.Put(reg, 12, []byte("too long"), "bad"),
 		ictx.Put(reg, -1, []byte("x"), "bad"),
-		ictx.Get(reg, 16, make([]byte, 1), "bad"),
-		ictx.Accumulate(reg, 16, []int64{1}, transport.AccSum, "bad"),
-		ictx.Accumulate(reg, 3, []int64{1}, transport.AccSum, "bad"), // misaligned
+		ictx.Get(reg, 16, make([]byte, 1)),
+		ictx.Accumulate(reg, 16, []int64{1}, transport.AccSum),
+		ictx.Accumulate(reg, 3, []int64{1}, transport.AccSum), // misaligned
 	}
 	for i, err := range cases {
 		var be *boundsError
@@ -402,7 +404,7 @@ func TestAccumulateOps(t *testing.T) {
 
 	check := func(op transport.AccumulateOp, operand, want int64) {
 		t.Helper()
-		if err := ictx.Accumulate(reg, 0, []int64{operand}, op, nil); err != nil {
+		if err := ictx.Accumulate(reg, 0, []int64{operand}, op); err != nil {
 			t.Fatal(err)
 		}
 		if got := le64(mem[0:8]); got != want {
@@ -434,15 +436,15 @@ func TestAccumulateAtomicUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(ctx transport.Context) {
+		go func(ctx *Context) {
 			defer wg.Done()
 			for i := 0; i < adds; i++ {
-				if err := ctx.Accumulate(reg, 0, []int64{1}, transport.AccSum, nil); err != nil {
+				if err := ctx.Accumulate(reg, 0, []int64{1}, transport.AccSum); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(ctx)
+		}(ctx.(*Context))
 	}
 	wg.Wait()
 	if got := le64(mem); got != goroutines*adds {

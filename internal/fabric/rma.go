@@ -30,9 +30,6 @@ func (r *MemRegion) ID() uint64 { return r.id }
 // Size returns the region length in bytes.
 func (r *MemRegion) Size() int { return len(r.buf) }
 
-// Bytes exposes the underlying buffer (local access for the window owner).
-func (r *MemRegion) Bytes() []byte { return r.buf }
-
 // regSlab is how many regions share one allocation (2.5 KiB).
 const regSlab = 64
 
@@ -63,17 +60,6 @@ func (d *Device) DeregisterMemory(r transport.MemRegion) {
 		rr.buf = nil
 		d.regMu.Unlock()
 	}
-}
-
-// Region looks up a registered region by id.
-func (d *Device) Region(id uint64) (transport.MemRegion, bool) {
-	d.regMu.RLock()
-	r, ok := d.regions[id]
-	d.regMu.RUnlock()
-	if !ok {
-		return nil, false // untyped: a nil *MemRegion in the interface would not compare nil
-	}
-	return r, true
 }
 
 // regionBytes returns the buffer registered under id, read under the lock
@@ -114,7 +100,7 @@ func checkBounds(op string, r *MemRegion, offset, n int) error {
 
 // simRegion narrows a transport-level region handle to the fabric's concrete
 // region. The initiators accept the interface so *Context satisfies
-// transport.Context; a handle from another backend (or nil) is unreachable
+// transport.OneSided; a handle from another backend (or nil) is unreachable
 // by construction and reported as such.
 func simRegion(reg transport.MemRegion) (*MemRegion, error) {
 	r, ok := reg.(*MemRegion)
@@ -124,20 +110,12 @@ func simRegion(reg transport.MemRegion) (*MemRegion, error) {
 	return r, nil
 }
 
-// signal posts a one-sided operation's local completion through claim — or,
-// for an unsignaled operation (nil token), nothing. Every initiator finishes
-// its work before it returns and the CQ is FIFO, so the CQE of the next
-// signaled operation on this context implies the unsignaled ones before it.
-func (c *Context) signal(kind transport.CQEKind, token any) error {
-	if token == nil {
-		return nil
-	}
-	return c.claim(transport.CQE{Kind: kind, Token: token})
-}
-
 // Put writes src into the remote region at offset — a direct memory write —
-// and posts a local PutComplete CQE carrying token (none when token is nil;
-// see signal). The target's CPU is never involved.
+// and, with a non-nil token, posts a local PutComplete CQE carrying it
+// (claimed first, so a full CQ refuses the put untouched). Every initiator
+// finishes its work before it returns and the CQ is FIFO, so that CQE
+// implies every operation issued on this context before it. The target's
+// CPU is never involved.
 func (c *Context) Put(reg transport.MemRegion, offset int, src []byte, token any) error {
 	r, err := simRegion(reg)
 	if err != nil {
@@ -146,24 +124,22 @@ func (c *Context) Put(reg transport.MemRegion, offset int, src []byte, token any
 	if err := checkBounds("put", r, offset, len(src)); err != nil {
 		return err
 	}
-	if err := c.signal(transport.CQEPutComplete, token); err != nil {
-		return err
+	if token != nil {
+		if err := c.claim(transport.CQE{Kind: transport.CQEPutComplete, Token: token}); err != nil {
+			return err
+		}
 	}
 	copy(r.buf[offset:], src)
 	return nil
 }
 
-// Get reads len(dst) bytes from the remote region at offset into dst and
-// posts a local GetComplete CQE carrying token.
-func (c *Context) Get(reg transport.MemRegion, offset int, dst []byte, token any) error {
+// Get reads len(dst) bytes from the remote region at offset into dst.
+func (c *Context) Get(reg transport.MemRegion, offset int, dst []byte) error {
 	r, err := simRegion(reg)
 	if err != nil {
 		return err
 	}
 	if err := checkBounds("get", r, offset, len(dst)); err != nil {
-		return err
-	}
-	if err := c.signal(transport.CQEGetComplete, token); err != nil {
 		return err
 	}
 	copy(dst, r.buf[offset:offset+len(dst)])
@@ -187,10 +163,9 @@ func apply(op transport.AccumulateOp, cur, v int64) int64 {
 
 // Accumulate applies op element-wise over int64 lanes at offset. The
 // operation is atomic with respect to other Accumulates on the same region
-// (MPI's same-op atomicity guarantee); it posts an AccComplete CQE with
-// token and never involves the target CPU — the "remote atomic" of the RDMA
-// hardware.
-func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int64, op transport.AccumulateOp, token any) error {
+// (MPI's same-op atomicity guarantee) and never involves the target CPU —
+// the "remote atomic" of the RDMA hardware.
+func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int64, op transport.AccumulateOp) error {
 	r, err := simRegion(reg)
 	if err != nil {
 		return err
@@ -202,9 +177,6 @@ func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int6
 	if offset%8 != 0 {
 		return &boundsError{Op: "accumulate (alignment)", Offset: offset, Len: n, Size: len(r.buf)}
 	}
-	if err := c.signal(transport.CQEAccComplete, token); err != nil {
-		return err
-	}
 	r.atomMu.Lock()
 	for i, v := range operand {
 		p := r.buf[offset+8*i:]
@@ -215,10 +187,10 @@ func (c *Context) Accumulate(reg transport.MemRegion, offset int, operand []int6
 }
 
 // FetchAndOp atomically applies op to the int64 at offset and writes the
-// previous value into *result, which is valid once its AccComplete CQE is
-// reaped — the MPI_Fetch_and_op primitive RDMA NICs provide natively.
-func (c *Context) FetchAndOp(reg transport.MemRegion, offset int, operand int64, op transport.AccumulateOp, result *int64, token any) error {
-	return c.atomic64("fetch_and_op", reg, offset, 8, result, token, func(old int64) int64 {
+// previous value into *result — the MPI_Fetch_and_op primitive RDMA NICs
+// provide natively.
+func (c *Context) FetchAndOp(reg transport.MemRegion, offset int, operand int64, op transport.AccumulateOp, result *int64) error {
+	return c.atomic64("fetch_and_op", reg, offset, result, func(old int64) int64 {
 		return apply(op, old, operand)
 	})
 }
@@ -226,8 +198,8 @@ func (c *Context) FetchAndOp(reg transport.MemRegion, offset int, operand int64,
 // CompareAndSwap atomically replaces the int64 at offset with swap if it
 // equals compare, writing the previous value into *result
 // (MPI_Compare_and_swap).
-func (c *Context) CompareAndSwap(reg transport.MemRegion, offset int, compare, swap int64, result *int64, token any) error {
-	return c.atomic64("compare_and_swap", reg, offset, 16, result, token, func(old int64) int64 {
+func (c *Context) CompareAndSwap(reg transport.MemRegion, offset int, compare, swap int64, result *int64) error {
+	return c.atomic64("compare_and_swap", reg, offset, result, func(old int64) int64 {
 		if old == compare {
 			return swap
 		}
@@ -236,10 +208,9 @@ func (c *Context) CompareAndSwap(reg transport.MemRegion, offset int, compare, s
 }
 
 // atomic64 is the single-lane remote atomic both of the above are: under the
-// region's accumulate lock the int64 at offset becomes update(old), old goes
-// to *result (if non-nil), and an AccComplete CQE carries token. wire is the
-// operand bytes the request puts on the link.
-func (c *Context) atomic64(name string, reg transport.MemRegion, offset, wire int, result *int64, token any, update func(old int64) int64) error {
+// region's accumulate lock the int64 at offset becomes update(old), and old
+// goes to *result (if non-nil).
+func (c *Context) atomic64(name string, reg transport.MemRegion, offset int, result *int64, update func(old int64) int64) error {
 	r, err := simRegion(reg)
 	if err != nil {
 		return err
@@ -249,9 +220,6 @@ func (c *Context) atomic64(name string, reg transport.MemRegion, offset, wire in
 	}
 	if offset%8 != 0 {
 		return &boundsError{Op: name + " (alignment)", Offset: offset, Len: 8, Size: len(r.buf)}
-	}
-	if err := c.signal(transport.CQEAccComplete, token); err != nil {
-		return err
 	}
 	r.atomMu.Lock()
 	p := r.buf[offset:]

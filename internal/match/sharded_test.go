@@ -27,6 +27,21 @@ func TestShardedSelfLocking(t *testing.T) {
 	}
 }
 
+// TestShardedDoublePostPanics: posting a receive that is already queued is
+// a caller's bug, refused on the sharded engine as on the list engine
+// (TestDoublePostPanics).
+func TestShardedDoublePostPanics(t *testing.T) {
+	e := newTestSharded(nil)
+	r := &Recv{Source: 0, Tag: 0}
+	e.PostRecv(r)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double PostRecv did not panic")
+		}
+	}()
+	e.PostRecv(r)
+}
+
 func TestShardedExactMatch(t *testing.T) {
 	e := newTestSharded(nil)
 	r := &Recv{Source: 2, Tag: 7, Buf: make([]byte, 8)}

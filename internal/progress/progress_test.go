@@ -46,7 +46,7 @@ func newHarness(t *testing.T, n int) *harness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eps[i], err = sender.Connect(sctx, 0, ctx.Index()); err != nil {
+		if eps[i], err = sender.Connect(sctx, 0, i); err != nil { // ctx is the device's i-th
 			t.Fatal(err)
 		}
 	}

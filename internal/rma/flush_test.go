@@ -119,7 +119,7 @@ func TestFlushMarkerPastQueueDepth(t *testing.T) {
 		inst := pool.Get(i)
 		inst.Lock()
 		for range depth {
-			if err := inst.Context().Put(win.regions[1], 0, nil, &fill); err != nil {
+			if err := win.ctxs[i].Put(win.regions[1], 0, nil, &fill); err != nil {
 				t.Fatal(err)
 			}
 		}

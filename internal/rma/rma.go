@@ -23,8 +23,8 @@ import (
 // passive-target access epoch (no Lock/LockAll held for the target).
 var ErrNoEpoch = errors.New("rma: operation outside a lock epoch")
 
-// ErrNotOneSided is returned by New when the world's transport backend does
-// not advertise one-sided (RMA) support in its capability flags.
+// ErrNotOneSided is returned by New when a member's transport contexts do
+// not implement transport.OneSided (tcpnet's: tcp is two-sided only).
 var ErrNotOneSided = errors.New("rma: transport backend lacks one-sided support")
 
 // Win is one process's handle on a window — a registered memory region on
@@ -34,6 +34,9 @@ type Win struct {
 	local []byte
 	// regions[commRank] is the target's registered region.
 	regions []transport.MemRegion
+	// ctxs[cri] is instance cri's context as a one-sided initiator,
+	// resolved once by New.
+	ctxs []transport.OneSided
 	// flows[cri][commRank] holds the words of the operations instance cri
 	// carried to that target (see flow). An instance's flows fill a
 	// cache-line row of their own (see newRows); other threads' flushes
@@ -99,7 +102,9 @@ func newRows[T any](rows, n int) [][]T {
 
 // New collectively creates a window over the communicator whose per-member
 // handles are comms (as returned by World.NewComm). sizes[r] is member r's
-// exposed buffer size in bytes. Returns one Win per member.
+// exposed buffer size in bytes. Returns one Win per member. Every argument
+// is checked before anything is registered, so a refused window leaves no
+// region behind.
 func New(comms []*core.Comm, sizes []int) ([]*Win, error) {
 	if len(comms) == 0 {
 		return nil, errors.New("rma: no communicator handles")
@@ -107,16 +112,24 @@ func New(comms []*core.Comm, sizes []int) ([]*Win, error) {
 	if len(sizes) != len(comms) {
 		return nil, fmt.Errorf("rma: %d sizes for %d members", len(sizes), len(comms))
 	}
-	if caps := comms[0].Proc().TransportCaps(); !caps.OneSided {
-		return nil, fmt.Errorf("%w (transport %q)", ErrNotOneSided, caps.Name)
-	}
 	n := len(comms)
-	wins := make([]*Win, n)
-	regions := make([]transport.MemRegion, n)
+	ctxs := make([][]transport.OneSided, n)
 	for r, c := range comms {
 		if c.Rank() != r {
 			return nil, fmt.Errorf("rma: comms[%d] has rank %d; pass handles in rank order", r, c.Rank())
 		}
+		if sizes[r] < 0 {
+			return nil, fmt.Errorf("rma: member %d's window size %d is negative", r, sizes[r])
+		}
+		ctx, err := oneSided(c.Proc())
+		if err != nil {
+			return nil, err
+		}
+		ctxs[r] = ctx
+	}
+	wins := make([]*Win, n)
+	regions := make([]transport.MemRegion, n)
+	for r, c := range comms {
 		local := make([]byte, sizes[r])
 		regions[r] = c.Proc().RegisterMemory(local)
 		// One row of flows per instance, and the epoch words in a row of
@@ -124,7 +137,8 @@ func New(comms []*core.Comm, sizes []int) ([]*Win, error) {
 		wins[r] = &Win{
 			comm:   c,
 			local:  local,
-			flows:  newRows[flow](c.Proc().Pool().Len(), n),
+			ctxs:   ctxs[r],
+			flows:  newRows[flow](len(ctxs[r]), n),
 			locked: newRows[atomic.Int64](1, n)[0],
 		}
 	}
@@ -132,6 +146,21 @@ func New(comms []*core.Comm, sizes []int) ([]*Win, error) {
 		w.regions = regions
 	}
 	return wins, nil
+}
+
+// oneSided resolves each of p's instance contexts to a one-sided initiator,
+// or fails with ErrNotOneSided.
+func oneSided(p *core.Proc) ([]transport.OneSided, error) {
+	ctxs := make([]transport.OneSided, p.Pool().Len())
+	for i := range ctxs {
+		ctx := p.Context(i)
+		one, ok := ctx.(transport.OneSided)
+		if !ok {
+			return nil, fmt.Errorf("%w (context %T)", ErrNotOneSided, ctx)
+		}
+		ctxs[i] = one
+	}
+	return ctxs, nil
 }
 
 // Allocate creates a window with the same size on every member
@@ -242,16 +271,15 @@ func (w *Win) inEpoch(target int) error {
 
 // issue runs one one-sided operation through the thread's instance under
 // the instance lock — the contention point the figures sweep. The operation
-// is unsignaled (f passes a nil token): it posts no completion, and a later
-// flush's marker covers it. Every word issue writes belongs to that
-// instance: once the context has accepted the operation it is counted in
-// the instance's issued word for target and charged as c on the instance's
-// counter set, both under the lock — no marker can be posted, or reaped,
-// before the lock is released, so counting after acceptance is not late,
-// and an operation the context refused is never counted at all. It returns
-// the index of the instance that carried the operation so callers can
-// attribute trace events to it.
-func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx transport.Context, r transport.MemRegion) error) (int, error) {
+// is unsignaled: it posts no completion, and a later flush's marker covers
+// it. Every word issue writes belongs to that instance: once the context has
+// accepted the operation it is counted in the instance's issued word for
+// target and charged as c on the instance's counter set, both under the
+// lock — no marker can be posted, or reaped, before the lock is released,
+// so counting after acceptance is not late, and an operation the context
+// refused is never counted at all. It returns the index of the instance that
+// carried the operation so callers can attribute trace events to it.
+func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx transport.OneSided, r transport.MemRegion) error) (int, error) {
 	if err := w.checkTarget(target); err != nil {
 		return -1, err
 	}
@@ -264,7 +292,7 @@ func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx trans
 	inst, release := p.Pool().AcquireSend(th.State())
 	i := inst.Index()
 	clk.Begin(prof.PhaseWire)
-	err := f(inst.Context(), w.regions[target])
+	err := f(w.ctxs[i], w.regions[target])
 	clk.End()
 	if err == nil {
 		w.flows[i][target].issued.Add(1)
@@ -278,7 +306,7 @@ func (w *Win) issue(th *core.Thread, target int, c spc.Counter, f func(ctx trans
 // Put writes src into target's window at offset (MPI_Put). Completion is
 // local-only; use Flush to guarantee remote completion.
 func (w *Win) Put(th *core.Thread, target, offset int, src []byte) error {
-	cri, err := w.issue(th, target, spc.PutsIssued, func(ctx transport.Context, r transport.MemRegion) error {
+	cri, err := w.issue(th, target, spc.PutsIssued, func(ctx transport.OneSided, r transport.MemRegion) error {
 		return ctx.Put(r, offset, src, nil)
 	})
 	if err == nil {
@@ -291,8 +319,8 @@ func (w *Win) Put(th *core.Thread, target, offset int, src []byte) error {
 // Get reads len(dst) bytes from target's window at offset (MPI_Get).
 // dst is valid only after a Flush.
 func (w *Win) Get(th *core.Thread, target, offset int, dst []byte) error {
-	_, err := w.issue(th, target, spc.GetsIssued, func(ctx transport.Context, r transport.MemRegion) error {
-		return ctx.Get(r, offset, dst, nil)
+	_, err := w.issue(th, target, spc.GetsIssued, func(ctx transport.OneSided, r transport.MemRegion) error {
+		return ctx.Get(r, offset, dst)
 	})
 	return err
 }
@@ -300,8 +328,8 @@ func (w *Win) Get(th *core.Thread, target, offset int, dst []byte) error {
 // Accumulate applies op element-wise over int64 lanes at offset in target's
 // window (MPI_Accumulate), atomically with respect to other accumulates.
 func (w *Win) Accumulate(th *core.Thread, target, offset int, operand []int64, op transport.AccumulateOp) error {
-	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.Context, r transport.MemRegion) error {
-		return ctx.Accumulate(r, offset, operand, op, nil)
+	_, err := w.issue(th, target, spc.AccumulatesIssued, func(ctx transport.OneSided, r transport.MemRegion) error {
+		return ctx.Accumulate(r, offset, operand, op)
 	})
 	return err
 }
@@ -380,7 +408,7 @@ func (w *Win) mark(th *core.Thread, i, target int) error {
 	if f.seq.Load() != done || done == seq {
 		return nil
 	}
-	ctx, r := inst.Context(), w.regions[target]
+	ctx, r := w.ctxs[i], w.regions[target]
 	err := ctx.Put(r, 0, nil, f)
 	for errors.Is(err, transport.ErrCQFull) {
 		th.PollHeld(inst)

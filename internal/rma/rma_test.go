@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -231,6 +232,25 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNegativeSize: a negative window size, on any member, is an
+// error from New and from Allocate, not a panic in make.
+func TestNewRefusesNegativeSize(t *testing.T) {
+	w, err := core.NewWorld(hw.Fast(), 2, core.Stock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	comms, _ := w.NewComm([]int{0, 1})
+	for _, sizes := range [][]int{{8, -1}, {-8, 8}} {
+		if wins, err := New(comms, sizes); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("New(sizes %v) = %v, %v; want the negative-size refusal", sizes, wins, err)
+		}
+	}
+	if wins, err := Allocate(comms, -1); err == nil {
+		t.Errorf("Allocate(-1) = %v, want an error", wins)
+	}
+}
+
 func TestDifferentWindowSizes(t *testing.T) {
 	w, err := core.NewWorld(hw.Fast(), 3, core.Stock())
 	if err != nil {
@@ -265,8 +285,7 @@ func TestSPCCounters(t *testing.T) {
 	_ = wins[0].Put(th, 1, 0, []byte("a"))
 	_ = wins[0].Get(th, 1, 0, make([]byte, 1))
 	_ = wins[0].Accumulate(th, 1, 8, []int64{1}, transport.AccSum)
-	// The two single-lane atomics are accumulates to the counters, as they are
-	// to the transport (both would complete as CQEAccComplete).
+	// The two single-lane atomics are accumulates to the counters.
 	if _, err := wins[0].FetchAndOp(th, 1, 16, 1, transport.AccSum); err != nil {
 		t.Fatal(err)
 	}
@@ -380,13 +399,13 @@ func TestFreeDeregisters(t *testing.T) {
 	wins[1].Free()
 	th := w.Proc(0).NewThread()
 	wins[0].LockAll()
-	// The region object still exists in wins[0].regions (stale handle), so
-	// Put succeeds at the backend level; what must be gone is the device
-	// registry entry.
-	_ = th
-	if _, ok := w.Proc(1).Region(1); ok {
-		// region ids start at 1 on each device
-		t.Fatal("region still registered after Free")
+	// wins[0] still holds the freed region (a stale handle), but the device
+	// let go of its buffer: the handle addresses no byte.
+	if wins[0].Size(1) != 0 {
+		t.Fatalf("freed region still spans %d bytes", wins[0].Size(1))
+	}
+	if err := wins[0].Put(th, 1, 0, []byte{1}); err == nil {
+		t.Fatal("a put into a freed window succeeded")
 	}
 }
 

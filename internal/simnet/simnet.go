@@ -227,12 +227,11 @@ func (v *vlock) Unlock() { v.l.Release(v.env.Current()) }
 // outstanding operations as its Token; an inbound packet carries its
 // sender's flow, to which each extraction, a duplicate copy's included,
 // returns a credit.
+//
+// It is a transport.Context and nothing more: the model issues its
+// one-sided operations itself (RunRMAMT).
 type simContext struct {
-	// Context stays nil: a cri.Instance calls only Poll, and the model
-	// issues its one-sided operations itself (RunRMAMT).
-	transport.Context
-	proc  *simProc
-	index int
+	proc *simProc
 	// lock is the virtual lock of the instance over this context.
 	lock *vlock
 	cq   []transport.CQE // local completions, FIFO
@@ -245,6 +244,9 @@ type simContext struct {
 }
 
 func (x *simContext) queued() int { return len(x.cq) + len(x.rxQ) }
+
+// Pending reports whether a completion or an inbound packet is queued.
+func (x *simContext) Pending() bool { return x.queued() > 0 }
 
 // Poll extracts up to max events, local completions before inbound packets,
 // charging the caller's simulated thread one extraction each, or one empty
@@ -361,7 +363,7 @@ func newSimProc(env *sim.Env, cfg params, wire *sim.Wire) *simProc {
 	// count into the proc's, and send_lock_waits reads 0 in the model.
 	instances := make([]*cri.Instance, cfg.Opts.NumInstances)
 	for i := range instances {
-		x := &simContext{proc: p, index: i, lock: p.newVlock("cri.instance")}
+		x := &simContext{proc: p, lock: p.newVlock("cri.instance")}
 		p.ctxs = append(p.ctxs, x)
 		instances[i] = cri.NewInstance(i, x, nil)
 		instances[i].BindVirtualLock(x.lock)

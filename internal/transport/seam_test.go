@@ -3,11 +3,14 @@ package transport_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/backends"
+	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/rma"
 	"repro/internal/spc"
 	"repro/internal/transport"
 	"repro/internal/transport/tcpnet"
@@ -393,4 +396,55 @@ func TestSeamUnresolvablePeer(t *testing.T) {
 		t.Fatalf("after the peer appeared: %d completions, seqs %v, conns_opened %d; want 0, [1], 1",
 			sender.others, receiver.seqs, ctr.Get(spc.ConnsOpened))
 	}
+}
+
+// TestSeamSize pins what a backend must write: five types, 13 methods, each
+// one the runtime calls. One-sided operations are not among them: they are
+// transport.OneSided, which the in-process fabric's contexts implement and
+// tcp's do not, and a window over a backend without it is refused before
+// anything is registered.
+func TestSeamSize(t *testing.T) {
+	for _, c := range []struct {
+		iface any
+		want  int
+	}{
+		{(*transport.Network)(nil), 2},
+		{(*transport.Device)(nil), 5},
+		{(*transport.Context)(nil), 2},
+		{(*transport.Endpoint)(nil), 2},
+		{(*transport.MemRegion)(nil), 2},
+	} {
+		typ := reflect.TypeOf(c.iface).Elem()
+		if got := typ.NumMethod(); got != c.want {
+			t.Errorf("transport.%s has %d methods, want %d", typ.Name(), got, c.want)
+		}
+	}
+
+	if sim := mustContext(t, mustDevice(t, backends.Sim(), 0, nil)); !isOneSided(sim) {
+		t.Errorf("the in-process fabric's context (%T) is not transport.OneSided", sim)
+	}
+	nets, err := tcpnet.NewLoopback(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comms := make([]*core.Comm, 2)
+	for rank := range comms {
+		w, err := core.NewDistributedWorld(hw.Fast(), rank, 2, nets[rank], core.Stock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Close)
+		comms[rank] = w.LocalProc().CommWorld()
+	}
+	if tcp := comms[0].Proc().Context(0); isOneSided(tcp) {
+		t.Errorf("tcp's context (%T) is transport.OneSided", tcp)
+	}
+	if wins, err := rma.Allocate(comms, 8); !errors.Is(err, rma.ErrNotOneSided) || wins != nil {
+		t.Fatalf("rma.Allocate over tcp = %v, %v; want ErrNotOneSided", wins, err)
+	}
+}
+
+func isOneSided(c transport.Context) bool {
+	_, ok := c.(transport.OneSided)
+	return ok
 }

@@ -260,9 +260,9 @@ func TestOneContextPollsAConnection(t *testing.T) {
 	}
 	time.Sleep(2 * time.Millisecond) // the bytes are in the socket
 	for i := 0; i < 100; i++ {
-		for _, c := range ctxs[1:] {
+		for k, c := range ctxs[1:] {
 			if got := c.Poll(func(transport.CQE) {}, 8); got != 0 {
-				t.Fatalf("context %d received a frame through a connection it does not poll", c.Index())
+				t.Fatalf("context %d received a frame through a connection it does not poll", k+1)
 			}
 		}
 	}

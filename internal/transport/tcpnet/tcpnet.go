@@ -1577,25 +1577,16 @@ func (d *Device) DeregisterMemory(r transport.MemRegion) {
 	}
 }
 
-func (d *Device) Region(id uint64) (transport.MemRegion, bool) {
-	d.regMu.RLock()
-	r, ok := d.regions[id]
-	d.regMu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return r, true
-}
-
 // Close tears the whole network slice down: listener, every connection,
 // reader goroutines. Contexts remain readable so in-flight progress loops
 // can drain.
 func (d *Device) Close() { d.net.close() }
 
 // Context is one injection path with its own receive ring. It has no
-// completion ring: tcp is two-sided only, and a two-sided operation posts no
-// completion. The ring is multi-producer (pollers of any context and reader
-// goroutines push concurrently); Poll is called under the per-CRI lock.
+// completion ring: tcp is two-sided only (a Context has no one-sided
+// initiator), and a two-sided operation posts no completion. The ring is
+// multi-producer (pollers of any context and reader goroutines push
+// concurrently); Poll is called under the per-CRI lock.
 type Context struct {
 	index int
 	net   *Network
@@ -1607,8 +1598,6 @@ type Context struct {
 	_  [64]byte
 	rx [64]*transport.Packet
 }
-
-func (c *Context) Index() int { return c.index }
 
 // Poll drains inbound packets, up to max, and flushes whatever the rank has
 // pending toward any peer — frames sent before the pass and frames its
@@ -1657,23 +1646,6 @@ func (c *Context) drain(handler func(transport.CQE), max int) int {
 }
 
 func (c *Context) Pending() bool { return c.recvQ.Len() > 0 }
-
-// TCP is two-sided only.
-func (c *Context) Put(r transport.MemRegion, offset int, src []byte, token any) error {
-	return transport.ErrNotSupported
-}
-func (c *Context) Get(r transport.MemRegion, offset int, dst []byte, token any) error {
-	return transport.ErrNotSupported
-}
-func (c *Context) Accumulate(r transport.MemRegion, offset int, operand []int64, op transport.AccumulateOp, token any) error {
-	return transport.ErrNotSupported
-}
-func (c *Context) FetchAndOp(r transport.MemRegion, offset int, operand int64, op transport.AccumulateOp, result *int64, token any) error {
-	return transport.ErrNotSupported
-}
-func (c *Context) CompareAndSwap(r transport.MemRegion, offset int, compare, swap int64, result *int64, token any) error {
-	return transport.ErrNotSupported
-}
 
 // Endpoint is a lazily connectable send path to one remote context: a mux ID
 // over the peer pair's shared connection. The first Send establishes the
@@ -1763,6 +1735,5 @@ type MemRegion struct {
 	buf []byte
 }
 
-func (r *MemRegion) ID() uint64    { return r.id }
-func (r *MemRegion) Size() int     { return len(r.buf) }
-func (r *MemRegion) Bytes() []byte { return r.buf }
+func (r *MemRegion) ID() uint64 { return r.id }
+func (r *MemRegion) Size() int  { return len(r.buf) }

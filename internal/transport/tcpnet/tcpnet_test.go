@@ -133,17 +133,16 @@ func TestManyPacketsFIFO(t *testing.T) {
 }
 
 func TestCapsAndUnsupportedOps(t *testing.T) {
-	d0, _, c0, _ := newPair(t)
+	_, _, c0, _ := newPair(t)
 	caps := Caps()
-	if caps.Name != "tcp" || !caps.Lossless || caps.OneSided {
+	if caps.Name != "tcp" || !caps.Lossless || !caps.Copies {
 		t.Fatalf("caps = %+v", caps)
 	}
 	if got := caps.String(); got != "lossless" {
 		t.Fatalf("caps string = %q", got)
 	}
-	r := d0.RegisterMemory(make([]byte, 8))
-	if err := c0.Put(r, 0, []byte{1}, nil); !errors.Is(err, transport.ErrNotSupported) {
-		t.Fatalf("Put err = %v", err)
+	if _, ok := c0.(transport.OneSided); ok {
+		t.Fatal("a tcp context implements the one-sided initiators")
 	}
 }
 

@@ -2,17 +2,11 @@ package transport
 
 import (
 	"errors"
-	"strings"
 	"time"
 
 	"repro/internal/hw"
 	"repro/internal/spc"
 )
-
-// ErrNotSupported is returned by backends for operations outside their
-// capability set (e.g. one-sided ops on a send/recv-only wire). Callers
-// should consult Caps before issuing such operations.
-var ErrNotSupported = errors.New("transport: operation not supported by backend")
 
 // ErrRegionUnavailable reports a one-sided operation addressing a region
 // the target has deregistered (or never registered).
@@ -28,22 +22,23 @@ var ErrNoEndpoint = errors.New("transport: no endpoint to peer")
 // that triggered establishment was not injected.
 var ErrConnEstablish = errors.New("transport: connection establishment failed")
 
-// ErrCQFull reports a signaled one-sided operation refused because the
-// local context's completion queue had no room for its completion
-// (libfabric's FI_EAGAIN): nothing was injected and no completion was
-// posted. Only a Poll of that context makes room, and the layers above poll
-// a context only under its instance's lock, so the caller — holding that
-// lock — polls the context itself and then retries. Unsignaled initiators,
-// and the two-sided Endpoint operations of an Unsignaled device, post no
-// completion and never return it.
+// ErrCQFull reports a signaled put (OneSided.Put with a token) refused
+// because the local context's completion queue had no room for its
+// completion (libfabric's FI_EAGAIN): nothing was injected and no completion
+// was posted. Only a Poll of that context makes room, and the layers above
+// poll a context only under its instance's lock, so the caller — holding
+// that lock — polls the context itself and then retries. Every other
+// initiator, and the two-sided Endpoint operations of an Unsignaled device,
+// post no completion and never return it.
 var ErrCQFull = errors.New("transport: completion queue full")
 
 // Caps describes what a backend can do. The runtime consults it at world
 // construction: the ack/retransmit delivery layer runs exactly when the
-// backend is not lossless, and windows (internal/rma) are refused on a
-// backend without one-sided support. A backend's adversary (the faulty
-// fabric's scrambler and injector) is built into the Network, not requested
-// through the runtime.
+// backend is not lossless, and the eager send path reuses one packet per
+// thread exactly when the backend copies. Whether a backend has one-sided
+// operations is not a flag but a type: its contexts implement OneSided. A
+// backend's adversary (the faulty fabric's scrambler and injector) is built
+// into the Network, not requested through the runtime.
 type Caps struct {
 	// Name identifies the backend ("sim", "tcp", ...).
 	Name string
@@ -52,10 +47,6 @@ type Caps struct {
 	// retransmit bookkeeping is unnecessary and is skipped. A wire that may
 	// drop, duplicate or reorder leaves it false.
 	Lossless bool
-	// OneSided means remote memory regions are addressable by peers: the
-	// Context RMA initiators work. Rendezvous does not ask — every backend
-	// lands its bulk data through Endpoint.PutNotify.
-	OneSided bool
 	// Copies means Endpoint.Send and PutNotify are done with the packet and
 	// its payload when they return (tcpnet encodes both into its wire
 	// buffer), so the caller may overwrite them at once. The in-process
@@ -64,20 +55,13 @@ type Caps struct {
 	Copies bool
 }
 
-// String renders the capability set for self-describing results files,
-// e.g. "lossless" or "lossless,one-sided".
+// String renders the capability set for self-describing results files:
+// "lossless" or "none".
 func (c Caps) String() string {
-	var parts []string
 	if c.Lossless {
-		parts = append(parts, "lossless")
+		return "lossless"
 	}
-	if c.OneSided {
-		parts = append(parts, "one-sided")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
+	return "none"
 }
 
 // ClockSync is optionally implemented by distributed backends that estimate
@@ -171,24 +155,25 @@ type Network interface {
 }
 
 // Device is one process's NIC: a context factory plus the registered-memory
-// table remote peers address with one-sided operations.
+// table remote peers address (a rendezvous sink, a window).
 type Device interface {
 	// CreateContext allocates a new network context with the given queue
 	// depth (<= 0 selects the backend default). Backends modeling a
-	// hardware context limit fail once it is exhausted.
+	// hardware context limit fail once it is exhausted. A device's contexts
+	// are indexed in creation order from 0: the index a peer's Connect
+	// names.
 	CreateContext(depth int) (Context, error)
 	// Connect returns an endpoint from local (a context of this device; a
 	// context of another backend is refused) to context index remoteIdx of
 	// peer rank's device. Nothing is established here: see Endpoint.Send.
 	Connect(local Context, peer int, remoteIdx int) (Endpoint, error)
-	// RegisterMemory registers buf for one-sided access and returns its
-	// region. On backends without OneSided caps a peer reaches it through
-	// Endpoint.PutNotify alone (the rendezvous sink).
+	// RegisterMemory registers buf for remote access and returns its
+	// region. Every backend lands a peer's Endpoint.PutNotify in it (the
+	// rendezvous sink); one whose contexts implement OneSided lets a peer
+	// address it with the one-sided initiators too (a window).
 	RegisterMemory(buf []byte) MemRegion
 	// DeregisterMemory removes a region from visibility.
 	DeregisterMemory(r MemRegion)
-	// Region looks up a registered region by id.
-	Region(id uint64) (MemRegion, bool)
 	// Close shuts the device down. Outstanding contexts remain readable so
 	// in-flight progress loops can drain.
 	Close()
@@ -198,13 +183,10 @@ type Device interface {
 // NIC with its own receive queue and completion queue. A Communication
 // Resource Instance (CRI) wraps exactly one Context.
 //
-// Thread safety: packet arrival and the RMA initiators may run concurrently
-// (the queues are multi-producer). Poll must be called by one goroutine at
-// a time; the layers above guarantee this with the per-CRI lock the paper
-// describes.
+// Thread safety: packet arrival may run concurrently with Poll (the queues
+// are multi-producer). Poll must be called by one goroutine at a time; the
+// layers above guarantee this with the per-CRI lock the paper describes.
 type Context interface {
-	// Index returns the context's index within its device.
-	Index() int
 	// Poll extracts up to max completion events, invoking handler for
 	// each, and returns the number handled. Inbound packets surface as
 	// CQERecv events. Poll is where the caller's thread works for the
@@ -219,21 +201,31 @@ type Context interface {
 	// Pending reports whether any completions or inbound packets are
 	// queued.
 	Pending() bool
+}
 
-	// One-sided initiators (OneSided backends only; others return
-	// ErrNotSupported). r addresses a region of the target device;
-	// completion is a local CQE carrying token. An initiator called with
-	// a nil token is unsignaled: it posts no CQE, and its completion is
-	// implied by the CQE of any later operation on the same context that
-	// carries a token — completions are in order (selective completion,
-	// as with unsignaled verbs work requests). An initiator whose
-	// completion queue is full returns ErrCQFull having touched nothing;
-	// an unsignaled one never does.
+// OneSided is optionally implemented by a Context whose backend addresses a
+// peer's registered regions directly — remote memory access with no
+// involvement of the target's CPU. The in-process fabric's contexts
+// implement it; tcpnet's do not, and windows (internal/rma) are refused
+// over them. r addresses a region of the target device. Initiators may run
+// concurrently with Poll and with each other.
+//
+// Only Put is signaled: with a non-nil token it posts one CQEPutComplete
+// carrying the token, and its completion implies that of every operation
+// issued on the same context before it — completions are in order
+// (selective completion, as with unsignaled verbs work requests). A Put
+// with a nil token, and every other initiator, posts nothing. A signaled
+// Put whose completion queue is full returns ErrCQFull having touched
+// nothing.
+type OneSided interface {
 	Put(r MemRegion, offset int, src []byte, token any) error
-	Get(r MemRegion, offset int, dst []byte, token any) error
-	Accumulate(r MemRegion, offset int, operand []int64, op AccumulateOp, token any) error
-	FetchAndOp(r MemRegion, offset int, operand int64, op AccumulateOp, result *int64, token any) error
-	CompareAndSwap(r MemRegion, offset int, compare, swap int64, result *int64, token any) error
+	Get(r MemRegion, offset int, dst []byte) error
+	Accumulate(r MemRegion, offset int, operand []int64, op AccumulateOp) error
+	// FetchAndOp and CompareAndSwap write the target's previous value to
+	// *result (if non-nil), valid once a later signaled Put's completion is
+	// reaped.
+	FetchAndOp(r MemRegion, offset int, operand int64, op AccumulateOp, result *int64) error
+	CompareAndSwap(r MemRegion, offset int, compare, swap int64, result *int64) error
 }
 
 // Endpoint is a send path from a local context to one remote context. The
@@ -245,8 +237,8 @@ type Context interface {
 //
 // On an Unsignaled device (DeviceConfig) a two-sided operation posts no
 // completion: Send and PutNotify returning nil is the local completion, and
-// the caller finishes whatever waits on it (the nil-token rule of the
-// one-sided initiators). So neither ever meets a full completion queue. A
+// the caller finishes whatever waits on it (as an unsignaled one-sided
+// initiator's return does). So neither ever meets a full completion queue. A
 // signaled in-process fabric posts a CQESendComplete per packet, claimed
 // before anything moves: ErrCQFull then means nothing was sent.
 type Endpoint interface {
@@ -280,7 +272,7 @@ type Endpoint interface {
 	// (in process it is an RDMA write; tcpnet streams it behind p's head in
 	// one frame and returns once the kernel has every byte); p is kept as
 	// Send keeps it (Caps.Copies). Every backend
-	// implements it, with or without Caps.OneSided. ErrRegionUnavailable
+	// implements it, with or without OneSided contexts. ErrRegionUnavailable
 	// means the peer's device is known to hold no such region; p was not
 	// sent.
 	PutNotify(regionID uint64, src []byte, p *Packet) error
@@ -293,8 +285,6 @@ type MemRegion interface {
 	ID() uint64
 	// Size returns the region length in bytes.
 	Size() int
-	// Bytes exposes the underlying buffer (local access for the owner).
-	Bytes() []byte
 }
 
 // AccumulateOp selects the reduction applied by Accumulate and FetchAndOp.

@@ -1,7 +1,10 @@
 // Package transport is the seam between the runtime and its wire: the wire
 // contracts every backend speaks (Envelope, Packet, CQE, the length-prefixed
 // codec) and the five types a backend implements — Network, Device, Context,
-// Endpoint, MemRegion, 21 methods in all.
+// Endpoint, MemRegion, 13 methods in all. Two interfaces are optional: a
+// Context that addresses peers' regions directly implements OneSided (the
+// in-process fabric's does), and a Device that estimates peer clock offsets
+// implements ClockSync (tcpnet's does).
 //
 // The CRI design the paper builds on — one network context, one completion
 // queue, one endpoint table per instance, protected by one per-instance
@@ -9,10 +12,9 @@
 // provider (Zambre et al.'s scalable-endpoints line of work), and the
 // software endpoint is a thin handle on the resource a thread drives. So the
 // seam holds exactly what the message path above calls — inject (and inject
-// again, the reliability layer's resend), poll/drain a CQ, one-sided ops,
-// region bookkeeping — and nothing a caller
-// already has in hand (the machine model, the backend's Caps) or that
-// nothing branches on. An endpoint is a lazily resolved path on every
+// again, the reliability layer's resend), poll/drain a CQ, register a
+// region — and nothing a caller already has in hand (the machine model, the
+// backend's Caps) or that nothing branches on. An endpoint is a lazily resolved path on every
 // backend: Connect records where it leads, the first Send establishes it.
 //
 // internal/fabric (in process, the default) and internal/transport/tcpnet
@@ -496,12 +498,9 @@ type CQEKind uint8
 const (
 	// CQERecv reports arrival of a two-sided packet.
 	CQERecv CQEKind = iota + 1
-	// CQEPutComplete reports local completion of a one-sided put.
+	// CQEPutComplete reports local completion of a signaled one-sided put
+	// and of every one-sided operation issued before it on its context.
 	CQEPutComplete
-	// CQEGetComplete reports local completion of a one-sided get.
-	CQEGetComplete
-	// CQEAccComplete reports local completion of a one-sided accumulate.
-	CQEAccComplete
 	// CQESendComplete reports local completion of a two-sided packet on a
 	// signaled in-process fabric device (DeviceConfig.Unsignaled unset).
 	// The runtime's devices never post one.
@@ -512,5 +511,5 @@ const (
 type CQE struct {
 	Kind   CQEKind
 	Packet *Packet // for CQERecv and CQESendComplete
-	Token  any     // for one-sided completions: opaque initiator state
+	Token  any     // for CQEPutComplete: the signaled put's token
 }
