@@ -175,7 +175,10 @@ loc:
 # prof.Mutex over its virtual-lock adapter (vlock), its site filled by the
 # Mutex, not by a second statistics path (siteSnapshots): outside vlock, only
 # the NoWildcards shard locks (simComm.lockShard) call a sim.Lock's Acquire
-# or TryAcquire.
+# or TryAcquire. Each direction of a tcp connection has one writer: in tcpnet
+# only writeOut writes frames to a connection — dialPeer and answer write the
+# handshake — and a rank's write path to a peer is never handed over, so no
+# dial-race arbitration (adopt) or dial_races_lost counter grows back.
 lint-onepath:
 	@fail=0; \
 	one() { n=$$(cat $$2 | grep -c -- "$$1"); \
@@ -233,6 +236,12 @@ lint-onepath:
 		echo "FAIL: a run is sampled by one loop (core.Sampler); want one time.NewTicker outside internal/cluster, found:"; echo "$$tickers"; fail=1; fi; \
 	if grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=benchmark 'StartWatchdog|NewSampler|OnSampler' .; then \
 		echo "FAIL: the world's one sampler (World.StartSampler) feeds the series and the detector; no second sampling path"; fail=1; fi; \
+	writes=$$(awk '/^func /{f=$$0} /^[[:space:]]*\/\//{next} /\.Write(To)?\(/ && f !~ /^func \(n \*Network\) (writeOut|dialPeer|answer)\(/ {print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/transport/tcpnet/*.go | grep -v _test.go)); \
+	if [ -n "$$writes" ]; then \
+		echo "FAIL: only writeOut writes frames to a tcp connection (dialPeer and answer the handshake), found:"; echo "$$writes"; fail=1; fi; \
+	if grep -rnE --include='*.go' --include='*.sh' --exclude-dir=.bench_build 'DialRacesLost|dial_races_lost|\) adopt\(' .; then \
+		echo "FAIL: a rank's write path to a peer is never handed over; no dial-race adoption or dial_races_lost"; fail=1; fi; \
 	n=$$(cat internal/core/comm.go internal/core/world.go | grep -c 'time\.Now()'); \
 	if [ "$$n" -gt 5 ]; then echo "FAIL: $$n time.Now() sites in core/comm.go + core/world.go, want at most 5"; fail=1; fi; \
 	if [ $$fail = 0 ]; then echo "one path ok"; else exit 1; fi

@@ -16,6 +16,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,33 +29,48 @@ import (
 	"repro/internal/cluster"
 )
 
-func main() {
-	var (
-		once      = flag.Bool("once", false, "print one table and exit (no screen refresh)")
-		snapshot  = flag.String("snapshot", "", "render a saved cluster report JSON file instead of polling a live aggregator")
-		reportOut = flag.String("report-out", "", "save the last fetched report JSON to this file")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mpitop [-once] [-report-out FILE] <aggregator-url>\n"+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it renders the report to stdout until the job goes
+// away (or once) and returns the exit status — 0 for -h, 2 for a usage error
+// (a bad flag, or no aggregator and no snapshot), 1 for a report it cannot
+// read, fetch or save.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpitop", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	once := fs.Bool("once", false, "print one table and exit (no screen refresh)")
+	snapshot := fs.String("snapshot", "", "render a saved cluster report JSON file instead of polling a live aggregator")
+	reportOut := fs.String("report-out", "", "save the last fetched report JSON to this file")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: mpitop [-once] [-report-out FILE] <aggregator-url>\n"+
 			"       mpitop -snapshot report.json\n")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mpitop:", err)
+		return 1
+	}
 
 	if *snapshot != "" {
 		rep, err := readSnapshot(*snapshot)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		render(os.Stdout, rep, false)
-		return
+		render(stdout, rep, false)
+		return 0
 	}
 
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
-	url := reportURL(flag.Arg(0))
+	url := reportURL(fs.Arg(0))
 	client := &http.Client{Timeout: 5 * time.Second}
 
 	fetched := false
@@ -62,22 +78,22 @@ func main() {
 		rep, err := fetchReport(client, url)
 		if err != nil {
 			if !fetched {
-				fatal(err)
+				return fail(err)
 			}
 			// The aggregator went away: the job ended. The last table stays
 			// on screen as the final state.
-			fmt.Fprintf(os.Stderr, "mpitop: aggregator gone (%v), exiting\n", err)
-			return
+			fmt.Fprintf(stderr, "mpitop: aggregator gone (%v), exiting\n", err)
+			return 0
 		}
 		fetched = true
-		render(os.Stdout, rep, !*once)
+		render(stdout, rep, !*once)
 		if *reportOut != "" {
 			if err := writeSnapshot(*reportOut, rep); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
 		if *once {
-			return
+			return 0
 		}
 		time.Sleep(time.Second) // live-mode refresh interval
 	}
@@ -241,9 +257,4 @@ func formatUptime(s float64) string {
 		return "-"
 	}
 	return time.Duration(s * float64(time.Second)).Truncate(100 * time.Millisecond).String()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mpitop:", err)
-	os.Exit(1)
 }

@@ -207,10 +207,10 @@ func main() {
 			check(fmt.Errorf("unknown transport %q", *transportName))
 		}
 		check(err)
-		fmt.Printf("engine=real transport=%s caps=%s dial_retries=%d reconnects=%d short_writes=%d conns_opened=%d conns_reused=%d dial_races_lost=%d rank=%d pairs=%d messages=%d elapsed=%v rate=%.0f msg/s oos=%.2f%% steal_losses=%d gc_cycles=%d gc_cpu=%.1f%%%s%s\n",
+		fmt.Printf("engine=real transport=%s caps=%s dial_retries=%d reconnects=%d short_writes=%d conns_opened=%d conns_reused=%d rank=%d pairs=%d messages=%d elapsed=%v rate=%.0f msg/s oos=%.2f%% steal_losses=%d gc_cycles=%d gc_cpu=%.1f%%%s%s\n",
 			res.Transport.Name, res.Transport,
 			res.SPCs[spc.DialRetries], res.SPCs[spc.Reconnects], res.SPCs[spc.ShortWrites],
-			res.SPCs[spc.ConnsOpened], res.SPCs[spc.ConnsReused], res.SPCs[spc.DialRacesLost],
+			res.SPCs[spc.ConnsOpened], res.SPCs[spc.ConnsReused],
 			*rank, *pairs, res.Messages, res.Elapsed, res.Rate, res.SPCs.OutOfSequencePercent(),
 			res.SPCs[spc.ProgressStealLosses], res.GC.Cycles, 100*res.GC.CPUShare,
 			cliobs.HeaderPath("flight_out", ob.FlightOut),

@@ -136,10 +136,10 @@ var (
 		spc.MatchTimeNanos, spc.SendLockWaits,
 		spc.GetsIssued, spc.AccumulatesIssued,
 		spc.RetransmitFailures, spc.DuplicatePackets, spc.AcksSent, spc.AcksReceived,
-		spc.DialRetries, spc.Reconnects, spc.ShortWrites, spc.DialRacesLost,
+		spc.DialRetries, spc.Reconnects, spc.ShortWrites,
 		spc.WireFlushes, spc.WireFramesFlushed, spc.WireBackstopFlushes,
 		spc.WireFlushFailures, spc.WireFramesStranded, spc.WireFramesRejected,
-		spc.RingFullWaits, spc.WireReadsPolled, spc.WireReadsParked,
+		spc.RingFullWaits, spc.WireReadsPolled, spc.WireReadsParked, spc.WireReadsEmpty,
 	}
 )
 

@@ -462,7 +462,7 @@ func (n countedNet) NewDevice(rank int, m hw.Machine, cfg transport.DeviceConfig
 
 func linkCounts(r Result) string {
 	var b strings.Builder
-	for _, c := range []spc.Counter{spc.DialRetries, spc.DialRacesLost, spc.Reconnects, spc.ConnsOpened, spc.WireBackstopFlushes} {
+	for _, c := range []spc.Counter{spc.DialRetries, spc.Reconnects, spc.ConnsOpened, spc.WireBackstopFlushes} {
 		fmt.Fprintf(&b, "%s=%d ", c, r.SPCs.Get(c))
 	}
 	return b.String()

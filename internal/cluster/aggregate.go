@@ -220,7 +220,7 @@ func BuildReport(cs ClusterState) Report {
 			Sent:          rs.Sent,
 			Received:      rs.Received,
 			Retransmits:   rs.Retransmits,
-			Conns:         rs.SPC.Get(spc.ConnsOpened) - rs.SPC.Get(spc.DialRacesLost),
+			Conns:         rs.SPC.Get(spc.ConnsOpened),
 			Posted:        depths.Posted,
 			Unexpected:    depths.Unexpected,
 			OOSBuffered:   depths.OOSBuffered,

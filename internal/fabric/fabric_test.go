@@ -320,11 +320,26 @@ func TestRMAPutGet(t *testing.T) {
 		t.Fatalf("completions = %v, tokens = %v; want the put's alone", kinds, tokens)
 	}
 
-	// A deregistered region lets go of its buffer: a stale handle addresses
-	// no byte, and a notified write to its id finds no region.
+	// A deregistered region is gone: every initiator on a stale handle
+	// returns ErrRegionUnavailable and posts nothing — a zero-byte signaled
+	// put (a flush marker) included — and a notified write to its id finds
+	// no region.
 	target.DeregisterMemory(reg)
-	if err := ictx.Put(reg, 8, []byte("x"), nil); !errors.Is(err, errBounds) {
-		t.Fatalf("Put to a deregistered region = %v, want a bounds error", err)
+	var res int64
+	for name, op := range map[string]func() error{
+		"Put":            func() error { return ictx.Put(reg, 8, []byte("x"), nil) },
+		"signaled Put":   func() error { return ictx.Put(reg, 0, nil, "marker") },
+		"Get":            func() error { return ictx.Get(reg, 8, dst) },
+		"Accumulate":     func() error { return ictx.Accumulate(reg, 8, []int64{1}, transport.AccSum) },
+		"FetchAndOp":     func() error { return ictx.FetchAndOp(reg, 8, 1, transport.AccSum, &res) },
+		"CompareAndSwap": func() error { return ictx.CompareAndSwap(reg, 8, 0, 1, &res) },
+	} {
+		if err := op(); !errors.Is(err, transport.ErrRegionUnavailable) {
+			t.Errorf("%s on a deregistered region = %v, want ErrRegionUnavailable", name, err)
+		}
+	}
+	if ictx.Pending() {
+		t.Fatal("an initiator on a deregistered region posted a completion")
 	}
 	newContextOn(t, target, 0)
 	ep := connect(t, ictx.dev, ictx, 0, 0)

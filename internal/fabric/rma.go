@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/transport"
 )
@@ -22,6 +23,9 @@ type MemRegion struct {
 	// overlapping puts are erroneous at the MPI level, as in the standard's
 	// separate memory model.
 	atomMu sync.Mutex
+	// gone is set by DeregisterMemory before it lets go of buf: every
+	// initiator reads it once and refuses the region, posting nothing.
+	gone atomic.Bool
 }
 
 // ID returns the region's registration id.
@@ -30,7 +34,7 @@ func (r *MemRegion) ID() uint64 { return r.id }
 // Size returns the region length in bytes.
 func (r *MemRegion) Size() int { return len(r.buf) }
 
-// regSlab is how many regions share one allocation (2.5 KiB).
+// regSlab is how many regions share one allocation (3 KiB).
 const regSlab = 64
 
 // RegisterMemory registers buf for remote access and returns its region,
@@ -51,12 +55,14 @@ func (d *Device) RegisterMemory(buf []byte) transport.MemRegion {
 	return r
 }
 
-// DeregisterMemory removes a region from remote visibility. The region lets
-// go of its buffer, so its slab pins no user memory.
+// DeregisterMemory removes a region from remote visibility: a one-sided
+// operation on a stale handle returns ErrRegionUnavailable. The region lets go
+// of its buffer, so its slab pins no user memory.
 func (d *Device) DeregisterMemory(r transport.MemRegion) {
 	if rr, ok := r.(*MemRegion); ok && rr != nil {
 		d.regMu.Lock()
 		delete(d.regions, rr.id)
+		rr.gone.Store(true)
 		rr.buf = nil
 		d.regMu.Unlock()
 	}
@@ -101,10 +107,11 @@ func checkBounds(op string, r *MemRegion, offset, n int) error {
 // simRegion narrows a transport-level region handle to the fabric's concrete
 // region. The initiators accept the interface so *Context satisfies
 // transport.OneSided; a handle from another backend (or nil) is unreachable
-// by construction and reported as such.
+// by construction, and a deregistered region is gone: both are reported as
+// such before anything is posted.
 func simRegion(reg transport.MemRegion) (*MemRegion, error) {
 	r, ok := reg.(*MemRegion)
-	if !ok || r == nil {
+	if !ok || r == nil || r.gone.Load() {
 		return nil, transport.ErrRegionUnavailable
 	}
 	return r, nil

@@ -394,6 +394,8 @@ func TestConcurrentAccumulateAtomicity(t *testing.T) {
 	}
 }
 
+// TestFreeDeregisters: a freed window's region is gone from its device, and
+// a put through a stale handle to it is refused as an unavailable region.
 func TestFreeDeregisters(t *testing.T) {
 	w, wins := newWinPair(t, core.Stock(), 16)
 	wins[1].Free()
@@ -404,8 +406,8 @@ func TestFreeDeregisters(t *testing.T) {
 	if wins[0].Size(1) != 0 {
 		t.Fatalf("freed region still spans %d bytes", wins[0].Size(1))
 	}
-	if err := wins[0].Put(th, 1, 0, []byte{1}); err == nil {
-		t.Fatal("a put into a freed window succeeded")
+	if err := wins[0].Put(th, 1, 0, []byte{1}); !errors.Is(err, transport.ErrRegionUnavailable) {
+		t.Fatalf("a put into a freed window = %v, want ErrRegionUnavailable", err)
 	}
 }
 

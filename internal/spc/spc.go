@@ -107,8 +107,9 @@ const (
 	// DialRetries counts transport connection attempts that failed and were
 	// retried while a peer's listener came up.
 	DialRetries
-	// Reconnects counts transport connections re-established after a write
-	// failure on an existing connection.
+	// Reconnects counts transport write paths re-established after the
+	// previous one to the same peer broke (a failed write, or the peer closed
+	// the connection).
 	Reconnects
 	// ShortWrites counts wire writes that moved only part of their buffer
 	// before failing (the tail never reached the kernel, so the stream is
@@ -125,19 +126,16 @@ const (
 	// FreeListEmpty counts send-path acquisitions that found the free-list
 	// drained and fell back to contended round-robin (threads > instances).
 	FreeListEmpty
-	// ConnsOpened counts physical connections this process established to a
-	// peer (a successful dial, or the first endpoint resolution toward an
-	// in-process peer). Every context of a peer pair shares one physical
-	// connection, so the surviving connection count per process is
-	// ConnsOpened − DialRacesLost.
+	// ConnsOpened counts write paths this process established toward a peer
+	// (over tcp a dial, or taking up the connection the peer dialed; in
+	// process the first endpoint resolution toward the peer). Every local
+	// context sending to the peer shares the path, so without reconnects it
+	// is the number of peers this process sent to.
 	ConnsOpened
-	// ConnsReused counts endpoint establishments satisfied by an existing
-	// physical connection to the peer (the multiplexing win: no new socket).
+	// ConnsReused counts endpoint establishments satisfied by a path this
+	// process had already established to the peer (the multiplexing win: no
+	// new socket).
 	ConnsReused
-	// DialRacesLost counts symmetric-dial races this process lost: both
-	// sides of a peer pair dialed concurrently and this side discarded its
-	// own connection, adopting the winner's (lower rank's dial wins).
-	DialRacesLost
 	// WireFlushes counts coalesced wire writes: one per pending-buffer flush
 	// of a peer link, however many frames it carried.
 	WireFlushes
@@ -178,6 +176,9 @@ const (
 	// nobody progresses (a rank busy computing) or the process has idle Ps;
 	// near zero means the progress engine carries the wire.
 	WireReadsParked
+	// WireReadsEmpty counts socket reads that found nothing to read, by a
+	// poller or a reader goroutine: the empty half of the read syscalls.
+	WireReadsEmpty
 
 	numCounters
 )
@@ -218,7 +219,6 @@ var counterNames = [...]string{
 	FreeListEmpty:          "freelist_empty",
 	ConnsOpened:            "conns_opened",
 	ConnsReused:            "conns_reused",
-	DialRacesLost:          "dial_races_lost",
 	WireFlushes:            "wire_flushes",
 	WireFramesFlushed:      "wire_frames_flushed",
 	WireBackstopFlushes:    "wire_backstop_flushes",
@@ -228,6 +228,7 @@ var counterNames = [...]string{
 	RingFullWaits:          "ring_full_waits",
 	WireReadsPolled:        "wire_reads_polled",
 	WireReadsParked:        "wire_reads_parked",
+	WireReadsEmpty:         "wire_reads_empty",
 }
 
 // String returns the counter's snake_case name.

@@ -122,8 +122,8 @@ func TestSeamContract(t *testing.T) {
 		cl := mk(t)
 		foreign := clusters[1-i]
 		t.Run(cl.name, func(t *testing.T) {
-			ctr := spc.NewSet()
-			d0, d1 := cl.device(t, 0, ctr), cl.device(t, 1, spc.NewSet())
+			ctr, ctr1 := spc.NewSet(), spc.NewSet()
+			d0, d1 := cl.device(t, 0, ctr), cl.device(t, 1, ctr1)
 			tx, tx2, rx := mustContext(t, d0), mustContext(t, d0), mustContext(t, d1)
 			ep := mustConnect(t, d0, tx, 1, 0)
 			var sender, receiver tally
@@ -178,7 +178,7 @@ func TestSeamContract(t *testing.T) {
 				t.Fatalf("a packet sent twice arrived as %v, sender saw %d completions", receiver.seqs[n:], sender.others)
 			}
 
-			// A second endpoint onto the same peer reuses the pair's path.
+			// A second endpoint onto the same peer reuses the rank's path there.
 			var sender2 tally
 			if err := mustConnect(t, d0, tx2, 1, 0).Send(eager(n + 1)); err != nil {
 				t.Fatal(err)
@@ -189,6 +189,31 @@ func TestSeamContract(t *testing.T) {
 			}
 			if sender2.others != 0 {
 				t.Fatalf("second endpoint's context saw %d completions, want none", sender2.others)
+			}
+
+			// The other direction: rank 1 answers, establishing a write path of
+			// its own (over tcp, the connection rank 0 dialed), and its
+			// counters read as rank 0's did; rank 0's do not move.
+			rx2 := mustContext(t, d1)
+			var back, answers tally
+			if err := mustConnect(t, d1, rx, 0, 0).Send(eager(0)); err != nil {
+				t.Fatal(err)
+			}
+			pump(t, rx, tx, &back, &answers, 1)
+			if opened, reused := ctr1.Get(spc.ConnsOpened), ctr1.Get(spc.ConnsReused); opened != 1 || reused != 0 {
+				t.Fatalf("rank 1's first send back: conns_opened = %d, conns_reused = %d, want 1 and 0", opened, reused)
+			}
+			if err := mustConnect(t, d1, rx2, 0, 0).Send(eager(1)); err != nil {
+				t.Fatal(err)
+			}
+			pump(t, rx2, tx, &back, &answers, 2)
+			for r, c := range []*spc.Set{ctr, ctr1} {
+				if opened, reused := c.Get(spc.ConnsOpened), c.Get(spc.ConnsReused); opened != 1 || reused != 1 {
+					t.Fatalf("after the exchange, rank %d: conns_opened = %d, conns_reused = %d, want 1 and 1", r, opened, reused)
+				}
+			}
+			if answers.seqs[0] != 0 || answers.seqs[1] != 1 || back.others != 0 {
+				t.Fatalf("rank 0 got %v back, rank 1 saw %d completions", answers.seqs, back.others)
 			}
 
 			// A context of another backend is not a local context.

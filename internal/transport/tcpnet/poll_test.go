@@ -200,7 +200,7 @@ func TestFullRingStopsThePoller(t *testing.T) {
 }
 
 // TestClosedLinkDeliversWhatItRead: a link closed under the runtime (a
-// dial-race handover, a failed write) while its record still holds frames it
+// failed write, shutdown) while its record still holds frames it
 // had read — one kept for a full ring, more behind it in the window — loses
 // none of them: closing stops the reads, not the delivery.
 func TestClosedLinkDeliversWhatItRead(t *testing.T) {
@@ -429,12 +429,13 @@ func (w *canaryWorld) stream(t *testing.T) {
 	}
 }
 
-// link returns rank r's current link toward the other rank.
+// link returns the stream's current connection at rank r: the one rank 0
+// writes over, the one rank 1 reads it from.
 func (w *canaryWorld) link(r int) *link {
-	s := &w.nets[r].slots[1-r]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.link
+	if r == 0 {
+		return w.nets[0].slots[1].link.Load()
+	}
+	return w.nets[1].slots[0].inbound.Load()
 }
 
 func (w *canaryWorld) shut() (rejected int64) {
@@ -446,10 +447,11 @@ func (w *canaryWorld) shut() (rejected int64) {
 // TestNoReadOnARecycledDescriptor is the canary for the descriptor lifetime
 // rule. Pollers read raw descriptor numbers, and the kernel hands a closed
 // number to the next socket opened. 500 times over a link carries a stream and
-// is then closed while pollers spin on both ranks — by a failed write
-// (writeOut) and the handover that follows it (adopt), by a handover alone, by
-// shutdown (Network.close) — and the test opens sockets until one gets a
-// closed link's number and has its peer write a marker to it. A poller still
+// is then closed at both ends while pollers spin on both ranks — by rank 0's
+// failed write (writeOut) and the end of rank 1's stream behind it, by rank 0
+// closing its own end and the end of rank 1's stream behind that, by shutdown
+// (Network.close) — and the test opens sockets until one gets a closed link's
+// number and has its peer write a marker to it. A poller still
 // reading through the dead record would take marker bytes: every one must
 // still be there, the stream must arrive exactly once and in order on the
 // links that replace the closed ones (which recycle numbers too), and no
@@ -501,16 +503,15 @@ func TestNoReadOnARecycledDescriptor(t *testing.T) {
 		closing := []*link{w.link(0), w.link(1)}
 		switch cycle % 3 {
 		case 0:
-			// The wire fails under rank 0: its next flush closes the link in
-			// writeOut and re-dials, and rank 1 closes its end when it adopts
-			// the new connection.
+			// The wire fails under rank 0: its next flush fails (or finds
+			// the link already closed at the end of its read stream) and
+			// re-dials, and rank 1 closes its end at the end of its stream.
 			sever(t, w.nets[0], 1)
 			w.stream(t)
 		case 1:
-			// Rank 0 gives its link up without closing it and dials again (a
-			// lost dial race): only rank 1 closes, in adopt.
-			closing[0].broken.Store(true)
-			closing = closing[1:]
+			// Rank 0 closes its own end and dials again on its next flush;
+			// rank 1 closes its end at the end of its stream.
+			closing[0].close()
 			w.stream(t)
 		case 2:
 			rejected += w.shut()
@@ -636,9 +637,6 @@ func TestFlushAgainstFlushCompletes(t *testing.T) {
 	for r := range devs {
 		eps[r] = mustConnect(t, devs[r], ctxs[r], 1-r, 0)
 	}
-	// One connection before the two-way traffic: racing first dials may split
-	// a stream across the losing and the winning connection.
-	establish(t, eps[0], ctxs[0], ctxs[1])
 	done := make(chan int, 2)
 	for r := range devs {
 		go func(r int) {

@@ -1,21 +1,29 @@
 // Package tcpnet is a real TCP transport backend: each rank runs in its own
-// OS process, listens on a TCP address, and reaches every peer over one
-// multiplexed connection per peer pair, established lazily on first send.
+// OS process, listens on a TCP address, and writes to every peer over one
+// multiplexed connection, established lazily on first send.
 // Wire frames are decoded into the target context's receive ring by mux ID —
 // by the thread polling that rank's contexts when there is one, by the
 // connection's own goroutine otherwise — so the layers above (cri, progress,
 // match, core) run unchanged over a real network — the point of the pluggable
 // transport split.
 //
-// Connection model: all of a peer pair's contexts share one physical
-// connection. Nothing is dialed at world construction —
-// Device.Connect returns a lazily connectable endpoint, and the first send
-// toward a peer dials and handshakes. When both sides of a pair dial
-// simultaneously, the race resolves deterministically: the lower rank's
-// dial wins, the loser adopts the winner's connection and discards its own
-// (counted as a DialRacesLost SPC tick). ConnsOpened counts successful
-// dials, ConnsReused counts endpoints attaching to an already-established
-// link, so surviving physical connections = conns_opened − dial_races_lost.
+// Connection model: each direction of a connection has one writer. A rank's
+// write path to a peer, shared by all of its contexts, is chosen when it is
+// first needed and kept until it breaks: the connection the peer already
+// dialed toward this rank, if one is up, else one this rank dials. MPI orders
+// messages per (sender, receiver, communicator), so the wire owes FIFO per
+// direction, and a path that is never handed over keeps it. A pair whose first
+// sends cross dials twice and writes one way over each connection; nothing is
+// arbitrated, discarded or replayed. Any other pair shares one socket, so a
+// reply rides the connection its request came in on and TCP's acknowledgment
+// of the request rides the reply (over a connection per direction every small
+// segment is acknowledged by a segment of its own, which slows a loopback
+// round trip by a third — DESIGN "One writer per direction"). Nothing is
+// dialed at world construction — Device.Connect returns a lazily connectable
+// endpoint, and the first send toward a peer establishes its path.
+// ConnsOpened counts paths established (a dial, or taking up the peer's
+// connection), ConnsReused endpoints attaching to an established one,
+// Reconnects paths re-established after one broke.
 //
 // Wire format: every packet travels as one length-prefixed multiplexed
 // frame,
@@ -23,7 +31,7 @@
 //	[u32 little-endian frame length][u32 mux ID][Packet.AppendWire bytes]
 //
 // where the mux ID is the destination context index — the demux key that
-// routes the frame to one of the shared connection's per-context receive
+// routes the frame to one of the connection's per-context receive
 // rings. A rendezvous FIN travels as a landed frame (Endpoint.PutNotify,
 // transport.AppendLandedFrame): its envelope carries FlagLanded, a region id
 // and a body length n, and behind the packet come n body bytes the reader
@@ -46,7 +54,7 @@
 // timestamps in the local clock domain.
 //
 // Write side: Endpoint.Send does not touch the socket. It appends the mux
-// frame to the peer pair's pending buffer (a short pending-lock hold, no
+// frame to the peer's pending buffer (a short pending-lock hold, no
 // syscall) and posts no completion — Send returning is the eager local
 // completion, "buffer copied", which is all MPI promises. The pending buffer
 // reaches the kernel in one Write when
@@ -128,13 +136,16 @@
 // behind, or meets the end of the stream, wakes the goroutine with an
 // expired read deadline — the netpoller reports a socket only while bytes sit
 // in it, and the poller took them. wire_reads_polled and
-// wire_reads_parked count the reads that returned bytes by who made them.
+// wire_reads_parked count the reads that returned bytes by who made them,
+// wire_reads_empty the reads that found the socket empty.
 //
 // Pollers read the raw descriptor, outside Go's descriptor reference
-// counting, so its lifetime is guarded here: every close of a connection goes
-// through link.close, which marks the record dead under its mutex before the
-// descriptor is released, and a poller touches the descriptor only under that
-// mutex with the mark unset. The mark stops reads, not delivery: frames the
+// counting, so its lifetime is guarded here: every close of a connection — the
+// end of its stream (the peer closed it, so the next flush re-establishes the
+// path instead of writing into a dead socket), a rejected frame, a failed
+// write, Network.close — goes through link.close, which marks the record dead
+// under its mutex before the descriptor is released, and a poller touches the
+// descriptor only under that mutex with the mark unset. The mark stops reads, not delivery: frames the
 // record had already read still go out, for nobody would resend them. Lock
 // order: CRI lock → record try-lock on a polling thread; the goroutine takes
 // the record lock alone and waits for ring room and contexts with it
@@ -144,9 +155,7 @@
 //
 // TCP is lossless and per-connection FIFO, so the backend advertises
 // Caps.Lossless and the runtime skips the ack/retransmit delivery layer.
-// (A dial-race handover can reorder frames across the old and new
-// connection; the matching engine's out-of-sequence buffering absorbs
-// exactly that.) One-sided operations are not supported (window creation in
+// One-sided operations are not supported (window creation in
 // internal/rma is refused up front); rendezvous bulk data crosses in the FIN's
 // landed frame, user buffer to kernel to user buffer.
 package tcpnet
@@ -256,7 +265,7 @@ var errBadFrame = errors.New("tcpnet: invalid frame")
 var errWouldBlock = errors.New("tcpnet: read would block")
 
 // Caps describes the TCP wire: lossless FIFO streams multiplexed over one
-// lazily dialed connection per peer pair, two-sided only, no fault
+// lazily established write path per peer, two-sided only, no fault
 // injection (the kernel would repair injected faults anyway). Send and
 // PutNotify encode the packet into the wire buffer before they return and
 // keep no reference to it.
@@ -348,8 +357,7 @@ type Network struct {
 	polled atomic.Pointer[[]*rxConn]
 	nctx   atomic.Int32
 
-	// slots[r] is the connection slot toward rank r — at most one live
-	// physical link per peer pair, shared by every context.
+	// slots[r] is the path toward rank r, shared by every context.
 	slots []peerSlot
 
 	// dirty counts slots holding unflushed frames: the one atomic load an
@@ -364,16 +372,15 @@ type Network struct {
 	clocks  map[int]clockSample
 }
 
-// peerSlot is the path toward one peer: connection establishment (at most
-// one local dial in flight, and the deterministic adoption of inbound
-// connections — see adopt) and the outbound frame buffer every local context
-// sending there appends to. The buffer lives here rather than on the link so
-// it survives the link being replaced (reconnect, dial-race handover).
+// peerSlot is the path toward one peer: the connection this rank writes to
+// it over, the newest one the peer dialed toward this rank, and the outbound
+// frame buffer every local context sending there appends to. The buffer lives
+// here rather than on the link so it survives a reconnect.
 type peerSlot struct {
+	// link is read lock-free by every send; mu serializes establishing it.
+	link    atomic.Pointer[link]
+	inbound atomic.Pointer[link]
 	mu      sync.Mutex
-	cond    *sync.Cond
-	link    *link
-	dialing bool
 
 	// wmu is the write-order lock: held across swap + Write so flushes reach
 	// the socket in buffer order. spare is the idle half of the double
@@ -518,10 +525,9 @@ func (n *Network) flush(peer int, backstop bool, head, body []byte) error {
 }
 
 // writeOut writes buf to the peer's link, and body behind it in the same
-// vectored write when there is one. A failed write marks the link
-// broken for every sharer and is retried once, whole, on a re-established
-// link: a peer restart or transient RST should not kill the path for the
-// rest of the run. The new stream starts at a frame boundary, so replaying
+// vectored write when there is one. A failed write closes the link for every
+// sharer and is retried once, whole, on a re-established link: a peer restart
+// or transient RST should not kill the path for the rest of the run. The new stream starts at a frame boundary, so replaying
 // from the start of buf is safe; frames the peer had already consumed are
 // absorbed by the matching engine's sequence dedup.
 func (n *Network) writeOut(peer int, buf, body []byte, ctr *spc.Set) error {
@@ -531,9 +537,6 @@ func (n *Network) writeOut(peer int, buf, body []byte, ctr *spc.Set) error {
 		lk, _, err := n.linkTo(peer)
 		if err != nil {
 			return fmt.Errorf("%w: peer %d: %v", transport.ErrConnEstablish, peer, err)
-		}
-		if attempt > 0 {
-			ctr.Inc(spc.Reconnects)
 		}
 		var m int
 		if len(body) == 0 {
@@ -589,9 +592,8 @@ type clockSample struct {
 }
 
 // recordClockSample keeps the minimum-delta sample per peer. Every
-// connection handshake with a peer contributes one sample (in either
-// direction), so a pair that raced its dials converges on the best of the
-// exchanges.
+// connection handshake with a peer contributes one sample on both sides, so a
+// pair whose first sends crossed keeps the better of its two exchanges.
 func (n *Network) recordClockSample(peer int, offset, delta int64) {
 	n.clockMu.Lock()
 	defer n.clockMu.Unlock()
@@ -620,9 +622,6 @@ func (n *Network) PeerClockOffsetNs(peer int) (int64, bool) {
 
 func newNetwork(cfg Config, ln net.Listener) *Network {
 	n := &Network{cfg: cfg, ln: ln, slots: make([]peerSlot, cfg.Size)}
-	for i := range n.slots {
-		n.slots[i].cond = sync.NewCond(&n.slots[i].mu)
-	}
 	// Created stopped (a duration that cannot elapse before Stop): the timer
 	// runs only between a clean→dirty transition and the first firing that
 	// finds nothing dirty.
@@ -768,74 +767,48 @@ func (n *Network) register(conn net.Conn) *link {
 	return lk
 }
 
-// serveConn answers the handshake (including the clock-sync exchange) on an
-// inbound connection, offers it for adoption as the peer pair's shared
-// link, then demultiplexes its frames until the peer closes. Adoption and
-// frame service are independent: a connection that lost its dial race still
-// delivers whatever frames the peer wrote before converging.
+// serveConn answers the handshake on an inbound connection, offers it to
+// this rank's path toward the peer (taken up if the path is established while
+// it lives), then demultiplexes its frames until the stream ends.
 func (n *Network) serveConn(lk *link) {
 	defer n.wg.Done()
-	conn := lk.conn
+	peer, err := n.answer(lk.conn)
+	if err != nil {
+		lk.close()
+		return
+	}
+	n.slots[peer].inbound.Store(lk)
+	n.serveFrames(lk, peer)
+}
+
+// answer is the server's half of the handshake: it reads the hello, sends the
+// clock echo, reads the dialer's offset report and records its clock sample.
+// It returns the dialing rank; a hello without the magic or naming no other
+// rank of the world is a bad frame.
+func (n *Network) answer(conn net.Conn) (peer int, err error) {
 	var hs [helloSize]byte
 	if _, err := io.ReadFull(conn, hs[:]); err != nil {
-		return
+		return 0, err
 	}
 	t2 := time.Now().UnixNano()
-	if binary.LittleEndian.Uint32(hs[0:]) != handshakeMagic {
-		return
+	peer = int(int32(binary.LittleEndian.Uint32(hs[4:])))
+	if binary.LittleEndian.Uint32(hs[0:]) != handshakeMagic || peer < 0 || peer >= n.cfg.Size || peer == n.cfg.Rank {
+		return 0, errBadFrame
 	}
-	peer := int(int32(binary.LittleEndian.Uint32(hs[4:])))
 	var echo [echoSize]byte
 	binary.LittleEndian.PutUint64(echo[0:], uint64(t2))
 	binary.LittleEndian.PutUint64(echo[8:], uint64(time.Now().UnixNano()))
 	if _, err := conn.Write(echo[:]); err != nil {
-		return
+		return 0, err
 	}
 	var off [offsetSize]byte
 	if _, err := io.ReadFull(conn, off[:]); err != nil {
-		return
+		return 0, err
 	}
 	// θ is server − dialer as the dialer computed it, so from this side
 	// local − peer = +θ.
-	theta := int64(binary.LittleEndian.Uint64(off[0:]))
-	delta := int64(binary.LittleEndian.Uint64(off[8:]))
-	if peer < 0 || peer >= n.cfg.Size || peer == n.cfg.Rank {
-		return
-	}
-	n.recordClockSample(peer, theta, delta)
-	n.adopt(peer, lk)
-	n.serveFrames(lk, peer)
-}
-
-// adopt decides whether an inbound connection from peer becomes the pair's
-// shared link. The deterministic rule is that the lower rank's dial wins a
-// symmetric-dial race:
-//
-//   - peer < rank: the peer's dial outranks ours — adopt unconditionally.
-//     A live link of our own is the losing side of the race (or a stale
-//     path the peer replaced); it is discarded and counted DialRacesLost.
-//   - peer > rank: our dial would win, so adopt only when the path is
-//     genuinely free — no live link and no dial in flight. Otherwise the
-//     connection is left unadopted; serveConn still reads its frames until
-//     the peer notices the loss and closes it.
-func (n *Network) adopt(peer int, lk *link) {
-	s := &n.slots[peer]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if peer < n.cfg.Rank {
-		old := s.link
-		s.link = lk
-		if old != nil && old.alive() {
-			n.counters().Inc(spc.DialRacesLost)
-			old.close()
-		}
-		s.cond.Broadcast()
-		return
-	}
-	if (s.link == nil || !s.link.alive()) && !s.dialing {
-		s.link = lk
-		s.cond.Broadcast()
-	}
+	n.recordClockSample(peer, int64(binary.LittleEndian.Uint64(off[0:])), int64(binary.LittleEndian.Uint64(off[8:])))
+	return peer, nil
 }
 
 // serveFrames is a connection's life after the handshake: its receive half
@@ -866,15 +839,17 @@ func (n *Network) arm(lk *link, peer int) {
 	}
 }
 
-// attend runs an armed connection's goroutine until the stream ends. A stream
-// that ends on bytes failing validation closes the link and ticks
-// wire_frames_rejected, whichever thread met the bad frame.
+// attend runs an armed connection's goroutine until the stream ends, then
+// closes the link: the peer is gone from it, so a flush must not write there.
+// A stream that ends on bytes failing validation ticks wire_frames_rejected,
+// whichever thread met the bad frame.
 func (n *Network) attend(lk *link) {
-	defer n.setPolled(&lk.rx, false)
-	if err := lk.rx.run(); errors.Is(err, errBadFrame) && !n.isClosed() {
+	err := lk.rx.run()
+	n.setPolled(&lk.rx, false)
+	if errors.Is(err, errBadFrame) && !n.isClosed() {
 		n.counters().Inc(spc.WireFramesRejected)
-		lk.close()
 	}
+	lk.close()
 }
 
 // setPolled adds rx to, or removes it from, the list the pollers sweep.
@@ -1034,7 +1009,8 @@ type landingBody struct {
 
 // step advances the receive half without ever waiting: deliver what is
 // already in hand, read once, deliver every frame the read completed. ctr and
-// by name the counter a read that returned bytes ticks. The stream fails
+// by name the counter a read that returned bytes ticks; a read that found the
+// socket empty ticks wire_reads_empty. The stream fails
 // validation, and ends with errBadFrame, on a declared length outside
 // [MuxHeaderSize, maxFrame], a plain frame longer than the window, a mux ID ≥
 // maxMux, a packet DecodeMuxFrameInto rejects or a landed frame land refuses.
@@ -1074,6 +1050,7 @@ func (rx *rxConn) step(ctr *spc.Set, by spc.Counter) rxState {
 			}
 			ctr.Inc(by)
 		case err == errWouldBlock:
+			ctr.Inc(spc.WireReadsEmpty)
 			return rxIdle
 		case err != nil:
 			return rx.end(err)
@@ -1285,67 +1262,40 @@ func (rx *rxConn) run() error {
 	}
 }
 
-// linkTo returns the pair's shared physical link, establishing it on first
-// use: dial, handshake, and deterministic resolution of symmetric-dial
-// races (lower rank's dial wins). established reports whether this call
-// dialed the surviving connection; false means an existing or adopted link
-// was reused.
+// linkTo returns the connection this rank writes to peer over, establishing
+// it on first use and again once it broke (a Reconnects tick): the newest
+// connection the peer dialed toward this rank if it is up, else one this rank
+// dials. established reports whether this call established it.
 func (n *Network) linkTo(peer int) (lk *link, established bool, err error) {
 	s := &n.slots[peer]
-	s.mu.Lock()
-	for {
-		if s.link != nil && s.link.alive() {
-			lk = s.link
-			s.mu.Unlock()
-			return lk, false, nil
-		}
-		if !s.dialing {
-			break
-		}
-		s.cond.Wait()
+	if lk = s.link.Load(); lk != nil && lk.alive() {
+		return lk, false, nil
 	}
-	s.dialing = true
-	s.mu.Unlock()
-
-	mine, derr := n.dialPeer(peer)
-
 	s.mu.Lock()
-	s.dialing = false
-	defer s.cond.Broadcast()
-	if derr != nil {
-		// A concurrently adopted inbound connection still serves the path
-		// even though our own dial failed.
-		if s.link != nil && s.link.alive() {
-			lk = s.link
-			s.mu.Unlock()
-			return lk, false, nil
+	defer s.mu.Unlock()
+	old := s.link.Load()
+	if old != nil && old.alive() {
+		return old, false, nil // another sender established it meanwhile
+	}
+	if lk = s.inbound.Load(); lk == nil || !lk.alive() {
+		mine, err := n.dialPeer(peer)
+		if err != nil {
+			return nil, false, err
 		}
-		s.mu.Unlock()
-		return nil, false, derr
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			n.serveFrames(mine, peer) // the peer may take it up for its own path
+		}()
+		lk = mine
 	}
 	ctr := n.counters()
 	ctr.Inc(spc.ConnsOpened)
-	if s.link != nil && s.link.alive() {
-		// Symmetric-dial race, and the peer's connection was adopted while
-		// we dialed. Only a lower-ranked peer's inbound dial is adopted
-		// during our own dial, so the winner is deterministic: discard our
-		// connection and use the peer's.
-		ctr.Inc(spc.DialRacesLost)
-		lk = s.link
-		s.mu.Unlock()
-		mine.close()
-		return lk, false, nil
+	if old != nil {
+		ctr.Inc(spc.Reconnects)
 	}
-	s.link = mine
-	s.mu.Unlock()
-	// The link is bidirectional: the dialer reads the peer's frames off the
-	// same connection.
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		n.serveFrames(mine, peer)
-	}()
-	return mine, true, nil
+	s.link.Store(lk)
+	return lk, true, nil
 }
 
 // dialPeer dials rank peer's listener and runs the full handshake: hello
@@ -1525,8 +1475,8 @@ func (d *Device) Context(i int) *Context {
 // Connect wires a send path from local to context remoteIdx of rank peer, a
 // rank other than this one (the runtime delivers a self send itself). The
 // endpoint is lazily connectable: nothing is dialed here — the first Send
-// establishes (or reuses) the pair's shared physical connection and the
-// remote context index becomes the frame's mux ID.
+// establishes (or reuses) this rank's path to the peer and the remote context
+// index becomes the frame's mux ID.
 func (d *Device) Connect(local transport.Context, peer int, remoteIdx int) (transport.Endpoint, error) {
 	if lc, ok := local.(*Context); !ok || lc == nil {
 		return nil, errors.New("tcpnet: local context is not a tcpnet context")
@@ -1648,9 +1598,9 @@ func (c *Context) drain(handler func(transport.CQE), max int) int {
 func (c *Context) Pending() bool { return c.recvQ.Len() > 0 }
 
 // Endpoint is a lazily connectable send path to one remote context: a mux ID
-// over the peer pair's shared connection. The first Send establishes the
-// physical link (or attaches to one another context already established — a
-// ConnsReused SPC tick).
+// over this rank's path to the peer. The first Send establishes the path (or
+// attaches to the one another endpoint already established — a ConnsReused
+// SPC tick).
 type Endpoint struct {
 	dev  *Device
 	peer int
@@ -1666,8 +1616,8 @@ type Endpoint struct {
 // caller's buffer is free, which is what eager local completion promises.
 // The bytes reach the socket at the end of the rank's next Context.Poll, inline here once the buffer crosses flushBytes, or from
 // the backstop timer within backstopDelay if the caller never progresses (see
-// the package comment). The first send toward a peer establishes the shared
-// connection; a failed establishment surfaces as ErrConnEstablish and the
+// the package comment). The first send toward a peer establishes the path; a
+// failed establishment surfaces as ErrConnEstablish and the
 // packet is not injected. A write that fails later is retried once on a
 // re-established link by the flush; if that fails too, the sends it carried
 // have already completed, so the error is returned by the next Send toward

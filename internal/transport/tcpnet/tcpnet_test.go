@@ -8,7 +8,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -350,21 +349,18 @@ func TestParsePeers(t *testing.T) {
 // sever kills n's link toward peer under the runtime the way a failing network
 // does: both directions are shut down, so the next write fails and the next
 // read ends, but the descriptor stays open — only link.close may release one,
-// because pollers read it raw.
+// because pollers read it raw. A link the end of its read stream already
+// closed is dead enough.
 func sever(t *testing.T, n *Network, peer int) {
 	t.Helper()
-	s := &n.slots[peer]
-	s.mu.Lock()
-	tc := s.link.conn.(*net.TCPConn)
-	s.mu.Unlock()
-	if err := errors.Join(tc.CloseRead(), tc.CloseWrite()); err != nil {
+	tc := n.slots[peer].link.Load().conn.(*net.TCPConn)
+	if err := errors.Join(tc.CloseRead(), tc.CloseWrite()); err != nil && !errors.Is(err, net.ErrClosed) {
 		t.Fatal(err)
 	}
 }
 
-// TestMultiplexedContextsShareOneConn proves the tentpole property: every
-// context of a peer pair shares one physical connection, demultiplexed by
-// the frame's mux ID.
+// TestMultiplexedContextsShareOneConn: every context of a rank sending to one
+// peer shares the rank's path there, demultiplexed by the frame's mux ID.
 func TestMultiplexedContextsShareOneConn(t *testing.T) {
 	nets, err := NewLoopback(2)
 	if err != nil {
@@ -423,164 +419,40 @@ func TestMultiplexedContextsShareOneConn(t *testing.T) {
 	}
 }
 
-// TestDialRaceResolutionDeterministic drives the symmetric-dial race
-// resolution directly: rank 1 (higher) holds an established link, then rank
-// 0's dial arrives — the lower rank's dial must win, rank 1 adopting the
-// inbound connection, discarding its own, and counting DialRacesLost.
-func TestDialRaceResolutionDeterministic(t *testing.T) {
+// TestReplyRidesTheRequestsConnection: a rank whose first send to a peer
+// answers one the peer dialed takes that connection up as its path instead
+// of dialing — one socket for the pair, so the reply carries TCP's
+// acknowledgment of the request — and each side counts one path opened.
+func TestReplyRidesTheRequestsConnection(t *testing.T) {
 	nets, err := NewLoopback(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr0, ctr1 := spc.NewSet(), spc.NewSet()
-	d0, err := nets[0].NewDevice(0, hw.Fast(), transport.DeviceConfig{Counters: ctr0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := nets[1].NewDevice(1, hw.Fast(), transport.DeviceConfig{Counters: ctr1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d0.Close(); d1.Close() })
-	c0, _ := d0.CreateContext(0)
-	c1, _ := d1.CreateContext(0)
-	ep0, err := d0.Connect(c0, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep1, err := d1.Connect(c1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	send := func(ep transport.Endpoint, tag int32) {
-		t.Helper()
-		env := transport.Envelope{Tag: tag, Kind: transport.KindEager}
-		if err := ep.Send(transport.NewPacket(env, nil, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recv := func(c transport.Context, wantTag int32) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			var got *transport.Packet
-			c.Poll(func(e transport.CQE) {
-				if e.Kind == transport.CQERecv {
-					got = e.Packet
-				}
-			}, 8)
-			if got != nil {
-				if tag := got.Envelope().Tag; tag != wantTag {
-					t.Fatalf("got tag %d, want %d", tag, wantTag)
-				}
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("tag %d never arrived", wantTag)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	// Rank 1 establishes first: it dials, rank 0 adopts the inbound conn.
-	send(ep1, 1)
-	recv(c0, 1)
-	if got := ctr1.Get(spc.ConnsOpened); got != 1 {
-		t.Fatalf("rank 1 conns_opened = %d, want 1", got)
-	}
-	// Force rank 0 to dial as if its own dial had raced: mark its adopted
-	// link broken (without closing the socket rank 1 still writes on).
-	s := &nets[0].slots[1]
-	s.mu.Lock()
-	s.link.broken.Store(true)
-	s.mu.Unlock()
-	// Rank 0's next send dials. Rank 1's accept side sees a hello from a
-	// lower rank while holding a live link: adopt, discard, count the loss.
-	send(ep0, 2)
-	recv(c1, 2)
-	deadline := time.Now().Add(5 * time.Second)
-	for ctr1.Get(spc.DialRacesLost) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("rank 1 never counted its lost dial race")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := ctr0.Get(spc.ConnsOpened); got != 1 {
-		t.Fatalf("rank 0 conns_opened = %d, want 1", got)
-	}
-	if got := ctr0.Get(spc.DialRacesLost); got != 0 {
-		t.Fatalf("rank 0 dial_races_lost = %d, want 0 (the lower rank wins)", got)
-	}
-	// Traffic converges onto the surviving connection in both directions.
-	send(ep1, 3)
-	recv(c0, 3)
-	send(ep0, 4)
-	recv(c1, 4)
-	opened := ctr0.Get(spc.ConnsOpened) + ctr1.Get(spc.ConnsOpened)
-	lost := ctr0.Get(spc.DialRacesLost) + ctr1.Get(spc.DialRacesLost)
-	if opened-lost != 1 {
-		t.Fatalf("surviving connections = %d − %d = %d, want 1", opened, lost, opened-lost)
-	}
-}
-
-// TestConcurrentFirstSendsConverge fires the two sides' first sends
-// concurrently, so the dials may genuinely race, and asserts the invariant
-// either way: exactly one surviving connection per pair and delivery in
-// both directions.
-func TestConcurrentFirstSendsConverge(t *testing.T) {
-	for iter := 0; iter < 10; iter++ {
-		nets, err := NewLoopback(2)
+	var ctrs [2]*spc.Set
+	var ctxs [2]transport.Context
+	var eps [2]transport.Endpoint
+	for r := range nets {
+		ctrs[r] = spc.NewSet()
+		d, err := nets[r].NewDevice(r, hw.Fast(), transport.DeviceConfig{Counters: ctrs[r]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctr0, ctr1 := spc.NewSet(), spc.NewSet()
-		d0, err := nets[0].NewDevice(0, hw.Fast(), transport.DeviceConfig{Counters: ctr0})
-		if err != nil {
-			t.Fatal(err)
+		t.Cleanup(d.Close)
+		ctxs[r] = mustContext(t, d)
+		eps[r] = mustConnect(t, d, ctxs[r], 1-r, 0)
+	}
+	establish(t, eps[0], ctxs[0], ctxs[1])
+	establish(t, eps[1], ctxs[1], ctxs[0])
+	for r, n := range nets {
+		n.mu.Lock()
+		conns := len(n.conns)
+		n.mu.Unlock()
+		if o, d := ctrs[r].Get(spc.ConnsOpened), ctrs[r].Get(spc.DialRetries); conns != 1 || o != 1 || d != 0 {
+			t.Errorf("rank %d: %d sockets, conns_opened %d, dial_retries %d; want one socket and one path", r, conns, o, d)
 		}
-		d1, err := nets[1].NewDevice(1, hw.Fast(), transport.DeviceConfig{Counters: ctr1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c0, _ := d0.CreateContext(0)
-		c1, _ := d1.CreateContext(0)
-		ep0, err := d0.Connect(c0, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep1, err := d1.Connect(c1, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for _, ep := range []transport.Endpoint{ep0, ep1} {
-			wg.Add(1)
-			go func(ep transport.Endpoint) {
-				defer wg.Done()
-				env := transport.Envelope{Tag: 9, Kind: transport.KindEager}
-				if err := ep.Send(transport.NewPacket(env, nil, nil)); err != nil {
-					t.Error(err)
-				}
-			}(ep)
-		}
-		wg.Wait()
-		for _, c := range []transport.Context{c0, c1} {
-			got := 0
-			deadline := time.Now().Add(5 * time.Second)
-			for got < 1 { // the inbound packet; a send posts no completion
-				got += c.Poll(func(transport.CQE) {}, 8)
-				if time.Now().After(deadline) {
-					t.Fatal("delivery never converged after racing dials")
-				}
-			}
-		}
-		opened := ctr0.Get(spc.ConnsOpened) + ctr1.Get(spc.ConnsOpened)
-		lost := ctr0.Get(spc.DialRacesLost) + ctr1.Get(spc.DialRacesLost)
-		if opened-lost != 1 {
-			t.Fatalf("iter %d: surviving connections = %d − %d = %d, want exactly 1",
-				iter, opened, lost, opened-lost)
-		}
-		d0.Close()
-		d1.Close()
+	}
+	if nets[1].slots[0].link.Load() != nets[1].slots[0].inbound.Load() {
+		t.Error("rank 1 dialed a connection of its own for its reply")
 	}
 }
 
@@ -635,29 +507,18 @@ func establish(t *testing.T, ep transport.Endpoint, local, remote transport.Cont
 	poll1(t, remote)
 }
 
-// countingConn counts Write calls — the write syscalls of a real socket.
-type countingConn struct {
-	net.Conn
-	writes atomic.Int64
-}
-
-func (c *countingConn) Write(b []byte) (int, error) {
-	c.writes.Add(1)
-	return c.Conn.Write(b)
-}
-
 // TestConcurrentSendersCoalesce is the write path under contention: eight
-// goroutines on eight contexts share the pair's one socket, each posting
-// windows of sends and then progressing. Every frame must arrive exactly
-// once and in per-context order, and the socket must see far fewer writes
-// than frames — the syscall is paid per batch.
+// goroutines on eight contexts share the rank's one socket to the peer, each
+// posting windows of sends and then progressing. Every frame must arrive
+// exactly once and in per-context order, and the socket must see far fewer
+// writes (one per flush) than frames — the syscall is paid per batch.
 func TestConcurrentSendersCoalesce(t *testing.T) {
 	const (
 		senders = 8
 		perCtx  = 2000
 		window  = 32
 	)
-	nets, d0, d1, _ := newCountedPair(t)
+	_, d0, d1, ctr := newCountedPair(t)
 	var local, remote [senders]transport.Context
 	var eps [senders]transport.Endpoint
 	for i := range eps {
@@ -665,11 +526,7 @@ func TestConcurrentSendersCoalesce(t *testing.T) {
 		eps[i] = mustConnect(t, d0, local[i], 1, i)
 	}
 	establish(t, eps[0], local[0], remote[0])
-	s := &nets[0].slots[1]
-	s.mu.Lock()
-	cc := &countingConn{Conn: s.link.conn}
-	s.link.conn = cc
-	s.mu.Unlock()
+	before := ctr.Get(spc.WireFlushes)
 
 	var wg sync.WaitGroup
 	for i := range eps {
@@ -719,7 +576,7 @@ func TestConcurrentSendersCoalesce(t *testing.T) {
 			t.Errorf("context %d received %d frames beyond the %d sent", i, extra, perCtx)
 		}
 	}
-	if w, max := cc.writes.Load(), int64(senders*perCtx/8); w > max {
+	if w, max := ctr.Get(spc.WireFlushes)-before, int64(senders*perCtx/8); w > max {
 		t.Errorf("%d socket writes for %d frames, want at most %d", w, senders*perCtx, max)
 	}
 }
@@ -815,15 +672,21 @@ func TestFlushFailureIsReported(t *testing.T) {
 	ep := mustConnect(t, d0, c0, 1, 0)
 	establish(t, ep, c0, c1)
 
-	d1.Close()
-	sever(t, nets[0], 1) // a write to a half-closed socket could still succeed
 	send := func(seq uint32) error {
 		env := transport.Envelope{Src: 0, Dst: 1, Seq: seq, Kind: transport.KindEager}
 		return ep.Send(transport.NewPacket(env, nil, nil))
 	}
+	// Holding the write-order lock keeps every flusher (the backstop
+	// included) out while the frame is buffered and the peer goes away: a
+	// Send that finds the link already closed re-dials, and fails, at once.
+	s := &nets[0].slots[1]
+	s.wmu.Lock()
 	if err := send(1); err != nil {
 		t.Fatalf("send into the pending buffer: %v", err)
 	}
+	d1.Close()
+	sever(t, nets[0], 1) // a write to a half-closed socket could still succeed
+	s.wmu.Unlock()
 	c0.Poll(func(transport.CQE) {}, 64) // completes the send; the flush fails
 	// The backstop may have claimed the flush first and still sit in its dial.
 	for deadline := time.Now().Add(2 * time.Second); ctr.Get(spc.WireFlushFailures) == 0 && time.Now().Before(deadline); {
